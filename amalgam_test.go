@@ -1,6 +1,7 @@
 package amalgam_test
 
 import (
+	"context"
 	"net"
 	"testing"
 
@@ -25,7 +26,8 @@ func TestPublicAPIWorkflow(t *testing.T) {
 	if job.AugmentedDataset.H() != 42 {
 		t.Fatalf("augmented geometry %d, want 42", job.AugmentedDataset.H())
 	}
-	stats, err := job.Train(amalgam.TrainConfig{Epochs: 2, BatchSize: 16, LR: 0.05, Momentum: 0.9})
+	stats, err := amalgam.Train(context.Background(), amalgam.LocalTrainer{}, job,
+		amalgam.TrainConfig{Epochs: 2, BatchSize: 16, LR: 0.05, Momentum: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +81,11 @@ func TestTrainRemoteWorkflow(t *testing.T) {
 	tc := amalgam.TrainConfig{Epochs: 1, BatchSize: 8, LR: 0.05, Momentum: 0.9}
 
 	remote := mk()
-	if _, err := remote.TrainRemote(l.Addr().String(), tc); err != nil {
+	if _, err := amalgam.Train(context.Background(), amalgam.RemoteTrainer{Addr: l.Addr().String()}, remote, tc); err != nil {
 		t.Fatal(err)
 	}
 	local := mk()
-	if _, err := local.Train(tc); err != nil {
+	if _, err := amalgam.Train(context.Background(), amalgam.LocalTrainer{}, local, tc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -108,7 +110,7 @@ func TestTrainRemoteWorkflow(t *testing.T) {
 		job, _ := amalgam.Obfuscate(model, ds, amalgam.Options{Amount: 0.5, SubNets: 2, Seed: 5})
 		return job
 	}()
-	if _, err := noName.TrainRemote(l.Addr().String(), tc); err == nil {
+	if _, err := amalgam.Train(context.Background(), amalgam.RemoteTrainer{Addr: l.Addr().String()}, noName, tc); err == nil {
 		t.Fatal("TrainRemote without ModelName should error")
 	}
 }
@@ -126,7 +128,7 @@ func TestPublicAPIValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := job.Train(amalgam.TrainConfig{}); err == nil {
+	if _, err := amalgam.Train(context.Background(), amalgam.LocalTrainer{}, job, amalgam.TrainConfig{}); err == nil {
 		t.Fatal("zero-epoch training should error")
 	}
 	if _, err := amalgam.BuildCV("nope", 1, amalgam.CVConfig{}); err == nil {

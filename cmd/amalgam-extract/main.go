@@ -37,11 +37,7 @@ func run() error {
 		return err
 	}
 	if ck != nil {
-		kind := ck.Kind
-		if kind == "" {
-			kind = "unknown kind (legacy AMC1)"
-		}
-		fmt.Printf("input is a training checkpoint at epoch %d (%s)\n", ck.Epoch, kind)
+		fmt.Printf("input is a training checkpoint at epoch %d (%s)\n", ck.Epoch, ck.Kind)
 	}
 	extracted := map[string]*tensor.Tensor{}
 	var decoyParams, origParams int

@@ -4,7 +4,7 @@
 //	amalgam-serve -bench                 # in-process saturation benchmark -> BENCH JSON
 //
 // Serve mode registers one demo model per modality (deterministic seeds,
-// synthetic scale) behind the wire protocol's inference extension;
+// synthetic scale) behind the wire protocol's infer frames;
 // clients connect with amalgam.NewPredictClient. Bench mode drives the
 // dynamic batcher with closed-loop clients across batch budgets and
 // reports requests/sec with latency quantiles — the amortisation curve

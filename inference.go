@@ -1,8 +1,8 @@
 package amalgam
 
 // Inference serving: the public face of internal/serve (an in-process
-// batched prediction server) and of the wire protocol's inference
-// extension (a retrying remote client). A PredictServer coalesces
+// batched prediction server) and of the wire protocol's infer frames
+// (a retrying remote client). A PredictServer coalesces
 // concurrent single predictions into shared forward passes under a
 // latency budget, serving extracted originals and still-obfuscated
 // augmented models alike; batched and sequential predictions are
@@ -167,7 +167,7 @@ func (s *PredictServer) PredictLM(req PredictLMRequest) (LMResult, error) {
 }
 
 // PredictClient is a remote prediction client speaking the wire
-// protocol's inference extension, with the same fault tolerance story as
+// protocol's infer frames, with the same fault tolerance story as
 // RemoteTrainer: transient failures — dial errors, dropped connections,
 // I/O deadlines, server shutdown, backpressure — are retried with capped
 // exponential backoff over a fresh connection. Predictions are

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -54,6 +56,11 @@ func TestPredictSteadyStatePoolStable(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops puts at random; miss counts are meaningless")
 	}
+	// sync.Pool keeps a private slot per P and is emptied by the collector,
+	// so which Get misses depends on scheduling and GC timing; on one P
+	// with the collector off, a miss can only be a buffer that leaked.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ds := amalgam.SyntheticMNIST(16, 2)
 	m, err := amalgam.BuildCV("lenet", 7, amalgam.CVConfig{InC: 1, InH: 28, InW: 28, Classes: 10})
 	if err != nil {

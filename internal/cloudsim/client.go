@@ -3,10 +3,9 @@ package cloudsim
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -75,15 +74,15 @@ type frame struct {
 	payload []byte
 }
 
-// requestFrames serializes a request (spec through init state) under the
-// given hyper-parameters. The terminator (msgDone or msgSubmit) is the
-// caller's: it decides blocking vs async.
-func requestFrames(req *TrainRequest, hyper Hyper) ([]frame, error) {
+// requestFrames serializes a request (spec through init state). The
+// terminator (msgDone or msgSubmit) is the caller's: it decides between
+// training on this connection and submitting for later.
+func requestFrames(req *TrainRequest) ([]frame, error) {
 	specPayload, err := encodeSpecFrame(req.Spec)
 	if err != nil {
 		return nil, err
 	}
-	hyperJSON, err := json.Marshal(hyper)
+	hyperJSON, err := json.Marshal(req.Hyper)
 	if err != nil {
 		return nil, err
 	}
@@ -165,42 +164,50 @@ func requestFrames(req *TrainRequest, hyper Hyper) ([]frame, error) {
 }
 
 // writeRequest puts a full request on the wire, ending with terminator.
-func writeRequest(conn *deadlineConn, req *TrainRequest, hyper Hyper, terminator byte) error {
-	frames, err := requestFrames(req, hyper)
+func writeRequest(w io.Writer, req *TrainRequest, terminator byte) error {
+	frames, err := requestFrames(req)
 	if err != nil {
 		return err
 	}
 	for _, f := range frames {
-		if err := writeFrame(conn, f.kind, f.payload); err != nil {
+		if err := writeFrame(w, f.kind, f.payload); err != nil {
 			return err
 		}
 	}
-	return writeFrame(conn, terminator, nil)
+	return writeFrame(w, terminator, nil)
 }
 
-// decodeErrorFrame maps a msgError payload back to an error, restoring
-// the sentinel from the v2 code byte when present.
+// decodeErrorFrame maps a msgError payload (errCode byte + message) back
+// to an error wrapping the code's sentinel.
 func decodeErrorFrame(payload []byte) error {
-	msg := payload
-	var sentinel error
-	if len(payload) > 0 && payload[0] < ' ' {
-		// v2 error frames lead with a code byte (all codes are
-		// control-range, never printable ASCII).
-		sentinel = sentinelFor(payload[0])
-		msg = payload[1:]
+	code, msg := errCodeGeneric, payload
+	if len(payload) > 0 {
+		code, msg = payload[0], payload[1:]
 	}
-	if sentinel != nil {
+	if sentinel := sentinelFor(code); sentinel != nil {
 		return fmt.Errorf("cloudsim: server: %s: %w", msg, sentinel)
 	}
-	// v1 servers and errCodeGeneric frames carry no classification byte;
-	// reconstructing one here would be guessing.
-	return fmt.Errorf("cloudsim: server: %s", msg) //amalgam:allow errtaxcheck v1/generic error frames carry no code to map onto a sentinel
+	return fmt.Errorf("cloudsim: server: %s", msg) //amalgam:allow errtaxcheck errCodeGeneric frames carry no sentinel to map onto
 }
 
-// readJobStream consumes a server's job output stream — progress,
-// checkpoint, optimiser/RNG state, result, final state — until the
-// terminating msgState (or msgError) frame.
+// readJobStream consumes a server's job stream — progress, checkpoint,
+// result, optimiser/RNG state, final state — until the terminating
+// msgState (or msgError) frame. The request is fully on the wire by now
+// and this goroutine only reads, so the cancel watcher it starts is the
+// connection's sole writer: cancelling ctx sends msgCancel and bounds how
+// long a wedged server may take to flush the partial result.
 func readJobStream(ctx context.Context, conn *deadlineConn, h StreamHandlers) (*TrainResponse, error) {
+	watcherDone := make(chan struct{})
+	defer close(watcherDone)
+	go func() {
+		select {
+		case <-ctx.Done():
+			_ = writeFrame(conn, msgCancel, nil)
+			conn.setHardReadDeadline(time.Now().Add(cancelDrainTimeout))
+		case <-watcherDone:
+		}
+	}()
+
 	resp := &TrainResponse{}
 	for {
 		kind, payload, err := readFrame(conn)
@@ -221,17 +228,6 @@ func readJobStream(ctx context.Context, conn *deadlineConn, h StreamHandlers) (*
 			}
 		case msgCheckpoint:
 			ck, err := serialize.ReadTrainCheckpoint(bytes.NewReader(payload))
-			if errors.Is(err, serialize.ErrWrongFormat) && len(payload) >= 4 {
-				// Legacy layout from a server predating the extension:
-				// uint32 epoch + bare state dict, no kind or optimiser
-				// state.
-				dict, derr := serialize.ReadStateDict(bytes.NewReader(payload[4:]))
-				if derr == nil {
-					ck, err = &serialize.TrainCheckpoint{
-						Epoch: int(binary.LittleEndian.Uint32(payload)), State: dict,
-					}, nil
-				}
-			}
 			if err != nil {
 				return nil, fmt.Errorf("cloudsim: bad checkpoint frame: %w", err)
 			}
@@ -283,39 +279,14 @@ func TrainContextNet(ctx context.Context, addr string, req *TrainRequest, h Stre
 		return nil, err
 	}
 	defer conn.Close()
-
-	// This client understands the optimiser-state, failover, and
-	// pluggable-optimiser extensions; declare them so the server sends
-	// AMC2/AMC3 checkpoint frames, the msgOptState/msgRNGState result
-	// frames, and the graceful-shutdown handoff.
-	hyper := req.Hyper
-	hyper.OptState = true
-	hyper.Failover = true
-	hyper.OptimSpec = true
-	if err := writeRequest(conn, req, hyper, msgDone); err != nil {
+	if err := writeRequest(conn, req, msgDone); err != nil {
 		return nil, err
 	}
-
-	// All request frames are on the wire; from here the main goroutine
-	// only reads, so the cancel watcher is the sole writer.
-	watcherDone := make(chan struct{})
-	defer close(watcherDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = writeFrame(conn, msgCancel, nil)
-			// Don't wait forever for a wedged server to flush the
-			// partial result.
-			conn.setHardReadDeadline(time.Now().Add(cancelDrainTimeout))
-		case <-watcherDone:
-		}
-	}()
-
 	return readJobStream(ctx, conn, h)
 }
 
-// SubmitContext submits a job asynchronously and returns its durable job
-// ID without waiting for training: the scheduler queues the job under its
+// SubmitContext submits a job and returns its durable job ID without
+// waiting for training: the scheduler queues the job under its
 // spec's tenant and the connection ends at the ack. Retrieve output later
 // with PollContext/AttachContext on fresh connections. Admission rejects
 // are typed and transient (ErrQueueFull, ErrTenantQuota) — backpressure
@@ -327,12 +298,7 @@ func SubmitContext(ctx context.Context, addr string, req *TrainRequest, net_ Net
 	}
 	defer conn.Close()
 
-	hyper := req.Hyper
-	hyper.OptState = true
-	hyper.Failover = true
-	hyper.OptimSpec = true
-	hyper.Async = true
-	if err := writeRequest(conn, req, hyper, msgSubmit); err != nil {
+	if err := writeRequest(conn, req, msgSubmit); err != nil {
 		return "", err
 	}
 	kind, payload, err := readFrame(conn)
@@ -414,10 +380,6 @@ func AttachContext(ctx context.Context, addr string, areq AttachRequest, h Strea
 	}
 	defer conn.Close()
 
-	// This binary understands the AMC2/AMC3 and failover frame formats.
-	areq.OptState = true
-	areq.Failover = true
-	areq.OptimSpec = true
 	js, err := json.Marshal(areq)
 	if err != nil {
 		return nil, err
@@ -425,17 +387,5 @@ func AttachContext(ctx context.Context, addr string, areq AttachRequest, h Strea
 	if err := writeFrame(conn, msgAttach, js); err != nil {
 		return nil, err
 	}
-
-	watcherDone := make(chan struct{})
-	defer close(watcherDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = writeFrame(conn, msgCancel, nil)
-			conn.setHardReadDeadline(time.Now().Add(cancelDrainTimeout))
-		case <-watcherDone:
-		}
-	}()
-
 	return readJobStream(ctx, conn, h)
 }

@@ -6,15 +6,19 @@
 // analysis (§6.3) consumes, and an accelerator cost model used to report
 // GPU-relative numbers on a CPU-only testbed (Fig. 14; see DESIGN.md §4).
 //
-// Protocol v2 extends the original blocking request/response loop with
-// per-epoch progress streaming, cooperative cancellation, mid-job
-// checkpoint frames, and a second modality: augmented text-classification
-// jobs ride the same wire as CV jobs.
+// The service speaks wire protocol v3 (frame table in frames.go). One
+// connection carries one conversation: a training job run on the
+// connection itself (per-epoch progress, checkpoint frames, cooperative
+// cancellation, a shutdown handoff), a submission to the multi-tenant
+// scheduler followed by poll/attach/cancel on later connections, or any
+// number of batched predictions. CV, text-classification, and
+// language-model jobs ride the same frames, and every epoch they run goes
+// through the one TrainLoop that local training uses too — which is what
+// makes remote, local, resumed, and fault-interrupted runs bit-identical.
 package cloudsim
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -67,11 +71,10 @@ type ModelSpec struct {
 	LMMaxT    int     `json:"lm_max_t,omitempty"`
 	LMDropout float64 `json:"lm_dropout,omitempty"`
 	// LMGELUFF selects the GELU feed-forward variant; absent/false keeps
-	// the default ReLU, so pre-extension specs rebuild identically.
+	// the default ReLU.
 	LMGELUFF bool `json:"lm_gelu_ff,omitempty"`
 	// Tenant attributes the job to a fair-share scheduling bucket. Empty
-	// (every pre-extension client) buckets under the default tenant, so
-	// legacy specs decode and schedule unchanged.
+	// buckets under the default tenant.
 	Tenant string `json:"tenant,omitempty"`
 }
 
@@ -87,52 +90,19 @@ type Hyper struct {
 	// StartEpoch resumes a job: epochs [0, StartEpoch) are assumed done
 	// (their effect carried by InitState) and metrics continue from there.
 	StartEpoch int `json:"start_epoch,omitempty"`
-	// Stream asks a v2 server to push msgProgress frames per epoch.
+	// Stream asks the server to push a msgProgress frame per epoch.
 	Stream bool `json:"stream,omitempty"`
-	// CheckpointEvery asks a v2 server to push a msgCheckpoint frame (full
-	// state dict) every N epochs. 0 disables.
+	// CheckpointEvery asks the server to push a msgCheckpoint frame (a full
+	// training checkpoint) every N epochs. 0 disables.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// OptState declares that the client understands the optimiser-state
-	// extension: AMC2-format msgCheckpoint payloads and the msgOptState
-	// result frame. Clients that predate the extension never set it, so
-	// the server keeps sending them the legacy checkpoint layout and no
-	// optimiser frames — same-version negotiation without a protocol bump.
-	OptState bool `json:"opt_state,omitempty"`
-	// Failover declares that the client understands the fault-tolerance
-	// extension: msgRNGState result frames (dropout-stream cursors) and
-	// the shutdown handoff (epoch-aligned msgCheckpoint followed by a
-	// retryable coded msgError instead of a normal result). Negotiated the
-	// same way as OptState, so pre-extension clients never see the new
-	// frames.
-	Failover bool `json:"failover,omitempty"`
-	// Async declares that the client understands the async-service
-	// extension and intends to end its request with msgSubmit instead of
-	// msgDone. Negotiated like OptState/Failover: pre-extension clients
-	// never set it and keep the blocking submit+wait conversation.
-	Async bool `json:"async,omitempty"`
 	// Optimizer selects the job's optimiser by spec (kind + hyperparams).
-	// Nil keeps the historical behaviour: SGD built from the flat
-	// LR/Momentum/WeightDecay fields above, so every pre-extension client
-	// trains exactly as before. A spec with LR 0 inherits Hyper.LR.
+	// Nil means SGD built from the flat LR/Momentum/WeightDecay fields
+	// above. A spec with LR 0 inherits Hyper.LR.
 	Optimizer *optim.OptimSpec `json:"optimizer,omitempty"`
 	// Schedule selects an LR schedule applied at epoch boundaries. The
 	// schedule is reconstructed from (spec, completed epochs) on resume,
 	// so the rate never needs to travel in optimiser state.
 	Schedule *optim.ScheduleSpec `json:"lr_schedule,omitempty"`
-	// OptimSpec declares that the client understands the pluggable-
-	// optimiser extension: AMC3 msgCheckpoint payloads and AMO1-framed
-	// msgOptState result frames (generalized optimiser state). Negotiated
-	// like OptState/Failover/Async — pre-extension clients never set it,
-	// keep receiving the legacy SGD encodings byte-for-byte, and a server
-	// refuses Optimizer/Schedule specs from clients that did not declare
-	// it (they could not decode the resulting state frames).
-	OptimSpec bool `json:"optim_spec,omitempty"`
-	// Infer declares that the client understands the inference-serving
-	// extension and will send msgInfer frames (batched predictions against
-	// models registered on the server, full-input or split). Negotiated
-	// like the other capability flags — no version bump; pre-extension
-	// clients never set it and their byte streams are served unchanged.
-	Infer bool `json:"infer,omitempty"`
 }
 
 // TrainRequest is a complete job: spec, hyper-parameters, and the
@@ -179,8 +149,7 @@ type EpochMetric struct {
 	// Loss is the mean per-token cross-entropy). Zero for other kinds.
 	Perplexity float64 `json:"perplexity,omitempty"`
 	// LR is the learning rate the epoch trained at. Populated only for
-	// jobs that carry an optimiser or schedule spec, so pre-extension
-	// progress frames stay byte-identical.
+	// jobs that carry an optimiser or schedule spec.
 	LR float64 `json:"lr,omitempty"`
 }
 
@@ -357,11 +326,6 @@ type forwarder interface {
 	Forward(x *autodiff.Node) *autodiff.Node
 }
 
-// idForwarder is implemented by text models (original and augmented).
-type idForwarder interface {
-	ForwardIDs(ids [][]int) *autodiff.Node
-}
-
 func newEngine(req *TrainRequest) (*Engine, error) {
 	model, err := BuildModel(req.Spec)
 	if err != nil {
@@ -374,29 +338,35 @@ func newEngine(req *TrainRequest) (*Engine, error) {
 			return nil, fmt.Errorf("cloudsim: dataset has %d images for %d labels: %w", imageCount(req.Images), n, ErrBadRequest)
 		}
 		ds := &data.ImageDataset{Images: req.Images, Labels: req.Labels, Classes: req.Spec.Classes}
-		var lossFn func(x *autodiff.Node, labels []int) (total, orig *autodiff.Node)
+		fw := model.(forwarder) // every CV model, plain or augmented
+		lossFn := func(x *autodiff.Node, labels []int) (*autodiff.Node, *autodiff.Node) {
+			l := autodiff.SoftmaxCrossEntropy(fw.Forward(x), labels)
+			return l, l
+		}
 		if am, ok := model.(*core.AugmentedCVModel); ok {
 			lossFn = am.Loss
-		} else {
-			fw := model.(forwarder)
-			lossFn = func(x *autodiff.Node, labels []int) (*autodiff.Node, *autodiff.Node) {
-				l := autodiff.SoftmaxCrossEntropy(fw.Forward(x), labels)
-				return l, l
+		}
+		accuracy := func(ds *data.ImageDataset) func(batch int) float64 {
+			return func(batch int) float64 {
+				return argmaxAccuracy(model, ds.N(), batch, func(idx []int) (*autodiff.Node, []int) {
+					x, labels := ds.Batch(idx)
+					return fw.Forward(autodiff.Constant(x)), labels
+				})
 			}
 		}
 		eng := &Engine{
 			Model:    model,
 			N:        n,
 			Step:     CVStep(model, lossFn, ds),
-			TrainAcc: func(batch int) float64 { return imageAccuracy(model, ds, batch) },
+			TrainAcc: accuracy(ds),
 		}
 		if req.EvalImages != nil {
 			if len(req.EvalLabels) == 0 || req.EvalImages.Dim(0) != len(req.EvalLabels) {
 				return nil, fmt.Errorf("cloudsim: eval split has %d images for %d labels: %w",
 					req.EvalImages.Dim(0), len(req.EvalLabels), ErrBadRequest)
 			}
-			eds := &data.ImageDataset{Images: req.EvalImages, Labels: req.EvalLabels, Classes: req.Spec.Classes}
-			eng.EvalAcc = func(batch int) (float64, bool) { return imageAccuracy(model, eds, batch), true }
+			evalAcc := accuracy(&data.ImageDataset{Images: req.EvalImages, Labels: req.EvalLabels, Classes: req.Spec.Classes})
+			eng.EvalAcc = func(batch int) (float64, bool) { return evalAcc(batch), true }
 		}
 		return eng, nil
 	case "augmented-text":
@@ -411,19 +381,27 @@ func newEngine(req *TrainRequest) (*Engine, error) {
 		}
 		ds := &data.TextDataset{Samples: req.Samples, Labels: req.Labels, Vocab: req.Spec.Vocab, Classes: req.Spec.Classes}
 		am := model.(*core.AugmentedTextClassifier)
+		accuracy := func(ds *data.TextDataset) func(batch int) float64 {
+			return func(batch int) float64 {
+				return argmaxAccuracy(am, ds.N(), batch, func(idx []int) (*autodiff.Node, []int) {
+					ids, labels := ds.Batch(idx)
+					return am.ForwardIDs(ids), labels
+				})
+			}
+		}
 		eng := &Engine{
 			Model:    model,
 			N:        n,
 			Step:     TextStep(am, ds),
-			TrainAcc: func(batch int) float64 { return textAccuracy(model, ds, batch) },
+			TrainAcc: accuracy(ds),
 		}
 		if len(req.EvalSamples) > 0 {
 			if len(req.EvalSamples) != len(req.EvalLabels) {
 				return nil, fmt.Errorf("cloudsim: eval split has %d samples for %d labels: %w",
 					len(req.EvalSamples), len(req.EvalLabels), ErrBadRequest)
 			}
-			eds := &data.TextDataset{Samples: req.EvalSamples, Labels: req.EvalLabels, Vocab: req.Spec.Vocab, Classes: req.Spec.Classes}
-			eng.EvalAcc = func(batch int) (float64, bool) { return textAccuracy(model, eds, batch), true }
+			evalAcc := accuracy(&data.TextDataset{Samples: req.EvalSamples, Labels: req.EvalLabels, Vocab: req.Spec.Vocab, Classes: req.Spec.Classes})
+			eng.EvalAcc = func(batch int) (float64, bool) { return evalAcc(batch), true }
 		}
 		return eng, nil
 	case "augmented-lm":
@@ -510,17 +488,43 @@ func LMStep(am *core.AugmentedTransformerLM, ws *data.WindowSet) func(optim.Opti
 	}
 }
 
+// argmaxAccuracy is the eval loop behind every accuracy figure this
+// package reports (both service engines and LMAccuracy; the root package
+// keeps its own copy for Predict/PredictText, since sharing this one
+// would take a new exported name): it puts m in eval mode (restoring the
+// prior mode afterwards), walks n samples in order in batches, scores the
+// argmax of each logits row forward returns against its label, and
+// releases every forward graph back to the tensor pool. No labels scored
+// — an empty dataset — is 0, not NaN.
+func argmaxAccuracy(m interface{ SetTraining(bool) }, n, batch int,
+	forward func(idx []int) (logits *autodiff.Node, labels []int)) float64 {
+
+	prev := nn.TrainingMode(m)
+	m.SetTraining(false)
+	defer m.SetTraining(prev)
+	correct, total := 0, 0
+	for _, idx := range data.BatchIter(n, batch, nil) {
+		logits, labels := forward(idx)
+		pred := tensor.ArgmaxRows(logits.Val)
+		autodiff.Release(logits)
+		for i, p := range pred {
+			if p == labels[i] {
+				correct++
+			}
+		}
+		total += len(labels)
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(correct) / float64(total)
+}
+
 // LMAccuracy scores the original sub-network's next-token accuracy over
 // a set of augmented windows — the LM counterpart of classification
-// accuracy, shared by the service engine and the public LMJob. Exported
-// (unlike the per-modality accuracy helpers below) because the amalgam
-// package reuses it for local training and eval-set scoring.
+// accuracy, shared by the service engine and the public LMJob.
 func LMAccuracy(am *core.AugmentedTransformerLM, ws *data.WindowSet, batch int) float64 {
-	prev := am.Training()
-	am.SetTraining(false)
-	defer am.SetTraining(prev)
-	correct, total := 0, 0
-	for _, idx := range data.BatchIter(ws.N(), batch, nil) {
+	return argmaxAccuracy(am, ws.N(), batch, func(idx []int) (*autodiff.Node, []int) {
 		gathered := am.OrigGather.Apply(ws.Batch(idx))
 		inputs := make([][]int, len(gathered))
 		targets := make([][]int, len(gathered))
@@ -528,21 +532,8 @@ func LMAccuracy(am *core.AugmentedTransformerLM, ws *data.WindowSet, batch int) 
 			inputs[i] = w[:len(w)-1]
 			targets[i] = w[1:]
 		}
-		logits := am.Orig.ForwardIDs(inputs)
-		pred := tensor.ArgmaxRows(logits.Val)
-		autodiff.Release(logits)
-		flat := models.FlattenTargets(targets)
-		for i, p := range pred {
-			if p == flat[i] {
-				correct++
-			}
-		}
-		total += len(flat)
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
+		return am.Orig.ForwardIDs(inputs), models.FlattenTargets(targets)
+	})
 }
 
 func imageCount(t *tensor.Tensor) int {
@@ -604,9 +595,8 @@ func TrainLoop(ctx context.Context, eng *Engine, hyper Hyper,
 	}
 	eng.Model.SetTraining(true)
 	// Resolve the optimiser through the spec registry. Without an explicit
-	// spec the flat Hyper fields reproduce the historical SGD exactly; a
-	// spec with LR 0 inherits Hyper.LR so schedules and flat configs
-	// compose.
+	// spec the flat Hyper fields describe SGD; a spec with LR 0 inherits
+	// Hyper.LR so schedules and flat configs compose.
 	spec := optim.OptimSpec{Kind: optim.KindSGD, LR: hyper.LR, Momentum: hyper.Momentum, WeightDecay: hyper.WeightDecay}
 	if hyper.Optimizer != nil {
 		spec = *hyper.Optimizer
@@ -695,8 +685,7 @@ func TrainLoop(ctx context.Context, eng *Engine, hyper Hyper,
 		}
 		if hyper.Optimizer != nil || hyper.Schedule != nil {
 			// The rate this epoch actually trained at — captured before the
-			// schedule advances. Gated on the specs so pre-extension
-			// progress frames stay byte-identical.
+			// schedule advances.
 			m.LR = opt.LR()
 		}
 		// The schedule advances at the epoch boundary, before the
@@ -733,52 +722,6 @@ func TrainLoop(ctx context.Context, eng *Engine, hyper Hyper,
 	return resp, nil
 }
 
-func imageAccuracy(model Trainable, ds *data.ImageDataset, batch int) float64 {
-	fw, ok := model.(forwarder)
-	if !ok || ds.N() == 0 {
-		return 0
-	}
-	prev := nn.TrainingMode(model)
-	model.SetTraining(false)
-	defer model.SetTraining(prev)
-	correct := 0
-	for _, idx := range data.BatchIter(ds.N(), batch, nil) {
-		x, labels := ds.Batch(idx)
-		out := fw.Forward(autodiff.Constant(x))
-		pred := tensor.ArgmaxRows(out.Val)
-		autodiff.Release(out)
-		for i, p := range pred {
-			if p == labels[i] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(ds.N())
-}
-
-func textAccuracy(model Trainable, ds *data.TextDataset, batch int) float64 {
-	fw, ok := model.(idForwarder)
-	if !ok || ds.N() == 0 {
-		return 0
-	}
-	prev := nn.TrainingMode(model)
-	model.SetTraining(false)
-	defer model.SetTraining(prev)
-	correct := 0
-	for _, idx := range data.BatchIter(ds.N(), batch, nil) {
-		ids, labels := ds.Batch(idx)
-		out := fw.ForwardIDs(ids)
-		pred := tensor.ArgmaxRows(out.Val)
-		autodiff.Release(out)
-		for i, p := range pred {
-			if p == labels[i] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(ds.N())
-}
-
 // Accelerator is the cost model standing in for the paper's RTX 3090s: it
 // converts measured CPU wall-clock into simulated accelerator time via a
 // fixed throughput ratio. The paper's own measurements put its GPU baseline
@@ -799,13 +742,4 @@ func (a Accelerator) Simulate(cpuSeconds float64) float64 {
 		return cpuSeconds
 	}
 	return cpuSeconds / a.SpeedupVsCPU
-}
-
-// specJSON round-trips the spec for the wire protocol.
-func specJSON(s ModelSpec) ([]byte, error) { return json.Marshal(s) }
-
-func specFromJSON(b []byte) (ModelSpec, error) {
-	var s ModelSpec
-	err := json.Unmarshal(b, &s)
-	return s, err
 }

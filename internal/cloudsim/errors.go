@@ -24,9 +24,8 @@ var (
 	ErrUnknownFrame = errors.New("cloudsim: unknown frame type")
 	// ErrServerShutdown is the wire-borne "server shutting down, retry
 	// elsewhere" signal: the server drained the job at an epoch boundary
-	// (streaming an epoch-aligned checkpoint first when the client
-	// negotiated failover) and refused further work. It is the one
-	// server-reported error that IS retryable.
+	// (streaming an epoch-aligned checkpoint first) and refused further
+	// work. It is the one server-reported error that IS retryable.
 	ErrServerShutdown = errors.New("cloudsim: server shutting down")
 	// ErrJobPanic marks a job that crashed server-side. The panic was
 	// recovered and converted to a wire error instead of a torn
@@ -90,8 +89,8 @@ func IsTransient(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// Error codes carried in v2 msgError payloads (first byte) so wire-borne
-// server failures map back onto the sentinels client-side.
+// Error codes carried as the first byte of every msgError payload, so
+// wire-borne server failures map back onto the sentinels client-side.
 const (
 	errCodeGeneric  byte = 0
 	errCodeVersion  byte = 1

@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,54 +12,61 @@ import (
 	"time"
 )
 
-// Wire protocol: each message is a 1-byte type, a uint32 length, and a
-// payload. A job is a sequence of client messages (spec, hyper, labels,
-// payload tensors/tokens[, eval split][, init state dict]) terminated by
-// msgDone, followed by the server's response. Protocol v2 spec frames lead
-// with a version byte (v1 frames started with the '{' of bare JSON, which
-// is how the two are told apart); v2 servers stream msgProgress frames per
-// epoch, push msgCheckpoint frames on request, and honour a client
-// msgCancel sent mid-job.
+// Wire protocol v3. Every message is a frame: a 1-byte kind, a uint32
+// little-endian payload length, and the payload. A connection carries one
+// conversation, chosen by its first frame:
 //
-// The async-service extension (negotiated by Hyper.Async, the same way
-// OptState and Failover are) replaces the terminating msgDone with
-// msgSubmit: the server enqueues the job, answers with msgSubmitAck
-// carrying a durable job ID, and closes the connection. The job's output
-// is retrieved later over fresh connections with msgPoll (status) and
-// msgAttach (stream + result). Legacy v1/v2 clients keep sending msgDone
-// and are served byte-for-byte as before — internally an implicit
-// submit+attach on one connection.
+//	train    spec, hyper, data…, [init state] then msgDone: the server
+//	         admits the job with this connection as its sink and answers
+//	         with the job stream below. A mid-job msgCancel (or the
+//	         connection dying) stops the job at the next epoch boundary.
+//	submit   the same request ended by msgSubmit: answered by
+//	         msgSubmitAck carrying a durable job ID; the job runs whether
+//	         or not anyone is connected.
+//	attach   msgAttach: buffered-then-live job stream of a submitted job.
+//	         msgCancel cancels the job; disconnecting merely detaches.
+//	control  msgPoll, or msgCancel with a job ID: answered by
+//	         msgJobStatus, repeatable.
+//	infer    msgInfer, answered by msgInferResult, repeatable.
+//
+// A job stream is: msgProgress per epoch (when Hyper.Stream; always on
+// attach), msgCheckpoint every Hyper.CheckpointEvery epochs, then
+// msgResult, msgOptState (when the optimiser holds state), msgRNGState
+// (when the model has dropout cursors), msgState. A server draining for
+// shutdown ends the stream instead with an epoch-aligned msgCheckpoint
+// and a retryable ErrServerShutdown error frame. Any failure is a
+// msgError frame: one errCode byte, then the message.
 const (
-	msgSpec        byte = 1
-	msgHyper       byte = 2
-	msgLabels      byte = 3
-	msgImages      byte = 4
-	msgInit        byte = 5
-	msgDone        byte = 6 // end of request
-	msgResult      byte = 7
-	msgState       byte = 8
-	msgError       byte = 9
+	msgSpec        byte = 1  // client→server: protocolVersion byte + ModelSpec JSON
+	msgHyper       byte = 2  // client→server: Hyper JSON
+	msgLabels      byte = 3  // client→server: serialize int slice
+	msgImages      byte = 4  // client→server: serialize tensor [N, C, H, W]
+	msgInit        byte = 5  // client→server: initial model state dict
+	msgDone        byte = 6  // client→server: end of request, train on this connection
+	msgResult      byte = 7  // server→client: resultMeta JSON
+	msgState       byte = 8  // server→client: final model state dict; ends the job stream
+	msgError       byte = 9  // server→client: errCode byte + message
 	msgProgress    byte = 10 // server→client: per-epoch EpochMetric JSON
-	msgCancel      byte = 11 // client→server: stop at the next epoch boundary
-	msgCheckpoint  byte = 12 // server→client: uint32 epoch + state dict
-	msgTokens      byte = 13 // client→server: flattened text samples
+	msgCancel      byte = 11 // client→server: stop the job (empty: this connection's; jobRef JSON: by ID)
+	msgCheckpoint  byte = 12 // server→client: serialize.WriteTrainCheckpoint bytes
+	msgTokens      byte = 13 // client→server: flattened token samples
 	msgEvalImages  byte = 14
 	msgEvalLabels  byte = 15
 	msgEvalTokens  byte = 16
-	msgOptState    byte = 17 // both directions: optimiser momentum state dict
+	msgOptState    byte = 17 // both directions: serialize.WriteOptState bytes
 	msgRNGState    byte = 18 // both directions: dropout-stream cursors (bytes dict)
-	msgSubmit      byte = 19 // end of request, async: enqueue and ack instead of blocking
+	msgSubmit      byte = 19 // client→server: end of request, enqueue and ack
 	msgSubmitAck   byte = 20 // server→client: submitAck JSON with the job ID
 	msgPoll        byte = 21 // client→server: jobRef JSON, answered by msgJobStatus
 	msgJobStatus   byte = 22 // server→client: JobStatus JSON
-	msgAttach      byte = 23 // client→server: AttachRequest JSON, answered by a result stream
+	msgAttach      byte = 23 // client→server: AttachRequest JSON, answered by a job stream
 	msgInfer       byte = 24 // client→server: inferHeader JSON + body, answered by msgInferResult
 	msgInferResult byte = 25 // server→client: inferResult JSON
 )
 
-// protocolVersion is the version this binary speaks. Servers accept v1
-// (legacy, blocking) and v2; anything else is ErrProtocolVersion.
-const protocolVersion byte = 2
+// protocolVersion is the one version this binary speaks, carried as the
+// first byte of every spec frame; any other value is ErrProtocolVersion.
+const protocolVersion byte = 3
 
 // maxFrame bounds a single frame's payload. It is a variable only so the
 // protocol tests can lower it without allocating gigabyte payloads; both
@@ -125,31 +133,34 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return hdr[0], buf.Bytes(), nil
 }
 
-// encodeSpecFrame builds a v2 spec payload: version byte + JSON.
+// encodeSpecFrame builds a spec payload: version byte + JSON.
 func encodeSpecFrame(spec ModelSpec) ([]byte, error) {
-	js, err := specJSON(spec)
+	js, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
 	return append([]byte{protocolVersion}, js...), nil
 }
 
-// decodeSpecFrame accepts both v1 (bare JSON, first byte '{') and v2
-// (version byte + JSON) spec payloads, returning the negotiated version.
-func decodeSpecFrame(payload []byte) (ModelSpec, byte, error) {
+// decodeSpecFrame refuses any payload that does not open with this
+// binary's version byte — including the bare JSON ('{') of a v1 peer.
+func decodeSpecFrame(payload []byte) (ModelSpec, error) {
+	var spec ModelSpec
 	if len(payload) == 0 {
-		return ModelSpec{}, 0, fmt.Errorf("cloudsim: empty spec frame: %w", ErrBadRequest)
-	}
-	if payload[0] == '{' {
-		spec, err := specFromJSON(payload)
-		return spec, 1, err
+		return spec, fmt.Errorf("cloudsim: empty spec frame: %w", ErrBadRequest)
 	}
 	if payload[0] != protocolVersion {
-		return ModelSpec{}, 0, fmt.Errorf("cloudsim: peer speaks protocol v%d, this binary speaks v%d: %w",
+		return spec, fmt.Errorf("cloudsim: spec frame opens with version byte %#x, this binary speaks v%d: %w",
 			payload[0], protocolVersion, ErrProtocolVersion)
 	}
-	spec, err := specFromJSON(payload[1:])
-	return spec, protocolVersion, err
+	err := json.Unmarshal(payload[1:], &spec)
+	return spec, err
+}
+
+// writeErrorFrame reports err to the peer, coded so its sentinel survives
+// the wire.
+func writeErrorFrame(w io.Writer, err error) error {
+	return writeFrame(w, msgError, append([]byte{errCodeOf(err)}, err.Error()...))
 }
 
 // resultMeta is the msgResult JSON body.
@@ -175,15 +186,10 @@ type jobRef struct {
 // which of its buffered output to replay. FromEpoch is the last epoch the
 // client has already seen — the server replays only newer buffered
 // progress (and a newer parked checkpoint), which is what makes a retried
-// attach deliver each epoch's stats exactly once. OptState/Failover/
-// OptimSpec mirror the Hyper capability flags for the attach stream's
-// frame formats.
+// attach deliver each epoch's stats exactly once.
 type AttachRequest struct {
 	JobID     string `json:"job_id"`
 	FromEpoch int    `json:"from_epoch,omitempty"`
-	OptState  bool   `json:"opt_state,omitempty"`
-	Failover  bool   `json:"failover,omitempty"`
-	OptimSpec bool   `json:"optim_spec,omitempty"`
 }
 
 // JobStatus is the msgJobStatus JSON body: a point-in-time observation of

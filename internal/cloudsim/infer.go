@@ -1,10 +1,10 @@
 package cloudsim
 
-// The inference-serving extension (Hyper.Infer): msgInfer frames carry
-// batched prediction requests against models registered on the server's
-// serve.Server backend, answered by msgInferResult. Two body shapes per
-// modality: full inputs (images or token ids) and split-inference
-// activations — the client runs the embedding half locally and ships only
+// Inference serving: msgInfer frames carry batched prediction requests
+// against models registered on the server's serve.Server backend,
+// answered by msgInferResult. Two body shapes per modality: full inputs
+// (images or token ids) and split-inference activations — the client
+// runs the embedding half locally and ships only
 // dense obfuscated activations, never raw inputs (Leroux-style
 // offloading). A frame's samples fan out as concurrent predictions so the
 // backend batcher coalesces them — one wire frame becomes (at most) one
@@ -129,7 +129,8 @@ func fanOut(n int, call func(i int) error) error {
 func unflatten(flat []int, lens []int) ([][]int, error) {
 	total := 0
 	for _, l := range lens {
-		if l <= 0 {
+		// The upper bound keeps the sum from wrapping round to len(flat).
+		if l <= 0 || l > len(flat) {
 			return nil, fmt.Errorf("cloudsim: infer sample length %d: %w", l, ErrBadRequest)
 		}
 		total += l
@@ -154,7 +155,7 @@ func unflatten(flat []int, lens []int) ([][]int, error) {
 func (s *Server) infer(conn *deadlineConn, payload []byte) error {
 	res, err := s.inferAnswer(payload)
 	if err != nil {
-		return writeFrame(conn, msgError, append([]byte{errCodeOf(err)}, err.Error()...))
+		return writeErrorFrame(conn, err)
 	}
 	js, err := json.Marshal(res)
 	if err != nil {
@@ -189,7 +190,9 @@ func readInferTensor(body []byte) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
 	}
-	if t.Dims() != 2 || t.Dim(0) == 0 {
+	// A zero width would let a few header bytes claim millions of samples,
+	// each of which fans out as a goroutine.
+	if t.Dims() != 2 || t.Dim(0) == 0 || t.Dim(1) == 0 {
 		return nil, fmt.Errorf("cloudsim: infer body wants a non-empty [N, width] tensor: %w", ErrBadRequest)
 	}
 	return t, nil
@@ -263,7 +266,9 @@ func (s *Server) inferLM(h inferHeader, body []byte) (inferResult, error) {
 		}
 		rows := 0
 		for _, l := range h.Lens {
-			if l <= 0 {
+			// Bounding each length by the body keeps rows×dim from wrapping
+			// round to a "matching" size with offsets past the tensor.
+			if l <= 0 || l > len(t.Data)/h.Dim {
 				return inferResult{}, fmt.Errorf("cloudsim: infer sample length %d: %w", l, ErrBadRequest)
 			}
 			rows += l
@@ -310,29 +315,20 @@ func (s *Server) inferLM(h inferHeader, body []byte) (inferResult, error) {
 	return res, err
 }
 
-// InferConn is a client connection speaking the inference extension: one
-// dial, then any number of prediction exchanges. Calls from concurrent
-// goroutines serialize on the connection (the wire is strictly
-// request/response); for client-side parallelism open several conns.
+// InferConn is a client connection for inference: one dial, then any
+// number of prediction exchanges. Calls from concurrent goroutines
+// serialize on the connection (the wire is strictly request/response);
+// for client-side parallelism open several conns.
 type InferConn struct {
 	sem  chan struct{} // capacity 1: one in-flight exchange
 	conn *deadlineConn
 }
 
-// DialInfer connects to a service and declares the Infer capability. The
-// returned conn is ready for Predict calls and must be Closed.
+// DialInfer connects to a service. The returned conn is ready for Predict
+// calls and must be Closed.
 func DialInfer(ctx context.Context, addr string, net_ NetConfig) (*InferConn, error) {
 	conn, err := dialFrames(ctx, addr, net_)
 	if err != nil {
-		return nil, err
-	}
-	js, err := json.Marshal(Hyper{Infer: true})
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := writeFrame(conn, msgHyper, js); err != nil {
-		conn.Close()
 		return nil, err
 	}
 	return &InferConn{sem: make(chan struct{}, 1), conn: conn}, nil

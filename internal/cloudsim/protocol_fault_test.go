@@ -3,7 +3,6 @@ package cloudsim
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -26,8 +25,8 @@ func triggerShutdown(server *Server) {
 }
 
 // TestShutdownHandsOffFailoverClient pins the graceful-shutdown handoff:
-// a failover-aware client whose job is drained mid-run receives an
-// epoch-aligned AMC2 checkpoint — weights, momentum, dropout cursors —
+// a client whose job is drained mid-run receives an epoch-aligned
+// checkpoint — weights, momentum, dropout cursors —
 // followed by the retryable ErrServerShutdown, and resuming from that
 // checkpoint on a second server reproduces an unbroken run bit-for-bit.
 // The LM job keeps Dropout > 0 and Momentum > 0, so all three state legs
@@ -113,94 +112,6 @@ func TestShutdownHandsOffFailoverClient(t *testing.T) {
 	for name, want := range straight.State {
 		if !got.State[name].Equal(want) {
 			t.Fatalf("shutdown-resumed run diverged from straight run at %q", name)
-		}
-	}
-}
-
-// TestShutdownLegacyClientGetsCancelledResult hand-rolls a v2 client that
-// never declared the failover capability: during a graceful shutdown it
-// must receive the ordinary cancelled result + epoch-aligned state — no
-// checkpoint frame, no optimiser frame, no RNG frame, no error frame.
-func TestShutdownLegacyClientGetsCancelledResult(t *testing.T) {
-	const epochs = 2000
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewServer(l)
-	defer server.Wait()
-
-	req := textJob(t)
-	req.Hyper = Hyper{Epochs: epochs, BatchSize: 8, LR: 0.5, Momentum: 0.9, Stream: true}
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	specPayload, err := encodeSpecFrame(req.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyperJSON, err := json.Marshal(req.Hyper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var labelsBuf, tokensBuf bytes.Buffer
-	if err := serialize.WriteIntSlice(&labelsBuf, req.Labels); err != nil {
-		t.Fatal(err)
-	}
-	if err := serialize.WriteIntSlice(&tokensBuf, flattenSamples(req.Samples)); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []struct {
-		kind    byte
-		payload []byte
-	}{
-		{msgSpec, specPayload},
-		{msgHyper, hyperJSON},
-		{msgLabels, labelsBuf.Bytes()},
-		{msgTokens, tokensBuf.Bytes()},
-		{msgDone, nil},
-	} {
-		if err := writeFrame(conn, f.kind, f.payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var once sync.Once
-	var meta resultMeta
-	haveResult := false
-	conn.SetReadDeadline(time.Now().Add(60 * time.Second))
-	for {
-		kind, payload, err := readFrame(conn)
-		if err != nil {
-			t.Fatalf("legacy client read: %v", err)
-		}
-		switch kind {
-		case msgProgress:
-			once.Do(func() { triggerShutdown(server) })
-		case msgResult:
-			if err := json.Unmarshal(payload, &meta); err != nil {
-				t.Fatal(err)
-			}
-			haveResult = true
-		case msgState:
-			if !haveResult {
-				t.Fatal("state frame before result frame")
-			}
-			if !meta.Cancelled {
-				t.Fatalf("legacy client job reported uncancelled after shutdown (%d epochs)", meta.CompletedEpochs)
-			}
-			if meta.CompletedEpochs < 1 || meta.CompletedEpochs >= epochs {
-				t.Fatalf("legacy client resumed point %d outside (0,%d)", meta.CompletedEpochs, epochs)
-			}
-			if _, err := serialize.ReadStateDict(bytes.NewReader(payload)); err != nil {
-				t.Fatalf("legacy client state dict: %v", err)
-			}
-			return
-		default:
-			t.Fatalf("legacy client received frame type %d during shutdown; the failover extension leaked", kind)
 		}
 	}
 }
@@ -455,13 +366,10 @@ func TestStalledRequestFreedByFrameDeadline(t *testing.T) {
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	start := time.Now()
-	buf := make([]byte, 64)
-	if _, err := conn.Read(buf); err == nil {
-		// An error frame is also a valid way to cut the client loose; a
-		// successful read must at least be followed by the close.
-		if _, err := conn.Read(buf); err == nil {
-			t.Fatal("stalled connection still alive after the frame deadline")
-		}
+	// An error frame is a valid way to cut the client loose, and it may
+	// arrive in any number of reads; what must follow is the close.
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("stalled connection still alive after the frame deadline: %v", err)
 	}
 	if waited := time.Since(start); waited > 3*time.Second {
 		t.Fatalf("stalled client freed only after %v, frame deadline is 100ms", waited)

@@ -1,0 +1,305 @@
+package cloudsim
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"io"
+	"net"
+	"testing"
+	"time"
+
+	"amalgam/internal/autodiff"
+	"amalgam/internal/nn"
+	"amalgam/internal/serialize"
+	"amalgam/internal/tensor"
+)
+
+// The golden conversations pin protocol v3 as bytes and frame order, one
+// per job kind and conversation kind. A client stream is a pure function
+// of the request, so it is pinned by a committed SHA-256 — any change to
+// a frame layout, a JSON key, or a serialize encoding shows up here
+// first — and then played, byte for byte, at a live server. The reply
+// carries kernel output, whose bits differ between SIMD and pure-Go
+// hosts, so its frame ORDER is pinned exactly and every payload is
+// compared with the same job run in-process on this machine.
+
+func checkSHA(t *testing.T, what string, stream []byte, want string) {
+	t.Helper()
+	sum := sha256.Sum256(stream)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("%s: %d bytes with sha256 %s, want %s", what, len(stream), got, want)
+	}
+}
+
+func encoded(t *testing.T, write func(io.Writer) error) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// converse plays one client stream on a fresh connection and returns the
+// server's reply up to and including its first frame of kind last.
+func converse(t *testing.T, addr string, up []byte, last byte) []frame {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	if _, err := conn.Write(up); err != nil {
+		t.Fatal(err)
+	}
+	var reply []frame
+	for {
+		kind, payload, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("reply ended after %d frames: %v", len(reply), err)
+		}
+		if kind == msgError {
+			t.Fatalf("server refused the conversation: %v", decodeErrorFrame(payload))
+		}
+		if reply = append(reply, frame{kind, payload}); kind == last {
+			return reply
+		}
+	}
+}
+
+// localRun is the in-process reference for one request: the response plus
+// every checkpoint the loop cut, serialized on the spot (snapshots alias
+// the live weights).
+type localRun struct {
+	resp        *TrainResponse
+	checkpoints map[int][]byte // by epoch
+}
+
+func runReference(t *testing.T, req *TrainRequest) localRun {
+	t.Helper()
+	ref := localRun{checkpoints: map[int][]byte{}}
+	var err error
+	ref.resp, err = runTraining(context.Background(), req, nil, func(snap *Snapshot) error {
+		var buf bytes.Buffer
+		err := serialize.WriteTrainCheckpoint(&buf, &serialize.TrainCheckpoint{
+			Epoch: snap.Epoch, Kind: req.Spec.Kind, State: snap.State, OptState: snap.OptState, RNG: snap.RNG,
+		})
+		ref.checkpoints[snap.Epoch] = buf.Bytes()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+func sameMetric(wire, local EpochMetric) bool {
+	wire.Seconds, local.Seconds = 0, 0 // wall clock
+	return wire == local
+}
+
+// checkJobStream pins one job stream against its reference: the exact
+// frame order — progress from epoch first on, each followed by the
+// checkpoint (if any) of an epoch in checkpointed, then result,
+// opt-state, [rng-state], state — and every payload.
+func checkJobStream(t *testing.T, got []frame, ref localRun, first int, checkpointed func(epoch int) bool) {
+	t.Helper()
+	// JSON frames carry wall-clock fields: they are listed without a
+	// payload and compared after decoding.
+	var want []frame
+	for _, m := range ref.resp.Metrics[first-1:] {
+		want = append(want, frame{kind: msgProgress})
+		if ck, ok := ref.checkpoints[m.Epoch]; ok && checkpointed(m.Epoch) {
+			want = append(want, frame{msgCheckpoint, ck})
+		}
+	}
+	want = append(want, frame{kind: msgResult})
+	if !ref.resp.OptState.Empty() {
+		want = append(want, frame{msgOptState, encoded(t, func(w io.Writer) error { return serialize.WriteOptState(w, ref.resp.OptState) })})
+	}
+	if len(ref.resp.RNG) > 0 {
+		want = append(want, frame{msgRNGState, encoded(t, func(w io.Writer) error { return serialize.WriteBytesDict(w, ref.resp.RNG) })})
+	}
+	want = append(want, frame{msgState, encoded(t, func(w io.Writer) error { return serialize.WriteStateDict(w, ref.resp.State) })})
+
+	kinds := func(frames []frame) []byte {
+		out := make([]byte, len(frames))
+		for i, f := range frames {
+			out[i] = f.kind
+		}
+		return out
+	}
+	if !bytes.Equal(kinds(got), kinds(want)) {
+		t.Fatalf("reply frame kinds %v, want %v", kinds(got), kinds(want))
+	}
+	epoch := first
+	for i, f := range got {
+		switch f.kind {
+		case msgProgress:
+			var m EpochMetric
+			if err := json.Unmarshal(f.payload, &m); err != nil {
+				t.Fatal(err)
+			}
+			if local := ref.resp.Metrics[epoch-1]; !sameMetric(m, local) {
+				t.Errorf("progress frame %+v, in-process run had %+v", m, local)
+			}
+			epoch++
+		case msgResult:
+			var meta resultMeta
+			if err := json.Unmarshal(f.payload, &meta); err != nil {
+				t.Fatal(err)
+			}
+			if meta.Cancelled || meta.CompletedEpochs != ref.resp.CompletedEpochs || len(meta.Metrics) != len(ref.resp.Metrics) {
+				t.Fatalf("result frame %+v, in-process run completed %d epochs", meta, ref.resp.CompletedEpochs)
+			}
+			for j, m := range meta.Metrics {
+				if !sameMetric(m, ref.resp.Metrics[j]) {
+					t.Errorf("result metric %d: %+v, in-process run had %+v", j, m, ref.resp.Metrics[j])
+				}
+			}
+		default:
+			if !bytes.Equal(f.payload, want[i].payload) {
+				t.Errorf("reply frame %d (kind %d): %d payload bytes differ from the in-process run's %d",
+					i, f.kind, len(f.payload), len(want[i].payload))
+			}
+		}
+	}
+}
+
+// goldenJobs are the four job kinds at toy size, plus a spec-driven
+// optimiser. Between them they cover every request frame (images,
+// labels, tokens, init state, optimiser and schedule specs) and every
+// reply frame (sparse and per-epoch checkpoints, SGD and Adam state,
+// scheduled LRs, dropout cursors).
+var goldenJobs = []struct {
+	name    string
+	build   func(t *testing.T) *TrainRequest
+	trainUp string // sha256 of the client stream, spec → msgDone
+}{
+	{"plain-cv", func(t *testing.T) *TrainRequest {
+		req, _, _ := tinyJob(t, false)
+		req.Hyper.Stream, req.Hyper.CheckpointEvery = true, 2
+		return req
+	}, "bbbd92a788bc84b7092b03bdc079445672f85591dae254e87322587dba46a8c0"},
+	{"augmented-cv", func(t *testing.T) *TrainRequest {
+		req, _, _ := tinyJob(t, true)
+		model, err := BuildModel(req.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.InitState = nn.StateDict(model)
+		req.Hyper.Stream, req.Hyper.CheckpointEvery = true, 1
+		return req
+	}, "ab6f6cd99c5f1ebd8b25d970d39a4495a719a78e37f7fe19a137c1c58d8626c5"},
+	{"augmented-text", textJob, "ba8cb559810853f1fd3e8e28570e3edfc9aaef37a7465c191315d1ce68191c92"},
+	{"augmented-lm", lmJob, "1f212e2eb512e2c2e8fc8591d45d19b4d1c7aec62f4069ead8d8b7dda9d8c319"},
+	{"augmented-text under adam", adamJob, "f0fa16631ca1c32de067beaed30961e2ae2c6be8de31febe9606b7bef7392cee"},
+}
+
+// TestGoldenTrainConversation pins the train-on-this-connection
+// conversation (request … msgDone, answered by the live job stream) for
+// every job kind.
+func TestGoldenTrainConversation(t *testing.T) {
+	for _, job := range goldenJobs {
+		t.Run(job.name, func(t *testing.T) {
+			addr, server := startAsyncServer(t, ServerConfig{})
+			req := job.build(t)
+			up := encoded(t, func(w io.Writer) error { return writeRequest(w, req, msgDone) })
+			checkSHA(t, "client stream", up, job.trainUp)
+			reply := converse(t, addr, up, msgState)
+			ref := runReference(t, job.build(t))
+			checkJobStream(t, reply, ref, 1, func(int) bool { return true })
+			for _, m := range ref.resp.Metrics {
+				if lm := req.Spec.Kind == "augmented-lm"; (m.Perplexity > 0) != lm {
+					t.Errorf("epoch %d reports perplexity %v on a %s job", m.Epoch, m.Perplexity, req.Spec.Kind)
+				}
+			}
+
+			// What the provider saw of the upload: its size, one sample of
+			// the modality shipped, and a gather set per sub-network.
+			views := server.Views()
+			if len(views) != 1 {
+				t.Fatalf("%d provider views of one job", len(views))
+			}
+			v, n, sets, sample := views[0], max(len(req.Labels), len(req.Samples)), 0, 0
+			if req.Spec.Kind != "plain-cv" {
+				sets = req.Spec.SubNets + 1
+			}
+			if len(req.Samples) > 0 {
+				sample = req.Spec.AugLen
+			}
+			if v.N != n || len(v.GatherSets) != sets || (v.FirstImage != nil) != (req.Images != nil) || len(v.FirstSample) != sample {
+				t.Errorf("provider view N=%d image=%v sample=%d sets=%d, want N=%d image=%v sample=%d sets=%d",
+					v.N, v.FirstImage != nil, len(v.FirstSample), len(v.GatherSets), n, req.Images != nil, sample, sets)
+			}
+		})
+	}
+}
+
+// TestGoldenSubmitAttachConversation pins submit → ack and attach → job
+// stream. The job has finished by the time of the attach, so the stream
+// is pure replay: every buffered epoch past FromEpoch, and of the
+// checkpoints only the LATEST, which is the one the scheduler parks.
+func TestGoldenSubmitAttachConversation(t *testing.T) {
+	addr, server := startAsyncServer(t, ServerConfig{Executors: 1})
+	req := textJob(t)
+	up := encoded(t, func(w io.Writer) error { return writeRequest(w, req, msgSubmit) })
+	checkSHA(t, "submit stream", up, "0dae494dad32f3586cf324592bcfc964555d3cb70712eb42dd4696749cfbc22e")
+	ack := converse(t, addr, up, msgSubmitAck)
+	if len(ack) != 1 || string(ack[0].payload) != `{"job_id":"job-000001"}` {
+		t.Fatalf("submit answered by %+v, want one ack naming job-000001", ack)
+	}
+	job, err := server.sched.Job("job-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.done
+
+	up = encoded(t, func(w io.Writer) error {
+		return writeFrame(w, msgAttach, []byte(`{"job_id":"job-000001","from_epoch":1}`))
+	})
+	reply := converse(t, addr, up, msgState)
+	checkJobStream(t, reply, runReference(t, textJob(t)), 2, func(epoch int) bool { return epoch == req.Hyper.Epochs })
+}
+
+// TestGoldenInferConversation pins one prediction exchange: msgInfer is
+// the connection's first frame (no handshake precedes it) and is answered
+// by exactly one msgInferResult matching a direct forward.
+func TestGoldenInferConversation(t *testing.T) {
+	backend, txt, _ := inferBackend(t)
+	addr, _ := startAsyncServer(t, ServerConfig{Infer: backend})
+
+	samples := [][]int{{3, 14, 15}, {9, 26, 5, 35, 8}}
+	body, lens, err := intBody(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := encodeInferFrame(inferHeader{Model: "txt", Modality: "text", Lens: lens}, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := encoded(t, func(w io.Writer) error { return writeFrame(w, msgInfer, payload) })
+	checkSHA(t, "infer stream", up, "3c28673fd91cb851ab4d209bfecbfeaa840b787e0aedc8ee56241381fd111b24")
+	reply := converse(t, addr, up, msgInferResult)
+	var res inferResult
+	if err := json.Unmarshal(reply[0].payload, &res); err != nil || len(reply) != 1 {
+		t.Fatalf("infer answered by %d frames, result decodes with %v", len(reply), err)
+	}
+	for i, s := range samples {
+		out := txt.ForwardIDs([][]int{s})
+		class, logits := tensor.ArgmaxRows(out.Val)[0], append([]float32(nil), out.Val.Data...)
+		autodiff.Release(out)
+		if res.Classes[i] != class || len(res.Logits[i]) != len(logits) {
+			t.Fatalf("sample %d: wire class %d (%d logits), direct forward %d (%d)", i, res.Classes[i], len(res.Logits[i]), class, len(logits))
+		}
+		for j, v := range logits {
+			if res.Logits[i][j] != v {
+				t.Fatalf("sample %d logit %d: wire %v, direct forward %v", i, j, res.Logits[i][j], v)
+			}
+		}
+	}
+}

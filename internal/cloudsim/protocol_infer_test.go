@@ -1,34 +1,46 @@
 package cloudsim
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
 	"amalgam/internal/autodiff"
 	"amalgam/internal/models"
+	"amalgam/internal/serialize"
 	"amalgam/internal/serve"
 	"amalgam/internal/tensor"
 )
 
-// startInferServer brings up a wire server in front of a serve backend
-// with one model per modality registered, returning its address and a
-// cleanup.
-func startInferServer(t *testing.T) (string, *models.TextClassifier, *models.TransformerLM, func()) {
-	t.Helper()
+// inferBackend is a serve backend with one text and one LM model
+// registered, split tails included; it closes with the test.
+func inferBackend(tb testing.TB) (*serve.Server, *models.TextClassifier, *models.TransformerLM) {
+	tb.Helper()
 	txt := models.NewTextClassifier(tensor.NewRNG(11), 50, 8, 3)
 	lm := models.NewTransformerLM(tensor.NewRNG(13), models.TransformerLMConfig{
 		Vocab: 40, D: 8, Heads: 2, FF: 16, Layers: 1, MaxT: 10, Dropout: 0,
 	})
 	backend := serve.New(serve.Config{MaxBatch: 4, MaxDelay: time.Millisecond, Workers: 2})
+	tb.Cleanup(backend.Close)
 	if err := backend.RegisterText("txt", txt, serve.TextConfig{Vocab: 50, SplitTail: txt.ForwardPooled, SplitDim: txt.EmbedDim}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := backend.RegisterLM("lm", lm, serve.LMConfig{MaxContext: 10, Vocab: 40, SplitTail: lm.ForwardEmbedded, SplitDim: lm.D}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return backend, txt, lm
+}
+
+// startInferServer brings up a wire server in front of inferBackend,
+// returning its address and a cleanup.
+func startInferServer(t *testing.T) (string, *models.TextClassifier, *models.TransformerLM, func()) {
+	t.Helper()
+	backend, txt, lm := inferBackend(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +49,6 @@ func startInferServer(t *testing.T) (string, *models.TextClassifier, *models.Tra
 	return l.Addr().String(), txt, lm, func() {
 		l.Close()
 		server.Wait()
-		backend.Close()
 	}
 }
 
@@ -128,35 +139,6 @@ func TestInferRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInferRequiresCapability pins the admission rule: an infer frame on
-// a connection that never declared Hyper.Infer is refused as a bad
-// request, mirroring the async extension's negotiation.
-func TestInferRequiresCapability(t *testing.T) {
-	addr, _, _, stop := startInferServer(t)
-	defer stop()
-
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	conn := newDeadlineConn(raw, 5*time.Second, 5*time.Second)
-	payload, err := encodeInferFrame(inferHeader{Model: "txt", Modality: "text", Lens: []int{1}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(conn, msgInfer, payload); err != nil {
-		t.Fatal(err)
-	}
-	kind, resp, err := readFrame(conn)
-	if err != nil || kind != msgError {
-		t.Fatalf("want an error frame, got kind %d err %v", kind, err)
-	}
-	if err := decodeErrorFrame(resp); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("want ErrBadRequest, got %v", err)
-	}
-}
-
 // TestInferRefusedWithoutBackend pins that a pure training server (no
 // Infer backend configured) refuses infer frames with ErrBadRequest
 // instead of crashing or hanging.
@@ -209,4 +191,77 @@ func TestInferErrorsCrossWireTyped(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Fatalf("connection should keep serving after an in-band error: %v", err)
 	}
+}
+
+// FuzzDecodeInferFrame feeds arbitrary msgInfer payloads through the
+// decode stage and the full answer path against a live backend. Decoding
+// — frame split, header JSON, body, per-sample Lens — must never panic,
+// must refuse with ErrBadRequest, and must allocate no more than a small
+// multiple of the payload; the answer path must never panic and must
+// classify every refusal onto the wire taxonomy.
+func FuzzDecodeInferFrame(f *testing.F) {
+	backend, _, _ := inferBackend(f)
+	s := &Server{cfg: ServerConfig{Infer: backend}}
+
+	seed := func(h inferHeader, body []byte) {
+		payload, err := encodeInferFrame(h, body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	ids, lens, err := intBody([][]int{{3, 14, 15}, {9, 26}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	pooled, err := tensorBody([][]float32{make([]float32, 8), make([]float32, 8)}, 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed(inferHeader{Model: "txt", Modality: "text", Lens: lens}, ids)
+	seed(inferHeader{Model: "lm", Modality: "lm", Lens: lens, TopK: 2}, ids)
+	seed(inferHeader{Model: "txt", Modality: "text", Split: true}, pooled)
+	seed(inferHeader{Model: "txt", Modality: "text", Lens: []int{4, 1}}, ids)                        // ragged the wrong way
+	seed(inferHeader{Model: "txt", Modality: "text", Lens: []int{7, -2}}, ids)                       // negative, sums right
+	seed(inferHeader{Model: "txt", Modality: "text", Lens: []int{math.MaxInt, math.MaxInt, 7}}, ids) // wraps to 5
+	// lens×dim wraps to 0, matching an empty activation tensor.
+	seed(inferHeader{Model: "lm", Modality: "lm", Split: true, Lens: []int{1, 1<<32 - 1}, Dim: 1 << 32},
+		[]byte{0x31, 0x54, 0x4d, 0x41, 1, 0, 1, 0, 0, 0, 0})
+	// Bodies whose own headers claim 2²⁸ elements and carry none.
+	seed(inferHeader{Model: "txt", Modality: "text", Lens: []int{1}}, []byte{0, 0, 0, 0x10})
+	seed(inferHeader{Model: "txt", Modality: "cv"}, []byte{0x31, 0x54, 0x4d, 0x41, 1, 0, 1, 0, 0, 0, 0x10})
+	// [2²⁷, 0]: a zero-width tensor claiming 134M samples in 15 bytes.
+	seed(inferHeader{Model: "txt", Modality: "text", Split: true}, []byte{0x31, 0x54, 0x4d, 0x41, 1, 0, 2, 0, 0, 0, 8, 0, 0, 0, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, '{', '}'}) // header length past the frame
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h, body, err := decodeInferFrame(data)
+		if err != nil && !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("infer frame refused without ErrBadRequest: %v", err)
+		}
+		if err == nil {
+			if flat, err := serialize.ReadIntSlice(bytes.NewReader(body)); err == nil {
+				samples, err := unflatten(flat, h.Lens)
+				if err != nil && !errors.Is(err, ErrBadRequest) {
+					t.Fatalf("lens %v refused without ErrBadRequest: %v", h.Lens, err)
+				}
+				if err == nil && len(samples) != len(h.Lens) {
+					t.Fatalf("unflatten made %d samples from %d lens", len(samples), len(h.Lens))
+				}
+			}
+			if _, err := readInferTensor(body); err != nil && !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("tensor body refused without ErrBadRequest: %v", err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(data)); grew > limit {
+			t.Fatalf("decoding a %d-byte infer frame allocated %d, limit %d", len(data), grew, limit)
+		}
+
+		if _, err := s.inferAnswer(data); err != nil && errCodeOf(err) == errCodeGeneric {
+			t.Fatalf("infer answer refused with an error outside the wire taxonomy: %v", err)
+		}
+	})
 }

@@ -2,11 +2,9 @@ package cloudsim
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"testing"
-	"time"
 
 	"amalgam/internal/optim"
 	"amalgam/internal/serialize"
@@ -20,7 +18,6 @@ func adamJob(t *testing.T) *TrainRequest {
 	req.Hyper.Epochs = 3
 	req.Hyper.Optimizer = &optim.OptimSpec{Kind: optim.KindAdam, LR: 0.05}
 	req.Hyper.Schedule = &optim.ScheduleSpec{Kind: optim.SchedStep, StepSize: 1, Gamma: 0.5}
-	req.Hyper.OptimSpec = true
 	return req
 }
 
@@ -139,56 +136,6 @@ func TestAdamJobOverWireMatchesLocal(t *testing.T) {
 		if !resp.State[name].Equal(tns) {
 			t.Fatalf("wire and local Adam training diverged at %q", name)
 		}
-	}
-}
-
-// TestOptimSpecWithoutCapabilityRejected pins admission: a request naming
-// an optimiser spec without declaring the Hyper.OptimSpec capability is
-// refused as a coded ErrBadRequest before any training runs — such a
-// client could not decode the state frames its own job would produce.
-func TestOptimSpecWithoutCapabilityRejected(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewServer(l)
-	defer func() {
-		l.Close()
-		server.Wait()
-	}()
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-
-	req := adamJob(t)
-	req.Hyper.OptimSpec = false // spec present, capability withheld
-	specPayload, err := encodeSpecFrame(req.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyperJSON, err := json.Marshal(req.Hyper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []struct {
-		kind    byte
-		payload []byte
-	}{
-		{msgSpec, specPayload}, {msgHyper, hyperJSON}, {msgDone, nil},
-	} {
-		if err := writeFrame(conn, f.kind, f.payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	kind, payload, err := readFrame(conn)
-	if err != nil || kind != msgError {
-		t.Fatalf("want error frame, got kind=%d err=%v", kind, err)
-	}
-	if len(payload) == 0 || sentinelFor(payload[0]) != ErrBadRequest {
-		t.Fatalf("error frame not coded as bad request: %q", payload)
 	}
 }
 

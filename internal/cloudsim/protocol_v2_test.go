@@ -17,34 +17,33 @@ import (
 func TestSpecFrameVersionNegotiation(t *testing.T) {
 	spec := ModelSpec{Kind: "plain-cv", Model: "lenet", Classes: 2}
 
-	// v2 round trip.
 	payload, err := encodeSpecFrame(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ver, err := decodeSpecFrame(payload)
-	if err != nil || ver != protocolVersion || got.Model != "lenet" {
-		t.Fatalf("v2 decode: ver=%d model=%q err=%v", ver, got.Model, err)
+	got, err := decodeSpecFrame(payload)
+	if err != nil || payload[0] != protocolVersion || got.Model != "lenet" {
+		t.Fatalf("v%d decode: lead byte %d model=%q err=%v", protocolVersion, payload[0], got.Model, err)
 	}
 
-	// Legacy v1: bare JSON.
-	js, _ := specJSON(spec)
-	got, ver, err = decodeSpecFrame(js)
-	if err != nil || ver != 1 || got.Model != "lenet" {
-		t.Fatalf("v1 decode: ver=%d model=%q err=%v", ver, got.Model, err)
-	}
-
-	// Future version: must surface the sentinel.
-	_, _, err = decodeSpecFrame(append([]byte{99}, js...))
-	if !errors.Is(err, ErrProtocolVersion) {
-		t.Fatalf("want ErrProtocolVersion, got %v", err)
+	// Every other version — past, future, or the bare JSON that was v1 —
+	// must surface the sentinel.
+	for _, skewed := range skewedSpecFrames(spec) {
+		if _, err := decodeSpecFrame(skewed); !errors.Is(err, ErrProtocolVersion) {
+			t.Fatalf("spec frame opening %#x: want ErrProtocolVersion, got %v", skewed[0], err)
+		}
 	}
 }
 
-// TestVersionSkewSentinelCrossesWire pins that a future-version client
-// gets a coded error frame it can match with errors.Is — the server must
-// not fall back to a v1-style bare message just because negotiation never
-// completed.
+// skewedSpecFrames are spec payloads as a v1 (bare JSON), v2, and v77 peer
+// would send them.
+func skewedSpecFrames(spec ModelSpec) [][]byte {
+	js, _ := json.Marshal(spec)
+	return [][]byte{js, append([]byte{2}, js...), append([]byte{77}, js...)}
+}
+
+// TestVersionSkewSentinelCrossesWire pins that a peer of any other
+// protocol version gets a coded error frame it can match with errors.Is.
 func TestVersionSkewSentinelCrossesWire(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -55,23 +54,23 @@ func TestVersionSkewSentinelCrossesWire(t *testing.T) {
 		l.Close()
 		server.Wait()
 	}()
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-
-	js, _ := specJSON(ModelSpec{Kind: "plain-cv", Model: "lenet"})
-	if err := writeFrame(conn, msgSpec, append([]byte{77}, js...)); err != nil { // "v77" client
-		t.Fatal(err)
-	}
-	kind, payload, err := readFrame(conn)
-	if err != nil || kind != msgError {
-		t.Fatalf("want error frame, got kind=%d err=%v", kind, err)
-	}
-	if len(payload) == 0 || sentinelFor(payload[0]) != ErrProtocolVersion {
-		t.Fatalf("error frame not coded as version skew: %q", payload)
+	for _, skewed := range skewedSpecFrames(ModelSpec{Kind: "plain-cv", Model: "lenet"}) {
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := writeFrame(conn, msgSpec, skewed); err != nil {
+			t.Fatal(err)
+		}
+		kind, payload, err := readFrame(conn)
+		if err != nil || kind != msgError {
+			t.Fatalf("spec frame opening %#x: want error frame, got kind=%d err=%v", skewed[0], kind, err)
+		}
+		if err := decodeErrorFrame(payload); !errors.Is(err, ErrProtocolVersion) {
+			t.Fatalf("spec frame opening %#x: error frame not coded as version skew: %q", skewed[0], payload)
+		}
 	}
 }
 
@@ -87,68 +86,6 @@ func TestFrameSizeSentinels(t *testing.T) {
 	hdr := []byte{msgSpec, 0xff, 0xff, 0xff, 0x7f}
 	if _, _, err := readFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("read side: want ErrFrameTooLarge, got %v", err)
-	}
-}
-
-// TestServerSpeaksV1 pins backward compatibility: a legacy client sending
-// a bare-JSON spec frame and expecting a blocking result still gets one,
-// with no v2 frames interleaved.
-func TestServerSpeaksV1(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewServer(l)
-	defer func() {
-		l.Close()
-		server.Wait()
-	}()
-
-	req, _, _ := tinyJob(t, false)
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-
-	js, _ := specJSON(req.Spec)
-	hyperJSON, _ := json.Marshal(req.Hyper)
-	var labelBuf, imgBuf bytes.Buffer
-	if err := serialize.WriteIntSlice(&labelBuf, req.Labels); err != nil {
-		t.Fatal(err)
-	}
-	if err := serialize.WriteTensor(&imgBuf, req.Images); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []struct {
-		kind    byte
-		payload []byte
-	}{
-		{msgSpec, js}, {msgHyper, hyperJSON},
-		{msgLabels, labelBuf.Bytes()}, {msgImages, imgBuf.Bytes()}, {msgDone, nil},
-	} {
-		if err := writeFrame(conn, f.kind, f.payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	kind, payload, err := readFrame(conn)
-	if err != nil || kind != msgResult {
-		t.Fatalf("first response frame: kind=%d err=%v", kind, err)
-	}
-	var meta resultMeta
-	if err := json.Unmarshal(payload, &meta); err != nil {
-		t.Fatal(err)
-	}
-	if len(meta.Metrics) != req.Hyper.Epochs {
-		t.Fatalf("v1 client got %d metrics, want %d", len(meta.Metrics), req.Hyper.Epochs)
-	}
-	kind, payload, err = readFrame(conn)
-	if err != nil || kind != msgState {
-		t.Fatalf("second response frame: kind=%d err=%v", kind, err)
-	}
-	if _, err := serialize.ReadStateDict(bytes.NewReader(payload)); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -322,83 +259,6 @@ func TestLMJobOverWire(t *testing.T) {
 	}
 	if len(v.GatherSets) != req.Spec.SubNets+1 {
 		t.Fatalf("provider sees %d gather sets, want %d", len(v.GatherSets), req.Spec.SubNets+1)
-	}
-}
-
-// TestLegacyV2ClientGetsNoOptStateFrames pins same-version negotiation
-// for the optimiser-state extension: a v2 client that does NOT declare
-// Hyper.OptState (one built before the extension existed) must receive
-// legacy-layout checkpoint frames (uint32 epoch + bare state dict) and
-// no msgOptState frame — an unknown frame type would abort its run.
-func TestLegacyV2ClientGetsNoOptStateFrames(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := NewServer(l)
-	defer func() {
-		l.Close()
-		server.Wait()
-	}()
-
-	req := textJob(t) // Momentum 0.9, Stream + CheckpointEvery set, OptState NOT set
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-
-	specPayload, err := encodeSpecFrame(req.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyperJSON, _ := json.Marshal(req.Hyper)
-	var labelBuf, tokBuf bytes.Buffer
-	if err := serialize.WriteIntSlice(&labelBuf, req.Labels); err != nil {
-		t.Fatal(err)
-	}
-	if err := serialize.WriteIntSlice(&tokBuf, flattenSamples(req.Samples)); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []struct {
-		kind    byte
-		payload []byte
-	}{
-		{msgSpec, specPayload}, {msgHyper, hyperJSON},
-		{msgLabels, labelBuf.Bytes()}, {msgTokens, tokBuf.Bytes()}, {msgDone, nil},
-	} {
-		if err := writeFrame(conn, f.kind, f.payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkpoints := 0
-	for {
-		kind, payload, err := readFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch kind {
-		case msgProgress:
-		case msgCheckpoint:
-			checkpoints++
-			if len(payload) < 4 {
-				t.Fatal("short legacy checkpoint frame")
-			}
-			if _, err := serialize.ReadStateDict(bytes.NewReader(payload[4:])); err != nil {
-				t.Fatalf("legacy client cannot parse checkpoint frame: %v", err)
-			}
-		case msgResult:
-		case msgState:
-			if checkpoints != req.Hyper.Epochs {
-				t.Fatalf("got %d legacy checkpoint frames, want %d", checkpoints, req.Hyper.Epochs)
-			}
-			return // no msgOptState seen before the terminal frame: pass
-		case msgOptState:
-			t.Fatal("server sent msgOptState to a client that never declared the extension")
-		default:
-			t.Fatalf("unexpected frame type %d", kind)
-		}
 	}
 }
 

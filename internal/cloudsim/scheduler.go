@@ -269,7 +269,7 @@ func (sch *Scheduler) start() {
 // observed regardless of scheduling), quota and depth checked, job
 // registered and enqueued on its tenant's queue. sink, when non-nil, is
 // registered before the job can be dispatched, so a same-connection
-// attach (the legacy blocking path) sees every epoch live — no replay
+// attach (the msgDone conversation) sees every epoch live — no replay
 // window. Rejections are typed: ErrTenantQuota, ErrQueueFull.
 func (sch *Scheduler) Submit(req *TrainRequest, sink *attachSink) (*schedJob, error) {
 	// Outside the lock: view capture builds the augmented graph and may

@@ -3,7 +3,6 @@ package cloudsim
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,10 +39,9 @@ type ServerConfig struct {
 	// TenantQuota bounds one tenant's queued jobs; submissions beyond it
 	// get ErrTenantQuota. 0 means no per-tenant bound beyond QueueDepth.
 	TenantQuota int
-	// Infer is the prediction backend for the inference-serving extension:
-	// msgInfer frames are answered against models registered on it. Nil
-	// (the default) refuses infer frames with ErrBadRequest — a pure
-	// training server.
+	// Infer is the prediction backend: msgInfer frames are answered
+	// against models registered on it. Nil (the default) refuses infer
+	// frames with ErrBadRequest — a pure training server.
 	Infer *serve.Server
 }
 
@@ -62,9 +60,9 @@ func (c ServerConfig) withDefaults() ServerConfig {
 
 // Server is the simulated cloud training service: an accept loop feeding
 // connection handlers, in front of a multi-tenant Scheduler that owns the
-// job registry and the executor pool. Legacy v1/v2 clients are served as
-// an implicit submit+attach on one connection; async clients submit, get
-// a job ID, and poll/attach over later connections.
+// job registry and the executor pool. A msgDone request is served as
+// submit+attach on its own connection; a msgSubmit request gets a job ID
+// to poll and attach over later connections.
 type Server struct {
 	listener net.Listener
 	cfg      ServerConfig
@@ -155,23 +153,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer func() { <-s.sem }()
 	defer conn.Close()
 	dc := newDeadlineConn(conn, s.cfg.FrameTimeout, s.cfg.FrameTimeout)
-	ver, err := s.handleRecover(dc)
-	if err != nil && !errors.Is(err, io.EOF) {
-		// Best effort: report the failure to the client. v2 peers get a
-		// leading error-code byte so sentinels survive the wire; v1 peers
-		// get the bare message they always did.
-		payload := []byte(err.Error())
-		if ver >= 2 {
-			payload = append([]byte{errCodeOf(err)}, payload...)
-		}
-		_ = writeFrame(dc, msgError, payload)
+	if err := s.handleRecover(dc); err != nil && !errors.Is(err, io.EOF) {
+		// Best effort: report the failure to the client.
+		_ = writeErrorFrame(dc, err)
 	}
 }
 
 // handleRecover isolates a panicking connection: the crash becomes a wire
 // error frame (fatal — the same deterministic job would crash again)
 // instead of a torn connection taking the whole server down.
-func (s *Server) handleRecover(conn *deadlineConn) (ver byte, err error) {
+func (s *Server) handleRecover(conn *deadlineConn) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("cloudsim: recovered: %v: %w", r, ErrJobPanic)
@@ -195,11 +186,10 @@ func (s *Server) Wait() error {
 
 // Shutdown gracefully stops the server: no new connections are accepted,
 // and every job — running, queued, or parked — is signalled to stop at
-// its next epoch boundary. Clients that negotiated failover receive an
-// epoch-aligned checkpoint plus a retryable "server shutting down" error
-// so they can resume elsewhere; other clients receive the normal
-// cancelled result with their epoch-aligned weights. Shutdown returns
-// once all handlers and executors drain or ctx expires.
+// its next epoch boundary. Connected clients receive an epoch-aligned
+// checkpoint plus a retryable "server shutting down" error so they can
+// resume elsewhere. Shutdown returns once all handlers and executors
+// drain or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutdownOnce.Do(func() {
 		close(s.shuttingDown)
@@ -238,116 +228,90 @@ func (s *Server) Views() []ProviderView {
 	return s.sched.Views()
 }
 
-// handle reads one job off the connection and runs it. It returns the
-// negotiated protocol version (0 until a spec frame arrives) so the accept
-// loop can format error frames the peer understands.
-func (s *Server) handle(conn *deadlineConn) (byte, error) {
+// handle serves one connection's conversation (see the frame table in
+// frames.go): request frames accumulate into a TrainRequest until a
+// terminator says what to do with it; control and infer frames are
+// answered in place.
+func (s *Server) handle(conn *deadlineConn) error {
 	req := &TrainRequest{}
-	var ver byte
 	var tokensFlat, evalTokensFlat []int
 	haveTokens, haveEvalTokens := false, false
-	// finishTokens reshapes the flat token frames once the request is
-	// complete — shared by the blocking (msgDone) and async (msgSubmit)
-	// terminators.
-	finishTokens := func() error {
-		var err error
-		if haveTokens {
-			if req.Samples, err = reshapeSamples(tokensFlat, req.Spec.AugLen); err != nil {
-				return err
-			}
-		}
-		if haveEvalTokens {
-			if req.EvalSamples, err = reshapeSamples(evalTokensFlat, req.Spec.AugLen); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for {
 		kind, payload, err := readFrame(conn)
 		if err != nil {
-			return ver, err
+			return err
 		}
 		switch kind {
 		case msgSpec:
-			spec, v, err := decodeSpecFrame(payload)
+			spec, err := decodeSpecFrame(payload)
 			if err != nil {
-				if errors.Is(err, ErrProtocolVersion) {
-					// The peer sent a version byte, so it is version-aware
-					// (>= v2): answer with a coded error frame so its
-					// errors.Is(ErrProtocolVersion) check works.
-					ver = protocolVersion
-				}
-				return ver, fmt.Errorf("cloudsim: bad spec: %w", err)
+				return fmt.Errorf("cloudsim: bad spec: %w", err)
 			}
-			req.Spec, ver = spec, v
+			req.Spec = spec
 		case msgHyper:
 			if err := json.Unmarshal(payload, &req.Hyper); err != nil {
-				return ver, fmt.Errorf("cloudsim: bad hyper: %w", err)
+				return fmt.Errorf("cloudsim: bad hyper: %w", err)
 			}
 		case msgLabels:
 			labels, err := serialize.ReadIntSlice(bytes.NewReader(payload))
 			if err != nil {
-				return ver, fmt.Errorf("cloudsim: bad labels: %w", err)
+				return fmt.Errorf("cloudsim: bad labels: %w", err)
 			}
 			req.Labels = labels
 		case msgImages:
 			t, err := serialize.ReadTensor(bytes.NewReader(payload))
 			if err != nil {
-				return ver, fmt.Errorf("cloudsim: bad images: %w", err)
+				return fmt.Errorf("cloudsim: bad images: %w", err)
 			}
 			req.Images = t
 		case msgTokens:
 			flat, err := serialize.ReadIntSlice(bytes.NewReader(payload))
 			if err != nil {
-				return ver, fmt.Errorf("cloudsim: bad tokens: %w", err)
+				return fmt.Errorf("cloudsim: bad tokens: %w", err)
 			}
 			tokensFlat, haveTokens = flat, true
 		case msgEvalImages:
 			t, err := serialize.ReadTensor(bytes.NewReader(payload))
 			if err != nil {
-				return ver, fmt.Errorf("cloudsim: bad eval images: %w", err)
+				return fmt.Errorf("cloudsim: bad eval images: %w", err)
 			}
 			req.EvalImages = t
 		case msgEvalLabels:
 			labels, err := serialize.ReadIntSlice(bytes.NewReader(payload))
 			if err != nil {
-				return ver, fmt.Errorf("cloudsim: bad eval labels: %w", err)
+				return fmt.Errorf("cloudsim: bad eval labels: %w", err)
 			}
 			req.EvalLabels = labels
 		case msgEvalTokens:
 			flat, err := serialize.ReadIntSlice(bytes.NewReader(payload))
 			if err != nil {
-				return ver, fmt.Errorf("cloudsim: bad eval tokens: %w", err)
+				return fmt.Errorf("cloudsim: bad eval tokens: %w", err)
 			}
 			evalTokensFlat, haveEvalTokens = flat, true
 		case msgInit:
 			dict, err := serialize.ReadStateDict(bytes.NewReader(payload))
 			if err != nil {
-				return ver, fmt.Errorf("cloudsim: bad init state: %w", err)
+				return fmt.Errorf("cloudsim: bad init state: %w", err)
 			}
 			req.InitState = dict
 		case msgOptState:
-			// ReadOptState sniffs the payload: a legacy bare dict surfaces
-			// as SGD momentum state, an AMO1 stream decodes in full.
 			st, err := serialize.ReadOptState(bytes.NewReader(payload))
 			if err != nil {
-				return ver, fmt.Errorf("cloudsim: bad optimiser state: %w", err)
+				return fmt.Errorf("cloudsim: bad optimiser state: %w", err)
 			}
 			req.InitOptState = st
 		case msgRNGState:
 			dict, err := serialize.ReadBytesDict(bytes.NewReader(payload))
 			if err != nil {
-				return ver, fmt.Errorf("cloudsim: bad RNG state: %w", err)
+				return fmt.Errorf("cloudsim: bad RNG state: %w", err)
 			}
 			req.InitRNG = dict
 		case msgCancel:
 			if len(payload) > 0 {
-				// Cancel-by-ID control frame (async extension): the
-				// payload names a scheduled job on a fresh connection.
-				ver = protocolVersion
+				// Cancel-by-ID control frame: the payload names a scheduled
+				// job on a fresh connection.
 				if err := s.cancelByID(conn, payload); err != nil {
-					return ver, err
+					return err
 				}
 				continue
 			}
@@ -355,74 +319,53 @@ func (s *Server) handle(conn *deadlineConn) (byte, error) {
 			// The generic wire code is deliberate: the client asked for
 			// this cancellation and will not retry it, so no sentinel
 			// class applies.
-			return ver, fmt.Errorf("cloudsim: job cancelled before submission") //amalgam:allow errtaxcheck client-initiated cancel; intentionally generic, never retried
+			return fmt.Errorf("cloudsim: job cancelled before submission") //amalgam:allow errtaxcheck client-initiated cancel; intentionally generic, never retried
 		case msgPoll:
 			// Status query — valid any time, repeatable on one connection.
-			ver = protocolVersion
 			if err := s.poll(conn, payload); err != nil {
-				return ver, err
+				return err
 			}
 			continue
 		case msgInfer:
 			// Prediction request — repeatable, so one connection amortises
-			// its dial across many predictions. Mirrors the async admission
-			// check: the capability must be declared before use.
-			ver = protocolVersion
-			if !req.Hyper.Infer {
-				return ver, fmt.Errorf("cloudsim: infer frame without the Hyper.Infer capability: %w", ErrBadRequest)
-			}
+			// its dial across many predictions.
 			if err := s.infer(conn, payload); err != nil {
-				return ver, err
+				return err
 			}
 			continue
 		case msgAttach:
-			ver = protocolVersion
 			var areq AttachRequest
 			if err := json.Unmarshal(payload, &areq); err != nil {
-				return ver, fmt.Errorf("cloudsim: bad attach request: %w", err)
+				return fmt.Errorf("cloudsim: bad attach request: %w", err)
 			}
-			return ver, s.attach(conn, areq)
-		case msgSubmit:
-			if ver < 2 {
-				return ver, fmt.Errorf("cloudsim: async submit requires protocol v2: %w", ErrProtocolVersion)
-			}
-			if !req.Hyper.Async {
-				return ver, fmt.Errorf("cloudsim: async submit without the Hyper.Async capability: %w", ErrBadRequest)
-			}
+			return s.attach(conn, areq)
+		case msgSubmit, msgDone:
 			if err := validateOptimSpecs(&req.Hyper); err != nil {
-				return ver, err
+				return err
 			}
-			if err := finishTokens(); err != nil {
-				return ver, err
+			if haveTokens {
+				if req.Samples, err = reshapeSamples(tokensFlat, req.Spec.AugLen); err != nil {
+					return err
+				}
 			}
-			return ver, s.submitAsync(conn, req)
-		case msgDone:
-			if err := validateOptimSpecs(&req.Hyper); err != nil {
-				return ver, err
+			if haveEvalTokens {
+				if req.EvalSamples, err = reshapeSamples(evalTokensFlat, req.Spec.AugLen); err != nil {
+					return err
+				}
 			}
-			if err := finishTokens(); err != nil {
-				return ver, err
+			if kind == msgSubmit {
+				return s.submitAsync(conn, req)
 			}
-			return ver, s.runAndRespond(conn, req, ver)
+			return s.runAndRespond(conn, req)
 		default:
-			return ver, fmt.Errorf("cloudsim: unexpected message type %d: %w", kind, ErrUnknownFrame)
+			return fmt.Errorf("cloudsim: unexpected message type %d: %w", kind, ErrUnknownFrame)
 		}
 	}
 }
 
-// validateOptimSpecs is the admission check for the pluggable-optimiser
-// extension: a request naming optimiser or schedule specs must also
-// declare the Hyper.OptimSpec capability (otherwise the client could not
-// decode the generalized state frames its own job produces), and the
-// specs themselves must validate — so a bad spec is refused at admission,
-// before any training time is spent on it.
+// validateOptimSpecs is the admission check for optimiser and schedule
+// specs: a bad spec is refused before any training time is spent on it.
 func validateOptimSpecs(h *Hyper) error {
-	if h.Optimizer == nil && h.Schedule == nil {
-		return nil
-	}
-	if !h.OptimSpec {
-		return fmt.Errorf("cloudsim: optimiser/schedule spec without the Hyper.OptimSpec capability: %w", ErrBadRequest)
-	}
 	if h.Optimizer != nil {
 		if err := h.Optimizer.Validate(); err != nil {
 			if errors.Is(err, optim.ErrUnknownKind) {
@@ -453,80 +396,48 @@ func progressWriter(conn *deadlineConn) func(EpochMetric) error {
 	}
 }
 
-// checkpointWriter streams epoch-boundary snapshots to one connection.
-// Clients that negotiated the optimiser-state extension get full AMC2
-// training checkpoints — the same bytes WithCheckpoint writes to disk —
-// recording the job kind, the momentum buffers, and the dropout-stream
-// cursors alongside the weights. Pre-extension v2 clients keep the legacy
-// layout they parse (uint32 epoch + state dict). A peer that negotiated
-// checkpoints but not the OptimSpec capability cannot decode the AMC3
-// layout a generalized optimiser state forces, so its checkpoints ship
-// the weights without that state.
-func checkpointWriter(conn *deadlineConn, amc2, optimSpec bool, kind string) func(*Snapshot) error {
-	if amc2 {
-		return func(snap *Snapshot) error {
-			var buf bytes.Buffer
-			opt := snap.OptState
-			if !optimSpec && !opt.LegacySGD() {
-				opt = nil
-			}
-			ck := &serialize.TrainCheckpoint{
-				Epoch: snap.Epoch, Kind: kind,
-				State: snap.State, OptState: opt, RNG: snap.RNG,
-			}
-			if err := serialize.WriteTrainCheckpoint(&buf, ck); err != nil {
-				return err
-			}
-			return writeFrame(conn, msgCheckpoint, buf.Bytes())
-		}
-	}
+// checkpointWriter streams epoch-boundary snapshots to one connection as
+// full training checkpoints — the same bytes WithCheckpoint writes to
+// disk — recording the job kind, the optimiser state, and the
+// dropout-stream cursors alongside the weights.
+func checkpointWriter(conn *deadlineConn, kind string) func(*Snapshot) error {
 	return func(snap *Snapshot) error {
 		var buf bytes.Buffer
-		if err := binary.Write(&buf, binary.LittleEndian, uint32(snap.Epoch)); err != nil {
-			return err
+		ck := &serialize.TrainCheckpoint{
+			Epoch: snap.Epoch, Kind: kind,
+			State: snap.State, OptState: snap.OptState, RNG: snap.RNG,
 		}
-		if err := serialize.WriteStateDict(&buf, snap.State); err != nil {
+		if err := serialize.WriteTrainCheckpoint(&buf, ck); err != nil {
 			return err
 		}
 		return writeFrame(conn, msgCheckpoint, buf.Bytes())
 	}
 }
 
-// outcomeCaps carries the negotiated capabilities a terminal result is
-// formatted under — from the request's Hyper on the blocking path, from
-// the AttachRequest on the async path.
-type outcomeCaps struct {
-	optState      bool
-	failover      bool
-	optimSpec     bool
-	kind          string
-	clientStopped bool // the cancel came from this client, not a shutdown
+// connSink is the attachSink delivering a job's live output to conn.
+func connSink(conn *deadlineConn, req *TrainRequest, progress bool) *attachSink {
+	sink := &attachSink{}
+	if progress {
+		sink.progress = progressWriter(conn)
+	}
+	if req.Hyper.CheckpointEvery > 0 {
+		sink.checkpoint = checkpointWriter(conn, req.Spec.Kind)
+	}
+	return sink
 }
 
-// writeOutcome sends a finished job's terminal frames: the failover
-// handoff (epoch-aligned AMC2 checkpoint + retryable shutdown error)
-// when the server is draining under a failover-aware client, or the
-// normal result/opt-state/RNG/state sequence.
-func (s *Server) writeOutcome(conn *deadlineConn, ver byte, caps outcomeCaps, resp *TrainResponse) error {
-	if resp.Cancelled && !caps.clientStopped && s.isShuttingDown() && ver >= 2 && caps.failover {
-		// Graceful-shutdown handoff for failover-aware clients: an
-		// epoch-aligned checkpoint (weights + momentum + RNG cursors)
-		// followed by the retryable shutdown error, so the client resumes
-		// on another server without losing an epoch. Legacy clients fall
-		// through to the normal cancelled result below.
-		var buf bytes.Buffer
-		opt := resp.OptState
-		if !caps.optimSpec && !opt.LegacySGD() {
-			opt = nil
-		}
-		ck := &serialize.TrainCheckpoint{
-			Epoch: resp.CompletedEpochs, Kind: caps.kind,
-			State: resp.State, OptState: opt, RNG: resp.RNG,
-		}
-		if err := serialize.WriteTrainCheckpoint(&buf, ck); err != nil {
-			return err
-		}
-		if err := writeFrame(conn, msgCheckpoint, buf.Bytes()); err != nil {
+// writeOutcome sends a finished job's terminal frames: the shutdown
+// handoff when the server is draining, or the normal
+// result/opt-state/RNG/state sequence. clientStopped marks a cancel that
+// came from this client rather than from a shutdown.
+func (s *Server) writeOutcome(conn *deadlineConn, kind string, clientStopped bool, resp *TrainResponse) error {
+	if resp.Cancelled && !clientStopped && s.isShuttingDown() {
+		// Graceful-shutdown handoff: an epoch-aligned checkpoint (weights
+		// + optimiser state + RNG cursors) followed by the retryable
+		// shutdown error, so the client resumes on another server without
+		// losing an epoch.
+		handoff := &Snapshot{Epoch: resp.CompletedEpochs, State: resp.State, OptState: resp.OptState, RNG: resp.RNG}
+		if err := checkpointWriter(conn, kind)(handoff); err != nil {
 			return err
 		}
 		return fmt.Errorf("cloudsim: job stopped at epoch %d: %w", resp.CompletedEpochs, ErrServerShutdown)
@@ -541,15 +452,9 @@ func (s *Server) writeOutcome(conn *deadlineConn, ver byte, caps outcomeCaps, re
 	if err := writeFrame(conn, msgResult, metaJSON); err != nil {
 		return err
 	}
-	// Final optimiser state rides its own frame, BEFORE msgState so the
-	// client's read loop (which terminates on msgState) still collects
-	// it. Only clients that declared the extension (Hyper.OptState)
-	// receive it — older peers would abort on the unknown frame type —
-	// and a generalized (non-SGD) state additionally needs the OptimSpec
-	// capability, since its AMO1 payload would look like a corrupt dict
-	// to an OptState-only peer.
-	if ver >= 2 && caps.optState && !resp.OptState.Empty() &&
-		(caps.optimSpec || resp.OptState.LegacySGD()) {
+	// Final optimiser state and dropout-stream cursors ride their own
+	// frames, BEFORE msgState: the client's read loop ends on msgState.
+	if !resp.OptState.Empty() {
 		var optBuf bytes.Buffer
 		if err := serialize.WriteOptState(&optBuf, resp.OptState); err != nil {
 			return err
@@ -558,8 +463,7 @@ func (s *Server) writeOutcome(conn *deadlineConn, ver byte, caps outcomeCaps, re
 			return err
 		}
 	}
-	// Dropout-stream cursors likewise, gated by the failover capability.
-	if ver >= 2 && caps.failover && len(resp.RNG) > 0 {
+	if len(resp.RNG) > 0 {
 		var rngBuf bytes.Buffer
 		if err := serialize.WriteBytesDict(&rngBuf, resp.RNG); err != nil {
 			return err
@@ -575,11 +479,55 @@ func (s *Server) writeOutcome(conn *deadlineConn, ver byte, caps outcomeCaps, re
 	return writeFrame(conn, msgState, buf.Bytes())
 }
 
-// runAndRespond serves a legacy blocking client: an implicit submit (with
-// this connection registered as the job's sink from birth, so every epoch
-// streams live) followed by an implicit attach that waits for the
-// terminal result on the same connection.
-func (s *Server) runAndRespond(conn *deadlineConn, req *TrainRequest, ver byte) (err error) {
+// awaitOutcome parks the handler until job finishes, then writes its
+// terminal frames. Meanwhile it watches the connection: a msgCancel stops
+// the job at its next epoch boundary, and a dead connection ends the wait
+// with io.EOF — what that means for the job is the caller's policy.
+func (s *Server) awaitOutcome(conn *deadlineConn, job *schedJob) error {
+	// The training phase has no frame cadence the server can bound: a
+	// silent client is normal. Request-phase deadlines come off.
+	conn.setReadTimeout(0)
+
+	connDead := make(chan struct{})
+	var clientStopped atomic.Bool
+	go func() {
+		for {
+			kind, _, err := readFrame(conn)
+			if err != nil {
+				close(connDead)
+				return
+			}
+			if kind == msgCancel {
+				clientStopped.Store(true)
+				_ = s.sched.Cancel(job.id)
+			}
+		}
+	}()
+
+	// A finished job wins over a dead connection: its result is written
+	// (and fails on its own) rather than reported as a detach.
+	select {
+	case <-job.done:
+	default:
+		select {
+		case <-job.done:
+		case <-connDead:
+			return io.EOF
+		}
+	}
+	resp, jerr := job.result()
+	if jerr != nil {
+		return jerr
+	}
+	return s.writeOutcome(conn, job.req.Spec.Kind, clientStopped.Load(), resp)
+}
+
+// runAndRespond serves a msgDone request: submit with this connection
+// registered as the job's sink from admission, then attach on the same
+// connection. The pinned frame cadence (one progress + one checkpoint
+// frame per epoch) holds exactly because of that — there is no replay
+// window to coalesce checkpoints in.
+func (s *Server) runAndRespond(conn *deadlineConn, req *TrainRequest) (err error) {
 	// A provider-view capture that panics on malformed geometry must
 	// become a classified wire error, not a torn connection.
 	defer func() {
@@ -587,54 +535,18 @@ func (s *Server) runAndRespond(conn *deadlineConn, req *TrainRequest, ver byte) 
 			err = fmt.Errorf("cloudsim: job crashed: %v: %w", r, ErrJobPanic)
 		}
 	}()
-
-	// The connection is the job's sink from admission, so the pinned
-	// frame cadence (one progress + one checkpoint frame per epoch) holds
-	// exactly — there is no replay window to coalesce checkpoints in.
-	sink := &attachSink{}
-	if ver >= 2 && req.Hyper.Stream {
-		sink.progress = progressWriter(conn)
-	}
-	if ver >= 2 && req.Hyper.CheckpointEvery > 0 {
-		sink.checkpoint = checkpointWriter(conn, req.Hyper.OptState, req.Hyper.OptimSpec, req.Spec.Kind)
-	}
-	job, err := s.sched.Submit(req, sink)
+	job, err := s.sched.Submit(req, connSink(conn, req, req.Hyper.Stream))
 	if err != nil {
 		return err
 	}
-
-	// The training phase has no frame cadence the server can bound: a
-	// silent client is normal. Request-phase deadlines come back off.
-	conn.setReadTimeout(0)
-
-	var clientStopped atomic.Bool
-	if ver >= 2 {
-		// Watch the connection for a mid-job msgCancel (or disconnect — a
-		// vanished blocking client also stops the job instead of burning
+	err = s.awaitOutcome(conn, job)
+	if errors.Is(err, io.EOF) {
+		// A vanished blocking client stops its job instead of burning
 		// cloud time on a result nobody will read; disconnect survival is
-		// the async path's contract, where the client asked for a job ID).
-		go func() {
-			for {
-				kind, _, err := readFrame(conn)
-				if err != nil || kind == msgCancel {
-					clientStopped.Store(true)
-					_ = s.sched.Cancel(job.id)
-					return
-				}
-			}
-		}()
+		// the submit path's contract, where the client asked for a job ID.
+		_ = s.sched.Cancel(job.id)
 	}
-
-	<-job.done
-	resp, jerr := job.result()
-	if jerr != nil {
-		return jerr
-	}
-	return s.writeOutcome(conn, ver, outcomeCaps{
-		optState: req.Hyper.OptState, failover: req.Hyper.Failover,
-		optimSpec: req.Hyper.OptimSpec,
-		kind:      req.Spec.Kind, clientStopped: clientStopped.Load(),
-	}, resp)
+	return err
 }
 
 // submitAsync admits the job and answers with its ID; the connection is
@@ -698,60 +610,18 @@ func (s *Server) cancelByID(conn *deadlineConn, payload []byte) error {
 // epochs past FromEpoch replay first (exactly once — the replay and the
 // live-sink registration are one atomic step), then live frames, then the
 // terminal result. The client disconnecting DETACHES the stream without
-// cancelling the job — disconnect survival is the point of the async
-// path; an explicit msgCancel on this connection cancels the job.
+// cancelling the job — disconnect survival is the point of the submit
+// path — and its output keeps buffering for the next attach; an explicit
+// msgCancel on this connection cancels the job.
 func (s *Server) attach(conn *deadlineConn, areq AttachRequest) error {
 	job, err := s.sched.Job(areq.JobID)
 	if err != nil {
 		return err
 	}
-
-	// Like the blocking path's training phase: a silent client is normal
-	// while the job trains.
-	conn.setReadTimeout(0)
-
-	connDead := make(chan struct{})
-	var clientStopped atomic.Bool
-	go func() {
-		for {
-			kind, _, err := readFrame(conn)
-			if err != nil {
-				close(connDead)
-				return
-			}
-			if kind == msgCancel {
-				clientStopped.Store(true)
-				_ = s.sched.Cancel(job.id)
-			}
-		}
-	}()
-
-	sink := &attachSink{progress: progressWriter(conn)}
-	if job.req.Hyper.CheckpointEvery > 0 {
-		sink.checkpoint = checkpointWriter(conn, areq.OptState, areq.OptimSpec, job.req.Spec.Kind)
-	}
+	sink := connSink(conn, job.req, true)
 	if err := job.attach(areq.FromEpoch, sink); err != nil {
 		return err
 	}
 	defer job.detach(sink)
-	select {
-	case <-job.done:
-	default:
-		select {
-		case <-job.done:
-		case <-connDead:
-			// Detached, not cancelled: the job keeps running and its
-			// output keeps buffering for the next attach.
-			return io.EOF
-		}
-	}
-	resp, jerr := job.result()
-	if jerr != nil {
-		return jerr
-	}
-	return s.writeOutcome(conn, protocolVersion, outcomeCaps{
-		optState: areq.OptState, failover: areq.Failover,
-		optimSpec: areq.OptimSpec,
-		kind:      job.req.Spec.Kind, clientStopped: clientStopped.Load(),
-	}, resp)
+	return s.awaitOutcome(conn, job)
 }

@@ -49,9 +49,6 @@ func TestAdamStateDictResumeBitIdentical(t *testing.T) {
 	if st.Kind != KindAdam {
 		t.Fatalf("adam state kind = %q, want %q", st.Kind, KindAdam)
 	}
-	if st.LegacySGD() {
-		t.Fatal("adam state must not be expressible in the legacy SGD encoding")
-	}
 
 	lc, xc := build()
 	if err := nn.LoadStateDict(lc, weights); err != nil {
@@ -112,7 +109,7 @@ func TestAdamLoadStateDictRejectsForeignState(t *testing.T) {
 	w := tensor.New(4, 2)
 	cases := map[string]*State{
 		"sgd state into adam": {Kind: KindSGD, Buffers: map[string]*tensor.Tensor{wName: tensor.New(4, 2)}},
-		"legacy bare dict":    {Buffers: map[string]*tensor.Tensor{wName: tensor.New(4, 2)}},
+		"state with no kind":  {Buffers: map[string]*tensor.Tensor{wName: tensor.New(4, 2)}},
 		"unprefixed buffer":   {Kind: KindAdam, Step: 1, Buffers: map[string]*tensor.Tensor{wName: w}},
 		"unknown moment slot": {Kind: KindAdam, Step: 1, Buffers: map[string]*tensor.Tensor{"q/" + wName: w}},
 		"unknown parameter":   {Kind: KindAdam, Step: 1, Buffers: map[string]*tensor.Tensor{"m/nope": w, "v/nope": w}},

@@ -22,8 +22,8 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// Optimiser kinds understood by the registry, the AMC3 checkpoint layout,
-// and the wire protocol's generalized optimiser state.
+// Optimiser kinds understood by the registry, the checkpoint format, and
+// the wire protocol's optimiser-state frames.
 const (
 	KindSGD  = "sgd"
 	KindAdam = "adam"
@@ -53,12 +53,11 @@ type Optimizer interface {
 	LoadStateDict(st *State) error
 }
 
-// State is an optimiser's serialisable resume state — the generalized
-// payload of AMC3 checkpoints and msgOptState wire frames.
+// State is an optimiser's serialisable resume state — the optimiser
+// section of checkpoints and the payload of msgOptState wire frames.
 type State struct {
 	// Kind is the optimiser family that produced the state (KindSGD,
-	// KindAdam). Empty on states decoded from legacy AMC2/bare-dict
-	// sources, which only SGD ever wrote.
+	// KindAdam); LoadStateDict refuses a state of another kind.
 	Kind string
 	// Step counts updates applied so far — Adam's bias-correction counter.
 	// Always zero for SGD.
@@ -84,15 +83,6 @@ func (s *State) NumBuffers() int {
 // and no step count. Nil is empty.
 func (s *State) Empty() bool {
 	return s == nil || (s.Step == 0 && len(s.Buffers) == 0)
-}
-
-// LegacySGD reports whether the state is expressible in the legacy
-// SGD-momentum encodings (the AMC2 checkpoint section and the bare-dict
-// msgOptState frame): no scalar counters, kind absent or SGD. Writers use
-// it to keep emitting byte-identical legacy bytes for SGD jobs; only
-// states that genuinely need the generalized layout get it.
-func (s *State) LegacySGD() bool {
-	return s == nil || (s.Step == 0 && (s.Kind == "" || s.Kind == KindSGD))
 }
 
 // sortedNames returns m's keys in sorted order, so state validation and
@@ -168,8 +158,8 @@ func (s *SGD) LR() float64 { return s.lr }
 func (s *SGD) Kind() string { return KindSGD }
 
 // StateDict returns the optimiser's resume state — the momentum buffers,
-// keyed by bare parameter name (the legacy-compatible SGD layout). Nil
-// when momentum is disabled or no step has run yet.
+// keyed by bare parameter name. Nil when momentum is disabled or no step
+// has run yet.
 func (s *SGD) StateDict() *State {
 	if len(s.velocity) == 0 {
 		return nil
@@ -196,8 +186,8 @@ func (s *SGD) LoadStateDict(st *State) error {
 	if st.Empty() {
 		return nil
 	}
-	if st.Kind != "" && st.Kind != KindSGD {
-		return fmt.Errorf("optim: %s state loaded into an sgd optimiser", st.Kind)
+	if st.Kind != KindSGD {
+		return fmt.Errorf("optim: %q state loaded into an sgd optimiser", st.Kind)
 	}
 	if st.Step != 0 {
 		return fmt.Errorf("optim: sgd has no step counter, state records step %d", st.Step)
@@ -346,11 +336,7 @@ func (a *Adam) LoadStateDict(st *State) error {
 		return nil
 	}
 	if st.Kind != KindAdam {
-		kind := st.Kind
-		if kind == "" {
-			kind = KindSGD + "-era legacy"
-		}
-		return fmt.Errorf("optim: %s state loaded into an adam optimiser", kind)
+		return fmt.Errorf("optim: %q state loaded into an adam optimiser", st.Kind)
 	}
 	if st.Step < 0 {
 		return fmt.Errorf("optim: adam step counter must be ≥ 0, state records %d", st.Step)

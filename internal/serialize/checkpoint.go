@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"amalgam/internal/nn"
@@ -61,67 +60,44 @@ func LoadModel(path string, m interface{ Params() []nn.Param }) error {
 	return nn.LoadStateDict(m, dict)
 }
 
-// Training-checkpoint magics: a resumable snapshot pairing a state dict
-// with the number of fully completed epochs. Trainers write one mid-job
-// (every N epochs, and on cancellation) so an interrupted cloud job can
-// be resumed from the last epoch boundary.
-//
-// AMC1 (legacy) is epoch + model state dict. AMC2 adds the job's spec
-// kind (so a checkpoint can be matched against the job it is loaded
-// into) and the optimiser state dict (SGD momentum buffers), which is
-// what makes a resumed run with Momentum > 0 bit-identical to an
-// uninterrupted one. AMC3 generalizes the optimiser section: it names
-// the optimiser kind and carries scalar state (the step counter, the
-// capture-time LR) ahead of the named buffers, so Adam's bias-correction
-// counter survives a resume. The writer only reaches for AMC3 when the
-// state actually needs it (OptState.LegacySGD is false): SGD-momentum
-// jobs keep producing byte-identical AMC2 files, and AMC1/AMC2 files
-// remain loadable forever.
-const (
-	ckptMagicV1 = 0x414d4331 // "AMC1"
-	ckptMagicV2 = 0x414d4332 // "AMC2"
-	ckptMagicV3 = 0x414d4333 // "AMC3"
-)
+// ckptMagic ("AMC3") heads a training checkpoint: a resumable snapshot
+// pairing a state dict with the number of fully completed epochs.
+// Trainers write one mid-job (every N epochs, and on cancellation) so an
+// interrupted cloud job can be resumed from the last epoch boundary, and
+// the wire ships the same bytes in msgCheckpoint frames. Layout: header,
+// epoch, job kind, optimiser flag [+ optimiser kind, step, LR], model
+// state dict, [optimiser buffer dict], RNG flag [+ RNG bytes dict].
+const ckptMagic = 0x414d4333
 
 // TrainCheckpoint is a resumable training snapshot.
 type TrainCheckpoint struct {
 	// Epoch counts fully completed epochs (the resume point).
 	Epoch int
 	// Kind is the job's wire spec kind ("augmented-cv", "augmented-text",
-	// "augmented-lm", ...). Empty for legacy AMC1 files.
+	// "augmented-lm", ...), so a checkpoint can be matched against the job
+	// it is loaded into.
 	Kind string
 	// State is the full (augmented-model) state dict.
 	State map[string]*tensor.Tensor
-	// OptState holds the optimiser's resume state: named buffers (SGD
-	// momentum, Adam moments) plus scalar counters. Nil when the run had
-	// no optimiser state or the file predates AMC2. States decoded from
-	// AMC2 files surface with Kind "sgd" and Step 0 — the only shape that
-	// format could carry.
+	// OptState holds the optimiser's resume state: its kind, scalar
+	// counters (Adam's bias-correction step), and named buffers (SGD
+	// momentum, Adam moments) — what makes a resumed run bit-identical to
+	// an uninterrupted one. Nil when the run had accumulated none.
 	OptState *optim.State
 	// RNG holds per-layer random-stream cursors (dropout PCG state) keyed
-	// by stream name ("orig.drop", "orig.block0.drop", ...). It is an
-	// optional trailing AMC2 section: files written before it existed
-	// still load (RNG nil), and old readers ignore the extra bytes. With
-	// it, a resumed Dropout > 0 run replays masks from the interruption
-	// point — the last piece of the bit-identical-resume contract.
+	// by stream name ("orig.drop", "orig.block0.drop", ...), so a resumed
+	// Dropout > 0 run replays masks from the interruption point. Nil for
+	// models without stochastic layers.
 	RNG map[string][]byte
 }
 
-// WriteTrainCheckpoint encodes a training checkpoint: header, completed
-// epoch count, spec kind, optimiser scalars (AMC3 only), model state
-// dict, and — when present — the optimiser buffer dict. SGD-expressible
-// states take the AMC2 layout byte-for-byte; anything carrying a step
-// counter or a non-SGD kind needs AMC3.
+// WriteTrainCheckpoint encodes a training checkpoint.
 func WriteTrainCheckpoint(w io.Writer, ck *TrainCheckpoint) error {
 	if ck.Epoch < 0 {
 		return fmt.Errorf("serialize: checkpoint epoch must be ≥ 0, got %d", ck.Epoch)
 	}
-	magic := uint32(ckptMagicV2)
-	if !ck.OptState.LegacySGD() {
-		magic = ckptMagicV3
-	}
 	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, magic); err != nil {
+	if err := writeHeader(bw, ckptMagic); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(ck.Epoch)); err != nil {
@@ -130,23 +106,12 @@ func WriteTrainCheckpoint(w io.Writer, ck *TrainCheckpoint) error {
 	if err := writeString(bw, ck.Kind); err != nil {
 		return err
 	}
-	// AMC3 always carries the optimiser section (scalars matter even with
-	// no buffers yet); AMC2 keeps the historical buffers-only condition.
-	hasOpt := uint8(0)
-	if magic == ckptMagicV3 || ck.OptState.NumBuffers() > 0 {
-		hasOpt = 1
-	}
+	hasOpt := !ck.OptState.Empty()
 	if err := binary.Write(bw, binary.LittleEndian, hasOpt); err != nil {
 		return err
 	}
-	if magic == ckptMagicV3 {
-		if err := writeString(bw, ck.OptState.Kind); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint64(ck.OptState.Step)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(ck.OptState.LR)); err != nil {
+	if hasOpt {
+		if err := writeOptScalars(bw, ck.OptState); err != nil {
 			return err
 		}
 	}
@@ -156,14 +121,11 @@ func WriteTrainCheckpoint(w io.Writer, ck *TrainCheckpoint) error {
 	if err := WriteStateDict(w, ck.State); err != nil {
 		return err
 	}
-	if hasOpt == 1 {
+	if hasOpt {
 		if err := WriteStateDict(w, ck.OptState.Buffers); err != nil {
 			return err
 		}
 	}
-	// Optional trailing RNG section: a flag byte then a bytes dict. Old
-	// readers stop before it (trailing bytes are never read); new readers
-	// treat EOF at the flag as a file without the section.
 	if len(ck.RNG) == 0 {
 		_, err := w.Write([]byte{0})
 		return err
@@ -174,28 +136,15 @@ func WriteTrainCheckpoint(w io.Writer, ck *TrainCheckpoint) error {
 	return WriteBytesDict(w, ck.RNG)
 }
 
-// ReadTrainCheckpoint decodes an AMC3, AMC2, or legacy AMC1 checkpoint
-// (AMC1: Kind empty, OptState nil; AMC2: OptState surfaces as an SGD
-// state with Step 0).
+// ReadTrainCheckpoint decodes a checkpoint written by
+// WriteTrainCheckpoint. Any other magic fails with ErrWrongFormat.
 func ReadTrainCheckpoint(r io.Reader) (*TrainCheckpoint, error) {
 	// One buffered reader for the whole stream: the dict sections are
 	// decoded with the non-wrapping reader so the model dict cannot
 	// read ahead into the optimiser dict.
 	br := bufio.NewReader(r)
-	var magic uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("serialize: read magic: %w", err)
-	}
-	if magic != ckptMagicV1 && magic != ckptMagicV2 && magic != ckptMagicV3 {
-		return nil, fmt.Errorf("serialize: bad magic %#x, want %#x, %#x or %#x: %w",
-			magic, ckptMagicV1, ckptMagicV2, ckptMagicV3, ErrWrongFormat)
-	}
-	var v uint16
-	if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-		return nil, fmt.Errorf("serialize: read version: %w", err)
-	}
-	if v != version {
-		return nil, fmt.Errorf("serialize: unsupported version %d", v)
+	if err := readHeader(br, ckptMagic); err != nil {
+		return nil, err
 	}
 	ck := &TrainCheckpoint{}
 	var e uint32
@@ -203,70 +152,54 @@ func ReadTrainCheckpoint(r io.Reader) (*TrainCheckpoint, error) {
 		return nil, fmt.Errorf("serialize: read checkpoint epoch: %w", err)
 	}
 	ck.Epoch = int(e)
-	hasOpt := uint8(0)
-	var opt *optim.State
-	if magic != ckptMagicV1 {
-		kind, err := readString(br)
-		if err != nil {
-			return nil, fmt.Errorf("serialize: read checkpoint kind: %w", err)
-		}
-		ck.Kind = kind
-		if err := binary.Read(br, binary.LittleEndian, &hasOpt); err != nil {
-			return nil, fmt.Errorf("serialize: read checkpoint flags: %w", err)
-		}
-	}
-	if hasOpt == 1 {
-		// AMC2 could only ever hold SGD momentum buffers; AMC3 names the
-		// kind and carries the scalars explicitly.
-		opt = &optim.State{Kind: optim.KindSGD}
-		if magic == ckptMagicV3 {
-			kind, err := readString(br)
-			if err != nil {
-				return nil, fmt.Errorf("serialize: read optimiser kind: %w", err)
-			}
-			var step, lrBits uint64
-			if err := binary.Read(br, binary.LittleEndian, &step); err != nil {
-				return nil, fmt.Errorf("serialize: read optimiser step: %w", err)
-			}
-			if err := binary.Read(br, binary.LittleEndian, &lrBits); err != nil {
-				return nil, fmt.Errorf("serialize: read optimiser lr: %w", err)
-			}
-			opt = &optim.State{Kind: kind, Step: int(step), LR: math.Float64frombits(lrBits)}
-		}
-	}
-	state, err := readStateDictFrom(br)
+	kind, err := readString(br)
 	if err != nil {
+		return nil, fmt.Errorf("serialize: read checkpoint kind: %w", err)
+	}
+	ck.Kind = kind
+	hasOpt, err := readFlag(br)
+	if err != nil {
+		return nil, fmt.Errorf("serialize: read optimiser flag: %w", err)
+	}
+	if hasOpt {
+		if ck.OptState, err = readOptScalars(br); err != nil {
+			return nil, err
+		}
+	}
+	if ck.State, err = readStateDictFrom(br); err != nil {
 		return nil, err
 	}
-	ck.State = state
-	if hasOpt == 1 {
-		buffers, err := readStateDictFrom(br)
-		if err != nil {
+	if hasOpt {
+		if ck.OptState.Buffers, err = readStateDictFrom(br); err != nil {
 			return nil, fmt.Errorf("serialize: optimiser state: %w", err)
 		}
-		opt.Buffers = buffers
-		ck.OptState = opt
 	}
-	if magic != ckptMagicV1 {
-		// Optional trailing RNG section; EOF here means the file predates
-		// it (written before cursors were checkpointed) and is fine.
-		flag, err := br.ReadByte()
-		switch {
-		case err == io.EOF:
-			return ck, nil
-		case err != nil:
-			return nil, fmt.Errorf("serialize: read RNG flag: %w", err)
-		case flag == 1:
-			rng, err := readBytesDictFrom(br)
-			if err != nil {
-				return nil, fmt.Errorf("serialize: RNG state: %w", err)
-			}
-			ck.RNG = rng
-		case flag != 0:
-			return nil, fmt.Errorf("serialize: bad RNG flag %d", flag)
+	hasRNG, err := readFlag(br)
+	if err != nil {
+		return nil, fmt.Errorf("serialize: read RNG flag: %w", err)
+	}
+	if hasRNG {
+		if ck.RNG, err = readBytesDictFrom(br); err != nil {
+			return nil, fmt.Errorf("serialize: RNG state: %w", err)
 		}
 	}
 	return ck, nil
+}
+
+// readFlag decodes one presence byte; anything but 0 or 1 is corruption,
+// and so is a stream that ends before it.
+func readFlag(r io.ByteReader) (bool, error) {
+	b, err := r.ReadByte()
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return false, err
+	}
+	if b > 1 {
+		return false, fmt.Errorf("bad flag byte %d", b)
+	}
+	return b == 1, nil
 }
 
 // SaveTrainCheckpoint writes a checkpoint to path atomically

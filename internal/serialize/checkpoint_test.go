@@ -2,7 +2,7 @@ package serialize
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -131,36 +131,6 @@ func TestTrainCheckpointNoOptState(t *testing.T) {
 	}
 }
 
-// TestTrainCheckpointReadsLegacyAMC1 pins backwards compatibility: a
-// checkpoint in the PR 3 layout (AMC1: epoch + state dict, no kind, no
-// optimiser state) still loads, surfacing an empty Kind and nil OptState.
-func TestTrainCheckpointReadsLegacyAMC1(t *testing.T) {
-	m := models.NewLeNet5(tensor.NewRNG(1), models.CVConfig{InC: 1, InH: 12, InW: 12, Classes: 3})
-	dict := nn.StateDict(m)
-	var buf bytes.Buffer
-	if err := writeHeader(&buf, ckptMagicV1); err != nil {
-		t.Fatal(err)
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, uint32(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteStateDict(&buf, dict); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := ReadTrainCheckpoint(&buf)
-	if err != nil {
-		t.Fatalf("legacy AMC1 checkpoint no longer loads: %v", err)
-	}
-	if ck.Epoch != 5 || ck.Kind != "" || ck.OptState != nil {
-		t.Fatalf("legacy read got epoch=%d kind=%q optState=%v", ck.Epoch, ck.Kind, ck.OptState)
-	}
-	for name, src := range dict {
-		if !ck.State[name].Equal(src) {
-			t.Fatalf("legacy entry %q not restored", name)
-		}
-	}
-}
-
 // TestTrainCheckpointRejectsForeignInput pins magic/format discrimination:
 // a plain state-dict file is not a training checkpoint and vice versa.
 func TestTrainCheckpointRejectsForeignInput(t *testing.T) {
@@ -171,8 +141,18 @@ func TestTrainCheckpointRejectsForeignInput(t *testing.T) {
 	if err := SaveModel(dictPath, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTrainCheckpoint(dictPath); err == nil {
-		t.Fatal("state dict should not load as a training checkpoint")
+	if _, err := LoadTrainCheckpoint(dictPath); !errors.Is(err, ErrWrongFormat) {
+		t.Fatalf("state dict loaded as a training checkpoint: %v", err)
+	}
+	// The retired AMC1/AMC2 magics are foreign input like any other.
+	for _, magic := range []uint32{0x414d4331, 0x414d4332} {
+		var old bytes.Buffer
+		if err := writeHeader(&old, magic); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadTrainCheckpoint(&old); !errors.Is(err, ErrWrongFormat) {
+			t.Fatalf("magic %#x read as a training checkpoint: %v", magic, err)
+		}
 	}
 
 	ckptPath := filepath.Join(dir, "m.amc")

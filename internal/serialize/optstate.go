@@ -8,41 +8,20 @@ import (
 	"math"
 
 	"amalgam/internal/optim"
-	"amalgam/internal/tensor"
 )
 
-// optStateMagic ("AMO1") frames a generalized optimiser state: kind, step
-// counter, capture-time LR, then the named buffer dict. The legacy wire
-// encoding for optimiser state was a bare AMD1 state dict (SGD momentum
-// buffers, the only optimiser the protocol knew); WriteOptState keeps
-// emitting exactly those bytes for SGD-expressible states, and
-// ReadOptState sniffs the leading magic so either encoding decodes — the
-// same no-flag-day discipline as the AMC2/AMC3 checkpoint split.
-const optStateMagic = 0x414d4f31 // "AMO1"
+// optStateMagic ("AMO1") frames an optimiser state on the wire (msgOptState
+// frames): kind, step counter, capture-time LR, then the named buffer dict.
+// Checkpoints carry the same scalars and buffers in their own sections.
+const optStateMagic = 0x414d4f31
 
-// WriteOptState encodes an optimiser state for the wire. States
-// expressible in the legacy layout (LegacySGD: no step counter, SGD or
-// unset kind) are written as a bare state dict, byte-identical to the
-// pre-generalization encoding; anything else gets the AMO1 framing.
+// WriteOptState encodes a (non-nil) optimiser state for the wire.
 func WriteOptState(w io.Writer, st *optim.State) error {
-	if st.LegacySGD() {
-		var buffers map[string]*tensor.Tensor
-		if st != nil {
-			buffers = st.Buffers
-		}
-		return WriteStateDict(w, buffers)
-	}
 	bw := bufio.NewWriter(w)
 	if err := writeHeader(bw, optStateMagic); err != nil {
 		return err
 	}
-	if err := writeString(bw, st.Kind); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(st.Step)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(st.LR)); err != nil {
+	if err := writeOptScalars(bw, st); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -51,47 +30,46 @@ func WriteOptState(w io.Writer, st *optim.State) error {
 	return WriteStateDict(w, st.Buffers)
 }
 
-// ReadOptState decodes either optimiser-state encoding, sniffing the
-// leading magic: a bare AMD1 dict surfaces as an SGD state (Kind "sgd",
-// Step 0), an AMO1 stream decodes in full. Any other magic fails with
-// ErrWrongFormat.
+// ReadOptState decodes a state written by WriteOptState. Any other magic
+// fails with ErrWrongFormat.
 func ReadOptState(r io.Reader) (*optim.State, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
+	if err := readHeader(br, optStateMagic); err != nil {
+		return nil, err
+	}
+	st, err := readOptScalars(br)
 	if err != nil {
-		return nil, fmt.Errorf("serialize: read optimiser-state magic: %w", err)
+		return nil, err
 	}
-	switch binary.LittleEndian.Uint32(head) {
-	case dictMagic:
-		buffers, err := readStateDictFrom(br)
-		if err != nil {
-			return nil, err
-		}
-		return &optim.State{Kind: optim.KindSGD, Buffers: buffers}, nil
-	case optStateMagic:
-		if err := readHeader(br, optStateMagic); err != nil {
-			return nil, err
-		}
-		kind, err := readString(br)
-		if err != nil {
-			return nil, fmt.Errorf("serialize: read optimiser kind: %w", err)
-		}
-		var step, lrBits uint64
-		if err := binary.Read(br, binary.LittleEndian, &step); err != nil {
-			return nil, fmt.Errorf("serialize: read optimiser step: %w", err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &lrBits); err != nil {
-			return nil, fmt.Errorf("serialize: read optimiser lr: %w", err)
-		}
-		buffers, err := readStateDictFrom(br)
-		if err != nil {
-			return nil, err
-		}
-		return &optim.State{
-			Kind: kind, Step: int(step), LR: math.Float64frombits(lrBits), Buffers: buffers,
-		}, nil
-	default:
-		return nil, fmt.Errorf("serialize: bad optimiser-state magic %#x: %w",
-			binary.LittleEndian.Uint32(head), ErrWrongFormat)
+	if st.Buffers, err = readStateDictFrom(br); err != nil {
+		return nil, err
 	}
+	return st, nil
+}
+
+// writeOptScalars encodes the part of an optimiser state that is not a
+// tensor: kind, step counter, capture-time LR.
+func writeOptScalars(w io.Writer, st *optim.State) error {
+	if err := writeString(w, st.Kind); err != nil {
+		return err
+	}
+	if err := binary.Write(w, binary.LittleEndian, uint64(st.Step)); err != nil {
+		return err
+	}
+	return binary.Write(w, binary.LittleEndian, math.Float64bits(st.LR))
+}
+
+func readOptScalars(r io.Reader) (*optim.State, error) {
+	kind, err := readString(r)
+	if err != nil {
+		return nil, fmt.Errorf("serialize: read optimiser kind: %w", err)
+	}
+	var step, lrBits uint64
+	if err := binary.Read(r, binary.LittleEndian, &step); err != nil {
+		return nil, fmt.Errorf("serialize: read optimiser step: %w", err)
+	}
+	if err := binary.Read(r, binary.LittleEndian, &lrBits); err != nil {
+		return nil, fmt.Errorf("serialize: read optimiser lr: %w", err)
+	}
+	return &optim.State{Kind: kind, Step: int(step), LR: math.Float64frombits(lrBits)}, nil
 }

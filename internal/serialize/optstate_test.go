@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
 
 	"amalgam/internal/optim"
@@ -37,9 +38,9 @@ func statesEqual(t *testing.T, got, want *optim.State) {
 	}
 }
 
-// TestOptStateAMO1Roundtrip pins the generalized wire encoding: an Adam
-// state (kind, step counter, LR, prefixed moment buffers) survives
-// encode/decode exactly.
+// TestOptStateAMO1Roundtrip pins the wire encoding: an Adam state (kind,
+// step counter, LR, prefixed moment buffers) survives encode/decode
+// exactly.
 func TestOptStateAMO1Roundtrip(t *testing.T) {
 	in := &optim.State{
 		Kind: optim.KindAdam, Step: 42, LR: 0.003,
@@ -59,33 +60,9 @@ func TestOptStateAMO1Roundtrip(t *testing.T) {
 	statesEqual(t, out, in)
 }
 
-// TestOptStateSGDWritesLegacyBytes pins the no-flag-day contract on the
-// wire: an SGD-expressible state encodes byte-identically to the legacy
-// bare state dict, and decoding surfaces it as an SGD state.
-func TestOptStateSGDWritesLegacyBytes(t *testing.T) {
-	vel := testBuffers("w", "b")
-	st := &optim.State{Kind: optim.KindSGD, LR: 0.05, Buffers: vel}
-
-	var got, legacy bytes.Buffer
-	if err := WriteOptState(&got, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteStateDict(&legacy, vel); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), legacy.Bytes()) {
-		t.Fatal("SGD optimiser state no longer encodes as the legacy bare dict")
-	}
-
-	out, err := ReadOptState(&got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statesEqual(t, out, &optim.State{Kind: optim.KindSGD, Buffers: vel})
-}
-
-// TestOptStateRejectsForeignMagic pins format discrimination for the
-// sniffing reader.
+// TestOptStateRejectsForeignMagic pins format discrimination: AMO1 is the
+// only optimiser-state encoding, so a tensor and a bare buffer dict are
+// both refused.
 func TestOptStateRejectsForeignMagic(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteTensor(&buf, tensor.New(2, 2)); err != nil {
@@ -94,11 +71,18 @@ func TestOptStateRejectsForeignMagic(t *testing.T) {
 	if _, err := ReadOptState(&buf); !errors.Is(err, ErrWrongFormat) {
 		t.Fatalf("tensor stream decoded as optimiser state: %v", err)
 	}
+	buf.Reset()
+	if err := WriteStateDict(&buf, testBuffers("w")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadOptState(&buf); !errors.Is(err, ErrWrongFormat) {
+		t.Fatalf("bare state dict decoded as optimiser state: %v", err)
+	}
 }
 
-// TestTrainCheckpointAMC3Roundtrip pins the generalized checkpoint
-// section: an Adam job's checkpoint selects the AMC3 layout and restores
-// kind, step, LR, buffers, and the RNG section.
+// TestTrainCheckpointAMC3Roundtrip pins the optimiser and RNG sections:
+// an Adam job's checkpoint restores kind, step, LR, buffers, and cursors,
+// and a file cut before its mandatory RNG flag is truncated, not valid.
 func TestTrainCheckpointAMC3Roundtrip(t *testing.T) {
 	state := testBuffers("w", "b")
 	in := &TrainCheckpoint{
@@ -113,8 +97,8 @@ func TestTrainCheckpointAMC3Roundtrip(t *testing.T) {
 	if err := WriteTrainCheckpoint(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	if got := binary.LittleEndian.Uint32(buf.Bytes()[:4]); got != ckptMagicV3 {
-		t.Fatalf("adam checkpoint wrote magic %#x, want AMC3", got)
+	if got := binary.LittleEndian.Uint32(buf.Bytes()[:4]); got != ckptMagic {
+		t.Fatalf("checkpoint wrote magic %#x, want AMC3", got)
 	}
 	ck, err := ReadTrainCheckpoint(&buf)
 	if err != nil {
@@ -127,50 +111,14 @@ func TestTrainCheckpointAMC3Roundtrip(t *testing.T) {
 	if !bytes.Equal(ck.RNG["orig.drop"], []byte{1, 2, 3}) {
 		t.Fatal("RNG section lost through the AMC3 layout")
 	}
-}
 
-// TestTrainCheckpointSGDWritesAMC2Bytes pins the no-flag-day contract on
-// disk: an SGD-momentum checkpoint written through the generalized writer
-// is byte-identical to the historical AMC2 encoding, so pre-extension
-// readers (and file hashes) see nothing change.
-func TestTrainCheckpointSGDWritesAMC2Bytes(t *testing.T) {
-	state := testBuffers("w", "b")
-	vel := testBuffers("w", "b")
-	rng := map[string][]byte{"orig.drop": {9, 8}}
-	ck := &TrainCheckpoint{
-		Epoch: 5, Kind: "augmented-cv", State: state,
-		OptState: &optim.State{Kind: optim.KindSGD, LR: 0.05, Buffers: vel},
-		RNG:      rng,
-	}
-	var got bytes.Buffer
-	if err := WriteTrainCheckpoint(&got, ck); err != nil {
+	in.RNG = nil
+	buf.Reset()
+	if err := WriteTrainCheckpoint(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-
-	// The historical AMC2 layout, written by hand.
-	var want bytes.Buffer
-	if err := writeHeader(&want, ckptMagicV2); err != nil {
-		t.Fatal(err)
-	}
-	if err := binary.Write(&want, binary.LittleEndian, uint32(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeString(&want, "augmented-cv"); err != nil {
-		t.Fatal(err)
-	}
-	want.WriteByte(1) // hasOpt
-	if err := WriteStateDict(&want, state); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteStateDict(&want, vel); err != nil {
-		t.Fatal(err)
-	}
-	want.WriteByte(1) // RNG flag
-	if err := WriteBytesDict(&want, rng); err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("SGD-momentum checkpoint no longer byte-identical to the AMC2 layout")
+	cut := buf.Bytes()[:buf.Len()-1] // everything but the RNG flag byte
+	if _, err := ReadTrainCheckpoint(bytes.NewReader(cut)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("checkpoint without its RNG flag: got %v, want ErrUnexpectedEOF", err)
 	}
 }

@@ -37,6 +37,11 @@ const (
 	maxElements  = 1 << 31
 	maxDictSize  = 1 << 20
 	maxBytesItem = 1 << 16
+	// allocChunk bounds what a decoder reserves on the strength of a
+	// declared length alone: element payloads over it grow with the bytes
+	// that actually arrive, so a forged header cannot reserve gigabytes
+	// before sending a single element.
+	allocChunk = 1 << 16
 )
 
 // WriteTensor encodes t.
@@ -122,18 +127,42 @@ func readTensorBody(r io.Reader) (*tensor.Tensor, error) {
 			return nil, fmt.Errorf("serialize: read dim: %w", err)
 		}
 		shape[i] = int(d)
+		// Checked per dimension: four uint32 dims already wrap an int64
+		// product (to 0, which a single check at the end would accept).
+		if d != 0 && n > maxElements/int(d) {
+			return nil, fmt.Errorf("serialize: tensor shape %v exceeds %d elements", shape[:i+1], maxElements)
+		}
 		n *= int(d)
 	}
-	if n < 0 || n > maxElements {
-		return nil, fmt.Errorf("serialize: tensor with %d elements rejected", n)
-	}
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	data, err := readChunked(r, n, 4, func(dst []float32, src []byte) {
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+	})
+	if err != nil {
 		return nil, fmt.Errorf("serialize: read payload: %w", err)
 	}
-	out := tensor.New(shape...)
-	for i := range out.Data {
-		out.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	return tensor.FromSlice(data, shape...), nil
+}
+
+// readChunked decodes n fixed-size wire elements, reading at most
+// allocChunk bytes at a time; the output at most doubles as chunks
+// arrive, so memory tracks the bytes received, never the declared count.
+func readChunked[T any](r io.Reader, n, size int, decode func(dst []T, src []byte)) ([]T, error) {
+	buf := make([]byte, min(n*size, allocChunk))
+	out := make([]T, 0, len(buf)/size)
+	for len(out) < n {
+		k := min(n-len(out), len(buf)/size)
+		if _, err := io.ReadFull(r, buf[:k*size]); err != nil {
+			return nil, err
+		}
+		if len(out)+k > cap(out) {
+			grown := make([]T, len(out), min(n, 2*cap(out)))
+			copy(grown, out)
+			out = grown
+		}
+		out = out[:len(out)+k]
+		decode(out[len(out)-k:], buf)
 	}
 	return out, nil
 }
@@ -167,7 +196,7 @@ func ReadStateDict(r io.Reader) (map[string]*tensor.Tensor, error) {
 
 // readStateDictFrom decodes a state dict without adding its own
 // buffering, reading exactly the dict's bytes — callers that decode
-// several sections from one stream (the AMC2 checkpoint reader) share a
+// several sections from one stream (the checkpoint reader) share a
 // single buffered reader across sections instead of letting a nested
 // bufio.Reader read ahead past the section boundary.
 func readStateDictFrom(r io.Reader) (map[string]*tensor.Tensor, error) {
@@ -181,7 +210,7 @@ func readStateDictFrom(r io.Reader) (map[string]*tensor.Tensor, error) {
 	if n > maxDictSize {
 		return nil, fmt.Errorf("serialize: dict with %d entries rejected", n)
 	}
-	out := make(map[string]*tensor.Tensor, n)
+	out := make(map[string]*tensor.Tensor)
 	for i := uint32(0); i < n; i++ {
 		name, err := readString(r)
 		if err != nil {
@@ -254,7 +283,7 @@ func readBytesDictFrom(r io.Reader) (map[string][]byte, error) {
 	if n > maxDictSize {
 		return nil, fmt.Errorf("serialize: bytes dict with %d entries rejected", n)
 	}
-	out := make(map[string][]byte, n)
+	out := make(map[string][]byte)
 	for i := uint32(0); i < n; i++ {
 		name, err := readString(r)
 		if err != nil {
@@ -292,6 +321,9 @@ func readString(r io.Reader) (string, error) {
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return "", err
 	}
+	if n > maxNameLen {
+		return "", fmt.Errorf("serialize: string length %d exceeds %d", n, maxNameLen)
+	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return "", err
@@ -321,15 +353,11 @@ func ReadIntSlice(r io.Reader) ([]int, error) {
 	if n > maxElements {
 		return nil, fmt.Errorf("serialize: int slice with %d entries rejected", n)
 	}
-	out := make([]int, n)
-	for i := range out {
-		var v int64
-		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-			return nil, err
+	return readChunked(r, int(n), 8, func(dst []int, src []byte) {
+		for i := range dst {
+			dst[i] = int(int64(binary.LittleEndian.Uint64(src[8*i:])))
 		}
-		out[i] = int(v)
-	}
-	return out, nil
+	})
 }
 
 func sortedKeys(m map[string]*tensor.Tensor) []string {

@@ -3,10 +3,8 @@ package amalgam
 import (
 	"fmt"
 
-	"amalgam/internal/autodiff"
 	"amalgam/internal/cloudsim"
 	"amalgam/internal/core"
-	"amalgam/internal/data"
 	"amalgam/internal/nn"
 	"amalgam/internal/tensor"
 )
@@ -115,7 +113,7 @@ func (j *Job) ops() *jobOps {
 			Model:    am,
 			N:        ds.N(),
 			Step:     cloudsim.CVStep(am, am.Loss, ds),
-			TrainAcc: func(batch int) float64 { return j.evalAccuracy(ds, batch) },
+			TrainAcc: func(batch int) float64 { return Predict(am, ds, batch) },
 		},
 		defaultSeed: j.opts.Seed,
 		makeEval: func(eds EvalDataset) (func(int) float64, func(*cloudsim.TrainRequest), error) {
@@ -127,7 +125,7 @@ func (j *Job) ops() *jobOps {
 			if err != nil {
 				return nil, nil, err
 			}
-			acc := func(batch int) float64 { return j.evalAccuracy(augEval, batch) }
+			acc := func(batch int) float64 { return Predict(am, augEval, batch) }
 			attach := func(req *cloudsim.TrainRequest) {
 				req.EvalImages = augEval.Images
 				req.EvalLabels = augEval.Labels
@@ -161,32 +159,6 @@ func (j *Job) ops() *jobOps {
 			return nil
 		},
 	}
-}
-
-// evalAccuracy scores the augmented model in eval mode, restoring the
-// prior train/eval mode afterwards and releasing every forward graph back
-// to the tensor pool. An empty dataset scores 0 (not NaN); WithEvalSet
-// rejects empty splits up front with ErrEmptyEvalSet.
-func (j *Job) evalAccuracy(ds *ImageDataset, batch int) float64 {
-	prev := j.Augmented.Training()
-	j.Augmented.SetTraining(false)
-	defer j.Augmented.SetTraining(prev)
-	if ds.N() == 0 {
-		return 0
-	}
-	correct := 0
-	for _, idx := range data.BatchIter(ds.N(), batch, nil) {
-		x, labels := ds.Batch(idx)
-		out := j.Augmented.Forward(autodiff.Constant(x))
-		pred := tensor.ArgmaxRows(out.Val)
-		autodiff.Release(out)
-		for i, p := range pred {
-			if p == labels[i] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(ds.N())
 }
 
 // Extract builds a fresh instance of the original architecture (from the

@@ -113,7 +113,7 @@ func (j *TextJob) ops() *jobOps {
 			Model:    am,
 			N:        ds.N(),
 			Step:     cloudsim.TextStep(am, ds),
-			TrainAcc: func(batch int) float64 { return textAccuracy(am, ds, batch) },
+			TrainAcc: func(batch int) float64 { return PredictText(am, ds, batch) },
 		},
 		defaultSeed: j.opts.Seed,
 		makeEval: func(eds EvalDataset) (func(int) float64, func(*cloudsim.TrainRequest), error) {
@@ -125,7 +125,7 @@ func (j *TextJob) ops() *jobOps {
 			if err != nil {
 				return nil, nil, err
 			}
-			acc := func(batch int) float64 { return textAccuracy(am, augEval, batch) }
+			acc := func(batch int) float64 { return PredictText(am, augEval, batch) }
 			attach := func(req *cloudsim.TrainRequest) {
 				req.EvalSamples = augEval.Samples
 				req.EvalLabels = augEval.Labels
@@ -187,33 +187,11 @@ type TextPredictor interface {
 }
 
 // PredictText runs a text model over a dataset, returning accuracy — the
-// text counterpart of Predict.
+// text counterpart of Predict, with the same eval-mode and empty-dataset
+// behaviour.
 func PredictText(m TextPredictor, ds *TextDataset, batch int) float64 {
-	return textAccuracy(m, ds, batch)
-}
-
-// textAccuracy scores m in eval mode, restoring the prior train/eval mode
-// afterwards and releasing every forward graph back to the tensor pool.
-// An empty dataset scores 0 (not NaN); WithEvalSet rejects empty splits
-// up front with ErrEmptyEvalSet.
-func textAccuracy(m TextPredictor, ds *TextDataset, batch int) float64 {
-	prev := nn.TrainingMode(m)
-	m.SetTraining(false)
-	defer m.SetTraining(prev)
-	if ds.N() == 0 {
-		return 0
-	}
-	correct := 0
-	for _, idx := range data.BatchIter(ds.N(), batch, nil) {
+	return argmaxAccuracy(m, ds.N(), batch, func(idx []int) (*autodiff.Node, []int) {
 		ids, labels := ds.Batch(idx)
-		out := m.ForwardIDs(ids)
-		pred := tensor.ArgmaxRows(out.Val)
-		autodiff.Release(out)
-		for i, p := range pred {
-			if p == labels[i] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(ds.N())
+		return m.ForwardIDs(ids), labels
+	})
 }

@@ -306,11 +306,6 @@ func hyperFor(cfg TrainConfig, ro *runOptions, start int) cloudsim.Hyper {
 	if ro.schedule != nil {
 		h.Schedule = ro.schedule
 	}
-	// Declaring the OptimSpec capability here keeps local and remote
-	// Hyper values identical; the remote client would set it anyway.
-	if h.Optimizer != nil || h.Schedule != nil {
-		h.OptimSpec = true
-	}
 	return h
 }
 
@@ -389,10 +384,9 @@ func loadResume(ro *runOptions, o *jobOps) (int, error) {
 }
 
 // checkpointMatchesJob verifies a checkpoint's recorded kind against the
-// job it is being loaded into. Legacy AMC1 checkpoints carry no kind and
-// pass (the state-dict load still validates names and shapes).
+// job it is being loaded into.
 func checkpointMatchesJob(ck *serialize.TrainCheckpoint, o *jobOps) error {
-	if ck.Kind != "" && ck.Kind != o.kind {
+	if ck.Kind != o.kind {
 		return fmt.Errorf("checkpoint holds a %q job, this job is %q: %w", ck.Kind, o.kind, ErrCheckpointKind)
 	}
 	return nil
@@ -417,24 +411,4 @@ func LoadCheckpoint(job TrainableJob, path string) (epoch int, err error) {
 		return 0, fmt.Errorf("amalgam: load checkpoint %s: %w", path, err)
 	}
 	return ck.Epoch, nil
-}
-
-// Train runs obfuscated training locally.
-//
-// Deprecated: use LocalTrainer via Train(ctx, LocalTrainer{}, job, cfg) —
-// or Trainer.Run directly for streaming progress, cancellation, and
-// checkpointing. This wrapper remains for source compatibility and now
-// shuffles batches per epoch (seeded from Options.Seed), where it
-// previously visited batches in a fixed order every epoch.
-func (j *Job) Train(cfg TrainConfig) ([]EpochStats, error) {
-	return Train(context.Background(), LocalTrainer{}, j, cfg)
-}
-
-// TrainRemote ships the job to a cloudsim training service and waits.
-//
-// Deprecated: use RemoteTrainer via Train(ctx, RemoteTrainer{Addr: addr},
-// job, cfg) — or Trainer.Run directly for streaming progress,
-// cancellation, and checkpointing.
-func (j *Job) TrainRemote(addr string, cfg TrainConfig) ([]EpochStats, error) {
-	return Train(context.Background(), RemoteTrainer{Addr: addr}, j, cfg)
 }

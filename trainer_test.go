@@ -352,41 +352,6 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersStillTrain pins source compatibility: the old
-// blocking Job.Train/TrainRemote signatures keep working on top of the
-// Trainer machinery.
-func TestDeprecatedWrappersStillTrain(t *testing.T) {
-	addr := startServer(t)
-	cfg := amalgam.TrainConfig{Epochs: 1, BatchSize: 8, LR: 0.05, Momentum: 0.9}
-
-	local := mkCVJob(t, 9)
-	stats, err := local.Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 1 {
-		t.Fatalf("stats %v", stats)
-	}
-	remote := mkCVJob(t, 9)
-	if _, err := remote.TrainRemote(addr, cfg); err != nil {
-		t.Fatal(err)
-	}
-	a, err := local.Extract("lenet", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := remote.Extract("lenet", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	da, db := nn.StateDict(a), nn.StateDict(b)
-	for name, src := range da {
-		if !db[name].Equal(src) {
-			t.Fatalf("wrapper local vs remote diverged at %q", name)
-		}
-	}
-}
-
 // TestCheckpointSurvivesProcessRestartShape verifies a checkpoint written
 // by one job loads into a freshly built identical job (the cross-process
 // resume story: nothing in the file depends on live state).
