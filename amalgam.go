@@ -32,10 +32,10 @@ package amalgam
 
 import (
 	"amalgam/internal/autodiff"
+	"amalgam/internal/cloudsim"
 	"amalgam/internal/core"
 	"amalgam/internal/data"
 	"amalgam/internal/models"
-	"amalgam/internal/nn"
 	"amalgam/internal/tensor"
 )
 
@@ -86,44 +86,13 @@ type Classifier interface {
 // accuracy — a convenience for examples and smoke tests. The model is
 // scored in eval mode and its prior train/eval mode is restored
 // afterwards, so back-to-back Predict calls (and any direct Forward calls
-// that follow) are bit-identical. An empty dataset scores 0.
+// that follow) are bit-identical. An empty dataset scores 0; batch <= 0
+// scores one sample at a time.
 func Predict(m Classifier, ds *ImageDataset, batch int) float64 {
-	return argmaxAccuracy(m, ds.N(), batch, func(idx []int) (*autodiff.Node, []int) {
+	return cloudsim.Accuracy(m, ds.N(), batch, func(idx []int) (*autodiff.Node, []int) {
 		x, labels := ds.Batch(idx)
 		return m.Forward(autodiff.Constant(x)), labels
 	})
-}
-
-// argmaxAccuracy is the eval loop behind Predict, PredictText and the
-// per-epoch accuracies of the local trainers (internal/cloudsim holds the
-// service side's copy): it puts m in eval mode (restoring the prior mode
-// afterwards), walks n samples in order in batches, scores the argmax of
-// each logits row forward returns against its label, and releases every
-// forward graph back to the tensor pool. No labels scored — an empty
-// dataset — is 0, not NaN; WithEvalSet rejects empty splits up front with
-// ErrEmptyEvalSet.
-func argmaxAccuracy(m interface{ SetTraining(bool) }, n, batch int,
-	forward func(idx []int) (logits *autodiff.Node, labels []int)) float64 {
-
-	prev := nn.TrainingMode(m)
-	m.SetTraining(false)
-	defer m.SetTraining(prev)
-	correct, total := 0, 0
-	for _, idx := range data.BatchIter(n, batch, nil) {
-		logits, labels := forward(idx)
-		pred := tensor.ArgmaxRows(logits.Val)
-		autodiff.Release(logits)
-		for i, p := range pred {
-			if p == labels[i] {
-				correct++
-			}
-		}
-		total += len(labels)
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
 }
 
 // PrivacyLoss returns ε = 1/(1+α) (Eq. 5).

@@ -32,19 +32,14 @@ type (
 	LMResult = serve.LMResult
 )
 
-// PredictServerConfig tunes the dynamic batcher and worker pool.
-type PredictServerConfig struct {
-	// MaxBatch flushes a queue at this many coalesced calls (default 32).
-	MaxBatch int
-	// MaxDelay is the latency budget: a lone request waits at most this
-	// long for company before its batch flushes (default 2ms).
-	MaxDelay time.Duration
-	// Workers is the inference worker pool size (default 2).
-	Workers int
-	// QueueDepth bounds admitted-but-unfinished predictions; beyond it
-	// requests fail fast with backpressure (default 1024).
-	QueueDepth int
-}
+// PredictServerConfig tunes the dynamic batcher and worker pool:
+// MaxBatch flushes a queue at that many coalesced calls (default 32);
+// MaxDelay is the latency budget — a lone request waits at most this long
+// for company before its batch flushes (default 2ms); Workers is the
+// inference worker pool size (default 2); QueueDepth bounds
+// admitted-but-unfinished predictions, beyond which requests fail fast
+// with backpressure (default 1024).
+type PredictServerConfig = serve.Config
 
 // PredictServer is an in-process batched inference server. Requests from
 // concurrent goroutines coalesce into shared eval-mode forward passes —
@@ -57,12 +52,7 @@ type PredictServer struct {
 
 // NewPredictServer starts the worker pool. Close releases it.
 func NewPredictServer(cfg PredictServerConfig) *PredictServer {
-	return &PredictServer{backend: serve.New(serve.Config{
-		MaxBatch:   cfg.MaxBatch,
-		MaxDelay:   cfg.MaxDelay,
-		Workers:    cfg.Workers,
-		QueueDepth: cfg.QueueDepth,
-	})}
+	return &PredictServer{backend: serve.New(cfg)}
 }
 
 // Close drains the worker pool; in-flight calls fail fast.
@@ -213,111 +203,70 @@ func (c *PredictClient) Close() error {
 	return err
 }
 
-// do runs one exchange under the retry policy.
-func (c *PredictClient) do(ctx context.Context, fn func(*cloudsim.InferConn) error) error {
+// predictOne runs one single-sample exchange under the retry policy,
+// dialing (or redialing) the connection as needed.
+func predictOne[R any](ctx context.Context, c *PredictClient, exchange func(*cloudsim.InferConn) ([]R, error)) (out R, err error) {
 	c.sem <- struct{}{}
 	defer func() { <-c.sem }()
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		err := c.attempt(ctx, fn)
-		if err == nil {
-			return nil
+	err = retryTransient(ctx, &c.pol, c.jitter, func() error {
+		if c.conn == nil {
+			conn, err := cloudsim.DialInfer(ctx, c.addr, cloudsim.NetConfig{
+				DialTimeout:  c.pol.DialTimeout,
+				FrameTimeout: c.pol.FrameTimeout,
+			})
+			if err != nil {
+				return err
+			}
+			c.conn = conn
 		}
-		if !cloudsim.IsTransient(err) {
-			return err
-		}
-		lastErr = err
-		if attempt >= c.pol.MaxRetries {
-			return fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, attempt+1, lastErr)
-		}
-		if serr := sleepBackoff(ctx, &c.pol, attempt, c.jitter); serr != nil {
-			return serr
-		}
-	}
-}
-
-func (c *PredictClient) attempt(ctx context.Context, fn func(*cloudsim.InferConn) error) error {
-	if c.conn == nil {
-		conn, err := cloudsim.DialInfer(ctx, c.addr, cloudsim.NetConfig{
-			DialTimeout:  c.pol.DialTimeout,
-			FrameTimeout: c.pol.FrameTimeout,
-		})
+		res, err := exchange(c.conn)
 		if err != nil {
-			return err
-		}
-		c.conn = conn
-	}
-	if err := fn(c.conn); err != nil {
-		if cloudsim.IsTransient(err) {
-			// The connection may be torn mid-exchange; the retry loop
-			// resends over a fresh dial.
-			_ = c.conn.Close()
-			c.conn = nil
-		}
-		return err
-	}
-	return nil
-}
-
-// PredictCV classifies one image on the remote server.
-func (c *PredictClient) PredictCV(ctx context.Context, req PredictCVRequest) (CVResult, error) {
-	var out CVResult
-	err := c.do(ctx, func(conn *cloudsim.InferConn) error {
-		res, err := conn.PredictCV(req.Model, [][]float32{req.Image})
-		if err != nil {
+			if cloudsim.IsTransient(err) {
+				// The connection may be torn mid-exchange; the retry loop
+				// resends over a fresh dial.
+				_ = c.conn.Close()
+				c.conn = nil
+			}
 			return err
 		}
 		out = res[0]
 		return nil
 	})
 	return out, err
+}
+
+// PredictCV classifies one image on the remote server.
+func (c *PredictClient) PredictCV(ctx context.Context, req PredictCVRequest) (CVResult, error) {
+	return predictOne(ctx, c, func(conn *cloudsim.InferConn) ([]CVResult, error) {
+		return conn.PredictCV(req.Model, [][]float32{req.Image})
+	})
 }
 
 // PredictText classifies one token sequence remotely — or, when Pooled
 // is set, ships only the locally-pooled embedding (split inference: raw
 // tokens never leave this process).
 func (c *PredictClient) PredictText(ctx context.Context, req PredictTextRequest) (TextResult, error) {
-	var out TextResult
-	err := c.do(ctx, func(conn *cloudsim.InferConn) error {
-		var res []TextResult
-		var err error
+	return predictOne(ctx, c, func(conn *cloudsim.InferConn) ([]TextResult, error) {
 		if req.Pooled != nil {
-			res, err = conn.PredictTextSplit(req.Model, [][]float32{req.Pooled})
-		} else {
-			res, err = conn.PredictText(req.Model, [][]int{req.Tokens})
+			return conn.PredictTextSplit(req.Model, [][]float32{req.Pooled})
 		}
-		if err != nil {
-			return err
-		}
-		out = res[0]
-		return nil
+		return conn.PredictText(req.Model, [][]int{req.Tokens})
 	})
-	return out, err
 }
 
 // PredictLM scores the next token after one context remotely — or, when
 // Activations is set, ships only locally-embedded activations. Dim for
 // the split path is inferred from len(Activations)/SeqLen.
 func (c *PredictClient) PredictLM(ctx context.Context, req PredictLMRequest) (LMResult, error) {
-	var out LMResult
-	err := c.do(ctx, func(conn *cloudsim.InferConn) error {
-		var res []LMResult
-		var err error
-		if req.Activations != nil {
-			if req.SeqLen <= 0 || len(req.Activations)%req.SeqLen != 0 {
-				return fmt.Errorf("amalgam: %d activations do not divide into %d rows: %w",
-					len(req.Activations), req.SeqLen, cloudsim.ErrBadRequest)
-			}
-			dim := len(req.Activations) / req.SeqLen
-			res, err = conn.PredictLMSplit(req.Model, [][]float32{req.Activations}, []int{req.SeqLen}, dim, req.TopK)
-		} else {
-			res, err = conn.PredictLM(req.Model, [][]int{req.Context}, req.TopK)
+	return predictOne(ctx, c, func(conn *cloudsim.InferConn) ([]LMResult, error) {
+		if req.Activations == nil {
+			return conn.PredictLM(req.Model, [][]int{req.Context}, req.TopK)
 		}
-		if err != nil {
-			return err
+		if req.SeqLen <= 0 || len(req.Activations)%req.SeqLen != 0 {
+			return nil, fmt.Errorf("amalgam: %d activations do not divide into %d rows: %w",
+				len(req.Activations), req.SeqLen, cloudsim.ErrBadRequest)
 		}
-		out = res[0]
-		return nil
+		dim := len(req.Activations) / req.SeqLen
+		return conn.PredictLMSplit(req.Model, [][]float32{req.Activations}, []int{req.SeqLen}, dim, req.TopK)
 	})
-	return out, err
 }

@@ -47,6 +47,19 @@ func TestPredictRestoresTrainingMode(t *testing.T) {
 	if !nn.TrainingMode(m) {
 		t.Fatal("Predict left a training-mode model in eval mode")
 	}
+
+	// A non-positive batch size scores one sample at a time instead of
+	// panicking out of internal/data, and still restores the mode.
+	if zero, one := amalgam.Predict(m, ds, 0), amalgam.Predict(m, ds, 1); zero != one {
+		t.Fatalf("batch 0 scored %v, batch 1 scored %v", zero, one)
+	}
+	if !nn.TrainingMode(m) {
+		t.Fatal("Predict with batch 0 left a training-mode model in eval mode")
+	}
+	empty := &amalgam.ImageDataset{Images: tensor.New(0, 1, 28, 28), Classes: 10}
+	if got := amalgam.Predict(m, empty, 0); got != 0 {
+		t.Fatalf("empty dataset scored %v, want 0", got)
+	}
 }
 
 // TestPredictSteadyStatePoolStable pins the eval-path leak fix: scoring

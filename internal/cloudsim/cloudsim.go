@@ -15,6 +15,14 @@
 // language-model jobs ride the same frames, and every epoch they run goes
 // through the one TrainLoop that local training uses too — which is what
 // makes remote, local, resumed, and fault-interrupted runs bit-identical.
+//
+// A modality supplies training with five things, each said once (type
+// modality, one table row per job kind): the model built from a spec and
+// the spec written from a model (build*/…Spec), a dataset validated out
+// of a request's payload, the joint loss of a batch, and the scored
+// logits of a batch (bind*). TrainLoop binds them to a request — for the
+// service's rebuilt model and the LocalTrainer's live one alike — and
+// owns the step; Accuracy is the eval loop.
 package cloudsim
 
 import (
@@ -205,73 +213,293 @@ type Trainable interface {
 	SetTraining(bool)
 }
 
+// modality is everything training knows about one job kind: how to build
+// the model from its spec (the exported *Spec function next to each build
+// is the inverse) and how to bind a model to one split of a request's
+// payload. The step, the epoch loop, accuracy scoring, checkpoints and
+// the wire are shared by every kind.
+type modality struct {
+	build func(spec ModelSpec) (Trainable, error)
+	// bind validates one split (what names it in errors) against the spec.
+	bind func(model Trainable, spec ModelSpec, p payload, what string) (*split, error)
+}
+
+var modalities = map[string]modality{
+	"plain-cv":       {build: func(spec ModelSpec) (Trainable, error) { return buildCV(spec) }, bind: bindCV},
+	"augmented-cv":   {build: buildAugmentedCV, bind: bindCV},
+	"augmented-text": {build: buildText, bind: bindText},
+	"augmented-lm":   {build: buildLM, bind: bindLM},
+}
+
+func modalityOf(kind string) (modality, error) {
+	m, ok := modalities[kind]
+	if !ok {
+		return m, fmt.Errorf("cloudsim: unknown model kind %q: %w", kind, ErrBadRequest)
+	}
+	return m, nil
+}
+
+// payload is one split (train or eval) of a request's dataset fields.
+type payload struct {
+	images  *tensor.Tensor
+	labels  []int
+	samples [][]int
+}
+
+// split is a model bound to one validated dataset split.
+type split struct {
+	n int
+	// loss builds one mini-batch's joint loss graph (Algorithm 1): total
+	// is what backpropagates, orig the original sub-network's mean loss
+	// over count labels — or, for LM windows, over count next-token
+	// targets of the ORIGINAL windows, so the epoch's mean Loss is per
+	// original token and exp(Loss) is the paper's perplexity, which
+	// TrainLoop reports when perToken is set.
+	loss     func(idx []int) (total, orig *autodiff.Node, count int)
+	perToken bool
+	// score pairs the original sub-network's logit rows for one batch
+	// with their labels.
+	score func(idx []int) (logits *autodiff.Node, labels []int)
+}
+
 // BuildModel instantiates the spec. Exposed so local runs, the TCP server,
 // and tests share one code path.
 func BuildModel(spec ModelSpec) (Trainable, error) {
-	switch spec.Kind {
-	case "plain-cv":
-		cfg := models.CVConfig{InC: spec.InC, InH: spec.OrigH, InW: spec.OrigW, Classes: spec.Classes}
-		return models.BuildCV(spec.Model, tensor.NewRNG(spec.ModelSeed), cfg)
-	case "augmented-cv":
-		cfg := models.CVConfig{InC: spec.InC, InH: spec.OrigH, InW: spec.OrigW, Classes: spec.Classes}
-		orig, err := models.BuildCV(spec.Model, tensor.NewRNG(spec.ModelSeed), cfg)
-		if err != nil {
-			return nil, err
-		}
-		key := &core.ImageAugKey{
-			OrigH: spec.OrigH, OrigW: spec.OrigW, AugH: spec.AugH, AugW: spec.AugW,
-			Keep: spec.KeyKeep,
-		}
-		key.Insert = complement(key.Keep, spec.AugH*spec.AugW)
-		if err := key.Validate(); err != nil {
-			return nil, fmt.Errorf("cloudsim: invalid key in spec: %w", err)
-		}
-		return core.AugmentCVModel(orig, key, spec.InC, spec.Classes, core.ModelAugmentOptions{
-			Amount: spec.AugAmount, SubNets: spec.SubNets, Seed: spec.AugSeed,
-		})
-	case "augmented-text":
-		if spec.Vocab <= 0 || spec.EmbedDim <= 0 || spec.Classes <= 0 {
-			return nil, fmt.Errorf("cloudsim: text spec needs vocab/embed_dim/classes, got %d/%d/%d: %w",
-				spec.Vocab, spec.EmbedDim, spec.Classes, ErrBadRequest)
-		}
-		orig := models.NewTextClassifier(tensor.NewRNG(spec.ModelSeed), spec.Vocab, spec.EmbedDim, spec.Classes)
-		key := &core.TextAugKey{OrigLen: spec.OrigLen, AugLen: spec.AugLen, Keep: spec.KeyKeep}
-		key.Insert = complement(key.Keep, spec.AugLen)
-		if err := key.Validate(); err != nil {
-			return nil, fmt.Errorf("cloudsim: invalid text key in spec: %w", err)
-		}
-		return core.AugmentTextClassifier(orig, key, core.ModelAugmentOptions{
-			Amount: spec.AugAmount, SubNets: spec.SubNets, Seed: spec.AugSeed,
-		})
-	case "augmented-lm":
-		if spec.Vocab <= 0 || spec.LMDim <= 0 || spec.LMHeads <= 0 || spec.LMLayers <= 0 || spec.LMFF <= 0 {
-			return nil, fmt.Errorf("cloudsim: LM spec needs vocab/lm_dim/lm_heads/lm_layers/lm_ff, got %d/%d/%d/%d/%d: %w",
-				spec.Vocab, spec.LMDim, spec.LMHeads, spec.LMLayers, spec.LMFF, ErrBadRequest)
-		}
-		// Training feeds OrigLen−1 tokens per window; a positional table
-		// shorter than that would panic mid-epoch and take the service
-		// down, so reject the spec up front.
-		if spec.LMMaxT < spec.OrigLen-1 {
-			return nil, fmt.Errorf("cloudsim: LM spec positional table lm_max_t %d shorter than window inputs (%d): %w",
-				spec.LMMaxT, spec.OrigLen-1, ErrBadRequest)
-		}
-		cfg := models.TransformerLMConfig{
-			Vocab: spec.Vocab, D: spec.LMDim, Heads: spec.LMHeads, FF: spec.LMFF,
-			Layers: spec.LMLayers, MaxT: spec.LMMaxT, Dropout: float32(spec.LMDropout),
-			GELUFF: spec.LMGELUFF,
-		}
-		orig := models.NewTransformerLM(tensor.NewRNG(spec.ModelSeed), cfg)
-		key := &core.TextAugKey{OrigLen: spec.OrigLen, AugLen: spec.AugLen, Keep: spec.KeyKeep}
-		key.Insert = complement(key.Keep, spec.AugLen)
-		if err := key.Validate(); err != nil {
-			return nil, fmt.Errorf("cloudsim: invalid LM key in spec: %w", err)
-		}
-		return core.AugmentTransformerLM(orig, key, core.ModelAugmentOptions{
-			Amount: spec.AugAmount, SubNets: spec.SubNets, Seed: spec.AugSeed,
-		})
-	default:
-		return nil, fmt.Errorf("cloudsim: unknown model kind %q: %w", spec.Kind, ErrBadRequest)
+	m, err := modalityOf(spec.Kind)
+	if err != nil {
+		return nil, err
 	}
+	return m.build(spec)
+}
+
+// augOptions reads the decoy construction out of a spec. Its inverse, in
+// the *Spec functions, records the RESOLVED decoy count (the random
+// SubNets draw happens outside the augmentation RNG stream), so a rebuild
+// matches even unpinned jobs.
+func augOptions(spec ModelSpec) core.ModelAugmentOptions {
+	return core.ModelAugmentOptions{Amount: spec.AugAmount, SubNets: spec.SubNets, Seed: spec.AugSeed}
+}
+
+// --- CV ------------------------------------------------------------------
+
+func buildCV(spec ModelSpec) (models.CVModel, error) {
+	cfg := models.CVConfig{InC: spec.InC, InH: spec.OrigH, InW: spec.OrigW, Classes: spec.Classes}
+	return models.BuildCV(spec.Model, tensor.NewRNG(spec.ModelSeed), cfg)
+}
+
+func buildAugmentedCV(spec ModelSpec) (Trainable, error) {
+	orig, err := buildCV(spec)
+	if err != nil {
+		return nil, err
+	}
+	key := &core.ImageAugKey{
+		OrigH: spec.OrigH, OrigW: spec.OrigW, AugH: spec.AugH, AugW: spec.AugW,
+		Keep: spec.KeyKeep,
+	}
+	key.Insert = complement(key.Keep, spec.AugH*spec.AugW)
+	if err := key.Validate(); err != nil {
+		return nil, fmt.Errorf("cloudsim: invalid key in spec: %w", err)
+	}
+	return core.AugmentCVModel(orig, key, spec.InC, spec.Classes, augOptions(spec))
+}
+
+// CVSpec describes an augmented CV model so buildAugmentedCV rebuilds it;
+// zoo names the original architecture, inC its input channels.
+func CVSpec(zoo string, inC int, am *core.AugmentedCVModel, key *core.ImageAugKey, amount float64, seed uint64) ModelSpec {
+	return ModelSpec{
+		Kind: "augmented-cv", Model: zoo,
+		InC: inC, OrigH: key.OrigH, OrigW: key.OrigW, Classes: am.Classes,
+		KeyKeep: key.Keep, AugH: key.AugH, AugW: key.AugW,
+		AugAmount: amount, SubNets: len(am.Decoys), AugSeed: seed,
+	}
+}
+
+// forwarder is implemented by both plain CV models and AugmentedCVModel.
+type forwarder interface {
+	Forward(x *autodiff.Node) *autodiff.Node
+}
+
+func bindCV(model Trainable, spec ModelSpec, p payload, what string) (*split, error) {
+	n := len(p.labels)
+	if p.images == nil || n == 0 || p.images.Dim(0) != n {
+		return nil, fmt.Errorf("cloudsim: %s wants one image per label and has %d labels: %w", what, n, ErrBadRequest)
+	}
+	ds := &data.ImageDataset{Images: p.images, Labels: p.labels, Classes: spec.Classes}
+	fw := model.(forwarder) // every CV model, plain or augmented
+	lossFn := func(x *autodiff.Node, labels []int) (*autodiff.Node, *autodiff.Node) {
+		l := autodiff.SoftmaxCrossEntropy(fw.Forward(x), labels)
+		return l, l
+	}
+	if am, ok := model.(*core.AugmentedCVModel); ok {
+		lossFn = am.Loss
+	}
+	return &split{
+		n: n,
+		loss: func(idx []int) (*autodiff.Node, *autodiff.Node, int) {
+			x, labels := ds.Batch(idx)
+			total, orig := lossFn(autodiff.Constant(x), labels)
+			return total, orig, len(labels)
+		},
+		score: func(idx []int) (*autodiff.Node, []int) {
+			x, labels := ds.Batch(idx)
+			return fw.Forward(autodiff.Constant(x)), labels
+		},
+	}, nil
+}
+
+// --- text classification and language modelling ---------------------------
+
+// textKey rebuilds the window key both token kinds carry in their spec.
+func textKey(spec ModelSpec, what string) (*core.TextAugKey, error) {
+	key := &core.TextAugKey{OrigLen: spec.OrigLen, AugLen: spec.AugLen, Keep: spec.KeyKeep}
+	key.Insert = complement(key.Keep, spec.AugLen)
+	if err := key.Validate(); err != nil {
+		return nil, fmt.Errorf("cloudsim: invalid %s key in spec: %w", what, err)
+	}
+	return key, nil
+}
+
+// checkWindows requires every token sample of a split to span exactly the
+// spec's augmented window; the models gather fixed positions out of it.
+func checkWindows(samples [][]int, augLen int, what string) error {
+	for i, s := range samples {
+		if len(s) != augLen {
+			return fmt.Errorf("cloudsim: %s sample %d has %d tokens, want aug_len %d: %w", what, i, len(s), augLen, ErrBadRequest)
+		}
+	}
+	return nil
+}
+
+func buildText(spec ModelSpec) (Trainable, error) {
+	if spec.Vocab <= 0 || spec.EmbedDim <= 0 || spec.Classes <= 0 {
+		return nil, fmt.Errorf("cloudsim: text spec needs vocab/embed_dim/classes, got %d/%d/%d: %w",
+			spec.Vocab, spec.EmbedDim, spec.Classes, ErrBadRequest)
+	}
+	key, err := textKey(spec, "text")
+	if err != nil {
+		return nil, err
+	}
+	orig := models.NewTextClassifier(tensor.NewRNG(spec.ModelSeed), spec.Vocab, spec.EmbedDim, spec.Classes)
+	return core.AugmentTextClassifier(orig, key, augOptions(spec))
+}
+
+// TextSpec describes an augmented text classifier so buildText rebuilds it.
+func TextSpec(am *core.AugmentedTextClassifier, key *core.TextAugKey, amount float64, seed uint64) ModelSpec {
+	orig := am.Orig
+	return ModelSpec{
+		Kind:  "augmented-text",
+		Vocab: orig.Vocab, EmbedDim: orig.EmbedDim, Classes: orig.Classes,
+		OrigLen: key.OrigLen, AugLen: key.AugLen, KeyKeep: key.Keep,
+		AugAmount: amount, SubNets: len(am.Decoys), AugSeed: seed,
+	}
+}
+
+func bindText(model Trainable, spec ModelSpec, p payload, what string) (*split, error) {
+	n := len(p.labels)
+	if len(p.samples) != n || n == 0 {
+		return nil, fmt.Errorf("cloudsim: %s has %d samples for %d labels: %w", what, len(p.samples), n, ErrBadRequest)
+	}
+	if err := checkWindows(p.samples, spec.AugLen, what); err != nil {
+		return nil, err
+	}
+	ds := &data.TextDataset{Samples: p.samples, Labels: p.labels, Vocab: spec.Vocab, Classes: spec.Classes}
+	am := model.(*core.AugmentedTextClassifier)
+	return &split{
+		n: n,
+		loss: func(idx []int) (*autodiff.Node, *autodiff.Node, int) {
+			ids, labels := ds.Batch(idx)
+			total, orig := am.Loss(ids, labels)
+			return total, orig, len(labels)
+		},
+		score: func(idx []int) (*autodiff.Node, []int) {
+			ids, labels := ds.Batch(idx)
+			return am.ForwardIDs(ids), labels
+		},
+	}, nil
+}
+
+func buildLM(spec ModelSpec) (Trainable, error) {
+	if spec.Vocab <= 0 || spec.LMDim <= 0 || spec.LMHeads <= 0 || spec.LMLayers <= 0 || spec.LMFF <= 0 {
+		return nil, fmt.Errorf("cloudsim: LM spec needs vocab/lm_dim/lm_heads/lm_layers/lm_ff, got %d/%d/%d/%d/%d: %w",
+			spec.Vocab, spec.LMDim, spec.LMHeads, spec.LMLayers, spec.LMFF, ErrBadRequest)
+	}
+	// Training feeds OrigLen−1 tokens per window; a positional table
+	// shorter than that would panic mid-epoch and take the service
+	// down, so reject the spec up front.
+	if spec.LMMaxT < spec.OrigLen-1 {
+		return nil, fmt.Errorf("cloudsim: LM spec positional table lm_max_t %d shorter than window inputs (%d): %w",
+			spec.LMMaxT, spec.OrigLen-1, ErrBadRequest)
+	}
+	key, err := textKey(spec, "LM")
+	if err != nil {
+		return nil, err
+	}
+	orig := models.NewTransformerLM(tensor.NewRNG(spec.ModelSeed), models.TransformerLMConfig{
+		Vocab: spec.Vocab, D: spec.LMDim, Heads: spec.LMHeads, FF: spec.LMFF,
+		Layers: spec.LMLayers, MaxT: spec.LMMaxT, Dropout: float32(spec.LMDropout),
+		GELUFF: spec.LMGELUFF,
+	})
+	return core.AugmentTransformerLM(orig, key, augOptions(spec))
+}
+
+// LMSpec describes an augmented language model so buildLM rebuilds it —
+// dropout streams included, through the recorded build seed.
+func LMSpec(am *core.AugmentedTransformerLM, key *core.TextAugKey, amount float64, seed uint64) ModelSpec {
+	cfg := am.Orig.Cfg
+	return ModelSpec{
+		Kind:  "augmented-lm",
+		Vocab: cfg.Vocab, ModelSeed: am.Orig.BuildSeed,
+		LMDim: cfg.D, LMHeads: cfg.Heads, LMFF: cfg.FF,
+		LMLayers: cfg.Layers, LMMaxT: cfg.MaxT, LMDropout: float64(cfg.Dropout),
+		LMGELUFF: cfg.GELUFF,
+		OrigLen:  key.OrigLen, AugLen: key.AugLen, KeyKeep: key.Keep,
+		AugAmount: amount, SubNets: len(am.Decoys), AugSeed: seed,
+	}
+}
+
+func bindLM(model Trainable, spec ModelSpec, p payload, what string) (*split, error) {
+	n := len(p.samples)
+	if n == 0 {
+		return nil, fmt.Errorf("cloudsim: LM %s has no token windows: %w", what, ErrBadRequest)
+	}
+	if err := checkWindows(p.samples, spec.AugLen, what); err != nil {
+		return nil, err
+	}
+	ws := &data.WindowSet{Windows: p.samples, Vocab: spec.Vocab}
+	am := model.(*core.AugmentedTransformerLM)
+	perWindow := len(am.OrigGather.Idx) - 1
+	return &split{
+		n: n,
+		loss: func(idx []int) (*autodiff.Node, *autodiff.Node, int) {
+			wins := ws.Batch(idx)
+			total, orig := am.LossWindows(wins)
+			return total, orig, len(wins) * perWindow
+		},
+		perToken: true,
+		score:    lmScore(am, ws),
+	}, nil
+}
+
+// lmScore pairs the original sub-network's next-token logits over a batch
+// of augmented windows with the windows' own shifted tokens.
+func lmScore(am *core.AugmentedTransformerLM, ws *data.WindowSet) func(idx []int) (*autodiff.Node, []int) {
+	return func(idx []int) (*autodiff.Node, []int) {
+		gathered := am.OrigGather.Apply(ws.Batch(idx))
+		inputs := make([][]int, len(gathered))
+		targets := make([][]int, len(gathered))
+		for i, w := range gathered {
+			inputs[i] = w[:len(w)-1]
+			targets[i] = w[1:]
+		}
+		return am.Orig.ForwardIDs(inputs), models.FlattenTargets(targets)
+	}
+}
+
+// LMAccuracy scores the original sub-network's next-token accuracy over
+// a set of augmented windows — the LM counterpart of classification
+// accuracy, outside a training run.
+func LMAccuracy(am *core.AugmentedTransformerLM, ws *data.WindowSet, batch int) float64 {
+	return Accuracy(am, ws.N(), batch, lmScore(am, ws))
 }
 
 func complement(keep []int, n int) []int {
@@ -290,221 +518,41 @@ func complement(keep []int, n int) []int {
 	return out
 }
 
-// Engine hides a job's modality behind step/accuracy closures so one
-// training loop serves CV and text jobs alike. The cloud service builds
-// engines from wire requests (newEngine); the public LocalTrainer builds
-// them over its live job artifacts — both then drive the SAME TrainLoop,
-// which is what makes local and remote training bit-identical by
-// construction rather than by hand-synced copies.
-type Engine struct {
-	Model Trainable
-	// N is the number of training samples.
-	N int
-	// Step runs one mini-batch: zero grads, forward, backward, optimiser
-	// step, release the graph. Returns the summed original-sub-network
-	// loss and the batch size.
-	Step func(opt optim.Optimizer, idx []int) (lossSum float64, count int)
-	// TrainAcc scores the model on the (augmented) training set.
-	TrainAcc func(batch int) float64
-	// EvalAcc scores the held-out split; ok is false when there is none.
-	// Nil means no eval set.
-	EvalAcc func(batch int) (acc float64, ok bool)
-	// Perplexity marks a language-model engine: Loss is the mean
-	// per-token cross-entropy, and TrainLoop reports exp(Loss) as the
-	// epoch's perplexity.
-	Perplexity bool
-	// InitOptState seeds the optimiser's resume state before the first
-	// step (checkpoint resume). Nil starts the optimiser fresh.
-	InitOptState *optim.State
-	// InitRNG restores dropout-stream cursors before the first step
-	// (checkpoint resume). Nil leaves the model's build-time streams.
-	InitRNG map[string][]byte
-}
-
-// forwarder is implemented by both plain CV models and AugmentedCVModel.
-type forwarder interface {
-	Forward(x *autodiff.Node) *autodiff.Node
-}
-
-func newEngine(req *TrainRequest) (*Engine, error) {
-	model, err := BuildModel(req.Spec)
+// bindRequest validates req's payload against its spec and binds model —
+// which must be the kind of model the spec describes; anything else is a
+// caller bug and panics — to the train split and, when one was shipped,
+// the eval split. The model's parameters are used as they are.
+func bindRequest(model Trainable, req *TrainRequest) (train, eval *split, err error) {
+	m, err := modalityOf(req.Spec.Kind)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	switch req.Spec.Kind {
-	case "plain-cv", "augmented-cv":
-		n := len(req.Labels)
-		if req.Images == nil || n == 0 || req.Images.Dim(0) != n {
-			return nil, fmt.Errorf("cloudsim: dataset has %d images for %d labels: %w", imageCount(req.Images), n, ErrBadRequest)
-		}
-		ds := &data.ImageDataset{Images: req.Images, Labels: req.Labels, Classes: req.Spec.Classes}
-		fw := model.(forwarder) // every CV model, plain or augmented
-		lossFn := func(x *autodiff.Node, labels []int) (*autodiff.Node, *autodiff.Node) {
-			l := autodiff.SoftmaxCrossEntropy(fw.Forward(x), labels)
-			return l, l
-		}
-		if am, ok := model.(*core.AugmentedCVModel); ok {
-			lossFn = am.Loss
-		}
-		accuracy := func(ds *data.ImageDataset) func(batch int) float64 {
-			return func(batch int) float64 {
-				return argmaxAccuracy(model, ds.N(), batch, func(idx []int) (*autodiff.Node, []int) {
-					x, labels := ds.Batch(idx)
-					return fw.Forward(autodiff.Constant(x)), labels
-				})
-			}
-		}
-		eng := &Engine{
-			Model:    model,
-			N:        n,
-			Step:     CVStep(model, lossFn, ds),
-			TrainAcc: accuracy(ds),
-		}
-		if req.EvalImages != nil {
-			if len(req.EvalLabels) == 0 || req.EvalImages.Dim(0) != len(req.EvalLabels) {
-				return nil, fmt.Errorf("cloudsim: eval split has %d images for %d labels: %w",
-					req.EvalImages.Dim(0), len(req.EvalLabels), ErrBadRequest)
-			}
-			evalAcc := accuracy(&data.ImageDataset{Images: req.EvalImages, Labels: req.EvalLabels, Classes: req.Spec.Classes})
-			eng.EvalAcc = func(batch int) (float64, bool) { return evalAcc(batch), true }
-		}
-		return eng, nil
-	case "augmented-text":
-		n := len(req.Labels)
-		if len(req.Samples) != n || n == 0 {
-			return nil, fmt.Errorf("cloudsim: dataset has %d samples for %d labels: %w", len(req.Samples), n, ErrBadRequest)
-		}
-		for i, s := range req.Samples {
-			if len(s) != req.Spec.AugLen {
-				return nil, fmt.Errorf("cloudsim: sample %d has %d tokens, want aug_len %d: %w", i, len(s), req.Spec.AugLen, ErrBadRequest)
-			}
-		}
-		ds := &data.TextDataset{Samples: req.Samples, Labels: req.Labels, Vocab: req.Spec.Vocab, Classes: req.Spec.Classes}
-		am := model.(*core.AugmentedTextClassifier)
-		accuracy := func(ds *data.TextDataset) func(batch int) float64 {
-			return func(batch int) float64 {
-				return argmaxAccuracy(am, ds.N(), batch, func(idx []int) (*autodiff.Node, []int) {
-					ids, labels := ds.Batch(idx)
-					return am.ForwardIDs(ids), labels
-				})
-			}
-		}
-		eng := &Engine{
-			Model:    model,
-			N:        n,
-			Step:     TextStep(am, ds),
-			TrainAcc: accuracy(ds),
-		}
-		if len(req.EvalSamples) > 0 {
-			if len(req.EvalSamples) != len(req.EvalLabels) {
-				return nil, fmt.Errorf("cloudsim: eval split has %d samples for %d labels: %w",
-					len(req.EvalSamples), len(req.EvalLabels), ErrBadRequest)
-			}
-			evalAcc := accuracy(&data.TextDataset{Samples: req.EvalSamples, Labels: req.EvalLabels, Vocab: req.Spec.Vocab, Classes: req.Spec.Classes})
-			eng.EvalAcc = func(batch int) (float64, bool) { return evalAcc(batch), true }
-		}
-		return eng, nil
-	case "augmented-lm":
-		n := len(req.Samples)
-		if n == 0 {
-			return nil, fmt.Errorf("cloudsim: LM job has no token windows: %w", ErrBadRequest)
-		}
-		for i, s := range req.Samples {
-			if len(s) != req.Spec.AugLen {
-				return nil, fmt.Errorf("cloudsim: window %d has %d tokens, want aug_len %d: %w", i, len(s), req.Spec.AugLen, ErrBadRequest)
-			}
-		}
-		ws := &data.WindowSet{Windows: req.Samples, Vocab: req.Spec.Vocab}
-		am := model.(*core.AugmentedTransformerLM)
-		eng := &Engine{
-			Model:      model,
-			N:          n,
-			Step:       LMStep(am, ws),
-			TrainAcc:   func(batch int) float64 { return LMAccuracy(am, ws, batch) },
-			Perplexity: true,
-		}
-		if len(req.EvalSamples) > 0 {
-			for i, s := range req.EvalSamples {
-				if len(s) != req.Spec.AugLen {
-					return nil, fmt.Errorf("cloudsim: eval window %d has %d tokens, want aug_len %d: %w", i, len(s), req.Spec.AugLen, ErrBadRequest)
-				}
-			}
-			ews := &data.WindowSet{Windows: req.EvalSamples, Vocab: req.Spec.Vocab}
-			eng.EvalAcc = func(batch int) (float64, bool) { return LMAccuracy(am, ews, batch), true }
-		}
-		return eng, nil
-	default:
-		return nil, fmt.Errorf("cloudsim: unknown model kind %q: %w", req.Spec.Kind, ErrBadRequest)
+	train, err = m.bind(model, req.Spec, payload{req.Images, req.Labels, req.Samples}, "dataset")
+	if err == nil && (req.EvalImages != nil || len(req.EvalSamples) > 0) {
+		eval, err = m.bind(model, req.Spec, payload{req.EvalImages, req.EvalLabels, req.EvalSamples}, "eval split")
 	}
+	return train, eval, err
 }
 
-// CVStep builds the canonical CV mini-batch step: zero grads, joint loss,
-// backward, optimiser step, graph release. Shared by the service and the
-// public LocalTrainer so there is exactly one definition of "a training
-// step" per modality.
-func CVStep(model Trainable, lossFn func(x *autodiff.Node, labels []int) (total, orig *autodiff.Node), ds *data.ImageDataset) func(optim.Optimizer, []int) (float64, int) {
-	return func(opt optim.Optimizer, idx []int) (float64, int) {
-		x, labels := ds.Batch(idx)
-		nn.ZeroGrads(model)
-		total, orig := lossFn(autodiff.Constant(x), labels)
-		autodiff.Backward(total)
-		opt.Step()
-		l := float64(orig.Scalar()) * float64(len(labels))
-		autodiff.Release(total)
-		return l, len(labels)
+// Accuracy is the eval loop behind every accuracy figure the repo's jobs
+// report (TrainLoop, LMAccuracy, and the public Predict/PredictText):
+// it puts m in eval mode (restoring the prior mode afterwards), walks n
+// samples in order in batches (batch <= 0 means 1), scores the argmax of
+// each logits row score returns against its label, and releases every
+// forward graph back to the tensor pool. No labels scored — an empty
+// dataset — is 0, not NaN.
+func Accuracy(m interface{ SetTraining(bool) }, n, batch int,
+	score func(idx []int) (logits *autodiff.Node, labels []int)) float64 {
+
+	if batch <= 0 {
+		batch = 1
 	}
-}
-
-// TextStep is CVStep's text-classification counterpart.
-func TextStep(am *core.AugmentedTextClassifier, ds *data.TextDataset) func(optim.Optimizer, []int) (float64, int) {
-	return func(opt optim.Optimizer, idx []int) (float64, int) {
-		ids, labels := ds.Batch(idx)
-		nn.ZeroGrads(am)
-		total, orig := am.Loss(ids, labels)
-		autodiff.Backward(total)
-		opt.Step()
-		l := float64(orig.Scalar()) * float64(len(labels))
-		autodiff.Release(total)
-		return l, len(labels)
-	}
-}
-
-// LMStep is CVStep's language-modelling counterpart: one batch of
-// augmented windows through Algorithm 1's joint loss. The returned count
-// is in next-token targets of the ORIGINAL windows, so the loop's mean
-// Loss is per original token and exp(Loss) is the paper's perplexity.
-func LMStep(am *core.AugmentedTransformerLM, ws *data.WindowSet) func(optim.Optimizer, []int) (float64, int) {
-	perWindow := len(am.OrigGather.Idx) - 1
-	return func(opt optim.Optimizer, idx []int) (float64, int) {
-		wins := ws.Batch(idx)
-		nn.ZeroGrads(am)
-		total, orig := am.LossWindows(wins)
-		autodiff.Backward(total)
-		opt.Step()
-		tokens := len(wins) * perWindow
-		l := float64(orig.Scalar()) * float64(tokens)
-		autodiff.Release(total)
-		return l, tokens
-	}
-}
-
-// argmaxAccuracy is the eval loop behind every accuracy figure this
-// package reports (both service engines and LMAccuracy; the root package
-// keeps its own copy for Predict/PredictText, since sharing this one
-// would take a new exported name): it puts m in eval mode (restoring the
-// prior mode afterwards), walks n samples in order in batches, scores the
-// argmax of each logits row forward returns against its label, and
-// releases every forward graph back to the tensor pool. No labels scored
-// — an empty dataset — is 0, not NaN.
-func argmaxAccuracy(m interface{ SetTraining(bool) }, n, batch int,
-	forward func(idx []int) (logits *autodiff.Node, labels []int)) float64 {
-
 	prev := nn.TrainingMode(m)
 	m.SetTraining(false)
 	defer m.SetTraining(prev)
 	correct, total := 0, 0
 	for _, idx := range data.BatchIter(n, batch, nil) {
-		logits, labels := forward(idx)
+		logits, labels := score(idx)
 		pred := tensor.ArgmaxRows(logits.Val)
 		autodiff.Release(logits)
 		for i, p := range pred {
@@ -520,58 +568,38 @@ func argmaxAccuracy(m interface{ SetTraining(bool) }, n, batch int,
 	return float64(correct) / float64(total)
 }
 
-// LMAccuracy scores the original sub-network's next-token accuracy over
-// a set of augmented windows — the LM counterpart of classification
-// accuracy, shared by the service engine and the public LMJob.
-func LMAccuracy(am *core.AugmentedTransformerLM, ws *data.WindowSet, batch int) float64 {
-	return argmaxAccuracy(am, ws.N(), batch, func(idx []int) (*autodiff.Node, []int) {
-		gathered := am.OrigGather.Apply(ws.Batch(idx))
-		inputs := make([][]int, len(gathered))
-		targets := make([][]int, len(gathered))
-		for i, w := range gathered {
-			inputs[i] = w[:len(w)-1]
-			targets[i] = w[1:]
-		}
-		return am.Orig.ForwardIDs(inputs), models.FlattenTargets(targets)
-	})
-}
-
-func imageCount(t *tensor.Tensor) int {
-	if t == nil {
-		return 0
-	}
-	return t.Dim(0)
-}
-
 // RunLocal executes a job in-process — the "deployed locally on user
 // devices" mode the paper mentions, and the engine behind the TCP server.
 func RunLocal(req *TrainRequest) (*TrainResponse, error) {
 	return runTraining(context.Background(), req, nil, nil)
 }
 
-// runTraining builds the engine from a wire request and drives TrainLoop.
+// runTraining rebuilds the model a wire request describes, loads the
+// client's initial state into it, and drives TrainLoop.
 func runTraining(ctx context.Context, req *TrainRequest,
 	progress func(EpochMetric) error,
 	checkpoint func(*Snapshot) error) (*TrainResponse, error) {
 
-	eng, err := newEngine(req)
+	model, err := BuildModel(req.Spec)
 	if err != nil {
 		return nil, err
 	}
 	if req.InitState != nil {
-		if err := nn.LoadStateDict(eng.Model, req.InitState); err != nil {
+		if err := nn.LoadStateDict(model, req.InitState); err != nil {
 			return nil, fmt.Errorf("cloudsim: loading client init: %w", err)
 		}
 	}
-	eng.InitOptState = req.InitOptState
-	eng.InitRNG = req.InitRNG
-	return TrainLoop(ctx, eng, req.Hyper, progress, checkpoint)
+	return TrainLoop(ctx, model, req, progress, checkpoint)
 }
 
-// TrainLoop is THE obfuscated-training epoch loop — the cloud service and
-// the public LocalTrainer both run it, so batch order (per-epoch
-// data.ShuffleRNG), checkpoint cadence, and cancellation semantics cannot
-// drift between the two paths.
+// TrainLoop is THE obfuscated-training epoch loop: it trains model on
+// req's payload under req.Hyper, resuming from req.InitOptState/InitRNG
+// (req.InitState is for whoever built model to load). The cloud service
+// runs it over the model it rebuilt from the spec, the public
+// LocalTrainer over the job's live augmented model and the very request
+// RemoteTrainer would ship — so the step, batch order (per-epoch
+// data.ShuffleRNG), scoring, checkpoint cadence, and cancellation
+// semantics cannot drift between the two paths.
 //
 // progress (if non-nil) is called after every epoch; checkpoint (if
 // non-nil, and hyper.CheckpointEvery > 0) receives an epoch-aligned
@@ -583,17 +611,22 @@ func runTraining(ctx context.Context, req *TrainRequest,
 // CompletedEpochs consistent: a checkpoint written from a cancelled run
 // never contains a partially applied epoch, so resuming re-trains no
 // batch twice.
-func TrainLoop(ctx context.Context, eng *Engine, hyper Hyper,
+func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 	progress func(EpochMetric) error,
 	checkpoint func(*Snapshot) error) (*TrainResponse, error) {
 
+	hyper := req.Hyper
 	if hyper.Epochs <= 0 || hyper.BatchSize <= 0 {
 		return nil, fmt.Errorf("cloudsim: epochs and batch size must be positive: %w", ErrBadRequest)
 	}
 	if hyper.StartEpoch < 0 || hyper.StartEpoch >= hyper.Epochs {
 		return nil, fmt.Errorf("cloudsim: start epoch %d out of range [0,%d): %w", hyper.StartEpoch, hyper.Epochs, ErrBadRequest)
 	}
-	eng.Model.SetTraining(true)
+	train, eval, err := bindRequest(model, req)
+	if err != nil {
+		return nil, err
+	}
+	model.SetTraining(true)
 	// Resolve the optimiser through the spec registry. Without an explicit
 	// spec the flat Hyper fields describe SGD; a spec with LR 0 inherits
 	// Hyper.LR so schedules and flat configs compose.
@@ -604,7 +637,7 @@ func TrainLoop(ctx context.Context, eng *Engine, hyper Hyper,
 			spec.LR = hyper.LR
 		}
 	}
-	opt, err := optim.Build(spec, eng.Model.Params())
+	opt, err := optim.Build(spec, model.Params())
 	if err != nil {
 		if errors.Is(err, optim.ErrUnknownKind) {
 			return nil, fmt.Errorf("cloudsim: optimiser kind %q: %w", spec.Kind, ErrUnknownOptimizer)
@@ -625,20 +658,20 @@ func TrainLoop(ctx context.Context, eng *Engine, hyper Hyper,
 	// buffers and counters, then SetEpoch reconstructs the rate from
 	// (spec, completed epochs) — the rate itself never rides in state, so
 	// resume-vs-straight-run bit-identity holds for any schedule.
-	if !eng.InitOptState.Empty() {
-		if err := opt.LoadStateDict(eng.InitOptState); err != nil {
+	if !req.InitOptState.Empty() {
+		if err := opt.LoadStateDict(req.InitOptState); err != nil {
 			return nil, fmt.Errorf("cloudsim: loading optimiser state: %w", err)
 		}
 	}
 	if sched != nil {
 		sched.SetEpoch(hyper.StartEpoch)
 	}
-	stateful, _ := eng.Model.(RNGStateful)
-	if len(eng.InitRNG) > 0 {
+	stateful, _ := model.(RNGStateful)
+	if len(req.InitRNG) > 0 {
 		if stateful == nil {
 			return nil, fmt.Errorf("cloudsim: RNG state shipped for a model without random streams: %w", ErrBadRequest)
 		}
-		if err := stateful.LoadRNGStates(eng.InitRNG); err != nil {
+		if err := stateful.LoadRNGStates(req.InitRNG); err != nil {
 			return nil, fmt.Errorf("cloudsim: loading RNG state: %w", err)
 		}
 	}
@@ -665,22 +698,27 @@ func TrainLoop(ctx context.Context, eng *Engine, hyper Hyper,
 		}
 		var lossSum float64
 		seen := 0
-		for _, idx := range data.BatchIter(eng.N, hyper.BatchSize, shuffleRNG) {
-			l, c := eng.Step(opt, idx)
-			lossSum += l
-			seen += c
+		for _, idx := range data.BatchIter(train.n, hyper.BatchSize, shuffleRNG) {
+			// THE training step (Algorithm 1), for every modality.
+			nn.ZeroGrads(model)
+			total, orig, count := train.loss(idx)
+			autodiff.Backward(total)
+			opt.Step()
+			lossSum += float64(orig.Scalar()) * float64(count)
+			seen += count
+			autodiff.Release(total)
 		}
 		resp.CompletedEpochs = e + 1
 		m := EpochMetric{
 			Epoch:    e + 1,
 			Loss:     lossSum / float64(seen),
-			Accuracy: eng.TrainAcc(hyper.BatchSize),
+			Accuracy: Accuracy(model, train.n, hyper.BatchSize, train.score),
 			Seconds:  time.Since(epochStart).Seconds(), //amalgam:allow detcheck metric field on the progress report, not training state
 		}
-		if eng.EvalAcc != nil {
-			m.EvalAccuracy, m.HasEval = eng.EvalAcc(hyper.BatchSize)
+		if eval != nil {
+			m.EvalAccuracy, m.HasEval = Accuracy(model, eval.n, hyper.BatchSize, eval.score), true
 		}
-		if eng.Perplexity {
+		if train.perToken {
 			m.Perplexity = math.Exp(m.Loss)
 		}
 		if hyper.Optimizer != nil || hyper.Schedule != nil {
@@ -705,13 +743,13 @@ func TrainLoop(ctx context.Context, eng *Engine, hyper Hyper,
 			if err != nil {
 				return nil, err
 			}
-			snap := &Snapshot{Epoch: e + 1, State: nn.StateDict(eng.Model), OptState: opt.StateDict(), RNG: rng}
+			snap := &Snapshot{Epoch: e + 1, State: nn.StateDict(model), OptState: opt.StateDict(), RNG: rng}
 			if err := checkpoint(snap); err != nil {
 				return nil, err
 			}
 		}
 	}
-	resp.State = nn.StateDict(eng.Model)
+	resp.State = nn.StateDict(model)
 	resp.OptState = opt.StateDict()
 	rng, err := captureRNG()
 	if err != nil {

@@ -172,15 +172,96 @@ func (s *Server) inferAnswer(payload []byte) (inferResult, error) {
 	if err != nil {
 		return inferResult{}, err
 	}
-	switch h.Modality {
-	case "cv":
-		return s.inferCV(h, body)
-	case "text":
-		return s.inferText(h, body)
-	case "lm":
-		return s.inferLM(h, body)
+	var res inferResult
+	n, call, err := s.inferSamples(h, body, &res)
+	if err != nil {
+		return inferResult{}, err
+	}
+	return res, fanOut(n, call)
+}
+
+// inferSamples decodes a frame's body, by (modality, split), into n
+// samples and the backend call that answers sample i into res.
+func (s *Server) inferSamples(h inferHeader, body []byte, res *inferResult) (n int, call func(i int) error, err error) {
+	be := s.cfg.Infer
+	switch {
+	case h.Modality == "cv", h.Modality == "text" && h.Split:
+		// [N, width]: flattened images, or client-pooled embeddings.
+		t, err := readInferTensor(body)
+		if err != nil {
+			return 0, nil, err
+		}
+		per, predict := t.Dim(1), be.PredictCV
+		if h.Modality == "text" {
+			predict = be.PredictTextSplit
+		}
+		return t.Dim(0), res.classes(t.Dim(0), func(i int) (serve.CVResult, error) {
+			return predict(h.Model, t.Data[i*per:(i+1)*per])
+		}), nil
+	case h.Modality == "lm" && h.Split:
+		if h.Dim <= 0 {
+			return 0, nil, fmt.Errorf("cloudsim: lm split body needs a positive dim, got %d: %w", h.Dim, ErrBadRequest)
+		}
+		t, err := serialize.ReadTensor(bytes.NewReader(body))
+		if err != nil {
+			return 0, nil, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
+		}
+		offs := make([]int, len(h.Lens)+1)
+		for i, l := range h.Lens {
+			// Bounding each length by the body keeps rows×dim from wrapping
+			// round to a "matching" size with offsets past the tensor.
+			if l <= 0 || l > len(t.Data)/h.Dim {
+				return 0, nil, fmt.Errorf("cloudsim: infer sample length %d: %w", l, ErrBadRequest)
+			}
+			offs[i+1] = offs[i] + l*h.Dim
+		}
+		if total := offs[len(h.Lens)]; total != len(t.Data) {
+			return 0, nil, fmt.Errorf("cloudsim: lm split body has %d floats, lens×dim wants %d: %w",
+				len(t.Data), total, ErrBadRequest)
+		}
+		return len(h.Lens), res.nextTokens(len(h.Lens), func(i int) (serve.LMResult, error) {
+			return be.PredictLMSplit(h.Model, t.Data[offs[i]:offs[i+1]], h.Lens[i], h.TopK)
+		}), nil
+	case h.Modality == "text", h.Modality == "lm":
+		flat, err := serialize.ReadIntSlice(bytes.NewReader(body))
+		if err != nil {
+			return 0, nil, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
+		}
+		samples, err := unflatten(flat, h.Lens)
+		if err != nil {
+			return 0, nil, err
+		}
+		if h.Modality == "text" {
+			return len(samples), res.classes(len(samples), func(i int) (serve.CVResult, error) {
+				return be.PredictText(h.Model, samples[i])
+			}), nil
+		}
+		return len(samples), res.nextTokens(len(samples), func(i int) (serve.LMResult, error) {
+			return be.PredictLM(h.Model, samples[i], h.TopK)
+		}), nil
 	default:
-		return inferResult{}, fmt.Errorf("cloudsim: unknown infer modality %q: %w", h.Modality, ErrBadRequest)
+		return 0, nil, fmt.Errorf("cloudsim: unknown infer modality %q: %w", h.Modality, ErrBadRequest)
+	}
+}
+
+// classes sizes the result for n classifications and returns the call
+// storing sample i's; nextTokens is the same for next-token scorings. A
+// failed sample stores nothing that is sent: its error fails the frame.
+func (r *inferResult) classes(n int, predict func(i int) (serve.CVResult, error)) func(int) error {
+	r.Classes, r.Logits = make([]int, n), make([][]float32, n)
+	return func(i int) error {
+		c, err := predict(i)
+		r.Classes[i], r.Logits[i] = c.Class, c.Logits
+		return err
+	}
+}
+
+func (r *inferResult) nextTokens(n int, predict func(i int) (serve.LMResult, error)) func(int) error {
+	r.Tokens, r.LogProbs = make([][]int, n), make([][]float32, n)
+	return func(i int) error {
+		t, err := predict(i)
+		r.Tokens[i], r.LogProbs[i] = t.Tokens, t.LogProbs
+		return err
 	}
 }
 
@@ -196,123 +277,6 @@ func readInferTensor(body []byte) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("cloudsim: infer body wants a non-empty [N, width] tensor: %w", ErrBadRequest)
 	}
 	return t, nil
-}
-
-func (s *Server) inferCV(h inferHeader, body []byte) (inferResult, error) {
-	t, err := readInferTensor(body)
-	if err != nil {
-		return inferResult{}, err
-	}
-	n, per := t.Dim(0), t.Dim(1)
-	res := inferResult{Classes: make([]int, n), Logits: make([][]float32, n)}
-	err = fanOut(n, func(i int) error {
-		r, err := s.cfg.Infer.PredictCV(h.Model, t.Data[i*per:(i+1)*per])
-		if err != nil {
-			return err
-		}
-		res.Classes[i], res.Logits[i] = r.Class, r.Logits
-		return nil
-	})
-	return res, err
-}
-
-func (s *Server) inferText(h inferHeader, body []byte) (inferResult, error) {
-	if h.Split {
-		t, err := readInferTensor(body)
-		if err != nil {
-			return inferResult{}, err
-		}
-		n, d := t.Dim(0), t.Dim(1)
-		res := inferResult{Classes: make([]int, n), Logits: make([][]float32, n)}
-		err = fanOut(n, func(i int) error {
-			r, err := s.cfg.Infer.PredictTextSplit(h.Model, t.Data[i*d:(i+1)*d])
-			if err != nil {
-				return err
-			}
-			res.Classes[i], res.Logits[i] = r.Class, r.Logits
-			return nil
-		})
-		return res, err
-	}
-	flat, err := serialize.ReadIntSlice(bytes.NewReader(body))
-	if err != nil {
-		return inferResult{}, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
-	}
-	samples, err := unflatten(flat, h.Lens)
-	if err != nil {
-		return inferResult{}, err
-	}
-	n := len(samples)
-	res := inferResult{Classes: make([]int, n), Logits: make([][]float32, n)}
-	err = fanOut(n, func(i int) error {
-		r, err := s.cfg.Infer.PredictText(h.Model, samples[i])
-		if err != nil {
-			return err
-		}
-		res.Classes[i], res.Logits[i] = r.Class, r.Logits
-		return nil
-	})
-	return res, err
-}
-
-func (s *Server) inferLM(h inferHeader, body []byte) (inferResult, error) {
-	if h.Split {
-		if h.Dim <= 0 {
-			return inferResult{}, fmt.Errorf("cloudsim: lm split body needs a positive dim, got %d: %w", h.Dim, ErrBadRequest)
-		}
-		t, err := serialize.ReadTensor(bytes.NewReader(body))
-		if err != nil {
-			return inferResult{}, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
-		}
-		rows := 0
-		for _, l := range h.Lens {
-			// Bounding each length by the body keeps rows×dim from wrapping
-			// round to a "matching" size with offsets past the tensor.
-			if l <= 0 || l > len(t.Data)/h.Dim {
-				return inferResult{}, fmt.Errorf("cloudsim: infer sample length %d: %w", l, ErrBadRequest)
-			}
-			rows += l
-		}
-		if rows*h.Dim != len(t.Data) {
-			return inferResult{}, fmt.Errorf("cloudsim: lm split body has %d floats, lens×dim wants %d: %w",
-				len(t.Data), rows*h.Dim, ErrBadRequest)
-		}
-		n := len(h.Lens)
-		res := inferResult{Tokens: make([][]int, n), LogProbs: make([][]float32, n)}
-		offs := make([]int, n)
-		off := 0
-		for i, l := range h.Lens {
-			offs[i], off = off, off+l*h.Dim
-		}
-		err = fanOut(n, func(i int) error {
-			r, err := s.cfg.Infer.PredictLMSplit(h.Model, t.Data[offs[i]:offs[i]+h.Lens[i]*h.Dim], h.Lens[i], h.TopK)
-			if err != nil {
-				return err
-			}
-			res.Tokens[i], res.LogProbs[i] = r.Tokens, r.LogProbs
-			return nil
-		})
-		return res, err
-	}
-	flat, err := serialize.ReadIntSlice(bytes.NewReader(body))
-	if err != nil {
-		return inferResult{}, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
-	}
-	ctxs, err := unflatten(flat, h.Lens)
-	if err != nil {
-		return inferResult{}, err
-	}
-	n := len(ctxs)
-	res := inferResult{Tokens: make([][]int, n), LogProbs: make([][]float32, n)}
-	err = fanOut(n, func(i int) error {
-		r, err := s.cfg.Infer.PredictLM(h.Model, ctxs[i], h.TopK)
-		if err != nil {
-			return err
-		}
-		res.Tokens[i], res.LogProbs[i] = r.Tokens, r.LogProbs
-		return nil
-	})
-	return res, err
 }
 
 // InferConn is a client connection for inference: one dial, then any
@@ -394,7 +358,13 @@ func intBody(samples [][]int) ([]byte, []int, error) {
 	return buf.Bytes(), lens, nil
 }
 
-func classResults(res inferResult, n int) ([]serve.CVResult, error) {
+// classify runs one classification exchange of n samples; score is the
+// same for next-token scorings.
+func (c *InferConn) classify(h inferHeader, body []byte, n int) ([]serve.CVResult, error) {
+	res, err := c.roundTrip(h, body)
+	if err != nil {
+		return nil, err
+	}
 	if len(res.Classes) != n || len(res.Logits) != n {
 		return nil, fmt.Errorf("cloudsim: infer result carries %d answers for %d samples: %w", len(res.Classes), n, ErrUnknownFrame)
 	}
@@ -405,18 +375,11 @@ func classResults(res inferResult, n int) ([]serve.CVResult, error) {
 	return out, nil
 }
 
-func textResults(res inferResult, n int) ([]serve.TextResult, error) {
-	if len(res.Classes) != n || len(res.Logits) != n {
-		return nil, fmt.Errorf("cloudsim: infer result carries %d answers for %d samples: %w", len(res.Classes), n, ErrUnknownFrame)
+func (c *InferConn) score(h inferHeader, body []byte, n int) ([]serve.LMResult, error) {
+	res, err := c.roundTrip(h, body)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]serve.TextResult, n)
-	for i := range out {
-		out[i] = serve.TextResult{Class: res.Classes[i], Logits: res.Logits[i]}
-	}
-	return out, nil
-}
-
-func lmResults(res inferResult, n int) ([]serve.LMResult, error) {
 	if len(res.Tokens) != n || len(res.LogProbs) != n {
 		return nil, fmt.Errorf("cloudsim: infer result carries %d answers for %d samples: %w", len(res.Tokens), n, ErrUnknownFrame)
 	}
@@ -427,21 +390,22 @@ func lmResults(res inferResult, n int) ([]serve.LMResult, error) {
 	return out, nil
 }
 
+// classifyRows ships equal-width dense rows as one [N, width] body.
+func (c *InferConn) classifyRows(h inferHeader, rows [][]float32) ([]serve.CVResult, error) {
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	body, err := tensorBody(rows, len(rows[0]))
+	if err != nil {
+		return nil, err
+	}
+	return c.classify(h, body, len(rows))
+}
+
 // PredictCV classifies a batch of flattened images (all the same
 // registered geometry) in one wire exchange.
 func (c *InferConn) PredictCV(model string, images [][]float32) ([]serve.CVResult, error) {
-	if len(images) == 0 {
-		return nil, nil
-	}
-	body, err := tensorBody(images, len(images[0]))
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.roundTrip(inferHeader{Model: model, Modality: "cv"}, body)
-	if err != nil {
-		return nil, err
-	}
-	return classResults(res, len(images))
+	return c.classifyRows(inferHeader{Model: model, Modality: "cv"}, images)
 }
 
 // PredictText classifies a batch of token sequences (ragged lengths are
@@ -454,28 +418,13 @@ func (c *InferConn) PredictText(model string, samples [][]int) ([]serve.TextResu
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.roundTrip(inferHeader{Model: model, Modality: "text", Lens: lens}, body)
-	if err != nil {
-		return nil, err
-	}
-	return textResults(res, len(samples))
+	return c.classify(inferHeader{Model: model, Modality: "text", Lens: lens}, body, len(samples))
 }
 
 // PredictTextSplit classifies a batch of locally-pooled embeddings — the
 // split-inference path: raw tokens never leave the client.
 func (c *InferConn) PredictTextSplit(model string, pooled [][]float32) ([]serve.TextResult, error) {
-	if len(pooled) == 0 {
-		return nil, nil
-	}
-	body, err := tensorBody(pooled, len(pooled[0]))
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.roundTrip(inferHeader{Model: model, Modality: "text", Split: true}, body)
-	if err != nil {
-		return nil, err
-	}
-	return textResults(res, len(pooled))
+	return c.classifyRows(inferHeader{Model: model, Modality: "text", Split: true}, pooled)
 }
 
 // PredictLM scores the next token after each context, returning each
@@ -488,11 +437,7 @@ func (c *InferConn) PredictLM(model string, contexts [][]int, topK int) ([]serve
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.roundTrip(inferHeader{Model: model, Modality: "lm", Lens: lens, TopK: topK}, body)
-	if err != nil {
-		return nil, err
-	}
-	return lmResults(res, len(contexts))
+	return c.score(inferHeader{Model: model, Modality: "lm", Lens: lens, TopK: topK}, body, len(contexts))
 }
 
 // PredictLMSplit scores next tokens from locally-embedded activations
@@ -521,9 +466,6 @@ func (c *InferConn) PredictLMSplit(model string, acts [][]float32, seqLens []int
 	if err := serialize.WriteTensor(&buf, flat); err != nil {
 		return nil, err
 	}
-	res, err := c.roundTrip(inferHeader{Model: model, Modality: "lm", Split: true, Lens: seqLens, Dim: dim, TopK: topK}, buf.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	return lmResults(res, len(acts))
+	h := inferHeader{Model: model, Modality: "lm", Split: true, Lens: seqLens, Dim: dim, TopK: topK}
+	return c.score(h, buf.Bytes(), len(acts))
 }

@@ -17,7 +17,20 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// inferBackend is a serve backend with one text and one LM model
+// inferCVModel builds the image classifier inferBackend serves as "cv".
+// The build is deterministic, so a second call is a bit-identical copy a
+// test can forward directly.
+func inferCVModel(tb testing.TB) models.CVModel {
+	tb.Helper()
+	cv, err := models.BuildCV("lenet", tensor.NewRNG(7), models.CVConfig{InC: 1, InH: 12, InW: 12, Classes: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cv.SetTraining(false)
+	return cv
+}
+
+// inferBackend is a serve backend with one CV, one text and one LM model
 // registered, split tails included; it closes with the test.
 func inferBackend(tb testing.TB) (*serve.Server, *models.TextClassifier, *models.TransformerLM) {
 	tb.Helper()
@@ -27,6 +40,9 @@ func inferBackend(tb testing.TB) (*serve.Server, *models.TextClassifier, *models
 	})
 	backend := serve.New(serve.Config{MaxBatch: 4, MaxDelay: time.Millisecond, Workers: 2})
 	tb.Cleanup(backend.Close)
+	if err := backend.RegisterCV("cv", inferCVModel(tb), serve.CVConfig{C: 1, H: 12, W: 12}); err != nil {
+		tb.Fatal(err)
+	}
 	if err := backend.RegisterText("txt", txt, serve.TextConfig{Vocab: 50, SplitTail: txt.ForwardPooled, SplitDim: txt.EmbedDim}); err != nil {
 		tb.Fatal(err)
 	}
@@ -37,8 +53,8 @@ func inferBackend(tb testing.TB) (*serve.Server, *models.TextClassifier, *models
 }
 
 // startInferServer brings up a wire server in front of inferBackend,
-// returning its address and a cleanup.
-func startInferServer(t *testing.T) (string, *models.TextClassifier, *models.TransformerLM, func()) {
+// returning the backend, its address and a cleanup.
+func startInferServer(t *testing.T) (*serve.Server, string, *models.TextClassifier, *models.TransformerLM, func()) {
 	t.Helper()
 	backend, txt, lm := inferBackend(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -46,74 +62,96 @@ func startInferServer(t *testing.T) (string, *models.TextClassifier, *models.Tra
 		t.Fatal(err)
 	}
 	server := NewServerConfig(l, ServerConfig{Infer: backend})
-	return l.Addr().String(), txt, lm, func() {
+	return backend, l.Addr().String(), txt, lm, func() {
 		l.Close()
 		server.Wait()
 	}
 }
 
-// TestInferRoundTrip pins the wire contract: predictions served over
-// msgInfer frames — full-input and split, text and LM — are bit-identical
-// to a local forward through the same model.
-func TestInferRoundTrip(t *testing.T) {
-	addr, txt, lm, stop := startInferServer(t)
-	defer stop()
+// answer is a prediction of either shape, for comparing across paths:
+// class + logit row, or top-K tokens + log-probabilities.
+type answer struct {
+	ints   []int
+	floats []float32
+}
 
+func classAnswer(r serve.CVResult) answer { return answer{[]int{r.Class}, r.Logits} }
+func tokenAnswer(r serve.LMResult) answer { return answer{r.Tokens, r.LogProbs} }
+
+// directClass reads a one-sample classification straight off a forward
+// graph and releases it.
+func directClass(out *autodiff.Node) answer {
+	defer autodiff.Release(out)
+	return answer{[]int{tensor.ArgmaxRows(out.Val)[0]}, append([]float32(nil), out.Val.Data...)}
+}
+
+// directTopK reads the k most probable next tokens off the last row of a
+// one-sample LM forward graph — most probable first, ties to the lower
+// id, log-softmax accumulated in float64 — and releases it.
+func directTopK(out *autodiff.Node, k int) answer {
+	defer autodiff.Release(out)
+	vocab := out.Val.Dim(1)
+	last := out.Val.Data[len(out.Val.Data)-vocab:]
+	maxv := last[0]
+	for _, v := range last {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	var sum float64
+	for _, v := range last {
+		sum += math.Exp(float64(v - maxv))
+	}
+	lse := float64(maxv) + math.Log(sum)
+	var a answer
+	taken := make([]bool, vocab)
+	for len(a.ints) < k {
+		best := -1
+		for i, v := range last {
+			if !taken[i] && (best < 0 || v > last[best]) {
+				best = i
+			}
+		}
+		taken[best] = true
+		a.ints = append(a.ints, best)
+		a.floats = append(a.floats, float32(float64(last[best])-lse))
+	}
+	return a
+}
+
+// TestInferRoundTrip pins the serving contract on every path — cv, text,
+// text/split, lm, lm/split: a direct eval-mode forward through the model,
+// a prediction through the serve backend, and a prediction over msgInfer
+// frames on loopback agree bit for bit. Each wire case ships all its
+// samples in ONE frame; the token and activation frames are ragged, so
+// one frame's samples land in different batch queues.
+func TestInferRoundTrip(t *testing.T) {
+	backend, addr, txt, lm, stop := startInferServer(t)
+	defer stop()
 	conn, err := DialInfer(context.Background(), addr, NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 
+	cv := inferCVModel(t)
+	rng := tensor.NewRNG(5)
+	images := make([][]float32, 3)
+	for i := range images {
+		images[i] = make([]float32, 12*12)
+		for j := range images[i] {
+			images[i][j] = float32(rng.Float64())
+		}
+	}
 	samples := [][]int{{3, 14, 15}, {9, 26, 5, 35, 8}, {2, 7}}
-	got, err := conn.PredictText("txt", samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range samples {
-		out := txt.ForwardIDs([][]int{s})
-		wantClass := tensor.ArgmaxRows(out.Val)[0]
-		wantLogits := append([]float32(nil), out.Val.Data...)
-		autodiff.Release(out)
-		if got[i].Class != wantClass {
-			t.Errorf("sample %d: wire class %d, local %d", i, got[i].Class, wantClass)
-		}
-		for j, v := range wantLogits {
-			if got[i].Logits[j] != v {
-				t.Fatalf("sample %d logit %d: wire %v, local %v", i, j, got[i].Logits[j], v)
-			}
-		}
-	}
-
-	// Split inference: pooled embeddings computed client-side must score
-	// bit-identically to the full-token path.
 	pooled := make([][]float32, len(samples))
 	for i, s := range samples {
 		node := txt.Embed.LookupMean([][]int{s})
 		pooled[i] = append([]float32(nil), node.Val.Data...)
 		autodiff.Release(node)
 	}
-	gotSplit, err := conn.PredictTextSplit("txt", pooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range samples {
-		if gotSplit[i].Class != got[i].Class {
-			t.Errorf("sample %d: split class %d, full class %d", i, gotSplit[i].Class, got[i].Class)
-		}
-		for j := range got[i].Logits {
-			if gotSplit[i].Logits[j] != got[i].Logits[j] {
-				t.Fatalf("sample %d logit %d: split %v, full %v", i, j, gotSplit[i].Logits[j], got[i].Logits[j])
-			}
-		}
-	}
-
-	// LM next-token scoring, full and split.
-	ctxs := [][]int{{1, 8, 30}, {5, 2, 2, 17, 33}}
-	gotLM, err := conn.PredictLM("lm", ctxs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const topK = 3
+	ctxs := [][]int{{1, 8, 30}, {5, 2, 2, 17, 33}, {4, 4, 9}}
 	acts := make([][]float32, len(ctxs))
 	lens := make([]int, len(ctxs))
 	for i, c := range ctxs {
@@ -122,18 +160,109 @@ func TestInferRoundTrip(t *testing.T) {
 		autodiff.Release(h)
 		lens[i] = len(c)
 	}
-	gotLMSplit, err := conn.PredictLMSplit("lm", acts, lens, lm.D, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ctxs {
-		if len(gotLM[i].Tokens) != 3 {
-			t.Fatalf("context %d: want 3 tokens, got %d", i, len(gotLM[i].Tokens))
+	classes := func(rs []serve.CVResult, err error) ([]answer, error) {
+		out := make([]answer, len(rs))
+		for i, r := range rs {
+			out[i] = classAnswer(r)
 		}
-		for j := range gotLM[i].Tokens {
-			if gotLM[i].Tokens[j] != gotLMSplit[i].Tokens[j] || gotLM[i].LogProbs[j] != gotLMSplit[i].LogProbs[j] {
-				t.Fatalf("context %d entry %d: full (%d, %v) vs split (%d, %v)",
-					i, j, gotLM[i].Tokens[j], gotLM[i].LogProbs[j], gotLMSplit[i].Tokens[j], gotLMSplit[i].LogProbs[j])
+		return out, err
+	}
+	tokens := func(rs []serve.LMResult, err error) ([]answer, error) {
+		out := make([]answer, len(rs))
+		for i, r := range rs {
+			out[i] = tokenAnswer(r)
+		}
+		return out, err
+	}
+
+	cases := []struct {
+		path   string
+		n      int
+		direct func(i int) answer
+		served func(i int) (answer, error)
+		wired  func() ([]answer, error)
+	}{
+		{"cv", len(images),
+			func(i int) answer {
+				return directClass(cv.Forward(autodiff.Constant(tensor.FromSlice(images[i], 1, 1, 12, 12))))
+			},
+			func(i int) (answer, error) { r, err := backend.PredictCV("cv", images[i]); return classAnswer(r), err },
+			func() ([]answer, error) { return classes(conn.PredictCV("cv", images)) }},
+		{"text", len(samples),
+			func(i int) answer { return directClass(txt.ForwardIDs([][]int{samples[i]})) },
+			func(i int) (answer, error) {
+				r, err := backend.PredictText("txt", samples[i])
+				return classAnswer(r), err
+			},
+			func() ([]answer, error) { return classes(conn.PredictText("txt", samples)) }},
+		{"text/split", len(samples),
+			func(i int) answer {
+				return directClass(txt.ForwardPooled(autodiff.Constant(tensor.FromSlice(pooled[i], 1, txt.EmbedDim))))
+			},
+			func(i int) (answer, error) {
+				r, err := backend.PredictTextSplit("txt", pooled[i])
+				return classAnswer(r), err
+			},
+			func() ([]answer, error) { return classes(conn.PredictTextSplit("txt", pooled)) }},
+		{"lm", len(ctxs),
+			func(i int) answer { return directTopK(lm.ForwardIDs([][]int{ctxs[i]}), topK) },
+			func(i int) (answer, error) {
+				r, err := backend.PredictLM("lm", ctxs[i], topK)
+				return tokenAnswer(r), err
+			},
+			func() ([]answer, error) { return tokens(conn.PredictLM("lm", ctxs, topK)) }},
+		{"lm/split", len(ctxs),
+			func(i int) answer {
+				return directTopK(lm.ForwardEmbedded(autodiff.Constant(tensor.FromSlice(acts[i], 1, lens[i], lm.D))), topK)
+			},
+			func(i int) (answer, error) {
+				r, err := backend.PredictLMSplit("lm", acts[i], lens[i], topK)
+				return tokenAnswer(r), err
+			},
+			func() ([]answer, error) { return tokens(conn.PredictLMSplit("lm", acts, lens, lm.D, topK)) }},
+	}
+	same := func(a, b answer) bool {
+		if len(a.ints) != len(b.ints) || len(a.floats) != len(b.floats) {
+			return false
+		}
+		for i := range a.ints {
+			if a.ints[i] != b.ints[i] {
+				return false
+			}
+		}
+		for i := range a.floats {
+			if a.floats[i] != b.floats[i] {
+				return false
+			}
+		}
+		return true
+	}
+	direct := map[string][]answer{}
+	for _, tc := range cases {
+		wired, err := tc.wired()
+		if err != nil || len(wired) != tc.n {
+			t.Fatalf("%s: wire returned %d answers for %d samples: %v", tc.path, len(wired), tc.n, err)
+		}
+		for i := 0; i < tc.n; i++ {
+			want := tc.direct(i)
+			direct[tc.path] = append(direct[tc.path], want)
+			served, err := tc.served(i)
+			if err != nil {
+				t.Fatalf("%s sample %d: serve backend: %v", tc.path, i, err)
+			}
+			if !same(served, want) {
+				t.Errorf("%s sample %d: serve backend %v, direct forward %v", tc.path, i, served, want)
+			}
+			if !same(wired[i], want) {
+				t.Errorf("%s sample %d: wire %v, direct forward %v", tc.path, i, wired[i], want)
+			}
+		}
+	}
+	// Split inference is the same function computed in two places.
+	for _, pair := range [][2]string{{"text", "text/split"}, {"lm", "lm/split"}} {
+		for i, full := range direct[pair[0]] {
+			if !same(full, direct[pair[1]][i]) {
+				t.Errorf("%s sample %d differs from %s: %v vs %v", pair[1], i, pair[0], direct[pair[1]][i], full)
 			}
 		}
 	}
@@ -167,7 +296,7 @@ func TestInferRefusedWithoutBackend(t *testing.T) {
 // both surface as ErrBadRequest via the coded error frame, and the
 // connection keeps serving afterwards (error frames do not poison it).
 func TestInferErrorsCrossWireTyped(t *testing.T) {
-	addr, _, _, stop := startInferServer(t)
+	_, addr, _, _, stop := startInferServer(t)
 	defer stop()
 
 	conn, err := DialInfer(context.Background(), addr, NetConfig{})

@@ -50,7 +50,7 @@ func CaptureProviderView(req *TrainRequest) ProviderView {
 			v.FirstSample = append([]int(nil), req.Samples[0]...)
 		}
 	}
-	if req.Spec.Kind == "augmented-cv" || req.Spec.Kind == "augmented-text" || req.Spec.Kind == "augmented-lm" {
+	if len(req.Spec.KeyKeep) > 0 { // a spec carrying a key ships an augmented graph
 		// Rebuild gather sets exactly as the shipped graph exposes them.
 		model, err := BuildModel(req.Spec)
 		if err == nil {

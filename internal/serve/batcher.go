@@ -16,7 +16,7 @@ import (
 type queue struct {
 	srv  *Server
 	name string
-	run  func(calls []*call)
+	path *path
 
 	mu      sync.Mutex
 	waiting []*call
@@ -24,12 +24,12 @@ type queue struct {
 }
 
 // getQueue returns reg's queue for key, creating it on first use.
-func (s *Server) getQueue(reg *registration, key string, run func([]*call)) *queue {
+func (s *Server) getQueue(reg *registration, key string, p *path) *queue {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	q := reg.queues[key]
 	if q == nil {
-		q = &queue{srv: s, name: reg.name, run: run}
+		q = &queue{srv: s, name: reg.name, path: p}
 		reg.queues[key] = q
 	}
 	return q
@@ -39,8 +39,8 @@ func (s *Server) getQueue(reg *registration, key string, run func([]*call)) *que
 // MaxBatch or arming the latency-budget timer on a batch's first call.
 // The channel send happens outside the queue lock (lock discipline: no
 // blocking operations while a mutex field is held).
-func (s *Server) enqueue(reg *registration, key string, run func([]*call), cl *call) {
-	q := s.getQueue(reg, key, run)
+func (s *Server) enqueue(reg *registration, key string, p *path, cl *call) {
+	q := s.getQueue(reg, key, p)
 	var flush []*call
 	q.mu.Lock()
 	q.waiting = append(q.waiting, cl)
@@ -56,7 +56,7 @@ func (s *Server) enqueue(reg *registration, key string, run func([]*call), cl *c
 	}
 	q.mu.Unlock()
 	if flush != nil {
-		s.submit(reg.name, run, flush)
+		s.submit(reg.name, p, flush)
 	}
 }
 
@@ -70,15 +70,15 @@ func (q *queue) budgetExpired() {
 	q.timer = nil
 	q.mu.Unlock()
 	if len(flush) > 0 {
-		q.srv.submit(q.name, q.run, flush)
+		q.srv.submit(q.name, q.path, flush)
 	}
 }
 
 // submit hands a detached batch to the worker pool, failing it fast if
 // the server is closing instead.
-func (s *Server) submit(name string, run func([]*call), calls []*call) {
+func (s *Server) submit(name string, p *path, calls []*call) {
 	select {
-	case s.work <- batchJob{name: name, run: run, calls: calls}:
+	case s.work <- batchJob{name: name, path: p, calls: calls}:
 	case <-s.closed:
 		for _, cl := range calls {
 			cl.err = ErrClosed

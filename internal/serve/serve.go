@@ -12,11 +12,20 @@
 // changes throughput, never numerics. That invariant is test-pinned under
 // the race detector.
 //
-// Split inference (Leroux et al.'s privacy-aware offloading) is served
-// through the same batcher: the client runs the gather/embedding layers
-// locally and ships only dense activations, so raw pixels and token ids
-// never reach the server. Registrations expose it by attaching a tail —
-// the server half of the model — alongside the full-input path.
+// A registered model is a set of paths, and a path is data (type path):
+// admit — the admission check on one request's payload, plus the key of
+// the batch queue it may share; pack — how coalesced requests become one
+// input (dense rows copied into a pooled tensor, or token-id lists used
+// in place); forward — the model's Forward/ForwardIDs, or a split tail;
+// fan — how the output rows become results (argmax class + logit row, or
+// top-K next tokens). One driver, path.run, executes every path; the
+// typed Predict* methods and Register* configs are thin callers of it.
+//
+// Split inference (Leroux et al.'s privacy-aware offloading) is two more
+// such paths: the client runs the gather/embedding layers locally and
+// ships only dense activations, so raw pixels and token ids never reach
+// the server. Registrations expose it by attaching a tail — the server
+// half of the model — alongside the full-input path.
 package serve
 
 import (
@@ -125,7 +134,7 @@ type LMConfig struct {
 	SplitDim int
 }
 
-// CVResult is one image prediction.
+// CVResult is one classification, of an image or of a token sequence.
 type CVResult struct {
 	// Class is the argmax class.
 	Class int
@@ -134,10 +143,7 @@ type CVResult struct {
 }
 
 // TextResult is one text-classification prediction.
-type TextResult struct {
-	Class  int
-	Logits []float32
-}
+type TextResult = CVResult
 
 // LMResult is one next-token prediction.
 type LMResult struct {
@@ -162,50 +168,102 @@ type Server struct {
 	pending atomic.Int64
 }
 
-// registration is one served model: at most one modality, with per-shape
-// batch queues created on demand.
+// registration is one served model: the prediction paths its modality
+// (and split tail, when attached) offers, with per-shape batch queues
+// created on demand.
 type registration struct {
-	name string
-	cv   *cvReg
-	text *textReg
-	lm   *lmReg
+	name  string
+	paths map[string]*path
 
 	mu     sync.Mutex
 	queues map[string]*queue
 }
 
-type cvReg struct {
-	m   CVForwarder
-	cfg CVConfig
+// path is one way of predicting against a registered model, as data (see
+// the package comment); path.admit and path.run are its interpreters.
+type path struct {
+	// fan writes every call's result from the batch output.
+	fan func(out *autodiff.Node, calls []*call)
+
+	// Token paths forward the coalesced id lists as they are. A call is
+	// admitted with 1..maxLen ids (0: no bound), exactly fixedLen of them
+	// (0: any count — a pooled embedding averages ragged rows), all below
+	// vocab (0: unchecked). perLen gives every length its own queue: a
+	// transformer needs a uniform sequence length per batch.
+	forwardIDs              func(ids [][]int) *autodiff.Node
+	maxLen, fixedLen, vocab int
+	perLen                  bool
+
+	// Dense paths pack the coalesced rows into one pooled tensor shaped
+	// [n, dims...] — or, with seq, [n, seqLen, dims...]: a call then
+	// carries 1..maxLen positions of dims values each, one queue per
+	// seqLen.
+	forward func(x *autodiff.Node) *autodiff.Node
+	dims    []int
+	seq     bool
 }
 
-type textReg struct {
-	m   IDForwarder
-	cfg TextConfig
+// admit checks one call's payload against the registration — so a bad
+// request fails alone instead of poisoning the batch it would have been
+// coalesced into — and completes kind into the key of the queue the call
+// may join: calls sharing a key pack into one input.
+func (p *path) admit(model, kind string, cl *call) (key string, err error) {
+	if p.forwardIDs != nil {
+		n := len(cl.ids)
+		switch {
+		case n == 0:
+			return "", fmt.Errorf("%w: empty token sequence", ErrBadInput)
+		case p.maxLen > 0 && n > p.maxLen:
+			return "", fmt.Errorf("%w: %d tokens exceed model %q's max %d", ErrBadInput, n, model, p.maxLen)
+		case p.fixedLen > 0 && n != p.fixedLen:
+			return "", fmt.Errorf("%w: model %q wants exactly %d tokens, got %d", ErrBadInput, model, p.fixedLen, n)
+		}
+		if p.perLen {
+			kind += "/" + strconv.Itoa(n)
+		}
+		return kind, checkTokens(cl.ids, p.vocab)
+	}
+	want := 1
+	for _, d := range p.dims {
+		want *= d
+	}
+	if p.seq {
+		if cl.seqLen <= 0 || cl.seqLen > p.maxLen {
+			return "", fmt.Errorf("%w: sequence length %d out of (0,%d]", ErrBadInput, cl.seqLen, p.maxLen)
+		}
+		want *= cl.seqLen
+		kind += "/" + strconv.Itoa(cl.seqLen)
+	}
+	if len(cl.row) != want {
+		return "", fmt.Errorf("%w: input has %d values, model %q wants %d", ErrBadInput, len(cl.row), model, want)
+	}
+	return kind, nil
 }
 
-type lmReg struct {
-	m   IDForwarder
-	cfg LMConfig
-}
-
-// call is one in-flight prediction. Exactly one of image/ids/acts is the
-// payload; res/err are written by the worker before done is closed.
+// call is one in-flight prediction. Exactly one of row/ids is the
+// payload; the result and err are written by the worker before done is
+// closed.
 type call struct {
-	image  []float32
+	row    []float32
 	ids    []int
-	acts   []float32
 	seqLen int
 	topK   int
 
-	res  any
+	result
 	err  error
 	done chan struct{}
 }
 
+// result is what a path's fan fills in: class on classification paths,
+// next on next-token paths.
+type result struct {
+	class CVResult
+	next  LMResult
+}
+
 type batchJob struct {
 	name  string
-	run   func(calls []*call)
+	path  *path
 	calls []*call
 }
 
@@ -247,25 +305,35 @@ func (s *Server) Close() {
 // workers may run batches of the same model concurrently, which is safe
 // only while forward passes are read-only (eval-mode batch norm reads
 // running statistics, eval-mode dropout is the identity).
-func (s *Server) register(name string, reg *registration, m interface{ SetTraining(bool) }) error {
+func (s *Server) register(name string, m interface{ SetTraining(bool) }, paths map[string]*path) error {
 	m.SetTraining(false)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.regs[name]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicateModel, name)
 	}
-	s.regs[name] = reg
+	s.regs[name] = &registration{name: name, paths: paths, queues: make(map[string]*queue)}
 	return nil
 }
 
-func (s *Server) lookup(name string) (*registration, error) {
+// predict runs one call down one of a model's paths: lookup, admission,
+// then the batcher.
+func (s *Server) predict(model, kind string, cl *call) (result, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	reg, ok := s.regs[name]
+	reg, ok := s.regs[model]
+	s.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, name)
+		return result{}, fmt.Errorf("%w: %q", ErrUnknownModel, model)
 	}
-	return reg, nil
+	p := reg.paths[kind]
+	if p == nil {
+		return result{}, fmt.Errorf("%w: %q serves no %s path", ErrBadInput, model, kind)
+	}
+	key, err := p.admit(model, kind, cl)
+	if err != nil {
+		return result{}, err
+	}
+	return s.dispatch(reg, key, p, cl)
 }
 
 // RegisterCV serves an image model with the given input geometry. The
@@ -274,8 +342,9 @@ func (s *Server) RegisterCV(name string, m CVForwarder, cfg CVConfig) error {
 	if cfg.C <= 0 || cfg.H <= 0 || cfg.W <= 0 {
 		return fmt.Errorf("%w: CV geometry %dx%dx%d", ErrBadInput, cfg.C, cfg.H, cfg.W)
 	}
-	reg := &registration{name: name, cv: &cvReg{m: m, cfg: cfg}, queues: make(map[string]*queue)}
-	return s.register(name, reg, m)
+	return s.register(name, m, map[string]*path{
+		"cv": {forward: m.Forward, dims: []int{cfg.C, cfg.H, cfg.W}, fan: fanOutClasses},
+	})
 }
 
 // RegisterText serves a text classifier. The model is switched to eval
@@ -284,8 +353,13 @@ func (s *Server) RegisterText(name string, m IDForwarder, cfg TextConfig) error 
 	if cfg.SplitTail != nil && cfg.SplitDim <= 0 {
 		return fmt.Errorf("%w: text split tail needs SplitDim", ErrBadInput)
 	}
-	reg := &registration{name: name, text: &textReg{m: m, cfg: cfg}, queues: make(map[string]*queue)}
-	return s.register(name, reg, m)
+	paths := map[string]*path{
+		"text": {forwardIDs: m.ForwardIDs, fixedLen: cfg.FixedLen, vocab: cfg.Vocab, fan: fanOutClasses},
+	}
+	if cfg.SplitTail != nil {
+		paths["text/split"] = &path{forward: cfg.SplitTail, dims: []int{cfg.SplitDim}, fan: fanOutClasses}
+	}
+	return s.register(name, m, paths)
 }
 
 // RegisterLM serves a language model for next-token scoring. The model is
@@ -297,139 +371,48 @@ func (s *Server) RegisterLM(name string, m IDForwarder, cfg LMConfig) error {
 	if cfg.SplitTail != nil && cfg.SplitDim <= 0 {
 		return fmt.Errorf("%w: LM split tail needs SplitDim", ErrBadInput)
 	}
-	reg := &registration{name: name, lm: &lmReg{m: m, cfg: cfg}, queues: make(map[string]*queue)}
-	return s.register(name, reg, m)
+	paths := map[string]*path{
+		"lm": {forwardIDs: m.ForwardIDs, maxLen: cfg.MaxContext, fixedLen: cfg.FixedContext, vocab: cfg.Vocab, perLen: true, fan: fanOutNextToken},
+	}
+	if cfg.SplitTail != nil {
+		paths["lm/split"] = &path{forward: cfg.SplitTail, dims: []int{cfg.SplitDim}, seq: true, maxLen: cfg.MaxContext, fan: fanOutNextToken}
+	}
+	return s.register(name, m, paths)
 }
 
 // PredictCV classifies one image (flat [C*H*W] row-major pixels). The
 // slice must stay untouched until the call returns.
 func (s *Server) PredictCV(model string, image []float32) (CVResult, error) {
-	reg, err := s.lookup(model)
-	if err != nil {
-		return CVResult{}, err
-	}
-	if reg.cv == nil {
-		return CVResult{}, fmt.Errorf("%w: %q is not a CV model", ErrBadInput, model)
-	}
-	r := reg.cv
-	if want := r.cfg.C * r.cfg.H * r.cfg.W; len(image) != want {
-		return CVResult{}, fmt.Errorf("%w: image has %d values, model %q wants %d", ErrBadInput, len(image), model, want)
-	}
-	cl := &call{image: image, done: make(chan struct{})}
-	res, err := s.dispatch(reg, "cv", func(calls []*call) { runCVBatch(r, calls) }, cl)
-	if err != nil {
-		return CVResult{}, err
-	}
-	return res.(CVResult), nil
+	r, err := s.predict(model, "cv", &call{row: image})
+	return r.class, err
 }
 
 // PredictText classifies one token sequence. The slice must stay
 // untouched until the call returns.
 func (s *Server) PredictText(model string, tokens []int) (TextResult, error) {
-	reg, err := s.lookup(model)
-	if err != nil {
-		return TextResult{}, err
-	}
-	if reg.text == nil {
-		return TextResult{}, fmt.Errorf("%w: %q is not a text model", ErrBadInput, model)
-	}
-	r := reg.text
-	if len(tokens) == 0 {
-		return TextResult{}, fmt.Errorf("%w: empty token sequence", ErrBadInput)
-	}
-	if r.cfg.FixedLen > 0 && len(tokens) != r.cfg.FixedLen {
-		return TextResult{}, fmt.Errorf("%w: model %q wants exactly %d tokens, got %d", ErrBadInput, model, r.cfg.FixedLen, len(tokens))
-	}
-	if err := checkTokens(tokens, r.cfg.Vocab); err != nil {
-		return TextResult{}, err
-	}
-	cl := &call{ids: tokens, done: make(chan struct{})}
-	res, err := s.dispatch(reg, "text", func(calls []*call) { runTextBatch(r, calls) }, cl)
-	if err != nil {
-		return TextResult{}, err
-	}
-	return res.(TextResult), nil
+	r, err := s.predict(model, "text", &call{ids: tokens})
+	return r.class, err
 }
 
 // PredictTextSplit classifies from client-side pooled activations
 // [SplitDim] — split inference: the token ids never reached this server.
 func (s *Server) PredictTextSplit(model string, pooled []float32) (TextResult, error) {
-	reg, err := s.lookup(model)
-	if err != nil {
-		return TextResult{}, err
-	}
-	if reg.text == nil || reg.text.cfg.SplitTail == nil {
-		return TextResult{}, fmt.Errorf("%w: %q serves no text split tail", ErrBadInput, model)
-	}
-	r := reg.text
-	if len(pooled) != r.cfg.SplitDim {
-		return TextResult{}, fmt.Errorf("%w: pooled activations have %d values, model %q wants %d", ErrBadInput, len(pooled), model, r.cfg.SplitDim)
-	}
-	cl := &call{acts: pooled, done: make(chan struct{})}
-	res, err := s.dispatch(reg, "text/split", func(calls []*call) { runTextSplitBatch(r, calls) }, cl)
-	if err != nil {
-		return TextResult{}, err
-	}
-	return res.(TextResult), nil
+	r, err := s.predict(model, "text/split", &call{row: pooled})
+	return r.class, err
 }
 
 // PredictLM scores the next token after context, returning the top-K
-// candidates (topK <= 0 means 1). Context length keys the batch queue:
-// the transformer requires a uniform sequence length per batch.
+// candidates (topK <= 0 means 1).
 func (s *Server) PredictLM(model string, context []int, topK int) (LMResult, error) {
-	reg, err := s.lookup(model)
-	if err != nil {
-		return LMResult{}, err
-	}
-	if reg.lm == nil {
-		return LMResult{}, fmt.Errorf("%w: %q is not an LM", ErrBadInput, model)
-	}
-	r := reg.lm
-	if len(context) == 0 {
-		return LMResult{}, fmt.Errorf("%w: empty context", ErrBadInput)
-	}
-	if len(context) > r.cfg.MaxContext {
-		return LMResult{}, fmt.Errorf("%w: context of %d tokens exceeds model %q's max %d", ErrBadInput, len(context), model, r.cfg.MaxContext)
-	}
-	if r.cfg.FixedContext > 0 && len(context) != r.cfg.FixedContext {
-		return LMResult{}, fmt.Errorf("%w: model %q wants exactly %d context tokens, got %d", ErrBadInput, model, r.cfg.FixedContext, len(context))
-	}
-	if err := checkTokens(context, r.cfg.Vocab); err != nil {
-		return LMResult{}, err
-	}
-	cl := &call{ids: context, topK: topK, done: make(chan struct{})}
-	key := "lm/" + strconv.Itoa(len(context))
-	res, err := s.dispatch(reg, key, func(calls []*call) { runLMBatch(r, calls) }, cl)
-	if err != nil {
-		return LMResult{}, err
-	}
-	return res.(LMResult), nil
+	r, err := s.predict(model, "lm", &call{ids: context, topK: topK})
+	return r.next, err
 }
 
 // PredictLMSplit scores the next token from client-side embedded
 // activations (flat [seqLen*SplitDim]) — split inference for LMs.
 func (s *Server) PredictLMSplit(model string, acts []float32, seqLen, topK int) (LMResult, error) {
-	reg, err := s.lookup(model)
-	if err != nil {
-		return LMResult{}, err
-	}
-	if reg.lm == nil || reg.lm.cfg.SplitTail == nil {
-		return LMResult{}, fmt.Errorf("%w: %q serves no LM split tail", ErrBadInput, model)
-	}
-	r := reg.lm
-	if seqLen <= 0 || seqLen > r.cfg.MaxContext {
-		return LMResult{}, fmt.Errorf("%w: sequence length %d out of (0,%d]", ErrBadInput, seqLen, r.cfg.MaxContext)
-	}
-	if len(acts) != seqLen*r.cfg.SplitDim {
-		return LMResult{}, fmt.Errorf("%w: activations have %d values, want %d×%d", ErrBadInput, len(acts), seqLen, r.cfg.SplitDim)
-	}
-	cl := &call{acts: acts, seqLen: seqLen, topK: topK, done: make(chan struct{})}
-	key := "lm/split/" + strconv.Itoa(seqLen)
-	res, err := s.dispatch(reg, key, func(calls []*call) { runLMSplitBatch(r, calls) }, cl)
-	if err != nil {
-		return LMResult{}, err
-	}
-	return res.(LMResult), nil
+	r, err := s.predict(model, "lm/split", &call{row: acts, seqLen: seqLen, topK: topK})
+	return r.next, err
 }
 
 // checkTokens validates ids against a vocabulary size (0 skips), so one
@@ -448,23 +431,23 @@ func checkTokens(ids []int, vocab int) error {
 }
 
 // dispatch admits, enqueues, and waits out one call.
-func (s *Server) dispatch(reg *registration, key string, run func([]*call), cl *call) (any, error) {
+func (s *Server) dispatch(reg *registration, key string, p *path, cl *call) (result, error) {
 	if err := s.admit(); err != nil {
-		return nil, err
+		return result{}, err
 	}
-	s.enqueue(reg, key, run, cl)
+	cl.done = make(chan struct{})
+	s.enqueue(reg, key, p, cl)
 	select {
 	case <-cl.done:
-		return cl.res, cl.err
 	case <-s.closed:
 		// The result may have been racing the shutdown; prefer it.
 		select {
 		case <-cl.done:
-			return cl.res, cl.err
 		default:
-			return nil, ErrClosed
+			return result{}, ErrClosed
 		}
 	}
+	return cl.result, cl.err
 }
 
 // admit enforces QueueDepth; every admitted call is released by finish.

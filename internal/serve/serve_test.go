@@ -349,3 +349,75 @@ func TestAdmissionValidation(t *testing.T) {
 		}
 	}
 }
+
+// topKReference is the selection loop topKLogProbs replaced — k passes
+// over the row, O(k·V) — kept as the definition of its output.
+func topKReference(logits []float32, k int) []int {
+	if k <= 0 {
+		k = 1
+	}
+	if k > len(logits) {
+		k = len(logits)
+	}
+	toks := make([]int, 0, k)
+	taken := make([]bool, len(logits))
+	for len(toks) < k {
+		best := -1
+		for i, v := range logits {
+			if !taken[i] && (best < 0 || v > logits[best]) {
+				best = i
+			}
+		}
+		taken[best] = true
+		toks = append(toks, best)
+	}
+	return toks
+}
+
+// TestTopKMatchesSelectionLoop pins the heap selection to the loop it
+// replaced — most probable first, ties toward the lower id, k <= 0 → 1,
+// k > V → V — on random rows with planted ties, and pins the bound that
+// motivated it: top_k arrives off the wire unchecked, and at WikiText-2's
+// vocabulary the loop spent seconds of a shared worker on k = 1<<30.
+func TestTopKMatchesSelectionLoop(t *testing.T) {
+	rng := tensor.NewRNG(29)
+	for _, v := range []int{1, 2, 7, 64, 257} {
+		row := make([]float32, v)
+		for i := range row {
+			row[i] = float32(rng.IntN(v/2+1)) - float32(v)/4 // about two ids per value
+		}
+		for _, k := range []int{0, 1, 2, v - 1, v, 1 << 30} {
+			want := topKReference(row, k)
+			got, lps := topKLogProbs(row, k)
+			if !intsEqual(got, want) {
+				t.Fatalf("V=%d k=%d: heap %v, loop %v", v, k, got, want)
+			}
+			for i := range got {
+				if i > 0 && lps[i] > lps[i-1] {
+					t.Fatalf("V=%d k=%d: log-probs rise at %d: %v", v, k, i, lps)
+				}
+			}
+		}
+	}
+
+	const wikiText2 = 33278
+	row := make([]float32, wikiText2)
+	for i := range row {
+		row[i] = float32(rng.IntN(4096))
+	}
+	want := topKReference(row, 3)
+	start := time.Now()
+	got, _ := topKLogProbs(row, 1<<30)
+	took := time.Since(start)
+	if len(got) != wikiText2 || !intsEqual(got[:3], want) {
+		t.Fatalf("full ranking of %d tokens: %d returned, head %v, want head %v", wikiText2, len(got), got[:3], want)
+	}
+	for i := 1; i < len(got); i++ {
+		if a, b := got[i-1], got[i]; row[a] < row[b] || (row[a] == row[b] && a > b) {
+			t.Fatalf("rank %d (%d: %v) sorts after rank %d (%d: %v)", i-1, a, row[a], i, b, row[b])
+		}
+	}
+	if limit := 250 * time.Millisecond; took > limit && !raceEnabled {
+		t.Errorf("top_k = 1<<30 at V = %d took %v, want under %v", wikiText2, took, limit)
+	}
+}

@@ -43,108 +43,78 @@ func (s *Server) runBatch(b batchJob) {
 			cl.finish(s)
 		}
 	}()
-	b.run(b.calls)
+	b.path.run(b.calls)
 }
 
-// runCVBatch packs [N, C, H, W] from the coalesced images, forwards once,
-// and fans the argmax rows and logit copies back out.
-func runCVBatch(r *cvReg, calls []*call) {
-	n := len(calls)
-	per := r.cfg.C * r.cfg.H * r.cfg.W
-	x := tensor.Get(n, r.cfg.C, r.cfg.H, r.cfg.W)
-	defer tensor.Put(x)
-	for i, cl := range calls {
-		copy(x.Data[i*per:(i+1)*per], cl.image)
+// run is THE batch driver, for every path: pack the coalesced calls into
+// one input, forward once, fan the output back out, release the graph.
+func (p *path) run(calls []*call) {
+	var out *autodiff.Node
+	if p.forwardIDs != nil {
+		out = p.forwardIDs(packIDs(calls))
+	} else {
+		shape := append(make([]int, 0, 2+len(p.dims)), len(calls))
+		if p.seq {
+			shape = append(shape, calls[0].seqLen) // uniform: the queue key guarantees it
+		}
+		x := tensor.Get(append(shape, p.dims...)...)
+		defer tensor.Put(x)
+		packRows(x, calls)
+		out = p.forward(autodiff.Constant(x))
 	}
-	out := r.m.Forward(autodiff.Constant(x))
-	pred := tensor.ArgmaxRows(out.Val)
-	classes := out.Val.Dim(1)
-	for i, cl := range calls {
-		cl.res = CVResult{Class: pred[i], Logits: copyRow(out.Val.Data, i, classes)}
-	}
+	p.fan(out, calls)
 	autodiff.Release(out)
 }
 
-// runTextBatch forwards the coalesced token sequences (ragged batches are
-// fine — the pooled embedding averages per row) and fans results out.
-func runTextBatch(r *textReg, calls []*call) {
+// packIDs lists the coalesced token sequences; the models index them in
+// place.
+func packIDs(calls []*call) [][]int {
 	ids := make([][]int, len(calls))
 	for i, cl := range calls {
 		ids[i] = cl.ids
 	}
-	out := r.m.ForwardIDs(ids)
+	return ids
+}
+
+// packRows copies the coalesced dense rows (images, pooled or embedded
+// activations; admission made them equally long) into the batch input.
+func packRows(x *tensor.Tensor, calls []*call) {
+	per := len(x.Data) / len(calls)
+	for i, cl := range calls {
+		copy(x.Data[i*per:(i+1)*per], cl.row)
+	}
+}
+
+// fanOutClasses reads [N, classes] logits and writes each call's argmax
+// class and logit-row copy.
+func fanOutClasses(out *autodiff.Node, calls []*call) {
 	pred := tensor.ArgmaxRows(out.Val)
 	classes := out.Val.Dim(1)
 	for i, cl := range calls {
-		cl.res = TextResult{Class: pred[i], Logits: copyRow(out.Val.Data, i, classes)}
+		cl.class = CVResult{Class: pred[i], Logits: copyRow(out.Val.Data, i, classes)}
 	}
-	autodiff.Release(out)
-}
-
-// runTextSplitBatch packs pooled activations [N, SplitDim] and runs only
-// the registered tail.
-func runTextSplitBatch(r *textReg, calls []*call) {
-	n := len(calls)
-	d := r.cfg.SplitDim
-	pooled := tensor.Get(n, d)
-	defer tensor.Put(pooled)
-	for i, cl := range calls {
-		copy(pooled.Data[i*d:(i+1)*d], cl.acts)
-	}
-	out := r.cfg.SplitTail(autodiff.Constant(pooled))
-	pred := tensor.ArgmaxRows(out.Val)
-	classes := out.Val.Dim(1)
-	for i, cl := range calls {
-		cl.res = TextResult{Class: pred[i], Logits: copyRow(out.Val.Data, i, classes)}
-	}
-	autodiff.Release(out)
-}
-
-// runLMBatch forwards the coalesced contexts (uniform length — the queue
-// key guarantees it) and scores each call's final position. The rows per
-// sample come from the logits themselves, so augmented models — whose
-// secret gather shrinks the visible window — need no extra geometry.
-func runLMBatch(r *lmReg, calls []*call) {
-	ids := make([][]int, len(calls))
-	for i, cl := range calls {
-		ids[i] = cl.ids
-	}
-	out := r.m.ForwardIDs(ids)
-	fanOutNextToken(out, calls)
-	autodiff.Release(out)
-}
-
-// runLMSplitBatch packs embedded activations [N, T, SplitDim] and runs
-// only the registered tail.
-func runLMSplitBatch(r *lmReg, calls []*call) {
-	n := len(calls)
-	t := calls[0].seqLen
-	d := r.cfg.SplitDim
-	h := tensor.Get(n, t, d)
-	defer tensor.Put(h)
-	for i, cl := range calls {
-		copy(h.Data[i*t*d:(i+1)*t*d], cl.acts)
-	}
-	out := r.cfg.SplitTail(autodiff.Constant(h))
-	fanOutNextToken(out, calls)
-	autodiff.Release(out)
 }
 
 // fanOutNextToken reads [N*rows, vocab] logits and writes each call's
-// top-K next-token result from its final row.
+// top-K next-token result from its final row. The rows per sample come
+// from the logits themselves, so augmented models — whose secret gather
+// shrinks the visible window — need no extra geometry.
 func fanOutNextToken(out *autodiff.Node, calls []*call) {
 	vocab := out.Val.Dim(1)
 	rows := out.Val.Dim(0) / len(calls)
 	for i, cl := range calls {
 		last := out.Val.Data[((i+1)*rows-1)*vocab : (i+1)*rows*vocab]
 		toks, lps := topKLogProbs(last, cl.topK)
-		cl.res = LMResult{Tokens: toks, LogProbs: lps}
+		cl.next = LMResult{Tokens: toks, LogProbs: lps}
 	}
 }
 
-// topKLogProbs returns the k most probable token ids (ties toward the
-// lower id) with their log-softmax values, accumulated in float64 for a
-// stable log-sum-exp.
+// topKLogProbs returns the k most probable token ids — most probable
+// first, ties toward the lower id, k <= 0 meaning 1 and k past the
+// vocabulary meaning all of it — with their log-softmax values,
+// accumulated in float64 for a stable log-sum-exp. k arrives off the
+// wire unbounded, so selection is a size-k heap: O(V log k) whatever k
+// is, and for k = 1 one linear pass.
 func topKLogProbs(logits []float32, k int) ([]int, []float32) {
 	if k <= 0 {
 		k = 1
@@ -163,19 +133,49 @@ func topKLogProbs(logits []float32, k int) ([]int, []float32) {
 		sum += math.Exp(float64(v - maxv))
 	}
 	lse := float64(maxv) + math.Log(sum)
-	toks := make([]int, 0, k)
-	lps := make([]float32, 0, k)
-	taken := make([]bool, len(logits))
-	for len(toks) < k {
-		best := -1
-		for i, v := range logits {
-			if !taken[i] && (best < 0 || v > logits[best]) {
-				best = i
+
+	// worse ranks token a below token b.
+	worse := func(a, b int) bool {
+		return logits[a] < logits[b] || (logits[a] == logits[b] && a > b)
+	}
+	// sift restores heap order (worst kept token at the root) below i.
+	sift := func(h []int, i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
 			}
+			if c+1 < len(h) && worse(h[c+1], h[c]) {
+				c++
+			}
+			if !worse(h[c], h[i]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
 		}
-		taken[best] = true
-		toks = append(toks, best)
-		lps = append(lps, float32(float64(logits[best])-lse))
+	}
+	toks := make([]int, k)
+	for i := range toks {
+		toks[i] = i
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		sift(toks, i)
+	}
+	for i := k; i < len(logits); i++ {
+		if worse(toks[0], i) {
+			toks[0] = i
+			sift(toks, 0)
+		}
+	}
+	// Heap-sort in place: each pass moves the worst survivor to the back.
+	for n := k - 1; n > 0; n-- {
+		toks[0], toks[n] = toks[n], toks[0]
+		sift(toks[:n], 0)
+	}
+	lps := make([]float32, k)
+	for i, t := range toks {
+		lps[i] = float32(float64(logits[t]) - lse)
 	}
 	return toks, lps
 }

@@ -14,42 +14,42 @@ import (
 // the training set's noise stream.
 const evalSeedSalt = 0xe7a15e7
 
-// TrainableJob is an obfuscated job a Trainer can run: the CV *Job and the
-// text *TextJob. The interface is closed (its method is unexported)
-// because trainers need modality-specific plumbing — batch construction,
-// wire encoding, extraction names — that only the package's job types
-// carry.
+// TrainableJob is an obfuscated job a Trainer can run: the CV *Job, the
+// text *TextJob and the *LMJob. The interface is closed (its method is
+// unexported) because trainers need the job's key-side plumbing — the
+// request it becomes, the held-out split obfuscated with its key — that
+// only the package's job types carry.
 type TrainableJob interface {
-	// ops exposes the modality-neutral hooks trainers drive: the training
-	// engine over the live job artifacts, building a cloudsim request,
-	// loading trained state back.
 	ops() *jobOps
 }
 
-// jobOps adapts one job to the trainers. All closures capture the job, so
-// an ops value is as stateful as the job itself and must not be shared
-// across concurrent runs.
+// jobOps adapts one job to the trainers. It holds the job's live model
+// and a request that views its live parameters, so an ops value is as
+// stateful as the job itself and must not be shared across concurrent
+// runs.
 type jobOps struct {
-	// kind is the job's wire spec kind ("augmented-cv", "augmented-text",
-	// "augmented-lm"). Checkpoints record it, and WithResume refuses a
-	// checkpoint whose recorded kind differs (ErrCheckpointKind) instead
-	// of failing deep in the state-dict load.
-	kind string
-	// engine drives cloudsim.TrainLoop over the job's live augmented
-	// model and dataset — the same loop the cloud service runs, which is
-	// what keeps local and remote training bit-identical.
-	engine      *cloudsim.Engine
-	defaultSeed uint64 // default shuffle seed (Options.Seed)
-	// makeEval obfuscates a held-out split with the job key, returning a
-	// local scoring closure and a hook attaching the split to a remote
-	// request.
-	makeEval func(ds EvalDataset) (acc func(batch int) float64, attach func(*cloudsim.TrainRequest), err error)
-	// request builds the remote-training request (spec, payload, and the
-	// client-side initial state).
-	request func() (*cloudsim.TrainRequest, error)
-	// loadState loads a trained or checkpointed state dict back into the
-	// augmented model.
-	loadState func(map[string]*tensor.Tensor) error
+	// model is the job's augmented model: LocalTrainer trains it in
+	// place, remote results and checkpoints load back into it.
+	model cloudsim.Trainable
+	// req is the job as a training request: spec, augmented payload, and
+	// the model's live parameters as the initial state (views, no copy).
+	// LocalTrainer hands model and req to cloudsim.TrainLoop, RemoteTrainer
+	// ships req — the same job by construction. req.Spec.Kind is the kind
+	// checkpoints record; WithResume refuses a checkpoint of another kind
+	// (ErrCheckpointKind) instead of failing deep in the state-dict load.
+	req *cloudsim.TrainRequest
+	// attachEval obfuscates a held-out split with the job key and
+	// attaches it to req.
+	attachEval func(ds EvalDataset) error
+}
+
+// loadState loads a trained or checkpointed state dict back into the
+// job's augmented model.
+func (o *jobOps) loadState(dict map[string]*tensor.Tensor) error {
+	if err := nn.LoadStateDict(o.model, dict); err != nil {
+		return fmt.Errorf("amalgam: loading trained weights: %w", err)
+	}
+	return nil
 }
 
 // Job holds the obfuscated CV artifacts and the secret key. Ship
@@ -107,58 +107,28 @@ func (j *Job) ObfuscateTestSet(ds *ImageDataset, seed uint64) (*ImageDataset, er
 // ops adapts the CV job to the Trainer machinery.
 func (j *Job) ops() *jobOps {
 	am, ds := j.Augmented, j.AugmentedDataset
-	return &jobOps{
-		kind: "augmented-cv",
-		engine: &cloudsim.Engine{
-			Model:    am,
-			N:        ds.N(),
-			Step:     cloudsim.CVStep(am, am.Loss, ds),
-			TrainAcc: func(batch int) float64 { return Predict(am, ds, batch) },
-		},
-		defaultSeed: j.opts.Seed,
-		makeEval: func(eds EvalDataset) (func(int) float64, func(*cloudsim.TrainRequest), error) {
-			ids, ok := eds.(*ImageDataset)
-			if !ok {
-				return nil, nil, fmt.Errorf("amalgam: CV job eval set must be *ImageDataset, got %T", eds)
-			}
-			augEval, err := j.ObfuscateTestSet(ids, j.opts.Seed^evalSeedSalt)
-			if err != nil {
-				return nil, nil, err
-			}
-			acc := func(batch int) float64 { return Predict(am, augEval, batch) }
-			attach := func(req *cloudsim.TrainRequest) {
-				req.EvalImages = augEval.Images
-				req.EvalLabels = augEval.Labels
-			}
-			return acc, attach, nil
-		},
-		request: func() (*cloudsim.TrainRequest, error) {
-			if j.opts.ModelName == "" {
-				return nil, fmt.Errorf("amalgam: remote CV training requires Options.ModelName")
-			}
-			// The spec carries the RESOLVED decoy count (the random
-			// SubNets draw happens outside the augmentation RNG stream),
-			// so the server rebuild matches even unpinned jobs.
-			spec := cloudsim.ModelSpec{
-				Kind: "augmented-cv", Model: j.opts.ModelName,
-				InC: j.origCfg.InC, OrigH: j.origCfg.InH, OrigW: j.origCfg.InW, Classes: j.origCfg.Classes,
-				AugAmount: j.opts.Amount, SubNets: len(j.Augmented.Decoys), AugSeed: j.opts.Seed,
-				KeyKeep: j.Key.Keep, AugH: j.Key.AugH, AugW: j.Key.AugW,
-			}
-			return &cloudsim.TrainRequest{
-				Spec:      spec,
-				Images:    ds.Images,
-				Labels:    ds.Labels,
-				InitState: nn.StateDict(am),
-			}, nil
-		},
-		loadState: func(dict map[string]*tensor.Tensor) error {
-			if err := nn.LoadStateDict(am, dict); err != nil {
-				return fmt.Errorf("amalgam: loading trained weights: %w", err)
-			}
-			return nil
+	o := &jobOps{
+		model: am,
+		req: &cloudsim.TrainRequest{
+			Spec:      cloudsim.CVSpec(j.opts.ModelName, j.origCfg.InC, am, j.Key, j.opts.Amount, j.opts.Seed),
+			Images:    ds.Images,
+			Labels:    ds.Labels,
+			InitState: nn.StateDict(am),
 		},
 	}
+	o.attachEval = func(eds EvalDataset) error {
+		ids, ok := eds.(*ImageDataset)
+		if !ok {
+			return fmt.Errorf("amalgam: CV job eval set must be *ImageDataset, got %T", eds)
+		}
+		augEval, err := j.ObfuscateTestSet(ids, j.opts.Seed^evalSeedSalt)
+		if err != nil {
+			return err
+		}
+		o.req.EvalImages, o.req.EvalLabels = augEval.Images, augEval.Labels
+		return nil
+	}
+	return o
 }
 
 // Extract builds a fresh instance of the original architecture (from the

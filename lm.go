@@ -131,61 +131,31 @@ func (j *LMJob) ObfuscateTestStream(ds *TokenStream, seed uint64) (*TokenStream,
 // ops adapts the LM job to the Trainer machinery.
 func (j *LMJob) ops() *jobOps {
 	am := j.Augmented
-	ws := j.AugmentedStream.WindowSet(j.Key.AugLen)
-	return &jobOps{
-		kind: "augmented-lm",
-		engine: &cloudsim.Engine{
-			Model:      am,
-			N:          ws.N(),
-			Step:       cloudsim.LMStep(am, ws),
-			TrainAcc:   func(batch int) float64 { return cloudsim.LMAccuracy(am, ws, batch) },
-			Perplexity: true,
-		},
-		defaultSeed: j.opts.Seed,
-		makeEval: func(eds EvalDataset) (func(int) float64, func(*cloudsim.TrainRequest), error) {
-			ts, ok := eds.(*TokenStream)
-			if !ok {
-				return nil, nil, fmt.Errorf("amalgam: LM job eval set must be *TokenStream, got %T", eds)
-			}
-			augEval, err := j.ObfuscateTestStream(ts, j.opts.Seed^evalSeedSalt)
-			if err != nil {
-				return nil, nil, err
-			}
-			ews := augEval.WindowSet(j.Key.AugLen)
-			if ews.N() == 0 {
-				return nil, nil, fmt.Errorf("amalgam: eval stream of %d tokens is shorter than one %d-token window",
-					len(ts.Tokens), j.Key.OrigLen)
-			}
-			acc := func(batch int) float64 { return cloudsim.LMAccuracy(am, ews, batch) }
-			attach := func(req *cloudsim.TrainRequest) {
-				req.EvalSamples = ews.Windows
-			}
-			return acc, attach, nil
-		},
-		request: func() (*cloudsim.TrainRequest, error) {
-			cfg := am.Orig.Cfg
-			spec := cloudsim.ModelSpec{
-				Kind:  "augmented-lm",
-				Vocab: cfg.Vocab, ModelSeed: am.Orig.BuildSeed,
-				LMDim: cfg.D, LMHeads: cfg.Heads, LMFF: cfg.FF,
-				LMLayers: cfg.Layers, LMMaxT: cfg.MaxT, LMDropout: float64(cfg.Dropout),
-				LMGELUFF: cfg.GELUFF,
-				OrigLen:  j.Key.OrigLen, AugLen: j.Key.AugLen, KeyKeep: j.Key.Keep,
-				AugAmount: j.opts.Amount, SubNets: len(am.Decoys), AugSeed: j.opts.Seed,
-			}
-			return &cloudsim.TrainRequest{
-				Spec:      spec,
-				Samples:   ws.Windows,
-				InitState: nn.StateDict(am),
-			}, nil
-		},
-		loadState: func(dict map[string]*tensor.Tensor) error {
-			if err := nn.LoadStateDict(am, dict); err != nil {
-				return fmt.Errorf("amalgam: loading trained weights: %w", err)
-			}
-			return nil
+	o := &jobOps{
+		model: am,
+		req: &cloudsim.TrainRequest{
+			Spec:      cloudsim.LMSpec(am, j.Key, j.opts.Amount, j.opts.Seed),
+			Samples:   j.AugmentedStream.WindowSet(j.Key.AugLen).Windows,
+			InitState: nn.StateDict(am),
 		},
 	}
+	o.attachEval = func(eds EvalDataset) error {
+		ts, ok := eds.(*TokenStream)
+		if !ok {
+			return fmt.Errorf("amalgam: LM job eval set must be *TokenStream, got %T", eds)
+		}
+		augEval, err := j.ObfuscateTestStream(ts, j.opts.Seed^evalSeedSalt)
+		if err != nil {
+			return err
+		}
+		o.req.EvalSamples = augEval.WindowSet(j.Key.AugLen).Windows
+		if len(o.req.EvalSamples) == 0 {
+			return fmt.Errorf("amalgam: eval stream of %d tokens is shorter than one %d-token window",
+				len(ts.Tokens), j.Key.OrigLen)
+		}
+		return nil
+	}
+	return o
 }
 
 // ExtractLM builds a fresh language model with the original architecture

@@ -138,17 +138,8 @@ type runOptions struct {
 	resumePath      string
 	// optimizer/schedule are the WithOptimizer/WithLRSchedule overrides;
 	// nil falls back to the TrainConfig fields.
-	optimizer *OptimizerSpec
-	schedule  *LRScheduleSpec
-	// resumeOptState holds the optimiser state (kind, step counter, and
-	// moment/momentum buffers) recovered from the resume checkpoint;
-	// trainers seed the optimiser with it so a resumed run is
-	// bit-identical to an uninterrupted one, not merely convergent.
-	resumeOptState *optim.State
-	// resumeRNG holds the dropout-stream cursors recovered from the
-	// resume checkpoint, so a resumed Dropout > 0 run replays masks from
-	// the interruption point.
-	resumeRNG      map[string][]byte
+	optimizer      *OptimizerSpec
+	schedule       *LRScheduleSpec
 	evalSet        EvalDataset
 	shuffleSeed    uint64
 	shuffleSeedSet bool

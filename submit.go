@@ -2,12 +2,9 @@ package amalgam
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"amalgam/internal/cloudsim"
-	"amalgam/internal/serialize"
-	"amalgam/internal/tensor"
 )
 
 // JobID durably identifies a job scheduled on a remote service. IDs stay
@@ -52,52 +49,16 @@ func (i JobInfo) Done() bool {
 // WithResume seeds the shipped initial state from a local checkpoint.
 // WithProgress is an Attach-time concern and is ignored here.
 func (t RemoteTrainer) Submit(ctx context.Context, job TrainableJob, cfg TrainConfig, opts ...TrainOption) (JobID, error) {
-	o := job.ops()
-	ro, start, err := prepareRun(cfg, o, opts)
+	o, ro, err := t.prepare(job, cfg, opts)
 	if err != nil {
 		return "", err
 	}
-	req, err := o.request()
-	if err != nil {
-		return "", err
-	}
-	req.InitOptState = ro.resumeOptState
-	req.InitRNG = ro.resumeRNG
-	if ro.evalSet != nil {
-		_, attach, err := o.makeEval(ro.evalSet)
-		if err != nil {
-			return "", err
-		}
-		attach(req)
-	}
-	req.Hyper = hyperFor(cfg, ro, start)
-	req.Hyper.Stream = true
-	req.Spec.Tenant = t.Tenant
-
-	if ro.retry == nil {
-		id, err := cloudsim.SubmitContext(ctx, t.Addr, req, cloudsim.NetConfig{})
-		return JobID(id), err
-	}
-	pol := *ro.retry
-	netCfg := cloudsim.NetConfig{DialTimeout: pol.DialTimeout, FrameTimeout: pol.FrameTimeout}
-	jitter := tensor.NewRNG(pol.Seed)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		id, err := cloudsim.SubmitContext(ctx, t.Addr, req, netCfg)
-		if err == nil {
-			return JobID(id), nil
-		}
-		if !cloudsim.IsTransient(err) {
-			return "", err
-		}
-		lastErr = err
-		if attempt >= pol.MaxRetries {
-			return "", fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, attempt+1, lastErr)
-		}
-		if err := sleepBackoff(ctx, &pol, attempt, jitter); err != nil {
-			return "", err
-		}
-	}
+	var id string
+	err = ro.retrying(ctx, func(net cloudsim.NetConfig) (err error) {
+		id, err = cloudsim.SubmitContext(ctx, t.Addr, o.req, net)
+		return err
+	})
+	return JobID(id), err
 }
 
 // Poll fetches a scheduled job's status over a short-lived connection. An
@@ -155,65 +116,18 @@ func (t RemoteTrainer) Attach(ctx context.Context, job TrainableJob, id JobID, o
 	push, closePump, out := statsPump()
 	go func() {
 		defer closePump()
-		resp, err := t.attachRemote(ctx, ro, string(id), push)
-		if err != nil {
-			push(EpochStats{Err: err})
-			return
-		}
-		if err := o.loadState(resp.State); err != nil {
-			push(EpochStats{Err: err})
-			return
-		}
-		finishRunEmit(ctx, push, ro, o.kind, resp)
+		// FromEpoch carries the last epoch already delivered, so a
+		// re-attach's replay starts exactly after it.
+		stream, h := ro.follow(push, 0)
+		var resp *cloudsim.TrainResponse
+		err := ro.retrying(ctx, func(net cloudsim.NetConfig) (err error) {
+			resp, err = cloudsim.AttachContext(ctx, t.Addr,
+				cloudsim.AttachRequest{JobID: string(id), FromEpoch: stream.lastEpoch}, h, net)
+			return err
+		})
+		o.finishRemote(ctx, push, ro, resp, err)
 	}()
 	return out, nil
-}
-
-// attachRemote drives one attach stream, re-attaching on transient faults
-// under the run's RetryPolicy. FromEpoch carries the last epoch already
-// delivered, so the server's replay starts exactly after it.
-func (t RemoteTrainer) attachRemote(ctx context.Context, ro *runOptions, id string, push func(EpochStats)) (*cloudsim.TrainResponse, error) {
-	progress := ro.emitTo(push)
-	lastEmitted := 0
-	h := cloudsim.StreamHandlers{
-		Progress: func(m cloudsim.EpochMetric) {
-			if m.Epoch > lastEmitted {
-				lastEmitted = m.Epoch
-				_ = progress(m)
-			}
-		},
-	}
-	if ro.checkpointPath != "" {
-		h.Checkpoint = func(ck *serialize.TrainCheckpoint) {
-			if ro.checkpointEvery <= 1 || ck.Epoch%ro.checkpointEvery == 0 {
-				_ = serialize.SaveTrainCheckpoint(ro.checkpointPath, ck)
-			}
-		}
-	}
-	if ro.retry == nil {
-		return cloudsim.AttachContext(ctx, t.Addr, cloudsim.AttachRequest{JobID: id}, h, cloudsim.NetConfig{})
-	}
-	pol := *ro.retry
-	netCfg := cloudsim.NetConfig{DialTimeout: pol.DialTimeout, FrameTimeout: pol.FrameTimeout}
-	jitter := tensor.NewRNG(pol.Seed)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		resp, err := cloudsim.AttachContext(ctx, t.Addr,
-			cloudsim.AttachRequest{JobID: id, FromEpoch: lastEmitted}, h, netCfg)
-		if err == nil {
-			return resp, nil
-		}
-		if !cloudsim.IsTransient(err) {
-			return nil, err
-		}
-		lastErr = err
-		if attempt >= pol.MaxRetries {
-			return nil, fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, attempt+1, lastErr)
-		}
-		if err := sleepBackoff(ctx, &pol, attempt, jitter); err != nil {
-			return nil, err
-		}
-	}
 }
 
 // statsPump bridges a producer that must never block (the wire read loop)

@@ -107,55 +107,28 @@ func (j *TextJob) ObfuscateTestSet(ds *TextDataset, seed uint64) (*TextDataset, 
 // ops adapts the text job to the Trainer machinery.
 func (j *TextJob) ops() *jobOps {
 	am, ds := j.Augmented, j.AugmentedDataset
-	return &jobOps{
-		kind: "augmented-text",
-		engine: &cloudsim.Engine{
-			Model:    am,
-			N:        ds.N(),
-			Step:     cloudsim.TextStep(am, ds),
-			TrainAcc: func(batch int) float64 { return PredictText(am, ds, batch) },
-		},
-		defaultSeed: j.opts.Seed,
-		makeEval: func(eds EvalDataset) (func(int) float64, func(*cloudsim.TrainRequest), error) {
-			tds, ok := eds.(*TextDataset)
-			if !ok {
-				return nil, nil, fmt.Errorf("amalgam: text job eval set must be *TextDataset, got %T", eds)
-			}
-			augEval, err := j.ObfuscateTestSet(tds, j.opts.Seed^evalSeedSalt)
-			if err != nil {
-				return nil, nil, err
-			}
-			acc := func(batch int) float64 { return PredictText(am, augEval, batch) }
-			attach := func(req *cloudsim.TrainRequest) {
-				req.EvalSamples = augEval.Samples
-				req.EvalLabels = augEval.Labels
-			}
-			return acc, attach, nil
-		},
-		request: func() (*cloudsim.TrainRequest, error) {
-			orig := am.Orig
-			// The spec carries the RESOLVED decoy count, so the server
-			// rebuild matches even unpinned jobs.
-			spec := cloudsim.ModelSpec{
-				Kind:  "augmented-text",
-				Vocab: orig.Vocab, EmbedDim: orig.EmbedDim, Classes: orig.Classes,
-				OrigLen: j.Key.OrigLen, AugLen: j.Key.AugLen, KeyKeep: j.Key.Keep,
-				AugAmount: j.opts.Amount, SubNets: len(am.Decoys), AugSeed: j.opts.Seed,
-			}
-			return &cloudsim.TrainRequest{
-				Spec:      spec,
-				Samples:   ds.Samples,
-				Labels:    ds.Labels,
-				InitState: nn.StateDict(am),
-			}, nil
-		},
-		loadState: func(dict map[string]*tensor.Tensor) error {
-			if err := nn.LoadStateDict(am, dict); err != nil {
-				return fmt.Errorf("amalgam: loading trained weights: %w", err)
-			}
-			return nil
+	o := &jobOps{
+		model: am,
+		req: &cloudsim.TrainRequest{
+			Spec:      cloudsim.TextSpec(am, j.Key, j.opts.Amount, j.opts.Seed),
+			Samples:   ds.Samples,
+			Labels:    ds.Labels,
+			InitState: nn.StateDict(am),
 		},
 	}
+	o.attachEval = func(eds EvalDataset) error {
+		tds, ok := eds.(*TextDataset)
+		if !ok {
+			return fmt.Errorf("amalgam: text job eval set must be *TextDataset, got %T", eds)
+		}
+		augEval, err := j.ObfuscateTestSet(tds, j.opts.Seed^evalSeedSalt)
+		if err != nil {
+			return err
+		}
+		o.req.EvalSamples, o.req.EvalLabels = augEval.Samples, augEval.Labels
+		return nil
+	}
+	return o
 }
 
 // ExtractText builds a fresh classifier with the original architecture and
@@ -190,7 +163,7 @@ type TextPredictor interface {
 // text counterpart of Predict, with the same eval-mode and empty-dataset
 // behaviour.
 func PredictText(m TextPredictor, ds *TextDataset, batch int) float64 {
-	return argmaxAccuracy(m, ds.N(), batch, func(idx []int) (*autodiff.Node, []int) {
+	return cloudsim.Accuracy(m, ds.N(), batch, func(idx []int) (*autodiff.Node, []int) {
 		ids, labels := ds.Batch(idx)
 		return m.ForwardIDs(ids), labels
 	})

@@ -36,7 +36,7 @@ var ErrRetriesExhausted = errors.New("amalgam: retries exhausted")
 //
 // LocalTrainer trains in-process; RemoteTrainer ships the job to a
 // cloudsim service and streams progress back over the wire. Both drive
-// cloudsim.TrainLoop over the same per-modality step closures, so they
+// cloudsim.TrainLoop over the same request, so they
 // produce bit-identical weights for the same configuration.
 type Trainer interface {
 	Run(ctx context.Context, job TrainableJob, cfg TrainConfig, opts ...TrainOption) (<-chan EpochStats, error)
@@ -68,40 +68,32 @@ type LocalTrainer struct{}
 // Run implements Trainer.
 func (LocalTrainer) Run(ctx context.Context, job TrainableJob, cfg TrainConfig, opts ...TrainOption) (<-chan EpochStats, error) {
 	o := job.ops()
-	ro, start, err := prepareRun(cfg, o, opts)
+	ro, err := prepareRun(cfg, o, opts)
 	if err != nil {
 		return nil, err
 	}
-	eng := o.engine
-	eng.InitOptState = ro.resumeOptState
-	eng.InitRNG = ro.resumeRNG
-	if ro.evalSet != nil {
-		acc, _, err := o.makeEval(ro.evalSet)
-		if err != nil {
-			return nil, err
-		}
-		eng.EvalAcc = func(batch int) (float64, bool) { return acc(batch), true }
-	}
-	hyper := hyperFor(cfg, ro, start)
+	kind := o.req.Spec.Kind
 
-	ch := make(chan EpochStats, cfg.Epochs-start+1)
+	ch := make(chan EpochStats, cfg.Epochs-o.req.Hyper.StartEpoch+1)
+	emit := func(st EpochStats) { ch <- st }
 	go func() {
 		defer close(ch)
 		var checkpoint func(*cloudsim.Snapshot) error
 		if ro.checkpointPath != "" {
 			checkpoint = func(snap *cloudsim.Snapshot) error {
 				return serialize.SaveTrainCheckpoint(ro.checkpointPath, &serialize.TrainCheckpoint{
-					Epoch: snap.Epoch, Kind: o.kind,
+					Epoch: snap.Epoch, Kind: kind,
 					State: snap.State, OptState: snap.OptState, RNG: snap.RNG,
 				})
 			}
 		}
-		resp, err := cloudsim.TrainLoop(ctx, eng, hyper, ro.emitProgress(ch), checkpoint)
+		// The live model over the very request RemoteTrainer would ship.
+		resp, err := cloudsim.TrainLoop(ctx, o.model, o.req, ro.emitTo(emit), checkpoint)
 		if err != nil {
-			ch <- EpochStats{Err: err}
+			emit(EpochStats{Err: err})
 			return
 		}
-		finishRun(ctx, ch, ro, o.kind, resp)
+		finishRun(ctx, emit, ro, kind, resp)
 	}()
 	return ch, nil
 }
@@ -129,45 +121,36 @@ type RemoteTrainer struct {
 
 // Run implements Trainer.
 func (t RemoteTrainer) Run(ctx context.Context, job TrainableJob, cfg TrainConfig, opts ...TrainOption) (<-chan EpochStats, error) {
-	o := job.ops()
-	// Resume before request(): the shipped InitState must reflect the
-	// checkpointed weights.
-	ro, start, err := prepareRun(cfg, o, opts)
+	o, ro, err := t.prepare(job, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	req, err := o.request()
-	if err != nil {
-		return nil, err
-	}
-	req.InitOptState = ro.resumeOptState
-	req.InitRNG = ro.resumeRNG
-	if ro.evalSet != nil {
-		_, attach, err := o.makeEval(ro.evalSet)
-		if err != nil {
-			return nil, err
-		}
-		attach(req)
-	}
-	req.Hyper = hyperFor(cfg, ro, start)
-	req.Hyper.Stream = true
-	req.Spec.Tenant = t.Tenant
-
-	ch := make(chan EpochStats, cfg.Epochs-start+1)
+	ch := make(chan EpochStats, cfg.Epochs-o.req.Hyper.StartEpoch+1)
+	emit := func(st EpochStats) { ch <- st }
 	go func() {
 		defer close(ch)
-		resp, err := t.runRemote(ctx, req, ro, cfg, start, ch)
-		if err != nil {
-			ch <- EpochStats{Err: err}
-			return
-		}
-		if err := o.loadState(resp.State); err != nil {
-			ch <- EpochStats{Err: err}
-			return
-		}
-		finishRun(ctx, ch, ro, o.kind, resp)
+		resp, err := t.runRemote(ctx, o.req, ro, emit)
+		o.finishRemote(ctx, emit, ro, resp, err)
 	}()
 	return ch, nil
+}
+
+// prepare readies job's request for this service — what Run and Submit
+// ship: prepareRun's request, streamed, billed to the trainer's tenant.
+func (t RemoteTrainer) prepare(job TrainableJob, cfg TrainConfig, opts []TrainOption) (*jobOps, *runOptions, error) {
+	o := job.ops()
+	ro, err := prepareRun(cfg, o, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if o.req.Images != nil && o.req.Spec.Model == "" {
+		// Token kinds carry their whole architecture in the spec; an image
+		// model is rebuilt from its zoo name.
+		return nil, nil, fmt.Errorf("amalgam: remote CV training requires Options.ModelName")
+	}
+	o.req.Hyper.Stream = true
+	o.req.Spec.Tenant = t.Tenant
+	return o, ro, nil
 }
 
 // runRemote drives one job over the wire, retrying transient faults under
@@ -177,78 +160,101 @@ func (t RemoteTrainer) Run(ctx context.Context, job TrainableJob, cfg TrainConfi
 // attempt), so no batch is ever trained twice and the final weights are
 // bit-identical to an unbroken run.
 func (t RemoteTrainer) runRemote(ctx context.Context, req *cloudsim.TrainRequest, ro *runOptions,
-	cfg TrainConfig, start int, ch chan<- EpochStats) (*cloudsim.TrainResponse, error) {
+	emit func(EpochStats)) (*cloudsim.TrainResponse, error) {
 
-	progress := ro.emitProgress(ch)
-	if ro.retry == nil {
-		h := cloudsim.StreamHandlers{
-			Progress: func(m cloudsim.EpochMetric) { _ = progress(m) },
-		}
-		if ro.checkpointPath != "" {
-			h.Checkpoint = func(ck *serialize.TrainCheckpoint) {
-				// Mid-job snapshots are best-effort; the final state is
-				// written with error checking by finishRun.
-				_ = serialize.SaveTrainCheckpoint(ro.checkpointPath, ck)
-			}
-		}
-		return cloudsim.TrainContext(ctx, t.Addr, req, h)
+	if ro.retry != nil {
+		// Per-epoch wire snapshots feed the in-memory resume point; disk
+		// writes keep the user's WithCheckpoint cadence.
+		req.Hyper.CheckpointEvery = 1
 	}
-
-	pol := *ro.retry
-	// Per-epoch wire snapshots feed the in-memory resume point; disk
-	// writes keep the user's WithCheckpoint cadence.
-	req.Hyper.CheckpointEvery = 1
-	var snap *serialize.TrainCheckpoint
-	// A retried attempt replays epochs the server already reported;
-	// emit each epoch's stats exactly once.
-	lastEmitted := start
-	h := cloudsim.StreamHandlers{
-		Progress: func(m cloudsim.EpochMetric) {
-			if m.Epoch > lastEmitted {
-				lastEmitted = m.Epoch
-				_ = progress(m)
-			}
-		},
-		Checkpoint: func(ck *serialize.TrainCheckpoint) {
-			snap = ck
-			if ro.checkpointPath != "" && ro.checkpointEvery > 0 && ck.Epoch%ro.checkpointEvery == 0 {
-				_ = serialize.SaveTrainCheckpoint(ro.checkpointPath, ck)
-			}
-		},
-	}
-	netCfg := cloudsim.NetConfig{DialTimeout: pol.DialTimeout, FrameTimeout: pol.FrameTimeout}
-	jitter := tensor.NewRNG(pol.Seed)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		resp, err := cloudsim.TrainContextNet(ctx, t.Addr, req, h, netCfg)
-		if err == nil {
-			return resp, nil
-		}
-		if !cloudsim.IsTransient(err) {
-			return nil, err
-		}
-		lastErr = err
-		if attempt >= pol.MaxRetries {
-			return nil, fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, attempt+1, lastErr)
-		}
-		if err := sleepBackoff(ctx, &pol, attempt, jitter); err != nil {
-			return nil, err
-		}
-		if snap != nil {
-			if snap.Epoch >= cfg.Epochs {
+	stream, h := ro.follow(emit, req.Hyper.StartEpoch)
+	var resp *cloudsim.TrainResponse
+	err := ro.retrying(ctx, func(net cloudsim.NetConfig) (err error) {
+		if snap := stream.snap; snap != nil {
+			if snap.Epoch >= req.Hyper.Epochs {
 				// The server finished every epoch but the connection died
 				// before the final state frame arrived: the snapshot IS the
 				// final state — complete locally instead of resuming with an
 				// out-of-range start epoch.
-				return &cloudsim.TrainResponse{
+				resp = &cloudsim.TrainResponse{
 					State: snap.State, OptState: snap.OptState, RNG: snap.RNG,
 					CompletedEpochs: snap.Epoch,
-				}, nil
+				}
+				return nil
 			}
 			req.Hyper.StartEpoch = snap.Epoch
 			req.InitState = snap.State
 			req.InitOptState = snap.OptState
 			req.InitRNG = snap.RNG
+		}
+		resp, err = cloudsim.TrainContextNet(ctx, t.Addr, req, h, net)
+		return err
+	})
+	return resp, err
+}
+
+// wireStream is what the client has seen of one job's stream, across
+// attempts: the last epoch whose stats it emitted and the latest
+// epoch-boundary snapshot.
+type wireStream struct {
+	lastEpoch int
+	snap      *serialize.TrainCheckpoint
+}
+
+// follow builds the handlers feeding a job's wire stream into the run. A
+// retried attempt replays epochs the server already reported, so each
+// epoch's stats are emitted exactly once. Streamed snapshots are held as
+// the resume point and saved at the WithCheckpoint cadence — best effort;
+// the final state is written with error checking by finishRun.
+func (ro *runOptions) follow(emit func(EpochStats), start int) (*wireStream, cloudsim.StreamHandlers) {
+	stream := &wireStream{lastEpoch: start}
+	progress := ro.emitTo(emit)
+	h := cloudsim.StreamHandlers{
+		Progress: func(m cloudsim.EpochMetric) {
+			if m.Epoch > stream.lastEpoch {
+				stream.lastEpoch = m.Epoch
+				_ = progress(m)
+			}
+		},
+	}
+	if ro.retry != nil || ro.checkpointPath != "" {
+		h.Checkpoint = func(ck *serialize.TrainCheckpoint) {
+			stream.snap = ck
+			if ro.checkpointPath != "" && ro.checkpointEvery > 0 && ck.Epoch%ro.checkpointEvery == 0 {
+				_ = serialize.SaveTrainCheckpoint(ro.checkpointPath, ck)
+			}
+		}
+	}
+	return stream, h
+}
+
+// retrying runs one wire exchange under the run's RetryPolicy: once, over
+// an unbounded connection, without WithRetry.
+func (ro *runOptions) retrying(ctx context.Context, attempt func(net cloudsim.NetConfig) error) error {
+	if ro.retry == nil {
+		return attempt(cloudsim.NetConfig{})
+	}
+	pol := *ro.retry
+	net := cloudsim.NetConfig{DialTimeout: pol.DialTimeout, FrameTimeout: pol.FrameTimeout}
+	return retryTransient(ctx, &pol, tensor.NewRNG(pol.Seed), func() error { return attempt(net) })
+}
+
+// retryTransient is THE retry loop: it re-runs attempt while it fails
+// with a transient fault, sleeping pol's jittered backoff in between,
+// until it succeeds, fails fatally (returned as is — the caller's own
+// cancellation included), or has failed MaxRetries+1 times, which is
+// ErrRetriesExhausted wrapping the last transport error.
+func retryTransient(ctx context.Context, pol *RetryPolicy, jitter *tensor.RNG, attempt func() error) error {
+	for n := 0; ; n++ {
+		err := attempt()
+		if err == nil || !cloudsim.IsTransient(err) {
+			return err
+		}
+		if n >= pol.MaxRetries {
+			return fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, n+1, err)
+		}
+		if err := sleepBackoff(ctx, pol, n, jitter); err != nil {
+			return err
 		}
 	}
 }
@@ -271,21 +277,29 @@ func sleepBackoff(ctx context.Context, pol *RetryPolicy, attempt int, jitter *te
 	}
 }
 
-// prepareRun folds the options, validates the config, and applies
-// WithResume, returning the epoch to restart from.
-func prepareRun(cfg TrainConfig, o *jobOps, opts []TrainOption) (*runOptions, int, error) {
-	ro, err := resolveRunOptions(cfg, o.defaultSeed, opts)
+// prepareRun folds the options, validates the config, applies WithResume
+// and completes the job's request with everything a run adds to it:
+// resume state, the obfuscated eval split, the hyper-parameters.
+func prepareRun(cfg TrainConfig, o *jobOps, opts []TrainOption) (*runOptions, error) {
+	// The shuffle seed defaults to Options.Seed, which the spec records.
+	ro, err := resolveRunOptions(cfg, o.req.Spec.AugSeed, opts)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	start, err := loadResume(ro, o)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if start >= cfg.Epochs {
-		return nil, 0, fmt.Errorf("amalgam: checkpoint already covers %d of %d epochs", start, cfg.Epochs)
+		return nil, fmt.Errorf("amalgam: checkpoint already covers %d of %d epochs", start, cfg.Epochs)
 	}
-	return ro, start, nil
+	if ro.evalSet != nil {
+		if err := o.attachEval(ro.evalSet); err != nil {
+			return nil, err
+		}
+	}
+	o.req.Hyper = hyperFor(cfg, ro, start)
+	return ro, nil
 }
 
 // hyperFor maps the public config onto the wire/loop hyper-parameters.
@@ -326,18 +340,23 @@ func (ro *runOptions) emitTo(emit func(EpochStats)) func(cloudsim.EpochMetric) e
 	}
 }
 
-// emitProgress is emitTo over a stats channel.
-func (ro *runOptions) emitProgress(ch chan<- EpochStats) func(cloudsim.EpochMetric) error {
-	return ro.emitTo(func(st EpochStats) { ch <- st })
+// finishRemote lands a remote run's outcome: the trained weights in the
+// job's model, then finishRun — or the failure as the stream's last
+// element.
+func (o *jobOps) finishRemote(ctx context.Context, emit func(EpochStats), ro *runOptions, resp *cloudsim.TrainResponse, err error) {
+	if err == nil {
+		err = o.loadState(resp.State)
+	}
+	if err != nil {
+		emit(EpochStats{Err: err})
+		return
+	}
+	finishRun(ctx, emit, ro, o.req.Spec.Kind, resp)
 }
 
 // finishRun writes the final checkpoint and terminates a cancelled stream
 // with the context's error.
-func finishRun(ctx context.Context, ch chan<- EpochStats, ro *runOptions, kind string, resp *cloudsim.TrainResponse) {
-	finishRunEmit(ctx, func(st EpochStats) { ch <- st }, ro, kind, resp)
-}
-
-func finishRunEmit(ctx context.Context, emit func(EpochStats), ro *runOptions, kind string, resp *cloudsim.TrainResponse) {
+func finishRun(ctx context.Context, emit func(EpochStats), ro *runOptions, kind string, resp *cloudsim.TrainResponse) {
 	if ro.checkpointPath != "" {
 		err := serialize.SaveTrainCheckpoint(ro.checkpointPath, &serialize.TrainCheckpoint{
 			Epoch: resp.CompletedEpochs, Kind: kind,
@@ -358,38 +377,38 @@ func finishRunEmit(ctx context.Context, emit func(EpochStats), ro *runOptions, k
 }
 
 // loadResume applies WithResume: loads the checkpoint (if present) into
-// the job model, stages the optimiser state for the run, and returns the
-// epoch to restart from. A checkpoint recording a different job kind is
+// the job model, stages its optimiser state (kind, step counter, moment
+// buffers) and dropout-stream cursors on the job's request — trainers
+// seed the run with them, so a resumed run is bit-identical to an
+// uninterrupted one, not merely convergent — and returns the epoch to
+// restart from. A checkpoint recording a different job kind is
 // rejected with ErrCheckpointKind before any state is touched.
 func loadResume(ro *runOptions, o *jobOps) (int, error) {
 	if ro.resumePath == "" {
 		return 0, nil
 	}
-	ck, err := serialize.LoadTrainCheckpoint(ro.resumePath)
+	ck, err := o.loadCheckpoint(ro.resumePath)
+	if os.IsNotExist(err) {
+		return 0, nil // first run: nothing to resume
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil // first run: nothing to resume
-		}
 		return 0, fmt.Errorf("amalgam: resume from %s: %w", ro.resumePath, err)
 	}
-	if err := checkpointMatchesJob(ck, o); err != nil {
-		return 0, fmt.Errorf("amalgam: resume from %s: %w", ro.resumePath, err)
-	}
-	if err := o.loadState(ck.State); err != nil {
-		return 0, fmt.Errorf("amalgam: resume from %s: %w", ro.resumePath, err)
-	}
-	ro.resumeOptState = ck.OptState
-	ro.resumeRNG = ck.RNG
+	o.req.InitOptState, o.req.InitRNG = ck.OptState, ck.RNG
 	return ck.Epoch, nil
 }
 
-// checkpointMatchesJob verifies a checkpoint's recorded kind against the
-// job it is being loaded into.
-func checkpointMatchesJob(ck *serialize.TrainCheckpoint, o *jobOps) error {
-	if ck.Kind != o.kind {
-		return fmt.Errorf("checkpoint holds a %q job, this job is %q: %w", ck.Kind, o.kind, ErrCheckpointKind)
+// loadCheckpoint reads a checkpoint file, verifies its recorded kind
+// against the job's, and loads its state dict into the job's model.
+func (o *jobOps) loadCheckpoint(path string) (*serialize.TrainCheckpoint, error) {
+	ck, err := serialize.LoadTrainCheckpoint(path)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if kind := o.req.Spec.Kind; ck.Kind != kind {
+		return nil, fmt.Errorf("checkpoint holds a %q job, this job is %q: %w", ck.Kind, kind, ErrCheckpointKind)
+	}
+	return ck, o.loadState(ck.State)
 }
 
 // LoadCheckpoint loads a WithCheckpoint file back into a job's augmented
@@ -399,15 +418,8 @@ func checkpointMatchesJob(ck *serialize.TrainCheckpoint, o *jobOps) error {
 // checkpoint written by a job of another modality fails with
 // ErrCheckpointKind.
 func LoadCheckpoint(job TrainableJob, path string) (epoch int, err error) {
-	o := job.ops()
-	ck, err := serialize.LoadTrainCheckpoint(path)
+	ck, err := job.ops().loadCheckpoint(path)
 	if err != nil {
-		return 0, fmt.Errorf("amalgam: load checkpoint %s: %w", path, err)
-	}
-	if err := checkpointMatchesJob(ck, o); err != nil {
-		return 0, fmt.Errorf("amalgam: load checkpoint %s: %w", path, err)
-	}
-	if err := o.loadState(ck.State); err != nil {
 		return 0, fmt.Errorf("amalgam: load checkpoint %s: %w", path, err)
 	}
 	return ck.Epoch, nil

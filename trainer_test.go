@@ -163,6 +163,52 @@ func TestLocalEvalSetMatchesRemote(t *testing.T) {
 				i+1, localStats[i].EvalAccuracy, remoteStats[i].EvalAccuracy)
 		}
 	}
+
+	// The same property without a wire in between, for every job kind:
+	// LocalTrainer over the job's live model and the service's RunLocal
+	// over the request RemoteTrainer would ship go through one engine
+	// builder, so every per-epoch metric agrees exactly.
+	kinds := []struct {
+		name string
+		mk   func() amalgam.TrainableJob
+		eval amalgam.EvalDataset
+		cfg  amalgam.TrainConfig
+	}{
+		{"cv", func() amalgam.TrainableJob { return mkCVJob(t, 5) }, test, cfg},
+		{"text", func() amalgam.TrainableJob { return mkTextJob(t) },
+			amalgam.GenerateClassifiedText(amalgam.ClassTextConfig{Name: "e", N: 8, SeqLen: 24, Vocab: 500, Classes: 4, Seed: 2}),
+			amalgam.TrainConfig{Epochs: 2, BatchSize: 8, LR: 0.5, Momentum: 0.9}},
+		{"lm", func() amalgam.TrainableJob { return mkLMJob(t) },
+			amalgam.GenerateTokenStream(amalgam.TextConfig{Name: "wt-val", Tokens: 120, Vocab: 300, Seed: 2}),
+			amalgam.TrainConfig{Epochs: 2, BatchSize: 8, LR: 0.1}},
+	}
+	for _, k := range kinds {
+		stats, err := amalgam.Train(context.Background(), amalgam.LocalTrainer{}, k.mk(), k.cfg, amalgam.WithEvalSet(k.eval))
+		if err != nil {
+			t.Fatalf("%s: local: %v", k.name, err)
+		}
+		req, err := amalgam.ShippedRequest(amalgam.RemoteTrainer{}, k.mk(), k.cfg, amalgam.WithEvalSet(k.eval))
+		if err != nil {
+			t.Fatalf("%s: request: %v", k.name, err)
+		}
+		resp, err := cloudsim.RunLocal(req)
+		if err != nil {
+			t.Fatalf("%s: service: %v", k.name, err)
+		}
+		if len(stats) != k.cfg.Epochs || len(resp.Metrics) != k.cfg.Epochs {
+			t.Fatalf("%s: %d local and %d service epochs, want %d", k.name, len(stats), len(resp.Metrics), k.cfg.Epochs)
+		}
+		for i, m := range resp.Metrics {
+			s := stats[i]
+			if !s.HasEval || !m.HasEval || (k.name == "lm") != (m.Perplexity > 0) {
+				t.Fatalf("%s epoch %d: eval reported %v/%v, perplexity %v", k.name, i+1, s.HasEval, m.HasEval, m.Perplexity)
+			}
+			if s.Loss != m.Loss || s.Accuracy != m.Accuracy || s.EvalAccuracy != m.EvalAccuracy || s.Perplexity != m.Perplexity {
+				t.Fatalf("%s epoch %d: local (loss %v acc %v eval %v ppl %v), service (loss %v acc %v eval %v ppl %v)", k.name, i+1,
+					s.Loss, s.Accuracy, s.EvalAccuracy, s.Perplexity, m.Loss, m.Accuracy, m.EvalAccuracy, m.Perplexity)
+			}
+		}
+	}
 }
 
 // TestShuffleSeedThreading pins the satellite fix: epochs used to see
