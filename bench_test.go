@@ -1,9 +1,11 @@
 package amalgam_test
 
 // One benchmark per table and figure of the paper's evaluation. Each bench
-// regenerates the corresponding rows/series via the experiments harness;
-// the printed output (first iteration only) is the artifact EXPERIMENTS.md
-// records. Run: go test -bench=. -benchmem
+// regenerates the corresponding rows/series via the experiments harness
+// (every training run in it is amalgam.Train over a job) and prints them
+// on the first iteration only. These are the paper's shapes; the repo's
+// perf gate is go run ./bench — README "Benchmarks" tells the two apart.
+// Run: go test -bench=. -benchmem
 //
 // Scale: quick-scale synthetic data (see internal/experiments); shapes —
 // orderings, monotone growth, curve coincidence — reproduce the paper,
@@ -48,25 +50,33 @@ func BenchmarkTable1Qualitative(b *testing.B) {
 
 func BenchmarkTable2DatasetAugmentation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Table2(out(b), true)
+		if err := experiments.Table2(out(b), true); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkTable3CVTraining(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Table3(out(b), []string{"mnist"}, []string{"lenet", "resnet18"}, quick())
+		if err := experiments.Table3(out(b), []string{"mnist"}, []string{"lenet", "resnet18"}, quick()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkTable3CVTrainingAllModels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Table3(out(b), []string{"mnist"}, []string{"vgg16", "densenet121", "mobilenetv2"}, floor())
+		if err := experiments.Table3(out(b), []string{"mnist"}, []string{"vgg16", "densenet121", "mobilenetv2"}, floor()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkTable4NLPTraining(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Table4(out(b), quick())
+		if err := experiments.Table4(out(b), quick()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -76,7 +86,9 @@ func BenchmarkFig5to7ResNetCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := out(b)
 		for _, ds := range []string{"mnist", "cifar10", "cifar100"} {
-			experiments.CVCurves(w, "resnet18", ds, quick(), []float64{0, 0.5})
+			if err := experiments.CVCurves(w, "resnet18", ds, quick(), []float64{0, 0.5}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -85,7 +97,9 @@ func BenchmarkFig8to10VGGCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := out(b)
 		for _, ds := range []string{"mnist", "cifar10", "cifar100"} {
-			experiments.CVCurves(w, "vgg16", ds, floor(), []float64{0, 0.5})
+			if err := experiments.CVCurves(w, "vgg16", ds, floor(), []float64{0, 0.5}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -94,26 +108,34 @@ func BenchmarkFigA1DenseNetMobileNetCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := out(b)
 		for _, m := range []string{"densenet121", "mobilenetv2"} {
-			experiments.CVCurves(w, m, "mnist", floor(), []float64{0, 0.5})
+			if err := experiments.CVCurves(w, m, "mnist", floor(), []float64{0, 0.5}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
 
 func BenchmarkFig11TransformerCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig11TransformerCurves(out(b), quick(), []float64{0, 0.5, 1.0})
+		if err := experiments.Fig11TransformerCurves(out(b), quick(), []float64{0, 0.5, 1.0}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig12TextClassifierCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig12TextClassifierCurves(out(b), quick(), []float64{0, 0.5, 1.0})
+		if err := experiments.Fig12TextClassifierCurves(out(b), quick(), []float64{0, 0.5, 1.0}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkFig13TransferLearning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig13TransferLearning(out(b), floor(), []float64{0, 0.5})
+		if err := experiments.Fig13TransferLearning(out(b), floor(), []float64{0, 0.5}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

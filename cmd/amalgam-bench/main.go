@@ -43,7 +43,7 @@ func run() error {
 		case "table1":
 			experiments.Table1(w)
 		case "table2":
-			experiments.Table2(w, !*full)
+			return experiments.Table2(w, !*full)
 		case "table3":
 			modelsList := []string{"lenet", "resnet18"}
 			datasets := []string{"mnist"}
@@ -51,26 +51,30 @@ func run() error {
 				modelsList = []string{"resnet18", "vgg16", "densenet121", "mobilenetv2"}
 				datasets = []string{"mnist", "cifar10", "cifar100"}
 			}
-			experiments.Table3(w, datasets, modelsList, sc)
+			return experiments.Table3(w, datasets, modelsList, sc)
 		case "table4":
-			experiments.Table4(w, sc)
+			return experiments.Table4(w, sc)
 		case "curves":
 			datasets := []string{"mnist"}
 			if *full {
 				datasets = []string{"mnist", "cifar10", "cifar100"}
 			}
 			for _, ds := range datasets {
-				experiments.CVCurves(w, "resnet18", ds, sc, amounts)
+				if err := experiments.CVCurves(w, "resnet18", ds, sc, amounts); err != nil {
+					return err
+				}
 			}
 		case "nlpcurves":
-			experiments.Fig11TransformerCurves(w, sc, amounts)
-			experiments.Fig12TextClassifierCurves(w, sc, amounts)
+			if err := experiments.Fig11TransformerCurves(w, sc, amounts); err != nil {
+				return err
+			}
+			return experiments.Fig12TextClassifierCurves(w, sc, amounts)
 		case "transfer":
 			tsc := sc
 			if !*full {
 				tsc.TrainN, tsc.TestN = 8, 8
 			}
-			experiments.Fig13TransferLearning(w, tsc, []float64{0, 0.5})
+			return experiments.Fig13TransferLearning(w, tsc, []float64{0, 0.5})
 		case "fig14":
 			return experiments.Fig14FrameworkComparison(w, sc)
 		case "fig15":

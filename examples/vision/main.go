@@ -17,7 +17,9 @@ import (
 func main() {
 	// Side-by-side curves (the harness behind Figs. 6a–6d).
 	sc := experiments.Scale{TrainN: 48, TestN: 24, Epochs: 2, BatchSize: 16, LR: 0.02}
-	experiments.CVCurves(os.Stdout, "resnet18", "cifar10", sc, []float64{0, 0.5})
+	if err := experiments.CVCurves(os.Stdout, "resnet18", "cifar10", sc, []float64{0, 0.5}); err != nil {
+		log.Fatal(err)
+	}
 
 	// The public-API version of the same workflow with extraction checks.
 	train := amalgam.SyntheticCIFAR10(48, 3)

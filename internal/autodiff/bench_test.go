@@ -192,7 +192,7 @@ func softmaxLastDimNaive(a *Node) *Node {
 // stack at quick-experiment scale: batch 16 of 1×28×28 through an 8-channel
 // 3×3 conv, ReLU, and a linear head. This is the allocation profile the
 // scratch pool targets; run with -benchmem and compare allocs/op against
-// BENCH_pr1.json.
+// the PR 1 row of bench/README.md's "Historical context" table.
 func benchConvStep(b *testing.B, batch int) {
 	rng := tensor.NewRNG(7)
 	x := tensor.New(batch, 1, 28, 28)

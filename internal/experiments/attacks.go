@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"amalgam"
 	"amalgam/internal/attacks"
 	"amalgam/internal/autodiff"
 	"amalgam/internal/cloudsim"
@@ -88,24 +89,24 @@ func Fig17SHAPDistortion(w io.Writer) error {
 	sc := Scale{TrainN: 16, TestN: 8, Epochs: 2, BatchSize: 8, LR: 0.05}
 
 	plain := models.NewLeNet5(tensor.NewRNG(92), cfg)
-	_ = TrainCV(plain, ds, ds, sc, "plain")
-
-	aug, err := core.AugmentImages(ds, core.ImageAugmentOptions{Amount: 1.0, Noise: core.DefaultImageNoise(), Seed: 93})
+	if _, err := trainCV("plain", plain, ds, nil, amalgam.Options{Seed: 93}, sc); err != nil {
+		return err
+	}
+	job, err := amalgam.Obfuscate(models.NewLeNet5(tensor.NewRNG(92), cfg), ds, amalgam.Options{Amount: 1.0, SubNets: 3, Seed: 93})
 	if err != nil {
 		return err
 	}
-	am, err := core.AugmentCVModel(models.NewLeNet5(tensor.NewRNG(92), cfg), aug.Key, 1, 3, core.ModelAugmentOptions{Amount: 1.0, SubNets: 3, Seed: 94})
-	if err != nil {
+	am := job.Augmented
+	if _, err := train("aug", job, am.TotalParams(), sc.cvConfig(), nil, nil); err != nil {
 		return err
 	}
-	_ = TrainAugmentedCV(am, aug.Dataset, aug.Dataset, sc, "aug")
 
 	img := ds.Image(0)
 	cleanAttr := attacks.OcclusionAttribution(plain, img, ds.Labels[0])
 	// The provider explains the shipped augmented model on the augmented
 	// input; it cannot gather through the secret key.
-	augAttr := attacks.OcclusionAttribution(&augForwardAll{am}, aug.Dataset.Image(0), ds.Labels[0])
-	corr := attacks.AttributionDistortion(cleanAttr, augAttr, 12, 12, aug.Key.AugH, aug.Key.AugW)
+	augAttr := attacks.OcclusionAttribution(&augForwardAll{am}, job.AugmentedDataset.Image(0), ds.Labels[0])
+	corr := attacks.AttributionDistortion(cleanAttr, augAttr, 12, 12, job.Key.AugH, job.Key.AugW)
 	fmt.Fprintf(w, "attribution correlation plain-vs-augmented: %.3f (≈0 ⇒ explanations are useless, matching the paper)\n", corr)
 
 	// Self-control: the clean model's attribution correlates with itself.
@@ -156,8 +157,9 @@ func Fig18DenoisingAttack(w io.Writer) error {
 // original sub-network from the provider view (the TV-smoothness attack),
 // across augmentation amounts and noise types. Chance is 1/(1+subnets).
 //
-// Finding (documented in EXPERIMENTS.md): with the default uniform noise
-// the attack succeeds — the original gather reconstructs a smooth natural
+// Finding (amalgam-bench -experiment identify reprints it; see README
+// "Benchmarks"): with the default uniform noise the attack succeeds —
+// the original gather reconstructs a smooth natural
 // image while every decoy interleaves high-frequency noise. The paper's
 // user-provided noise option ("pixels from actual meaningful images",
 // §4.1) is the countermeasure: it closes most of the smoothness gap.
@@ -184,9 +186,10 @@ func SubnetIdentification(w io.Writer, trials int) error {
 
 // identifyCoverTrials runs the attack against cover-image augmentation:
 // one decoy's gather points at an embedded second image, so smoothness no
-// longer singles out the original.
+// longer singles out the original. Cover images and pinned decoy gathers
+// are core options amalgam.Options does not expose, so this trial
+// assembles its victim from core directly.
 func identifyCoverTrials(trials int) (float64, error) {
-	const subnets = 3
 	hits := 0
 	for trial := 0; trial < trials; trial++ {
 		ds := data.SyntheticCIFAR10(1, uint64(100+trial))
@@ -195,30 +198,18 @@ func identifyCoverTrials(trials int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		m, err := models.BuildCV("lenet", tensor.NewRNG(uint64(300+trial)), models.CVConfig{InC: 3, InH: 32, InW: 32, Classes: 10})
+		m, err := identifyVictim(trial)
 		if err != nil {
 			return 0, err
 		}
 		am, err := core.AugmentCVModel(m, aug.Key, 3, 10, core.ModelAugmentOptions{
-			Amount: 1.0, SubNets: subnets, Seed: uint64(400 + trial),
+			Amount: 1.0, SubNets: identifySubNets, Seed: uint64(400 + trial),
 			DecoyGathers: [][]int{aug.CoverSet},
 		})
 		if err != nil {
 			return 0, err
 		}
-		sets := am.GatherSets()
-		rng := tensor.NewRNG(uint64(500 + trial))
-		order := rng.Perm(len(sets))
-		shuffled := make([][]int, len(sets))
-		truth := 0
-		for to, from := range order {
-			shuffled[to] = sets[from]
-			if from == 0 {
-				truth = to
-			}
-		}
-		guess := attacks.IdentifySubnetByTV(aug.Dataset.Image(0), shuffled, 32, 32)
-		if guess == truth {
+		if identified(am, aug.Dataset, trial) {
 			hits++
 		}
 	}
@@ -226,7 +217,6 @@ func identifyCoverTrials(trials int) (float64, error) {
 }
 
 func identifyTrials(a float64, noiseName string, trials int) (float64, error) {
-	const subnets = 3
 	hits := 0
 	for trial := 0; trial < trials; trial++ {
 		ds := data.SyntheticCIFAR10(1, uint64(100+trial))
@@ -239,39 +229,44 @@ func identifyTrials(a float64, noiseName string, trials int) (float64, error) {
 		case "smooth-infill":
 			noise = core.SmoothInfillNoise(0.03)
 		}
-		{
-			aug, err := core.AugmentImages(ds, core.ImageAugmentOptions{Amount: a, Noise: noise, Seed: uint64(200 + trial)})
-			if err != nil {
-				return 0, err
-			}
-			m, err := models.BuildCV("lenet", tensor.NewRNG(uint64(300+trial)), models.CVConfig{InC: 3, InH: 32, InW: 32, Classes: 10})
-			if err != nil {
-				return 0, err
-			}
-			am, err := core.AugmentCVModel(m, aug.Key, 3, 10, core.ModelAugmentOptions{Amount: a, SubNets: subnets, Seed: uint64(400 + trial)})
-			if err != nil {
-				return 0, err
-			}
-			sets := am.GatherSets() // orig first, pre-shuffle
-			// Shuffle, remembering where the original landed (the provider
-			// view does the same shuffle without the bookkeeping).
-			rng := tensor.NewRNG(uint64(500 + trial))
-			order := rng.Perm(len(sets))
-			shuffled := make([][]int, len(sets))
-			truth := 0
-			for to, from := range order {
-				shuffled[to] = sets[from]
-				if from == 0 {
-					truth = to
-				}
-			}
-			guess := attacks.IdentifySubnetByTV(aug.Dataset.Image(0), shuffled, 32, 32)
-			if guess == truth {
-				hits++
-			}
+		m, err := identifyVictim(trial)
+		if err != nil {
+			return 0, err
+		}
+		job, err := amalgam.Obfuscate(m, ds, amalgam.Options{Amount: a, SubNets: identifySubNets, Noise: &noise, Seed: uint64(200 + trial)})
+		if err != nil {
+			return 0, err
+		}
+		if identified(job.Augmented, job.AugmentedDataset, trial) {
+			hits++
 		}
 	}
 	return float64(hits) / float64(trials), nil
+}
+
+// identifySubNets is the decoy count of every identification victim
+// (chance is 1/(1+identifySubNets)).
+const identifySubNets = 3
+
+func identifyVictim(trial int) (models.CVModel, error) {
+	return amalgam.BuildCV("lenet", uint64(300+trial), models.CVConfig{InC: 3, InH: 32, InW: 32, Classes: 10})
+}
+
+// identified reports whether the TV heuristic picks the original
+// sub-network out of the shuffled gather sets — the provider view does
+// the same shuffle without remembering where the original landed.
+func identified(am *core.AugmentedCVModel, aug *data.ImageDataset, trial int) bool {
+	sets := am.GatherSets() // orig first, pre-shuffle
+	order := tensor.NewRNG(uint64(500 + trial)).Perm(len(sets))
+	shuffled := make([][]int, len(sets))
+	truth := 0
+	for to, from := range order {
+		shuffled[to] = sets[from]
+		if from == 0 {
+			truth = to
+		}
+	}
+	return attacks.IdentifySubnetByTV(aug.Image(0), shuffled, 32, 32) == truth
 }
 
 // ProviderViewSummary prints what a cloud job leaks, for documentation.

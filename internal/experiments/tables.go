@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"amalgam"
 	"amalgam/internal/core"
 	"amalgam/internal/data"
 	"amalgam/internal/models"
@@ -63,29 +64,34 @@ func table2Config(quick bool) []table2Dataset {
 // Table2 reproduces the dataset-augmentation table: per augmentation
 // amount, the measured augmentation time (scaled to the paper's dataset
 // size), resulting resolution, dataset size, and search space.
-func Table2(w io.Writer, quick bool) {
+func Table2(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "Table 2: dataset augmentation results")
 	fmt.Fprintf(w, "%-11s %-8s %-14s %-11s %-13s %s\n", "Dataset", "Amount", "AvgTime(s)*", "Resolution", "Size", "SearchSpace")
 	fmt.Fprintln(w, "  (*) measured on a subset, scaled linearly to the paper's sample count")
 	for _, cfg := range table2Config(quick) {
+		row := table2Text
 		if cfg.isImage {
-			table2Image(w, cfg)
-		} else {
-			table2Text(w, cfg)
+			row = table2Image
+		}
+		if err := row(w, cfg); err != nil {
+			return fmt.Errorf("%s: %w", cfg.name, err)
 		}
 	}
+	return nil
 }
 
-func table2Image(w io.Writer, cfg table2Dataset) {
-	ds := datasetByName(cfg.name, cfg.measureN, 1)
+func table2Image(w io.Writer, cfg table2Dataset) error {
+	ds, err := datasetByName(cfg.name, cfg.measureN, 1)
+	if err != nil {
+		return err
+	}
 	origBytes := int64(cfg.paperN) * int64(cfg.c) * int64(cfg.h) * int64(cfg.h) * 4
 	fmt.Fprintf(w, "%-11s %-8s %-14s %-11s %-13s %s\n", cfg.name, "0%", "-", fmt.Sprintf("%dx%d", cfg.h, cfg.h), sizeStr(origBytes), "-")
 	for _, a := range Amounts {
 		start := time.Now()
 		aug, err := core.AugmentImages(ds, core.ImageAugmentOptions{Amount: a, Noise: core.DefaultImageNoise(), Seed: 2})
 		if err != nil {
-			fmt.Fprintf(w, "%-11s %v\n", cfg.name, err)
-			continue
+			return err
 		}
 		perSample := time.Since(start).Seconds() / float64(cfg.measureN)
 		scaled := perSample * float64(cfg.paperN)
@@ -95,9 +101,10 @@ func table2Image(w io.Writer, cfg table2Dataset) {
 		fmt.Fprintf(w, "%-11s %-8s %-14.1f %-11s %-13s %s\n",
 			cfg.name, pct(a), scaled, fmt.Sprintf("%dx%d", augH, augH), sizeStr(augBytes), space)
 	}
+	return nil
 }
 
-func table2Text(w io.Writer, cfg table2Dataset) {
+func table2Text(w io.Writer, cfg table2Dataset) error {
 	origBytes := int64(cfg.paperN) * 8
 	if cfg.name == "agnews" {
 		origBytes = int64(cfg.paperN) * int64(cfg.window) * 8
@@ -111,8 +118,7 @@ func table2Text(w io.Writer, cfg table2Dataset) {
 			start := time.Now()
 			aug, err := core.AugmentTokenStream(stream, core.TextAugmentOptions{Amount: a, WindowLen: cfg.window, Noise: core.DefaultTextNoise(cfg.vocab), Seed: 2})
 			if err != nil {
-				fmt.Fprintf(w, "%-11s %v\n", cfg.name, err)
-				continue
+				return err
 			}
 			perUnit = time.Since(start).Seconds() / float64(cfg.measureN)
 			augLen = aug.Key.AugLen
@@ -121,8 +127,7 @@ func table2Text(w io.Writer, cfg table2Dataset) {
 			start := time.Now()
 			aug, err := core.AugmentTextDataset(ds, core.TextAugmentOptions{Amount: a, Noise: core.DefaultTextNoise(cfg.vocab), Seed: 2})
 			if err != nil {
-				fmt.Fprintf(w, "%-11s %v\n", cfg.name, err)
-				continue
+				return err
 			}
 			perUnit = time.Since(start).Seconds() / float64(cfg.measureN)
 			augLen = aug.Key.AugLen
@@ -132,113 +137,80 @@ func table2Text(w io.Writer, cfg table2Dataset) {
 		fmt.Fprintf(w, "%-11s %-8s %-14.1f %-11s %-13s %s\n",
 			cfg.name, pct(a), scaled, "-", sizeStr(augBytes), core.SearchSpaceString(cfg.window, augLen))
 	}
+	return nil
 }
+
+// rowAmounts are a table's rows per model: the un-obfuscated baseline
+// (amount 0, the same product path with nothing added) then Amounts.
+var rowAmounts = append([]float64{0}, Amounts...)
 
 // Table3 reproduces the CV-model table: parameter counts after
 // augmentation (exact, at paper geometry) and measured training time per
 // run at the harness scale.
-func Table3(w io.Writer, datasets []string, modelNames []string, sc Scale) {
+func Table3(w io.Writer, datasets []string, modelNames []string, sc Scale) error {
 	fmt.Fprintln(w, "Table 3: computer-vision model training with different augmentation amounts")
 	fmt.Fprintf(w, "%-10s %-13s %-8s %-14s %-14s\n", "Dataset", "Model", "Amount", "Params", "TrainTime(s)")
 	for _, dsName := range datasets {
-		base := datasetByName(dsName, sc.TrainN, 3)
-		test := datasetByName(dsName, sc.TestN, 4)
+		base, err := datasetByName(dsName, sc.TrainN, 3)
+		if err != nil {
+			return err
+		}
 		cfg := models.CVConfig{InC: base.C(), InH: base.H(), InW: base.W(), Classes: base.Classes}
 		for _, mn := range modelNames {
-			orig, err := models.BuildCV(mn, tensor.NewRNG(7), cfg)
-			if err != nil {
-				fmt.Fprintf(w, "%v\n", err)
-				continue
-			}
-			res := TrainCV(orig, base, test, sc, mn)
-			fmt.Fprintf(w, "%-10s %-13s %-8s %-14d %-14.1f\n", dsName, mn, "0%", res.Params, res.Seconds)
-			for _, a := range Amounts {
-				aug, err := core.AugmentImages(base, core.ImageAugmentOptions{Amount: a, Noise: core.DefaultImageNoise(), Seed: 11})
+			for _, a := range rowAmounts {
+				m, err := amalgam.BuildCV(mn, 7, cfg)
 				if err != nil {
-					fmt.Fprintf(w, "%v\n", err)
-					continue
+					return err
 				}
-				augTest, err := core.AugmentImagesWithKey(test, aug.Key, core.DefaultImageNoise(), 12)
+				res, err := trainCV(mn, m, base, nil, amalgam.Options{Amount: a, SubNets: 3, Seed: 11}, sc)
 				if err != nil {
-					fmt.Fprintf(w, "%v\n", err)
-					continue
+					return fmt.Errorf("%s/%s at %s: %w", dsName, mn, pct(a), err)
 				}
-				m2, err := models.BuildCV(mn, tensor.NewRNG(7), cfg)
-				if err != nil {
-					fmt.Fprintf(w, "%v\n", err)
-					continue
-				}
-				am, err := core.AugmentCVModel(m2, aug.Key, cfg.InC, cfg.Classes, core.ModelAugmentOptions{Amount: a, SubNets: 3, Seed: 13})
-				if err != nil {
-					fmt.Fprintf(w, "%v\n", err)
-					continue
-				}
-				res := TrainAugmentedCV(am, aug.Dataset, augTest, sc, mn)
 				fmt.Fprintf(w, "%-10s %-13s %-8s %-14d %-14.1f\n", dsName, mn, pct(a), res.Params, res.Seconds)
 			}
 		}
 	}
+	return nil
 }
 
 // Table4 reproduces the NLP-model table (parameters and training time).
-func Table4(w io.Writer, sc Scale) {
+func Table4(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "Table 4: NLP model training with different augmentations")
 	fmt.Fprintf(w, "%-28s %-8s %-14s %-14s\n", "Model/Dataset", "Amount", "Params", "TrainTime(s)")
 
 	// Transformer / WikiText-2-like stream. Reduced vocab keeps the quick
 	// run tractable; params are also reported at paper vocab separately.
-	const window = 20
-	vocab := 2000
+	const lmRow, window, vocab = "transformer/wikitext2", 20, 2000
 	stream := data.GenerateTokenStream(data.TextConfig{Name: "wikitext2", Tokens: sc.TrainN * window * 4, Vocab: vocab, Seed: 5})
-	lmCfg := models.TransformerLMConfig{Vocab: vocab, D: 64, Heads: 2, FF: 64, Layers: 2, MaxT: 64, Dropout: 0}
-	{
-		orig := models.NewTransformerLM(tensor.NewRNG(21), lmCfg)
-		res := trainLM(orig, nil, stream.Tokens, window, sc)
-		fmt.Fprintf(w, "%-28s %-8s %-14d %-14.1f\n", "transformer/wikitext2", "0%", nn.NumParams(orig), res)
-		for _, a := range Amounts {
-			aug, err := core.AugmentTokenStream(stream, core.TextAugmentOptions{Amount: a, WindowLen: window, Noise: core.DefaultTextNoise(vocab), Seed: 6})
-			if err != nil {
-				fmt.Fprintf(w, "%v\n", err)
-				continue
-			}
-			m2 := models.NewTransformerLM(tensor.NewRNG(21), lmCfg)
-			am, err := core.AugmentTransformerLM(m2, aug.Key, core.ModelAugmentOptions{Amount: a, SubNets: 2, Seed: 7})
-			if err != nil {
-				fmt.Fprintf(w, "%v\n", err)
-				continue
-			}
-			res := trainLM(nil, am, aug.Stream.Tokens, aug.Key.AugLen, sc)
-			fmt.Fprintf(w, "%-28s %-8s %-14d %-14.1f\n", "transformer/wikitext2", pct(a), am.TotalParams(), res)
+	for _, a := range rowAmounts {
+		res, err := trainLM(lmRow, newLM(vocab), stream, nil, window, amalgam.Options{Amount: a, SubNets: 2, Seed: 6}, sc)
+		if err != nil {
+			return fmt.Errorf("%s at %s: %w", lmRow, pct(a), err)
 		}
+		fmt.Fprintf(w, "%-28s %-8s %-14d %-14.1f\n", lmRow, pct(a), res.Params, res.Seconds)
 	}
 
 	// Text classification / AG News-like dataset (reduced vocab).
-	clsVocab := 5000
+	const clsRow, clsVocab = "textclassifier/agnews", 5000
 	cls := data.GenerateClassifiedText(data.ClassTextConfig{Name: "agnews", N: sc.TrainN * 2, SeqLen: 64, Vocab: clsVocab, Classes: 4, Seed: 8})
-	{
-		orig := models.NewTextClassifier(tensor.NewRNG(31), clsVocab, 64, 4)
-		secs := trainTextClassifier(orig, nil, cls, sc)
-		fmt.Fprintf(w, "%-28s %-8s %-14d %-14.1f\n", "textclassifier/agnews", "0%", nn.NumParams(orig), secs)
-		for _, a := range Amounts {
-			aug, err := core.AugmentTextDataset(cls, core.TextAugmentOptions{Amount: a, Noise: core.DefaultTextNoise(clsVocab), Seed: 9})
-			if err != nil {
-				fmt.Fprintf(w, "%v\n", err)
-				continue
-			}
-			m2 := models.NewTextClassifier(tensor.NewRNG(31), clsVocab, 64, 4)
-			am, err := core.AugmentTextClassifier(m2, aug.Key, core.ModelAugmentOptions{Amount: a, SubNets: 2, Seed: 10})
-			if err != nil {
-				fmt.Fprintf(w, "%v\n", err)
-				continue
-			}
-			secs := trainTextClassifier(nil, am, aug.Dataset, sc)
-			fmt.Fprintf(w, "%-28s %-8s %-14d %-14.1f\n", "textclassifier/agnews", pct(a), am.TotalParams(), secs)
+	for _, a := range rowAmounts {
+		res, err := trainText(clsRow, amalgam.BuildTextClassifier(31, clsVocab, 64, 4), cls, nil, amalgam.Options{Amount: a, SubNets: 2, Seed: 9}, sc)
+		if err != nil {
+			return fmt.Errorf("%s at %s: %w", clsRow, pct(a), err)
 		}
+		fmt.Fprintf(w, "%-28s %-8s %-14d %-14.1f\n", clsRow, pct(a), res.Params, res.Seconds)
 	}
 
 	fmt.Fprintf(w, "paper-vocab parameter check: transformer(28782)=%d textclassifier(95812)=%d\n",
 		nn.NumParams(models.NewTransformerLM(tensor.NewRNG(1), models.DefaultTransformerLMConfig(data.WikiText2Vocab))),
 		nn.NumParams(models.NewTextClassifier(tensor.NewRNG(1), data.AGNewsVocab, 64, 4)))
+	return nil
+}
+
+// newLM builds the reduced transformer Table 4 and Fig. 11 train, from
+// the seed every amount shares.
+func newLM(vocab int) *models.TransformerLM {
+	return amalgam.BuildLMModel(21, models.TransformerLMConfig{Vocab: vocab, D: 64, Heads: 2, FF: 64, Layers: 2, MaxT: 64, Dropout: 0})
 }
 
 func pct(a float64) string { return fmt.Sprintf("%.0f%%", a*100) }

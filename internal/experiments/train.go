@@ -3,22 +3,34 @@
 // Each experiment has one entry point that writes the same rows/series the
 // paper reports; bench_test.go and cmd/amalgam-bench share these.
 //
+// Every training run is the shipped product: amalgam.Obfuscate /
+// ObfuscateText / ObfuscateTokens at the row's amount, then amalgam.Train
+// over the job with LocalTrainer — the loop, batch shuffle, optimiser and
+// scoring a user gets, so the tables time and the figures check that
+// program and no other. The un-obfuscated baseline is the same path at
+// amount 0 (identity key, zero decoys): there is no separate plain
+// trainer whose step or batch order could drift from the obfuscated one,
+// which is what makes "the curves coincide" a statement about obfuscation
+// alone. The one run that is not a job — Fig. 14's DISCO LeNet — drives
+// cloudsim.TrainLoop, the loop under amalgam.Train, directly.
+//
 // Scale: the paper trains full datasets for many epochs on 2×RTX 3090; we
 // default to reduced sample counts/epochs sized for CPUs. The *shape* of
 // every result (who wins, monotonicity, curve coincidence) is preserved;
-// EXPERIMENTS.md records paper-vs-measured for each experiment.
+// absolute times are not. README "Benchmarks" tells these paper tables
+// from the repo's perf gate (go run ./bench).
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"time"
 
+	"amalgam"
 	"amalgam/internal/autodiff"
-	"amalgam/internal/core"
 	"amalgam/internal/data"
 	"amalgam/internal/models"
 	"amalgam/internal/nn"
-	"amalgam/internal/optim"
-	"amalgam/internal/tensor"
 )
 
 // Scale sizes an experiment run.
@@ -34,6 +46,14 @@ func QuickScale() Scale { return Scale{TrainN: 48, TestN: 24, Epochs: 3, BatchSi
 
 // FullScale approaches paper geometry (still CPU-bound; expect hours).
 func FullScale() Scale { return Scale{TrainN: 2048, TestN: 512, Epochs: 10, BatchSize: 64, LR: 0.02} }
+
+// sgd is the scale as momentum-SGD hyper-parameters.
+func (sc Scale) sgd(lr, weightDecay float64) amalgam.TrainConfig {
+	return amalgam.TrainConfig{Epochs: sc.Epochs, BatchSize: sc.BatchSize, LR: lr, Momentum: 0.9, WeightDecay: weightDecay}
+}
+
+// cvConfig is what every CV run trains under.
+func (sc Scale) cvConfig() amalgam.TrainConfig { return sc.sgd(sc.LR, 5e-4) }
 
 // EpochPoint is one point of a training/validation curve (Figs. 5–13).
 type EpochPoint struct {
@@ -52,98 +72,134 @@ type RunResult struct {
 	Params  int
 }
 
-// TrainCV trains a plain CV model, recording per-epoch curves.
-func TrainCV(m models.CVModel, train, test *data.ImageDataset, sc Scale, label string) RunResult {
-	m.SetTraining(true)
-	opt := optim.NewSGD(m.Params(), sc.LR, 0.9, 5e-4)
-	start := time.Now()
-	var points []EpochPoint
-	for e := 0; e < sc.Epochs; e++ {
-		var lossSum float64
-		seen := 0
-		for _, idx := range data.BatchIter(train.N(), sc.BatchSize, nil) {
-			x, labels := train.Batch(idx)
-			nn.ZeroGrads(m)
-			loss := autodiff.SoftmaxCrossEntropy(m.Forward(autodiff.Constant(x)), labels)
-			autodiff.Backward(loss)
-			opt.Step()
-			lossSum += float64(loss.Scalar()) * float64(len(labels))
-			seen += len(labels)
-			autodiff.Release(loss) // recycle the step's graph scratch
+// train runs one job through the product loop and records the
+// ORIGINAL sub-network's curves (what the paper plots) from the streamed
+// EpochStats. val, when non-nil, is the held-out split the loop scores;
+// valLoss reads the one curve EpochStats does not carry off the live
+// model — WithProgress runs synchronously between epochs, so it sees
+// exactly the weights the epoch's other figures describe.
+func train(label string, job amalgam.TrainableJob, params int, cfg amalgam.TrainConfig,
+	val amalgam.EvalDataset, valLoss func() float64) (RunResult, error) {
+
+	res := RunResult{Label: label, Params: params}
+	opts := []amalgam.TrainOption{amalgam.WithProgress(func(s amalgam.EpochStats) {
+		p := EpochPoint{Epoch: s.Epoch, TrainLoss: s.Loss, TrainAcc: s.Accuracy, ValAcc: s.EvalAccuracy}
+		if valLoss != nil {
+			p.ValLoss = valLoss()
 		}
-		trLoss, trAcc := evalCV(m, train, sc.BatchSize)
-		vLoss, vAcc := evalCV(m, test, sc.BatchSize)
-		_ = lossSum
-		_ = seen
-		points = append(points, EpochPoint{Epoch: e + 1, TrainLoss: trLoss, TrainAcc: trAcc, ValLoss: vLoss, ValAcc: vAcc})
+		res.Points = append(res.Points, p)
+	})}
+	if val != nil {
+		opts = append(opts, amalgam.WithEvalSet(val))
 	}
-	return RunResult{Label: label, Points: points, Seconds: time.Since(start).Seconds(), Params: nn.NumParams(m)}
-}
-
-// TrainAugmentedCV trains an augmented model on the augmented dataset,
-// recording the ORIGINAL sub-network's curves (what the paper plots).
-func TrainAugmentedCV(am *core.AugmentedCVModel, augTrain, augTest *data.ImageDataset, sc Scale, label string) RunResult {
-	am.SetTraining(true)
-	opt := optim.NewSGD(am.Params(), sc.LR, 0.9, 5e-4)
 	start := time.Now()
-	var points []EpochPoint
-	for e := 0; e < sc.Epochs; e++ {
-		for _, idx := range data.BatchIter(augTrain.N(), sc.BatchSize, nil) {
-			x, labels := augTrain.Batch(idx)
-			nn.ZeroGrads(am)
-			total, _ := am.Loss(autodiff.Constant(x), labels)
-			autodiff.Backward(total)
-			opt.Step()
-			autodiff.Release(total)
-		}
-		trLoss, trAcc := evalCV(am, augTrain, sc.BatchSize)
-		vLoss, vAcc := evalCV(am, augTest, sc.BatchSize)
-		points = append(points, EpochPoint{Epoch: e + 1, TrainLoss: trLoss, TrainAcc: trAcc, ValLoss: vLoss, ValAcc: vAcc})
-	}
-	return RunResult{Label: label, Points: points, Seconds: time.Since(start).Seconds(), Params: am.TotalParams()}
+	_, err := amalgam.Train(context.TODO(), amalgam.LocalTrainer{}, job, cfg, opts...)
+	res.Seconds = time.Since(start).Seconds()
+	return res, err
 }
 
-// cvEvaluable covers plain CV models and AugmentedCVModel.
-type cvEvaluable interface {
-	Forward(x *autodiff.Node) *autodiff.Node
-	SetTraining(bool)
-}
-
-func evalCV(m cvEvaluable, ds *data.ImageDataset, batch int) (loss, acc float64) {
+// meanLoss is the harness's one eval loop: the mean of loss over n
+// samples walked in order, with m in eval mode and its prior mode
+// restored afterwards (it runs between the epochs of a live training
+// run). loss returns one batch's mean loss and the count it averages.
+func meanLoss(m interface{ SetTraining(bool) }, n, batch int, loss func(idx []int) (*autodiff.Node, int)) float64 {
+	prev := nn.TrainingMode(m)
 	m.SetTraining(false)
-	defer m.SetTraining(true)
-	var lossSum float64
-	correct := 0
-	for _, idx := range data.BatchIter(ds.N(), batch, nil) {
-		x, labels := ds.Batch(idx)
-		logits := m.Forward(autodiff.Constant(x))
-		l := autodiff.SoftmaxCrossEntropy(logits, labels)
-		lossSum += float64(l.Scalar()) * float64(len(labels))
-		for i, p := range tensor.ArgmaxRows(logits.Val) {
-			if p == labels[i] {
-				correct++
-			}
-		}
-		autodiff.Release(l) // logits are reachable from l; released together
+	defer m.SetTraining(prev)
+	var sum float64
+	seen := 0
+	for _, idx := range data.BatchIter(n, batch, nil) {
+		l, count := loss(idx)
+		sum += float64(l.Scalar()) * float64(count)
+		seen += count
+		autodiff.Release(l)
 	}
-	return lossSum / float64(ds.N()), float64(correct) / float64(ds.N())
+	return sum / float64(seen)
+}
+
+// trainCV obfuscates model and ds under o and trains the job at sc. A
+// non-nil val adds the validation curves, scored under the job's key.
+func trainCV(label string, model models.CVModel, ds, val *data.ImageDataset, o amalgam.Options, sc Scale) (RunResult, error) {
+	job, err := amalgam.Obfuscate(model, ds, o)
+	if err != nil {
+		return RunResult{}, err
+	}
+	cfg, params := sc.cvConfig(), job.Augmented.TotalParams()
+	if val == nil {
+		return train(label, job, params, cfg, nil, nil)
+	}
+	augVal, err := job.ObfuscateTestSet(val, o.Seed+1)
+	if err != nil {
+		return RunResult{}, err
+	}
+	am := job.Augmented
+	return train(label, job, params, cfg, val, func() float64 {
+		return meanLoss(am, augVal.N(), sc.BatchSize, func(idx []int) (*autodiff.Node, int) {
+			x, labels := augVal.Batch(idx)
+			return autodiff.SoftmaxCrossEntropy(am.Forward(autodiff.Constant(x)), labels), len(labels)
+		})
+	})
+}
+
+// trainText is trainCV for the AG News-style classifier.
+func trainText(label string, model *models.TextClassifier, ds, val *data.TextDataset, o amalgam.Options, sc Scale) (RunResult, error) {
+	job, err := amalgam.ObfuscateText(model, ds, o)
+	if err != nil {
+		return RunResult{}, err
+	}
+	cfg, params := sc.sgd(0.5, 0), job.Augmented.TotalParams()
+	if val == nil {
+		return train(label, job, params, cfg, nil, nil)
+	}
+	augVal, err := job.ObfuscateTestSet(val, o.Seed+1)
+	if err != nil {
+		return RunResult{}, err
+	}
+	am := job.Augmented
+	return train(label, job, params, cfg, val, func() float64 {
+		return meanLoss(am, augVal.N(), sc.BatchSize, func(idx []int) (*autodiff.Node, int) {
+			ids, labels := augVal.Batch(idx)
+			return autodiff.SoftmaxCrossEntropy(am.ForwardIDs(ids), labels), len(labels)
+		})
+	})
+}
+
+// trainLM is trainCV for the transformer LM over bptt-token windows; its
+// losses are per original next-token target.
+func trainLM(label string, model *models.TransformerLM, stream, val *data.TokenStream, bptt int, o amalgam.Options, sc Scale) (RunResult, error) {
+	job, err := amalgam.ObfuscateTokens(model, stream, bptt, o)
+	if err != nil {
+		return RunResult{}, err
+	}
+	cfg, params := sc.sgd(sc.LR, 0), job.Augmented.TotalParams()
+	if val == nil {
+		return train(label, job, params, cfg, nil, nil)
+	}
+	augVal, err := job.ObfuscateTestStream(val, o.Seed+1)
+	if err != nil {
+		return RunResult{}, err
+	}
+	am, ws := job.Augmented, augVal.WindowSet(job.Key.AugLen)
+	return train(label, job, params, cfg, val, func() float64 {
+		return meanLoss(am, ws.N(), sc.BatchSize, func(idx []int) (*autodiff.Node, int) {
+			wins := ws.Batch(idx)
+			return am.ValidateLoss(wins), len(wins) * (bptt - 1)
+		})
+	})
 }
 
 // datasetByName builds the synthetic stand-in with quick-scale counts.
-func datasetByName(name string, n int, seed uint64) *data.ImageDataset {
+func datasetByName(name string, n int, seed uint64) (*data.ImageDataset, error) {
 	switch name {
 	case "mnist":
-		return data.SyntheticMNIST(n, seed)
+		return data.SyntheticMNIST(n, seed), nil
 	case "cifar10":
-		return data.SyntheticCIFAR10(n, seed)
+		return data.SyntheticCIFAR10(n, seed), nil
 	case "cifar100":
-		return data.SyntheticCIFAR100(n, seed)
+		return data.SyntheticCIFAR100(n, seed), nil
 	case "imagenette":
-		return data.SyntheticImagenette(n, seed)
-	case "imagenette-lite":
-		// 64×64 stand-in for CPU-sized transfer-learning runs.
-		return data.GenerateImages(data.ImageConfig{Name: "imagenette-lite", N: n, C: 3, H: 64, W: 64, Classes: 10, Seed: seed, Noise: 0.08})
+		return data.SyntheticImagenette(n, seed), nil
 	default:
-		panic("experiments: unknown dataset " + name)
+		return nil, fmt.Errorf("experiments: unknown dataset %q", name)
 	}
 }
