@@ -197,15 +197,6 @@ type Snapshot struct {
 	RNG map[string][]byte
 }
 
-// RNGStateful is implemented by models whose forward pass consumes random
-// streams (dropout): the loop captures the cursors into checkpoints and
-// restores them on resume. Models without the interface are fully
-// deterministic given their weights and need no cursor plumbing.
-type RNGStateful interface {
-	RNGStates() (map[string][]byte, error)
-	LoadRNGStates(map[string][]byte) error
-}
-
 // Trainable is the server-side handle on a rebuilt model: everything the
 // optimiser and state-dict plumbing need, for any modality.
 type Trainable interface {
@@ -292,12 +283,8 @@ func buildAugmentedCV(spec ModelSpec) (Trainable, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := &core.ImageAugKey{
-		OrigH: spec.OrigH, OrigW: spec.OrigW, AugH: spec.AugH, AugW: spec.AugW,
-		Keep: spec.KeyKeep,
-	}
-	key.Insert = complement(key.Keep, spec.AugH*spec.AugW)
-	if err := key.Validate(); err != nil {
+	key, err := core.ImageAugKeyFromKeep(spec.OrigH, spec.OrigW, spec.AugH, spec.AugW, spec.KeyKeep)
+	if err != nil {
 		return nil, fmt.Errorf("cloudsim: invalid key in spec: %w", err)
 	}
 	return core.AugmentCVModel(orig, key, spec.InC, spec.Classes, augOptions(spec))
@@ -351,9 +338,8 @@ func bindCV(model Trainable, spec ModelSpec, p payload, what string) (*split, er
 
 // textKey rebuilds the window key both token kinds carry in their spec.
 func textKey(spec ModelSpec, what string) (*core.TextAugKey, error) {
-	key := &core.TextAugKey{OrigLen: spec.OrigLen, AugLen: spec.AugLen, Keep: spec.KeyKeep}
-	key.Insert = complement(key.Keep, spec.AugLen)
-	if err := key.Validate(); err != nil {
+	key, err := core.TextAugKeyFromKeep(spec.OrigLen, spec.AugLen, spec.KeyKeep)
+	if err != nil {
 		return nil, fmt.Errorf("cloudsim: invalid %s key in spec: %w", what, err)
 	}
 	return key, nil
@@ -500,22 +486,6 @@ func lmScore(am *core.AugmentedTransformerLM, ws *data.WindowSet) func(idx []int
 // accuracy, outside a training run.
 func LMAccuracy(am *core.AugmentedTransformerLM, ws *data.WindowSet, batch int) float64 {
 	return Accuracy(am, ws.N(), batch, lmScore(am, ws))
-}
-
-func complement(keep []int, n int) []int {
-	in := make([]bool, n)
-	for _, p := range keep {
-		if p >= 0 && p < n {
-			in[p] = true
-		}
-	}
-	out := make([]int, 0, n-len(keep))
-	for i := 0; i < n; i++ {
-		if !in[i] {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // bindRequest validates req's payload against its spec and binds model —
@@ -666,23 +636,14 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 	if sched != nil {
 		sched.SetEpoch(hyper.StartEpoch)
 	}
-	stateful, _ := model.(RNGStateful)
-	if len(req.InitRNG) > 0 {
-		if stateful == nil {
-			return nil, fmt.Errorf("cloudsim: RNG state shipped for a model without random streams: %w", ErrBadRequest)
-		}
-		if err := stateful.LoadRNGStates(req.InitRNG); err != nil {
-			return nil, fmt.Errorf("cloudsim: loading RNG state: %w", err)
-		}
-	}
-	// captureRNG snapshots the dropout cursors at an epoch boundary (nil
-	// for deterministic models) — eval paths run with SetTraining(false)
-	// and consume no stream, so boundary captures are exact.
-	captureRNG := func() (map[string][]byte, error) {
-		if stateful == nil {
-			return nil, nil
-		}
-		return stateful.RNGStates()
+	// Dropout cursors ride in checkpoints under the state dict's dotted
+	// names; a name outside the model's tree (any name at all, for a model
+	// without dropout) is a request for a different architecture.
+	// nn.RNGStates snapshots them at epoch boundaries below (nil for
+	// deterministic models) — eval paths run with SetTraining(false) and
+	// consume no stream, so boundary captures are exact.
+	if err := nn.LoadRNGStates(model, req.InitRNG); err != nil {
+		return nil, fmt.Errorf("cloudsim: loading RNG state: %v: %w", err, ErrBadRequest)
 	}
 	start := time.Now() //amalgam:allow detcheck wall-clock Seconds is a reported latency metric, never an input to training
 	resp := &TrainResponse{CompletedEpochs: hyper.StartEpoch}
@@ -739,7 +700,7 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 			}
 		}
 		if checkpoint != nil && hyper.CheckpointEvery > 0 && (e+1)%hyper.CheckpointEvery == 0 {
-			rng, err := captureRNG()
+			rng, err := nn.RNGStates(model)
 			if err != nil {
 				return nil, err
 			}
@@ -751,7 +712,7 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 	}
 	resp.State = nn.StateDict(model)
 	resp.OptState = opt.StateDict()
-	rng, err := captureRNG()
+	rng, err := nn.RNGStates(model)
 	if err != nil {
 		return nil, err
 	}

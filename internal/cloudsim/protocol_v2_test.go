@@ -363,3 +363,37 @@ func TestRunTrainingResumeMatchesStraightRun(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainLoopRNGCursorsFollowTheModelTree pins the loop's dropout-cursor
+// plumbing, which walks whatever model it is given: an LM run returns
+// exactly the original's streams; a model without dropout returns none
+// (so no msgRNGState frame) and refuses any cursor shipped to it; a name
+// outside the tree is a bad request.
+func TestTrainLoopRNGCursorsFollowTheModelTree(t *testing.T) {
+	lm := lmJob(t)
+	lm.Hyper.Epochs, lm.Hyper.Stream, lm.Hyper.CheckpointEvery = 1, false, 0
+	resp, err := RunLocal(lm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cursors := resp.RNG
+	if len(cursors) != 2 || cursors["orig.drop"] == nil || cursors["orig.block0.drop"] == nil {
+		t.Fatalf("LM run returned RNG cursors %v, want orig.drop and orig.block0.drop", cursors)
+	}
+
+	text := textJob(t)
+	text.Hyper.Epochs, text.Hyper.Stream, text.Hyper.CheckpointEvery = 1, false, 0
+	if resp, err = RunLocal(text); err != nil {
+		t.Fatal(err)
+	} else if resp.RNG != nil {
+		t.Fatalf("a text job has no random streams, got %v", resp.RNG)
+	}
+	text.InitRNG = map[string][]byte{"orig.drop": cursors["orig.drop"]}
+	if _, err := RunLocal(text); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("cursor shipped to a model without dropout: got %v, want ErrBadRequest", err)
+	}
+	lm.InitRNG = map[string][]byte{"orig.block7.drop": cursors["orig.drop"]}
+	if _, err := RunLocal(lm); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("cursor named outside the tree: got %v, want ErrBadRequest", err)
+	}
+}

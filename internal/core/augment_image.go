@@ -14,21 +14,14 @@ type ImageAugmentOptions struct {
 	Amount float64
 	// Noise selects the synthetic-pixel distribution.
 	Noise NoiseSpec
-	// PerChannel draws independent insertion positions per channel instead
-	// of sharing them. Ablation option: it enlarges the search space but
-	// breaks the cross-channel pixel alignment Eq. 1 assumes, so the model
-	// augmenter only accepts shared-position keys. Default false.
-	PerChannel bool
 	// Seed drives both key generation and noise sampling.
 	Seed uint64
 }
 
-// AugmentedImages pairs the augmented dataset with its secret key(s).
+// AugmentedImages pairs the augmented dataset with its secret key.
 type AugmentedImages struct {
 	Dataset *data.ImageDataset
 	Key     *ImageAugKey
-	// ChannelKeys is populated instead of Key when PerChannel is set.
-	ChannelKeys []*ImageAugKey
 }
 
 // AugmentImages obfuscates an image dataset: every sample's channel planes
@@ -44,36 +37,11 @@ func AugmentImages(ds *data.ImageDataset, opts ImageAugmentOptions) (*AugmentedI
 	}
 	rng := tensor.NewRNG(opts.Seed)
 	keyRNG, noiseRNG := rng.Split(1), rng.Split(2)
-
-	c, h, w := ds.C(), ds.H(), ds.W()
-	if opts.PerChannel {
-		keys := make([]*ImageAugKey, c)
-		for i := range keys {
-			k, err := NewImageAugKey(keyRNG.Split(uint64(i)), h, w, opts.Amount)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = k
-		}
-		out, err := augmentWithKeys(ds, keys, opts.Noise, noiseRNG)
-		if err != nil {
-			return nil, err
-		}
-		return &AugmentedImages{Dataset: out, ChannelKeys: keys}, nil
-	}
-	key, err := NewImageAugKey(keyRNG, h, w, opts.Amount)
+	key, err := NewImageAugKey(keyRNG, ds.H(), ds.W(), opts.Amount)
 	if err != nil {
 		return nil, err
 	}
-	shared := make([]*ImageAugKey, c)
-	for i := range shared {
-		shared[i] = key
-	}
-	out, err := augmentWithKeys(ds, shared, opts.Noise, noiseRNG)
-	if err != nil {
-		return nil, err
-	}
-	return &AugmentedImages{Dataset: out, Key: key}, nil
+	return &AugmentedImages{Dataset: augmentWithKey(ds, key, opts.Noise, noiseRNG), Key: key}, nil
 }
 
 // AugmentImagesWithKey obfuscates using an existing shared-position key so
@@ -88,28 +56,18 @@ func AugmentImagesWithKey(ds *data.ImageDataset, key *ImageAugKey, noise NoiseSp
 	if key.OrigH != ds.H() || key.OrigW != ds.W() {
 		return nil, fmt.Errorf("core: key geometry %dx%d does not match dataset %dx%d", key.OrigH, key.OrigW, ds.H(), ds.W())
 	}
-	shared := make([]*ImageAugKey, ds.C())
-	for i := range shared {
-		shared[i] = key
-	}
-	return augmentWithKeys(ds, shared, noise, tensor.NewRNG(seed).Split(2))
+	return augmentWithKey(ds, key, noise, tensor.NewRNG(seed).Split(2)), nil
 }
 
-func augmentWithKeys(ds *data.ImageDataset, keys []*ImageAugKey, noise NoiseSpec, noiseRNG *tensor.RNG) (*data.ImageDataset, error) {
-	c, h, w := ds.C(), ds.H(), ds.W()
-	if len(keys) != c {
-		return nil, fmt.Errorf("core: %d keys for %d channels", len(keys), c)
-	}
-	augH, augW := keys[0].AugH, keys[0].AugW
-	for _, k := range keys {
-		if k.OrigH != h || k.OrigW != w || k.AugH != augH || k.AugW != augW {
-			return nil, fmt.Errorf("core: inconsistent key geometry")
-		}
-	}
-	n := ds.N()
-	planeIn := h * w
-	planeOut := augH * augW
-	out := tensor.New(n, c, augH, augW)
+// augmentWithKey scatters every channel plane of ds into the key's
+// augmented plane (the positions are shared across channels, the pixel
+// alignment Eq. 1 assumes) and fills the insert set from noiseRNG. The
+// key's geometry matches ds: it was drawn for it or checked by the caller.
+func augmentWithKey(ds *data.ImageDataset, k *ImageAugKey, noise NoiseSpec, noiseRNG *tensor.RNG) *data.ImageDataset {
+	n, c := ds.N(), ds.C()
+	planeIn := ds.H() * ds.W()
+	planeOut := k.AugH * k.AugW
+	out := tensor.New(n, c, k.AugH, k.AugW)
 	smooth := noise.Type == NoiseSmoothInfill
 	var sample func() float32
 	if !smooth {
@@ -119,7 +77,6 @@ func augmentWithKeys(ds *data.ImageDataset, keys []*ImageAugKey, noise NoiseSpec
 		for ch := 0; ch < c; ch++ {
 			src := ds.Images.Data[(i*c+ch)*planeIn : (i*c+ch+1)*planeIn]
 			dst := out.Data[(i*c+ch)*planeOut : (i*c+ch+1)*planeOut]
-			k := keys[ch]
 			for pi, pos := range k.Keep {
 				dst[pos] = src[pi]
 			}
@@ -132,13 +89,12 @@ func augmentWithKeys(ds *data.ImageDataset, keys []*ImageAugKey, noise NoiseSpec
 			}
 		}
 	}
-	labels := append([]int(nil), ds.Labels...)
 	return &data.ImageDataset{
 		Name:    ds.Name + "+aug",
 		Images:  out,
-		Labels:  labels,
+		Labels:  append([]int(nil), ds.Labels...),
 		Classes: ds.Classes,
-	}, nil
+	}
 }
 
 // smoothInfill fills each insert position with the mean of its nearest

@@ -45,24 +45,47 @@ func AugmentTokenStream(s *data.TokenStream, opts TextAugmentOptions) (*Augmente
 	if err != nil {
 		return nil, err
 	}
-	noiseRNG := rng.Split(2)
-	nWindows := len(s.Tokens) / opts.WindowLen
-	out := make([]int, 0, nWindows*key.AugLen)
-	for wi := 0; wi < nWindows; wi++ {
-		src := s.Tokens[wi*opts.WindowLen : (wi+1)*opts.WindowLen]
-		window := make([]int, key.AugLen)
-		for pi, pos := range key.Keep {
-			window[pos] = src[pi]
-		}
-		for _, pos := range key.Insert {
-			window[pos] = opts.Noise.sampleToken(noiseRNG, s.Vocab)
-		}
-		out = append(out, window...)
+	return &AugmentedStream{Stream: key.augmentStream(s, opts.Noise, rng.Split(2)), Key: key}, nil
+}
+
+// scatter grows one window of OrigLen tokens to AugLen: originals at the
+// keep positions, a fresh token drawn from noiseRNG at every insert
+// position — the one forward application of a text key (Fig. 3).
+func (k *TextAugKey) scatter(src []int, noise NoiseSpec, noiseRNG *tensor.RNG, vocab int) []int {
+	window := make([]int, k.AugLen)
+	for pi, pos := range k.Keep {
+		window[pos] = src[pi]
 	}
-	return &AugmentedStream{
-		Stream: &data.TokenStream{Name: s.Name + "+aug", Tokens: out, Vocab: s.Vocab},
-		Key:    key,
-	}, nil
+	for _, pos := range k.Insert {
+		window[pos] = noise.sampleToken(noiseRNG, vocab)
+	}
+	return window
+}
+
+// augmentStream scatters every full OrigLen window of s; a trailing
+// partial window is dropped.
+func (k *TextAugKey) augmentStream(s *data.TokenStream, noise NoiseSpec, noiseRNG *tensor.RNG) *data.TokenStream {
+	nWindows := len(s.Tokens) / k.OrigLen
+	out := make([]int, 0, nWindows*k.AugLen)
+	for wi := 0; wi < nWindows; wi++ {
+		out = append(out, k.scatter(s.Tokens[wi*k.OrigLen:(wi+1)*k.OrigLen], noise, noiseRNG, s.Vocab)...)
+	}
+	return &data.TokenStream{Name: s.Name + "+aug", Tokens: out, Vocab: s.Vocab}
+}
+
+// augmentDataset scatters every sample of ds (each OrigLen tokens long).
+func (k *TextAugKey) augmentDataset(ds *data.TextDataset, noise NoiseSpec, noiseRNG *tensor.RNG) *data.TextDataset {
+	samples := make([][]int, ds.N())
+	for i, src := range ds.Samples {
+		samples[i] = k.scatter(src, noise, noiseRNG, ds.Vocab)
+	}
+	return &data.TextDataset{
+		Name:    ds.Name + "+aug",
+		Samples: samples,
+		Labels:  append([]int(nil), ds.Labels...),
+		Vocab:   ds.Vocab,
+		Classes: ds.Classes,
+	}
 }
 
 // AugmentTokenStreamWithKey reuses an existing key on another stream
@@ -76,21 +99,7 @@ func AugmentTokenStreamWithKey(s *data.TokenStream, key *TextAugKey, noise Noise
 	if err := noise.Validate(); err != nil {
 		return nil, err
 	}
-	noiseRNG := tensor.NewRNG(seed).Split(2)
-	nWindows := len(s.Tokens) / key.OrigLen
-	out := make([]int, 0, nWindows*key.AugLen)
-	for wi := 0; wi < nWindows; wi++ {
-		src := s.Tokens[wi*key.OrigLen : (wi+1)*key.OrigLen]
-		window := make([]int, key.AugLen)
-		for pi, pos := range key.Keep {
-			window[pos] = src[pi]
-		}
-		for _, pos := range key.Insert {
-			window[pos] = noise.sampleToken(noiseRNG, s.Vocab)
-		}
-		out = append(out, window...)
-	}
-	return &data.TokenStream{Name: s.Name + "+aug", Tokens: out, Vocab: s.Vocab}, nil
+	return key.augmentStream(s, noise, tensor.NewRNG(seed).Split(2)), nil
 }
 
 // RecoverTokenStream inverts stream augmentation with the key.
@@ -132,28 +141,7 @@ func AugmentTextDataset(ds *data.TextDataset, opts TextAugmentOptions) (*Augment
 	if err != nil {
 		return nil, err
 	}
-	noiseRNG := rng.Split(2)
-	samples := make([][]int, ds.N())
-	for i, src := range ds.Samples {
-		window := make([]int, key.AugLen)
-		for pi, pos := range key.Keep {
-			window[pos] = src[pi]
-		}
-		for _, pos := range key.Insert {
-			window[pos] = opts.Noise.sampleToken(noiseRNG, ds.Vocab)
-		}
-		samples[i] = window
-	}
-	return &AugmentedText{
-		Dataset: &data.TextDataset{
-			Name:    ds.Name + "+aug",
-			Samples: samples,
-			Labels:  append([]int(nil), ds.Labels...),
-			Vocab:   ds.Vocab,
-			Classes: ds.Classes,
-		},
-		Key: key,
-	}, nil
+	return &AugmentedText{Dataset: key.augmentDataset(ds, opts.Noise, rng.Split(2)), Key: key}, nil
 }
 
 // AugmentTextDatasetWithKey reuses an existing key (e.g. for a test split).
@@ -167,23 +155,5 @@ func AugmentTextDatasetWithKey(ds *data.TextDataset, key *TextAugKey, noise Nois
 	if ds.SeqLen() != key.OrigLen {
 		return nil, fmt.Errorf("core: key window %d does not match sample length %d", key.OrigLen, ds.SeqLen())
 	}
-	noiseRNG := tensor.NewRNG(seed).Split(2)
-	samples := make([][]int, ds.N())
-	for i, src := range ds.Samples {
-		window := make([]int, key.AugLen)
-		for pi, pos := range key.Keep {
-			window[pos] = src[pi]
-		}
-		for _, pos := range key.Insert {
-			window[pos] = noise.sampleToken(noiseRNG, ds.Vocab)
-		}
-		samples[i] = window
-	}
-	return &data.TextDataset{
-		Name:    ds.Name + "+aug",
-		Samples: samples,
-		Labels:  append([]int(nil), ds.Labels...),
-		Vocab:   ds.Vocab,
-		Classes: ds.Classes,
-	}, nil
+	return key.augmentDataset(ds, noise, tensor.NewRNG(seed).Split(2)), nil
 }

@@ -152,28 +152,6 @@ func TestAugmentImagesWithKeySharesSecret(t *testing.T) {
 	}
 }
 
-func TestPerChannelAugmentation(t *testing.T) {
-	ds := data.SyntheticCIFAR10(3, 1)
-	aug, err := AugmentImages(ds, ImageAugmentOptions{Amount: 0.5, Noise: DefaultImageNoise(), Seed: 2, PerChannel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aug.Key != nil || len(aug.ChannelKeys) != 3 {
-		t.Fatalf("per-channel augmentation should return 3 channel keys")
-	}
-	// Channel keys must differ (that is the point of the ablation).
-	same := true
-	for i, p := range aug.ChannelKeys[0].Keep {
-		if aug.ChannelKeys[1].Keep[i] != p {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("per-channel keys should be independent")
-	}
-}
-
 func TestNoiseSpecValidation(t *testing.T) {
 	tests := []struct {
 		name    string

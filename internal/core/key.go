@@ -10,7 +10,7 @@ import (
 // ImageAugKey is the secret that ties an augmented image dataset to the
 // skip-convolution layers of an augmented model: the positions inside the
 // augmented pixel plane that hold original pixels. The same positions are
-// used for every sample and (by default) shared across channels — the
+// used for every sample and shared across channels — the
 // layout Eq. 1's fixed skip sets (x_a, y_a) imply, and the accounting
 // under Table 2's per-channel search-space column.
 //
@@ -48,20 +48,32 @@ func NewImageAugKey(rng *tensor.RNG, origH, origW int, amount float64) (*ImageAu
 	}, nil
 }
 
+// ImageAugKeyFromKeep rebuilds and validates a key from its geometry and
+// keep set alone — the form it travels in (a wire spec carries no insert
+// set; it is the complement).
+func ImageAugKeyFromKeep(origH, origW, augH, augW int, keep []int) (*ImageAugKey, error) {
+	k := &ImageAugKey{OrigH: origH, OrigW: origW, AugH: augH, AugW: augW, Keep: keep, Insert: complementOf(keep, augH*augW)}
+	return k, k.Validate()
+}
+
 // Validate checks internal consistency (used after deserialisation).
 func (k *ImageAugKey) Validate() error {
-	n, na := k.OrigH*k.OrigW, k.AugH*k.AugW
-	if len(k.Keep) != n {
-		return fmt.Errorf("core: key has %d keep positions, want %d", len(k.Keep), n)
+	return checkPartition(k.Keep, k.Insert, k.OrigH*k.OrigW, k.AugH*k.AugW)
+}
+
+// checkPartition is the one consistency check behind both key kinds: keep
+// holds orig ascending positions (ascending preserves raster / token
+// order), insert the remaining aug-orig, and together they use every
+// position of [0, aug) exactly once.
+func checkPartition(keep, insert []int, orig, aug int) error {
+	if orig < 0 || aug < orig || len(keep) != orig || len(insert) != aug-orig {
+		return fmt.Errorf("core: key has %d keep and %d insert positions, want %d and %d", len(keep), len(insert), orig, aug-orig)
 	}
-	if len(k.Insert) != na-n {
-		return fmt.Errorf("core: key has %d insert positions, want %d", len(k.Insert), na-n)
-	}
-	seen := make([]bool, na)
-	for _, lists := range [][]int{k.Keep, k.Insert} {
-		for _, p := range lists {
-			if p < 0 || p >= na {
-				return fmt.Errorf("core: key position %d out of range [0,%d)", p, na)
+	seen := make([]bool, aug)
+	for _, list := range [][]int{keep, insert} {
+		for _, p := range list {
+			if p < 0 || p >= aug {
+				return fmt.Errorf("core: key position %d out of range [0,%d)", p, aug)
 			}
 			if seen[p] {
 				return fmt.Errorf("core: key position %d duplicated", p)
@@ -69,8 +81,8 @@ func (k *ImageAugKey) Validate() error {
 			seen[p] = true
 		}
 	}
-	if !sort.IntsAreSorted(k.Keep) {
-		return fmt.Errorf("core: keep positions must be ascending to preserve raster order")
+	if !sort.IntsAreSorted(keep) {
+		return fmt.Errorf("core: keep positions must be ascending to preserve original order")
 	}
 	return nil
 }
@@ -99,19 +111,25 @@ func NewTextAugKey(rng *tensor.RNG, origLen int, amount float64) (*TextAugKey, e
 	}, nil
 }
 
-// Validate checks internal consistency.
-func (k *TextAugKey) Validate() error {
-	if len(k.Keep) != k.OrigLen || len(k.Insert) != k.AugLen-k.OrigLen {
-		return fmt.Errorf("core: text key sizes %d/%d inconsistent with %d→%d", len(k.Keep), len(k.Insert), k.OrigLen, k.AugLen)
-	}
-	if !sort.IntsAreSorted(k.Keep) {
-		return fmt.Errorf("core: text keep positions must be ascending")
-	}
-	return nil
+// TextAugKeyFromKeep rebuilds and validates a key from its window lengths
+// and keep set alone (see ImageAugKeyFromKeep).
+func TextAugKeyFromKeep(origLen, augLen int, keep []int) (*TextAugKey, error) {
+	k := &TextAugKey{OrigLen: origLen, AugLen: augLen, Keep: keep, Insert: complementOf(keep, augLen)}
+	return k, k.Validate()
 }
 
-// complementOf returns [0,n) minus the ascending-sorted set s.
+// Validate checks internal consistency.
+func (k *TextAugKey) Validate() error {
+	return checkPartition(k.Keep, k.Insert, k.OrigLen, k.AugLen)
+}
+
+// complementOf returns [0,n) minus the ascending set s. A set that is not
+// ascending within [0,n) (possible when it arrived from outside) yields a
+// complement of the wrong size, which checkPartition rejects.
 func complementOf(s []int, n int) []int {
+	if len(s) > n {
+		return nil
+	}
 	out := make([]int, 0, n-len(s))
 	j := 0
 	for i := 0; i < n; i++ {

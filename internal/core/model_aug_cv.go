@@ -54,28 +54,79 @@ func (o ModelAugmentOptions) ResolveSubNets() int {
 	return 2 + tensor.NewRNG(o.Seed^subNetsSalt).IntN(3)
 }
 
+// decoyBudgets splits the synthetic-parameter budget Amount·total over the
+// resolved decoy count; the last decoy takes the remainder.
+func (o ModelAugmentOptions) decoyBudgets(total int) []int {
+	ns := o.ResolveSubNets()
+	budget := int(float64(total) * o.Amount)
+	per := budget / ns
+	out := make([]int, ns)
+	for i := range out {
+		out[i] = per
+	}
+	out[ns-1] = budget - per*(ns-1)
+	return out
+}
+
+// subNets is what the three augmented models share: the module tree —
+// the original under "orig", decoys under "decoy<i>" (§4.2) — and every
+// sub-network's input gather set. The "orig." prefix is what the extractor
+// strips, and what the cloud cannot distinguish from decoys, since
+// serialisation randomises sub-network order and strips names (see the
+// serialize package). Only the original carries mode state or dropout
+// streams; decoys are plain conv/linear/embedding stacks.
+type subNets struct {
+	nn.Children
+	opts    ModelAugmentOptions
+	gathers [][]int // each sub-network's live gather index, original first
+}
+
+// newSubNets validates the dataset key and the shared options, and
+// registers the original.
+func newSubNets(key interface{ Validate() error }, orig nn.Child, origGather []int, opts ModelAugmentOptions) (subNets, error) {
+	if err := key.Validate(); err != nil {
+		return subNets{}, err
+	}
+	if opts.Amount < 0 {
+		return subNets{}, fmt.Errorf("core: model augmentation amount must be ≥ 0, got %v", opts.Amount)
+	}
+	s := subNets{opts: opts, gathers: [][]int{origGather}}
+	s.Add("orig", orig)
+	return s, nil
+}
+
+func (s *subNets) addDecoy(d nn.Child, gather []int) {
+	s.Add(fmt.Sprintf("decoy%d", len(s.gathers)-1), d)
+	s.gathers = append(s.gathers, gather)
+}
+
+// GatherSets returns every sub-network's input gather set (original
+// sub-network first, then decoys). These sets are visible inside the
+// shipped graph (the real prototype bakes them into TorchScript); the
+// cloud simulator's provider view shuffles them before exposure.
+func (s *subNets) GatherSets() [][]int {
+	out := make([][]int, len(s.gathers))
+	for i, g := range s.gathers {
+		out[i] = append([]int(nil), g...)
+	}
+	return out
+}
+
+// TotalParams returns the trainable parameter count of the whole augmented
+// model (Table 3's "after augmentation" column).
+func (s *subNets) TotalParams() int { return nn.NumParams(s) }
+
 // cvDecoy is one synthetic sub-network: a secret (random) input gather, a
 // small CNN with a width solved to hit its parameter budget, an optional
 // tap projection from a detached original activation, and its own head.
 type cvDecoy struct {
+	nn.Children
 	gather       *SkipGather2d
 	conv1, conv2 *nn.Conv2d
 	mid          *nn.Linear
 	head         *nn.Linear
 	tapFC        *nn.Linear // nil when taps are disabled
 	tapIdx       int
-}
-
-func (d *cvDecoy) params() []nn.Param {
-	var out []nn.Param
-	out = append(out, nn.PrefixParams("conv1", d.conv1.Params())...)
-	out = append(out, nn.PrefixParams("conv2", d.conv2.Params())...)
-	out = append(out, nn.PrefixParams("mid", d.mid.Params())...)
-	out = append(out, nn.PrefixParams("head", d.head.Params())...)
-	if d.tapFC != nil {
-		out = append(out, nn.PrefixParams("tap", d.tapFC.Params())...)
-	}
-	return out
 }
 
 // AugmentedCVModel is the obfuscated form of a computer-vision model: the
@@ -85,62 +136,48 @@ func (d *cvDecoy) params() []nn.Param {
 // decoys are gradient-detached, so original weights train exactly as they
 // would unaugmented.
 type AugmentedCVModel struct {
+	subNets
 	Orig       models.CVModel
 	OrigGather *SkipGather2d
 	Decoys     []*cvDecoy
 	Classes    int
-	opts       ModelAugmentOptions
 }
 
 // AugmentCVModel wraps orig (built for the original input geometry) into an
 // augmented model bound to the dataset key. classes is the label count;
 // inC the input channel count.
 func AugmentCVModel(orig models.CVModel, key *ImageAugKey, inC, classes int, opts ModelAugmentOptions) (*AugmentedCVModel, error) {
-	if err := key.Validate(); err != nil {
+	gather := NewSkipGather2dFromKey(key)
+	base, err := newSubNets(key, orig, gather.Idx, opts)
+	if err != nil {
 		return nil, err
 	}
-	if opts.Amount < 0 {
-		return nil, fmt.Errorf("core: model augmentation amount must be ≥ 0, got %v", opts.Amount)
-	}
 	rng := tensor.NewRNG(opts.Seed ^ 0xa06a16a9)
-	m := &AugmentedCVModel{
-		Orig:       orig,
-		OrigGather: NewSkipGather2dFromKey(key),
-		Classes:    classes,
-		opts:       opts,
-	}
+	m := &AugmentedCVModel{subNets: base, Orig: orig, OrigGather: gather, Classes: classes}
 	if opts.Amount == 0 {
 		return m, nil
 	}
 
 	// Probe the original model's tap-feature shapes with a dummy forward.
-	// Eval mode so the probe cannot touch batch-norm running statistics —
-	// otherwise augmentation itself would perturb the original model's
-	// state and break the exactness invariant.
+	// Eval mode so the probe cannot touch batch-norm running statistics,
+	// and the caller's mode restored afterwards (a pre-trained model handed
+	// over in eval mode stays in eval mode) — otherwise augmentation itself
+	// would perturb the original model's state and break the exactness
+	// invariant.
 	var tapShapes [][]int
 	if !opts.DisableTaps {
+		was := nn.TrainingMode(orig)
 		orig.SetTraining(false)
 		probe := autodiff.Constant(tensor.New(1, inC, key.OrigH, key.OrigW))
 		_, feats := orig.ForwardFeatures(probe)
-		orig.SetTraining(true)
+		orig.SetTraining(was)
 		for _, f := range feats {
 			tapShapes = append(tapShapes, f.Val.Shape())
 		}
 	}
 
-	total := nn.NumParams(orig)
-	ns := opts.ResolveSubNets()
-	budget := int(float64(total) * opts.Amount)
-	per := budget / ns
-	for i := 0; i < ns; i++ {
-		b := per
-		if i == ns-1 {
-			b = budget - per*(ns-1) // give the remainder to the last decoy
-		}
-		d, err := newCVDecoy(rng.Split(uint64(i+1)), key, inC, classes, b, tapShapes)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range opts.decoyBudgets(nn.NumParams(orig)) {
+		d := newCVDecoy(rng.Split(uint64(i+1)), key, inC, classes, b, tapShapes)
 		if i < len(opts.DecoyGathers) {
 			pinned := opts.DecoyGathers[i]
 			if len(pinned) != key.OrigH*key.OrigW {
@@ -149,6 +186,7 @@ func AugmentCVModel(orig models.CVModel, key *ImageAugKey, inC, classes int, opt
 			d.gather.Idx = append([]int(nil), pinned...)
 		}
 		m.Decoys = append(m.Decoys, d)
+		m.addDecoy(d, d.gather.Idx)
 	}
 	return m, nil
 }
@@ -163,7 +201,7 @@ func AugmentCVModel(orig models.CVModel, key *ImageAugKey, inC, classes int, opt
 // proportional to α as the paper reports (§4.5, Table 3) — a decoy that
 // spent its budget on wide spatial convolutions would cost far more
 // compute per parameter than the original network.
-func newCVDecoy(rng *tensor.RNG, key *ImageAugKey, inC, classes, budget int, tapShapes [][]int) (*cvDecoy, error) {
+func newCVDecoy(rng *tensor.RNG, key *ImageAugKey, inC, classes, budget int, tapShapes [][]int) *cvDecoy {
 	d := &cvDecoy{gather: NewRandomSkipGather2d(rng.Split(1), key)}
 	tapDim := 0
 	tapC := 0
@@ -176,37 +214,38 @@ func newCVDecoy(rng *tensor.RNG, key *ImageAugKey, inC, classes, budget int, tap
 	if key.OrigH < 8 || key.OrigW < 8 {
 		convStride = 1 // tiny inputs: stride-2 stacking would underflow
 	}
-	for _, c1 := range []int{32, 16, 8, 4, 2, 1} {
-		fixed := 9*inC*c1 + c1 + // conv1 (+bias)
-			9*c1*c1 + c1 + // conv2 (+bias)
+	// Tiny budget fallback: a single minimal conv plus head, no tap.
+	c1, m, found := 1, 4, false
+	for _, c := range []int{32, 16, 8, 4, 2, 1} {
+		fixed := 9*inC*c + c + // conv1 (+bias)
+			9*c*c + c + // conv2 (+bias)
 			classes // head bias
 		if tapDim > 0 {
 			fixed += tapC*tapDim + tapDim // tap projection
 			fixed += tapDim * classes     // tap slice of head weight
 		}
-		// mid: c1*m + m; head weight from mid: m*classes.
-		coef := c1 + 1 + classes
-		m := (budget - fixed) / coef
-		if m < 4 {
-			continue
+		// mid: c*m + m; head weight from mid: m*classes.
+		if fit := (budget - fixed) / (c + 1 + classes); fit >= 4 {
+			c1, m, found = c, fit, true
+			break
 		}
-		d.conv1 = nn.NewConv2d(rng.Split(2), inC, c1, 3, convStride, 1)
-		d.conv2 = nn.NewConv2d(rng.Split(3), c1, c1, 3, 1, 1)
-		d.mid = nn.NewLinear(rng.Split(4), c1, m)
-		d.head = nn.NewLinear(rng.Split(5), m+tapDim, classes)
-		if tapDim > 0 {
-			d.tapFC = nn.NewLinear(rng.Split(6), tapC, tapDim)
-		}
-		return d, nil
 	}
-	// Tiny budget: a single minimal conv plus head.
-	d.tapFC = nil
-	c1 := 1
+	if !found {
+		tapDim = 0
+	}
 	d.conv1 = nn.NewConv2d(rng.Split(2), inC, c1, 3, convStride, 1)
 	d.conv2 = nn.NewConv2d(rng.Split(3), c1, c1, 3, 1, 1)
-	d.mid = nn.NewLinear(rng.Split(4), c1, 4)
-	d.head = nn.NewLinear(rng.Split(5), 4, classes)
-	return d, nil
+	d.mid = nn.NewLinear(rng.Split(4), c1, m)
+	d.head = nn.NewLinear(rng.Split(5), m+tapDim, classes)
+	d.Add("conv1", d.conv1)
+	d.Add("conv2", d.conv2)
+	d.Add("mid", d.mid)
+	d.Add("head", d.head)
+	if tapDim > 0 {
+		d.tapFC = nn.NewLinear(rng.Split(6), tapC, tapDim)
+		d.Add("tap", d.tapFC)
+	}
+	return d
 }
 
 // Forward returns the original sub-network's logits for an augmented
@@ -272,60 +311,6 @@ func (m *AugmentedCVModel) Loss(x *autodiff.Node, labels []int) (total, orig *au
 		losses = append(losses, autodiff.SoftmaxCrossEntropy(dl, labels))
 	}
 	return autodiff.AddN(losses...), orig
-}
-
-// Params returns the augmented state dict: original parameters under
-// "orig.", decoys under "decoy<i>.". The "orig." prefix is what the
-// extractor strips — and what the cloud cannot distinguish from decoys,
-// since serialisation randomises sub-network order and strips names (see
-// the serialize package).
-func (m *AugmentedCVModel) Params() []nn.Param {
-	var out []nn.Param
-	out = append(out, nn.PrefixParams("orig", m.Orig.Params())...)
-	for i, d := range m.Decoys {
-		out = append(out, nn.PrefixParams(fmt.Sprintf("decoy%d", i), d.params())...)
-	}
-	return out
-}
-
-// SetTraining toggles training mode on all sub-networks.
-func (m *AugmentedCVModel) SetTraining(t bool) {
-	m.Orig.SetTraining(t)
-}
-
-// Training reports the original sub-network's current mode (decoys carry
-// no mode state).
-func (m *AugmentedCVModel) Training() bool { return nn.TrainingMode(m.Orig) }
-
-// GatherSets returns every sub-network's input gather set (original
-// sub-network first, then decoys). These sets are visible inside the
-// shipped graph (the real prototype bakes them into TorchScript); the
-// cloud simulator's provider view shuffles them before exposure.
-func (m *AugmentedCVModel) GatherSets() [][]int {
-	out := [][]int{append([]int(nil), m.OrigGather.Idx...)}
-	for _, d := range m.Decoys {
-		out = append(out, append([]int(nil), d.gather.Idx...))
-	}
-	return out
-}
-
-// AddedParams returns the trainable parameter count contributed by decoys.
-func (m *AugmentedCVModel) AddedParams() int {
-	n := 0
-	for _, d := range m.Decoys {
-		for _, p := range d.params() {
-			if p.Node.RequiresGrad() {
-				n += p.Node.Val.Numel()
-			}
-		}
-	}
-	return n
-}
-
-// TotalParams returns the trainable parameter count of the whole augmented
-// model (Table 3's "after augmentation" column).
-func (m *AugmentedCVModel) TotalParams() int {
-	return nn.NumParams(m.Orig) + m.AddedParams()
 }
 
 var _ nn.Module = (*AugmentedCVModel)(nil)

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
-
 	"amalgam/internal/autodiff"
 	"amalgam/internal/models"
 	"amalgam/internal/nn"
@@ -14,77 +11,62 @@ import (
 // gather, its own embedding table sized to the parameter budget, and a
 // linear head. Eq. 2's custom embedding is the composition gather∘lookup.
 type textDecoy struct {
+	nn.Children
 	gather *SkipTokenGather
 	embed  *nn.Embedding
 	head   *nn.Linear
 	tapFC  *nn.Linear // projection of the detached original pooled feature
 }
 
-func (d *textDecoy) params() []nn.Param {
-	var out []nn.Param
-	out = append(out, nn.PrefixParams("embed", d.embed.Params())...)
-	out = append(out, nn.PrefixParams("head", d.head.Params())...)
-	if d.tapFC != nil {
-		out = append(out, nn.PrefixParams("tap", d.tapFC.Params())...)
+// newTextDecoy draws a decoy's gather, embedding (width d) and head from
+// rng; tapDim > 0 adds the tap projection from tapIn original features.
+func newTextDecoy(rng *tensor.RNG, key *TextAugKey, vocab, d, tapIn, tapDim, out int) *textDecoy {
+	dec := &textDecoy{
+		gather: NewRandomSkipTokenGather(rng.Split(1), key),
+		embed:  nn.NewEmbedding(rng.Split(2), vocab, d),
+		head:   nn.NewLinear(rng.Split(3), d+tapDim, out),
 	}
-	return out
+	dec.Add("embed", dec.embed)
+	dec.Add("head", dec.head)
+	if tapDim > 0 {
+		dec.tapFC = nn.NewLinear(rng.Split(4), tapIn, tapDim)
+		dec.Add("tap", dec.tapFC)
+	}
+	return dec
 }
 
 // AugmentedTextClassifier obfuscates the AG News-style classifier.
 type AugmentedTextClassifier struct {
+	subNets
 	Orig       *models.TextClassifier
 	OrigGather *SkipTokenGather
 	Decoys     []*textDecoy
-	opts       ModelAugmentOptions
 }
 
 // AugmentTextClassifier wraps the original classifier with decoy
 // sub-networks bound to the dataset key.
 func AugmentTextClassifier(orig *models.TextClassifier, key *TextAugKey, opts ModelAugmentOptions) (*AugmentedTextClassifier, error) {
-	if err := key.Validate(); err != nil {
+	gather := NewSkipTokenGatherFromKey(key)
+	base, err := newSubNets(key, orig, gather.Idx, opts)
+	if err != nil {
 		return nil, err
 	}
-	if opts.Amount < 0 {
-		return nil, fmt.Errorf("core: model augmentation amount must be ≥ 0, got %v", opts.Amount)
-	}
 	rng := tensor.NewRNG(opts.Seed ^ 0x7e87a63)
-	m := &AugmentedTextClassifier{
-		Orig:       orig,
-		OrigGather: NewSkipTokenGatherFromKey(key),
-		opts:       opts,
-	}
+	m := &AugmentedTextClassifier{subNets: base, Orig: orig, OrigGather: gather}
 	if opts.Amount == 0 {
 		return m, nil
 	}
-	total := nn.NumParams(orig)
-	ns := opts.ResolveSubNets()
-	budget := int(float64(total) * opts.Amount)
-	per := budget / ns
-	for i := 0; i < ns; i++ {
-		b := per
-		if i == ns-1 {
-			b = budget - per*(ns-1)
-		}
-		drng := rng.Split(uint64(i + 1))
-		tapDim := 0
-		if !opts.DisableTaps {
-			tapDim = 8
-		}
+	tapDim := 0
+	if !opts.DisableTaps {
+		tapDim = 8
+	}
+	for i, b := range opts.decoyBudgets(nn.NumParams(orig)) {
 		// embed: vocab·d + head: (d+tapDim)·classes + classes + tap: 64·tapDim+tapDim.
 		fixed := orig.Classes + tapDim*orig.Classes + orig.EmbedDim*tapDim + tapDim
-		d := (b - fixed) / (orig.Vocab + orig.Classes)
-		if d < 1 {
-			d = 1
-		}
-		dec := &textDecoy{
-			gather: NewRandomSkipTokenGather(drng.Split(1), key),
-			embed:  nn.NewEmbedding(drng.Split(2), orig.Vocab, d),
-			head:   nn.NewLinear(drng.Split(3), d+tapDim, orig.Classes),
-		}
-		if tapDim > 0 {
-			dec.tapFC = nn.NewLinear(drng.Split(4), orig.EmbedDim, tapDim)
-		}
+		d := max((b-fixed)/(orig.Vocab+orig.Classes), 1)
+		dec := newTextDecoy(rng.Split(uint64(i+1)), key, orig.Vocab, d, orig.EmbedDim, tapDim, orig.Classes)
 		m.Decoys = append(m.Decoys, dec)
+		m.addDecoy(dec, dec.gather.Idx)
 	}
 	return m, nil
 }
@@ -127,47 +109,6 @@ func (m *AugmentedTextClassifier) Loss(ids [][]int, labels []int) (total, orig *
 	return autodiff.AddN(losses...), orig
 }
 
-// Params returns the augmented state dict ("orig." + "decoy<i>.").
-func (m *AugmentedTextClassifier) Params() []nn.Param {
-	var out []nn.Param
-	out = append(out, nn.PrefixParams("orig", m.Orig.Params())...)
-	for i, d := range m.Decoys {
-		out = append(out, nn.PrefixParams(fmt.Sprintf("decoy%d", i), d.params())...)
-	}
-	return out
-}
-
-// SetTraining toggles training mode.
-func (m *AugmentedTextClassifier) SetTraining(t bool) { m.Orig.SetTraining(t) }
-
-// Training reports the original sub-network's current mode.
-func (m *AugmentedTextClassifier) Training() bool { return nn.TrainingMode(m.Orig) }
-
-// GatherSets returns every sub-network's token gather set (original
-// sub-network first, then decoys) — the text counterpart of
-// AugmentedCVModel.GatherSets, consumed by the cloud simulator's provider
-// view (which shuffles them before exposure).
-func (m *AugmentedTextClassifier) GatherSets() [][]int {
-	out := [][]int{append([]int(nil), m.OrigGather.Idx...)}
-	for _, d := range m.Decoys {
-		out = append(out, append([]int(nil), d.gather.Idx...))
-	}
-	return out
-}
-
-// TotalParams returns the trainable parameter count after augmentation.
-func (m *AugmentedTextClassifier) TotalParams() int {
-	n := nn.NumParams(m.Orig)
-	for _, d := range m.Decoys {
-		for _, p := range d.params() {
-			if p.Node.RequiresGrad() {
-				n += p.Node.Val.Numel()
-			}
-		}
-	}
-	return n
-}
-
 // AugmentedTransformerLM obfuscates the WikiText-2-style language model.
 // Training operates on non-overlapping windows of the augmented stream
 // (window length = key.AugLen); the original sub-network gathers the key's
@@ -175,49 +116,30 @@ func (m *AugmentedTextClassifier) TotalParams() int {
 // next original token at each position. Decoys run their own gathers
 // through their own (small) embedding+decoder stacks.
 type AugmentedTransformerLM struct {
+	subNets
 	Orig       *models.TransformerLM
 	OrigGather *SkipTokenGather
 	Decoys     []*textDecoy
-	opts       ModelAugmentOptions
 }
 
 // AugmentTransformerLM wraps the original LM with decoys bound to the key.
 func AugmentTransformerLM(orig *models.TransformerLM, key *TextAugKey, opts ModelAugmentOptions) (*AugmentedTransformerLM, error) {
-	if err := key.Validate(); err != nil {
+	gather := NewSkipTokenGatherFromKey(key)
+	base, err := newSubNets(key, orig, gather.Idx, opts)
+	if err != nil {
 		return nil, err
 	}
-	if opts.Amount < 0 {
-		return nil, fmt.Errorf("core: model augmentation amount must be ≥ 0, got %v", opts.Amount)
-	}
 	rng := tensor.NewRNG(opts.Seed ^ 0x11a6)
-	m := &AugmentedTransformerLM{
-		Orig:       orig,
-		OrigGather: NewSkipTokenGatherFromKey(key),
-		opts:       opts,
-	}
+	m := &AugmentedTransformerLM{subNets: base, Orig: orig, OrigGather: gather}
 	if opts.Amount == 0 {
 		return m, nil
 	}
-	total := nn.NumParams(orig)
-	ns := opts.ResolveSubNets()
-	budget := int(float64(total) * opts.Amount)
-	per := budget / ns
-	for i := 0; i < ns; i++ {
-		b := per
-		if i == ns-1 {
-			b = budget - per*(ns-1)
-		}
-		drng := rng.Split(uint64(i + 1))
-		// Decoy LM: embedding vocab·d + decoder d·vocab + vocab.
-		d := (b - orig.Vocab) / (2 * orig.Vocab)
-		if d < 1 {
-			d = 1
-		}
-		m.Decoys = append(m.Decoys, &textDecoy{
-			gather: NewRandomSkipTokenGather(drng.Split(1), key),
-			embed:  nn.NewEmbedding(drng.Split(2), orig.Vocab, d),
-			head:   nn.NewLinear(drng.Split(3), d, orig.Vocab),
-		})
+	for i, b := range opts.decoyBudgets(nn.NumParams(orig)) {
+		// Decoy LM: embedding vocab·d + decoder d·vocab + vocab; no tap.
+		d := max((b-orig.Vocab)/(2*orig.Vocab), 1)
+		dec := newTextDecoy(rng.Split(uint64(i+1)), key, orig.Vocab, d, 0, 0, orig.Vocab)
+		m.Decoys = append(m.Decoys, dec)
+		m.addDecoy(dec, dec.gather.Idx)
 	}
 	return m, nil
 }
@@ -277,75 +199,4 @@ func lmWindowLoss(forward func([][]int) *autodiff.Node, windows [][]int) *autodi
 // mean next-token cross-entropy of a plain model over original windows.
 func LMWindowLoss(m *models.TransformerLM, windows [][]int) *autodiff.Node {
 	return lmWindowLoss(func(ids [][]int) *autodiff.Node { return m.ForwardIDs(ids) }, windows)
-}
-
-// Params returns the augmented state dict ("orig." + "decoy<i>.").
-func (m *AugmentedTransformerLM) Params() []nn.Param {
-	var out []nn.Param
-	out = append(out, nn.PrefixParams("orig", m.Orig.Params())...)
-	for i, d := range m.Decoys {
-		out = append(out, nn.PrefixParams(fmt.Sprintf("decoy%d", i), d.params())...)
-	}
-	return out
-}
-
-// SetTraining toggles training mode.
-func (m *AugmentedTransformerLM) SetTraining(t bool) { m.Orig.SetTraining(t) }
-
-// Training reports the original sub-network's current mode.
-func (m *AugmentedTransformerLM) Training() bool { return m.Orig.Training() }
-
-// RNGStates captures the dropout-stream cursors of every stochastic layer
-// (only the original LM has dropout; decoys are embedding+head stacks)
-// under "orig."-prefixed names matching the state-dict convention.
-func (m *AugmentedTransformerLM) RNGStates() (map[string][]byte, error) {
-	inner, err := m.Orig.DropoutStates()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(inner))
-	//amalgam:allow detcheck pure map-to-map rekeying; result is independent of iteration order
-	for name, b := range inner {
-		out["orig."+name] = b
-	}
-	return out, nil
-}
-
-// LoadRNGStates restores cursors captured by RNGStates. Names outside the
-// "orig." namespace are rejected — they cannot belong to this model.
-func (m *AugmentedTransformerLM) LoadRNGStates(states map[string][]byte) error {
-	inner := make(map[string][]byte, len(states))
-	//amalgam:allow detcheck pure map-to-map rekeying; result is independent of iteration order
-	for name, b := range states {
-		rest, ok := strings.CutPrefix(name, "orig.")
-		if !ok {
-			return fmt.Errorf("core: unknown RNG stream %q", name)
-		}
-		inner[rest] = b
-	}
-	return m.Orig.LoadDropoutStates(inner)
-}
-
-// GatherSets returns every sub-network's token gather set (original
-// sub-network first, then decoys) — consumed by the cloud simulator's
-// provider view, which shuffles them before exposure.
-func (m *AugmentedTransformerLM) GatherSets() [][]int {
-	out := [][]int{append([]int(nil), m.OrigGather.Idx...)}
-	for _, d := range m.Decoys {
-		out = append(out, append([]int(nil), d.gather.Idx...))
-	}
-	return out
-}
-
-// TotalParams returns the trainable parameter count after augmentation.
-func (m *AugmentedTransformerLM) TotalParams() int {
-	n := nn.NumParams(m.Orig)
-	for _, d := range m.Decoys {
-		for _, p := range d.params() {
-			if p.Node.RequiresGrad() {
-				n += p.Node.Val.Numel()
-			}
-		}
-	}
-	return n
 }

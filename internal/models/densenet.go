@@ -11,38 +11,30 @@ import (
 // denseLayer is DenseNet-BC's bottleneck unit: BN-ReLU-Conv1×1(4k) →
 // BN-ReLU-Conv3×3(k); its output is concatenated onto its input.
 type denseLayer struct {
+	nn.Children
 	bn1, bn2     *nn.BatchNorm2d
 	conv1, conv2 *nn.Conv2d
 }
 
 func newDenseLayer(rng *tensor.RNG, inC, growth int) *denseLayer {
 	inter := 4 * growth
-	return &denseLayer{
+	l := &denseLayer{
 		bn1:   nn.NewBatchNorm2d(inC),
 		conv1: nn.NewConv2dNoBias(rng.Split(1), inC, inter, 1, 1, 0),
 		bn2:   nn.NewBatchNorm2d(inter),
 		conv2: nn.NewConv2dNoBias(rng.Split(2), inter, growth, 3, 1, 1),
 	}
+	l.Add("bn1", l.bn1)
+	l.Add("conv1", l.conv1)
+	l.Add("bn2", l.bn2)
+	l.Add("conv2", l.conv2)
+	return l
 }
 
 func (l *denseLayer) forward(x *autodiff.Node) *autodiff.Node {
 	h := l.conv1.Forward(autodiff.ReLU(l.bn1.Forward(x)))
 	h = l.conv2.Forward(autodiff.ReLU(l.bn2.Forward(h)))
 	return autodiff.ConcatChannels(x, h)
-}
-
-func (l *denseLayer) params() []nn.Param {
-	var out []nn.Param
-	out = append(out, nn.PrefixParams("bn1", l.bn1.Params())...)
-	out = append(out, nn.PrefixParams("conv1", l.conv1.Params())...)
-	out = append(out, nn.PrefixParams("bn2", l.bn2.Params())...)
-	out = append(out, nn.PrefixParams("conv2", l.conv2.Params())...)
-	return out
-}
-
-func (l *denseLayer) setTraining(t bool) {
-	l.bn1.SetTraining(t)
-	l.bn2.SetTraining(t)
 }
 
 // transition halves channels (compression 0.5) and spatial size.
@@ -66,6 +58,7 @@ func (t *transition) forward(x *autodiff.Node) *autodiff.Node {
 // (Table 3 lists 10.00×10⁵). Structure — dense connectivity, bottlenecks,
 // 0.5-compression transitions — is faithful to Huang et al.
 type DenseNetLite struct {
+	nn.Children
 	cfg        CVConfig
 	stem       *nn.Conv2d
 	blocks     [][]*denseLayer
@@ -89,23 +82,31 @@ func NewDenseNetLite(rng *tensor.RNG, cfg CVConfig) *DenseNetLite {
 		cfg:  cfg,
 		stem: nn.NewConv2dNoBias(rng.Split(1), cfg.InC, width, 3, 1, 1),
 	}
+	m.Add("stem", m.stem)
 	for bi, nLayers := range blockSizes {
 		brng := rng.Split(uint64(10 + bi))
 		var layers []*denseLayer
 		for li := 0; li < nLayers; li++ {
-			layers = append(layers, newDenseLayer(brng.Split(uint64(li)), width, growth))
+			l := newDenseLayer(brng.Split(uint64(li)), width, growth)
+			m.Add(fmt.Sprintf("block%d.%d", bi+1, li), l)
+			layers = append(layers, l)
 			width += growth
 		}
 		m.blocks = append(m.blocks, layers)
 		if bi < len(blockSizes)-1 {
 			out := width / 2
-			m.trans = append(m.trans, newTransition(brng.Split(999), width, out))
+			tr := newTransition(brng.Split(999), width, out)
+			m.trans = append(m.trans, tr)
+			m.Add(fmt.Sprintf("trans%d.bn", bi+1), tr.bn)
+			m.Add(fmt.Sprintf("trans%d.conv", bi+1), tr.conv)
 			width = out
 		}
 	}
 	m.finalBN = nn.NewBatchNorm2d(width)
 	m.fc = nn.NewLinear(rng.Split(2), width, cfg.Classes)
 	m.finalWidth = width
+	m.Add("finalbn", m.finalBN)
+	m.Add("fc", m.fc)
 	return m
 }
 
@@ -132,40 +133,5 @@ func (m *DenseNetLite) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*aut
 	h = autodiff.ReLU(m.finalBN.Forward(h))
 	return m.fc.Forward(autodiff.GlobalAvgPool(h)), feats
 }
-
-// Params returns all parameters under stable hierarchical names.
-func (m *DenseNetLite) Params() []nn.Param {
-	var out []nn.Param
-	out = append(out, nn.PrefixParams("stem", m.stem.Params())...)
-	for bi, block := range m.blocks {
-		for li, l := range block {
-			out = append(out, nn.PrefixParams(fmt.Sprintf("block%d.%d", bi+1, li), l.params())...)
-		}
-		if bi < len(m.trans) {
-			out = append(out, nn.PrefixParams(fmt.Sprintf("trans%d.bn", bi+1), m.trans[bi].bn.Params())...)
-			out = append(out, nn.PrefixParams(fmt.Sprintf("trans%d.conv", bi+1), m.trans[bi].conv.Params())...)
-		}
-	}
-	out = append(out, nn.PrefixParams("finalbn", m.finalBN.Params())...)
-	out = append(out, nn.PrefixParams("fc", m.fc.Params())...)
-	return out
-}
-
-// SetTraining toggles every batch norm.
-func (m *DenseNetLite) SetTraining(t bool) {
-	for _, block := range m.blocks {
-		for _, l := range block {
-			l.setTraining(t)
-		}
-	}
-	for _, tr := range m.trans {
-		tr.bn.SetTraining(t)
-	}
-	m.finalBN.SetTraining(t)
-}
-
-// Training reports the current mode (SetTraining keeps every BN in sync,
-// so the final BN speaks for the whole model).
-func (m *DenseNetLite) Training() bool { return m.finalBN.Training() }
 
 var _ CVModel = (*DenseNetLite)(nil)

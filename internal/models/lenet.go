@@ -9,6 +9,7 @@ import (
 // LeNet5 is the classic LeCun'98 convolutional network, the model used in
 // the paper's framework comparison (Fig. 14) and attack analysis (§6.3).
 type LeNet5 struct {
+	nn.Children
 	cfg           CVConfig
 	Conv1, Conv2  *nn.Conv2d
 	FC1, FC2, FC3 *nn.Linear
@@ -20,7 +21,7 @@ func NewLeNet5(rng *tensor.RNG, cfg CVConfig) *LeNet5 {
 	// conv5x5 pad2 keeps spatial size; two 2× pools quarter it.
 	h, w := cfg.InH/2/2, cfg.InW/2/2
 	flat := 16 * h * w
-	return &LeNet5{
+	m := &LeNet5{
 		cfg:     cfg,
 		Conv1:   nn.NewConv2d(rng.Split(1), cfg.InC, 6, 5, 1, 2),
 		Conv2:   nn.NewConv2d(rng.Split(2), 6, 16, 5, 1, 2),
@@ -29,6 +30,12 @@ func NewLeNet5(rng *tensor.RNG, cfg CVConfig) *LeNet5 {
 		FC3:     nn.NewLinear(rng.Split(5), 84, cfg.Classes),
 		flatDim: flat,
 	}
+	m.Add("conv1", m.Conv1)
+	m.Add("conv2", m.Conv2)
+	m.Add("fc1", m.FC1)
+	m.Add("fc2", m.FC2)
+	m.Add("fc3", m.FC3)
+	return m
 }
 
 // Forward returns class logits.
@@ -47,19 +54,5 @@ func (m *LeNet5) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*autodiff.
 	h = m.FC2.ForwardReLU(h)
 	return m.FC3.Forward(h), []*autodiff.Node{f1, f2}
 }
-
-// Params returns all parameters under stable layer names.
-func (m *LeNet5) Params() []nn.Param {
-	var out []nn.Param
-	out = append(out, nn.PrefixParams("conv1", m.Conv1.Params())...)
-	out = append(out, nn.PrefixParams("conv2", m.Conv2.Params())...)
-	out = append(out, nn.PrefixParams("fc1", m.FC1.Params())...)
-	out = append(out, nn.PrefixParams("fc2", m.FC2.Params())...)
-	out = append(out, nn.PrefixParams("fc3", m.FC3.Params())...)
-	return out
-}
-
-// SetTraining is a no-op for LeNet (no BN/dropout).
-func (m *LeNet5) SetTraining(bool) {}
 
 var _ CVModel = (*LeNet5)(nil)

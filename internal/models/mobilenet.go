@@ -12,6 +12,7 @@ import (
 // 1×1 project, with a residual connection when stride is 1 and channel
 // counts match.
 type invertedResidual struct {
+	nn.Children
 	expand    *nn.Conv2d // nil when expansion factor is 1
 	expandBN  *nn.BatchNorm2d
 	dw        *nn.DepthwiseConv2d
@@ -27,11 +28,17 @@ func newInvertedResidual(rng *tensor.RNG, inC, outC, stride, expandRatio int) *i
 	if expandRatio != 1 {
 		b.expand = nn.NewConv2dNoBias(rng.Split(1), inC, hidden, 1, 1, 0)
 		b.expandBN = nn.NewBatchNorm2d(hidden)
+		b.Add("expand", b.expand)
+		b.Add("expandbn", b.expandBN)
 	}
 	b.dw = nn.NewDepthwiseConv2d(rng.Split(2), hidden, 3, stride, 1)
 	b.dwBN = nn.NewBatchNorm2d(hidden)
 	b.project = nn.NewConv2dNoBias(rng.Split(3), hidden, outC, 1, 1, 0)
 	b.projectBN = nn.NewBatchNorm2d(outC)
+	b.Add("dw", b.dw)
+	b.Add("dwbn", b.dwBN)
+	b.Add("project", b.project)
+	b.Add("projectbn", b.projectBN)
 	return b
 }
 
@@ -48,31 +55,11 @@ func (b *invertedResidual) forward(x *autodiff.Node) *autodiff.Node {
 	return h
 }
 
-func (b *invertedResidual) params() []nn.Param {
-	var out []nn.Param
-	if b.expand != nil {
-		out = append(out, nn.PrefixParams("expand", b.expand.Params())...)
-		out = append(out, nn.PrefixParams("expandbn", b.expandBN.Params())...)
-	}
-	out = append(out, nn.PrefixParams("dw", b.dw.Params())...)
-	out = append(out, nn.PrefixParams("dwbn", b.dwBN.Params())...)
-	out = append(out, nn.PrefixParams("project", b.project.Params())...)
-	out = append(out, nn.PrefixParams("projectbn", b.projectBN.Params())...)
-	return out
-}
-
-func (b *invertedResidual) setTraining(t bool) {
-	if b.expandBN != nil {
-		b.expandBN.SetTraining(t)
-	}
-	b.dwBN.SetTraining(t)
-	b.projectBN.SetTraining(t)
-}
-
 // MobileNetV2 is the CIFAR-style MobileNetV2 (stride-1 stem, the standard
 // (t,c,n,s) schedule, 1280-wide head) — ≈2.3M parameters at 10 classes,
 // matching Table 3's original row.
 type MobileNetV2 struct {
+	nn.Children
 	cfg     CVConfig
 	stem    *nn.Conv2d
 	stemBN  *nn.BatchNorm2d
@@ -90,6 +77,8 @@ func NewMobileNetV2(rng *tensor.RNG, cfg CVConfig) *MobileNetV2 {
 		stem:   nn.NewConv2dNoBias(rng.Split(1), cfg.InC, 32, 3, 1, 1),
 		stemBN: nn.NewBatchNorm2d(32),
 	}
+	m.Add("stem", m.stem)
+	m.Add("stembn", m.stemBN)
 	// (expansion, outC, repeats, firstStride) — strides reduced for 32×32
 	// inputs per the common CIFAR adaptation.
 	schedule := []struct{ t, c, n, s int }{
@@ -103,7 +92,9 @@ func NewMobileNetV2(rng *tensor.RNG, cfg CVConfig) *MobileNetV2 {
 			if i == 0 {
 				stride = st.s
 			}
-			m.blocks = append(m.blocks, newInvertedResidual(srng.Split(uint64(i)), inC, st.c, stride, st.t))
+			blk := newInvertedResidual(srng.Split(uint64(i)), inC, st.c, stride, st.t)
+			m.Add(fmt.Sprintf("block%d", len(m.blocks)), blk)
+			m.blocks = append(m.blocks, blk)
 			inC = st.c
 		}
 		m.stageIx = append(m.stageIx, len(m.blocks)-1)
@@ -111,6 +102,9 @@ func NewMobileNetV2(rng *tensor.RNG, cfg CVConfig) *MobileNetV2 {
 	m.head = nn.NewConv2dNoBias(rng.Split(2), inC, 1280, 1, 1, 0)
 	m.headBN = nn.NewBatchNorm2d(1280)
 	m.fc = nn.NewLinear(rng.Split(3), 1280, cfg.Classes)
+	m.Add("headconv", m.head)
+	m.Add("headbn", m.headBN)
+	m.Add("fc", m.fc)
 	return m
 }
 
@@ -136,32 +130,5 @@ func (m *MobileNetV2) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*auto
 	h = autodiff.ReLU6(m.headBN.Forward(m.head.Forward(h)))
 	return m.fc.Forward(autodiff.GlobalAvgPool(h)), feats
 }
-
-// Params returns all parameters under stable hierarchical names.
-func (m *MobileNetV2) Params() []nn.Param {
-	var out []nn.Param
-	out = append(out, nn.PrefixParams("stem", m.stem.Params())...)
-	out = append(out, nn.PrefixParams("stembn", m.stemBN.Params())...)
-	for i, blk := range m.blocks {
-		out = append(out, nn.PrefixParams(fmt.Sprintf("block%d", i), blk.params())...)
-	}
-	out = append(out, nn.PrefixParams("headconv", m.head.Params())...)
-	out = append(out, nn.PrefixParams("headbn", m.headBN.Params())...)
-	out = append(out, nn.PrefixParams("fc", m.fc.Params())...)
-	return out
-}
-
-// SetTraining toggles every batch norm.
-func (m *MobileNetV2) SetTraining(t bool) {
-	m.stemBN.SetTraining(t)
-	for _, blk := range m.blocks {
-		blk.setTraining(t)
-	}
-	m.headBN.SetTraining(t)
-}
-
-// Training reports the current mode (SetTraining keeps every BN in sync,
-// so the stem BN speaks for the whole model).
-func (m *MobileNetV2) Training() bool { return m.stemBN.Training() }
 
 var _ CVModel = (*MobileNetV2)(nil)

@@ -11,6 +11,7 @@ import (
 // basicBlock is ResNet's two-conv residual block with optional projection
 // shortcut.
 type basicBlock struct {
+	nn.Children
 	conv1, conv2 *nn.Conv2d
 	bn1, bn2     *nn.BatchNorm2d
 	downConv     *nn.Conv2d // nil for identity shortcut
@@ -24,9 +25,15 @@ func newBasicBlock(rng *tensor.RNG, inC, outC, stride int) *basicBlock {
 		conv2: nn.NewConv2dNoBias(rng.Split(2), outC, outC, 3, 1, 1),
 		bn2:   nn.NewBatchNorm2d(outC),
 	}
+	b.Add("conv1", b.conv1)
+	b.Add("bn1", b.bn1)
+	b.Add("conv2", b.conv2)
+	b.Add("bn2", b.bn2)
 	if stride != 1 || inC != outC {
 		b.downConv = nn.NewConv2dNoBias(rng.Split(3), inC, outC, 1, stride, 0)
 		b.downBN = nn.NewBatchNorm2d(outC)
+		b.Add("down.conv", b.downConv)
+		b.Add("down.bn", b.downBN)
 	}
 	return b
 }
@@ -41,31 +48,11 @@ func (b *basicBlock) forward(x *autodiff.Node) *autodiff.Node {
 	return autodiff.ReLU(autodiff.Add(out, short))
 }
 
-func (b *basicBlock) params() []nn.Param {
-	var out []nn.Param
-	out = append(out, nn.PrefixParams("conv1", b.conv1.Params())...)
-	out = append(out, nn.PrefixParams("bn1", b.bn1.Params())...)
-	out = append(out, nn.PrefixParams("conv2", b.conv2.Params())...)
-	out = append(out, nn.PrefixParams("bn2", b.bn2.Params())...)
-	if b.downConv != nil {
-		out = append(out, nn.PrefixParams("down.conv", b.downConv.Params())...)
-		out = append(out, nn.PrefixParams("down.bn", b.downBN.Params())...)
-	}
-	return out
-}
-
-func (b *basicBlock) setTraining(t bool) {
-	b.bn1.SetTraining(t)
-	b.bn2.SetTraining(t)
-	if b.downBN != nil {
-		b.downBN.SetTraining(t)
-	}
-}
-
 // ResNet18 is the CIFAR-style ResNet-18 (3×3 stem, four 2-block stages,
 // global average pooling) used throughout the paper's CV evaluation;
 // 11.17M parameters at 10 classes, matching Table 3's original row.
 type ResNet18 struct {
+	nn.Children
 	cfg    CVConfig
 	stem   *nn.Conv2d
 	stemBN *nn.BatchNorm2d
@@ -81,6 +68,8 @@ func NewResNet18(rng *tensor.RNG, cfg CVConfig) *ResNet18 {
 		stemBN: nn.NewBatchNorm2d(64),
 		fc:     nn.NewLinear(rng.Split(2), 512, cfg.Classes),
 	}
+	m.Add("stem", m.stem)
+	m.Add("stembn", m.stemBN)
 	widths := []int{64, 128, 256, 512}
 	inC := 64
 	for s, w := range widths {
@@ -93,8 +82,12 @@ func NewResNet18(rng *tensor.RNG, cfg CVConfig) *ResNet18 {
 			newBasicBlock(srng.Split(0), inC, w, stride),
 			newBasicBlock(srng.Split(1), w, w, 1),
 		}
+		for b, blk := range m.stages[s] {
+			m.Add(fmt.Sprintf("layer%d.%d", s+1, b), blk)
+		}
 		inC = w
 	}
+	m.Add("fc", m.fc)
 	return m
 }
 
@@ -118,33 +111,5 @@ func (m *ResNet18) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*autodif
 	pooled := autodiff.GlobalAvgPool(h)
 	return m.fc.Forward(pooled), feats
 }
-
-// Params returns all parameters under stable hierarchical names.
-func (m *ResNet18) Params() []nn.Param {
-	var out []nn.Param
-	out = append(out, nn.PrefixParams("stem", m.stem.Params())...)
-	out = append(out, nn.PrefixParams("stembn", m.stemBN.Params())...)
-	for s, stage := range m.stages {
-		for b, blk := range stage {
-			out = append(out, nn.PrefixParams(fmt.Sprintf("layer%d.%d", s+1, b), blk.params())...)
-		}
-	}
-	out = append(out, nn.PrefixParams("fc", m.fc.Params())...)
-	return out
-}
-
-// SetTraining toggles every batch norm.
-func (m *ResNet18) SetTraining(t bool) {
-	m.stemBN.SetTraining(t)
-	for _, stage := range m.stages {
-		for _, blk := range stage {
-			blk.setTraining(t)
-		}
-	}
-}
-
-// Training reports the current mode (SetTraining keeps every BN in sync,
-// so the stem BN speaks for the whole model).
-func (m *ResNet18) Training() bool { return m.stemBN.Training() }
 
 var _ CVModel = (*ResNet18)(nil)

@@ -13,6 +13,7 @@ import (
 // followed by one linear layer (6.13M parameters at the real AG News
 // vocabulary of 95,812 and embedding width 64 — Table 4's original row).
 type TextClassifier struct {
+	nn.Children
 	Vocab, EmbedDim, Classes int
 	Embed                    *nn.Embedding
 	FC                       *nn.Linear
@@ -20,11 +21,14 @@ type TextClassifier struct {
 
 // NewTextClassifier builds the classifier.
 func NewTextClassifier(rng *tensor.RNG, vocab, embedDim, classes int) *TextClassifier {
-	return &TextClassifier{
+	m := &TextClassifier{
 		Vocab: vocab, EmbedDim: embedDim, Classes: classes,
 		Embed: nn.NewEmbedding(rng.Split(1), vocab, embedDim),
 		FC:    nn.NewLinear(rng.Split(2), embedDim, classes),
 	}
+	m.Add("embed", m.Embed)
+	m.Add("fc", m.FC)
+	return m
 }
 
 // ForwardIDs maps token batches to class logits.
@@ -48,17 +52,6 @@ func (m *TextClassifier) ForwardPooled(pooled *autodiff.Node) *autodiff.Node {
 	return m.FC.Forward(pooled)
 }
 
-// Params returns embedding and classifier parameters.
-func (m *TextClassifier) Params() []nn.Param {
-	var out []nn.Param
-	out = append(out, nn.PrefixParams("embed", m.Embed.Params())...)
-	out = append(out, nn.PrefixParams("fc", m.FC.Params())...)
-	return out
-}
-
-// SetTraining is a no-op (no dropout/BN).
-func (m *TextClassifier) SetTraining(bool) {}
-
 var _ TextModel = (*TextClassifier)(nil)
 
 // TransformerLM is the paper's WikiText-2 language model, following the
@@ -66,6 +59,7 @@ var _ TextModel = (*TextClassifier)(nil)
 // implies: d_model 200, 2 heads, 2 encoder layers, FFN width 200 —
 // 12.03M parameters at the 28,782-token vocabulary (Table 4).
 type TransformerLM struct {
+	nn.Children
 	Vocab, D, Heads, Layers int
 	Embed                   *nn.Embedding
 	Blocks                  []*nn.TransformerEncoderLayer
@@ -110,11 +104,15 @@ func NewTransformerLM(rng *tensor.RNG, cfg TransformerLMConfig) *TransformerLM {
 		maxT:    cfg.MaxT,
 		Cfg:     cfg,
 	}
+	m.Add("embed", m.Embed)
+	m.Add("drop", m.Drop)
 	for i := 0; i < cfg.Layers; i++ {
 		blk := nn.NewTransformerEncoderLayer(rng.Split(uint64(10+i)), cfg.D, cfg.Heads, cfg.FF, cfg.Dropout)
 		blk.GELUFF = cfg.GELUFF
+		m.Add(fmt.Sprintf("block%d", i), blk)
 		m.Blocks = append(m.Blocks, blk)
 	}
+	m.Add("decoder", m.Decoder)
 	return m
 }
 
@@ -158,73 +156,6 @@ func (m *TransformerLM) ForwardEmbedded(h *autodiff.Node) *autodiff.Node {
 	}
 	flat := autodiff.Reshape(h, n*t, m.D)
 	return m.Decoder.Forward(flat)
-}
-
-// Params returns all parameters under stable hierarchical names.
-func (m *TransformerLM) Params() []nn.Param {
-	var out []nn.Param
-	out = append(out, nn.PrefixParams("embed", m.Embed.Params())...)
-	for i, blk := range m.Blocks {
-		out = append(out, nn.PrefixParams(fmt.Sprintf("block%d", i), blk.Params())...)
-	}
-	out = append(out, nn.PrefixParams("decoder", m.Decoder.Params())...)
-	return out
-}
-
-// SetTraining toggles dropout in the embedding path and every block.
-func (m *TransformerLM) SetTraining(t bool) {
-	m.Drop.SetTraining(t)
-	for _, blk := range m.Blocks {
-		blk.SetTraining(t)
-	}
-}
-
-// Training reports the current mode (SetTraining keeps every dropout in
-// sync, so the embedding-path dropout speaks for the whole model).
-func (m *TransformerLM) Training() bool { return m.Drop.Training() }
-
-// DropoutStates captures every dropout layer's RNG cursor under stable
-// names ("drop" for the embedding path, "block<i>.drop" per encoder
-// layer). Together with the weights and optimiser state these make an
-// interrupted Dropout > 0 run resumable bit-identically: the restored
-// streams continue the mask sequence instead of replaying it from the
-// model's build.
-func (m *TransformerLM) DropoutStates() (map[string][]byte, error) {
-	out := make(map[string][]byte, 1+len(m.Blocks))
-	b, err := m.Drop.RNGState()
-	if err != nil {
-		return nil, err
-	}
-	out["drop"] = b
-	for i, blk := range m.Blocks {
-		if b, err = blk.Drop.RNGState(); err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("block%d.drop", i)] = b
-	}
-	return out, nil
-}
-
-// LoadDropoutStates restores cursors captured by DropoutStates. Missing
-// entries leave the corresponding stream untouched (so old checkpoints
-// without the section still load); unknown names or undecodable bytes are
-// errors, since they signal a checkpoint from a different architecture.
-func (m *TransformerLM) LoadDropoutStates(states map[string][]byte) error {
-	known := make(map[string]*nn.Dropout, 1+len(m.Blocks))
-	known["drop"] = m.Drop
-	for i, blk := range m.Blocks {
-		known[fmt.Sprintf("block%d.drop", i)] = blk.Drop
-	}
-	for name, b := range states {
-		d, ok := known[name]
-		if !ok {
-			return fmt.Errorf("models: unknown dropout stream %q", name)
-		}
-		if err := d.SetRNGState(b); err != nil {
-			return fmt.Errorf("models: dropout stream %q: %w", name, err)
-		}
-	}
-	return nil
 }
 
 var _ TextModel = (*TransformerLM)(nil)

@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"strings"
 
 	"amalgam/internal/autodiff"
 	"amalgam/internal/nn"
@@ -28,7 +29,12 @@ var vggCfg16 = [][]int{
 //
 // Pools that would shrink the spatial size below 1 are skipped so the model
 // accepts small inputs (28×28 MNIST) and Amalgam-augmented sizes alike.
+//
+// CBAM parameters (when present) sit under "cbam<stage>"; the extractor
+// treats them as part of the original model, matching the paper's workflow
+// where the user modifies the model (adds CBAMs) before augmentation.
 type VGG16 struct {
+	nn.Children
 	cfg          CVConfig
 	imagenetHead bool
 	convs        [][]*nn.Conv2d
@@ -63,6 +69,8 @@ func buildVGG16(rng *tensor.RNG, cfg CVConfig, imagenetHead, withCBAM bool) *VGG
 		for i, outC := range stage {
 			convs = append(convs, nn.NewConv2dNoBias(srng.Split(uint64(i)), inC, outC, 3, 1, 1))
 			bns = append(bns, nn.NewBatchNorm2d(outC))
+			m.Add(fmt.Sprintf("stage%d.conv%d", s+1, i), convs[i])
+			m.Add(fmt.Sprintf("stage%d.bn%d", s+1, i), bns[i])
 			inC = outC
 		}
 		m.convs = append(m.convs, convs)
@@ -74,6 +82,7 @@ func buildVGG16(rng *tensor.RNG, cfg CVConfig, imagenetHead, withCBAM bool) *VGG
 		m.poolAfter = append(m.poolAfter, pool)
 		if withCBAM {
 			m.cbams = append(m.cbams, nn.NewCBAM(srng.Split(77), inC))
+			m.Add(fmt.Sprintf("cbam%d", s+1), m.cbams[s])
 		}
 	}
 	hrng := rng.Split(100)
@@ -87,6 +96,12 @@ func buildVGG16(rng *tensor.RNG, cfg CVConfig, imagenetHead, withCBAM bool) *VGG
 	} else {
 		m.headInDim = 512
 		m.headFC = []*nn.Linear{nn.NewLinear(hrng.Split(1), 512, cfg.Classes)}
+	}
+	for i, fc := range m.headFC {
+		m.Add(fmt.Sprintf("head%d", i), fc)
+	}
+	if imagenetHead { // the CIFAR head never runs the dropout
+		m.Add("drop", m.drop)
 	}
 	return m
 }
@@ -125,50 +140,14 @@ func (m *VGG16) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*autodiff.N
 	return m.headFC[0].Forward(flat), feats
 }
 
-// Params returns all parameters under stable hierarchical names. CBAM
-// parameters (when present) sit under "cbam<stage>"; the extractor treats
-// them as part of the original model, matching the paper's workflow where
-// the user modifies the model (adds CBAMs) before augmentation.
-func (m *VGG16) Params() []nn.Param {
-	var out []nn.Param
-	for s := range m.convs {
-		for i := range m.convs[s] {
-			out = append(out, nn.PrefixParams(fmt.Sprintf("stage%d.conv%d", s+1, i), m.convs[s][i].Params())...)
-			out = append(out, nn.PrefixParams(fmt.Sprintf("stage%d.bn%d", s+1, i), m.bns[s][i].Params())...)
-		}
-		if len(m.cbams) > 0 {
-			out = append(out, nn.PrefixParams(fmt.Sprintf("cbam%d", s+1), m.cbams[s].Params())...)
-		}
-	}
-	for i, fc := range m.headFC {
-		out = append(out, nn.PrefixParams(fmt.Sprintf("head%d", i), fc.Params())...)
-	}
-	return out
-}
-
-// SetTraining toggles batch norms and classifier dropout.
-func (m *VGG16) SetTraining(t bool) {
-	for s := range m.bns {
-		for _, bn := range m.bns[s] {
-			bn.SetTraining(t)
-		}
-	}
-	m.drop.SetTraining(t)
-}
-
-// Training reports the current mode (SetTraining keeps every BN and the
-// classifier dropout in sync, so the dropout speaks for the whole model).
-func (m *VGG16) Training() bool { return m.drop.Training() }
-
 // FeatureStageParams returns the parameters of the convolutional stages
 // only (no CBAM, no head) — the "pre-trained" portion in the paper's
 // transfer-learning experiment.
 func (m *VGG16) FeatureStageParams() []nn.Param {
 	var out []nn.Param
-	for s := range m.convs {
-		for i := range m.convs[s] {
-			out = append(out, nn.PrefixParams(fmt.Sprintf("stage%d.conv%d", s+1, i), m.convs[s][i].Params())...)
-			out = append(out, nn.PrefixParams(fmt.Sprintf("stage%d.bn%d", s+1, i), m.bns[s][i].Params())...)
+	for _, p := range m.Params() {
+		if strings.HasPrefix(p.Name, "stage") {
+			out = append(out, p)
 		}
 	}
 	return out

@@ -10,6 +10,7 @@ import (
 // MultiHeadAttention implements scaled dot-product self-attention with H
 // heads over inputs of shape [N, T, D].
 type MultiHeadAttention struct {
+	Children
 	D, Heads       int
 	Wq, Wk, Wv, Wo *Linear
 }
@@ -19,13 +20,18 @@ func NewMultiHeadAttention(rng *tensor.RNG, d, heads int) *MultiHeadAttention {
 	if d%heads != 0 {
 		panic("nn: attention dimension must divide heads")
 	}
-	return &MultiHeadAttention{
+	m := &MultiHeadAttention{
 		D: d, Heads: heads,
 		Wq: NewLinear(rng.Split(1), d, d),
 		Wk: NewLinear(rng.Split(2), d, d),
 		Wv: NewLinear(rng.Split(3), d, d),
 		Wo: NewLinear(rng.Split(4), d, d),
 	}
+	m.Add("wq", m.Wq)
+	m.Add("wk", m.Wk)
+	m.Add("wv", m.Wv)
+	m.Add("wo", m.Wo)
+	return m
 }
 
 // ForwardSelf applies self-attention to x [N, T, D]. mask, when non-nil,
@@ -52,19 +58,6 @@ func (m *MultiHeadAttention) ForwardSelf(x *autodiff.Node, mask *tensor.Tensor) 
 	return autodiff.Reshape(out, n, t, m.D)
 }
 
-// Params returns all projection parameters.
-func (m *MultiHeadAttention) Params() []Param {
-	var out []Param
-	out = append(out, PrefixParams("wq", m.Wq.Params())...)
-	out = append(out, PrefixParams("wk", m.Wk.Params())...)
-	out = append(out, PrefixParams("wv", m.Wv.Params())...)
-	out = append(out, PrefixParams("wo", m.Wo.Params())...)
-	return out
-}
-
-// SetTraining is a no-op (projections are linear).
-func (m *MultiHeadAttention) SetTraining(bool) {}
-
 // CausalMask returns a [T, T] additive mask with -1e9 above the diagonal,
 // preventing attention to future positions.
 func CausalMask(t int) *tensor.Tensor {
@@ -81,6 +74,7 @@ func CausalMask(t int) *tensor.Tensor {
 // and a position-wise feed-forward network, each wrapped with residual
 // connection and layer norm (matching nn.TransformerEncoderLayer defaults).
 type TransformerEncoderLayer struct {
+	Children
 	D        int
 	Attn     *MultiHeadAttention
 	FF1, FF2 *Linear
@@ -96,7 +90,7 @@ type TransformerEncoderLayer struct {
 // NewTransformerEncoderLayer builds a block with the given model dimension,
 // head count, and feed-forward width.
 func NewTransformerEncoderLayer(rng *tensor.RNG, d, heads, ffDim int, dropout float32) *TransformerEncoderLayer {
-	return &TransformerEncoderLayer{
+	l := &TransformerEncoderLayer{
 		D:     d,
 		Attn:  NewMultiHeadAttention(rng.Split(1), d, heads),
 		FF1:   NewLinear(rng.Split(2), d, ffDim),
@@ -105,6 +99,13 @@ func NewTransformerEncoderLayer(rng *tensor.RNG, d, heads, ffDim int, dropout fl
 		Norm2: NewLayerNorm(d),
 		Drop:  NewDropout(rng.Split(4), dropout),
 	}
+	l.Add("attn", l.Attn)
+	l.Add("ff1", l.FF1)
+	l.Add("ff2", l.FF2)
+	l.Add("norm1", l.Norm1)
+	l.Add("norm2", l.Norm2)
+	l.Add("drop", l.Drop)
+	return l
 }
 
 // ForwardSeq applies the block to x [N, T, D] with an optional mask.
@@ -124,20 +125,6 @@ func (l *TransformerEncoderLayer) ForwardSeq(x *autodiff.Node, mask *tensor.Tens
 	ff3 := autodiff.Reshape(ff, n, t, l.D)
 	return l.Norm2.Forward(autodiff.Add(x, ff3))
 }
-
-// Params returns all block parameters.
-func (l *TransformerEncoderLayer) Params() []Param {
-	var out []Param
-	out = append(out, PrefixParams("attn", l.Attn.Params())...)
-	out = append(out, PrefixParams("ff1", l.FF1.Params())...)
-	out = append(out, PrefixParams("ff2", l.FF2.Params())...)
-	out = append(out, PrefixParams("norm1", l.Norm1.Params())...)
-	out = append(out, PrefixParams("norm2", l.Norm2.Params())...)
-	return out
-}
-
-// SetTraining toggles the block's dropout.
-func (l *TransformerEncoderLayer) SetTraining(training bool) { l.Drop.SetTraining(training) }
 
 // PositionalEncoding returns the sinusoidal [maxT, D] table from
 // "Attention Is All You Need".
@@ -159,6 +146,7 @@ func PositionalEncoding(maxT, d int) *tensor.Tensor {
 // channel attention followed by spatial attention. The paper's transfer-
 // learning experiment inserts CBAMs into a pre-trained VGG16.
 type CBAM struct {
+	Children
 	C, Reduction int
 	FC1, FC2     *Linear // shared MLP for channel attention
 	SpatialConv  *Conv2d // 7x7 conv over [mean;max] maps
@@ -172,12 +160,16 @@ func NewCBAM(rng *tensor.RNG, c int) *CBAM {
 	if hidden < 1 {
 		hidden = 1
 	}
-	return &CBAM{
+	m := &CBAM{
 		C: c, Reduction: r,
 		FC1:         NewLinear(rng.Split(1), c, hidden),
 		FC2:         NewLinear(rng.Split(2), hidden, c),
 		SpatialConv: NewConv2d(rng.Split(3), 2, 1, 7, 1, 3),
 	}
+	m.Add("fc1", m.FC1)
+	m.Add("fc2", m.FC2)
+	m.Add("spatial", m.SpatialConv)
+	return m
 }
 
 // Forward applies channel then spatial attention to x [N, C, H, W].
@@ -195,17 +187,5 @@ func (m *CBAM) Forward(x *autodiff.Node) *autodiff.Node {
 	sp := m.SpatialConv.ForwardSigmoid(autodiff.ChannelMeanMax(x))
 	return autodiff.MulSpatialScale(x, sp)
 }
-
-// Params returns the attention parameters.
-func (m *CBAM) Params() []Param {
-	var out []Param
-	out = append(out, PrefixParams("fc1", m.FC1.Params())...)
-	out = append(out, PrefixParams("fc2", m.FC2.Params())...)
-	out = append(out, PrefixParams("spatial", m.SpatialConv.Params())...)
-	return out
-}
-
-// SetTraining is a no-op for CBAM.
-func (m *CBAM) SetTraining(bool) {}
 
 var _ Module = (*CBAM)(nil)

@@ -169,70 +169,6 @@ func (b *BatchNorm2d) Training() bool { return b.training }
 
 var _ Module = (*BatchNorm2d)(nil)
 
-// ReLU applies the rectifier.
-type ReLU struct{ stateless }
-
-// Forward applies max(0, x).
-func (ReLU) Forward(x *autodiff.Node) *autodiff.Node { return autodiff.ReLU(x) }
-
-// ReLU6 applies the clipped rectifier used by MobileNet.
-type ReLU6 struct{ stateless }
-
-// Forward applies min(max(0,x),6).
-func (ReLU6) Forward(x *autodiff.Node) *autodiff.Node { return autodiff.ReLU6(x) }
-
-// GELU applies the Gaussian error linear unit.
-type GELU struct{ stateless }
-
-// Forward applies GELU.
-func (GELU) Forward(x *autodiff.Node) *autodiff.Node { return autodiff.GELU(x) }
-
-// Tanh applies the hyperbolic tangent.
-type Tanh struct{ stateless }
-
-// Forward applies tanh.
-func (Tanh) Forward(x *autodiff.Node) *autodiff.Node { return autodiff.Tanh(x) }
-
-// Sigmoid applies the logistic function.
-type Sigmoid struct{ stateless }
-
-// Forward applies 1/(1+e^{-x}).
-func (Sigmoid) Forward(x *autodiff.Node) *autodiff.Node { return autodiff.Sigmoid(x) }
-
-// MaxPool2d applies square max pooling.
-type MaxPool2d struct {
-	stateless
-	Kernel, Stride, Pad int
-}
-
-// Forward pools x.
-func (m *MaxPool2d) Forward(x *autodiff.Node) *autodiff.Node {
-	return autodiff.MaxPool2d(x, m.Kernel, m.Stride, m.Pad)
-}
-
-// AvgPool2d applies square average pooling.
-type AvgPool2d struct {
-	stateless
-	Kernel, Stride, Pad int
-}
-
-// Forward pools x.
-func (m *AvgPool2d) Forward(x *autodiff.Node) *autodiff.Node {
-	return autodiff.AvgPool2d(x, m.Kernel, m.Stride, m.Pad)
-}
-
-// GlobalAvgPool reduces [N,C,H,W] → [N,C].
-type GlobalAvgPool struct{ stateless }
-
-// Forward averages spatially.
-func (GlobalAvgPool) Forward(x *autodiff.Node) *autodiff.Node { return autodiff.GlobalAvgPool(x) }
-
-// Flatten reshapes [N, ...] → [N, features].
-type Flatten struct{ stateless }
-
-// Forward flattens all but the batch dimension.
-func (Flatten) Forward(x *autodiff.Node) *autodiff.Node { return autodiff.Flatten(x) }
-
 // Dropout zeroes activations during training.
 type Dropout struct {
 	P        float32
@@ -258,13 +194,6 @@ func (d *Dropout) SetTraining(training bool) { d.training = training }
 
 // Training reports whether the layer currently applies dropout.
 func (d *Dropout) Training() bool { return d.training }
-
-// RNGState captures the layer's dropout-stream cursor so a checkpointed
-// run can resume the mask sequence from the interruption point.
-func (d *Dropout) RNGState() ([]byte, error) { return d.rng.MarshalState() }
-
-// SetRNGState restores a cursor captured by RNGState.
-func (d *Dropout) SetRNGState(b []byte) error { return d.rng.UnmarshalState(b) }
 
 var _ Module = (*Dropout)(nil)
 
@@ -325,52 +254,6 @@ func (e *Embedding) Params() []Param { return []Param{{Name: "weight", Node: e.W
 
 // SetTraining is a no-op for Embedding.
 func (e *Embedding) SetTraining(bool) {}
-
-// Residual wraps a body module with an identity skip connection
-// (y = x + body(x)); shapes must match.
-type Residual struct {
-	Body Module
-}
-
-// Forward computes x + Body(x).
-func (r *Residual) Forward(x *autodiff.Node) *autodiff.Node {
-	return autodiff.Add(x, r.Body.Forward(x))
-}
-
-// Params returns the body's parameters under the "body" prefix.
-func (r *Residual) Params() []Param { return PrefixParams("body", r.Body.Params()) }
-
-// SetTraining propagates.
-func (r *Residual) SetTraining(training bool) { r.Body.SetTraining(training) }
-
-var _ Module = (*Residual)(nil)
-
-// Named wraps a module to replace its parameter-name prefix; model structs
-// use it to expose stable layer names ("conv1", "layer2.0.bn1", …).
-type Named struct {
-	Name string
-	M    Module
-}
-
-// Forward delegates to the wrapped module.
-func (n *Named) Forward(x *autodiff.Node) *autodiff.Node { return n.M.Forward(x) }
-
-// Params returns the wrapped module's params under Name.
-func (n *Named) Params() []Param { return PrefixParams(n.Name, n.M.Params()) }
-
-// SetTraining propagates.
-func (n *Named) SetTraining(training bool) { n.M.SetTraining(training) }
-
-var _ Module = (*Named)(nil)
-
-// Func adapts a pure function into a Module (no parameters).
-type Func struct {
-	stateless
-	Fn func(*autodiff.Node) *autodiff.Node
-}
-
-// Forward calls Fn.
-func (f *Func) Forward(x *autodiff.Node) *autodiff.Node { return f.Fn(x) }
 
 // CheckImageInput panics with a clear message unless x is [N, C, H, W]
 // with the expected channel count. Models use it to fail fast on

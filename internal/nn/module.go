@@ -1,13 +1,27 @@
-// Package nn provides neural-network layers and containers on top of the
-// autodiff engine — the substrate equivalent of torch.nn for this
-// reproduction. Every layer carries stable, hierarchical parameter names so
-// Amalgam's model extractor can identify original-layer weights inside an
-// augmented model by name.
+// Package nn provides neural-network layers on top of the autodiff engine
+// — the substrate equivalent of torch.nn for this reproduction. Every
+// layer carries stable, hierarchical parameter names so Amalgam's model
+// extractor can identify original-layer weights inside an augmented model
+// by name (§4.3).
+//
+// There is one composition, Children: a composite (a residual block, a
+// zoo model, an augmented model) embeds it and registers its named parts
+// once, in its constructor. The parameter listing, the train/eval switch,
+// the mode query and the dropout-cursor capture are derived from that one
+// list, so they cannot disagree about what the model contains. Forward
+// passes are deliberately NOT composed: each composite's forward is plain
+// code calling autodiff ops on its own struct fields, because real
+// networks are not chains — they branch (residual shortcuts, dense
+// concatenation), expose tap activations to decoys, fuse a layer with its
+// activation, and take non-tensor inputs (token ids, masks) — and a
+// container that hid that control flow would have to grow an option for
+// each case.
 package nn
 
 import (
 	"fmt"
-	"strings"
+	"maps"
+	"slices"
 
 	"amalgam/internal/autodiff"
 	"amalgam/internal/tensor"
@@ -19,16 +33,22 @@ type Param struct {
 	Node *autodiff.Node
 }
 
+// Child is what a composite's tree needs from each part; every layer and
+// every composite in this repository has both methods.
+type Child interface {
+	// Params returns the named parameters, prefixed hierarchically.
+	Params() []Param
+	// SetTraining toggles training-time behaviour (batch-norm statistics,
+	// dropout) for this part and everything under it.
+	SetTraining(training bool)
+}
+
 // Module is a tensor-to-tensor layer or network.
 type Module interface {
+	Child
 	// Forward applies the module. Implementations may panic on shape
 	// mismatch (programming error), mirroring the tensor package.
 	Forward(x *autodiff.Node) *autodiff.Node
-	// Params returns the module's named parameters, prefixed hierarchically.
-	Params() []Param
-	// SetTraining toggles training-time behaviour (batch-norm statistics,
-	// dropout) for this module and all children.
-	SetTraining(training bool)
 }
 
 // TrainingMode reports a module's current train/eval mode for
@@ -110,65 +130,129 @@ func LoadStateDict(m interface{ Params() []Param }, dict map[string]*tensor.Tens
 	return nil
 }
 
-// Sequential chains modules; children are named by index.
-type Sequential struct {
-	mods []Module
+// Children is the package's one composition: the ordered, named parts of
+// a composite. A composite embeds it and registers each part once, in its
+// constructor, with Add; Params, SetTraining, Training and the
+// dropout-stream walks (RNGStates / LoadRNGStates) are all derived from
+// that one list, so the state-dict keys, the mode switch and the RNG
+// cursor names cannot drift apart.
+type Children struct {
+	list []namedChild
 }
 
-// NewSequential builds a Sequential from the given modules.
-func NewSequential(mods ...Module) *Sequential {
-	return &Sequential{mods: mods}
+type namedChild struct {
+	name string
+	m    Child
 }
 
-// Append adds a module and returns the container for chaining.
-func (s *Sequential) Append(m Module) *Sequential {
-	s.mods = append(s.mods, m)
-	return s
+// Add registers m under name (which may be dotted: "down.conv"). Order is
+// parameter order. Optional parts are simply not added.
+func (c *Children) Add(name string, m Child) {
+	c.list = append(c.list, namedChild{name, m})
 }
 
-// Len returns the number of child modules.
-func (s *Sequential) Len() int { return len(s.mods) }
-
-// Child returns the i-th child module.
-func (s *Sequential) Child(i int) Module { return s.mods[i] }
-
-// Forward applies children in order.
-func (s *Sequential) Forward(x *autodiff.Node) *autodiff.Node {
-	for _, m := range s.mods {
-		x = m.Forward(x)
-	}
-	return x
-}
-
-// Params returns children's parameters with index prefixes.
-func (s *Sequential) Params() []Param {
+// Params returns every child's parameters under its name, in Add order.
+// It sits on the per-step path (ZeroGrads), so it is the plain prefix
+// walk and nothing more.
+func (c *Children) Params() []Param {
 	var out []Param
-	for i, m := range s.mods {
-		out = append(out, PrefixParams(fmt.Sprintf("%d", i), m.Params())...)
+	for _, ch := range c.list {
+		out = append(out, PrefixParams(ch.name, ch.m.Params())...)
 	}
 	return out
 }
 
-// SetTraining propagates to all children.
-func (s *Sequential) SetTraining(training bool) {
-	for _, m := range s.mods {
-		m.SetTraining(training)
+// SetTraining propagates to every child.
+func (c *Children) SetTraining(training bool) {
+	for _, ch := range c.list {
+		ch.m.SetTraining(training)
 	}
 }
 
-var _ Module = (*Sequential)(nil)
+// Training reports the mode of the first batch norm or dropout in the
+// tree (SetTraining keeps them all in sync); a tree without any reports
+// true, as TrainingMode documents.
+func (c *Children) Training() bool {
+	training, ok := mode(c)
+	return training || !ok
+}
 
-// stateless is embedded by layers without parameters or modes.
-type stateless struct{}
+// tree is promoted into every type that embeds Children; it is how the
+// walks below tell a composite from a leaf.
+func (c *Children) tree() []namedChild { return c.list }
 
-func (stateless) Params() []Param  { return nil }
-func (stateless) SetTraining(bool) {}
+type composite interface{ tree() []namedChild }
 
-// FormatParams renders a human-readable parameter listing for debugging.
-func FormatParams(m interface{ Params() []Param }) string {
-	var b strings.Builder
-	for _, p := range m.Params() {
-		fmt.Fprintf(&b, "%-48s %v\n", p.Name, p.Node.Val.Shape())
+// mode finds m's train/eval mode, skipping mode-less subtrees: a
+// composite of only linear layers listed before a Dropout must not answer
+// for it.
+func mode(m any) (training, ok bool) {
+	switch v := m.(type) {
+	case composite:
+		for _, ch := range v.tree() {
+			if training, ok = mode(ch.m); ok {
+				return training, true
+			}
+		}
+	case interface{ Training() bool }:
+		return v.Training(), true
 	}
-	return b.String()
+	return false, false
+}
+
+// dropouts visits every Dropout under m with its dotted path.
+func dropouts(m any, path string, visit func(name string, d *Dropout)) {
+	switch v := m.(type) {
+	case *Dropout:
+		visit(path, v)
+	case composite:
+		for _, ch := range v.tree() {
+			name := ch.name
+			if path != "" {
+				name = path + "." + name
+			}
+			dropouts(ch.m, name, visit)
+		}
+	}
+}
+
+// RNGStates captures the dropout-stream cursor of every Dropout in m's
+// tree under its dotted path ("orig.block0.drop"), the same naming the
+// state dict uses. Together with the weights and optimiser state these
+// make an interrupted Dropout > 0 run resumable bit-identically: the
+// restored streams continue the mask sequence instead of replaying it
+// from the model's build. A model without dropout yields a nil map.
+func RNGStates(m any) (map[string][]byte, error) {
+	var out map[string][]byte
+	var firstErr error
+	dropouts(m, "", func(name string, d *Dropout) {
+		b, err := d.rng.MarshalState()
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("nn: dropout stream %q: %w", name, err)
+		}
+		if out == nil {
+			out = make(map[string][]byte)
+		}
+		out[name] = b
+	})
+	return out, firstErr
+}
+
+// LoadRNGStates restores cursors captured by RNGStates. A stream missing
+// from states is left untouched (checkpoints without the section still
+// load); a name outside m's tree or undecodable bytes are errors, since
+// they signal a checkpoint from a different architecture.
+func LoadRNGStates(m any, states map[string][]byte) error {
+	known := make(map[string]*Dropout)
+	dropouts(m, "", func(name string, d *Dropout) { known[name] = d })
+	for _, name := range slices.Sorted(maps.Keys(states)) {
+		d, ok := known[name]
+		if !ok {
+			return fmt.Errorf("nn: unknown dropout stream %q", name)
+		}
+		if err := d.rng.UnmarshalState(states[name]); err != nil {
+			return fmt.Errorf("nn: dropout stream %q: %w", name, err)
+		}
+	}
+	return nil
 }

@@ -49,33 +49,6 @@ func TestConv2dOutputShape(t *testing.T) {
 	}
 }
 
-func TestSequentialParamsPrefixedAndStable(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	seq := NewSequential(
-		NewConv2d(rng.Split(0), 1, 4, 3, 1, 1),
-		&ReLU{},
-		NewConv2d(rng.Split(1), 4, 8, 3, 1, 1),
-	)
-	names := map[string]bool{}
-	for _, p := range seq.Params() {
-		names[p.Name] = true
-	}
-	for _, want := range []string{"0.weight", "0.bias", "2.weight", "2.bias"} {
-		if !names[want] {
-			t.Fatalf("missing param %q in %v", want, names)
-		}
-	}
-}
-
-func TestNamedWrapping(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	m := &Named{Name: "conv1", M: NewConv2d(rng, 1, 2, 3, 1, 1)}
-	p := m.Params()
-	if p[0].Name != "conv1.weight" {
-		t.Fatalf("Named prefix wrong: %q", p[0].Name)
-	}
-}
-
 func TestStateDictRoundtrip(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	a := NewLinear(rng.Split(1), 4, 4)
@@ -122,17 +95,6 @@ func TestBatchNormTrainingToggle(t *testing.T) {
 	_ = bn.Forward(autodiff.Constant(x))
 	if !bn.RunningMean.Equal(before) {
 		t.Fatal("eval forward must not update running stats")
-	}
-}
-
-func TestResidualIdentity(t *testing.T) {
-	r := &Residual{Body: &Func{Fn: func(x *autodiff.Node) *autodiff.Node {
-		return autodiff.Scale(x, 0) // body outputs zero → residual is identity
-	}}}
-	x := tensor.FromSlice([]float32{1, 2, 3}, 1, 3)
-	y := r.Forward(autodiff.Constant(x))
-	if !y.Val.Equal(x) {
-		t.Fatal("residual with zero body should be identity")
 	}
 }
 
