@@ -90,21 +90,19 @@ func requestFrames(req *TrainRequest) ([]frame, error) {
 		{msgSpec, specPayload},
 		{msgHyper, hyperJSON},
 	}
-	addIntSlice := func(kind byte, s []int) error {
-		var buf bytes.Buffer
-		if err := serialize.WriteIntSlice(&buf, s); err != nil {
+	add := func(kind byte, size int, write func(io.Writer) error) error {
+		payload, err := sizedPayload(size, write)
+		if err != nil {
 			return err
 		}
-		frames = append(frames, frame{kind, buf.Bytes()})
+		frames = append(frames, frame{kind, payload})
 		return nil
 	}
+	addIntSlice := func(kind byte, s []int) error {
+		return add(kind, serialize.IntSliceSize(s), func(w io.Writer) error { return serialize.WriteIntSlice(w, s) })
+	}
 	addTensor := func(kind byte, t *tensor.Tensor) error {
-		var buf bytes.Buffer
-		if err := serialize.WriteTensor(&buf, t); err != nil {
-			return err
-		}
-		frames = append(frames, frame{kind, buf.Bytes()})
-		return nil
+		return add(kind, serialize.TensorSize(t), func(w io.Writer) error { return serialize.WriteTensor(w, t) })
 	}
 	if err := addIntSlice(msgLabels, req.Labels); err != nil {
 		return nil, err
@@ -140,18 +138,20 @@ func requestFrames(req *TrainRequest) ([]frame, error) {
 		}
 	}
 	if req.InitState != nil {
-		var initBuf bytes.Buffer
-		if err := serialize.WriteStateDict(&initBuf, req.InitState); err != nil {
+		err := add(msgInit, serialize.StateDictSize(req.InitState), func(w io.Writer) error {
+			return serialize.WriteStateDict(w, req.InitState)
+		})
+		if err != nil {
 			return nil, err
 		}
-		frames = append(frames, frame{msgInit, initBuf.Bytes()})
 	}
 	if !req.InitOptState.Empty() {
-		var optBuf bytes.Buffer
-		if err := serialize.WriteOptState(&optBuf, req.InitOptState); err != nil {
+		err := add(msgOptState, serialize.OptStateSize(req.InitOptState), func(w io.Writer) error {
+			return serialize.WriteOptState(w, req.InitOptState)
+		})
+		if err != nil {
 			return nil, err
 		}
-		frames = append(frames, frame{msgOptState, optBuf.Bytes()})
 	}
 	if len(req.InitRNG) > 0 {
 		var rngBuf bytes.Buffer
@@ -210,7 +210,7 @@ func readJobStream(ctx context.Context, conn *deadlineConn, h StreamHandlers) (*
 
 	resp := &TrainResponse{}
 	for {
-		kind, payload, err := readFrame(conn)
+		kind, payload, err := conn.readFrame()
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -301,7 +301,7 @@ func SubmitContext(ctx context.Context, addr string, req *TrainRequest, net_ Net
 	if err := writeRequest(conn, req, msgSubmit); err != nil {
 		return "", err
 	}
-	kind, payload, err := readFrame(conn)
+	kind, payload, err := conn.readFrame()
 	if err != nil {
 		return "", err
 	}
@@ -348,7 +348,7 @@ func pollFrame(ctx context.Context, addr, jobID string, kind byte, net_ NetConfi
 	if err := writeFrame(conn, kind, js); err != nil {
 		return JobStatus{}, err
 	}
-	k, payload, err := readFrame(conn)
+	k, payload, err := conn.readFrame()
 	if err != nil {
 		return JobStatus{}, err
 	}

@@ -184,7 +184,11 @@ type TrainResponse struct {
 
 // Snapshot is an epoch-aligned training state capture: everything needed
 // to resume the run bit-identically. Checkpoint callbacks receive one per
-// checkpoint boundary.
+// checkpoint boundary. State and OptState alias the LIVE tensors and are
+// the boundary's values only until the callback returns — the next step
+// overwrites them — so a callback serialises (or copies) what it keeps
+// before returning: LocalTrainer saves its file there, the scheduler cuts
+// the checkpoint's bytes there.
 type Snapshot struct {
 	// Epoch counts fully completed epochs (the resume point).
 	Epoch int

@@ -36,6 +36,20 @@ import (
 // shutdown ends the stream instead with an epoch-aligned msgCheckpoint
 // and a retryable ErrServerShutdown error frame. Any failure is a
 // msgError frame: one errCode byte, then the message.
+//
+// A checkpoint is cut ONCE, on the executor, inside TrainLoop's
+// checkpoint callback at the epoch boundary: the live weights, optimiser
+// buffers and RNG cursors are encoded there into one exactly-sized
+// msgCheckpoint payload, and from then on only those immutable bytes
+// travel — parked on the job for a later attach, queued to the attached
+// connection, replayed — never re-encoded, never aliasing a tensor the
+// next epoch is already changing. A job stream's progress and checkpoint
+// frames are written by the connection's own writer goroutine
+// (connWriter) from a FIFO of sinkQueueDepth frames, so with the frame
+// being written at most one epoch's two frames are in flight: the
+// executor trains the next epoch while the last one's frames drain, and
+// a client slower than that blocks it one epoch later than a synchronous
+// write would.
 const (
 	msgSpec        byte = 1  // client→server: protocolVersion byte + ModelSpec JSON
 	msgHyper       byte = 2  // client→server: Hyper JSON
@@ -73,9 +87,10 @@ const protocolVersion byte = 3
 // sides of a connection must agree on it.
 var maxFrame = 1 << 30
 
-// frameAllocChunk bounds how much readFrame allocates up front for one
-// frame: payloads over it grow incrementally as bytes actually arrive, so
-// a forged header cannot reserve a gigabyte before sending a single byte.
+// frameAllocChunk bounds how much a frameReader allocates on the strength
+// of a header alone: payloads over it (and over anything the reader has
+// held before) grow incrementally as bytes actually arrive, so a forged
+// header cannot reserve a gigabyte before sending a single byte.
 const frameAllocChunk = 1 << 20
 
 // writeFrame emits one frame, failing fast on payloads the peer would
@@ -107,30 +122,55 @@ func frameEOF(err error) error {
 	return err
 }
 
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader reads one connection's frames into a buffer it keeps: the
+// payload next returns is valid only until the following call, which is
+// all any handler needs (each decodes or copies before it reads on), and
+// a stream of same-sized checkpoint frames costs one buffer, not one
+// each. The buffer's capacity is only ever earned by bytes that arrived.
+type frameReader struct {
+	r   io.Reader
+	hdr [5]byte
+	buf []byte
+}
+
+func (fr *frameReader) next() (byte, []byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
+	n := binary.LittleEndian.Uint32(fr.hdr[1:])
 	if uint64(n) > uint64(maxFrame) {
 		return 0, nil, fmt.Errorf("cloudsim: frame of %d bytes rejected: %w", n, ErrFrameTooLarge)
 	}
-	if n <= frameAllocChunk {
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
+	size := int(n)
+	if first := min(size, frameAllocChunk); cap(fr.buf) < first {
+		fr.buf = make([]byte, first)
+	}
+	for got := 0; got < size; {
+		if got == cap(fr.buf) {
+			// Larger than anything held so far: at most double, and only
+			// now that the buffer is full of bytes that did arrive.
+			grown := make([]byte, min(size, 2*got))
+			copy(grown, fr.buf[:got])
+			fr.buf = grown
+		}
+		end := min(size, cap(fr.buf))
+		if _, err := io.ReadFull(fr.r, fr.buf[got:end]); err != nil {
 			return 0, nil, frameEOF(err)
 		}
-		return hdr[0], payload, nil
+		got = end
 	}
-	// Large frame: grow with the bytes that actually arrive instead of
-	// trusting the header's claimed length.
-	var buf bytes.Buffer
-	buf.Grow(frameAllocChunk)
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		return 0, nil, frameEOF(err)
+	return fr.hdr[0], fr.buf[:size], nil
+}
+
+// sizedPayload builds a frame payload in one allocation: write runs
+// against a buffer of exactly size bytes, the serialize …Size of what it
+// writes.
+func sizedPayload(size int, write func(io.Writer) error) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if err := write(buf); err != nil {
+		return nil, err
 	}
-	return hdr[0], buf.Bytes(), nil
+	return buf.Bytes(), nil
 }
 
 // encodeSpecFrame builds a spec payload: version byte + JSON.
@@ -241,9 +281,12 @@ func reshapeSamples(flat []int, seqLen int) ([][]int, error) {
 // Read/Write, so one stalled frame surfaces as os.ErrDeadlineExceeded
 // instead of hanging the peer forever. Zero timeouts disable the
 // corresponding deadline. A hard read deadline (cancel drain) caps the
-// per-read refresh so the refresh cannot extend past it.
+// per-read refresh so the refresh cannot extend past it. Its frames are
+// read through one reused buffer (see frameReader) by whichever single
+// goroutine is the connection's reader at the time.
 type deadlineConn struct {
 	net.Conn
+	frames frameReader
 
 	mu           sync.Mutex
 	readTimeout  time.Duration
@@ -252,8 +295,14 @@ type deadlineConn struct {
 }
 
 func newDeadlineConn(c net.Conn, readTimeout, writeTimeout time.Duration) *deadlineConn {
-	return &deadlineConn{Conn: c, readTimeout: readTimeout, writeTimeout: writeTimeout}
+	dc := &deadlineConn{Conn: c, readTimeout: readTimeout, writeTimeout: writeTimeout}
+	dc.frames.r = dc
+	return dc
 }
+
+// readFrame reads the connection's next frame; the payload is valid until
+// the following call.
+func (c *deadlineConn) readFrame() (byte, []byte, error) { return c.frames.next() }
 
 // setReadTimeout changes the per-read refresh; 0 disables it (the server
 // does this for the training phase, where a silent client is normal).

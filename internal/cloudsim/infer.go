@@ -312,7 +312,7 @@ func (c *InferConn) roundTrip(h inferHeader, body []byte) (inferResult, error) {
 	if err := writeFrame(c.conn, msgInfer, payload); err != nil {
 		return inferResult{}, err
 	}
-	kind, resp, err := readFrame(c.conn)
+	kind, resp, err := c.conn.readFrame()
 	if err != nil {
 		return inferResult{}, err
 	}

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"amalgam/internal/faultnet"
+	"amalgam/internal/optim"
 	"amalgam/internal/serialize"
 	"amalgam/internal/tensor"
 )
@@ -459,6 +461,60 @@ func TestFramePlumbingAllocs(t *testing.T) {
 	})
 	if reads > 2 {
 		t.Errorf("readFrame through deadlineConn: %.1f allocs per frame, want <= 2", reads)
+	}
+}
+
+// TestFramePlumbingAllocsCheckpoint pins the two buffers a streamed checkpoint
+// costs: the server cuts a snapshot into ONE buffer of exactly
+// TrainCheckpointSize bytes, and a connection's frame reader, having
+// earned a large frame's capacity once, reads the next frame of that size
+// without allocating. (The third, the client's decode at no more than
+// 1.1x the payload, is pinned in internal/serialize.)
+func TestFramePlumbingAllocsCheckpoint(t *testing.T) {
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	state := map[string]*tensor.Tensor{"emb": tensor.New(40000, 16), "fc.w": tensor.New(16, 3)}
+	snap := &Snapshot{Epoch: 4, State: state,
+		OptState: &optim.State{Kind: optim.KindSGD, LR: 0.05, Buffers: map[string]*tensor.Tensor{"emb": tensor.New(40000, 16)}}}
+	size := serialize.TrainCheckpointSize(&serialize.TrainCheckpoint{
+		Epoch: snap.Epoch, Kind: "augmented-text", State: snap.State, OptState: snap.OptState})
+	var payload []byte
+	grew := allocated(func() {
+		var err error
+		if payload, err = cutCheckpoint("augmented-text", snap); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(payload) != size || cap(payload) != size {
+		t.Fatalf("cut %d bytes in a buffer of %d, want exactly TrainCheckpointSize = %d", len(payload), cap(payload), size)
+	}
+	if limit := uint64(size) + 64<<10; grew > limit {
+		t.Errorf("cutting a %d-byte checkpoint allocated %d bytes, want the one buffer (limit %d)", size, grew, limit)
+	}
+
+	var raw bytes.Buffer
+	if err := writeFrame(&raw, msgCheckpoint, payload); err != nil {
+		t.Fatal(err)
+	}
+	fc := &fakeConn{}
+	dc := newDeadlineConn(fc, time.Minute, time.Minute)
+	read := func() {
+		fc.r.Reset(raw.Bytes())
+		if _, got, err := dc.readFrame(); err != nil || len(got) != size {
+			t.Fatalf("read %d of %d payload bytes: %v", len(got), size, err)
+		}
+	}
+	first := allocated(read)
+	if limit := uint64(3 * size); size <= frameAllocChunk || first > limit {
+		t.Errorf("first %d-byte frame allocated %d bytes (limit %d); the frame must exceed frameAllocChunk to test growth", size, first, limit)
+	}
+	if again := testing.AllocsPerRun(10, read); again != 0 {
+		t.Errorf("a second same-size frame cost %.1f allocations, want 0", again)
 	}
 }
 

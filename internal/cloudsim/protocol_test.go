@@ -2,10 +2,18 @@ package cloudsim
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"testing"
 	"time"
 )
+
+// readFrame reads a single frame through a frameReader of its own, so the
+// payload is the caller's to keep — what the tests that collect frames
+// want, and what a connection's reused buffer does not give.
+func readFrame(r io.Reader) (byte, []byte, error) {
+	return (&frameReader{r: r}).next()
+}
 
 func TestFrameRoundtrip(t *testing.T) {
 	var buf bytes.Buffer

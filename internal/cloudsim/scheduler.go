@@ -3,9 +3,11 @@ package cloudsim
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 
+	"amalgam/internal/serialize"
 	"amalgam/internal/tensor"
 )
 
@@ -83,10 +85,11 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 // per job (latest attach wins); both hooks are called with the job lock
 // held, in epoch order. A hook returning an error detaches the sink — the
 // job keeps running, its output still buffers for the next attach. Either
-// hook may be nil.
+// hook may be nil. checkpoint receives an encoded msgCheckpoint payload:
+// immutable bytes every sink and the job's parked copy share.
 type attachSink struct {
 	progress   func(EpochMetric) error
-	checkpoint func(*Snapshot) error
+	checkpoint func(payload []byte) error
 }
 
 // schedJob is one registry entry. The scheduler's mutex guards queue
@@ -105,15 +108,30 @@ type schedJob struct {
 	preCancel bool               // cancel arrived before dispatch
 	lastEpoch int                // latest completed epoch seen in progress
 	stats     []EpochMetric      // buffered per-epoch output for attach
-	ckpt      *Snapshot          // latest parked epoch-boundary checkpoint
+	ckpt      []byte             // latest parked epoch-boundary checkpoint, as cut (see cutCheckpoint)
+	ckptEpoch int                // the epoch ckpt was cut at
 	resp      *TrainResponse
 	err       error
 	sink      *attachSink
 	done      chan struct{} // closed on terminal transition
 }
 
+// cutCheckpoint encodes an epoch-boundary snapshot into its msgCheckpoint
+// payload — a full training checkpoint, the same bytes WithCheckpoint
+// writes to disk — in one exactly-sized buffer. It must run inside the
+// checkpoint callback: the snapshot aliases live tensors.
+func cutCheckpoint(kind string, snap *Snapshot) ([]byte, error) {
+	ck := &serialize.TrainCheckpoint{
+		Epoch: snap.Epoch, Kind: kind,
+		State: snap.State, OptState: snap.OptState, RNG: snap.RNG,
+	}
+	return sizedPayload(serialize.TrainCheckpointSize(ck), func(w io.Writer) error {
+		return serialize.WriteTrainCheckpoint(w, ck)
+	})
+}
+
 // deliverProgress buffers one epoch's metric and forwards it to the
-// attached sink, detaching a sink whose write fails (dead client — the
+// attached sink, detaching a sink whose delivery fails (dead client — the
 // job itself keeps running).
 func (j *schedJob) deliverProgress(m EpochMetric) {
 	j.mu.Lock()
@@ -123,22 +141,23 @@ func (j *schedJob) deliverProgress(m EpochMetric) {
 	if j.sink != nil && j.sink.progress != nil {
 		// Calling the sink under j.mu is deliberate: it serialises replay
 		// (attach) against live delivery so an epoch is never delivered
-		// twice. The sink writes to a deadlineConn, bounding the stall.
-		if err := j.sink.progress(m); err != nil { //amalgam:allow lockcheck delivery-under-lock is the exactly-once design; sink writes are deadline-bounded
+		// twice. A connection's sink enqueues on a bounded queue whose
+		// writer is deadline-bounded, which bounds the stall.
+		if err := j.sink.progress(m); err != nil { //amalgam:allow lockcheck delivery-under-lock is the exactly-once design; the sink enqueues on a bounded queue whose writer is deadline-bounded
 			j.sink = nil
 		}
 	}
 }
 
-// deliverCheckpoint parks the epoch-boundary snapshot (the disconnect
+// deliverCheckpoint parks the epoch-boundary checkpoint (the disconnect
 // survival state a later attach resumes from) and forwards it likewise.
-func (j *schedJob) deliverCheckpoint(snap *Snapshot) {
+func (j *schedJob) deliverCheckpoint(epoch int, payload []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.ckpt = snap
+	j.ckpt, j.ckptEpoch = payload, epoch
 	if j.sink != nil && j.sink.checkpoint != nil {
 		// Same exactly-once rationale as deliverProgress.
-		if err := j.sink.checkpoint(snap); err != nil { //amalgam:allow lockcheck delivery-under-lock is the exactly-once design; sink writes are deadline-bounded
+		if err := j.sink.checkpoint(payload); err != nil { //amalgam:allow lockcheck delivery-under-lock is the exactly-once design; the sink enqueues on a bounded queue whose writer is deadline-bounded
 			j.sink = nil
 		}
 	}
@@ -157,14 +176,14 @@ func (j *schedJob) attach(fromEpoch int, sink *attachSink) error {
 			if m.Epoch > fromEpoch {
 				// Replay must stay inside the critical section: that is
 				// the exactly-once guarantee documented above.
-				if err := sink.progress(m); err != nil { //amalgam:allow lockcheck replay-under-lock is the exactly-once design; sink writes are deadline-bounded
+				if err := sink.progress(m); err != nil { //amalgam:allow lockcheck replay-under-lock is the exactly-once design; the sink enqueues on a bounded queue whose writer is deadline-bounded
 					return err
 				}
 			}
 		}
 	}
-	if sink.checkpoint != nil && j.ckpt != nil && j.ckpt.Epoch > fromEpoch {
-		if err := sink.checkpoint(j.ckpt); err != nil { //amalgam:allow lockcheck replay-under-lock is the exactly-once design; sink writes are deadline-bounded
+	if sink.checkpoint != nil && j.ckpt != nil && j.ckptEpoch > fromEpoch {
+		if err := sink.checkpoint(j.ckpt); err != nil { //amalgam:allow lockcheck replay-under-lock is the exactly-once design; the sink enqueues on a bounded queue whose writer is deadline-bounded
 			return err
 		}
 	}
@@ -381,7 +400,13 @@ func (sch *Scheduler) runJob(job *schedJob) {
 	var checkpoint func(*Snapshot) error
 	if job.req.Hyper.CheckpointEvery > 0 {
 		checkpoint = func(snap *Snapshot) error {
-			job.deliverCheckpoint(snap)
+			// Cut here, on the executor, while the snapshot's tensors
+			// still are the epoch boundary; only bytes leave the callback.
+			payload, err := cutCheckpoint(job.req.Spec.Kind, snap)
+			if err != nil {
+				return err
+			}
+			job.deliverCheckpoint(snap.Epoch, payload)
 			return nil
 		}
 	}

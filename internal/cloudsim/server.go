@@ -237,7 +237,7 @@ func (s *Server) handle(conn *deadlineConn) error {
 	var tokensFlat, evalTokensFlat []int
 	haveTokens, haveEvalTokens := false, false
 	for {
-		kind, payload, err := readFrame(conn)
+		kind, payload, err := conn.readFrame()
 		if err != nil {
 			return err
 		}
@@ -385,43 +385,108 @@ func validateOptimSpecs(h *Hyper) error {
 	return nil
 }
 
-// progressWriter streams EpochMetric frames to one connection.
-func progressWriter(conn *deadlineConn) func(EpochMetric) error {
-	return func(m EpochMetric) error {
-		js, err := json.Marshal(m)
-		if err != nil {
-			return err
+// sinkQueueDepth is how many frames wait behind the one a connWriter is
+// writing: with it, one epoch's frames (progress + checkpoint) are in
+// flight, so the executor trains epoch N+1 while epoch N's frames drain
+// and stalls at the end of N+1 if they have not. A constant: the wire
+// keeps one epoch of slack, whoever the client.
+const sinkQueueDepth = 1
+
+// connWriter is a connection's writer for the live part of a job stream:
+// one goroutine draining a bounded FIFO of frames to the connection, so
+// the executor that produced them is back to training while they are on
+// the socket. Exactly one goroutine sends on a connWriter at a time (the
+// one holding the job lock); close it once no send can be in flight — the
+// job is terminal, or its sink is detached.
+type connWriter struct {
+	conn   *deadlineConn
+	queue  chan frame
+	stop   chan struct{} // closed by close: drain what is queued, then exit
+	exited chan struct{} // closed when the goroutine has returned; err is set by then
+	err    error
+	once   sync.Once
+}
+
+func newConnWriter(conn *deadlineConn) *connWriter {
+	w := &connWriter{
+		conn:   conn,
+		queue:  make(chan frame, sinkQueueDepth),
+		stop:   make(chan struct{}),
+		exited: make(chan struct{}),
+	}
+	go w.run()
+	return w
+}
+
+func (w *connWriter) run() {
+	defer close(w.exited)
+	for {
+		var f frame
+		select {
+		case f = <-w.queue:
+		case <-w.stop:
+			select {
+			case f = <-w.queue: // still queued at close: flush it
+			default:
+				return
+			}
 		}
-		return writeFrame(conn, msgProgress, js)
+		if w.err = writeFrame(w.conn, f.kind, f.payload); w.err != nil {
+			return
+		}
 	}
 }
 
-// checkpointWriter streams epoch-boundary snapshots to one connection as
-// full training checkpoints — the same bytes WithCheckpoint writes to
-// disk — recording the job kind, the optimiser state, and the
-// dropout-stream cursors alongside the weights.
-func checkpointWriter(conn *deadlineConn, kind string) func(*Snapshot) error {
-	return func(snap *Snapshot) error {
-		var buf bytes.Buffer
-		ck := &serialize.TrainCheckpoint{
-			Epoch: snap.Epoch, Kind: kind,
-			State: snap.State, OptState: snap.OptState, RNG: snap.RNG,
-		}
-		if err := serialize.WriteTrainCheckpoint(&buf, ck); err != nil {
-			return err
-		}
-		return writeFrame(conn, msgCheckpoint, buf.Bytes())
+// enqueue hands one frame to the writer, blocking while the queue is
+// full — the backpressure a slow client exerts on its own job. It fails
+// once the writer has exited: on the write error that killed it, which
+// is what detaches a dead client's sink.
+func (w *connWriter) enqueue(f frame) error {
+	select {
+	case <-w.exited:
+		return w.exitErr()
+	default:
+	}
+	select {
+	case w.queue <- f:
+		return nil
+	case <-w.exited:
+		return w.exitErr()
 	}
 }
 
-// connSink is the attachSink delivering a job's live output to conn.
-func connSink(conn *deadlineConn, req *TrainRequest, progress bool) *attachSink {
+func (w *connWriter) exitErr() error {
+	if w.err != nil {
+		return w.err
+	}
+	return net.ErrClosed
+}
+
+// close flushes the queued frames and stops the goroutine, returning the
+// write error that ended it early, if any. After close the connection
+// has no writer but the caller. Idempotent.
+func (w *connWriter) close() error {
+	w.once.Do(func() { close(w.stop) })
+	<-w.exited
+	return w.err
+}
+
+// sink is the attachSink delivering a job's live output through w.
+func (w *connWriter) sink(req *TrainRequest, progress bool) *attachSink {
 	sink := &attachSink{}
 	if progress {
-		sink.progress = progressWriter(conn)
+		sink.progress = func(m EpochMetric) error {
+			js, err := json.Marshal(m)
+			if err != nil {
+				return err
+			}
+			return w.enqueue(frame{msgProgress, js})
+		}
 	}
 	if req.Hyper.CheckpointEvery > 0 {
-		sink.checkpoint = checkpointWriter(conn, req.Spec.Kind)
+		sink.checkpoint = func(payload []byte) error {
+			return w.enqueue(frame{msgCheckpoint, payload})
+		}
 	}
 	return sink
 }
@@ -436,8 +501,11 @@ func (s *Server) writeOutcome(conn *deadlineConn, kind string, clientStopped boo
 		// + optimiser state + RNG cursors) followed by the retryable
 		// shutdown error, so the client resumes on another server without
 		// losing an epoch.
-		handoff := &Snapshot{Epoch: resp.CompletedEpochs, State: resp.State, OptState: resp.OptState, RNG: resp.RNG}
-		if err := checkpointWriter(conn, kind)(handoff); err != nil {
+		handoff, err := cutCheckpoint(kind, &Snapshot{Epoch: resp.CompletedEpochs, State: resp.State, OptState: resp.OptState, RNG: resp.RNG})
+		if err != nil {
+			return err
+		}
+		if err := writeFrame(conn, msgCheckpoint, handoff); err != nil {
 			return err
 		}
 		return fmt.Errorf("cloudsim: job stopped at epoch %d: %w", resp.CompletedEpochs, ErrServerShutdown)
@@ -455,11 +523,13 @@ func (s *Server) writeOutcome(conn *deadlineConn, kind string, clientStopped boo
 	// Final optimiser state and dropout-stream cursors ride their own
 	// frames, BEFORE msgState: the client's read loop ends on msgState.
 	if !resp.OptState.Empty() {
-		var optBuf bytes.Buffer
-		if err := serialize.WriteOptState(&optBuf, resp.OptState); err != nil {
+		opt, err := sizedPayload(serialize.OptStateSize(resp.OptState), func(w io.Writer) error {
+			return serialize.WriteOptState(w, resp.OptState)
+		})
+		if err != nil {
 			return err
 		}
-		if err := writeFrame(conn, msgOptState, optBuf.Bytes()); err != nil {
+		if err := writeFrame(conn, msgOptState, opt); err != nil {
 			return err
 		}
 	}
@@ -472,27 +542,33 @@ func (s *Server) writeOutcome(conn *deadlineConn, kind string, clientStopped boo
 			return err
 		}
 	}
-	var buf bytes.Buffer
-	if err := serialize.WriteStateDict(&buf, resp.State); err != nil {
+	state, err := sizedPayload(serialize.StateDictSize(resp.State), func(w io.Writer) error {
+		return serialize.WriteStateDict(w, resp.State)
+	})
+	if err != nil {
 		return err
 	}
-	return writeFrame(conn, msgState, buf.Bytes())
+	return writeFrame(conn, msgState, state)
 }
 
-// awaitOutcome parks the handler until job finishes, then writes its
-// terminal frames. Meanwhile it watches the connection: a msgCancel stops
-// the job at its next epoch boundary, and a dead connection ends the wait
-// with io.EOF — what that means for the job is the caller's policy.
-func (s *Server) awaitOutcome(conn *deadlineConn, job *schedJob) error {
+// awaitOutcome parks the handler until job finishes, then flushes the
+// live frames still queued on w and writes the terminal ones itself.
+// Meanwhile it watches the connection: a msgCancel stops the job at its
+// next epoch boundary, and a dead connection ends the wait with io.EOF —
+// what that means for the job is the caller's policy.
+func (s *Server) awaitOutcome(conn *deadlineConn, job *schedJob, w *connWriter) error {
 	// The training phase has no frame cadence the server can bound: a
-	// silent client is normal. Request-phase deadlines come off.
+	// silent client is normal. Request-phase deadlines come off, and so
+	// does the request's frame buffer: the largest upload frame would
+	// otherwise stay pinned for the whole job, to read cancel frames.
 	conn.setReadTimeout(0)
+	conn.frames.buf = nil
 
 	connDead := make(chan struct{})
 	var clientStopped atomic.Bool
 	go func() {
 		for {
-			kind, _, err := readFrame(conn)
+			kind, _, err := conn.readFrame()
 			if err != nil {
 				close(connDead)
 				return
@@ -512,8 +588,16 @@ func (s *Server) awaitOutcome(conn *deadlineConn, job *schedJob) error {
 		select {
 		case <-job.done:
 		case <-connDead:
+			// Nothing more can be sent; closing now fails a frame w may be
+			// stuck in, instead of leaving it to the write deadline.
+			_ = conn.Close()
 			return io.EOF
 		}
+	}
+	// The job is terminal, so nothing more will be enqueued: what is
+	// queued goes out first, then this goroutine is the only writer.
+	if err := w.close(); err != nil {
+		return err
 	}
 	resp, jerr := job.result()
 	if jerr != nil {
@@ -535,11 +619,15 @@ func (s *Server) runAndRespond(conn *deadlineConn, req *TrainRequest) (err error
 			err = fmt.Errorf("cloudsim: job crashed: %v: %w", r, ErrJobPanic)
 		}
 	}()
-	job, err := s.sched.Submit(req, connSink(conn, req, req.Hyper.Stream))
+	w := newConnWriter(conn)
+	defer w.close()
+	sink := w.sink(req, req.Hyper.Stream)
+	job, err := s.sched.Submit(req, sink)
 	if err != nil {
 		return err
 	}
-	err = s.awaitOutcome(conn, job)
+	defer job.detach(sink) // before w closes: no delivery may be in flight then
+	err = s.awaitOutcome(conn, job, w)
 	if errors.Is(err, io.EOF) {
 		// A vanished blocking client stops its job instead of burning
 		// cloud time on a result nobody will read; disconnect survival is
@@ -618,10 +706,12 @@ func (s *Server) attach(conn *deadlineConn, areq AttachRequest) error {
 	if err != nil {
 		return err
 	}
-	sink := connSink(conn, job.req, true)
+	w := newConnWriter(conn)
+	defer w.close()
+	sink := w.sink(job.req, true)
 	if err := job.attach(areq.FromEpoch, sink); err != nil {
 		return err
 	}
-	defer job.detach(sink)
-	return s.awaitOutcome(conn, job)
+	defer job.detach(sink) // before w closes: no delivery may be in flight then
+	return s.awaitOutcome(conn, job, w)
 }

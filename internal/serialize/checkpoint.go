@@ -115,34 +115,46 @@ func WriteTrainCheckpoint(w io.Writer, ck *TrainCheckpoint) error {
 			return err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := WriteStateDict(w, ck.State); err != nil {
+	if err := writeStateDictTo(bw, ck.State); err != nil {
 		return err
 	}
 	if hasOpt {
-		if err := WriteStateDict(w, ck.OptState.Buffers); err != nil {
+		if err := writeStateDictTo(bw, ck.OptState.Buffers); err != nil {
 			return err
 		}
 	}
-	if len(ck.RNG) == 0 {
-		_, err := w.Write([]byte{0})
+	hasRNG := len(ck.RNG) > 0
+	if err := binary.Write(bw, binary.LittleEndian, hasRNG); err != nil {
 		return err
 	}
-	if _, err := w.Write([]byte{1}); err != nil {
-		return err
+	if hasRNG {
+		if err := writeBytesDictTo(bw, ck.RNG); err != nil {
+			return err
+		}
 	}
-	return WriteBytesDict(w, ck.RNG)
+	return bw.Flush()
+}
+
+// TrainCheckpointSize is the exact length of WriteTrainCheckpoint's
+// output.
+func TrainCheckpointSize(ck *TrainCheckpoint) int {
+	n := headerSize + 4 + 2 + len(ck.Kind) + 1 + StateDictSize(ck.State) + 1
+	if !ck.OptState.Empty() {
+		n += optScalarsSize(ck.OptState) + StateDictSize(ck.OptState.Buffers)
+	}
+	if len(ck.RNG) > 0 {
+		n += bytesDictSize(ck.RNG)
+	}
+	return n
 }
 
 // ReadTrainCheckpoint decodes a checkpoint written by
 // WriteTrainCheckpoint. Any other magic fails with ErrWrongFormat.
 func ReadTrainCheckpoint(r io.Reader) (*TrainCheckpoint, error) {
-	// One buffered reader for the whole stream: the dict sections are
-	// decoded with the non-wrapping reader so the model dict cannot
-	// read ahead into the optimiser dict.
-	br := bufio.NewReader(r)
+	// One source for the whole stream: the dict sections are decoded
+	// with the non-wrapping reader so the model dict cannot read ahead
+	// into the optimiser dict.
+	br := buffered(r)
 	if err := readHeader(br, ckptMagic); err != nil {
 		return nil, err
 	}

@@ -24,16 +24,21 @@ func WriteOptState(w io.Writer, st *optim.State) error {
 	if err := writeOptScalars(bw, st); err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
+	if err := writeStateDictTo(bw, st.Buffers); err != nil {
 		return err
 	}
-	return WriteStateDict(w, st.Buffers)
+	return bw.Flush()
+}
+
+// OptStateSize is the exact length of WriteOptState's output.
+func OptStateSize(st *optim.State) int {
+	return headerSize + optScalarsSize(st) + StateDictSize(st.Buffers)
 }
 
 // ReadOptState decodes a state written by WriteOptState. Any other magic
 // fails with ErrWrongFormat.
 func ReadOptState(r io.Reader) (*optim.State, error) {
-	br := bufio.NewReader(r)
+	br := buffered(r)
 	if err := readHeader(br, optStateMagic); err != nil {
 		return nil, err
 	}
@@ -58,6 +63,8 @@ func writeOptScalars(w io.Writer, st *optim.State) error {
 	}
 	return binary.Write(w, binary.LittleEndian, math.Float64bits(st.LR))
 }
+
+func optScalarsSize(st *optim.State) int { return 2 + len(st.Kind) + 8 + 8 }
 
 func readOptScalars(r io.Reader) (*optim.State, error) {
 	kind, err := readString(r)

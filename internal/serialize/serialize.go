@@ -6,6 +6,14 @@
 //
 // All integers are little-endian. Every stream starts with a 4-byte magic
 // and a format version so decoders fail fast on foreign input.
+//
+// Element payloads (float32 tensor data, int64 index lists) are the bulk
+// of every stream and move as one copy: on a little-endian host the wire
+// layout IS the slice's memory, so writers hand the slice's bytes to the
+// io.Writer and readers fill the slice's bytes from the io.Reader (see
+// wireBytes); the per-element loops remain as the big-endian path. Each
+// Write… has an exact …Size, so a caller encoding to memory reserves the
+// whole stream once.
 package serialize
 
 import (
@@ -15,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"amalgam/internal/tensor"
 )
@@ -42,7 +51,47 @@ const (
 	// that actually arrive, so a forged header cannot reserve gigabytes
 	// before sending a single element.
 	allocChunk = 1 << 16
+	headerSize = 6 // magic + version
 )
+
+// nativeLE reports that this host stores integers and floats in wire
+// order. Tests clear it to run the portable path on any host.
+var nativeLE = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// wireBytes returns s's memory as its wire encoding when the two
+// coincide — a little-endian host whose element is size bytes wide — and
+// nil otherwise (or for an empty s).
+func wireBytes[T float32 | int](s []T, size int) []byte {
+	if !nativeLE || len(s) == 0 || int(unsafe.Sizeof(s[0])) != size {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*size)
+}
+
+// source is what the decoders read: a stream behind one bufio.Reader, or
+// an in-memory reader used as it is.
+type source interface {
+	io.Reader
+	io.ByteReader
+}
+
+// inMemory is a source that knows how many bytes it still holds
+// (*bytes.Reader, *bytes.Buffer, *strings.Reader): what readChunked may
+// reserve in one allocation, since those bytes have already arrived.
+type inMemory interface {
+	source
+	Len() int
+}
+
+func buffered(r io.Reader) source {
+	if m, ok := r.(inMemory); ok {
+		return m
+	}
+	return bufio.NewReader(r)
+}
 
 // WriteTensor encodes t.
 func WriteTensor(w io.Writer, t *tensor.Tensor) error {
@@ -56,9 +105,12 @@ func WriteTensor(w io.Writer, t *tensor.Tensor) error {
 	return bw.Flush()
 }
 
+// TensorSize is the exact length of WriteTensor's output.
+func TensorSize(t *tensor.Tensor) int { return headerSize + tensorBodySize(t) }
+
 // ReadTensor decodes a tensor written by WriteTensor.
 func ReadTensor(r io.Reader) (*tensor.Tensor, error) {
-	br := bufio.NewReader(r)
+	br := buffered(r)
 	if err := readHeader(br, tensorMagic); err != nil {
 		return nil, err
 	}
@@ -103,12 +155,35 @@ func writeTensorBody(w io.Writer, t *tensor.Tensor) error {
 			return err
 		}
 	}
-	buf := make([]byte, 4*len(t.Data))
-	for i, v := range t.Data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+	return writeElems(w, t.Data, 4, func(dst []byte, src []float32) {
+		for i, v := range src {
+			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+		}
+	})
+}
+
+func tensorBodySize(t *tensor.Tensor) int {
+	return 1 + 4*t.Dims() + 4*len(t.Data)
+}
+
+// writeElems encodes s as fixed-size wire elements: in one Write of its
+// own memory where that is the wire layout, through encode in allocChunk
+// pieces otherwise.
+func writeElems[T float32 | int](w io.Writer, s []T, size int, encode func(dst []byte, src []T)) error {
+	if raw := wireBytes(s, size); raw != nil {
+		_, err := w.Write(raw)
+		return err
 	}
-	_, err := w.Write(buf)
-	return err
+	buf := make([]byte, min(len(s)*size, allocChunk))
+	for len(s) > 0 {
+		k := min(len(s), len(buf)/size)
+		encode(buf, s[:k])
+		if _, err := w.Write(buf[:k*size]); err != nil {
+			return err
+		}
+		s = s[k:]
+	}
+	return nil
 }
 
 func readTensorBody(r io.Reader) (*tensor.Tensor, error) {
@@ -145,24 +220,40 @@ func readTensorBody(r io.Reader) (*tensor.Tensor, error) {
 	return tensor.FromSlice(data, shape...), nil
 }
 
-// readChunked decodes n fixed-size wire elements, reading at most
-// allocChunk bytes at a time; the output at most doubles as chunks
-// arrive, so memory tracks the bytes received, never the declared count.
-func readChunked[T any](r io.Reader, n, size int, decode func(dst []T, src []byte)) ([]T, error) {
-	buf := make([]byte, min(n*size, allocChunk))
-	out := make([]T, 0, len(buf)/size)
+// readChunked decodes n fixed-size wire elements. The output is reserved
+// whole only when r is in memory and holds them all; otherwise it starts
+// at allocChunk bytes and at most doubles as elements arrive — either
+// way memory tracks the bytes received, never the declared count. Where
+// the output's memory is the wire layout the reads land in it directly.
+func readChunked[T float32 | int](r io.Reader, n, size int, decode func(dst []T, src []byte)) ([]T, error) {
+	reserve := min(n, allocChunk/size)
+	if m, ok := r.(inMemory); ok && n <= m.Len()/size {
+		reserve = n
+	}
+	out := make([]T, 0, reserve)
+	var buf []byte
 	for len(out) < n {
-		k := min(n-len(out), len(buf)/size)
-		if _, err := io.ReadFull(r, buf[:k*size]); err != nil {
-			return nil, err
-		}
-		if len(out)+k > cap(out) {
+		if len(out) == cap(out) {
 			grown := make([]T, len(out), min(n, 2*cap(out)))
 			copy(grown, out)
 			out = grown
 		}
-		out = out[:len(out)+k]
-		decode(out[len(out)-k:], buf)
+		dst := out[len(out):min(n, cap(out))]
+		if raw := wireBytes(dst, size); raw != nil {
+			if _, err := io.ReadFull(r, raw); err != nil {
+				return nil, err
+			}
+		} else {
+			if buf == nil {
+				buf = make([]byte, min(n*size, allocChunk))
+			}
+			dst = dst[:min(len(dst), len(buf)/size)]
+			if _, err := io.ReadFull(r, buf[:len(dst)*size]); err != nil {
+				return nil, err
+			}
+			decode(dst, buf)
+		}
+		out = out[:len(out)+len(dst)]
 	}
 	return out, nil
 }
@@ -171,35 +262,53 @@ func readChunked[T any](r io.Reader, n, size int, decode func(dst []T, src []byt
 // entry order so byte output is reproducible.
 func WriteStateDict(w io.Writer, dict map[string]*tensor.Tensor) error {
 	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, dictMagic); err != nil {
+	if err := writeStateDictTo(bw, dict); err != nil {
 		return err
-	}
-	names := sortedKeys(dict)
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(names))); err != nil {
-		return err
-	}
-	for _, name := range names {
-		if err := writeString(bw, name); err != nil {
-			return err
-		}
-		if err := writeTensorBody(bw, dict[name]); err != nil {
-			return err
-		}
 	}
 	return bw.Flush()
 }
 
+// writeStateDictTo is WriteStateDict for callers that write several
+// sections through one buffered writer.
+func writeStateDictTo(w io.Writer, dict map[string]*tensor.Tensor) error {
+	if err := writeHeader(w, dictMagic); err != nil {
+		return err
+	}
+	names := sortedKeys(dict)
+	if err := binary.Write(w, binary.LittleEndian, uint32(len(names))); err != nil {
+		return err
+	}
+	for _, name := range names {
+		if err := writeString(w, name); err != nil {
+			return err
+		}
+		if err := writeTensorBody(w, dict[name]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// StateDictSize is the exact length of WriteStateDict's output.
+func StateDictSize(dict map[string]*tensor.Tensor) int {
+	n := headerSize + 4
+	for _, name := range sortedKeys(dict) {
+		n += 2 + len(name) + tensorBodySize(dict[name])
+	}
+	return n
+}
+
 // ReadStateDict decodes a map written by WriteStateDict.
 func ReadStateDict(r io.Reader) (map[string]*tensor.Tensor, error) {
-	return readStateDictFrom(bufio.NewReader(r))
+	return readStateDictFrom(buffered(r))
 }
 
 // readStateDictFrom decodes a state dict without adding its own
 // buffering, reading exactly the dict's bytes — callers that decode
 // several sections from one stream (the checkpoint reader) share a
-// single buffered reader across sections instead of letting a nested
+// single source across sections instead of letting a nested
 // bufio.Reader read ahead past the section boundary.
-func readStateDictFrom(r io.Reader) (map[string]*tensor.Tensor, error) {
+func readStateDictFrom(r source) (map[string]*tensor.Tensor, error) {
 	if err := readHeader(r, dictMagic); err != nil {
 		return nil, err
 	}
@@ -230,49 +339,55 @@ func readStateDictFrom(r io.Reader) (map[string]*tensor.Tensor, error) {
 // version, count, then (name, length-prefixed bytes) entries.
 func WriteBytesDict(w io.Writer, dict map[string][]byte) error {
 	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, bytesMagic); err != nil {
+	if err := writeBytesDictTo(bw, dict); err != nil {
 		return err
 	}
-	names := make([]string, 0, len(dict))
-	//amalgam:allow detcheck keys are collected then sorted below; wire order never sees map order
-	for k := range dict {
-		names = append(names, k)
+	return bw.Flush()
+}
+
+func writeBytesDictTo(w io.Writer, dict map[string][]byte) error {
+	if err := writeHeader(w, bytesMagic); err != nil {
+		return err
 	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(names))); err != nil {
+	names := sortedKeys(dict)
+	if err := binary.Write(w, binary.LittleEndian, uint32(len(names))); err != nil {
 		return err
 	}
 	for _, name := range names {
-		if err := writeString(bw, name); err != nil {
+		if err := writeString(w, name); err != nil {
 			return err
 		}
 		b := dict[name]
 		if len(b) > maxBytesItem {
 			return fmt.Errorf("serialize: bytes entry %q length %d exceeds %d", name, len(b), maxBytesItem)
 		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(b))); err != nil {
+		if err := binary.Write(w, binary.LittleEndian, uint32(len(b))); err != nil {
 			return err
 		}
-		if _, err := bw.Write(b); err != nil {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
+}
+
+func bytesDictSize(dict map[string][]byte) int {
+	n := headerSize + 4
+	for _, name := range sortedKeys(dict) {
+		n += 2 + len(name) + 4 + len(dict[name])
+	}
+	return n
 }
 
 // ReadBytesDict decodes a map written by WriteBytesDict.
 func ReadBytesDict(r io.Reader) (map[string][]byte, error) {
-	return readBytesDictFrom(bufio.NewReader(r))
+	return readBytesDictFrom(buffered(r))
 }
 
 // readBytesDictFrom decodes a bytes dict without adding buffering — like
 // readStateDictFrom, for callers decoding several sections from one
-// buffered stream.
-func readBytesDictFrom(r io.Reader) (map[string][]byte, error) {
+// source.
+func readBytesDictFrom(r source) (map[string][]byte, error) {
 	if err := readHeader(r, bytesMagic); err != nil {
 		return nil, err
 	}
@@ -331,18 +446,21 @@ func readString(r io.Reader) (string, error) {
 	return string(buf), nil
 }
 
-// WriteIntSlice encodes a []int (augmentation-key index lists).
+// WriteIntSlice encodes a []int (augmentation-key index lists, token
+// samples) as a uint32 count and int64 elements.
 func WriteIntSlice(w io.Writer, s []int) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
 		return err
 	}
-	for _, v := range s {
-		if err := binary.Write(w, binary.LittleEndian, int64(v)); err != nil {
-			return err
+	return writeElems(w, s, 8, func(dst []byte, src []int) {
+		for i, v := range src {
+			binary.LittleEndian.PutUint64(dst[8*i:], uint64(int64(v)))
 		}
-	}
-	return nil
+	})
 }
+
+// IntSliceSize is the exact length of WriteIntSlice's output.
+func IntSliceSize(s []int) int { return 4 + 8*len(s) }
 
 // ReadIntSlice decodes a slice written by WriteIntSlice.
 func ReadIntSlice(r io.Reader) ([]int, error) {
@@ -360,7 +478,7 @@ func ReadIntSlice(r io.Reader) ([]int, error) {
 	})
 }
 
-func sortedKeys(m map[string]*tensor.Tensor) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	//amalgam:allow detcheck keys are collected then sorted below; callers never see map order
 	for k := range m {
