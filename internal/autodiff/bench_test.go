@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -340,6 +341,45 @@ func BenchmarkLinearTrainStep(b *testing.B) {
 		loss := SoftmaxCrossEntropy(MatMul(ReLU(MatMul(Constant(x), w1N)), w2N), labels)
 		Backward(loss)
 		Release(loss)
+	}
+}
+
+// BenchmarkLinearXentHead measures a language model's loss head, forward +
+// backward, at lm_local's geometry — 1008 = 16·63 positions onto a 2000-word
+// vocabulary from the decoys' 56-wide and the original's 128-wide features
+// — fused against the MatMul → AddRowBias → SoftmaxCrossEntropy referee.
+// x is interior (its gradient is produced), as the features are in a model.
+func BenchmarkLinearXentHead(b *testing.B) {
+	const rows, vocab = 1008, 2000
+	labels := make([]int, rows)
+	for i := range labels {
+		labels[i] = (i * 37) % vocab
+	}
+	heads := map[string]func(x, w, bias *Node) *Node{
+		"fused": func(x, w, bias *Node) *Node { return LinearSoftmaxCrossEntropy(x, w, bias, labels) },
+		"referee": func(x, w, bias *Node) *Node {
+			return SoftmaxCrossEntropy(AddRowBias(MatMul(x, w), bias), labels)
+		},
+	}
+	for _, d := range []int{56, 128} {
+		rng := tensor.NewRNG(13)
+		x, w, bias := tensor.New(rows, d), tensor.New(d, vocab), tensor.New(vocab)
+		rng.FillNormal(x, 0, 1)
+		rng.FillNormal(w, 0, 0.05)
+		xN, wN, bN := Leaf(x), Leaf(w), Leaf(bias)
+		for _, name := range []string{"fused", "referee"} {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", name, rows, d, vocab), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					xN.ZeroGrad()
+					wN.ZeroGrad()
+					bN.ZeroGrad()
+					loss := heads[name](Scale(xN, 1), wN, bN)
+					Backward(loss)
+					Release(loss)
+				}
+			})
+		}
 	}
 }
 

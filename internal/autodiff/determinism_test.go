@@ -173,6 +173,59 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		}
 	})
 
+	// The activation-free Linear ops, worker count × SIMD on/off: each
+	// backend must agree with itself at every worker count (the two
+	// backends round differently and are not compared). 67 rows of 1000
+	// columns make the row kernels chunk unevenly at every count.
+	linearRun := func(head bool) (out, dx, dw, db *tensor.Tensor) {
+		rng := tensor.NewRNG(22)
+		x := tensor.New(67, 48)
+		w := tensor.New(48, 1000)
+		b := tensor.New(1000)
+		rng.FillNormal(x, 0, 1)
+		rng.FillNormal(w, 0, 0.3)
+		rng.FillNormal(b, 0, 0.3)
+		labels := make([]int, 67)
+		for i := range labels {
+			labels[i] = (i * 37) % 1000
+		}
+		xN, wN, bN := Leaf(x), Leaf(w), Leaf(b)
+		var loss *Node
+		if head {
+			loss = LinearSoftmaxCrossEntropy(xN, wN, bN, labels)
+		} else {
+			loss = Mean(Linear(xN, wN, bN))
+		}
+		Backward(loss)
+		out, dx, dw, db = loss.Val.Clone(), xN.Grad.Clone(), wN.Grad.Clone(), bN.Grad.Clone()
+		Release(loss)
+		return out, dx, dw, db
+	}
+	for name, head := range map[string]bool{"LinearFwdBwd": false, "LinearSoftmaxCrossEntropyFwdBwd": true} {
+		t.Run(name, func(t *testing.T) {
+			prev := tensor.SetMaxWorkers(1)
+			defer tensor.SetMaxWorkers(prev)
+			for _, simd := range []bool{false, true} {
+				prevSIMD := tensor.SetSIMD(simd)
+				if simd && !tensor.SIMDEnabled() {
+					tensor.SetSIMD(prevSIMD)
+					t.Log("AVX2 not available; SIMD dispatch not exercised")
+					continue
+				}
+				tensor.SetMaxWorkers(1)
+				refOut, refDx, refDw, refDb := linearRun(head)
+				for _, wk := range workerCounts {
+					tensor.SetMaxWorkers(wk)
+					out, dx, dw, db := linearRun(head)
+					if !out.Equal(refOut) || !dx.Equal(refDx) || !dw.Equal(refDw) || !db.Equal(refDb) {
+						t.Errorf("simd=%v workers=%d: %s not bit-identical to workers=1", simd, wk, name)
+					}
+				}
+				tensor.SetSIMD(prevSIMD)
+			}
+		})
+	}
+
 	// The PR 5 fused activation family (Tanh32/Sigmoid32/GELU32 kernels and
 	// their Linear/Conv epilogues), run through autodiff on the persistent
 	// worker pool.

@@ -103,14 +103,18 @@ func TestGradSplitHeads(t *testing.T) {
 	gradCheck(t, []*Node{xN}, loss, 2e-2)
 }
 
-func TestGradAddConstPassesThrough(t *testing.T) {
-	x := tensor.FromSlice([]float32{1, 2}, 2)
+func TestGradAddConstBroadcastPassesThrough(t *testing.T) {
+	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	c := tensor.FromSlice([]float32{10, 20}, 2)
 	xN := Leaf(x)
-	Backward(Mean(AddConst(xN, c)))
+	y := AddConstBroadcast(xN, c)
+	if want := tensor.FromSlice([]float32{11, 22, 13, 24}, 2, 2); !y.Val.Equal(want) {
+		t.Fatalf("AddConstBroadcast = %v, want %v", y.Val.Data, want.Data)
+	}
+	Backward(Mean(y))
 	for _, g := range xN.Grad.Data {
-		if math.Abs(float64(g)-0.5) > 1e-6 {
-			t.Fatalf("AddConst grad %v, want 0.5", g)
+		if math.Abs(float64(g)-0.25) > 1e-6 {
+			t.Fatalf("AddConstBroadcast grad %v, want 0.25", g)
 		}
 	}
 }

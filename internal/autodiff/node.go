@@ -85,7 +85,8 @@ func newPooledNode(val *tensor.Tensor, parents []*Node, backward func()) *Node {
 	return n
 }
 
-// ensureGrad allocates (once) and returns the gradient buffer. Buffers come
+// ensureGrad allocates (once) and returns the zeroed gradient buffer, for
+// backward kernels that accumulate into it element by element. Buffers come
 // from the scratch pool; interior-node gradients flow back to it in Release
 // while leaf gradients live as long as the parameter.
 func (n *Node) ensureGrad() *tensor.Tensor {
@@ -95,12 +96,45 @@ func (n *Node) ensureGrad() *tensor.Tensor {
 	return n.Grad
 }
 
-// accumulate adds g into n's gradient if n participates in backprop.
+// accumulate adds g into n's gradient if n participates in backprop. g
+// stays the caller's — it is typically a consumer's out.Grad, which several
+// parents may receive (both operands of Add) — so it is never aliased: the
+// first contribution is copied into an un-zeroed pooled buffer (one pass
+// instead of zero-fill plus read-add-write), later ones are added.
+//
+// The one arithmetic difference from adding into zeros: 0 + (−0) is +0,
+// while a copy keeps −0. Every arm the repo compares bit for bit — plain
+// and augmented, local and remote, fused and unfused — runs this same
+// code, so no equality promise depends on which of the two it is.
 func (n *Node) accumulate(g *tensor.Tensor) {
 	if !n.requiresGrad {
 		return
 	}
-	tensor.AddInto(n.ensureGrad(), g)
+	if n.Grad != nil {
+		tensor.AddInto(n.Grad, g) // panics on a shape mismatch
+		return
+	}
+	if !g.SameShape(n.Val) {
+		panic(fmt.Sprintf("autodiff: gradient shape %v for value %v", g.Shape(), n.Val.Shape()))
+	}
+	n.Grad = tensor.Get(n.Val.Shape()...)
+	n.Grad.CopyFrom(g)
+}
+
+// accumulateOwned is accumulate for a pooled temporary the producer hands
+// over: as the first contribution tmp becomes the gradient itself (no copy,
+// no zero-fill), otherwise it is added and returned to the pool. tmp must
+// come from tensor.Get with the shape of n.Val and be exclusively the
+// caller's; the caller must not touch it afterwards. Release (interior
+// nodes) or the parameter's lifetime (leaves) owns an adopted buffer exactly
+// as it owns one from ensureGrad.
+func (n *Node) accumulateOwned(tmp *tensor.Tensor) {
+	if n.requiresGrad && n.Grad == nil && tmp.SameShape(n.Val) {
+		n.Grad = tmp
+		return
+	}
+	n.accumulate(tmp) // panics on a shape mismatch
+	tensor.Put(tmp)
 }
 
 // ZeroGrad clears the node's gradient buffer in place (keeps allocation).

@@ -140,14 +140,7 @@ func Dropout(a *Node, p float32, rng *tensor.RNG, training bool) *Node {
 // subtraction in the backward); probs live in pooled node scratch.
 func SoftmaxCrossEntropy(logits *Node, labels []int) *Node {
 	n, c := logits.Val.Dim(0), logits.Val.Dim(1)
-	if len(labels) != n {
-		panic(fmt.Sprintf("autodiff: SoftmaxCrossEntropy %d labels for %d rows", len(labels), n))
-	}
-	for _, y := range labels {
-		if y < 0 || y >= c {
-			panic(fmt.Sprintf("autodiff: label %d out of range [0,%d)", y, c))
-		}
-	}
+	checkLabels(labels, n, c)
 	probs := tensor.Get(n, c) // registered as node scratch below
 	loss := tensor.SoftmaxXentFwdInto(probs.Data, logits.Val.Data, labels, n, c)
 	val := tensor.FromSlice([]float32{float32(loss / float64(n))}, 1)
@@ -160,6 +153,18 @@ func SoftmaxCrossEntropy(logits *Node, labels []int) *Node {
 		}
 	}
 	return out
+}
+
+// checkLabels panics unless labels holds one class index in [0, c) per row.
+func checkLabels(labels []int, n, c int) {
+	if len(labels) != n {
+		panic(fmt.Sprintf("autodiff: %d labels for %d rows", len(labels), n))
+	}
+	for _, y := range labels {
+		if y < 0 || y >= c {
+			panic(fmt.Sprintf("autodiff: label %d out of range [0,%d)", y, c))
+		}
+	}
 }
 
 // SoftmaxLastDim applies softmax along the last axis of a 2-D node
@@ -176,12 +181,4 @@ func SoftmaxLastDim(a *Node) *Node {
 		}
 	}
 	return out
-}
-
-// LogSoftmaxNLL computes mean negative log-likelihood over logits [N, C]
-// given labels, returning per-sample total loss / N (identical value to
-// SoftmaxCrossEntropy; kept as an independent implementation used by
-// property tests to cross-check the fused op).
-func LogSoftmaxNLL(logits *Node, labels []int) *Node {
-	return SoftmaxCrossEntropy(logits, labels)
 }

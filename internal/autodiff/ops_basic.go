@@ -82,31 +82,22 @@ func AddN(nodes ...*Node) *Node {
 	return out
 }
 
-// AddRowBias adds a bias vector [D] to every row of a [N, D] matrix.
+// AddRowBias adds a bias vector [D] to every row of a [N, D] matrix. With
+// Linear fused into one node this is the unfused referee the equivalence
+// tests compose with MatMul: same kernels, same element order, one more
+// graph node.
 func AddRowBias(x, bias *Node) *Node {
 	n, d := x.Val.Dim(0), x.Val.Dim(1)
 	if bias.Val.Numel() != d {
 		panic(fmt.Sprintf("autodiff: AddRowBias dims %v + %v", x.Val.Shape(), bias.Val.Shape()))
 	}
 	val := tensor.Get(x.Val.Shape()...)
-	val.CopyFrom(x.Val)
-	for r := 0; r < n; r++ {
-		row := val.Data[r*d : (r+1)*d]
-		for j := range row {
-			row[j] += bias.Val.Data[j]
-		}
-	}
+	tensor.AddRowBiasInto(val.Data, x.Val.Data, bias.Val.Data, n, d)
 	out := newPooledNode(val, []*Node{x, bias}, nil)
 	out.backward = func() {
 		x.accumulate(out.Grad)
 		if bias.requiresGrad {
-			bg := bias.ensureGrad()
-			for r := 0; r < n; r++ {
-				row := out.Grad.Data[r*d : (r+1)*d]
-				for j := range row {
-					bg.Data[j] += row[j]
-				}
-			}
+			tensor.ColSumAddInto(bias.ensureGrad().Data, out.Grad.Data, n, d)
 		}
 	}
 	return out
@@ -159,14 +150,12 @@ func MatMul(a, b *Node) *Node {
 		if a.requiresGrad {
 			tmp := tensor.Get(a.Val.Shape()...)
 			tensor.MatMulBTInto(tmp, out.Grad, b.Val) // dA = dY·Bᵀ
-			tensor.AddInto(a.ensureGrad(), tmp)
-			tensor.Put(tmp)
+			a.accumulateOwned(tmp)
 		}
 		if b.requiresGrad {
 			tmp := tensor.Get(b.Val.Shape()...)
 			tensor.MatMulATInto(tmp, a.Val, out.Grad) // dB = Aᵀ·dY
-			tensor.AddInto(b.ensureGrad(), tmp)
-			tensor.Put(tmp)
+			b.accumulateOwned(tmp)
 		}
 	}
 	return out
@@ -176,12 +165,7 @@ func MatMul(a, b *Node) *Node {
 func Reshape(a *Node, shape ...int) *Node {
 	val := a.Val.Reshape(shape...)
 	out := newNode(val, []*Node{a}, nil)
-	out.backward = func() {
-		if a.requiresGrad {
-			g := out.Grad.Reshape(a.Val.Shape()...)
-			tensor.AddInto(a.ensureGrad(), g)
-		}
-	}
+	out.backward = func() { a.accumulate(out.Grad.Reshape(a.Val.Shape()...)) }
 	return out
 }
 

@@ -92,16 +92,14 @@ func AddRowBiasTanh(x, bias *Node) *Node {
 	tensor.AddRowBiasTanhInto(val.Data, x.Val.Data, bias.Val.Data, n, d)
 	out := newPooledNode(val, []*Node{x, bias}, nil)
 	out.backward = func() {
-		// Stage dpre = dy·(1−y²) once; both gradients read it.
-		dpre := tensor.Get(n, d)
+		// Stage dpre = dy·(1−y²) once; both gradients read it, and x
+		// takes the buffer over when it is its first contribution.
+		dpre := tensor.Get(x.Val.Shape()...)
 		tensor.TanhGradInto(dpre.Data, out.Grad.Data, val.Data)
-		if x.requiresGrad {
-			tensor.AddRawInto(x.ensureGrad().Data, dpre.Data)
-		}
 		if bias.requiresGrad {
 			tensor.ColSumAddInto(bias.ensureGrad().Data, dpre.Data, n, d)
 		}
-		tensor.Put(dpre)
+		x.accumulateOwned(dpre)
 	}
 	return out
 }
@@ -120,12 +118,10 @@ func AddChanBiasSigmoid(x, bias *Node) *Node {
 	tensor.AddChanBiasSigmoidInto(val.Data, x.Val.Data, bias.Val.Data, n, c, hw)
 	out := newPooledNode(val, []*Node{x, bias}, nil)
 	out.backward = func() {
-		// Stage dpre = dy·y·(1−y) once; both gradients read it.
+		// Stage dpre = dy·y·(1−y) once; both gradients read it, and x
+		// takes the buffer over when it is its first contribution.
 		dpre := tensor.Get(sh...)
 		tensor.SigmoidGradInto(dpre.Data, out.Grad.Data, val.Data)
-		if x.requiresGrad {
-			tensor.AddRawInto(x.ensureGrad().Data, dpre.Data)
-		}
 		if bias.requiresGrad {
 			bg := bias.ensureGrad().Data
 			for b := 0; b < n; b++ {
@@ -140,7 +136,7 @@ func AddChanBiasSigmoid(x, bias *Node) *Node {
 				}
 			}
 		}
-		tensor.Put(dpre)
+		x.accumulateOwned(dpre)
 	}
 	return out
 }
@@ -151,11 +147,7 @@ func AddChanBiasSigmoid(x, bias *Node) *Node {
 // pre-activation gradient (dy masked by y > 0) in one pooled buffer shared
 // by the bias, weight, and input gradients.
 func LinearReLU(x, w, b *Node) *Node {
-	n, dIn := x.Val.Dim(0), x.Val.Dim(1)
-	dOut := w.Val.Dim(1)
-	if b.Val.Numel() != dOut {
-		panic(fmt.Sprintf("autodiff: LinearReLU bias size %d, want %d", b.Val.Numel(), dOut))
-	}
+	n, dOut := linearDims("LinearReLU", x, w, b)
 	val := tensor.Get(n, dOut)
 	tensor.MatMulInto(val, x.Val, w.Val)
 	tensor.AddRowBiasReLUInto(val.Data, val.Data, b.Val.Data, n, dOut)
@@ -163,30 +155,81 @@ func LinearReLU(x, w, b *Node) *Node {
 	out.backward = func() {
 		dpre := tensor.Get(n, dOut)
 		tensor.ReLUMaskInto(dpre.Data, out.Grad.Data, val.Data)
-		linearEpilogueBackward(x, w, b, dpre, n, dIn, dOut)
+		linearEpilogueBackward(x, w, b, dpre)
 		tensor.Put(dpre)
 	}
 	return out
 }
 
-// linearEpilogueBackward shares the dX/dW/dbias matmul backward of the
-// fused Linear→activation ops: dpre is the staged pre-activation gradient.
-func linearEpilogueBackward(x, w, b *Node, dpre *tensor.Tensor, n, dIn, dOut int) {
+// linearEpilogueBackward is the dX/dW/dbias matmul backward every Linear
+// op shares. dpre [N, Out] is the pre-activation gradient, only read here:
+// a staged buffer for the activation epilogues, out.Grad itself for Linear,
+// the loss head's one logit-sized buffer for LinearSoftmaxCrossEntropy.
+func linearEpilogueBackward(x, w, b *Node, dpre *tensor.Tensor) {
 	if b.requiresGrad {
-		tensor.ColSumAddInto(b.ensureGrad().Data, dpre.Data, n, dOut)
+		tensor.ColSumAddInto(b.ensureGrad().Data, dpre.Data, dpre.Dim(0), dpre.Dim(1))
 	}
 	if x.requiresGrad {
-		tmp := tensor.Get(n, dIn)
+		tmp := tensor.Get(x.Val.Shape()...)
 		tensor.MatMulBTInto(tmp, dpre, w.Val) // dX = dPre·Wᵀ
-		tensor.AddInto(x.ensureGrad(), tmp)
-		tensor.Put(tmp)
+		x.accumulateOwned(tmp)
 	}
 	if w.requiresGrad {
-		tmp := tensor.Get(dIn, dOut)
+		tmp := tensor.Get(w.Val.Shape()...)
 		tensor.MatMulATInto(tmp, x.Val, dpre) // dW = Xᵀ·dPre
-		tensor.AddInto(w.ensureGrad(), tmp)
-		tensor.Put(tmp)
+		w.accumulateOwned(tmp)
 	}
+}
+
+// linearDims returns N and Out for x [N, In] · w [In, Out] + b [Out],
+// panicking in op's name when the bias does not fit.
+func linearDims(op string, x, w, b *Node) (n, dOut int) {
+	n, dOut = x.Val.Dim(0), w.Val.Dim(1)
+	if b.Val.Numel() != dOut {
+		panic(fmt.Sprintf("autodiff: %s bias size %d, want %d", op, b.Val.Numel(), dOut))
+	}
+	return n, dOut
+}
+
+// Linear computes x·W + b as one node: the matmul writes straight into the
+// pooled output and the bias is added in place over it. With no activation
+// the pre-activation gradient is out.Grad itself, so the backward stages
+// nothing.
+func Linear(x, w, b *Node) *Node {
+	n, dOut := linearDims("Linear", x, w, b)
+	val := tensor.Get(n, dOut)
+	tensor.MatMulInto(val, x.Val, w.Val)
+	tensor.AddRowBiasInto(val.Data, val.Data, b.Val.Data, n, dOut)
+	out := newPooledNode(val, []*Node{x, w, b}, nil)
+	out.backward = func() { linearEpilogueBackward(x, w, b, out.Grad) }
+	return out
+}
+
+// LinearSoftmaxCrossEntropy computes the mean cross-entropy of the logits
+// x·W + b [N, C] against integer labels as one scalar node — a language
+// model's loss head, where [N·T, vocab] logits are the largest tensors of
+// the step. One pooled buffer is all it holds: the matmul writes the logits
+// into it, the softmax turns them into probabilities in place, the backward
+// turns those into dlogits = scale·(probs − onehot) in place and runs the
+// Linear backward straight off it. Value and all three gradients are bit
+// for bit those of SoftmaxCrossEntropy(AddRowBias(MatMul(x, w), b), labels),
+// which keeps five such buffers alive; the logits themselves are never
+// available, so callers that score predictions keep the unfused head.
+func LinearSoftmaxCrossEntropy(x, w, b *Node, labels []int) *Node {
+	n, c := linearDims("LinearSoftmaxCrossEntropy", x, w, b)
+	checkLabels(labels, n, c)
+	buf := tensor.Get(n, c) // registered as node scratch below
+	tensor.MatMulInto(buf, x.Val, w.Val)
+	tensor.AddRowBiasInto(buf.Data, buf.Data, b.Val.Data, n, c)
+	loss := tensor.SoftmaxXentFwdInto(buf.Data, buf.Data, labels, n, c)
+	val := tensor.FromSlice([]float32{float32(loss / float64(n))}, 1)
+	out := newNode(val, []*Node{x, w, b}, nil)
+	out.scratch = []*tensor.Tensor{buf}
+	out.backward = func() {
+		tensor.SoftmaxXentBwdInPlace(buf.Data, labels, n, c, out.Grad.Data[0]/float32(n))
+		linearEpilogueBackward(x, w, b, buf)
+	}
+	return out
 }
 
 // LinearTanh computes tanh(x·W + b) as one node: the matmul writes
@@ -195,11 +238,7 @@ func linearEpilogueBackward(x, w, b *Node, dpre *tensor.Tensor, n, dIn, dOut int
 // shared by the bias, weight, and input gradients — no transcendental is
 // re-evaluated.
 func LinearTanh(x, w, b *Node) *Node {
-	n, dIn := x.Val.Dim(0), x.Val.Dim(1)
-	dOut := w.Val.Dim(1)
-	if b.Val.Numel() != dOut {
-		panic(fmt.Sprintf("autodiff: LinearTanh bias size %d, want %d", b.Val.Numel(), dOut))
-	}
+	n, dOut := linearDims("LinearTanh", x, w, b)
 	val := tensor.Get(n, dOut)
 	tensor.MatMulInto(val, x.Val, w.Val)
 	tensor.AddRowBiasTanhInto(val.Data, val.Data, b.Val.Data, n, dOut)
@@ -207,7 +246,7 @@ func LinearTanh(x, w, b *Node) *Node {
 	out.backward = func() {
 		dpre := tensor.Get(n, dOut)
 		tensor.TanhGradInto(dpre.Data, out.Grad.Data, val.Data)
-		linearEpilogueBackward(x, w, b, dpre, n, dIn, dOut)
+		linearEpilogueBackward(x, w, b, dpre)
 		tensor.Put(dpre)
 	}
 	return out
@@ -218,11 +257,7 @@ func LinearTanh(x, w, b *Node) *Node {
 // retained in pooled node scratch; the backward stages
 // dpre = dy·gelu'(pre) from them without re-evaluating any transcendental.
 func LinearGELU(x, w, b *Node) *Node {
-	n, dIn := x.Val.Dim(0), x.Val.Dim(1)
-	dOut := w.Val.Dim(1)
-	if b.Val.Numel() != dOut {
-		panic(fmt.Sprintf("autodiff: LinearGELU bias size %d, want %d", b.Val.Numel(), dOut))
-	}
+	n, dOut := linearDims("LinearGELU", x, w, b)
 	pre := tensor.Get(n, dOut) // registered as node scratch below
 	tensor.MatMulInto(pre, x.Val, w.Val)
 	tensor.AddRowBiasInto(pre.Data, pre.Data, b.Val.Data, n, dOut)
@@ -234,7 +269,7 @@ func LinearGELU(x, w, b *Node) *Node {
 	out.backward = func() {
 		dpre := tensor.Get(n, dOut)
 		tensor.GELUGradInto(dpre.Data, out.Grad.Data, pre.Data, t.Data)
-		linearEpilogueBackward(x, w, b, dpre, n, dIn, dOut)
+		linearEpilogueBackward(x, w, b, dpre)
 		tensor.Put(dpre)
 	}
 	return out

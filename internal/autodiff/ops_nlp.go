@@ -196,21 +196,11 @@ func Transpose12(a *Node) *Node {
 	return out
 }
 
-// AddConst adds a constant tensor (no gradient) element-wise; used for
-// positional encodings and attention masks.
-func AddConst(a *Node, c *tensor.Tensor) *Node {
-	val := tensor.Get(a.Val.Shape()...)
-	tensor.AddOut(val, a.Val, c)
-	out := newPooledNode(val, []*Node{a}, nil)
-	out.backward = func() { a.accumulate(out.Grad) }
-	return out
-}
-
-// AddConstBroadcast adds a constant tensor c to every leading-dimension
-// slice of a: a [B, ...] with c matching one slice. Attention uses it to
-// apply a [T, T] mask to [B*H, T, T] scores without materialising the
-// broadcast, which previously allocated a full score-sized tensor per
-// forward pass.
+// AddConstBroadcast adds a constant tensor c (no gradient) to every
+// leading-dimension slice of a: a [B, ...] with c matching one slice.
+// Attention applies a [T, T] mask to [B*H, T, T] scores with it and the
+// language model adds its [T, D] positional table to [N, T, D] embeddings,
+// neither materialising the broadcast.
 func AddConstBroadcast(a *Node, c *tensor.Tensor) *Node {
 	b := a.Val.Dim(0)
 	sz := c.Numel()

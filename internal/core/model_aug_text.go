@@ -148,18 +148,17 @@ func AugmentTransformerLM(orig *models.TransformerLM, key *TextAugKey, opts Mode
 // windows (each of length key.AugLen). Every sub-network gathers its own
 // positions w and trains on (w[:L-1] → w[1:]) next-token pairs.
 func (m *AugmentedTransformerLM) LossWindows(windows [][]int) (total, orig *autodiff.Node) {
-	orig = lmWindowLoss(func(ids [][]int) *autodiff.Node { return m.Orig.ForwardIDs(ids) }, m.OrigGather.Apply(windows))
+	orig = m.ValidateLoss(windows)
 	losses := []*autodiff.Node{orig}
 	for _, d := range m.Decoys {
-		gathered := d.gather.Apply(windows)
+		// Decoy "LM": per-position embedding → decoder (no attention);
+		// synthetic parameters that participate fully in gradient
+		// descent, as §6.3's DLG analysis requires.
 		losses = append(losses, lmWindowLoss(func(ids [][]int) *autodiff.Node {
-			// Decoy "LM": per-position embedding → decoder (no attention);
-			// synthetic parameters that participate fully in gradient
-			// descent, as §6.3's DLG analysis requires.
 			emb := d.embed.Lookup(ids)
 			n, t, dd := emb.Val.Dim(0), emb.Val.Dim(1), emb.Val.Dim(2)
-			return d.head.Forward(autodiff.Reshape(emb, n*t, dd))
-		}, gathered))
+			return autodiff.Reshape(emb, n*t, dd)
+		}, d.head, d.gather.Apply(windows)))
 	}
 	return autodiff.AddN(losses...), orig
 }
@@ -167,7 +166,7 @@ func (m *AugmentedTransformerLM) LossWindows(windows [][]int) (total, orig *auto
 // ValidateLoss returns the original sub-network's loss on augmented
 // windows without decoy terms (the §5.4 validation path).
 func (m *AugmentedTransformerLM) ValidateLoss(windows [][]int) *autodiff.Node {
-	return lmWindowLoss(func(ids [][]int) *autodiff.Node { return m.Orig.ForwardIDs(ids) }, m.OrigGather.Apply(windows))
+	return LMWindowLoss(m.Orig, m.OrigGather.Apply(windows))
 }
 
 // ForwardIDs scores a batch of still-augmented windows — each exactly
@@ -183,20 +182,21 @@ func (m *AugmentedTransformerLM) ForwardIDs(windows [][]int) *autodiff.Node {
 }
 
 // lmWindowLoss slices windows into (input, shifted-target) pairs and
-// returns the mean next-token cross-entropy.
-func lmWindowLoss(forward func([][]int) *autodiff.Node, windows [][]int) *autodiff.Node {
+// returns the mean next-token cross-entropy of head over features(inputs)
+// [N*T, D]. The projection and the loss are one fused node, so each
+// sub-network holds a single [N*T, vocab] buffer for the whole step.
+func lmWindowLoss(features func([][]int) *autodiff.Node, head *nn.Linear, windows [][]int) *autodiff.Node {
 	inputs := make([][]int, len(windows))
 	targets := make([][]int, len(windows))
 	for i, w := range windows {
 		inputs[i] = w[:len(w)-1]
 		targets[i] = w[1:]
 	}
-	logits := forward(inputs)
-	return autodiff.SoftmaxCrossEntropy(logits, models.FlattenTargets(targets))
+	return autodiff.LinearSoftmaxCrossEntropy(features(inputs), head.W, head.B, models.FlattenTargets(targets))
 }
 
 // LMWindowLoss is the un-augmented counterpart used for baseline training:
 // mean next-token cross-entropy of a plain model over original windows.
 func LMWindowLoss(m *models.TransformerLM, windows [][]int) *autodiff.Node {
-	return lmWindowLoss(func(ids [][]int) *autodiff.Node { return m.ForwardIDs(ids) }, windows)
+	return lmWindowLoss(m.Features, m.Decoder, windows)
 }

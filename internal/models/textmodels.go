@@ -124,24 +124,28 @@ func (m *TransformerLM) ForwardIDs(ids [][]int) *autodiff.Node {
 	return m.ForwardEmbedded(m.EmbedIDs(ids))
 }
 
+// Features maps token batches [N][T] to the [N*T, D] activations the
+// decoder projects: ForwardIDs without its last step. Training losses take
+// these plus Decoder, so the [N*T, Vocab] logits exist only inside the fused
+// loss head.
+func (m *TransformerLM) Features(ids [][]int) *autodiff.Node {
+	return m.encode(m.EmbedIDs(ids))
+}
+
 // EmbedIDs runs the client half of split inference: token embedding, √D
 // scaling, positional encodings, and the embedding-path dropout,
 // producing the [N, T, D] activations that cross the wire. Token ids
 // never leave this half.
 func (m *TransformerLM) EmbedIDs(ids [][]int) *autodiff.Node {
-	n := len(ids)
 	t := len(ids[0])
 	if t > m.maxT {
 		panic(fmt.Sprintf("models: sequence length %d exceeds positional table %d", t, m.maxT))
 	}
 	h := m.Embed.Lookup(ids) // [N, T, D]
 	h = autodiff.Scale(h, float32(math.Sqrt(float64(m.D))))
-	// Add positional encodings (broadcast over batch).
-	peBatch := tensor.New(n, t, m.D)
-	for b := 0; b < n; b++ {
-		copy(peBatch.Data[b*t*m.D:(b+1)*t*m.D], m.pe.Data[:t*m.D])
-	}
-	return m.Drop.Forward(autodiff.AddConst(h, peBatch))
+	// The first T rows of the positional table, broadcast over the batch.
+	pe := tensor.FromSlice(m.pe.Data[:t*m.D], t, m.D)
+	return m.Drop.Forward(autodiff.AddConstBroadcast(h, pe))
 }
 
 // ForwardEmbedded runs the server half of split inference: the encoder
@@ -149,13 +153,18 @@ func (m *TransformerLM) EmbedIDs(ids [][]int) *autodiff.Node {
 // [N, T, D] produced by EmbedIDs, returning next-token logits
 // [N*T, Vocab].
 func (m *TransformerLM) ForwardEmbedded(h *autodiff.Node) *autodiff.Node {
+	return m.Decoder.Forward(m.encode(h))
+}
+
+// encode runs the encoder blocks under a causal mask over [N, T, D]
+// activations, flattened to the decoder's [N*T, D] input.
+func (m *TransformerLM) encode(h *autodiff.Node) *autodiff.Node {
 	n, t := h.Val.Dim(0), h.Val.Dim(1)
 	mask := nn.CausalMask(t)
 	for _, blk := range m.Blocks {
 		h = blk.ForwardSeq(h, mask)
 	}
-	flat := autodiff.Reshape(h, n*t, m.D)
-	return m.Decoder.Forward(flat)
+	return autodiff.Reshape(h, n*t, m.D)
 }
 
 var _ TextModel = (*TransformerLM)(nil)

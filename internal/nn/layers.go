@@ -22,9 +22,10 @@ func NewLinear(rng *tensor.RNG, in, out int) *Linear {
 	return &Linear{In: in, Out: out, W: autodiff.Leaf(w), B: autodiff.Leaf(b)}
 }
 
-// Forward computes x·W + b.
+// Forward computes x·W + b as one node, the bias added in place over the
+// matmul output.
 func (l *Linear) Forward(x *autodiff.Node) *autodiff.Node {
-	return autodiff.AddRowBias(autodiff.MatMul(x, l.W), l.B)
+	return autodiff.Linear(x, l.W, l.B)
 }
 
 // ForwardReLU computes relu(x·W + b) with the bias+activation epilogue

@@ -253,9 +253,9 @@ func actTestInput(n int, seed uint64) []float32 {
 // and the scalar tail.
 func TestActivationRowKernelsMatchFloat64(t *testing.T) {
 	for _, simd := range []bool{false, true} {
-		prev := setSIMD(simd)
+		prev := SetSIMD(simd)
 		if simd && !SIMDEnabled() {
-			setSIMD(prev)
+			SetSIMD(prev)
 			t.Log("AVX2 not available; SIMD dispatch not exercised")
 			continue
 		}
@@ -288,7 +288,7 @@ func TestActivationRowKernelsMatchFloat64(t *testing.T) {
 				}
 			}
 		}
-		setSIMD(prev)
+		SetSIMD(prev)
 	}
 }
 
@@ -297,9 +297,9 @@ func TestActivationRowKernelsMatchFloat64(t *testing.T) {
 // lanes).
 func TestActivationRowKernelsNaN(t *testing.T) {
 	for _, simd := range []bool{false, true} {
-		prev := setSIMD(simd)
+		prev := SetSIMD(simd)
 		if simd && !SIMDEnabled() {
-			setSIMD(prev)
+			SetSIMD(prev)
 			continue
 		}
 		x := make([]float32, 16)
@@ -320,7 +320,7 @@ func TestActivationRowKernelsNaN(t *testing.T) {
 		if dst[3] == dst[3] || dst[11] == dst[11] {
 			t.Fatalf("simd=%v: SigmoidInto must propagate NaN lanes", simd)
 		}
-		setSIMD(prev)
+		SetSIMD(prev)
 	}
 }
 
@@ -454,9 +454,9 @@ func TestActivationKernelsDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	for _, simd := range []bool{false, true} {
-		prevSIMD := setSIMD(simd)
+		prevSIMD := SetSIMD(simd)
 		if simd && !SIMDEnabled() {
-			setSIMD(prevSIMD)
+			SetSIMD(prevSIMD)
 			continue
 		}
 		prev := SetMaxWorkers(1)
@@ -481,7 +481,7 @@ func TestActivationKernelsDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 		SetMaxWorkers(prev)
-		setSIMD(prevSIMD)
+		SetSIMD(prevSIMD)
 	}
 }
 

@@ -436,6 +436,32 @@ func softmaxXentBwdRange(dlogits, probs []float32, labels []int, cols int, scale
 	}
 }
 
+// SoftmaxXentBwdInPlace overwrites probs [rows, cols] with the fused
+// softmax-cross-entropy gradient scale · (probs − onehot(labels)) — what
+// SoftmaxXentBwdInto accumulates into a zeroed dlogits, element for element
+// (scale·p, then −scale at the label), without the second buffer. Rows run
+// in parallel.
+func SoftmaxXentBwdInPlace(probs []float32, labels []int, rows, cols int, scale float32) {
+	rpw := fusedRowsPerWorker(cols)
+	if chunksFor(rows, rpw) <= 1 {
+		softmaxXentBwdInPlaceRange(probs, labels, cols, scale, 0, rows)
+		return
+	}
+	parallelFor(rows, rpw, func(r0, r1 int) {
+		softmaxXentBwdInPlaceRange(probs, labels, cols, scale, r0, r1)
+	})
+}
+
+func softmaxXentBwdInPlaceRange(probs []float32, labels []int, cols int, scale float32, r0, r1 int) {
+	for r := r0; r < r1; r++ {
+		row := probs[r*cols : (r+1)*cols]
+		for j := range row {
+			row[j] *= scale
+		}
+		row[labels[r]] -= scale
+	}
+}
+
 // BatchNormStatsInto computes the per-channel mean and biased variance of
 // x [n, c, hw] over the batch and spatial dimensions. Channels run in
 // parallel; within a channel the image blocks accumulate in ascending

@@ -276,6 +276,15 @@ func TestSoftmaxXentKernels(t *testing.T) {
 			}
 		}
 	}
+
+	// In place: exactly what the accumulating kernel leaves in a zeroed
+	// buffer, with no second buffer.
+	SoftmaxXentBwdInPlace(probs, labels, rows, cols, 0.5)
+	for i := range dl {
+		if probs[i] != dl[i] {
+			t.Fatalf("in-place xent bwd [%d] = %v, accumulating kernel gives %v", i, probs[i], dl[i])
+		}
+	}
 }
 
 func TestBatchNormKernelsMatchReference(t *testing.T) {
@@ -454,9 +463,9 @@ func TestFusedKernelsDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	type result struct {
-		y, xhat, dx, sm, smDx, probs, dl []float32
-		invStd                           []float32
-		loss                             float64
+		y, xhat, dx, sm, smDx, probs, dl, dlInPlace []float32
+		invStd                                      []float32
+		loss                                        float64
 	}
 	run := func() result {
 		var res result
@@ -474,6 +483,8 @@ func TestFusedKernelsDeterministicAcrossWorkers(t *testing.T) {
 		res.loss = SoftmaxXentFwdInto(res.probs, x.Data, labels, rows, d)
 		res.dl = make([]float32, rows*d)
 		SoftmaxXentBwdInto(res.dl, res.probs, labels, rows, d, 1/float32(rows))
+		res.dlInPlace = append([]float32(nil), res.probs...)
+		SoftmaxXentBwdInPlace(res.dlInPlace, labels, rows, d, 1/float32(rows))
 		return res
 	}
 	equal := func(a, b []float32) bool {
@@ -500,7 +511,7 @@ func TestFusedKernelsDeterministicAcrossWorkers(t *testing.T) {
 		if !equal(got.sm, ref.sm) || !equal(got.smDx, ref.smDx) {
 			t.Errorf("workers=%d: softmax fwd/bwd not bit-identical", wk)
 		}
-		if got.loss != ref.loss || !equal(got.probs, ref.probs) || !equal(got.dl, ref.dl) {
+		if got.loss != ref.loss || !equal(got.probs, ref.probs) || !equal(got.dl, ref.dl) || !equal(got.dlInPlace, ref.dlInPlace) {
 			t.Errorf("workers=%d: softmax-xent not bit-identical", wk)
 		}
 	}

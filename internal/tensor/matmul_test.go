@@ -87,9 +87,9 @@ func TestMatMulSIMDMatchesGeneric(t *testing.T) {
 	rng.FillNormal(a, 0, 1)
 	rng.FillNormal(b, 0, 1)
 	simd := MatMul(a, b)
-	prev := setSIMD(false)
+	prev := SetSIMD(false)
 	generic := MatMul(a, b)
-	setSIMD(prev)
+	SetSIMD(prev)
 	if !simd.AllClose(generic, 1e-3) {
 		t.Fatalf("SIMD vs generic diff %v", simd.MaxAbsDiff(generic))
 	}

@@ -33,8 +33,8 @@ const maxPoolBits = 28
 
 var pools [maxPoolBits + 1]sync.Pool
 
-// poolHits/poolMisses instrument Get for tests and benchmarks.
-var poolHits, poolMisses atomic.Int64
+// poolGets instruments Get per bucket for tests and benchmarks.
+var poolGets [maxPoolBits + 1]struct{ hits, misses atomic.Int64 }
 
 // Get returns a tensor of the given shape backed by recycled storage when
 // available. The contents are arbitrary garbage — callers must fully
@@ -53,17 +53,21 @@ func Get(shape ...int) *Tensor {
 	if n == 0 || n > 1<<maxPoolBits {
 		return &Tensor{shape: append([]int(nil), shape...), Data: make([]float32, n)}
 	}
-	b := bits.Len(uint(n - 1)) // ceil(log2(n))
+	b := bucketOf(n)
 	if v := pools[b].Get(); v != nil {
 		t := v.(*Tensor)
 		t.Data = t.Data[:n]
 		t.shape = append(t.shape[:0], shape...)
-		poolHits.Add(1)
+		poolGets[b].hits.Add(1)
 		return t
 	}
-	poolMisses.Add(1)
+	poolGets[b].misses.Add(1)
 	return &Tensor{shape: append([]int(nil), shape...), Data: make([]float32, n, 1<<b)}
 }
+
+// bucketOf is the index of the smallest power-of-two bucket holding n ≥ 1
+// floats: ceil(log2(n)).
+func bucketOf(n int) int { return bits.Len(uint(n - 1)) }
 
 // GetZero is Get with the returned tensor zeroed.
 func GetZero(shape ...int) *Tensor {
@@ -93,5 +97,20 @@ func Put(t *Tensor) {
 // PoolStats reports cumulative Get hits (recycled) and misses (fresh
 // allocations) since process start.
 func PoolStats() (hits, misses int64) {
-	return poolHits.Load(), poolMisses.Load()
+	for b := range poolGets {
+		hits += poolGets[b].hits.Load()
+		misses += poolGets[b].misses.Load()
+	}
+	return hits, misses
+}
+
+// PoolBucketStats is PoolStats for the one size bucket that serves buffers
+// of numel floats — how often a step asked for a buffer that large. Sizes
+// the pool does not serve (0, or beyond its cap) report zeros.
+func PoolBucketStats(numel int) (hits, misses int64) {
+	if numel <= 0 || numel > 1<<maxPoolBits {
+		return 0, 0
+	}
+	b := bucketOf(numel)
+	return poolGets[b].hits.Load(), poolGets[b].misses.Load()
 }

@@ -86,3 +86,31 @@ func TestPoolConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPoolBucketStats: a Get is counted in the bucket of its rounded-up
+// size and nowhere else, and PoolStats stays the sum over buckets.
+func TestPoolBucketStats(t *testing.T) {
+	gets := func(numel int) int64 {
+		h, m := PoolBucketStats(numel)
+		return h + m
+	}
+	total := func() int64 {
+		h, m := PoolStats()
+		return h + m
+	}
+	in0, below0, above0, all0 := gets(3000), gets(2048), gets(4097), total()
+	Put(Get(3000)) // bucket (2048, 4096]
+	Put(Get(2049))
+	if d := gets(4096) - in0; d != 2 {
+		t.Errorf("bucket of 3000 floats counted %d Gets, want 2", d)
+	}
+	if gets(2048) != below0 || gets(4097) != above0 {
+		t.Error("a Get was counted in a neighbouring bucket")
+	}
+	if d := total() - all0; d != 2 {
+		t.Errorf("PoolStats moved by %d, want 2", d)
+	}
+	if h, m := PoolBucketStats(0); h != 0 || m != 0 {
+		t.Error("size 0 is not pooled and must report zeros")
+	}
+}

@@ -70,10 +70,11 @@ func detectAVX2FMA() bool {
 // benchmarks and tests can record which backend produced their numbers.
 func SIMDEnabled() bool { return simdAvailable }
 
-// setSIMD force-enables or disables the SIMD backend and returns the
-// previous state. Test-only: lets the suite cross-check SIMD and generic
-// kernels on the same machine.
-func setSIMD(on bool) bool {
+// SetSIMD force-enables or disables the SIMD backend and returns the
+// previous state. Test-only (this package's and autodiff's determinism
+// tables): lets the suite cross-check SIMD and generic kernels on the same
+// machine. Not safe to call while kernels run.
+func SetSIMD(on bool) bool {
 	prev := simdAvailable
 	if on && !detectAVX2FMA() {
 		return prev // cannot enable what the CPU lacks

@@ -11,7 +11,8 @@ const simdAvailable = false
 // SIMDEnabled reports whether the AVX2+FMA kernels are active.
 func SIMDEnabled() bool { return false }
 
-func setSIMD(on bool) bool { return false }
+// SetSIMD is the test-only backend switch; there is nothing to switch here.
+func SetSIMD(on bool) bool { return false }
 
 // The SIMD kernel symbols are referenced from matmul.go behind
 // `if simdAvailable`, which is a compile-time false here; the bodies are
