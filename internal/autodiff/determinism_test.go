@@ -324,6 +324,75 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		})
 	}
 
+	// The one-node norm→activation, add→activation and biased-convolution
+	// ops and the norms' recomputed x̂, worker count × SIMD on/off (each
+	// backend must agree with itself at every worker count). Shapes are
+	// large enough that the channel / row / image loops really split.
+	fwdBwd := func(seed uint64, shapes [][]int, build func(p []*Node) *Node) func() []*tensor.Tensor {
+		return func() []*tensor.Tensor {
+			rng := tensor.NewRNG(seed)
+			leaves := make([]*Node, len(shapes))
+			for i, sh := range shapes {
+				v := tensor.New(sh...)
+				rng.FillNormal(v, 0.2, 1)
+				leaves[i] = Leaf(v)
+			}
+			out := build(leaves)
+			res := []*tensor.Tensor{out.Val.Clone()}
+			dy := tensor.New(out.Val.Shape()...)
+			rng.FillNormal(dy, 0, 1)
+			loss := Sum(Mul(out, Constant(dy)))
+			Backward(loss)
+			for _, l := range leaves {
+				res = append(res, l.Grad.Clone())
+			}
+			Release(loss)
+			return res
+		}
+	}
+	bnShapes := [][]int{{8, 13, 32, 32}, {13}, {13}}
+	oneNodeCases := map[string]func() []*tensor.Tensor{
+		"BatchNorm2dReLU": fwdBwd(30, bnShapes, func(p []*Node) *Node {
+			return BatchNorm2dReLU(p[0], p[1], p[2], tensor.New(13), tensor.Ones(13), 0.1, 1e-5, true)
+		}),
+		"BatchNorm2dReLU6": fwdBwd(31, bnShapes, func(p []*Node) *Node {
+			return BatchNorm2dReLU6(p[0], p[1], p[2], tensor.New(13), tensor.Ones(13), 0.1, 1e-5, true)
+		}),
+		"AddReLU": fwdBwd(32, [][]int{{8, 13, 32, 32}, {8, 13, 32, 32}}, func(p []*Node) *Node {
+			return AddReLU(p[0], p[1])
+		}),
+		"LayerNormRecomputed": fwdBwd(33, [][]int{{67, 1000}, {1000}, {1000}}, func(p []*Node) *Node {
+			return LayerNorm(p[0], p[1], p[2], 1e-5)
+		}),
+		"Conv2dReLUBiased": fwdBwd(34, [][]int{{5, 2, 32, 32}, {4, 2, 3, 3}, {4}}, func(p []*Node) *Node {
+			return Conv2dReLU(p[0], p[1], p[2], 1, 1)
+		}),
+	}
+	for name, run := range oneNodeCases {
+		t.Run("OneNode/"+name, func(t *testing.T) {
+			defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+			for _, simd := range []bool{false, true} {
+				prevSIMD := tensor.SetSIMD(simd)
+				if simd && !tensor.SIMDEnabled() {
+					tensor.SetSIMD(prevSIMD)
+					t.Log("AVX2 not available; SIMD dispatch not exercised")
+					continue
+				}
+				tensor.SetMaxWorkers(1)
+				ref := run()
+				for _, wk := range workerCounts {
+					tensor.SetMaxWorkers(wk)
+					for i, got := range run() {
+						if !got.Equal(ref[i]) {
+							t.Errorf("simd=%v workers=%d: %s result %d (0 = value, then operand gradients) not bit-identical to workers=1", simd, wk, name, i)
+						}
+					}
+				}
+				tensor.SetSIMD(prevSIMD)
+			}
+		})
+	}
+
 	convCases := []struct {
 		name                                        string
 		batch, inC, outC, h, w, kernel, stride, pad int

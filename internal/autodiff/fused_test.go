@@ -110,6 +110,9 @@ func TestFusedMatchesUnfused(t *testing.T) {
 	if !xcF.Grad.Equal(xcP.Grad) || !bcF.Grad.Equal(bcP.Grad) {
 		t.Fatal("AddChanBiasReLU gradients differ from ReLU(AddChanBias)")
 	}
+
+	fusedNodeRows(t)
+	recomputedXhatRows(t)
 }
 
 // stepAllocs measures allocations per forward+backward+Release step after
@@ -242,7 +245,7 @@ func TestFusedKernelZeroAllocs(t *testing.T) {
 	rng.FillNormal(dy, 0, 1)
 	gamma, beta := tensor.Ones(d), tensor.New(d)
 	y := make([]float32, rows*d)
-	xhat := make([]float32, rows*d)
+	mean := make([]float32, rows)
 	invStd := make([]float32, rows)
 	dx := make([]float32, rows*d)
 	dg := make([]float32, d)
@@ -250,8 +253,8 @@ func TestFusedKernelZeroAllocs(t *testing.T) {
 	labels := make([]int, rows)
 
 	if n := testing.AllocsPerRun(10, func() {
-		tensor.LayerNormFwdInto(y, xhat, invStd, x.Data, gamma.Data, beta.Data, rows, d, 1e-5)
-		tensor.LayerNormBwdInto(dx, dg, db, dy.Data, xhat, invStd, gamma.Data, rows, d)
+		tensor.LayerNormFwdInto(y, mean, invStd, x.Data, gamma.Data, beta.Data, rows, d, 1e-5)
+		tensor.LayerNormBwdInto(dx, dg, db, dy.Data, x.Data, mean, invStd, gamma.Data, rows, d)
 		tensor.SoftmaxRowsInto(y, x.Data, rows, d)
 		tensor.SoftmaxRowsBwdInto(dx, y, dy.Data, rows, d)
 		tensor.SoftmaxXentFwdInto(y, x.Data, labels, rows, d)

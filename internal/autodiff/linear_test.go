@@ -188,13 +188,19 @@ func TestAccumulateOwned(t *testing.T) {
 	tensor.Put(a)
 	tensor.Put(b)
 
-	// Leaves adopt too, and keep the buffer across Release.
+	// A leaf never adopts: its gradient outlives every step, so it is a
+	// copy at the parameter's exact size (a [2, 3] bucket holds 8 floats)
+	// and the temporary goes back to the pool.
 	w := Leaf(tensor.New(2, 3))
 	g := fill(4)
 	w.accumulateOwned(g)
+	if w.Grad == g || cap(w.Grad.Data) != 6 || w.Grad.Data[5] != 4 {
+		t.Fatalf("a leaf's first owned contribution must be copied to exact size, got cap %d", cap(w.Grad.Data))
+	}
+	w.accumulateOwned(fill(1))
 	Release(Mean(w))
-	if w.Grad != g || g.Data[0] != 4 {
-		t.Fatal("a leaf's adopted gradient did not survive Release")
+	if cap(w.Grad.Data) != 6 || w.Grad.Data[0] != 5 {
+		t.Fatalf("leaf gradient %v after 4 + 1 and Release, want all 5", w.Grad.Data)
 	}
 
 	// Pool balance over a whole step that adopts (MatMul hands dA and dB
@@ -226,31 +232,30 @@ func TestAccumulateOwned(t *testing.T) {
 }
 
 // TestFirstTouchCopyNeverAliases: a consumer's out.Grad reaches both
-// parents of Add, and the same node twice in Add(a, a). The first-touch
-// copy must give each receiver its own buffer — were out.Grad adopted, the
-// second contribution would double the consumer's gradient in place.
+// parents of Add, and the same node twice in Add(a, a) and AddN(a, a, b).
+// Only the last receiver may take the buffer over; every earlier one must
+// get its own copy. Were a first contribution aliased instead, the next one
+// would be added into the shared storage — doubling it in place and then
+// returning live memory to the pool. Interior gradients are gone once
+// Backward has passed them, so the hazard is observed where it lands: in
+// the leaf's gradient, which every path feeds.
 func TestFirstTouchCopyNeverAliases(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, -2, 3}, 3)
 	leaf := Leaf(x)
 	a := Scale(leaf, 2) // interior: its gradient starts nil inside Backward
 	b := Scale(leaf, 3)
-	sumAA, sumAB := Add(a, a), Add(a, b)
-	root := Sum(Add(sumAA, sumAB))
+	sumAA, sumAB, sumAAB := Add(a, a), Add(a, b), AddN(a, a, b)
+	root := Sum(AddN(sumAA, sumAB, sumAAB))
 	Backward(root)
-	for _, n := range []*Node{sumAA, sumAB} {
-		for _, g := range n.Grad.Data {
-			if g != 1 {
-				t.Fatalf("a consumer's gradient was modified through an alias: %v, want all 1", n.Grad.Data)
-			}
+	// d/dleaf Σ(2a + (a + b) + (2a + b)) = 5·2 + 2·3 = 16.
+	for i, g := range leaf.Grad.Data {
+		if g != 16 {
+			t.Fatalf("leaf grad[%d] = %v, want 16: a gradient was modified through an alias", i, g)
 		}
 	}
-	if a.Grad == sumAA.Grad || a.Grad == sumAB.Grad || b.Grad == sumAB.Grad {
-		t.Fatal("a parent's gradient aliases its consumer's")
-	}
-	// d/dleaf Σ(2a + a + b) = 3·2 + 3 = 9.
-	for i, g := range leaf.Grad.Data {
-		if g != 9 {
-			t.Fatalf("leaf grad[%d] = %v, want 9", i, g)
+	for _, n := range []*Node{a, b, sumAA, sumAB, sumAAB} {
+		if n.Grad != nil {
+			t.Fatal("an interior gradient outlived its node's backward")
 		}
 	}
 	Release(root)

@@ -6,6 +6,24 @@
 // autograd) because Amalgam's model augmenter composes graphs at run time:
 // decoy sub-networks, detached taps from original layers, and per-subnet
 // loss heads are all graph-level constructs.
+//
+// A buffer lives only as long as someone will read it. Three lifetimes:
+//
+//   - A value (Node.Val) lives until Release: later nodes, Detach and
+//     Reshape views and the training loop (the loss scalar) all read values
+//     after Backward.
+//   - An interior node's gradient, and the scratch its op retained for the
+//     backward pass, live until that node's own backward has run. Reverse
+//     topological order guarantees every consumer has contributed by then
+//     and nobody reads either afterwards, so Backward hands both back to the
+//     pool on the spot: at any moment only the frontier of gradients is
+//     alive, not one per node.
+//   - A leaf's gradient lives as long as the parameter; nn.ZeroGrads clears
+//     it in place between steps.
+//
+// Backward therefore consumes the graph: a second Backward that reaches a
+// node the first one passed panics (build the graph again, as PyTorch asks
+// without retain_graph). Release stays the one call that ends a step.
 package autodiff
 
 import (
@@ -20,7 +38,8 @@ type Node struct {
 	// Val holds the forward value. Never nil for a constructed node.
 	Val *tensor.Tensor
 	// Grad accumulates ∂root/∂Val during Backward. Allocated lazily; nil
-	// for nodes that do not require gradients or before Backward runs.
+	// for nodes that do not require gradients or before Backward runs, and
+	// nil again on an interior node once its own backward has consumed it.
 	Grad *tensor.Tensor
 
 	requiresGrad bool
@@ -31,10 +50,10 @@ type Node struct {
 	// pool (and is not shared with any view), so Release may recycle it.
 	ownsVal bool
 	// scratch holds pooled buffers the op retained for its backward pass
-	// (im2col columns, normalisation xhat, softmax probabilities). The
-	// backward closure may Put entries early and nil them; Release returns
-	// whatever is left, which covers eval-mode graphs where backward never
-	// runs.
+	// (normalisation statistics, softmax probabilities, dropout masks).
+	// Backward returns them right after the closure has run; Release
+	// returns whatever is left, which covers eval-mode graphs where
+	// backward never runs.
 	scratch []*tensor.Tensor
 }
 
@@ -85,22 +104,33 @@ func newPooledNode(val *tensor.Tensor, parents []*Node, backward func()) *Node {
 	return n
 }
 
+// isLeaf reports whether n is a graph input (Leaf or Constant) rather than
+// the output of an op.
+func (n *Node) isLeaf() bool { return n.parents == nil }
+
 // ensureGrad allocates (once) and returns the zeroed gradient buffer, for
-// backward kernels that accumulate into it element by element. Buffers come
-// from the scratch pool; interior-node gradients flow back to it in Release
-// while leaf gradients live as long as the parameter.
+// backward kernels that accumulate into it element by element. An interior
+// node's comes from the scratch pool and flows back once the node's own
+// backward has run. A leaf's is never handed back, so it is allocated at
+// its exact size: a pooled power-of-two bucket would be held for the
+// parameter's whole life at up to twice the bytes.
 func (n *Node) ensureGrad() *tensor.Tensor {
 	if n.Grad == nil {
-		n.Grad = tensor.GetZero(n.Val.Shape()...)
+		if n.isLeaf() {
+			n.Grad = tensor.New(n.Val.Shape()...)
+		} else {
+			n.Grad = tensor.GetZero(n.Val.Shape()...)
+		}
 	}
 	return n.Grad
 }
 
 // accumulate adds g into n's gradient if n participates in backprop. g
 // stays the caller's — it is typically a consumer's out.Grad, which several
-// parents may receive (both operands of Add) — so it is never aliased: the
-// first contribution is copied into an un-zeroed pooled buffer (one pass
-// instead of zero-fill plus read-add-write), later ones are added.
+// parents may receive (every operand of AddN) — so it is never aliased: the
+// first contribution is copied (into an un-zeroed pooled buffer on an
+// interior node, one pass instead of zero-fill plus read-add-write; into
+// exact-size storage on a leaf, see ensureGrad), later ones are added.
 //
 // The one arithmetic difference from adding into zeros: 0 + (−0) is +0,
 // while a copy keeps −0. Every arm the repo compares bit for bit — plain
@@ -117,24 +147,52 @@ func (n *Node) accumulate(g *tensor.Tensor) {
 	if !g.SameShape(n.Val) {
 		panic(fmt.Sprintf("autodiff: gradient shape %v for value %v", g.Shape(), n.Val.Shape()))
 	}
+	if n.isLeaf() {
+		n.Grad = g.Clone()
+		return
+	}
 	n.Grad = tensor.Get(n.Val.Shape()...)
 	n.Grad.CopyFrom(g)
 }
 
 // accumulateOwned is accumulate for a pooled temporary the producer hands
-// over: as the first contribution tmp becomes the gradient itself (no copy,
-// no zero-fill), otherwise it is added and returned to the pool. tmp must
-// come from tensor.Get with the shape of n.Val and be exclusively the
-// caller's; the caller must not touch it afterwards. Release (interior
-// nodes) or the parameter's lifetime (leaves) owns an adopted buffer exactly
-// as it owns one from ensureGrad.
+// over: as an interior node's first contribution tmp becomes the gradient
+// itself (no copy, no zero-fill), otherwise it is added — or, on a leaf,
+// copied to exact size — and returned to the pool. tmp must come from
+// tensor.Get with the shape of n.Val and be exclusively the caller's; the
+// caller must not touch it afterwards. An adopted buffer is owned exactly as
+// one from ensureGrad is.
 func (n *Node) accumulateOwned(tmp *tensor.Tensor) {
-	if n.requiresGrad && n.Grad == nil && tmp.SameShape(n.Val) {
+	if n.requiresGrad && n.Grad == nil && !n.isLeaf() && tmp.SameShape(n.Val) {
 		n.Grad = tmp
 		return
 	}
 	n.accumulate(tmp) // panics on a shape mismatch
 	tensor.Put(tmp)
+}
+
+// handGrad passes n's gradient to its parents unchanged, for ops whose
+// backward is the identity on it (or has just rewritten it in place into
+// the parents' gradient). n's own backward is the buffer's last reader, so
+// nothing is held twice: every grad-requiring parent but the last copies or
+// adds it, the last one takes the buffer over. Add(a, a) still adds.
+func (n *Node) handGrad(parents ...*Node) {
+	g := n.Grad
+	n.Grad = nil
+	last := -1
+	for i, p := range parents {
+		if p.requiresGrad {
+			last = i
+		}
+	}
+	if last < 0 {
+		tensor.Put(g)
+		return
+	}
+	for _, p := range parents[:last] {
+		p.accumulate(g)
+	}
+	parents[last].accumulateOwned(g)
 }
 
 // ZeroGrad clears the node's gradient buffer in place (keeps allocation).
@@ -147,18 +205,47 @@ func (n *Node) ZeroGrad() {
 // Backward runs reverse-mode differentiation from the scalar root. It
 // panics if the root is not a single-element tensor, mirroring PyTorch's
 // requirement that .backward() start from a scalar loss.
+//
+// Backward consumes the graph as it goes (see the package comment): once a
+// node's backward has run, its gradient and scratch return to the pool and
+// the closure is dropped — the root's seed included, which a pass-through
+// root such as AddN hands to a parent anyway. Values stay until Release;
+// leaf gradients stay with their parameters. Reaching an already consumed
+// (or Released) node panics instead of silently stopping there.
 func Backward(root *Node) {
 	if root.Val.Numel() != 1 {
 		panic(fmt.Sprintf("autodiff: Backward root must be scalar, got shape %v", root.Val.Shape()))
 	}
 	order := topoSort(root)
+	for _, n := range order {
+		if !n.isLeaf() && n.backward == nil {
+			panic(fmt.Sprintf("autodiff: Backward through the graph a second time: node %q was already consumed by an earlier Backward or Release; build the graph again", n.name))
+		}
+	}
 	root.ensureGrad().Fill(1)
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
-		if n.backward != nil && n.Grad != nil {
+		if n.isLeaf() {
+			continue
+		}
+		if n.Grad != nil {
 			n.backward()
 		}
+		n.drain()
 	}
+}
+
+// drain returns what only n's own backward reads — its gradient and its
+// scratch — and drops the closure that captured them.
+func (n *Node) drain() {
+	tensor.Put(n.Grad) // Put(nil) is a no-op
+	n.Grad = nil
+	for i, s := range n.scratch {
+		tensor.Put(s)
+		n.scratch[i] = nil
+	}
+	n.scratch = nil
+	n.backward = nil
 }
 
 // topoSort returns nodes reachable from root in topological order
@@ -191,8 +278,9 @@ func topoSort(root *Node) []*Node {
 	return order
 }
 
-// Release returns a finished graph's pooled scratch — interior node values
-// allocated from the tensor pool and every interior gradient buffer — so
+// Release returns a finished graph's pooled storage — interior node values
+// allocated from the tensor pool, plus whatever gradients and scratch
+// Backward did not already hand back (all of them when it never ran) — so
 // the next training step reuses the same storage instead of allocating.
 // Call it after the optimizer step (and after reading any values such as
 // the loss scalar); the graph must not be used afterwards. Leaves and
@@ -203,27 +291,42 @@ func Release(root *Node) {
 	if root == nil {
 		return
 	}
+	eachInterior(root, func(n *Node) {
+		if n.ownsVal && n.Val != nil {
+			tensor.Put(n.Val)
+			n.Val = nil
+			n.ownsVal = false
+		}
+		n.drain()
+	})
+}
+
+// Retained walks the graph under root and counts the interior nodes that
+// still hold a gradient and those that still hold backward scratch. Both
+// are zero once Backward has run; tests and probes use it to see that
+// lifetimes follow use.
+func Retained(root *Node) (grads, scratch int) {
+	eachInterior(root, func(n *Node) {
+		if n.Grad != nil {
+			grads++
+		}
+		if n.scratch != nil {
+			scratch++
+		}
+	})
+	return grads, scratch
+}
+
+// eachInterior calls fn once for every interior node reachable from root,
+// whether or not gradients flow through it.
+func eachInterior(root *Node, fn func(*Node)) {
 	visited := map[*Node]bool{root: true}
 	stack := []*Node{root}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if n.parents != nil { // interior node
-			if n.ownsVal && n.Val != nil {
-				tensor.Put(n.Val)
-				n.Val = nil
-				n.ownsVal = false
-			}
-			if n.Grad != nil {
-				tensor.Put(n.Grad)
-				n.Grad = nil
-			}
-			for i, s := range n.scratch {
-				tensor.Put(s) // Put(nil) is a no-op for early-returned entries
-				n.scratch[i] = nil
-			}
-			n.scratch = nil
-			n.backward = nil
+		if !n.isLeaf() {
+			fn(n)
 		}
 		for _, p := range n.parents {
 			if p != nil && !visited[p] {

@@ -7,50 +7,22 @@ import (
 )
 
 // ReLU returns max(0, a) element-wise.
-func ReLU(a *Node) *Node {
-	val := tensor.Get(a.Val.Shape()...)
-	tensor.ApplyInto(val, a.Val, func(v float32) float32 {
-		if v > 0 {
-			return v
-		}
-		return 0
-	})
-	out := newPooledNode(val, []*Node{a}, nil)
-	out.backward = func() {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			for i, v := range a.Val.Data {
-				if v > 0 {
-					g.Data[i] += out.Grad.Data[i]
-				}
-			}
-		}
-	}
-	return out
-}
+func ReLU(a *Node) *Node { return clamp(a, tensor.ActReLU) }
 
 // ReLU6 returns min(max(0, a), 6), MobileNet's activation.
-func ReLU6(a *Node) *Node {
+func ReLU6(a *Node) *Node { return clamp(a, tensor.ActReLU6) }
+
+// clamp is the standalone ReLU-family node. Its backward masks the node's
+// own gradient in place from the output and hands it to a: no zero-fill,
+// no read-add-write, no second buffer.
+func clamp(a *Node, act tensor.Act) *Node {
 	val := tensor.Get(a.Val.Shape()...)
-	tensor.ApplyInto(val, a.Val, func(v float32) float32 {
-		if v < 0 {
-			return 0
-		}
-		if v > 6 {
-			return 6
-		}
-		return v
-	})
+	val.CopyFrom(a.Val)
+	act.Apply(val.Data)
 	out := newPooledNode(val, []*Node{a}, nil)
 	out.backward = func() {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			for i, v := range a.Val.Data {
-				if v > 0 && v < 6 {
-					g.Data[i] += out.Grad.Data[i]
-				}
-			}
-		}
+		act.MaskGrad(out.Grad.Data, val.Data)
+		out.handGrad(a)
 	}
 	return out
 }

@@ -11,9 +11,21 @@ func Add(a, b *Node) *Node {
 	val := tensor.Get(a.Val.Shape()...)
 	tensor.AddOut(val, a.Val, b.Val)
 	out := newPooledNode(val, []*Node{a, b}, nil)
+	out.backward = func() { out.handGrad(a, b) }
+	return out
+}
+
+// AddReLU computes relu(a + b) as one node with one buffer — the tail of a
+// residual block. The backward masks the node's own gradient in place by
+// y > 0 (nobody reads it afterwards) and hands it on like Add does.
+func AddReLU(a, b *Node) *Node {
+	val := tensor.Get(a.Val.Shape()...)
+	tensor.AddOut(val, a.Val, b.Val)
+	tensor.ActReLU.Apply(val.Data)
+	out := newPooledNode(val, []*Node{a, b}, nil)
 	out.backward = func() {
-		a.accumulate(out.Grad)
-		b.accumulate(out.Grad)
+		tensor.ActReLU.MaskGrad(out.Grad.Data, val.Data)
+		out.handGrad(a, b)
 	}
 	return out
 }
@@ -74,11 +86,7 @@ func AddN(nodes ...*Node) *Node {
 	}
 	parents := append([]*Node(nil), nodes...)
 	out := newPooledNode(val, parents, nil)
-	out.backward = func() {
-		for _, n := range parents {
-			n.accumulate(out.Grad)
-		}
-	}
+	out.backward = func() { out.handGrad(parents...) }
 	return out
 }
 
@@ -95,48 +103,10 @@ func AddRowBias(x, bias *Node) *Node {
 	tensor.AddRowBiasInto(val.Data, x.Val.Data, bias.Val.Data, n, d)
 	out := newPooledNode(val, []*Node{x, bias}, nil)
 	out.backward = func() {
-		x.accumulate(out.Grad)
 		if bias.requiresGrad {
 			tensor.ColSumAddInto(bias.ensureGrad().Data, out.Grad.Data, n, d)
 		}
-	}
-	return out
-}
-
-// AddChanBias adds a per-channel bias [C] to an image batch [N, C, H, W].
-func AddChanBias(x, bias *Node) *Node {
-	sh := x.Val.Shape()
-	if len(sh) != 4 || bias.Val.Numel() != sh[1] {
-		panic(fmt.Sprintf("autodiff: AddChanBias dims %v + %v", sh, bias.Val.Shape()))
-	}
-	n, c, hw := sh[0], sh[1], sh[2]*sh[3]
-	val := tensor.Get(x.Val.Shape()...)
-	val.CopyFrom(x.Val)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := (b*c + ch) * hw
-			bv := bias.Val.Data[ch]
-			for i := 0; i < hw; i++ {
-				val.Data[base+i] += bv
-			}
-		}
-	}
-	out := newPooledNode(val, []*Node{x, bias}, nil)
-	out.backward = func() {
-		x.accumulate(out.Grad)
-		if bias.requiresGrad {
-			bg := bias.ensureGrad()
-			for b := 0; b < n; b++ {
-				for ch := 0; ch < c; ch++ {
-					base := (b*c + ch) * hw
-					var s float32
-					for i := 0; i < hw; i++ {
-						s += out.Grad.Data[base+i]
-					}
-					bg.Data[ch] += s
-				}
-			}
-		}
+		out.handGrad(x)
 	}
 	return out
 }
@@ -165,7 +135,13 @@ func MatMul(a, b *Node) *Node {
 func Reshape(a *Node, shape ...int) *Node {
 	val := a.Val.Reshape(shape...)
 	out := newNode(val, []*Node{a}, nil)
-	out.backward = func() { a.accumulate(out.Grad.Reshape(a.Val.Shape()...)) }
+	out.backward = func() {
+		// The same storage under a's shape; the old header is dropped, so
+		// the buffer still has exactly one owner.
+		g := out.Grad.Reshape(a.Val.Shape()...)
+		out.Grad = nil
+		a.accumulateOwned(g)
+	}
 	return out
 }
 

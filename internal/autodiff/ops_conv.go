@@ -12,47 +12,123 @@ import (
 //	x: [N, C, H, W]   w: [OC, C, KH, KW]   bias: [OC] or nil
 //
 // The implementation lowers each image with im2col and performs a single
-// matrix multiplication per image, parallelised over the batch.
+// matrix multiplication per image, parallelised over the batch. The bias is
+// added in place over the convolution's own output: one node, one buffer.
 func Conv2d(x, w, bias *Node, stride, pad int) *Node {
-	pre := conv2dCore(x, w, stride, pad)
-	if bias != nil {
-		return AddChanBias(pre, bias)
-	}
-	return pre
+	return conv2d(x, w, bias, stride, pad, convLinear)
 }
 
-// Conv2dReLU computes relu(Conv2d(x, w, bias)) with the bias+activation
-// epilogue fused into a single pass over the feature maps (see
+// Conv2dReLU computes relu(Conv2d(x, w, bias)) as one node: the bias+ReLU
+// epilogue runs in place over the convolution's output (the kernel of
 // AddChanBiasReLU). Models whose blocks end in conv→ReLU use it through
 // nn.Conv2d.ForwardReLU.
 func Conv2dReLU(x, w, bias *Node, stride, pad int) *Node {
-	pre := conv2dCore(x, w, stride, pad)
-	if bias != nil {
-		return AddChanBiasReLU(pre, bias)
-	}
-	return ReLU(pre)
+	return conv2d(x, w, bias, stride, pad, convReLU)
 }
 
-// Conv2dSigmoid computes sigmoid(Conv2d(x, w, bias)) with the
-// bias+activation epilogue fused (see AddChanBiasSigmoid) — the shape of
-// a convolutional attention gate (CBAM's spatial attention uses it through
-// nn.Conv2d.ForwardSigmoid).
+// Conv2dSigmoid computes sigmoid(Conv2d(x, w, bias)) as one node, the
+// bias+sigmoid epilogue in place (the kernel of AddChanBiasSigmoid) — the
+// shape of a convolutional attention gate (CBAM's spatial attention uses it
+// through nn.Conv2d.ForwardSigmoid).
 func Conv2dSigmoid(x, w, bias *Node, stride, pad int) *Node {
-	pre := conv2dCore(x, w, stride, pad)
-	if bias != nil {
-		return AddChanBiasSigmoid(pre, bias)
-	}
-	return Sigmoid(pre)
+	return conv2d(x, w, bias, stride, pad, convSigmoid)
 }
 
-// conv2dCore builds the bias-free convolution node shared by Conv2d and
-// Conv2dReLU.
-func conv2dCore(x, w *Node, stride, pad int) *Node {
+// convEpilogue is what a convolution does to its own output buffer before
+// anyone else reads it: add the per-channel bias, apply an activation. Each
+// activation's derivative is a function of the output alone, so the
+// backward turns out.Grad into the gradient of the bare convolution in
+// place.
+type convEpilogue uint8
+
+const (
+	convLinear convEpilogue = iota
+	convReLU
+	convSigmoid
+)
+
+// addBias computes dst = act(src + bias[ch]) over [n, c, hw]; dst may alias
+// src.
+func (e convEpilogue) addBias(dst, src, bias []float32, n, c, hw int) {
+	switch e {
+	case convReLU:
+		tensor.AddChanBiasReLUInto(dst, src, bias, n, c, hw)
+	case convSigmoid:
+		tensor.AddChanBiasSigmoidInto(dst, src, bias, n, c, hw)
+	default:
+		tensor.AddChanBiasInto(dst, src, bias, n, c, hw)
+	}
+}
+
+// activate applies the activation alone, in place (a bias-free convolution).
+func (e convEpilogue) activate(val []float32) {
+	switch e {
+	case convReLU:
+		tensor.ActReLU.Apply(val)
+	case convSigmoid:
+		tensor.SigmoidInto(val, val)
+	}
+}
+
+// backward rewrites dy, the gradient of the output y, into the gradient of
+// the pre-activation, in place.
+func (e convEpilogue) backward(dy, y []float32) {
+	switch e {
+	case convReLU:
+		tensor.ActReLU.MaskGrad(dy, y)
+	case convSigmoid:
+		tensor.SigmoidGradInto(dy, dy, y)
+	}
+}
+
+// AddChanBias adds a per-channel bias [C] to an image batch [N, C, H, W].
+// Conv2d runs this epilogue in place inside its own node; composed with a
+// bias-free convolution, this op and its two siblings below are the
+// referees of the equivalence tests.
+func AddChanBias(x, bias *Node) *Node { return addChanBias("AddChanBias", x, bias, convLinear) }
+
+// AddChanBiasReLU computes relu(x + bias[ch]) as a single node — the
+// epilogue of Conv2dReLU.
+func AddChanBiasReLU(x, bias *Node) *Node {
+	return addChanBias("AddChanBiasReLU", x, bias, convReLU)
+}
+
+// AddChanBiasSigmoid computes sigmoid(x + bias[ch]) as a single node — the
+// epilogue of Conv2dSigmoid. The gradient is reconstructed from the output:
+// dpre = dy·y·(1−y).
+func AddChanBiasSigmoid(x, bias *Node) *Node {
+	return addChanBias("AddChanBiasSigmoid", x, bias, convSigmoid)
+}
+
+func addChanBias(op string, x, bias *Node, epi convEpilogue) *Node {
+	sh := x.Val.Shape()
+	if len(sh) != 4 || bias.Val.Numel() != sh[1] {
+		panic(fmt.Sprintf("autodiff: %s dims %v + %v", op, sh, bias.Val.Shape()))
+	}
+	n, c, hw := sh[0], sh[1], sh[2]*sh[3]
+	val := tensor.Get(sh...)
+	epi.addBias(val.Data, x.Val.Data, bias.Val.Data, n, c, hw)
+	out := newPooledNode(val, []*Node{x, bias}, nil)
+	out.backward = func() {
+		epi.backward(out.Grad.Data, val.Data)
+		if bias.requiresGrad {
+			tensor.ChanSumAddInto(bias.ensureGrad().Data, out.Grad.Data, n, c, hw)
+		}
+		out.handGrad(x)
+	}
+	return out
+}
+
+// conv2d builds the one node behind Conv2d, Conv2dReLU and Conv2dSigmoid.
+func conv2d(x, w, bias *Node, stride, pad int, epi convEpilogue) *Node {
 	xs, ws := x.Val.Shape(), w.Val.Shape()
 	if len(xs) != 4 || len(ws) != 4 || xs[1] != ws[1] {
 		panic(fmt.Sprintf("autodiff: Conv2d shapes x%v w%v", xs, ws))
 	}
 	n, oc := xs[0], ws[0]
+	if bias != nil && bias.Val.Numel() != oc {
+		panic(fmt.Sprintf("autodiff: Conv2d bias size %d, want %d", bias.Val.Numel(), oc))
+	}
 	g := &tensor.ConvGeom{
 		InC: xs[1], InH: xs[2], InW: xs[3],
 		KH: ws[2], KW: ws[3],
@@ -83,13 +159,20 @@ func conv2dCore(x, w *Node, stride, pad int) *Node {
 		tensor.MatMulRawInto(val.Data[b*imgOut:(b+1)*imgOut], w.Val.Data, cols.Data, oc, kdim, ncols)
 		tensor.Put(cols)
 	})
-	conv := newPooledNode(val, []*Node{x, w}, nil)
-	attachConvBackward(conv, x, w, g, n, oc, kdim, ncols, imgIn, imgOut)
-	return conv
-}
+	parents := []*Node{x, w}
+	if bias != nil {
+		parents = append(parents, bias)
+		epi.addBias(val.Data, val.Data, bias.Val.Data, n, oc, ncols)
+	} else {
+		epi.activate(val.Data)
+	}
 
-func attachConvBackward(out, x, w *Node, g *tensor.ConvGeom, n, oc, kdim, ncols, imgIn, imgOut int) {
+	out := newPooledNode(val, parents, nil)
 	out.backward = func() {
+		epi.backward(out.Grad.Data, val.Data)
+		if bias != nil && bias.requiresGrad {
+			tensor.ChanSumAddInto(bias.ensureGrad().Data, out.Grad.Data, n, oc, ncols)
+		}
 		if w.requiresGrad {
 			// dW = Σ_b dY_b · cols_bᵀ, streamed: the loop already runs
 			// sequentially in ascending batch order for determinism
@@ -118,6 +201,7 @@ func attachConvBackward(out, x, w *Node, g *tensor.ConvGeom, n, oc, kdim, ncols,
 			})
 		}
 	}
+	return out
 }
 
 // forEachImage runs fn(b) for b in [0, n), in parallel across the batch.
@@ -271,9 +355,28 @@ func GlobalAvgPool(x *Node) *Node {
 // runningVar in place with the given momentum. In eval mode it uses the
 // running statistics (no stat gradients). gamma and beta are [C] nodes.
 // Stats, normalize+affine, and the full backward run on the fused tensor
-// kernels; the per-channel stat vectors live in pooled node scratch, so
-// the op allocates nothing at steady state.
+// kernels. Only the per-channel mean and 1/σ are retained (pooled node
+// scratch): the backward recomputes x̂ from x, which the graph keeps alive
+// anyway, so the op holds one full-size buffer — its output.
 func BatchNorm2d(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, momentum, eps float32, training bool) *Node {
+	return batchNorm2d(x, gamma, beta, runningMean, runningVar, momentum, eps, training, tensor.ActNone)
+}
+
+// BatchNorm2dReLU computes relu(BatchNorm2d(x)) as one node with one
+// buffer: the activation runs over the normalised output in place, and the
+// backward masks the node's own gradient by y > 0 before the ordinary
+// batch-norm backward reads it.
+func BatchNorm2dReLU(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, momentum, eps float32, training bool) *Node {
+	return batchNorm2d(x, gamma, beta, runningMean, runningVar, momentum, eps, training, tensor.ActReLU)
+}
+
+// BatchNorm2dReLU6 is BatchNorm2dReLU with MobileNet's clamp at 6 (mask
+// 0 < y < 6).
+func BatchNorm2dReLU6(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, momentum, eps float32, training bool) *Node {
+	return batchNorm2d(x, gamma, beta, runningMean, runningVar, momentum, eps, training, tensor.ActReLU6)
+}
+
+func batchNorm2d(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, momentum, eps float32, training bool, act tensor.Act) *Node {
 	xs := x.Val.Shape()
 	if len(xs) != 4 {
 		panic(fmt.Sprintf("autodiff: BatchNorm2d needs 4-D input, got %v", xs))
@@ -309,12 +412,12 @@ func BatchNorm2d(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, m
 		}
 	}
 
-	xhat := tensor.Get(xs...) // registered as node scratch below
 	val := tensor.Get(xs...)
-	tensor.BatchNormFwdInto(val.Data, xhat.Data, x.Val.Data, mean.Data, invStd.Data, gamma.Val.Data, beta.Val.Data, n, c, hw)
+	tensor.BatchNormFwdInto(val.Data, x.Val.Data, mean.Data, invStd.Data, gamma.Val.Data, beta.Val.Data, n, c, hw, act)
 	out := newPooledNode(val, []*Node{x, gamma, beta}, nil)
-	out.scratch = []*tensor.Tensor{xhat, mean, invStd}
+	out.scratch = []*tensor.Tensor{mean, invStd}
 	out.backward = func() {
+		act.MaskGrad(out.Grad.Data, val.Data)
 		var dx, dg, db []float32
 		if x.requiresGrad {
 			dx = x.ensureGrad().Data
@@ -325,7 +428,7 @@ func BatchNorm2d(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, m
 		if beta.requiresGrad {
 			db = beta.ensureGrad().Data
 		}
-		tensor.BatchNormBwdInto(dx, dg, db, out.Grad.Data, xhat.Data, invStd.Data, gamma.Val.Data, n, c, hw, training)
+		tensor.BatchNormBwdInto(dx, dg, db, out.Grad.Data, x.Val.Data, mean.Data, invStd.Data, gamma.Val.Data, n, c, hw, training)
 	}
 	return out
 }

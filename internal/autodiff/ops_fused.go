@@ -10,8 +10,10 @@ import (
 // most common layer pair in every model here; fusing the bias add and the
 // activation into the epilogue of the preceding kernel removes one full
 // read+write pass over the activations and one graph node per pair. The
-// backward passes reconstruct the ReLU mask from the fused output (y > 0
-// iff the pre-activation was positive), so no mask tensor is stored.
+// backward passes reconstruct the activation's derivative from the fused
+// output (y > 0 iff the pre-activation was positive), so no mask tensor is
+// stored — and they form the pre-activation gradient in place in the node's
+// own out.Grad, which nobody reads once this backward has run.
 
 // AddRowBiasReLU computes relu(x + bias) for x [N, D] and bias [D] as a
 // single node — the fused epilogue of a Linear→ReLU pair.
@@ -24,57 +26,11 @@ func AddRowBiasReLU(x, bias *Node) *Node {
 	tensor.AddRowBiasReLUInto(val.Data, x.Val.Data, bias.Val.Data, n, d)
 	out := newPooledNode(val, []*Node{x, bias}, nil)
 	out.backward = func() {
-		if x.requiresGrad {
-			tensor.ReLUMaskAddInto(x.ensureGrad().Data, out.Grad.Data, val.Data)
-		}
+		tensor.ActReLU.MaskGrad(out.Grad.Data, val.Data)
 		if bias.requiresGrad {
-			bg := bias.ensureGrad().Data[:d]
-			for r := 0; r < n; r++ {
-				dy := out.Grad.Data[r*d : (r+1)*d]
-				y := val.Data[r*d : (r+1)*d][:len(dy)]
-				for j := range dy {
-					if y[j] > 0 {
-						bg[j] += dy[j]
-					}
-				}
-			}
+			tensor.ColSumAddInto(bias.ensureGrad().Data, out.Grad.Data, n, d)
 		}
-	}
-	return out
-}
-
-// AddChanBiasReLU computes relu(x + bias[ch]) for x [N, C, H, W] and bias
-// [C] as a single node — the fused epilogue of a biased Conv2d→ReLU pair.
-func AddChanBiasReLU(x, bias *Node) *Node {
-	sh := x.Val.Shape()
-	if len(sh) != 4 || bias.Val.Numel() != sh[1] {
-		panic(fmt.Sprintf("autodiff: AddChanBiasReLU dims %v + %v", sh, bias.Val.Shape()))
-	}
-	n, c, hw := sh[0], sh[1], sh[2]*sh[3]
-	val := tensor.Get(sh...)
-	tensor.AddChanBiasReLUInto(val.Data, x.Val.Data, bias.Val.Data, n, c, hw)
-	out := newPooledNode(val, []*Node{x, bias}, nil)
-	out.backward = func() {
-		if x.requiresGrad {
-			tensor.ReLUMaskAddInto(x.ensureGrad().Data, out.Grad.Data, val.Data)
-		}
-		if bias.requiresGrad {
-			bg := bias.ensureGrad().Data
-			for b := 0; b < n; b++ {
-				for ch := 0; ch < c; ch++ {
-					base := (b*c + ch) * hw
-					dy := out.Grad.Data[base : base+hw]
-					y := val.Data[base : base+hw][:len(dy)]
-					var s float32
-					for i := range dy {
-						if y[i] > 0 {
-							s += dy[i]
-						}
-					}
-					bg[ch] += s
-				}
-			}
-		}
+		out.handGrad(x)
 	}
 	return out
 }
@@ -92,60 +48,22 @@ func AddRowBiasTanh(x, bias *Node) *Node {
 	tensor.AddRowBiasTanhInto(val.Data, x.Val.Data, bias.Val.Data, n, d)
 	out := newPooledNode(val, []*Node{x, bias}, nil)
 	out.backward = func() {
-		// Stage dpre = dy·(1−y²) once; both gradients read it, and x
-		// takes the buffer over when it is its first contribution.
-		dpre := tensor.Get(x.Val.Shape()...)
-		tensor.TanhGradInto(dpre.Data, out.Grad.Data, val.Data)
+		// dpre = dy·(1−y²), once, in place; both gradients read it, then
+		// x takes the buffer.
+		tensor.TanhGradInto(out.Grad.Data, out.Grad.Data, val.Data)
 		if bias.requiresGrad {
-			tensor.ColSumAddInto(bias.ensureGrad().Data, dpre.Data, n, d)
+			tensor.ColSumAddInto(bias.ensureGrad().Data, out.Grad.Data, n, d)
 		}
-		x.accumulateOwned(dpre)
-	}
-	return out
-}
-
-// AddChanBiasSigmoid computes sigmoid(x + bias[ch]) for x [N, C, H, W] and
-// bias [C] as a single node — the fused epilogue of a biased
-// Conv2d→Sigmoid pair (spatial attention gates). The gradient is
-// reconstructed from the output: dpre = dy·y·(1−y).
-func AddChanBiasSigmoid(x, bias *Node) *Node {
-	sh := x.Val.Shape()
-	if len(sh) != 4 || bias.Val.Numel() != sh[1] {
-		panic(fmt.Sprintf("autodiff: AddChanBiasSigmoid dims %v + %v", sh, bias.Val.Shape()))
-	}
-	n, c, hw := sh[0], sh[1], sh[2]*sh[3]
-	val := tensor.Get(sh...)
-	tensor.AddChanBiasSigmoidInto(val.Data, x.Val.Data, bias.Val.Data, n, c, hw)
-	out := newPooledNode(val, []*Node{x, bias}, nil)
-	out.backward = func() {
-		// Stage dpre = dy·y·(1−y) once; both gradients read it, and x
-		// takes the buffer over when it is its first contribution.
-		dpre := tensor.Get(sh...)
-		tensor.SigmoidGradInto(dpre.Data, out.Grad.Data, val.Data)
-		if bias.requiresGrad {
-			bg := bias.ensureGrad().Data
-			for b := 0; b < n; b++ {
-				for ch := 0; ch < c; ch++ {
-					base := (b*c + ch) * hw
-					row := dpre.Data[base : base+hw]
-					var s float32
-					for _, v := range row {
-						s += v
-					}
-					bg[ch] += s
-				}
-			}
-		}
-		x.accumulateOwned(dpre)
+		out.handGrad(x)
 	}
 	return out
 }
 
 // LinearReLU computes relu(x·W + b) for x [N, In], w [In, Out], b [Out] as
 // one node: the matmul writes straight into the output buffer and the
-// bias+ReLU epilogue runs in place over it. The backward stages the
-// pre-activation gradient (dy masked by y > 0) in one pooled buffer shared
-// by the bias, weight, and input gradients.
+// bias+ReLU epilogue runs in place over it. The backward forms the
+// pre-activation gradient (dy masked by y > 0) in place in out.Grad, which
+// the bias, weight, and input gradients then share.
 func LinearReLU(x, w, b *Node) *Node {
 	n, dOut := linearDims("LinearReLU", x, w, b)
 	val := tensor.Get(n, dOut)
@@ -153,17 +71,15 @@ func LinearReLU(x, w, b *Node) *Node {
 	tensor.AddRowBiasReLUInto(val.Data, val.Data, b.Val.Data, n, dOut)
 	out := newPooledNode(val, []*Node{x, w, b}, nil)
 	out.backward = func() {
-		dpre := tensor.Get(n, dOut)
-		tensor.ReLUMaskInto(dpre.Data, out.Grad.Data, val.Data)
-		linearEpilogueBackward(x, w, b, dpre)
-		tensor.Put(dpre)
+		tensor.ActReLU.MaskGrad(out.Grad.Data, val.Data)
+		linearEpilogueBackward(x, w, b, out.Grad)
 	}
 	return out
 }
 
 // linearEpilogueBackward is the dX/dW/dbias matmul backward every Linear
 // op shares. dpre [N, Out] is the pre-activation gradient, only read here:
-// a staged buffer for the activation epilogues, out.Grad itself for Linear,
+// out.Grad itself (rewritten in place first by the activation epilogues), or
 // the loss head's one logit-sized buffer for LinearSoftmaxCrossEntropy.
 func linearEpilogueBackward(x, w, b *Node, dpre *tensor.Tensor) {
 	if b.requiresGrad {
@@ -234,7 +150,7 @@ func LinearSoftmaxCrossEntropy(x, w, b *Node, labels []int) *Node {
 
 // LinearTanh computes tanh(x·W + b) as one node: the matmul writes
 // straight into the output buffer and the bias+tanh epilogue runs in place
-// over it. The backward stages dpre = dy·(1−y²) in one pooled buffer
+// over it. The backward forms dpre = dy·(1−y²) in place in out.Grad,
 // shared by the bias, weight, and input gradients — no transcendental is
 // re-evaluated.
 func LinearTanh(x, w, b *Node) *Node {
@@ -244,18 +160,17 @@ func LinearTanh(x, w, b *Node) *Node {
 	tensor.AddRowBiasTanhInto(val.Data, val.Data, b.Val.Data, n, dOut)
 	out := newPooledNode(val, []*Node{x, w, b}, nil)
 	out.backward = func() {
-		dpre := tensor.Get(n, dOut)
-		tensor.TanhGradInto(dpre.Data, out.Grad.Data, val.Data)
-		linearEpilogueBackward(x, w, b, dpre)
-		tensor.Put(dpre)
+		tensor.TanhGradInto(out.Grad.Data, out.Grad.Data, val.Data)
+		linearEpilogueBackward(x, w, b, out.Grad)
 	}
 	return out
 }
 
 // LinearGELU computes gelu(x·W + b) as one node. GELU's gradient needs the
 // pre-activation, so the matmul+bias result and the inner tanh are both
-// retained in pooled node scratch; the backward stages
-// dpre = dy·gelu'(pre) from them without re-evaluating any transcendental.
+// retained in pooled node scratch; the backward forms
+// dpre = dy·gelu'(pre) from them in place in out.Grad without re-evaluating
+// any transcendental.
 func LinearGELU(x, w, b *Node) *Node {
 	n, dOut := linearDims("LinearGELU", x, w, b)
 	pre := tensor.Get(n, dOut) // registered as node scratch below
@@ -267,10 +182,8 @@ func LinearGELU(x, w, b *Node) *Node {
 	out := newPooledNode(val, []*Node{x, w, b}, nil)
 	out.scratch = []*tensor.Tensor{pre, t}
 	out.backward = func() {
-		dpre := tensor.Get(n, dOut)
-		tensor.GELUGradInto(dpre.Data, out.Grad.Data, pre.Data, t.Data)
-		linearEpilogueBackward(x, w, b, dpre)
-		tensor.Put(dpre)
+		tensor.GELUGradInto(out.Grad.Data, out.Grad.Data, pre.Data, t.Data)
+		linearEpilogueBackward(x, w, b, out.Grad)
 	}
 	return out
 }

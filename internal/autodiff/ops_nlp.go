@@ -94,8 +94,9 @@ func EmbeddingMean(weight *Node, ids [][]int) *Node {
 // gain gamma [D] and bias beta [D]. Forward and backward run on the fused
 // tensor kernels: one stats pass plus one normalize+affine pass forward,
 // and a backward that recomputes dy⊙gamma instead of staging it in a
-// per-row buffer — the whole op is allocation-free at steady state (xhat
-// and invStd live in pooled node scratch).
+// per-row buffer — the whole op is allocation-free at steady state. Like
+// BatchNorm2d it retains only the per-row mean and 1/σ (pooled node
+// scratch) and recomputes x̂ from x in the backward.
 func LayerNorm(x, gamma, beta *Node, eps float32) *Node {
 	d := x.Val.Dim(-1)
 	if gamma.Val.Numel() != d || beta.Val.Numel() != d {
@@ -103,11 +104,11 @@ func LayerNorm(x, gamma, beta *Node, eps float32) *Node {
 	}
 	rows := x.Val.Numel() / d
 	val := tensor.Get(x.Val.Shape()...)
-	xhat := tensor.Get(x.Val.Shape()...) // registered as node scratch below
-	invStd := tensor.Get(rows)           // registered as node scratch below
-	tensor.LayerNormFwdInto(val.Data, xhat.Data, invStd.Data, x.Val.Data, gamma.Val.Data, beta.Val.Data, rows, d, eps)
+	mean := tensor.Get(rows)   // registered as node scratch below
+	invStd := tensor.Get(rows) // registered as node scratch below
+	tensor.LayerNormFwdInto(val.Data, mean.Data, invStd.Data, x.Val.Data, gamma.Val.Data, beta.Val.Data, rows, d, eps)
 	out := newPooledNode(val, []*Node{x, gamma, beta}, nil)
-	out.scratch = []*tensor.Tensor{xhat, invStd}
+	out.scratch = []*tensor.Tensor{mean, invStd}
 	out.backward = func() {
 		var dx, dg, db []float32
 		if x.requiresGrad {
@@ -119,7 +120,7 @@ func LayerNorm(x, gamma, beta *Node, eps float32) *Node {
 		if beta.requiresGrad {
 			db = beta.ensureGrad().Data
 		}
-		tensor.LayerNormBwdInto(dx, dg, db, out.Grad.Data, xhat.Data, invStd.Data, gamma.Val.Data, rows, d)
+		tensor.LayerNormBwdInto(dx, dg, db, out.Grad.Data, x.Val.Data, mean.Data, invStd.Data, gamma.Val.Data, rows, d)
 	}
 	return out
 }
@@ -217,6 +218,6 @@ func AddConstBroadcast(a *Node, c *tensor.Tensor) *Node {
 		}
 	}
 	out := newPooledNode(val, []*Node{a}, nil)
-	out.backward = func() { a.accumulate(out.Grad) }
+	out.backward = func() { out.handGrad(a) }
 	return out
 }

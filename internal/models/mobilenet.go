@@ -45,9 +45,9 @@ func newInvertedResidual(rng *tensor.RNG, inC, outC, stride, expandRatio int) *i
 func (b *invertedResidual) forward(x *autodiff.Node) *autodiff.Node {
 	h := x
 	if b.expand != nil {
-		h = autodiff.ReLU6(b.expandBN.Forward(b.expand.Forward(h)))
+		h = b.expandBN.ForwardReLU6(b.expand.Forward(h))
 	}
-	h = autodiff.ReLU6(b.dwBN.Forward(b.dw.Forward(h)))
+	h = b.dwBN.ForwardReLU6(b.dw.Forward(h))
 	h = b.projectBN.Forward(b.project.Forward(h))
 	if b.residual {
 		return autodiff.Add(x, h)
@@ -117,7 +117,7 @@ func (m *MobileNetV2) Forward(x *autodiff.Node) *autodiff.Node {
 // ForwardFeatures returns logits plus activations after selected stages.
 func (m *MobileNetV2) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*autodiff.Node) {
 	nn.CheckImageInput(x, m.cfg.InC)
-	h := autodiff.ReLU6(m.stemBN.Forward(m.stem.Forward(x)))
+	h := m.stemBN.ForwardReLU6(m.stem.Forward(x))
 	var feats []*autodiff.Node
 	next := 0
 	for i, blk := range m.blocks {
@@ -127,7 +127,7 @@ func (m *MobileNetV2) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*auto
 			next++
 		}
 	}
-	h = autodiff.ReLU6(m.headBN.Forward(m.head.Forward(h)))
+	h = m.headBN.ForwardReLU6(m.head.Forward(h))
 	return m.fc.Forward(autodiff.GlobalAvgPool(h)), feats
 }
 

@@ -39,13 +39,13 @@ func newBasicBlock(rng *tensor.RNG, inC, outC, stride int) *basicBlock {
 }
 
 func (b *basicBlock) forward(x *autodiff.Node) *autodiff.Node {
-	out := autodiff.ReLU(b.bn1.Forward(b.conv1.Forward(x)))
+	out := b.bn1.ForwardReLU(b.conv1.Forward(x))
 	out = b.bn2.Forward(b.conv2.Forward(out))
 	short := x
 	if b.downConv != nil {
 		short = b.downBN.Forward(b.downConv.Forward(x))
 	}
-	return autodiff.ReLU(autodiff.Add(out, short))
+	return autodiff.AddReLU(out, short)
 }
 
 // ResNet18 is the CIFAR-style ResNet-18 (3×3 stem, four 2-block stages,
@@ -100,7 +100,7 @@ func (m *ResNet18) Forward(x *autodiff.Node) *autodiff.Node {
 // ForwardFeatures returns logits plus per-stage activations as tap points.
 func (m *ResNet18) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*autodiff.Node) {
 	nn.CheckImageInput(x, m.cfg.InC)
-	h := autodiff.ReLU(m.stemBN.Forward(m.stem.Forward(x)))
+	h := m.stemBN.ForwardReLU(m.stem.Forward(x))
 	feats := make([]*autodiff.Node, 0, 4)
 	for _, stage := range m.stages {
 		for _, blk := range stage {

@@ -80,3 +80,72 @@ func TestSetTrainingReachesEveryLayer(t *testing.T) {
 		t.Fatal("eval-mode LM forward is not repeatable: a dropout is still live")
 	}
 }
+
+// TestBackwardDrainsEveryZooGraph pins buffer lifetimes from the outside,
+// for every zoo model: after Backward no interior node of the training
+// graph holds a gradient or backward scratch (they went back to the pool as
+// the pass moved on), every parameter has its gradient, and Release —
+// called twice — hands each remaining buffer back exactly once, so the next
+// step makes the same pool requests.
+func TestBackwardDrainsEveryZooGraph(t *testing.T) {
+	cfg := CVConfig{InC: 3, InH: 8, InW: 8, Classes: 4}
+	x := tensor.New(4, 3, 8, 8)
+	tensor.NewRNG(5).FillUniform(x, 0.5, 1.5)
+	labels := []int{0, 1, 2, 3}
+
+	check := func(t *testing.T, m interface{ Params() []nn.Param }, loss func() *autodiff.Node) {
+		t.Helper()
+		gets := func() int64 {
+			h0, m0 := tensor.PoolStats()
+			nn.ZeroGrads(m)
+			root := loss()
+			if grads, scratch := autodiff.Retained(root); grads != 0 {
+				t.Fatalf("%d gradients before Backward (%d scratch holders)", grads, scratch)
+			}
+			autodiff.Backward(root)
+			if grads, scratch := autodiff.Retained(root); grads != 0 || scratch != 0 {
+				t.Fatalf("after Backward %d interior nodes still hold a gradient and %d hold scratch", grads, scratch)
+			}
+			for _, p := range m.Params() {
+				if p.Node.RequiresGrad() && p.Node.Grad == nil {
+					t.Fatalf("parameter %s has no gradient", p.Name)
+				}
+			}
+			autodiff.Release(root)
+			autodiff.Release(root)
+			h1, m1 := tensor.PoolStats()
+			return (h1 - h0) + (m1 - m0)
+		}
+		first, second := gets(), gets()
+		if first != second {
+			t.Fatalf("pool requests per step drifted: %d then %d", first, second)
+		}
+		// A buffer put back twice would now be handed out twice.
+		a, b := tensor.Get(4, 3, 8, 8), tensor.Get(4, 3, 8, 8)
+		if &a.Data[0] == &b.Data[0] {
+			t.Fatal("double Release returned a buffer to the pool twice")
+		}
+		tensor.Put(a)
+		tensor.Put(b)
+	}
+
+	for _, name := range CVModelNames() {
+		t.Run(name, func(t *testing.T) {
+			m, err := BuildCV(name, tensor.NewRNG(6), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, m, func() *autodiff.Node {
+				return autodiff.SoftmaxCrossEntropy(m.Forward(autodiff.Constant(x)), labels)
+			})
+		})
+	}
+	t.Run("transformer-lm", func(t *testing.T) {
+		lm := NewTransformerLM(tensor.NewRNG(8), TransformerLMConfig{Vocab: 20, D: 8, Heads: 2, FF: 16, Layers: 2, MaxT: 8, Dropout: 0.1})
+		ids := [][]int{{1, 2, 3, 4}, {5, 6, 7, 8}}
+		targets := []int{2, 3, 4, 5, 6, 7, 8, 9}
+		check(t, lm, func() *autodiff.Node {
+			return autodiff.SoftmaxCrossEntropy(lm.ForwardIDs(ids), targets)
+		})
+	})
+}

@@ -119,7 +119,7 @@ func (m *VGG16) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*autodiff.N
 	var feats []*autodiff.Node
 	for s := range m.convs {
 		for i := range m.convs[s] {
-			h = autodiff.ReLU(m.bns[s][i].Forward(m.convs[s][i].Forward(h)))
+			h = m.bns[s][i].ForwardReLU(m.convs[s][i].Forward(h))
 		}
 		if m.poolAfter[s] {
 			h = autodiff.MaxPool2d(h, 2, 2, 0)

@@ -92,8 +92,9 @@ func (c *Conv2d) Forward(x *autodiff.Node) *autodiff.Node {
 	return autodiff.Conv2d(x, c.W, c.B, c.Stride, c.Pad)
 }
 
-// ForwardReLU applies the convolution with a fused bias+ReLU epilogue —
-// use it wherever a Conv2d feeds straight into a ReLU.
+// ForwardReLU applies the convolution with the bias+ReLU epilogue run in
+// place over its output — use it wherever a Conv2d feeds straight into a
+// ReLU.
 func (c *Conv2d) ForwardReLU(x *autodiff.Node) *autodiff.Node {
 	return autodiff.Conv2dReLU(x, c.W, c.B, c.Stride, c.Pad)
 }
@@ -142,9 +143,26 @@ func NewBatchNorm2d(c int) *BatchNorm2d {
 	}
 }
 
+// forward is the layer's one forward pass; norm is autodiff.BatchNorm2d or
+// one of its fused-activation variants.
+func (b *BatchNorm2d) forward(x *autodiff.Node, norm func(x, gamma, beta *autodiff.Node, runningMean, runningVar *tensor.Tensor, momentum, eps float32, training bool) *autodiff.Node) *autodiff.Node {
+	return norm(x, b.Gamma, b.Beta, b.RunningMean, b.RunningVar, b.Momentum, b.Eps, b.training)
+}
+
 // Forward normalises x [N, C, H, W].
 func (b *BatchNorm2d) Forward(x *autodiff.Node) *autodiff.Node {
-	return autodiff.BatchNorm2d(x, b.Gamma, b.Beta, b.RunningMean, b.RunningVar, b.Momentum, b.Eps, b.training)
+	return b.forward(x, autodiff.BatchNorm2d)
+}
+
+// ForwardReLU normalises x and applies ReLU as one node with one buffer —
+// use it wherever a BatchNorm2d feeds straight into a ReLU.
+func (b *BatchNorm2d) ForwardReLU(x *autodiff.Node) *autodiff.Node {
+	return b.forward(x, autodiff.BatchNorm2dReLU)
+}
+
+// ForwardReLU6 is ForwardReLU with MobileNet's clamp at 6.
+func (b *BatchNorm2d) ForwardReLU6(x *autodiff.Node) *autodiff.Node {
+	return b.forward(x, autodiff.BatchNorm2dReLU6)
 }
 
 // Params returns the layer's full state dict: trainable gamma/beta plus

@@ -185,25 +185,55 @@ func sumDot4(a, b []float32) (s, t float64) {
 	return ((s0 + s1) + (s2 + s3)) + st, ((t0 + t1) + (t2 + t3)) + tt
 }
 
+// sumDotNorm4 is sumDot4(a, x̂) with x̂ = float32((x−mu)·is) recomputed per
+// element instead of read from a retained buffer: the same float32
+// expression the normalisation forwards evaluate, the conversion making its
+// rounding explicit so an architecture that fuses multiply-adds cannot
+// change it.
+func sumDotNorm4(a, x []float32, mu, is float32) (s, t float64) {
+	x = x[:len(a)]
+	var s0, s1, s2, s3, t0, t1, t2, t3 float64
+	p := 0
+	for ; p+4 <= len(a); p += 4 {
+		v0, v1, v2, v3 := float64(a[p]), float64(a[p+1]), float64(a[p+2]), float64(a[p+3])
+		s0 += v0
+		s1 += v1
+		s2 += v2
+		s3 += v3
+		t0 += v0 * float64(float32((x[p]-mu)*is))
+		t1 += v1 * float64(float32((x[p+1]-mu)*is))
+		t2 += v2 * float64(float32((x[p+2]-mu)*is))
+		t3 += v3 * float64(float32((x[p+3]-mu)*is))
+	}
+	var st, tt float64
+	for ; p < len(a); p++ {
+		v := float64(a[p])
+		st += v
+		tt += v * float64(float32((x[p]-mu)*is))
+	}
+	return ((s0 + s1) + (s2 + s3)) + st, ((t0 + t1) + (t2 + t3)) + tt
+}
+
 // LayerNormFwdInto computes, for each of rows rows of length d in x,
 //
 //	xhat = (x - mean) · invStd    dst = gamma ⊙ xhat + beta
 //
-// in one stats pass and one fused normalize+affine pass. xhat and invStd
-// (length rows) are retained outputs for the backward pass. Rows are
+// in one stats pass and one fused normalize+affine pass. mean and invStd
+// (length rows) are the retained outputs; xhat is not stored — the backward
+// recomputes it from x, which the graph keeps alive anyway. Rows are
 // processed in parallel; each row's accumulation order is fixed.
-func LayerNormFwdInto(dst, xhat, invStd, x, gamma, beta []float32, rows, d int, eps float32) {
+func LayerNormFwdInto(dst, mean, invStd, x, gamma, beta []float32, rows, d int, eps float32) {
 	rpw := fusedRowsPerWorker(d)
 	if chunksFor(rows, rpw) <= 1 {
-		layerNormFwdRange(dst, xhat, invStd, x, gamma, beta, d, eps, 0, rows)
+		layerNormFwdRange(dst, mean, invStd, x, gamma, beta, d, eps, 0, rows)
 		return
 	}
 	parallelFor(rows, rpw, func(r0, r1 int) {
-		layerNormFwdRange(dst, xhat, invStd, x, gamma, beta, d, eps, r0, r1)
+		layerNormFwdRange(dst, mean, invStd, x, gamma, beta, d, eps, r0, r1)
 	})
 }
 
-func layerNormFwdRange(dst, xhat, invStd, x, gamma, beta []float32, d int, eps float32, r0, r1 int) {
+func layerNormFwdRange(dst, mean, invStd, x, gamma, beta []float32, d int, eps float32, r0, r1 int) {
 	gamma = gamma[:d]
 	beta = beta[:d]
 	for r := r0; r < r1; r++ {
@@ -217,20 +247,17 @@ func layerNormFwdRange(dst, xhat, invStd, x, gamma, beta []float32, d int, eps f
 			vr = 0
 		}
 		is := 1 / math.Sqrt(vr+float64(eps))
-		invStd[r] = float32(is)
 		m32, i32 := float32(mu), float32(is)
+		mean[r], invStd[r] = m32, i32
 		src = src[:d]
-		xh := xhat[r*d : (r+1)*d][:d]
 		out := dst[r*d : (r+1)*d][:d]
 		i := 0
 		if simdAvailable && d >= 8 {
-			normAffineSIMD(out, xh, src, gamma, beta, m32, i32)
+			normAffineSIMD(out, src, gamma, beta, m32, i32)
 			i = d &^ 7
 		}
 		for ; i < d; i++ {
-			h := (src[i] - m32) * i32
-			xh[i] = h
-			out[i] = gamma[i]*h + beta[i]
+			out[i] = gamma[i]*float32((src[i]-m32)*i32) + beta[i]
 		}
 	}
 }
@@ -240,31 +267,23 @@ func layerNormFwdRange(dst, xhat, invStd, x, gamma, beta []float32, d int, eps f
 //	dgamma += Σ_rows dy ⊙ xhat    dbeta += Σ_rows dy
 //	dx     += invStd · (dy⊙gamma - mean(dy⊙gamma) - xhat·mean(dy⊙gamma⊙xhat))
 //
-// Any of dx, dgamma, dbeta may be nil to skip that gradient. The parameter
-// gradients reduce across rows and therefore run sequentially in ascending
-// row order; the dx pass touches disjoint rows and runs in parallel. No
-// scratch is allocated: the dy⊙gamma intermediate is recomputed in the
-// second pass instead of being staged in a per-row buffer.
-func LayerNormBwdInto(dx, dgamma, dbeta, dy, xhat, invStd, gamma []float32, rows, d int) {
-	if dgamma != nil && dbeta != nil {
-		dg, db := dgamma[:d], dbeta[:d]
-		for r := 0; r < rows; r++ {
-			dyr := dy[r*d : (r+1)*d][:d]
-			xhr := xhat[r*d : (r+1)*d][:d]
-			for j := 0; j < d; j++ {
-				g := dyr[j]
-				dg[j] += g * xhr[j]
-				db[j] += g
-			}
-		}
-	} else if dgamma != nil || dbeta != nil {
+// with xhat = float32((x − mean)·invStd) recomputed from the forward's
+// input and retained per-row statistics — bit for bit the value the forward
+// normalised with. Any of dx, dgamma, dbeta may be nil to skip that
+// gradient. The parameter gradients reduce across rows and therefore run
+// sequentially in ascending row order; the dx pass touches disjoint rows and
+// runs in parallel. No scratch is allocated: the dy⊙gamma intermediate is
+// recomputed in the second pass instead of being staged in a per-row buffer.
+func LayerNormBwdInto(dx, dgamma, dbeta, dy, x, mean, invStd, gamma []float32, rows, d int) {
+	if dgamma != nil || dbeta != nil {
 		for r := 0; r < rows; r++ {
 			dyr := dy[r*d : (r+1)*d]
-			xhr := xhat[r*d : (r+1)*d][:len(dyr)]
 			if dgamma != nil {
+				xr := x[r*d : (r+1)*d][:len(dyr)]
 				dg := dgamma[:len(dyr)]
+				mu, is := mean[r], invStd[r]
 				for j, g := range dyr {
-					dg[j] += g * xhr[j]
+					dg[j] += g * float32((xr[j]-mu)*is)
 				}
 			}
 			if dbeta != nil {
@@ -280,19 +299,20 @@ func LayerNormBwdInto(dx, dgamma, dbeta, dy, xhat, invStd, gamma []float32, rows
 	}
 	rpw := fusedRowsPerWorker(d)
 	if chunksFor(rows, rpw) <= 1 {
-		layerNormBwdRange(dx, dy, xhat, invStd, gamma, d, 0, rows)
+		layerNormBwdRange(dx, dy, x, mean, invStd, gamma, d, 0, rows)
 		return
 	}
 	parallelFor(rows, rpw, func(r0, r1 int) {
-		layerNormBwdRange(dx, dy, xhat, invStd, gamma, d, r0, r1)
+		layerNormBwdRange(dx, dy, x, mean, invStd, gamma, d, r0, r1)
 	})
 }
 
-func layerNormBwdRange(dx, dy, xhat, invStd, gamma []float32, d int, r0, r1 int) {
+func layerNormBwdRange(dx, dy, x, mean, invStd, gamma []float32, d int, r0, r1 int) {
 	gamma = gamma[:d]
 	for r := r0; r < r1; r++ {
 		dyr := dy[r*d : (r+1)*d][:d]
-		xhr := xhat[r*d : (r+1)*d][:d]
+		xr := x[r*d : (r+1)*d][:d]
+		mu, is := mean[r], invStd[r]
 		var s0, s1, s2, s3, t0, t1, t2, t3 float64
 		p := 0
 		for ; p+4 <= d; p += 4 {
@@ -304,29 +324,28 @@ func layerNormBwdRange(dx, dy, xhat, invStd, gamma []float32, d int, r0, r1 int)
 			s1 += g1
 			s2 += g2
 			s3 += g3
-			t0 += g0 * float64(xhr[p])
-			t1 += g1 * float64(xhr[p+1])
-			t2 += g2 * float64(xhr[p+2])
-			t3 += g3 * float64(xhr[p+3])
+			t0 += g0 * float64(float32((xr[p]-mu)*is))
+			t1 += g1 * float64(float32((xr[p+1]-mu)*is))
+			t2 += g2 * float64(float32((xr[p+2]-mu)*is))
+			t3 += g3 * float64(float32((xr[p+3]-mu)*is))
 		}
 		s := (s0 + s1) + (s2 + s3)
 		t := (t0 + t1) + (t2 + t3)
 		for ; p < d; p++ {
 			g := float64(dyr[p]) * float64(gamma[p])
 			s += g
-			t += g * float64(xhr[p])
+			t += g * float64(float32((xr[p]-mu)*is))
 		}
 		mDy := float32(s / float64(d))
 		mDyX := float32(t / float64(d))
-		is := invStd[r]
 		out := dx[r*d : (r+1)*d][:d]
 		j := 0
 		if simdAvailable && d >= 8 {
-			lnBwdDxSIMD(out, dyr, gamma, xhr, mDy, mDyX, is)
+			lnBwdDxSIMD(out, dyr, gamma, xr, mDy, mDyX, is, mu)
 			j = d &^ 7
 		}
 		for ; j < d; j++ {
-			out[j] += is * (dyr[j]*gamma[j] - mDy - xhr[j]*mDyX)
+			out[j] += is * (dyr[j]*gamma[j] - mDy - float32((xr[j]-mu)*is)*mDyX)
 		}
 	}
 }
@@ -498,36 +517,37 @@ func batchNormStatsRange(mean, varv, x []float32, n, c, hw, c0, c1 int) {
 	}
 }
 
-// BatchNormFwdInto computes the fused normalize+affine pass
+// BatchNormFwdInto computes the fused normalize+affine(+activation) pass
 //
-//	xhat = (x - mean[ch]) · invStd[ch]    dst = gamma[ch]·xhat + beta[ch]
+//	xhat = (x - mean[ch]) · invStd[ch]    dst = act(gamma[ch]·xhat + beta[ch])
 //
-// over x [n, c, hw]. xhat is a retained output for the backward pass.
-func BatchNormFwdInto(dst, xhat, x, mean, invStd, gamma, beta []float32, n, c, hw int) {
+// over x [n, c, hw]. xhat is not stored: the backward recomputes it from x
+// and the per-channel statistics, which the graph keeps alive anyway. The
+// activation runs over each [hw] slab right after it is written, while it
+// is still in cache.
+func BatchNormFwdInto(dst, x, mean, invStd, gamma, beta []float32, n, c, hw int, act Act) {
 	rpw := fusedRowsPerWorker(n * hw)
 	if chunksFor(c, rpw) <= 1 {
-		batchNormFwdRange(dst, xhat, x, mean, invStd, gamma, beta, n, c, hw, 0, c)
+		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, n, c, hw, act, 0, c)
 		return
 	}
 	parallelFor(c, rpw, func(c0, c1 int) {
-		batchNormFwdRange(dst, xhat, x, mean, invStd, gamma, beta, n, c, hw, c0, c1)
+		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, n, c, hw, act, c0, c1)
 	})
 }
 
-func batchNormFwdRange(dst, xhat, x, mean, invStd, gamma, beta []float32, n, c, hw, c0, c1 int) {
+func batchNormFwdRange(dst, x, mean, invStd, gamma, beta []float32, n, c, hw int, act Act, c0, c1 int) {
 	for ch := c0; ch < c1; ch++ {
 		mu, is := mean[ch], invStd[ch]
 		ga, be := gamma[ch], beta[ch]
 		for b := 0; b < n; b++ {
 			base := (b*c + ch) * hw
 			src := x[base : base+hw]
-			xh := xhat[base : base+hw][:len(src)]
 			out := dst[base : base+hw][:len(src)]
 			for i, v := range src {
-				h := (v - mu) * is
-				xh[i] = h
-				out[i] = ga*h + be
+				out[i] = ga*float32((v-mu)*is) + be
 			}
+			act.Apply(out)
 		}
 	}
 }
@@ -538,29 +558,32 @@ func batchNormFwdRange(dst, xhat, x, mean, invStd, gamma, beta []float32, n, c, 
 //	dx += gamma·invStd · (dy - mean(dy) - xhat·mean(dy⊙xhat))   (training)
 //	dx += gamma·invStd · dy                                     (eval)
 //
-// Any of dx, dgamma, dbeta may be nil to skip that gradient. Channels are
-// fully independent (parameter gradients included), so the whole backward
-// runs in parallel over channels with fixed per-channel order.
-func BatchNormBwdInto(dx, dgamma, dbeta, dy, xhat, invStd, gamma []float32, n, c, hw int, training bool) {
+// with xhat = float32((x − mean[ch])·invStd[ch]) recomputed in both passes —
+// bit for bit the value the forward normalised with. Any of dx, dgamma,
+// dbeta may be nil to skip that gradient. Channels are fully independent
+// (parameter gradients included), so the whole backward runs in parallel
+// over channels with fixed per-channel order.
+func BatchNormBwdInto(dx, dgamma, dbeta, dy, x, mean, invStd, gamma []float32, n, c, hw int, training bool) {
 	rpw := fusedRowsPerWorker(n * hw)
 	if chunksFor(c, rpw) <= 1 {
-		batchNormBwdRange(dx, dgamma, dbeta, dy, xhat, invStd, gamma, n, c, hw, training, 0, c)
+		batchNormBwdRange(dx, dgamma, dbeta, dy, x, mean, invStd, gamma, n, c, hw, training, 0, c)
 		return
 	}
 	parallelFor(c, rpw, func(c0, c1 int) {
-		batchNormBwdRange(dx, dgamma, dbeta, dy, xhat, invStd, gamma, n, c, hw, training, c0, c1)
+		batchNormBwdRange(dx, dgamma, dbeta, dy, x, mean, invStd, gamma, n, c, hw, training, c0, c1)
 	})
 }
 
-func batchNormBwdRange(dx, dgamma, dbeta, dy, xhat, invStd, gamma []float32, n, c, hw int, training bool, c0, c1 int) {
+func batchNormBwdRange(dx, dgamma, dbeta, dy, x, mean, invStd, gamma []float32, n, c, hw int, training bool, c0, c1 int) {
 	m := float64(n * hw)
 	needSums := dgamma != nil || dbeta != nil || (dx != nil && training)
 	for ch := c0; ch < c1; ch++ {
+		mu, is := mean[ch], invStd[ch]
 		var sumDy, sumDyXhat float64
 		if needSums {
 			for b := 0; b < n; b++ {
 				base := (b*c + ch) * hw
-				bs, bt := sumDot4(dy[base:base+hw], xhat[base:base+hw])
+				bs, bt := sumDotNorm4(dy[base:base+hw], x[base:base+hw], mu, is)
 				sumDy += bs
 				sumDyXhat += bt
 			}
@@ -574,17 +597,17 @@ func batchNormBwdRange(dx, dgamma, dbeta, dy, xhat, invStd, gamma []float32, n, 
 		if dx == nil {
 			continue
 		}
-		gis := gamma[ch] * invStd[ch]
+		gis := gamma[ch] * is
 		if training {
 			mDy := float32(sumDy / m)
 			mDyX := float32(sumDyXhat / m)
 			for b := 0; b < n; b++ {
 				base := (b*c + ch) * hw
 				dyb := dy[base : base+hw]
-				xhb := xhat[base : base+hw][:len(dyb)]
+				xb := x[base : base+hw][:len(dyb)]
 				out := dx[base : base+hw][:len(dyb)]
 				for i := range dyb {
-					out[i] += gis * (dyb[i] - mDy - xhb[i]*mDyX)
+					out[i] += gis * (dyb[i] - mDy - float32((xb[i]-mu)*is)*mDyX)
 				}
 			}
 		} else {
@@ -661,27 +684,87 @@ func addChanBiasReLURange(dst, x, bias []float32, c, hw, n0, n1 int) {
 	}
 }
 
-// ReLUMaskInto writes dpre = dy masked by (y > 0) — the pre-activation
-// gradient of a fused bias+ReLU epilogue, staged for the matmul backward.
-func ReLUMaskInto(dpre, dy, y []float32) {
-	dy = dy[:len(dpre)]
-	y = y[:len(dpre)]
-	for i := range dpre {
-		if y[i] > 0 {
-			dpre[i] = dy[i]
-		} else {
-			dpre[i] = 0
+// Act is an activation a fused kernel applies to its own output buffer, and
+// whose derivative is a function of that output alone — so a node that ends
+// in one keeps neither the pre-activation nor a mask for its backward.
+type Act uint8
+
+const (
+	ActNone  Act = iota // identity
+	ActReLU             // max(0, v)
+	ActReLU6            // min(max(0, v), 6), MobileNet's activation
+)
+
+// Apply overwrites buf with act(buf).
+func (a Act) Apply(buf []float32) {
+	switch a {
+	case ActReLU:
+		for i, v := range buf {
+			if !(v > 0) {
+				buf[i] = 0
+			}
+		}
+	case ActReLU6:
+		for i, v := range buf {
+			if v < 0 {
+				buf[i] = 0
+			} else if v > 6 {
+				buf[i] = 6
+			}
 		}
 	}
 }
 
-// ReLUMaskAddInto accumulates dx += dy masked by (y > 0).
-func ReLUMaskAddInto(dx, dy, y []float32) {
-	dy = dy[:len(dx)]
-	y = y[:len(dx)]
-	for i := range dx {
-		if y[i] > 0 {
-			dx[i] += dy[i]
+// MaskGrad turns dy, the gradient of the activated output y, into the
+// gradient of the pre-activation in place: zero wherever y sits on a flat
+// part of the activation (y > 0 iff the pre-activation was positive, y < 6
+// iff it was below 6), untouched elsewhere.
+func (a Act) MaskGrad(dy, y []float32) {
+	y = y[:len(dy)]
+	switch a {
+	case ActReLU:
+		for i := range dy {
+			if !(y[i] > 0) {
+				dy[i] = 0
+			}
+		}
+	case ActReLU6:
+		for i := range dy {
+			if !(y[i] > 0 && y[i] < 6) {
+				dy[i] = 0
+			}
+		}
+	}
+}
+
+// AddChanBiasInto computes dst = x + bias[ch] for x [n, c, hw] with bias [c]
+// (dst may alias x).
+func AddChanBiasInto(dst, x, bias []float32, n, c, hw int) {
+	for b := 0; b < n; b++ {
+		for ch := 0; ch < c; ch++ {
+			base := (b*c + ch) * hw
+			bv := bias[ch]
+			src := x[base : base+hw]
+			out := dst[base : base+hw][:len(src)]
+			for i, v := range src {
+				out[i] = v + bv
+			}
+		}
+	}
+}
+
+// ChanSumAddInto accumulates dbias[ch] += Σ m[b, ch, :] for m [n, c, hw] —
+// the bias gradient of a channel-bias epilogue. Each [hw] slab is summed on
+// its own, slabs in ascending batch order.
+func ChanSumAddInto(dbias, m []float32, n, c, hw int) {
+	for b := 0; b < n; b++ {
+		for ch := 0; ch < c; ch++ {
+			base := (b*c + ch) * hw
+			var s float32
+			for _, v := range m[base : base+hw] {
+				s += v
+			}
+			dbias[ch] += s
 		}
 	}
 }

@@ -100,13 +100,13 @@ func TestLayerNormKernelsMatchReference(t *testing.T) {
 	refY, refDx, refDg, refDb := layerNormRef(x.Data, gamma.Data, beta.Data, dy.Data, rows, d, 1e-5)
 
 	y := make([]float32, rows*d)
-	xhat := make([]float32, rows*d)
+	mean := make([]float32, rows)
 	invStd := make([]float32, rows)
-	LayerNormFwdInto(y, xhat, invStd, x.Data, gamma.Data, beta.Data, rows, d, 1e-5)
+	LayerNormFwdInto(y, mean, invStd, x.Data, gamma.Data, beta.Data, rows, d, 1e-5)
 	dx := make([]float32, rows*d)
 	dg := make([]float32, d)
 	db := make([]float32, d)
-	LayerNormBwdInto(dx, dg, db, dy.Data, xhat, invStd, gamma.Data, rows, d)
+	LayerNormBwdInto(dx, dg, db, dy.Data, x.Data, mean, invStd, gamma.Data, rows, d)
 
 	if diff := maxAbsDiff32(y, refY); diff > 1e-4 {
 		t.Fatalf("forward diverges from float64 reference by %g", diff)
@@ -123,7 +123,7 @@ func TestLayerNormKernelsMatchReference(t *testing.T) {
 
 	// nil gradient slots must be skipped without touching the others.
 	dx2 := make([]float32, rows*d)
-	LayerNormBwdInto(dx2, nil, nil, dy.Data, xhat, invStd, gamma.Data, rows, d)
+	LayerNormBwdInto(dx2, nil, nil, dy.Data, x.Data, mean, invStd, gamma.Data, rows, d)
 	if diff := maxAbsDiff32(dx2, dx); diff != 0 {
 		t.Fatalf("dx with nil dgamma/dbeta differs by %g", diff)
 	}
@@ -146,15 +146,15 @@ func TestLayerNormStatsLargeMean(t *testing.T) {
 		}
 		x[i] = v
 	}
-	dst := make([]float32, d)
-	xhat := make([]float32, d)
+	xhat := make([]float32, d) // the output itself: gamma is 1 and beta 0 below
+	mean := make([]float32, 1)
 	invStd := make([]float32, 1)
 	gamma := make([]float32, d)
 	beta := make([]float32, d)
 	for i := range gamma {
 		gamma[i] = 1
 	}
-	LayerNormFwdInto(dst, xhat, invStd, x, gamma, beta, 1, d, 0)
+	LayerNormFwdInto(xhat, mean, invStd, x, gamma, beta, 1, d, 0)
 	if diff := math.Abs(float64(invStd[0]) - 1); diff > 1e-4 {
 		t.Fatalf("invStd for mean=1e5 spread=±1 row: %v, want 1 (±1e-4): shifted variance regressed", invStd[0])
 	}
@@ -329,15 +329,12 @@ func TestBatchNormKernelsMatchReference(t *testing.T) {
 		invStd[ch] = float32(1 / math.Sqrt(float64(varv[ch])+1e-5))
 	}
 	y := make([]float32, n*c*hw)
-	xhat := make([]float32, n*c*hw)
-	BatchNormFwdInto(y, xhat, x.Data, mean, invStd, gamma.Data, beta.Data, n, c, hw)
+	xhat := make([]float32, n*c*hw) // the float64 reference below reads it
+	BatchNormFwdInto(y, x.Data, mean, invStd, gamma.Data, beta.Data, n, c, hw, ActNone)
 	for idx := range y {
 		ch := (idx / hw) % c
-		wantXh := (x.Data[idx] - mean[ch]) * invStd[ch]
-		if math.Abs(float64(xhat[idx]-wantXh)) > 1e-5 {
-			t.Fatalf("xhat[%d] = %v, want %v", idx, xhat[idx], wantXh)
-		}
-		want := gamma.Data[ch]*wantXh + beta.Data[ch]
+		xhat[idx] = (x.Data[idx] - mean[ch]) * invStd[ch]
+		want := gamma.Data[ch]*xhat[idx] + beta.Data[ch]
 		if math.Abs(float64(y[idx]-want)) > 1e-5 {
 			t.Fatalf("y[%d] = %v, want %v", idx, y[idx], want)
 		}
@@ -347,7 +344,7 @@ func TestBatchNormKernelsMatchReference(t *testing.T) {
 	dx := make([]float32, n*c*hw)
 	dg := make([]float32, c)
 	db := make([]float32, c)
-	BatchNormBwdInto(dx, dg, db, dy.Data, xhat, invStd, gamma.Data, n, c, hw, true)
+	BatchNormBwdInto(dx, dg, db, dy.Data, x.Data, mean, invStd, gamma.Data, n, c, hw, true)
 	for ch := 0; ch < c; ch++ {
 		var sumDy, sumDyXhat float64
 		for b := 0; b < n; b++ {
@@ -374,7 +371,7 @@ func TestBatchNormKernelsMatchReference(t *testing.T) {
 
 	// Eval mode: dx += gamma·invStd·dy only.
 	dxe := make([]float32, n*c*hw)
-	BatchNormBwdInto(dxe, nil, nil, dy.Data, xhat, invStd, gamma.Data, n, c, hw, false)
+	BatchNormBwdInto(dxe, nil, nil, dy.Data, x.Data, mean, invStd, gamma.Data, n, c, hw, false)
 	for idx := range dxe {
 		ch := (idx / hw) % c
 		want := gamma.Data[ch] * invStd[ch] * dy.Data[idx]
@@ -424,17 +421,36 @@ func TestFusedBiasReLUKernels(t *testing.T) {
 	}
 
 	// Mask helpers.
-	y := []float32{1, 0, 2, 0}
-	dy := []float32{5, 6, 7, 8}
-	dpre := make([]float32, 4)
-	ReLUMaskInto(dpre, dy, y)
-	if dpre[0] != 5 || dpre[1] != 0 || dpre[2] != 7 || dpre[3] != 0 {
-		t.Fatalf("ReLUMaskInto = %v", dpre)
+	y := []float32{1, 0, 6, -0.0, 7}
+	for act, want := range map[Act][]float32{ActNone: {5, 6, 7, 8, 9}, ActReLU: {5, 0, 7, 0, 9}, ActReLU6: {5, 0, 0, 0, 0}} {
+		dy := []float32{5, 6, 7, 8, 9}
+		act.MaskGrad(dy, y)
+		for i := range want {
+			if dy[i] != want[i] {
+				t.Fatalf("Act(%d).MaskGrad = %v, want %v", act, dy, want)
+			}
+		}
 	}
-	dx := []float32{1, 1, 1, 1}
-	ReLUMaskAddInto(dx, dy, y)
-	if dx[0] != 6 || dx[1] != 1 || dx[2] != 8 || dx[3] != 1 {
-		t.Fatalf("ReLUMaskAddInto = %v", dx)
+	for act, want := range map[Act][]float32{ActNone: {-1, 0.5, 7}, ActReLU: {0, 0.5, 7}, ActReLU6: {0, 0.5, 6}} {
+		buf := []float32{-1, 0.5, 7}
+		act.Apply(buf)
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Fatalf("Act(%d).Apply = %v, want %v", act, buf, want)
+			}
+		}
+	}
+	chanOut := make([]float32, 8)
+	AddChanBiasInto(chanOut, []float32{1, 2, 3, 4, 5, 6, 7, 8}, []float32{10, 20}, 2, 2, 2)
+	for i, want := range []float32{11, 12, 23, 24, 15, 16, 27, 28} {
+		if chanOut[i] != want {
+			t.Fatalf("AddChanBiasInto = %v", chanOut)
+		}
+	}
+	dchan := make([]float32, 2)
+	ChanSumAddInto(dchan, []float32{1, 2, 3, 4, 5, 6, 7, 8}, 2, 2, 2)
+	if dchan[0] != 14 || dchan[1] != 22 {
+		t.Fatalf("ChanSumAddInto = %v", dchan)
 	}
 	dbias := make([]float32, 2)
 	ColSumAddInto(dbias, []float32{1, 2, 3, 4, 5, 6}, 3, 2)
@@ -463,18 +479,18 @@ func TestFusedKernelsDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	type result struct {
-		y, xhat, dx, sm, smDx, probs, dl, dlInPlace []float32
-		invStd                                      []float32
-		loss                                        float64
+		y, dx, sm, smDx, probs, dl, dlInPlace []float32
+		mean, invStd                          []float32
+		loss                                  float64
 	}
 	run := func() result {
 		var res result
 		res.y = make([]float32, rows*d)
-		res.xhat = make([]float32, rows*d)
+		res.mean = make([]float32, rows)
 		res.invStd = make([]float32, rows)
-		LayerNormFwdInto(res.y, res.xhat, res.invStd, x.Data, gamma.Data, beta.Data, rows, d, 1e-5)
+		LayerNormFwdInto(res.y, res.mean, res.invStd, x.Data, gamma.Data, beta.Data, rows, d, 1e-5)
 		res.dx = make([]float32, rows*d)
-		LayerNormBwdInto(res.dx, nil, nil, dy.Data, res.xhat, res.invStd, gamma.Data, rows, d)
+		LayerNormBwdInto(res.dx, nil, nil, dy.Data, x.Data, res.mean, res.invStd, gamma.Data, rows, d)
 		res.sm = make([]float32, rows*d)
 		SoftmaxRowsInto(res.sm, x.Data, rows, d)
 		res.smDx = make([]float32, rows*d)
@@ -502,7 +518,7 @@ func TestFusedKernelsDeterministicAcrossWorkers(t *testing.T) {
 	for _, wk := range []int{2, 3, 8} {
 		SetMaxWorkers(wk)
 		got := run()
-		if !equal(got.y, ref.y) || !equal(got.xhat, ref.xhat) || !equal(got.invStd, ref.invStd) {
+		if !equal(got.y, ref.y) || !equal(got.mean, ref.mean) || !equal(got.invStd, ref.invStd) {
 			t.Errorf("workers=%d: LayerNorm forward not bit-identical", wk)
 		}
 		if !equal(got.dx, ref.dx) {
@@ -532,11 +548,10 @@ func TestFusedKernelsDeterministicAcrossWorkers(t *testing.T) {
 		for ch := range invStd {
 			invStd[ch] = float32(1 / math.Sqrt(float64(varv[ch])+1e-5))
 		}
-		xhat := make([]float32, n*c*hw)
 		y := make([]float32, n*c*hw)
-		BatchNormFwdInto(y, xhat, xb.Data, mean, invStd, gb.Data, make([]float32, c), n, c, hw)
+		BatchNormFwdInto(y, xb.Data, mean, invStd, gb.Data, make([]float32, c), n, c, hw, ActReLU)
 		dx = make([]float32, n*c*hw)
-		BatchNormBwdInto(dx, make([]float32, c), make([]float32, c), dyb.Data, xhat, invStd, gb.Data, n, c, hw, true)
+		BatchNormBwdInto(dx, make([]float32, c), make([]float32, c), dyb.Data, xb.Data, mean, invStd, gb.Data, n, c, hw, true)
 		return mean, varv, dx
 	}
 	SetMaxWorkers(1)

@@ -32,10 +32,10 @@ func dot4SIMD(a, b0, b1, b2, b3 []float32, out *[4]float32)
 func expRowSumSIMD(dst, src []float32, maxv float32) float64
 
 //go:noescape
-func normAffineSIMD(dst, xh, src, gamma, beta []float32, mu, is float32)
+func normAffineSIMD(dst, src, gamma, beta []float32, mu, is float32)
 
 //go:noescape
-func lnBwdDxSIMD(dx, dy, gamma, xh []float32, mDy, mDyX, is float32)
+func lnBwdDxSIMD(dx, dy, gamma, x []float32, mDy, mDyX, is, mu float32)
 
 //go:noescape
 func tanhRowSIMD(dst, src []float32)

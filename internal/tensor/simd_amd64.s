@@ -416,19 +416,19 @@ esum:
 	VZEROUPPER
 	RET
 
-// func normAffineSIMD(dst, xh, src, gamma, beta []float32, mu, is float32)
+// func normAffineSIMD(dst, src, gamma, beta []float32, mu, is float32)
 //
-// For j in [0, len&^7): h = (src[j]-mu)*is; xh[j] = h;
-// dst[j] = gamma[j]*h + beta[j]. Tail is the caller's job.
-TEXT ·normAffineSIMD(SB), NOSPLIT, $0-128
+// For j in [0, len&^7): dst[j] = gamma[j]*((src[j]-mu)*is) + beta[j], the
+// normalised value rounded to float32 before the multiply-add. Tail is the
+// caller's job.
+TEXT ·normAffineSIMD(SB), NOSPLIT, $0-104
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
-	MOVQ xh_base+24(FP), R8
-	MOVQ src_base+48(FP), SI
-	MOVQ gamma_base+72(FP), R9
-	MOVQ beta_base+96(FP), R10
-	VBROADCASTSS mu+120(FP), Y14
-	VBROADCASTSS is+124(FP), Y15
+	MOVQ src_base+24(FP), SI
+	MOVQ gamma_base+48(FP), R9
+	MOVQ beta_base+72(FP), R10
+	VBROADCASTSS mu+96(FP), Y14
+	VBROADCASTSS is+100(FP), Y15
 	XORQ AX, AX
 	MOVQ CX, BX
 	ANDQ $-8, BX
@@ -438,7 +438,6 @@ nloop8:
 	VMOVUPS (SI)(AX*4), Y0
 	VSUBPS Y14, Y0, Y0               // src - mu
 	VMULPS Y15, Y0, Y0               // h
-	VMOVUPS Y0, (R8)(AX*4)
 	VMOVUPS (R10)(AX*4), Y1          // beta
 	VFMADD231PS (R9)(AX*4), Y0, Y1   // beta + gamma*h
 	VMOVUPS Y1, (DI)(AX*4)
@@ -449,19 +448,21 @@ ndone:
 	VZEROUPPER
 	RET
 
-// func lnBwdDxSIMD(dx, dy, gamma, xh []float32, mDy, mDyX, is float32)
+// func lnBwdDxSIMD(dx, dy, gamma, x []float32, mDy, mDyX, is, mu float32)
 //
-// For j in [0, len&^7): dx[j] += is*(dy[j]*gamma[j] - mDy - xh[j]*mDyX).
-// Tail is the caller's job.
-TEXT ·lnBwdDxSIMD(SB), NOSPLIT, $0-108
+// For j in [0, len&^7): dx[j] += is*(dy[j]*gamma[j] - mDy - h*mDyX) with
+// h = (x[j]-mu)*is recomputed exactly as normAffineSIMD formed it. Tail is
+// the caller's job.
+TEXT ·lnBwdDxSIMD(SB), NOSPLIT, $0-112
 	MOVQ dx_base+0(FP), DI
 	MOVQ dx_len+8(FP), CX
 	MOVQ dy_base+24(FP), SI
 	MOVQ gamma_base+48(FP), R8
-	MOVQ xh_base+72(FP), R9
+	MOVQ x_base+72(FP), R9
 	VBROADCASTSS mDy+96(FP), Y13
 	VBROADCASTSS mDyX+100(FP), Y14
 	VBROADCASTSS is+104(FP), Y15
+	VBROADCASTSS mu+108(FP), Y12
 	XORQ AX, AX
 	MOVQ CX, BX
 	ANDQ $-8, BX
@@ -471,8 +472,10 @@ lloop8:
 	VMOVUPS (SI)(AX*4), Y0           // dy
 	VMULPS (R8)(AX*4), Y0, Y0        // dy*gamma
 	VSUBPS Y13, Y0, Y0               // - mDy
-	VMOVUPS (R9)(AX*4), Y1           // xh
-	VFNMADD231PS Y14, Y1, Y0         // - xh*mDyX
+	VMOVUPS (R9)(AX*4), Y1           // x
+	VSUBPS Y12, Y1, Y1               // x - mu
+	VMULPS Y15, Y1, Y1               // h
+	VFNMADD231PS Y14, Y1, Y0         // - h*mDyX
 	VMOVUPS (DI)(AX*4), Y2
 	VFMADD231PS Y15, Y0, Y2          // dx += is * t
 	VMOVUPS Y2, (DI)(AX*4)

@@ -33,11 +33,11 @@ func expRowSumSIMD(dst, src []float32, maxv float32) float64 {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
-func normAffineSIMD(dst, xh, src, gamma, beta []float32, mu, is float32) {
+func normAffineSIMD(dst, src, gamma, beta []float32, mu, is float32) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
-func lnBwdDxSIMD(dx, dy, gamma, xh []float32, mDy, mDyX, is float32) {
+func lnBwdDxSIMD(dx, dy, gamma, x []float32, mDy, mDyX, is, mu float32) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
