@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"time"
 
 	"amalgam/internal/serialize"
-	"amalgam/internal/tensor"
 )
 
 // StreamHandlers receives server-pushed frames during TrainContext or
@@ -22,7 +23,9 @@ type StreamHandlers struct {
 	Progress func(EpochMetric)
 	// Checkpoint receives mid-job snapshots (weights, job kind, momentum
 	// state, RNG cursors) when Hyper.CheckpointEvery > 0 — ready to hand
-	// to serialize.SaveTrainCheckpoint unchanged.
+	// to serialize.SaveTrainCheckpoint unchanged. The epoch a run ends on
+	// has no checkpoint frame (the response is that snapshot):
+	// TrainContext hands the hook the response in its place.
 	Checkpoint func(ck *serialize.TrainCheckpoint)
 }
 
@@ -68,113 +71,65 @@ func dialFrames(ctx context.Context, addr string, net_ NetConfig) (*deadlineConn
 	return newDeadlineConn(raw, net_.FrameTimeout, net_.FrameTimeout), nil
 }
 
-// frame is one staged request frame.
+// frame is one frame held in memory: kind and payload.
 type frame struct {
 	kind    byte
 	payload []byte
 }
 
-// requestFrames serializes a request (spec through init state). The
-// terminator (msgDone or msgSubmit) is the caller's: it decides between
-// training on this connection and submitting for later.
-func requestFrames(req *TrainRequest) ([]frame, error) {
-	specPayload, err := encodeSpecFrame(req.Spec)
-	if err != nil {
-		return nil, err
-	}
-	hyperJSON, err := json.Marshal(req.Hyper)
-	if err != nil {
-		return nil, err
-	}
-	frames := []frame{
-		{msgSpec, specPayload},
-		{msgHyper, hyperJSON},
-	}
-	add := func(kind byte, size int, write func(io.Writer) error) error {
-		payload, err := sizedPayload(size, write)
-		if err != nil {
-			return err
-		}
-		frames = append(frames, frame{kind, payload})
-		return nil
-	}
-	addIntSlice := func(kind byte, s []int) error {
-		return add(kind, serialize.IntSliceSize(s), func(w io.Writer) error { return serialize.WriteIntSlice(w, s) })
-	}
-	addTensor := func(kind byte, t *tensor.Tensor) error {
-		return add(kind, serialize.TensorSize(t), func(w io.Writer) error { return serialize.WriteTensor(w, t) })
-	}
-	if err := addIntSlice(msgLabels, req.Labels); err != nil {
-		return nil, err
-	}
-	if req.Images != nil {
-		if err := addTensor(msgImages, req.Images); err != nil {
-			return nil, err
-		}
-	}
-	if len(req.Samples) > 0 {
-		if err := addIntSlice(msgTokens, flattenSamples(req.Samples)); err != nil {
-			return nil, err
-		}
-	}
-	if req.EvalImages != nil {
-		if err := addTensor(msgEvalImages, req.EvalImages); err != nil {
-			return nil, err
-		}
-		if err := addIntSlice(msgEvalLabels, req.EvalLabels); err != nil {
-			return nil, err
-		}
-	}
-	if len(req.EvalSamples) > 0 {
-		if err := addIntSlice(msgEvalTokens, flattenSamples(req.EvalSamples)); err != nil {
-			return nil, err
-		}
-		// LM eval splits are unlabelled windows; only classification jobs
-		// have eval labels to ship.
-		if len(req.EvalLabels) > 0 {
-			if err := addIntSlice(msgEvalLabels, req.EvalLabels); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if req.InitState != nil {
-		err := add(msgInit, serialize.StateDictSize(req.InitState), func(w io.Writer) error {
-			return serialize.WriteStateDict(w, req.InitState)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !req.InitOptState.Empty() {
-		err := add(msgOptState, serialize.OptStateSize(req.InitOptState), func(w io.Writer) error {
-			return serialize.WriteOptState(w, req.InitOptState)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(req.InitRNG) > 0 {
-		var rngBuf bytes.Buffer
-		if err := serialize.WriteBytesDict(&rngBuf, req.InitRNG); err != nil {
-			return nil, err
-		}
-		frames = append(frames, frame{msgRNGState, rngBuf.Bytes()})
-	}
-	return frames, nil
-}
-
-// writeRequest puts a full request on the wire, ending with terminator.
+// writeRequest puts a full request on the wire, ending with terminator
+// (msgDone: train on this connection; msgSubmit: enqueue for later). Data
+// and state frames are encoded from their tensors straight onto the
+// connection: the server reads one while the client encodes the next.
 func writeRequest(w io.Writer, req *TrainRequest, terminator byte) error {
-	frames, err := requestFrames(req)
+	specPayload, err := encodeSpecFrame(req.Spec)
 	if err != nil {
 		return err
 	}
-	for _, f := range frames {
-		if err := writeFrame(w, f.kind, f.payload); err != nil {
-			return err
+	s := newFrameStream(w)
+	s.bytes(msgSpec, specPayload)
+	s.json(msgHyper, req.Hyper)
+	s.ints(msgLabels, req.Labels)
+	if req.Images != nil {
+		s.tensor(msgImages, req.Images)
+	}
+	if len(req.Samples) > 0 {
+		s.ints(msgTokens, flattenSamples(req.Samples))
+	}
+	if req.EvalImages != nil {
+		s.tensor(msgEvalImages, req.EvalImages)
+		s.ints(msgEvalLabels, req.EvalLabels)
+	}
+	if len(req.EvalSamples) > 0 {
+		s.ints(msgEvalTokens, flattenSamples(req.EvalSamples))
+		// LM eval splits are unlabelled windows; only classification jobs
+		// have eval labels to ship.
+		if len(req.EvalLabels) > 0 {
+			s.ints(msgEvalLabels, req.EvalLabels)
 		}
 	}
-	return writeFrame(w, terminator, nil)
+	if req.InitState != nil {
+		s.stateDict(msgInit, req.InitState)
+	}
+	s.resumeState(req.InitOptState, req.InitRNG)
+	s.bytes(terminator, nil)
+	return s.flush()
+}
+
+// sendRequest uploads req. A server that refuses an early frame answers
+// and may stop reading, failing the rest of the upload with a reset that
+// says nothing of why: on a transport error the refusal, when one is there
+// to be read, is what sendRequest reports — fatal, not retried.
+func sendRequest(conn *deadlineConn, req *TrainRequest, terminator byte) error {
+	werr := writeRequest(conn, req, terminator)
+	if werr == nil || !IsTransient(werr) || errors.Is(werr, os.ErrDeadlineExceeded) {
+		return werr
+	}
+	conn.setHardReadDeadline(time.Now().Add(cancelDrainTimeout))
+	if kind, payload, err := conn.readFrame(); err == nil && kind == msgError {
+		return decodeErrorFrame(payload)
+	}
+	return werr
 }
 
 // decodeErrorFrame maps a msgError payload (errCode byte + message) back
@@ -279,10 +234,20 @@ func TrainContextNet(ctx context.Context, addr string, req *TrainRequest, h Stre
 		return nil, err
 	}
 	defer conn.Close()
-	if err := writeRequest(conn, req, msgDone); err != nil {
+	if err := sendRequest(conn, req, msgDone); err != nil {
 		return nil, err
 	}
-	return readJobStream(ctx, conn, h)
+	resp, err := readJobStream(ctx, conn, h)
+	if every := req.Hyper.CheckpointEvery; err == nil && h.Checkpoint != nil &&
+		every > 0 && resp.CompletedEpochs == req.Hyper.Epochs && req.Hyper.Epochs%every == 0 {
+		// The run ended on the checkpoint cadence and the server ships that
+		// boundary once, as the response: the hook gets it from there.
+		h.Checkpoint(&serialize.TrainCheckpoint{
+			Epoch: resp.CompletedEpochs, Kind: req.Spec.Kind,
+			State: resp.State, OptState: resp.OptState, RNG: resp.RNG,
+		})
+	}
+	return resp, err
 }
 
 // SubmitContext submits a job and returns its durable job ID without
@@ -298,7 +263,7 @@ func SubmitContext(ctx context.Context, addr string, req *TrainRequest, net_ Net
 	}
 	defer conn.Close()
 
-	if err := writeRequest(conn, req, msgSubmit); err != nil {
+	if err := sendRequest(conn, req, msgSubmit); err != nil {
 		return "", err
 	}
 	kind, payload, err := conn.readFrame()

@@ -554,16 +554,27 @@ func runTraining(ctx context.Context, req *TrainRequest,
 	progress func(EpochMetric) error,
 	checkpoint func(*Snapshot) error) (*TrainResponse, error) {
 
-	model, err := BuildModel(req.Spec)
+	model, err := buildLoaded(req)
 	if err != nil {
 		return nil, err
 	}
-	if req.InitState != nil {
-		if err := nn.LoadStateDict(model, req.InitState); err != nil {
-			return nil, fmt.Errorf("cloudsim: loading client init: %w", err)
+	return TrainLoop(ctx, model, req, progress, checkpoint)
+}
+
+// buildLoaded builds the model req's spec describes and copies the
+// client's initial state into it (req.InitState is then a copy nobody
+// reads). A spec that does not build, a state that does not fit: ErrBadRequest.
+func buildLoaded(req *TrainRequest) (Trainable, error) {
+	model, err := BuildModel(req.Spec)
+	if err == nil && req.InitState != nil {
+		if err = nn.LoadStateDict(model, req.InitState); err != nil {
+			err = fmt.Errorf("cloudsim: loading client init: %w", err)
 		}
 	}
-	return TrainLoop(ctx, model, req, progress, checkpoint)
+	if err != nil && !errors.Is(err, ErrBadRequest) {
+		err = fmt.Errorf("%w: %w", err, ErrBadRequest)
+	}
+	return model, err
 }
 
 // TrainLoop is THE obfuscated-training epoch loop: it trains model on
@@ -578,7 +589,9 @@ func runTraining(ctx context.Context, req *TrainRequest,
 // progress (if non-nil) is called after every epoch; checkpoint (if
 // non-nil, and hyper.CheckpointEvery > 0) receives an epoch-aligned
 // Snapshot (state dict, momentum buffers, dropout-stream cursors) at
-// checkpoint boundaries. A cancelled ctx stops the loop at the NEXT
+// checkpoint boundaries — except the one the run ends on, hyper.Epochs: the
+// response returned right after it IS that snapshot, to be saved or
+// shipped once, from there. A cancelled ctx stops the loop at the NEXT
 // EPOCH BOUNDARY (the in-flight epoch completes) and returns the state
 // with Cancelled set — not an error, so the caller still gets the
 // weights. Epoch granularity keeps the returned state and
@@ -703,7 +716,7 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 				return nil, err
 			}
 		}
-		if checkpoint != nil && hyper.CheckpointEvery > 0 && (e+1)%hyper.CheckpointEvery == 0 {
+		if checkpoint != nil && hyper.CheckpointEvery > 0 && (e+1)%hyper.CheckpointEvery == 0 && e+1 < hyper.Epochs {
 			rng, err := nn.RNGStates(model)
 			if err != nil {
 				return nil, err

@@ -160,7 +160,11 @@ func TestServerReportsErrors(t *testing.T) {
 
 func TestProviderViewAnonymised(t *testing.T) {
 	req, _, key := tinyJob(t, true)
-	view := CaptureProviderView(req)
+	model, err := BuildModel(req.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := CaptureProviderView(req, model)
 	if view.H != key.AugH || view.W != key.AugW {
 		t.Fatalf("provider sees %dx%d, want augmented %dx%d", view.H, view.W, key.AugH, key.AugW)
 	}

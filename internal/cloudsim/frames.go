@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -10,6 +11,10 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"amalgam/internal/optim"
+	"amalgam/internal/serialize"
+	"amalgam/internal/tensor"
 )
 
 // Wire protocol v3. Every message is a frame: a 1-byte kind, a uint32
@@ -30,7 +35,8 @@ import (
 //	infer    msgInfer, answered by msgInferResult, repeatable.
 //
 // A job stream is: msgProgress per epoch (when Hyper.Stream; always on
-// attach), msgCheckpoint every Hyper.CheckpointEvery epochs, then
+// attach), msgCheckpoint every Hyper.CheckpointEvery epochs EXCEPT the
+// run's last (the terminal frames that follow are that snapshot), then
 // msgResult, msgOptState (when the optimiser holds state), msgRNGState
 // (when the model has dropout cursors), msgState. A server draining for
 // shutdown ends the stream instead with an epoch-aligned msgCheckpoint
@@ -40,10 +46,14 @@ import (
 // A checkpoint is cut ONCE, on the executor, inside TrainLoop's
 // checkpoint callback at the epoch boundary: the live weights, optimiser
 // buffers and RNG cursors are encoded there into one exactly-sized
-// msgCheckpoint payload, and from then on only those immutable bytes
-// travel — parked on the job for a later attach, queued to the attached
-// connection, replayed — never re-encoded, never aliasing a tensor the
-// next epoch is already changing. A job stream's progress and checkpoint
+// msgCheckpoint payload in a buffer the job owns (ckptBuf), and from then
+// on only those bytes travel — parked on the job for a later attach,
+// queued to the attached connection, replayed — never re-encoded, never
+// aliasing a tensor the next epoch is already changing, immutable until
+// their last holder returns them to the job. Every other large frame (the
+// request's data and state, the terminal state frames) is not staged at
+// all: writeFrameFrom encodes it from its tensors straight onto the
+// buffered connection. A job stream's progress and checkpoint
 // frames are written by the connection's own writer goroutine
 // (connWriter) from a FIFO of sinkQueueDepth frames, so with the frame
 // being written at most one epoch's two frames are in flight: the
@@ -99,16 +109,21 @@ const frameAllocChunk = 1 << 20
 // corrupting the stream mid-job; now the sender gets a clear error and
 // writes nothing.
 func writeFrame(w io.Writer, kind byte, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("cloudsim: frame type %d payload of %d bytes exceeds the %d-byte frame limit: %w",
-			kind, len(payload), maxFrame, ErrFrameTooLarge)
-	}
-	hdr := [5]byte{kind}
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if err := writeFrameHeader(w, kind, len(payload)); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
+	return err
+}
+
+func writeFrameHeader(w io.Writer, kind byte, size int) error {
+	if size > maxFrame {
+		return fmt.Errorf("cloudsim: frame type %d payload of %d bytes exceeds the %d-byte frame limit: %w",
+			kind, size, maxFrame, ErrFrameTooLarge)
+	}
+	hdr := [5]byte{kind}
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(size))
+	_, err := w.Write(hdr[:])
 	return err
 }
 
@@ -162,15 +177,102 @@ func (fr *frameReader) next() (byte, []byte, error) {
 	return fr.hdr[0], fr.buf[:size], nil
 }
 
-// sizedPayload builds a frame payload in one allocation: write runs
-// against a buffer of exactly size bytes, the serialize …Size of what it
-// writes.
-func sizedPayload(size int, write func(io.Writer) error) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, size))
-	if err := write(buf); err != nil {
-		return nil, err
+// writeFrameFrom emits one frame with no staging copy: the header promises
+// size — the exact serialize …Size of what write encodes — and the
+// encoder's output follows it straight onto w. Any other number of bytes
+// is an error: the excess is never forwarded, and the peer reads a
+// truncated stream whose earlier frames stand.
+func writeFrameFrom(w io.Writer, kind byte, size int, write func(io.Writer) error) error {
+	if err := writeFrameHeader(w, kind, size); err != nil {
+		return err
 	}
-	return buf.Bytes(), nil
+	body := exactWriter{w: w, left: size}
+	if err := write(&body); err != nil {
+		return err
+	}
+	if body.left != 0 {
+		return fmt.Errorf("cloudsim: frame type %d encoder stopped %d bytes short of the %d its header promised: %w",
+			kind, body.left, size, io.ErrShortWrite)
+	}
+	return nil
+}
+
+// exactWriter forwards at most left bytes.
+type exactWriter struct {
+	w    io.Writer
+	left int
+}
+
+func (e *exactWriter) Write(p []byte) (int, error) {
+	if e.left -= len(p); e.left < 0 {
+		return 0, fmt.Errorf("cloudsim: frame encoder overran its promised size by %d bytes: %w", -e.left, io.ErrShortWrite)
+	}
+	return e.w.Write(p)
+}
+
+// frameStream writes a run of frames (a request, a job's terminal frames)
+// through one buffer: headers and small entries do not each become a
+// packet, tensor-sized writes still pass through uncopied. The first error
+// sticks; flush reports it.
+type frameStream struct {
+	w   *bufio.Writer
+	err error
+}
+
+func newFrameStream(w io.Writer) *frameStream {
+	return &frameStream{w: bufio.NewWriterSize(w, 64<<10)}
+}
+
+func (s *frameStream) bytes(kind byte, payload []byte) {
+	if s.err == nil {
+		s.err = writeFrame(s.w, kind, payload)
+	}
+}
+
+func (s *frameStream) from(kind byte, size int, write func(io.Writer) error) {
+	if s.err == nil {
+		s.err = writeFrameFrom(s.w, kind, size, write)
+	}
+}
+
+func (s *frameStream) json(kind byte, v any) {
+	js, err := json.Marshal(v)
+	if s.err == nil {
+		s.err = err
+	}
+	s.bytes(kind, js)
+}
+
+func (s *frameStream) ints(kind byte, v []int) {
+	s.from(kind, serialize.IntSliceSize(v), func(w io.Writer) error { return serialize.WriteIntSlice(w, v) })
+}
+func (s *frameStream) tensor(kind byte, t *tensor.Tensor) {
+	s.from(kind, serialize.TensorSize(t), func(w io.Writer) error { return serialize.WriteTensor(w, t) })
+}
+func (s *frameStream) stateDict(kind byte, dict map[string]*tensor.Tensor) {
+	s.from(kind, serialize.StateDictSize(dict), func(w io.Writer) error { return serialize.WriteStateDict(w, dict) })
+}
+
+// resumeState writes the optimiser-state and RNG-cursor frames, each only
+// when non-empty. The cursors, a few bytes per dropout layer, are staged.
+func (s *frameStream) resumeState(opt *optim.State, rng map[string][]byte) {
+	if !opt.Empty() {
+		s.from(msgOptState, serialize.OptStateSize(opt), func(w io.Writer) error { return serialize.WriteOptState(w, opt) })
+	}
+	if len(rng) > 0 {
+		var buf bytes.Buffer
+		if err := serialize.WriteBytesDict(&buf, rng); err != nil && s.err == nil {
+			s.err = err
+		}
+		s.bytes(msgRNGState, buf.Bytes())
+	}
+}
+
+func (s *frameStream) flush() error {
+	if s.err == nil {
+		s.err = s.w.Flush()
+	}
+	return s.err
 }
 
 // encodeSpecFrame builds a spec payload: version byte + JSON.
@@ -287,6 +389,9 @@ func reshapeSamples(flat []int, seqLen int) ([][]int, error) {
 type deadlineConn struct {
 	net.Conn
 	frames frameReader
+	// streaming is set by the server once the request phase is over and a
+	// job stream has begun: an error from then on refuses no upload.
+	streaming bool
 
 	mu           sync.Mutex
 	readTimeout  time.Duration

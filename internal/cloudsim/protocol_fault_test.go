@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -466,35 +465,39 @@ func TestFramePlumbingAllocs(t *testing.T) {
 
 // TestFramePlumbingAllocsCheckpoint pins the two buffers a streamed checkpoint
 // costs: the server cuts a snapshot into ONE buffer of exactly
-// TrainCheckpointSize bytes, and a connection's frame reader, having
-// earned a large frame's capacity once, reads the next frame of that size
-// without allocating. (The third, the client's decode at no more than
-// 1.1x the payload, is pinned in internal/serialize.)
+// TrainCheckpointSize bytes — and, once its last holder has let go of it,
+// cuts the next into the same buffer for nothing — and a connection's
+// frame reader, having earned a large frame's capacity once, reads the
+// next frame of that size without allocating. (The third, the client's
+// decode at no more than 1.1x the payload, is pinned in
+// internal/serialize.)
 func TestFramePlumbingAllocsCheckpoint(t *testing.T) {
-	allocated := func(fn func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		fn()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
+	allocated := allocatedBy
 	state := map[string]*tensor.Tensor{"emb": tensor.New(40000, 16), "fc.w": tensor.New(16, 3)}
 	snap := &Snapshot{Epoch: 4, State: state,
 		OptState: &optim.State{Kind: optim.KindSGD, LR: 0.05, Buffers: map[string]*tensor.Tensor{"emb": tensor.New(40000, 16)}}}
 	size := serialize.TrainCheckpointSize(&serialize.TrainCheckpoint{
 		Epoch: snap.Epoch, Kind: "augmented-text", State: snap.State, OptState: snap.OptState})
-	var payload []byte
-	grew := allocated(func() {
+	job := &schedJob{req: &TrainRequest{Spec: ModelSpec{Kind: "augmented-text"}}, spare: make(chan *ckptBuf, 2)}
+	var cut *ckptBuf
+	cutOne := func() {
 		var err error
-		if payload, err = cutCheckpoint("augmented-text", snap); err != nil {
+		if cut, err = job.cutCheckpoint(snap); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	grew := allocated(cutOne)
+	payload := cut.payload
 	if len(payload) != size || cap(payload) != size {
 		t.Fatalf("cut %d bytes in a buffer of %d, want exactly TrainCheckpointSize = %d", len(payload), cap(payload), size)
 	}
 	if limit := uint64(size) + 64<<10; grew > limit {
 		t.Errorf("cutting a %d-byte checkpoint allocated %d bytes, want the one buffer (limit %d)", size, grew, limit)
+	}
+	cut.release() // its only holder: back to the job
+	if again := allocated(cutOne); again > 64<<10 || &cut.payload[0] != &payload[0] {
+		t.Errorf("the cut after a release allocated %d bytes (same buffer: %v), want the returned buffer reused",
+			again, &cut.payload[0] == &payload[0])
 	}
 
 	var raw bytes.Buffer

@@ -7,3 +7,5 @@ package cloudsim
 // and scheduling overhead would stretch 200 concurrent trainings past CI
 // budgets without sharpening the interleaving coverage.
 const schedLoadJobs = 200
+
+const raceEnabled = false

@@ -1,11 +1,12 @@
 package cloudsim
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"amalgam/internal/serialize"
 	"amalgam/internal/tensor"
@@ -85,22 +86,27 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 // per job (latest attach wins); both hooks are called with the job lock
 // held, in epoch order. A hook returning an error detaches the sink — the
 // job keeps running, its output still buffers for the next attach. Either
-// hook may be nil. checkpoint receives an encoded msgCheckpoint payload:
-// immutable bytes every sink and the job's parked copy share.
+// hook may be nil. checkpoint receives bytes every sink and the job's parked
+// slot share; a sink that keeps them past the call takes its own hold.
 type attachSink struct {
 	progress   func(EpochMetric) error
-	checkpoint func(payload []byte) error
+	checkpoint func(c *ckptBuf) error
 }
 
 // schedJob is one registry entry. The scheduler's mutex guards queue
 // membership; the job's own mutex guards its mutable record (state,
 // buffered output, sink, result) so a slow attached client blocks only
 // its own job's delivery, never the whole scheduler.
+// A job holds its state once: admission builds the model the executor
+// trains, with the client's initial state loaded into it and dropped from
+// req; the terminal transition keeps the response and lets go of the rest.
 type schedJob struct {
 	id     string
 	tenant string
-	req    *TrainRequest
+	req    *TrainRequest // the job's own copy; payload and init state dropped when terminal
 	view   ProviderView
+	model  Trainable     // built at admission, trained by the executor, nil once terminal
+	spare  chan *ckptBuf // checkpoint buffers handed back for the next cut; the executor's
 
 	mu        sync.Mutex
 	state     JobState
@@ -108,26 +114,70 @@ type schedJob struct {
 	preCancel bool               // cancel arrived before dispatch
 	lastEpoch int                // latest completed epoch seen in progress
 	stats     []EpochMetric      // buffered per-epoch output for attach
-	ckpt      []byte             // latest parked epoch-boundary checkpoint, as cut (see cutCheckpoint)
-	ckptEpoch int                // the epoch ckpt was cut at
+	ckpt      *ckptBuf           // latest parked epoch-boundary checkpoint; nil once terminal (resp is newer)
 	resp      *TrainResponse
 	err       error
 	sink      *attachSink
 	done      chan struct{} // closed on terminal transition
 }
 
-// cutCheckpoint encodes an epoch-boundary snapshot into its msgCheckpoint
-// payload — a full training checkpoint, the same bytes WithCheckpoint
-// writes to disk — in one exactly-sized buffer. It must run inside the
-// checkpoint callback: the snapshot aliases live tensors.
-func cutCheckpoint(kind string, snap *Snapshot) ([]byte, error) {
+// ckptBuf is one cut checkpoint: an encoded msgCheckpoint payload — the
+// bytes WithCheckpoint writes to disk — and the count of who may still
+// read it: the job's parked slot, every connWriter it is queued on. The
+// bytes are immutable until the last holder lets go, which hands the
+// buffer back to the job for its next cut (two alternate for a client that
+// keeps up; a stalled or superseded writer pins a third). Buffers die with
+// their job: it forgets its spares, a later release lands where nobody reads.
+type ckptBuf struct {
+	payload []byte
+	epoch   int
+	holders atomic.Int32
+	spare   chan<- *ckptBuf
+}
+
+// ckptReturned, when set (tests), sees every buffer as its last holder lets go.
+var ckptReturned func(*ckptBuf)
+
+// release lets go of one hold; a nil c holds nothing.
+func (c *ckptBuf) release() {
+	if c == nil || c.holders.Add(-1) > 0 {
+		return
+	}
+	if ckptReturned != nil {
+		ckptReturned(c)
+	}
+	select {
+	case c.spare <- c:
+	default:
+	}
+}
+
+// cutCheckpoint encodes an epoch-boundary snapshot into a buffer of the
+// job's — a returned one when there is one — held once, for the parked
+// slot. It must run inside the checkpoint callback, on the executor: the
+// snapshot aliases live tensors.
+func (j *schedJob) cutCheckpoint(snap *Snapshot) (*ckptBuf, error) {
 	ck := &serialize.TrainCheckpoint{
-		Epoch: snap.Epoch, Kind: kind,
+		Epoch: snap.Epoch, Kind: j.req.Spec.Kind,
 		State: snap.State, OptState: snap.OptState, RNG: snap.RNG,
 	}
-	return sizedPayload(serialize.TrainCheckpointSize(ck), func(w io.Writer) error {
-		return serialize.WriteTrainCheckpoint(w, ck)
-	})
+	size := serialize.TrainCheckpointSize(ck)
+	var c *ckptBuf
+	select {
+	case c = <-j.spare:
+	default:
+		c = &ckptBuf{spare: j.spare}
+	}
+	if cap(c.payload) < size {
+		c.payload = make([]byte, 0, size)
+	}
+	buf := bytes.NewBuffer(c.payload[:0])
+	if err := serialize.WriteTrainCheckpoint(buf, ck); err != nil {
+		return nil, err
+	}
+	c.payload, c.epoch = buf.Bytes(), snap.Epoch
+	c.holders.Add(1)
+	return c, nil
 }
 
 // deliverProgress buffers one epoch's metric and forwards it to the
@@ -151,13 +201,14 @@ func (j *schedJob) deliverProgress(m EpochMetric) {
 
 // deliverCheckpoint parks the epoch-boundary checkpoint (the disconnect
 // survival state a later attach resumes from) and forwards it likewise.
-func (j *schedJob) deliverCheckpoint(epoch int, payload []byte) {
+func (j *schedJob) deliverCheckpoint(c *ckptBuf) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.ckpt, j.ckptEpoch = payload, epoch
+	j.ckpt.release()
+	j.ckpt = c
 	if j.sink != nil && j.sink.checkpoint != nil {
 		// Same exactly-once rationale as deliverProgress.
-		if err := j.sink.checkpoint(payload); err != nil { //amalgam:allow lockcheck delivery-under-lock is the exactly-once design; the sink enqueues on a bounded queue whose writer is deadline-bounded
+		if err := j.sink.checkpoint(c); err != nil { //amalgam:allow lockcheck delivery-under-lock is the exactly-once design; the sink enqueues on a bounded queue whose writer is deadline-bounded
 			j.sink = nil
 		}
 	}
@@ -182,7 +233,7 @@ func (j *schedJob) attach(fromEpoch int, sink *attachSink) error {
 			}
 		}
 	}
-	if sink.checkpoint != nil && j.ckpt != nil && j.ckptEpoch > fromEpoch {
+	if sink.checkpoint != nil && j.ckpt != nil && j.ckpt.epoch > fromEpoch {
 		if err := sink.checkpoint(j.ckpt); err != nil { //amalgam:allow lockcheck replay-under-lock is the exactly-once design; the sink enqueues on a bounded queue whose writer is deadline-bounded
 			return err
 		}
@@ -284,17 +335,27 @@ func (sch *Scheduler) start() {
 	}()
 }
 
-// Submit admits one job: provider view captured (the upload has been
-// observed regardless of scheduling), quota and depth checked, job
-// registered and enqueued on its tenant's queue. sink, when non-nil, is
-// registered before the job can be dispatched, so a same-connection
-// attach (the msgDone conversation) sees every epoch live — no replay
-// window. Rejections are typed: ErrTenantQuota, ErrQueueFull.
+// Submit admits one job: model built and initial state loaded (the job's
+// one build: the provider view reads the shipped graph off it, the executor
+// trains it), provider view captured (the upload has been observed
+// regardless of scheduling), quota and depth checked, job registered and
+// enqueued on its tenant's queue. sink, when non-nil, is registered before
+// the job can be dispatched, so a same-connection attach (the msgDone
+// conversation) sees every epoch live — no replay window. Rejections are
+// typed: ErrBadRequest (the spec does not build, the initial state does
+// not fit), ErrTenantQuota, ErrQueueFull. req is left as it came.
 func (sch *Scheduler) Submit(req *TrainRequest, sink *attachSink) (*schedJob, error) {
-	// Outside the lock: view capture builds the augmented graph and may
-	// panic on malformed geometry — the connection handler's recover must
-	// see it with no scheduler lock held.
-	view := CaptureProviderView(req)
+	// Outside the lock: building the augmented graph may panic on
+	// malformed geometry — the connection handler's recover must see it
+	// with no scheduler lock held.
+	model, err := buildLoaded(req)
+	if err != nil {
+		return nil, err
+	}
+	view := CaptureProviderView(req, model)
+	own := *req
+	own.InitState = nil
+	req = &own
 
 	tenant := req.Spec.Tenant
 	sch.mu.Lock()
@@ -317,6 +378,7 @@ func (sch *Scheduler) Submit(req *TrainRequest, sink *attachSink) (*schedJob, er
 		tenant:    tenant,
 		req:       req,
 		view:      view,
+		model:     model,
 		state:     JobQueued,
 		lastEpoch: req.Hyper.StartEpoch,
 		preCancel: sch.cancelAll,
@@ -399,14 +461,15 @@ func (sch *Scheduler) runJob(job *schedJob) {
 	}
 	var checkpoint func(*Snapshot) error
 	if job.req.Hyper.CheckpointEvery > 0 {
+		job.spare = make(chan *ckptBuf, 2) // of three buffers one is always parked
 		checkpoint = func(snap *Snapshot) error {
 			// Cut here, on the executor, while the snapshot's tensors
 			// still are the epoch boundary; only bytes leave the callback.
-			payload, err := cutCheckpoint(job.req.Spec.Kind, snap)
+			c, err := job.cutCheckpoint(snap)
 			if err != nil {
 				return err
 			}
-			job.deliverCheckpoint(snap.Epoch, payload)
+			job.deliverCheckpoint(c)
 			return nil
 		}
 	}
@@ -419,10 +482,20 @@ func (sch *Scheduler) runJob(job *schedJob) {
 				e = fmt.Errorf("cloudsim: job crashed: %v: %w", p, ErrJobPanic)
 			}
 		}()
-		return runTraining(ctx, job.req, progress, checkpoint)
+		return TrainLoop(ctx, job.model, job.req, progress, checkpoint)
 	}()
 
+	// Terminal: the response is all anyone can still ask this job for (it
+	// is newer than the parked checkpoint: an attach now replays none);
+	// model and gradients, payload, checkpoint buffers go.
+	job.model, job.spare = nil, nil
+	r := job.req // Spec and Hyper stay: handlers read them, unlocked
+	r.Images, r.Labels, r.Samples = nil, nil, nil
+	r.EvalImages, r.EvalLabels, r.EvalSamples = nil, nil, nil
+	r.InitOptState, r.InitRNG = nil, nil
 	job.mu.Lock()
+	job.ckpt.release()
+	job.ckpt = nil
 	job.resp, job.err = resp, err
 	job.cancelFn = nil
 	switch {

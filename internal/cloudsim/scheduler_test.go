@@ -283,8 +283,21 @@ func TestSchedulerCancelStates(t *testing.T) {
 // that job alone — the executor survives and runs the next job.
 func TestSchedulerFailedJobIsolated(t *testing.T) {
 	sch := newScheduler(SchedulerConfig{Executors: 1})
+	// A spec that does not build never reaches an executor: admission
+	// builds the job's model, and refuses.
+	unbuildable := loadJob("t", 1)
+	unbuildable.Spec.Kind = "banana"
+	if _, err := sch.Submit(unbuildable, nil); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("unknown-kind job admitted with %v, want ErrBadRequest", err)
+	}
+	unbuildable = loadJob("t", 1)
+	unbuildable.Spec.Model = "no-such-zoo-model"
+	if _, err := sch.Submit(unbuildable, nil); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("unknown-model job admitted with %v, want ErrBadRequest", err)
+	}
+	// One that builds and then cannot train does, and fails there.
 	bad := loadJob("t", 1)
-	bad.Spec.Kind = "banana"
+	bad.Hyper.BatchSize = 0
 	badJob, err := sch.Submit(bad, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +311,7 @@ func TestSchedulerFailedJobIsolated(t *testing.T) {
 	sch.WaitIdle()
 
 	if _, err := badJob.result(); err == nil {
-		t.Fatal("unknown-kind job must fail")
+		t.Fatal("a job with batch size 0 must fail")
 	}
 	if st, _ := sch.Status(badJob.id); st.State != "failed" || st.Err == "" {
 		t.Fatalf("bad job status %+v, want failed with an error message", st)

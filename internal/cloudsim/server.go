@@ -156,7 +156,26 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err := s.handleRecover(dc); err != nil && !errors.Is(err, io.EOF) {
 		// Best effort: report the failure to the client.
 		_ = writeErrorFrame(dc, err)
+		if !dc.streaming {
+			s.drainRefused(dc)
+		}
 	}
+}
+
+// drainRefused lets a refusal arrive as the refusal. A request rejected on
+// an early frame leaves the client still uploading; closing now would
+// have the kernel answer its unread bytes with a reset, which the client
+// reports as a transient fault and retries. So the server half-closes and
+// reads the rest of the upload away — at most one FrameTimeout, one
+// maxFrame of bytes — until the client has read the refusal and hung up.
+func (s *Server) drainRefused(conn *deadlineConn) {
+	if hc, ok := conn.Conn.(interface{ CloseWrite() error }); ok {
+		_ = hc.CloseWrite()
+	}
+	if s.cfg.FrameTimeout > 0 {
+		conn.setHardReadDeadline(time.Now().Add(s.cfg.FrameTimeout))
+	}
+	_, _ = io.CopyN(io.Discard, conn, int64(maxFrame))
 }
 
 // handleRecover isolates a panicking connection: the crash becomes a wire
@@ -400,18 +419,28 @@ const sinkQueueDepth = 1
 // job is terminal, or its sink is detached.
 type connWriter struct {
 	conn   *deadlineConn
-	queue  chan frame
+	queue  chan queuedFrame
 	stop   chan struct{} // closed by close: drain what is queued, then exit
-	exited chan struct{} // closed when the goroutine has returned; err is set by then
+	failed chan struct{} // closed on the first write error; err is set by then
+	exited chan struct{} // closed when the goroutine has returned
 	err    error
 	once   sync.Once
+}
+
+// queuedFrame is a frame waiting on a connWriter; a checkpoint frame's
+// payload lives in held, which the writer holds from enqueue until the
+// frame is written or dropped.
+type queuedFrame struct {
+	frame
+	held *ckptBuf
 }
 
 func newConnWriter(conn *deadlineConn) *connWriter {
 	w := &connWriter{
 		conn:   conn,
-		queue:  make(chan frame, sinkQueueDepth),
+		queue:  make(chan queuedFrame, sinkQueueDepth),
 		stop:   make(chan struct{}),
+		failed: make(chan struct{}),
 		exited: make(chan struct{}),
 	}
 	go w.run()
@@ -421,7 +450,7 @@ func newConnWriter(conn *deadlineConn) *connWriter {
 func (w *connWriter) run() {
 	defer close(w.exited)
 	for {
-		var f frame
+		var f queuedFrame
 		select {
 		case f = <-w.queue:
 		case <-w.stop:
@@ -431,35 +460,34 @@ func (w *connWriter) run() {
 				return
 			}
 		}
-		if w.err = writeFrame(w.conn, f.kind, f.payload); w.err != nil {
-			return
+		// After a failed write the writer stays, until close, to let go of
+		// whatever still reaches the queue: no frame is stranded holding
+		// its checkpoint buffer.
+		if w.err == nil {
+			if w.err = writeFrame(w.conn, f.kind, f.payload); w.err != nil {
+				close(w.failed)
+			}
+		}
+		f.held.release()
+	}
+}
+
+// enqueue hands one frame, and the hold on its buffer, to the writer,
+// blocking while the queue is full — the backpressure a slow client exerts
+// on its own job. It fails once a write has: on that error, which is what
+// detaches a dead client's sink.
+func (w *connWriter) enqueue(f queuedFrame) error {
+	select {
+	case <-w.failed:
+	default:
+		select {
+		case w.queue <- f:
+			return nil
+		case <-w.failed:
 		}
 	}
-}
-
-// enqueue hands one frame to the writer, blocking while the queue is
-// full — the backpressure a slow client exerts on its own job. It fails
-// once the writer has exited: on the write error that killed it, which
-// is what detaches a dead client's sink.
-func (w *connWriter) enqueue(f frame) error {
-	select {
-	case <-w.exited:
-		return w.exitErr()
-	default:
-	}
-	select {
-	case w.queue <- f:
-		return nil
-	case <-w.exited:
-		return w.exitErr()
-	}
-}
-
-func (w *connWriter) exitErr() error {
-	if w.err != nil {
-		return w.err
-	}
-	return net.ErrClosed
+	f.held.release()
+	return w.err
 }
 
 // close flushes the queued frames and stops the goroutine, returning the
@@ -480,12 +508,13 @@ func (w *connWriter) sink(req *TrainRequest, progress bool) *attachSink {
 			if err != nil {
 				return err
 			}
-			return w.enqueue(frame{msgProgress, js})
+			return w.enqueue(queuedFrame{frame: frame{msgProgress, js}})
 		}
 	}
 	if req.Hyper.CheckpointEvery > 0 {
-		sink.checkpoint = func(payload []byte) error {
-			return w.enqueue(frame{msgCheckpoint, payload})
+		sink.checkpoint = func(c *ckptBuf) error {
+			c.holders.Add(1)
+			return w.enqueue(queuedFrame{frame{msgCheckpoint, c.payload}, c})
 		}
 	}
 	return sink
@@ -493,62 +522,37 @@ func (w *connWriter) sink(req *TrainRequest, progress bool) *attachSink {
 
 // writeOutcome sends a finished job's terminal frames: the shutdown
 // handoff when the server is draining, or the normal
-// result/opt-state/RNG/state sequence. clientStopped marks a cancel that
+// result/opt-state/RNG/state sequence — each encoded from the response's
+// tensors straight onto the connection. clientStopped marks a cancel that
 // came from this client rather than from a shutdown.
 func (s *Server) writeOutcome(conn *deadlineConn, kind string, clientStopped bool, resp *TrainResponse) error {
+	out := newFrameStream(conn)
 	if resp.Cancelled && !clientStopped && s.isShuttingDown() {
 		// Graceful-shutdown handoff: an epoch-aligned checkpoint (weights
 		// + optimiser state + RNG cursors) followed by the retryable
 		// shutdown error, so the client resumes on another server without
 		// losing an epoch.
-		handoff, err := cutCheckpoint(kind, &Snapshot{Epoch: resp.CompletedEpochs, State: resp.State, OptState: resp.OptState, RNG: resp.RNG})
-		if err != nil {
-			return err
+		handoff := &serialize.TrainCheckpoint{
+			Epoch: resp.CompletedEpochs, Kind: kind,
+			State: resp.State, OptState: resp.OptState, RNG: resp.RNG,
 		}
-		if err := writeFrame(conn, msgCheckpoint, handoff); err != nil {
+		out.from(msgCheckpoint, serialize.TrainCheckpointSize(handoff), func(w io.Writer) error {
+			return serialize.WriteTrainCheckpoint(w, handoff)
+		})
+		if err := out.flush(); err != nil {
 			return err
 		}
 		return fmt.Errorf("cloudsim: job stopped at epoch %d: %w", resp.CompletedEpochs, ErrServerShutdown)
 	}
-	metaJSON, err := json.Marshal(resultMeta{
+	out.json(msgResult, resultMeta{
 		Metrics: resp.Metrics, Seconds: resp.Seconds,
 		Cancelled: resp.Cancelled, CompletedEpochs: resp.CompletedEpochs,
 	})
-	if err != nil {
-		return err
-	}
-	if err := writeFrame(conn, msgResult, metaJSON); err != nil {
-		return err
-	}
 	// Final optimiser state and dropout-stream cursors ride their own
 	// frames, BEFORE msgState: the client's read loop ends on msgState.
-	if !resp.OptState.Empty() {
-		opt, err := sizedPayload(serialize.OptStateSize(resp.OptState), func(w io.Writer) error {
-			return serialize.WriteOptState(w, resp.OptState)
-		})
-		if err != nil {
-			return err
-		}
-		if err := writeFrame(conn, msgOptState, opt); err != nil {
-			return err
-		}
-	}
-	if len(resp.RNG) > 0 {
-		var rngBuf bytes.Buffer
-		if err := serialize.WriteBytesDict(&rngBuf, resp.RNG); err != nil {
-			return err
-		}
-		if err := writeFrame(conn, msgRNGState, rngBuf.Bytes()); err != nil {
-			return err
-		}
-	}
-	state, err := sizedPayload(serialize.StateDictSize(resp.State), func(w io.Writer) error {
-		return serialize.WriteStateDict(w, resp.State)
-	})
-	if err != nil {
-		return err
-	}
-	return writeFrame(conn, msgState, state)
+	out.resumeState(resp.OptState, resp.RNG)
+	out.stateDict(msgState, resp.State)
+	return out.flush()
 }
 
 // awaitOutcome parks the handler until job finishes, then flushes the
@@ -563,6 +567,7 @@ func (s *Server) awaitOutcome(conn *deadlineConn, job *schedJob, w *connWriter) 
 	// otherwise stay pinned for the whole job, to read cancel frames.
 	conn.setReadTimeout(0)
 	conn.frames.buf = nil
+	conn.streaming = true
 
 	connDead := make(chan struct{})
 	var clientStopped atomic.Bool
@@ -608,9 +613,9 @@ func (s *Server) awaitOutcome(conn *deadlineConn, job *schedJob, w *connWriter) 
 
 // runAndRespond serves a msgDone request: submit with this connection
 // registered as the job's sink from admission, then attach on the same
-// connection. The pinned frame cadence (one progress + one checkpoint
-// frame per epoch) holds exactly because of that — there is no replay
-// window to coalesce checkpoints in.
+// connection. The pinned frame cadence (one progress frame per epoch, one
+// checkpoint frame per CheckpointEvery epochs but the run's last) holds
+// exactly because of that — there is no replay window to coalesce in.
 func (s *Server) runAndRespond(conn *deadlineConn, req *TrainRequest) (err error) {
 	// A provider-view capture that panics on malformed geometry must
 	// become a classified wire error, not a torn connection.

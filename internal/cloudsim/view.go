@@ -30,8 +30,10 @@ type ProviderView struct {
 	AugAmount float64
 }
 
-// CaptureProviderView derives the provider's observation from a request.
-func CaptureProviderView(req *TrainRequest) ProviderView {
+// CaptureProviderView derives the provider's observation from a request
+// and the model built from its spec — the shipped graph, whose gather sets
+// the provider can read off it.
+func CaptureProviderView(req *TrainRequest, model Trainable) ProviderView {
 	v := ProviderView{AugAmount: req.Spec.AugAmount}
 	if req.Images != nil {
 		v.N, v.C, v.H, v.W = req.Images.Dim(0), req.Images.Dim(1), req.Images.Dim(2), req.Images.Dim(3)
@@ -50,14 +52,8 @@ func CaptureProviderView(req *TrainRequest) ProviderView {
 			v.FirstSample = append([]int(nil), req.Samples[0]...)
 		}
 	}
-	if len(req.Spec.KeyKeep) > 0 { // a spec carrying a key ships an augmented graph
-		// Rebuild gather sets exactly as the shipped graph exposes them.
-		model, err := BuildModel(req.Spec)
-		if err == nil {
-			if am, ok := model.(interface{ GatherSets() [][]int }); ok {
-				v.GatherSets = am.GatherSets()
-			}
-		}
+	if am, ok := model.(interface{ GatherSets() [][]int }); ok { // an augmented graph
+		v.GatherSets = am.GatherSets()
 		// Shuffle deterministically from content so the view never encodes
 		// construction order.
 		rng := tensor.NewRNG(uint64(len(v.GatherSets))*0x9e37 + uint64(v.H+req.Spec.AugLen))

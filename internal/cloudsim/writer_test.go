@@ -52,11 +52,17 @@ func TestParkedCheckpointIsEpochAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) == 0 || got[0].Epoch < 20 || got[len(got)-1].Epoch != req.Hyper.Epochs {
-		t.Fatalf("attach streamed %d checkpoints; want the parked one (epoch >= 20) through epoch %d", len(got), req.Hyper.Epochs)
+	// The stream's last checkpoint is epoch Epochs-1: the epoch the run
+	// ends on is never cut into a checkpoint, its state arrives once, as
+	// the terminal frames (resp, compared below).
+	if len(got) == 0 && err == nil {
+		t.Skip("the job finished before the attach landed: a finished job parks no checkpoint")
 	}
-	if got[0].Epoch == req.Hyper.Epochs {
-		t.Log("the job finished before the attach landed: only the final checkpoint was exercised")
+	// (The parked one may be epoch 19's: the poll counts epoch 20 from its
+	// progress, which is delivered just before its checkpoint is cut.)
+	if last := req.Hyper.Epochs - 1; got[0].Epoch < 19 || got[len(got)-1].Epoch != last {
+		t.Fatalf("attach streamed %d checkpoints, epochs %d to %d; want the parked one (epoch >= 19) through epoch %d",
+			len(got), got[0].Epoch, got[len(got)-1].Epoch, last)
 	}
 	ref := runReference(t, longTextJob(t, 400, 0))
 	for _, ck := range got {
@@ -159,7 +165,8 @@ func TestStalledClientHoldsJobOneEpochAhead(t *testing.T) {
 	}
 
 	// The client comes back: every epoch arrives, in order, exactly once.
-	readFrames(func() bool { return len(progress) == epochs && checkpoints == epochs })
+	// (The last epoch has no checkpoint frame: the terminal frames are it.)
+	readFrames(func() bool { return len(progress) == epochs && checkpoints == epochs-1 })
 	<-job.done
 	if err := w.close(); err != nil {
 		t.Fatalf("writer ended with %v", err)

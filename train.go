@@ -171,17 +171,9 @@ func (t RemoteTrainer) runRemote(ctx context.Context, req *cloudsim.TrainRequest
 	var resp *cloudsim.TrainResponse
 	err := ro.retrying(ctx, func(net cloudsim.NetConfig) (err error) {
 		if snap := stream.snap; snap != nil {
-			if snap.Epoch >= req.Hyper.Epochs {
-				// The server finished every epoch but the connection died
-				// before the final state frame arrived: the snapshot IS the
-				// final state — complete locally instead of resuming with an
-				// out-of-range start epoch.
-				resp = &cloudsim.TrainResponse{
-					State: snap.State, OptState: snap.OptState, RNG: snap.RNG,
-					CompletedEpochs: snap.Epoch,
-				}
-				return nil
-			}
+			// Always short of Epochs: the last epoch's state arrives only
+			// as the response, so a connection lost inside the terminal
+			// frames resumes one epoch back and retrains it.
 			req.Hyper.StartEpoch = snap.Epoch
 			req.InitState = snap.State
 			req.InitOptState = snap.OptState

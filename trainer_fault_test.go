@@ -143,6 +143,98 @@ func TestRetryResumesAfterMidTrainingKill(t *testing.T) {
 	}
 }
 
+// TestConnectionLostInTerminalFramesRetrainsOneEpoch cuts the connection
+// after the job has finished every epoch, inside the frames that carry its
+// result: first inside msgOptState, then inside msgState. The last epoch's
+// state crosses the wire once — as those frames, not also as a checkpoint
+// frame before them — so the newest snapshot the client holds is epoch
+// Epochs-1: the retry resumes there, the server retrains exactly one
+// epoch, every epoch's stats reach the caller exactly once, and the final
+// weights are bit-identical to the unbroken run's.
+func TestConnectionLostInTerminalFramesRetrainsOneEpoch(t *testing.T) {
+	cfg := amalgam.TrainConfig{Epochs: 4, BatchSize: 8, LR: 0.5, Momentum: 0.9}
+	ctx := context.Background()
+
+	// The unbroken run, and from its final checkpoint file the exact sizes
+	// of a checkpoint frame and the two terminal state frames.
+	local := mkTextJob(t)
+	ckpt := filepath.Join(t.TempDir(), "local.amc")
+	if _, err := amalgam.Train(ctx, amalgam.LocalTrainer{}, local, cfg, amalgam.WithCheckpoint(ckpt, 1)); err != nil {
+		t.Fatal(err)
+	}
+	want := extractedState(t, local)
+	ck, err := serialize.LoadTrainCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optSize, stateSize := serialize.OptStateSize(ck.OptState), serialize.StateDictSize(ck.State)
+	// Everything before msgOptState: Epochs-1 checkpoint frames, and the
+	// JSON of Epochs progress frames and the result frame listing them
+	// again — some 150 bytes per metric, give or take a digit of wall
+	// clock, against state frames of ~100 KB.
+	lead := (cfg.Epochs-1)*(5+serialize.TrainCheckpointSize(ck)) + 2*cfg.Epochs*150
+	if optSize < 20_000 || stateSize < 20_000 {
+		t.Fatalf("state frames of %d and %d bytes are too small to aim a cut into", optSize, stateSize)
+	}
+
+	for _, c := range []struct {
+		name string
+		cut  int
+	}{
+		{"inside msgOptState", lead + optSize/2},
+		{"inside msgState", lead + optSize + stateSize/2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fl := startFaultServer(t, func(i int) faultnet.ConnPlan {
+				if i == 0 {
+					return faultnet.ConnPlan{CutAfterWriteBytes: int64(c.cut)}
+				}
+				return faultnet.ConnPlan{}
+			})
+			addr := fl.Addr().String()
+			job := mkTextJob(t)
+			stats, err := amalgam.Train(ctx, amalgam.RemoteTrainer{Addr: addr}, job, cfg,
+				amalgam.WithRetry(amalgam.RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: 5}))
+			if err != nil {
+				t.Fatalf("retried run failed: %v", err)
+			}
+			if fl.Accepted() != 2 {
+				t.Fatalf("%d connections, want the cut one and one retry", fl.Accepted())
+			}
+			if len(stats) != cfg.Epochs {
+				t.Fatalf("delivered %d epoch stats, want %d", len(stats), cfg.Epochs)
+			}
+			for i, s := range stats {
+				if s.Epoch != i+1 {
+					t.Fatalf("stats[%d].Epoch = %d; every epoch exactly once", i, s.Epoch)
+				}
+			}
+			got := extractedState(t, job)
+			for name, w := range want {
+				if !got[name].Equal(w) {
+					t.Fatalf("run cut %s diverged from the unbroken run at %q", c.name, name)
+				}
+			}
+			// What each attempt's job trained: a finished job replays its
+			// buffered epochs to whoever attaches.
+			trained := func(id string) (epochs []int) {
+				_, err := cloudsim.AttachContext(ctx, addr, cloudsim.AttachRequest{JobID: id},
+					cloudsim.StreamHandlers{Progress: func(m cloudsim.EpochMetric) { epochs = append(epochs, m.Epoch) }}, cloudsim.NetConfig{})
+				if err != nil {
+					t.Fatalf("attach %s: %v", id, err)
+				}
+				return epochs
+			}
+			if first := trained("job-000001"); len(first) != cfg.Epochs {
+				t.Fatalf("the cut attempt trained epochs %v, want all %d (the cut must land after training)", first, cfg.Epochs)
+			}
+			if second := trained("job-000002"); len(second) != 1 || second[0] != cfg.Epochs {
+				t.Fatalf("the retry trained epochs %v, want exactly the last one, %d", second, cfg.Epochs)
+			}
+		})
+	}
+}
+
 // TestRetryExhaustedReportsSentinel pins the failure shape when every
 // attempt dies: ErrRetriesExhausted wraps the last transport error, both
 // reachable with errors.Is.
