@@ -35,7 +35,7 @@ func BenchmarkAblationSkipConvImpl(b *testing.B) {
 	b.Run("gather+conv", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			gx := g.Forward(autodiff.Constant(x))
-			_ = autodiff.Conv2d(gx, autodiff.Constant(w), nil, 1, 1)
+			_ = autodiff.Conv2d(gx, autodiff.Constant(w), nil, 1, 1, tensor.ActNone)
 		}
 	})
 	b.Run("masked-eq1", func(b *testing.B) {

@@ -184,7 +184,7 @@ func NewAttackMLP(rng *tensor.RNG, in, hidden, classes int) *AttackMLP {
 // Forward maps a flat [1, in] input to logits.
 func (m *AttackMLP) Forward(x *autodiff.Node) *autodiff.Node {
 	flat := autodiff.Flatten(x)
-	return m.FC2.Forward(m.FC1.ForwardReLU(flat))
+	return m.FC2.Forward(m.FC1.ForwardAct(flat, tensor.ActReLU))
 }
 
 // Params returns the victim's parameters.

@@ -2,192 +2,11 @@ package autodiff
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 
 	"amalgam/internal/tensor"
 )
-
-// layerNormNaive is a frozen copy of the PR 1 LayerNorm op (scalar float64
-// passes, a per-call invStd slice, and a per-row tmp buffer in the
-// backward). BenchmarkLayerNormStepNaive vs BenchmarkLayerNormStep in the
-// same run is the fused-kernel speedup the PR 2 trajectory records.
-func layerNormNaive(x, gamma, beta *Node, eps float32) *Node {
-	d := x.Val.Dim(-1)
-	rows := x.Val.Numel() / d
-	val := tensor.Get(x.Val.Shape()...)
-	xhat := tensor.Get(x.Val.Shape()...)
-	invStd := make([]float64, rows)
-	for r := 0; r < rows; r++ {
-		src := x.Val.Data[r*d : (r+1)*d]
-		var mu float64
-		for _, v := range src {
-			mu += float64(v)
-		}
-		mu /= float64(d)
-		var vr float64
-		for _, v := range src {
-			dv := float64(v) - mu
-			vr += dv * dv
-		}
-		vr /= float64(d)
-		is := 1 / math.Sqrt(vr+float64(eps))
-		invStd[r] = is
-		xh := xhat.Data[r*d : (r+1)*d]
-		dst := val.Data[r*d : (r+1)*d]
-		for i, v := range src {
-			h := float32((float64(v) - mu) * is)
-			xh[i] = h
-			dst[i] = gamma.Val.Data[i]*h + beta.Val.Data[i]
-		}
-	}
-	out := newPooledNode(val, []*Node{x, gamma, beta}, nil)
-	out.scratch = []*tensor.Tensor{xhat}
-	out.backward = func() {
-		if gamma.requiresGrad {
-			gg := gamma.ensureGrad()
-			for r := 0; r < rows; r++ {
-				dy := out.Grad.Data[r*d : (r+1)*d]
-				xh := xhat.Data[r*d : (r+1)*d]
-				for i := range dy {
-					gg.Data[i] += dy[i] * xh[i]
-				}
-			}
-		}
-		if beta.requiresGrad {
-			bg := beta.ensureGrad()
-			for r := 0; r < rows; r++ {
-				dy := out.Grad.Data[r*d : (r+1)*d]
-				for i := range dy {
-					bg.Data[i] += dy[i]
-				}
-			}
-		}
-		if x.requiresGrad {
-			xg := x.ensureGrad()
-			for r := 0; r < rows; r++ {
-				dy := out.Grad.Data[r*d : (r+1)*d]
-				xh := xhat.Data[r*d : (r+1)*d]
-				var mDy, mDyX float64
-				tmp := make([]float64, d)
-				for i := range dy {
-					g := float64(dy[i]) * float64(gamma.Val.Data[i])
-					tmp[i] = g
-					mDy += g
-					mDyX += g * float64(xh[i])
-				}
-				mDy /= float64(d)
-				mDyX /= float64(d)
-				dst := xg.Data[r*d : (r+1)*d]
-				for i := range dst {
-					dst[i] += float32(invStd[r] * (tmp[i] - mDy - float64(xh[i])*mDyX))
-				}
-			}
-		}
-	}
-	return out
-}
-
-// softmaxCrossEntropyNaive is a frozen copy of the PR 1 fused loss head
-// (math.Exp per element, scalar backward).
-func softmaxCrossEntropyNaive(logits *Node, labels []int) *Node {
-	n, c := logits.Val.Dim(0), logits.Val.Dim(1)
-	probs := tensor.Get(n, c)
-	var loss float64
-	for r := 0; r < n; r++ {
-		row := logits.Val.Data[r*c : (r+1)*c]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		prow := probs.Data[r*c : (r+1)*c]
-		for j, v := range row {
-			e := math.Exp(float64(v - maxv))
-			prow[j] = float32(e)
-			sum += e
-		}
-		inv := 1 / sum
-		for j := range prow {
-			prow[j] = float32(float64(prow[j]) * inv)
-		}
-		p := float64(prow[labels[r]])
-		if p < 1e-30 {
-			p = 1e-30
-		}
-		loss -= math.Log(p)
-	}
-	val := tensor.FromSlice([]float32{float32(loss / float64(n))}, 1)
-	out := newNode(val, []*Node{logits}, nil)
-	out.scratch = []*tensor.Tensor{probs}
-	out.backward = func() {
-		if logits.requiresGrad {
-			g := logits.ensureGrad()
-			scale := out.Grad.Data[0] / float32(n)
-			for r := 0; r < n; r++ {
-				prow := probs.Data[r*c : (r+1)*c]
-				grow := g.Data[r*c : (r+1)*c]
-				y := labels[r]
-				for j, p := range prow {
-					d := p
-					if j == y {
-						d -= 1
-					}
-					grow[j] += scale * d
-				}
-			}
-		}
-	}
-	return out
-}
-
-// softmaxLastDimNaive is a frozen copy of the PR 1 row softmax op.
-func softmaxLastDimNaive(a *Node) *Node {
-	rows, cols := a.Val.Dim(0), a.Val.Dim(1)
-	val := tensor.Get(rows, cols)
-	for r := 0; r < rows; r++ {
-		src := a.Val.Data[r*cols : (r+1)*cols]
-		dst := val.Data[r*cols : (r+1)*cols]
-		maxv := src[0]
-		for _, v := range src[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for j, v := range src {
-			e := math.Exp(float64(v - maxv))
-			dst[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for j := range dst {
-			dst[j] *= inv
-		}
-	}
-	out := newPooledNode(val, []*Node{a}, nil)
-	out.backward = func() {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			for r := 0; r < rows; r++ {
-				s := val.Data[r*cols : (r+1)*cols]
-				dy := out.Grad.Data[r*cols : (r+1)*cols]
-				var dot float32
-				for j := range s {
-					dot += s[j] * dy[j]
-				}
-				grow := g.Data[r*cols : (r+1)*cols]
-				for j := range s {
-					grow[j] += s[j] * (dy[j] - dot)
-				}
-			}
-		}
-	}
-	return out
-}
 
 // benchConvStep runs one training step (forward + backward) of a small conv
 // stack at quick-experiment scale: batch 16 of 1×28×28 through an 8-channel
@@ -216,7 +35,7 @@ func benchConvStep(b *testing.B, batch int) {
 		wN.ZeroGrad()
 		bN.ZeroGrad()
 		fcN.ZeroGrad()
-		h := ReLU(Conv2d(Constant(x), wN, bN, 1, 1))
+		h := Conv2d(Constant(x), wN, bN, 1, 1, tensor.ActReLU)
 		logits := MatMul(Flatten(h), fcN)
 		loss := SoftmaxCrossEntropy(logits, labels)
 		Backward(loss)
@@ -226,10 +45,9 @@ func benchConvStep(b *testing.B, batch int) {
 
 func BenchmarkConv2dTrainStep(b *testing.B) { benchConvStep(b, 16) }
 
-// benchLayerNormStep measures one LayerNorm forward+backward at
-// transformer scale ([N*T, D] = [256, 256]); the fused vs naive ratio in
-// one run is the PR 2 acceptance number.
-func benchLayerNormStep(b *testing.B, op func(x, gamma, beta *Node, eps float32) *Node) {
+// BenchmarkLayerNormStep measures one LayerNorm forward+backward at
+// transformer scale ([N*T, D] = [256, 256]).
+func BenchmarkLayerNormStep(b *testing.B) {
 	rng := tensor.NewRNG(11)
 	x := tensor.New(256, 256)
 	rng.FillNormal(x, 0, 1)
@@ -242,18 +60,15 @@ func benchLayerNormStep(b *testing.B, op func(x, gamma, beta *Node, eps float32)
 		xN.ZeroGrad()
 		gN.ZeroGrad()
 		btN.ZeroGrad()
-		loss := Mean(op(xN, gN, btN, 1e-5))
+		loss := Mean(LayerNorm(xN, gN, btN, 1e-5))
 		Backward(loss)
 		Release(loss)
 	}
 }
 
-func BenchmarkLayerNormStep(b *testing.B)      { benchLayerNormStep(b, LayerNorm) }
-func BenchmarkLayerNormStepNaive(b *testing.B) { benchLayerNormStep(b, layerNormNaive) }
-
-// benchSoftmaxXentStep measures the fused softmax-cross-entropy loss head
-// forward+backward on [256, 256] logits.
-func benchSoftmaxXentStep(b *testing.B, op func(logits *Node, labels []int) *Node) {
+// BenchmarkSoftmaxXentStep measures the fused softmax-cross-entropy loss
+// head forward+backward on [256, 256] logits.
+func BenchmarkSoftmaxXentStep(b *testing.B) {
 	rng := tensor.NewRNG(12)
 	logits := tensor.New(256, 256)
 	rng.FillNormal(logits, 0, 2)
@@ -266,18 +81,15 @@ func benchSoftmaxXentStep(b *testing.B, op func(logits *Node, labels []int) *Nod
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lN.ZeroGrad()
-		loss := op(lN, labels)
+		loss := SoftmaxCrossEntropy(lN, labels)
 		Backward(loss)
 		Release(loss)
 	}
 }
 
-func BenchmarkSoftmaxXentStep(b *testing.B)      { benchSoftmaxXentStep(b, SoftmaxCrossEntropy) }
-func BenchmarkSoftmaxXentStepNaive(b *testing.B) { benchSoftmaxXentStep(b, softmaxCrossEntropyNaive) }
-
-// benchSoftmaxLastDimStep measures the attention-shaped row softmax
+// BenchmarkSoftmaxLastDimStep measures the attention-shaped row softmax
 // ([N*H*T, T] = [512, 64]) forward+backward.
-func benchSoftmaxLastDimStep(b *testing.B, op func(a *Node) *Node) {
+func BenchmarkSoftmaxLastDimStep(b *testing.B) {
 	rng := tensor.NewRNG(13)
 	x := tensor.New(512, 64)
 	rng.FillNormal(x, 0, 1)
@@ -286,14 +98,11 @@ func benchSoftmaxLastDimStep(b *testing.B, op func(a *Node) *Node) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		xN.ZeroGrad()
-		loss := Mean(op(xN))
+		loss := Mean(SoftmaxLastDim(xN))
 		Backward(loss)
 		Release(loss)
 	}
 }
-
-func BenchmarkSoftmaxLastDimStep(b *testing.B)      { benchSoftmaxLastDimStep(b, SoftmaxLastDim) }
-func BenchmarkSoftmaxLastDimStepNaive(b *testing.B) { benchSoftmaxLastDimStep(b, softmaxLastDimNaive) }
 
 // BenchmarkBatchNorm2dStep measures BatchNorm2d forward+backward at CIFAR
 // feature-map scale ([16, 32, 16, 16]).
@@ -312,7 +121,7 @@ func BenchmarkBatchNorm2dStep(b *testing.B) {
 		xN.ZeroGrad()
 		gN.ZeroGrad()
 		btN.ZeroGrad()
-		loss := Mean(BatchNorm2d(xN, gN, btN, rm, rv, 0.1, 1e-5, true))
+		loss := Mean(BatchNorm2d(xN, gN, btN, rm, rv, 0.1, 1e-5, true, tensor.ActNone))
 		Backward(loss)
 		Release(loss)
 	}
@@ -338,7 +147,7 @@ func BenchmarkLinearTrainStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w1N.ZeroGrad()
 		w2N.ZeroGrad()
-		loss := SoftmaxCrossEntropy(MatMul(ReLU(MatMul(Constant(x), w1N)), w2N), labels)
+		loss := SoftmaxCrossEntropy(MatMul(Activate(MatMul(Constant(x), w1N), tensor.ActReLU), w2N), labels)
 		Backward(loss)
 		Release(loss)
 	}
@@ -358,7 +167,7 @@ func BenchmarkLinearXentHead(b *testing.B) {
 	heads := map[string]func(x, w, bias *Node) *Node{
 		"fused": func(x, w, bias *Node) *Node { return LinearSoftmaxCrossEntropy(x, w, bias, labels) },
 		"referee": func(x, w, bias *Node) *Node {
-			return SoftmaxCrossEntropy(AddRowBias(MatMul(x, w), bias), labels)
+			return SoftmaxCrossEntropy(AddRowBias(MatMul(x, w), bias, tensor.ActNone), labels)
 		},
 	}
 	for _, d := range []int{56, 128} {
@@ -383,97 +192,29 @@ func BenchmarkLinearXentHead(b *testing.B) {
 	}
 }
 
-// tanhNaive is a frozen copy of the PR 2-era Tanh op (per-element float64
-// math.Tanh round-trip). BenchmarkTanhStepNaive vs BenchmarkTanhStep in
-// the same run is the PR 5 activation-kernel speedup.
-func tanhNaive(a *Node) *Node {
-	val := tensor.Get(a.Val.Shape()...)
-	tensor.ApplyInto(val, a.Val, func(v float32) float32 {
-		return float32(math.Tanh(float64(v)))
-	})
-	out := newPooledNode(val, []*Node{a}, nil)
-	out.backward = func() {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			for i, th := range val.Data {
-				g.Data[i] += out.Grad.Data[i] * (1 - th*th)
-			}
-		}
-	}
-	return out
-}
-
-// geluNaive is a frozen copy of the PR 2-era GELU op (float64 math.Tanh in
-// the forward AND the backward).
-func geluNaive(a *Node) *Node {
-	const c = 0.7978845608028654
-	val := tensor.Get(a.Val.Shape()...)
-	tensor.ApplyInto(val, a.Val, func(v float32) float32 {
-		x := float64(v)
-		return float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
-	})
-	out := newPooledNode(val, []*Node{a}, nil)
-	out.backward = func() {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			for i, v := range a.Val.Data {
-				x := float64(v)
-				t := math.Tanh(c * (x + 0.044715*x*x*x))
-				dt := (1 - t*t) * c * (1 + 3*0.044715*x*x)
-				d := 0.5*(1+t) + 0.5*x*dt
-				g.Data[i] += out.Grad.Data[i] * float32(d)
-			}
-		}
-	}
-	return out
-}
-
-// sigmoidNaive is a frozen copy of the PR 2-era Sigmoid op.
-func sigmoidNaive(a *Node) *Node {
-	val := tensor.Get(a.Val.Shape()...)
-	tensor.ApplyInto(val, a.Val, func(v float32) float32 {
-		return float32(1 / (1 + math.Exp(-float64(v))))
-	})
-	out := newPooledNode(val, []*Node{a}, nil)
-	out.backward = func() {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			for i, s := range val.Data {
-				g.Data[i] += out.Grad.Data[i] * s * (1 - s)
-			}
-		}
-	}
-	return out
-}
-
-// benchActStep measures one activation forward+backward at transformer
-// scale ([N*T, D] = [256, 256]).
-func benchActStep(b *testing.B, op func(*Node) *Node) {
+// BenchmarkActStep measures one standalone activation forward+backward at
+// transformer scale ([N*T, D] = [256, 256]).
+func BenchmarkActStep(b *testing.B) {
 	rng := tensor.NewRNG(15)
 	x := tensor.New(256, 256)
 	rng.FillNormal(x, 0, 2)
 	xN := Leaf(x)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		xN.ZeroGrad()
-		loss := Mean(op(xN))
-		Backward(loss)
-		Release(loss)
+	for _, act := range allActs[1:] {
+		b.Run(actNames[act], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				xN.ZeroGrad()
+				loss := Mean(Activate(xN, act))
+				Backward(loss)
+				Release(loss)
+			}
+		})
 	}
 }
 
-func BenchmarkTanhStep(b *testing.B)         { benchActStep(b, Tanh) }
-func BenchmarkTanhStepNaive(b *testing.B)    { benchActStep(b, tanhNaive) }
-func BenchmarkSigmoidStep(b *testing.B)      { benchActStep(b, Sigmoid) }
-func BenchmarkSigmoidStepNaive(b *testing.B) { benchActStep(b, sigmoidNaive) }
-func BenchmarkGELUStep(b *testing.B)         { benchActStep(b, GELU) }
-func BenchmarkGELUStepNaive(b *testing.B)    { benchActStep(b, geluNaive) }
-
-// benchGELUFFStep measures a GELU transformer feed-forward half-block
-// ([N*T, D]·[D, FF] + bias + GELU, forward+backward) — fused LinearGELU vs
-// the frozen float64 GELU over the unfused composition.
-func benchGELUFFStep(b *testing.B, fused bool) {
+// BenchmarkGELUFFStep measures a GELU transformer feed-forward half-block
+// ([N*T, D]·[D, FF] + bias + GELU, forward+backward) as one fused node.
+func BenchmarkGELUFFStep(b *testing.B) {
 	rng := tensor.NewRNG(16)
 	x := tensor.New(256, 200)
 	w := tensor.New(200, 200)
@@ -488,86 +229,17 @@ func benchGELUFFStep(b *testing.B, fused bool) {
 		xN.ZeroGrad()
 		wN.ZeroGrad()
 		bN.ZeroGrad()
-		var h *Node
-		if fused {
-			h = LinearGELU(xN, wN, bN)
-		} else {
-			h = geluNaive(AddRowBias(MatMul(xN, wN), bN))
-		}
-		loss := Mean(h)
+		loss := Mean(Linear(xN, wN, bN, tensor.ActGELU))
 		Backward(loss)
 		Release(loss)
 	}
 }
 
-func BenchmarkGELUFFStep(b *testing.B)      { benchGELUFFStep(b, true) }
-func BenchmarkGELUFFStepNaive(b *testing.B) { benchGELUFFStep(b, false) }
-
-// conv2dRetained is a frozen copy of the PR 1/2 conv core that keeps every
-// per-image column matrix alive from forward through backward. It exists
-// only to measure what the streaming rewrite saves: same arithmetic, same
-// determinism, n× the column memory.
-func conv2dRetained(x, w *Node, stride, pad int) *Node {
-	xs, ws := x.Val.Shape(), w.Val.Shape()
-	n, oc := xs[0], ws[0]
-	g := &tensor.ConvGeom{
-		InC: xs[1], InH: xs[2], InW: xs[3],
-		KH: ws[2], KW: ws[3],
-		StrideH: stride, StrideW: stride,
-		PadH: pad, PadW: pad,
-	}
-	if err := g.Validate(); err != nil {
-		panic(err)
-	}
-	kdim := g.InC * g.KH * g.KW
-	ncols := g.OutH * g.OutW
-	imgIn := g.InC * g.InH * g.InW
-	imgOut := oc * ncols
-
-	val := tensor.Get(n, oc, g.OutH, g.OutW)
-	colsPer := make([]*tensor.Tensor, n)
-	forEachImage(n, func(b int) {
-		cols := tensor.Get(kdim, ncols)
-		tensor.Im2Col(cols, x.Val.Data[b*imgIn:(b+1)*imgIn], g)
-		tensor.MatMulRawInto(val.Data[b*imgOut:(b+1)*imgOut], w.Val.Data, cols.Data, oc, kdim, ncols)
-		colsPer[b] = cols
-	})
-	conv := newPooledNode(val, []*Node{x, w}, nil)
-	conv.scratch = colsPer
-	conv.backward = func() {
-		if w.requiresGrad {
-			wd := w.ensureGrad().Data
-			tmp := tensor.Get(oc, kdim)
-			for b := 0; b < n; b++ {
-				tensor.MatMulBTRawInto(tmp.Data, conv.Grad.Data[b*imgOut:(b+1)*imgOut], colsPer[b].Data, oc, ncols, kdim)
-				tensor.AddRawInto(wd, tmp.Data)
-			}
-			tensor.Put(tmp)
-		}
-		if x.requiresGrad {
-			xg := x.ensureGrad()
-			forEachImage(n, func(b int) {
-				dcols := tensor.Get(kdim, ncols)
-				tensor.MatMulATRawInto(dcols.Data, w.Val.Data, conv.Grad.Data[b*imgOut:(b+1)*imgOut], kdim, oc, ncols)
-				tensor.Col2Im(xg.Data[b*imgIn:(b+1)*imgIn], dcols, g)
-				tensor.Put(dcols)
-			})
-		}
-		for b, cols := range colsPer {
-			tensor.Put(cols)
-			colsPer[b] = nil
-		}
-	}
-	return conv
-}
-
-// benchConvBackward runs one conv training step (forward+backward) at
-// batch 32 on either conv core with a warm pool — the throughput view of
-// the streaming rewrite, at a shallow (im2col-heavy) and a deep
+// BenchmarkConvBackward runs one conv training step (forward+backward) at
+// batch 32 with a warm pool, at a shallow (im2col-heavy) and a deep
 // (matmul-heavy) channel shape. The streamed backward pays one extra
-// im2col per image; these sub-benches record that cost next to the
-// cold-pool benches' memory win.
-func benchConvBackward(b *testing.B, core func(x, w *Node, stride, pad int) *Node) {
+// im2col per image.
+func BenchmarkConvBackward(b *testing.B) {
 	shapes := []struct {
 		name             string
 		inC, outC, h, wd int
@@ -588,7 +260,7 @@ func benchConvBackward(b *testing.B, core func(x, w *Node, stride, pad int) *Nod
 			for i := 0; i < b.N; i++ {
 				xN.ZeroGrad()
 				wN.ZeroGrad()
-				loss := Mean(core(xN, wN, 1, 1))
+				loss := Mean(Conv2d(xN, wN, nil, 1, 1, tensor.ActNone))
 				Backward(loss)
 				Release(loss)
 			}
@@ -596,20 +268,15 @@ func benchConvBackward(b *testing.B, core func(x, w *Node, stride, pad int) *Nod
 	}
 }
 
-func convStreamedCore(x, w *Node, stride, pad int) *Node { return Conv2d(x, w, nil, stride, pad) }
-
-func BenchmarkConvBackwardStreamed(b *testing.B) { benchConvBackward(b, convStreamedCore) }
-func BenchmarkConvBackwardRetained(b *testing.B) { benchConvBackward(b, conv2dRetained) }
-
-// benchConvBackwardColdPool is the peak-memory view: two GC cycles before
-// each step empty the scratch pool (sync.Pool's victim cache survives one
-// GC), so bytes/op ≈ the step's whole working set — which is where keeping
-// n column matrices alive shows up against streaming one.
-func benchConvBackwardColdPool(b *testing.B, batch int, core func(x, w *Node, stride, pad int) *Node) {
-	prev := tensor.SetMaxWorkers(1) // one in-flight column buffer when streaming
+// BenchmarkConvBackwardColdPool is the peak-memory view: two GC cycles
+// before each step empty the scratch pool (sync.Pool's victim cache survives
+// one GC), so bytes/op ≈ the step's whole working set — one streamed column
+// buffer, not one per image.
+func BenchmarkConvBackwardColdPool(b *testing.B) {
+	prev := tensor.SetMaxWorkers(1) // one in-flight column buffer
 	defer tensor.SetMaxWorkers(prev)
 	rng := tensor.NewRNG(18)
-	x := tensor.New(batch, 3, 16, 16)
+	x := tensor.New(64, 3, 16, 16)
 	rng.FillNormal(x, 0, 1)
 	w := tensor.New(8, 3, 3, 3)
 	rng.FillNormal(w, 0, 0.3)
@@ -623,16 +290,8 @@ func benchConvBackwardColdPool(b *testing.B, batch int, core func(x, w *Node, st
 		b.StartTimer()
 		xN.ZeroGrad()
 		wN.ZeroGrad()
-		loss := Mean(core(xN, wN, 1, 1))
+		loss := Mean(Conv2d(xN, wN, nil, 1, 1, tensor.ActNone))
 		Backward(loss)
 		Release(loss)
 	}
-}
-
-func BenchmarkConvBackwardColdPoolStreamed(b *testing.B) {
-	benchConvBackwardColdPool(b, 64, convStreamedCore)
-}
-
-func BenchmarkConvBackwardColdPoolRetained(b *testing.B) {
-	benchConvBackwardColdPool(b, 64, conv2dRetained)
 }

@@ -20,7 +20,7 @@ func convRun(t *testing.T, seed uint64, batch, inC, outC, h, w, kernel, stride, 
 	rng.FillNormal(bias, 0, 0.5)
 
 	xN, wN, bN := Leaf(x), Leaf(wt), Leaf(bias)
-	loss := Mean(Conv2d(xN, wN, bN, stride, pad))
+	loss := Mean(Conv2d(xN, wN, bN, stride, pad, tensor.ActNone))
 	Backward(loss)
 	out = loss.Val.Clone()
 	dx = xN.Grad.Clone()
@@ -99,7 +99,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 			gamma, beta := tensor.Ones(13), tensor.New(13)
 			rm, rv := tensor.New(13), tensor.Ones(13)
 			xN, gN, bN := Leaf(x), Leaf(gamma), Leaf(beta)
-			loss := Mean(BatchNorm2d(xN, gN, bN, rm, rv, 0.1, 1e-5, true))
+			loss := Mean(BatchNorm2d(xN, gN, bN, rm, rv, 0.1, 1e-5, true, tensor.ActNone))
 			Backward(loss)
 			out, dx, rmOut = loss.Val.Clone(), xN.Grad.Clone(), rm.Clone()
 			Release(loss)
@@ -145,39 +145,11 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		}
 	})
 
-	t.Run("LinearReLUFwdBwd", func(t *testing.T) {
-		run := func() (out, dx, dw *tensor.Tensor) {
-			rng := tensor.NewRNG(20)
-			x := tensor.New(33, 64)
-			w := tensor.New(64, 48)
-			b := tensor.New(48)
-			rng.FillNormal(x, 0, 1)
-			rng.FillNormal(w, 0, 0.3)
-			rng.FillNormal(b, 0, 0.3)
-			xN, wN, bN := Leaf(x), Leaf(w), Leaf(b)
-			loss := Mean(LinearReLU(xN, wN, bN))
-			Backward(loss)
-			out, dx, dw = loss.Val.Clone(), xN.Grad.Clone(), wN.Grad.Clone()
-			Release(loss)
-			return out, dx, dw
-		}
-		prev := tensor.SetMaxWorkers(1)
-		defer tensor.SetMaxWorkers(prev)
-		refOut, refDx, refDw := run()
-		for _, wk := range workerCounts {
-			tensor.SetMaxWorkers(wk)
-			out, dx, dw := run()
-			if !out.Equal(refOut) || !dx.Equal(refDx) || !dw.Equal(refDw) {
-				t.Errorf("workers=%d: LinearReLU fwd/bwd not bit-identical to workers=1", wk)
-			}
-		}
-	})
-
 	// The activation-free Linear ops, worker count × SIMD on/off: each
 	// backend must agree with itself at every worker count (the two
 	// backends round differently and are not compared). 67 rows of 1000
 	// columns make the row kernels chunk unevenly at every count.
-	linearRun := func(head bool) (out, dx, dw, db *tensor.Tensor) {
+	linearRun := func(head bool) []*tensor.Tensor {
 		rng := tensor.NewRNG(22)
 		x := tensor.New(67, 48)
 		w := tensor.New(48, 1000)
@@ -194,203 +166,40 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		if head {
 			loss = LinearSoftmaxCrossEntropy(xN, wN, bN, labels)
 		} else {
-			loss = Mean(Linear(xN, wN, bN))
+			loss = Mean(Linear(xN, wN, bN, tensor.ActNone))
 		}
 		Backward(loss)
-		out, dx, dw, db = loss.Val.Clone(), xN.Grad.Clone(), wN.Grad.Clone(), bN.Grad.Clone()
+		res := []*tensor.Tensor{loss.Val.Clone(), xN.Grad.Clone(), wN.Grad.Clone(), bN.Grad.Clone()}
 		Release(loss)
-		return out, dx, dw, db
+		return res
 	}
 	for name, head := range map[string]bool{"LinearFwdBwd": false, "LinearSoftmaxCrossEntropyFwdBwd": true} {
 		t.Run(name, func(t *testing.T) {
-			prev := tensor.SetMaxWorkers(1)
-			defer tensor.SetMaxWorkers(prev)
-			for _, simd := range []bool{false, true} {
-				prevSIMD := tensor.SetSIMD(simd)
-				if simd && !tensor.SIMDEnabled() {
-					tensor.SetSIMD(prevSIMD)
-					t.Log("AVX2 not available; SIMD dispatch not exercised")
-					continue
-				}
-				tensor.SetMaxWorkers(1)
-				refOut, refDx, refDw, refDb := linearRun(head)
-				for _, wk := range workerCounts {
-					tensor.SetMaxWorkers(wk)
-					out, dx, dw, db := linearRun(head)
-					if !out.Equal(refOut) || !dx.Equal(refDx) || !dw.Equal(refDw) || !db.Equal(refDb) {
-						t.Errorf("simd=%v workers=%d: %s not bit-identical to workers=1", simd, wk, name)
-					}
-				}
-				tensor.SetSIMD(prevSIMD)
-			}
+			sameAtEveryWorkerCount(t, workerCounts, func() []*tensor.Tensor { return linearRun(head) })
 		})
 	}
 
-	// The PR 5 fused activation family (Tanh32/Sigmoid32/GELU32 kernels and
-	// their Linear/Conv epilogues), run through autodiff on the persistent
-	// worker pool.
-	actCases := map[string]func() (out, dx *tensor.Tensor){
-		"Tanh": func() (out, dx *tensor.Tensor) {
-			rng := tensor.NewRNG(23)
-			x := tensor.New(37, 96)
-			rng.FillNormal(x, 0, 3)
-			xN := Leaf(x)
-			loss := Mean(Tanh(xN))
-			Backward(loss)
-			out, dx = loss.Val.Clone(), xN.Grad.Clone()
-			Release(loss)
-			return out, dx
-		},
-		"Sigmoid": func() (out, dx *tensor.Tensor) {
-			rng := tensor.NewRNG(24)
-			x := tensor.New(37, 96)
-			rng.FillNormal(x, 0, 3)
-			xN := Leaf(x)
-			loss := Mean(Sigmoid(xN))
-			Backward(loss)
-			out, dx = loss.Val.Clone(), xN.Grad.Clone()
-			Release(loss)
-			return out, dx
-		},
-		"GELU": func() (out, dx *tensor.Tensor) {
-			rng := tensor.NewRNG(25)
-			x := tensor.New(37, 96)
-			rng.FillNormal(x, 0, 3)
-			xN := Leaf(x)
-			loss := Mean(GELU(xN))
-			Backward(loss)
-			out, dx = loss.Val.Clone(), xN.Grad.Clone()
-			Release(loss)
-			return out, dx
-		},
-		"LinearTanh": func() (out, dx *tensor.Tensor) {
-			rng := tensor.NewRNG(26)
-			x := tensor.New(33, 64)
-			w := tensor.New(64, 48)
-			b := tensor.New(48)
-			rng.FillNormal(x, 0, 1)
-			rng.FillNormal(w, 0, 0.3)
-			rng.FillNormal(b, 0, 0.3)
-			xN, wN, bN := Leaf(x), Leaf(w), Leaf(b)
-			loss := Mean(LinearTanh(xN, wN, bN))
-			Backward(loss)
-			out, dx = loss.Val.Clone(), wN.Grad.Clone()
-			Release(loss)
-			return out, dx
-		},
-		"LinearGELU": func() (out, dx *tensor.Tensor) {
-			rng := tensor.NewRNG(27)
-			x := tensor.New(33, 64)
-			w := tensor.New(64, 48)
-			b := tensor.New(48)
-			rng.FillNormal(x, 0, 1)
-			rng.FillNormal(w, 0, 0.3)
-			rng.FillNormal(b, 0, 0.3)
-			xN, wN, bN := Leaf(x), Leaf(w), Leaf(b)
-			loss := Mean(LinearGELU(xN, wN, bN))
-			Backward(loss)
-			out, dx = loss.Val.Clone(), wN.Grad.Clone()
-			Release(loss)
-			return out, dx
-		},
-		"Conv2dSigmoid": func() (out, dx *tensor.Tensor) {
-			rng := tensor.NewRNG(28)
-			x := tensor.New(5, 2, 9, 9)
-			w := tensor.New(4, 2, 3, 3)
-			b := tensor.New(4)
-			rng.FillNormal(x, 0, 1)
-			rng.FillNormal(w, 0, 0.3)
-			rng.FillNormal(b, 0, 0.3)
-			xN, wN, bN := Leaf(x), Leaf(w), Leaf(b)
-			loss := Mean(Conv2dSigmoid(xN, wN, bN, 1, 1))
-			Backward(loss)
-			out, dx = loss.Val.Clone(), xN.Grad.Clone()
-			Release(loss)
-			return out, dx
-		},
-	}
-	for name, run := range actCases {
-		t.Run("Act/"+name, func(t *testing.T) {
-			prev := tensor.SetMaxWorkers(1)
-			defer tensor.SetMaxWorkers(prev)
-			refOut, refDx := run()
-			for _, wk := range workerCounts {
-				tensor.SetMaxWorkers(wk)
-				out, dx := run()
-				if !out.Equal(refOut) || !dx.Equal(refDx) {
-					t.Errorf("workers=%d: %s fwd/bwd not bit-identical to workers=1", wk, name)
-				}
-			}
-		})
-	}
+	// Every op that ends in an activation, over every activation.
+	t.Run("Act", func(t *testing.T) { actRowsDeterministic(t, workerCounts) })
 
-	// The one-node norm→activation, add→activation and biased-convolution
-	// ops and the norms' recomputed x̂, worker count × SIMD on/off (each
-	// backend must agree with itself at every worker count). Shapes are
-	// large enough that the channel / row / image loops really split.
-	fwdBwd := func(seed uint64, shapes [][]int, build func(p []*Node) *Node) func() []*tensor.Tensor {
-		return func() []*tensor.Tensor {
-			rng := tensor.NewRNG(seed)
-			leaves := make([]*Node, len(shapes))
-			for i, sh := range shapes {
-				v := tensor.New(sh...)
-				rng.FillNormal(v, 0.2, 1)
-				leaves[i] = Leaf(v)
-			}
-			out := build(leaves)
-			res := []*tensor.Tensor{out.Val.Clone()}
-			dy := tensor.New(out.Val.Shape()...)
-			rng.FillNormal(dy, 0, 1)
-			loss := Sum(Mul(out, Constant(dy)))
-			Backward(loss)
-			for _, l := range leaves {
-				res = append(res, l.Grad.Clone())
-			}
-			Release(loss)
-			return res
-		}
-	}
-	bnShapes := [][]int{{8, 13, 32, 32}, {13}, {13}}
+	// The add→activation node and the norms' recomputed x̂. Shapes are large
+	// enough that the row loops really split.
 	oneNodeCases := map[string]func() []*tensor.Tensor{
-		"BatchNorm2dReLU": fwdBwd(30, bnShapes, func(p []*Node) *Node {
-			return BatchNorm2dReLU(p[0], p[1], p[2], tensor.New(13), tensor.Ones(13), 0.1, 1e-5, true)
-		}),
-		"BatchNorm2dReLU6": fwdBwd(31, bnShapes, func(p []*Node) *Node {
-			return BatchNorm2dReLU6(p[0], p[1], p[2], tensor.New(13), tensor.Ones(13), 0.1, 1e-5, true)
-		}),
-		"AddReLU": fwdBwd(32, [][]int{{8, 13, 32, 32}, {8, 13, 32, 32}}, func(p []*Node) *Node {
-			return AddReLU(p[0], p[1])
-		}),
-		"LayerNormRecomputed": fwdBwd(33, [][]int{{67, 1000}, {1000}, {1000}}, func(p []*Node) *Node {
-			return LayerNorm(p[0], p[1], p[2], 1e-5)
-		}),
-		"Conv2dReLUBiased": fwdBwd(34, [][]int{{5, 2, 32, 32}, {4, 2, 3, 3}, {4}}, func(p []*Node) *Node {
-			return Conv2dReLU(p[0], p[1], p[2], 1, 1)
-		}),
+		"AddReLU": func() []*tensor.Tensor {
+			h := plainOp(2)
+			return h.fwdBwd(h.draw([][]int{{8, 13, 32, 32}, {8, 13, 32, 32}}, 32), func(p []*Node) *Node {
+				return AddReLU(p[0], p[1])
+			})
+		},
+		"LayerNormRecomputed": func() []*tensor.Tensor {
+			h := plainOp(3)
+			return h.fwdBwd(h.draw([][]int{{67, 1000}, {1000}, {1000}}, 33), func(p []*Node) *Node {
+				return LayerNorm(p[0], p[1], p[2], 1e-5)
+			})
+		},
 	}
 	for name, run := range oneNodeCases {
-		t.Run("OneNode/"+name, func(t *testing.T) {
-			defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
-			for _, simd := range []bool{false, true} {
-				prevSIMD := tensor.SetSIMD(simd)
-				if simd && !tensor.SIMDEnabled() {
-					tensor.SetSIMD(prevSIMD)
-					t.Log("AVX2 not available; SIMD dispatch not exercised")
-					continue
-				}
-				tensor.SetMaxWorkers(1)
-				ref := run()
-				for _, wk := range workerCounts {
-					tensor.SetMaxWorkers(wk)
-					for i, got := range run() {
-						if !got.Equal(ref[i]) {
-							t.Errorf("simd=%v workers=%d: %s result %d (0 = value, then operand gradients) not bit-identical to workers=1", simd, wk, name, i)
-						}
-					}
-				}
-				tensor.SetSIMD(prevSIMD)
-			}
-		})
+		t.Run("OneNode/"+name, func(t *testing.T) { sameAtEveryWorkerCount(t, workerCounts, run) })
 	}
 
 	convCases := []struct {
@@ -427,6 +236,42 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestConvStreamedBackwardMatchesPerImage pins the streaming dW
+// accumulation: the batched backward re-lowers one image at a time into a
+// single scratch buffer and accumulates in ascending batch order, so its
+// dW must equal the sum of per-image dWs taken in the same order, bit for
+// bit. (This is the invariant that made dropping the retained column
+// matrices a pure memory win.)
+func TestConvStreamedBackwardMatchesPerImage(t *testing.T) {
+	const batch, inC, outC, h, wdt, k = 6, 2, 3, 7, 7, 3
+	rng := tensor.NewRNG(72)
+	x := tensor.New(batch, inC, h, wdt)
+	w := tensor.New(outC, inC, k, k)
+	rng.FillNormal(x, 0, 1)
+	rng.FillNormal(w, 0, 0.5)
+
+	wN := Leaf(w.Clone())
+	full := Conv2d(Constant(x.Clone()), wN, nil, 1, 1, tensor.ActNone)
+	Backward(Sum(full))
+	dwFull := wN.Grad.Clone()
+
+	imgIn := inC * h * wdt
+	dwSum := tensor.New(w.Shape()...)
+	for b := 0; b < batch; b++ {
+		xb := tensor.New(1, inC, h, wdt)
+		copy(xb.Data, x.Data[b*imgIn:(b+1)*imgIn])
+		wb := Leaf(w.Clone())
+		one := Conv2d(Constant(xb), wb, nil, 1, 1, tensor.ActNone)
+		Backward(Sum(one))
+		for i, g := range wb.Grad.Data {
+			dwSum.Data[i] += g
+		}
+	}
+	if !dwFull.Equal(dwSum) {
+		t.Fatal("streamed batch dW is not the ascending-order sum of per-image dWs")
+	}
+}
+
 // TestReleaseRecyclesScratch verifies Release actually feeds the pool: a
 // second identical training step after Release must hit the pool instead
 // of allocating fresh buffers.
@@ -440,7 +285,7 @@ func TestReleaseRecyclesScratch(t *testing.T) {
 
 	step := func() {
 		wN.ZeroGrad()
-		loss := Mean(ReLU(Conv2d(Constant(x), wN, nil, 1, 1)))
+		loss := Mean(Activate(Conv2d(Constant(x), wN, nil, 1, 1, tensor.ActNone), tensor.ActReLU))
 		Backward(loss)
 		Release(loss)
 	}

@@ -128,7 +128,7 @@ func TestGradAddChanBias(t *testing.T) {
 	target := tensor.New(2, 3, 2, 2)
 	rng.FillNormal(target, 0, 1)
 	xN, bN := Leaf(x), Leaf(b)
-	loss := func() *Node { return MSE(AddChanBias(xN, bN), target) }
+	loss := func() *Node { return MSE(AddChanBias(xN, bN, tensor.ActNone), target) }
 	gradCheck(t, []*Node{xN, bN}, loss, 2e-2)
 }
 

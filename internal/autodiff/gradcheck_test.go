@@ -54,19 +54,19 @@ func TestGradLinearChain(t *testing.T) {
 
 	wN, bN := Leaf(w), Leaf(b)
 	loss := func() *Node {
-		y := AddRowBias(MatMul(Constant(x), wN), bN)
-		return MSE(Tanh(y), target)
+		y := AddRowBias(MatMul(Constant(x), wN), bN, tensor.ActNone)
+		return MSE(Activate(y, tensor.ActTanh), target)
 	}
 	gradCheck(t, []*Node{wN, bN}, loss, 2e-2)
 }
 
 func TestGradActivations(t *testing.T) {
-	acts := map[string]func(*Node) *Node{
-		"relu":    ReLU,
-		"relu6":   ReLU6,
-		"sigmoid": Sigmoid,
-		"tanh":    Tanh,
-		"gelu":    GELU,
+	acts := map[string]tensor.Act{
+		"relu":    tensor.ActReLU,
+		"relu6":   tensor.ActReLU6,
+		"sigmoid": tensor.ActSigmoid,
+		"tanh":    tensor.ActTanh,
+		"gelu":    tensor.ActGELU,
 	}
 	// Several shapes, deliberately including sizes that are not multiples
 	// of the 8-wide SIMD width so the fused kernels' scalar tails get
@@ -81,84 +81,11 @@ func TestGradActivations(t *testing.T) {
 				xN := Leaf(x)
 				target := tensor.New(shape...)
 				rng.FillNormal(target, 0, 1)
-				loss := func() *Node { return MSE(act(xN), target) }
+				loss := func() *Node { return MSE(Activate(xN, act), target) }
 				gradCheck(t, []*Node{xN}, loss, 3e-2)
 			})
 		}
 	}
-}
-
-// TestGradFusedActivationEpilogues covers the PR 5 fused bias+activation
-// family: Linear→Tanh / Linear→GELU epilogues, the standalone bias+tanh
-// row op, and the conv-shaped bias+sigmoid gate. Widths avoid multiples of
-// the SIMD width so both dispatch paths contribute.
-func TestGradFusedActivationEpilogues(t *testing.T) {
-	t.Run("AddRowBiasTanh", func(t *testing.T) {
-		rng := tensor.NewRNG(61)
-		x := tensor.New(3, 13)
-		b := tensor.New(13)
-		rng.FillNormal(x, 0.2, 1)
-		rng.FillNormal(b, 0, 0.5)
-		target := tensor.New(3, 13)
-		rng.FillNormal(target, 0, 1)
-		xN, bN := Leaf(x), Leaf(b)
-		loss := func() *Node { return MSE(AddRowBiasTanh(xN, bN), target) }
-		gradCheck(t, []*Node{xN, bN}, loss, 3e-2)
-	})
-	t.Run("AddChanBiasSigmoid", func(t *testing.T) {
-		rng := tensor.NewRNG(62)
-		x := tensor.New(2, 3, 3, 3)
-		b := tensor.New(3)
-		rng.FillNormal(x, 0, 1)
-		rng.FillNormal(b, 0, 0.5)
-		target := tensor.New(2, 3, 3, 3)
-		rng.FillNormal(target, 0, 1)
-		xN, bN := Leaf(x), Leaf(b)
-		loss := func() *Node { return MSE(AddChanBiasSigmoid(xN, bN), target) }
-		gradCheck(t, []*Node{xN, bN}, loss, 3e-2)
-	})
-	t.Run("LinearTanh", func(t *testing.T) {
-		rng := tensor.NewRNG(63)
-		x := tensor.New(3, 4)
-		w := tensor.New(4, 5)
-		b := tensor.New(5)
-		rng.FillNormal(x, 0.3, 1)
-		rng.FillNormal(w, 0, 0.5)
-		rng.FillNormal(b, 0.2, 0.3)
-		target := tensor.New(3, 5)
-		rng.FillNormal(target, 0, 1)
-		xN, wN, bN := Leaf(x), Leaf(w), Leaf(b)
-		loss := func() *Node { return MSE(LinearTanh(xN, wN, bN), target) }
-		gradCheck(t, []*Node{xN, wN, bN}, loss, 3e-2)
-	})
-	t.Run("LinearGELU", func(t *testing.T) {
-		rng := tensor.NewRNG(64)
-		x := tensor.New(3, 4)
-		w := tensor.New(4, 5)
-		b := tensor.New(5)
-		rng.FillNormal(x, 0.3, 1)
-		rng.FillNormal(w, 0, 0.5)
-		rng.FillNormal(b, 0.2, 0.3)
-		target := tensor.New(3, 5)
-		rng.FillNormal(target, 0, 1)
-		xN, wN, bN := Leaf(x), Leaf(w), Leaf(b)
-		loss := func() *Node { return MSE(LinearGELU(xN, wN, bN), target) }
-		gradCheck(t, []*Node{xN, wN, bN}, loss, 3e-2)
-	})
-	t.Run("Conv2dSigmoid", func(t *testing.T) {
-		rng := tensor.NewRNG(65)
-		x := tensor.New(2, 2, 5, 5)
-		w := tensor.New(3, 2, 3, 3)
-		b := tensor.New(3)
-		rng.FillNormal(x, 0, 1)
-		rng.FillNormal(w, 0, 0.3)
-		rng.FillNormal(b, 0, 0.3)
-		target := tensor.New(2, 3, 5, 5)
-		rng.FillNormal(target, 0, 1)
-		xN, wN, bN := Leaf(x), Leaf(w), Leaf(b)
-		loss := func() *Node { return MSE(Conv2dSigmoid(xN, wN, bN, 1, 1), target) }
-		gradCheck(t, []*Node{wN, bN, xN}, loss, 2e-2)
-	})
 }
 
 // TestGradConv2dStreamedShapes re-runs the conv gradient check (dX, dW,
@@ -184,10 +111,10 @@ func TestGradConv2dStreamedShapes(t *testing.T) {
 			rng.FillNormal(w, 0, 0.3)
 			rng.FillNormal(b, 0, 0.3)
 			xN, wN, bN := Leaf(x), Leaf(w), Leaf(b)
-			probe := Conv2d(xN, wN, bN, tc.stride, tc.pad)
+			probe := Conv2d(xN, wN, bN, tc.stride, tc.pad, tensor.ActNone)
 			target := tensor.New(probe.Val.Shape()...)
 			rng.FillNormal(target, 0, 1)
-			loss := func() *Node { return MSE(Conv2d(xN, wN, bN, tc.stride, tc.pad), target) }
+			loss := func() *Node { return MSE(Conv2d(xN, wN, bN, tc.stride, tc.pad, tensor.ActNone), target) }
 			gradCheck(t, []*Node{wN, bN, xN}, loss, 2e-2)
 		})
 	}
@@ -225,7 +152,7 @@ func TestGradConv2d(t *testing.T) {
 	rng.FillNormal(target, 0, 1)
 
 	xN, wN, bN := Leaf(x), Leaf(w), Leaf(b)
-	loss := func() *Node { return MSE(Conv2d(xN, wN, bN, 1, 1), target) }
+	loss := func() *Node { return MSE(Conv2d(xN, wN, bN, 1, 1, tensor.ActNone), target) }
 	gradCheck(t, []*Node{wN, bN, xN}, loss, 2e-2)
 }
 
@@ -238,7 +165,7 @@ func TestGradConv2dStride2NoPad(t *testing.T) {
 	target := tensor.New(1, 2, 3, 3)
 	rng.FillNormal(target, 0, 1)
 	xN, wN := Leaf(x), Leaf(w)
-	loss := func() *Node { return MSE(Conv2d(xN, wN, nil, 2, 0), target) }
+	loss := func() *Node { return MSE(Conv2d(xN, wN, nil, 2, 0, tensor.ActNone), target) }
 	gradCheck(t, []*Node{wN, xN}, loss, 2e-2)
 }
 
@@ -281,7 +208,7 @@ func TestGradBatchNorm(t *testing.T) {
 	xN, gN, bN := Leaf(x), Leaf(gamma), Leaf(beta)
 	loss := func() *Node {
 		// Fresh running stats each call so the forward value is pure.
-		return MSE(BatchNorm2d(xN, gN, bN, rm.Clone(), rv.Clone(), 0.1, 1e-5, true), target)
+		return MSE(BatchNorm2d(xN, gN, bN, rm.Clone(), rv.Clone(), 0.1, 1e-5, true, tensor.ActNone), target)
 	}
 	gradCheck(t, []*Node{gN, bN, xN}, loss, 3e-2)
 }
@@ -291,7 +218,7 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	gamma, beta := tensor.Ones(1), tensor.New(1)
 	rm := tensor.FromSlice([]float32{0.5}, 1)
 	rv := tensor.FromSlice([]float32{4}, 1)
-	y := BatchNorm2d(Constant(x), Leaf(gamma), Leaf(beta), rm, rv, 0.1, 0, false)
+	y := BatchNorm2d(Constant(x), Leaf(gamma), Leaf(beta), rm, rv, 0.1, 0, false, tensor.ActNone)
 	want := float32((1.0 - 0.5) / 2.0)
 	if math.Abs(float64(y.Val.Data[0]-want)) > 1e-5 {
 		t.Fatalf("eval BN = %v, want %v", y.Val.Data[0], want)

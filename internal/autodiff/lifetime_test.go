@@ -20,7 +20,7 @@ func TestBackwardReleasesAsItGoes(t *testing.T) {
 	rng.FillNormal(w.Val, 0, 0.5)
 	gamma, beta := Leaf(tensor.Ones(6)), Leaf(tensor.New(6))
 
-	h := LinearTanh(Constant(x), w, b)
+	h := Linear(Constant(x), w, b, tensor.ActTanh)
 	norm := LayerNorm(Add(h, Dropout(h, 0.5, rng, true)), gamma, beta, 1e-5)
 	view := Reshape(norm, 2, 12)
 	orig := LinearSoftmaxCrossEntropy(Reshape(view, 4, 6), w, b, []int{0, 1, 2, 3})
@@ -73,7 +73,7 @@ func TestLeafGradientsAreExactSize(t *testing.T) {
 	fw, fb := Leaf(tensor.New(5, 3)), Leaf(tensor.New(3))
 	rng.FillNormal(fw.Val, 0, 0.3)
 	step := func() {
-		loss := Mean(Linear(GlobalAvgPool(Conv2dReLU(Constant(x), w, b, 1, 1)), fw, fb))
+		loss := Mean(Linear(GlobalAvgPool(Conv2d(Constant(x), w, b, 1, 1, tensor.ActReLU)), fw, fb, tensor.ActNone))
 		Backward(loss)
 		Release(loss)
 	}
@@ -176,7 +176,7 @@ func TestBackwardFootprint(t *testing.T) {
 		misses := coldBucketMisses(t, n*c*hw*hw, func() *Node {
 			h := Constant(x)
 			for i := 0; i < k; i++ {
-				h = BatchNorm2dReLU(Conv2d(h, ws[i], nil, 1, 1), gs[i], bs[i], tensor.New(c), tensor.Ones(c), 0.1, 1e-5, true)
+				h = BatchNorm2d(Conv2d(h, ws[i], nil, 1, 1, tensor.ActNone), gs[i], bs[i], tensor.New(c), tensor.Ones(c), 0.1, 1e-5, true, tensor.ActReLU)
 			}
 			return Mean(h)
 		})
@@ -198,7 +198,7 @@ func TestBackwardFootprint(t *testing.T) {
 		misses := coldBucketMisses(t, n*d, func() *Node {
 			h := Constant(x)
 			for i := 0; i < k; i++ {
-				h = Tanh(Linear(h, ws[i], bs[i]))
+				h = Activate(Linear(h, ws[i], bs[i], tensor.ActNone), tensor.ActTanh)
 			}
 			return Mean(h)
 		})

@@ -63,7 +63,7 @@ func TestGradLinear(t *testing.T) {
 			x, w, b, params := c.build(61)
 			target := tensor.New(c.n, c.out)
 			tensor.NewRNG(62).FillNormal(target, 0, 1)
-			gradCheck(t, params, func() *Node { return MSE(Linear(x, w, b), target) }, 2e-2)
+			gradCheck(t, params, func() *Node { return MSE(Linear(x, w, b, tensor.ActNone), target) }, 2e-2)
 		})
 	}
 }
@@ -94,7 +94,7 @@ func TestFusedMatchesUnfusedLinear(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			xF, wF, bF, fusedParams := c.build(64)
 			xP, wP, bP, plainParams := c.build(64)
-			fused, plain := Linear(xF, wF, bF), AddRowBias(MatMul(xP, wP), bP)
+			fused, plain := Linear(xF, wF, bF, tensor.ActNone), AddRowBias(MatMul(xP, wP), bP, tensor.ActNone)
 			if !fused.Val.Equal(plain.Val) {
 				t.Fatal("Linear forward differs from AddRowBias(MatMul)")
 			}
@@ -106,7 +106,7 @@ func TestFusedMatchesUnfusedLinear(t *testing.T) {
 			xP, wP, bP, plainParams = c.build(65)
 			labels := c.labels()
 			fusedLoss := LinearSoftmaxCrossEntropy(xF, wF, bF, labels)
-			plainLoss := SoftmaxCrossEntropy(AddRowBias(MatMul(xP, wP), bP), labels)
+			plainLoss := SoftmaxCrossEntropy(AddRowBias(MatMul(xP, wP), bP, tensor.ActNone), labels)
 			if !fusedLoss.Val.Equal(plainLoss.Val) {
 				t.Fatalf("LinearSoftmaxCrossEntropy = %v, SoftmaxCrossEntropy(AddRowBias(MatMul)) = %v", fusedLoss.Scalar(), plainLoss.Scalar())
 			}
@@ -215,7 +215,7 @@ func TestAccumulateOwned(t *testing.T) {
 	tensor.NewRNG(67).FillNormal(wN.Val, 0, 1)
 	step := func() {
 		wN.ZeroGrad()
-		loss := Mean(MatMul(Tanh(MatMul(Constant(x), wN)), Constant(tensor.New(2, 2))))
+		loss := Mean(MatMul(Activate(MatMul(Constant(x), wN), tensor.ActTanh), Constant(tensor.New(2, 2))))
 		Backward(loss)
 		Release(loss)
 	}

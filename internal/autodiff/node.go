@@ -24,6 +24,17 @@
 // Backward therefore consumes the graph: a second Backward that reaches a
 // node the first one passed panics (build the graph again, as PyTorch asks
 // without retain_graph). Release stays the one call that ends a step.
+//
+// An activation is a parameter, not a name: Activate, AddRowBias,
+// AddChanBias, Linear, Conv2d and BatchNorm2d each take a tensor.Act and are
+// one node with one output buffer whatever its value. The contract is
+// tensor.Act's: the op applies it in place over its own output, and its
+// backward first rewrites the node's own gradient in place into the
+// gradient of the pre-activation — from the output alone, so neither a mask
+// nor the pre-activation is kept, except for ActGELU, whose pre-activation
+// and inner tanh the node holds as scratch (actScratch) — and only then
+// computes the operand gradients from it. Nothing above tensor branches on
+// which activation it is.
 package autodiff
 
 import (
@@ -50,10 +61,10 @@ type Node struct {
 	// pool (and is not shared with any view), so Release may recycle it.
 	ownsVal bool
 	// scratch holds pooled buffers the op retained for its backward pass
-	// (normalisation statistics, softmax probabilities, dropout masks).
-	// Backward returns them right after the closure has run; Release
-	// returns whatever is left, which covers eval-mode graphs where
-	// backward never runs.
+	// (normalisation statistics, softmax probabilities, dropout masks, an
+	// activation's tensor.ActScratch). Backward returns them right after the
+	// closure has run; Release returns whatever is left, which covers
+	// eval-mode graphs where backward never runs.
 	scratch []*tensor.Tensor
 }
 

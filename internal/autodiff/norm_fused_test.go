@@ -8,11 +8,9 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// Tests for the one-node norm→activation, add→activation and biased
-// convolution ops, and for the norms' recomputed x̂.
-
-// normFn is the shared signature of BatchNorm2d and its fused variants.
-type normFn func(x, gamma, beta *Node, rm, rv *tensor.Tensor, momentum, eps float32, training bool) *Node
+// Tests for the fixtures the Act × host-op table cannot draw at random —
+// batch-norm outputs placed around the clamps' kinks, the residual add — and
+// for the norms' recomputed x̂.
 
 // clusters fills t with values drawn around the given centres (±0.1), so a
 // normalised, affinely mapped copy of it stays a known distance away from
@@ -27,13 +25,13 @@ func clusters(rng *tensor.RNG, t *tensor.Tensor, centres ...float32) {
 func TestGradBatchNormActivation(t *testing.T) {
 	acts := []struct {
 		name string
-		fn   normFn
+		act  tensor.Act
 		// gamma/beta that put the three x̂ clusters (≈ −1.2, 0, 1.2) below
 		// the activation's range, inside it, and (ReLU6) above it.
 		gamma, beta float32
 	}{
-		{"ReLU", BatchNorm2dReLU, 1, 0.5},
-		{"ReLU6", BatchNorm2dReLU6, 4, 3},
+		{"ReLU", tensor.ActReLU, 1, 0.5},
+		{"ReLU6", tensor.ActReLU6, 4, 3},
 	}
 	for _, act := range acts {
 		for _, training := range []bool{true, false} {
@@ -52,7 +50,7 @@ func TestGradBatchNormActivation(t *testing.T) {
 				var out *Node
 				loss := func() *Node {
 					// Fresh running stats each call so the forward value is pure.
-					out = act.fn(xN, gN, bN, rm.Clone(), rv.Clone(), 0.1, 1e-5, training)
+					out = BatchNorm2d(xN, gN, bN, rm.Clone(), rv.Clone(), 0.1, 1e-5, training, act.act)
 					return MSE(out, target)
 				}
 				gradCheck(t, []*Node{gN, bN, xN}, loss, 3e-2)
@@ -83,9 +81,9 @@ func TestGradBatchNormActivation(t *testing.T) {
 		beta := tensor.FromSlice([]float32{1, -1}, 2)
 		target := tensor.FromSlice([]float32{0.2, 0.4}, 1, 2, 1, 1)
 		xN, gN, bN := Leaf(x), Leaf(gamma), Leaf(beta)
-		for _, fn := range []normFn{BatchNorm2dReLU, BatchNorm2dReLU6} {
+		for _, act := range acts {
 			loss := func() *Node {
-				return MSE(fn(xN, gN, bN, tensor.New(2), tensor.Ones(2), 0.1, 1e-5, true), target)
+				return MSE(BatchNorm2d(xN, gN, bN, tensor.New(2), tensor.Ones(2), 0.1, 1e-5, true, act.act), target)
 			}
 			gradCheck(t, []*Node{gN, bN, xN}, loss, 3e-2)
 			xN.Grad, gN.Grad, bN.Grad = nil, nil, nil
@@ -107,118 +105,6 @@ func TestGradAddReLU(t *testing.T) {
 	// One trainable operand: the other neither receives nor blocks anything.
 	aN.Grad = nil
 	gradCheck(t, []*Node{aN}, func() *Node { return MSE(AddReLU(Constant(b), aN), target) }, 3e-2)
-}
-
-// sameAsReferee builds fused and referee over clones of the same operands,
-// pushes the same non-uniform upstream gradient through both, and demands
-// bit-identical values and operand gradients.
-func sameAsReferee(t *testing.T, operands []*tensor.Tensor, fused, referee func(p []*Node) *Node) {
-	t.Helper()
-	run := func(build func(p []*Node) *Node) (val *tensor.Tensor, grads []*tensor.Tensor) {
-		leaves := make([]*Node, len(operands))
-		for i, o := range operands {
-			leaves[i] = Leaf(o.Clone())
-		}
-		out := build(leaves)
-		val = out.Val.Clone()
-		dy := tensor.New(out.Val.Shape()...)
-		tensor.NewRNG(83).FillNormal(dy, 0, 1)
-		loss := Sum(Mul(out, Constant(dy)))
-		Backward(loss)
-		for _, l := range leaves {
-			grads = append(grads, l.Grad.Clone())
-		}
-		Release(loss)
-		return val, grads
-	}
-	fv, fg := run(fused)
-	rv, rg := run(referee)
-	if !fv.Equal(rv) {
-		t.Fatal("forward value differs from the referee")
-	}
-	for i := range fg {
-		if !fg[i].Equal(rg[i]) {
-			t.Fatalf("gradient of operand %d differs from the referee", i)
-		}
-	}
-}
-
-// fusedNodeRows are the TestFusedMatchesUnfused rows for the ops that fold
-// an activation or a bias into the producing node.
-func fusedNodeRows(t *testing.T) {
-	rng := tensor.NewRNG(84)
-	x := tensor.New(4, 3, 4, 4)
-	rng.FillNormal(x, 0.3, 1.5)
-	gamma, beta := tensor.New(3), tensor.New(3)
-	rng.FillNormal(gamma, 1, 0.3)
-	rng.FillNormal(beta, 0.5, 1)
-	gamma.Data[1], beta.Data[1] = 3, 4 // reaches past 6
-	for _, row := range []struct {
-		name  string
-		fused normFn
-		act   func(*Node) *Node
-	}{{"BatchNorm2dReLU", BatchNorm2dReLU, ReLU}, {"BatchNorm2dReLU6", BatchNorm2dReLU6, ReLU6}} {
-		for _, training := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/training=%v", row.name, training), func(t *testing.T) {
-				rmF, rvF := tensor.Full(0.2, 3), tensor.Full(1.3, 3)
-				rmP, rvP := rmF.Clone(), rvF.Clone()
-				sameAsReferee(t, []*tensor.Tensor{x, gamma, beta},
-					func(p []*Node) *Node { return row.fused(p[0], p[1], p[2], rmF, rvF, 0.1, 1e-5, training) },
-					func(p []*Node) *Node { return row.act(BatchNorm2d(p[0], p[1], p[2], rmP, rvP, 0.1, 1e-5, training)) })
-				if !rmF.Equal(rmP) || !rvF.Equal(rvP) {
-					t.Fatal("running statistics differ from the referee")
-				}
-			})
-		}
-	}
-
-	a, b := tensor.New(3, 5, 2, 2), tensor.New(3, 5, 2, 2)
-	rng.FillNormal(a, 0, 1)
-	rng.FillNormal(b, 0, 1)
-	t.Run("AddReLU", func(t *testing.T) {
-		sameAsReferee(t, []*tensor.Tensor{a, b},
-			func(p []*Node) *Node { return AddReLU(p[0], p[1]) },
-			func(p []*Node) *Node { return ReLU(Add(p[0], p[1])) })
-	})
-	t.Run("AddReLU(a,a)", func(t *testing.T) {
-		sameAsReferee(t, []*tensor.Tensor{a},
-			func(p []*Node) *Node { return AddReLU(p[0], p[0]) },
-			func(p []*Node) *Node { return ReLU(Add(p[0], p[0])) })
-	})
-
-	// Biased convolutions: one node against the two-node composition. The
-	// output planes are 8×8 so the sigmoid's per-plane and flat runs split
-	// into the same 8-lane groups.
-	cx, cw, cb := tensor.New(3, 2, 8, 8), tensor.New(4, 2, 3, 3), tensor.New(4)
-	rng.FillNormal(cx, 0, 1)
-	rng.FillNormal(cw, 0, 0.4)
-	rng.FillNormal(cb, 0, 0.5)
-	convRows := map[string][2]func(p []*Node) *Node{
-		"Conv2d+bias": {
-			func(p []*Node) *Node { return Conv2d(p[0], p[1], p[2], 1, 1) },
-			func(p []*Node) *Node { return AddChanBias(Conv2d(p[0], p[1], nil, 1, 1), p[2]) }},
-		"Conv2dReLU+bias": {
-			func(p []*Node) *Node { return Conv2dReLU(p[0], p[1], p[2], 1, 1) },
-			func(p []*Node) *Node { return AddChanBiasReLU(Conv2d(p[0], p[1], nil, 1, 1), p[2]) }},
-		"Conv2dSigmoid+bias": {
-			func(p []*Node) *Node { return Conv2dSigmoid(p[0], p[1], p[2], 1, 1) },
-			func(p []*Node) *Node { return AddChanBiasSigmoid(Conv2d(p[0], p[1], nil, 1, 1), p[2]) }},
-	}
-	for name, pair := range convRows {
-		t.Run(name, func(t *testing.T) {
-			sameAsReferee(t, []*tensor.Tensor{cx, cw, cb}, pair[0], pair[1])
-		})
-	}
-	t.Run("Conv2dReLU", func(t *testing.T) {
-		sameAsReferee(t, []*tensor.Tensor{cx, cw},
-			func(p []*Node) *Node { return Conv2dReLU(p[0], p[1], nil, 2, 1) },
-			func(p []*Node) *Node { return ReLU(Conv2d(p[0], p[1], nil, 2, 1)) })
-	})
-	t.Run("Conv2dSigmoid", func(t *testing.T) {
-		sameAsReferee(t, []*tensor.Tensor{cx, cw},
-			func(p []*Node) *Node { return Conv2dSigmoid(p[0], p[1], nil, 1, 1) },
-			func(p []*Node) *Node { return Sigmoid(Conv2d(p[0], p[1], nil, 1, 1)) })
-	})
 }
 
 // laneDot is the four-lane float64 reduction (Σa, Σa·b) the norm backwards
@@ -321,8 +207,9 @@ func retainedLayerNorm(x, gamma, beta, dy []float32, rows, d int, eps float32) (
 	return y, dx, dg, db
 }
 
-// recomputedXhatRows: the norms' recomputed x̂ against a retained x̂, value
-// and all three gradients bit for bit.
+// recomputedXhatRows are the TestFusedMatchesUnfused rows for the norms'
+// recomputed x̂ against a retained x̂: value and all three gradients bit for
+// bit.
 func recomputedXhatRows(t *testing.T) {
 	equal := func(t *testing.T, what string, got *tensor.Tensor, want []float32) {
 		t.Helper()
@@ -341,7 +228,7 @@ func recomputedXhatRows(t *testing.T) {
 		rng.FillNormal(beta, 0, 0.5)
 		y, dx, dg, db := retainedBatchNorm(x.Data, gamma.Data, beta.Data, dy.Data, n, c, h*w, 1e-5)
 		xN, gN, bN := Leaf(x), Leaf(gamma), Leaf(beta)
-		out := BatchNorm2d(xN, gN, bN, tensor.New(c), tensor.Ones(c), 0.1, 1e-5, true)
+		out := BatchNorm2d(xN, gN, bN, tensor.New(c), tensor.Ones(c), 0.1, 1e-5, true, tensor.ActNone)
 		equal(t, "value", out.Val, y)
 		loss := Sum(Mul(out, Constant(dy)))
 		Backward(loss)

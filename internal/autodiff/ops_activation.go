@@ -6,72 +6,35 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// ReLU returns max(0, a) element-wise.
-func ReLU(a *Node) *Node { return clamp(a, tensor.ActReLU) }
-
-// ReLU6 returns min(max(0, a), 6), MobileNet's activation.
-func ReLU6(a *Node) *Node { return clamp(a, tensor.ActReLU6) }
-
-// clamp is the standalone ReLU-family node. Its backward masks the node's
-// own gradient in place from the output and hands it to a: no zero-fill,
-// no read-add-write, no second buffer.
-func clamp(a *Node, act tensor.Act) *Node {
+// Activate returns act(a) element-wise as a node of its own: the value is a
+// copy of a's with act applied in place, and the backward rewrites the
+// node's own gradient in place from the output and hands it to a — no
+// zero-fill, no read-add-write, no second buffer. Every other op that takes
+// an Act ends in the same two calls over its own output.
+func Activate(a *Node, act tensor.Act) *Node {
 	val := tensor.Get(a.Val.Shape()...)
 	val.CopyFrom(a.Val)
-	act.Apply(val.Data)
+	keep, scratch := actScratch(act, val)
+	act.Apply(val.Data, keep)
 	out := newPooledNode(val, []*Node{a}, nil)
+	out.scratch = scratch
 	out.backward = func() {
-		act.MaskGrad(out.Grad.Data, val.Data)
+		act.Grad(out.Grad.Data, val.Data, keep)
 		out.handGrad(a)
 	}
 	return out
 }
 
-// Sigmoid returns 1/(1+exp(-a)) element-wise on the fused float32 kernel
-// family (Sigmoid32 rows, AVX2 bulk); the backward needs only the forward
-// output: dx += dy·y·(1−y).
-func Sigmoid(a *Node) *Node {
-	val := tensor.Get(a.Val.Shape()...)
-	tensor.SigmoidInto(val.Data, a.Val.Data)
-	out := newPooledNode(val, []*Node{a}, nil)
-	out.backward = func() {
-		if a.requiresGrad {
-			tensor.SigmoidBwdInto(a.ensureGrad().Data, out.Grad.Data, val.Data)
-		}
+// actScratch allocates what act's Apply over val retains for its Grad —
+// nothing when the derivative is a function of the output alone, GELU's
+// pre-activation and inner tanh otherwise — as pooled buffers the caller
+// registers as node scratch.
+func actScratch(act tensor.Act, val *tensor.Tensor) (tensor.ActScratch, []*tensor.Tensor) {
+	if !act.NeedsScratch() {
+		return tensor.ActScratch{}, nil
 	}
-	return out
-}
-
-// Tanh returns tanh(a) element-wise on the fused float32 kernel family
-// (Tanh32 rows, AVX2 bulk); the backward needs only the forward output:
-// dx += dy·(1−tanh²).
-func Tanh(a *Node) *Node {
-	val := tensor.Get(a.Val.Shape()...)
-	tensor.TanhInto(val.Data, a.Val.Data)
-	out := newPooledNode(val, []*Node{a}, nil)
-	out.backward = func() {
-		if a.requiresGrad {
-			tensor.TanhBwdInto(a.ensureGrad().Data, out.Grad.Data, val.Data)
-		}
-	}
-	return out
-}
-
-// GELU returns the Gaussian error linear unit (tanh approximation) on the
-// fused float32 kernels. The forward retains the inner tanh in pooled node
-// scratch so the backward evaluates no transcendental at all.
-func GELU(a *Node) *Node {
-	val := tensor.Get(a.Val.Shape()...)
-	t := tensor.Get(a.Val.Shape()...) // registered as node scratch below
-	tensor.GELUFwdInto(val.Data, t.Data, a.Val.Data)
-	out := newPooledNode(val, []*Node{a}, nil)
-	out.scratch = []*tensor.Tensor{t}
-	out.backward = func() {
-		if a.requiresGrad {
-			tensor.GELUBwdInto(a.ensureGrad().Data, out.Grad.Data, a.Val.Data, t.Data)
-		}
-	}
-	return out
+	pre, t := tensor.Get(val.Shape()...), tensor.Get(val.Shape()...)
+	return tensor.ActScratch{Pre: pre.Data, T: t.Data}, []*tensor.Tensor{pre, t}
 }
 
 // Dropout zeroes elements with probability p and scales survivors by

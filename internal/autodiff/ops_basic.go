@@ -21,10 +21,10 @@ func Add(a, b *Node) *Node {
 func AddReLU(a, b *Node) *Node {
 	val := tensor.Get(a.Val.Shape()...)
 	tensor.AddOut(val, a.Val, b.Val)
-	tensor.ActReLU.Apply(val.Data)
+	tensor.ActReLU.Apply(val.Data, tensor.ActScratch{})
 	out := newPooledNode(val, []*Node{a, b}, nil)
 	out.backward = func() {
-		tensor.ActReLU.MaskGrad(out.Grad.Data, val.Data)
+		tensor.ActReLU.Grad(out.Grad.Data, val.Data, tensor.ActScratch{})
 		out.handGrad(a, b)
 	}
 	return out
@@ -90,19 +90,22 @@ func AddN(nodes ...*Node) *Node {
 	return out
 }
 
-// AddRowBias adds a bias vector [D] to every row of a [N, D] matrix. With
-// Linear fused into one node this is the unfused referee the equivalence
-// tests compose with MatMul: same kernels, same element order, one more
-// graph node.
-func AddRowBias(x, bias *Node) *Node {
+// AddRowBias computes act(x + bias) for x [N, D] and bias [D] — the
+// epilogue Linear runs in place inside its own node. Composed with MatMul
+// it is the unfused referee of the equivalence tests: same kernels, same
+// element order, one more graph node.
+func AddRowBias(x, bias *Node, act tensor.Act) *Node {
 	n, d := x.Val.Dim(0), x.Val.Dim(1)
 	if bias.Val.Numel() != d {
 		panic(fmt.Sprintf("autodiff: AddRowBias dims %v + %v", x.Val.Shape(), bias.Val.Shape()))
 	}
 	val := tensor.Get(x.Val.Shape()...)
-	tensor.AddRowBiasInto(val.Data, x.Val.Data, bias.Val.Data, n, d)
+	keep, scratch := actScratch(act, val)
+	tensor.AddRowBiasInto(val.Data, x.Val.Data, bias.Val.Data, n, d, act, keep)
 	out := newPooledNode(val, []*Node{x, bias}, nil)
+	out.scratch = scratch
 	out.backward = func() {
+		act.Grad(out.Grad.Data, val.Data, keep)
 		if bias.requiresGrad {
 			tensor.ColSumAddInto(bias.ensureGrad().Data, out.Grad.Data, n, d)
 		}

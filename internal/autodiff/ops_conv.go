@@ -7,110 +7,23 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// Conv2d computes a batched 2-D convolution.
-//
-//	x: [N, C, H, W]   w: [OC, C, KH, KW]   bias: [OC] or nil
-//
-// The implementation lowers each image with im2col and performs a single
-// matrix multiplication per image, parallelised over the batch. The bias is
-// added in place over the convolution's own output: one node, one buffer.
-func Conv2d(x, w, bias *Node, stride, pad int) *Node {
-	return conv2d(x, w, bias, stride, pad, convLinear)
-}
-
-// Conv2dReLU computes relu(Conv2d(x, w, bias)) as one node: the bias+ReLU
-// epilogue runs in place over the convolution's output (the kernel of
-// AddChanBiasReLU). Models whose blocks end in conv→ReLU use it through
-// nn.Conv2d.ForwardReLU.
-func Conv2dReLU(x, w, bias *Node, stride, pad int) *Node {
-	return conv2d(x, w, bias, stride, pad, convReLU)
-}
-
-// Conv2dSigmoid computes sigmoid(Conv2d(x, w, bias)) as one node, the
-// bias+sigmoid epilogue in place (the kernel of AddChanBiasSigmoid) — the
-// shape of a convolutional attention gate (CBAM's spatial attention uses it
-// through nn.Conv2d.ForwardSigmoid).
-func Conv2dSigmoid(x, w, bias *Node, stride, pad int) *Node {
-	return conv2d(x, w, bias, stride, pad, convSigmoid)
-}
-
-// convEpilogue is what a convolution does to its own output buffer before
-// anyone else reads it: add the per-channel bias, apply an activation. Each
-// activation's derivative is a function of the output alone, so the
-// backward turns out.Grad into the gradient of the bare convolution in
-// place.
-type convEpilogue uint8
-
-const (
-	convLinear convEpilogue = iota
-	convReLU
-	convSigmoid
-)
-
-// addBias computes dst = act(src + bias[ch]) over [n, c, hw]; dst may alias
-// src.
-func (e convEpilogue) addBias(dst, src, bias []float32, n, c, hw int) {
-	switch e {
-	case convReLU:
-		tensor.AddChanBiasReLUInto(dst, src, bias, n, c, hw)
-	case convSigmoid:
-		tensor.AddChanBiasSigmoidInto(dst, src, bias, n, c, hw)
-	default:
-		tensor.AddChanBiasInto(dst, src, bias, n, c, hw)
-	}
-}
-
-// activate applies the activation alone, in place (a bias-free convolution).
-func (e convEpilogue) activate(val []float32) {
-	switch e {
-	case convReLU:
-		tensor.ActReLU.Apply(val)
-	case convSigmoid:
-		tensor.SigmoidInto(val, val)
-	}
-}
-
-// backward rewrites dy, the gradient of the output y, into the gradient of
-// the pre-activation, in place.
-func (e convEpilogue) backward(dy, y []float32) {
-	switch e {
-	case convReLU:
-		tensor.ActReLU.MaskGrad(dy, y)
-	case convSigmoid:
-		tensor.SigmoidGradInto(dy, dy, y)
-	}
-}
-
-// AddChanBias adds a per-channel bias [C] to an image batch [N, C, H, W].
-// Conv2d runs this epilogue in place inside its own node; composed with a
-// bias-free convolution, this op and its two siblings below are the
-// referees of the equivalence tests.
-func AddChanBias(x, bias *Node) *Node { return addChanBias("AddChanBias", x, bias, convLinear) }
-
-// AddChanBiasReLU computes relu(x + bias[ch]) as a single node — the
-// epilogue of Conv2dReLU.
-func AddChanBiasReLU(x, bias *Node) *Node {
-	return addChanBias("AddChanBiasReLU", x, bias, convReLU)
-}
-
-// AddChanBiasSigmoid computes sigmoid(x + bias[ch]) as a single node — the
-// epilogue of Conv2dSigmoid. The gradient is reconstructed from the output:
-// dpre = dy·y·(1−y).
-func AddChanBiasSigmoid(x, bias *Node) *Node {
-	return addChanBias("AddChanBiasSigmoid", x, bias, convSigmoid)
-}
-
-func addChanBias(op string, x, bias *Node, epi convEpilogue) *Node {
+// AddChanBias computes act(x + bias[ch]) for an image batch [N, C, H, W] and
+// a per-channel bias [C] — the epilogue Conv2d runs in place inside its own
+// node. Composed with a bias-free convolution it is the referee of the
+// equivalence tests.
+func AddChanBias(x, bias *Node, act tensor.Act) *Node {
 	sh := x.Val.Shape()
 	if len(sh) != 4 || bias.Val.Numel() != sh[1] {
-		panic(fmt.Sprintf("autodiff: %s dims %v + %v", op, sh, bias.Val.Shape()))
+		panic(fmt.Sprintf("autodiff: AddChanBias dims %v + %v", sh, bias.Val.Shape()))
 	}
 	n, c, hw := sh[0], sh[1], sh[2]*sh[3]
 	val := tensor.Get(sh...)
-	epi.addBias(val.Data, x.Val.Data, bias.Val.Data, n, c, hw)
+	keep, scratch := actScratch(act, val)
+	tensor.AddChanBiasInto(val.Data, x.Val.Data, bias.Val.Data, n, c, hw, act, keep)
 	out := newPooledNode(val, []*Node{x, bias}, nil)
+	out.scratch = scratch
 	out.backward = func() {
-		epi.backward(out.Grad.Data, val.Data)
+		act.Grad(out.Grad.Data, val.Data, keep)
 		if bias.requiresGrad {
 			tensor.ChanSumAddInto(bias.ensureGrad().Data, out.Grad.Data, n, c, hw)
 		}
@@ -119,8 +32,16 @@ func addChanBias(op string, x, bias *Node, epi convEpilogue) *Node {
 	return out
 }
 
-// conv2d builds the one node behind Conv2d, Conv2dReLU and Conv2dSigmoid.
-func conv2d(x, w, bias *Node, stride, pad int, epi convEpilogue) *Node {
+// Conv2d computes act(conv(x, w) + bias), a batched 2-D convolution.
+//
+//	x: [N, C, H, W]   w: [OC, C, KH, KW]   bias: [OC] or nil
+//
+// The implementation lowers each image with im2col and performs a single
+// matrix multiplication per image, parallelised over the batch. Bias and
+// activation run in place over the convolution's own output — one node, one
+// buffer — and the backward turns out.Grad into the gradient of the bare
+// convolution in place before anything reads it.
+func Conv2d(x, w, bias *Node, stride, pad int, act tensor.Act) *Node {
 	xs, ws := x.Val.Shape(), w.Val.Shape()
 	if len(xs) != 4 || len(ws) != 4 || xs[1] != ws[1] {
 		panic(fmt.Sprintf("autodiff: Conv2d shapes x%v w%v", xs, ws))
@@ -160,16 +81,18 @@ func conv2d(x, w, bias *Node, stride, pad int, epi convEpilogue) *Node {
 		tensor.Put(cols)
 	})
 	parents := []*Node{x, w}
+	keep, scratch := actScratch(act, val)
 	if bias != nil {
 		parents = append(parents, bias)
-		epi.addBias(val.Data, val.Data, bias.Val.Data, n, oc, ncols)
+		tensor.AddChanBiasInto(val.Data, val.Data, bias.Val.Data, n, oc, ncols, act, keep)
 	} else {
-		epi.activate(val.Data)
+		act.Apply(val.Data, keep)
 	}
 
 	out := newPooledNode(val, parents, nil)
+	out.scratch = scratch
 	out.backward = func() {
-		epi.backward(out.Grad.Data, val.Data)
+		act.Grad(out.Grad.Data, val.Data, keep)
 		if bias != nil && bias.requiresGrad {
 			tensor.ChanSumAddInto(bias.ensureGrad().Data, out.Grad.Data, n, oc, ncols)
 		}
@@ -349,34 +272,18 @@ func GlobalAvgPool(x *Node) *Node {
 	return out
 }
 
-// BatchNorm2d normalises [N, C, H, W] per channel.
+// BatchNorm2d computes act(norm(x)) over [N, C, H, W] per channel as one
+// node with one buffer.
 //
 // In training mode it uses batch statistics and updates runningMean/
 // runningVar in place with the given momentum. In eval mode it uses the
 // running statistics (no stat gradients). gamma and beta are [C] nodes.
-// Stats, normalize+affine, and the full backward run on the fused tensor
-// kernels. Only the per-channel mean and 1/σ are retained (pooled node
-// scratch): the backward recomputes x̂ from x, which the graph keeps alive
-// anyway, so the op holds one full-size buffer — its output.
-func BatchNorm2d(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, momentum, eps float32, training bool) *Node {
-	return batchNorm2d(x, gamma, beta, runningMean, runningVar, momentum, eps, training, tensor.ActNone)
-}
-
-// BatchNorm2dReLU computes relu(BatchNorm2d(x)) as one node with one
-// buffer: the activation runs over the normalised output in place, and the
-// backward masks the node's own gradient by y > 0 before the ordinary
-// batch-norm backward reads it.
-func BatchNorm2dReLU(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, momentum, eps float32, training bool) *Node {
-	return batchNorm2d(x, gamma, beta, runningMean, runningVar, momentum, eps, training, tensor.ActReLU)
-}
-
-// BatchNorm2dReLU6 is BatchNorm2dReLU with MobileNet's clamp at 6 (mask
-// 0 < y < 6).
-func BatchNorm2dReLU6(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, momentum, eps float32, training bool) *Node {
-	return batchNorm2d(x, gamma, beta, runningMean, runningVar, momentum, eps, training, tensor.ActReLU6)
-}
-
-func batchNorm2d(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, momentum, eps float32, training bool, act tensor.Act) *Node {
+// Stats, normalize+affine+activation, and the full backward run on the fused
+// tensor kernels. Only the per-channel mean and 1/σ are retained (pooled
+// node scratch): the backward rewrites the node's own gradient through the
+// activation first, then recomputes x̂ from x, which the graph keeps alive
+// anyway.
+func BatchNorm2d(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, momentum, eps float32, training bool, act tensor.Act) *Node {
 	xs := x.Val.Shape()
 	if len(xs) != 4 {
 		panic(fmt.Sprintf("autodiff: BatchNorm2d needs 4-D input, got %v", xs))
@@ -413,11 +320,12 @@ func batchNorm2d(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, m
 	}
 
 	val := tensor.Get(xs...)
-	tensor.BatchNormFwdInto(val.Data, x.Val.Data, mean.Data, invStd.Data, gamma.Val.Data, beta.Val.Data, n, c, hw, act)
+	keep, scratch := actScratch(act, val)
+	tensor.BatchNormFwdInto(val.Data, x.Val.Data, mean.Data, invStd.Data, gamma.Val.Data, beta.Val.Data, n, c, hw, act, keep)
 	out := newPooledNode(val, []*Node{x, gamma, beta}, nil)
-	out.scratch = []*tensor.Tensor{mean, invStd}
+	out.scratch = append(scratch, mean, invStd)
 	out.backward = func() {
-		act.MaskGrad(out.Grad.Data, val.Data)
+		act.Grad(out.Grad.Data, val.Data, keep)
 		var dx, dg, db []float32
 		if x.requiresGrad {
 			dx = x.ensureGrad().Data

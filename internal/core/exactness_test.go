@@ -268,7 +268,7 @@ func TestMaskedSkipConvEquivalence(t *testing.T) {
 	x, _ := aug.Dataset.Batch([]int{0, 1})
 
 	gathered := g.Forward(autodiff.Constant(x))
-	viaGather := autodiff.Conv2d(gathered, autodiff.Constant(w), nil, 1, 1)
+	viaGather := autodiff.Conv2d(gathered, autodiff.Constant(w), nil, 1, 1, tensor.ActNone)
 	viaMask := masked.Forward(x, w, 1)
 	if !viaGather.Val.AllClose(viaMask, 1e-5) {
 		t.Fatalf("masked Eq.1 conv and gather+conv disagree by %v", viaGather.Val.MaxAbsDiff(viaMask))

@@ -48,7 +48,7 @@ func unfusedLossWindows(m *AugmentedTransformerLM, windows [][]int) *autodiff.No
 		for i, w := range ws {
 			inputs[i], targets[i] = w[:len(w)-1], w[1:]
 		}
-		logits := autodiff.AddRowBias(autodiff.MatMul(features(inputs), head.W), head.B)
+		logits := autodiff.AddRowBias(autodiff.MatMul(features(inputs), head.W), head.B, tensor.ActNone)
 		return autodiff.SoftmaxCrossEntropy(logits, models.FlattenTargets(targets))
 	}
 	losses := []*autodiff.Node{loss(m.Orig.Features, m.Orig.Decoder, m.OrigGather.Apply(windows))}

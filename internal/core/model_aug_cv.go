@@ -269,9 +269,9 @@ func (m *AugmentedCVModel) ForwardAll(x *autodiff.Node) (*autodiff.Node, []*auto
 		if h.Val.Dim(2) >= 4 && h.Val.Dim(3) >= 4 {
 			h = autodiff.AvgPool2d(h, 2, 2, 0)
 		}
-		h = d.conv1.ForwardReLU(h)
-		h = d.conv2.ForwardReLU(h)
-		g := d.mid.ForwardReLU(autodiff.GlobalAvgPool(h))
+		h = d.conv1.ForwardAct(h, tensor.ActReLU)
+		h = d.conv2.ForwardAct(h, tensor.ActReLU)
+		g := d.mid.ForwardAct(autodiff.GlobalAvgPool(h), tensor.ActReLU)
 		if d.tapFC != nil && d.tapIdx < len(feats) {
 			tap := feats[d.tapIdx]
 			if !m.opts.UndetachedTaps {
@@ -291,7 +291,7 @@ func (m *AugmentedCVModel) ForwardAll(x *autodiff.Node) (*autodiff.Node, []*auto
 			// not spec-versioned: the local/remote bit-identity contract
 			// assumes both sides run the same build (as with every kernel
 			// round, which changes numerics the spec cannot describe).
-			tv := d.tapFC.ForwardTanh(autodiff.GlobalAvgPool(tap))
+			tv := d.tapFC.ForwardAct(autodiff.GlobalAvgPool(tap), tensor.ActTanh)
 			g = autodiff.ConcatFeatures(g, tv)
 		}
 		decoyLogits = append(decoyLogits, d.head.Forward(g))

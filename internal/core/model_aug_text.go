@@ -84,7 +84,7 @@ func (m *AugmentedTextClassifier) ForwardAll(ids [][]int) (*autodiff.Node, []*au
 			}
 			// Fused Linear→Tanh tap projection: bounded tap features keep
 			// the concat on the embedding's scale (see the CV decoy).
-			h = autodiff.ConcatFeatures(h, d.tapFC.ForwardTanh(tap))
+			h = autodiff.ConcatFeatures(h, d.tapFC.ForwardAct(tap, tensor.ActTanh))
 		}
 		decoyLogits = append(decoyLogits, d.head.Forward(h))
 	}

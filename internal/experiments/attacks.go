@@ -7,7 +7,6 @@ import (
 	"amalgam"
 	"amalgam/internal/attacks"
 	"amalgam/internal/autodiff"
-	"amalgam/internal/cloudsim"
 	"amalgam/internal/core"
 	"amalgam/internal/data"
 	"amalgam/internal/models"
@@ -267,10 +266,4 @@ func identified(am *core.AugmentedCVModel, aug *data.ImageDataset, trial int) bo
 		}
 	}
 	return attacks.IdentifySubnetByTV(aug.Image(0), shuffled, 32, 32) == truth
-}
-
-// ProviderViewSummary prints what a cloud job leaks, for documentation.
-func ProviderViewSummary(w io.Writer, view cloudsim.ProviderView) {
-	fmt.Fprintf(w, "provider view: %d samples of %dx%dx%d, %d gather sets, aug amount %.0f%%\n",
-		view.N, view.C, view.H, view.W, len(view.GatherSets), view.AugAmount*100)
 }

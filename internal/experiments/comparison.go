@@ -133,11 +133,11 @@ func newDiscoLeNet(rng *tensor.RNG, cfg models.CVConfig) (*discoLeNet, error) {
 func (d *discoLeNet) Forward(x *autodiff.Node) *autodiff.Node {
 	// conv1 keeps the unfused path: the DISCO obfuscator sits between the
 	// convolution and its activation.
-	h := autodiff.MaxPool2d(autodiff.ReLU(d.obf.Forward(d.inner.Conv1.Forward(x))), 2, 2, 0)
-	h = autodiff.MaxPool2d(d.inner.Conv2.ForwardReLU(h), 2, 2, 0)
+	h := autodiff.MaxPool2d(autodiff.Activate(d.obf.Forward(d.inner.Conv1.Forward(x)), tensor.ActReLU), 2, 2, 0)
+	h = autodiff.MaxPool2d(d.inner.Conv2.ForwardAct(h, tensor.ActReLU), 2, 2, 0)
 	flat := autodiff.Flatten(h)
-	h2 := d.inner.FC1.ForwardReLU(flat)
-	h2 = d.inner.FC2.ForwardReLU(h2)
+	h2 := d.inner.FC1.ForwardAct(flat, tensor.ActReLU)
+	h2 = d.inner.FC2.ForwardAct(h2, tensor.ActReLU)
 	return d.inner.FC3.Forward(h2)
 }
 

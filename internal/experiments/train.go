@@ -1,7 +1,8 @@
 // Package experiments is the harness that regenerates every table and
 // figure of the paper's evaluation (§5–§6) on the synthetic substrate.
 // Each experiment has one entry point that writes the same rows/series the
-// paper reports; bench_test.go and cmd/amalgam-bench share these.
+// paper reports; cmd/amalgam-bench -experiment <name> is the one door to
+// them.
 //
 // Every training run is the shipped product: amalgam.Obfuscate /
 // ObfuscateText / ObfuscateTokens at the row's amount, then amalgam.Train

@@ -32,8 +32,8 @@ func newDenseLayer(rng *tensor.RNG, inC, growth int) *denseLayer {
 }
 
 func (l *denseLayer) forward(x *autodiff.Node) *autodiff.Node {
-	h := l.conv1.Forward(l.bn1.ForwardReLU(x))
-	h = l.conv2.Forward(l.bn2.ForwardReLU(h))
+	h := l.conv1.Forward(l.bn1.ForwardAct(x, tensor.ActReLU))
+	h = l.conv2.Forward(l.bn2.ForwardAct(h, tensor.ActReLU))
 	return autodiff.ConcatChannels(x, h)
 }
 
@@ -48,7 +48,7 @@ func newTransition(rng *tensor.RNG, inC, outC int) *transition {
 }
 
 func (t *transition) forward(x *autodiff.Node) *autodiff.Node {
-	h := t.conv.Forward(t.bn.ForwardReLU(x))
+	h := t.conv.Forward(t.bn.ForwardAct(x, tensor.ActReLU))
 	return autodiff.AvgPool2d(h, 2, 2, 0)
 }
 
@@ -130,7 +130,7 @@ func (m *DenseNetLite) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*aut
 			h = m.trans[bi].forward(h)
 		}
 	}
-	h = m.finalBN.ForwardReLU(h)
+	h = m.finalBN.ForwardAct(h, tensor.ActReLU)
 	return m.fc.Forward(autodiff.GlobalAvgPool(h)), feats
 }
 

@@ -47,11 +47,11 @@ func (m *LeNet5) Forward(x *autodiff.Node) *autodiff.Node {
 // ForwardFeatures returns logits and tap points (after each conv stage).
 func (m *LeNet5) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*autodiff.Node) {
 	nn.CheckImageInput(x, m.cfg.InC)
-	f1 := autodiff.MaxPool2d(m.Conv1.ForwardReLU(x), 2, 2, 0)
-	f2 := autodiff.MaxPool2d(m.Conv2.ForwardReLU(f1), 2, 2, 0)
+	f1 := autodiff.MaxPool2d(m.Conv1.ForwardAct(x, tensor.ActReLU), 2, 2, 0)
+	f2 := autodiff.MaxPool2d(m.Conv2.ForwardAct(f1, tensor.ActReLU), 2, 2, 0)
 	flat := autodiff.Flatten(f2)
-	h := m.FC1.ForwardReLU(flat)
-	h = m.FC2.ForwardReLU(h)
+	h := m.FC1.ForwardAct(flat, tensor.ActReLU)
+	h = m.FC2.ForwardAct(h, tensor.ActReLU)
 	return m.FC3.Forward(h), []*autodiff.Node{f1, f2}
 }
 

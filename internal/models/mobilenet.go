@@ -45,9 +45,9 @@ func newInvertedResidual(rng *tensor.RNG, inC, outC, stride, expandRatio int) *i
 func (b *invertedResidual) forward(x *autodiff.Node) *autodiff.Node {
 	h := x
 	if b.expand != nil {
-		h = b.expandBN.ForwardReLU6(b.expand.Forward(h))
+		h = b.expandBN.ForwardAct(b.expand.Forward(h), tensor.ActReLU6)
 	}
-	h = b.dwBN.ForwardReLU6(b.dw.Forward(h))
+	h = b.dwBN.ForwardAct(b.dw.Forward(h), tensor.ActReLU6)
 	h = b.projectBN.Forward(b.project.Forward(h))
 	if b.residual {
 		return autodiff.Add(x, h)
@@ -117,7 +117,7 @@ func (m *MobileNetV2) Forward(x *autodiff.Node) *autodiff.Node {
 // ForwardFeatures returns logits plus activations after selected stages.
 func (m *MobileNetV2) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*autodiff.Node) {
 	nn.CheckImageInput(x, m.cfg.InC)
-	h := m.stemBN.ForwardReLU6(m.stem.Forward(x))
+	h := m.stemBN.ForwardAct(m.stem.Forward(x), tensor.ActReLU6)
 	var feats []*autodiff.Node
 	next := 0
 	for i, blk := range m.blocks {
@@ -127,7 +127,7 @@ func (m *MobileNetV2) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*auto
 			next++
 		}
 	}
-	h = m.headBN.ForwardReLU6(m.head.Forward(h))
+	h = m.headBN.ForwardAct(m.head.Forward(h), tensor.ActReLU6)
 	return m.fc.Forward(autodiff.GlobalAvgPool(h)), feats
 }
 

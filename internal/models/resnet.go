@@ -39,7 +39,7 @@ func newBasicBlock(rng *tensor.RNG, inC, outC, stride int) *basicBlock {
 }
 
 func (b *basicBlock) forward(x *autodiff.Node) *autodiff.Node {
-	out := b.bn1.ForwardReLU(b.conv1.Forward(x))
+	out := b.bn1.ForwardAct(b.conv1.Forward(x), tensor.ActReLU)
 	out = b.bn2.Forward(b.conv2.Forward(out))
 	short := x
 	if b.downConv != nil {
@@ -100,7 +100,7 @@ func (m *ResNet18) Forward(x *autodiff.Node) *autodiff.Node {
 // ForwardFeatures returns logits plus per-stage activations as tap points.
 func (m *ResNet18) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*autodiff.Node) {
 	nn.CheckImageInput(x, m.cfg.InC)
-	h := m.stemBN.ForwardReLU(m.stem.Forward(x))
+	h := m.stemBN.ForwardAct(m.stem.Forward(x), tensor.ActReLU)
 	feats := make([]*autodiff.Node, 0, 4)
 	for _, stage := range m.stages {
 		for _, blk := range stage {

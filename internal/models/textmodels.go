@@ -80,8 +80,8 @@ type TransformerLM struct {
 
 // TransformerLMConfig mirrors the PyTorch tutorial hyper-parameters.
 // GELUFF switches the encoder feed-forward activation from the tutorial's
-// ReLU to GELU (fused LinearGELU epilogue); the default stays ReLU for
-// paper parity.
+// ReLU to GELU (either way FF1's fused epilogue); the default stays ReLU
+// for paper parity.
 type TransformerLMConfig struct {
 	Vocab, D, Heads, FF, Layers, MaxT int
 	Dropout                           float32
@@ -108,7 +108,9 @@ func NewTransformerLM(rng *tensor.RNG, cfg TransformerLMConfig) *TransformerLM {
 	m.Add("drop", m.Drop)
 	for i := 0; i < cfg.Layers; i++ {
 		blk := nn.NewTransformerEncoderLayer(rng.Split(uint64(10+i)), cfg.D, cfg.Heads, cfg.FF, cfg.Dropout)
-		blk.GELUFF = cfg.GELUFF
+		if cfg.GELUFF {
+			blk.FFAct = tensor.ActGELU
+		}
 		m.Add(fmt.Sprintf("block%d", i), blk)
 		m.Blocks = append(m.Blocks, blk)
 	}

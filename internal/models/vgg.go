@@ -119,7 +119,7 @@ func (m *VGG16) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*autodiff.N
 	var feats []*autodiff.Node
 	for s := range m.convs {
 		for i := range m.convs[s] {
-			h = m.bns[s][i].ForwardReLU(m.convs[s][i].Forward(h))
+			h = m.bns[s][i].ForwardAct(m.convs[s][i].Forward(h), tensor.ActReLU)
 		}
 		if m.poolAfter[s] {
 			h = autodiff.MaxPool2d(h, 2, 2, 0)
@@ -132,8 +132,8 @@ func (m *VGG16) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*autodiff.N
 	var flat *autodiff.Node
 	if m.imagenetHead {
 		flat = autodiff.Flatten(h)
-		flat = m.drop.Forward(m.headFC[0].ForwardReLU(flat))
-		flat = m.drop.Forward(m.headFC[1].ForwardReLU(flat))
+		flat = m.drop.Forward(m.headFC[0].ForwardAct(flat, tensor.ActReLU))
+		flat = m.drop.Forward(m.headFC[1].ForwardAct(flat, tensor.ActReLU))
 		return m.headFC[2].Forward(flat), feats
 	}
 	flat = autodiff.GlobalAvgPool(h)

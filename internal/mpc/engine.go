@@ -146,18 +146,6 @@ func Sub(a, b *Secret) *Secret {
 	return out
 }
 
-// AddPlain adds a public vector (party 0 adjusts its share); local.
-func AddPlain(a *Secret, v []float64) *Secret {
-	if len(v) != a.n {
-		panic(fmt.Sprintf("mpc: AddPlain length %d vs %d", len(v), a.n))
-	}
-	out := clone(a)
-	for i, x := range v {
-		out.shares[0][i] += Encode(x)
-	}
-	return out
-}
-
 // trunc divides a double-scale (2^{2f}) shared vector by 2^f using dealer
 // truncation pairs: the dealer shares (r, r>>f); parties open x+r, shift
 // the public value, and subtract the shared r>>f. Error ≤ 1 ULP.

@@ -81,10 +81,10 @@ type TransformerEncoderLayer struct {
 	Norm1    *LayerNorm
 	Norm2    *LayerNorm
 	Drop     *Dropout
-	// GELUFF switches the feed-forward activation from the default ReLU to
-	// GELU; both run as fused Linear epilogues (LinearReLU / LinearGELU),
-	// so either choice costs one pass over the hidden activations.
-	GELUFF bool
+	// FFAct is the feed-forward activation, ReLU unless set otherwise; it
+	// runs as FF1's fused epilogue, so any choice costs one pass over the
+	// hidden activations.
+	FFAct tensor.Act
 }
 
 // NewTransformerEncoderLayer builds a block with the given model dimension,
@@ -98,6 +98,7 @@ func NewTransformerEncoderLayer(rng *tensor.RNG, d, heads, ffDim int, dropout fl
 		Norm1: NewLayerNorm(d),
 		Norm2: NewLayerNorm(d),
 		Drop:  NewDropout(rng.Split(4), dropout),
+		FFAct: tensor.ActReLU,
 	}
 	l.Add("attn", l.Attn)
 	l.Add("ff1", l.FF1)
@@ -115,13 +116,7 @@ func (l *TransformerEncoderLayer) ForwardSeq(x *autodiff.Node, mask *tensor.Tens
 	att := l.Drop.Forward(l.Attn.ForwardSelf(x, mask))
 	x = l.Norm1.Forward(autodiff.Add(x, att))
 	flat := autodiff.Reshape(x, n*t, l.D)
-	var hidden *autodiff.Node
-	if l.GELUFF {
-		hidden = l.FF1.ForwardGELU(flat)
-	} else {
-		hidden = l.FF1.ForwardReLU(flat)
-	}
-	ff := l.FF2.Forward(l.Drop.Forward(hidden))
+	ff := l.FF2.Forward(l.Drop.Forward(l.FF1.ForwardAct(flat, l.FFAct)))
 	ff3 := autodiff.Reshape(ff, n, t, l.D)
 	return l.Norm2.Forward(autodiff.Add(x, ff3))
 }
@@ -177,14 +172,14 @@ func (m *CBAM) Forward(x *autodiff.Node) *autodiff.Node {
 	// Channel attention: sigmoid(MLP(avgpool) + MLP(maxpool)).
 	avg := autodiff.GlobalAvgPool(x)
 	mx := autodiff.GlobalMaxPool(x)
-	att := autodiff.Sigmoid(autodiff.Add(
-		m.FC2.Forward(m.FC1.ForwardReLU(avg)),
-		m.FC2.Forward(m.FC1.ForwardReLU(mx)),
-	))
+	att := autodiff.Activate(autodiff.Add(
+		m.FC2.Forward(m.FC1.ForwardAct(avg, tensor.ActReLU)),
+		m.FC2.Forward(m.FC1.ForwardAct(mx, tensor.ActReLU)),
+	), tensor.ActSigmoid)
 	x = autodiff.MulChannelScale(x, att)
 	// Spatial attention: sigmoid(conv7x7([mean;max] over channels)), with
 	// the bias+sigmoid epilogue fused into the conv output pass.
-	sp := m.SpatialConv.ForwardSigmoid(autodiff.ChannelMeanMax(x))
+	sp := m.SpatialConv.ForwardAct(autodiff.ChannelMeanMax(x), tensor.ActSigmoid)
 	return autodiff.MulSpatialScale(x, sp)
 }
 

@@ -24,29 +24,13 @@ func NewLinear(rng *tensor.RNG, in, out int) *Linear {
 
 // Forward computes x·W + b as one node, the bias added in place over the
 // matmul output.
-func (l *Linear) Forward(x *autodiff.Node) *autodiff.Node {
-	return autodiff.Linear(x, l.W, l.B)
-}
+func (l *Linear) Forward(x *autodiff.Node) *autodiff.Node { return l.ForwardAct(x, tensor.ActNone) }
 
-// ForwardReLU computes relu(x·W + b) with the bias+activation epilogue
-// fused into the matmul output pass — use it wherever a Linear feeds
-// straight into a ReLU.
-func (l *Linear) ForwardReLU(x *autodiff.Node) *autodiff.Node {
-	return autodiff.LinearReLU(x, l.W, l.B)
-}
-
-// ForwardTanh computes tanh(x·W + b) with the bias+activation epilogue
-// fused (Tanh32 kernel family) — use it wherever a Linear feeds straight
-// into a Tanh.
-func (l *Linear) ForwardTanh(x *autodiff.Node) *autodiff.Node {
-	return autodiff.LinearTanh(x, l.W, l.B)
-}
-
-// ForwardGELU computes gelu(x·W + b) with the bias+activation epilogue
-// fused — use it wherever a Linear feeds straight into a GELU (transformer
-// feed-forward blocks).
-func (l *Linear) ForwardGELU(x *autodiff.Node) *autodiff.Node {
-	return autodiff.LinearGELU(x, l.W, l.B)
+// ForwardAct computes act(x·W + b) with the bias+activation epilogue fused
+// into the matmul output pass — use it wherever a Linear feeds straight
+// into an activation.
+func (l *Linear) ForwardAct(x *autodiff.Node, act tensor.Act) *autodiff.Node {
+	return autodiff.Linear(x, l.W, l.B, act)
 }
 
 // Params returns the weight and bias.
@@ -88,22 +72,13 @@ func newConv2d(rng *tensor.RNG, inC, outC, kernel, stride, pad int) *Conv2d {
 }
 
 // Forward applies the convolution.
-func (c *Conv2d) Forward(x *autodiff.Node) *autodiff.Node {
-	return autodiff.Conv2d(x, c.W, c.B, c.Stride, c.Pad)
-}
+func (c *Conv2d) Forward(x *autodiff.Node) *autodiff.Node { return c.ForwardAct(x, tensor.ActNone) }
 
-// ForwardReLU applies the convolution with the bias+ReLU epilogue run in
-// place over its output — use it wherever a Conv2d feeds straight into a
-// ReLU.
-func (c *Conv2d) ForwardReLU(x *autodiff.Node) *autodiff.Node {
-	return autodiff.Conv2dReLU(x, c.W, c.B, c.Stride, c.Pad)
-}
-
-// ForwardSigmoid applies the convolution with a fused bias+sigmoid
-// epilogue — the shape of a convolutional attention gate (CBAM spatial
-// attention).
-func (c *Conv2d) ForwardSigmoid(x *autodiff.Node) *autodiff.Node {
-	return autodiff.Conv2dSigmoid(x, c.W, c.B, c.Stride, c.Pad)
+// ForwardAct applies the convolution with the bias+activation epilogue run
+// in place over its output — use it wherever a Conv2d feeds straight into
+// an activation (a ReLU, or the sigmoid of a convolutional attention gate).
+func (c *Conv2d) ForwardAct(x *autodiff.Node, act tensor.Act) *autodiff.Node {
+	return autodiff.Conv2d(x, c.W, c.B, c.Stride, c.Pad, act)
 }
 
 // Params returns weight (and bias when present).
@@ -143,26 +118,15 @@ func NewBatchNorm2d(c int) *BatchNorm2d {
 	}
 }
 
-// forward is the layer's one forward pass; norm is autodiff.BatchNorm2d or
-// one of its fused-activation variants.
-func (b *BatchNorm2d) forward(x *autodiff.Node, norm func(x, gamma, beta *autodiff.Node, runningMean, runningVar *tensor.Tensor, momentum, eps float32, training bool) *autodiff.Node) *autodiff.Node {
-	return norm(x, b.Gamma, b.Beta, b.RunningMean, b.RunningVar, b.Momentum, b.Eps, b.training)
-}
-
 // Forward normalises x [N, C, H, W].
 func (b *BatchNorm2d) Forward(x *autodiff.Node) *autodiff.Node {
-	return b.forward(x, autodiff.BatchNorm2d)
+	return b.ForwardAct(x, tensor.ActNone)
 }
 
-// ForwardReLU normalises x and applies ReLU as one node with one buffer —
-// use it wherever a BatchNorm2d feeds straight into a ReLU.
-func (b *BatchNorm2d) ForwardReLU(x *autodiff.Node) *autodiff.Node {
-	return b.forward(x, autodiff.BatchNorm2dReLU)
-}
-
-// ForwardReLU6 is ForwardReLU with MobileNet's clamp at 6.
-func (b *BatchNorm2d) ForwardReLU6(x *autodiff.Node) *autodiff.Node {
-	return b.forward(x, autodiff.BatchNorm2dReLU6)
+// ForwardAct normalises x and applies act as one node with one buffer — use
+// it wherever a BatchNorm2d feeds straight into an activation.
+func (b *BatchNorm2d) ForwardAct(x *autodiff.Node, act tensor.Act) *autodiff.Node {
+	return autodiff.BatchNorm2d(x, b.Gamma, b.Beta, b.RunningMean, b.RunningVar, b.Momentum, b.Eps, b.training, act)
 }
 
 // Params returns the layer's full state dict: trainable gamma/beta plus

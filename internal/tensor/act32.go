@@ -112,8 +112,8 @@ func sigmoidRow(dst, src []float32) {
 	}
 }
 
-// actBlock is the fixed element-block granularity of the element-wise
-// activation drivers. Parallel splits happen only at block boundaries, and
+// actBlock is the fixed element-block granularity of Act.Apply and Act.Grad
+// over a whole buffer. Parallel splits happen only at block boundaries, and
 // the block size is a multiple of the 8-wide SIMD width, so each element's
 // SIMD-vs-scalar-tail fate depends only on its absolute position — that is
 // what keeps the kernels bit-identical across worker counts.
@@ -140,205 +140,155 @@ func actParallel(n int, fn func(i0, i1 int)) {
 	})
 }
 
-// TanhInto computes dst = tanh(src) element-wise (dst may alias src).
-func TanhInto(dst, src []float32) {
-	dst = dst[:len(src)]
-	if actChunks(len(src)) <= 1 {
-		tanhRow(dst, src)
+// Act is the one description of an activation, from these kernels up to the
+// nn layers: an op that ends in one takes it as a parameter. It has exactly
+// two operations, both in place — Apply over the op's own output, and Grad,
+// which turns the gradient of that output into the gradient of the
+// pre-activation. For every value but ActGELU the derivative is a function
+// of the output alone, so a node that ends in one keeps neither the
+// pre-activation nor a mask for its backward.
+//
+// The clamps share one rule on non-finite and signed-zero input: NaN
+// propagates (IEEE/PyTorch relu(NaN) = NaN), −0 is kept, and the gradient
+// mask is y > 0 (0 < y < 6), so a NaN output passes a zero gradient.
+type Act uint8
+
+const (
+	ActNone    Act = iota // identity
+	ActReLU               // max(0, v)
+	ActReLU6              // min(max(0, v), 6), MobileNet's activation
+	ActTanh               // Tanh32
+	ActSigmoid            // Sigmoid32
+	ActGELU               // tanh-form GELU32; the one value that needs an ActScratch
+)
+
+// ActScratch is what Apply retains for Grad when the derivative is not a
+// function of the output alone: GELU's pre-activation and inner tanh, each
+// as long as the whole activated buffer, so the backward re-evaluates no
+// transcendental. Every other activation takes the zero value.
+type ActScratch struct{ Pre, T []float32 }
+
+// NeedsScratch reports whether a's Apply must be handed an ActScratch for
+// its Grad to read back.
+func (a Act) NeedsScratch() bool { return a == ActGELU }
+
+// streams reports whether a is at most a compare per element — memory-bound,
+// so a whole-buffer pass is not worth a fork. The transcendentals split at
+// actBlock edges.
+func (a Act) streams() bool { return a <= ActReLU6 }
+
+// Apply overwrites buf with a(buf), filling keep when a needs it.
+func (a Act) Apply(buf []float32, keep ActScratch) {
+	if a.streams() || actChunks(len(buf)) <= 1 {
+		a.apply(buf, keep, 0, len(buf))
 		return
 	}
-	actParallel(len(src), func(i0, i1 int) {
-		tanhRow(dst[i0:i1], src[i0:i1])
-	})
+	actParallel(len(buf), func(i0, i1 int) { a.apply(buf, keep, i0, i1) })
 }
 
-// SigmoidInto computes dst = 1/(1+e^{−src}) element-wise (dst may alias
-// src).
-func SigmoidInto(dst, src []float32) {
-	dst = dst[:len(src)]
-	if actChunks(len(src)) <= 1 {
-		sigmoidRow(dst, src)
+// apply is Apply over buf[i0:i1] — one row or slab of a fused kernel's
+// output while it is still in L1, or one block of a whole-buffer pass. On
+// amd64 with AVX2 the bulk of a transcendental run goes 8-wide from i0, so
+// callers split only where the 8-lane groups stay put.
+func (a Act) apply(buf []float32, keep ActScratch, i0, i1 int) {
+	row := buf[i0:i1]
+	switch a {
+	case ActReLU:
+		for i, v := range row {
+			if v < 0 {
+				row[i] = 0
+			}
+		}
+	case ActReLU6:
+		for i, v := range row {
+			if v < 0 {
+				row[i] = 0
+			} else if v > 6 {
+				row[i] = 6
+			}
+		}
+	case ActTanh:
+		tanhRow(row, row)
+	case ActSigmoid:
+		sigmoidRow(row, row)
+	case ActGELU:
+		// 0.5·x·(1 + tanh(u)), u = √(2/π)·(x + 0.044715·x³): cheap scalar
+		// sweeps around the SIMD tanh row kernel, evaluated in place over t.
+		pre, t := keep.Pre[i0:i1], keep.T[i0:i1]
+		copy(pre, row)
+		for i, v := range pre {
+			t[i] = gelu32C * (v + gelu32A*v*v*v)
+		}
+		tanhRow(t, t)
+		for i, v := range pre {
+			row[i] = 0.5 * v * (1 + t[i])
+		}
+	}
+}
+
+// Grad turns dy, the gradient of the activated output y, into the gradient
+// of the pre-activation in place: zeroed wherever y sits on a flat part of a
+// clamp (y > 0 iff the pre-activation was positive, y < 6 iff it was below
+// 6), scaled by the derivative — 1−y², y·(1−y), or gelu' from keep —
+// elsewhere.
+func (a Act) Grad(dy, y []float32, keep ActScratch) {
+	y = y[:len(dy)]
+	if a.streams() || actChunks(len(dy)) <= 1 {
+		a.grad(dy, y, keep, 0, len(dy))
 		return
 	}
-	actParallel(len(src), func(i0, i1 int) {
-		sigmoidRow(dst[i0:i1], src[i0:i1])
-	})
+	actParallel(len(dy), func(i0, i1 int) { a.grad(dy, y, keep, i0, i1) })
 }
 
-func tanhBwdRange(dx, dy, y []float32, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		t := y[i]
-		dx[i] += dy[i] * (1 - t*t)
+func (a Act) grad(dy, y []float32, keep ActScratch, i0, i1 int) {
+	dy, y = dy[i0:i1], y[i0:i1]
+	switch a {
+	case ActReLU:
+		for i := range dy {
+			if !(y[i] > 0) {
+				dy[i] = 0
+			}
+		}
+	case ActReLU6:
+		for i := range dy {
+			if !(y[i] > 0 && y[i] < 6) {
+				dy[i] = 0
+			}
+		}
+	case ActTanh:
+		for i, t := range y {
+			dy[i] = dy[i] * (1 - t*t)
+		}
+	case ActSigmoid:
+		for i, s := range y {
+			dy[i] = dy[i] * s * (1 - s)
+		}
+	case ActGELU:
+		// gelu'(x) = 0.5·(1+t) + 0.5·x·(1−t²)·√(2/π)·(1 + 3·0.044715·x²)
+		pre, t := keep.Pre[i0:i1], keep.T[i0:i1]
+		for i, x := range pre {
+			dy[i] = dy[i] * (0.5*(1+t[i]) + 0.5*x*(1-t[i]*t[i])*gelu32C*(1+3*gelu32A*x*x))
+		}
 	}
 }
 
-// TanhBwdInto accumulates dx += dy ⊙ (1 − y²) given the forward output y —
-// the tanh gradient needs only the output, so nothing is staged.
-func TanhBwdInto(dx, dy, y []float32) {
-	dy = dy[:len(dx)]
-	y = y[:len(dx)]
-	if actChunks(len(dx)) <= 1 {
-		tanhBwdRange(dx, dy, y, 0, len(dx))
-		return
-	}
-	actParallel(len(dx), func(i0, i1 int) {
-		tanhBwdRange(dx, dy, y, i0, i1)
-	})
-}
-
-func sigmoidBwdRange(dx, dy, y []float32, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		s := y[i]
-		dx[i] += dy[i] * s * (1 - s)
-	}
-}
-
-// SigmoidBwdInto accumulates dx += dy ⊙ y ⊙ (1 − y) given the forward
-// output y.
-func SigmoidBwdInto(dx, dy, y []float32) {
-	dy = dy[:len(dx)]
-	y = y[:len(dx)]
-	if actChunks(len(dx)) <= 1 {
-		sigmoidBwdRange(dx, dy, y, 0, len(dx))
-		return
-	}
-	actParallel(len(dx), func(i0, i1 int) {
-		sigmoidBwdRange(dx, dy, y, i0, i1)
-	})
-}
-
-func tanhGradRange(dpre, dy, y []float32, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		t := y[i]
-		dpre[i] = dy[i] * (1 - t*t)
-	}
-}
-
-// TanhGradInto writes dpre = dy ⊙ (1 − y²) — the pre-activation gradient
-// of a fused tanh epilogue, staged for the matmul backward.
-func TanhGradInto(dpre, dy, y []float32) {
-	dy = dy[:len(dpre)]
-	y = y[:len(dpre)]
-	if actChunks(len(dpre)) <= 1 {
-		tanhGradRange(dpre, dy, y, 0, len(dpre))
-		return
-	}
-	actParallel(len(dpre), func(i0, i1 int) {
-		tanhGradRange(dpre, dy, y, i0, i1)
-	})
-}
-
-func sigmoidGradRange(dpre, dy, y []float32, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		s := y[i]
-		dpre[i] = dy[i] * s * (1 - s)
-	}
-}
-
-// SigmoidGradInto writes dpre = dy ⊙ y ⊙ (1 − y) — the pre-activation
-// gradient of a fused sigmoid epilogue.
-func SigmoidGradInto(dpre, dy, y []float32) {
-	dy = dy[:len(dpre)]
-	y = y[:len(dpre)]
-	if actChunks(len(dpre)) <= 1 {
-		sigmoidGradRange(dpre, dy, y, 0, len(dpre))
-		return
-	}
-	actParallel(len(dpre), func(i0, i1 int) {
-		sigmoidGradRange(dpre, dy, y, i0, i1)
-	})
-}
-
-func geluFwdRange(dst, t, x []float32, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		v := x[i]
-		t[i] = gelu32C * (v + gelu32A*v*v*v)
-	}
-	tanhRow(t[i0:i1], t[i0:i1])
-	for i := i0; i < i1; i++ {
-		dst[i] = 0.5 * x[i] * (1 + t[i])
-	}
-}
-
-// GELUFwdInto computes dst = 0.5·x·(1 + tanh(u)), u = √(2/π)·(x +
-// 0.044715·x³), and retains t = tanh(u) (same length as x) for the
-// backward pass. The cubic and combine passes are cheap scalar sweeps; the
-// tanh in between is the SIMD row kernel, evaluated in place over t.
-func GELUFwdInto(dst, t, x []float32) {
-	dst = dst[:len(x)]
-	t = t[:len(x)]
-	if actChunks(len(x)) <= 1 {
-		geluFwdRange(dst, t, x, 0, len(x))
-		return
-	}
-	actParallel(len(x), func(i0, i1 int) {
-		geluFwdRange(dst, t, x, i0, i1)
-	})
-}
-
-// geluGrad is the GELU derivative from the input x and retained t =
-// tanh(u): gelu'(x) = 0.5·(1+t) + 0.5·x·(1−t²)·√(2/π)·(1 + 3·0.044715·x²).
-func geluGrad(x, t float32) float32 {
-	return 0.5*(1+t) + 0.5*x*(1-t*t)*gelu32C*(1+3*gelu32A*x*x)
-}
-
-func geluBwdRange(dx, dy, x, t []float32, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		dx[i] += dy[i] * geluGrad(x[i], t[i])
-	}
-}
-
-// GELUBwdInto accumulates dx += dy ⊙ gelu'(x) using the forward's retained
-// inner tanh t, so the backward never re-evaluates a transcendental.
-func GELUBwdInto(dx, dy, x, t []float32) {
-	dy = dy[:len(dx)]
-	x = x[:len(dx)]
-	t = t[:len(dx)]
-	if actChunks(len(dx)) <= 1 {
-		geluBwdRange(dx, dy, x, t, 0, len(dx))
-		return
-	}
-	actParallel(len(dx), func(i0, i1 int) {
-		geluBwdRange(dx, dy, x, t, i0, i1)
-	})
-}
-
-func geluGradRange(dpre, dy, x, t []float32, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		dpre[i] = dy[i] * geluGrad(x[i], t[i])
-	}
-}
-
-// GELUGradInto writes dpre = dy ⊙ gelu'(x) — the staged pre-activation
-// gradient of a fused GELU epilogue.
-func GELUGradInto(dpre, dy, x, t []float32) {
-	dy = dy[:len(dpre)]
-	x = x[:len(dpre)]
-	t = t[:len(dpre)]
-	if actChunks(len(dpre)) <= 1 {
-		geluGradRange(dpre, dy, x, t, 0, len(dpre))
-		return
-	}
-	actParallel(len(dpre), func(i0, i1 int) {
-		geluGradRange(dpre, dy, x, t, i0, i1)
-	})
-}
-
-// AddRowBiasInto writes dst = x + bias broadcast over rows of length d
-// (dst may alias x) — the plain epilogue shared by the fused activation
-// variants below.
-func AddRowBiasInto(dst, x, bias []float32, rows, d int) {
+// AddRowBiasInto computes dst = act(x + bias) for x [rows, d] with bias [d]
+// (dst may alias x): the bias is added, then act runs over the row while it
+// is in L1 — the epilogue of a Linear. Rows are assigned to workers whole,
+// so a row's SIMD/tail split never depends on the worker count. keep is
+// act's scratch over the whole of dst.
+func AddRowBiasInto(dst, x, bias []float32, rows, d int, act Act, keep ActScratch) {
 	rpw := fusedRowsPerWorker(d)
 	if chunksFor(rows, rpw) <= 1 {
-		addRowBiasRange(dst, x, bias, d, 0, rows)
+		addRowBiasRange(dst, x, bias, d, act, keep, 0, rows)
 		return
 	}
 	parallelFor(rows, rpw, func(r0, r1 int) {
-		addRowBiasRange(dst, x, bias, d, r0, r1)
+		addRowBiasRange(dst, x, bias, d, act, keep, r0, r1)
 	})
 }
 
-func addRowBiasRange(dst, x, bias []float32, d, r0, r1 int) {
+func addRowBiasRange(dst, x, bias []float32, d int, act Act, keep ActScratch, r0, r1 int) {
 	bias = bias[:d]
 	for r := r0; r < r1; r++ {
 		src := x[r*d : (r+1)*d][:d]
@@ -346,51 +296,26 @@ func addRowBiasRange(dst, x, bias []float32, d, r0, r1 int) {
 		for j := 0; j < d; j++ {
 			out[j] = src[j] + bias[j]
 		}
+		act.apply(dst, keep, r*d, (r+1)*d)
 	}
 }
 
-// AddRowBiasTanhInto computes dst = tanh(x + bias) for x [rows, d] with
-// bias [d] (dst may alias x) — the fused epilogue of a Linear→Tanh pair.
-// Rows are assigned to workers whole, so the per-row SIMD/tail split never
-// depends on the worker count.
-func AddRowBiasTanhInto(dst, x, bias []float32, rows, d int) {
-	rpw := fusedRowsPerWorker(d)
-	if chunksFor(rows, rpw) <= 1 {
-		addRowBiasTanhRange(dst, x, bias, d, 0, rows)
-		return
-	}
-	parallelFor(rows, rpw, func(r0, r1 int) {
-		addRowBiasTanhRange(dst, x, bias, d, r0, r1)
-	})
-}
-
-func addRowBiasTanhRange(dst, x, bias []float32, d, r0, r1 int) {
-	bias = bias[:d]
-	for r := r0; r < r1; r++ {
-		src := x[r*d : (r+1)*d][:d]
-		out := dst[r*d : (r+1)*d][:d]
-		for j := 0; j < d; j++ {
-			out[j] = src[j] + bias[j]
-		}
-		tanhRow(out, out)
-	}
-}
-
-// AddChanBiasSigmoidInto computes dst = sigmoid(x + bias[ch]) for
-// x [n, c, hw] with bias [c] (dst may alias x) — the fused epilogue of a
-// biased Conv2d→Sigmoid pair (attention gates).
-func AddChanBiasSigmoidInto(dst, x, bias []float32, n, c, hw int) {
+// AddChanBiasInto computes dst = act(x + bias[ch]) for x [n, c, hw] with
+// bias [c] (dst may alias x), act over each [hw] slab right after its bias —
+// the epilogue of a biased Conv2d. Images are assigned to workers whole.
+// keep is act's scratch over the whole of dst.
+func AddChanBiasInto(dst, x, bias []float32, n, c, hw int, act Act, keep ActScratch) {
 	rpw := fusedRowsPerWorker(c * hw)
 	if chunksFor(n, rpw) <= 1 {
-		addChanBiasSigmoidRange(dst, x, bias, c, hw, 0, n)
+		addChanBiasRange(dst, x, bias, c, hw, act, keep, 0, n)
 		return
 	}
 	parallelFor(n, rpw, func(n0, n1 int) {
-		addChanBiasSigmoidRange(dst, x, bias, c, hw, n0, n1)
+		addChanBiasRange(dst, x, bias, c, hw, act, keep, n0, n1)
 	})
 }
 
-func addChanBiasSigmoidRange(dst, x, bias []float32, c, hw, n0, n1 int) {
+func addChanBiasRange(dst, x, bias []float32, c, hw int, act Act, keep ActScratch, n0, n1 int) {
 	for b := n0; b < n1; b++ {
 		for ch := 0; ch < c; ch++ {
 			base := (b*c + ch) * hw
@@ -400,7 +325,7 @@ func addChanBiasSigmoidRange(dst, x, bias []float32, c, hw, n0, n1 int) {
 			for i, v := range src {
 				out[i] = v + bv
 			}
-			sigmoidRow(out, out)
+			act.apply(dst, keep, base, base+hw)
 		}
 	}
 }

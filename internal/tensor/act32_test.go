@@ -247,6 +247,82 @@ func actTestInput(n int, seed uint64) []float32 {
 	return x.Data
 }
 
+// allActs is every Act, in enum order; the kernel tests below run the same
+// checks over each.
+var allActs = []Act{ActNone, ActReLU, ActReLU6, ActTanh, ActSigmoid, ActGELU}
+
+// actScalar is a's definition on one element, on the scalar kernels.
+func actScalar(a Act, v float32) float32 {
+	switch a {
+	case ActReLU:
+		if v < 0 {
+			return 0
+		}
+	case ActReLU6:
+		if v < 0 {
+			return 0
+		} else if v > 6 {
+			return 6
+		}
+	case ActTanh:
+		return Tanh32(v)
+	case ActSigmoid:
+		return Sigmoid32(v)
+	case ActGELU:
+		return GELU32(v)
+	}
+	return v
+}
+
+// actScalarGrad is dy times a's derivative, from the pre-activation, the
+// output y and (GELU) the inner tanh t.
+func actScalarGrad(a Act, dy, pre, y, t float32) float32 {
+	switch a {
+	case ActReLU:
+		if !(y > 0) {
+			return 0
+		}
+	case ActReLU6:
+		if !(y > 0 && y < 6) {
+			return 0
+		}
+	case ActTanh:
+		return dy * (1 - y*y)
+	case ActSigmoid:
+		return dy * y * (1 - y)
+	case ActGELU:
+		return dy * (0.5*(1+t) + 0.5*pre*(1-t*t)*gelu32C*(1+3*gelu32A*pre*pre))
+	}
+	return dy
+}
+
+// scratchFor returns the ActScratch a needs over n elements.
+func scratchFor(a Act, n int) ActScratch {
+	if !a.NeedsScratch() {
+		return ActScratch{}
+	}
+	return ActScratch{Pre: make([]float32, n), T: make([]float32, n)}
+}
+
+// applied returns a(x) through Act.Apply over a copy of x, and the scratch
+// Apply filled.
+func applied(a Act, x []float32) ([]float32, ActScratch) {
+	y := append([]float32(nil), x...)
+	keep := scratchFor(a, len(x))
+	a.Apply(y, keep)
+	return y, keep
+}
+
+// sameBits reports whether a and b agree bit for bit, NaNs included.
+func sameBits(a, b []float32) bool {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) && !(a[i] != a[i] && b[i] != b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
 // TestActivationRowKernelsMatchFloat64 bounds the row kernels — whichever
 // backend is active — against the float64 references with the same stated
 // tolerances as the scalar kernels, at lengths that exercise the SIMD bulk
@@ -261,29 +337,28 @@ func TestActivationRowKernelsMatchFloat64(t *testing.T) {
 		}
 		for _, n := range []int{1, 7, 8, 9, 64, 101} {
 			x := actTestInput(n, 7)
-			dst := make([]float32, n)
-			tanh := make([]float32, n)
-			TanhInto(tanh, x)
-			SigmoidInto(dst, x)
-			gelu := make([]float32, n)
-			tt := make([]float32, n)
-			GELUFwdInto(gelu, tt, x)
+			tanh, _ := applied(ActTanh, x)
+			sig, _ := applied(ActSigmoid, x)
+			gelu, keep := applied(ActGELU, x)
 			for i, v := range x {
 				if u := ulpDiff32(tanh[i], tanhRef(v)); u > tanhULPTol {
-					t.Fatalf("simd=%v n=%d: TanhInto[%d](%v) off by %v ulp", simd, n, i, v, u)
+					t.Fatalf("simd=%v n=%d: tanh[%d](%v) off by %v ulp", simd, n, i, v, u)
 				}
 				if v > sigmoidFlush {
-					if u := ulpDiff32(dst[i], sigmoidRef(v)); u > sigmoidULPTol {
-						t.Fatalf("simd=%v n=%d: SigmoidInto[%d](%v) off by %v ulp", simd, n, i, v, u)
+					if u := ulpDiff32(sig[i], sigmoidRef(v)); u > sigmoidULPTol {
+						t.Fatalf("simd=%v n=%d: sigmoid[%d](%v) off by %v ulp", simd, n, i, v, u)
 					}
-				} else if dst[i] != 0 {
-					t.Fatalf("simd=%v n=%d: SigmoidInto[%d](%v) = %v, want flush to 0", simd, n, i, v, dst[i])
+				} else if sig[i] != 0 {
+					t.Fatalf("simd=%v n=%d: sigmoid[%d](%v) = %v, want flush to 0", simd, n, i, v, sig[i])
 				}
 				env := geluEnvelope * (1 + math.Abs(float64(v))) * math.Exp2(-24)
 				if diff := math.Abs(float64(gelu[i]) - geluRef(v)); diff > env {
 					t.Fatalf("simd=%v n=%d: GELU[%d](%v) diff %g > %g", simd, n, i, v, diff, env)
 				}
-				if u := ulpDiff32(tt[i], math.Tanh(gelu32C*(float64(v)+gelu32A*float64(v)*float64(v)*float64(v)))); u > tanhULPTol {
+				if keep.Pre[i] != v {
+					t.Fatalf("simd=%v n=%d: retained gelu pre-activation[%d] = %v, want %v", simd, n, i, keep.Pre[i], v)
+				}
+				if u := ulpDiff32(keep.T[i], math.Tanh(gelu32C*(float64(v)+gelu32A*float64(v)*float64(v)*float64(v)))); u > tanhULPTol {
 					t.Fatalf("simd=%v n=%d: retained gelu tanh[%d] off by %v ulp", simd, n, i, u)
 				}
 			}
@@ -294,7 +369,7 @@ func TestActivationRowKernelsMatchFloat64(t *testing.T) {
 
 // TestActivationRowKernelsNaN pins NaN propagation through the dispatched
 // row kernels (the SIMD lanes blend the input back in for unordered
-// lanes).
+// lanes), and the clamps' one rule on non-finite and signed-zero input.
 func TestActivationRowKernelsNaN(t *testing.T) {
 	for _, simd := range []bool{false, true} {
 		prev := SetSIMD(simd)
@@ -308,111 +383,116 @@ func TestActivationRowKernelsNaN(t *testing.T) {
 		}
 		x[3] = float32(math.NaN())
 		x[11] = float32(math.NaN())
-		dst := make([]float32, 16)
-		TanhInto(dst, x)
-		if dst[3] == dst[3] || dst[11] == dst[11] {
-			t.Fatalf("simd=%v: TanhInto must propagate NaN lanes", simd)
+		for _, a := range allActs {
+			dst, _ := applied(a, x)
+			if dst[3] == dst[3] || dst[11] == dst[11] {
+				t.Fatalf("simd=%v: Act(%d).Apply must propagate NaN lanes", simd, a)
+			}
+			if dst[4] != dst[4] || dst[10] != dst[10] {
+				t.Fatalf("simd=%v: Act(%d).Apply corrupted neighbours of NaN lanes", simd, a)
+			}
 		}
-		if dst[4] != dst[4] || dst[10] != dst[10] {
-			t.Fatalf("simd=%v: TanhInto corrupted neighbours of NaN lanes", simd)
+		SetSIMD(prev)
+	}
+
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	denorm := math.Float32frombits(1)
+	above6 := math.Nextafter32(6, 7)
+	in := []float32{nan, 0, negZero, inf, -inf, denorm, -denorm, 6, above6}
+	dyIn := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	for a, want := range map[Act]struct{ y, dpre []float32 }{
+		ActReLU:  {[]float32{nan, 0, negZero, inf, 0, denorm, 0, 6, above6}, []float32{0, 0, 0, 4, 0, 6, 0, 8, 9}},
+		ActReLU6: {[]float32{nan, 0, negZero, 6, 0, denorm, 0, 6, 6}, []float32{0, 0, 0, 0, 0, 6, 0, 0, 0}},
+	} {
+		y, keep := applied(a, in)
+		if !sameBits(y, want.y) {
+			t.Fatalf("Act(%d).Apply(%v) = %v, want %v", a, in, y, want.y)
 		}
-		SigmoidInto(dst, x)
-		if dst[3] == dst[3] || dst[11] == dst[11] {
-			t.Fatalf("simd=%v: SigmoidInto must propagate NaN lanes", simd)
+		dy := append([]float32(nil), dyIn...)
+		a.Grad(dy, y, keep)
+		if !sameBits(dy, want.dpre) {
+			t.Fatalf("Act(%d).Grad at y = %v gave %v, want %v", a, y, dy, want.dpre)
+		}
+	}
+}
+
+// TestActivationFusedEpilogueKernels checks the bias+activation epilogues
+// against their definition element by element: bit for bit on the scalar
+// backend, and for the identity and the clamps on either; the AVX2
+// transcendentals round their multiply-adds differently and stay inside the
+// GELU envelope of the scalar kernel.
+func TestActivationFusedEpilogueKernels(t *testing.T) {
+	const rows, d = 5, 13 // d deliberately not a multiple of the SIMD width
+	const n, c, hw = 2, 3, 9
+	rng := NewRNG(31)
+	x, bias := New(rows, d), New(d)
+	xc, cb := New(n, c, hw), New(c)
+	rng.FillNormal(x, 0, 2)
+	rng.FillNormal(bias, 0, 1)
+	rng.FillNormal(xc, 0, 2)
+	rng.FillNormal(cb, 0, 1)
+	for _, simd := range []bool{false, true} {
+		prev := SetSIMD(simd)
+		for _, a := range allActs {
+			check := func(what string, idx int, got, pre float32) {
+				t.Helper()
+				want := actScalar(a, pre)
+				env := geluEnvelope * (1 + math.Abs(float64(pre))) * math.Exp2(-24)
+				if got != want && (!SIMDEnabled() || a.streams() || math.Abs(float64(got-want)) > env) {
+					t.Fatalf("simd=%v: %s with Act(%d): element %d = %v, want %v", simd, what, a, idx, got, want)
+				}
+			}
+			dst := make([]float32, rows*d)
+			keep := scratchFor(a, len(dst))
+			AddRowBiasInto(dst, x.Data, bias.Data, rows, d, a, keep)
+			for idx, got := range dst {
+				check("AddRowBiasInto", idx, got, x.Data[idx]+bias.Data[idx%d])
+			}
+			dc := make([]float32, n*c*hw)
+			keep = scratchFor(a, len(dc))
+			AddChanBiasInto(dc, xc.Data, cb.Data, n, c, hw, a, keep)
+			for idx, got := range dc {
+				check("AddChanBiasInto", idx, got, xc.Data[idx]+cb.Data[(idx/hw)%c])
+			}
+			if a.NeedsScratch() && keep.Pre[hw] != xc.Data[hw]+cb.Data[1] {
+				t.Fatalf("AddChanBiasInto with Act(%d) retained pre-activation %v, want %v", a, keep.Pre[hw], xc.Data[hw]+cb.Data[1])
+			}
 		}
 		SetSIMD(prev)
 	}
 }
 
-// TestActivationFusedEpilogueKernels checks the bias+activation epilogues
-// against their unfused composition element by element.
-func TestActivationFusedEpilogueKernels(t *testing.T) {
-	const rows, d = 5, 13 // d deliberately not a multiple of the SIMD width
-	rng := NewRNG(31)
-	x := New(rows, d)
-	bias := New(d)
-	rng.FillNormal(x, 0, 2)
-	rng.FillNormal(bias, 0, 1)
-	dst := make([]float32, rows*d)
-	AddRowBiasTanhInto(dst, x.Data, bias.Data, rows, d)
-	for r := 0; r < rows; r++ {
-		for j := 0; j < d; j++ {
-			want := Tanh32(x.Data[r*d+j] + bias.Data[j])
-			if got := dst[r*d+j]; got != want && ulpDiff32(got, float64(want)) > 1 {
-				t.Fatalf("AddRowBiasTanh (%d,%d) = %v, want %v", r, j, got, want)
-			}
-		}
-	}
-
-	const n, c, hw = 2, 3, 9 // hw not a multiple of the SIMD width
-	xc := New(n, c, hw)
-	cb := New(c)
-	rng.FillNormal(xc, 0, 2)
-	rng.FillNormal(cb, 0, 1)
-	dc := make([]float32, n*c*hw)
-	AddChanBiasSigmoidInto(dc, xc.Data, cb.Data, n, c, hw)
-	for idx := range dc {
-		ch := (idx / hw) % c
-		want := Sigmoid32(xc.Data[idx] + cb.Data[ch])
-		if got := dc[idx]; got != want && ulpDiff32(got, float64(want)) > 1 {
-			t.Fatalf("AddChanBiasSigmoid idx %d = %v, want %v", idx, got, want)
-		}
-	}
-}
-
-// TestActivationBackwardKernels checks the gradient kernels against their
-// scalar definitions, including that Bwd accumulates and Grad assigns.
+// TestActivationBackwardKernels checks Act.Grad against the scalar
+// definitions, bit for bit: dy becomes the pre-activation gradient in place.
 func TestActivationBackwardKernels(t *testing.T) {
 	const n = 41
 	x := actTestInput(n, 13)
 	dy := actTestInput(n, 14)
-	y := make([]float32, n)
-	TanhInto(y, x)
-	dx := make([]float32, n)
-	for i := range dx {
-		dx[i] = 1
-	}
-	TanhBwdInto(dx, dy, y)
-	for i := range dx {
-		want := 1 + dy[i]*(1-y[i]*y[i])
-		if dx[i] != want && math.Abs(float64(dx[i]-want)) > 1e-6 {
-			t.Fatalf("TanhBwdInto[%d] = %v, want %v", i, dx[i], want)
-		}
-	}
-	dpre := make([]float32, n)
-	TanhGradInto(dpre, dy, y)
-	for i := range dpre {
-		if want := dy[i] * (1 - y[i]*y[i]); dpre[i] != want {
-			t.Fatalf("TanhGradInto[%d] = %v, want %v", i, dpre[i], want)
-		}
-	}
-
-	SigmoidInto(y, x)
-	SigmoidGradInto(dpre, dy, y)
-	for i := range dpre {
-		if want := dy[i] * y[i] * (1 - y[i]); dpre[i] != want {
-			t.Fatalf("SigmoidGradInto[%d] = %v, want %v", i, dpre[i], want)
-		}
-	}
-
-	tt := make([]float32, n)
-	GELUFwdInto(y, tt, x)
-	GELUGradInto(dpre, dy, x, tt)
-	for i := range dpre {
-		if want := dy[i] * geluGrad(x[i], tt[i]); dpre[i] != want {
-			t.Fatalf("GELUGradInto[%d] = %v, want %v", i, dpre[i], want)
+	for _, a := range allActs {
+		y, keep := applied(a, x)
+		dpre := append([]float32(nil), dy...)
+		a.Grad(dpre, y, keep)
+		for i := range dpre {
+			var tt float32
+			if a.NeedsScratch() {
+				tt = keep.T[i]
+			}
+			if want := actScalarGrad(a, dy[i], x[i], y[i], tt); dpre[i] != want {
+				t.Fatalf("Act(%d).Grad[%d] = %v, want %v", a, i, dpre[i], want)
+			}
 		}
 	}
 }
 
 // TestActivationKernelsDeterministicAcrossWorkers pins the repo's
-// determinism contract for the new family: bit-identical outputs for any
+// determinism contract for the family: bit-identical outputs for any
 // SetMaxWorkers value, on both dispatch backends, at sizes spanning
 // several parallel blocks with a ragged tail.
 func TestActivationKernelsDeterministicAcrossWorkers(t *testing.T) {
 	const n = 3*actBlock + 123
-	const rows, d = 67, 96
-	const bn, bc, bhw = 3, 13, 40
+	const rows, d = 67, 1000
+	const bn, bc, bhw = 9, 13, 160
 	x := actTestInput(n, 21)
 	dy := actTestInput(n, 22)
 	xr := actTestInput(rows*d, 23)
@@ -420,39 +500,16 @@ func TestActivationKernelsDeterministicAcrossWorkers(t *testing.T) {
 	xc := actTestInput(bn*bc*bhw, 25)
 	cbias := actTestInput(bc, 26)
 
-	type result struct {
-		tanh, sig, gelu, geluT, dxT, dxS, dxG, rowTanh, chanSig []float32
+	run := func(a Act) map[string][]float32 {
+		y, keep := applied(a, x)
+		dpre := append([]float32(nil), dy...)
+		a.Grad(dpre, y, keep)
+		row := make([]float32, rows*d)
+		AddRowBiasInto(row, xr, bias, rows, d, a, scratchFor(a, len(row)))
+		ch := make([]float32, bn*bc*bhw)
+		AddChanBiasInto(ch, xc, cbias, bn, bc, bhw, a, scratchFor(a, len(ch)))
+		return map[string][]float32{"apply": y, "keep-pre": keep.Pre, "keep-t": keep.T, "grad": dpre, "rowbias": row, "chanbias": ch}
 	}
-	run := func() result {
-		var r result
-		r.tanh = make([]float32, n)
-		TanhInto(r.tanh, x)
-		r.sig = make([]float32, n)
-		SigmoidInto(r.sig, x)
-		r.gelu = make([]float32, n)
-		r.geluT = make([]float32, n)
-		GELUFwdInto(r.gelu, r.geluT, x)
-		r.dxT = make([]float32, n)
-		TanhBwdInto(r.dxT, dy, r.tanh)
-		r.dxS = make([]float32, n)
-		SigmoidBwdInto(r.dxS, dy, r.sig)
-		r.dxG = make([]float32, n)
-		GELUBwdInto(r.dxG, dy, x, r.geluT)
-		r.rowTanh = make([]float32, rows*d)
-		AddRowBiasTanhInto(r.rowTanh, xr, bias, rows, d)
-		r.chanSig = make([]float32, bn*bc*bhw)
-		AddChanBiasSigmoidInto(r.chanSig, xc, cbias, bn, bc, bhw)
-		return r
-	}
-	equal := func(a, b []float32) bool {
-		for i := range a {
-			if a[i] != b[i] && !(a[i] != a[i] && b[i] != b[i]) {
-				return false
-			}
-		}
-		return true
-	}
-
 	for _, simd := range []bool{false, true} {
 		prevSIMD := SetSIMD(simd)
 		if simd && !SIMDEnabled() {
@@ -460,23 +517,15 @@ func TestActivationKernelsDeterministicAcrossWorkers(t *testing.T) {
 			continue
 		}
 		prev := SetMaxWorkers(1)
-		ref := run()
-		for _, wk := range []int{2, 3, 8} {
-			SetMaxWorkers(wk)
-			got := run()
-			for name, pair := range map[string][2][]float32{
-				"tanh":             {got.tanh, ref.tanh},
-				"sigmoid":          {got.sig, ref.sig},
-				"gelu":             {got.gelu, ref.gelu},
-				"gelu-t":           {got.geluT, ref.geluT},
-				"tanh-bwd":         {got.dxT, ref.dxT},
-				"sigmoid-bwd":      {got.dxS, ref.dxS},
-				"gelu-bwd":         {got.dxG, ref.dxG},
-				"rowbias-tanh":     {got.rowTanh, ref.rowTanh},
-				"chanbias-sigmoid": {got.chanSig, ref.chanSig},
-			} {
-				if !equal(pair[0], pair[1]) {
-					t.Errorf("simd=%v workers=%d: %s not bit-identical", simd, wk, name)
+		for _, a := range allActs {
+			SetMaxWorkers(1)
+			ref := run(a)
+			for _, wk := range []int{2, 3, 8} {
+				SetMaxWorkers(wk)
+				for name, got := range run(a) {
+					if !sameBits(got, ref[name]) {
+						t.Errorf("simd=%v workers=%d: Act(%d) %s not bit-identical", simd, wk, a, name)
+					}
 				}
 			}
 		}
@@ -496,21 +545,14 @@ func TestActivationKernelZeroAllocs(t *testing.T) {
 	dy := actTestInput(n, 42)
 	bias := actTestInput(d, 43)
 	y := make([]float32, n)
-	tt := make([]float32, n)
-	dx := make([]float32, n)
+	keep := scratchFor(ActGELU, n)
 	if a := testing.AllocsPerRun(10, func() {
-		TanhInto(y, x)
-		TanhBwdInto(dx, dy, y)
-		TanhGradInto(dx, dy, y)
-		SigmoidInto(y, x)
-		SigmoidBwdInto(dx, dy, y)
-		SigmoidGradInto(dx, dy, y)
-		GELUFwdInto(y, tt, x)
-		GELUBwdInto(dx, dy, x, tt)
-		GELUGradInto(dx, dy, x, tt)
-		AddRowBiasTanhInto(y, x, bias, rows, d)
-		AddRowBiasInto(y, x, bias, rows, d)
-		AddChanBiasSigmoidInto(y, x, bias[:8], 4, 8, n/32)
+		for _, act := range allActs {
+			AddRowBiasInto(y, x, bias, rows, d, act, keep)
+			AddChanBiasInto(y, x, bias[:8], 4, 8, n/32, act, keep)
+			act.Apply(y, keep)
+			act.Grad(dy, y, keep)
+		}
 	}); a != 0 {
 		t.Fatalf("activation kernels allocate %v/op on the serial path, want 0", a)
 	}
@@ -531,23 +573,6 @@ func BenchmarkTanh32Row(bb *testing.B) {
 	}
 }
 
-// BenchmarkTanh32RowNaive is the frozen PR 2-era per-element float64 path
-// (math.Tanh round-trip); the ratio to BenchmarkTanh32Row in the same run
-// is the recorded kernel speedup.
-func BenchmarkTanh32RowNaive(bb *testing.B) {
-	const n = 4096
-	x := actTestInput(n, 51)
-	dst := make([]float32, n)
-	bb.SetBytes(int64(n) * 4)
-	bb.ReportAllocs()
-	bb.ResetTimer()
-	for i := 0; i < bb.N; i++ {
-		for j, v := range x {
-			dst[j] = float32(math.Tanh(float64(v)))
-		}
-	}
-}
-
 func BenchmarkSigmoid32Row(bb *testing.B) {
 	const n = 4096
 	x := actTestInput(n, 52)
@@ -564,11 +589,12 @@ func BenchmarkGELU32Fwd(bb *testing.B) {
 	const n = 4096
 	x := actTestInput(n, 53)
 	dst := make([]float32, n)
-	tt := make([]float32, n)
+	keep := scratchFor(ActGELU, n)
 	bb.SetBytes(int64(n) * 4)
 	bb.ReportAllocs()
 	bb.ResetTimer()
 	for i := 0; i < bb.N; i++ {
-		GELUFwdInto(dst, tt, x)
+		copy(dst, x)
+		ActGELU.Apply(dst, keep)
 	}
 }

@@ -524,19 +524,19 @@ func batchNormStatsRange(mean, varv, x []float32, n, c, hw, c0, c1 int) {
 // over x [n, c, hw]. xhat is not stored: the backward recomputes it from x
 // and the per-channel statistics, which the graph keeps alive anyway. The
 // activation runs over each [hw] slab right after it is written, while it
-// is still in cache.
-func BatchNormFwdInto(dst, x, mean, invStd, gamma, beta []float32, n, c, hw int, act Act) {
+// is still in cache; keep is its scratch over the whole of dst (see Act).
+func BatchNormFwdInto(dst, x, mean, invStd, gamma, beta []float32, n, c, hw int, act Act, keep ActScratch) {
 	rpw := fusedRowsPerWorker(n * hw)
 	if chunksFor(c, rpw) <= 1 {
-		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, n, c, hw, act, 0, c)
+		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, n, c, hw, act, keep, 0, c)
 		return
 	}
 	parallelFor(c, rpw, func(c0, c1 int) {
-		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, n, c, hw, act, c0, c1)
+		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, n, c, hw, act, keep, c0, c1)
 	})
 }
 
-func batchNormFwdRange(dst, x, mean, invStd, gamma, beta []float32, n, c, hw int, act Act, c0, c1 int) {
+func batchNormFwdRange(dst, x, mean, invStd, gamma, beta []float32, n, c, hw int, act Act, keep ActScratch, c0, c1 int) {
 	for ch := c0; ch < c1; ch++ {
 		mu, is := mean[ch], invStd[ch]
 		ga, be := gamma[ch], beta[ch]
@@ -547,7 +547,7 @@ func batchNormFwdRange(dst, x, mean, invStd, gamma, beta []float32, n, c, hw int
 			for i, v := range src {
 				out[i] = ga*float32((v-mu)*is) + be
 			}
-			act.Apply(out)
+			act.apply(dst, keep, base, base+hw)
 		}
 	}
 }
@@ -618,136 +618,6 @@ func batchNormBwdRange(dx, dgamma, dbeta, dy, x, mean, invStd, gamma []float32, 
 				for i := range dyb {
 					out[i] += gis * dyb[i]
 				}
-			}
-		}
-	}
-}
-
-// AddRowBiasReLUInto computes dst = relu(x + bias) for x [rows, d] with
-// bias [d] in a single pass (dst may alias x) — the fused epilogue of a
-// Linear→ReLU pair.
-func AddRowBiasReLUInto(dst, x, bias []float32, rows, d int) {
-	rpw := fusedRowsPerWorker(d)
-	if chunksFor(rows, rpw) <= 1 {
-		addRowBiasReLURange(dst, x, bias, d, 0, rows)
-		return
-	}
-	parallelFor(rows, rpw, func(r0, r1 int) {
-		addRowBiasReLURange(dst, x, bias, d, r0, r1)
-	})
-}
-
-func addRowBiasReLURange(dst, x, bias []float32, d, r0, r1 int) {
-	bias = bias[:d]
-	for r := r0; r < r1; r++ {
-		src := x[r*d : (r+1)*d][:d]
-		out := dst[r*d : (r+1)*d][:d]
-		for j := 0; j < d; j++ {
-			v := src[j] + bias[j]
-			if v < 0 {
-				v = 0
-			}
-			out[j] = v
-		}
-	}
-}
-
-// AddChanBiasReLUInto computes dst = relu(x + bias[ch]) for x [n, c, hw]
-// with bias [c] in a single pass (dst may alias x) — the fused epilogue of
-// a biased Conv2d→ReLU pair.
-func AddChanBiasReLUInto(dst, x, bias []float32, n, c, hw int) {
-	rpw := fusedRowsPerWorker(c * hw)
-	if chunksFor(n, rpw) <= 1 {
-		addChanBiasReLURange(dst, x, bias, c, hw, 0, n)
-		return
-	}
-	parallelFor(n, rpw, func(n0, n1 int) {
-		addChanBiasReLURange(dst, x, bias, c, hw, n0, n1)
-	})
-}
-
-func addChanBiasReLURange(dst, x, bias []float32, c, hw, n0, n1 int) {
-	for b := n0; b < n1; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := (b*c + ch) * hw
-			bv := bias[ch]
-			src := x[base : base+hw]
-			out := dst[base : base+hw][:len(src)]
-			for i, v := range src {
-				v += bv
-				if v < 0 {
-					v = 0
-				}
-				out[i] = v
-			}
-		}
-	}
-}
-
-// Act is an activation a fused kernel applies to its own output buffer, and
-// whose derivative is a function of that output alone — so a node that ends
-// in one keeps neither the pre-activation nor a mask for its backward.
-type Act uint8
-
-const (
-	ActNone  Act = iota // identity
-	ActReLU             // max(0, v)
-	ActReLU6            // min(max(0, v), 6), MobileNet's activation
-)
-
-// Apply overwrites buf with act(buf).
-func (a Act) Apply(buf []float32) {
-	switch a {
-	case ActReLU:
-		for i, v := range buf {
-			if !(v > 0) {
-				buf[i] = 0
-			}
-		}
-	case ActReLU6:
-		for i, v := range buf {
-			if v < 0 {
-				buf[i] = 0
-			} else if v > 6 {
-				buf[i] = 6
-			}
-		}
-	}
-}
-
-// MaskGrad turns dy, the gradient of the activated output y, into the
-// gradient of the pre-activation in place: zero wherever y sits on a flat
-// part of the activation (y > 0 iff the pre-activation was positive, y < 6
-// iff it was below 6), untouched elsewhere.
-func (a Act) MaskGrad(dy, y []float32) {
-	y = y[:len(dy)]
-	switch a {
-	case ActReLU:
-		for i := range dy {
-			if !(y[i] > 0) {
-				dy[i] = 0
-			}
-		}
-	case ActReLU6:
-		for i := range dy {
-			if !(y[i] > 0 && y[i] < 6) {
-				dy[i] = 0
-			}
-		}
-	}
-}
-
-// AddChanBiasInto computes dst = x + bias[ch] for x [n, c, hw] with bias [c]
-// (dst may alias x).
-func AddChanBiasInto(dst, x, bias []float32, n, c, hw int) {
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := (b*c + ch) * hw
-			bv := bias[ch]
-			src := x[base : base+hw]
-			out := dst[base : base+hw][:len(src)]
-			for i, v := range src {
-				out[i] = v + bv
 			}
 		}
 	}

@@ -330,7 +330,7 @@ func TestBatchNormKernelsMatchReference(t *testing.T) {
 	}
 	y := make([]float32, n*c*hw)
 	xhat := make([]float32, n*c*hw) // the float64 reference below reads it
-	BatchNormFwdInto(y, x.Data, mean, invStd, gamma.Data, beta.Data, n, c, hw, ActNone)
+	BatchNormFwdInto(y, x.Data, mean, invStd, gamma.Data, beta.Data, n, c, hw, ActNone, ActScratch{})
 	for idx := range y {
 		ch := (idx / hw) % c
 		xhat[idx] = (x.Data[idx] - mean[ch]) * invStd[ch]
@@ -389,7 +389,7 @@ func TestFusedBiasReLUKernels(t *testing.T) {
 	rng.FillNormal(x, 0, 1)
 	rng.FillNormal(bias, 0, 1)
 	dst := make([]float32, rows*d)
-	AddRowBiasReLUInto(dst, x.Data, bias.Data, rows, d)
+	AddRowBiasInto(dst, x.Data, bias.Data, rows, d, ActReLU, ActScratch{})
 	for r := 0; r < rows; r++ {
 		for j := 0; j < d; j++ {
 			want := x.Data[r*d+j] + bias.Data[j]
@@ -408,7 +408,7 @@ func TestFusedBiasReLUKernels(t *testing.T) {
 	rng.FillNormal(xc, 0, 1)
 	rng.FillNormal(cb, 0, 1)
 	dc := make([]float32, n*c*hw)
-	AddChanBiasReLUInto(dc, xc.Data, cb.Data, n, c, hw)
+	AddChanBiasInto(dc, xc.Data, cb.Data, n, c, hw, ActReLU, ActScratch{})
 	for idx := range dc {
 		ch := (idx / hw) % c
 		want := xc.Data[idx] + cb.Data[ch]
@@ -424,16 +424,16 @@ func TestFusedBiasReLUKernels(t *testing.T) {
 	y := []float32{1, 0, 6, -0.0, 7}
 	for act, want := range map[Act][]float32{ActNone: {5, 6, 7, 8, 9}, ActReLU: {5, 0, 7, 0, 9}, ActReLU6: {5, 0, 0, 0, 0}} {
 		dy := []float32{5, 6, 7, 8, 9}
-		act.MaskGrad(dy, y)
+		act.Grad(dy, y, ActScratch{})
 		for i := range want {
 			if dy[i] != want[i] {
-				t.Fatalf("Act(%d).MaskGrad = %v, want %v", act, dy, want)
+				t.Fatalf("Act(%d).Grad = %v, want %v", act, dy, want)
 			}
 		}
 	}
 	for act, want := range map[Act][]float32{ActNone: {-1, 0.5, 7}, ActReLU: {0, 0.5, 7}, ActReLU6: {0, 0.5, 6}} {
 		buf := []float32{-1, 0.5, 7}
-		act.Apply(buf)
+		act.Apply(buf, ActScratch{})
 		for i := range want {
 			if buf[i] != want[i] {
 				t.Fatalf("Act(%d).Apply = %v, want %v", act, buf, want)
@@ -441,7 +441,7 @@ func TestFusedBiasReLUKernels(t *testing.T) {
 		}
 	}
 	chanOut := make([]float32, 8)
-	AddChanBiasInto(chanOut, []float32{1, 2, 3, 4, 5, 6, 7, 8}, []float32{10, 20}, 2, 2, 2)
+	AddChanBiasInto(chanOut, []float32{1, 2, 3, 4, 5, 6, 7, 8}, []float32{10, 20}, 2, 2, 2, ActNone, ActScratch{})
 	for i, want := range []float32{11, 12, 23, 24, 15, 16, 27, 28} {
 		if chanOut[i] != want {
 			t.Fatalf("AddChanBiasInto = %v", chanOut)
@@ -549,7 +549,7 @@ func TestFusedKernelsDeterministicAcrossWorkers(t *testing.T) {
 			invStd[ch] = float32(1 / math.Sqrt(float64(varv[ch])+1e-5))
 		}
 		y := make([]float32, n*c*hw)
-		BatchNormFwdInto(y, xb.Data, mean, invStd, gb.Data, make([]float32, c), n, c, hw, ActReLU)
+		BatchNormFwdInto(y, xb.Data, mean, invStd, gb.Data, make([]float32, c), n, c, hw, ActReLU, ActScratch{})
 		dx = make([]float32, n*c*hw)
 		BatchNormBwdInto(dx, make([]float32, c), make([]float32, c), dyb.Data, xb.Data, mean, invStd, gb.Data, n, c, hw, true)
 		return mean, varv, dx

@@ -15,15 +15,6 @@ func KaimingUniform(rng *RNG, t *Tensor, fanIn int) {
 	rng.FillUniform(t, -bound, bound)
 }
 
-// XavierUniform fills t with Glorot/Xavier uniform initialisation.
-func XavierUniform(rng *RNG, t *Tensor, fanIn, fanOut int) {
-	if fanIn+fanOut <= 0 {
-		fanIn, fanOut = 1, 0
-	}
-	bound := float32(math.Sqrt(6.0 / float64(fanIn+fanOut)))
-	rng.FillUniform(t, -bound, bound)
-}
-
 // NormalInit fills t with N(0, std²) samples, the common initialisation for
 // embeddings and transformer weights.
 func NormalInit(rng *RNG, t *Tensor, std float64) {

@@ -123,16 +123,6 @@ func Mul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Div returns a / b element-wise.
-func Div(a, b *Tensor) *Tensor {
-	binCheck("Div", a, b)
-	out := New(a.shape...)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] / b.Data[i]
-	}
-	return out
-}
-
 // Scale returns alpha * a.
 func Scale(a *Tensor, alpha float32) *Tensor {
 	out := New(a.shape...)
@@ -142,13 +132,6 @@ func Scale(a *Tensor, alpha float32) *Tensor {
 	return out
 }
 
-// ScaleInto computes a *= alpha in place.
-func ScaleInto(a *Tensor, alpha float32) {
-	for i := range a.Data {
-		a.Data[i] *= alpha
-	}
-}
-
 // Apply returns a new tensor with fn applied element-wise.
 func Apply(a *Tensor, fn func(float32) float32) *Tensor {
 	out := New(a.shape...)
@@ -156,17 +139,6 @@ func Apply(a *Tensor, fn func(float32) float32) *Tensor {
 		out.Data[i] = fn(a.Data[i])
 	}
 	return out
-}
-
-// ApplyInto writes fn applied element-wise over a into dst (same numel).
-func ApplyInto(dst, a *Tensor, fn func(float32) float32) {
-	if len(dst.Data) != len(a.Data) {
-		panic(fmt.Sprintf("tensor: ApplyInto numel mismatch %d vs %d", len(dst.Data), len(a.Data)))
-	}
-	ad := a.Data[:len(dst.Data)]
-	for i := range dst.Data {
-		dst.Data[i] = fn(ad[i])
-	}
 }
 
 // Sum returns the sum of all elements, accumulated in four float64 lanes
@@ -260,51 +232,6 @@ func Transpose2D(a *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// ConcatRows stacks 2-D matrices with equal column counts on top of each
-// other.
-func ConcatRows(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: ConcatRows of nothing")
-	}
-	cols := ts[0].Dim(1)
-	rows := 0
-	for _, t := range ts {
-		if t.Dims() != 2 || t.Dim(1) != cols {
-			panic(fmt.Sprintf("tensor: ConcatRows column mismatch (%v)", ErrShape))
-		}
-		rows += t.Dim(0)
-	}
-	out := New(rows, cols)
-	off := 0
-	for _, t := range ts {
-		copy(out.Data[off:], t.Data)
-		off += len(t.Data)
-	}
-	return out
-}
-
-// GatherFlat returns a new tensor whose element i equals a.Data[idx[i]],
-// shaped as a flat vector of len(idx). Used by the Amalgam skip layers to
-// pull secret index subsets out of augmented samples.
-func GatherFlat(a *Tensor, idx []int) *Tensor {
-	out := New(len(idx))
-	for i, j := range idx {
-		out.Data[i] = a.Data[j]
-	}
-	return out
-}
-
-// ScatterAddFlat adds src[i] into dst.Data[idx[i]] for every i. It is the
-// adjoint of GatherFlat.
-func ScatterAddFlat(dst *Tensor, idx []int, src *Tensor) {
-	if len(idx) != len(src.Data) {
-		panic(fmt.Sprintf("tensor: ScatterAddFlat index/src length mismatch %d vs %d", len(idx), len(src.Data)))
-	}
-	for i, j := range idx {
-		dst.Data[j] += src.Data[i]
-	}
 }
 
 // L2Norm returns the Euclidean norm of all elements.

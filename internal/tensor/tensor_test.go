@@ -114,9 +114,6 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Mul(a, b).Data; got[2] != 90 {
 		t.Fatalf("Mul wrong: %v", got)
 	}
-	if got := Div(b, a).Data; got[1] != 10 {
-		t.Fatalf("Div wrong: %v", got)
-	}
 	if got := Scale(a, 2).Data; got[3] != 8 {
 		t.Fatalf("Scale wrong: %v", got)
 	}
@@ -170,27 +167,6 @@ func TestTranspose2D(t *testing.T) {
 	}
 	if at.At(2, 1) != a.At(1, 2) {
 		t.Fatal("transpose values wrong")
-	}
-}
-
-func TestGatherScatterAdjoint(t *testing.T) {
-	// ScatterAddFlat must be the exact adjoint of GatherFlat:
-	// <gather(x), y> == <x, scatter(y)> for all x, y.
-	rng := NewRNG(7)
-	x := New(20)
-	rng.FillNormal(x, 0, 1)
-	idx := rng.SampleIndices(20, 8)
-	y := New(8)
-	rng.FillNormal(y, 0, 1)
-
-	gx := GatherFlat(x, idx)
-	sy := New(20)
-	ScatterAddFlat(sy, idx, y)
-
-	lhs := Dot(gx, y)
-	rhs := Dot(x, sy)
-	if math.Abs(lhs-rhs) > 1e-5 {
-		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)
 	}
 }
 
@@ -258,18 +234,6 @@ func TestMatMulPropertyDistributivity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestConcatRows(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 1, 2)
-	b := FromSlice([]float32{3, 4, 5, 6}, 2, 2)
-	c := ConcatRows(a, b)
-	if c.Dim(0) != 3 || c.Dim(1) != 2 {
-		t.Fatalf("ConcatRows shape %v", c.Shape())
-	}
-	if c.At(2, 1) != 6 {
-		t.Fatal("ConcatRows values wrong")
 	}
 }
 
@@ -469,14 +433,6 @@ func TestInitializers(t *testing.T) {
 	NormalInit(rng, x, 0.02)
 	if s := math.Abs(Mean(x)); s > 0.01 {
 		t.Fatalf("NormalInit mean %v too large", s)
-	}
-	xv := New(32, 32)
-	XavierUniform(rng, xv, 32, 32)
-	xb := float32(math.Sqrt(6.0 / 64.0))
-	for _, v := range xv.Data {
-		if v < -xb || v > xb {
-			t.Fatalf("XavierUniform out of bounds: %v", v)
-		}
 	}
 }
 

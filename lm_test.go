@@ -89,8 +89,8 @@ func TestLMRoundTripLocalVsRemote(t *testing.T) {
 }
 
 // TestLMGELUFFRemoteBitIdentical pins the GELU feed-forward variant
-// (TransformerLMConfig.GELUFF, fused LinearGELU epilogue) across the
-// wire: the lm_gelu_ff spec field must reach the server-side rebuild, so
+// (TransformerLMConfig.GELUFF, tensor.ActGELU as FF1's fused epilogue)
+// across the wire: the lm_gelu_ff spec field must reach the server-side rebuild, so
 // remote training of a GELU-FF model stays bit-identical to local — and
 // measurably different from the default ReLU FF (guarding against the
 // flag silently not reaching the model).
