@@ -1,7 +1,7 @@
 package amalgam_test
 
-// Ablation benchmarks for the design choices called out in DESIGN.md §6,
-// plus the §5.4 "miscellaneous" claim that extraction runs in constant
+// Ablation benchmarks for the repo's own design choices, plus the paper's
+// §5.4 "miscellaneous" claim that extraction runs in constant
 // time regardless of augmentation amount.
 
 import (

@@ -61,7 +61,7 @@ var (
 )
 
 // Synthetic dataset generators (offline stand-ins for the paper's
-// datasets; see DESIGN.md §4).
+// datasets; see package internal/data).
 var (
 	SyntheticMNIST      = data.SyntheticMNIST
 	SyntheticCIFAR10    = data.SyntheticCIFAR10

@@ -132,12 +132,12 @@ func ExampleWithRetry() {
 	// extraction verified bit-for-bit
 }
 
-// ExampleWithOptimizer trains an obfuscated job under Adam with a halving
-// step schedule instead of the default SGD. The specs are plain values:
-// the same pair shipped to a RemoteTrainer rebuilds the identical
+// ExampleTrainConfig_optimizer trains an obfuscated job under Adam with a
+// halving step schedule instead of the default SGD. The specs are plain
+// values: the same pair shipped to a RemoteTrainer rebuilds the identical
 // optimiser service-side, and the Adam moment buffers and step counter
 // ride checkpoints, so interrupted runs resume bit-identically.
-func ExampleWithOptimizer() {
+func ExampleTrainConfig_optimizer() {
 	const vocab, classes = 500, 4
 	train := amalgam.GenerateClassifiedText(amalgam.ClassTextConfig{
 		Name: "agnews-mini", N: 32, SeqLen: 24, Vocab: vocab, Classes: classes, Seed: 1})
@@ -148,9 +148,8 @@ func ExampleWithOptimizer() {
 	}
 
 	_, err = amalgam.Train(context.Background(), amalgam.LocalTrainer{}, job,
-		amalgam.TrainConfig{Epochs: 3, BatchSize: 8},
-		amalgam.WithOptimizer(amalgam.Adam(0.01)),
-		amalgam.WithLRSchedule(amalgam.StepDecay(1, 0.5)),
+		amalgam.TrainConfig{Epochs: 3, BatchSize: 8,
+			Optimizer: amalgam.Adam(0.01), LRSchedule: amalgam.StepDecay(1, 0.5)},
 		amalgam.WithProgress(func(s amalgam.EpochStats) {
 			fmt.Printf("epoch %d trained at lr %g\n", s.Epoch, s.LR)
 		}))

@@ -9,8 +9,8 @@
 //     net.Conn I/O, user callbacks — while a sync.Mutex/RWMutex field is
 //     held (the PR 6 deadlock class, as a build error);
 //   - errtaxcheck: every error crossing the cloudsim protocol boundary is
-//     a typed sentinel or wraps one, and the sentinel taxonomy stays in
-//     sync with errCodeOf/sentinelFor/IsTransient.
+//     a typed sentinel or wraps one, and every sentinel is a row of the
+//     one taxonomy table its wire code and retry class are read from.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the analyzers can be lifted onto the upstream

@@ -123,7 +123,8 @@ func TestLockCheckGolden(t *testing.T) { runGolden(t, "lockcheck", LockCheck) }
 func TestErrTaxGolden(t *testing.T)    { runGolden(t, "errtax", ErrTaxCheck) }
 
 // TestErrTaxMissingClassifiers exercises the taxonomy-completeness rule's
-// other failure mode: classifier functions absent from the package.
+// other failure mode: sentinels in a package with nothing to classify them
+// by — no taxonomy table.
 func TestErrTaxMissingClassifiers(t *testing.T) { runGolden(t, "errtaxmissing", ErrTaxCheck) }
 
 // TestSuppressGolden pins the //amalgam:allow contract itself: a directive

@@ -10,16 +10,16 @@ import (
 // errtaxcheck mechanizes the cloudsim error-taxonomy contract: every
 // error that can cross the protocol boundary is either one of the typed
 // sentinels or wraps one (directly or transitively via %w), so that
-// classification — errCodeOf on the wire, IsTransient in the retry loop —
-// never silently defaults for an error someone forgot to file.
+// classification — its code on the wire, transient or fatal in the retry
+// loop — never silently defaults for an error someone forgot to file.
 //
 // Two rules, scoped to amalgam/internal/cloudsim:
 //
 //  1. Taxonomy completeness: every package-level `ErrX` sentinel must be
-//     handled by errCodeOf (wire encoding), sentinelFor (wire decoding),
-//     and IsTransient (retry classification). A sentinel missing from any
-//     of the three is exactly the "unclassified error silently becomes
-//     fatal" bug class.
+//     a row of the package's `taxonomy` table, from which the wire code,
+//     its decoding and the retry class are all read. A sentinel missing
+//     from it is exactly the "unclassified error silently becomes fatal"
+//     bug class.
 //
 //  2. No unclassified construction: inside function bodies, fmt.Errorf
 //     must wrap (%w) — preserving whatever classification the cause
@@ -28,13 +28,12 @@ import (
 //     in the taxonomy and therefore no defined retry behavior.
 var ErrTaxCheck = &Analyzer{
 	Name: "errtaxcheck",
-	Doc:  "errors crossing the cloudsim protocol boundary must be typed sentinels or wrap one; the sentinel taxonomy must stay in sync with errCodeOf/sentinelFor/IsTransient",
+	Doc:  "errors crossing the cloudsim protocol boundary must be typed sentinels or wrap one; every sentinel must be a row of the taxonomy table",
 	Run:  runErrTaxCheck,
 }
 
-// errTaxClassifiers are the three functions that must each handle every
-// sentinel.
-var errTaxClassifiers = []string{"errCodeOf", "sentinelFor", "IsTransient"}
+// errTaxTable names the package-level table every sentinel must be a row of.
+const errTaxTable = "taxonomy"
 
 func runErrTaxCheck(pass *Pass) error {
 	if pass.Pkg.Path() != cloudsimPkg {
@@ -45,8 +44,8 @@ func runErrTaxCheck(pass *Pass) error {
 	return nil
 }
 
-// checkTaxonomyComplete verifies every exported Err* sentinel is
-// referenced by each classifier function.
+// checkTaxonomyComplete verifies every exported Err* sentinel is named in
+// the taxonomy table's initialiser.
 func checkTaxonomyComplete(pass *Pass) {
 	scope := pass.Pkg.Scope()
 
@@ -66,53 +65,37 @@ func checkTaxonomyComplete(pass *Pass) {
 		return
 	}
 
-	// Which sentinels does each classifier body mention?
-	handled := make(map[string]map[*types.Var]bool)
-	found := make(map[string]bool)
+	// Which sentinels does the package-level table's initialiser name?
+	var rows map[types.Object]bool
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || fd.Body == nil || !isClassifier(fd.Name.Name) {
-				continue
-			}
-			found[fd.Name.Name] = true
-			refs := handled[fd.Name.Name]
-			if refs == nil {
-				refs = make(map[*types.Var]bool)
-				handled[fd.Name.Name] = refs
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					if v, ok := pass.Info.Uses[id].(*types.Var); ok {
-						refs[v] = true
-					}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				return false
+			case *ast.ValueSpec:
+				if len(n.Names) == 1 && n.Names[0].Name == errTaxTable {
+					rows = make(map[types.Object]bool)
+					ast.Inspect(n, func(m ast.Node) bool {
+						if id, ok := m.(*ast.Ident); ok {
+							rows[pass.Info.Uses[id]] = true
+						}
+						return true
+					})
 				}
-				return true
-			})
-		}
+				return false
+			}
+			return true
+		})
 	}
-
-	for _, name := range errTaxClassifiers {
-		if !found[name] {
-			pass.Reportf(pass.Files[0].Package, "error-taxonomy classifier %s is missing from the package", name)
-		}
+	if rows == nil {
+		pass.Reportf(pass.Files[0].Package, "error-taxonomy table %s is missing from the package", errTaxTable)
+		return
 	}
 	for _, s := range sentinels {
-		for _, name := range errTaxClassifiers {
-			if found[name] && !handled[name][s] {
-				pass.Reportf(s.Pos(), "sentinel %s is not handled by %s: an error wrapping it would be misclassified on the wire or in the retry loop", s.Name(), name)
-			}
+		if !rows[s] {
+			pass.Reportf(s.Pos(), "sentinel %s is not a row of the %s table: an error wrapping it would be misclassified on the wire and in the retry loop", s.Name(), errTaxTable)
 		}
 	}
-}
-
-func isClassifier(name string) bool {
-	for _, c := range errTaxClassifiers {
-		if name == c {
-			return true
-		}
-	}
-	return false
 }
 
 // checkNoUnclassifiedConstruction flags error constructions inside
@@ -160,6 +143,6 @@ func checkErrorfWraps(pass *Pass, call *ast.CallExpr) {
 	// and would truncate away a trailing %w.
 	format := constant.StringVal(tv.Value)
 	if !strings.Contains(format, "%w") {
-		pass.Reportf(call.Pos(), "fmt.Errorf without %%w creates an unclassified error on the protocol boundary; wrap a sentinel (or the causal error) so IsTransient and errCodeOf can classify it")
+		pass.Reportf(call.Pos(), "fmt.Errorf without %%w creates an unclassified error on the protocol boundary; wrap a sentinel (or the causal error) so the taxonomy can classify it")
 	}
 }

@@ -1,12 +1,5 @@
-package cloudsim // want "errtaxcheck: error-taxonomy classifier sentinelFor is missing" "errtaxcheck: error-taxonomy classifier IsTransient is missing"
+package cloudsim // want "errtaxcheck: error-taxonomy table taxonomy is missing"
 
 import "errors"
 
 var ErrOnly = errors.New("cloudsim: only")
-
-func errCodeOf(err error) byte {
-	if errors.Is(err, ErrOnly) {
-		return 1
-	}
-	return 0
-}

@@ -12,8 +12,8 @@ import (
 // recover the original. The paper uses Restormer and KBNet; any denoiser
 // built on the additive-noise-on-a-fixed-grid assumption shares the
 // failure mode (Amalgam inserts pixels, changing the geometry), so we
-// substitute classical denoisers (DESIGN.md §4): Gaussian, median, and
-// bilateral filtering.
+// substitute classical denoisers: Gaussian, median, and bilateral
+// filtering.
 
 // GaussianBlur convolves each channel with a normalised Gaussian kernel.
 func GaussianBlur(img *tensor.Tensor, sigma float64) *tensor.Tensor {

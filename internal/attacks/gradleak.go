@@ -20,7 +20,7 @@ import (
 //   - DLG: iterative gradient matching — optimise a dummy input until its
 //     gradients match the observed ones (Zhu et al.), with the matching
 //     objective differentiated by central finite differences (our autodiff
-//     is first-order; the substitution is noted in DESIGN.md §4).
+//     is first-order).
 
 // RecoverFromLinearGradients inverts a single sample from the gradients of
 // the first fully connected layer (weight grad [in, out], bias grad

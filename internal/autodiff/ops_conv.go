@@ -197,34 +197,17 @@ func AvgPool2d(x *Node, kernel, stride, pad int) *Node {
 				chanBase := c * g.InH * g.InW
 				for oh := 0; oh < g.OutH; oh++ {
 					for ow := 0; ow < g.OutW; ow++ {
-						// Recompute the in-bounds window size (matches forward).
-						count := 0
-						for kh := 0; kh < g.KH; kh++ {
-							ih := oh*g.StrideH - g.PadH + kh
-							if ih < 0 || ih >= g.InH {
-								continue
-							}
-							for kw := 0; kw < g.KW; kw++ {
-								iw := ow*g.StrideW - g.PadW + kw
-								if iw >= 0 && iw < g.InW {
-									count++
-								}
-							}
-						}
+						// The in-bounds window size, as the forward counted it.
+						kh0, kh1, kw0, kw1 := g.Taps(oh, ow)
+						count := (kh1 - kh0) * (kw1 - kw0)
 						if count == 0 {
 							continue
 						}
 						gv := gb[(c*g.OutH+oh)*g.OutW+ow] / float32(count)
-						for kh := 0; kh < g.KH; kh++ {
+						for kh := kh0; kh < kh1; kh++ {
 							ih := oh*g.StrideH - g.PadH + kh
-							if ih < 0 || ih >= g.InH {
-								continue
-							}
-							for kw := 0; kw < g.KW; kw++ {
-								iw := ow*g.StrideW - g.PadW + kw
-								if iw >= 0 && iw < g.InW {
-									xb[chanBase+ih*g.InW+iw] += gv
-								}
+							for kw := kw0; kw < kw1; kw++ {
+								xb[chanBase+ih*g.InW+ow*g.StrideW-g.PadW+kw] += gv
 							}
 						}
 					}

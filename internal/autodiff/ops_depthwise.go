@@ -35,16 +35,11 @@ func DepthwiseConv2d(x, w *Node, stride, pad int) *Node {
 		for oh := 0; oh < g.OutH; oh++ {
 			for ow := 0; ow < g.OutW; ow++ {
 				var s float32
-				for dkh := 0; dkh < kh; dkh++ {
+				kh0, kh1, kw0, kw1 := g.Taps(oh, ow)
+				for dkh := kh0; dkh < kh1; dkh++ {
 					ih := oh*stride - pad + dkh
-					if ih < 0 || ih >= xs[2] {
-						continue
-					}
-					for dkw := 0; dkw < kw; dkw++ {
+					for dkw := kw0; dkw < kw1; dkw++ {
 						iw := ow*stride - pad + dkw
-						if iw < 0 || iw >= xs[3] {
-							continue
-						}
 						s += x.Val.Data[xBase+ih*xs[3]+iw] * w.Val.Data[wBase+dkh*kw+dkw]
 					}
 				}
@@ -67,16 +62,11 @@ func DepthwiseConv2d(x, w *Node, stride, pad int) *Node {
 						if gv == 0 {
 							continue
 						}
-						for dkh := 0; dkh < kh; dkh++ {
+						kh0, kh1, kw0, kw1 := g.Taps(oh, ow)
+						for dkh := kh0; dkh < kh1; dkh++ {
 							ih := oh*stride - pad + dkh
-							if ih < 0 || ih >= xs[2] {
-								continue
-							}
-							for dkw := 0; dkw < kw; dkw++ {
+							for dkw := kw0; dkw < kw1; dkw++ {
 								iw := ow*stride - pad + dkw
-								if iw < 0 || iw >= xs[3] {
-									continue
-								}
 								xg.Data[xBase+ih*xs[3]+iw] += gv * w.Val.Data[wBase+dkh*kw+dkw]
 							}
 						}
@@ -98,16 +88,11 @@ func DepthwiseConv2d(x, w *Node, stride, pad int) *Node {
 							if gv == 0 {
 								continue
 							}
-							for dkh := 0; dkh < kh; dkh++ {
+							kh0, kh1, kw0, kw1 := g.Taps(oh, ow)
+							for dkh := kh0; dkh < kh1; dkh++ {
 								ih := oh*stride - pad + dkh
-								if ih < 0 || ih >= xs[2] {
-									continue
-								}
-								for dkw := 0; dkw < kw; dkw++ {
+								for dkw := kw0; dkw < kw1; dkw++ {
 									iw := ow*stride - pad + dkw
-									if iw < 0 || iw >= xs[3] {
-										continue
-									}
 									wg.Data[wBase+dkh*kw+dkw] += gv * x.Val.Data[xBase+ih*xs[3]+iw]
 								}
 							}

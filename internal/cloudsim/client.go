@@ -242,10 +242,7 @@ func TrainContextNet(ctx context.Context, addr string, req *TrainRequest, h Stre
 		every > 0 && resp.CompletedEpochs == req.Hyper.Epochs && req.Hyper.Epochs%every == 0 {
 		// The run ended on the checkpoint cadence and the server ships that
 		// boundary once, as the response: the hook gets it from there.
-		h.Checkpoint(&serialize.TrainCheckpoint{
-			Epoch: resp.CompletedEpochs, Kind: req.Spec.Kind,
-			State: resp.State, OptState: resp.OptState, RNG: resp.RNG,
-		})
+		h.Checkpoint(resp.Checkpoint(req.Spec.Kind))
 	}
 	return resp, err
 }

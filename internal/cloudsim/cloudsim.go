@@ -4,7 +4,7 @@
 // returns the trained weights. It also provides the provider-view API —
 // exactly what an honest-but-curious cloud can observe — which the attack
 // analysis (§6.3) consumes, and an accelerator cost model used to report
-// GPU-relative numbers on a CPU-only testbed (Fig. 14; see DESIGN.md §4).
+// GPU-relative numbers on a CPU-only testbed (Fig. 14).
 //
 // The service speaks wire protocol v3 (frame table in frames.go). One
 // connection carries one conversation: a training job run on the
@@ -38,6 +38,7 @@ import (
 	"amalgam/internal/models"
 	"amalgam/internal/nn"
 	"amalgam/internal/optim"
+	"amalgam/internal/serialize"
 	"amalgam/internal/tensor"
 )
 
@@ -107,10 +108,38 @@ type Hyper struct {
 	// Nil means SGD built from the flat LR/Momentum/WeightDecay fields
 	// above. A spec with LR 0 inherits Hyper.LR.
 	Optimizer *optim.OptimSpec `json:"optimizer,omitempty"`
-	// Schedule selects an LR schedule applied at epoch boundaries. The
-	// schedule is reconstructed from (spec, completed epochs) on resume,
-	// so the rate never needs to travel in optimiser state.
+	// Schedule selects an LR schedule applied at epoch boundaries: the
+	// rate is ScheduleSpec.Rate(base, completed epochs), on resume too, so
+	// it never needs to travel in optimiser state.
 	Schedule *optim.ScheduleSpec `json:"lr_schedule,omitempty"`
+}
+
+// recipe is the one reading of the hyper-parameters' optimiser and
+// schedule; admission (Scheduler.Submit) and TrainLoop both go through it,
+// so what would fail on an executor is refused at the door. After it spec
+// is valid for optim.Build and h.Schedule, when set, for Rate; a kind the
+// registry does not know is ErrUnknownOptimizer, any other fault
+// ErrBadRequest.
+func (h Hyper) recipe() (spec optim.OptimSpec, err error) {
+	spec = optim.OptimSpec{Kind: optim.KindSGD, LR: h.LR, Momentum: h.Momentum, WeightDecay: h.WeightDecay}
+	if h.Optimizer != nil {
+		spec = *h.Optimizer
+		if spec.LR == 0 {
+			spec.LR = h.LR
+		}
+	}
+	err = spec.Validate()
+	if err == nil && h.Schedule != nil {
+		err = h.Schedule.Validate()
+	}
+	switch {
+	case err == nil:
+	case errors.Is(err, optim.ErrUnknownKind):
+		err = fmt.Errorf("cloudsim: %v: %w", err, ErrUnknownOptimizer)
+	default:
+		err = fmt.Errorf("cloudsim: %v: %w", err, ErrBadRequest)
+	}
+	return spec, err
 }
 
 // TrainRequest is a complete job: spec, hyper-parameters, and the
@@ -182,23 +211,21 @@ type TrainResponse struct {
 	CompletedEpochs int
 }
 
-// Snapshot is an epoch-aligned training state capture: everything needed
-// to resume the run bit-identically. Checkpoint callbacks receive one per
-// checkpoint boundary. State and OptState alias the LIVE tensors and are
-// the boundary's values only until the callback returns — the next step
-// overwrites them — so a callback serialises (or copies) what it keeps
-// before returning: LocalTrainer saves its file there, the scheduler cuts
-// the checkpoint's bytes there.
-type Snapshot struct {
-	// Epoch counts fully completed epochs (the resume point).
-	Epoch int
-	// State is the full model state dict at the boundary.
-	State map[string]*tensor.Tensor
-	// OptState holds the optimiser's resume state (nil when none has
-	// accumulated).
-	OptState *optim.State
-	// RNG holds dropout-stream cursors (nil for deterministic models).
-	RNG map[string][]byte
+// Checkpoint is the epoch boundary the response ends on as a resume point
+// (kind: the job's spec kind) — what a checkpoint file, a msgCheckpoint
+// frame and the shutdown handoff hold. It shares the response's tensors.
+func (r *TrainResponse) Checkpoint(kind string) *serialize.TrainCheckpoint {
+	return &serialize.TrainCheckpoint{
+		Epoch: r.CompletedEpochs, Kind: kind,
+		State: r.State, OptState: r.OptState, RNG: r.RNG,
+	}
+}
+
+// ResumeFrom points the request at an epoch boundary: training restarts at
+// ck.Epoch from ck's weights, optimiser state and dropout-stream cursors.
+func (req *TrainRequest) ResumeFrom(ck *serialize.TrainCheckpoint) {
+	req.Hyper.StartEpoch = ck.Epoch
+	req.InitState, req.InitOptState, req.InitRNG = ck.State, ck.OptState, ck.RNG
 }
 
 // Trainable is the server-side handle on a rebuilt model: everything the
@@ -552,7 +579,7 @@ func RunLocal(req *TrainRequest) (*TrainResponse, error) {
 // client's initial state into it, and drives TrainLoop.
 func runTraining(ctx context.Context, req *TrainRequest,
 	progress func(EpochMetric) error,
-	checkpoint func(*Snapshot) error) (*TrainResponse, error) {
+	checkpoint func(*serialize.TrainCheckpoint) error) (*TrainResponse, error) {
 
 	model, err := buildLoaded(req)
 	if err != nil {
@@ -587,20 +614,24 @@ func buildLoaded(req *TrainRequest) (Trainable, error) {
 // semantics cannot drift between the two paths.
 //
 // progress (if non-nil) is called after every epoch; checkpoint (if
-// non-nil, and hyper.CheckpointEvery > 0) receives an epoch-aligned
-// Snapshot (state dict, momentum buffers, dropout-stream cursors) at
-// checkpoint boundaries — except the one the run ends on, hyper.Epochs: the
-// response returned right after it IS that snapshot, to be saved or
-// shipped once, from there. A cancelled ctx stops the loop at the NEXT
-// EPOCH BOUNDARY (the in-flight epoch completes) and returns the state
-// with Cancelled set — not an error, so the caller still gets the
-// weights. Epoch granularity keeps the returned state and
-// CompletedEpochs consistent: a checkpoint written from a cancelled run
-// never contains a partially applied epoch, so resuming re-trains no
-// batch twice.
+// non-nil, and hyper.CheckpointEvery > 0) receives the epoch-boundary state
+// (state dict, optimiser state, dropout-stream cursors) at checkpoint
+// boundaries — except the one the run ends on, hyper.Epochs: the response
+// returned right after it IS that boundary (TrainResponse.Checkpoint), to
+// be saved or shipped once, from there. A checkpoint's State and OptState
+// alias the LIVE tensors and are the boundary's values only until the
+// callback returns — the next step overwrites them — so a callback
+// serialises (or copies) what it keeps before returning: LocalTrainer saves
+// its file there, the scheduler cuts the checkpoint's bytes there. A
+// cancelled ctx stops the loop at the NEXT EPOCH BOUNDARY (the in-flight
+// epoch completes) and returns the state with Cancelled set — not an
+// error, so the caller still gets the weights. Epoch granularity keeps the
+// returned state and CompletedEpochs consistent: a checkpoint written from
+// a cancelled run never contains a partially applied epoch, so resuming
+// re-trains no batch twice.
 func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 	progress func(EpochMetric) error,
-	checkpoint func(*Snapshot) error) (*TrainResponse, error) {
+	checkpoint func(*serialize.TrainCheckpoint) error) (*TrainResponse, error) {
 
 	hyper := req.Hyper
 	if hyper.Epochs <= 0 || hyper.BatchSize <= 0 {
@@ -614,56 +645,44 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 		return nil, err
 	}
 	model.SetTraining(true)
-	// Resolve the optimiser through the spec registry. Without an explicit
-	// spec the flat Hyper fields describe SGD; a spec with LR 0 inherits
-	// Hyper.LR so schedules and flat configs compose.
-	spec := optim.OptimSpec{Kind: optim.KindSGD, LR: hyper.LR, Momentum: hyper.Momentum, WeightDecay: hyper.WeightDecay}
-	if hyper.Optimizer != nil {
-		spec = *hyper.Optimizer
-		if spec.LR == 0 {
-			spec.LR = hyper.LR
-		}
+	spec, err := hyper.recipe()
+	if err != nil {
+		return nil, err
 	}
 	opt, err := optim.Build(spec, model.Params())
 	if err != nil {
-		if errors.Is(err, optim.ErrUnknownKind) {
-			return nil, fmt.Errorf("cloudsim: optimiser kind %q: %w", spec.Kind, ErrUnknownOptimizer)
-		}
-		return nil, fmt.Errorf("cloudsim: optimiser spec: %v: %w", err, ErrBadRequest)
+		return nil, fmt.Errorf("cloudsim: building optimiser: %v: %w", err, ErrBadRequest)
 	}
-	var sched optim.Schedule
-	if hyper.Schedule != nil {
-		sched, err = optim.BuildSchedule(*hyper.Schedule, opt)
-		if err != nil {
-			if errors.Is(err, optim.ErrUnknownKind) {
-				return nil, fmt.Errorf("cloudsim: schedule kind %q: %w", hyper.Schedule.Kind, ErrUnknownOptimizer)
-			}
-			return nil, fmt.Errorf("cloudsim: schedule spec: %v: %w", err, ErrBadRequest)
-		}
-	}
-	// State restore before schedule positioning: LoadStateDict restores
-	// buffers and counters, then SetEpoch reconstructs the rate from
-	// (spec, completed epochs) — the rate itself never rides in state, so
-	// resume-vs-straight-run bit-identity holds for any schedule.
+	// State restore, then the rate: LoadStateDict restores buffers and
+	// counters, the schedule gives the rate for the completed epochs — the
+	// rate itself never rides in state, so resume-vs-straight-run
+	// bit-identity holds for any schedule.
 	if !req.InitOptState.Empty() {
 		if err := opt.LoadStateDict(req.InitOptState); err != nil {
 			return nil, fmt.Errorf("cloudsim: loading optimiser state: %w", err)
 		}
 	}
+	sched := hyper.Schedule // nil: constant rate
 	if sched != nil {
-		sched.SetEpoch(hyper.StartEpoch)
+		opt.SetLR(sched.Rate(spec.LR, hyper.StartEpoch))
 	}
 	// Dropout cursors ride in checkpoints under the state dict's dotted
 	// names; a name outside the model's tree (any name at all, for a model
-	// without dropout) is a request for a different architecture.
-	// nn.RNGStates snapshots them at epoch boundaries below (nil for
-	// deterministic models) — eval paths run with SetTraining(false) and
-	// consume no stream, so boundary captures are exact.
+	// without dropout) is a request for a different architecture. Eval
+	// paths run with SetTraining(false) and consume no stream, so the
+	// epoch-boundary captures below are exact.
 	if err := nn.LoadRNGStates(model, req.InitRNG); err != nil {
 		return nil, fmt.Errorf("cloudsim: loading RNG state: %v: %w", err, ErrBadRequest)
 	}
 	start := time.Now() //amalgam:allow detcheck wall-clock Seconds is a reported latency metric, never an input to training
 	resp := &TrainResponse{CompletedEpochs: hyper.StartEpoch}
+	// capture makes resp the state at the epoch boundary just reached
+	// (views of the live tensors; RNG is nil for deterministic models).
+	capture := func() (err error) {
+		resp.State, resp.OptState = nn.StateDict(model), opt.StateDict()
+		resp.RNG, err = nn.RNGStates(model)
+		return err
+	}
 	for e := hyper.StartEpoch; e < hyper.Epochs; e++ {
 		if ctx.Err() != nil {
 			resp.Cancelled = true
@@ -701,14 +720,14 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 		}
 		if hyper.Optimizer != nil || hyper.Schedule != nil {
 			// The rate this epoch actually trained at — captured before the
-			// schedule advances.
+			// schedule moves on.
 			m.LR = opt.LR()
 		}
-		// The schedule advances at the epoch boundary, before the
-		// checkpoint is cut: a resume from epoch e+1 re-derives this exact
-		// position via SetEpoch(e+1). Exactly one EpochEnd per epoch.
+		// The next epoch's rate is set at the boundary, before the
+		// checkpoint is cut: a resume from epoch e+1 starts at this very
+		// Rate(…, e+1).
 		if sched != nil {
-			sched.EpochEnd()
+			opt.SetLR(sched.Rate(spec.LR, e+1))
 		}
 		resp.Metrics = append(resp.Metrics, m)
 		if progress != nil {
@@ -717,23 +736,17 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 			}
 		}
 		if checkpoint != nil && hyper.CheckpointEvery > 0 && (e+1)%hyper.CheckpointEvery == 0 && e+1 < hyper.Epochs {
-			rng, err := nn.RNGStates(model)
-			if err != nil {
+			if err := capture(); err != nil {
 				return nil, err
 			}
-			snap := &Snapshot{Epoch: e + 1, State: nn.StateDict(model), OptState: opt.StateDict(), RNG: rng}
-			if err := checkpoint(snap); err != nil {
+			if err := checkpoint(resp.Checkpoint(req.Spec.Kind)); err != nil {
 				return nil, err
 			}
 		}
 	}
-	resp.State = nn.StateDict(model)
-	resp.OptState = opt.StateDict()
-	rng, err := nn.RNGStates(model)
-	if err != nil {
+	if err := capture(); err != nil {
 		return nil, err
 	}
-	resp.RNG = rng
 	resp.Seconds = time.Since(start).Seconds() //amalgam:allow detcheck total wall time is a reported metric, not training state
 	return resp, nil
 }
@@ -742,7 +755,7 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 // converts measured CPU wall-clock into simulated accelerator time via a
 // fixed throughput ratio. The paper's own measurements put its GPU baseline
 // 8× above CPU-only training on the same LeNet/MNIST job; we default to
-// that ratio and report both raw and simulated numbers (DESIGN.md §4).
+// that ratio and report both raw and simulated numbers.
 type Accelerator struct {
 	// SpeedupVsCPU is how many times faster the accelerator runs the same
 	// training step than this machine's CPU.

@@ -56,6 +56,33 @@ var (
 	ErrUnknownOptimizer = errors.New("cloudsim: unknown optimiser kind")
 )
 
+// taxonomy is the wire error taxonomy, said once: the code each sentinel
+// travels under as the first byte of a msgError payload, and whether an
+// error wrapping it is worth retrying. errCodeOf, sentinelFor and
+// IsTransient are read off it (first matching row wins), and errtaxcheck
+// requires every Err* sentinel of the package to be a row. Fatal rows come
+// first: an error wrapping both a fatal and a transient sentinel is fatal
+// — resending a request the server refused cannot succeed, whatever else
+// went wrong beside it.
+var taxonomy = []struct {
+	code      byte
+	sentinel  error
+	transient bool
+}{
+	{1, ErrProtocolVersion, false},
+	{2, ErrFrameTooLarge, false},
+	{3, ErrUnknownFrame, false},
+	{5, ErrJobPanic, false},
+	{6, ErrUnknownJob, false},
+	{9, ErrBadRequest, false},
+	{10, ErrUnknownOptimizer, false},
+	// Admission rejects are backpressure: the queue drains as executors
+	// finish jobs, so a later retry can succeed.
+	{7, ErrQueueFull, true},
+	{8, ErrTenantQuota, true},
+	{4, ErrServerShutdown, true},
+}
+
 // IsTransient reports whether err is worth retrying against the same or
 // another server: transport faults (dial/reset/EOF/deadline) and graceful
 // server shutdown are; protocol mismatches, wire corruption, server-side
@@ -69,19 +96,12 @@ func IsTransient(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
-	if errors.Is(err, ErrProtocolVersion) || errors.Is(err, ErrFrameTooLarge) ||
-		errors.Is(err, ErrUnknownFrame) || errors.Is(err, ErrJobPanic) ||
-		errors.Is(err, ErrUnknownJob) || errors.Is(err, ErrBadRequest) ||
-		errors.Is(err, ErrUnknownOptimizer) {
-		return false
+	for _, row := range taxonomy {
+		if errors.Is(err, row.sentinel) {
+			return row.transient
+		}
 	}
-	// Admission rejects are backpressure: the queue drains as executors
-	// finish jobs, so a later retry can succeed.
-	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrTenantQuota) {
-		return true
-	}
-	if errors.Is(err, ErrServerShutdown) ||
-		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
 		errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(err, net.ErrClosed) {
 		return true
 	}
@@ -89,74 +109,25 @@ func IsTransient(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// Error codes carried as the first byte of every msgError payload, so
-// wire-borne server failures map back onto the sentinels client-side.
-const (
-	errCodeGeneric  byte = 0
-	errCodeVersion  byte = 1
-	errCodeFrame    byte = 2
-	errCodeUnknown  byte = 3
-	errCodeShutdown byte = 4
-	errCodePanic    byte = 5
-	errCodeNoJob    byte = 6
-	errCodeQueue    byte = 7
-	errCodeQuota    byte = 8
-	errCodeBadReq   byte = 9
-	errCodeOptim    byte = 10
-)
+// errCodeGeneric is the code of an error that wraps no sentinel.
+const errCodeGeneric byte = 0
 
 // errCodeOf classifies an error for the wire.
 func errCodeOf(err error) byte {
-	switch {
-	case errors.Is(err, ErrProtocolVersion):
-		return errCodeVersion
-	case errors.Is(err, ErrFrameTooLarge):
-		return errCodeFrame
-	case errors.Is(err, ErrUnknownFrame):
-		return errCodeUnknown
-	case errors.Is(err, ErrServerShutdown):
-		return errCodeShutdown
-	case errors.Is(err, ErrJobPanic):
-		return errCodePanic
-	case errors.Is(err, ErrUnknownJob):
-		return errCodeNoJob
-	case errors.Is(err, ErrQueueFull):
-		return errCodeQueue
-	case errors.Is(err, ErrTenantQuota):
-		return errCodeQuota
-	case errors.Is(err, ErrBadRequest):
-		return errCodeBadReq
-	case errors.Is(err, ErrUnknownOptimizer):
-		return errCodeOptim
-	default:
-		return errCodeGeneric
+	for _, row := range taxonomy {
+		if errors.Is(err, row.sentinel) {
+			return row.code
+		}
 	}
+	return errCodeGeneric
 }
 
 // sentinelFor maps a wire error code back to its sentinel (nil for generic).
 func sentinelFor(code byte) error {
-	switch code {
-	case errCodeVersion:
-		return ErrProtocolVersion
-	case errCodeFrame:
-		return ErrFrameTooLarge
-	case errCodeUnknown:
-		return ErrUnknownFrame
-	case errCodeShutdown:
-		return ErrServerShutdown
-	case errCodePanic:
-		return ErrJobPanic
-	case errCodeNoJob:
-		return ErrUnknownJob
-	case errCodeQueue:
-		return ErrQueueFull
-	case errCodeQuota:
-		return ErrTenantQuota
-	case errCodeBadReq:
-		return ErrBadRequest
-	case errCodeOptim:
-		return ErrUnknownOptimizer
-	default:
-		return nil
+	for _, row := range taxonomy {
+		if row.code == code {
+			return row.sentinel
+		}
 	}
+	return nil
 }

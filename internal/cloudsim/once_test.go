@@ -367,7 +367,7 @@ func TestCheckpointBuffersReturnToTheirJob(t *testing.T) {
 	defer slow.conn.Close()
 	defer fast.conn.Close()
 
-	sch := newScheduler(SchedulerConfig{Executors: 1})
+	sch := newScheduler(ServerConfig{Executors: 1})
 	sch.start()
 	defer func() { sch.Finish(); sch.WaitIdle() }()
 	job, err := sch.Submit(req, slowSink)
@@ -484,7 +484,7 @@ func TestRemoteJobAllocationBudget(t *testing.T) {
 			}
 			return enqueue(m)
 		}
-		sch := newScheduler(SchedulerConfig{Executors: 1})
+		sch := newScheduler(ServerConfig{Executors: 1})
 		sch.start()
 		defer func() { sch.Finish(); sch.WaitIdle() }()
 		job, err := sch.Submit(req, sink)

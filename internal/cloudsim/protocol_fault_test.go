@@ -474,10 +474,9 @@ func TestFramePlumbingAllocs(t *testing.T) {
 func TestFramePlumbingAllocsCheckpoint(t *testing.T) {
 	allocated := allocatedBy
 	state := map[string]*tensor.Tensor{"emb": tensor.New(40000, 16), "fc.w": tensor.New(16, 3)}
-	snap := &Snapshot{Epoch: 4, State: state,
+	snap := &serialize.TrainCheckpoint{Epoch: 4, Kind: "augmented-text", State: state,
 		OptState: &optim.State{Kind: optim.KindSGD, LR: 0.05, Buffers: map[string]*tensor.Tensor{"emb": tensor.New(40000, 16)}}}
-	size := serialize.TrainCheckpointSize(&serialize.TrainCheckpoint{
-		Epoch: snap.Epoch, Kind: "augmented-text", State: snap.State, OptState: snap.OptState})
+	size := serialize.TrainCheckpointSize(snap)
 	job := &schedJob{req: &TrainRequest{Spec: ModelSpec{Kind: "augmented-text"}}, spare: make(chan *ckptBuf, 2)}
 	var cut *ckptBuf
 	cutOne := func() {

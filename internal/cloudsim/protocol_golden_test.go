@@ -83,12 +83,10 @@ func runReference(t *testing.T, req *TrainRequest) localRun {
 	t.Helper()
 	ref := localRun{checkpoints: map[int][]byte{}}
 	var err error
-	ref.resp, err = runTraining(context.Background(), req, nil, func(snap *Snapshot) error {
+	ref.resp, err = runTraining(context.Background(), req, nil, func(ck *serialize.TrainCheckpoint) error {
 		var buf bytes.Buffer
-		err := serialize.WriteTrainCheckpoint(&buf, &serialize.TrainCheckpoint{
-			Epoch: snap.Epoch, Kind: req.Spec.Kind, State: snap.State, OptState: snap.OptState, RNG: snap.RNG,
-		})
-		ref.checkpoints[snap.Epoch] = buf.Bytes()
+		err := serialize.WriteTrainCheckpoint(&buf, ck)
+		ref.checkpoints[ck.Epoch] = buf.Bytes()
 		return err
 	})
 	if err != nil {

@@ -1,8 +1,10 @@
 package cloudsim
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 
@@ -162,5 +164,89 @@ func TestUnknownOptimizerKindOverWire(t *testing.T) {
 	}
 	if IsTransient(err) {
 		t.Fatal("unknown optimiser kind classified transient; retries would spin forever")
+	}
+}
+
+// TestRecipeRefusedAlikeAtAdmissionAndInLoop feeds the same
+// hyper-parameters to the scheduler's admission and to TrainLoop: both go
+// through Hyper.recipe, so what one refuses the other refuses, under the
+// same sentinel — a bad flat SGD field included, which is turned away at
+// the door instead of failing on an executor.
+func TestRecipeRefusedAlikeAtAdmissionAndInLoop(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		hyper  Hyper
+		want   error   // nil: admitted and trained
+		wantLR float64 // reported rate of an admitted spec job
+	}{
+		{name: "flat fields only", hyper: Hyper{LR: 0.5, Momentum: 0.9}},
+		{name: "spec with LR 0 inherits Hyper.LR",
+			hyper: Hyper{LR: 0.25, Optimizer: &optim.OptimSpec{Kind: optim.KindAdam}}, wantLR: 0.25},
+		{name: "unknown optimiser kind",
+			hyper: Hyper{Optimizer: &optim.OptimSpec{Kind: "lion", LR: 0.01}}, want: ErrUnknownOptimizer},
+		{name: "unknown schedule kind",
+			hyper: Hyper{LR: 0.5, Schedule: &optim.ScheduleSpec{Kind: "poly", Period: 3}}, want: ErrUnknownOptimizer},
+		{name: "negative flat hyper-parameter", hyper: Hyper{LR: 0.5, Momentum: -0.9}, want: ErrBadRequest},
+		{name: "step_size 0",
+			hyper: Hyper{LR: 0.5, Schedule: &optim.ScheduleSpec{Kind: optim.SchedStep, Gamma: 0.5}}, want: ErrBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := textJob(t)
+			tc.hyper.Epochs, tc.hyper.BatchSize = 1, 8
+			req.Hyper = tc.hyper
+
+			_, admitErr := newScheduler(ServerConfig{}).Submit(req, nil) // never started: admission only
+			model, err := BuildModel(req.Spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, loopErr := TrainLoop(context.Background(), model, req, nil, nil)
+			if tc.want == nil {
+				if admitErr != nil || loopErr != nil {
+					t.Fatalf("admission: %v, loop: %v; want both to accept", admitErr, loopErr)
+				}
+				if got := resp.Metrics[0].LR; got != tc.wantLR {
+					t.Fatalf("epoch trained at LR %v, want %v", got, tc.wantLR)
+				}
+				return
+			}
+			if !errors.Is(admitErr, tc.want) || !errors.Is(loopErr, tc.want) {
+				t.Fatalf("admission: %v, loop: %v; want %v from both", admitErr, loopErr, tc.want)
+			}
+		})
+	}
+}
+
+// TestTaxonomyRowsRoundTrip walks the one table the classifiers are read
+// from: a wrapped sentinel crosses the wire under its row's code and
+// decodes to the same sentinel, and IsTransient gives the row's class
+// before and after the trip.
+func TestTaxonomyRowsRoundTrip(t *testing.T) {
+	codes := map[byte]bool{errCodeGeneric: true}
+	for _, row := range taxonomy {
+		if codes[row.code] {
+			t.Fatalf("wire code %d is used twice (or is the generic code)", row.code)
+		}
+		codes[row.code] = true
+		err := fmt.Errorf("job 7: %w", fmt.Errorf("inner: %w", row.sentinel))
+		if got := errCodeOf(err); got != row.code {
+			t.Fatalf("%v travels under code %d, want %d", row.sentinel, got, row.code)
+		}
+		var wire bytes.Buffer
+		if werr := writeErrorFrame(&wire, err); werr != nil {
+			t.Fatal(werr)
+		}
+		kind, payload, rerr := readFrame(&wire)
+		if rerr != nil || kind != msgError {
+			t.Fatalf("error frame read back as kind %d, %v", kind, rerr)
+		}
+		back := decodeErrorFrame(payload)
+		if !errors.Is(back, row.sentinel) || sentinelFor(errCodeOf(back)) != row.sentinel {
+			t.Fatalf("%v decoded as %v", row.sentinel, back)
+		}
+		if IsTransient(err) != row.transient || IsTransient(back) != row.transient {
+			t.Fatalf("%v: IsTransient %v before the wire, %v after, row says %v",
+				row.sentinel, IsTransient(err), IsTransient(back), row.transient)
+		}
 	}
 }

@@ -47,41 +47,6 @@ func (s JobState) String() string {
 	return fmt.Sprintf("JobState(%d)", int(s))
 }
 
-// SchedulerConfig tunes the multi-tenant executor pool. The zero value
-// means defaults.
-type SchedulerConfig struct {
-	// Executors is the number of concurrent training executors. Each holds
-	// a fair 1/N slice of the tensor worker pool for the scheduler's
-	// lifetime (restored when it drains), so N concurrent jobs divide the
-	// machine instead of oversubscribing it N-fold. Worker count never
-	// affects results (kernels split work into disjoint ranges), so the
-	// slicing is purely a throughput decision. Default 4.
-	Executors int
-	// QueueDepth bounds jobs admitted but not yet dispatched, across all
-	// tenants. Submissions beyond it are rejected with ErrQueueFull — a
-	// typed, retryable backpressure signal — instead of queueing without
-	// bound. Default 256.
-	QueueDepth int
-	// TenantQuota bounds one tenant's queued jobs, so a single tenant
-	// cannot occupy the whole admission queue. Submissions beyond it are
-	// rejected with ErrTenantQuota. Default: QueueDepth (no per-tenant
-	// bound beyond the global one).
-	TenantQuota int
-}
-
-func (c SchedulerConfig) withDefaults() SchedulerConfig {
-	if c.Executors <= 0 {
-		c.Executors = 4
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
-	if c.TenantQuota <= 0 {
-		c.TenantQuota = c.QueueDepth
-	}
-	return c
-}
-
 // attachSink receives a job's live output. At most one sink is registered
 // per job (latest attach wins); both hooks are called with the job lock
 // held, in epoch order. A hook returning an error detaches the sink — the
@@ -152,15 +117,11 @@ func (c *ckptBuf) release() {
 	}
 }
 
-// cutCheckpoint encodes an epoch-boundary snapshot into a buffer of the
+// cutCheckpoint encodes an epoch-boundary checkpoint into a buffer of the
 // job's — a returned one when there is one — held once, for the parked
-// slot. It must run inside the checkpoint callback, on the executor: the
-// snapshot aliases live tensors.
-func (j *schedJob) cutCheckpoint(snap *Snapshot) (*ckptBuf, error) {
-	ck := &serialize.TrainCheckpoint{
-		Epoch: snap.Epoch, Kind: j.req.Spec.Kind,
-		State: snap.State, OptState: snap.OptState, RNG: snap.RNG,
-	}
+// slot. It must run inside the checkpoint callback, on the executor: ck
+// aliases live tensors.
+func (j *schedJob) cutCheckpoint(ck *serialize.TrainCheckpoint) (*ckptBuf, error) {
 	size := serialize.TrainCheckpointSize(ck)
 	var c *ckptBuf
 	select {
@@ -175,7 +136,7 @@ func (j *schedJob) cutCheckpoint(snap *Snapshot) (*ckptBuf, error) {
 	if err := serialize.WriteTrainCheckpoint(buf, ck); err != nil {
 		return nil, err
 	}
-	c.payload, c.epoch = buf.Bytes(), snap.Epoch
+	c.payload, c.epoch = buf.Bytes(), ck.Epoch
 	c.holders.Add(1)
 	return c, nil
 }
@@ -272,7 +233,7 @@ type tenantQueue struct {
 // server's training backend, but has no transport of its own — tests
 // drive it directly.
 type Scheduler struct {
-	cfg SchedulerConfig
+	cfg ServerConfig // Executors, QueueDepth and TenantQuota, defaults applied
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -292,10 +253,10 @@ type Scheduler struct {
 	started bool
 }
 
-// newScheduler builds a scheduler; start launches the executors. Split so
-// tests can enqueue a full backlog first and observe a deterministic
-// fair-share dispatch order.
-func newScheduler(cfg SchedulerConfig) *Scheduler {
+// newScheduler builds a scheduler under cfg, whose defaults it applies;
+// start launches the executors. Split so tests can enqueue a full backlog
+// first and observe a deterministic fair-share dispatch order.
+func newScheduler(cfg ServerConfig) *Scheduler {
 	sch := &Scheduler{
 		cfg:     cfg.withDefaults(),
 		jobs:    make(map[string]*schedJob),
@@ -343,8 +304,12 @@ func (sch *Scheduler) start() {
 // the job can be dispatched, so a same-connection attach (the msgDone
 // conversation) sees every epoch live — no replay window. Rejections are
 // typed: ErrBadRequest (the spec does not build, the initial state does
-// not fit), ErrTenantQuota, ErrQueueFull. req is left as it came.
+// not fit, a hyper-parameter is out of range), ErrUnknownOptimizer,
+// ErrTenantQuota, ErrQueueFull. req is left as it came.
 func (sch *Scheduler) Submit(req *TrainRequest, sink *attachSink) (*schedJob, error) {
+	if _, err := req.Hyper.recipe(); err != nil {
+		return nil, err
+	}
 	// Outside the lock: building the augmented graph may panic on
 	// malformed geometry — the connection handler's recover must see it
 	// with no scheduler lock held.
@@ -459,13 +424,13 @@ func (sch *Scheduler) runJob(job *schedJob) {
 		job.deliverProgress(m)
 		return nil
 	}
-	var checkpoint func(*Snapshot) error
+	var checkpoint func(*serialize.TrainCheckpoint) error
 	if job.req.Hyper.CheckpointEvery > 0 {
 		job.spare = make(chan *ckptBuf, 2) // of three buffers one is always parked
-		checkpoint = func(snap *Snapshot) error {
-			// Cut here, on the executor, while the snapshot's tensors
+		checkpoint = func(ck *serialize.TrainCheckpoint) error {
+			// Cut here, on the executor, while the checkpoint's tensors
 			// still are the epoch boundary; only bytes leave the callback.
-			c, err := job.cutCheckpoint(snap)
+			c, err := job.cutCheckpoint(ck)
 			if err != nil {
 				return err
 			}
@@ -525,24 +490,29 @@ func (sch *Scheduler) Job(id string) (*schedJob, error) {
 	return job, nil
 }
 
-// Cancel requests a job stop at its next epoch boundary. Queued jobs are
-// pre-cancelled (they still pass through an executor to produce their
-// terminal record); terminal jobs are left alone. Cancel is idempotent.
+// cancel stops the job at its next epoch boundary. A queued job is
+// pre-cancelled (it still passes through an executor to produce its
+// terminal record); a terminal job is left alone. Idempotent.
+func (j *schedJob) cancel() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	switch j.state {
+	case JobQueued:
+		j.preCancel = true
+	case JobRunning:
+		if j.cancelFn != nil {
+			j.cancelFn()
+		}
+	}
+}
+
+// Cancel requests the job named id stop (see schedJob.cancel).
 func (sch *Scheduler) Cancel(id string) error {
 	job, err := sch.Job(id)
 	if err != nil {
 		return err
 	}
-	job.mu.Lock()
-	switch job.state {
-	case JobQueued:
-		job.preCancel = true
-	case JobRunning:
-		if job.cancelFn != nil {
-			job.cancelFn()
-		}
-	}
-	job.mu.Unlock()
+	job.cancel()
 	return nil
 }
 
@@ -558,16 +528,7 @@ func (sch *Scheduler) CancelAll() {
 	}
 	sch.mu.Unlock()
 	for _, job := range jobs {
-		job.mu.Lock()
-		switch job.state {
-		case JobQueued:
-			job.preCancel = true
-		case JobRunning:
-			if job.cancelFn != nil {
-				job.cancelFn()
-			}
-		}
-		job.mu.Unlock()
+		job.cancel()
 	}
 }
 

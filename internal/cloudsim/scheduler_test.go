@@ -45,7 +45,7 @@ func TestSchedulerFairShareLoad(t *testing.T) {
 	const seedVariants = 8
 	perTenant := schedLoadJobs / tenants
 
-	sch := newScheduler(SchedulerConfig{Executors: executors, QueueDepth: schedLoadJobs})
+	sch := newScheduler(ServerConfig{Executors: executors, QueueDepth: schedLoadJobs})
 
 	// Submit every job BEFORE starting the executors: with the full
 	// backlog admitted up front, the fair-share dispatch order is a pure
@@ -153,7 +153,7 @@ func TestSchedulerFairShareLoad(t *testing.T) {
 // first, then global depth, both transient; unknown job IDs are fatal.
 // The scheduler stays unstarted while filling, so occupancy is exact.
 func TestSchedulerAdmissionControl(t *testing.T) {
-	sch := newScheduler(SchedulerConfig{Executors: 1, QueueDepth: 4, TenantQuota: 2})
+	sch := newScheduler(ServerConfig{Executors: 1, QueueDepth: 4, TenantQuota: 2})
 
 	for i := 0; i < 2; i++ {
 		if _, err := sch.Submit(loadJob("a", 1), nil); err != nil {
@@ -206,7 +206,7 @@ func TestSchedulerAdmissionControl(t *testing.T) {
 // cancelled while RUNNING stops at the next epoch boundary with its
 // partial epochs intact. Cancelling a terminal job is a no-op.
 func TestSchedulerCancelStates(t *testing.T) {
-	sch := newScheduler(SchedulerConfig{Executors: 1})
+	sch := newScheduler(ServerConfig{Executors: 1})
 
 	long := loadJob("t", 1)
 	long.Hyper.Epochs = 50
@@ -282,7 +282,7 @@ func TestSchedulerCancelStates(t *testing.T) {
 // TestSchedulerFailedJobIsolated: a job whose request cannot train fails
 // that job alone — the executor survives and runs the next job.
 func TestSchedulerFailedJobIsolated(t *testing.T) {
-	sch := newScheduler(SchedulerConfig{Executors: 1})
+	sch := newScheduler(ServerConfig{Executors: 1})
 	// A spec that does not build never reaches an executor: admission
 	// builds the job's model, and refuses.
 	unbuildable := loadJob("t", 1)
@@ -326,7 +326,7 @@ func TestSchedulerFailedJobIsolated(t *testing.T) {
 // FromEpoch replayed inside the same critical section that registers the
 // sink for live delivery — and a second attach displaces the first.
 func TestSchedulerAttachExactlyOnce(t *testing.T) {
-	sch := newScheduler(SchedulerConfig{Executors: 1})
+	sch := newScheduler(ServerConfig{Executors: 1})
 	req := loadJob("t", 1)
 	req.Hyper.Epochs = 30
 	gate := make(chan int, 64)
@@ -379,7 +379,7 @@ func TestSchedulerAttachExactlyOnce(t *testing.T) {
 // state, and Views races cleanly against concurrent submissions and
 // training (run under -race in CI).
 func TestViewsAsyncWorld(t *testing.T) {
-	paused := newScheduler(SchedulerConfig{Executors: 1})
+	paused := newScheduler(ServerConfig{Executors: 1})
 	for i := 0; i < 3; i++ {
 		if _, err := paused.Submit(loadJob("t", uint64(i+1)), nil); err != nil {
 			t.Fatal(err)
@@ -402,7 +402,7 @@ func TestViewsAsyncWorld(t *testing.T) {
 	paused.WaitIdle()
 
 	// Concurrent-jobs race: submissions, training, and Views interleaved.
-	sch := newScheduler(SchedulerConfig{Executors: 2})
+	sch := newScheduler(ServerConfig{Executors: 2})
 	sch.start()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"amalgam/internal/optim"
 	"amalgam/internal/serialize"
 	"amalgam/internal/serve"
 )
@@ -28,16 +27,22 @@ type ServerConfig struct {
 	// watcher, where a silent client is normal. 0 means the default
 	// (2 minutes); negative disables deadlines entirely.
 	FrameTimeout time.Duration
-	// Executors is the training-executor pool size: how many jobs train
-	// concurrently, each on a fair slice of the tensor worker pool. 0
-	// means the default (4). See SchedulerConfig.
+	// Executors is the number of concurrent training executors. Each holds
+	// a fair 1/N slice of the tensor worker pool for the scheduler's
+	// lifetime (restored when it drains), so N concurrent jobs divide the
+	// machine instead of oversubscribing it N-fold. Worker count never
+	// affects results (kernels split work into disjoint ranges), so the
+	// slicing is purely a throughput decision. 0 means the default (4).
 	Executors int
-	// QueueDepth bounds admitted-but-not-dispatched jobs across all
-	// tenants; submissions beyond it get ErrQueueFull. 0 means the
-	// default (256).
+	// QueueDepth bounds jobs admitted but not yet dispatched, across all
+	// tenants. Submissions beyond it are rejected with ErrQueueFull — a
+	// typed, retryable backpressure signal — instead of queueing without
+	// bound. 0 means the default (256).
 	QueueDepth int
-	// TenantQuota bounds one tenant's queued jobs; submissions beyond it
-	// get ErrTenantQuota. 0 means no per-tenant bound beyond QueueDepth.
+	// TenantQuota bounds one tenant's queued jobs, so a single tenant
+	// cannot occupy the whole admission queue. Submissions beyond it are
+	// rejected with ErrTenantQuota. 0 means QueueDepth: no per-tenant
+	// bound beyond the global one.
 	TenantQuota int
 	// Infer is the prediction backend: msgInfer frames are answered
 	// against models registered on it. Nil (the default) refuses infer
@@ -45,6 +50,8 @@ type ServerConfig struct {
 	Infer *serve.Server
 }
 
+// withDefaults resolves the zero values. Apply it once: a negative
+// FrameTimeout resolves to 0, which a second pass would read as unset.
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxConns <= 0 {
 		c.MaxConns = 256
@@ -54,6 +61,15 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.FrameTimeout < 0 {
 		c.FrameTimeout = 0
+	}
+	if c.Executors <= 0 {
+		c.Executors = 4
+	}
+	if c.QueueDepth <= 0 {
+		c.QueueDepth = 256
+	}
+	if c.TenantQuota <= 0 {
+		c.TenantQuota = c.QueueDepth
 	}
 	return c
 }
@@ -87,16 +103,12 @@ func NewServer(l net.Listener) *Server {
 
 // NewServerConfig starts serving on l with explicit limits.
 func NewServerConfig(l net.Listener, cfg ServerConfig) *Server {
-	cfg = cfg.withDefaults()
+	sched := newScheduler(cfg)
 	s := &Server{
-		listener: l,
-		cfg:      cfg,
-		sched: newScheduler(SchedulerConfig{
-			Executors:   cfg.Executors,
-			QueueDepth:  cfg.QueueDepth,
-			TenantQuota: cfg.TenantQuota,
-		}),
-		sem:          make(chan struct{}, cfg.MaxConns),
+		listener:     l,
+		cfg:          sched.cfg, // cfg with its defaults applied
+		sched:        sched,
+		sem:          make(chan struct{}, sched.cfg.MaxConns),
 		shuttingDown: make(chan struct{}),
 	}
 	s.sched.start()
@@ -329,7 +341,7 @@ func (s *Server) handle(conn *deadlineConn) error {
 			if len(payload) > 0 {
 				// Cancel-by-ID control frame: the payload names a scheduled
 				// job on a fresh connection.
-				if err := s.cancelByID(conn, payload); err != nil {
+				if err := s.jobStatus(conn, payload, true); err != nil {
 					return err
 				}
 				continue
@@ -341,7 +353,7 @@ func (s *Server) handle(conn *deadlineConn) error {
 			return fmt.Errorf("cloudsim: job cancelled before submission") //amalgam:allow errtaxcheck client-initiated cancel; intentionally generic, never retried
 		case msgPoll:
 			// Status query — valid any time, repeatable on one connection.
-			if err := s.poll(conn, payload); err != nil {
+			if err := s.jobStatus(conn, payload, false); err != nil {
 				return err
 			}
 			continue
@@ -359,9 +371,6 @@ func (s *Server) handle(conn *deadlineConn) error {
 			}
 			return s.attach(conn, areq)
 		case msgSubmit, msgDone:
-			if err := validateOptimSpecs(&req.Hyper); err != nil {
-				return err
-			}
 			if haveTokens {
 				if req.Samples, err = reshapeSamples(tokensFlat, req.Spec.AugLen); err != nil {
 					return err
@@ -380,28 +389,6 @@ func (s *Server) handle(conn *deadlineConn) error {
 			return fmt.Errorf("cloudsim: unexpected message type %d: %w", kind, ErrUnknownFrame)
 		}
 	}
-}
-
-// validateOptimSpecs is the admission check for optimiser and schedule
-// specs: a bad spec is refused before any training time is spent on it.
-func validateOptimSpecs(h *Hyper) error {
-	if h.Optimizer != nil {
-		if err := h.Optimizer.Validate(); err != nil {
-			if errors.Is(err, optim.ErrUnknownKind) {
-				return fmt.Errorf("cloudsim: optimiser kind %q: %w", h.Optimizer.Kind, ErrUnknownOptimizer)
-			}
-			return fmt.Errorf("cloudsim: optimiser spec: %v: %w", err, ErrBadRequest)
-		}
-	}
-	if h.Schedule != nil {
-		if err := h.Schedule.Validate(); err != nil {
-			if errors.Is(err, optim.ErrUnknownKind) {
-				return fmt.Errorf("cloudsim: schedule kind %q: %w", h.Schedule.Kind, ErrUnknownOptimizer)
-			}
-			return fmt.Errorf("cloudsim: schedule spec: %v: %w", err, ErrBadRequest)
-		}
-	}
-	return nil
 }
 
 // sinkQueueDepth is how many frames wait behind the one a connWriter is
@@ -532,10 +519,7 @@ func (s *Server) writeOutcome(conn *deadlineConn, kind string, clientStopped boo
 		// + optimiser state + RNG cursors) followed by the retryable
 		// shutdown error, so the client resumes on another server without
 		// losing an epoch.
-		handoff := &serialize.TrainCheckpoint{
-			Epoch: resp.CompletedEpochs, Kind: kind,
-			State: resp.State, OptState: resp.OptState, RNG: resp.RNG,
-		}
+		handoff := resp.Checkpoint(kind)
 		out.from(msgCheckpoint, serialize.TrainCheckpointSize(handoff), func(w io.Writer) error {
 			return serialize.WriteTrainCheckpoint(w, handoff)
 		})
@@ -661,32 +645,18 @@ func (s *Server) submitAsync(conn *deadlineConn, req *TrainRequest) (err error) 
 	return writeFrame(conn, msgSubmitAck, js)
 }
 
-// poll answers one msgPoll with the job's status.
-func (s *Server) poll(conn *deadlineConn, payload []byte) error {
+// jobStatus answers a control frame naming a scheduled job — a msgPoll, or
+// a cancel-by-ID msgCancel, which cancels the job first — with the job's
+// status (after the cancel: the post-cancel observation).
+func (s *Server) jobStatus(conn *deadlineConn, payload []byte, cancel bool) error {
 	var ref jobRef
 	if err := json.Unmarshal(payload, &ref); err != nil {
-		return fmt.Errorf("cloudsim: bad poll request: %w", err)
+		return fmt.Errorf("cloudsim: bad job reference: %w", err)
 	}
-	st, err := s.sched.Status(ref.JobID)
-	if err != nil {
-		return err
-	}
-	js, err := json.Marshal(st)
-	if err != nil {
-		return err
-	}
-	return writeFrame(conn, msgJobStatus, js)
-}
-
-// cancelByID cancels a scheduled job named by a control msgCancel and
-// answers with its post-cancel status.
-func (s *Server) cancelByID(conn *deadlineConn, payload []byte) error {
-	var ref jobRef
-	if err := json.Unmarshal(payload, &ref); err != nil {
-		return fmt.Errorf("cloudsim: bad cancel request: %w", err)
-	}
-	if err := s.sched.Cancel(ref.JobID); err != nil {
-		return err
+	if cancel {
+		if err := s.sched.Cancel(ref.JobID); err != nil {
+			return err
+		}
 	}
 	st, err := s.sched.Status(ref.JobID)
 	if err != nil {

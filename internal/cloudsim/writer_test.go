@@ -105,7 +105,7 @@ func TestStalledClientHoldsJobOneEpochAhead(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 
-	sch := newScheduler(SchedulerConfig{Executors: 1})
+	sch := newScheduler(ServerConfig{Executors: 1})
 	sch.start()
 	defer func() { sch.Finish(); sch.WaitIdle() }()
 	// Runs first on the way out: a failed test must not leave the writer

@@ -101,8 +101,8 @@ func augmentWithKey(ds *data.ImageDataset, k *ImageAugKey, noise NoiseSpec, nois
 // already-placed raster neighbours (scanning outward along the flat
 // layout), plus Gaussian jitter. The result keeps every sub-network's
 // gathered view similarly smooth, blunting smoothness-based
-// identification; see EXPERIMENTS.md ("Negative result") for the
-// measured effect and the resulting trade-off.
+// identification; `amalgam-bench -experiment identify` measures the
+// effect.
 func smoothInfill(dst []float32, k *ImageAugKey, sigma float64, rng *tensor.RNG) {
 	filled := make([]bool, len(dst))
 	for _, pos := range k.Keep {

@@ -397,7 +397,7 @@ func TestSearchSpaceReproducesTable2(t *testing.T) {
 		{"agnews-75", 1, 144, 252, math.Log10(2.78) + 73, 0.01},
 		// The paper prints 2.33e86; C(288,144) = 2.33e85. The mantissa
 		// matches exactly and the 25/50/75% rows match to 2 decimals, so we
-		// treat the exponent as a typo (documented in EXPERIMENTS.md).
+		// treat the exponent as a typo.
 		{"agnews-100", 1, 144, 288, math.Log10(2.33) + 85, 0.01},
 	}
 	for _, tc := range tests {

@@ -9,7 +9,7 @@ import (
 )
 
 // Cover-image augmentation is this reproduction's hardening against the
-// smoothness identification attack (EXPERIMENTS.md "Negative result").
+// smoothness identification attack (`amalgam-bench -experiment identify`).
 //
 // The attack works because only the true keep set reassembles a natural
 // image. The countermeasure: at augmentation amounts ≥ 1, the insert

@@ -253,7 +253,7 @@ func TestRandomSkipGatherDiffersFromKey(t *testing.T) {
 
 func TestMaskedSkipConvEquivalence(t *testing.T) {
 	// Eq. 1's literal masked convolution must agree with the production
-	// gather+conv composition (DESIGN.md ablation #2).
+	// gather+conv composition (BenchmarkAblationSkipConvImpl times the two).
 	rng := tensor.NewRNG(14)
 	ds := tinyImageSet(2, 3, 8, 2, 3)
 	aug, err := AugmentImages(ds, ImageAugmentOptions{Amount: 0.5, Noise: DefaultImageNoise(), Seed: 6})

@@ -31,7 +31,7 @@ const (
 	// pixel is interpolated from its nearest original raster neighbours
 	// plus jitter (σ = Sigma). It equalises the smoothness of every
 	// sub-network's reconstructed view, mitigating the total-variation
-	// identification attack documented in EXPERIMENTS.md. Image data only.
+	// identification attack (`amalgam-bench -experiment identify`). Images only.
 	NoiseSmoothInfill
 )
 

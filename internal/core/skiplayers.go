@@ -42,7 +42,7 @@ func NewSkipGather2dFromKey(key *ImageAugKey) *SkipGather2d {
 // ascending): anything else is statistically distinguishable from the
 // original — the identification attack in internal/attacks defeats
 // repeated or unsorted decoy sets at 100% accuracy, which is why this
-// hardening exists (see EXPERIMENTS.md).
+// hardening exists.
 func NewRandomSkipGather2d(rng *tensor.RNG, key *ImageAugKey) *SkipGather2d {
 	n := key.OrigH * key.OrigW
 	na := key.AugH * key.AugW

@@ -6,8 +6,7 @@
 // The real datasets cannot be downloaded in this offline environment; the
 // generators produce tensors with identical shapes, splits, and value
 // ranges, and with class-conditional structure strong enough for the model
-// zoo to learn, so that training/validation curves are meaningful. The
-// substitution is documented in DESIGN.md §4.
+// zoo to learn, so that training/validation curves are meaningful.
 package data
 
 import (

@@ -227,7 +227,7 @@ const AGNewsVocab = 95812
 // from Table 2's search-space column: at L=144, C(180,36) ≈ 9.73e37,
 // C(216,72) ≈ 2.94e58 and C(252,108) ≈ 2.78e73 match the paper's 25/50/75%
 // rows to two decimals. (The paper's 100% row reads 2.33e86 where C(288,144)
-// is 2.33e85 — an off-by-one-decade typo; see EXPERIMENTS.md.)
+// is 2.33e85 — an off-by-one-decade typo.)
 const AGNewsSeqLen = 144
 
 // AGNewsPaperSamples is the real corpus size (120k train + 7.6k test).

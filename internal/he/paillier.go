@@ -5,7 +5,7 @@
 // activations, PyCrCNN's deployment model), and per-epoch cost
 // extrapolation from measured per-operation latency.
 //
-// Substitution note (DESIGN.md §4): PyCrCNN uses BFV; Paillier changes the
+// Substitution note: PyCrCNN uses BFV; Paillier changes the
 // constant factors but not the conclusion the figure exists to make — HE
 // training is 3–4 orders of magnitude slower than everything else.
 package he

@@ -70,7 +70,7 @@ type DenseNetLite struct {
 
 // DenseNetLiteGrowth is the growth rate selected to hit the paper's
 // parameter budget (growth 12 lands at ≈0.99M parameters vs the paper's
-// 1.00M); see EXPERIMENTS.md for the measured count.
+// 1.00M; `amalgam-bench -experiment table3` prints the measured count).
 const DenseNetLiteGrowth = 12
 
 // NewDenseNetLite builds the network for the given input geometry.

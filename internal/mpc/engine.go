@@ -4,7 +4,7 @@
 // dealer for Beaver triples and truncation pairs, and secure linear
 // algebra with communication accounting.
 //
-// Fidelity notes (DESIGN.md §4): sharing, reconstruction, Beaver
+// Fidelity notes: sharing, reconstruction, Beaver
 // multiplication, dealer-pair truncation, and matrix triples follow the
 // standard semi-honest construction faithfully. Comparisons (ReLU) use a
 // dealer comparison oracle instead of a binary-conversion protocol; the

@@ -115,9 +115,11 @@ func StateDict(m interface{ Params() []Param }) map[string]*tensor.Tensor {
 }
 
 // LoadStateDict copies values from dict into the matching parameters of m.
-// Every parameter of m must be present in dict with a matching shape.
+// Every parameter of m must be present in dict with a matching shape; all
+// are checked before any is copied, so a failed load leaves m untouched.
 func LoadStateDict(m interface{ Params() []Param }, dict map[string]*tensor.Tensor) error {
-	for _, p := range m.Params() {
+	params := m.Params()
+	for _, p := range params {
 		src, ok := dict[p.Name]
 		if !ok {
 			return fmt.Errorf("nn: LoadStateDict missing parameter %q", p.Name)
@@ -125,7 +127,9 @@ func LoadStateDict(m interface{ Params() []Param }, dict map[string]*tensor.Tens
 		if !src.SameShape(p.Node.Val) {
 			return fmt.Errorf("nn: LoadStateDict shape mismatch for %q: %v vs %v", p.Name, src.Shape(), p.Node.Val.Shape())
 		}
-		p.Node.Val.CopyFrom(src)
+	}
+	for _, p := range params {
+		p.Node.Val.CopyFrom(dict[p.Name])
 	}
 	return nil
 }

@@ -6,16 +6,17 @@
 // scalar counters) as a State, so checkpointed runs of ANY optimiser
 // continue bit-identically.
 //
-// Optimisers and LR schedules are also constructible from wire-portable
-// specs (OptimSpec, ScheduleSpec) via Build/BuildSchedule, which is how
-// jobs carry their training recipe to the cloud service instead of the
-// recipe living in the provider's source code.
+// A job carries its training recipe to the cloud service as wire-portable
+// specs instead of the recipe living in the provider's source code:
+// Build constructs the optimiser an OptimSpec names, ScheduleSpec.Rate is
+// the learning rate at an epoch.
 package optim
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"amalgam/internal/nn"
@@ -63,7 +64,7 @@ type State struct {
 	// Always zero for SGD.
 	Step int
 	// LR is the learning rate at capture time. Informational only: resume
-	// paths reconstruct the rate from (spec, epoch) via Schedule.SetEpoch,
+	// paths reconstruct the rate from (spec, epoch) via ScheduleSpec.Rate,
 	// never from state, so schedules stay pure functions of the epoch.
 	LR float64
 	// Buffers holds the named per-parameter tensors: bare parameter names
@@ -83,18 +84,6 @@ func (s *State) NumBuffers() int {
 // and no step count. Nil is empty.
 func (s *State) Empty() bool {
 	return s == nil || (s.Step == 0 && len(s.Buffers) == 0)
-}
-
-// sortedNames returns m's keys in sorted order, so state validation and
-// serialisation visit buffers deterministically.
-func sortedNames(m map[string]*tensor.Tensor) []string {
-	names := make([]string, 0, len(m))
-	//amalgam:allow detcheck keys are collected then sorted below; callers never observe map order
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // SGD implements stochastic gradient descent with optional momentum and
@@ -200,7 +189,7 @@ func (s *SGD) LoadStateDict(st *State) error {
 		byName[p.Name] = p
 	}
 	staged := make(map[string]*tensor.Tensor, len(st.Buffers))
-	for _, name := range sortedNames(st.Buffers) {
+	for _, name := range slices.Sorted(maps.Keys(st.Buffers)) {
 		p, ok := byName[name]
 		if !ok {
 			return fmt.Errorf("optim: momentum state for unknown parameter %q", name)
@@ -347,7 +336,7 @@ func (a *Adam) LoadStateDict(st *State) error {
 	}
 	stagedM := make(map[string]*tensor.Tensor, len(a.params))
 	stagedV := make(map[string]*tensor.Tensor, len(a.params))
-	for _, name := range sortedNames(st.Buffers) {
+	for _, name := range slices.Sorted(maps.Keys(st.Buffers)) {
 		slot, param, ok := strings.Cut(name, "/")
 		if !ok || (slot != "m" && slot != "v") {
 			return fmt.Errorf("optim: adam state buffer %q is not an m/ or v/ moment", name)

@@ -72,18 +72,11 @@ func TestStepIgnoresNilGrads(t *testing.T) {
 }
 
 func TestStepLRSchedule(t *testing.T) {
-	w := autodiff.Leaf(tensor.FromSlice([]float32{1}, 1))
-	o := NewSGD([]nn.Param{{Name: "w", Node: w}}, 1.0, 0, 0)
-	sched := NewStepLR(o, 2, 0.1)
-	lrs := []float64{}
-	for e := 0; e < 5; e++ {
-		lrs = append(lrs, o.LR())
-		sched.EpochEnd()
-	}
+	sched := ScheduleSpec{Kind: SchedStep, StepSize: 2, Gamma: 0.1}
 	want := []float64{1, 1, 0.1, 0.1, 0.01}
-	for i := range want {
-		if math.Abs(lrs[i]-want[i]) > 1e-12 {
-			t.Fatalf("StepLR epoch %d lr = %v, want %v", i, lrs[i], want[i])
+	for e := range want {
+		if lr := sched.Rate(1.0, e); math.Abs(lr-want[e]) > 1e-12 {
+			t.Fatalf("step epoch %d lr = %v, want %v", e, lr, want[e])
 		}
 	}
 }

@@ -5,30 +5,14 @@ import (
 	"math"
 )
 
-// Schedule kinds understood by BuildSchedule.
+// Schedule kinds a ScheduleSpec may name.
 const (
 	SchedStep   = "step"
 	SchedCosine = "cosine"
 )
 
-// Schedule adjusts an optimiser's learning rate at epoch boundaries. The
-// rate is a pure function of (spec, completed epochs) — SetEpoch
-// reconstructs it exactly — so resumed runs recover the schedule position
-// from the checkpoint's epoch counter without ever serialising a rate.
-type Schedule interface {
-	// Kind names the schedule family (SchedStep, SchedCosine).
-	Kind() string
-	// EpochEnd advances the schedule by one completed epoch and applies
-	// the resulting rate to the optimiser.
-	EpochEnd()
-	// SetEpoch jumps the schedule to e completed epochs and applies the
-	// corresponding rate — the checkpoint-resume entry point. SetEpoch(k)
-	// leaves the optimiser exactly as k EpochEnd calls would have.
-	SetEpoch(e int)
-}
-
-// ScheduleSpec is a wire-portable LR-schedule recipe, the Schedule
-// counterpart of OptimSpec.
+// ScheduleSpec is a wire-portable LR-schedule recipe, the counterpart of
+// OptimSpec: it holds no state, only what Rate needs.
 type ScheduleSpec struct {
 	// Kind names the schedule family (SchedStep, SchedCosine).
 	Kind string `json:"kind"`
@@ -43,7 +27,7 @@ type ScheduleSpec struct {
 	MinLR  float64 `json:"min_lr,omitempty"`
 }
 
-// Validate checks the spec's kind and hyperparameters without building.
+// Validate checks the spec's kind and hyperparameters.
 func (s ScheduleSpec) Validate() error {
 	switch s.Kind {
 	case SchedStep:
@@ -66,97 +50,19 @@ func (s ScheduleSpec) Validate() error {
 	return nil
 }
 
-// BuildSchedule constructs the schedule a spec names over an already-built
-// optimiser, capturing the optimiser's current rate as the base rate.
-func BuildSchedule(spec ScheduleSpec, opt Optimizer) (Schedule, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
+// Rate is the learning rate a run whose optimiser was built at base trains
+// at after epoch completed epochs: base · Gamma^⌊epoch/StepSize⌋ for
+// SchedStep; half a cosine from base down to MinLR over Period epochs,
+// MinLR from there on, for SchedCosine. A pure function, so a resumed run
+// recovers its rate from the checkpoint's epoch counter and no rate is
+// ever read back out of saved state. s must have passed Validate.
+func (s ScheduleSpec) Rate(base float64, epoch int) float64 {
+	if s.Kind == SchedStep {
+		return base * math.Pow(s.Gamma, float64(epoch/s.StepSize))
 	}
-	switch spec.Kind {
-	case SchedStep:
-		return NewStepLR(opt, spec.StepSize, spec.Gamma), nil
-	default:
-		return NewCosineLR(opt, spec.Period, spec.MinLR), nil
+	if epoch >= s.Period {
+		return s.MinLR
 	}
+	frac := float64(epoch) / float64(s.Period)
+	return s.MinLR + 0.5*(base-s.MinLR)*(1+math.Cos(math.Pi*frac))
 }
-
-// StepLR decays the learning rate by gamma every stepSize completed
-// epochs: lr(e) = base · gamma^⌊e/stepSize⌋.
-type StepLR struct {
-	opt      Optimizer
-	baseLR   float64
-	stepSize int
-	gamma    float64
-	epoch    int
-}
-
-// NewStepLR builds a step schedule over opt, capturing its current rate
-// as the base rate.
-func NewStepLR(opt Optimizer, stepSize int, gamma float64) *StepLR {
-	return &StepLR{opt: opt, baseLR: opt.LR(), stepSize: stepSize, gamma: gamma}
-}
-
-// Kind identifies the step schedule in specs.
-func (s *StepLR) Kind() string { return SchedStep }
-
-// EpochEnd advances one epoch and applies the decayed rate.
-func (s *StepLR) EpochEnd() {
-	s.epoch++
-	s.apply()
-}
-
-// SetEpoch jumps to e completed epochs and applies the corresponding rate.
-func (s *StepLR) SetEpoch(e int) {
-	s.epoch = e
-	s.apply()
-}
-
-func (s *StepLR) apply() {
-	decays := s.epoch / s.stepSize
-	s.opt.SetLR(s.baseLR * math.Pow(s.gamma, float64(decays)))
-}
-
-var _ Schedule = (*StepLR)(nil)
-
-// CosineLR anneals the learning rate along half a cosine from the base
-// rate to minLR over period epochs, clamping to minLR afterwards:
-// lr(e) = min + ½(base − min)(1 + cos(πe/period)) for e ≤ period.
-type CosineLR struct {
-	opt    Optimizer
-	baseLR float64
-	period int
-	minLR  float64
-	epoch  int
-}
-
-// NewCosineLR builds a cosine schedule over opt, capturing its current
-// rate as the base rate.
-func NewCosineLR(opt Optimizer, period int, minLR float64) *CosineLR {
-	return &CosineLR{opt: opt, baseLR: opt.LR(), period: period, minLR: minLR}
-}
-
-// Kind identifies the cosine schedule in specs.
-func (c *CosineLR) Kind() string { return SchedCosine }
-
-// EpochEnd advances one epoch and applies the annealed rate.
-func (c *CosineLR) EpochEnd() {
-	c.epoch++
-	c.apply()
-}
-
-// SetEpoch jumps to e completed epochs and applies the corresponding rate.
-func (c *CosineLR) SetEpoch(e int) {
-	c.epoch = e
-	c.apply()
-}
-
-func (c *CosineLR) apply() {
-	if c.epoch >= c.period {
-		c.opt.SetLR(c.minLR)
-		return
-	}
-	frac := float64(c.epoch) / float64(c.period)
-	c.opt.SetLR(c.minLR + 0.5*(c.baseLR-c.minLR)*(1+math.Cos(math.Pi*frac)))
-}
-
-var _ Schedule = (*CosineLR)(nil)

@@ -25,7 +25,7 @@ var (
 // (LR inherits the job's Hyper.LR when zero).
 type OptimSpec struct {
 	// Kind names the optimiser family (KindSGD, KindAdam). Empty selects
-	// KindSGD, so a zero spec reproduces the historical default.
+	// KindSGD.
 	Kind string `json:"kind,omitempty"`
 	// LR is the base learning rate; zero inherits the enclosing job's LR.
 	LR float64 `json:"lr,omitempty"`

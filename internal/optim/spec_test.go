@@ -103,24 +103,21 @@ func TestScheduleSpecValidate(t *testing.T) {
 	}
 }
 
+// TestBuildScheduleKinds pins Rate's dispatch: each kind Validate accepts
+// starts at the base rate and follows its own rule, whatever the other
+// kind's fields hold.
 func TestBuildScheduleKinds(t *testing.T) {
-	p := specParams()
-	o, err := Build(OptimSpec{LR: 1}, p)
-	if err != nil {
-		t.Fatal(err)
+	step := ScheduleSpec{Kind: SchedStep, StepSize: 2, Gamma: 0.5, Period: 1}
+	cosine := ScheduleSpec{Kind: SchedCosine, Period: 2, StepSize: 1, Gamma: 0.5}
+	for _, s := range []ScheduleSpec{step, cosine} {
+		if err := s.Validate(); err != nil || s.Rate(1, 0) != 1 {
+			t.Fatalf("%s: Validate %v, Rate(1, 0) = %v, want nil and 1", s.Kind, err, s.Rate(1, 0))
+		}
 	}
-	s, err := BuildSchedule(ScheduleSpec{Kind: SchedStep, StepSize: 2, Gamma: 0.1}, o)
-	if err != nil {
-		t.Fatal(err)
+	if got := step.Rate(1, 3); got != 0.5 {
+		t.Fatalf("step rate after 3 epochs = %v, want one halving", got)
 	}
-	if s.Kind() != SchedStep {
-		t.Fatalf("built %q, want step", s.Kind())
-	}
-	s, err = BuildSchedule(ScheduleSpec{Kind: SchedCosine, Period: 4}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Kind() != SchedCosine {
-		t.Fatalf("built %q, want cosine", s.Kind())
+	if got := cosine.Rate(1, 3); got != 0 {
+		t.Fatalf("cosine rate past its period = %v, want MinLR 0", got)
 	}
 }

@@ -12,17 +12,15 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// SaveModel writes a model's full state dict (parameters plus batch-norm
-// running statistics) to path atomically (write-then-rename), so a crash
-// mid-save never leaves a truncated checkpoint.
-func SaveModel(path string, m interface{ Params() []nn.Param }) error {
+// saveAtomic writes path through a temporary file renamed into place, so a
+// crash mid-save never leaves a truncated checkpoint.
+func saveAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("serialize: create checkpoint: %w", err)
 	}
-	dict := nn.StateDict(m)
-	if err := WriteStateDict(f, dict); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("serialize: write checkpoint: %w", err)
@@ -34,9 +32,15 @@ func SaveModel(path string, m interface{ Params() []nn.Param }) error {
 	return os.Rename(tmp, path)
 }
 
+// SaveModel writes a model's full state dict (parameters plus batch-norm
+// running statistics) to path atomically.
+func SaveModel(path string, m interface{ Params() []nn.Param }) error {
+	return saveAtomic(path, func(w io.Writer) error { return WriteStateDict(w, nn.StateDict(m)) })
+}
+
 // LoadModel reads a checkpoint into an already-constructed model with the
 // same architecture. Missing or mis-shaped entries fail the load without
-// partially mutating the model — values are staged first.
+// partially mutating the model (nn.LoadStateDict checks before it copies).
 func LoadModel(path string, m interface{ Params() []nn.Param }) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -46,16 +50,6 @@ func LoadModel(path string, m interface{ Params() []nn.Param }) error {
 	dict, err := ReadStateDict(f)
 	if err != nil {
 		return fmt.Errorf("serialize: read checkpoint: %w", err)
-	}
-	// Validate everything before touching the model.
-	for _, p := range m.Params() {
-		src, ok := dict[p.Name]
-		if !ok {
-			return fmt.Errorf("serialize: checkpoint missing %q", p.Name)
-		}
-		if !src.SameShape(p.Node.Val) {
-			return fmt.Errorf("serialize: checkpoint shape mismatch for %q", p.Name)
-		}
 	}
 	return nn.LoadStateDict(m, dict)
 }
@@ -214,24 +208,9 @@ func readFlag(r io.ByteReader) (bool, error) {
 	return b == 1, nil
 }
 
-// SaveTrainCheckpoint writes a checkpoint to path atomically
-// (write-then-rename), like SaveModel.
+// SaveTrainCheckpoint writes a checkpoint to path atomically.
 func SaveTrainCheckpoint(path string, ck *TrainCheckpoint) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("serialize: create checkpoint: %w", err)
-	}
-	if err := WriteTrainCheckpoint(f, ck); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("serialize: write checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return saveAtomic(path, func(w io.Writer) error { return WriteTrainCheckpoint(w, ck) })
 }
 
 // LoadTrainCheckpoint reads a checkpoint from path.

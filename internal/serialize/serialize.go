@@ -22,7 +22,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"unsafe"
 
 	"amalgam/internal/tensor"
@@ -274,7 +276,7 @@ func writeStateDictTo(w io.Writer, dict map[string]*tensor.Tensor) error {
 	if err := writeHeader(w, dictMagic); err != nil {
 		return err
 	}
-	names := sortedKeys(dict)
+	names := slices.Sorted(maps.Keys(dict))
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(names))); err != nil {
 		return err
 	}
@@ -292,7 +294,7 @@ func writeStateDictTo(w io.Writer, dict map[string]*tensor.Tensor) error {
 // StateDictSize is the exact length of WriteStateDict's output.
 func StateDictSize(dict map[string]*tensor.Tensor) int {
 	n := headerSize + 4
-	for _, name := range sortedKeys(dict) {
+	for _, name := range slices.Sorted(maps.Keys(dict)) {
 		n += 2 + len(name) + tensorBodySize(dict[name])
 	}
 	return n
@@ -349,7 +351,7 @@ func writeBytesDictTo(w io.Writer, dict map[string][]byte) error {
 	if err := writeHeader(w, bytesMagic); err != nil {
 		return err
 	}
-	names := sortedKeys(dict)
+	names := slices.Sorted(maps.Keys(dict))
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(names))); err != nil {
 		return err
 	}
@@ -373,7 +375,7 @@ func writeBytesDictTo(w io.Writer, dict map[string][]byte) error {
 
 func bytesDictSize(dict map[string][]byte) int {
 	n := headerSize + 4
-	for _, name := range sortedKeys(dict) {
+	for _, name := range slices.Sorted(maps.Keys(dict)) {
 		n += 2 + len(name) + 4 + len(dict[name])
 	}
 	return n
@@ -476,18 +478,4 @@ func ReadIntSlice(r io.Reader) ([]int, error) {
 			dst[i] = int(int64(binary.LittleEndian.Uint64(src[8*i:])))
 		}
 	})
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	//amalgam:allow detcheck keys are collected then sorted below; callers never see map order
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }

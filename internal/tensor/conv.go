@@ -39,6 +39,18 @@ func (g *ConvGeom) mustValid() {
 	}
 }
 
+// Taps returns the part of the kernel window at output position (oh, ow)
+// that lies inside the input: kernel rows [kh0, kh1) and columns
+// [kw0, kw1), empty when the window is all padding. Tap (kh, kw) reads
+// input (oh*StrideH-PadH+kh, ow*StrideW-PadW+kw); a sliding-window loop
+// over these ranges visits the in-bounds taps in kernel order and needs no
+// per-tap bounds test.
+func (g *ConvGeom) Taps(oh, ow int) (kh0, kh1, kw0, kw1 int) {
+	ih, iw := oh*g.StrideH-g.PadH, ow*g.StrideW-g.PadW // what tap (0, 0) reads
+	kh0, kw0 = max(0, -ih), max(0, -iw)
+	return kh0, max(kh0, min(g.KH, g.InH-ih)), kw0, max(kw0, min(g.KW, g.InW-iw))
+}
+
 // Im2Col lowers one image x of shape [C, H, W] (flattened) into a matrix of
 // shape [C*KH*KW, OutH*OutW] so convolution becomes a single MatMul.
 // dst must be pre-sized; it is fully overwritten (zero padding included).
@@ -132,16 +144,11 @@ func MaxPoolForward(x *Tensor, g *ConvGeom) (out *Tensor, argmax []int32) {
 					for ow := 0; ow < g.OutW; ow++ {
 						best := float32(0)
 						bestIdx := -1
-						for kh := 0; kh < g.KH; kh++ {
+						kh0, kh1, kw0, kw1 := g.Taps(oh, ow)
+						for kh := kh0; kh < kh1; kh++ {
 							ih := oh*g.StrideH - g.PadH + kh
-							if ih < 0 || ih >= g.InH {
-								continue
-							}
-							for kw := 0; kw < g.KW; kw++ {
+							for kw := kw0; kw < kw1; kw++ {
 								iw := ow*g.StrideW - g.PadW + kw
-								if iw < 0 || iw >= g.InW {
-									continue
-								}
 								idx := chanBase + ih*g.InW + iw
 								if v := xb[idx]; bestIdx < 0 || v > best {
 									best, bestIdx = v, idx
@@ -178,22 +185,14 @@ func AvgPoolForward(x *Tensor, g *ConvGeom) *Tensor {
 				for oh := 0; oh < g.OutH; oh++ {
 					for ow := 0; ow < g.OutW; ow++ {
 						var sum float32
-						count := 0
-						for kh := 0; kh < g.KH; kh++ {
+						kh0, kh1, kw0, kw1 := g.Taps(oh, ow)
+						for kh := kh0; kh < kh1; kh++ {
 							ih := oh*g.StrideH - g.PadH + kh
-							if ih < 0 || ih >= g.InH {
-								continue
-							}
-							for kw := 0; kw < g.KW; kw++ {
-								iw := ow*g.StrideW - g.PadW + kw
-								if iw < 0 || iw >= g.InW {
-									continue
-								}
-								sum += xb[chanBase+ih*g.InW+iw]
-								count++
+							for kw := kw0; kw < kw1; kw++ {
+								sum += xb[chanBase+ih*g.InW+ow*g.StrideW-g.PadW+kw]
 							}
 						}
-						if count > 0 {
+						if count := (kh1 - kh0) * (kw1 - kw0); count > 0 {
 							ob[(c*g.OutH+oh)*g.OutW+ow] = sum / float32(count)
 						}
 					}

@@ -63,9 +63,6 @@ type Job struct {
 	opts    Options
 }
 
-// CVJob is the modality-explicit name for Job, mirroring TextJob.
-type CVJob = Job
-
 // Obfuscate augments the dataset and wraps the model (paper §4.1–4.2).
 // The model instance becomes the original sub-network of the augmented
 // model; pre-trained weights on it are preserved (transfer learning §4.4).

@@ -31,7 +31,7 @@ type (
 )
 
 // Synthetic corpus generators and tokenisation (offline stand-ins; see
-// DESIGN.md §4).
+// package internal/data).
 var (
 	// SyntheticWikiText2 returns an n-token WikiText-2 stand-in at the
 	// real corpus' vocabulary.

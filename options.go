@@ -79,19 +79,21 @@ func CosineDecay(period int, minLR float64) *LRScheduleSpec {
 	return &LRScheduleSpec{Kind: optim.SchedCosine, Period: period, MinLR: minLR}
 }
 
-// TrainConfig holds training hyper-parameters. With a nil Optimizer the
-// job trains under SGD built from LR/Momentum/WeightDecay — the historic
-// behaviour, byte-for-byte. A non-nil Optimizer spec takes over (its LR
+// TrainConfig holds a run's training hyper-parameters — the whole recipe:
+// there is no other way to choose the optimiser or the schedule. With a
+// nil Optimizer the job trains under SGD built from
+// LR/Momentum/WeightDecay. A non-nil Optimizer spec takes over (its LR
 // defaults to TrainConfig.LR when zero) and Momentum/WeightDecay are
-// ignored in its favour.
+// ignored in its favour. The specs travel with the job — a remote service
+// rebuilds the identical optimiser from them — and the optimiser's full
+// state (step counter and moment buffers) rides checkpoints, so resumed
+// runs stay bit-identical to uninterrupted ones.
 type TrainConfig struct {
 	Epochs, BatchSize         int
 	LR, Momentum, WeightDecay float64
-	// Optimizer selects a pluggable optimiser; nil means legacy SGD.
-	// WithOptimizer overrides it per run.
+	// Optimizer selects the optimiser; nil means SGD from the fields above.
 	Optimizer *OptimizerSpec
 	// LRSchedule decays the LR across epochs; nil means constant LR.
-	// WithLRSchedule overrides it per run.
 	LRSchedule *LRScheduleSpec
 }
 
@@ -112,8 +114,9 @@ type EpochStats struct {
 	// mean per-token cross-entropy). Zero for other modalities.
 	Perplexity float64
 	// LR is the learning rate the epoch trained under. It is reported
-	// only for runs with an optimiser or schedule spec configured; legacy
-	// SGD runs leave it zero (their LR is constant and already known).
+	// only for runs with an optimiser or schedule spec configured; runs
+	// on the flat SGD fields leave it zero (their LR is constant and
+	// already known).
 	LR float64
 	// Err terminates a stream: context.Canceled / DeadlineExceeded for
 	// cancelled runs, or the underlying failure. No further elements
@@ -136,14 +139,10 @@ type runOptions struct {
 	checkpointPath  string
 	checkpointEvery int
 	resumePath      string
-	// optimizer/schedule are the WithOptimizer/WithLRSchedule overrides;
-	// nil falls back to the TrainConfig fields.
-	optimizer      *OptimizerSpec
-	schedule       *LRScheduleSpec
-	evalSet        EvalDataset
-	shuffleSeed    uint64
-	shuffleSeedSet bool
-	retry          *RetryPolicy
+	evalSet         EvalDataset
+	shuffleSeed     uint64
+	shuffleSeedSet  bool
+	retry           *RetryPolicy
 }
 
 // RetryPolicy configures RemoteTrainer's fault tolerance: how many times
@@ -222,22 +221,6 @@ func WithCheckpoint(path string, everyN int) TrainOption {
 // so the same option list works for the first run and every retry.
 func WithResume(path string) TrainOption {
 	return func(o *runOptions) { o.resumePath = path }
-}
-
-// WithOptimizer overrides the run's optimiser. The spec travels with the
-// job — a remote service rebuilds the identical optimiser from it — and
-// its full state (step counter and moment buffers) rides checkpoints, so
-// resumed runs stay bit-identical to uninterrupted ones. A spec with a
-// zero LR inherits TrainConfig.LR.
-func WithOptimizer(spec *OptimizerSpec) TrainOption {
-	return func(o *runOptions) { o.optimizer = spec }
-}
-
-// WithLRSchedule overrides the run's learning-rate schedule. Schedules
-// are pure functions of (spec, epoch), so resume re-derives the right LR
-// from the checkpointed epoch alone.
-func WithLRSchedule(spec *LRScheduleSpec) TrainOption {
-	return func(o *runOptions) { o.schedule = spec }
 }
 
 // WithEvalSet scores a held-out split after every epoch. The split is

@@ -78,13 +78,10 @@ func (LocalTrainer) Run(ctx context.Context, job TrainableJob, cfg TrainConfig, 
 	emit := func(st EpochStats) { ch <- st }
 	go func() {
 		defer close(ch)
-		var checkpoint func(*cloudsim.Snapshot) error
+		var checkpoint func(*serialize.TrainCheckpoint) error
 		if ro.checkpointPath != "" {
-			checkpoint = func(snap *cloudsim.Snapshot) error {
-				return serialize.SaveTrainCheckpoint(ro.checkpointPath, &serialize.TrainCheckpoint{
-					Epoch: snap.Epoch, Kind: kind,
-					State: snap.State, OptState: snap.OptState, RNG: snap.RNG,
-				})
+			checkpoint = func(ck *serialize.TrainCheckpoint) error {
+				return serialize.SaveTrainCheckpoint(ro.checkpointPath, ck)
 			}
 		}
 		// The live model over the very request RemoteTrainer would ship.
@@ -174,10 +171,7 @@ func (t RemoteTrainer) runRemote(ctx context.Context, req *cloudsim.TrainRequest
 			// Always short of Epochs: the last epoch's state arrives only
 			// as the response, so a connection lost inside the terminal
 			// frames resumes one epoch back and retrains it.
-			req.Hyper.StartEpoch = snap.Epoch
-			req.InitState = snap.State
-			req.InitOptState = snap.OptState
-			req.InitRNG = snap.RNG
+			req.ResumeFrom(snap)
 		}
 		resp, err = cloudsim.TrainContextNet(ctx, t.Addr, req, h, net)
 		return err
@@ -269,20 +263,28 @@ func sleepBackoff(ctx context.Context, pol *RetryPolicy, attempt int, jitter *te
 	}
 }
 
-// prepareRun folds the options, validates the config, applies WithResume
-// and completes the job's request with everything a run adds to it:
-// resume state, the obfuscated eval split, the hyper-parameters.
+// prepareRun folds the options, validates the config and completes the
+// job's request with everything a run adds to it: the hyper-parameters,
+// the WithResume point, the obfuscated eval split.
 func prepareRun(cfg TrainConfig, o *jobOps, opts []TrainOption) (*runOptions, error) {
 	// The shuffle seed defaults to Options.Seed, which the spec records.
 	ro, err := resolveRunOptions(cfg, o.req.Spec.AugSeed, opts)
 	if err != nil {
 		return nil, err
 	}
-	start, err := loadResume(ro, o)
-	if err != nil {
+	// Shuffling is always on, seeded per epoch (data.ShuffleRNG) so local,
+	// remote, and resumed runs visit batches in the same order.
+	o.req.Hyper = cloudsim.Hyper{
+		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize,
+		LR: cfg.LR, Momentum: cfg.Momentum, WeightDecay: cfg.WeightDecay,
+		Optimizer: cfg.Optimizer, Schedule: cfg.LRSchedule,
+		Shuffle: true, ShuffleSeed: ro.shuffleSeed,
+		CheckpointEvery: ro.checkpointEvery,
+	}
+	if err := loadResume(ro, o); err != nil {
 		return nil, err
 	}
-	if start >= cfg.Epochs {
+	if start := o.req.Hyper.StartEpoch; start >= cfg.Epochs {
 		return nil, fmt.Errorf("amalgam: checkpoint already covers %d of %d epochs", start, cfg.Epochs)
 	}
 	if ro.evalSet != nil {
@@ -290,29 +292,7 @@ func prepareRun(cfg TrainConfig, o *jobOps, opts []TrainOption) (*runOptions, er
 			return nil, err
 		}
 	}
-	o.req.Hyper = hyperFor(cfg, ro, start)
 	return ro, nil
-}
-
-// hyperFor maps the public config onto the wire/loop hyper-parameters.
-// Shuffling is always on, seeded per epoch (data.ShuffleRNG) so local,
-// remote, and resumed runs visit batches in the same order.
-func hyperFor(cfg TrainConfig, ro *runOptions, start int) cloudsim.Hyper {
-	h := cloudsim.Hyper{
-		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize,
-		LR: cfg.LR, Momentum: cfg.Momentum, WeightDecay: cfg.WeightDecay,
-		Shuffle: true, ShuffleSeed: ro.shuffleSeed,
-		StartEpoch: start, CheckpointEvery: ro.checkpointEvery,
-	}
-	h.Optimizer = cfg.Optimizer
-	if ro.optimizer != nil {
-		h.Optimizer = ro.optimizer
-	}
-	h.Schedule = cfg.LRSchedule
-	if ro.schedule != nil {
-		h.Schedule = ro.schedule
-	}
-	return h
 }
 
 // emitTo adapts a wire/loop metric into an EpochStats emitter and the
@@ -350,10 +330,7 @@ func (o *jobOps) finishRemote(ctx context.Context, emit func(EpochStats), ro *ru
 // with the context's error.
 func finishRun(ctx context.Context, emit func(EpochStats), ro *runOptions, kind string, resp *cloudsim.TrainResponse) {
 	if ro.checkpointPath != "" {
-		err := serialize.SaveTrainCheckpoint(ro.checkpointPath, &serialize.TrainCheckpoint{
-			Epoch: resp.CompletedEpochs, Kind: kind,
-			State: resp.State, OptState: resp.OptState, RNG: resp.RNG,
-		})
+		err := serialize.SaveTrainCheckpoint(ro.checkpointPath, resp.Checkpoint(kind))
 		if err != nil {
 			emit(EpochStats{Err: err})
 			return
@@ -369,25 +346,28 @@ func finishRun(ctx context.Context, emit func(EpochStats), ro *runOptions, kind 
 }
 
 // loadResume applies WithResume: loads the checkpoint (if present) into
-// the job model, stages its optimiser state (kind, step counter, moment
-// buffers) and dropout-stream cursors on the job's request — trainers
-// seed the run with them, so a resumed run is bit-identical to an
-// uninterrupted one, not merely convergent — and returns the epoch to
-// restart from. A checkpoint recording a different job kind is
-// rejected with ErrCheckpointKind before any state is touched.
-func loadResume(ro *runOptions, o *jobOps) (int, error) {
+// the job model and points the job's request at it — epoch, optimiser
+// state (kind, step counter, moment buffers) and dropout-stream cursors;
+// trainers seed the run with them, so a resumed run is bit-identical to an
+// uninterrupted one, not merely convergent. A checkpoint recording a
+// different job kind is rejected with ErrCheckpointKind before any state
+// is touched.
+func loadResume(ro *runOptions, o *jobOps) error {
 	if ro.resumePath == "" {
-		return 0, nil
+		return nil
 	}
 	ck, err := o.loadCheckpoint(ro.resumePath)
 	if os.IsNotExist(err) {
-		return 0, nil // first run: nothing to resume
+		return nil // first run: nothing to resume
 	}
 	if err != nil {
-		return 0, fmt.Errorf("amalgam: resume from %s: %w", ro.resumePath, err)
+		return fmt.Errorf("amalgam: resume from %s: %w", ro.resumePath, err)
 	}
-	o.req.InitOptState, o.req.InitRNG = ck.OptState, ck.RNG
-	return ck.Epoch, nil
+	// The weights are in the model now, which the request's initial state
+	// views: the file's copy of them need not outlive this call.
+	ck.State = o.req.InitState
+	o.req.ResumeFrom(ck)
+	return nil
 }
 
 // loadCheckpoint reads a checkpoint file, verifies its recorded kind

@@ -22,15 +22,10 @@ import (
 // and the streamed per-epoch LR pins that derivation against a golden
 // halving sequence.
 func TestOptimizerResumeBitIdentical(t *testing.T) {
-	full := amalgam.TrainConfig{Epochs: 4, BatchSize: 8, LR: 0.5}
+	full := amalgam.TrainConfig{Epochs: 4, BatchSize: 8, LR: 0.5,
+		Optimizer: amalgam.Adam(0.01), LRSchedule: amalgam.StepDecay(1, 0.5)}
 	half := full
 	half.Epochs = 2
-	opts := func(extra ...amalgam.TrainOption) []amalgam.TrainOption {
-		return append([]amalgam.TrainOption{
-			amalgam.WithOptimizer(amalgam.Adam(0.01)),
-			amalgam.WithLRSchedule(amalgam.StepDecay(1, 0.5)),
-		}, extra...)
-	}
 
 	for _, mode := range []string{"local", "remote"} {
 		t.Run(mode, func(t *testing.T) {
@@ -42,7 +37,7 @@ func TestOptimizerResumeBitIdentical(t *testing.T) {
 
 			first := mkTextJob(t)
 			if _, err := amalgam.Train(context.Background(), trainer, first, half,
-				opts(amalgam.WithCheckpoint(ckpt, 1))...); err != nil {
+				amalgam.WithCheckpoint(ckpt, 1)); err != nil {
 				t.Fatal(err)
 			}
 			ck, err := serialize.LoadTrainCheckpoint(ckpt)
@@ -56,12 +51,12 @@ func TestOptimizerResumeBitIdentical(t *testing.T) {
 
 			resumed := mkTextJob(t) // fresh job: nothing lives outside the file
 			if _, err := amalgam.Train(context.Background(), trainer, resumed, full,
-				opts(amalgam.WithResume(ckpt))...); err != nil {
+				amalgam.WithResume(ckpt)); err != nil {
 				t.Fatal(err)
 			}
 
 			straight := mkTextJob(t)
-			stats, err := amalgam.Train(context.Background(), trainer, straight, full, opts()...)
+			stats, err := amalgam.Train(context.Background(), trainer, straight, full)
 			if err != nil {
 				t.Fatal(err)
 			}
