@@ -8,22 +8,36 @@ import (
 	"amalgam/internal/tensor"
 )
 
+// resnet18Stages are the 3×3 convolutions of the zoo resnet18 on 3×32×32 at
+// cv_local's batch, one per stage, named OC×kdim×positions: stage 1 is
+// lowered one image per block, stage 4 nearly the whole batch at once.
+var resnet18Stages = []convShape{
+	{"stage1-64x576x1024", 16, 64, 64, 32, 32},
+	{"stage2-128x1152x256", 16, 128, 128, 16, 16},
+	{"stage3-256x2304x64", 16, 256, 256, 8, 8},
+	{"stage4-512x4608x16", 16, 512, 512, 4, 4},
+}
+
+type convShape struct {
+	name                      string
+	batch, inC, outC, h, wdth int
+}
+
 // benchConvStep runs one training step (forward + backward) of a small conv
-// stack at quick-experiment scale: batch 16 of 1×28×28 through an 8-channel
-// 3×3 conv, ReLU, and a linear head. This is the allocation profile the
-// scratch pool targets; run with -benchmem and compare allocs/op against
-// the PR 1 row of bench/README.md's "Historical context" table.
-func benchConvStep(b *testing.B, batch int) {
+// stack: a batch of inC×h×w through an outC-channel 3×3 conv + bias + ReLU
+// and a linear head. "quick" is the quick-experiment scale (batch 16 of
+// 1×28×28, 8 channels), the allocation profile the scratch pool targets.
+func benchConvStep(b *testing.B, s convShape) {
 	rng := tensor.NewRNG(7)
-	x := tensor.New(batch, 1, 28, 28)
+	x := tensor.New(s.batch, s.inC, s.h, s.wdth)
 	rng.FillNormal(x, 0, 1)
-	w := tensor.New(8, 1, 3, 3)
+	w := tensor.New(s.outC, s.inC, 3, 3)
 	rng.FillNormal(w, 0, 0.3)
-	bias := tensor.New(8)
+	bias := tensor.New(s.outC)
 	rng.FillNormal(bias, 0, 0.1)
-	fc := tensor.New(8*28*28, 10)
+	fc := tensor.New(s.outC*s.h*s.wdth, 10)
 	rng.FillNormal(fc, 0, 0.05)
-	labels := make([]int, batch)
+	labels := make([]int, s.batch)
 	for i := range labels {
 		labels[i] = i % 10
 	}
@@ -43,7 +57,11 @@ func benchConvStep(b *testing.B, batch int) {
 	}
 }
 
-func BenchmarkConv2dTrainStep(b *testing.B) { benchConvStep(b, 16) }
+func BenchmarkConv2dTrainStep(b *testing.B) {
+	for _, s := range append([]convShape{{"quick", 16, 1, 8, 28, 28}}, resnet18Stages...) {
+		b.Run(s.name, func(b *testing.B) { benchConvStep(b, s) })
+	}
+}
 
 // BenchmarkLayerNormStep measures one LayerNorm forward+backward at
 // transformer scale ([N*T, D] = [256, 256]).
@@ -235,22 +253,19 @@ func BenchmarkGELUFFStep(b *testing.B) {
 	}
 }
 
-// BenchmarkConvBackward runs one conv training step (forward+backward) at
-// batch 32 with a warm pool, at a shallow (im2col-heavy) and a deep
-// (matmul-heavy) channel shape. The streamed backward pays one extra
-// im2col per image.
+// BenchmarkConvBackward runs one conv forward+backward (dX and dW) with a
+// warm pool: at batch 32 a shallow (lowering-heavy) and a deep (matmul-heavy)
+// channel shape, then resnet18's four stage geometries — the per-stage
+// read-out of what block GEMMs buy.
 func BenchmarkConvBackward(b *testing.B) {
-	shapes := []struct {
-		name             string
-		inC, outC, h, wd int
-	}{
-		{"shallow-3ch", 3, 8, 16, 16},
-		{"deep-16ch", 16, 32, 12, 12},
-	}
+	shapes := append([]convShape{
+		{"shallow-3ch", 32, 3, 8, 16, 16},
+		{"deep-16ch", 32, 16, 32, 12, 12},
+	}, resnet18Stages...)
 	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) {
 			rng := tensor.NewRNG(17)
-			x := tensor.New(32, s.inC, s.h, s.wd)
+			x := tensor.New(s.batch, s.inC, s.h, s.wdth)
 			rng.FillNormal(x, 0, 1)
 			w := tensor.New(s.outC, s.inC, 3, 3)
 			rng.FillNormal(w, 0, 0.3)
@@ -270,10 +285,10 @@ func BenchmarkConvBackward(b *testing.B) {
 
 // BenchmarkConvBackwardColdPool is the peak-memory view: two GC cycles
 // before each step empty the scratch pool (sync.Pool's victim cache survives
-// one GC), so bytes/op ≈ the step's whole working set — one streamed column
-// buffer, not one per image.
+// one GC), so bytes/op ≈ the step's whole working set — one block's lowered
+// matrix, not one per image.
 func BenchmarkConvBackwardColdPool(b *testing.B) {
-	prev := tensor.SetMaxWorkers(1) // one in-flight column buffer
+	prev := tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(prev)
 	rng := tensor.NewRNG(18)
 	x := tensor.New(64, 3, 16, 16)

@@ -1,32 +1,50 @@
 package autodiff
 
 import (
-	"fmt"
 	"testing"
 
 	"amalgam/internal/tensor"
 )
 
-// convRun executes one Conv2d forward+backward and returns the output
-// value plus both gradients, cloned so pooled buffers can be recycled.
-func convRun(t *testing.T, seed uint64, batch, inC, outC, h, w, kernel, stride, pad int) (out, dx, dw *tensor.Tensor) {
-	t.Helper()
-	rng := tensor.NewRNG(seed)
-	x := tensor.New(batch, inC, h, w)
-	wt := tensor.New(outC, inC, kernel, kernel)
-	bias := tensor.New(outC)
-	rng.FillNormal(x, 0, 1)
-	rng.FillNormal(wt, 0, 0.5)
-	rng.FillNormal(bias, 0, 0.5)
+// convCase is one Conv2d geometry of the conv tables: determinism, gradient
+// check and the block-GEMM references all walk the same shapes.
+type convCase struct {
+	name                                        string
+	batch, inC, outC, h, w, kernel, stride, pad int
+}
 
-	xN, wN, bN := Leaf(x), Leaf(wt), Leaf(bias)
-	loss := Mean(Conv2d(xN, wN, bN, stride, pad, tensor.ActNone))
-	Backward(loss)
-	out = loss.Val.Clone()
-	dx = xN.Grad.Clone()
-	dw = wN.Grad.Clone()
-	Release(loss)
-	return out, dx, dw
+// testConvBudget is the scratch budget blockConvCases are sized against.
+const testConvBudget = 1 << 11
+
+// blockConvCases exercise what the block loop of Conv2d must get right, on
+// shapes small enough for a gradient check: with the scratch budget shrunk
+// to testConvBudget floats they span several blocks. The comment on each is
+// its lowered floats per image and how the batch splits. Every block's
+// position count is a multiple of 4 (see TestConvStreamedBackwardMatchesPerImage).
+var blockConvCases = []convCase{
+	{"n-not-a-multiple-of-the-block", 5, 2, 3, 6, 6, 3, 1, 1}, // 648: 3 + 2
+	{"n1", 1, 2, 3, 6, 6, 3, 1, 1},                            // 648: 1
+	{"stage1-like-block-is-1", 3, 8, 4, 8, 8, 3, 1, 1},        // 4608 > budget: 1 + 1 + 1
+	{"stage4-like-block-is-n", 3, 16, 5, 2, 2, 3, 1, 1},       // 576: 3
+	{"stride2", 5, 3, 4, 8, 8, 3, 2, 1},                       // 432: 4 + 1
+	{"1x1", 16, 4, 3, 6, 6, 1, 1, 0},                          // 144: 14 + 2
+	{"pad0", 4, 2, 3, 8, 8, 3, 1, 0},                          // 648: 3 + 1
+	{"non-square", 5, 2, 3, 4, 6, 3, 1, 1},                    // 432: 4 + 1
+}
+
+// shrinkConvBudget makes blockConvCases span several blocks for one test.
+func shrinkConvBudget(t *testing.T) {
+	prev := convScratchFloats
+	convScratchFloats = testConvBudget
+	t.Cleanup(func() { convScratchFloats = prev })
+}
+
+// fwdBwd runs one biased Conv2d forward+backward and returns the output and
+// the gradients of x, w and the bias.
+func (c convCase) fwdBwd() []*tensor.Tensor {
+	h := plainOp(3)
+	operands := h.draw([][]int{{c.batch, c.inC, c.h, c.w}, {c.outC, c.inC, c.kernel, c.kernel}, {c.outC}}, 99)
+	return h.fwdBwd(operands, func(p []*Node) *Node { return Conv2d(p[0], p[1], p[2], c.stride, c.pad, tensor.ActNone) })
 }
 
 // TestDeterminismAcrossWorkers is the repo's determinism contract as a
@@ -202,73 +220,99 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		t.Run("OneNode/"+name, func(t *testing.T) { sameAtEveryWorkerCount(t, workerCounts, run) })
 	}
 
-	convCases := []struct {
-		name                                        string
-		batch, inC, outC, h, w, kernel, stride, pad int
-	}{
+	// Conv2d, worker count × SIMD on/off. First at the real scratch budget —
+	// small shapes are one block each; the last case is a real stage-1-like
+	// geometry whose nine images split 7 + 2 — then blockConvCases with the
+	// budget shrunk so every kind of split occurs.
+	convCases := []convCase{
 		{"lenet-like", 4, 1, 6, 28, 28, 5, 1, 2},
 		{"vgg-like", 3, 3, 8, 16, 16, 3, 1, 1},
 		{"strided", 2, 2, 4, 15, 15, 3, 2, 1},
 		{"odd-batch", 5, 1, 3, 9, 9, 3, 1, 0},
-		// Batch large enough that the streamed backward re-lowers many
-		// images through its single scratch column buffer.
 		{"streamed-batch32", 32, 1, 4, 10, 10, 3, 1, 1},
+		{"two-real-blocks", 9, 8, 4, 32, 32, 3, 1, 1},
 	}
 	for _, tc := range convCases {
-		t.Run(fmt.Sprintf("Conv2d/%s", tc.name), func(t *testing.T) {
-			prev := tensor.SetMaxWorkers(1)
-			defer tensor.SetMaxWorkers(prev)
-			refOut, refDx, refDw := convRun(t, 99, tc.batch, tc.inC, tc.outC, tc.h, tc.w, tc.kernel, tc.stride, tc.pad)
-			for _, wk := range workerCounts {
-				tensor.SetMaxWorkers(wk)
-				out, dx, dw := convRun(t, 99, tc.batch, tc.inC, tc.outC, tc.h, tc.w, tc.kernel, tc.stride, tc.pad)
-				if !out.Equal(refOut) {
-					t.Errorf("workers=%d: conv output not bit-identical", wk)
-				}
-				if !dx.Equal(refDx) {
-					t.Errorf("workers=%d: conv dX not bit-identical", wk)
-				}
-				if !dw.Equal(refDw) {
-					t.Errorf("workers=%d: conv dW not bit-identical", wk)
-				}
-			}
+		t.Run("Conv2d/"+tc.name, func(t *testing.T) { sameAtEveryWorkerCount(t, workerCounts, tc.fwdBwd) })
+	}
+	for _, tc := range blockConvCases {
+		t.Run("Conv2d/blocks/"+tc.name, func(t *testing.T) {
+			shrinkConvBudget(t)
+			sameAtEveryWorkerCount(t, workerCounts, tc.fwdBwd)
 		})
 	}
 }
 
-// TestConvStreamedBackwardMatchesPerImage pins the streaming dW
-// accumulation: the batched backward re-lowers one image at a time into a
-// single scratch buffer and accumulates in ascending batch order, so its
-// dW must equal the sum of per-image dWs taken in the same order, bit for
-// bit. (This is the invariant that made dropping the retained column
-// matrices a pure memory win.)
+// TestConvStreamedBackwardMatchesPerImage pins what a block of images
+// multiplied at once must still equal, bit for bit, on both backends:
+//
+//   - the forward and dX are those of each image convolved on its own. A
+//     block GEMM only makes rows longer: every output element is still the
+//     same ascending chain over the same operands, and Col2Im still adds
+//     each image's columns into its pixels in the same order.
+//   - dW is the one GEMM dY[OC, N·positions] × rows[N·positions, C·KH·KW]
+//     over the whole batch: one chain per weight over (image, position) in
+//     ascending order, however the batch was cut into blocks — each block's
+//     accumulating GEMM continues the chain in the gradient itself. (Exact
+//     because every block of blockConvCases holds a multiple of 4 positions;
+//     otherwise the 4-wide unrolled steps regroup and the split is only
+//     deterministic.) It is NOT the per-image dWs summed: until PR 22 each
+//     image's dW was a dot-product GEMM added into the gradient, and that is
+//     the order ROADMAP item 3 allowed to change.
 func TestConvStreamedBackwardMatchesPerImage(t *testing.T) {
-	const batch, inC, outC, h, wdt, k = 6, 2, 3, 7, 7, 3
-	rng := tensor.NewRNG(72)
-	x := tensor.New(batch, inC, h, wdt)
-	w := tensor.New(outC, inC, k, k)
-	rng.FillNormal(x, 0, 1)
-	rng.FillNormal(w, 0, 0.5)
-
-	wN := Leaf(w.Clone())
-	full := Conv2d(Constant(x.Clone()), wN, nil, 1, 1, tensor.ActNone)
-	Backward(Sum(full))
-	dwFull := wN.Grad.Clone()
-
-	imgIn := inC * h * wdt
-	dwSum := tensor.New(w.Shape()...)
-	for b := 0; b < batch; b++ {
-		xb := tensor.New(1, inC, h, wdt)
-		copy(xb.Data, x.Data[b*imgIn:(b+1)*imgIn])
-		wb := Leaf(w.Clone())
-		one := Conv2d(Constant(xb), wb, nil, 1, 1, tensor.ActNone)
-		Backward(Sum(one))
-		for i, g := range wb.Grad.Data {
-			dwSum.Data[i] += g
-		}
+	shrinkConvBudget(t)
+	image := func(t *tensor.Tensor, b int) *tensor.Tensor {
+		sh := t.Shape()
+		sz := t.Numel() / sh[0]
+		return tensor.FromSlice(t.Data[b*sz:(b+1)*sz], append([]int{1}, sh[1:]...)...)
 	}
-	if !dwFull.Equal(dwSum) {
-		t.Fatal("streamed batch dW is not the ascending-order sum of per-image dWs")
+	for _, tc := range blockConvCases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := tensor.NewRNG(72)
+			x, w := tensor.New(tc.batch, tc.inC, tc.h, tc.w), tensor.New(tc.outC, tc.inC, tc.kernel, tc.kernel)
+			rng.FillNormal(x, 0, 1)
+			rng.FillNormal(w, 0, 0.5)
+			g := &tensor.ConvGeom{InC: tc.inC, InH: tc.h, InW: tc.w, KH: tc.kernel, KW: tc.kernel,
+				StrideH: tc.stride, StrideW: tc.stride, PadH: tc.pad, PadW: tc.pad}
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			kdim, positions := tc.inC*tc.kernel*tc.kernel, g.OutH*g.OutW
+			if block := convBlock(kdim, positions, tc.batch); block < tc.batch && block*positions%4 != 0 {
+				t.Fatalf("blocks of %d positions: the table must keep them a multiple of 4", block*positions)
+			}
+			dy := tensor.New(tc.batch, tc.outC, g.OutH, g.OutW)
+			rng.FillNormal(dy, 0, 1)
+			run := func(x, dy *tensor.Tensor) (val, dx, dw *tensor.Tensor) {
+				xN, wN := Leaf(x), Leaf(w.Clone())
+				out := Conv2d(xN, wN, nil, tc.stride, tc.pad, tensor.ActNone)
+				val = out.Val.Clone()
+				loss := Sum(Mul(out, Constant(dy))) // so that out.Grad is exactly dy
+				Backward(loss)
+				Release(loss)
+				return val, xN.Grad, wN.Grad
+			}
+			eachBackend(t, func(simd bool) {
+				val, dx, dw := run(x, dy)
+				for b := 0; b < tc.batch; b++ { // Errorf: eachBackend restores the dispatch after fn returns
+					v1, dx1, _ := run(image(x, b), image(dy, b))
+					if !image(val, b).Equal(v1) {
+						t.Errorf("simd=%v: image %d of the batch forward is not that image's own forward", simd, b)
+					}
+					if !image(dx, b).Equal(dx1) {
+						t.Errorf("simd=%v: image %d of the batch dX is not that image's own dX", simd, b)
+					}
+				}
+				rows, dyT := tensor.New(tc.batch*positions, kdim), tensor.New(tc.outC, tc.batch*positions)
+				tensor.Im2Row(rows, x.Data, g)
+				swapOuter(dyT.Data, dy.Data, tc.batch, tc.outC, positions)
+				want := tensor.New(w.Shape()...)
+				tensor.MatMulRawInto(want.Data, dyT.Data, rows.Data, tc.outC, tc.batch*positions, kdim)
+				if !dw.Equal(want) {
+					t.Errorf("simd=%v: batch dW is not the one GEMM over (image, position)", simd)
+				}
+			})
+		})
 	}
 }
 

@@ -89,18 +89,16 @@ func TestGradActivations(t *testing.T) {
 }
 
 // TestGradConv2dStreamedShapes re-runs the conv gradient check (dX, dW,
-// db) on the streaming backward at shapes that stress it: batches large
-// enough that several column re-lowerings happen, spatial sizes that are
-// not SIMD-width multiples, and a 1×1 kernel.
+// db) at shapes that stress the block loop — spatial sizes that are not
+// SIMD-width multiples, a 1×1 kernel, and blockConvCases — with the scratch
+// budget shrunk so that the batches split into several blocks.
 func TestGradConv2dStreamedShapes(t *testing.T) {
-	cases := []struct {
-		name                                        string
-		batch, inC, outC, h, w, kernel, stride, pad int
-	}{
+	shrinkConvBudget(t)
+	cases := append([]convCase{
 		{"batch5-7x9", 5, 3, 4, 7, 9, 3, 2, 1},
 		{"batch8-odd", 8, 1, 2, 5, 5, 3, 1, 1},
 		{"1x1-kernel", 3, 2, 3, 4, 4, 1, 1, 0},
-	}
+	}, blockConvCases...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := tensor.NewRNG(66)

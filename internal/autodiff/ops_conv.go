@@ -32,15 +32,44 @@ func AddChanBias(x, bias *Node, act tensor.Act) *Node {
 	return out
 }
 
+// convScratchFloats bounds the lowered matrix one block of images may
+// occupy: 2 MB of float32, a per-core L2's worth. The row kernels stream the
+// whole lowered panel once per pair of output rows, so a panel that
+// overflows the cache costs more than the longer rows of a bigger block
+// save (measured per resnet18 stage in CHANGES.md, PR 22). A variable only
+// so that tests can shrink it and make small shapes span several blocks.
+var convScratchFloats = 1 << 19
+
+// convBlock is how many images Conv2d lowers and multiplies at once: as
+// many as fit the scratch budget, at least one. It depends on the shape
+// alone — never on the worker count or the pool's state — so every run of a
+// shape splits, and therefore rounds, the same way.
+func convBlock(kdim, ncols, n int) int {
+	return max(1, min(n, convScratchFloats/(kdim*ncols)))
+}
+
+// swapOuter copies src, a [n0, n1, run] array, into dst as [n1, n0, run]:
+// a block of image-major [nb, OC, positions] maps to the channel-major
+// [OC, nb·positions] a block GEMM reads or writes, and back.
+func swapOuter(dst, src []float32, n0, n1, run int) {
+	for i0 := 0; i0 < n0; i0++ {
+		for i1 := 0; i1 < n1; i1++ {
+			copy(dst[(i1*n0+i0)*run:][:run], src[(i0*n1+i1)*run:])
+		}
+	}
+}
+
 // Conv2d computes act(conv(x, w) + bias), a batched 2-D convolution.
 //
 //	x: [N, C, H, W]   w: [OC, C, KH, KW]   bias: [OC] or nil
 //
-// The implementation lowers each image with im2col and performs a single
-// matrix multiplication per image, parallelised over the batch. Bias and
-// activation run in place over the convolution's own output — one node, one
-// buffer — and the backward turns out.Grad into the gradient of the bare
-// convolution in place before anything reads it.
+// The implementation lowers a block of images at a time (convBlock) and
+// runs one matrix multiplication per block in each direction: the forward
+// W × cols, the input gradient Wᵀ × dY scattered back by Col2Im, and the
+// weight gradient dY × rows accumulated across blocks straight into w's own
+// gradient. Bias and activation run in place over the convolution's own
+// output — one node, one buffer — and the backward turns out.Grad into the
+// gradient of the bare convolution in place before anything reads it.
 func Conv2d(x, w, bias *Node, stride, pad int, act tensor.Act) *Node {
 	xs, ws := x.Val.Shape(), w.Val.Shape()
 	if len(xs) != 4 || len(ws) != 4 || xs[1] != ws[1] {
@@ -63,23 +92,29 @@ func Conv2d(x, w, bias *Node, stride, pad int, act tensor.Act) *Node {
 	ncols := g.OutH * g.OutW
 	imgIn := g.InC * g.InH * g.InW
 	imgOut := oc * ncols
+	block := convBlock(kdim, ncols, n)
 
 	val := tensor.Get(n, oc, g.OutH, g.OutW)
-	// Streaming im2col: each image's column matrix lives only as long as
-	// its own matmul — nothing is retained for the backward, which
-	// re-lowers the image when it needs the columns again. Peak column
-	// memory is one buffer per active worker instead of one per image
-	// (PR 1/2 kept all n alive from forward through backward), and the
-	// re-lowering is a pure copy pass, far cheaper than the dW matmul it
-	// feeds.
-	forEachImage(n, func(b int) {
-		cols := tensor.Get(kdim, ncols)
-		tensor.Im2Col(cols, x.Val.Data[b*imgIn:(b+1)*imgIn], g)
-		// Raw matmul: w.Val viewed as [oc, kdim] and the image's output
-		// slab as [oc, ncols], with no per-image view headers.
-		tensor.MatMulRawInto(val.Data[b*imgOut:(b+1)*imgOut], w.Val.Data, cols.Data, oc, kdim, ncols)
+	// A block's lowered matrix lives only as long as its own matmul; the
+	// backward lowers the block again (a pure copy pass, bit-identical)
+	// rather than keep it, so lowering memory is one block whatever the
+	// batch. A one-image block is already channel-major; a larger one goes
+	// through swapOuter.
+	for b0 := 0; b0 < n; b0 += block {
+		nb := min(block, n-b0)
+		cols := tensor.Get(kdim, nb*ncols)
+		tensor.Im2Col(cols, x.Val.Data[b0*imgIn:(b0+nb)*imgIn], g)
+		slab := val.Data[b0*imgOut : (b0+nb)*imgOut]
+		if nb == 1 {
+			tensor.MatMulRawInto(slab, w.Val.Data, cols.Data, oc, kdim, ncols)
+		} else {
+			y := tensor.Get(oc, nb*ncols)
+			tensor.MatMulRawInto(y.Data, w.Val.Data, cols.Data, oc, kdim, nb*ncols)
+			swapOuter(slab, y.Data, oc, nb, ncols)
+			tensor.Put(y)
+		}
 		tensor.Put(cols)
-	})
+	}
 	parents := []*Node{x, w}
 	keep, scratch := actScratch(act, val)
 	if bias != nil {
@@ -96,32 +131,28 @@ func Conv2d(x, w, bias *Node, stride, pad int, act tensor.Act) *Node {
 		if bias != nil && bias.requiresGrad {
 			tensor.ChanSumAddInto(bias.ensureGrad().Data, out.Grad.Data, n, oc, ncols)
 		}
-		if w.requiresGrad {
-			// dW = Σ_b dY_b · cols_bᵀ, streamed: the loop already runs
-			// sequentially in ascending batch order for determinism
-			// (parallelising the reduction would reorder float additions),
-			// so one pooled column buffer re-lowered per image serves the
-			// whole batch. Im2Col is a pure assignment from x, so the
-			// recomputed columns are bit-identical to the forward's.
-			wd := w.ensureGrad().Data // [oc, kdim] viewed flat
-			cols := tensor.Get(kdim, ncols)
-			tmp := tensor.Get(oc, kdim)
-			for b := 0; b < n; b++ {
-				tensor.Im2Col(cols, x.Val.Data[b*imgIn:(b+1)*imgIn], g)
-				tensor.MatMulBTRawInto(tmp.Data, out.Grad.Data[b*imgOut:(b+1)*imgOut], cols.Data, oc, ncols, kdim)
-				tensor.AddRawInto(wd, tmp.Data)
+		for b0 := 0; b0 < n; b0 += block {
+			nb := min(block, n-b0)
+			dy := out.Grad.Data[b0*imgOut : (b0+nb)*imgOut]
+			var dyT *tensor.Tensor // dy channel-major, when the block is not already
+			if nb > 1 {
+				dyT = tensor.Get(oc, nb*ncols)
+				swapOuter(dyT.Data, dy, nb, oc, ncols)
+				dy = dyT.Data
 			}
-			tensor.Put(tmp)
-			tensor.Put(cols)
-		}
-		if x.requiresGrad {
-			xg := x.ensureGrad()
-			forEachImage(n, func(b int) {
-				dcols := tensor.Get(kdim, ncols)
-				tensor.MatMulATRawInto(dcols.Data, w.Val.Data, out.Grad.Data[b*imgOut:(b+1)*imgOut], kdim, oc, ncols)
-				tensor.Col2Im(xg.Data[b*imgIn:(b+1)*imgIn], dcols, g)
-				tensor.Put(dcols)
-			})
+			low := tensor.Get(nb*ncols, kdim) // the block's rows for dW, then its dcols for dX
+			if w.requiresGrad {
+				// dW += dY · rows: one chain per weight over (image,
+				// position), continued from block to block in the gradient.
+				tensor.Im2Row(low, x.Val.Data[b0*imgIn:(b0+nb)*imgIn], g)
+				tensor.MatMulAccRawInto(w.ensureGrad().Data, dy, low.Data, oc, nb*ncols, kdim)
+			}
+			if x.requiresGrad {
+				tensor.MatMulATRawInto(low.Data, w.Val.Data, dy, kdim, oc, nb*ncols)
+				tensor.Col2Im(x.ensureGrad().Data[b0*imgIn:(b0+nb)*imgIn], low, g)
+			}
+			tensor.Put(low)
+			tensor.Put(dyT)
 		}
 	}
 	return out

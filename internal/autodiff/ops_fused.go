@@ -19,10 +19,8 @@ func linearEpilogueBackward(x, w, b *Node, dpre *tensor.Tensor) {
 		tensor.MatMulBTInto(tmp, dpre, w.Val) // dX = dPre·Wᵀ
 		x.accumulateOwned(tmp)
 	}
-	if w.requiresGrad {
-		tmp := tensor.Get(w.Val.Shape()...)
-		tensor.MatMulATInto(tmp, x.Val, dpre) // dW = Xᵀ·dPre
-		w.accumulateOwned(tmp)
+	if w.requiresGrad { // dW += Xᵀ·dPre, in the gradient itself
+		tensor.MatMulATAccRawInto(w.ensureGrad().Data, x.Val.Data, dpre.Data, w.Val.Dim(0), dpre.Dim(0), dpre.Dim(1))
 	}
 }
 

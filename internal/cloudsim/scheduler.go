@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -237,8 +238,8 @@ type Scheduler struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	jobs      map[string]*schedJob
-	order     []string // submission order, for Views
+	jobs      map[string]*schedJob // queued, running and the retainedJobs most recently finished
+	order     []string             // their submission order, for Views
 	tenants   map[string]*tenantQueue
 	ring      []string // tenants with a backlog, round-robin order
 	queued    int      // jobs admitted but not yet dispatched
@@ -246,8 +247,11 @@ type Scheduler struct {
 	finishing bool // no more work is coming: executors exit when idle
 	cancelAll bool // shutdown: every job (present and future) pre-cancelled
 
-	dispatched []string // dispatch order (test observability: fairness)
-	completed  []string // terminal order (test observability: starvation)
+	dispatched []string // dispatch order of the jobs in the registry (test observability: fairness)
+	completed  []string // terminal order, oldest first: eviction order (and test observability: starvation)
+
+	past    map[string]JobStatus // how the pastJobs most recently finished jobs ended
+	pastIDs []string             // their IDs, oldest first
 
 	wg      sync.WaitGroup
 	started bool
@@ -260,6 +264,7 @@ func newScheduler(cfg ServerConfig) *Scheduler {
 	sch := &Scheduler{
 		cfg:     cfg.withDefaults(),
 		jobs:    make(map[string]*schedJob),
+		past:    make(map[string]JobStatus),
 		tenants: make(map[string]*tenantQueue),
 	}
 	sch.cond = sync.NewCond(&sch.mu)
@@ -474,9 +479,25 @@ func (sch *Scheduler) runJob(job *schedJob) {
 	close(job.done)
 	job.mu.Unlock()
 
+	// The ledger records how the job ended (pastJobs of them: a status
+	// each, for poll); the registry keeps the retainedJobs most recently
+	// finished whole and forgets the oldest-finished beyond that — never a
+	// queued or running job, which is not in completed.
+	st, _ := job.status()
 	sch.mu.Lock()
+	defer sch.mu.Unlock()
+	sch.past[job.id] = st
+	if sch.pastIDs = append(sch.pastIDs, job.id); len(sch.pastIDs) > pastJobs {
+		delete(sch.past, sch.pastIDs[0])
+		sch.pastIDs = sch.pastIDs[1:]
+	}
 	sch.completed = append(sch.completed, job.id)
-	sch.mu.Unlock()
+	for len(sch.completed) > retainedJobs {
+		id := sch.completed[0]
+		is := func(o string) bool { return o == id }
+		delete(sch.jobs, id)
+		sch.completed, sch.order, sch.dispatched = sch.completed[1:], slices.DeleteFunc(sch.order, is), slices.DeleteFunc(sch.dispatched, is)
+	}
 }
 
 // Job looks up a registry entry by ID.
@@ -546,24 +567,38 @@ func (sch *Scheduler) WaitIdle() {
 	sch.wg.Wait()
 }
 
-// Status reports a point-in-time observation of one job.
+// status is the job's part of a point-in-time observation (QueuePos is the
+// scheduler's to add while the job is queued).
+func (j *schedJob) status() (st JobStatus, queued bool) {
+	st = JobStatus{JobID: j.id, Tenant: j.tenant}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	st.State = j.state.String()
+	st.CompletedEpochs = j.lastEpoch
+	if j.resp != nil {
+		st.CompletedEpochs = j.resp.CompletedEpochs
+	}
+	if j.err != nil {
+		st.Err = j.err.Error()
+	}
+	return st, j.state == JobQueued
+}
+
+// Status reports a point-in-time observation of one job. A job the
+// registry has forgotten still answers with how it ended while the ledger
+// remembers it.
 func (sch *Scheduler) Status(id string) (JobStatus, error) {
 	job, err := sch.Job(id)
 	if err != nil {
+		sch.mu.Lock()
+		st, ok := sch.past[id]
+		sch.mu.Unlock()
+		if ok {
+			return st, nil
+		}
 		return JobStatus{}, err
 	}
-	st := JobStatus{JobID: job.id, Tenant: job.tenant}
-	job.mu.Lock()
-	st.State = job.state.String()
-	st.CompletedEpochs = job.lastEpoch
-	if job.resp != nil {
-		st.CompletedEpochs = job.resp.CompletedEpochs
-	}
-	if job.err != nil {
-		st.Err = job.err.Error()
-	}
-	queued := job.state == JobQueued
-	job.mu.Unlock()
+	st, queued := job.status()
 	if queued {
 		sch.mu.Lock()
 		if tq := sch.tenants[job.tenant]; tq != nil {

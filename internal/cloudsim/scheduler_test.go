@@ -451,3 +451,90 @@ func TestViewsAsyncWorld(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulerForgetsOldTerminalJobs: the registry used to keep every
+// terminal job's result for the life of the server. 3 000 tiny jobs through
+// one scheduler (retainedJobs plus a few hundred under -race), at most 16 in
+// flight: the registry never holds more than the retained terminal jobs plus
+// that window and ends at exactly retainedJobs in all four structures; the
+// newest job is still attachable with its result; the oldest answers
+// ErrUnknownJob to lookup (attach) and cancel — as an ID that never existed
+// — and poll still says how it ended, from the status ledger.
+func TestSchedulerForgetsOldTerminalJobs(t *testing.T) {
+	total, window := 3000, 16
+	if raceEnabled {
+		total = retainedJobs + 200
+	}
+	sch := newScheduler(ServerConfig{Executors: 2})
+	sch.start()
+	tiny := loadJob("t", 1)
+	var first, last *schedJob
+	var inFlight []*schedJob
+	for i := 0; i < total; i++ {
+		job, err := sch.Submit(tiny, nil)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if first == nil {
+			first = job
+		}
+		last = job
+		if inFlight = append(inFlight, job); len(inFlight) == window {
+			<-inFlight[0].done
+			inFlight = inFlight[1:]
+		}
+		sch.mu.Lock()
+		size := len(sch.jobs)
+		sch.mu.Unlock()
+		if size > retainedJobs+window {
+			t.Fatalf("after %d submissions the registry holds %d jobs, want at most %d terminal + %d in flight", i+1, size, retainedJobs, window)
+		}
+	}
+	sch.Finish()
+	sch.WaitIdle()
+
+	sch.mu.Lock()
+	sizes := []int{len(sch.jobs), len(sch.order), len(sch.dispatched), len(sch.completed)}
+	sch.mu.Unlock()
+	for _, size := range append(sizes, len(sch.Views())) {
+		if size != retainedJobs {
+			t.Fatalf("jobs/order/dispatched/completed/Views hold %v entries after %d jobs, want %d each", sizes, total, retainedJobs)
+		}
+	}
+
+	if _, err := sch.Job(last.id); err != nil {
+		t.Fatalf("the newest job is gone: %v", err)
+	}
+	var replayed []int
+	if err := last.attach(0, &attachSink{progress: func(m EpochMetric) error {
+		replayed = append(replayed, m.Epoch)
+		return nil
+	}}); err != nil || len(replayed) != 1 || replayed[0] != 1 {
+		t.Fatalf("attach to the newest job replayed epochs %v (err %v), want [1]", replayed, err)
+	}
+	if resp, err := last.result(); err != nil || resp == nil || resp.CompletedEpochs != 1 {
+		t.Fatalf("the newest job's result: %+v, %v", resp, err)
+	}
+
+	if _, err := sch.Job(first.id); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("looking up an evicted job answered %v, want ErrUnknownJob", err)
+	}
+	if err := sch.Cancel(first.id); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("cancelling an evicted job answered %v, want ErrUnknownJob", err)
+	}
+	if st, err := sch.Status(first.id); err != nil || st.State != "done" || st.CompletedEpochs != 1 || st.Tenant != "t" {
+		t.Fatalf("polling an evicted job: %+v, %v; want how it ended: done after 1 epoch", st, err)
+	}
+	if _, err := sch.Status("job-999999"); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("polling an ID that never existed answered %v, want ErrUnknownJob", err)
+	}
+	sch.mu.Lock()
+	ledger, ledgerIDs := len(sch.past), len(sch.pastIDs)
+	sch.mu.Unlock()
+	if want := min(total, pastJobs); ledger != want || ledgerIDs != want {
+		t.Fatalf("the status ledger holds %d entries under %d IDs after %d jobs, want %d", ledger, ledgerIDs, total, want)
+	}
+	if resp, err := first.result(); err != nil || resp == nil {
+		t.Fatalf("a holder of the evicted record lost its result: %+v, %v", resp, err)
+	}
+}

@@ -398,6 +398,20 @@ func (s *Server) handle(conn *deadlineConn) error {
 // keeps one epoch of slack, whoever the client.
 const sinkQueueDepth = 1
 
+// retainedJobs is how many terminal jobs the scheduler keeps in its
+// registry, newest first: enough for any client to come back for a result
+// it was disconnected from, while a server that lives for millions of jobs
+// holds a bounded number of results. Older ones are forgotten
+// oldest-finished first: attach and cancel answer ErrUnknownJob, as for an
+// ID that never existed. pastJobs is how many finished jobs keep answering
+// poll with how they ended (a JobStatus each, no result): asking stays
+// cheap long after the weights are gone. Constants: they bound the
+// server's memory, whoever the client.
+const (
+	retainedJobs = 1024
+	pastJobs     = 1 << 16
+)
+
 // connWriter is a connection's writer for the live part of a job stream:
 // one goroutine draining a bounded FIFO of frames to the connection, so
 // the executor that produced them is back to training while they are on

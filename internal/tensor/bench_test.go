@@ -61,6 +61,37 @@ func BenchmarkMatMulAT(bb *testing.B) {
 	}
 }
 
+// BenchmarkMatMulAcc measures the accumulating entries at the weight-gradient
+// shapes they serve: conv dW += dY[OC, positions] × rows[positions, C·KH·KW]
+// for one block of resnet18's stage 1 (one image) and stage 4 (seven), and a
+// dense layer's dW += Xᵀ[In, N] × dY[N, Out] at lm_local's loss head.
+func BenchmarkMatMulAcc(bb *testing.B) {
+	for _, s := range []struct {
+		name    string
+		m, k, n int
+		at      bool
+	}{
+		{"conv-dW-stage1", 64, 1024, 576, false},
+		{"conv-dW-stage4", 512, 112, 4608, false},
+		{"linear-dW-lm-head", 128, 1008, 2000, true},
+	} {
+		bb.Run(fmt.Sprintf("%s-%dx%dx%d", s.name, s.m, s.k, s.n), func(bb *testing.B) {
+			a, b := benchMatrices(s.m, s.k, s.n) // read as [k, m] by the aᵀ entry
+			out := New(s.m, s.n)
+			bb.SetBytes(int64(s.m*s.k+s.k*s.n+2*s.m*s.n) * 4)
+			bb.ReportAllocs()
+			bb.ResetTimer()
+			for i := 0; i < bb.N; i++ {
+				if s.at {
+					MatMulATAccRawInto(out.Data, a.Data, b.Data, s.m, s.k, s.n)
+				} else {
+					MatMulAccRawInto(out.Data, a.Data, b.Data, s.m, s.k, s.n)
+				}
+			}
+		})
+	}
+}
+
 func benchNormInputs(rows, d int) (x, gamma, beta *Tensor) {
 	rng := NewRNG(77)
 	x, gamma, beta = New(rows, d), New(d), New(d)

@@ -51,75 +51,140 @@ func (g *ConvGeom) Taps(oh, ow int) (kh0, kh1, kw0, kw1 int) {
 	return kh0, max(kh0, min(g.KH, g.InH-ih)), kw0, max(kw0, min(g.KW, g.InW-iw))
 }
 
-// Im2Col lowers one image x of shape [C, H, W] (flattened) into a matrix of
-// shape [C*KH*KW, OutH*OutW] so convolution becomes a single MatMul.
-// dst must be pre-sized; it is fully overwritten (zero padding included).
-func Im2Col(dst *Tensor, x []float32, g *ConvGeom) {
-	g.mustValid()
-	rows := g.InC * g.KH * g.KW
-	cols := g.OutH * g.OutW
-	if dst.Numel() != rows*cols {
-		panic(fmt.Sprintf("tensor: Im2Col dst numel %d, want %d", dst.Numel(), rows*cols))
+// owRange returns the output columns [ow0, ow1) at which kernel column kw
+// reads inside the input row: 0 ≤ ow·StrideW − PadW + kw < InW.
+func (g *ConvGeom) owRange(kw int) (ow0, ow1 int) {
+	if lo := g.PadW - kw; lo > 0 {
+		ow0 = min(g.OutW, (lo+g.StrideW-1)/g.StrideW)
 	}
-	dd := dst.Data
-	for c := 0; c < g.InC; c++ {
-		chanBase := c * g.InH * g.InW
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				row := ((c*g.KH+kh)*g.KW + kw) * cols
-				for oh := 0; oh < g.OutH; oh++ {
-					ih := oh*g.StrideH - g.PadH + kh
-					outBase := row + oh*g.OutW
-					if ih < 0 || ih >= g.InH {
-						for ow := 0; ow < g.OutW; ow++ {
-							dd[outBase+ow] = 0
-						}
-						continue
-					}
-					inBase := chanBase + ih*g.InW
-					for ow := 0; ow < g.OutW; ow++ {
-						iw := ow*g.StrideW - g.PadW + kw
-						if iw < 0 || iw >= g.InW {
-							dd[outBase+ow] = 0
-						} else {
-							dd[outBase+ow] = x[inBase+iw]
-						}
-					}
-				}
-			}
-		}
+	if hi := g.InW - 1 + g.PadW - kw; hi >= 0 {
+		ow1 = min(g.OutW, hi/g.StrideW+1)
 	}
+	return ow0, max(ow0, ow1)
 }
 
-// Col2Im is the adjoint of Im2Col: it accumulates the column matrix back
-// into an image gradient of shape [C, H, W] (added into dx).
-func Col2Im(dx []float32, cols *Tensor, g *ConvGeom) {
+// lowerDims checks a buffer of numel floats against the lowering of the
+// images in x ([C, H, W] each, back to back) and returns how many there are
+// and the lowered matrix's two per-image dimensions.
+func (g *ConvGeom) lowerDims(op string, numel int, x []float32) (nb, kdim, ncols int) {
 	g.mustValid()
-	cd := cols.Data
-	ncols := g.OutH * g.OutW
-	for c := 0; c < g.InC; c++ {
-		chanBase := c * g.InH * g.InW
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				row := ((c*g.KH+kh)*g.KW + kw) * ncols
-				for oh := 0; oh < g.OutH; oh++ {
-					ih := oh*g.StrideH - g.PadH + kh
-					if ih < 0 || ih >= g.InH {
-						continue
-					}
-					inBase := chanBase + ih*g.InW
-					outBase := row + oh*g.OutW
-					for ow := 0; ow < g.OutW; ow++ {
-						iw := ow*g.StrideW - g.PadW + kw
-						if iw < 0 || iw >= g.InW {
+	nb, kdim, ncols = len(x)/(g.InC*g.InH*g.InW), g.InC*g.KH*g.KW, g.OutH*g.OutW
+	if numel != nb*kdim*ncols || len(x) != nb*g.InC*g.InH*g.InW {
+		panic(fmt.Sprintf("tensor: %s buffer numel %d for %d floats of input, want %d", op, numel, len(x), nb*kdim*ncols))
+	}
+	return nb, kdim, ncols
+}
+
+// Im2Col lowers the images in x (one or a block of several) into a matrix
+// of shape [C*KH*KW, nb*OutH*OutW], image b in columns [b, b+1)·OutH·OutW,
+// so convolving the block becomes a single MatMul. dst must be pre-sized; it
+// is fully overwritten (zero padding included).
+func Im2Col(dst *Tensor, x []float32, g *ConvGeom) {
+	nb, _, ncols := g.lowerDims("Im2Col", dst.Numel(), x)
+	dd, plane := dst.Data, g.InH*g.InW
+	parallelFor(nb*g.InC, 1, func(u0, u1 int) {
+		for u := u0; u < u1; u++ { // channel plane u = b*InC + c of the block
+			b, c := u/g.InC, u%g.InC
+			xc := x[u*plane : (u+1)*plane]
+			for kh := 0; kh < g.KH; kh++ {
+				for kw := 0; kw < g.KW; kw++ {
+					ow0, ow1 := g.owRange(kw)
+					row := dd[(((c*g.KH+kh)*g.KW+kw)*nb+b)*ncols:][:ncols]
+					for oh := 0; oh < g.OutH; oh++ {
+						d := row[oh*g.OutW : (oh+1)*g.OutW]
+						ih, lo, hi := oh*g.StrideH-g.PadH+kh, ow0, ow1
+						if ih < 0 || ih >= g.InH {
+							lo, hi = 0, 0
+						}
+						zeroFloats(d[:lo])
+						zeroFloats(d[hi:])
+						if hi == lo {
 							continue
 						}
-						dx[inBase+iw] += cd[outBase+ow]
+						src := xc[ih*g.InW+lo*g.StrideW-g.PadW+kw:]
+						if g.StrideW == 1 {
+							copy(d[lo:hi], src)
+							continue
+						}
+						for i := range d[lo:hi] {
+							d[lo+i] = src[i*g.StrideW]
+						}
 					}
 				}
 			}
 		}
-	}
+	})
+}
+
+// Im2Row is the transposed lowering, [nb*OutH*OutW, C*KH*KW]: one row per
+// output position holding its receptive field. It is the right-hand operand
+// of the weight gradient dW[OC, C*KH*KW] += dY[OC, positions] × rows, whose
+// inner dimension then runs over (image, position) in ascending order.
+func Im2Row(dst *Tensor, x []float32, g *ConvGeom) {
+	nb, kdim, _ := g.lowerDims("Im2Row", dst.Numel(), x)
+	dd, plane := dst.Data, g.InH*g.InW
+	parallelFor(nb*g.OutH, 1, func(u0, u1 int) {
+		for u := u0; u < u1; u++ { // output row u = b*OutH + oh of the block
+			xb, oh := x[u/g.OutH*g.InC*plane:], u%g.OutH
+			for ow := 0; ow < g.OutW; ow++ {
+				d := dd[(u*g.OutW+ow)*kdim:][:kdim]
+				kh0, kh1, kw0, kw1 := g.Taps(oh, ow)
+				if (kh1-kh0)*(kw1-kw0) < g.KH*g.KW {
+					zeroFloats(d) // the taps that fall into padding
+					if kw0 == kw1 {
+						continue
+					}
+				}
+				at := (oh*g.StrideH-g.PadH)*g.InW + ow*g.StrideW - g.PadW // what tap (0, 0) reads
+				for c := 0; c < g.InC; c++ {
+					for kh := kh0; kh < kh1; kh++ {
+						t := (c*g.KH+kh)*g.KW + kw0
+						src := xb[c*plane+kh*g.InW+at+kw0:][:kw1-kw0]
+						for i, v := range src {
+							d[t+i] = v
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// Col2Im is the adjoint of Im2Col: it accumulates the column matrix of a
+// block back into its image gradients [nb, C, H, W] (added into dx).
+func Col2Im(dx []float32, cols *Tensor, g *ConvGeom) {
+	nb, _, ncols := g.lowerDims("Col2Im", cols.Numel(), dx)
+	cd, plane := cols.Data, g.InH*g.InW
+	parallelFor(nb*g.InC, 1, func(u0, u1 int) {
+		for u := u0; u < u1; u++ {
+			b, c := u/g.InC, u%g.InC
+			dxc := dx[u*plane : (u+1)*plane]
+			for kh := 0; kh < g.KH; kh++ {
+				for kw := 0; kw < g.KW; kw++ {
+					ow0, ow1 := g.owRange(kw)
+					row := cd[(((c*g.KH+kh)*g.KW+kw)*nb+b)*ncols:][:ncols]
+					for oh := 0; oh < g.OutH; oh++ {
+						ih := oh*g.StrideH - g.PadH + kh
+						if ih < 0 || ih >= g.InH || ow0 == ow1 {
+							continue
+						}
+						src := row[oh*g.OutW+ow0 : oh*g.OutW+ow1]
+						d := dxc[ih*g.InW+ow0*g.StrideW-g.PadW+kw:]
+						if g.StrideW == 1 {
+							d = d[:len(src)]
+							for i, v := range src {
+								d[i] += v
+							}
+							continue
+						}
+						for i, v := range src {
+							d[i*g.StrideW] += v
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // MaxPoolForward computes max pooling for a batch input [N, C, H, W] and

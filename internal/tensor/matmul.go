@@ -71,7 +71,15 @@ func MatMulInto(out, a, b *Tensor) {
 // [m, k], b is [k, n], dst is [m, n] and fully overwritten. This is the
 // allocation-free entry point for hot loops (im2col convolution, batched
 // attention matmuls) that would otherwise build a view header per call.
-func MatMulRawInto(dst, a, b []float32, m, k, n int) {
+func MatMulRawInto(dst, a, b []float32, m, k, n int) { matmulRaw(dst, a, b, m, k, n, false) }
+
+// MatMulAccRawInto computes dst += a × b over the same buffers: each
+// element's ascending chain of k products starts from what dst holds
+// instead of from zero, so a weight gradient summed over blocks of a batch
+// forms in place, with no product-sized temporary and no add pass.
+func MatMulAccRawInto(dst, a, b []float32, m, k, n int) { matmulRaw(dst, a, b, m, k, n, true) }
+
+func matmulRaw(dst, a, b []float32, m, k, n int, acc bool) {
 	checkRawSizes("MatMulRawInto", len(dst), len(a), len(b), m*n, m*k, k*n)
 	if m == 0 || n == 0 {
 		return
@@ -79,14 +87,12 @@ func MatMulRawInto(dst, a, b []float32, m, k, n int) {
 	rpw := matmulRowsPerWorker(k, n)
 	if chunksFor(m, rpw) <= 1 {
 		// Serial fast path: calling the range function directly skips the
-		// escaping closure a parallelFor call would construct — one heap
-		// allocation per matmul, which is what made the per-image conv
-		// loops allocate proportionally to the batch.
-		matmulRowRange(dst, a, b, k, n, 0, m)
+		// escaping closure (one heap allocation) of a parallelFor call.
+		matmulRowRange(dst, a, b, k, n, 0, m, acc)
 		return
 	}
 	parallelFor(m, rpw, func(r0, r1 int) {
-		matmulRowRange(dst, a, b, k, n, r0, r1)
+		matmulRowRange(dst, a, b, k, n, r0, r1, acc)
 	})
 }
 
@@ -96,16 +102,19 @@ func checkRawSizes(op string, ld, la, lb, wd, wa, wb int) {
 	}
 }
 
-// matmulRowRange computes output rows [r0, r1) of od = ad × bd.
+// matmulRowRange computes output rows [r0, r1) of od = ad × bd, or of
+// od += ad × bd when acc is set (the rows are then not zeroed first).
 // Rows are processed in pairs; per-element accumulation order is ascending
 // p regardless of pairing, so chunk boundaries cannot change results.
-func matmulRowRange(od, ad, bd []float32, k, n, r0, r1 int) {
+func matmulRowRange(od, ad, bd []float32, k, n, r0, r1 int, acc bool) {
 	i := r0
 	for ; i+2 <= r1; i += 2 {
 		d0 := od[i*n : i*n+n]
 		d1 := od[(i+1)*n : (i+1)*n+n]
-		zeroFloats(d0)
-		zeroFloats(d1)
+		if !acc {
+			zeroFloats(d0)
+			zeroFloats(d1)
+		}
 		arow0 := ad[i*k : (i+1)*k]
 		arow1 := ad[(i+1)*k : (i+2)*k]
 		p := 0
@@ -134,7 +143,9 @@ func matmulRowRange(od, ad, bd []float32, k, n, r0, r1 int) {
 	}
 	for ; i < r1; i++ {
 		d0 := od[i*n : i*n+n]
-		zeroFloats(d0)
+		if !acc {
+			zeroFloats(d0)
+		}
 		arow := ad[i*k : (i+1)*k]
 		p := 0
 		if simdAvailable {
@@ -238,29 +249,37 @@ func MatMulATInto(out, a, b *Tensor) {
 
 // MatMulATRawInto computes dst = aᵀ × b over raw row-major buffers: a is
 // [k, m], b is [k, n], dst is [m, n] and fully overwritten.
-func MatMulATRawInto(dst, a, b []float32, m, k, n int) {
+func MatMulATRawInto(dst, a, b []float32, m, k, n int) { matmulATRaw(dst, a, b, m, k, n, false) }
+
+// MatMulATAccRawInto computes dst += aᵀ × b, as MatMulAccRawInto does for
+// a × b: a dense layer's dW = Xᵀ·dY lands in the parameter's own gradient.
+func MatMulATAccRawInto(dst, a, b []float32, m, k, n int) { matmulATRaw(dst, a, b, m, k, n, true) }
+
+func matmulATRaw(dst, a, b []float32, m, k, n int, acc bool) {
 	checkRawSizes("MatMulATRawInto", len(dst), len(a), len(b), m*n, k*m, k*n)
 	if m == 0 || n == 0 {
 		return
 	}
 	rpw := matmulRowsPerWorker(k, n)
 	if chunksFor(m, rpw) <= 1 {
-		matmulATRowRange(dst, a, b, m, k, n, 0, m)
+		matmulATRowRange(dst, a, b, m, k, n, 0, m, acc)
 		return
 	}
 	parallelFor(m, rpw, func(r0, r1 int) {
-		matmulATRowRange(dst, a, b, m, k, n, r0, r1)
+		matmulATRowRange(dst, a, b, m, k, n, r0, r1, acc)
 	})
 }
 
-func matmulATRowRange(dst, a, b []float32, m, k, n, r0, r1 int) {
+func matmulATRowRange(dst, a, b []float32, m, k, n, r0, r1 int, acc bool) {
 	ad, bd, od := a, b, dst
 	i := r0
 	for ; i+2 <= r1; i += 2 {
 		d0 := od[i*n : i*n+n]
 		d1 := od[(i+1)*n : (i+1)*n+n]
-		zeroFloats(d0)
-		zeroFloats(d1)
+		if !acc {
+			zeroFloats(d0)
+			zeroFloats(d1)
+		}
 		p := 0
 		if simdAvailable {
 			var av [8]float32
@@ -287,7 +306,9 @@ func matmulATRowRange(dst, a, b []float32, m, k, n, r0, r1 int) {
 	}
 	for ; i < r1; i++ {
 		d0 := od[i*n : i*n+n]
-		zeroFloats(d0)
+		if !acc {
+			zeroFloats(d0)
+		}
 		p := 0
 		if simdAvailable {
 			var av [4]float32

@@ -149,3 +149,89 @@ func TestMatMulDeterministicAcrossWorkers(t *testing.T) {
 		SetMaxWorkers(prev)
 	}
 }
+
+// TestMatMulAccumulating pins the accumulating entries (dst += a×b and
+// dst += aᵀ×b) on both backends and at every worker count:
+//
+//   - started from zeros they are the overwriting entries, bit for bit (the
+//     flag only skips the zero-fill);
+//   - a product split along k at a multiple of 4 and accumulated piece by
+//     piece is the unsplit product bit for bit — each element's chain of
+//     products simply continues (a split elsewhere regroups the 4-wide
+//     unrolled steps and is only deterministic, not equal). This is what
+//     lets a weight gradient be summed block by block in place;
+//   - on positive data (no cancellation) each element is within k/2 + 2 ulp
+//     of the float64 value of dst + a×b.
+func TestMatMulAccumulating(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(1))
+	for _, simd := range []bool{true, false} {
+		if simd && !SIMDEnabled() {
+			continue
+		}
+		prev := SetSIMD(simd)
+		for _, s := range []struct{ m, k, n, split int }{{1, 4, 1, 0}, {5, 9, 13, 4}, {7, 40, 17, 12}, {33, 24, 29, 8}, {16, 64, 600, 32}} {
+			rng := NewRNG(uint64(s.m*1000 + s.k))
+			a, at, b, seed := New(s.m, s.k), New(s.k, s.m), New(s.k, s.n), New(s.m, s.n)
+			rng.FillUniform(a, 0.5, 1.5)
+			rng.FillUniform(b, 0.5, 1.5)
+			rng.FillUniform(seed, 0.5, 1.5)
+			for i := 0; i < s.m; i++ {
+				for p := 0; p < s.k; p++ {
+					at.Data[p*s.m+i] = a.Data[i*s.k+p]
+				}
+			}
+			want := refMatMul(a, b, false, false)
+			var ref []*Tensor
+			for _, workers := range []int{1, 2, 3, 8} {
+				SetMaxWorkers(workers)
+				name := fmt.Sprintf("simd=%v %dx%dx%d workers=%d", simd, s.m, s.k, s.n, workers)
+
+				fromZero, fromZeroAT := New(s.m, s.n), New(s.m, s.n)
+				MatMulAccRawInto(fromZero.Data, a.Data, b.Data, s.m, s.k, s.n)
+				MatMulATAccRawInto(fromZeroAT.Data, at.Data, b.Data, s.m, s.k, s.n)
+				if plain := MatMul(a, b); !fromZero.Equal(plain) || !fromZeroAT.Equal(MatMulAT(at, b)) || !fromZero.Equal(fromZeroAT) {
+					t.Errorf("%s: accumulating into zeros is not the overwriting product", name)
+				}
+
+				pieces, piecesAT := New(s.m, s.n), New(s.m, s.n)
+				k0 := s.split // a[:, :k0]·b[:k0] then a[:, k0:]·b[k0:]
+				head := New(s.m, k0)
+				tail := New(s.m, s.k-k0)
+				for i := 0; i < s.m; i++ {
+					copy(head.Data[i*k0:(i+1)*k0], a.Data[i*s.k:])
+					copy(tail.Data[i*(s.k-k0):(i+1)*(s.k-k0)], a.Data[i*s.k+k0:])
+				}
+				MatMulAccRawInto(pieces.Data, head.Data, b.Data, s.m, k0, s.n)
+				MatMulAccRawInto(pieces.Data, tail.Data, b.Data[k0*s.n:], s.m, s.k-k0, s.n)
+				MatMulATAccRawInto(piecesAT.Data, at.Data, b.Data, s.m, k0, s.n)
+				MatMulATAccRawInto(piecesAT.Data, at.Data[k0*s.m:], b.Data[k0*s.n:], s.m, s.k-k0, s.n)
+				if !pieces.Equal(fromZero) || !piecesAT.Equal(fromZero) {
+					t.Errorf("%s: a product accumulated in two k-pieces (split at %d) is not the unsplit product", name, k0)
+				}
+
+				onSeed, onSeedAT := seed.Clone(), seed.Clone()
+				MatMulAccRawInto(onSeed.Data, a.Data, b.Data, s.m, s.k, s.n)
+				MatMulATAccRawInto(onSeedAT.Data, at.Data, b.Data, s.m, s.k, s.n)
+				if !onSeed.Equal(onSeedAT) {
+					t.Errorf("%s: a×b and aᵀ×b accumulate differently", name)
+				}
+				for i, got := range onSeed.Data {
+					if u := ulpDiff32(got, float64(seed.Data[i])+float64(want.Data[i])); u > float64(s.k/2+2) {
+						t.Fatalf("%s: element %d off by %v ulp from float64", name, i, u)
+					}
+				}
+
+				if got := []*Tensor{fromZero, pieces, onSeed}; ref == nil {
+					ref = got
+				} else {
+					for i := range got {
+						if !got[i].Equal(ref[i]) {
+							t.Errorf("%s: not bit-identical to workers=1", name)
+						}
+					}
+				}
+			}
+		}
+		SetSIMD(prev)
+	}
+}
