@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"amalgam"
 	"amalgam/internal/autodiff"
 	"amalgam/internal/core"
 	"amalgam/internal/data"
@@ -101,7 +102,11 @@ func BenchmarkAblationTaps(b *testing.B) {
 }
 
 // BenchmarkExtractor verifies §5.4's claim: extraction time is independent
-// of the augmentation amount (it only copies original-layer tensors).
+// of the augmentation amount (it only copies original-layer tensors). The
+// lenet cases time the copy alone, into a model built once; the resnet18
+// cases time what a user calls — Job.Extract: build the fresh 11.2 M-
+// parameter model for load, copy, verify — which is where a weight draw the
+// copy overwrites (60 of 77 ms) once hid behind the copy-only number.
 func BenchmarkExtractor(b *testing.B) {
 	ds := data.SyntheticMNIST(4, 1)
 	cfg := models.CVConfig{InC: 1, InH: 28, InW: 28, Classes: 10}
@@ -120,6 +125,22 @@ func BenchmarkExtractor(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := core.Extract(am, fresh); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("resnet18/amount-%.0f%%", amount*100), func(b *testing.B) {
+			model, err := amalgam.BuildCV("resnet18", 7, amalgam.CVConfig{InC: 3, InH: 32, InW: 32, Classes: 10})
+			if err != nil {
+				b.Fatal(err)
+			}
+			job, err := amalgam.Obfuscate(model, data.SyntheticCIFAR10(4, 1), amalgam.Options{Amount: amount, SubNets: 3, Seed: 13})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := job.Extract("resnet18", 8); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,7 +2,10 @@ package amalgam_test
 
 import (
 	"context"
+	"math"
 	"net"
+	"reflect"
+	"strings"
 	"testing"
 
 	"amalgam"
@@ -143,4 +146,86 @@ func TestEquationsExposed(t *testing.T) {
 	if s := amalgam.SearchSpace(784, 1225); s < 345 || s > 347 {
 		t.Fatalf("search space %v, want ≈346", s)
 	}
+}
+
+// TestExtractBuildsForLoad: Extract, ExtractText and ExtractLM build their
+// fresh model for load, and what they return is what building it normally
+// with the same seed and extracting into it returns — the same weights and,
+// for the language model, the same BuildSeed and dropout-stream cursors. A
+// diverged run's NaN weight is copied and verified like any other: the
+// copy is exact.
+func TestExtractBuildsForLoad(t *testing.T) {
+	same := func(t *testing.T, got, want interface{ Params() []nn.Param }) {
+		t.Helper()
+		gd, wd := nn.StateDict(got), nn.StateDict(want)
+		if len(gd) != len(wd) {
+			t.Fatalf("%d extracted tensors, want %d", len(gd), len(wd))
+		}
+		for name, w := range wd {
+			if g, ok := gd[name]; !ok || !g.Equal(w) {
+				t.Fatalf("extracted %q differs from extraction into a normally built model", name)
+			}
+		}
+		gr, err1 := nn.RNGStates(got)
+		wr, err2 := nn.RNGStates(want)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(gr, wr) {
+			t.Fatalf("dropout-stream cursors differ (%v, %v)", err1, err2)
+		}
+	}
+	poison := func(t *testing.T, aug interface{ Params() []nn.Param }) {
+		t.Helper()
+		for _, p := range aug.Params() {
+			if strings.HasPrefix(p.Name, "orig.") {
+				p.Node.Val.Data[0] = float32(math.NaN())
+				return
+			}
+		}
+		t.Fatal("fixture: no original parameter to poison")
+	}
+
+	t.Run("cv", func(t *testing.T) {
+		job := mkCVJob(t, 42)
+		poison(t, job.Augmented)
+		got, err := job.Extract("lenet", 5)
+		if err != nil {
+			t.Fatalf("extracting a model that holds a NaN weight: %v", err)
+		}
+		want, err := amalgam.BuildCV("lenet", 5, amalgam.CVConfig{InC: 1, InH: 28, InW: 28, Classes: 10})
+		if err == nil {
+			err = job.ExtractInto(want)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(t, got, want)
+	})
+	t.Run("text", func(t *testing.T) {
+		job := mkTextJob(t)
+		poison(t, job.Augmented)
+		got, err := job.ExtractText(5)
+		if err != nil {
+			t.Fatalf("extracting a classifier that holds a NaN weight: %v", err)
+		}
+		want := amalgam.BuildTextClassifier(5, 500, 16, 4)
+		if err := job.ExtractTextInto(want); err != nil {
+			t.Fatal(err)
+		}
+		same(t, got, want)
+	})
+	t.Run("lm", func(t *testing.T) {
+		job := mkLMJob(t)
+		poison(t, job.Augmented)
+		got, err := job.ExtractLM(5)
+		if err != nil {
+			t.Fatalf("extracting a language model that holds a NaN weight: %v", err)
+		}
+		want := amalgam.BuildLMModel(5, lmConfig(300))
+		if err := job.ExtractLMInto(want); err != nil {
+			t.Fatal(err)
+		}
+		same(t, got, want)
+		if got.BuildSeed != want.BuildSeed || got.Cfg != want.Cfg {
+			t.Fatalf("extracted model records seed %d / config %+v, want %d / %+v", got.BuildSeed, got.Cfg, want.BuildSeed, want.Cfg)
+		}
+	})
 }

@@ -210,6 +210,40 @@ func BenchmarkLinearXentHead(b *testing.B) {
 	}
 }
 
+// BenchmarkDecoyTail runs one cv_local decoy's tail forward+backward at
+// batch 16: pooled 32 features → Linear 32 → 43 000 + ReLU → concat with a
+// 16-wide tap → head 43 016 → 10 → cross-entropy. It is where a decoy parks
+// its parameter budget: 1.8 M weights, ≈90 MFLOP, so weight traffic decides.
+func BenchmarkDecoyTail(b *testing.B) {
+	const batch, c1, mid, tap, classes = 16, 32, 43000, 16, 10
+	rng := tensor.NewRNG(21)
+	x, tv := tensor.New(batch, c1), tensor.New(batch, tap)
+	rng.FillNormal(x, 0, 1)
+	rng.FillNormal(tv, 0, 1)
+	w1, b1 := tensor.New(c1, mid), tensor.New(mid)
+	w2, b2 := tensor.New(mid+tap, classes), tensor.New(classes)
+	rng.FillNormal(w1, 0, 0.2)
+	rng.FillNormal(w2, 0, 0.01)
+	labels := make([]int, batch)
+	for i := range labels {
+		labels[i] = i % classes
+	}
+	xN, leaves := Leaf(x), []*Node{Leaf(w1), Leaf(b1), Leaf(w2), Leaf(b2)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		xN.ZeroGrad()
+		for _, l := range leaves {
+			l.ZeroGrad()
+		}
+		g := Linear(Scale(xN, 1), leaves[0], leaves[1], tensor.ActReLU)
+		logits := Linear(ConcatFeatures(g, Constant(tv)), leaves[2], leaves[3], tensor.ActNone)
+		loss := SoftmaxCrossEntropy(logits, labels)
+		Backward(loss)
+		Release(loss)
+	}
+}
+
 // BenchmarkActStep measures one standalone activation forward+backward at
 // transformer scale ([N*T, D] = [256, 256]).
 func BenchmarkActStep(b *testing.B) {

@@ -237,17 +237,18 @@ type Trainable interface {
 
 // modality is everything training knows about one job kind: how to build
 // the model from its spec (the exported *Spec function next to each build
-// is the inverse) and how to bind a model to one split of a request's
+// is the inverse; forLoad builds it on tensor.RNG.ForLoad streams, for
+// buildLoaded alone) and how to bind a model to one split of a request's
 // payload. The step, the epoch loop, accuracy scoring, checkpoints and
 // the wire are shared by every kind.
 type modality struct {
-	build func(spec ModelSpec) (Trainable, error)
+	build func(spec ModelSpec, forLoad bool) (Trainable, error)
 	// bind validates one split (what names it in errors) against the spec.
 	bind func(model Trainable, spec ModelSpec, p payload, what string) (*split, error)
 }
 
 var modalities = map[string]modality{
-	"plain-cv":       {build: func(spec ModelSpec) (Trainable, error) { return buildCV(spec) }, bind: bindCV},
+	"plain-cv":       {build: func(spec ModelSpec, forLoad bool) (Trainable, error) { return buildCV(spec, forLoad) }, bind: bindCV},
 	"augmented-cv":   {build: buildAugmentedCV, bind: bindCV},
 	"augmented-text": {build: buildText, bind: bindText},
 	"augmented-lm":   {build: buildLM, bind: bindLM},
@@ -286,31 +287,33 @@ type split struct {
 
 // BuildModel instantiates the spec. Exposed so local runs, the TCP server,
 // and tests share one code path.
-func BuildModel(spec ModelSpec) (Trainable, error) {
+func BuildModel(spec ModelSpec) (Trainable, error) { return buildModel(spec, false) }
+
+func buildModel(spec ModelSpec, forLoad bool) (Trainable, error) {
 	m, err := modalityOf(spec.Kind)
 	if err != nil {
 		return nil, err
 	}
-	return m.build(spec)
+	return m.build(spec, forLoad)
 }
 
 // augOptions reads the decoy construction out of a spec. Its inverse, in
 // the *Spec functions, records the RESOLVED decoy count (the random
 // SubNets draw happens outside the augmentation RNG stream), so a rebuild
 // matches even unpinned jobs.
-func augOptions(spec ModelSpec) core.ModelAugmentOptions {
-	return core.ModelAugmentOptions{Amount: spec.AugAmount, SubNets: spec.SubNets, Seed: spec.AugSeed}
+func augOptions(spec ModelSpec, forLoad bool) core.ModelAugmentOptions {
+	return core.ModelAugmentOptions{Amount: spec.AugAmount, SubNets: spec.SubNets, Seed: spec.AugSeed, ForLoad: forLoad}
 }
 
 // --- CV ------------------------------------------------------------------
 
-func buildCV(spec ModelSpec) (models.CVModel, error) {
+func buildCV(spec ModelSpec, forLoad bool) (models.CVModel, error) {
 	cfg := models.CVConfig{InC: spec.InC, InH: spec.OrigH, InW: spec.OrigW, Classes: spec.Classes}
-	return models.BuildCV(spec.Model, tensor.NewRNG(spec.ModelSeed), cfg)
+	return models.BuildCV(spec.Model, tensor.NewRNG(spec.ModelSeed).ForLoad(forLoad), cfg)
 }
 
-func buildAugmentedCV(spec ModelSpec) (Trainable, error) {
-	orig, err := buildCV(spec)
+func buildAugmentedCV(spec ModelSpec, forLoad bool) (Trainable, error) {
+	orig, err := buildCV(spec, forLoad)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +321,7 @@ func buildAugmentedCV(spec ModelSpec) (Trainable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cloudsim: invalid key in spec: %w", err)
 	}
-	return core.AugmentCVModel(orig, key, spec.InC, spec.Classes, augOptions(spec))
+	return core.AugmentCVModel(orig, key, spec.InC, spec.Classes, augOptions(spec, forLoad))
 }
 
 // CVSpec describes an augmented CV model so buildAugmentedCV rebuilds it;
@@ -387,7 +390,7 @@ func checkWindows(samples [][]int, augLen int, what string) error {
 	return nil
 }
 
-func buildText(spec ModelSpec) (Trainable, error) {
+func buildText(spec ModelSpec, forLoad bool) (Trainable, error) {
 	if spec.Vocab <= 0 || spec.EmbedDim <= 0 || spec.Classes <= 0 {
 		return nil, fmt.Errorf("cloudsim: text spec needs vocab/embed_dim/classes, got %d/%d/%d: %w",
 			spec.Vocab, spec.EmbedDim, spec.Classes, ErrBadRequest)
@@ -396,8 +399,8 @@ func buildText(spec ModelSpec) (Trainable, error) {
 	if err != nil {
 		return nil, err
 	}
-	orig := models.NewTextClassifier(tensor.NewRNG(spec.ModelSeed), spec.Vocab, spec.EmbedDim, spec.Classes)
-	return core.AugmentTextClassifier(orig, key, augOptions(spec))
+	orig := models.NewTextClassifier(tensor.NewRNG(spec.ModelSeed).ForLoad(forLoad), spec.Vocab, spec.EmbedDim, spec.Classes)
+	return core.AugmentTextClassifier(orig, key, augOptions(spec, forLoad))
 }
 
 // TextSpec describes an augmented text classifier so buildText rebuilds it.
@@ -435,7 +438,7 @@ func bindText(model Trainable, spec ModelSpec, p payload, what string) (*split, 
 	}, nil
 }
 
-func buildLM(spec ModelSpec) (Trainable, error) {
+func buildLM(spec ModelSpec, forLoad bool) (Trainable, error) {
 	if spec.Vocab <= 0 || spec.LMDim <= 0 || spec.LMHeads <= 0 || spec.LMLayers <= 0 || spec.LMFF <= 0 {
 		return nil, fmt.Errorf("cloudsim: LM spec needs vocab/lm_dim/lm_heads/lm_layers/lm_ff, got %d/%d/%d/%d/%d: %w",
 			spec.Vocab, spec.LMDim, spec.LMHeads, spec.LMLayers, spec.LMFF, ErrBadRequest)
@@ -451,12 +454,12 @@ func buildLM(spec ModelSpec) (Trainable, error) {
 	if err != nil {
 		return nil, err
 	}
-	orig := models.NewTransformerLM(tensor.NewRNG(spec.ModelSeed), models.TransformerLMConfig{
+	orig := models.NewTransformerLM(tensor.NewRNG(spec.ModelSeed).ForLoad(forLoad), models.TransformerLMConfig{
 		Vocab: spec.Vocab, D: spec.LMDim, Heads: spec.LMHeads, FF: spec.LMFF,
 		Layers: spec.LMLayers, MaxT: spec.LMMaxT, Dropout: float32(spec.LMDropout),
 		GELUFF: spec.LMGELUFF,
 	})
-	return core.AugmentTransformerLM(orig, key, augOptions(spec))
+	return core.AugmentTransformerLM(orig, key, augOptions(spec, forLoad))
 }
 
 // LMSpec describes an augmented language model so buildLM rebuilds it —
@@ -590,9 +593,12 @@ func runTraining(ctx context.Context, req *TrainRequest,
 
 // buildLoaded builds the model req's spec describes and copies the
 // client's initial state into it (req.InitState is then a copy nobody
-// reads). A spec that does not build, a state that does not fit: ErrBadRequest.
+// reads). With an init state — admission, resume and retry of any job the
+// client built — the model is built for load: the strict LoadStateDict below
+// overwrites every parameter or fails the request, so no weight is drawn.
+// A spec that does not build, a state that does not fit: ErrBadRequest.
 func buildLoaded(req *TrainRequest) (Trainable, error) {
-	model, err := BuildModel(req.Spec)
+	model, err := buildModel(req.Spec, req.InitState != nil)
 	if err == nil && req.InitState != nil {
 		if err = nn.LoadStateDict(model, req.InitState); err != nil {
 			err = fmt.Errorf("cloudsim: loading client init: %w", err)

@@ -1,7 +1,10 @@
 package cloudsim
 
 import (
+	"context"
+	"errors"
 	"net"
+	"reflect"
 	"testing"
 
 	"amalgam/internal/core"
@@ -203,5 +206,99 @@ func TestAcceleratorModel(t *testing.T) {
 	zero := Accelerator{}
 	if got := zero.Simulate(5); got != 5 {
 		t.Fatal("zero-value accelerator should be identity")
+	}
+}
+
+// TestBuildLoadedBuildsForLoad: under a client's init state buildLoaded
+// draws no weights, and what it hands to training cannot be told from
+// BuildModel + LoadStateDict — the same parameter names in the same order,
+// the same values, gather sets and dropout-stream cursors, and the same
+// trained state after TrainLoop — for all four model kinds. An init state
+// missing one tensor is still refused with ErrBadRequest, by buildLoaded and
+// so by RunLocal and Scheduler.Submit before anything trains.
+func TestBuildLoadedBuildsForLoad(t *testing.T) {
+	plain, _, _ := tinyJob(t, false)
+	augmented, _, _ := tinyJob(t, true)
+	for _, req := range []*TrainRequest{plain, augmented, textJob(t), lmJob(t)} {
+		t.Run(req.Spec.Kind, func(t *testing.T) {
+			donor, err := BuildModel(req.Spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			init := nn.StateDict(donor)
+			for _, v := range init { // not the state a build from the spec's seeds draws
+				for i := range v.Data {
+					v.Data[i] = v.Data[i]*0.75 + 0.01
+				}
+			}
+			req.InitState = init
+
+			want, err := BuildModel(req.Spec)
+			if err == nil {
+				err = nn.LoadStateDict(want, init)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := buildLoaded(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare, err := buildModel(req.Spec, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range bare.Params() { // a norm's γ = 1 and running variance = 1 are constants
+				if v := p.Node.Val; !v.Equal(tensor.New(v.Shape()...)) && !v.Equal(tensor.Ones(v.Shape()...)) {
+					t.Fatalf("a build for load drew %s", p.Name)
+				}
+			}
+			same := func(when string) {
+				t.Helper()
+				gp, wp := got.Params(), want.Params()
+				if len(gp) != len(wp) {
+					t.Fatalf("%s: %d parameters, want %d", when, len(gp), len(wp))
+				}
+				for i := range wp {
+					if gp[i].Name != wp[i].Name || !gp[i].Node.Val.Equal(wp[i].Node.Val) {
+						t.Fatalf("%s: parameter %d is %q, want %q with equal values", when, i, gp[i].Name, wp[i].Name)
+					}
+				}
+				gr, err1 := nn.RNGStates(got)
+				wr, err2 := nn.RNGStates(want)
+				if err1 != nil || err2 != nil || !reflect.DeepEqual(gr, wr) {
+					t.Fatalf("%s: dropout-stream cursors differ (%v, %v)", when, err1, err2)
+				}
+			}
+			same("after the build")
+			if am, ok := want.(interface{ GatherSets() [][]int }); ok {
+				if !reflect.DeepEqual(got.(interface{ GatherSets() [][]int }).GatherSets(), am.GatherSets()) {
+					t.Fatal("gather sets differ from BuildModel's")
+				}
+			} else if req.Spec.Kind != "plain-cv" {
+				t.Fatal("fixture: an augmented model exposes its gather sets")
+			}
+			for _, m := range []Trainable{got, want} {
+				if _, err := TrainLoop(context.Background(), m, req, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			same("after training")
+
+			for name := range init {
+				delete(init, name)
+				break
+			}
+			if _, err := buildLoaded(req); !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("buildLoaded with a tensor missing from the init state: %v, want ErrBadRequest", err)
+			}
+			if _, err := RunLocal(req); !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("RunLocal: %v, want ErrBadRequest", err)
+			}
+			if _, err := newScheduler(ServerConfig{}).Submit(req, nil); !errors.Is(err, ErrBadRequest) { // executors never started
+
+				t.Fatalf("Scheduler.Submit: %v, want ErrBadRequest", err)
+			}
+		})
 	}
 }

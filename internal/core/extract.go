@@ -13,7 +13,13 @@ import (
 // architecture from the user's model definition and copies the original
 // layers' trained weights into it. Extraction is a name-indexed copy —
 // O(parameters) memory traffic, independent of the augmentation amount,
-// matching the paper's "a few milliseconds, constant time" observation.
+// which is the paper's "a few milliseconds, constant time" observation:
+// measured through the public Job.Extract on ResNet-18 (11.2 M parameters,
+// 45 MB) it is ≈9 ms at any amount — ≈5 ms the copy, ≈3 ms the bit-for-bit
+// check (VerifyExtraction), the rest allocating the fresh model. That model
+// is built for load (tensor.RNG.ForLoad): its weights are not drawn, since
+// LoadStateDict below replaces every one of them or fails; drawing them
+// first was 60 of the 77 ms an extraction used to take.
 
 // origPrefix marks original-sub-network entries in an augmented state dict.
 const origPrefix = "orig."

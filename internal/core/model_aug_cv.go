@@ -33,6 +33,11 @@ type ModelAugmentOptions struct {
 	// cover makes its reconstruction a real image, defeating smoothness
 	// identification (see internal/core/cover.go).
 	DecoyGathers [][]int
+	// ForLoad builds the decoys on a tensor.RNG.ForLoad stream: same
+	// architecture, gathers and taps, weights left zero. Only for a caller
+	// that loads a full state dict over the augmented model before using it
+	// (cloudsim's admission under a client's init state).
+	ForLoad bool
 }
 
 // subNetsSalt decorrelates the decoy-count draw from every other
@@ -152,7 +157,7 @@ func AugmentCVModel(orig models.CVModel, key *ImageAugKey, inC, classes int, opt
 	if err != nil {
 		return nil, err
 	}
-	rng := tensor.NewRNG(opts.Seed ^ 0xa06a16a9)
+	rng := tensor.NewRNG(opts.Seed ^ 0xa06a16a9).ForLoad(opts.ForLoad)
 	m := &AugmentedCVModel{subNets: base, Orig: orig, OrigGather: gather, Classes: classes}
 	if opts.Amount == 0 {
 		return m, nil

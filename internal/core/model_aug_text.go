@@ -51,7 +51,7 @@ func AugmentTextClassifier(orig *models.TextClassifier, key *TextAugKey, opts Mo
 	if err != nil {
 		return nil, err
 	}
-	rng := tensor.NewRNG(opts.Seed ^ 0x7e87a63)
+	rng := tensor.NewRNG(opts.Seed ^ 0x7e87a63).ForLoad(opts.ForLoad)
 	m := &AugmentedTextClassifier{subNets: base, Orig: orig, OrigGather: gather}
 	if opts.Amount == 0 {
 		return m, nil
@@ -129,7 +129,7 @@ func AugmentTransformerLM(orig *models.TransformerLM, key *TextAugKey, opts Mode
 	if err != nil {
 		return nil, err
 	}
-	rng := tensor.NewRNG(opts.Seed ^ 0x11a6)
+	rng := tensor.NewRNG(opts.Seed ^ 0x11a6).ForLoad(opts.ForLoad)
 	m := &AugmentedTransformerLM{subNets: base, Orig: orig, OrigGather: gather}
 	if opts.Amount == 0 {
 		return m, nil

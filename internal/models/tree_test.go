@@ -1,6 +1,7 @@
 package models
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -147,5 +148,97 @@ func TestBackwardDrainsEveryZooGraph(t *testing.T) {
 		check(t, lm, func() *autodiff.Node {
 			return autodiff.SoftmaxCrossEntropy(lm.ForwardIDs(ids), targets)
 		})
+	})
+}
+
+// TestBuildForLoadIsANormalBuildOnceLoaded: a model built on a
+// tensor.RNG.ForLoad stream draws no weights, and once the state of a
+// normally built twin is loaded it cannot be told from that twin — the same
+// state dict, the same dropout-stream cursors, and a training step (loss and
+// every gradient, dropout live) bit for bit the twin's. Every zoo model, the
+// text classifier, and a language model with Dropout > 0.
+func TestBuildForLoadIsANormalBuildOnceLoaded(t *testing.T) {
+	cfg := CVConfig{InC: 3, InH: 8, InW: 8, Classes: 4}
+	x := tensor.New(4, 3, 8, 8)
+	tensor.NewRNG(5).FillUniform(x, 0.5, 1.5)
+	labels := []int{0, 1, 2, 3}
+	ids := [][]int{{1, 2, 3, 4}, {5, 6, 7, 8}}
+
+	type model interface{ Params() []nn.Param }
+	check := func(t *testing.T, build func(rng *tensor.RNG) model, loss func(m model) *autodiff.Node) {
+		t.Helper()
+		normal, loaded := build(tensor.NewRNG(6)), build(tensor.NewRNG(6).ForLoad(true))
+		drawn := 0
+		for _, p := range loaded.Params() {
+			// Batch norm's γ = 1 and running variance = 1 are constants, not draws.
+			if v := p.Node.Val; !v.Equal(tensor.New(v.Shape()...)) && !v.Equal(tensor.Ones(v.Shape()...)) {
+				drawn++
+			}
+		}
+		if drawn != 0 {
+			t.Fatalf("%d parameters of the model built for load were drawn", drawn)
+		}
+		if err := nn.LoadStateDict(loaded, nn.StateDict(normal)); err != nil {
+			t.Fatal(err)
+		}
+		step := func(m model) map[string]*tensor.Tensor {
+			nn.ZeroGrads(m)
+			root := loss(m)
+			out := map[string]*tensor.Tensor{"loss": root.Val.Clone()}
+			autodiff.Backward(root)
+			for _, p := range m.Params() {
+				if p.Node.Grad != nil {
+					out["grad "+p.Name] = p.Node.Grad.Clone()
+				}
+			}
+			autodiff.Release(root)
+			for name, v := range nn.StateDict(m) { // running statistics moved too
+				out[name] = v
+			}
+			return out
+		}
+		for round := 0; round < 2; round++ { // the second step draws fresh dropout masks
+			ns, err1 := nn.RNGStates(normal)
+			ls, err2 := nn.RNGStates(loaded)
+			if err1 != nil || err2 != nil || !reflect.DeepEqual(ns, ls) {
+				t.Fatalf("round %d: dropout-stream cursors differ (%v, %v)", round, err1, err2)
+			}
+			want, got := step(normal), step(loaded)
+			if len(got) != len(want) {
+				t.Fatalf("round %d: %d results, want %d", round, len(got), len(want))
+			}
+			for name, w := range want {
+				if g, ok := got[name]; !ok || !g.Equal(w) {
+					t.Fatalf("round %d: %s differs from the normally built model's", round, name)
+				}
+			}
+		}
+	}
+
+	for _, name := range CVModelNames() {
+		t.Run(name, func(t *testing.T) {
+			check(t, func(rng *tensor.RNG) model {
+				m, err := BuildCV(name, rng, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}, func(m model) *autodiff.Node {
+				return autodiff.SoftmaxCrossEntropy(m.(CVModel).Forward(autodiff.Constant(x)), labels)
+			})
+		})
+	}
+	t.Run("text-classifier", func(t *testing.T) {
+		check(t, func(rng *tensor.RNG) model { return NewTextClassifier(rng, 20, 6, 2) },
+			func(m model) *autodiff.Node {
+				return autodiff.SoftmaxCrossEntropy(m.(*TextClassifier).ForwardIDs(ids), []int{0, 1})
+			})
+	})
+	t.Run("transformer-lm", func(t *testing.T) {
+		lmCfg := TransformerLMConfig{Vocab: 20, D: 8, Heads: 2, FF: 16, Layers: 2, MaxT: 8, Dropout: 0.3}
+		check(t, func(rng *tensor.RNG) model { return NewTransformerLM(rng, lmCfg) },
+			func(m model) *autodiff.Node {
+				return autodiff.SoftmaxCrossEntropy(m.(*TransformerLM).ForwardIDs(ids), []int{2, 3, 4, 5, 6, 7, 8, 9})
+			})
 	})
 }

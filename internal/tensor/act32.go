@@ -150,7 +150,9 @@ func actParallel(n int, fn func(i0, i1 int)) {
 //
 // The clamps share one rule on non-finite and signed-zero input: NaN
 // propagates (IEEE/PyTorch relu(NaN) = NaN), −0 is kept, and the gradient
-// mask is y > 0 (0 < y < 6), so a NaN output passes a zero gradient.
+// mask is y > 0 (0 < y < 6), so a NaN output passes a zero gradient. They
+// select between bit patterns (`if v < 0 { b = 0 }`, one store per element),
+// which compiles to a conditional move: no branch to mispredict on sign.
 type Act uint8
 
 const (
@@ -195,17 +197,22 @@ func (a Act) apply(buf []float32, keep ActScratch, i0, i1 int) {
 	switch a {
 	case ActReLU:
 		for i, v := range row {
+			b := math.Float32bits(v)
 			if v < 0 {
-				row[i] = 0
+				b = 0
 			}
+			row[i] = math.Float32frombits(b)
 		}
 	case ActReLU6:
 		for i, v := range row {
+			b := math.Float32bits(v)
 			if v < 0 {
-				row[i] = 0
-			} else if v > 6 {
-				row[i] = 6
+				b = 0
 			}
+			if v > 6 {
+				b = 0x40c00000 // 6
+			}
+			row[i] = math.Float32frombits(b)
 		}
 	case ActTanh:
 		tanhRow(row, row)
@@ -244,16 +251,23 @@ func (a Act) grad(dy, y []float32, keep ActScratch, i0, i1 int) {
 	dy, y = dy[i0:i1], y[i0:i1]
 	switch a {
 	case ActReLU:
-		for i := range dy {
-			if !(y[i] > 0) {
-				dy[i] = 0
+		for i, v := range y {
+			b := math.Float32bits(dy[i])
+			if !(v > 0) {
+				b = 0
 			}
+			dy[i] = math.Float32frombits(b)
 		}
 	case ActReLU6:
-		for i := range dy {
-			if !(y[i] > 0 && y[i] < 6) {
-				dy[i] = 0
+		for i, v := range y {
+			b := math.Float32bits(dy[i])
+			if !(v > 0) {
+				b = 0
 			}
+			if !(v < 6) {
+				b = 0
+			}
+			dy[i] = math.Float32frombits(b)
 		}
 	case ActTanh:
 		for i, t := range y {

@@ -417,6 +417,49 @@ func TestActivationRowKernelsNaN(t *testing.T) {
 	}
 }
 
+// TestActivationClampsMatchDefinition holds the branch-free ReLU and ReLU6
+// to their per-element definition (actScalar / actScalarGrad: v < 0 → 0,
+// v > 6 → 6; the gradient survives only where y > 0, and y < 6), bit for
+// bit with NaN payloads and the sign of zero included, at every length 0–17
+// and at every rotation of the special values through the positions, for
+// Apply, Grad and the bias epilogue's per-row apply.
+func TestActivationClampsMatchDefinition(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero, denorm := float32(math.Copysign(0, -1)), math.Float32frombits(1)
+	special := []float32{nan, -nan, 0, negZero, inf, -inf, denorm, -denorm, 6, math.Nextafter32(6, 7),
+		math.Nextafter32(6, 0), -6, 1.5, -1.5, math.MaxFloat32, -math.MaxFloat32, 7}
+	same := func(a, b []float32) bool { return FromSlice(a, len(a)).Equal(FromSlice(b, len(b))) } // bit patterns
+	for _, a := range []Act{ActReLU, ActReLU6} {
+		for n := 0; n <= 17; n++ {
+			for rot := 0; rot < len(special); rot++ {
+				x, dy := make([]float32, n), make([]float32, n)
+				wantY, wantD := make([]float32, n), make([]float32, n)
+				for i := range x {
+					x[i] = special[(i+rot)%len(special)]
+					dy[i] = special[(i+2*rot+5)%len(special)]
+					wantY[i] = actScalar(a, x[i])
+					wantD[i] = actScalarGrad(a, dy[i], x[i], wantY[i], 0)
+				}
+				y, _ := applied(a, x)
+				if !same(y, wantY) {
+					t.Fatalf("Act(%d).Apply(%v) = %v, want %v", a, x, y, wantY)
+				}
+				a.Grad(dy, y, ActScratch{})
+				if !same(dy, wantD) {
+					t.Fatalf("Act(%d).Grad at y = %v gave %v, want %v", a, y, dy, wantD)
+				}
+				row := make([]float32, n)
+				AddRowBiasInto(row, x, make([]float32, n), 1, n, a, ActScratch{})
+				for i, v := range x {
+					if want := actScalar(a, v+0); math.Float32bits(row[i]) != math.Float32bits(want) {
+						t.Fatalf("AddRowBiasInto with Act(%d): element %d of %v = %v, want %v", a, i, x, row[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestActivationFusedEpilogueKernels checks the bias+activation epilogues
 // against their definition element by element: bit for bit on the scalar
 // backend, and for the identity and the clamps on either; the AVX2

@@ -92,6 +92,73 @@ func BenchmarkMatMulAcc(bb *testing.B) {
 	}
 }
 
+// BenchmarkMatMulSkinny measures the shapes of one cv_local decoy tail at
+// batch 16 — Linear 32 → 43 000 (forward, dW = Xᵀ·dY, dX = dY·Wᵀ) and the
+// head 43 016 → 10 — where one operand is a few rows and the other megabytes:
+// the cost is how many times the wide one is read, not the arithmetic.
+func BenchmarkMatMulSkinny(bb *testing.B) {
+	for _, s := range []struct {
+		name    string
+		m, k, n int
+		entry   func(dst, a, b []float32, m, k, n int)
+	}{
+		{"mid-fwd", 16, 32, 43000, MatMulRawInto},
+		{"mid-dW-AT", 32, 16, 43000, MatMulATRawInto},
+		{"mid-dX-BT", 16, 43000, 32, MatMulBTRawInto},
+		{"head-fwd", 16, 43016, 10, MatMulRawInto},
+		{"head-dW-AT", 43016, 16, 10, MatMulATRawInto},
+		{"head-dX-BT", 16, 10, 43016, MatMulBTRawInto},
+	} {
+		bb.Run(fmt.Sprintf("%s-%dx%dx%d", s.name, s.m, s.k, s.n), func(bb *testing.B) {
+			a, b := benchMatrices(s.m, s.k, s.n) // same element counts whichever side an entry reads transposed
+			out := New(s.m, s.n)
+			bb.SetBytes(int64(s.m*s.k+s.k*s.n+s.m*s.n) * 4)
+			bb.ReportAllocs()
+			bb.ResetTimer()
+			for i := 0; i < bb.N; i++ {
+				s.entry(out.Data, a.Data, b.Data, s.m, s.k, s.n)
+			}
+		})
+	}
+}
+
+// BenchmarkActReLU runs the clamp and its gradient mask over one decoy's
+// 16 × 43 000 mid activations with sign-random values, the input a branch
+// per element predicts worst.
+func BenchmarkActReLU(bb *testing.B) {
+	const n = 16 * 43000
+	src, y, dy := New(n), New(n), New(n)
+	rng := NewRNG(5)
+	rng.FillNormal(src, 0, 1)
+	rng.FillNormal(dy, 0, 1)
+	copy(y.Data, src.Data)
+	ActReLU.Apply(y.Data, ActScratch{})
+	buf := New(n)
+	for _, act := range []Act{ActReLU, ActReLU6} {
+		name := map[Act]string{ActReLU: "ReLU", ActReLU6: "ReLU6"}[act]
+		bb.Run(name+"/apply", func(bb *testing.B) {
+			bb.SetBytes(n * 4)
+			for i := 0; i < bb.N; i++ {
+				copy(buf.Data, src.Data)
+				act.Apply(buf.Data, ActScratch{})
+			}
+		})
+		bb.Run(name+"/grad", func(bb *testing.B) {
+			bb.SetBytes(n * 4)
+			for i := 0; i < bb.N; i++ {
+				copy(buf.Data, dy.Data)
+				act.Grad(buf.Data, y.Data, ActScratch{})
+			}
+		})
+	}
+	bb.Run("copy-only", func(bb *testing.B) { // the benchmark's own reset, to subtract
+		bb.SetBytes(n * 4)
+		for i := 0; i < bb.N; i++ {
+			copy(buf.Data, src.Data)
+		}
+	})
+}
+
 func benchNormInputs(rows, d int) (x, gamma, beta *Tensor) {
 	rng := NewRNG(77)
 	x, gamma, beta = New(rows, d), New(d), New(d)

@@ -7,7 +7,11 @@ import "math"
 // conv/linear initialisation: U(-bound, bound), bound = sqrt(6/fanIn)
 // adjusted for a = sqrt(5) leaky slope → bound = sqrt(3/fanIn) * gain where
 // gain = sqrt(2/(1+5)) = sqrt(1/3); net effect bound = 1/sqrt(fanIn).
+// On a stream built ForLoad it draws nothing.
 func KaimingUniform(rng *RNG, t *Tensor, fanIn int) {
+	if rng.forLoad {
+		return
+	}
 	if fanIn <= 0 {
 		fanIn = 1
 	}
@@ -16,7 +20,11 @@ func KaimingUniform(rng *RNG, t *Tensor, fanIn int) {
 }
 
 // NormalInit fills t with N(0, std²) samples, the common initialisation for
-// embeddings and transformer weights.
+// embeddings and transformer weights. On a stream built ForLoad it draws
+// nothing.
 func NormalInit(rng *RNG, t *Tensor, std float64) {
+	if rng.forLoad {
+		return
+	}
 	rng.FillNormal(t, 0, std)
 }

@@ -47,6 +47,39 @@ func matmulRowsPerWorker(k, n int) int {
 	return rows
 }
 
+// slabFloats (1 MB) is how much of a wide operand the row-range loops keep
+// between two passes over it: when b is larger, they walk it in column
+// blocks whose [k, nb] slab fits, so every row pair of a range reads the slab
+// from cache and b crosses the memory bus once, not once per pair.
+const slabFloats = 1 << 18
+
+// minColBlock is the narrowest window worth cutting: narrower, the kernel
+// entries cost more than the residency saves (a 448-wide window made
+// resnet18's 64×576×1024 stage-1 panel 20 % slower).
+const minColBlock = 1024
+
+// colBlock is the column window of matmulRowRange and matmulATRowRange for
+// b [k, n], a function of shape alone: n (one block, the loop as it always
+// was) when b fits the slab or the widest window that fits is under
+// minColBlock — every convolution panel with k ≥ 257 and the language
+// model's GEMMs; else the widest multiple of 16 whose slab fits.
+func colBlock(k, n int) int {
+	if k*n <= slabFloats || slabFloats/k < minColBlock {
+		return n
+	}
+	return slabFloats / k &^ 15
+}
+
+// rowBlockBT is how many rows of b [n, k] matmulBTRowRange sweeps per pass
+// over its rows of a: all n while b fits the slab, else as many groups of
+// four as do (at least one), so a b too wide for cache is read once in all.
+func rowBlockBT(k, n int) int {
+	if k*n <= slabFloats {
+		return n
+	}
+	return max(4, slabFloats/k&^3)
+}
+
 // MatMul returns a × b for a of shape [m, k] and b of shape [k, n].
 func MatMul(a, b *Tensor) *Tensor {
 	matmulShapes("MatMul", a, b, 1, 0)
@@ -84,15 +117,15 @@ func matmulRaw(dst, a, b []float32, m, k, n int, acc bool) {
 	if m == 0 || n == 0 {
 		return
 	}
-	rpw := matmulRowsPerWorker(k, n)
+	rpw, nb := matmulRowsPerWorker(k, n), colBlock(k, n)
 	if chunksFor(m, rpw) <= 1 {
 		// Serial fast path: calling the range function directly skips the
 		// escaping closure (one heap allocation) of a parallelFor call.
-		matmulRowRange(dst, a, b, k, n, 0, m, acc)
+		matmulRowRange(dst, a, b, k, n, nb, 0, m, acc)
 		return
 	}
 	parallelFor(m, rpw, func(r0, r1 int) {
-		matmulRowRange(dst, a, b, k, n, r0, r1, acc)
+		matmulRowRange(dst, a, b, k, n, nb, r0, r1, acc)
 	})
 }
 
@@ -103,69 +136,76 @@ func checkRawSizes(op string, ld, la, lb, wd, wa, wb int) {
 }
 
 // matmulRowRange computes output rows [r0, r1) of od = ad × bd, or of
-// od += ad × bd when acc is set (the rows are then not zeroed first).
-// Rows are processed in pairs; per-element accumulation order is ascending
-// p regardless of pairing, so chunk boundaries cannot change results.
-func matmulRowRange(od, ad, bd []float32, k, n, r0, r1 int, acc bool) {
-	i := r0
-	for ; i+2 <= r1; i += 2 {
-		d0 := od[i*n : i*n+n]
-		d1 := od[(i+1)*n : (i+1)*n+n]
-		if !acc {
-			zeroFloats(d0)
-			zeroFloats(d1)
-		}
-		arow0 := ad[i*k : (i+1)*k]
-		arow1 := ad[(i+1)*k : (i+2)*k]
-		p := 0
-		if simdAvailable {
-			var av [8]float32
-			for ; p+4 <= k; p += 4 {
-				av[0], av[1], av[2], av[3] = arow0[p], arow0[p+1], arow0[p+2], arow0[p+3]
-				av[4], av[5], av[6], av[7] = arow1[p], arow1[p+1], arow1[p+2], arow1[p+3]
-				axpy4x2SIMD(d0, d1,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n], &av)
+// od += ad × bd when acc is set (the rows are then not zeroed first), nb
+// columns at a time (colBlock): every row pair of the range passes over one
+// [k, nb] slab of bd before the next slab is touched. Rows are processed in
+// pairs; per-element accumulation order is ascending p regardless of
+// pairing and of the column window, so neither chunk nor block boundaries
+// can change results.
+func matmulRowRange(od, ad, bd []float32, k, n, nb, r0, r1 int, acc bool) {
+	for j0 := 0; j0 < n; j0 += nb {
+		w := min(nb, n-j0)
+		bw := bd[j0:]
+		i := r0
+		for ; i+2 <= r1; i += 2 {
+			d0 := od[i*n+j0 : i*n+j0+w]
+			d1 := od[(i+1)*n+j0 : (i+1)*n+j0+w]
+			if !acc {
+				zeroFloats(d0)
+				zeroFloats(d1)
 			}
-		} else {
-			for ; p+4 <= k; p += 4 {
-				axpy4x2Generic(d0, d1,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n],
-					arow0[p], arow0[p+1], arow0[p+2], arow0[p+3],
-					arow1[p], arow1[p+1], arow1[p+2], arow1[p+3])
+			arow0 := ad[i*k : (i+1)*k]
+			arow1 := ad[(i+1)*k : (i+2)*k]
+			p := 0
+			if simdAvailable {
+				var av [8]float32
+				for ; p+4 <= k; p += 4 {
+					av[0], av[1], av[2], av[3] = arow0[p], arow0[p+1], arow0[p+2], arow0[p+3]
+					av[4], av[5], av[6], av[7] = arow1[p], arow1[p+1], arow1[p+2], arow1[p+3]
+					axpy4x2SIMD(d0, d1,
+						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
+						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w], &av)
+				}
+			} else {
+				for ; p+4 <= k; p += 4 {
+					axpy4x2Generic(d0, d1,
+						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
+						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w],
+						arow0[p], arow0[p+1], arow0[p+2], arow0[p+3],
+						arow1[p], arow1[p+1], arow1[p+2], arow1[p+3])
+				}
 			}
-		}
-		for ; p < k; p++ {
-			axpy1(d0, bd[p*n:p*n+n], arow0[p])
-			axpy1(d1, bd[p*n:p*n+n], arow1[p])
-		}
-	}
-	for ; i < r1; i++ {
-		d0 := od[i*n : i*n+n]
-		if !acc {
-			zeroFloats(d0)
-		}
-		arow := ad[i*k : (i+1)*k]
-		p := 0
-		if simdAvailable {
-			var av [4]float32
-			for ; p+4 <= k; p += 4 {
-				av[0], av[1], av[2], av[3] = arow[p], arow[p+1], arow[p+2], arow[p+3]
-				axpy4SIMD(d0,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n], &av)
-			}
-		} else {
-			for ; p+4 <= k; p += 4 {
-				axpy4Generic(d0,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n],
-					arow[p], arow[p+1], arow[p+2], arow[p+3])
+			for ; p < k; p++ {
+				axpy1(d0, bw[p*n:p*n+w], arow0[p])
+				axpy1(d1, bw[p*n:p*n+w], arow1[p])
 			}
 		}
-		for ; p < k; p++ {
-			axpy1(d0, bd[p*n:p*n+n], arow[p])
+		for ; i < r1; i++ {
+			d0 := od[i*n+j0 : i*n+j0+w]
+			if !acc {
+				zeroFloats(d0)
+			}
+			arow := ad[i*k : (i+1)*k]
+			p := 0
+			if simdAvailable {
+				var av [4]float32
+				for ; p+4 <= k; p += 4 {
+					av[0], av[1], av[2], av[3] = arow[p], arow[p+1], arow[p+2], arow[p+3]
+					axpy4SIMD(d0,
+						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
+						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w], &av)
+				}
+			} else {
+				for ; p+4 <= k; p += 4 {
+					axpy4Generic(d0,
+						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
+						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w],
+						arow[p], arow[p+1], arow[p+2], arow[p+3])
+				}
+			}
+			for ; p < k; p++ {
+				axpy1(d0, bw[p*n:p*n+w], arow[p])
+			}
 		}
 	}
 }
@@ -197,32 +237,41 @@ func MatMulBTRawInto(dst, a, b []float32, m, k, n int) {
 	if m == 0 || n == 0 {
 		return
 	}
-	rpw := matmulRowsPerWorker(k, n)
+	rpw, nb := matmulRowsPerWorker(k, n), rowBlockBT(k, n)
 	if chunksFor(m, rpw) <= 1 {
-		matmulBTRowRange(dst, a, b, k, n, 0, m)
+		matmulBTRowRange(dst, a, b, k, n, nb, 0, m)
 		return
 	}
 	parallelFor(m, rpw, func(r0, r1 int) {
-		matmulBTRowRange(dst, a, b, k, n, r0, r1)
+		matmulBTRowRange(dst, a, b, k, n, nb, r0, r1)
 	})
 }
 
-func matmulBTRowRange(dst, a, b []float32, k, n, r0, r1 int) {
-	for i := r0; i < r1; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := dst[i*n : i*n+n]
-		j := 0
-		if simdAvailable {
-			var o4 [4]float32
-			for ; j+4 <= n; j += 4 {
-				dot4SIMD(arow,
-					b[j*k:j*k+k], b[(j+1)*k:(j+1)*k+k],
-					b[(j+2)*k:(j+2)*k+k], b[(j+3)*k:(j+3)*k+k], &o4)
-				orow[j], orow[j+1], orow[j+2], orow[j+3] = o4[0], o4[1], o4[2], o4[3]
+// matmulBTRowRange computes output rows [r0, r1) of dst = a × bᵀ, nb rows
+// of b (rowBlockBT, a multiple of four) at a time: with nb = n a row of a
+// stays put while all of b streams past it; with nb = 4 the four-row group
+// of b is outermost and the range's rows of a stream past that. Either way a
+// column is one whole dot product — dot4 for the same groups of four, dot1
+// for the same n%4 remainder — so the order cannot change results.
+func matmulBTRowRange(dst, a, b []float32, k, n, nb, r0, r1 int) {
+	for j0 := 0; j0 < n; j0 += nb {
+		j1 := min(j0+nb, n)
+		for i := r0; i < r1; i++ {
+			arow := a[i*k : (i+1)*k]
+			orow := dst[i*n : i*n+n]
+			j := j0
+			if simdAvailable {
+				var o4 [4]float32
+				for ; j+4 <= j1; j += 4 {
+					dot4SIMD(arow,
+						b[j*k:j*k+k], b[(j+1)*k:(j+1)*k+k],
+						b[(j+2)*k:(j+2)*k+k], b[(j+3)*k:(j+3)*k+k], &o4)
+					orow[j], orow[j+1], orow[j+2], orow[j+3] = o4[0], o4[1], o4[2], o4[3]
+				}
 			}
-		}
-		for ; j < n; j++ {
-			orow[j] = dot1(arow, b[j*k:j*k+k])
+			for ; j < j1; j++ {
+				orow[j] = dot1(arow, b[j*k:j*k+k])
+			}
 		}
 	}
 }
@@ -260,74 +309,79 @@ func matmulATRaw(dst, a, b []float32, m, k, n int, acc bool) {
 	if m == 0 || n == 0 {
 		return
 	}
-	rpw := matmulRowsPerWorker(k, n)
+	rpw, nb := matmulRowsPerWorker(k, n), colBlock(k, n)
 	if chunksFor(m, rpw) <= 1 {
-		matmulATRowRange(dst, a, b, m, k, n, 0, m, acc)
+		matmulATRowRange(dst, a, b, m, k, n, nb, 0, m, acc)
 		return
 	}
 	parallelFor(m, rpw, func(r0, r1 int) {
-		matmulATRowRange(dst, a, b, m, k, n, r0, r1, acc)
+		matmulATRowRange(dst, a, b, m, k, n, nb, r0, r1, acc)
 	})
 }
 
-func matmulATRowRange(dst, a, b []float32, m, k, n, r0, r1 int, acc bool) {
-	ad, bd, od := a, b, dst
-	i := r0
-	for ; i+2 <= r1; i += 2 {
-		d0 := od[i*n : i*n+n]
-		d1 := od[(i+1)*n : (i+1)*n+n]
-		if !acc {
-			zeroFloats(d0)
-			zeroFloats(d1)
-		}
-		p := 0
-		if simdAvailable {
-			var av [8]float32
-			for ; p+4 <= k; p += 4 {
-				av[0], av[1], av[2], av[3] = ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i]
-				av[4], av[5], av[6], av[7] = ad[p*m+i+1], ad[(p+1)*m+i+1], ad[(p+2)*m+i+1], ad[(p+3)*m+i+1]
-				axpy4x2SIMD(d0, d1,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n], &av)
+// matmulATRowRange is matmulRowRange with a read down its columns: output
+// row i takes its k multipliers from ad[p*m+i].
+func matmulATRowRange(od, ad, bd []float32, m, k, n, nb, r0, r1 int, acc bool) {
+	for j0 := 0; j0 < n; j0 += nb {
+		w := min(nb, n-j0)
+		bw := bd[j0:]
+		i := r0
+		for ; i+2 <= r1; i += 2 {
+			d0 := od[i*n+j0 : i*n+j0+w]
+			d1 := od[(i+1)*n+j0 : (i+1)*n+j0+w]
+			if !acc {
+				zeroFloats(d0)
+				zeroFloats(d1)
 			}
-		} else {
-			for ; p+4 <= k; p += 4 {
-				axpy4x2Generic(d0, d1,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n],
-					ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i],
-					ad[p*m+i+1], ad[(p+1)*m+i+1], ad[(p+2)*m+i+1], ad[(p+3)*m+i+1])
+			p := 0
+			if simdAvailable {
+				var av [8]float32
+				for ; p+4 <= k; p += 4 {
+					av[0], av[1], av[2], av[3] = ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i]
+					av[4], av[5], av[6], av[7] = ad[p*m+i+1], ad[(p+1)*m+i+1], ad[(p+2)*m+i+1], ad[(p+3)*m+i+1]
+					axpy4x2SIMD(d0, d1,
+						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
+						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w], &av)
+				}
+			} else {
+				for ; p+4 <= k; p += 4 {
+					axpy4x2Generic(d0, d1,
+						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
+						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w],
+						ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i],
+						ad[p*m+i+1], ad[(p+1)*m+i+1], ad[(p+2)*m+i+1], ad[(p+3)*m+i+1])
+				}
 			}
-		}
-		for ; p < k; p++ {
-			axpy1(d0, bd[p*n:p*n+n], ad[p*m+i])
-			axpy1(d1, bd[p*n:p*n+n], ad[p*m+i+1])
-		}
-	}
-	for ; i < r1; i++ {
-		d0 := od[i*n : i*n+n]
-		if !acc {
-			zeroFloats(d0)
-		}
-		p := 0
-		if simdAvailable {
-			var av [4]float32
-			for ; p+4 <= k; p += 4 {
-				av[0], av[1], av[2], av[3] = ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i]
-				axpy4SIMD(d0,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n], &av)
-			}
-		} else {
-			for ; p+4 <= k; p += 4 {
-				axpy4Generic(d0,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n],
-					ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i])
+			for ; p < k; p++ {
+				axpy1(d0, bw[p*n:p*n+w], ad[p*m+i])
+				axpy1(d1, bw[p*n:p*n+w], ad[p*m+i+1])
 			}
 		}
-		for ; p < k; p++ {
-			axpy1(d0, bd[p*n:p*n+n], ad[p*m+i])
+		for ; i < r1; i++ {
+			d0 := od[i*n+j0 : i*n+j0+w]
+			if !acc {
+				zeroFloats(d0)
+			}
+			p := 0
+			if simdAvailable {
+				var av [4]float32
+				for ; p+4 <= k; p += 4 {
+					av[0], av[1], av[2], av[3] = ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i]
+					axpy4SIMD(d0,
+						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
+						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w], &av)
+				}
+			} else {
+				for ; p+4 <= k; p += 4 {
+					axpy4Generic(d0,
+						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
+						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w],
+						ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i])
+				}
+			}
+			for ; p < k; p++ {
+				axpy1(d0, bw[p*n:p*n+w], ad[p*m+i])
+			}
 		}
 	}
 }

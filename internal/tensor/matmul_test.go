@@ -235,3 +235,127 @@ func TestMatMulAccumulating(t *testing.T) {
 		SetSIMD(prev)
 	}
 }
+
+// unblockedAxpy is the row-range loop without a column window — one output
+// row at a time over its whole width, ascending p in steps of four on the
+// active backend's kernel, then the k%4 remainder — kept here as the referee
+// of the windowed loops: a window may change which elements are visited
+// when, never an element's chain. mult(i, p) is a[i, p] for a × b and
+// a[p, i] for aᵀ × b.
+func unblockedAxpy(dst, b []float32, m, k, n int, acc bool, mult func(i, p int) float32) {
+	for i := 0; i < m; i++ {
+		d := dst[i*n : (i+1)*n]
+		if !acc {
+			zeroFloats(d)
+		}
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			av := [4]float32{mult(i, p), mult(i, p+1), mult(i, p+2), mult(i, p+3)}
+			b0, b1, b2, b3 := b[p*n:(p+1)*n], b[(p+1)*n:(p+2)*n], b[(p+2)*n:(p+3)*n], b[(p+3)*n:(p+4)*n]
+			if simdAvailable {
+				axpy4SIMD(d, b0, b1, b2, b3, &av)
+			} else {
+				axpy4Generic(d, b0, b1, b2, b3, av[0], av[1], av[2], av[3])
+			}
+		}
+		for ; p < k; p++ {
+			axpy1(d, b[p*n:(p+1)*n], mult(i, p))
+		}
+	}
+}
+
+// unblockedDot is a × bᵀ one row of a at a time against all of b: dot4 over
+// groups of four rows of b on the SIMD backend, dot1 for the rest.
+func unblockedDot(dst, a, b []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		arow := a[i*k : (i+1)*k]
+		j := 0
+		if simdAvailable {
+			var o4 [4]float32
+			for ; j+4 <= n; j += 4 {
+				dot4SIMD(arow, b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k], b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k], &o4)
+				copy(dst[i*n+j:], o4[:])
+			}
+		}
+		for ; j < n; j++ {
+			dst[i*n+j] = dot1(arow, b[j*k:(j+1)*k])
+		}
+	}
+}
+
+// TestMatMulBlockedMatchesUnblocked pins what the column window (colBlock)
+// and the bᵀ loop order (rowBlockBT) promise: every raw entry, overwriting
+// and accumulating, equals the unwindowed loop bit for bit — on both
+// backends, at every worker count — over one cv_local decoy's tail (Linear
+// 32 → 43 000 and its head, each as a × b, aᵀ × b and a × bᵀ), widths one
+// short of, one past and two blocks past a block edge with odd m and
+// k%4 ≠ 0, resnet18's stage panels (forward, dX, dW) and lm_local's heads.
+// Each shape runs through all three families over the same two buffers.
+func TestMatMulBlockedMatchesUnblocked(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(1))
+	edge := colBlock(30, 1<<20)
+	if edge == 1<<20 || colBlock(32, 43000) == 43000 || rowBlockBT(43000, 32) != 4 {
+		t.Fatalf("fixture: colBlock(30, ·) = %d, colBlock(32, 43000) = %d, rowBlockBT(43000, 32) = %d — the decoy shapes are meant to be walked in blocks",
+			edge, colBlock(32, 43000), rowBlockBT(43000, 32))
+	}
+	shapes := []struct{ m, k, n int }{
+		{16, 32, 43000}, {32, 16, 43000}, {16, 43000, 32},
+		{16, 43016, 10}, {43016, 16, 10},
+		{5, 30, edge - 1}, {5, 30, edge + 1}, {7, 30, 2*edge + 1}, {3, 43001, 31},
+		{64, 576, 1024}, {576, 64, 1024}, {64, 1024, 576},
+		{128, 1152, 256}, {256, 2304, 192}, {256, 192, 2304},
+		{512, 4608, 112}, {4608, 512, 112}, {512, 112, 4608},
+		{1008, 128, 2000}, {1008, 56, 2000},
+	}
+	for _, simd := range []bool{true, false} {
+		if simd && !SIMDEnabled() {
+			continue
+		}
+		prev := SetSIMD(simd)
+		for _, s := range shapes {
+			m, k, n := s.m, s.k, s.n
+			if macs := m * k * n; (!simd && macs > 1<<25) || (raceEnabled && macs > 1<<22) {
+				// The pure-Go kernels run at a tenth of the speed, and
+				// everything slower again under the race detector: keep the
+				// panel's (k, n), which is what picks the window, and an
+				// odd handful of its rows.
+				m = 5
+			}
+			rng := NewRNG(uint64(k*1000 + n))
+			a, b, seed := New(m*k), New(k*n), New(m*n)
+			rng.FillNormal(a, 0, 1)
+			rng.FillNormal(b, 0, 1)
+			rng.FillNormal(seed, 0, 1)
+			axpy := func(acc, transposed bool) func(dst []float32) {
+				mult := func(i, p int) float32 { return a.Data[i*k+p] }
+				if transposed {
+					mult = func(i, p int) float32 { return a.Data[p*m+i] }
+				}
+				return func(dst []float32) { unblockedAxpy(dst, b.Data, m, k, n, acc, mult) }
+			}
+			for _, c := range []struct {
+				name      string
+				entry     func(dst, a, b []float32, m, k, n int)
+				unblocked func(dst []float32)
+			}{
+				{"MatMulRawInto", MatMulRawInto, axpy(false, false)},
+				{"MatMulAccRawInto", MatMulAccRawInto, axpy(true, false)},
+				{"MatMulATRawInto", MatMulATRawInto, axpy(false, true)},
+				{"MatMulATAccRawInto", MatMulATAccRawInto, axpy(true, true)},
+				{"MatMulBTRawInto", MatMulBTRawInto, func(dst []float32) { unblockedDot(dst, a.Data, b.Data, m, k, n) }},
+			} {
+				want := seed.Clone()
+				c.unblocked(want.Data)
+				for _, workers := range []int{1, 2, 3, 8} {
+					SetMaxWorkers(workers)
+					got := seed.Clone()
+					c.entry(got.Data, a.Data, b.Data, m, k, n)
+					if !got.Equal(want) {
+						t.Errorf("simd=%v workers=%d: %s %dx%dx%d differs from the unblocked loop", simd, workers, c.name, m, k, n)
+					}
+				}
+			}
+		}
+		SetSIMD(prev)
+	}
+}

@@ -9,8 +9,9 @@ import (
 // synthesis, and noise generation. It wraps math/rand/v2's PCG so streams
 // are reproducible across platforms and Go releases.
 type RNG struct {
-	r   *rand.Rand
-	src *rand.PCG
+	r       *rand.Rand
+	src     *rand.PCG
+	forLoad bool // inherited by every stream Split from this one; see ForLoad
 }
 
 // NewRNG returns a deterministic generator seeded from seed.
@@ -38,7 +39,21 @@ func (g *RNG) UnmarshalState(b []byte) error {
 // its own stream so that adding layers elsewhere does not perturb
 // initialisation (a requirement for Amalgam's exactness property tests).
 func (g *RNG) Split(label uint64) *RNG {
-	return NewRNG(g.r.Uint64() ^ (label * 0xbf58476d1ce4e5b9))
+	return NewRNG(g.r.Uint64() ^ (label * 0xbf58476d1ce4e5b9)).ForLoad(g.forLoad)
+}
+
+// ForLoad marks g (and returns it) as the root of a model built only to be
+// loaded: on g and on every stream later Split from it, KaimingUniform and
+// NormalInit draw nothing and leave their tensor zero. Every other draw —
+// Split itself, so dropout-stream seeds; gather sets; IntN choices — is a
+// normal build's, because a constructor that fills weights from a stream
+// takes nothing else from it. It is for a caller that overwrites every
+// parameter through the strict nn.LoadStateDict in the same function, before
+// the model is used: an extractor's fresh model, a server's model under a
+// client's init state.
+func (g *RNG) ForLoad(on bool) *RNG {
+	g.forLoad = on
+	return g
 }
 
 // Uint64 returns a uniformly random 64-bit value.

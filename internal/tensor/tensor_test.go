@@ -436,6 +436,55 @@ func TestInitializers(t *testing.T) {
 	}
 }
 
+// TestForLoadSkipsOnlyWeightFills: on a ForLoad stream and on everything
+// Split from it the two weight-fill entries draw nothing and leave the
+// tensor zero, while the Split tree itself — seeds of children, their
+// children, and every other kind of draw on them — is a normal build's.
+func TestForLoadSkipsOnlyWeightFills(t *testing.T) {
+	normal, load := NewRNG(11), NewRNG(11).ForLoad(true)
+	for label := uint64(1); label <= 3; label++ {
+		n, l := normal.Split(label), load.Split(label)
+		w, z := New(5, 7), New(5, 7)
+		KaimingUniform(n, w, 5)
+		KaimingUniform(l, z, 5)
+		NormalInit(n.Split(9), w, 0.1)
+		NormalInit(l.Split(9), z, 0.1)
+		if !z.Equal(New(5, 7)) || w.Equal(z) {
+			t.Fatalf("split %d: a ForLoad stream filled a weight (or a normal one did not)", label)
+		}
+		// n has been drawn from, l has not: their next children differ, which
+		// is why a constructor that fills from a stream takes nothing else
+		// from it. Fresh children of the roots agree.
+		if normal.Split(label+10).Split(2).IntN(1<<30) != load.Split(label+10).Split(2).IntN(1<<30) {
+			t.Fatalf("split %d: the ForLoad Split tree diverged from the normal one", label)
+		}
+	}
+	if NewRNG(11).ForLoad(true).ForLoad(false).Split(1).forLoad {
+		t.Fatal("ForLoad(false) must build normally again")
+	}
+}
+
+// TestEqualComparesBitPatterns: Equal is "the same bytes" — a NaN equals the
+// same NaN, a NaN with another payload does not, and the two zeros differ.
+func TestEqualComparesBitPatterns(t *testing.T) {
+	nan, negZero := float32(math.NaN()), float32(math.Copysign(0, -1))
+	otherNaN := math.Float32frombits(math.Float32bits(nan) ^ 1)
+	a := FromSlice([]float32{1, nan, 0, negZero}, 2, 2)
+	if !a.Equal(a.Clone()) {
+		t.Fatal("a tensor holding a NaN must equal its exact copy")
+	}
+	for i, v := range []float32{2, otherNaN, negZero, 0} {
+		b := a.Clone()
+		b.Data[i] = v
+		if a.Equal(b) || b.Equal(a) {
+			t.Fatalf("element %d: %v (bits %#x) must not equal %v (bits %#x)", i, a.Data[i], math.Float32bits(a.Data[i]), v, math.Float32bits(v))
+		}
+	}
+	if a.Equal(a.Clone().Reshape(4)) {
+		t.Fatal("Equal must still compare shapes")
+	}
+}
+
 func TestAllCloseAndMaxAbsDiff(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3}, 3)
 	b := FromSlice([]float32{1, 2.0005, 3}, 3)

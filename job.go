@@ -5,6 +5,7 @@ import (
 
 	"amalgam/internal/cloudsim"
 	"amalgam/internal/core"
+	"amalgam/internal/models"
 	"amalgam/internal/nn"
 	"amalgam/internal/tensor"
 )
@@ -129,11 +130,13 @@ func (j *Job) ops() *jobOps {
 }
 
 // Extract builds a fresh instance of the original architecture (from the
-// zoo name used to build the model, with the given seed) and copies the
-// trained original weights into it (§4.3). For models built outside the
-// zoo, use ExtractInto.
+// zoo name used to build the model) and copies the trained original weights
+// into it (§4.3). The fresh model is built for load — what BuildCV(name,
+// seed, …) builds, minus the initial weights the copy would overwrite — so
+// seed decides only its dropout streams. For models built outside the zoo,
+// use ExtractInto.
 func (j *Job) Extract(name string, seed uint64) (CVModel, error) {
-	fresh, err := BuildCV(name, seed, j.origCfg)
+	fresh, err := models.BuildCV(name, tensor.NewRNG(seed).ForLoad(true), j.origCfg)
 	if err != nil {
 		return nil, err
 	}

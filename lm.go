@@ -160,9 +160,12 @@ func (j *LMJob) ops() *jobOps {
 
 // ExtractLM builds a fresh language model with the original architecture
 // and copies the trained original weights into it (§4.3), verified
-// bit-for-bit.
+// bit-for-bit. The fresh model is built for load (see Job.Extract): seed is
+// its BuildSeed and decides its dropout streams, as in BuildLMModel, and
+// nothing else.
 func (j *LMJob) ExtractLM(seed uint64) (*TransformerLM, error) {
-	fresh := BuildLMModel(seed, j.Augmented.Orig.Cfg)
+	fresh := models.NewTransformerLM(tensor.NewRNG(seed).ForLoad(true), j.Augmented.Orig.Cfg)
+	fresh.BuildSeed = seed
 	if err := j.ExtractLMInto(fresh); err != nil {
 		return nil, err
 	}

@@ -133,10 +133,11 @@ func (j *TextJob) ops() *jobOps {
 
 // ExtractText builds a fresh classifier with the original architecture and
 // copies the trained original weights into it (§4.3), verified
-// bit-for-bit.
+// bit-for-bit. The fresh classifier is built for load (see Job.Extract): it
+// has no initial weights for seed to decide.
 func (j *TextJob) ExtractText(seed uint64) (*TextClassifier, error) {
 	orig := j.Augmented.Orig
-	fresh := BuildTextClassifier(seed, orig.Vocab, orig.EmbedDim, orig.Classes)
+	fresh := models.NewTextClassifier(tensor.NewRNG(seed).ForLoad(true), orig.Vocab, orig.EmbedDim, orig.Classes)
 	if err := j.ExtractTextInto(fresh); err != nil {
 		return nil, err
 	}
