@@ -16,14 +16,23 @@
 //     backward pass, live until that node's own backward has run. Reverse
 //     topological order guarantees every consumer has contributed by then
 //     and nobody reads either afterwards, so Backward hands both back to the
-//     pool on the spot: at any moment only the frontier of gradients is
-//     alive, not one per node.
+//     pool on the spot: at any moment only a frontier of gradients is
+//     alive (one per component running, see below), not one per node.
 //   - A leaf's gradient lives as long as the parameter; nn.ZeroGrads clears
 //     it in place between steps.
 //
 // Backward therefore consumes the graph: a second Backward that reaches a
 // node the first one passed panics (build the graph again, as PyTorch asks
 // without retain_graph). Release stays the one call that ends a step.
+//
+// Backward fans out where the graph lets it. Below the root the graph may
+// fall into connected components — nodes joined by a parent link or by a
+// leaf both reach; Detach and constants are where it comes apart, as between
+// an augmented model's original and its decoys. Each keeps its slice of the
+// one topological order and the drain rule above, so every accumulation
+// chain is the sequential one, and they run as tensor.ParallelBranches: side
+// by side where tensor.SetMaxWorkers leaves room, in turn where not, same
+// bits either way. A root with one interior parent takes the plain loop.
 //
 // An activation is a parameter, not a name: Activate, AddRowBias,
 // AddChanBias, Linear, Conv2d and BatchNorm2d each take a tensor.Act and are
@@ -39,6 +48,7 @@ package autodiff
 
 import (
 	"fmt"
+	"slices"
 
 	"amalgam/internal/tensor"
 )
@@ -234,6 +244,17 @@ func Backward(root *Node) {
 		}
 	}
 	root.ensureGrad().Fill(1)
+	last := len(order) - 1
+	backwardOver(order[last:])
+	if comps := components(root, order[:last]); len(comps) > 1 {
+		tensor.ParallelBranches(len(comps), func(i int) { backwardOver(comps[i]) })
+	} else {
+		backwardOver(order[:last])
+	}
+}
+
+// backwardOver runs order's backwards last to first, draining as it goes.
+func backwardOver(order []*Node) {
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		if n.isLeaf() {
@@ -244,6 +265,51 @@ func Backward(root *Node) {
 		}
 		n.drain()
 	}
+}
+
+// components splits order — the topological order under root, without it —
+// into the package comment's components: slices of order, largest first (the
+// deal is longest-first), ties by first node. Nil, and no work, unless root
+// has two interior parents to send gradients through.
+func components(root *Node, order []*Node) [][]*Node {
+	heads := 0
+	for _, p := range root.parents {
+		if p != nil && p.requiresGrad && !p.isLeaf() {
+			heads++
+		}
+	}
+	if heads < 2 {
+		return nil
+	}
+	index := make(map[*Node]int32, len(order))
+	set := make([]int32, len(order)) // union-find over positions, least wins
+	find := func(i int32) int32 {
+		for ; set[i] != i; i = set[i] {
+			set[i] = set[set[i]]
+		}
+		return i
+	}
+	for i, n := range order {
+		index[n], set[i] = int32(i), int32(i)
+		for _, p := range n.parents {
+			if p != nil && p.requiresGrad {
+				a, b := find(int32(i)), find(index[p])
+				set[max(a, b)] = min(a, b)
+			}
+		}
+	}
+	var comps [][]*Node
+	slot := make([]int, len(order)) // first node → component
+	for i, n := range order {
+		r := find(int32(i))
+		if int(r) == i {
+			slot[i] = len(comps)
+			comps = append(comps, nil)
+		}
+		comps[slot[r]] = append(comps[slot[r]], n)
+	}
+	slices.SortStableFunc(comps, func(a, b []*Node) int { return len(b) - len(a) })
+	return comps
 }
 
 // drain returns what only n's own backward reads — its gradient and its

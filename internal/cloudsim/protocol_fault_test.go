@@ -6,10 +6,12 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"amalgam/internal/core"
 	"amalgam/internal/faultnet"
 	"amalgam/internal/optim"
 	"amalgam/internal/serialize"
@@ -224,6 +226,60 @@ func TestJobPanicClassifiedFatalAndServerSurvives(t *testing.T) {
 	good, _, _ := tinyJob(t, false)
 	if _, err := Train(l.Addr().String(), good); err != nil {
 		t.Fatalf("server wedged after a panicking job: %v", err)
+	}
+}
+
+// TestDecoyBranchPanicClassifiedFatalAndServerSurvives is the twin for a
+// panic raised off the executor's goroutine: sub-networks are forwarded side
+// by side, so a decoy that blows up mid-step does so on a lane. The token
+// that does it sits at positions only decoys gather — the original
+// sub-network never reads it, admission has no reason to refuse it — and it
+// must still end that one job as ErrJobPanic, re-raised where the executor's
+// recover stands, with the executor alive for the next job.
+func TestDecoyBranchPanicClassifiedFatalAndServerSurvives(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(4)) // lanes even on a one-core runner
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := NewServer(l)
+	defer func() {
+		l.Close()
+		server.Wait()
+	}()
+
+	bad := textJob(t)
+	model, err := BuildModel(bad.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := model.(*core.AugmentedTextClassifier).GatherSets()
+	kept := map[int]bool{}
+	for _, p := range sets[0] {
+		kept[p] = true
+	}
+	decoyOnly := -1
+	for _, p := range sets[1] {
+		if !kept[p] {
+			decoyOnly = p
+		}
+	}
+	if decoyOnly < 0 {
+		t.Fatal("the first decoy gathers nothing the original does not")
+	}
+	poisoned := append([]int(nil), bad.Samples[0]...)
+	poisoned[decoyOnly] = bad.Spec.Vocab // out of every embedding's range
+	bad.Samples = append([][]int{poisoned}, bad.Samples[1:]...)
+
+	_, err = Train(l.Addr().String(), bad)
+	if !errors.Is(err, ErrJobPanic) || !strings.Contains(err.Error(), "EmbeddingMean id") {
+		t.Fatalf("job with a panicking decoy returned %v, want ErrJobPanic from the decoy's lookup", err)
+	}
+	if IsTransient(err) {
+		t.Fatal("a deterministic server-side panic must not be retried")
+	}
+	if _, err := Train(l.Addr().String(), textJob(t)); err != nil {
+		t.Fatalf("server wedged after a decoy branch panicked: %v", err)
 	}
 }
 

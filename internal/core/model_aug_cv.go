@@ -74,12 +74,13 @@ func (o ModelAugmentOptions) decoyBudgets(total int) []int {
 }
 
 // subNets is what the three augmented models share: the module tree —
-// the original under "orig", decoys under "decoy<i>" (§4.2) — and every
-// sub-network's input gather set. The "orig." prefix is what the extractor
-// strips, and what the cloud cannot distinguish from decoys, since
-// serialisation randomises sub-network order and strips names (see the
-// serialize package). Only the original carries mode state or dropout
-// streams; decoys are plain conv/linear/embedding stacks.
+// the original under "orig", decoys under "decoy<i>" (§4.2) — every
+// sub-network's input gather set, and the one place they are forwarded. The
+// "orig." prefix is what the extractor strips, and what the cloud cannot
+// distinguish from decoys, since serialisation randomises sub-network order
+// and strips names (see the serialize package). Only the original carries
+// mode state or dropout streams. Sharing no parameter and (taps being
+// detached) no gradient path, sub-networks train side by side.
 type subNets struct {
 	nn.Children
 	opts    ModelAugmentOptions
@@ -103,6 +104,33 @@ func newSubNets(key interface{ Validate() error }, orig nn.Child, origGather []i
 func (s *subNets) addDecoy(d nn.Child, gather []int) {
 	s.Add(fmt.Sprintf("decoy%d", len(s.gathers)-1), d)
 	s.gathers = append(s.gathers, gather)
+}
+
+// forward runs orig (branch 0, the caller's) and each decoy's trunk — what
+// reads nothing of the original — side by side, none waiting on another;
+// then, in decoy order, finish(i, trunk i's result): taps, head.
+func (s *subNets) forward(orig func(), trunk func(i int) *autodiff.Node, finish func(i int, h *autodiff.Node) *autodiff.Node) []*autodiff.Node {
+	outs := make([]*autodiff.Node, len(s.gathers)-1)
+	tensor.ParallelBranches(len(s.gathers), func(i int) {
+		if i == 0 {
+			orig()
+			return
+		}
+		outs[i-1] = trunk(i - 1)
+	})
+	for i, h := range outs {
+		outs[i] = finish(i, h)
+	}
+	return outs
+}
+
+// tap is an original activation as a decoy reads it: detached, so no gradient
+// flows back (§4.2) — load-bearing, as the UndetachedTaps ablation shows.
+func (s *subNets) tap(a *autodiff.Node) *autodiff.Node {
+	if s.opts.UndetachedTaps {
+		return a
+	}
+	return autodiff.Detach(a)
 }
 
 // GatherSets returns every sub-network's input gather set (original
@@ -264,10 +292,12 @@ func (m *AugmentedCVModel) Forward(x *autodiff.Node) *autodiff.Node {
 // ForwardAll runs every sub-network on the augmented input [N, C, H', W'],
 // returning the original logits and each decoy's logits.
 func (m *AugmentedCVModel) ForwardAll(x *autodiff.Node) (*autodiff.Node, []*autodiff.Node) {
-	xo := m.OrigGather.Forward(x)
-	origLogits, feats := m.Orig.ForwardFeatures(xo)
-	decoyLogits := make([]*autodiff.Node, 0, len(m.Decoys))
-	for _, d := range m.Decoys {
+	var origLogits *autodiff.Node
+	var feats []*autodiff.Node
+	decoyLogits := m.forward(func() {
+		origLogits, feats = m.Orig.ForwardFeatures(m.OrigGather.Forward(x))
+	}, func(i int) *autodiff.Node {
+		d := m.Decoys[i]
 		h := d.gather.Forward(x)
 		// Cheap early downsampling: decoy compute stays proportional to
 		// its parameter share (see newCVDecoy).
@@ -276,16 +306,10 @@ func (m *AugmentedCVModel) ForwardAll(x *autodiff.Node) (*autodiff.Node, []*auto
 		}
 		h = d.conv1.ForwardAct(h, tensor.ActReLU)
 		h = d.conv2.ForwardAct(h, tensor.ActReLU)
-		g := d.mid.ForwardAct(autodiff.GlobalAvgPool(h), tensor.ActReLU)
+		return d.mid.ForwardAct(autodiff.GlobalAvgPool(h), tensor.ActReLU)
+	}, func(i int, g *autodiff.Node) *autodiff.Node {
+		d := m.Decoys[i]
 		if d.tapFC != nil && d.tapIdx < len(feats) {
-			tap := feats[d.tapIdx]
-			if !m.opts.UndetachedTaps {
-				// The load-bearing detachment: original activations flow
-				// into the decoy, but no gradient flows back (§4.2: original
-				// layers "do not receive input from other augmented layers"
-				// and their training is unaffected).
-				tap = autodiff.Detach(tap)
-			}
 			// The tap projection runs on the fused Linear→Tanh epilogue:
 			// tanh bounds the injected feature to [-1, 1], so a decoy's
 			// head sees tap activations on the same scale as its own
@@ -296,11 +320,11 @@ func (m *AugmentedCVModel) ForwardAll(x *autodiff.Node) (*autodiff.Node, []*auto
 			// not spec-versioned: the local/remote bit-identity contract
 			// assumes both sides run the same build (as with every kernel
 			// round, which changes numerics the spec cannot describe).
-			tv := d.tapFC.ForwardAct(autodiff.GlobalAvgPool(tap), tensor.ActTanh)
+			tv := d.tapFC.ForwardAct(autodiff.GlobalAvgPool(m.tap(feats[d.tapIdx])), tensor.ActTanh)
 			g = autodiff.ConcatFeatures(g, tv)
 		}
-		decoyLogits = append(decoyLogits, d.head.Forward(g))
-	}
+		return d.head.Forward(g)
+	})
 	return origLogits, decoyLogits
 }
 

@@ -73,21 +73,21 @@ func AugmentTextClassifier(orig *models.TextClassifier, key *TextAugKey, opts Mo
 
 // ForwardAll runs every sub-network on augmented token batches.
 func (m *AugmentedTextClassifier) ForwardAll(ids [][]int) (*autodiff.Node, []*autodiff.Node) {
-	origLogits, pooled := m.Orig.ForwardIDsFeatures(m.OrigGather.Apply(ids))
-	var decoyLogits []*autodiff.Node
-	for _, d := range m.Decoys {
-		h := d.embed.LookupMean(d.gather.Apply(ids))
+	var origLogits, pooled *autodiff.Node
+	decoyLogits := m.forward(func() {
+		origLogits, pooled = m.Orig.ForwardIDsFeatures(m.OrigGather.Apply(ids))
+	}, func(i int) *autodiff.Node {
+		d := m.Decoys[i]
+		return d.embed.LookupMean(d.gather.Apply(ids))
+	}, func(i int, h *autodiff.Node) *autodiff.Node {
+		d := m.Decoys[i]
 		if d.tapFC != nil {
-			tap := pooled
-			if !m.opts.UndetachedTaps {
-				tap = autodiff.Detach(tap)
-			}
 			// Fused Linear→Tanh tap projection: bounded tap features keep
 			// the concat on the embedding's scale (see the CV decoy).
-			h = autodiff.ConcatFeatures(h, d.tapFC.ForwardAct(tap, tensor.ActTanh))
+			h = autodiff.ConcatFeatures(h, d.tapFC.ForwardAct(m.tap(pooled), tensor.ActTanh))
 		}
-		decoyLogits = append(decoyLogits, d.head.Forward(h))
-	}
+		return d.head.Forward(h)
+	})
 	return origLogits, decoyLogits
 }
 
@@ -148,19 +148,21 @@ func AugmentTransformerLM(orig *models.TransformerLM, key *TextAugKey, opts Mode
 // windows (each of length key.AugLen). Every sub-network gathers its own
 // positions w and trains on (w[:L-1] → w[1:]) next-token pairs.
 func (m *AugmentedTransformerLM) LossWindows(windows [][]int) (total, orig *autodiff.Node) {
-	orig = m.ValidateLoss(windows)
-	losses := []*autodiff.Node{orig}
-	for _, d := range m.Decoys {
+	decoys := m.forward(func() {
+		orig = m.ValidateLoss(windows)
+	}, func(i int) *autodiff.Node {
 		// Decoy "LM": per-position embedding → decoder (no attention);
 		// synthetic parameters that participate fully in gradient
-		// descent, as §6.3's DLG analysis requires.
-		losses = append(losses, lmWindowLoss(func(ids [][]int) *autodiff.Node {
+		// descent, as §6.3's DLG analysis requires. No tap: all of it runs
+		// beside the original.
+		d := m.Decoys[i]
+		return lmWindowLoss(func(ids [][]int) *autodiff.Node {
 			emb := d.embed.Lookup(ids)
 			n, t, dd := emb.Val.Dim(0), emb.Val.Dim(1), emb.Val.Dim(2)
 			return autodiff.Reshape(emb, n*t, dd)
-		}, d.head, d.gather.Apply(windows)))
-	}
-	return autodiff.AddN(losses...), orig
+		}, d.head, d.gather.Apply(windows))
+	}, func(_ int, loss *autodiff.Node) *autodiff.Node { return loss })
+	return autodiff.AddN(append([]*autodiff.Node{orig}, decoys...)...), orig
 }
 
 // ValidateLoss returns the original sub-network's loss on augmented

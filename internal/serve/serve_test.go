@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -308,6 +309,36 @@ func TestModelPanicFailsBatchTyped(t *testing.T) {
 	// The worker survived; the server still serves.
 	if _, err := s.PredictCV("p", []float32{1}); !errors.Is(err, ErrModelPanic) {
 		t.Fatalf("second call: got %v, want ErrModelPanic", err)
+	}
+}
+
+// laneBugCV blows up the way an augmented model's decoy would: inside a
+// branch that tensor.ParallelBranches runs beside the caller's.
+type laneBugCV struct{ panickyCV }
+
+func (laneBugCV) Forward(*autodiff.Node) *autodiff.Node {
+	tensor.ParallelBranches(3, func(i int) {
+		if i > 0 {
+			panic("synthetic decoy bug")
+		}
+	})
+	return nil
+}
+
+// TestLanePanicFailsBatchTyped: a panic raised on a lane under a model's
+// forward reaches the worker's own recover — the typed reply, a live worker —
+// exactly as one raised on the worker's goroutine does.
+func TestLanePanicFailsBatchTyped(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(3))
+	s := New(Config{MaxBatch: 1, MaxDelay: time.Millisecond, Workers: 1})
+	defer s.Close()
+	if err := s.RegisterCV("p", laneBugCV{}, CVConfig{C: 1, H: 1, W: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for call := 0; call < 2; call++ { // the second shows the worker survived
+		if _, err := s.PredictCV("p", []float32{0}); !errors.Is(err, ErrModelPanic) || !strings.Contains(err.Error(), "synthetic decoy bug") {
+			t.Fatalf("call %d: got %v, want ErrModelPanic carrying the lane's panic", call, err)
+		}
 	}
 }
 

@@ -640,13 +640,23 @@ func ChanSumAddInto(dbias, m []float32, n, c, hw int) {
 }
 
 // ColSumAddInto accumulates dbias[j] += Σ_rows m[r, j] for m [rows, d] —
-// the bias gradient of a row-bias epilogue. Sequential ascending rows.
+// the bias gradient of a row-bias epilogue. Workers take disjoint column
+// ranges, each column summing its rows in ascending order as ever.
 func ColSumAddInto(dbias, m []float32, rows, d int) {
-	dbias = dbias[:d]
+	cpw := max(fusedRowsPerWorker(rows), 16) // a cache line of columns at least
+	if chunksFor(d, cpw) <= 1 {
+		colSumAddRange(dbias, m, rows, d, 0, d)
+		return
+	}
+	parallelFor(d, cpw, func(j0, j1 int) { colSumAddRange(dbias, m, rows, d, j0, j1) })
+}
+
+func colSumAddRange(dbias, m []float32, rows, d, j0, j1 int) {
+	acc := dbias[j0:j1]
 	for r := 0; r < rows; r++ {
-		row := m[r*d : (r+1)*d][:d]
-		for j := 0; j < d; j++ {
-			dbias[j] += row[j]
+		row := m[r*d+j0 : r*d+j1][:len(acc)]
+		for j := range acc {
+			acc[j] += row[j]
 		}
 	}
 }

@@ -459,6 +459,42 @@ func TestFusedBiasReLUKernels(t *testing.T) {
 	}
 }
 
+// TestColSumAddIntoMatchesSerialLoop: the bias-gradient pass splits by
+// column range, so each dbias[j] is still its rows summed in ascending order
+// on top of what was there — bit-equal to the one-goroutine loop at any
+// worker count, at loss-head size (split) and at sizes that stay serial,
+// where the call must not allocate.
+func TestColSumAddIntoMatchesSerialLoop(t *testing.T) {
+	for _, sh := range [][2]int{{1008, 2000}, {63, 257}, {16, 10}, {3, 2}, {1, 4096}} {
+		rows, d := sh[0], sh[1]
+		m, seed := New(rows, d), New(d)
+		rng := NewRNG(uint64(rows*d + 7))
+		rng.FillNormal(m, 0, 1)
+		rng.FillNormal(seed, 0, 1)
+		want := seed.Clone()
+		for r := 0; r < rows; r++ {
+			for j := 0; j < d; j++ {
+				want.Data[j] += m.Data[r*d+j]
+			}
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			prev := SetMaxWorkers(workers)
+			got := seed.Clone()
+			ColSumAddInto(got.Data, m.Data, rows, d)
+			SetMaxWorkers(prev)
+			if !got.Equal(want) {
+				t.Fatalf("[%d, %d] at %d workers differs from the serial loop", rows, d, workers)
+			}
+		}
+	}
+	prev := SetMaxWorkers(8)
+	defer SetMaxWorkers(prev)
+	m, dbias := New(16, 10), New(10)
+	if a := testing.AllocsPerRun(10, func() { ColSumAddInto(dbias.Data, m.Data, 16, 10) }); a != 0 {
+		t.Fatalf("a small ColSumAddInto allocates %v/op, want 0", a)
+	}
+}
+
 // TestFusedKernelsDeterministicAcrossWorkers pins the contract for the new
 // kernel family: bit-identical outputs for any SetMaxWorkers value,
 // including counts that force uneven row/channel chunking.

@@ -14,7 +14,9 @@ var maxWorkers atomic.Int64
 func init() { maxWorkers.Store(int64(runtime.NumCPU())) }
 
 // SetMaxWorkers overrides the number of chunks tensor kernels split work
-// into. n < 1 resets to runtime.NumCPU(). It returns the previous value.
+// into and of goroutines ParallelBranches runs branches on (1: one goroutine
+// of compute, literally). n < 1 resets to runtime.NumCPU(). It returns the
+// previous value.
 //
 // Results are bit-identical for any worker count because work is split into
 // disjoint output ranges whose boundaries depend only on this value; this
@@ -30,9 +32,55 @@ func SetMaxWorkers(n int) int {
 
 // ParallelRange runs fn over [0,n) split into contiguous disjoint chunks,
 // one per worker. It is exported for packages (autodiff, data) that
-// parallelise batch loops; disjoint ranges keep results deterministic.
+// parallelise batch loops; disjoint ranges keep results deterministic. The
+// chunks run on the kernel pool: fn must not block (see ParallelBranches).
 func ParallelRange(n int, fn func(start, end int)) {
 	parallelFor(n, 1, fn)
+}
+
+// ParallelBranches runs fn(0) … fn(n-1): the entry for long-running
+// independent branches (a sub-network's forward, a component of a backward
+// pass) that build graph nodes and call kernels themselves. Branch 0 runs on
+// the caller; the rest are dealt in index order over at most maxWorkers−1
+// goroutines started for this call (lanes), the caller joining the deal once
+// branch 0 is done. Lanes are not the kernel pool's workers, so a branch can
+// neither starve nor deadlock the kernels it calls, and those keep
+// parallelFor's hand-off: branches fill the cores one of them leaves idle.
+// Branches write disjoint state, so where they run never shows in a result.
+// With one worker this is a plain loop on the caller. A panic stops the deal
+// and the first is re-raised on the caller, unchanged, once every lane has
+// finished: whoever recovers shape panics does so on its own goroutine.
+func ParallelBranches(n int, fn func(i int)) {
+	lanes := min(n, int(maxWorkers.Load())) - 1
+	if lanes < 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64 // last branch dealt; 0 is the caller's
+	var raised atomic.Pointer[any]
+	var wg sync.WaitGroup
+	run := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				raised.CompareAndSwap(nil, &r)
+				next.Store(int64(n))
+			}
+		}()
+		for ; i < n; i = int(next.Add(1)) {
+			fn(i)
+		}
+	}
+	wg.Add(lanes)
+	for l := 0; l < lanes; l++ {
+		go func() { defer wg.Done(); run(int(next.Add(1))) }()
+	}
+	run(0)
+	wg.Wait()
+	if r := raised.Load(); r != nil {
+		panic(*r)
+	}
 }
 
 // Persistent worker pool.
