@@ -305,7 +305,7 @@ func TestConvStreamedBackwardMatchesPerImage(t *testing.T) {
 				}
 				rows, dyT := tensor.New(tc.batch*positions, kdim), tensor.New(tc.outC, tc.batch*positions)
 				tensor.Im2Row(rows, x.Data, g)
-				swapOuter(dyT.Data, dy.Data, tc.batch, tc.outC, positions)
+				swapMid(dyT.Data, dy.Data, 1, tc.batch, tc.outC, positions, false)
 				want := tensor.New(w.Shape()...)
 				tensor.MatMulRawInto(want.Data, dyT.Data, rows.Data, tc.outC, tc.batch*positions, kdim)
 				if !dw.Equal(want) {

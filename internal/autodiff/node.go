@@ -44,6 +44,11 @@
 // and inner tanh the node holds as scratch (actScratch) — and only then
 // computes the operand gradients from it. Nothing above tensor branches on
 // which activation it is.
+//
+// A layout op is an index map, written once: SplitHeads, MergeHeads,
+// Transpose12 and Conv2d's block reorders are swapMid, ConcatFeatures and
+// ConcatChannels are concat, and each backward adds the gradient back along
+// the same map.
 package autodiff
 
 import (

@@ -175,35 +175,7 @@ func ConcatFeatures(nodes ...*Node) *Node {
 		}
 		total += nd.Val.Dim(1)
 	}
-	val := tensor.Get(n, total)
-	off := 0
-	for _, nd := range nodes {
-		d := nd.Val.Dim(1)
-		for r := 0; r < n; r++ {
-			copy(val.Data[r*total+off:r*total+off+d], nd.Val.Data[r*d:(r+1)*d])
-		}
-		off += d
-	}
-	parents := append([]*Node(nil), nodes...)
-	out := newPooledNode(val, parents, nil)
-	out.backward = func() {
-		off := 0
-		for _, nd := range parents {
-			d := nd.Val.Dim(1)
-			if nd.requiresGrad {
-				g := nd.ensureGrad()
-				for r := 0; r < n; r++ {
-					src := out.Grad.Data[r*total+off : r*total+off+d]
-					dst := g.Data[r*d : (r+1)*d]
-					for i := range src {
-						dst[i] += src[i]
-					}
-				}
-			}
-			off += d
-		}
-	}
-	return out
+	return concat(nodes, 1, n, total)
 }
 
 // ConcatChannels concatenates [N, C_i, H, W] nodes along the channel axis
@@ -222,35 +194,41 @@ func ConcatChannels(nodes ...*Node) *Node {
 		}
 		totalC += s[1]
 	}
-	hw := h * w
-	val := tensor.Get(n, totalC, h, w)
-	chOff := 0
+	return concat(nodes, h*w, n, totalC, h, w)
+}
+
+// concat is the one concatenation under ConcatFeatures and ConcatChannels:
+// each node read as [outer, c_i·rest], with outer and c_i its first two
+// axes, joined into [outer, Σc_i·rest] shaped shape. The backward adds each
+// row of the gradient back into its node's.
+func concat(nodes []*Node, rest int, shape ...int) *Node {
+	outer, total := shape[0], shape[1]*rest
+	val := tensor.Get(shape...)
+	off := 0
 	for _, nd := range nodes {
-		c := nd.Val.Dim(1)
-		for b := 0; b < n; b++ {
-			src := nd.Val.Data[b*c*hw : (b+1)*c*hw]
-			dst := val.Data[(b*totalC+chOff)*hw : (b*totalC+chOff+c)*hw]
-			copy(dst, src)
+		w := nd.Val.Dim(1) * rest
+		for r := 0; r < outer; r++ {
+			copy(val.Data[r*total+off:][:w], nd.Val.Data[r*w:])
 		}
-		chOff += c
+		off += w
 	}
 	parents := append([]*Node(nil), nodes...)
 	out := newPooledNode(val, parents, nil)
 	out.backward = func() {
-		chOff := 0
+		off := 0
 		for _, nd := range parents {
-			c := nd.Val.Dim(1)
+			w := nd.Val.Dim(1) * rest
 			if nd.requiresGrad {
 				g := nd.ensureGrad()
-				for b := 0; b < n; b++ {
-					src := out.Grad.Data[(b*totalC+chOff)*hw : (b*totalC+chOff+c)*hw]
-					dst := g.Data[b*c*hw : (b+1)*c*hw]
-					for i := range src {
-						dst[i] += src[i]
+				for r := 0; r < outer; r++ {
+					src := out.Grad.Data[r*total+off:][:w]
+					dst := g.Data[r*w:][:w]
+					for i, v := range src {
+						dst[i] += v
 					}
 				}
 			}
-			chOff += c
+			off += w
 		}
 	}
 	return out

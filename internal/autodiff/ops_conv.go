@@ -48,17 +48,6 @@ func convBlock(kdim, ncols, n int) int {
 	return max(1, min(n, convScratchFloats/(kdim*ncols)))
 }
 
-// swapOuter copies src, a [n0, n1, run] array, into dst as [n1, n0, run]:
-// a block of image-major [nb, OC, positions] maps to the channel-major
-// [OC, nb·positions] a block GEMM reads or writes, and back.
-func swapOuter(dst, src []float32, n0, n1, run int) {
-	for i0 := 0; i0 < n0; i0++ {
-		for i1 := 0; i1 < n1; i1++ {
-			copy(dst[(i1*n0+i0)*run:][:run], src[(i0*n1+i1)*run:])
-		}
-	}
-}
-
 // Conv2d computes act(conv(x, w) + bias), a batched 2-D convolution.
 //
 //	x: [N, C, H, W]   w: [OC, C, KH, KW]   bias: [OC] or nil
@@ -98,8 +87,8 @@ func Conv2d(x, w, bias *Node, stride, pad int, act tensor.Act) *Node {
 	// A block's lowered matrix lives only as long as its own matmul; the
 	// backward lowers the block again (a pure copy pass, bit-identical)
 	// rather than keep it, so lowering memory is one block whatever the
-	// batch. A one-image block is already channel-major; a larger one goes
-	// through swapOuter.
+	// batch. A one-image block is already channel-major; a larger one's
+	// image-major [nb, OC, positions] goes through swapMid.
 	for b0 := 0; b0 < n; b0 += block {
 		nb := min(block, n-b0)
 		cols := tensor.Get(kdim, nb*ncols)
@@ -110,7 +99,7 @@ func Conv2d(x, w, bias *Node, stride, pad int, act tensor.Act) *Node {
 		} else {
 			y := tensor.Get(oc, nb*ncols)
 			tensor.MatMulRawInto(y.Data, w.Val.Data, cols.Data, oc, kdim, nb*ncols)
-			swapOuter(slab, y.Data, oc, nb, ncols)
+			swapMid(slab, y.Data, 1, oc, nb, ncols, false)
 			tensor.Put(y)
 		}
 		tensor.Put(cols)
@@ -137,7 +126,7 @@ func Conv2d(x, w, bias *Node, stride, pad int, act tensor.Act) *Node {
 			var dyT *tensor.Tensor // dy channel-major, when the block is not already
 			if nb > 1 {
 				dyT = tensor.Get(oc, nb*ncols)
-				swapOuter(dyT.Data, dy, nb, oc, ncols)
+				swapMid(dyT.Data, dy, 1, nb, oc, ncols, false)
 				dy = dyT.Data
 			}
 			low := tensor.Get(nb*ncols, kdim) // the block's rows for dW, then its dcols for dX

@@ -140,28 +140,25 @@ func BatchedMatMul(a, b *Node) *Node {
 	})
 	out := newPooledNode(val, []*Node{a, b}, nil)
 	out.backward = func() {
-		var tmpA, tmpB *tensor.Tensor
+		// dB = Aᵀ·dY forms in b's gradient, as Linear's dW does; dA = dY·Bᵀ
+		// goes through a temporary, there being no accumulating a×bᵀ entry.
+		var tmpA *tensor.Tensor
 		if a.requiresGrad {
 			tmpA = tensor.Get(m, k)
-		}
-		if b.requiresGrad {
-			tmpB = tensor.Get(k, n)
 		}
 		for i := 0; i < bt; i++ {
 			dy := out.Grad.Data[i*m*n : (i+1)*m*n]
 			if a.requiresGrad {
 				ga := a.ensureGrad().Data[i*m*k : (i+1)*m*k]
-				tensor.MatMulBTRawInto(tmpA.Data, dy, b.Val.Data[i*k*n:(i+1)*k*n], m, n, k) // dA = dY·Bᵀ
+				tensor.MatMulBTRawInto(tmpA.Data, dy, b.Val.Data[i*k*n:(i+1)*k*n], m, n, k)
 				tensor.AddRawInto(ga, tmpA.Data)
 			}
 			if b.requiresGrad {
 				gb := b.ensureGrad().Data[i*k*n : (i+1)*k*n]
-				tensor.MatMulATRawInto(tmpB.Data, a.Val.Data[i*m*k:(i+1)*m*k], dy, k, m, n)
-				tensor.AddRawInto(gb, tmpB.Data)
+				tensor.MatMulATAccRawInto(gb, a.Val.Data[i*m*k:(i+1)*m*k], dy, k, m, n)
 			}
 		}
 		tensor.Put(tmpA)
-		tensor.Put(tmpB)
 	}
 	return out
 }
@@ -173,28 +170,7 @@ func Transpose12(a *Node) *Node {
 		panic(fmt.Sprintf("autodiff: Transpose12 needs 3-D, got %v", as))
 	}
 	b, m, n := as[0], as[1], as[2]
-	val := tensor.Get(b, n, m)
-	for i := 0; i < b; i++ {
-		for r := 0; r < m; r++ {
-			for c := 0; c < n; c++ {
-				val.Data[(i*n+c)*m+r] = a.Val.Data[(i*m+r)*n+c]
-			}
-		}
-	}
-	out := newPooledNode(val, []*Node{a}, nil)
-	out.backward = func() {
-		if a.requiresGrad {
-			g := a.ensureGrad()
-			for i := 0; i < b; i++ {
-				for r := 0; r < m; r++ {
-					for c := 0; c < n; c++ {
-						g.Data[(i*m+r)*n+c] += out.Grad.Data[(i*n+c)*m+r]
-					}
-				}
-			}
-		}
-	}
-	return out
+	return swapMidNode(a, []int{b, n, m}, b, m, n, 1)
 }
 
 // AddConstBroadcast adds a constant tensor c (no gradient) to every

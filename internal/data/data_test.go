@@ -165,28 +165,6 @@ func TestTokenStreamGeneration(t *testing.T) {
 	}
 }
 
-func TestBatchifyAndLMBatch(t *testing.T) {
-	s := &TokenStream{Tokens: make([]int, 103), Vocab: 10}
-	for i := range s.Tokens {
-		s.Tokens[i] = i % 10
-	}
-	cols := s.Batchify(4) // 103/4 = 25 per column, 3 dropped
-	if len(cols) != 4 || len(cols[0]) != 25 {
-		t.Fatalf("batchify %dx%d", len(cols), len(cols[0]))
-	}
-	in, tgt, ok := LMBatch(cols, 0, 5)
-	if !ok || len(in) != 4 || len(in[0]) != 5 {
-		t.Fatal("LMBatch shape wrong")
-	}
-	// Target is input shifted by one.
-	if tgt[0][0] != cols[0][1] {
-		t.Fatal("LMBatch target not shifted")
-	}
-	if _, _, ok := LMBatch(cols, 24, 5); ok {
-		t.Fatal("LMBatch past end should report !ok")
-	}
-}
-
 func TestClassifiedTextSeparable(t *testing.T) {
 	ds := SyntheticAGNews(80, 5)
 	if ds.SeqLen() != AGNewsSeqLen || ds.Vocab != AGNewsVocab || ds.Classes != 4 {

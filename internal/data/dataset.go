@@ -169,34 +169,6 @@ func (ws *WindowSet) Batch(indices []int) [][]int {
 	return out
 }
 
-// Batchify reshapes the stream into [batchSize] parallel columns of equal
-// length, dropping the remainder — the standard PyTorch LM pipeline the
-// paper follows.
-func (s *TokenStream) Batchify(batchSize int) [][]int {
-	per := len(s.Tokens) / batchSize
-	cols := make([][]int, batchSize)
-	for b := 0; b < batchSize; b++ {
-		cols[b] = s.Tokens[b*per : (b+1)*per]
-	}
-	return cols
-}
-
-// LMBatch extracts input/target windows of length bptt starting at pos from
-// batchified columns: input = tokens[pos:pos+bptt], target = shifted by 1.
-func LMBatch(cols [][]int, pos, bptt int) (inputs [][]int, targets [][]int, ok bool) {
-	per := len(cols[0])
-	if pos+bptt+1 > per {
-		return nil, nil, false
-	}
-	inputs = make([][]int, len(cols))
-	targets = make([][]int, len(cols))
-	for b, col := range cols {
-		inputs[b] = col[pos : pos+bptt]
-		targets[b] = col[pos+1 : pos+bptt+1]
-	}
-	return inputs, targets, true
-}
-
 // TextDataset is a labelled set of fixed-length token sequences (AG News
 // style classification).
 type TextDataset struct {

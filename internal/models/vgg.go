@@ -2,7 +2,6 @@ package models
 
 import (
 	"fmt"
-	"strings"
 
 	"amalgam/internal/autodiff"
 	"amalgam/internal/nn"
@@ -138,19 +137,6 @@ func (m *VGG16) ForwardFeatures(x *autodiff.Node) (*autodiff.Node, []*autodiff.N
 	}
 	flat = autodiff.GlobalAvgPool(h)
 	return m.headFC[0].Forward(flat), feats
-}
-
-// FeatureStageParams returns the parameters of the convolutional stages
-// only (no CBAM, no head) — the "pre-trained" portion in the paper's
-// transfer-learning experiment.
-func (m *VGG16) FeatureStageParams() []nn.Param {
-	var out []nn.Param
-	for _, p := range m.Params() {
-		if strings.HasPrefix(p.Name, "stage") {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 var _ CVModel = (*VGG16)(nil)

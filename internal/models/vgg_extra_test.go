@@ -1,29 +1,10 @@
 package models
 
 import (
-	"strings"
 	"testing"
 
 	"amalgam/internal/tensor"
 )
-
-func TestVGG16FeatureStageParamsExcludeHeadAndCBAM(t *testing.T) {
-	cfg := CVConfig{InC: 3, InH: 64, InW: 64, Classes: 10}
-	m := NewVGG16CBAM(tensor.NewRNG(1), cfg)
-	feat := m.FeatureStageParams()
-	if len(feat) == 0 {
-		t.Fatal("no feature-stage params")
-	}
-	for _, p := range feat {
-		if strings.HasPrefix(p.Name, "head") || strings.HasPrefix(p.Name, "cbam") {
-			t.Fatalf("feature params leaked %q", p.Name)
-		}
-	}
-	all := len(m.Params())
-	if len(feat) >= all {
-		t.Fatal("feature params should be a strict subset")
-	}
-}
 
 func TestVGG16ImagenetHeadParamScale(t *testing.T) {
 	// At 224×224 the ImageNet-head VGG16 must land near the canonical 138M.

@@ -67,16 +67,25 @@ func TestStateDictRoundtrip(t *testing.T) {
 func TestLoadStateDictErrors(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	l := NewLinear(rng, 4, 4)
-	err := LoadStateDict(l, map[string]*tensor.Tensor{})
-	if err == nil || !strings.Contains(err.Error(), "missing parameter") {
-		t.Fatalf("want missing-parameter error, got %v", err)
-	}
-	err = LoadStateDict(l, map[string]*tensor.Tensor{
-		"weight": tensor.New(2, 2),
-		"bias":   tensor.New(4),
-	})
-	if err == nil || !strings.Contains(err.Error(), "shape mismatch") {
-		t.Fatalf("want shape-mismatch error, got %v", err)
+	w, b := l.W.Val.Clone(), l.B.Val.Clone()
+	// Every well-formed entry holds new values, so a load that copied
+	// before it had checked everything would show in the model.
+	for _, tc := range []struct {
+		want string
+		dict map[string]*tensor.Tensor
+	}{
+		{"missing parameter", map[string]*tensor.Tensor{}},
+		{"missing parameter", map[string]*tensor.Tensor{"weight": tensor.Ones(4, 4)}},
+		{"shape mismatch", map[string]*tensor.Tensor{"weight": tensor.New(2, 2), "bias": tensor.Ones(4)}},
+		{"shape mismatch", map[string]*tensor.Tensor{"weight": tensor.Ones(4, 4), "bias": tensor.New(2)}},
+	} {
+		err := LoadStateDict(l, tc.dict)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("want %s error, got %v", tc.want, err)
+		}
+		if !l.W.Val.Equal(w) || !l.B.Val.Equal(b) {
+			t.Fatalf("failed load (%v) mutated the model", err)
+		}
 	}
 }
 

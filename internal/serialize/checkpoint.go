@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 
-	"amalgam/internal/nn"
 	"amalgam/internal/optim"
 	"amalgam/internal/tensor"
 )
@@ -30,28 +29,6 @@ func saveAtomic(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// SaveModel writes a model's full state dict (parameters plus batch-norm
-// running statistics) to path atomically.
-func SaveModel(path string, m interface{ Params() []nn.Param }) error {
-	return saveAtomic(path, func(w io.Writer) error { return WriteStateDict(w, nn.StateDict(m)) })
-}
-
-// LoadModel reads a checkpoint into an already-constructed model with the
-// same architecture. Missing or mis-shaped entries fail the load without
-// partially mutating the model (nn.LoadStateDict checks before it copies).
-func LoadModel(path string, m interface{ Params() []nn.Param }) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("serialize: open checkpoint: %w", err)
-	}
-	defer f.Close()
-	dict, err := ReadStateDict(f)
-	if err != nil {
-		return fmt.Errorf("serialize: read checkpoint: %w", err)
-	}
-	return nn.LoadStateDict(m, dict)
 }
 
 // ckptMagic ("AMC3") heads a training checkpoint: a resumable snapshot

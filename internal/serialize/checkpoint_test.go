@@ -13,60 +13,27 @@ import (
 	"amalgam/internal/tensor"
 )
 
-func TestSaveLoadModelRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "lenet.amd")
-	cfg := models.CVConfig{InC: 1, InH: 12, InW: 12, Classes: 3}
-	a := models.NewLeNet5(tensor.NewRNG(1), cfg)
-	if err := SaveModel(path, a); err != nil {
-		t.Fatal(err)
-	}
-	b := models.NewLeNet5(tensor.NewRNG(2), cfg) // different init
-	if err := LoadModel(path, b); err != nil {
-		t.Fatal(err)
-	}
-	da, db := nn.StateDict(a), nn.StateDict(b)
-	for name, src := range da {
-		if !db[name].Equal(src) {
-			t.Fatalf("entry %q not restored", name)
-		}
-	}
-}
-
+// TestLoadModelArchitectureMismatch pins that a state dict written from one
+// architecture fails to load into another, and that the failed load leaves
+// the model untouched.
 func TestLoadModelArchitectureMismatch(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.amd")
 	small := models.NewLeNet5(tensor.NewRNG(1), models.CVConfig{InC: 1, InH: 12, InW: 12, Classes: 3})
-	if err := SaveModel(path, small); err != nil {
+	var buf bytes.Buffer
+	if err := WriteStateDict(&buf, nn.StateDict(small)); err != nil {
+		t.Fatal(err)
+	}
+	dict, err := ReadStateDict(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	big := models.NewLeNet5(tensor.NewRNG(1), models.CVConfig{InC: 3, InH: 12, InW: 12, Classes: 3})
 	before := big.Conv1.W.Val.Clone()
-	if err := LoadModel(path, big); err == nil {
+	if err := nn.LoadStateDict(big, dict); err == nil {
 		t.Fatal("architecture mismatch should fail")
 	}
 	// And must not have partially mutated the model.
 	if !big.Conv1.W.Val.Equal(before) {
 		t.Fatal("failed load must not mutate the model")
-	}
-}
-
-func TestSaveModelAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.amd")
-	m := models.NewLeNet5(tensor.NewRNG(1), models.CVConfig{InC: 1, InH: 12, InW: 12, Classes: 3})
-	if err := SaveModel(path, m); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temporary file must not linger")
-	}
-}
-
-func TestLoadModelMissingFile(t *testing.T) {
-	m := models.NewLeNet5(tensor.NewRNG(1), models.CVConfig{InC: 1, InH: 12, InW: 12, Classes: 3})
-	if err := LoadModel("/nonexistent/x.amd", m); err == nil {
-		t.Fatal("missing checkpoint should error")
 	}
 }
 
@@ -134,14 +101,13 @@ func TestTrainCheckpointNoOptState(t *testing.T) {
 // TestTrainCheckpointRejectsForeignInput pins magic/format discrimination:
 // a plain state-dict file is not a training checkpoint and vice versa.
 func TestTrainCheckpointRejectsForeignInput(t *testing.T) {
-	dir := t.TempDir()
 	m := models.NewLeNet5(tensor.NewRNG(1), models.CVConfig{InC: 1, InH: 12, InW: 12, Classes: 3})
 
-	dictPath := filepath.Join(dir, "m.amd")
-	if err := SaveModel(dictPath, m); err != nil {
+	var dict bytes.Buffer
+	if err := WriteStateDict(&dict, nn.StateDict(m)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTrainCheckpoint(dictPath); !errors.Is(err, ErrWrongFormat) {
+	if _, err := ReadTrainCheckpoint(&dict); !errors.Is(err, ErrWrongFormat) {
 		t.Fatalf("state dict loaded as a training checkpoint: %v", err)
 	}
 	// The retired AMC1/AMC2 magics are foreign input like any other.
@@ -155,12 +121,12 @@ func TestTrainCheckpointRejectsForeignInput(t *testing.T) {
 		}
 	}
 
-	ckptPath := filepath.Join(dir, "m.amc")
-	if err := SaveTrainCheckpoint(ckptPath, &TrainCheckpoint{Epoch: 1, State: nn.StateDict(m)}); err != nil {
+	var ck bytes.Buffer
+	if err := WriteTrainCheckpoint(&ck, &TrainCheckpoint{Epoch: 1, State: nn.StateDict(m)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadModel(ckptPath, m); err == nil {
-		t.Fatal("training checkpoint should not load as a bare state dict")
+	if _, err := ReadStateDict(&ck); !errors.Is(err, ErrWrongFormat) {
+		t.Fatalf("training checkpoint read as a bare state dict: %v", err)
 	}
 }
 
