@@ -1,4 +1,5 @@
-// Command amalgam-bench regenerates the paper's tables and figures.
+// Command amalgam-bench regenerates the paper's tables and figures; it is
+// not the perf harness, which is bench/ (go run ./bench).
 //
 //	amalgam-bench -experiment all            # everything, quick scale
 //	amalgam-bench -experiment table2         # one experiment

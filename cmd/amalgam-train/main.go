@@ -156,7 +156,7 @@ func run() error {
 	lrSchedule := flag.String("lr-schedule", "", "LR schedule: step:N:G (multiply by G every N epochs) or cosine:P[:MIN]")
 	maxConns := flag.Int("max-conns", 0, "serve: max concurrently served connections (0 = default 256)")
 	frameTimeout := flag.Duration("frame-timeout", 0, "serve: per-frame I/O deadline (0 = default 2m, negative disables)")
-	executors := flag.Int("executors", 0, "serve: concurrent training executors, each on a fair slice of the worker pool (0 = default 4)")
+	executors := flag.Int("executors", 0, "serve: concurrent training executors, sharing one kernel pool (0 = default 4)")
 	queueDepth := flag.Int("queue-depth", 0, "serve: max admitted-but-not-dispatched jobs before submissions are rejected (0 = default 256)")
 	flag.Parse()
 

@@ -31,7 +31,7 @@
 // an augmented model's original and its decoys. Each keeps its slice of the
 // one topological order and the drain rule above, so every accumulation
 // chain is the sequential one, and they run as tensor.ParallelBranches: side
-// by side where tensor.SetMaxWorkers leaves room, in turn where not, same
+// by side where a kernel-pool worker is parked, in turn where not, same
 // bits either way. A root with one interior parent takes the plain loop.
 //
 // An activation is a parameter, not a name: Activate, AddRowBias,

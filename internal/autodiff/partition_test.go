@@ -164,8 +164,9 @@ func TestBackwardOverComponentsMatchesSequential(t *testing.T) {
 
 // TestBackwardPanicsSurfaceOnTheCaller is the panic contract at the height of
 // Backward: the consumed-graph panic and a shape panic raised inside a
-// component that runs on a lane both arrive at the recover of the goroutine
-// that called Backward (on any other goroutine they would end the process).
+// component that runs on a pool worker both arrive at the recover of the
+// goroutine that called Backward (on any other goroutine they would end the
+// process).
 func TestBackwardPanicsSurfaceOnTheCaller(t *testing.T) {
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(4))
 	rng := tensor.NewRNG(9)
@@ -178,7 +179,7 @@ func TestBackwardPanicsSurfaceOnTheCaller(t *testing.T) {
 	big := func() *Node { return head(MatMul(x, leafOf(rng, 4, 4)), leafOf(rng, 4, 4)) }
 
 	// A small component whose backward hands its leaf a gradient of the
-	// wrong shape: accumulate's own shape panic, raised on a lane.
+	// wrong shape: accumulate's own shape panic, raised off the caller's chunk.
 	w := leafOf(rng, 4, 4)
 	bad := newNode(tensor.New(1), []*Node{w}, nil)
 	bad.backward = func() { w.accumulate(tensor.New(2, 2)) }
@@ -187,7 +188,7 @@ func TestBackwardPanicsSurfaceOnTheCaller(t *testing.T) {
 		t.Fatal("the misshapen node is not in a non-caller component")
 	}
 	if msg := recovered(root); !strings.Contains(msg, "gradient shape [2 2] for value [4 4]") {
-		t.Fatalf("shape panic in a lane's component: recovered %q", msg)
+		t.Fatalf("shape panic in a non-caller component: recovered %q", msg)
 	}
 	Release(root)
 

@@ -231,13 +231,13 @@ func TestJobPanicClassifiedFatalAndServerSurvives(t *testing.T) {
 
 // TestDecoyBranchPanicClassifiedFatalAndServerSurvives is the twin for a
 // panic raised off the executor's goroutine: sub-networks are forwarded side
-// by side, so a decoy that blows up mid-step does so on a lane. The token
-// that does it sits at positions only decoys gather — the original
+// by side, so a decoy that blows up mid-step may do so on a pool worker. The
+// token that does it sits at positions only decoys gather — the original
 // sub-network never reads it, admission has no reason to refuse it — and it
 // must still end that one job as ErrJobPanic, re-raised where the executor's
 // recover stands, with the executor alive for the next job.
 func TestDecoyBranchPanicClassifiedFatalAndServerSurvives(t *testing.T) {
-	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(4)) // lanes even on a one-core runner
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(4)) // branches dealt over pool chunks, whatever the host's count
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

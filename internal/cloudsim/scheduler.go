@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"amalgam/internal/serialize"
-	"amalgam/internal/tensor"
 )
 
 // JobState is a node of the job state machine:
@@ -271,8 +269,8 @@ func newScheduler(cfg ServerConfig) *Scheduler {
 	return sch
 }
 
-// start launches the executor pool and carves the tensor worker pool into
-// fair per-executor slices, restored when the pool drains.
+// start launches the executor pool. Its jobs compute on the kernel pool like
+// any other caller's: the pool, not the scheduler, bounds the cores.
 func (sch *Scheduler) start() {
 	sch.mu.Lock()
 	if sch.started {
@@ -282,23 +280,10 @@ func (sch *Scheduler) start() {
 	sch.started = true
 	sch.mu.Unlock()
 
-	restore := func() {}
-	if n := sch.cfg.Executors; n > 1 {
-		slice := runtime.NumCPU() / n
-		if slice < 1 {
-			slice = 1
-		}
-		prev := tensor.SetMaxWorkers(slice)
-		restore = func() { tensor.SetMaxWorkers(prev) }
-	}
 	sch.wg.Add(sch.cfg.Executors)
 	for i := 0; i < sch.cfg.Executors; i++ {
 		go sch.executor()
 	}
-	go func() {
-		sch.wg.Wait()
-		restore()
-	}()
 }
 
 // Submit admits one job: model built and initial state loaded (the job's

@@ -1,12 +1,16 @@
 package cloudsim
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 
 	"amalgam/internal/data"
+	"amalgam/internal/tensor"
 )
 
 // loadJob builds one tiny deterministic plain-CV request for scheduler
@@ -456,16 +460,17 @@ func TestViewsAsyncWorld(t *testing.T) {
 // terminal job's result for the life of the server. 3 000 tiny jobs through
 // one scheduler (retainedJobs plus a few hundred under -race), at most 16 in
 // flight: the registry never holds more than the retained terminal jobs plus
-// that window and ends at exactly retainedJobs in all four structures; the
-// newest job is still attachable with its result; the oldest answers
-// ErrUnknownJob to lookup (attach) and cancel — as an ID that never existed
-// — and poll still says how it ended, from the status ledger.
+// that window — and one job per executor whose done has closed before its
+// executor recorded it finished — and ends at exactly retainedJobs in all
+// four structures; the newest job is still attachable with its result; the
+// oldest answers ErrUnknownJob to lookup (attach) and cancel — as an ID that
+// never existed — and poll still says how it ended, from the status ledger.
 func TestSchedulerForgetsOldTerminalJobs(t *testing.T) {
-	total, window := 3000, 16
+	total, window, executors := 3000, 16, 2
 	if raceEnabled {
 		total = retainedJobs + 200
 	}
-	sch := newScheduler(ServerConfig{Executors: 2})
+	sch := newScheduler(ServerConfig{Executors: executors})
 	sch.start()
 	tiny := loadJob("t", 1)
 	var first, last *schedJob
@@ -486,8 +491,8 @@ func TestSchedulerForgetsOldTerminalJobs(t *testing.T) {
 		sch.mu.Lock()
 		size := len(sch.jobs)
 		sch.mu.Unlock()
-		if size > retainedJobs+window {
-			t.Fatalf("after %d submissions the registry holds %d jobs, want at most %d terminal + %d in flight", i+1, size, retainedJobs, window)
+		if size > retainedJobs+window+executors {
+			t.Fatalf("after %d submissions the registry holds %d jobs, want at most %d terminal + %d in flight + %d finishing", i+1, size, retainedJobs, window, executors)
 		}
 	}
 	sch.Finish()
@@ -536,5 +541,94 @@ func TestSchedulerForgetsOldTerminalJobs(t *testing.T) {
 	}
 	if resp, err := first.result(); err != nil || resp == nil {
 		t.Fatalf("a holder of the evicted record lost its result: %+v, %v", resp, err)
+	}
+}
+
+// TestServerLeavesWorkerCountAlone: a server of any executor count computes
+// on the kernel pool as it finds it. The worker count the process pinned
+// reads the same after the constructor, while a job runs and after Wait.
+func TestServerLeavesWorkerCountAlone(t *testing.T) {
+	pin := runtime.NumCPU() + 1 // no NumCPU/executors slice, nor its floor of 1
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(pin))
+	// Reading the count swaps the pin back in: a moved count fails the test
+	// and is put right for the next read.
+	check := func(executors int, when string) {
+		if got := tensor.SetMaxWorkers(pin); got != pin {
+			t.Errorf("%d executors, %s: worker count %d, pinned %d", executors, when, got, pin)
+		}
+	}
+	for _, executors := range []int{2, 3} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		server := NewServerConfig(l, ServerConfig{Executors: executors})
+		check(executors, "after NewServerConfig")
+		req, _, _ := tinyJob(t, false)
+		req.Hyper.Stream = true
+		_, err = TrainContext(context.Background(), l.Addr().String(), req, StreamHandlers{
+			Progress: func(EpochMetric) { check(executors, "while its job runs") },
+		})
+		l.Close()
+		server.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(executors, "after Wait")
+	}
+}
+
+// TestConcurrentAugmentedJobsMatchRunLocal: three augmented jobs — LeNet
+// with taps, the text classifier, the LM with dropout — train at once on one
+// server, their sub-networks and kernels sharing the one pool, and each ends
+// on the weights RunLocal gives the same request at one worker, bit for bit.
+func TestConcurrentAugmentedJobsMatchRunLocal(t *testing.T) {
+	jobs := func() []*TrainRequest {
+		cv, _, _ := tinyJob(t, true)
+		return []*TrainRequest{cv, textJob(t), lmJob(t)}
+	}
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+	var want []map[string]*tensor.Tensor
+	for _, req := range jobs() {
+		resp, err := RunLocal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, resp.State)
+	}
+	for _, workers := range []int{2, 8} {
+		tensor.SetMaxWorkers(workers)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		server := NewServerConfig(l, ServerConfig{Executors: 3})
+		reqs := jobs()
+		got := make([]*TrainResponse, len(reqs))
+		errs := make([]error, len(reqs))
+		var wg sync.WaitGroup
+		for i, req := range reqs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = Train(l.Addr().String(), req)
+			}()
+		}
+		wg.Wait()
+		l.Close()
+		server.Wait()
+		for i, req := range reqs {
+			if errs[i] != nil {
+				t.Fatalf("%d workers, %s: %v", workers, req.Spec.Kind, errs[i])
+			}
+			if len(got[i].State) != len(want[i]) {
+				t.Fatalf("%d workers, %s: %d state entries, RunLocal has %d", workers, req.Spec.Kind, len(got[i].State), len(want[i]))
+			}
+			for name, w := range want[i] {
+				if g := got[i].State[name]; g == nil || !g.Equal(w) {
+					t.Fatalf("%d workers, %s: %q differs from RunLocal at one worker", workers, req.Spec.Kind, name)
+				}
+			}
+		}
 	}
 }

@@ -27,12 +27,11 @@ type ServerConfig struct {
 	// watcher, where a silent client is normal. 0 means the default
 	// (2 minutes); negative disables deadlines entirely.
 	FrameTimeout time.Duration
-	// Executors is the number of concurrent training executors. Each holds
-	// a fair 1/N slice of the tensor worker pool for the scheduler's
-	// lifetime (restored when it drains), so N concurrent jobs divide the
-	// machine instead of oversubscribing it N-fold. Worker count never
-	// affects results (kernels split work into disjoint ranges), so the
-	// slicing is purely a throughput decision. 0 means the default (4).
+	// Executors is the number of concurrent training executors. They share
+	// the process's one kernel pool, which runs every chunk and sub-network
+	// branch on a parked worker or on its caller, so N concurrent jobs
+	// compute on at most N + NumCPU goroutines instead of oversubscribing the
+	// machine N-fold. 0 means the default (4).
 	Executors int
 	// QueueDepth bounds jobs admitted but not yet dispatched, across all
 	// tenants. Submissions beyond it are rejected with ErrQueueFull — a

@@ -18,7 +18,7 @@ import (
 // Sub-networks train side by side (subNets.forward, autodiff.Backward's
 // components). Where a sub-network runs must never show in what it
 // computes: this table trains every kind of augmented model for two
-// optimiser steps at several worker counts, many times each — lane
+// optimiser steps at several worker counts, many times each — pool
 // schedules differ from run to run — and demands the one-worker result,
 // which is the sequential program, bit for bit.
 
@@ -157,7 +157,7 @@ func TestSideBySideTrainingIsTheSequentialProgram(t *testing.T) {
 		pinned[i] = i
 	}
 	for _, name := range models.CVModelNames() {
-		// The table is about lanes, not about the original's insides, which
+		// The table is about branches, not about the original's insides, which
 		// run on the caller either way: LeNet gets the whole cross — decoy
 		// count × taps, a pinned gather, both optimisers, ten repeats per
 		// worker count. The other zoo models show that their taps and

@@ -325,9 +325,10 @@ func (laneBugCV) Forward(*autodiff.Node) *autodiff.Node {
 	return nil
 }
 
-// TestLanePanicFailsBatchTyped: a panic raised on a lane under a model's
-// forward reaches the worker's own recover — the typed reply, a live worker —
-// exactly as one raised on the worker's goroutine does.
+// TestLanePanicFailsBatchTyped: a panic raised in a branch dealt off the
+// worker's own chunk under a model's forward reaches the worker's own
+// recover — the typed reply, a live worker — exactly as one raised on the
+// worker's goroutine does.
 func TestLanePanicFailsBatchTyped(t *testing.T) {
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(3))
 	s := New(Config{MaxBatch: 1, MaxDelay: time.Millisecond, Workers: 1})
@@ -337,7 +338,7 @@ func TestLanePanicFailsBatchTyped(t *testing.T) {
 	}
 	for call := 0; call < 2; call++ { // the second shows the worker survived
 		if _, err := s.PredictCV("p", []float32{0}); !errors.Is(err, ErrModelPanic) || !strings.Contains(err.Error(), "synthetic decoy bug") {
-			t.Fatalf("call %d: got %v, want ErrModelPanic carrying the lane's panic", call, err)
+			t.Fatalf("call %d: got %v, want ErrModelPanic carrying the branch's panic", call, err)
 		}
 	}
 }

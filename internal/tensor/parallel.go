@@ -14,15 +14,15 @@ var maxWorkers atomic.Int64
 func init() { maxWorkers.Store(int64(runtime.NumCPU())) }
 
 // SetMaxWorkers overrides the number of chunks tensor kernels split work
-// into and of goroutines ParallelBranches runs branches on (1: one goroutine
-// of compute, literally). n < 1 resets to runtime.NumCPU(). It returns the
+// into and ParallelBranches deals branches over (1: one goroutine of
+// compute, literally). n < 1 resets to runtime.NumCPU(). It returns the
 // previous value.
 //
 // Results are bit-identical for any worker count because work is split into
-// disjoint output ranges whose boundaries depend only on this value; this
-// knob exists for benchmarking the parallel speedup, not for correctness.
-// It is safe to call concurrently with running kernels: each kernel reads
-// the value exactly once at its start.
+// disjoint output ranges whose boundaries depend only on this value. It is
+// the seam tests and benchmarks pin a count with (no production code sets
+// it: the pool alone bounds the cores), safe to call concurrently with
+// running kernels: each reads the value exactly once at its start.
 func SetMaxWorkers(n int) int {
 	if n < 1 {
 		n = runtime.NumCPU()
@@ -40,19 +40,18 @@ func ParallelRange(n int, fn func(start, end int)) {
 
 // ParallelBranches runs fn(0) … fn(n-1): the entry for long-running
 // independent branches (a sub-network's forward, a component of a backward
-// pass) that build graph nodes and call kernels themselves. Branch 0 runs on
-// the caller; the rest are dealt in index order over at most maxWorkers−1
-// goroutines started for this call (lanes), the caller joining the deal once
-// branch 0 is done. Lanes are not the kernel pool's workers, so a branch can
-// neither starve nor deadlock the kernels it calls, and those keep
-// parallelFor's hand-off: branches fill the cores one of them leaves idle.
+// pass) that build graph nodes and call kernels themselves. It deals them in
+// index order over min(n, maxWorkers) pool chunks: the caller's own (last)
+// chunk runs branch 0, then joins the deal; every other chunk deals from
+// branch 1 on, on a parked worker or, when none is parked, on the caller.
+// So branches start no goroutine and fill the cores the others leave idle.
 // Branches write disjoint state, so where they run never shows in a result.
 // With one worker this is a plain loop on the caller. A panic stops the deal
-// and the first is re-raised on the caller, unchanged, once every lane has
+// and the first is re-raised on the caller, unchanged, once every chunk has
 // finished: whoever recovers shape panics does so on its own goroutine.
 func ParallelBranches(n int, fn func(i int)) {
-	lanes := min(n, int(maxWorkers.Load())) - 1
-	if lanes < 1 {
+	chunks := min(n, int(maxWorkers.Load()))
+	if chunks < 2 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -60,24 +59,21 @@ func ParallelBranches(n int, fn func(i int)) {
 	}
 	var next atomic.Int64 // last branch dealt; 0 is the caller's
 	var raised atomic.Pointer[any]
-	var wg sync.WaitGroup
-	run := func(i int) {
+	parallelFor(chunks, 1, func(_, end int) {
 		defer func() {
 			if r := recover(); r != nil {
 				raised.CompareAndSwap(nil, &r)
 				next.Store(int64(n))
 			}
 		}()
+		i := 0
+		if end < chunks { // not the caller's own chunk
+			i = int(next.Add(1))
+		}
 		for ; i < n; i = int(next.Add(1)) {
 			fn(i)
 		}
-	}
-	wg.Add(lanes)
-	for l := 0; l < lanes; l++ {
-		go func() { defer wg.Done(); run(int(next.Add(1))) }()
-	}
-	run(0)
-	wg.Wait()
+	})
 	if r := raised.Load(); r != nil {
 		panic(*r)
 	}
@@ -89,15 +85,17 @@ func ParallelBranches(n int, fn func(i int)) {
 // kernels themselves got fast: a training step issues hundreds of parallel
 // regions, each previously paying goroutine start/stop plus scheduler
 // churn. Instead a fixed set of workers (one per CPU) is started lazily on
-// first use and lives for the process; parallelFor hands them chunks over
-// an unbuffered channel.
+// first use and lives for the process; parallelFor hands them chunks — a
+// kernel's ranges, ParallelBranches' deals — over an unbuffered channel.
 //
 // The channel is deliberately unbuffered and the send non-blocking: a send
 // succeeds only when a worker is parked in receive, otherwise the caller
 // runs that chunk inline. This keeps nested parallel regions (a batch loop
-// whose body calls a parallel matmul) deadlock-free — in the worst case
-// every chunk runs inline on the caller, which is plain sequential
-// execution — and means the pool never queues stale work.
+// whose body calls a parallel matmul, a branch's kernels) deadlock-free —
+// in the worst case every chunk runs inline on the caller, which is plain
+// sequential execution — and means the pool never queues stale work. It is
+// also the one bound on compute: G goroutines calling into this package
+// (executors, serve workers) run on at most G + NumCPU goroutines.
 //
 // Determinism: the pool only changes *where* chunks execute, never how the
 // work is partitioned. Chunk boundaries depend solely on n, minPerWorker,

@@ -103,7 +103,7 @@ func TestSetMaxWorkersReset(t *testing.T) {
 // TestParallelBranchesRunsEveryBranchOnce: every index exactly once at any
 // worker count, branch 0 on the caller, never more goroutines at work than
 // workers, and — because branches call kernels — a branch that opens a
-// parallel region of its own completes even when every lane does the same.
+// parallel region of its own completes even when every chunk does the same.
 func TestParallelBranchesRunsEveryBranchOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		prev := SetMaxWorkers(workers)
@@ -146,7 +146,7 @@ func TestParallelBranchesRunsEveryBranchOnce(t *testing.T) {
 }
 
 // goroutineID is the "goroutine N" header of the caller's stack dump: enough
-// to tell the calling goroutine from a lane.
+// to tell the calling goroutine from a pool worker.
 func goroutineID() string {
 	var buf [32]byte
 	hdr := string(buf[:runtime.Stack(buf[:], false)])
@@ -183,12 +183,12 @@ func TestParallelBranchesOneWorkerIsAPlainLoop(t *testing.T) {
 
 // TestParallelBranchesRepanicsOnCaller is the panic contract at the height of
 // the primitive: whichever branch panics — the caller's own or one on a
-// lane — the value reaches the caller's recover unchanged, only after every
-// lane has ended, and no goroutine is left behind.
+// pool worker — the value reaches the caller's recover unchanged, only after
+// every chunk has ended, and no goroutine is left behind.
 func TestParallelBranchesRepanicsOnCaller(t *testing.T) {
 	prev := SetMaxWorkers(3)
 	defer SetMaxWorkers(prev)
-	poolOnce.Do(startWorkers) // the kernel pool's goroutines are not lanes
+	poolOnce.Do(startWorkers) // the pool's workers are part of before, not started by a call
 	before := runtime.NumGoroutine()
 	type shapeErr struct{ branch int }
 	for _, bad := range []int{0, 1, 2, 4} {
@@ -211,8 +211,8 @@ func TestParallelBranchesRepanicsOnCaller(t *testing.T) {
 		if n := live.Load(); n != 0 {
 			t.Fatalf("branch %d: the panic surfaced with %d branches still running", bad, n)
 		}
-		// A lane's last act is wg.Done: give the runtime a moment to retire
-		// goroutines that have returned but are still counted.
+		// A goroutine left behind would be still counted: give the runtime a
+		// moment to retire any that have returned.
 		for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
 			time.Sleep(time.Millisecond)
 		}
@@ -228,5 +228,50 @@ func TestParallelBranchesRepanicsOnCaller(t *testing.T) {
 	}()
 	if v, ok := got.(int); !ok || v < 0 || v > 2 {
 		t.Fatalf("recovered %#v from three panicking branches", got)
+	}
+}
+
+// TestParallelBranchesStaysOnThePool: branches run on the kernel pool and on
+// their callers, nowhere else. Three callers each deal more branches than
+// there are workers: no branch sees a goroutine beyond those that existed
+// before the deals, and at most the callers plus the pool's NumCPU workers
+// run branches at once.
+func TestParallelBranchesStaysOnThePool(t *testing.T) {
+	const callers = 3
+	n := runtime.NumCPU() + 4
+	poolOnce.Do(startWorkers)
+	defer SetMaxWorkers(SetMaxWorkers(n))
+	var parked, done sync.WaitGroup
+	release := make(chan struct{})
+	var running, peak, over atomic.Int32
+	var baseline int // written before release, read after it
+	parked.Add(callers)
+	done.Add(callers)
+	for c := 0; c < callers; c++ {
+		go func() {
+			defer done.Done()
+			parked.Done()
+			<-release
+			ParallelBranches(n, func(int) {
+				now := running.Add(1)
+				for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+				}
+				if runtime.NumGoroutine() > baseline {
+					over.Add(1)
+				}
+				time.Sleep(2 * time.Millisecond)
+				running.Add(-1)
+			})
+		}()
+	}
+	parked.Wait()
+	baseline = runtime.NumGoroutine()
+	close(release)
+	done.Wait()
+	if o := over.Load(); o > 0 {
+		t.Fatalf("%d branches saw more than the %d goroutines there were before the deals", o, baseline)
+	}
+	if p, limit := int(peak.Load()), callers+runtime.NumCPU(); p > limit {
+		t.Fatalf("%d branches ran at once; %d callers and %d pool workers allow %d", p, callers, runtime.NumCPU(), limit)
 	}
 }
