@@ -80,7 +80,10 @@ type frame struct {
 // writeRequest puts a full request on the wire, ending with terminator
 // (msgDone: train on this connection; msgSubmit: enqueue for later). Data
 // and state frames are encoded from their tensors straight onto the
-// connection: the server reads one while the client encodes the next.
+// connection: the server reads one while the client encodes the next. A
+// request with an initial state ships it as the checkpoint it starts from
+// — start epoch, weights, optimiser state, dropout cursors — in one
+// msgInit frame.
 func writeRequest(w io.Writer, req *TrainRequest, terminator byte) error {
 	specPayload, err := encodeSpecFrame(req.Spec)
 	if err != nil {
@@ -109,9 +112,11 @@ func writeRequest(w io.Writer, req *TrainRequest, terminator byte) error {
 		}
 	}
 	if req.InitState != nil {
-		s.stateDict(msgInit, req.InitState)
+		s.checkpoint(msgInit, &serialize.TrainCheckpoint{
+			Epoch: req.Hyper.StartEpoch, Kind: req.Spec.Kind,
+			State: req.InitState, OptState: req.InitOptState, RNG: req.InitRNG,
+		})
 	}
-	s.resumeState(req.InitOptState, req.InitRNG)
 	s.bytes(terminator, nil)
 	return s.flush()
 }
@@ -146,11 +151,11 @@ func decodeErrorFrame(payload []byte) error {
 }
 
 // readJobStream consumes a server's job stream — progress, checkpoint,
-// result, optimiser/RNG state, final state — until the terminating
-// msgState (or msgError) frame. The request is fully on the wire by now
-// and this goroutine only reads, so the cancel watcher it starts is the
-// connection's sole writer: cancelling ctx sends msgCancel and bounds how
-// long a wedged server may take to flush the partial result.
+// result, final state — until the terminating msgState (or msgError)
+// frame. The request is fully on the wire by now and this goroutine only
+// reads, so the cancel watcher it starts is the connection's sole writer:
+// cancelling ctx sends msgCancel and bounds how long a wedged server may
+// take to flush the partial result.
 func readJobStream(ctx context.Context, conn *deadlineConn, h StreamHandlers) (*TrainResponse, error) {
 	watcherDone := make(chan struct{})
 	defer close(watcherDone)
@@ -189,18 +194,6 @@ func readJobStream(ctx context.Context, conn *deadlineConn, h StreamHandlers) (*
 			if h.Checkpoint != nil {
 				h.Checkpoint(ck)
 			}
-		case msgOptState:
-			st, err := serialize.ReadOptState(bytes.NewReader(payload))
-			if err != nil {
-				return nil, fmt.Errorf("cloudsim: bad optimiser state frame: %w", err)
-			}
-			resp.OptState = st
-		case msgRNGState:
-			dict, err := serialize.ReadBytesDict(bytes.NewReader(payload))
-			if err != nil {
-				return nil, fmt.Errorf("cloudsim: bad RNG state frame: %w", err)
-			}
-			resp.RNG = dict
 		case msgResult:
 			var meta resultMeta
 			if err := json.Unmarshal(payload, &meta); err != nil {
@@ -209,13 +202,13 @@ func readJobStream(ctx context.Context, conn *deadlineConn, h StreamHandlers) (*
 			resp.Metrics = meta.Metrics
 			resp.Seconds = meta.Seconds
 			resp.Cancelled = meta.Cancelled
-			resp.CompletedEpochs = meta.CompletedEpochs
 		case msgState:
-			dict, err := serialize.ReadStateDict(bytes.NewReader(payload))
+			final, err := serialize.ReadTrainCheckpoint(bytes.NewReader(payload))
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("cloudsim: bad final state frame: %w", err)
 			}
-			resp.State = dict
+			resp.State, resp.OptState, resp.RNG = final.State, final.OptState, final.RNG
+			resp.CompletedEpochs = final.Epoch
 			return resp, nil
 		case msgError:
 			return nil, decodeErrorFrame(payload)

@@ -6,7 +6,7 @@
 // analysis (§6.3) consumes, and an accelerator cost model used to report
 // GPU-relative numbers on a CPU-only testbed (Fig. 14).
 //
-// The service speaks wire protocol v3 (frame table in frames.go). One
+// The service speaks wire protocol v4 (frame table in frames.go). One
 // connection carries one conversation: a training job run on the
 // connection itself (per-epoch progress, checkpoint frames, cooperative
 // cancellation, a shutdown handoff), a submission to the multi-tenant
@@ -98,7 +98,9 @@ type Hyper struct {
 	ShuffleSeed uint64  `json:"shuffle_seed"`
 	// StartEpoch resumes a job: epochs [0, StartEpoch) are assumed done
 	// (their effect carried by InitState) and metrics continue from there.
-	StartEpoch int `json:"start_epoch,omitempty"`
+	// It crosses the wire only as the epoch of the request's msgInit
+	// checkpoint, never in the hyper frame.
+	StartEpoch int `json:"-"`
 	// Stream asks the server to push a msgProgress frame per epoch.
 	Stream bool `json:"stream,omitempty"`
 	// CheckpointEvery asks the server to push a msgCheckpoint frame (a full
@@ -160,6 +162,8 @@ type TrainRequest struct {
 	EvalSamples [][]int
 	// InitState, when non-nil, overrides the rebuilt model's initial
 	// parameters with the client's (preserving client-side initialisation).
+	// On the wire it travels with Hyper.StartEpoch, InitOptState and
+	// InitRNG as one msgInit checkpoint; without it none of them is sent.
 	InitState map[string]*tensor.Tensor
 	// InitOptState, when non-nil, seeds the optimiser's resume state
 	// (momentum buffers, Adam moments + step counter) — a resumed job
@@ -212,8 +216,9 @@ type TrainResponse struct {
 }
 
 // Checkpoint is the epoch boundary the response ends on as a resume point
-// (kind: the job's spec kind) — what a checkpoint file, a msgCheckpoint
-// frame and the shutdown handoff hold. It shares the response's tensors.
+// (kind: the job's spec kind) — what a checkpoint file, the terminal
+// msgState frame and the shutdown handoff's msgCheckpoint hold. It shares
+// the response's tensors.
 func (r *TrainResponse) Checkpoint(kind string) *serialize.TrainCheckpoint {
 	return &serialize.TrainCheckpoint{
 		Epoch: r.CompletedEpochs, Kind: kind,

@@ -2,7 +2,6 @@ package cloudsim
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -12,16 +11,15 @@ import (
 	"sync"
 	"time"
 
-	"amalgam/internal/optim"
 	"amalgam/internal/serialize"
 	"amalgam/internal/tensor"
 )
 
-// Wire protocol v3. Every message is a frame: a 1-byte kind, a uint32
+// Wire protocol v4. Every message is a frame: a 1-byte kind, a uint32
 // little-endian payload length, and the payload. A connection carries one
 // conversation, chosen by its first frame:
 //
-//	train    spec, hyper, data…, [init state] then msgDone: the server
+//	train    spec, hyper, data…, [msgInit] then msgDone: the server
 //	         admits the job with this connection as its sink and answers
 //	         with the job stream below. A mid-job msgCancel (or the
 //	         connection dying) stops the job at the next epoch boundary.
@@ -37,11 +35,17 @@ import (
 // A job stream is: msgProgress per epoch (when Hyper.Stream; always on
 // attach), msgCheckpoint every Hyper.CheckpointEvery epochs EXCEPT the
 // run's last (the terminal frames that follow are that snapshot), then
-// msgResult, msgOptState (when the optimiser holds state), msgRNGState
-// (when the model has dropout cursors), msgState. A server draining for
-// shutdown ends the stream instead with an epoch-aligned msgCheckpoint
-// and a retryable ErrServerShutdown error frame. Any failure is a
-// msgError frame: one errCode byte, then the message.
+// msgResult and msgState. A server draining for shutdown ends the stream
+// instead with an epoch-aligned msgCheckpoint and a retryable
+// ErrServerShutdown error frame. Any failure is a msgError frame: one
+// errCode byte, then the message.
+//
+// An epoch boundary — epoch number, weights, optimiser state, dropout
+// cursors — crosses the wire one way, as serialize.WriteTrainCheckpoint
+// (AMC3) bytes: the request's starting state (msgInit), every mid-job
+// snapshot (msgCheckpoint) and the job's final state (msgState, or
+// msgCheckpoint in the shutdown handoff) are one encoding, the one a
+// checkpoint file holds.
 //
 // A checkpoint is cut ONCE, on the executor, inside TrainLoop's
 // checkpoint callback at the epoch boundary: the live weights, optimiser
@@ -51,9 +55,9 @@ import (
 // queued to the attached connection, replayed — never re-encoded, never
 // aliasing a tensor the next epoch is already changing, immutable until
 // their last holder returns them to the job. Every other large frame (the
-// request's data and state, the terminal state frames) is not staged at
-// all: writeFrameFrom encodes it from its tensors straight onto the
-// buffered connection. A job stream's progress and checkpoint
+// request's data and starting state, the terminal state frame) is not
+// staged at all: writeFrameFrom encodes it from its tensors straight onto
+// the buffered connection. A job stream's progress and checkpoint
 // frames are written by the connection's own writer goroutine
 // (connWriter) from a FIFO of sinkQueueDepth frames, so with the frame
 // being written at most one epoch's two frames are in flight: the
@@ -65,20 +69,18 @@ const (
 	msgHyper       byte = 2  // client→server: Hyper JSON
 	msgLabels      byte = 3  // client→server: serialize int slice
 	msgImages      byte = 4  // client→server: serialize tensor [N, C, H, W]
-	msgInit        byte = 5  // client→server: initial model state dict
+	msgInit        byte = 5  // client→server: serialize.WriteTrainCheckpoint bytes, the state training starts from
 	msgDone        byte = 6  // client→server: end of request, train on this connection
 	msgResult      byte = 7  // server→client: resultMeta JSON
-	msgState       byte = 8  // server→client: final model state dict; ends the job stream
+	msgState       byte = 8  // server→client: serialize.WriteTrainCheckpoint bytes, the final state; ends the job stream
 	msgError       byte = 9  // server→client: errCode byte + message
 	msgProgress    byte = 10 // server→client: per-epoch EpochMetric JSON
 	msgCancel      byte = 11 // client→server: stop the job (empty: this connection's; jobRef JSON: by ID)
-	msgCheckpoint  byte = 12 // server→client: serialize.WriteTrainCheckpoint bytes
+	msgCheckpoint  byte = 12 // server→client: serialize.WriteTrainCheckpoint bytes, a mid-job snapshot
 	msgTokens      byte = 13 // client→server: flattened token samples
 	msgEvalImages  byte = 14
 	msgEvalLabels  byte = 15
 	msgEvalTokens  byte = 16
-	msgOptState    byte = 17 // both directions: serialize.WriteOptState bytes
-	msgRNGState    byte = 18 // both directions: dropout-stream cursors (bytes dict)
 	msgSubmit      byte = 19 // client→server: end of request, enqueue and ack
 	msgSubmitAck   byte = 20 // server→client: submitAck JSON with the job ID
 	msgPoll        byte = 21 // client→server: jobRef JSON, answered by msgJobStatus
@@ -90,7 +92,7 @@ const (
 
 // protocolVersion is the one version this binary speaks, carried as the
 // first byte of every spec frame; any other value is ErrProtocolVersion.
-const protocolVersion byte = 3
+const protocolVersion byte = 4
 
 // maxFrame bounds a single frame's payload. It is a variable only so the
 // protocol tests can lower it without allocating gigabyte payloads; both
@@ -249,23 +251,8 @@ func (s *frameStream) ints(kind byte, v []int) {
 func (s *frameStream) tensor(kind byte, t *tensor.Tensor) {
 	s.from(kind, serialize.TensorSize(t), func(w io.Writer) error { return serialize.WriteTensor(w, t) })
 }
-func (s *frameStream) stateDict(kind byte, dict map[string]*tensor.Tensor) {
-	s.from(kind, serialize.StateDictSize(dict), func(w io.Writer) error { return serialize.WriteStateDict(w, dict) })
-}
-
-// resumeState writes the optimiser-state and RNG-cursor frames, each only
-// when non-empty. The cursors, a few bytes per dropout layer, are staged.
-func (s *frameStream) resumeState(opt *optim.State, rng map[string][]byte) {
-	if !opt.Empty() {
-		s.from(msgOptState, serialize.OptStateSize(opt), func(w io.Writer) error { return serialize.WriteOptState(w, opt) })
-	}
-	if len(rng) > 0 {
-		var buf bytes.Buffer
-		if err := serialize.WriteBytesDict(&buf, rng); err != nil && s.err == nil {
-			s.err = err
-		}
-		s.bytes(msgRNGState, buf.Bytes())
-	}
+func (s *frameStream) checkpoint(kind byte, ck *serialize.TrainCheckpoint) {
+	s.from(kind, serialize.TrainCheckpointSize(ck), func(w io.Writer) error { return serialize.WriteTrainCheckpoint(w, ck) })
 }
 
 func (s *frameStream) flush() error {
@@ -295,8 +282,10 @@ func decodeSpecFrame(payload []byte) (ModelSpec, error) {
 		return spec, fmt.Errorf("cloudsim: spec frame opens with version byte %#x, this binary speaks v%d: %w",
 			payload[0], protocolVersion, ErrProtocolVersion)
 	}
-	err := json.Unmarshal(payload[1:], &spec)
-	return spec, err
+	if err := json.Unmarshal(payload[1:], &spec); err != nil {
+		return spec, fmt.Errorf("cloudsim: spec frame JSON: %v: %w", err, ErrBadRequest)
+	}
+	return spec, nil
 }
 
 // writeErrorFrame reports err to the peer, coded so its sentinel survives
@@ -307,10 +296,9 @@ func writeErrorFrame(w io.Writer, err error) error {
 
 // resultMeta is the msgResult JSON body.
 type resultMeta struct {
-	Metrics         []EpochMetric `json:"metrics"`
-	Seconds         float64       `json:"seconds"`
-	Cancelled       bool          `json:"cancelled,omitempty"`
-	CompletedEpochs int           `json:"completed_epochs,omitempty"`
+	Metrics   []EpochMetric `json:"metrics"`
+	Seconds   float64       `json:"seconds"`
+	Cancelled bool          `json:"cancelled,omitempty"`
 }
 
 // submitAck is the msgSubmitAck JSON body.

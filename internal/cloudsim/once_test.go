@@ -204,9 +204,8 @@ func TestStreamedFramesMatchStagedBytes(t *testing.T) {
 		{msgEvalLabels, serialize.IntSliceSize(nil), func(w io.Writer) error { return serialize.WriteIntSlice(w, nil) }},
 		{msgImages, serialize.TensorSize(img), func(w io.Writer) error { return serialize.WriteTensor(w, img) }},
 		{msgEvalImages, serialize.TensorSize(img), func(w io.Writer) error { return serialize.WriteTensor(w, img) }},
-		{msgInit, serialize.StateDictSize(state), func(w io.Writer) error { return serialize.WriteStateDict(w, state) }},
-		{msgState, serialize.StateDictSize(state), func(w io.Writer) error { return serialize.WriteStateDict(w, state) }},
-		{msgOptState, serialize.OptStateSize(opt), func(w io.Writer) error { return serialize.WriteOptState(w, opt) }},
+		{msgInit, serialize.TrainCheckpointSize(ck), func(w io.Writer) error { return serialize.WriteTrainCheckpoint(w, ck) }},
+		{msgState, serialize.TrainCheckpointSize(ck), func(w io.Writer) error { return serialize.WriteTrainCheckpoint(w, ck) }},
 		{msgCheckpoint, serialize.TrainCheckpointSize(ck), func(w io.Writer) error { return serialize.WriteTrainCheckpoint(w, ck) }},
 	}
 	var stream bytes.Buffer
@@ -227,7 +226,7 @@ func TestStreamedFramesMatchStagedBytes(t *testing.T) {
 	// The whole request and the whole outcome, through frameStream's
 	// buffer, are the same frames in the same order.
 	req := textJob(t)
-	req.InitState, req.InitOptState, req.InitRNG = state, opt, ck.RNG
+	req.ResumeFrom(ck)
 	up := encoded(t, func(w io.Writer) error { return writeRequest(w, req, msgDone) })
 	var want bytes.Buffer
 	spec, err := encodeSpecFrame(req.Spec)
@@ -239,8 +238,7 @@ func TestStreamedFramesMatchStagedBytes(t *testing.T) {
 		{msgSpec, spec}, {msgHyper, hyper},
 		{msgLabels, encoded(t, func(w io.Writer) error { return serialize.WriteIntSlice(w, req.Labels) })},
 		{msgTokens, encoded(t, func(w io.Writer) error { return serialize.WriteIntSlice(w, flattenSamples(req.Samples)) })},
-		{msgInit, encoded(t, cases[5].write)}, {msgOptState, encoded(t, cases[7].write)},
-		{msgRNGState, encoded(t, func(w io.Writer) error { return serialize.WriteBytesDict(w, ck.RNG) })},
+		{msgInit, encoded(t, cases[5].write)},
 		{msgDone, nil},
 	} {
 		if err := writeFrame(&want, f.kind, f.payload); err != nil {
@@ -550,7 +548,7 @@ func TestFinishedJobsKeepOnlyTheirResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		result = serialize.StateDictSize(resp.State) + serialize.OptStateSize(resp.OptState)
+		result = serialize.TrainCheckpointSize(resp.Checkpoint(req.Spec.Kind))
 	}
 	if len(server.Views()) != jobs {
 		t.Fatalf("%d jobs on the server, want %d", len(server.Views()), jobs)

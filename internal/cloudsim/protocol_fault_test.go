@@ -448,10 +448,10 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add(ok.Bytes())
 	f.Add([]byte{})
-	f.Add([]byte{msgSpec, 0xff, 0xff, 0xff, 0x7f})      // 2 GiB claim
-	f.Add([]byte{msgState, 10, 0, 0, 0, 1, 2})          // truncated payload
-	f.Add([]byte{msgRNGState, 0, 0, 16, 0, 0xde, 0xad}) // >chunk claim, no bytes
-	f.Add(append(ok.Bytes(), ok.Bytes()...))            // two frames back to back
+	f.Add([]byte{msgSpec, 0xff, 0xff, 0xff, 0x7f})        // 2 GiB claim
+	f.Add([]byte{msgState, 10, 0, 0, 0, 1, 2})            // truncated payload
+	f.Add([]byte{msgCheckpoint, 0, 0, 16, 0, 0xde, 0xad}) // >chunk claim, no bytes
+	f.Add(append(ok.Bytes(), ok.Bytes()...))              // two frames back to back
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, payload, err := readFrame(bytes.NewReader(data))
 		if err != nil {

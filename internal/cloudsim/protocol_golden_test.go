@@ -17,7 +17,7 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// The golden conversations pin protocol v3 as bytes and frame order, one
+// The golden conversations pin protocol v4 as bytes and frame order, one
 // per job kind and conversation kind. A client stream is a pure function
 // of the request, so it is pinned by a committed SHA-256 — any change to
 // a frame layout, a JSON key, or a serialize encoding shows up here
@@ -76,12 +76,13 @@ func converse(t *testing.T, addr string, up []byte, last byte) []frame {
 // the live weights).
 type localRun struct {
 	resp        *TrainResponse
+	kind        string         // the job's spec kind
 	checkpoints map[int][]byte // by epoch
 }
 
 func runReference(t *testing.T, req *TrainRequest) localRun {
 	t.Helper()
-	ref := localRun{checkpoints: map[int][]byte{}}
+	ref := localRun{kind: req.Spec.Kind, checkpoints: map[int][]byte{}}
 	var err error
 	ref.resp, err = runTraining(context.Background(), req, nil, func(ck *serialize.TrainCheckpoint) error {
 		var buf bytes.Buffer
@@ -102,8 +103,8 @@ func sameMetric(wire, local EpochMetric) bool {
 
 // checkJobStream pins one job stream against its reference: the exact
 // frame order — progress from epoch first on, each followed by the
-// checkpoint (if any) of an epoch in checkpointed, then result,
-// opt-state, [rng-state], state — and every payload.
+// checkpoint (if any) of an epoch in checkpointed, then result and the
+// final state as a checkpoint — and every payload.
 func checkJobStream(t *testing.T, got []frame, ref localRun, first int, checkpointed func(epoch int) bool) {
 	t.Helper()
 	// JSON frames carry wall-clock fields: they are listed without a
@@ -115,14 +116,8 @@ func checkJobStream(t *testing.T, got []frame, ref localRun, first int, checkpoi
 			want = append(want, frame{msgCheckpoint, ck})
 		}
 	}
-	want = append(want, frame{kind: msgResult})
-	if !ref.resp.OptState.Empty() {
-		want = append(want, frame{msgOptState, encoded(t, func(w io.Writer) error { return serialize.WriteOptState(w, ref.resp.OptState) })})
-	}
-	if len(ref.resp.RNG) > 0 {
-		want = append(want, frame{msgRNGState, encoded(t, func(w io.Writer) error { return serialize.WriteBytesDict(w, ref.resp.RNG) })})
-	}
-	want = append(want, frame{msgState, encoded(t, func(w io.Writer) error { return serialize.WriteStateDict(w, ref.resp.State) })})
+	final := encoded(t, func(w io.Writer) error { return serialize.WriteTrainCheckpoint(w, ref.resp.Checkpoint(ref.kind)) })
+	want = append(want, frame{kind: msgResult}, frame{msgState, final})
 
 	kinds := func(frames []frame) []byte {
 		out := make([]byte, len(frames))
@@ -151,7 +146,7 @@ func checkJobStream(t *testing.T, got []frame, ref localRun, first int, checkpoi
 			if err := json.Unmarshal(f.payload, &meta); err != nil {
 				t.Fatal(err)
 			}
-			if meta.Cancelled || meta.CompletedEpochs != ref.resp.CompletedEpochs || len(meta.Metrics) != len(ref.resp.Metrics) {
+			if meta.Cancelled || len(meta.Metrics) != len(ref.resp.Metrics) {
 				t.Fatalf("result frame %+v, in-process run completed %d epochs", meta, ref.resp.CompletedEpochs)
 			}
 			for j, m := range meta.Metrics {
@@ -182,7 +177,7 @@ var goldenJobs = []struct {
 		req, _, _ := tinyJob(t, false)
 		req.Hyper.Stream, req.Hyper.CheckpointEvery = true, 2
 		return req
-	}, "bbbd92a788bc84b7092b03bdc079445672f85591dae254e87322587dba46a8c0"},
+	}, "686a402b5f4bf64660653be62f04142da54136a691ae2d25a576de458cb392d6"},
 	{"augmented-cv", func(t *testing.T) *TrainRequest {
 		req, _, _ := tinyJob(t, true)
 		model, err := BuildModel(req.Spec)
@@ -192,10 +187,10 @@ var goldenJobs = []struct {
 		req.InitState = nn.StateDict(model)
 		req.Hyper.Stream, req.Hyper.CheckpointEvery = true, 1
 		return req
-	}, "ab6f6cd99c5f1ebd8b25d970d39a4495a719a78e37f7fe19a137c1c58d8626c5"},
-	{"augmented-text", textJob, "ba8cb559810853f1fd3e8e28570e3edfc9aaef37a7465c191315d1ce68191c92"},
-	{"augmented-lm", lmJob, "1f212e2eb512e2c2e8fc8591d45d19b4d1c7aec62f4069ead8d8b7dda9d8c319"},
-	{"augmented-text under adam", adamJob, "f0fa16631ca1c32de067beaed30961e2ae2c6be8de31febe9606b7bef7392cee"},
+	}, "6830529c84a3f3649b71c7ab8601ee9567c483f5206e4e9dc247f20da9b27a9e"},
+	{"augmented-text", textJob, "6fc3f8e91d6ee446ca0d7e16a91d833b1101943abf103575d22931842552f326"},
+	{"augmented-lm", lmJob, "0aa7ab21f3386f7205e1d4982da425ea9b6f4cfb2ee7c89f70b4e6932930450a"},
+	{"augmented-text under adam", adamJob, "e8460f175797adc674b983672eee286ec8c4941b1b23c7d6194e2c15300c8593"},
 }
 
 // TestGoldenTrainConversation pins the train-on-this-connection
@@ -246,7 +241,7 @@ func TestGoldenSubmitAttachConversation(t *testing.T) {
 	addr, server := startAsyncServer(t, ServerConfig{Executors: 1})
 	req := textJob(t)
 	up := encoded(t, func(w io.Writer) error { return writeRequest(w, req, msgSubmit) })
-	checkSHA(t, "submit stream", up, "0dae494dad32f3586cf324592bcfc964555d3cb70712eb42dd4696749cfbc22e")
+	checkSHA(t, "submit stream", up, "22e01303ae821c4ace3817fe62f3dca0737dee7ad8c5ec1885bb73145cb9827e")
 	ack := converse(t, addr, up, msgSubmitAck)
 	if len(ack) != 1 || string(ack[0].payload) != `{"job_id":"job-000001"}` {
 		t.Fatalf("submit answered by %+v, want one ack naming job-000001", ack)

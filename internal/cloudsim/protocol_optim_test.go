@@ -87,8 +87,8 @@ func TestTrainLoopAdamStepLRResumeBitIdentical(t *testing.T) {
 // TestAdamJobOverWireMatchesLocal pins remote/local equality for a
 // spec-driven job: the service rebuilds Adam + StepLR from the wire spec
 // and produces the same weights, streams AMC3 checkpoints carrying the
-// generalized optimiser section, and returns the final Adam state over
-// the msgOptState frame.
+// generalized optimiser section, and returns the final Adam state in the
+// terminal msgState checkpoint.
 func TestAdamJobOverWireMatchesLocal(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
 	"amalgam/internal/core"
 	"amalgam/internal/data"
+	"amalgam/internal/nn"
 	"amalgam/internal/serialize"
 )
 
@@ -35,11 +38,11 @@ func TestSpecFrameVersionNegotiation(t *testing.T) {
 	}
 }
 
-// skewedSpecFrames are spec payloads as a v1 (bare JSON), v2, and v77 peer
-// would send them.
+// skewedSpecFrames are spec payloads as a v1 (bare JSON), v2, v3, and v77
+// peer would send them.
 func skewedSpecFrames(spec ModelSpec) [][]byte {
 	js, _ := json.Marshal(spec)
-	return [][]byte{js, append([]byte{2}, js...), append([]byte{77}, js...)}
+	return [][]byte{js, append([]byte{2}, js...), append([]byte{3}, js...), append([]byte{77}, js...)}
 }
 
 // TestVersionSkewSentinelCrossesWire pins that a peer of any other
@@ -71,6 +74,69 @@ func TestVersionSkewSentinelCrossesWire(t *testing.T) {
 		if err := decodeErrorFrame(payload); !errors.Is(err, ErrProtocolVersion) {
 			t.Fatalf("spec frame opening %#x: error frame not coded as version skew: %q", skewed[0], payload)
 		}
+	}
+}
+
+// TestMalformedFramesAreBadRequests pins that a request or control frame
+// whose payload does not decode, and an init checkpoint cut for another
+// kind of job than the spec's, reach the client as ErrBadRequest — not
+// under the generic code, which no errors.Is can match.
+func TestMalformedFramesAreBadRequests(t *testing.T) {
+	addr, _ := startAsyncServer(t, ServerConfig{})
+	req := textJob(t)
+	model, err := BuildModel(req.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A whole train request but for its init frame, which initWith appends
+	// before the terminator.
+	body := encoded(t, func(w io.Writer) error { return writeRequest(w, req, msgDone) })
+	body = body[:len(body)-5] // the empty msgDone frame
+	initWith := func(kind string) []byte {
+		return slices.Concat(body, encoded(t, func(w io.Writer) error {
+			s := newFrameStream(w)
+			s.checkpoint(msgInit, &serialize.TrainCheckpoint{Kind: kind, State: nn.StateDict(model)})
+			s.bytes(msgDone, nil)
+			return s.flush()
+		}))
+	}
+	// The same request with the spec's own kind trains.
+	converse(t, addr, initWith(req.Spec.Kind), msgState)
+
+	frameOf := func(kind byte, payload string) []byte {
+		return encoded(t, func(w io.Writer) error { return writeFrame(w, kind, []byte(payload)) })
+	}
+	for _, c := range []struct {
+		name string
+		up   []byte
+	}{
+		{"spec JSON", frameOf(msgSpec, string(protocolVersion)+"{")},
+		{"hyper JSON", frameOf(msgHyper, "{")},
+		{"labels cut short", frameOf(msgLabels, "\x01\x00")},
+		{"images of a foreign magic", frameOf(msgImages, "AMX1\x01\x00")},
+		{"init cut short", frameOf(msgInit, "\x01\x02\x03")},
+		{"attach JSON", frameOf(msgAttach, "{")},
+		{"poll JSON", frameOf(msgPoll, "{")},
+		{"init of another kind", initWith("augmented-lm")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := conn.Write(c.up); err != nil {
+				t.Fatal(err)
+			}
+			kind, payload, err := readFrame(conn)
+			if err != nil || kind != msgError {
+				t.Fatalf("want an error frame, got kind=%d err=%v", kind, err)
+			}
+			if err := decodeErrorFrame(payload); !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("refusal %q is not coded as ErrBadRequest", payload)
+			}
+		})
 	}
 }
 
@@ -367,7 +433,8 @@ func TestRunTrainingResumeMatchesStraightRun(t *testing.T) {
 // TestTrainLoopRNGCursorsFollowTheModelTree pins the loop's dropout-cursor
 // plumbing, which walks whatever model it is given: an LM run returns
 // exactly the original's streams; a model without dropout returns none
-// (so no msgRNGState frame) and refuses any cursor shipped to it; a name
+// (so its checkpoints have no RNG section) and refuses any cursor shipped
+// to it; a name
 // outside the tree is a bad request.
 func TestTrainLoopRNGCursorsFollowTheModelTree(t *testing.T) {
 	lm := lmJob(t)

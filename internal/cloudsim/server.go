@@ -261,11 +261,13 @@ func (s *Server) Views() []ProviderView {
 // handle serves one connection's conversation (see the frame table in
 // frames.go): request frames accumulate into a TrainRequest until a
 // terminator says what to do with it; control and infer frames are
-// answered in place.
+// answered in place. A frame whose payload does not decode is refused as
+// ErrBadRequest.
 func (s *Server) handle(conn *deadlineConn) error {
 	req := &TrainRequest{}
 	var tokensFlat, evalTokensFlat []int
 	haveTokens, haveEvalTokens := false, false
+	var start *serialize.TrainCheckpoint // msgInit: the state training starts from
 	for {
 		kind, payload, err := conn.readFrame()
 		if err != nil {
@@ -280,62 +282,48 @@ func (s *Server) handle(conn *deadlineConn) error {
 			req.Spec = spec
 		case msgHyper:
 			if err := json.Unmarshal(payload, &req.Hyper); err != nil {
-				return fmt.Errorf("cloudsim: bad hyper: %w", err)
+				return badFrame("hyper", err)
 			}
 		case msgLabels:
 			labels, err := serialize.ReadIntSlice(bytes.NewReader(payload))
 			if err != nil {
-				return fmt.Errorf("cloudsim: bad labels: %w", err)
+				return badFrame("labels", err)
 			}
 			req.Labels = labels
 		case msgImages:
 			t, err := serialize.ReadTensor(bytes.NewReader(payload))
 			if err != nil {
-				return fmt.Errorf("cloudsim: bad images: %w", err)
+				return badFrame("images", err)
 			}
 			req.Images = t
 		case msgTokens:
 			flat, err := serialize.ReadIntSlice(bytes.NewReader(payload))
 			if err != nil {
-				return fmt.Errorf("cloudsim: bad tokens: %w", err)
+				return badFrame("tokens", err)
 			}
 			tokensFlat, haveTokens = flat, true
 		case msgEvalImages:
 			t, err := serialize.ReadTensor(bytes.NewReader(payload))
 			if err != nil {
-				return fmt.Errorf("cloudsim: bad eval images: %w", err)
+				return badFrame("eval images", err)
 			}
 			req.EvalImages = t
 		case msgEvalLabels:
 			labels, err := serialize.ReadIntSlice(bytes.NewReader(payload))
 			if err != nil {
-				return fmt.Errorf("cloudsim: bad eval labels: %w", err)
+				return badFrame("eval labels", err)
 			}
 			req.EvalLabels = labels
 		case msgEvalTokens:
 			flat, err := serialize.ReadIntSlice(bytes.NewReader(payload))
 			if err != nil {
-				return fmt.Errorf("cloudsim: bad eval tokens: %w", err)
+				return badFrame("eval tokens", err)
 			}
 			evalTokensFlat, haveEvalTokens = flat, true
 		case msgInit:
-			dict, err := serialize.ReadStateDict(bytes.NewReader(payload))
-			if err != nil {
-				return fmt.Errorf("cloudsim: bad init state: %w", err)
+			if start, err = serialize.ReadTrainCheckpoint(bytes.NewReader(payload)); err != nil {
+				return badFrame("init checkpoint", err)
 			}
-			req.InitState = dict
-		case msgOptState:
-			st, err := serialize.ReadOptState(bytes.NewReader(payload))
-			if err != nil {
-				return fmt.Errorf("cloudsim: bad optimiser state: %w", err)
-			}
-			req.InitOptState = st
-		case msgRNGState:
-			dict, err := serialize.ReadBytesDict(bytes.NewReader(payload))
-			if err != nil {
-				return fmt.Errorf("cloudsim: bad RNG state: %w", err)
-			}
-			req.InitRNG = dict
 		case msgCancel:
 			if len(payload) > 0 {
 				// Cancel-by-ID control frame: the payload names a scheduled
@@ -366,10 +354,16 @@ func (s *Server) handle(conn *deadlineConn) error {
 		case msgAttach:
 			var areq AttachRequest
 			if err := json.Unmarshal(payload, &areq); err != nil {
-				return fmt.Errorf("cloudsim: bad attach request: %w", err)
+				return badFrame("attach request", err)
 			}
 			return s.attach(conn, areq)
 		case msgSubmit, msgDone:
+			if start != nil {
+				if start.Kind != req.Spec.Kind {
+					return fmt.Errorf("cloudsim: init checkpoint of a %q job for a %q spec: %w", start.Kind, req.Spec.Kind, ErrBadRequest)
+				}
+				req.ResumeFrom(start)
+			}
 			if haveTokens {
 				if req.Samples, err = reshapeSamples(tokensFlat, req.Spec.AugLen); err != nil {
 					return err
@@ -388,6 +382,13 @@ func (s *Server) handle(conn *deadlineConn) error {
 			return fmt.Errorf("cloudsim: unexpected message type %d: %w", kind, ErrUnknownFrame)
 		}
 	}
+}
+
+// badFrame refuses a request or control frame whose payload does not
+// decode. The decoder's error is kept as text only: a payload cut short
+// is the peer's malformed frame, not a transport fault to retry.
+func badFrame(what string, err error) error {
+	return fmt.Errorf("cloudsim: bad %s: %v: %w", what, err, ErrBadRequest)
 }
 
 // sinkQueueDepth is how many frames wait behind the one a connWriter is
@@ -521,34 +522,25 @@ func (w *connWriter) sink(req *TrainRequest, progress bool) *attachSink {
 }
 
 // writeOutcome sends a finished job's terminal frames: the shutdown
-// handoff when the server is draining, or the normal
-// result/opt-state/RNG/state sequence — each encoded from the response's
-// tensors straight onto the connection. clientStopped marks a cancel that
-// came from this client rather than from a shutdown.
+// handoff when the server is draining, or msgResult then msgState. Either
+// way the epoch boundary the job ended on is one checkpoint, encoded from
+// the response's tensors straight onto the connection. clientStopped marks
+// a cancel that came from this client rather than from a shutdown.
 func (s *Server) writeOutcome(conn *deadlineConn, kind string, clientStopped bool, resp *TrainResponse) error {
 	out := newFrameStream(conn)
+	final := resp.Checkpoint(kind)
 	if resp.Cancelled && !clientStopped && s.isShuttingDown() {
-		// Graceful-shutdown handoff: an epoch-aligned checkpoint (weights
-		// + optimiser state + RNG cursors) followed by the retryable
-		// shutdown error, so the client resumes on another server without
-		// losing an epoch.
-		handoff := resp.Checkpoint(kind)
-		out.from(msgCheckpoint, serialize.TrainCheckpointSize(handoff), func(w io.Writer) error {
-			return serialize.WriteTrainCheckpoint(w, handoff)
-		})
+		// Graceful-shutdown handoff: the epoch-aligned checkpoint followed
+		// by the retryable shutdown error, so the client resumes on another
+		// server without losing an epoch.
+		out.checkpoint(msgCheckpoint, final)
 		if err := out.flush(); err != nil {
 			return err
 		}
 		return fmt.Errorf("cloudsim: job stopped at epoch %d: %w", resp.CompletedEpochs, ErrServerShutdown)
 	}
-	out.json(msgResult, resultMeta{
-		Metrics: resp.Metrics, Seconds: resp.Seconds,
-		Cancelled: resp.Cancelled, CompletedEpochs: resp.CompletedEpochs,
-	})
-	// Final optimiser state and dropout-stream cursors ride their own
-	// frames, BEFORE msgState: the client's read loop ends on msgState.
-	out.resumeState(resp.OptState, resp.RNG)
-	out.stateDict(msgState, resp.State)
+	out.json(msgResult, resultMeta{Metrics: resp.Metrics, Seconds: resp.Seconds, Cancelled: resp.Cancelled})
+	out.checkpoint(msgState, final)
 	return out.flush()
 }
 
@@ -664,7 +656,7 @@ func (s *Server) submitAsync(conn *deadlineConn, req *TrainRequest) (err error) 
 func (s *Server) jobStatus(conn *deadlineConn, payload []byte, cancel bool) error {
 	var ref jobRef
 	if err := json.Unmarshal(payload, &ref); err != nil {
-		return fmt.Errorf("cloudsim: bad job reference: %w", err)
+		return badFrame("job reference", err)
 	}
 	if cancel {
 		if err := s.sched.Cancel(ref.JobID); err != nil {

@@ -55,7 +55,7 @@ type Optimizer interface {
 }
 
 // State is an optimiser's serialisable resume state — the optimiser
-// section of checkpoints and the payload of msgOptState wire frames.
+// section of checkpoints, on disk and on the wire alike.
 type State struct {
 	// Kind is the optimiser family that produced the state (KindSGD,
 	// KindAdam); LoadStateDict refuses a state of another kind.

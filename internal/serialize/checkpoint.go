@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"amalgam/internal/optim"
@@ -34,10 +35,13 @@ func saveAtomic(path string, write func(io.Writer) error) error {
 // ckptMagic ("AMC3") heads a training checkpoint: a resumable snapshot
 // pairing a state dict with the number of fully completed epochs.
 // Trainers write one mid-job (every N epochs, and on cancellation) so an
-// interrupted cloud job can be resumed from the last epoch boundary, and
-// the wire ships the same bytes in msgCheckpoint frames. Layout: header,
-// epoch, job kind, optimiser flag [+ optimiser kind, step, LR], model
-// state dict, [optimiser buffer dict], RNG flag [+ RNG bytes dict].
+// interrupted cloud job can be resumed from the last epoch boundary. It is
+// the one encoding of an epoch boundary, on disk and on the wire alike: a
+// request's starting state (msgInit), every mid-job snapshot
+// (msgCheckpoint) and a job's final state (msgState) are these bytes.
+// Layout: header, epoch, job kind, optimiser flag [+ optimiser kind, step,
+// LR], model state dict, [optimiser buffer dict], RNG flag [+ RNG bytes
+// dict].
 const ckptMagic = 0x414d4333
 
 // TrainCheckpoint is a resumable training snapshot.
@@ -167,6 +171,35 @@ func ReadTrainCheckpoint(r io.Reader) (*TrainCheckpoint, error) {
 		}
 	}
 	return ck, nil
+}
+
+// writeOptScalars encodes the part of an optimiser state that is not a
+// tensor: kind, step counter, capture-time LR.
+func writeOptScalars(w io.Writer, st *optim.State) error {
+	if err := writeString(w, st.Kind); err != nil {
+		return err
+	}
+	if err := binary.Write(w, binary.LittleEndian, uint64(st.Step)); err != nil {
+		return err
+	}
+	return binary.Write(w, binary.LittleEndian, math.Float64bits(st.LR))
+}
+
+func optScalarsSize(st *optim.State) int { return 2 + len(st.Kind) + 8 + 8 }
+
+func readOptScalars(r io.Reader) (*optim.State, error) {
+	kind, err := readString(r)
+	if err != nil {
+		return nil, fmt.Errorf("serialize: read optimiser kind: %w", err)
+	}
+	var step, lrBits uint64
+	if err := binary.Read(r, binary.LittleEndian, &step); err != nil {
+		return nil, fmt.Errorf("serialize: read optimiser step: %w", err)
+	}
+	if err := binary.Read(r, binary.LittleEndian, &lrBits); err != nil {
+		return nil, fmt.Errorf("serialize: read optimiser lr: %w", err)
+	}
+	return &optim.State{Kind: kind, Step: int(step), LR: math.Float64frombits(lrBits)}, nil
 }
 
 // readFlag decodes one presence byte; anything but 0 or 1 is corruption,

@@ -130,26 +130,6 @@ func FuzzReadStateDict(f *testing.F) {
 	})
 }
 
-func FuzzReadOptState(f *testing.F) {
-	var ok bytes.Buffer
-	st := &optim.State{Kind: optim.KindAdam, Step: 9, LR: 0.01, Buffers: testBuffers("m/w", "v/w")}
-	if err := WriteOptState(&ok, st); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(ok.Bytes())
-	f.Add(ok.Bytes()[:12])
-	// Kind "sgd", step 0, LR 0, then a buffer dict with a hostile entry.
-	scalars := append([]byte{3, 0, 's', 'g', 'd'}, make([]byte, 16)...)
-	f.Add(withHeader(optStateMagic, append(scalars, oneEntryDict(hostileTensorBody)...)...))
-	f.Add(withHeader(optStateMagic, append(scalars, oneEntryDict(hostileWrapBody)...)...))
-	f.Add(withHeader(optStateMagic, 0xff, 0xff)) // kind longer than any name
-	f.Add(oneEntryDict(nil))                     // the retired bare-dict encoding
-	fuzzDecoder(f, optStateMagic, func(r io.Reader) error {
-		_, err := ReadOptState(r)
-		return err
-	})
-}
-
 func FuzzReadTrainCheckpoint(f *testing.F) {
 	full := &TrainCheckpoint{
 		Epoch: 3, Kind: "augmented-lm", State: testBuffers("w", "b"),
@@ -171,6 +151,14 @@ func FuzzReadTrainCheckpoint(f *testing.F) {
 	f.Add(withHeader(ckptMagic, append(prefix, oneEntryDict(hostileTensorBody)...)...))
 	f.Add(withHeader(ckptMagic, append(prefix, oneEntryDict(hostileWrapBody)...)...))
 	f.Add(withHeader(0x414d4332, prefix...)) // the retired AMC2 magic
+	// Epoch 1, kind "", an optimiser section (kind "sgd", step 0, LR 0), an
+	// empty model dict, then a hostile optimiser buffer dict.
+	optPrefix := append([]byte{1, 0, 0, 0, 0, 0, 1, 3, 0, 's', 'g', 'd'}, make([]byte, 16)...)
+	optPrefix = append(optPrefix, withHeader(dictMagic, 0, 0, 0, 0)...)
+	f.Add(withHeader(ckptMagic, append(optPrefix, oneEntryDict(hostileTensorBody)...)...))
+	f.Add(withHeader(ckptMagic, append(optPrefix, oneEntryDict(hostileWrapBody)...)...))
+	// An optimiser kind longer than any name.
+	f.Add(withHeader(ckptMagic, 1, 0, 0, 0, 0, 0, 1, 0xff, 0xff))
 	fuzzDecoder(f, ckptMagic, func(r io.Reader) error {
 		_, err := ReadTrainCheckpoint(r)
 		return err

@@ -38,48 +38,6 @@ func statesEqual(t *testing.T, got, want *optim.State) {
 	}
 }
 
-// TestOptStateAMO1Roundtrip pins the wire encoding: an Adam state (kind,
-// step counter, LR, prefixed moment buffers) survives encode/decode
-// exactly.
-func TestOptStateAMO1Roundtrip(t *testing.T) {
-	in := &optim.State{
-		Kind: optim.KindAdam, Step: 42, LR: 0.003,
-		Buffers: testBuffers("m/w", "v/w", "m/b", "v/b"),
-	}
-	var buf bytes.Buffer
-	if err := WriteOptState(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint32(buf.Bytes()[:4]); got != optStateMagic {
-		t.Fatalf("adam state wrote magic %#x, want AMO1", got)
-	}
-	out, err := ReadOptState(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statesEqual(t, out, in)
-}
-
-// TestOptStateRejectsForeignMagic pins format discrimination: AMO1 is the
-// only optimiser-state encoding, so a tensor and a bare buffer dict are
-// both refused.
-func TestOptStateRejectsForeignMagic(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTensor(&buf, tensor.New(2, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadOptState(&buf); !errors.Is(err, ErrWrongFormat) {
-		t.Fatalf("tensor stream decoded as optimiser state: %v", err)
-	}
-	buf.Reset()
-	if err := WriteStateDict(&buf, testBuffers("w")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadOptState(&buf); !errors.Is(err, ErrWrongFormat) {
-		t.Fatalf("bare state dict decoded as optimiser state: %v", err)
-	}
-}
-
 // TestTrainCheckpointAMC3Roundtrip pins the optimiser and RNG sections:
 // an Adam job's checkpoint restores kind, step, LR, buffers, and cursors,
 // and a file cut before its mandatory RNG flag is truncated, not valid.

@@ -336,17 +336,10 @@ func readStateDictFrom(r source) (map[string]*tensor.Tensor, error) {
 	return out, nil
 }
 
-// WriteBytesDict encodes a name→opaque-bytes map (RNG stream cursors) in
-// deterministic sorted order. The layout parallels the state dict: magic,
-// version, count, then (name, length-prefixed bytes) entries.
-func WriteBytesDict(w io.Writer, dict map[string][]byte) error {
-	bw := bufio.NewWriter(w)
-	if err := writeBytesDictTo(bw, dict); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
+// writeBytesDictTo encodes a name→opaque-bytes map (a checkpoint's RNG
+// stream cursors) in deterministic sorted order. The layout parallels the
+// state dict: magic, version, count, then (name, length-prefixed bytes)
+// entries.
 func writeBytesDictTo(w io.Writer, dict map[string][]byte) error {
 	if err := writeHeader(w, bytesMagic); err != nil {
 		return err
@@ -381,14 +374,9 @@ func bytesDictSize(dict map[string][]byte) int {
 	return n
 }
 
-// ReadBytesDict decodes a map written by WriteBytesDict.
-func ReadBytesDict(r io.Reader) (map[string][]byte, error) {
-	return readBytesDictFrom(buffered(r))
-}
-
-// readBytesDictFrom decodes a bytes dict without adding buffering — like
-// readStateDictFrom, for callers decoding several sections from one
-// source.
+// readBytesDictFrom decodes a map written by writeBytesDictTo without
+// adding buffering — like readStateDictFrom, for the checkpoint reader's
+// one shared source.
 func readBytesDictFrom(r source) (map[string][]byte, error) {
 	if err := readHeader(r, bytesMagic); err != nil {
 		return nil, err

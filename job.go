@@ -68,11 +68,7 @@ type Job struct {
 // The model instance becomes the original sub-network of the augmented
 // model; pre-trained weights on it are preserved (transfer learning §4.4).
 func Obfuscate(model CVModel, ds *ImageDataset, opts Options) (*Job, error) {
-	noise := core.DefaultImageNoise()
-	if opts.Noise != nil {
-		noise = *opts.Noise
-	}
-	aug, err := core.AugmentImages(ds, core.ImageAugmentOptions{Amount: opts.Amount, Noise: noise, Seed: opts.Seed})
+	aug, err := core.AugmentImages(ds, core.ImageAugmentOptions{Amount: opts.Amount, Noise: opts.noise(core.DefaultImageNoise()), Seed: opts.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("amalgam: dataset augmentation: %w", err)
 	}
@@ -95,11 +91,7 @@ func Obfuscate(model CVModel, ds *ImageDataset, opts Options) (*Job, error) {
 // ObfuscateTestSet augments an evaluation split with the job's key so the
 // augmented model can be validated cloud-side (§5.4).
 func (j *Job) ObfuscateTestSet(ds *ImageDataset, seed uint64) (*ImageDataset, error) {
-	noise := core.DefaultImageNoise()
-	if j.opts.Noise != nil {
-		noise = *j.opts.Noise
-	}
-	return core.AugmentImagesWithKey(ds, j.Key, noise, seed)
+	return core.AugmentImagesWithKey(ds, j.Key, j.opts.noise(core.DefaultImageNoise()), seed)
 }
 
 // ops adapts the CV job to the Trainer machinery.

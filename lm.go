@@ -89,12 +89,8 @@ func ObfuscateTokens(model *TransformerLM, stream *TokenStream, bptt int, opts O
 	if bptt-1 > model.Cfg.MaxT {
 		return nil, fmt.Errorf("amalgam: BPTT window %d exceeds the model's positional table (MaxT %d)", bptt, model.Cfg.MaxT)
 	}
-	noise := core.DefaultTextNoise(stream.Vocab)
-	if opts.Noise != nil {
-		noise = *opts.Noise
-	}
 	aug, err := core.AugmentTokenStream(stream, core.TextAugmentOptions{
-		Amount: opts.Amount, WindowLen: bptt, Noise: noise, Seed: opts.Seed,
+		Amount: opts.Amount, WindowLen: bptt, Noise: opts.noise(core.DefaultTextNoise(stream.Vocab)), Seed: opts.Seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("amalgam: stream augmentation: %w", err)
@@ -121,11 +117,7 @@ func (j *LMJob) ObfuscateTestStream(ds *TokenStream, seed uint64) (*TokenStream,
 		return nil, fmt.Errorf("amalgam: eval stream vocabulary %d does not match the job's %d",
 			ds.Vocab, j.Augmented.Orig.Vocab)
 	}
-	noise := core.DefaultTextNoise(ds.Vocab)
-	if j.opts.Noise != nil {
-		noise = *j.opts.Noise
-	}
-	return core.AugmentTokenStreamWithKey(ds, j.Key, noise, seed)
+	return core.AugmentTokenStreamWithKey(ds, j.Key, j.opts.noise(core.DefaultTextNoise(ds.Vocab)), seed)
 }
 
 // ops adapts the LM job to the Trainer machinery.

@@ -38,6 +38,15 @@ type Options struct {
 	ModelName string
 }
 
+// noise is the augmentation noise: Noise when set, else the modality's
+// default def.
+func (o Options) noise(def NoiseSpec) NoiseSpec {
+	if o.Noise != nil {
+		return *o.Noise
+	}
+	return def
+}
+
 // OptimizerSpec selects and parameterises the optimiser a job trains
 // under. Specs are plain serialisable values: the same spec rebuilds the
 // same optimiser locally and on a remote service, which is what keeps

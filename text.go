@@ -71,11 +71,7 @@ func ObfuscateText(model *TextClassifier, ds *TextDataset, opts Options) (*TextJ
 	if model.Classes != ds.Classes {
 		return nil, fmt.Errorf("amalgam: model has %d classes, dataset %d", model.Classes, ds.Classes)
 	}
-	noise := core.DefaultTextNoise(ds.Vocab)
-	if opts.Noise != nil {
-		noise = *opts.Noise
-	}
-	aug, err := core.AugmentTextDataset(ds, core.TextAugmentOptions{Amount: opts.Amount, Noise: noise, Seed: opts.Seed})
+	aug, err := core.AugmentTextDataset(ds, core.TextAugmentOptions{Amount: opts.Amount, Noise: opts.noise(core.DefaultTextNoise(ds.Vocab)), Seed: opts.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("amalgam: dataset augmentation: %w", err)
 	}
@@ -97,11 +93,7 @@ func ObfuscateText(model *TextClassifier, ds *TextDataset, opts Options) (*TextJ
 // ObfuscateTestSet augments an evaluation split with the job's key so the
 // augmented classifier can be validated cloud-side (§5.4).
 func (j *TextJob) ObfuscateTestSet(ds *TextDataset, seed uint64) (*TextDataset, error) {
-	noise := core.DefaultTextNoise(ds.Vocab)
-	if j.opts.Noise != nil {
-		noise = *j.opts.Noise
-	}
-	return core.AugmentTextDatasetWithKey(ds, j.Key, noise, seed)
+	return core.AugmentTextDatasetWithKey(ds, j.Key, j.opts.noise(core.DefaultTextNoise(ds.Vocab)), seed)
 }
 
 // ops adapts the text job to the Trainer machinery.

@@ -144,19 +144,19 @@ func TestRetryResumesAfterMidTrainingKill(t *testing.T) {
 }
 
 // TestConnectionLostInTerminalFramesRetrainsOneEpoch cuts the connection
-// after the job has finished every epoch, inside the frames that carry its
-// result: first inside msgOptState, then inside msgState. The last epoch's
-// state crosses the wire once — as those frames, not also as a checkpoint
-// frame before them — so the newest snapshot the client holds is epoch
-// Epochs-1: the retry resumes there, the server retrains exactly one
-// epoch, every epoch's stats reach the caller exactly once, and the final
-// weights are bit-identical to the unbroken run's.
+// after the job has finished every epoch, inside the frame that carries its
+// result: msgState, the final checkpoint. The last epoch's state crosses
+// the wire once — as that frame, not also as a checkpoint frame before
+// it — so the newest snapshot the client holds is epoch Epochs-1: the
+// retry resumes there, the server retrains exactly one epoch, every
+// epoch's stats reach the caller exactly once, and the final weights are
+// bit-identical to the unbroken run's.
 func TestConnectionLostInTerminalFramesRetrainsOneEpoch(t *testing.T) {
 	cfg := amalgam.TrainConfig{Epochs: 4, BatchSize: 8, LR: 0.5, Momentum: 0.9}
 	ctx := context.Background()
 
-	// The unbroken run, and from its final checkpoint file the exact sizes
-	// of a checkpoint frame and the two terminal state frames.
+	// The unbroken run, and from its final checkpoint file the exact size
+	// of a checkpoint frame, the terminal msgState frame included.
 	local := mkTextJob(t)
 	ckpt := filepath.Join(t.TempDir(), "local.amc")
 	if _, err := amalgam.Train(ctx, amalgam.LocalTrainer{}, local, cfg, amalgam.WithCheckpoint(ckpt, 1)); err != nil {
@@ -167,22 +167,21 @@ func TestConnectionLostInTerminalFramesRetrainsOneEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optSize, stateSize := serialize.OptStateSize(ck.OptState), serialize.StateDictSize(ck.State)
-	// Everything before msgOptState: Epochs-1 checkpoint frames, and the
-	// JSON of Epochs progress frames and the result frame listing them
-	// again — some 150 bytes per metric, give or take a digit of wall
-	// clock, against state frames of ~100 KB.
-	lead := (cfg.Epochs-1)*(5+serialize.TrainCheckpointSize(ck)) + 2*cfg.Epochs*150
-	if optSize < 20_000 || stateSize < 20_000 {
-		t.Fatalf("state frames of %d and %d bytes are too small to aim a cut into", optSize, stateSize)
+	stateSize := serialize.TrainCheckpointSize(ck)
+	// Everything before msgState: Epochs-1 checkpoint frames, and the JSON
+	// of Epochs progress frames and the result frame listing them again —
+	// some 150 bytes per metric, give or take a digit of wall clock,
+	// against a state frame of ~90 KB.
+	lead := (cfg.Epochs-1)*(5+stateSize) + 2*cfg.Epochs*150
+	if stateSize < 40_000 {
+		t.Fatalf("a state frame of %d bytes is too small to aim a cut into", stateSize)
 	}
 
 	for _, c := range []struct {
 		name string
 		cut  int
 	}{
-		{"inside msgOptState", lead + optSize/2},
-		{"inside msgState", lead + optSize + stateSize/2},
+		{"inside msgState", lead + stateSize/2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			fl := startFaultServer(t, func(i int) faultnet.ConnPlan {
