@@ -196,17 +196,19 @@ func AugmentCVModel(orig models.CVModel, key *ImageAugKey, inC, classes int, opt
 	// and the caller's mode restored afterwards (a pre-trained model handed
 	// over in eval mode stays in eval mode) — otherwise augmentation itself
 	// would perturb the original model's state and break the exactness
-	// invariant.
+	// invariant. The probe's graph goes back to the pool once its shapes are
+	// read: every tap feature lies on the path to the logits.
 	var tapShapes [][]int
 	if !opts.DisableTaps {
 		was := nn.TrainingMode(orig)
 		orig.SetTraining(false)
 		probe := autodiff.Constant(tensor.New(1, inC, key.OrigH, key.OrigW))
-		_, feats := orig.ForwardFeatures(probe)
+		logits, feats := orig.ForwardFeatures(probe)
 		orig.SetTraining(was)
 		for _, f := range feats {
 			tapShapes = append(tapShapes, f.Val.Shape())
 		}
+		autodiff.Release(logits)
 	}
 
 	for i, b := range opts.decoyBudgets(nn.NumParams(orig)) {

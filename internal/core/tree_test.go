@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -44,6 +46,35 @@ func TestAugmentationPreservesOriginalMode(t *testing.T) {
 				t.Fatalf("augmentation moved %q (training=%v)", name, training)
 			}
 		}
+	}
+}
+
+// The tap-shape probe is a batch-1 forward through the original; its graph
+// goes back to the pool once the shapes are read. On one P with the
+// collector off a miss can only be a buffer that leaked, so augmenting the
+// same original again misses the pool nowhere; a probe graph left
+// unreleased misses once per activation of resnet18's forward.
+func TestAugmentationReleasesTheTapProbe(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops puts at random; miss counts are meaningless")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	key, err := NewImageAugKey(tensor.NewRNG(1), 8, 8, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := models.NewResNet18(tensor.NewRNG(2), models.CVConfig{InC: 3, InH: 8, InW: 8, Classes: 4})
+	augment := func() {
+		if _, err := AugmentCVModel(orig, key, 3, 4, ModelAugmentOptions{Amount: 0.5, SubNets: 2, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	augment() // the pool is warm
+	_, miss0 := tensor.PoolStats()
+	augment()
+	if _, miss1 := tensor.PoolStats(); miss1 != miss0 {
+		t.Errorf("a second augmentation missed the pool %d times; want 0", miss1-miss0)
 	}
 }
 

@@ -33,6 +33,20 @@ func TestCVModelForwardShapes(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildCV times building a CIFAR-10 model: resnet18 draws its
+// 11.2 M initial weights with tensor's FillUniform.
+func BenchmarkBuildCV(b *testing.B) {
+	for _, name := range []string{"resnet18"} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildCV(name, tensor.NewRNG(uint64(i)), cifarCfg()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestBuildCVUnknown(t *testing.T) {
 	if _, err := BuildCV("alexnet", tensor.NewRNG(1), cifarCfg()); err == nil {
 		t.Fatal("unknown model should error")

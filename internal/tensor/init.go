@@ -7,7 +7,9 @@ import "math"
 // conv/linear initialisation: U(-bound, bound), bound = sqrt(6/fanIn)
 // adjusted for a = sqrt(5) leaky slope → bound = sqrt(3/fanIn) * gain where
 // gain = sqrt(2/(1+5)) = sqrt(1/3); net effect bound = 1/sqrt(fanIn).
-// On a stream built ForLoad it draws nothing.
+// It is one FillUniform: one draw per element, the same floats as that many
+// Uniform calls, split over the kernel pool when t is large. On a stream
+// built ForLoad it draws nothing.
 func KaimingUniform(rng *RNG, t *Tensor, fanIn int) {
 	if rng.forLoad {
 		return

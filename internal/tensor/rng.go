@@ -1,13 +1,18 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
 // RNG is a deterministic random source for tensor initialisation, dataset
 // synthesis, and noise generation. It wraps math/rand/v2's PCG so streams
-// are reproducible across platforms and Go releases.
+// are reproducible across platforms and Go releases. FillUniform steps a
+// copy of that PCG's state itself (pcgState: the same LCG and DXSM output,
+// constant for constant), so it is pinned to math/rand/v2's algorithm:
+// TestPCGStateIsMathRands fails if a Go release changes it.
 type RNG struct {
 	r       *rand.Rand
 	src     *rand.PCG
@@ -94,11 +99,110 @@ func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 // Shuffle pseudo-randomly permutes the slice via the provided swap fn.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
-// FillUniform fills t with uniform samples in [lo, hi).
+// FillUniform fills t with uniform samples in [lo, hi): element i is what
+// the (i+1)-th of len(t.Data) Uniform(lo, hi) calls would return, and g ends
+// where those calls would leave it. It steps a copy of the PCG state instead
+// of calling the source once per element. A fill of more than fillChunk
+// elements runs in chunks on the kernel pool, each starting where the stream
+// stands at its first element (pcgState.advance); like a kernel's, the result
+// is the same at any SetMaxWorkers, and it does not depend on where the
+// chunks fall.
 func (g *RNG) FillUniform(t *Tensor, lo, hi float32) {
-	for i := range t.Data {
-		t.Data[i] = g.Uniform(lo, hi)
+	d := t.Data
+	if len(d) == 0 {
+		return
 	}
+	s := pcgStateOf(g.src)
+	span := hi - lo
+	if chunksFor(len(d), fillChunk) == 1 {
+		fillUniform(d, s, lo, span)
+	} else {
+		parallelFor(len(d), fillChunk, func(start, end int) {
+			fillUniform(d[start:end], s.advance(uint64(start)), lo, span)
+		})
+	}
+	end := s.advance(uint64(len(d)))
+	g.src.Seed(end.hi, end.lo)
+}
+
+// fillChunk bounds FillUniform's split: a fill of at most fillChunk elements
+// (every bias, the smaller convolutions) runs on the caller with no closure,
+// and a larger one takes at most one chunk per fillChunk elements.
+const fillChunk = 1 << 16
+
+// fillUniform writes lo + span·Float32() for the draws that follow state s
+// into d, one step of the state per element.
+func fillUniform(d []float32, s pcgState, lo, span float32) {
+	for i := range d {
+		s = s.next()
+		d[i] = lo + span*unitFloat32(s.output())
+	}
+}
+
+// unitFloat32 is math/rand/v2's Rand.Float32 of a source that returned x.
+func unitFloat32(x uint64) float32 {
+	return float32(uint32(x>>32)<<8>>8) / (1 << 24)
+}
+
+// pcgState is a 128-bit value mod 2¹²⁸: the state (hi, lo) of
+// math/rand/v2's PCG, or a coefficient of its LCG. next and output are that
+// package's PCG.next and DXSM output, constant for constant, so
+// s.next().output() is what (*rand.PCG).Uint64 returns from state s.
+type pcgState struct{ hi, lo uint64 }
+
+// The LCG s ↦ pcgMul·s + pcgInc of math/rand/v2's PCG.
+var (
+	pcgMul = pcgState{2549297995355413924, 4865540595714422341}
+	pcgInc = pcgState{6364136223846793005, 1442695040888963407}
+)
+
+// pcgStateOf reads p's state. PCG.Seed(hi, lo) writes it back.
+func pcgStateOf(p *rand.PCG) pcgState {
+	var buf [20]byte
+	b, _ := p.AppendBinary(buf[:0]) // "pcg:", hi, lo; big-endian
+	return pcgState{hi: binary.BigEndian.Uint64(b[4:]), lo: binary.BigEndian.Uint64(b[12:])}
+}
+
+// mul returns a·b mod 2¹²⁸.
+func (a pcgState) mul(b pcgState) pcgState {
+	hi, lo := bits.Mul64(a.lo, b.lo)
+	return pcgState{hi: hi + a.hi*b.lo + a.lo*b.hi, lo: lo}
+}
+
+// add returns a+b mod 2¹²⁸.
+func (a pcgState) add(b pcgState) pcgState {
+	lo, c := bits.Add64(a.lo, b.lo, 0)
+	hi, _ := bits.Add64(a.hi, b.hi, c)
+	return pcgState{hi: hi, lo: lo}
+}
+
+// next is the state one draw on.
+func (s pcgState) next() pcgState { return pcgMul.mul(s).add(pcgInc) }
+
+// advance is the state n draws on, in O(log n) steps: the LCG composed with
+// itself 2ᵏ times is again an LCG (mul, inc), found by squaring, and s takes
+// the one for every bit k set in n (Brown, "Random Number Generation with
+// Arbitrary Strides", 1994).
+func (s pcgState) advance(n uint64) pcgState {
+	mul, inc := pcgMul, pcgInc
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			s = mul.mul(s).add(inc)
+		}
+		inc = mul.add(pcgState{lo: 1}).mul(inc)
+		mul = mul.mul(mul)
+	}
+	return s
+}
+
+// output is the PCG's DXSM output of the state a draw has just reached.
+func (s pcgState) output() uint64 {
+	const cheapMul = 0xda942042e4dd58b5
+	hi := s.hi
+	hi ^= hi >> 32
+	hi *= cheapMul
+	hi ^= hi >> 48
+	return hi * (s.lo | 1)
 }
 
 // FillNormal fills t with Gaussian samples.
