@@ -5,8 +5,8 @@
 // It registers one demo model per modality (deterministic seeds,
 // synthetic scale) behind the wire protocol's infer frames; clients
 // connect with amalgam.NewPredictClient. Saturation (req/s and latency
-// quantiles across batch budgets) is measured by the repo benchmark:
-// go run ./bench -workload serve_lm.
+// quantiles, for lone and batched requests) is measured by the repo
+// benchmark: go run ./bench -workload serve_lm.
 package main
 
 import (

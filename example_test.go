@@ -275,9 +275,9 @@ func ExampleRemoteTrainer_Submit() {
 
 // ExamplePredictServer serves an obfuscated text classifier and its
 // bit-identically extracted original side by side: concurrent single
-// predictions coalesce into shared batched forward passes under a
-// latency budget, and the split-inference path ships only locally-pooled
-// embeddings — raw tokens never reach the server.
+// predictions that arrive while the workers are busy coalesce into
+// shared batched forward passes, and the split-inference path ships only
+// locally-pooled embeddings — raw tokens never reach the server.
 func ExamplePredictServer() {
 	const vocab, classes = 500, 4
 	train := amalgam.GenerateClassifiedText(amalgam.ClassTextConfig{
@@ -292,10 +292,9 @@ func ExamplePredictServer() {
 		log.Fatal(err)
 	}
 
-	srv := amalgam.NewPredictServer(amalgam.PredictServerConfig{
-		MaxBatch: 16,                   // flush at 16 coalesced calls...
-		MaxDelay: 2 * time.Millisecond, // ...or when the latency budget expires
-	})
+	// A free worker takes up to 16 waiting calls at once; a lone call
+	// runs immediately.
+	srv := amalgam.NewPredictServer(amalgam.PredictServerConfig{MaxBatch: 16})
 	defer srv.Close()
 	// The augmented model serves augmented windows without ever being
 	// extracted; the original serves plain samples.

@@ -3,10 +3,11 @@ package amalgam
 // Inference serving: the public face of internal/serve (an in-process
 // batched prediction server) and of the wire protocol's infer frames
 // (a retrying remote client). A PredictServer coalesces
-// concurrent single predictions into shared forward passes under a
-// latency budget, serving extracted originals and still-obfuscated
-// augmented models alike; batched and sequential predictions are
-// bit-identical. See README "Inference serving".
+// concurrent single predictions into shared forward passes whenever its
+// workers are busy, and runs a lone one at once, serving extracted
+// originals and still-obfuscated augmented models alike; batched and
+// sequential predictions are bit-identical. See README "Inference
+// serving".
 
 import (
 	"context"
@@ -32,13 +33,13 @@ type (
 	LMResult = serve.LMResult
 )
 
-// PredictServerConfig tunes the dynamic batcher and worker pool:
-// MaxBatch flushes a queue at that many coalesced calls (default 32);
-// MaxDelay is the latency budget — a lone request waits at most this long
-// for company before its batch flushes (default 2ms); Workers is the
+// PredictServerConfig tunes the batcher and worker pool: MaxBatch caps
+// the predictions one forward pass takes (default 32); Workers is the
 // inference worker pool size (default 2); QueueDepth bounds
 // admitted-but-unfinished predictions, beyond which requests fail fast
-// with backpressure (default 1024).
+// with backpressure (default 1024). Nothing waits on a timer: a free
+// worker runs whatever is waiting, so predictions batch only when they
+// arrive faster than the workers finish.
 type PredictServerConfig = serve.Config
 
 // PredictServer is an in-process batched inference server. Requests from
@@ -135,25 +136,34 @@ type PredictLMRequest struct {
 // PredictCV classifies one image, batching it with whatever else is in
 // flight.
 func (s *PredictServer) PredictCV(req PredictCVRequest) (CVResult, error) {
-	return s.backend.PredictCV(req.Model, req.Image)
+	return only(s.backend.PredictCV(req.Model, [][]float32{req.Image}))
 }
 
 // PredictText classifies one token sequence (or, on the split path, one
 // locally-pooled embedding).
 func (s *PredictServer) PredictText(req PredictTextRequest) (TextResult, error) {
 	if req.Pooled != nil {
-		return s.backend.PredictTextSplit(req.Model, req.Pooled)
+		return only(s.backend.PredictTextSplit(req.Model, [][]float32{req.Pooled}))
 	}
-	return s.backend.PredictText(req.Model, req.Tokens)
+	return only(s.backend.PredictText(req.Model, [][]int{req.Tokens}))
 }
 
 // PredictLM scores the next token after one context (or, on the split
 // path, after locally-embedded activations).
 func (s *PredictServer) PredictLM(req PredictLMRequest) (LMResult, error) {
 	if req.Activations != nil {
-		return s.backend.PredictLMSplit(req.Model, req.Activations, req.SeqLen, req.TopK)
+		return only(s.backend.PredictLMSplit(req.Model, [][]float32{req.Activations}, []int{req.SeqLen}, req.TopK))
 	}
-	return s.backend.PredictLM(req.Model, req.Context, req.TopK)
+	return only(s.backend.PredictLM(req.Model, [][]int{req.Context}, req.TopK))
+}
+
+// only unwraps the answer to a one-sample group.
+func only[R any](rs []R, err error) (R, error) {
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return rs[0], nil
 }
 
 // PredictClient is a remote prediction client speaking the wire

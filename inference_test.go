@@ -117,7 +117,7 @@ func TestPredictServerServesAugmented(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := amalgam.NewPredictServer(amalgam.PredictServerConfig{MaxBatch: 8, MaxDelay: time.Millisecond, Workers: 2})
+	srv := amalgam.NewPredictServer(amalgam.PredictServerConfig{MaxBatch: 8, Workers: 2})
 	defer srv.Close()
 	// The augmented model sees augmented windows (noise tokens included),
 	// so vocabulary validation stays off for it.
@@ -178,7 +178,7 @@ func TestPredictServerServesAugmented(t *testing.T) {
 // trainer's kill/retry tests, now over infer frames.
 func TestPredictClientRetriesAcrossKill(t *testing.T) {
 	txt := amalgam.BuildTextClassifier(3, 50, 8, 3)
-	backend := amalgam.NewPredictServer(amalgam.PredictServerConfig{MaxBatch: 4, MaxDelay: time.Millisecond, Workers: 1})
+	backend := amalgam.NewPredictServer(amalgam.PredictServerConfig{MaxBatch: 4, Workers: 1})
 	defer backend.Close()
 	if err := backend.RegisterText("txt", txt, 0); err != nil {
 		t.Fatal(err)

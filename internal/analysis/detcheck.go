@@ -23,8 +23,9 @@ import (
 //   - ranging over a map, whose order differs run to run.
 //
 // Scope: internal/tensor, internal/autodiff, internal/nn, internal/core,
-// internal/serialize (whole packages, subpackages included), and the
-// train path of internal/cloudsim (cloudsim.go, which owns TrainLoop).
+// internal/serialize, internal/optim, internal/serve (whole packages,
+// subpackages included), and the train path of internal/cloudsim
+// (cloudsim.go, which owns TrainLoop).
 // Latency metrics are the canonical legitimate exception and carry
 // //amalgam:allow detcheck annotations.
 
@@ -43,19 +44,17 @@ var detPackages = []string{
 	"amalgam/internal/core",
 	"amalgam/internal/serialize",
 	"amalgam/internal/optim",
+	// Batched predictions must be a pure function of the coalesced inputs
+	// — that is what makes batched and sequential predictions
+	// bit-identical — and the batcher coalesces by availability, not by a
+	// timer.
+	"amalgam/internal/serve",
 }
 
 // cloudsimPkg's determinism contract covers only its train path: the
 // shared epoch loop in cloudsim.go. The surrounding transport legitimately
 // uses deadlines and backoff timing.
 const cloudsimPkg = "amalgam/internal/cloudsim"
-
-// servePkg's determinism contract covers the inference path (batch
-// execution must be a pure function of the coalesced inputs — that is
-// what makes batched and sequential predictions bit-identical), but not
-// batcher.go: the latency-budget timer is wall-clock by definition, the
-// same carve-out the cloudsim transport gets.
-const servePkg = "amalgam/internal/serve"
 
 // wallClockFuncs are the time package functions that leak the wall clock
 // into computation.
@@ -76,8 +75,7 @@ func detContracted(pkgPath string) bool {
 func runDetCheck(pass *Pass) error {
 	path := pass.Pkg.Path()
 	trainPathOnly := path == cloudsimPkg || strings.HasPrefix(path, cloudsimPkg+"/")
-	servePath := path == servePkg || strings.HasPrefix(path, servePkg+"/")
-	if !detContracted(path) && !trainPathOnly && !servePath {
+	if !detContracted(path) && !trainPathOnly {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -89,9 +87,6 @@ func runDetCheck(pass *Pass) error {
 			continue
 		}
 		if trainPathOnly && base != "cloudsim.go" {
-			continue
-		}
-		if servePath && base == "batcher.go" {
 			continue
 		}
 		checkDetFile(pass, f)

@@ -45,10 +45,12 @@ import (
 // ModelSpec tells the service how to instantiate the shipped model. In the
 // paper's prototype the artifact is a TorchScript module — an opaque graph
 // that happens to contain every sub-network's skip sets. Our spec plays
-// the same role: it carries the gather sets and decoy seeds needed to
-// rebuild the augmented graph, without any labelling the provider could
-// not also derive from TorchScript (see ProviderView for what attacks may
-// use).
+// the same role, and carries more than that graph would: besides the
+// architecture and decoy seeds it holds KeyKeep, the key's keep set,
+// which tells the provider which inputs of every sample are real and
+// which sub-network is the original. ROADMAP item 10 is the key-free
+// spec that would close this; ProviderView is what attacks may use
+// meanwhile.
 type ModelSpec struct {
 	Kind      string  `json:"kind"`            // "plain-cv", "augmented-cv", "augmented-text", or "augmented-lm"
 	Model     string  `json:"model,omitempty"` // CV registry name, e.g. "lenet"

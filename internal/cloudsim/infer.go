@@ -6,10 +6,10 @@ package cloudsim
 // (images or token ids) and split-inference activations — the client
 // runs the embedding half locally and ships only
 // dense obfuscated activations, never raw inputs (Leroux-style
-// offloading). A frame's samples fan out as concurrent predictions so the
-// backend batcher coalesces them — one wire frame becomes (at most) one
-// forward pass per shape, and predictions from unrelated connections
-// share batches too.
+// offloading). A frame's samples reach the backend as one group in one
+// call, so the batcher queues them together — one wire frame becomes one
+// forward pass per shape (MaxBatch permitting), and predictions from
+// unrelated connections share batches too.
 
 import (
 	"bytes"
@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"amalgam/internal/serialize"
 	"amalgam/internal/serve"
@@ -103,28 +102,6 @@ func inferWireErr(err error) error {
 	}
 }
 
-// fanOut runs one backend call per sample concurrently, so the batcher
-// coalesces a frame's samples into shared forward passes. The lowest-
-// indexed failure wins, keeping the reported error deterministic.
-func fanOut(n int, call func(i int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = call(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return inferWireErr(err)
-		}
-	}
-	return nil
-}
-
 // unflatten splits row-major flattened ids back into per-sample slices.
 func unflatten(flat []int, lens []int) ([][]int, error) {
 	total := 0
@@ -172,97 +149,92 @@ func (s *Server) inferAnswer(payload []byte) (inferResult, error) {
 	if err != nil {
 		return inferResult{}, err
 	}
-	var res inferResult
-	n, call, err := s.inferSamples(h, body, &res)
-	if err != nil {
-		return inferResult{}, err
-	}
-	return res, fanOut(n, call)
+	return s.inferSamples(h, body)
 }
 
-// inferSamples decodes a frame's body, by (modality, split), into n
-// samples and the backend call that answers sample i into res.
-func (s *Server) inferSamples(h inferHeader, body []byte, res *inferResult) (n int, call func(i int) error, err error) {
+// inferSamples decodes a frame's body, by (modality, split), into its
+// samples, answers them with one backend call, and copies the results
+// into the frame's answer. The backend's lowest-indexed failure fails the
+// frame.
+func (s *Server) inferSamples(h inferHeader, body []byte) (inferResult, error) {
 	be := s.cfg.Infer
 	switch {
 	case h.Modality == "cv", h.Modality == "text" && h.Split:
 		// [N, width]: flattened images, or client-pooled embeddings.
 		t, err := readInferTensor(body)
 		if err != nil {
-			return 0, nil, err
+			return inferResult{}, err
 		}
-		per, predict := t.Dim(1), be.PredictCV
+		rows, per := make([][]float32, t.Dim(0)), t.Dim(1)
+		for i := range rows {
+			rows[i] = t.Data[i*per : (i+1)*per]
+		}
 		if h.Modality == "text" {
-			predict = be.PredictTextSplit
+			return classesAnswer(be.PredictTextSplit(h.Model, rows))
 		}
-		return t.Dim(0), res.classes(t.Dim(0), func(i int) (serve.CVResult, error) {
-			return predict(h.Model, t.Data[i*per:(i+1)*per])
-		}), nil
+		return classesAnswer(be.PredictCV(h.Model, rows))
 	case h.Modality == "lm" && h.Split:
 		if h.Dim <= 0 {
-			return 0, nil, fmt.Errorf("cloudsim: lm split body needs a positive dim, got %d: %w", h.Dim, ErrBadRequest)
+			return inferResult{}, fmt.Errorf("cloudsim: lm split body needs a positive dim, got %d: %w", h.Dim, ErrBadRequest)
 		}
 		t, err := serialize.ReadTensor(bytes.NewReader(body))
 		if err != nil {
-			return 0, nil, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
+			return inferResult{}, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
 		}
-		offs := make([]int, len(h.Lens)+1)
+		acts, off := make([][]float32, len(h.Lens)), 0
 		for i, l := range h.Lens {
 			// Bounding each length by the body keeps rows×dim from wrapping
 			// round to a "matching" size with offsets past the tensor.
-			if l <= 0 || l > len(t.Data)/h.Dim {
-				return 0, nil, fmt.Errorf("cloudsim: infer sample length %d: %w", l, ErrBadRequest)
+			if l <= 0 || l > len(t.Data)/h.Dim || off+l*h.Dim > len(t.Data) {
+				return inferResult{}, fmt.Errorf("cloudsim: infer sample length %d: %w", l, ErrBadRequest)
 			}
-			offs[i+1] = offs[i] + l*h.Dim
+			acts[i], off = t.Data[off:off+l*h.Dim], off+l*h.Dim
 		}
-		if total := offs[len(h.Lens)]; total != len(t.Data) {
-			return 0, nil, fmt.Errorf("cloudsim: lm split body has %d floats, lens×dim wants %d: %w",
-				len(t.Data), total, ErrBadRequest)
+		if off != len(t.Data) {
+			return inferResult{}, fmt.Errorf("cloudsim: lm split body has %d floats, lens×dim wants %d: %w",
+				len(t.Data), off, ErrBadRequest)
 		}
-		return len(h.Lens), res.nextTokens(len(h.Lens), func(i int) (serve.LMResult, error) {
-			return be.PredictLMSplit(h.Model, t.Data[offs[i]:offs[i+1]], h.Lens[i], h.TopK)
-		}), nil
+		return tokensAnswer(be.PredictLMSplit(h.Model, acts, h.Lens, h.TopK))
 	case h.Modality == "text", h.Modality == "lm":
 		flat, err := serialize.ReadIntSlice(bytes.NewReader(body))
 		if err != nil {
-			return 0, nil, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
+			return inferResult{}, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
 		}
 		samples, err := unflatten(flat, h.Lens)
 		if err != nil {
-			return 0, nil, err
+			return inferResult{}, err
 		}
 		if h.Modality == "text" {
-			return len(samples), res.classes(len(samples), func(i int) (serve.CVResult, error) {
-				return be.PredictText(h.Model, samples[i])
-			}), nil
+			return classesAnswer(be.PredictText(h.Model, samples))
 		}
-		return len(samples), res.nextTokens(len(samples), func(i int) (serve.LMResult, error) {
-			return be.PredictLM(h.Model, samples[i], h.TopK)
-		}), nil
+		return tokensAnswer(be.PredictLM(h.Model, samples, h.TopK))
 	default:
-		return 0, nil, fmt.Errorf("cloudsim: unknown infer modality %q: %w", h.Modality, ErrBadRequest)
+		return inferResult{}, fmt.Errorf("cloudsim: unknown infer modality %q: %w", h.Modality, ErrBadRequest)
 	}
 }
 
-// classes sizes the result for n classifications and returns the call
-// storing sample i's; nextTokens is the same for next-token scorings. A
-// failed sample stores nothing that is sent: its error fails the frame.
-func (r *inferResult) classes(n int, predict func(i int) (serve.CVResult, error)) func(int) error {
-	r.Classes, r.Logits = make([]int, n), make([][]float32, n)
-	return func(i int) error {
-		c, err := predict(i)
-		r.Classes[i], r.Logits[i] = c.Class, c.Logits
-		return err
+// classesAnswer copies a group's classifications into a frame's answer;
+// tokensAnswer does the same for next-token scorings.
+func classesAnswer(rs []serve.CVResult, err error) (inferResult, error) {
+	if err != nil {
+		return inferResult{}, inferWireErr(err)
 	}
+	res := inferResult{Classes: make([]int, len(rs)), Logits: make([][]float32, len(rs))}
+	for i, r := range rs {
+		res.Classes[i], res.Logits[i] = r.Class, r.Logits
+	}
+	return res, nil
 }
 
-func (r *inferResult) nextTokens(n int, predict func(i int) (serve.LMResult, error)) func(int) error {
-	r.Tokens, r.LogProbs = make([][]int, n), make([][]float32, n)
-	return func(i int) error {
-		t, err := predict(i)
-		r.Tokens[i], r.LogProbs[i] = t.Tokens, t.LogProbs
-		return err
+func tokensAnswer(rs []serve.LMResult, err error) (inferResult, error) {
+	if err != nil {
+		return inferResult{}, inferWireErr(err)
 	}
+	res := inferResult{Tokens: make([][]int, len(rs)), LogProbs: make([][]float32, len(rs))}
+	for i, r := range rs {
+		res.Tokens[i], res.LogProbs[i] = r.Tokens, r.LogProbs
+	}
+	return res, nil
 }
 
 // readInferTensor decodes a [N, per] body tensor.
@@ -272,7 +244,7 @@ func readInferTensor(body []byte) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
 	}
 	// A zero width would let a few header bytes claim millions of samples,
-	// each of which fans out as a goroutine.
+	// each of which becomes a queued call.
 	if t.Dims() != 2 || t.Dim(0) == 0 || t.Dim(1) == 0 {
 		return nil, fmt.Errorf("cloudsim: infer body wants a non-empty [N, width] tensor: %w", ErrBadRequest)
 	}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
-	"time"
 
 	"amalgam/internal/autodiff"
 	"amalgam/internal/models"
@@ -38,7 +40,7 @@ func inferBackend(tb testing.TB) (*serve.Server, *models.TextClassifier, *models
 	lm := models.NewTransformerLM(tensor.NewRNG(13), models.TransformerLMConfig{
 		Vocab: 40, D: 8, Heads: 2, FF: 16, Layers: 1, MaxT: 10, Dropout: 0,
 	})
-	backend := serve.New(serve.Config{MaxBatch: 4, MaxDelay: time.Millisecond, Workers: 2})
+	backend := serve.New(serve.Config{MaxBatch: 4, Workers: 2})
 	tb.Cleanup(backend.Close)
 	if err := backend.RegisterCV("cv", inferCVModel(tb), serve.CVConfig{C: 1, H: 12, W: 12}); err != nil {
 		tb.Fatal(err)
@@ -186,13 +188,16 @@ func TestInferRoundTrip(t *testing.T) {
 			func(i int) answer {
 				return directClass(cv.Forward(autodiff.Constant(tensor.FromSlice(images[i], 1, 1, 12, 12))))
 			},
-			func(i int) (answer, error) { r, err := backend.PredictCV("cv", images[i]); return classAnswer(r), err },
+			func(i int) (answer, error) {
+				r, err := backend.PredictCV("cv", [][]float32{images[i]})
+				return classAnswer(r[0]), err
+			},
 			func() ([]answer, error) { return classes(conn.PredictCV("cv", images)) }},
 		{"text", len(samples),
 			func(i int) answer { return directClass(txt.ForwardIDs([][]int{samples[i]})) },
 			func(i int) (answer, error) {
-				r, err := backend.PredictText("txt", samples[i])
-				return classAnswer(r), err
+				r, err := backend.PredictText("txt", [][]int{samples[i]})
+				return classAnswer(r[0]), err
 			},
 			func() ([]answer, error) { return classes(conn.PredictText("txt", samples)) }},
 		{"text/split", len(samples),
@@ -200,15 +205,15 @@ func TestInferRoundTrip(t *testing.T) {
 				return directClass(txt.ForwardPooled(autodiff.Constant(tensor.FromSlice(pooled[i], 1, txt.EmbedDim))))
 			},
 			func(i int) (answer, error) {
-				r, err := backend.PredictTextSplit("txt", pooled[i])
-				return classAnswer(r), err
+				r, err := backend.PredictTextSplit("txt", [][]float32{pooled[i]})
+				return classAnswer(r[0]), err
 			},
 			func() ([]answer, error) { return classes(conn.PredictTextSplit("txt", pooled)) }},
 		{"lm", len(ctxs),
 			func(i int) answer { return directTopK(lm.ForwardIDs([][]int{ctxs[i]}), topK) },
 			func(i int) (answer, error) {
-				r, err := backend.PredictLM("lm", ctxs[i], topK)
-				return tokenAnswer(r), err
+				r, err := backend.PredictLM("lm", [][]int{ctxs[i]}, topK)
+				return tokenAnswer(r[0]), err
 			},
 			func() ([]answer, error) { return tokens(conn.PredictLM("lm", ctxs, topK)) }},
 		{"lm/split", len(ctxs),
@@ -216,8 +221,8 @@ func TestInferRoundTrip(t *testing.T) {
 				return directTopK(lm.ForwardEmbedded(autodiff.Constant(tensor.FromSlice(acts[i], 1, lens[i], lm.D))), topK)
 			},
 			func(i int) (answer, error) {
-				r, err := backend.PredictLMSplit("lm", acts[i], lens[i], topK)
-				return tokenAnswer(r), err
+				r, err := backend.PredictLMSplit("lm", [][]float32{acts[i]}, []int{lens[i]}, topK)
+				return tokenAnswer(r[0]), err
 			},
 			func() ([]answer, error) { return tokens(conn.PredictLMSplit("lm", acts, lens, lm.D, topK)) }},
 	}
@@ -265,6 +270,69 @@ func TestInferRoundTrip(t *testing.T) {
 				t.Errorf("%s sample %d differs from %s: %v vs %v", pair[1], i, pair[0], direct[pair[1]][i], full)
 			}
 		}
+	}
+}
+
+// countingLM records the shape of every batch the serve backend runs
+// through it: rows, and tokens per row.
+type countingLM struct {
+	*models.TransformerLM
+	mu      sync.Mutex
+	batches [][2]int
+}
+
+func (c *countingLM) ForwardIDs(ids [][]int) *autodiff.Node {
+	c.mu.Lock()
+	c.batches = append(c.batches, [2]int{len(ids), len(ids[0])})
+	c.mu.Unlock()
+	return c.TransformerLM.ForwardIDs(ids)
+}
+
+// TestInferFrameIsOneGroup pins that a frame's samples reach the backend
+// together: one msgInfer frame of contexts in two lengths runs as exactly
+// one forward per length.
+func TestInferFrameIsOneGroup(t *testing.T) {
+	lm := &countingLM{TransformerLM: models.NewTransformerLM(tensor.NewRNG(13), models.TransformerLMConfig{
+		Vocab: 40, D: 8, Heads: 2, FF: 16, Layers: 1, MaxT: 10, Dropout: 0,
+	})}
+	backend := serve.New(serve.Config{})
+	defer backend.Close()
+	if err := backend.RegisterLM("lm", lm, serve.LMConfig{MaxContext: 10, Vocab: 40}); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := NewServerConfig(l, ServerConfig{Infer: backend})
+	defer func() {
+		l.Close()
+		server.Wait()
+	}()
+	conn, err := DialInfer(context.Background(), l.Addr().String(), NetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	const n = 8
+	contexts := make([][]int, n)
+	for i := range contexts {
+		contexts[i] = make([]int, 3+2*(i%2)) // lengths 3 and 5, interleaved
+		for j := range contexts[i] {
+			contexts[i][j] = (i + j) % 40
+		}
+	}
+	res, err := conn.PredictLM("lm", contexts, 1)
+	if err != nil || len(res) != n {
+		t.Fatalf("wire returned %d answers for %d contexts: %v", len(res), n, err)
+	}
+	lm.mu.Lock()
+	got := append([][2]int(nil), lm.batches...)
+	lm.mu.Unlock()
+	sort.Slice(got, func(i, j int) bool { return got[i][1] < got[j][1] })
+	if want := [][2]int{{n / 2, 3}, {n / 2, 5}}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("one frame ran as batches %v (rows, tokens), want %v", got, want)
 	}
 }
 

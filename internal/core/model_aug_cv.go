@@ -76,9 +76,11 @@ func (o ModelAugmentOptions) decoyBudgets(total int) []int {
 // subNets is what the three augmented models share: the module tree —
 // the original under "orig", decoys under "decoy<i>" (§4.2) — every
 // sub-network's input gather set, and the one place they are forwarded. The
-// "orig." prefix is what the extractor strips, and what the cloud cannot
-// distinguish from decoys, since serialisation randomises sub-network order
-// and strips names (see the serialize package). Only the original carries
+// "orig." prefix is what the extractor strips. Serialisation neither
+// reorders sub-networks nor strips names: every state dict on the wire
+// carries the "orig.*" and "decoy<i>.*" names as registered, so today the
+// names tell the provider which sub-network is the original (ROADMAP item
+// 10 is the key-free wire that would hide it). Only the original carries
 // mode state or dropout streams. Sharing no parameter and (taps being
 // detached) no gradient path, sub-networks train side by side.
 type subNets struct {

@@ -1,88 +1,94 @@
 package serve
 
-// The dynamic batcher: per-(model, shape) queues that flush on size or on
-// the MaxDelay latency budget, whichever comes first. This file is the
-// serve package's only legitimate timer user (the budget IS wall-clock
-// latency) and is file-scoped out of the determinism contract the same
-// way cloudsim's transport is — the worker path next door stays
-// contracted.
+// The work-conserving batcher: per-(model, shape) queues, and a ready
+// list holding each queue that has waiting calls exactly once, oldest
+// first. A free worker detaches up to MaxBatch calls from the head queue
+// and sends the queue to the back if calls remain. Nothing waits for
+// company: a lone call on an idle server runs at once, and calls that
+// arrive while every worker is busy leave together as one batch. Which
+// calls share a batch depends on arrival timing, never on a clock, and
+// the numerics do not depend on it at all (see the package comment).
 
-import (
-	"sync"
-	"time"
-)
-
-// queue coalesces calls that can share one forward pass.
+// queue holds the waiting calls that can share one forward pass. It is
+// on the server's ready list exactly when waiting is non-empty; both are
+// guarded by Server.mu.
 type queue struct {
-	srv  *Server
-	name string
-	path *path
-
-	mu      sync.Mutex
+	name    string
+	path    *path
 	waiting []*call
-	timer   *time.Timer
 }
 
-// getQueue returns reg's queue for key, creating it on first use.
-func (s *Server) getQueue(reg *registration, key string, p *path) *queue {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	q := reg.queues[key]
-	if q == nil {
-		q = &queue{srv: s, name: reg.name, path: p}
-		reg.queues[key] = q
+// enqueue reserves QueueDepth for a whole admitted group and queues every
+// call of it under one lock, so a group's calls that share a queue leave
+// in as few batches as MaxBatch allows. It refuses the group with
+// ErrClosed or ErrOverloaded instead.
+func (s *Server) enqueue(reg *registration, p *path, keys []string, calls []call) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
 	}
-	return q
+	if s.pending.Add(int64(len(calls))) > int64(s.cfg.QueueDepth) {
+		s.pending.Add(-int64(len(calls)))
+		return ErrOverloaded
+	}
+	for i := range calls {
+		q := reg.queues[keys[i]]
+		if q == nil {
+			q = &queue{name: reg.name, path: p}
+			reg.queues[keys[i]] = q
+		}
+		if len(q.waiting) == 0 {
+			s.ready = append(s.ready, q)
+		}
+		q.waiting = append(q.waiting, &calls[i])
+	}
+	s.cond.Signal()
+	return nil
 }
 
-// enqueue adds an admitted call to its queue, flushing immediately at
-// MaxBatch or arming the latency-budget timer on a batch's first call.
-// The channel send happens outside the queue lock (lock discipline: no
-// blocking operations while a mutex field is held).
-func (s *Server) enqueue(reg *registration, key string, p *path, cl *call) {
-	q := s.getQueue(reg, key, p)
-	var flush []*call
-	q.mu.Lock()
-	q.waiting = append(q.waiting, cl)
-	if len(q.waiting) >= s.cfg.MaxBatch {
-		flush = q.waiting
+// next parks until a queue is ready and detaches the oldest ready
+// queue's first MaxBatch calls; it returns no calls once the server is
+// closed. Work left on the ready list wakes another worker, so no worker
+// sleeps while a batch could run.
+func (s *Server) next() (*queue, []*call) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.ready) == 0 && !s.closed {
+		s.cond.Wait()
+	}
+	if s.closed {
+		return nil, nil
+	}
+	q := s.ready[0]
+	s.ready = s.ready[:copy(s.ready, s.ready[1:])]
+	n := min(len(q.waiting), s.cfg.MaxBatch)
+	batch := q.waiting[:n:n]
+	if q.waiting = q.waiting[n:]; len(q.waiting) > 0 {
+		s.ready = append(s.ready, q)
+	} else {
 		q.waiting = nil
-		if q.timer != nil {
-			q.timer.Stop()
-			q.timer = nil
-		}
-	} else if len(q.waiting) == 1 {
-		q.timer = time.AfterFunc(s.cfg.MaxDelay, q.budgetExpired)
 	}
-	q.mu.Unlock()
-	if flush != nil {
-		s.submit(reg.name, p, flush)
+	if len(s.ready) > 0 {
+		s.cond.Signal()
 	}
+	return q, batch
 }
 
-// budgetExpired flushes whatever the latency budget caught. A size flush
-// may have raced the timer; the detach under lock makes that benign —
-// whoever detaches first owns the batch.
-func (q *queue) budgetExpired() {
-	q.mu.Lock()
-	flush := q.waiting
-	q.waiting = nil
-	q.timer = nil
-	q.mu.Unlock()
-	if len(flush) > 0 {
-		q.srv.submit(q.name, q.path, flush)
-	}
-}
-
-// submit hands a detached batch to the worker pool, failing it fast if
-// the server is closing instead.
-func (s *Server) submit(name string, p *path, calls []*call) {
-	select {
-	case s.work <- batchJob{name: name, path: p, calls: calls}:
-	case <-s.closed:
-		for _, cl := range calls {
+// Close stops the workers and fails every queued call with ErrClosed;
+// batches already running finish first. It is idempotent.
+func (s *Server) Close() {
+	s.mu.Lock()
+	s.closed = true
+	for _, q := range s.ready {
+		for _, cl := range q.waiting {
 			cl.err = ErrClosed
-			cl.finish(s)
 		}
+		s.finish(q.waiting)
+		q.waiting = nil
 	}
+	s.ready = nil
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	s.wg.Wait()
 }

@@ -1,16 +1,20 @@
 // Package serve is the inference half of the obfuscation story: a
 // high-throughput prediction server over extracted (or still-augmented)
-// models. Single predictions are coalesced by a dynamic batcher — flush
-// on size or on a configurable latency budget, whichever comes first —
-// and executed by a pool of inference workers whose forward passes reuse
-// the tensor scratch pool and release every graph root, so steady-state
-// serving allocates nothing per request beyond the result copies.
+// models. Predictions arrive in groups (a wire frame's samples, or one
+// in-process request) and are coalesced by a work-conserving batcher: a
+// free worker takes up to MaxBatch waiting calls that share a shape and
+// runs them at once, so a lone request on an idle server never waits,
+// and calls that arrive while the workers are busy leave together. The
+// workers' forward passes reuse the tensor scratch pool and release
+// every graph root, so steady-state serving allocates nothing per
+// request beyond the result copies.
 //
 // Because every forward kernel is row-independent (matmul rows, eval-mode
 // batch norm, per-image convolution, per-row embedding pooling), batching
 // N single requests is bit-identical to N sequential calls: the batcher
 // changes throughput, never numerics. That invariant is test-pinned under
-// the race detector.
+// the race detector, and the package reads no clock: it sits inside the
+// determinism contract that detcheck enforces.
 //
 // A registered model is a set of paths, and a path is data (type path):
 // admit — the admission check on one request's payload, plus the key of
@@ -19,7 +23,9 @@
 // in place); forward — the model's Forward/ForwardIDs, or a split tail;
 // fan — how the output rows become results (argmax class + logit row, or
 // top-K next tokens). One driver, path.run, executes every path; the
-// typed Predict* methods and Register* configs are thin callers of it.
+// typed Predict* methods and Register* configs are thin callers of it,
+// and every Predict* takes a group of samples, the same shape a wire
+// frame has.
 //
 // Split inference (Leroux et al.'s privacy-aware offloading) is two more
 // such paths: the client runs the gather/embedding layers locally and
@@ -34,7 +40,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"amalgam/internal/autodiff"
 )
@@ -48,8 +53,9 @@ var (
 	// registered model (wrong image size, empty token list, out-of-range
 	// ids, wrong activation shape, no split tail registered, …).
 	ErrBadInput = errors.New("serve: invalid request")
-	// ErrOverloaded rejects a request when QueueDepth requests are already
-	// pending — admission control instead of unbounded queueing.
+	// ErrOverloaded rejects a group whose samples would take the pending
+	// count past QueueDepth — admission control instead of unbounded
+	// queueing.
 	ErrOverloaded = errors.New("serve: server overloaded")
 	// ErrClosed rejects requests on (or interrupted by) Close.
 	ErrClosed = errors.New("serve: server closed")
@@ -63,18 +69,15 @@ var (
 // Config tunes the batcher and the worker pool. The zero value of any
 // field falls back to its default.
 type Config struct {
-	// MaxBatch flushes a queue as soon as this many requests are waiting
+	// MaxBatch caps the calls one forward pass takes from a queue
 	// (default 32). 1 disables coalescing — every request runs alone.
 	MaxBatch int
-	// MaxDelay is the latency budget: the longest a request waits for
-	// co-batchable traffic before its queue is flushed anyway (default
-	// 2ms). The budget starts at the first request of a batch.
-	MaxDelay time.Duration
-	// Workers is the number of inference workers draining flushed batches
+	// Workers is the number of inference workers running batches
 	// (default 2).
 	Workers int
-	// QueueDepth bounds the number of admitted-but-unfinished requests
-	// (default 1024); beyond it, requests fail fast with ErrOverloaded.
+	// QueueDepth bounds the number of admitted-but-unfinished samples
+	// (default 1024); a group that would pass it fails fast with
+	// ErrOverloaded, so a group larger than QueueDepth never runs.
 	QueueDepth int
 }
 
@@ -158,24 +161,27 @@ type LMResult struct {
 // Server batches and executes predictions. Construct with New, register
 // models, predict from any number of goroutines, Close when done.
 type Server struct {
-	cfg     Config
-	mu      sync.Mutex
-	regs    map[string]*registration
-	work    chan batchJob
-	closed  chan struct{}
-	closing sync.Once
-	wg      sync.WaitGroup
+	cfg Config
+	wg  sync.WaitGroup
+	// pending counts admitted-but-unfinished samples; workers release it
+	// without taking mu.
 	pending atomic.Int64
+
+	// mu guards the registrations with their queues, the ready list and
+	// closed; idle workers park on cond.
+	mu     sync.Mutex
+	cond   *sync.Cond
+	regs   map[string]*registration
+	ready  []*queue
+	closed bool
 }
 
 // registration is one served model: the prediction paths its modality
 // (and split tail, when attached) offers, with per-shape batch queues
-// created on demand.
+// created on demand under Server.mu.
 type registration struct {
-	name  string
-	paths map[string]*path
-
-	mu     sync.Mutex
+	name   string
+	paths  map[string]*path
 	queues map[string]*queue
 }
 
@@ -241,8 +247,8 @@ func (p *path) admit(model, kind string, cl *call) (key string, err error) {
 }
 
 // call is one in-flight prediction. Exactly one of row/ids is the
-// payload; the result and err are written by the worker before done is
-// closed.
+// payload; the result and err are written by the worker before done, its
+// group's countdown, is released.
 type call struct {
 	row    []float32
 	ids    []int
@@ -251,7 +257,7 @@ type call struct {
 
 	result
 	err  error
-	done chan struct{}
+	done *sync.WaitGroup
 }
 
 // result is what a path's fan fills in: class on classification paths,
@@ -261,19 +267,10 @@ type result struct {
 	next  LMResult
 }
 
-type batchJob struct {
-	name  string
-	path  *path
-	calls []*call
-}
-
 // New starts a server with Config defaults applied.
 func New(cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 32
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 2 * time.Millisecond
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -281,24 +278,13 @@ func New(cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}
-	s := &Server{
-		cfg:    cfg,
-		regs:   make(map[string]*registration),
-		work:   make(chan batchJob, cfg.Workers),
-		closed: make(chan struct{}),
-	}
+	s := &Server{cfg: cfg, regs: make(map[string]*registration)}
+	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
 	return s
-}
-
-// Close stops the workers and fails every waiting request with ErrClosed.
-// It is idempotent.
-func (s *Server) Close() {
-	s.closing.Do(func() { close(s.closed) })
-	s.wg.Wait()
 }
 
 // register adds a named model, switching it to eval mode permanently:
@@ -316,24 +302,42 @@ func (s *Server) register(name string, m interface{ SetTraining(bool) }, paths m
 	return nil
 }
 
-// predict runs one call down one of a model's paths: lookup, admission,
-// then the batcher.
-func (s *Server) predict(model, kind string, cl *call) (result, error) {
+// predict runs a group of calls down one of a model's paths: lookup,
+// admission of every call in index order (the first failure answers for
+// the group, and nothing of it runs), one enqueue of the whole group,
+// then a wait for all of it. The lowest-indexed call that failed in its
+// batch answers likewise.
+func (s *Server) predict(model, kind string, calls []call) error {
 	s.mu.Lock()
 	reg, ok := s.regs[model]
 	s.mu.Unlock()
 	if !ok {
-		return result{}, fmt.Errorf("%w: %q", ErrUnknownModel, model)
+		return fmt.Errorf("%w: %q", ErrUnknownModel, model)
 	}
 	p := reg.paths[kind]
 	if p == nil {
-		return result{}, fmt.Errorf("%w: %q serves no %s path", ErrBadInput, model, kind)
+		return fmt.Errorf("%w: %q serves no %s path", ErrBadInput, model, kind)
 	}
-	key, err := p.admit(model, kind, cl)
-	if err != nil {
-		return result{}, err
+	var done sync.WaitGroup
+	keys := make([]string, len(calls))
+	for i := range calls {
+		key, err := p.admit(model, kind, &calls[i])
+		if err != nil {
+			return err
+		}
+		keys[i], calls[i].done = key, &done
 	}
-	return s.dispatch(reg, key, p, cl)
+	done.Add(len(calls))
+	if err := s.enqueue(reg, p, keys, calls); err != nil {
+		return err
+	}
+	done.Wait()
+	for i := range calls {
+		if err := calls[i].err; err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RegisterCV serves an image model with the given input geometry. The
@@ -380,39 +384,82 @@ func (s *Server) RegisterLM(name string, m IDForwarder, cfg LMConfig) error {
 	return s.register(name, m, paths)
 }
 
-// PredictCV classifies one image (flat [C*H*W] row-major pixels). The
-// slice must stay untouched until the call returns.
-func (s *Server) PredictCV(model string, image []float32) (CVResult, error) {
-	r, err := s.predict(model, "cv", &call{row: image})
-	return r.class, err
+// PredictCV classifies a group of images (each flat [C*H*W] row-major
+// pixels). The slices must stay untouched until the call returns.
+func (s *Server) PredictCV(model string, images [][]float32) ([]CVResult, error) {
+	calls := make([]call, len(images))
+	for i, img := range images {
+		calls[i].row = img
+	}
+	return classes(calls, s.predict(model, "cv", calls))
 }
 
-// PredictText classifies one token sequence. The slice must stay
-// untouched until the call returns.
-func (s *Server) PredictText(model string, tokens []int) (TextResult, error) {
-	r, err := s.predict(model, "text", &call{ids: tokens})
-	return r.class, err
+// PredictText classifies a group of token sequences (ragged lengths are
+// fine). The slices must stay untouched until the call returns.
+func (s *Server) PredictText(model string, samples [][]int) ([]TextResult, error) {
+	calls := make([]call, len(samples))
+	for i, toks := range samples {
+		calls[i].ids = toks
+	}
+	return classes(calls, s.predict(model, "text", calls))
 }
 
-// PredictTextSplit classifies from client-side pooled activations
+// PredictTextSplit classifies from client-side pooled activations, each
 // [SplitDim] — split inference: the token ids never reached this server.
-func (s *Server) PredictTextSplit(model string, pooled []float32) (TextResult, error) {
-	r, err := s.predict(model, "text/split", &call{row: pooled})
-	return r.class, err
+func (s *Server) PredictTextSplit(model string, pooled [][]float32) ([]TextResult, error) {
+	calls := make([]call, len(pooled))
+	for i, row := range pooled {
+		calls[i].row = row
+	}
+	return classes(calls, s.predict(model, "text/split", calls))
 }
 
-// PredictLM scores the next token after context, returning the top-K
+// PredictLM scores the next token after each context, returning its top-K
 // candidates (topK <= 0 means 1).
-func (s *Server) PredictLM(model string, context []int, topK int) (LMResult, error) {
-	r, err := s.predict(model, "lm", &call{ids: context, topK: topK})
-	return r.next, err
+func (s *Server) PredictLM(model string, contexts [][]int, topK int) ([]LMResult, error) {
+	calls := make([]call, len(contexts))
+	for i, ctx := range contexts {
+		calls[i] = call{ids: ctx, topK: topK}
+	}
+	return nextTokens(calls, s.predict(model, "lm", calls))
 }
 
 // PredictLMSplit scores the next token from client-side embedded
-// activations (flat [seqLen*SplitDim]) — split inference for LMs.
-func (s *Server) PredictLMSplit(model string, acts []float32, seqLen, topK int) (LMResult, error) {
-	r, err := s.predict(model, "lm/split", &call{row: acts, seqLen: seqLen, topK: topK})
-	return r.next, err
+// activations — sample i is flat [seqLens[i]*SplitDim] — split inference
+// for LMs.
+func (s *Server) PredictLMSplit(model string, acts [][]float32, seqLens []int, topK int) ([]LMResult, error) {
+	if len(seqLens) != len(acts) {
+		return nil, fmt.Errorf("%w: %d activation samples but %d lengths", ErrBadInput, len(acts), len(seqLens))
+	}
+	calls := make([]call, len(acts))
+	for i, row := range acts {
+		calls[i] = call{row: row, seqLen: seqLens[i], topK: topK}
+	}
+	return nextTokens(calls, s.predict(model, "lm/split", calls))
+}
+
+// classes collects a predicted group's classifications; nextTokens its
+// next-token scorings.
+func classes(calls []call, err error) ([]CVResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]CVResult, len(calls))
+	for i := range calls {
+		out[i] = calls[i].class
+	}
+	return out, nil
+}
+
+func nextTokens(calls []call, err error) ([]LMResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]LMResult, len(calls))
+	for i := range calls {
+		out[i] = calls[i].next
+	}
+	return out, nil
 }
 
 // checkTokens validates ids against a vocabulary size (0 skips), so one
@@ -428,43 +475,4 @@ func checkTokens(ids []int, vocab int) error {
 		}
 	}
 	return nil
-}
-
-// dispatch admits, enqueues, and waits out one call.
-func (s *Server) dispatch(reg *registration, key string, p *path, cl *call) (result, error) {
-	if err := s.admit(); err != nil {
-		return result{}, err
-	}
-	cl.done = make(chan struct{})
-	s.enqueue(reg, key, p, cl)
-	select {
-	case <-cl.done:
-	case <-s.closed:
-		// The result may have been racing the shutdown; prefer it.
-		select {
-		case <-cl.done:
-		default:
-			return result{}, ErrClosed
-		}
-	}
-	return cl.result, cl.err
-}
-
-// admit enforces QueueDepth; every admitted call is released by finish.
-func (s *Server) admit() error {
-	select {
-	case <-s.closed:
-		return ErrClosed
-	default:
-	}
-	if s.pending.Add(1) > int64(s.cfg.QueueDepth) {
-		s.pending.Add(-1)
-		return ErrOverloaded
-	}
-	return nil
-}
-
-func (cl *call) finish(s *Server) {
-	s.pending.Add(-1)
-	close(cl.done)
 }

@@ -90,7 +90,7 @@ func intsEqual(a, b []int) bool {
 // ("race test (inference serving)").
 func TestBatchedMatchesSequential(t *testing.T) {
 	cv, txt, lm := buildTestModels(t)
-	s := New(Config{MaxBatch: 8, MaxDelay: 2 * time.Millisecond, Workers: 4, QueueDepth: 512})
+	s := New(Config{MaxBatch: 8, Workers: 4, QueueDepth: 512})
 	defer s.Close()
 	if err := s.RegisterCV("cv", cv, CVConfig{C: 1, H: 28, W: 28}); err != nil {
 		t.Fatal(err)
@@ -132,28 +132,28 @@ func TestBatchedMatchesSequential(t *testing.T) {
 			wg.Add(3)
 			go func(i int) {
 				defer wg.Done()
-				got, err := s.PredictCV("cv", imageRow(imgs, i))
+				got, err := s.PredictCV("cv", [][]float32{imageRow(imgs, i)})
 				if err != nil {
 					errs <- fmt.Errorf("PredictCV(%d): %v", i, err)
-				} else if got.Class != wantCV[i].Class || !float32sEqual(got.Logits, wantCV[i].Logits) {
+				} else if got[0].Class != wantCV[i].Class || !float32sEqual(got[0].Logits, wantCV[i].Logits) {
 					errs <- fmt.Errorf("PredictCV(%d): batched result differs from sequential", i)
 				}
 			}(i)
 			go func(i int) {
 				defer wg.Done()
-				got, err := s.PredictText("txt", txtDS.Samples[i])
+				got, err := s.PredictText("txt", [][]int{txtDS.Samples[i]})
 				if err != nil {
 					errs <- fmt.Errorf("PredictText(%d): %v", i, err)
-				} else if got.Class != wantTxt[i].Class || !float32sEqual(got.Logits, wantTxt[i].Logits) {
+				} else if got[0].Class != wantTxt[i].Class || !float32sEqual(got[0].Logits, wantTxt[i].Logits) {
 					errs <- fmt.Errorf("PredictText(%d): batched result differs from sequential", i)
 				}
 			}(i)
 			go func(i int) {
 				defer wg.Done()
-				got, err := s.PredictLM("lm", ctxs[i], 3)
+				got, err := s.PredictLM("lm", [][]int{ctxs[i]}, 3)
 				if err != nil {
 					errs <- fmt.Errorf("PredictLM(%d): %v", i, err)
-				} else if !intsEqual(got.Tokens, wantLM[i].Tokens) || !float32sEqual(got.LogProbs, wantLM[i].LogProbs) {
+				} else if !intsEqual(got[0].Tokens, wantLM[i].Tokens) || !float32sEqual(got[0].LogProbs, wantLM[i].LogProbs) {
 					errs <- fmt.Errorf("PredictLM(%d): batched result differs from sequential", i)
 				}
 			}(i)
@@ -171,7 +171,7 @@ func TestBatchedMatchesSequential(t *testing.T) {
 // the prediction the full-input path produces.
 func TestSplitMatchesFull(t *testing.T) {
 	_, txt, lm := buildTestModels(t)
-	s := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond, Workers: 2})
+	s := New(Config{MaxBatch: 4, Workers: 2})
 	defer s.Close()
 	if err := s.RegisterText("txt", txt, TextConfig{Vocab: 80, SplitTail: txt.ForwardPooled, SplitDim: txt.EmbedDim}); err != nil {
 		t.Fatal(err)
@@ -181,23 +181,23 @@ func TestSplitMatchesFull(t *testing.T) {
 	}
 
 	toks := []int{5, 17, 3, 42, 9, 77}
-	full, err := s.PredictText("txt", toks)
+	full, err := s.PredictText("txt", [][]int{toks})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pooledNode := txt.Embed.LookupMean([][]int{toks})
 	pooled := copyRow(pooledNode.Val.Data, 0, txt.EmbedDim)
 	autodiff.Release(pooledNode)
-	split, err := s.PredictTextSplit("txt", pooled)
+	split, err := s.PredictTextSplit("txt", [][]float32{pooled})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if split.Class != full.Class || !float32sEqual(split.Logits, full.Logits) {
+	if split[0].Class != full[0].Class || !float32sEqual(split[0].Logits, full[0].Logits) {
 		t.Error("text split result differs from full-input result")
 	}
 
 	ctx := []int{1, 8, 30, 55, 2, 2, 47}
-	fullLM, err := s.PredictLM("lm", ctx, 4)
+	fullLM, err := s.PredictLM("lm", [][]int{ctx}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestSplitMatchesFull(t *testing.T) {
 	acts := make([]float32, len(ctx)*lm.D)
 	copy(acts, h.Val.Data)
 	autodiff.Release(h)
-	splitLM, err := s.PredictLMSplit("lm", acts, len(ctx), 4)
+	splitLM, err := s.PredictLMSplit("lm", [][]float32{acts}, []int{len(ctx)}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !intsEqual(splitLM.Tokens, fullLM.Tokens) || !float32sEqual(splitLM.LogProbs, fullLM.LogProbs) {
+	if !intsEqual(splitLM[0].Tokens, fullLM[0].Tokens) || !float32sEqual(splitLM[0].LogProbs, fullLM[0].LogProbs) {
 		t.Error("LM split result differs from full-input result")
 	}
 }
@@ -222,20 +222,20 @@ func TestSteadyStatePoolStable(t *testing.T) {
 		t.Skip("race-mode sync.Pool drops puts at random; miss counts are meaningless")
 	}
 	_, txt, _ := buildTestModels(t)
-	s := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond, Workers: 1})
+	s := New(Config{MaxBatch: 4, Workers: 1})
 	defer s.Close()
 	if err := s.RegisterText("txt", txt, TextConfig{Vocab: 80}); err != nil {
 		t.Fatal(err)
 	}
 	toks := []int{3, 14, 15, 9, 26, 5}
 	for i := 0; i < 10; i++ {
-		if _, err := s.PredictText("txt", toks); err != nil {
+		if _, err := s.PredictText("txt", [][]int{toks}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	_, miss0 := tensor.PoolStats()
 	for i := 0; i < 50; i++ {
-		if _, err := s.PredictText("txt", toks); err != nil {
+		if _, err := s.PredictText("txt", [][]int{toks}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,7 +256,7 @@ func (b *blockingCV) Forward(x *autodiff.Node) *autodiff.Node {
 func (b *blockingCV) SetTraining(bool) {}
 
 func TestOverloadAndClose(t *testing.T) {
-	s := New(Config{MaxBatch: 1, MaxDelay: time.Millisecond, Workers: 1, QueueDepth: 2})
+	s := New(Config{MaxBatch: 1, Workers: 1, QueueDepth: 2})
 	bm := &blockingCV{release: make(chan struct{})}
 	if err := s.RegisterCV("b", bm, CVConfig{C: 1, H: 1, W: 1}); err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestOverloadAndClose(t *testing.T) {
 	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := s.PredictCV("b", []float32{0})
+			_, err := s.PredictCV("b", [][]float32{{0}})
 			done <- err
 		}()
 	}
@@ -275,7 +275,7 @@ func TestOverloadAndClose(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.PredictCV("b", []float32{0}); !errors.Is(err, ErrOverloaded) {
+	if _, err := s.PredictCV("b", [][]float32{{0}}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("over-depth request: got %v, want ErrOverloaded", err)
 	}
 	close(bm.release)
@@ -285,7 +285,7 @@ func TestOverloadAndClose(t *testing.T) {
 		}
 	}
 	s.Close()
-	if _, err := s.PredictCV("b", []float32{0}); !errors.Is(err, ErrClosed) {
+	if _, err := s.PredictCV("b", [][]float32{{0}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-Close request: got %v, want ErrClosed", err)
 	}
 }
@@ -298,16 +298,16 @@ func (panickyCV) Forward(*autodiff.Node) *autodiff.Node { panic("synthetic model
 func (panickyCV) SetTraining(bool)                      {}
 
 func TestModelPanicFailsBatchTyped(t *testing.T) {
-	s := New(Config{MaxBatch: 1, MaxDelay: time.Millisecond, Workers: 1})
+	s := New(Config{MaxBatch: 1, Workers: 1})
 	defer s.Close()
 	if err := s.RegisterCV("p", panickyCV{}, CVConfig{C: 1, H: 1, W: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PredictCV("p", []float32{0}); !errors.Is(err, ErrModelPanic) {
+	if _, err := s.PredictCV("p", [][]float32{{0}}); !errors.Is(err, ErrModelPanic) {
 		t.Fatalf("got %v, want ErrModelPanic", err)
 	}
 	// The worker survived; the server still serves.
-	if _, err := s.PredictCV("p", []float32{1}); !errors.Is(err, ErrModelPanic) {
+	if _, err := s.PredictCV("p", [][]float32{{1}}); !errors.Is(err, ErrModelPanic) {
 		t.Fatalf("second call: got %v, want ErrModelPanic", err)
 	}
 }
@@ -331,13 +331,13 @@ func (laneBugCV) Forward(*autodiff.Node) *autodiff.Node {
 // worker's goroutine does.
 func TestLanePanicFailsBatchTyped(t *testing.T) {
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(3))
-	s := New(Config{MaxBatch: 1, MaxDelay: time.Millisecond, Workers: 1})
+	s := New(Config{MaxBatch: 1, Workers: 1})
 	defer s.Close()
 	if err := s.RegisterCV("p", laneBugCV{}, CVConfig{C: 1, H: 1, W: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for call := 0; call < 2; call++ { // the second shows the worker survived
-		if _, err := s.PredictCV("p", []float32{0}); !errors.Is(err, ErrModelPanic) || !strings.Contains(err.Error(), "synthetic decoy bug") {
+		if _, err := s.PredictCV("p", [][]float32{{0}}); !errors.Is(err, ErrModelPanic) || !strings.Contains(err.Error(), "synthetic decoy bug") {
 			t.Fatalf("call %d: got %v, want ErrModelPanic carrying the branch's panic", call, err)
 		}
 	}
@@ -345,7 +345,7 @@ func TestLanePanicFailsBatchTyped(t *testing.T) {
 
 func TestAdmissionValidation(t *testing.T) {
 	cv, txt, lm := buildTestModels(t)
-	s := New(Config{MaxBatch: 2, MaxDelay: time.Millisecond, Workers: 1})
+	s := New(Config{MaxBatch: 2, Workers: 1})
 	defer s.Close()
 	if err := s.RegisterCV("cv", cv, CVConfig{C: 1, H: 28, W: 28}); err != nil {
 		t.Fatal(err)
@@ -365,15 +365,15 @@ func TestAdmissionValidation(t *testing.T) {
 		call func() error
 		want error
 	}{
-		{"unknown model", func() error { _, err := s.PredictCV("nope", make([]float32, 784)); return err }, ErrUnknownModel},
-		{"wrong modality", func() error { _, err := s.PredictText("cv", []int{1}); return err }, ErrBadInput},
-		{"bad image size", func() error { _, err := s.PredictCV("cv", make([]float32, 10)); return err }, ErrBadInput},
-		{"empty tokens", func() error { _, err := s.PredictText("txt", nil); return err }, ErrBadInput},
-		{"fixed-length violation", func() error { _, err := s.PredictText("txt", []int{1, 2, 3}); return err }, ErrBadInput},
-		{"token out of vocab", func() error { _, err := s.PredictText("txt", []int{1, 2, 3, 4, 5, 99}); return err }, ErrBadInput},
-		{"context too long", func() error { _, err := s.PredictLM("lm", make([]int, 20), 1); return err }, ErrBadInput},
-		{"fixed-context violation", func() error { _, err := s.PredictLM("lm", make([]int, 5), 1); return err }, ErrBadInput},
-		{"no split tail", func() error { _, err := s.PredictTextSplit("txt", make([]float32, 16)); return err }, ErrBadInput},
+		{"unknown model", func() error { _, err := s.PredictCV("nope", [][]float32{make([]float32, 784)}); return err }, ErrUnknownModel},
+		{"wrong modality", func() error { _, err := s.PredictText("cv", [][]int{{1}}); return err }, ErrBadInput},
+		{"bad image size", func() error { _, err := s.PredictCV("cv", [][]float32{make([]float32, 10)}); return err }, ErrBadInput},
+		{"empty tokens", func() error { _, err := s.PredictText("txt", [][]int{nil}); return err }, ErrBadInput},
+		{"fixed-length violation", func() error { _, err := s.PredictText("txt", [][]int{{1, 2, 3}}); return err }, ErrBadInput},
+		{"token out of vocab", func() error { _, err := s.PredictText("txt", [][]int{{1, 2, 3, 4, 5, 99}}); return err }, ErrBadInput},
+		{"context too long", func() error { _, err := s.PredictLM("lm", [][]int{make([]int, 20)}, 1); return err }, ErrBadInput},
+		{"fixed-context violation", func() error { _, err := s.PredictLM("lm", [][]int{make([]int, 5)}, 1); return err }, ErrBadInput},
+		{"no split tail", func() error { _, err := s.PredictTextSplit("txt", [][]float32{make([]float32, 16)}); return err }, ErrBadInput},
 	}
 	for _, tc := range cases {
 		if err := tc.call(); !errors.Is(err, tc.want) {
@@ -451,5 +451,185 @@ func TestTopKMatchesSelectionLoop(t *testing.T) {
 	}
 	if limit := 250 * time.Millisecond; took > limit && !raceEnabled {
 		t.Errorf("top_k = 1<<30 at V = %d took %v, want under %v", wikiText2, took, limit)
+	}
+}
+
+// gate is a model that records the shape of every batch it runs — rows,
+// and tokens per row on the id path — announcing each forward on entered
+// before it waits for release. Close release to let forwards run free.
+type gate struct {
+	entered chan [2]int
+	release chan struct{}
+}
+
+const gateVocab = 8
+
+func newGate() *gate {
+	return &gate{entered: make(chan [2]int, 64), release: make(chan struct{})}
+}
+
+func (g *gate) Forward(x *autodiff.Node) *autodiff.Node {
+	g.entered <- [2]int{x.Val.Dim(0), 0}
+	<-g.release
+	return autodiff.Constant(tensor.New(x.Val.Dim(0), 2))
+}
+
+// ForwardIDs answers each row with a one-hot logit at its first token,
+// so every result shows which sample it came from.
+func (g *gate) ForwardIDs(ids [][]int) *autodiff.Node {
+	g.entered <- [2]int{len(ids), len(ids[0])}
+	<-g.release
+	out := tensor.New(len(ids), gateVocab)
+	for i, row := range ids {
+		out.Data[i*gateVocab+row[0]] = 1
+	}
+	return autodiff.Constant(out)
+}
+
+func (g *gate) SetTraining(bool) {}
+
+// batches lists the batch shapes the gate has recorded and not yet
+// reported.
+func (g *gate) batches() [][2]int {
+	var out [][2]int
+	for {
+		select {
+		case b := <-g.entered:
+			out = append(out, b)
+		default:
+			return out
+		}
+	}
+}
+
+// waitPending waits until n samples are admitted and unfinished.
+func waitPending(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.pending.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("pending stuck at %d, want %d", s.pending.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBatchesForm pins how batches form, with one worker so the order is
+// fixed: a lone call runs at once, alone; calls that queue behind a busy
+// worker leave together, MaxBatch at a time; and one group runs as one
+// forward per shape, its answers back in its own order.
+func TestBatchesForm(t *testing.T) {
+	const maxBatch = 4
+	newServer := func(t *testing.T) (*Server, *gate) {
+		s := New(Config{MaxBatch: maxBatch, Workers: 1})
+		t.Cleanup(s.Close)
+		g := newGate()
+		if err := s.RegisterCV("cv", g, CVConfig{C: 1, H: 1, W: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RegisterLM("lm", g, LMConfig{MaxContext: 8, Vocab: gateVocab}); err != nil {
+			t.Fatal(err)
+		}
+		return s, g
+	}
+	predictCV := func(s *Server, errs chan<- error) {
+		_, err := s.PredictCV("cv", [][]float32{{0}})
+		errs <- err
+	}
+
+	t.Run("lone call runs alone at once", func(t *testing.T) {
+		s, g := newServer(t)
+		errs := make(chan error, 1)
+		go predictCV(s, errs)
+		if b := <-g.entered; b[0] != 1 {
+			t.Fatalf("lone call reached Forward in a batch of %d, want 1", b[0])
+		}
+		if n := s.pending.Load(); n != 1 {
+			t.Fatalf("%d samples pending while the lone call runs, want 1", n)
+		}
+		close(g.release)
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("calls queued behind a busy worker leave together", func(t *testing.T) {
+		const k = 10
+		s, g := newServer(t)
+		errs := make(chan error, k+1)
+		go predictCV(s, errs)
+		<-g.entered // the worker is now blocked in Forward
+		for i := 0; i < k; i++ {
+			go predictCV(s, errs)
+		}
+		waitPending(t, s, k+1)
+		close(g.release)
+		for i := 0; i < k+1; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := g.batches()
+		want := [][2]int{{maxBatch, 0}, {maxBatch, 0}, {k - 2*maxBatch, 0}} // ⌈k/MaxBatch⌉ forwards
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%d queued calls ran as batches %v, want %v", k, got, want)
+		}
+	})
+
+	t.Run("one group runs one forward per length", func(t *testing.T) {
+		s, g := newServer(t)
+		close(g.release)
+		contexts := [][]int{{1, 0, 0}, {2, 0, 0, 0, 0}, {3, 0, 0}, {4, 0, 0, 0, 0}, {5, 0, 0}, {6, 0, 0, 0, 0, 0, 0, 0}}
+		res, err := s.PredictLM("lm", contexts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if r.Tokens[0] != contexts[i][0] {
+				t.Errorf("sample %d got the answer of the sample starting %d", i, r.Tokens[0])
+			}
+		}
+		got := g.batches()
+		want := [][2]int{{3, 3}, {2, 5}, {1, 8}} // (rows, tokens), in order of first appearance
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("group ran as batches %v, want %v", got, want)
+		}
+	})
+}
+
+// TestCloseFailsQueuedCalls: Close answers the calls still queued with
+// ErrClosed at once, and lets the batch already running finish.
+func TestCloseFailsQueuedCalls(t *testing.T) {
+	s := New(Config{MaxBatch: 1, Workers: 1})
+	g := newGate()
+	if err := s.RegisterCV("cv", g, CVConfig{C: 1, H: 1, W: 1}); err != nil {
+		t.Fatal(err)
+	}
+	running, queued := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := s.PredictCV("cv", [][]float32{{0}})
+		running <- err
+	}()
+	<-g.entered
+	go func() {
+		_, err := s.PredictCV("cv", [][]float32{{0}, {1}})
+		queued <- err
+	}()
+	waitPending(t, s, 3)
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	if err := <-queued; !errors.Is(err, ErrClosed) {
+		t.Fatalf("queued group: got %v, want ErrClosed", err)
+	}
+	close(g.release)
+	<-closed
+	if err := <-running; err != nil {
+		t.Fatalf("running batch: %v", err)
+	}
+	if n := s.pending.Load(); n != 0 {
+		t.Fatalf("%d samples still pending after Close", n)
 	}
 }

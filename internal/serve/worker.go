@@ -1,11 +1,11 @@
 package serve
 
-// The inference workers: each drains flushed batches, assembles the batch
-// input in one pooled tensor, runs a single eval-mode forward pass,
-// copies every request's result out, and releases the graph root — so a
-// steady-state prediction touches only pooled storage plus the per-result
-// copies. Determinism-contracted: batch execution is a pure function of
-// the coalesced inputs.
+// The inference workers: each takes the next batch off the ready list,
+// assembles the batch input in one pooled tensor, runs a single eval-mode
+// forward pass, copies every request's result out, and releases the
+// graph root — so a steady-state prediction touches only pooled storage
+// plus the per-result copies. Batch execution is a pure function of the
+// coalesced inputs.
 
 import (
 	"fmt"
@@ -18,12 +18,11 @@ import (
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		select {
-		case b := <-s.work:
-			s.runBatch(b)
-		case <-s.closed:
+		q, calls := s.next()
+		if calls == nil {
 			return
 		}
+		s.runBatch(q, calls)
 	}
 }
 
@@ -31,19 +30,26 @@ func (s *Server) worker() {
 // with results, or with ErrModelPanic if the forward pass blew up (a
 // poisoned request fails its whole batch; admission-time validation keeps
 // that to genuine model bugs).
-func (s *Server) runBatch(b batchJob) {
+func (s *Server) runBatch(q *queue, calls []*call) {
 	defer func() {
 		if r := recover(); r != nil {
-			err := fmt.Errorf("%w: model %q: %v", ErrModelPanic, b.name, r)
-			for _, cl := range b.calls {
+			err := fmt.Errorf("%w: model %q: %v", ErrModelPanic, q.name, r)
+			for _, cl := range calls {
 				cl.err = err
 			}
 		}
-		for _, cl := range b.calls {
-			cl.finish(s)
-		}
+		s.finish(calls)
 	}()
-	b.path.run(b.calls)
+	q.path.run(calls)
+}
+
+// finish releases completed calls' QueueDepth reservations and wakes
+// their groups.
+func (s *Server) finish(calls []*call) {
+	s.pending.Add(-int64(len(calls)))
+	for _, cl := range calls {
+		cl.done.Done()
+	}
 }
 
 // run is THE batch driver, for every path: pack the coalesced calls into
