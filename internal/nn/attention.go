@@ -122,12 +122,14 @@ func (l *TransformerEncoderLayer) ForwardSeq(x *autodiff.Node, mask *tensor.Tens
 }
 
 // PositionalEncoding returns the sinusoidal [maxT, D] table from
-// "Attention Is All You Need".
+// "Attention Is All You Need". Each column pair's wavelength is computed
+// once, not once per position.
 func PositionalEncoding(maxT, d int) *tensor.Tensor {
 	pe := tensor.New(maxT, d)
-	for pos := 0; pos < maxT; pos++ {
-		for i := 0; i < d; i += 2 {
-			angle := float64(pos) / math.Pow(10000, float64(i)/float64(d))
+	for i := 0; i < d; i += 2 {
+		wavelength := math.Pow(10000, float64(i)/float64(d))
+		for pos := 0; pos < maxT; pos++ {
+			angle := float64(pos) / wavelength
 			pe.Data[pos*d+i] = float32(math.Sin(angle))
 			if i+1 < d {
 				pe.Data[pos*d+i+1] = float32(math.Cos(angle))

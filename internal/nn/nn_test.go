@@ -171,6 +171,28 @@ func TestPositionalEncodingProperties(t *testing.T) {
 	}
 }
 
+// TestPositionalEncodingIsThePerElementFormula: the table equals the
+// formula evaluated afresh for every (pos, i), bit for bit, at even and odd
+// widths.
+func TestPositionalEncodingIsThePerElementFormula(t *testing.T) {
+	for _, c := range [][2]int{{4, 8}, {5, 7}, {64, 128}, {128, 256}} {
+		maxT, d := c[0], c[1]
+		pe := PositionalEncoding(maxT, d)
+		for pos := 0; pos < maxT; pos++ {
+			for i := 0; i < d; i++ {
+				angle := float64(pos) / math.Pow(10000, float64(i-i%2)/float64(d))
+				want := float32(math.Sin(angle))
+				if i%2 == 1 {
+					want = float32(math.Cos(angle))
+				}
+				if got := pe.At(pos, i); math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("maxT %d, d %d: (%d, %d) is %v, the formula gives %v", maxT, d, pos, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCBAMPreservesShapeAndBounds(t *testing.T) {
 	rng := tensor.NewRNG(10)
 	cb := NewCBAM(rng, 8)

@@ -22,8 +22,10 @@ func KaimingUniform(rng *RNG, t *Tensor, fanIn int) {
 }
 
 // NormalInit fills t with N(0, std²) samples, the common initialisation for
-// embeddings and transformer weights. On a stream built ForLoad it draws
-// nothing.
+// embeddings and transformer weights. It is one FillNormal: the same floats
+// as that many Normal(0, std) calls, math/rand/v2's ziggurat on a copy of
+// the PCG state, split over the kernel pool when t is large. On a stream
+// built ForLoad it draws nothing.
 func NormalInit(rng *RNG, t *Tensor, std float64) {
 	if rng.forLoad {
 		return

@@ -9,10 +9,13 @@ import (
 
 // RNG is a deterministic random source for tensor initialisation, dataset
 // synthesis, and noise generation. It wraps math/rand/v2's PCG so streams
-// are reproducible across platforms and Go releases. FillUniform steps a
-// copy of that PCG's state itself (pcgState: the same LCG and DXSM output,
-// constant for constant), so it is pinned to math/rand/v2's algorithm:
-// TestPCGStateIsMathRands fails if a Go release changes it.
+// are reproducible across platforms and Go releases. FillUniform and
+// FillNormal step a copy of that PCG's state themselves (pcgState: the same
+// LCG and DXSM output, constant for constant), and FillNormal runs
+// NormFloat64's ziggurat on it (the tables in ziggurat.go), so both are
+// pinned to math/rand/v2's algorithms: TestPCGStateIsMathRands,
+// TestFillNormalIsNormFloat64Drawn and TestZigguratSlowPaths fail if a Go
+// release changes them.
 type RNG struct {
 	r       *rand.Rand
 	src     *rand.PCG
@@ -125,9 +128,11 @@ func (g *RNG) FillUniform(t *Tensor, lo, hi float32) {
 	g.src.Seed(end.hi, end.lo)
 }
 
-// fillChunk bounds FillUniform's split: a fill of at most fillChunk elements
-// (every bias, the smaller convolutions) runs on the caller with no closure,
-// and a larger one takes at most one chunk per fillChunk elements.
+// fillChunk bounds the fills' split: a fill of at most fillChunk elements
+// (every bias, the smaller convolutions and embeddings) runs on the caller
+// with no closure; a larger FillUniform takes at most one chunk per
+// fillChunk elements, and a larger FillNormal parses its draws in blocks of
+// fillChunk.
 const fillChunk = 1 << 16
 
 // fillUniform writes lo + span·Float32() for the draws that follow state s
@@ -205,11 +210,150 @@ func (s pcgState) output() uint64 {
 	return hi * (s.lo | 1)
 }
 
-// FillNormal fills t with Gaussian samples.
+// FillNormal fills t with Gaussian samples: element i is float32 of what
+// the (i+1)-th of len(t.Data) Normal(mean, std) calls would return, and g
+// ends where those calls would leave it. It runs NormFloat64's ziggurat on a
+// copy of the PCG state instead of calling the source once per element.
+//
+// A sample takes one draw ≈97 % of the time and more otherwise (≈1.04 draws
+// on average: zigKn[1] is 0, so strip 1 always misses), so where
+// sample i's draws start is unknown until the samples before it are drawn.
+// A fill of more than fillChunk elements therefore splits the draw stream,
+// not the output: on the kernel pool, block k of fillChunk draws starts by
+// jump-ahead at draw k·fillChunk, assumes a sample starts there, and writes
+// the samples that start inside it from d[k·fillChunk] on (at most one per
+// draw, so blocks never overlap). One pass in block order then re-parses a
+// block whose assumption was wrong — the previous block's last sample ran
+// past its first draw, at ≈4 % of boundaries — and moves each block's
+// samples down to their final offset; the last ≈4 % of samples are drawn
+// on the caller. Like FillUniform's, the result is the same at any
+// SetMaxWorkers, and nothing proportional to the fill is allocated beyond
+// one entry per block.
 func (g *RNG) FillNormal(t *Tensor, mean, std float64) {
-	for i := range t.Data {
-		t.Data[i] = float32(g.Normal(mean, std))
+	d := t.Data
+	if len(d) == 0 {
+		return
 	}
+	s := pcgStateOf(g.src)
+	if chunksFor(len(d), fillChunk) == 1 {
+		_, _, end := fillNormal(d, s, math.MaxUint64, mean, std)
+		g.src.Seed(end.hi, end.lo)
+		return
+	}
+	// blockEnd is what parsing one block found: n samples, the last of
+	// which ends just before draw next.
+	type blockEnd struct {
+		n    int
+		next uint64
+	}
+	// parse writes the samples that start in block k, from draw from on,
+	// to the block's own region of d.
+	parse := func(k int, from uint64) blockEnd {
+		lo, hi := k*fillChunk, min((k+1)*fillChunk, len(d))
+		n, drawn, _ := fillNormal(d[lo:hi], s.advance(from), uint64(hi)-min(from, uint64(hi)), mean, std)
+		return blockEnd{n, from + drawn}
+	}
+	ends := make([]blockEnd, (len(d)+fillChunk-1)/fillChunk)
+	parallelFor(len(ends), 1, func(k0, k1 int) {
+		for k := k0; k < k1; k++ {
+			ends[k] = parse(k, uint64(k*fillChunk))
+		}
+	})
+	var next uint64 // the draw the next sample starts at
+	done := 0       // samples at their final offset, d[:done]
+	for k, e := range ends {
+		lo := k * fillChunk
+		if next != uint64(lo) {
+			// The previous block's last sample ran past lo.
+			e = parse(k, next)
+		}
+		done += copy(d[done:], d[lo:lo+e.n])
+		next = e.next
+	}
+	_, _, end := fillNormal(d[done:], s.advance(next), math.MaxUint64, mean, std)
+	g.src.Seed(end.hi, end.lo)
+}
+
+// fillNormal writes float32(mean + std·NormFloat64()) into d, drawing from
+// the state s, for every sample that starts within the next limit draws
+// (and at most len(d) of them). It returns the number of samples written,
+// the draws they took — limit or more when it stops on limit, since the
+// last sample may run past it — and the state after the last draw.
+//
+// The loop is NormFloat64's first attempt: one draw, accepted when
+// |j| < zigKn[i]. It makes no call there, and takes |j| without a branch
+// (absInt32: the sign is a coin flip a branch would mispredict half the
+// time); an attempt that misses goes to zigguratSlow.
+func fillNormal(d []float32, s pcgState, limit uint64, mean, std float64) (n int, drawn uint64, end pcgState) {
+	for n < len(d) && drawn < limit {
+		s = s.next()
+		drawn++
+		u := s.output()
+		j := int32(u)
+		i := u >> 32 & 0x7f
+		x := float64(j) * float64(zigWn[i])
+		if absInt32(j) >= zigKn[i] {
+			var more uint64
+			x, s, more = zigguratSlow(s, j, i, x)
+			drawn += more
+		}
+		d[n] = float32(mean + std*x)
+		n++
+	}
+	return n, drawn, s
+}
+
+// zigguratSlow finishes a NormFloat64 call whose attempt (j, i, x) missed
+// the fast path, taking the draws after s exactly as math/rand/v2 does: the
+// base strip's tail when i is 0, otherwise the wedge test and, if that
+// rejects, new attempts. It returns the sample, the state after its last
+// draw and how many draws it took.
+func zigguratSlow(s pcgState, j int32, i uint64, x float64) (float64, pcgState, uint64) {
+	var drawn uint64
+	for {
+		if i == 0 {
+			for {
+				s = s.next()
+				x = -math.Log(unitFloat64(s.output())) * (1.0 / zigRn)
+				s = s.next()
+				y := -math.Log(unitFloat64(s.output()))
+				drawn += 2
+				if y+y >= x*x {
+					break
+				}
+			}
+			if j > 0 {
+				return zigRn + x, s, drawn
+			}
+			return -zigRn - x, s, drawn
+		}
+		s = s.next()
+		drawn++
+		if zigFn[i]+float32(unitFloat64(s.output()))*(zigFn[i-1]-zigFn[i]) < float32(math.Exp(-.5*x*x)) {
+			return x, s, drawn
+		}
+		s = s.next()
+		drawn++
+		u := s.output()
+		j = int32(u)
+		i = u >> 32 & 0x7f
+		x = float64(j) * float64(zigWn[i])
+		if absInt32(j) < zigKn[i] {
+			return x, s, drawn
+		}
+	}
+}
+
+// absInt32 is |j| as NormFloat64 takes it (|MinInt32| is 1<<31), without a
+// branch.
+func absInt32(j int32) uint32 {
+	sign := j >> 31
+	return uint32((j ^ sign) - sign)
+}
+
+// unitFloat64 is math/rand/v2's Rand.Float64 of a source that returned x.
+func unitFloat64(x uint64) float64 {
+	return float64(x<<11>>11) / (1 << 53)
 }
 
 // SampleIndices returns k distinct indices drawn uniformly from [0, n),
