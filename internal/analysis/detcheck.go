@@ -26,8 +26,6 @@ import (
 // internal/serialize, internal/optim, internal/serve (whole packages,
 // subpackages included), and the train path of internal/cloudsim
 // (cloudsim.go, which owns TrainLoop).
-// Latency metrics are the canonical legitimate exception and carry
-// //amalgam:allow detcheck annotations.
 
 var DetCheck = &Analyzer{
 	Name: "detcheck",

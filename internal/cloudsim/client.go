@@ -200,7 +200,6 @@ func readJobStream(ctx context.Context, conn *deadlineConn, h StreamHandlers) (*
 				return nil, err
 			}
 			resp.Metrics = meta.Metrics
-			resp.Seconds = meta.Seconds
 			resp.Cancelled = meta.Cancelled
 		case msgState:
 			final, err := serialize.ReadTrainCheckpoint(bytes.NewReader(payload))

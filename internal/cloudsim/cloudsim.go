@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"amalgam/internal/autodiff"
 	"amalgam/internal/core"
@@ -183,7 +182,6 @@ type EpochMetric struct {
 	Epoch    int     `json:"epoch"`
 	Loss     float64 `json:"loss"`
 	Accuracy float64 `json:"accuracy"`
-	Seconds  float64 `json:"seconds"`
 	// EvalAccuracy is the held-out accuracy when the request shipped an
 	// eval split; HasEval distinguishes "no eval set" from 0%.
 	EvalAccuracy float64 `json:"eval_accuracy,omitempty"`
@@ -204,7 +202,6 @@ type TrainResponse struct {
 	// bit-identically.
 	OptState *optim.State
 	Metrics  []EpochMetric
-	Seconds  float64
 	// RNG holds the model's dropout-stream cursors at the end of the run
 	// (nil for models without stochastic layers), so a checkpoint written
 	// from the response resumes the mask sequence bit-identically.
@@ -687,7 +684,6 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 	if err := nn.LoadRNGStates(model, req.InitRNG); err != nil {
 		return nil, fmt.Errorf("cloudsim: loading RNG state: %v: %w", err, ErrBadRequest)
 	}
-	start := time.Now() //amalgam:allow detcheck wall-clock Seconds is a reported latency metric, never an input to training
 	resp := &TrainResponse{CompletedEpochs: hyper.StartEpoch}
 	// capture makes resp the state at the epoch boundary just reached
 	// (views of the live tensors; RNG is nil for deterministic models).
@@ -701,7 +697,6 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 			resp.Cancelled = true
 			break
 		}
-		epochStart := time.Now() //amalgam:allow detcheck per-epoch wall time is a reported metric, never an input to training
 		var shuffleRNG *tensor.RNG
 		if hyper.Shuffle {
 			shuffleRNG = data.ShuffleRNG(hyper.ShuffleSeed, e)
@@ -723,7 +718,6 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 			Epoch:    e + 1,
 			Loss:     lossSum / float64(seen),
 			Accuracy: Accuracy(model, train.n, hyper.BatchSize, train.score),
-			Seconds:  time.Since(epochStart).Seconds(), //amalgam:allow detcheck metric field on the progress report, not training state
 		}
 		if eval != nil {
 			m.EvalAccuracy, m.HasEval = Accuracy(model, eval.n, hyper.BatchSize, eval.score), true
@@ -760,7 +754,6 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 	if err := capture(); err != nil {
 		return nil, err
 	}
-	resp.Seconds = time.Since(start).Seconds() //amalgam:allow detcheck total wall time is a reported metric, not training state
 	return resp, nil
 }
 

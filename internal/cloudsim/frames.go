@@ -20,7 +20,7 @@ import (
 // conversation, chosen by its first frame:
 //
 //	train    spec, hyper, data…, [msgInit] then msgDone: the server
-//	         admits the job with this connection as its sink and answers
+//	         admits the job with this connection attached and answers
 //	         with the job stream below. A mid-job msgCancel (or the
 //	         connection dying) stops the job at the next epoch boundary.
 //	submit   the same request ended by msgSubmit: answered by
@@ -52,18 +52,20 @@ import (
 // buffers and RNG cursors are encoded there into one exactly-sized
 // msgCheckpoint payload in a buffer the job owns (ckptBuf), and from then
 // on only those bytes travel — parked on the job for a later attach,
-// queued to the attached connection, replayed — never re-encoded, never
+// written by every attached connection that reaches them — never re-encoded, never
 // aliasing a tensor the next epoch is already changing, immutable until
 // their last holder returns them to the job. Every other large frame (the
 // request's data and starting state, the terminal state frame) is not
 // staged at all: writeFrameFrom encodes it from its tensors straight onto
-// the buffered connection. A job stream's progress and checkpoint
-// frames are written by the connection's own writer goroutine
-// (connWriter) from a FIFO of sinkQueueDepth frames, so with the frame
-// being written at most one epoch's two frames are in flight: the
-// executor trains the next epoch while the last one's frames drain, and
-// a client slower than that blocks it one epoch later than a synchronous
-// write would.
+// the buffered connection. A job's output is a log — every epoch's
+// progress and the parked checkpoint — and an attached connection is a
+// cursor over it: the connection's own handler takes what lies past its
+// cursor and writes it with no job lock held, so a stalled client stalls
+// no poll, cancel or view. The executor only appends; it waits for the
+// live cursor in one place, before it parks a checkpoint in place of one
+// that cursor has not yet sent: the next epoch trains while the last
+// one's frames drain, and a client slower than that holds its job one
+// epoch ahead of it. Progress never holds the executor.
 const (
 	msgSpec        byte = 1  // client→server: protocolVersion byte + ModelSpec JSON
 	msgHyper       byte = 2  // client→server: Hyper JSON
@@ -297,7 +299,6 @@ func writeErrorFrame(w io.Writer, err error) error {
 // resultMeta is the msgResult JSON body.
 type resultMeta struct {
 	Metrics   []EpochMetric `json:"metrics"`
-	Seconds   float64       `json:"seconds"`
 	Cancelled bool          `json:"cancelled,omitempty"`
 }
 

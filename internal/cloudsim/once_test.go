@@ -273,7 +273,7 @@ func TestStreamedFramesMatchStagedBytes(t *testing.T) {
 	}
 }
 
-// pipeClient reads one end of a net.Pipe whose other end a connWriter
+// pipeClient reads one end of a net.Pipe whose other end a job stream
 // writes: every checkpoint frame it receives is checked against the
 // in-process run's checkpoint for the epoch it is labelled with.
 type pipeClient struct {
@@ -287,12 +287,12 @@ type pipeClient struct {
 	checkpoints []int
 }
 
-func newPipeClient(t *testing.T, ref localRun, req *TrainRequest) (*pipeClient, *connWriter, *attachSink) {
+// newPipeClient returns the client and the server's end of its pipe.
+func newPipeClient(t *testing.T, ref localRun) (*pipeClient, net.Conn) {
 	serverEnd, clientEnd := net.Pipe()
-	w := newConnWriter(newDeadlineConn(serverEnd, 0, 0))
 	c := &pipeClient{t: t, ref: ref, conn: clientEnd}
 	c.frame.r = clientEnd
-	return c, w, w.sink(req, true)
+	return c, serverEnd
 }
 
 // read consumes frames, pausing pause between them, until the pipe closes
@@ -337,9 +337,9 @@ func (c *pipeClient) seen() (epoch int, checkpoints []int) {
 }
 
 // TestCheckpointBuffersReturnToTheirJob walks a checkpoint buffer through
-// every holder it can have — the parked slot, the writer of a slow client,
-// the writer of a client that superseded it with a second attach, the
-// writer of a client that died — with every buffer overwritten the moment
+// every holder it can have — the parked slot, the stream of a slow client,
+// the stream of a client that superseded it with a second attach, the
+// stream of a client that died — with every buffer overwritten the moment
 // its last holder lets go. A reader that was still entitled to the bytes
 // would receive the poison (and trip the race detector); none may. The
 // job never owns more than three buffers, and none once it has finished.
@@ -360,18 +360,21 @@ func TestCheckpointBuffersReturnToTheirJob(t *testing.T) {
 	}
 	defer func() { ckptReturned = nil }()
 
-	slow, slowW, slowSink := newPipeClient(t, ref, req)
-	fast, fastW, fastSink := newPipeClient(t, ref, req)
+	slow, slowEnd := newPipeClient(t, ref)
+	fast, fastEnd := newPipeClient(t, ref)
 	defer slow.conn.Close()
 	defer fast.conn.Close()
 
 	sch := newScheduler(ServerConfig{Executors: 1})
 	sch.start()
 	defer func() { sch.Finish(); sch.WaitIdle() }()
-	job, err := sch.Submit(req, slowSink)
+	srv := streamServer(sch)
+	slowCur := newCursor(true)
+	job, err := sch.Submit(req, slowCur)
 	if err != nil {
 		t.Fatal(err)
 	}
+	slowStreamed := streamTo(srv, slowEnd, job, slowCur)
 
 	// The slow client reads a frame every two milliseconds, for as long as
 	// anything comes: the job runs one epoch ahead of it.
@@ -390,7 +393,7 @@ func TestCheckpointBuffersReturnToTheirJob(t *testing.T) {
 	<-superseded
 
 	// A second attach takes over from the epoch the first has seen: the
-	// parked checkpoint is replayed to it while the first writer may still
+	// parked checkpoint is replayed to it while the first stream may still
 	// be writing the same bytes.
 	from, _ := slow.seen()
 	fastDone := make(chan struct{})
@@ -399,17 +402,15 @@ func TestCheckpointBuffersReturnToTheirJob(t *testing.T) {
 		fast.read(0, func(epoch int) bool { return epoch >= dieAt })
 		fast.conn.Close() // dies with frames still coming
 	}()
-	if err := job.attach(from, fastSink); err != nil {
-		t.Fatal(err)
-	}
+	fastCur := newCursor(true)
+	job.attach(from, fastCur)
+	fastStreamed := streamTo(srv, fastEnd, job, fastCur)
 	<-fastDone
 	<-job.done
-	// The job is over with the slow client possibly still reading what was
-	// queued to it before it was superseded.
-	job.detach(fastSink)
-	_ = fastW.close()
-	if err := slowW.close(); err != nil {
-		t.Fatalf("the slow client's writer ended with %v", err)
+	<-fastStreamed // its connection died: the stream ends, the job does not
+	// The superseded slow client still gets the terminal frames.
+	if err := <-slowStreamed; err != nil {
+		t.Fatalf("the slow client's stream ended with %v", err)
 	}
 	slow.conn.Close()
 	<-slowDone
@@ -431,7 +432,7 @@ func TestCheckpointBuffersReturnToTheirJob(t *testing.T) {
 	}
 	for c := range returned {
 		if n := c.holders.Load(); n != 0 {
-			t.Errorf("a checkpoint buffer still has %d holders after the job and its writers are gone", n)
+			t.Errorf("a checkpoint buffer still has %d holders after the job and its streams are gone", n)
 		}
 	}
 	job.mu.Lock()
@@ -462,39 +463,31 @@ func TestRemoteJobAllocationBudget(t *testing.T) {
 	}
 	const budget = 1 << 20
 
-	perEpoch := func(every int) uint64 {
+	// run streams one job of the given epochs to a client that only
+	// discards, and reports what it allocated in all.
+	run := func(epochs, every int) uint64 {
 		req := wideTextJob(t, 8)
-		req.Hyper.Epochs, req.Hyper.CheckpointEvery = 12, every
-		w := newConnWriter(newDeadlineConn(&fakeConn{}, 0, 0)) // a client that only discards
-		defer w.close()
-		sink := w.sink(req, true)
-		var at2, at12 uint64
-		enqueue := sink.progress
-		sink.progress = func(m EpochMetric) error {
-			var ms runtime.MemStats
-			switch m.Epoch {
-			case 2:
-				runtime.ReadMemStats(&ms)
-				at2 = ms.TotalAlloc
-			case 12:
-				runtime.ReadMemStats(&ms)
-				at12 = ms.TotalAlloc
-			}
-			return enqueue(m)
-		}
+		req.Hyper.Epochs, req.Hyper.CheckpointEvery = epochs, every
 		sch := newScheduler(ServerConfig{Executors: 1})
 		sch.start()
 		defer func() { sch.Finish(); sch.WaitIdle() }()
-		job, err := sch.Submit(req, sink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-job.done
-		if _, err := job.result(); err != nil {
-			t.Fatal(err)
-		}
-		return (at12 - at2) / 10
+		serverEnd, clientEnd := net.Pipe()
+		defer clientEnd.Close()
+		go io.Copy(io.Discard, clientEnd)
+		return allocatedBy(func() {
+			cur := newCursor(true)
+			job, err := sch.Submit(req, cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-streamTo(streamServer(sch), serverEnd, job, cur); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
+	// A job of 12 epochs less one of 4: eight epochs once the job's two
+	// checkpoint buffers exist.
+	perEpoch := func(every int) uint64 { return (run(12, every) - run(4, every)) / 8 }
 	with, without := perEpoch(1), perEpoch(0)
 	if with > without+budget {
 		t.Errorf("a checkpointed epoch allocates %d bytes, an unchecked one %d: the difference is over %d", with, without, budget)

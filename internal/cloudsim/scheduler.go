@@ -46,21 +46,13 @@ func (s JobState) String() string {
 	return fmt.Sprintf("JobState(%d)", int(s))
 }
 
-// attachSink receives a job's live output. At most one sink is registered
-// per job (latest attach wins); both hooks are called with the job lock
-// held, in epoch order. A hook returning an error detaches the sink — the
-// job keeps running, its output still buffers for the next attach. Either
-// hook may be nil. checkpoint receives bytes every sink and the job's parked
-// slot share; a sink that keeps them past the call takes its own hold.
-type attachSink struct {
-	progress   func(EpochMetric) error
-	checkpoint func(c *ckptBuf) error
-}
+func (s JobState) terminal() bool { return s != JobQueued && s != JobRunning }
 
 // schedJob is one registry entry. The scheduler's mutex guards queue
 // membership; the job's own mutex guards its mutable record (state,
-// buffered output, sink, result) so a slow attached client blocks only
-// its own job's delivery, never the whole scheduler.
+// output, cursors, result) and cond, over that mutex, signals every change
+// to it. Nothing waits on a connection with the job lock held: a slow
+// attached client delays only its own job, and only at a checkpoint.
 // A job holds its state once: admission builds the model the executor
 // trains, with the client's initial state loaded into it and dropped from
 // req; the terminal transition keeps the response and lets go of the rest.
@@ -73,25 +65,48 @@ type schedJob struct {
 	spare  chan *ckptBuf // checkpoint buffers handed back for the next cut; the executor's
 
 	mu        sync.Mutex
+	cond      *sync.Cond // over mu
 	state     JobState
 	cancelFn  context.CancelFunc // set while running
 	preCancel bool               // cancel arrived before dispatch
 	lastEpoch int                // latest completed epoch seen in progress
-	stats     []EpochMetric      // buffered per-epoch output for attach
+	stats     []EpochMetric      // every epoch's metric, in order: the log cursors read
 	ckpt      *ckptBuf           // latest parked epoch-boundary checkpoint; nil once terminal (resp is newer)
+	live      *cursor            // the latest attached cursor, while it streams
 	resp      *TrainResponse
 	err       error
-	sink      *attachSink
-	done      chan struct{} // closed on terminal transition
+	done      chan struct{} // closed after the terminal transition
+}
+
+// cursor is one attached connection's position in its job's output: the
+// connection's handler pulls what lies past it (next) and writes it, and
+// nothing is pushed to it. Its fields are guarded by the job's mutex.
+type cursor struct {
+	stats    int  // index in the job's stats of the next progress entry to send
+	ckpt     int  // epoch of the newest checkpoint sent or passed over
+	progress bool // progress entries are sent (checkpoints always are)
+	stopped  bool // streams no more: superseded, or a write failed
+	gone     bool // the connection's read side died
+}
+
+func newCursor(progress bool) *cursor { return &cursor{ckpt: -1, progress: progress} }
+
+// batch is the output a cursor takes at once: progress entries, with the
+// checkpoint — when there is one, held for the taker — after the first
+// pre of them, the epochs it follows.
+type batch struct {
+	stats []EpochMetric
+	pre   int
+	ckpt  *ckptBuf
 }
 
 // ckptBuf is one cut checkpoint: an encoded msgCheckpoint payload — the
 // bytes WithCheckpoint writes to disk — and the count of who may still
-// read it: the job's parked slot, every connWriter it is queued on. The
-// bytes are immutable until the last holder lets go, which hands the
-// buffer back to the job for its next cut (two alternate for a client that
-// keeps up; a stalled or superseded writer pins a third). Buffers die with
-// their job: it forgets its spares, a later release lands where nobody reads.
+// read it: the job's parked slot, every connection writing it. The bytes
+// are immutable until the last holder lets go, which hands the buffer back
+// to the job for its next cut (two alternate for a client that keeps up; a
+// stalled or superseded connection pins a third). Buffers die with their
+// job: it forgets its spares, a later release lands where nobody reads.
 type ckptBuf struct {
 	payload []byte
 	epoch   int
@@ -140,80 +155,127 @@ func (j *schedJob) cutCheckpoint(ck *serialize.TrainCheckpoint) (*ckptBuf, error
 	return c, nil
 }
 
-// deliverProgress buffers one epoch's metric and forwards it to the
-// attached sink, detaching a sink whose delivery fails (dead client — the
-// job itself keeps running).
+// deliverProgress appends one epoch's metric to the job's output. It never
+// waits: the whole log stays buffered for whoever reads it.
 func (j *schedJob) deliverProgress(m EpochMetric) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.stats = append(j.stats, m)
 	j.lastEpoch = m.Epoch
-	if j.sink != nil && j.sink.progress != nil {
-		// Calling the sink under j.mu is deliberate: it serialises replay
-		// (attach) against live delivery so an epoch is never delivered
-		// twice. A connection's sink enqueues on a bounded queue whose
-		// writer is deadline-bounded, which bounds the stall.
-		if err := j.sink.progress(m); err != nil { //amalgam:allow lockcheck delivery-under-lock is the exactly-once design; the sink enqueues on a bounded queue whose writer is deadline-bounded
-			j.sink = nil
-		}
-	}
+	j.cond.Broadcast()
 }
 
 // deliverCheckpoint parks the epoch-boundary checkpoint (the disconnect
-// survival state a later attach resumes from) and forwards it likewise.
+// survival state a later attach resumes from) in place of the previous
+// one, once the live cursor has sent that.
 func (j *schedJob) deliverCheckpoint(c *ckptBuf) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.ckpt.release()
+	j.awaitLive()
+	old := j.ckpt
 	j.ckpt = c
-	if j.sink != nil && j.sink.checkpoint != nil {
-		// Same exactly-once rationale as deliverProgress.
-		if err := j.sink.checkpoint(c); err != nil { //amalgam:allow lockcheck delivery-under-lock is the exactly-once design; the sink enqueues on a bounded queue whose writer is deadline-bounded
-			j.sink = nil
-		}
+	j.cond.Broadcast()
+	j.mu.Unlock()
+	old.release()
+}
+
+// awaitLive waits, with j.mu held, until the live cursor — if any — has
+// sent the parked checkpoint: every checkpoint reaches the live client,
+// and the executor runs at most one epoch ahead of a slow one.
+func (j *schedJob) awaitLive() {
+	for j.live != nil && j.ckpt != nil && j.live.ckpt < j.ckpt.epoch {
+		j.cond.Wait()
 	}
 }
 
-// attach replays buffered output newer than fromEpoch into sink and, if
-// the job is still live, registers the sink for live delivery (replacing
-// any previous one — latest attach wins). The replay and the registration
-// happen under one critical section, so an epoch is delivered exactly
-// once: either from the buffer or live, never both, never neither.
-func (j *schedJob) attach(fromEpoch int, sink *attachSink) error {
+// attach positions cur past fromEpoch — buffered epochs after it and a
+// parked checkpoint after it are what cur sends first — and makes it the
+// job's live cursor if the job is still live (latest attach wins: the one
+// it replaces stops streaming).
+func (j *schedJob) attach(fromEpoch int, cur *cursor) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if sink.progress != nil {
-		for _, m := range j.stats {
-			if m.Epoch > fromEpoch {
-				// Replay must stay inside the critical section: that is
-				// the exactly-once guarantee documented above.
-				if err := sink.progress(m); err != nil { //amalgam:allow lockcheck replay-under-lock is the exactly-once design; the sink enqueues on a bounded queue whose writer is deadline-bounded
-					return err
+	cur.stats = len(j.stats)
+	for i, m := range j.stats {
+		if m.Epoch > fromEpoch {
+			cur.stats = i
+			break
+		}
+	}
+	if j.ckpt != nil {
+		cur.ckpt = min(j.ckpt.epoch, fromEpoch)
+	}
+	if !j.state.terminal() {
+		if j.live != nil {
+			j.live.stopped = true
+		}
+		j.live = cur
+	}
+	j.cond.Broadcast()
+}
+
+// next waits until cur has output to send and takes it, advancing cur past
+// it. ok is false once the stream is over: the job is terminal with
+// nothing left for cur, or cur's connection is gone. A stopped cursor
+// takes nothing and waits for either.
+func (j *schedJob) next(cur *cursor) (b batch, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for {
+		if !cur.stopped {
+			if c := j.ckpt; c != nil && c.epoch > cur.ckpt {
+				c.holders.Add(1)
+				b.ckpt = c
+			}
+			if cur.progress {
+				b.stats = j.stats[cur.stats:]
+				cur.stats = len(j.stats)
+				for b.ckpt != nil && b.pre < len(b.stats) && b.stats[b.pre].Epoch <= b.ckpt.epoch {
+					b.pre++
 				}
 			}
+			if b.ckpt != nil || len(b.stats) > 0 {
+				return b, true
+			}
 		}
-	}
-	if sink.checkpoint != nil && j.ckpt != nil && j.ckpt.epoch > fromEpoch {
-		if err := sink.checkpoint(j.ckpt); err != nil { //amalgam:allow lockcheck replay-under-lock is the exactly-once design; the sink enqueues on a bounded queue whose writer is deadline-bounded
-			return err
+		if j.state.terminal() || cur.gone {
+			return b, false
 		}
+		j.cond.Wait()
 	}
-	if j.state == JobQueued || j.state == JobRunning {
-		j.sink = sink
-	}
-	return nil
 }
 
-// detach removes sink if it is still the registered one.
-func (j *schedJob) detach(sink *attachSink) {
+// sent reports that cur's taker has written b, or failed to (err): a
+// failed cursor stops and is no longer live. It lets go of b's checkpoint.
+func (j *schedJob) sent(cur *cursor, b batch, err error) {
 	j.mu.Lock()
-	if j.sink == sink {
-		j.sink = nil
+	switch {
+	case err != nil:
+		cur.stopped = true
+		if j.live == cur {
+			j.live = nil
+		}
+	case b.ckpt != nil:
+		cur.ckpt = b.ckpt.epoch
 	}
+	j.cond.Broadcast()
 	j.mu.Unlock()
+	b.ckpt.release()
 }
 
-// result returns the terminal outcome; call only after done is closed.
+// hangUp marks cur's connection gone, and reports whether the job had
+// already finished.
+func (j *schedJob) hangUp(cur *cursor) (finished bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	cur.gone = true
+	if j.live == cur {
+		j.live = nil
+	}
+	j.cond.Broadcast()
+	return j.state.terminal()
+}
+
+// result returns the terminal outcome: nil, nil while the job is live.
 func (j *schedJob) result() (*TrainResponse, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -290,13 +352,13 @@ func (sch *Scheduler) start() {
 // one build: the provider view reads the shipped graph off it, the executor
 // trains it), provider view captured (the upload has been observed
 // regardless of scheduling), quota and depth checked, job registered and
-// enqueued on its tenant's queue. sink, when non-nil, is registered before
-// the job can be dispatched, so a same-connection attach (the msgDone
-// conversation) sees every epoch live — no replay window. Rejections are
+// enqueued on its tenant's queue. cur, when non-nil, is the job's live
+// cursor from before it can be dispatched, so a same-connection stream (the
+// msgDone conversation) has no replay window. Rejections are
 // typed: ErrBadRequest (the spec does not build, the initial state does
 // not fit, a hyper-parameter is out of range), ErrUnknownOptimizer,
 // ErrTenantQuota, ErrQueueFull. req is left as it came.
-func (sch *Scheduler) Submit(req *TrainRequest, sink *attachSink) (*schedJob, error) {
+func (sch *Scheduler) Submit(req *TrainRequest, cur *cursor) (*schedJob, error) {
 	if _, err := req.Hyper.recipe(); err != nil {
 		return nil, err
 	}
@@ -337,9 +399,10 @@ func (sch *Scheduler) Submit(req *TrainRequest, sink *attachSink) (*schedJob, er
 		state:     JobQueued,
 		lastEpoch: req.Hyper.StartEpoch,
 		preCancel: sch.cancelAll,
-		sink:      sink,
+		live:      cur,
 		done:      make(chan struct{}),
 	}
+	job.cond = sync.NewCond(&job.mu)
 	sch.jobs[job.id] = job
 	sch.order = append(sch.order, job.id)
 	tq.pending = append(tq.pending, job)
@@ -405,10 +468,11 @@ func (sch *Scheduler) runJob(job *schedJob) {
 	job.mu.Lock()
 	job.state = JobRunning
 	job.cancelFn = cancel
-	if job.preCancel {
+	preCancel := job.preCancel
+	job.mu.Unlock()
+	if preCancel {
 		cancel()
 	}
-	job.mu.Unlock()
 
 	progress := func(m EpochMetric) error {
 		job.deliverProgress(m)
@@ -449,7 +513,8 @@ func (sch *Scheduler) runJob(job *schedJob) {
 	r.EvalImages, r.EvalLabels, r.EvalSamples = nil, nil, nil
 	r.InitOptState, r.InitRNG = nil, nil
 	job.mu.Lock()
-	job.ckpt.release()
+	job.awaitLive() // the last checkpoint reaches the live client before the result
+	parked := job.ckpt
 	job.ckpt = nil
 	job.resp, job.err = resp, err
 	job.cancelFn = nil
@@ -461,8 +526,10 @@ func (sch *Scheduler) runJob(job *schedJob) {
 	default:
 		job.state = JobDone
 	}
-	close(job.done)
+	job.cond.Broadcast()
 	job.mu.Unlock()
+	parked.release()
+	close(job.done)
 
 	// The ledger records how the job ended (pastJobs of them: a status
 	// each, for poll); the registry keeps the retainedJobs most recently
@@ -501,14 +568,11 @@ func (sch *Scheduler) Job(id string) (*schedJob, error) {
 // terminal record); a terminal job is left alone. Idempotent.
 func (j *schedJob) cancel() {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case JobQueued:
-		j.preCancel = true
-	case JobRunning:
-		if j.cancelFn != nil {
-			j.cancelFn()
-		}
+	j.preCancel = j.preCancel || j.state == JobQueued
+	stop := j.cancelFn // nil unless running
+	j.mu.Unlock()
+	if stop != nil {
+		stop()
 	}
 }
 

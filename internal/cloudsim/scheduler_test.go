@@ -31,6 +31,27 @@ func loadJob(tenant string, seed uint64) *TrainRequest {
 	}
 }
 
+// follow reads job's output through cur on its own goroutine, as a
+// connection's stream does, handing each progress entry to fn in order.
+// The returned channel closes when the stream is over.
+func follow(job *schedJob, cur *cursor, fn func(EpochMetric)) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			b, ok := job.next(cur)
+			if !ok {
+				return
+			}
+			for _, m := range b.stats {
+				fn(m)
+			}
+			job.sent(cur, b, nil)
+		}
+	}()
+	return done
+}
+
 // TestSchedulerFairShareLoad is the tentpole load test: schedLoadJobs jobs
 // (200; scaled down under -race) from 4 tenants submitted as sequential
 // per-tenant bursts through a 4-executor pool. Deterministic assertions:
@@ -215,13 +236,12 @@ func TestSchedulerCancelStates(t *testing.T) {
 	long := loadJob("t", 1)
 	long.Hyper.Epochs = 50
 	epochCh := make(chan int, 64)
-	running, err := sch.Submit(long, &attachSink{progress: func(m EpochMetric) error {
-		epochCh <- m.Epoch
-		return nil
-	}})
+	cur := newCursor(true)
+	running, err := sch.Submit(long, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
+	followed := follow(running, cur, func(m EpochMetric) { epochCh <- m.Epoch })
 	queued, err := sch.Submit(loadJob("t", 2), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +269,7 @@ func TestSchedulerCancelStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-running.done
+	<-followed
 	for len(epochCh) > 0 {
 		<-epochCh
 	}
@@ -325,22 +346,21 @@ func TestSchedulerFailedJobIsolated(t *testing.T) {
 	}
 }
 
-// TestSchedulerAttachExactlyOnce pins the replay/live handover: a sink
-// attached mid-run receives each epoch exactly once — buffered epochs past
-// FromEpoch replayed inside the same critical section that registers the
-// sink for live delivery — and a second attach displaces the first.
+// TestSchedulerAttachExactlyOnce pins the replay/live handover: a cursor
+// attached mid-run reads each epoch exactly once — buffered epochs past
+// FromEpoch first, then the ones the executor appends after — and a second
+// attach displaces the first.
 func TestSchedulerAttachExactlyOnce(t *testing.T) {
 	sch := newScheduler(ServerConfig{Executors: 1})
 	req := loadJob("t", 1)
 	req.Hyper.Epochs = 30
 	gate := make(chan int, 64)
-	job, err := sch.Submit(req, &attachSink{progress: func(m EpochMetric) error {
-		gate <- m.Epoch
-		return nil
-	}})
+	first := newCursor(true)
+	job, err := sch.Submit(req, first)
 	if err != nil {
 		t.Fatal(err)
 	}
+	follow(job, first, func(m EpochMetric) { gate <- m.Epoch })
 	sch.start()
 	for e := range gate {
 		if e >= 3 {
@@ -350,30 +370,20 @@ func TestSchedulerAttachExactlyOnce(t *testing.T) {
 
 	// Attach claiming to have seen epoch 1: the replay must start at 2 and
 	// the live stream continue without a gap or a duplicate.
-	var mu sync.Mutex
 	var got []int
-	sink := &attachSink{progress: func(m EpochMetric) error {
-		mu.Lock()
-		got = append(got, m.Epoch)
-		mu.Unlock()
-		return nil
-	}}
-	if err := job.attach(1, sink); err != nil {
-		t.Fatal(err)
-	}
-	<-job.done
+	cur := newCursor(true)
+	job.attach(1, cur)
+	<-follow(job, cur, func(m EpochMetric) { got = append(got, m.Epoch) })
 	for len(gate) > 0 {
 		<-gate
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
 	if len(got) != 29 {
-		t.Fatalf("attached sink saw %d epochs, want 29 (2..30 exactly once)", len(got))
+		t.Fatalf("attached cursor read %d epochs, want 29 (2..30 exactly once)", len(got))
 	}
 	for i, e := range got {
 		if e != i+2 {
-			t.Fatalf("attached sink epoch[%d] = %d, want %d: replay/live handover duplicated or dropped", i, e, i+2)
+			t.Fatalf("attached cursor epoch[%d] = %d, want %d: replay/live handover duplicated or dropped", i, e, i+2)
 		}
 	}
 }
@@ -511,11 +521,10 @@ func TestSchedulerForgetsOldTerminalJobs(t *testing.T) {
 		t.Fatalf("the newest job is gone: %v", err)
 	}
 	var replayed []int
-	if err := last.attach(0, &attachSink{progress: func(m EpochMetric) error {
-		replayed = append(replayed, m.Epoch)
-		return nil
-	}}); err != nil || len(replayed) != 1 || replayed[0] != 1 {
-		t.Fatalf("attach to the newest job replayed epochs %v (err %v), want [1]", replayed, err)
+	cur := newCursor(true)
+	last.attach(0, cur)
+	if <-follow(last, cur, func(m EpochMetric) { replayed = append(replayed, m.Epoch) }); len(replayed) != 1 || replayed[0] != 1 {
+		t.Fatalf("attach to the newest job replayed epochs %v, want [1]", replayed)
 	}
 	if resp, err := last.result(); err != nil || resp == nil || resp.CompletedEpochs != 1 {
 		t.Fatalf("the newest job's result: %+v, %v", resp, err)

@@ -391,13 +391,6 @@ func badFrame(what string, err error) error {
 	return fmt.Errorf("cloudsim: bad %s: %v: %w", what, err, ErrBadRequest)
 }
 
-// sinkQueueDepth is how many frames wait behind the one a connWriter is
-// writing: with it, one epoch's frames (progress + checkpoint) are in
-// flight, so the executor trains epoch N+1 while epoch N's frames drain
-// and stalls at the end of N+1 if they have not. A constant: the wire
-// keeps one epoch of slack, whoever the client.
-const sinkQueueDepth = 1
-
 // retainedJobs is how many terminal jobs the scheduler keeps in its
 // registry, newest first: enough for any client to come back for a result
 // it was disconnected from, while a server that lives for millions of jobs
@@ -411,115 +404,6 @@ const (
 	retainedJobs = 1024
 	pastJobs     = 1 << 16
 )
-
-// connWriter is a connection's writer for the live part of a job stream:
-// one goroutine draining a bounded FIFO of frames to the connection, so
-// the executor that produced them is back to training while they are on
-// the socket. Exactly one goroutine sends on a connWriter at a time (the
-// one holding the job lock); close it once no send can be in flight — the
-// job is terminal, or its sink is detached.
-type connWriter struct {
-	conn   *deadlineConn
-	queue  chan queuedFrame
-	stop   chan struct{} // closed by close: drain what is queued, then exit
-	failed chan struct{} // closed on the first write error; err is set by then
-	exited chan struct{} // closed when the goroutine has returned
-	err    error
-	once   sync.Once
-}
-
-// queuedFrame is a frame waiting on a connWriter; a checkpoint frame's
-// payload lives in held, which the writer holds from enqueue until the
-// frame is written or dropped.
-type queuedFrame struct {
-	frame
-	held *ckptBuf
-}
-
-func newConnWriter(conn *deadlineConn) *connWriter {
-	w := &connWriter{
-		conn:   conn,
-		queue:  make(chan queuedFrame, sinkQueueDepth),
-		stop:   make(chan struct{}),
-		failed: make(chan struct{}),
-		exited: make(chan struct{}),
-	}
-	go w.run()
-	return w
-}
-
-func (w *connWriter) run() {
-	defer close(w.exited)
-	for {
-		var f queuedFrame
-		select {
-		case f = <-w.queue:
-		case <-w.stop:
-			select {
-			case f = <-w.queue: // still queued at close: flush it
-			default:
-				return
-			}
-		}
-		// After a failed write the writer stays, until close, to let go of
-		// whatever still reaches the queue: no frame is stranded holding
-		// its checkpoint buffer.
-		if w.err == nil {
-			if w.err = writeFrame(w.conn, f.kind, f.payload); w.err != nil {
-				close(w.failed)
-			}
-		}
-		f.held.release()
-	}
-}
-
-// enqueue hands one frame, and the hold on its buffer, to the writer,
-// blocking while the queue is full — the backpressure a slow client exerts
-// on its own job. It fails once a write has: on that error, which is what
-// detaches a dead client's sink.
-func (w *connWriter) enqueue(f queuedFrame) error {
-	select {
-	case <-w.failed:
-	default:
-		select {
-		case w.queue <- f:
-			return nil
-		case <-w.failed:
-		}
-	}
-	f.held.release()
-	return w.err
-}
-
-// close flushes the queued frames and stops the goroutine, returning the
-// write error that ended it early, if any. After close the connection
-// has no writer but the caller. Idempotent.
-func (w *connWriter) close() error {
-	w.once.Do(func() { close(w.stop) })
-	<-w.exited
-	return w.err
-}
-
-// sink is the attachSink delivering a job's live output through w.
-func (w *connWriter) sink(req *TrainRequest, progress bool) *attachSink {
-	sink := &attachSink{}
-	if progress {
-		sink.progress = func(m EpochMetric) error {
-			js, err := json.Marshal(m)
-			if err != nil {
-				return err
-			}
-			return w.enqueue(queuedFrame{frame: frame{msgProgress, js}})
-		}
-	}
-	if req.Hyper.CheckpointEvery > 0 {
-		sink.checkpoint = func(c *ckptBuf) error {
-			c.holders.Add(1)
-			return w.enqueue(queuedFrame{frame{msgCheckpoint, c.payload}, c})
-		}
-	}
-	return sink
-}
 
 // writeOutcome sends a finished job's terminal frames: the shutdown
 // handoff when the server is draining, or msgResult then msgState. Either
@@ -539,17 +423,22 @@ func (s *Server) writeOutcome(conn *deadlineConn, kind string, clientStopped boo
 		}
 		return fmt.Errorf("cloudsim: job stopped at epoch %d: %w", resp.CompletedEpochs, ErrServerShutdown)
 	}
-	out.json(msgResult, resultMeta{Metrics: resp.Metrics, Seconds: resp.Seconds, Cancelled: resp.Cancelled})
+	out.json(msgResult, resultMeta{Metrics: resp.Metrics, Cancelled: resp.Cancelled})
 	out.checkpoint(msgState, final)
 	return out.flush()
 }
 
-// awaitOutcome parks the handler until job finishes, then flushes the
-// live frames still queued on w and writes the terminal ones itself.
-// Meanwhile it watches the connection: a msgCancel stops the job at its
-// next epoch boundary, and a dead connection ends the wait with io.EOF —
-// what that means for the job is the caller's policy.
-func (s *Server) awaitOutcome(conn *deadlineConn, job *schedJob, w *connWriter) error {
+// stream writes a job's output to conn as cur reaches it, then the
+// terminal frames. Every batch cur takes is written here, on the
+// connection's own goroutine, with no job lock held: progress frames up to
+// the batch's checkpoint, the checkpoint, then the rest. Meanwhile a
+// watcher reads the connection: a msgCancel stops the job at its next
+// epoch boundary, and a dead connection ends the stream with io.EOF — what
+// that means for the job is the caller's policy. A finished job wins over
+// a dead connection: its result is written (and fails on its own). A
+// stream whose write failed, or whose cursor a later attach superseded,
+// sends nothing more but the terminal frames, if it can.
+func (s *Server) stream(conn *deadlineConn, job *schedJob, cur *cursor) error {
 	// The training phase has no frame cadence the server can bound: a
 	// silent client is normal. Request-phase deadlines come off, and so
 	// does the request's frame buffer: the largest upload frame would
@@ -558,13 +447,17 @@ func (s *Server) awaitOutcome(conn *deadlineConn, job *schedJob, w *connWriter) 
 	conn.frames.buf = nil
 	conn.streaming = true
 
-	connDead := make(chan struct{})
 	var clientStopped atomic.Bool
 	go func() {
 		for {
 			kind, _, err := conn.readFrame()
 			if err != nil {
-				close(connDead)
+				if !job.hangUp(cur) {
+					// Nothing more can be sent; closing now fails a frame
+					// the stream may be stuck in, instead of leaving it to
+					// the write deadline.
+					_ = conn.Close()
+				}
 				return
 			}
 			if kind == msgCancel {
@@ -574,37 +467,59 @@ func (s *Server) awaitOutcome(conn *deadlineConn, job *schedJob, w *connWriter) 
 		}
 	}()
 
-	// A finished job wins over a dead connection: its result is written
-	// (and fails on its own) rather than reported as a detach.
-	select {
-	case <-job.done:
-	default:
-		select {
-		case <-job.done:
-		case <-connDead:
-			// Nothing more can be sent; closing now fails a frame w may be
-			// stuck in, instead of leaving it to the write deadline.
-			_ = conn.Close()
-			return io.EOF
+	var werr error // a failed cursor takes no further batch
+	for {
+		b, ok := job.next(cur)
+		if !ok {
+			break
 		}
-	}
-	// The job is terminal, so nothing more will be enqueued: what is
-	// queued goes out first, then this goroutine is the only writer.
-	if err := w.close(); err != nil {
-		return err
+		werr = writeBatch(conn, b)
+		job.sent(cur, b, werr)
 	}
 	resp, jerr := job.result()
-	if jerr != nil {
+	switch {
+	case resp == nil && jerr == nil:
+		return io.EOF // the connection died before the job finished
+	case werr != nil:
+		return werr
+	case jerr != nil:
 		return jerr
 	}
 	return s.writeOutcome(conn, job.req.Spec.Kind, clientStopped.Load(), resp)
 }
 
-// runAndRespond serves a msgDone request: submit with this connection
-// registered as the job's sink from admission, then attach on the same
-// connection. The pinned frame cadence (one progress frame per epoch, one
-// checkpoint frame per CheckpointEvery epochs but the run's last) holds
-// exactly because of that — there is no replay window to coalesce in.
+// writeBatch writes one batch of a job stream: the progress frames up to
+// its checkpoint, the checkpoint, then the rest.
+func writeBatch(w io.Writer, b batch) error {
+	if err := writeProgress(w, b.stats[:b.pre]); err != nil {
+		return err
+	}
+	if b.ckpt != nil {
+		if err := writeFrame(w, msgCheckpoint, b.ckpt.payload); err != nil {
+			return err
+		}
+	}
+	return writeProgress(w, b.stats[b.pre:])
+}
+
+func writeProgress(w io.Writer, ms []EpochMetric) error {
+	for _, m := range ms {
+		js, err := json.Marshal(m)
+		if err != nil {
+			return err
+		}
+		if err := writeFrame(w, msgProgress, js); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runAndRespond serves a msgDone request: submit with this connection's
+// cursor live from admission, then stream on the same connection. The
+// pinned frame cadence (one progress frame per epoch when Hyper.Stream,
+// one checkpoint frame per CheckpointEvery epochs but the run's last)
+// holds exactly because of that — there is no replay window to coalesce in.
 func (s *Server) runAndRespond(conn *deadlineConn, req *TrainRequest) (err error) {
 	// A provider-view capture that panics on malformed geometry must
 	// become a classified wire error, not a torn connection.
@@ -613,15 +528,12 @@ func (s *Server) runAndRespond(conn *deadlineConn, req *TrainRequest) (err error
 			err = fmt.Errorf("cloudsim: job crashed: %v: %w", r, ErrJobPanic)
 		}
 	}()
-	w := newConnWriter(conn)
-	defer w.close()
-	sink := w.sink(req, req.Hyper.Stream)
-	job, err := s.sched.Submit(req, sink)
+	cur := newCursor(req.Hyper.Stream)
+	job, err := s.sched.Submit(req, cur)
 	if err != nil {
 		return err
 	}
-	defer job.detach(sink) // before w closes: no delivery may be in flight then
-	err = s.awaitOutcome(conn, job, w)
+	err = s.stream(conn, job, cur)
 	if errors.Is(err, io.EOF) {
 		// A vanished blocking client stops its job instead of burning
 		// cloud time on a result nobody will read; disconnect survival is
@@ -632,7 +544,7 @@ func (s *Server) runAndRespond(conn *deadlineConn, req *TrainRequest) (err error
 }
 
 // submitAsync admits the job and answers with its ID; the connection is
-// then done. The job runs with no sink parked until someone attaches.
+// then done. The job runs with no cursor until someone attaches.
 func (s *Server) submitAsync(conn *deadlineConn, req *TrainRequest) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -674,24 +586,20 @@ func (s *Server) jobStatus(conn *deadlineConn, payload []byte, cancel bool) erro
 	return writeFrame(conn, msgJobStatus, js)
 }
 
-// attach streams a scheduled job's output to this connection: buffered
-// epochs past FromEpoch replay first (exactly once — the replay and the
-// live-sink registration are one atomic step), then live frames, then the
-// terminal result. The client disconnecting DETACHES the stream without
-// cancelling the job — disconnect survival is the point of the submit
-// path — and its output keeps buffering for the next attach; an explicit
-// msgCancel on this connection cancels the job.
+// attach streams a scheduled job's output to this connection from a
+// cursor at FromEpoch: buffered epochs past it first, then live ones, then
+// the terminal result — each exactly once, being one read position over
+// one log. The latest attach wins: an earlier one still connected stops
+// streaming and gets only the terminal frames. The client disconnecting
+// DETACHES the stream without cancelling the job — disconnect survival is
+// the point of the submit path — and its output keeps buffering for the
+// next attach; an explicit msgCancel on this connection cancels the job.
 func (s *Server) attach(conn *deadlineConn, areq AttachRequest) error {
 	job, err := s.sched.Job(areq.JobID)
 	if err != nil {
 		return err
 	}
-	w := newConnWriter(conn)
-	defer w.close()
-	sink := w.sink(job.req, true)
-	if err := job.attach(areq.FromEpoch, sink); err != nil {
-		return err
-	}
-	defer job.detach(sink) // before w closes: no delivery may be in flight then
-	return s.awaitOutcome(conn, job, w)
+	cur := newCursor(true)
+	job.attach(areq.FromEpoch, cur)
+	return s.stream(conn, job, cur)
 }

@@ -50,7 +50,8 @@ func Fig14FrameworkComparison(w io.Writer, sc Scale) error {
 		return err
 	}
 	hp := sc.cvConfig()
-	discoRun, err := cloudsim.TrainLoop(context.TODO(), dl, &cloudsim.TrainRequest{
+	discoStart := time.Now()
+	_, err = cloudsim.TrainLoop(context.TODO(), dl, &cloudsim.TrainRequest{
 		Spec: cloudsim.ModelSpec{Kind: "plain-cv", Classes: cfg.Classes},
 		Hyper: cloudsim.Hyper{Epochs: hp.Epochs, BatchSize: hp.BatchSize, LR: hp.LR, Momentum: hp.Momentum,
 			WeightDecay: hp.WeightDecay, Shuffle: true, ShuffleSeed: 62},
@@ -59,6 +60,7 @@ func Fig14FrameworkComparison(w io.Writer, sc Scale) error {
 	if err != nil {
 		return err
 	}
+	discoSecs := time.Since(discoStart).Seconds()
 
 	// --- CrypTen-style MPC: measured secure-MLP epoch + throughput-based
 	// secure-LeNet extrapolation ---
@@ -103,7 +105,7 @@ func Fig14FrameworkComparison(w io.Writer, sc Scale) error {
 	}{
 		{"baseline (GPU model)", gpuSecs, "accelerator cost model over measured CPU"},
 		{"Amalgam (100%)", obfuscated.Seconds, measured},
-		{"DISCO-style", discoRun.Seconds, measured},
+		{"DISCO-style", discoSecs, measured},
 		{"CrypTen-style MPC", mpcLeNetSecs, "measured secure throughput, LeNet schedule"},
 		{"CPU only (TEE bound)", cpu.Seconds, measured},
 		{"PyCrCNN-style HE", heSecs, "measured Paillier ops, LeNet schedule"},
