@@ -25,8 +25,28 @@ type StreamHandlers struct {
 	// state, RNG cursors) when Hyper.CheckpointEvery > 0 — ready to hand
 	// to serialize.SaveTrainCheckpoint unchanged. The epoch a run ends on
 	// has no checkpoint frame (the response is that snapshot):
-	// TrainContext hands the hook the response in its place.
+	// TrainContext hands the hook the response in its place. With Into
+	// set, ck is Into: it aliases the destination's tensors and holds this
+	// boundary only until the next frame lands.
 	Checkpoint func(ck *serialize.TrainCheckpoint)
+	// Into, when set, is where every epoch boundary the stream carries
+	// lands — each checkpoint and the final state: the weights in
+	// Into.State's own tensors (a job's model, say), the optimiser
+	// buffers in Into.OptState's, a set allocated on the first checkpoint
+	// and reused after that. A frame is checked whole before a byte of it
+	// is written, so one that does not fit fails the stream and leaves
+	// Into at the last boundary that did. The response's State, OptState
+	// and RNG are then Into's.
+	Into *serialize.TrainCheckpoint
+}
+
+// boundary decodes an epoch-boundary frame: into h.Into when set, into
+// fresh tensors otherwise.
+func (h StreamHandlers) boundary(payload []byte) (*serialize.TrainCheckpoint, error) {
+	if h.Into == nil {
+		return serialize.ReadTrainCheckpoint(bytes.NewReader(payload))
+	}
+	return h.Into, serialize.ReadTrainCheckpointInto(payload, h.Into)
 }
 
 // NetConfig tunes the client transport.
@@ -187,7 +207,14 @@ func readJobStream(ctx context.Context, conn *deadlineConn, h StreamHandlers) (*
 				h.Progress(m)
 			}
 		case msgCheckpoint:
-			ck, err := serialize.ReadTrainCheckpoint(bytes.NewReader(payload))
+			if h.Checkpoint == nil && h.Into == nil {
+				// Nobody keeps it: checked, never materialised.
+				if err := serialize.CheckTrainCheckpoint(payload); err != nil {
+					return nil, fmt.Errorf("cloudsim: bad checkpoint frame: %w", err)
+				}
+				continue
+			}
+			ck, err := h.boundary(payload)
 			if err != nil {
 				return nil, fmt.Errorf("cloudsim: bad checkpoint frame: %w", err)
 			}
@@ -202,7 +229,7 @@ func readJobStream(ctx context.Context, conn *deadlineConn, h StreamHandlers) (*
 			resp.Metrics = meta.Metrics
 			resp.Cancelled = meta.Cancelled
 		case msgState:
-			final, err := serialize.ReadTrainCheckpoint(bytes.NewReader(payload))
+			final, err := h.boundary(payload)
 			if err != nil {
 				return nil, fmt.Errorf("cloudsim: bad final state frame: %w", err)
 			}

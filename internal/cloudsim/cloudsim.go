@@ -616,8 +616,10 @@ func buildLoaded(req *TrainRequest) (Trainable, error) {
 
 // TrainLoop is THE obfuscated-training epoch loop: it trains model on
 // req's payload under req.Hyper, resuming from req.InitOptState/InitRNG
-// (req.InitState is for whoever built model to load). The cloud service
-// runs it over the model it rebuilt from the spec, the public
+// (req.InitState is for whoever built model to load). req is read only
+// before the first epoch: the loop keeps its payload and nothing else of
+// it, so a resume state no caller holds is garbage once loaded. The cloud
+// service runs it over the model it rebuilt from the spec, the public
 // LocalTrainer over the job's live augmented model and the very request
 // RemoteTrainer would ship — so the step, batch order (per-epoch
 // data.ShuffleRNG), scoring, checkpoint cadence, and cancellation
@@ -643,7 +645,7 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 	progress func(EpochMetric) error,
 	checkpoint func(*serialize.TrainCheckpoint) error) (*TrainResponse, error) {
 
-	hyper := req.Hyper
+	hyper, kind := req.Hyper, req.Spec.Kind
 	if hyper.Epochs <= 0 || hyper.BatchSize <= 0 {
 		return nil, fmt.Errorf("cloudsim: epochs and batch size must be positive: %w", ErrBadRequest)
 	}
@@ -746,7 +748,7 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 			if err := capture(); err != nil {
 				return nil, err
 			}
-			if err := checkpoint(resp.Checkpoint(req.Spec.Kind)); err != nil {
+			if err := checkpoint(resp.Checkpoint(kind)); err != nil {
 				return nil, err
 			}
 		}

@@ -55,11 +55,13 @@ func (s JobState) terminal() bool { return s != JobQueued && s != JobRunning }
 // attached client delays only its own job, and only at a checkpoint.
 // A job holds its state once: admission builds the model the executor
 // trains, with the client's initial state loaded into it and dropped from
-// req; the terminal transition keeps the response and lets go of the rest.
+// req; dispatch hands the resume optimiser state and dropout cursors to
+// the loop that loads them (loopRequest); the terminal transition keeps
+// the response and lets go of the rest.
 type schedJob struct {
 	id     string
 	tenant string
-	req    *TrainRequest // the job's own copy; payload and init state dropped when terminal
+	req    *TrainRequest // the job's own copy: no init state once dispatched, no payload once terminal
 	view   ProviderView
 	model  Trainable     // built at admission, trained by the executor, nil once terminal
 	spare  chan *ckptBuf // checkpoint buffers handed back for the next cut; the executor's
@@ -457,6 +459,17 @@ func (sch *Scheduler) executor() {
 	}
 }
 
+// loopRequest is the request the executor's TrainLoop runs: the job's,
+// with the resume point's optimiser state and dropout cursors moved out of
+// the job into it. TrainLoop loads them as it starts and keeps no
+// reference, so a resumed job holds its optimiser state once — in the
+// optimiser — and not a second time for its whole run.
+func (job *schedJob) loopRequest() *TrainRequest {
+	req := *job.req
+	job.req.InitOptState, job.req.InitRNG = nil, nil
+	return &req
+}
+
 // runJob drives one job through the training loop and into a terminal
 // state. A pre-cancelled job (cancelled while queued, or admitted during
 // shutdown) still runs the loop with an already-cancelled context: it
@@ -501,7 +514,7 @@ func (sch *Scheduler) runJob(job *schedJob) {
 				e = fmt.Errorf("cloudsim: job crashed: %v: %w", p, ErrJobPanic)
 			}
 		}()
-		return TrainLoop(ctx, job.model, job.req, progress, checkpoint)
+		return TrainLoop(ctx, job.model, job.loopRequest(), progress, checkpoint)
 	}()
 
 	// Terminal: the response is all anyone can still ask this job for (it
@@ -511,7 +524,6 @@ func (sch *Scheduler) runJob(job *schedJob) {
 	r := job.req // Spec and Hyper stay: handlers read them, unlocked
 	r.Images, r.Labels, r.Samples = nil, nil, nil
 	r.EvalImages, r.EvalLabels, r.EvalSamples = nil, nil, nil
-	r.InitOptState, r.InitRNG = nil, nil
 	job.mu.Lock()
 	job.awaitLive() // the last checkpoint reaches the live client before the result
 	parked := job.ckpt

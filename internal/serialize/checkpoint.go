@@ -2,6 +2,7 @@ package serialize
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -126,51 +127,89 @@ func TrainCheckpointSize(ck *TrainCheckpoint) int {
 // ReadTrainCheckpoint decodes a checkpoint written by
 // WriteTrainCheckpoint. Any other magic fails with ErrWrongFormat.
 func ReadTrainCheckpoint(r io.Reader) (*TrainCheckpoint, error) {
+	ck := &TrainCheckpoint{}
+	if err := readTrainCheckpoint(buffered(r), ck, false); err != nil {
+		return nil, err
+	}
+	return ck, nil
+}
+
+// ReadTrainCheckpointInto decodes a checkpoint held whole in payload into
+// dst's own tensors: the weights into dst.State's, which the checkpoint
+// must name exactly, each with its shape (ErrMismatch otherwise); the
+// optimiser buffers into dst.OptState's, under the same rule, or into a
+// set allocated here when dst holds none. Epoch, Kind, the optimiser's
+// scalars and the RNG cursors are replaced. The decode is atomic: a dry
+// pass first reads every header, name and shape against dst, and only
+// then is a byte written — on any error dst is as it was.
+func ReadTrainCheckpointInto(payload []byte, dst *TrainCheckpoint) error {
+	probe := *dst
+	if err := readTrainCheckpoint(bytes.NewReader(payload), &probe, true); err != nil {
+		return err
+	}
+	return readTrainCheckpoint(bytes.NewReader(payload), dst, false)
+}
+
+// CheckTrainCheckpoint reports the error ReadTrainCheckpoint would return
+// for payload, without materialising a tensor.
+func CheckTrainCheckpoint(payload []byte) error {
+	return readTrainCheckpoint(bytes.NewReader(payload), &TrainCheckpoint{}, true)
+}
+
+// readTrainCheckpoint decodes one checkpoint into ck: into the tensors of
+// ck.State and ck.OptState's buffers where ck holds them, into new ones
+// where it does not. dry reads and checks everything and writes no
+// tensor (see readStateDictFrom).
+func readTrainCheckpoint(br source, ck *TrainCheckpoint, dry bool) error {
 	// One source for the whole stream: the dict sections are decoded
 	// with the non-wrapping reader so the model dict cannot read ahead
 	// into the optimiser dict.
-	br := buffered(r)
 	if err := readHeader(br, ckptMagic); err != nil {
-		return nil, err
+		return err
 	}
-	ck := &TrainCheckpoint{}
 	var e uint32
 	if err := binary.Read(br, binary.LittleEndian, &e); err != nil {
-		return nil, fmt.Errorf("serialize: read checkpoint epoch: %w", err)
+		return fmt.Errorf("serialize: read checkpoint epoch: %w", err)
 	}
-	ck.Epoch = int(e)
 	kind, err := readString(br)
 	if err != nil {
-		return nil, fmt.Errorf("serialize: read checkpoint kind: %w", err)
+		return fmt.Errorf("serialize: read checkpoint kind: %w", err)
 	}
-	ck.Kind = kind
 	hasOpt, err := readFlag(br)
 	if err != nil {
-		return nil, fmt.Errorf("serialize: read optimiser flag: %w", err)
+		return fmt.Errorf("serialize: read optimiser flag: %w", err)
 	}
+	var opt *optim.State
 	if hasOpt {
-		if ck.OptState, err = readOptScalars(br); err != nil {
-			return nil, err
+		if opt, err = readOptScalars(br); err != nil {
+			return err
 		}
 	}
-	if ck.State, err = readStateDictFrom(br); err != nil {
-		return nil, err
+	state, err := readStateDictFrom(br, ck.State, dry)
+	if err != nil {
+		return err
 	}
 	if hasOpt {
-		if ck.OptState.Buffers, err = readStateDictFrom(br); err != nil {
-			return nil, fmt.Errorf("serialize: optimiser state: %w", err)
+		var into map[string]*tensor.Tensor
+		if ck.OptState != nil && len(ck.OptState.Buffers) > 0 {
+			into = ck.OptState.Buffers
+		}
+		if opt.Buffers, err = readStateDictFrom(br, into, dry); err != nil {
+			return fmt.Errorf("serialize: optimiser state: %w", err)
 		}
 	}
 	hasRNG, err := readFlag(br)
 	if err != nil {
-		return nil, fmt.Errorf("serialize: read RNG flag: %w", err)
+		return fmt.Errorf("serialize: read RNG flag: %w", err)
 	}
+	var rng map[string][]byte
 	if hasRNG {
-		if ck.RNG, err = readBytesDictFrom(br); err != nil {
-			return nil, fmt.Errorf("serialize: RNG state: %w", err)
+		if rng, err = readBytesDictFrom(br); err != nil {
+			return fmt.Errorf("serialize: RNG state: %w", err)
 		}
 	}
-	return ck, nil
+	ck.Epoch, ck.Kind, ck.State, ck.OptState, ck.RNG = int(e), kind, state, opt, rng
+	return nil
 }
 
 // writeOptScalars encodes the part of an optimiser state that is not a

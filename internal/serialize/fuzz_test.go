@@ -85,9 +85,14 @@ func TestHostileHeadersAllocateNothing(t *testing.T) {
 // stream opening with a foreign magic as ErrWrongFormat. magic 0 means the
 // format has none.
 func fuzzDecoder(f *testing.F, magic uint32, decode func(io.Reader) error) {
+	fuzzBytes(f, magic, func(_ *testing.T, data []byte) error { return decode(bytes.NewReader(data)) })
+}
+
+// fuzzBytes is fuzzDecoder for a decode that also needs the input whole.
+func fuzzBytes(f *testing.F, magic uint32, decode func(t *testing.T, data []byte) error) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var err error
-		grew := allocDuring(func() { err = decode(bytes.NewReader(data)) })
+		grew := allocDuring(func() { err = decode(t, data) })
 		if limit := uint64(1<<20 + 64*len(data)); grew > limit {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), grew, limit)
 		}
@@ -159,8 +164,22 @@ func FuzzReadTrainCheckpoint(f *testing.F) {
 	f.Add(withHeader(ckptMagic, append(optPrefix, oneEntryDict(hostileWrapBody)...)...))
 	// An optimiser kind longer than any name.
 	f.Add(withHeader(ckptMagic, 1, 0, 0, 0, 0, 0, 1, 0xff, 0xff))
-	fuzzDecoder(f, ckptMagic, func(r io.Reader) error {
-		_, err := ReadTrainCheckpoint(r)
+	// Every input is also decoded in place, into a destination shaped like
+	// the valid seed: either both decodes succeed and agree, or the
+	// in-place one fails and leaves the destination as it was.
+	fuzzBytes(f, ckptMagic, func(t *testing.T, data []byte) error {
+		fresh, err := ReadTrainCheckpoint(bytes.NewReader(data))
+		dst := &TrainCheckpoint{Epoch: 99, Kind: "dst", State: cloneDict(full.State),
+			OptState: &optim.State{Kind: full.OptState.Kind, Buffers: cloneDict(full.OptState.Buffers)}}
+		before := *dst
+		before.State, before.OptState = cloneDict(dst.State), &optim.State{Kind: dst.OptState.Kind, Buffers: cloneDict(dst.OptState.Buffers)}
+		if inPlace := ReadTrainCheckpointInto(data, dst); inPlace == nil {
+			if err != nil || !sameBoundary(dst, fresh) {
+				t.Fatalf("decoded in place, but the fresh decode (%v) differs", err)
+			}
+		} else if !sameBoundary(dst, &before) {
+			t.Fatalf("the failed in-place decode (%v) changed the destination", inPlace)
+		}
 		return err
 	})
 }

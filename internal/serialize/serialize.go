@@ -18,6 +18,7 @@ package serialize
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,6 +38,10 @@ import (
 // right format but is corrupt, and must not be silently retried as
 // something else.
 var ErrWrongFormat = errors.New("serialize: wrong format")
+
+// ErrMismatch marks a well-formed stream that does not fit the tensors it
+// is decoded into: an entry those tensors lack, or one of another shape.
+var ErrMismatch = errors.New("serialize: stream does not fit its destination")
 
 const (
 	tensorMagic  = 0x414d5431 // "AMT1"
@@ -189,50 +194,74 @@ func writeElems[T float32 | int](w io.Writer, s []T, size int, encode func(dst [
 }
 
 func readTensorBody(r io.Reader) (*tensor.Tensor, error) {
+	shape, n, err := readShape(r)
+	if err != nil {
+		return nil, err
+	}
+	data, err := readFloats(r, n, nil)
+	if err != nil {
+		return nil, err
+	}
+	return tensor.FromSlice(data, shape...), nil
+}
+
+// readShape decodes a tensor body's rank and dimensions; n is their
+// product, the number of elements that follow.
+func readShape(r io.Reader) (shape []int, n int, err error) {
 	var rank uint8
 	if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-		return nil, fmt.Errorf("serialize: read rank: %w", err)
+		return nil, 0, fmt.Errorf("serialize: read rank: %w", err)
 	}
 	if rank > maxDims {
-		return nil, fmt.Errorf("serialize: tensor rank %d exceeds %d", rank, maxDims)
+		return nil, 0, fmt.Errorf("serialize: tensor rank %d exceeds %d", rank, maxDims)
 	}
-	shape := make([]int, rank)
-	n := 1
+	shape = make([]int, rank)
+	n = 1
 	for i := range shape {
 		var d uint32
 		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-			return nil, fmt.Errorf("serialize: read dim: %w", err)
+			return nil, 0, fmt.Errorf("serialize: read dim: %w", err)
 		}
 		shape[i] = int(d)
 		// Checked per dimension: four uint32 dims already wrap an int64
 		// product (to 0, which a single check at the end would accept).
 		if d != 0 && n > maxElements/int(d) {
-			return nil, fmt.Errorf("serialize: tensor shape %v exceeds %d elements", shape[:i+1], maxElements)
+			return nil, 0, fmt.Errorf("serialize: tensor shape %v exceeds %d elements", shape[:i+1], maxElements)
 		}
 		n *= int(d)
 	}
+	return shape, n, nil
+}
+
+// readFloats decodes a tensor body's n elements: into into when it is
+// non-nil (it holds exactly n), into a new slice otherwise.
+func readFloats(r io.Reader, n int, into []float32) ([]float32, error) {
 	data, err := readChunked(r, n, 4, func(dst []float32, src []byte) {
 		for i := range dst {
 			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 		}
-	})
+	}, into)
 	if err != nil {
 		return nil, fmt.Errorf("serialize: read payload: %w", err)
 	}
-	return tensor.FromSlice(data, shape...), nil
+	return data, nil
 }
 
-// readChunked decodes n fixed-size wire elements. The output is reserved
-// whole only when r is in memory and holds them all; otherwise it starts
-// at allocChunk bytes and at most doubles as elements arrive — either
-// way memory tracks the bytes received, never the declared count. Where
-// the output's memory is the wire layout the reads land in it directly.
-func readChunked[T float32 | int](r io.Reader, n, size int, decode func(dst []T, src []byte)) ([]T, error) {
-	reserve := min(n, allocChunk/size)
-	if m, ok := r.(inMemory); ok && n <= m.Len()/size {
-		reserve = n
+// readChunked decodes n fixed-size wire elements, into into when it is
+// non-nil (it holds exactly n). Otherwise the output is reserved whole
+// only when r is in memory and holds them all; else it starts at
+// allocChunk bytes and at most doubles as elements arrive — either way
+// memory tracks the bytes received, never the declared count. Where the
+// output's memory is the wire layout the reads land in it directly.
+func readChunked[T float32 | int](r io.Reader, n, size int, decode func(dst []T, src []byte), into []T) ([]T, error) {
+	out := into[:0:len(into)]
+	if into == nil {
+		reserve := min(n, allocChunk/size)
+		if m, ok := r.(inMemory); ok && n <= m.Len()/size {
+			reserve = n
+		}
+		out = make([]T, 0, reserve)
 	}
-	out := make([]T, 0, reserve)
 	var buf []byte
 	for len(out) < n {
 		if len(out) == cap(out) {
@@ -258,6 +287,17 @@ func readChunked[T float32 | int](r io.Reader, n, size int, decode func(dst []T,
 		out = out[:len(out)+len(dst)]
 	}
 	return out, nil
+}
+
+// skip moves past n bytes of a dry pass's source — a *bytes.Reader, the
+// payload in memory — and fails as a truncated stream when they are not
+// all there.
+func skip(r io.Reader, n int) error {
+	if m, ok := r.(*bytes.Reader); ok && m.Len() >= n {
+		_, err := m.Seek(int64(n), io.SeekCurrent)
+		return err
+	}
+	return io.ErrUnexpectedEOF
 }
 
 // WriteStateDict encodes a name→tensor map with deterministic (sorted)
@@ -302,7 +342,7 @@ func StateDictSize(dict map[string]*tensor.Tensor) int {
 
 // ReadStateDict decodes a map written by WriteStateDict.
 func ReadStateDict(r io.Reader) (map[string]*tensor.Tensor, error) {
-	return readStateDictFrom(buffered(r))
+	return readStateDictFrom(buffered(r), nil, false)
 }
 
 // readStateDictFrom decodes a state dict without adding its own
@@ -310,7 +350,13 @@ func ReadStateDict(r io.Reader) (map[string]*tensor.Tensor, error) {
 // several sections from one stream (the checkpoint reader) share a
 // single source across sections instead of letting a nested
 // bufio.Reader read ahead past the section boundary.
-func readStateDictFrom(r source) (map[string]*tensor.Tensor, error) {
+//
+// With into non-nil the dict must name exactly into's tensors, in the
+// sorted order every writer uses, each with its shape, and the elements
+// land in them (the map returned is into); anything else is ErrMismatch.
+// dry reads every header, name and shape, and checks that the elements
+// are there, but allocates and writes no tensor.
+func readStateDictFrom(r source, into map[string]*tensor.Tensor, dry bool) (map[string]*tensor.Tensor, error) {
 	if err := readHeader(r, dictMagic); err != nil {
 		return nil, err
 	}
@@ -321,17 +367,40 @@ func readStateDictFrom(r source) (map[string]*tensor.Tensor, error) {
 	if n > maxDictSize {
 		return nil, fmt.Errorf("serialize: dict with %d entries rejected", n)
 	}
-	out := make(map[string]*tensor.Tensor)
+	if into != nil && int(n) != len(into) {
+		return nil, fmt.Errorf("serialize: dict of %d entries for %d tensors: %w", n, len(into), ErrMismatch)
+	}
+	out := into
+	if out == nil {
+		out = make(map[string]*tensor.Tensor)
+	}
+	prev := ""
 	for i := uint32(0); i < n; i++ {
 		name, err := readString(r)
 		if err != nil {
 			return nil, err
 		}
-		t, err := readTensorBody(r)
+		shape, size, err := readShape(r)
 		if err != nil {
 			return nil, fmt.Errorf("serialize: entry %q: %w", name, err)
 		}
-		out[name] = t
+		var dst []float32
+		if into != nil {
+			t := into[name]
+			if t == nil || (i > 0 && name <= prev) || !slices.Equal(t.Shape(), shape) {
+				return nil, fmt.Errorf("serialize: entry %q %v does not fit its destination: %w", name, shape, ErrMismatch)
+			}
+			prev, dst = name, t.Data
+		}
+		var data []float32
+		if dry {
+			err = skip(r, 4*size)
+		} else if data, err = readFloats(r, size, dst); err == nil && into == nil {
+			out[name] = tensor.FromSlice(data, shape...)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("serialize: entry %q: %w", name, err)
+		}
 	}
 	return out, nil
 }
@@ -465,5 +534,5 @@ func ReadIntSlice(r io.Reader) ([]int, error) {
 		for i := range dst {
 			dst[i] = int(int64(binary.LittleEndian.Uint64(src[8*i:])))
 		}
-	})
+	}, nil)
 }

@@ -211,3 +211,51 @@ func BenchmarkRawAlloc(bb *testing.B) {
 		_ = t
 	}
 }
+
+// BenchmarkMatMulScaling times MatMulInto at one and at two kernel-pool
+// workers over shapes whose B panel — the k×n block every pair of output
+// rows streams — grows from 192 KB to 1 MB, next to a control that splits
+// a dependent scalar loop (no memory traffic) the same way. Divide a
+// shape's workers=1 time by its workers=2 time for its speedup; the two
+// run back to back, so a drift in machine load biases neither. The
+// control says what two workers can give at all on the machine; the
+// shapes say how much of it a GEMM keeps as its panel outgrows the cache.
+func BenchmarkMatMulScaling(bb *testing.B) {
+	shapes := []struct{ m, k, n int }{
+		{1008, 128, 384},  // 192 KB panel
+		{1008, 128, 512},  // 256 KB
+		{1008, 57, 2000},  // 445 KB: the LM head's k
+		{1008, 128, 2000}, // 1 MB
+		{512, 512, 512},   // 1 MB, square
+	}
+	for _, workers := range []int{1, 2} {
+		bb.Run(fmt.Sprintf("scalar/workers=%d", workers), func(bb *testing.B) {
+			defer SetMaxWorkers(SetMaxWorkers(workers))
+			const chunks, steps = 2, 1 << 20
+			sums := make([]float32, chunks)
+			for i := 0; i < bb.N; i++ {
+				parallelFor(chunks, 1, func(start, end int) {
+					for c := start; c < end; c++ {
+						x := float32(c + 1)
+						for j := 0; j < steps; j++ {
+							x = x*0.999 + 1e-3
+						}
+						sums[c] = x
+					}
+				})
+			}
+		})
+	}
+	for _, s := range shapes {
+		a, b := benchMatrices(s.m, s.k, s.n)
+		out := New(s.m, s.n)
+		for _, workers := range []int{1, 2} {
+			bb.Run(fmt.Sprintf("%dx%dx%d/workers=%d", s.m, s.k, s.n, workers), func(bb *testing.B) {
+				defer SetMaxWorkers(SetMaxWorkers(workers))
+				for i := 0; i < bb.N; i++ {
+					MatMulInto(out, a, b)
+				}
+			})
+		}
+	}
+}

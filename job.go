@@ -30,7 +30,8 @@ type TrainableJob interface {
 // runs.
 type jobOps struct {
 	// model is the job's augmented model: LocalTrainer trains it in
-	// place, remote results and checkpoints load back into it.
+	// place, RemoteTrainer's streamed epoch boundaries land in its tensors
+	// (through req.InitState's views), checkpoint files load into it.
 	model cloudsim.Trainable
 	// req is the job as a training request: spec, augmented payload, and
 	// the model's live parameters as the initial state (views, no copy).
@@ -42,15 +43,6 @@ type jobOps struct {
 	// attachEval obfuscates a held-out split with the job key and
 	// attaches it to req.
 	attachEval func(ds EvalDataset) error
-}
-
-// loadState loads a trained or checkpointed state dict back into the
-// job's augmented model.
-func (o *jobOps) loadState(dict map[string]*tensor.Tensor) error {
-	if err := nn.LoadStateDict(o.model, dict); err != nil {
-		return fmt.Errorf("amalgam: loading trained weights: %w", err)
-	}
-	return nil
 }
 
 // Job holds the obfuscated CV artifacts and the secret key. Ship

@@ -95,10 +95,12 @@ func jobInfoOf(st cloudsim.JobStatus) JobInfo {
 // Attach subscribes to a job previously scheduled with Submit and streams
 // its stats exactly like Run: buffered epochs replay first (each epoch's
 // stats are delivered exactly once, even across retried attaches), live
-// epochs follow, and when the job completes its final weights are loaded
-// back into job's model — so Extract works afterwards just as it does
-// after Run. job must be the same job (or an identical rebuild) that was
-// submitted; the service streams only what that job's spec produced.
+// epochs follow, and each epoch boundary the stream carries — the
+// checkpoints and the final state — lands in job's model, so Extract
+// works afterwards just as it does after Run. job must be the same job (or
+// an identical rebuild) that was submitted; the service streams only what
+// that job's spec produced, and a boundary that does not fit the model
+// fails the stream without touching it.
 //
 // Cancelling ctx cancels the JOB, mirroring Run. Dropping the connection
 // without cancelling (e.g. the process dies) merely detaches: the job
@@ -118,14 +120,14 @@ func (t RemoteTrainer) Attach(ctx context.Context, job TrainableJob, id JobID, o
 		defer closePump()
 		// FromEpoch carries the last epoch already delivered, so a
 		// re-attach's replay starts exactly after it.
-		stream, h := ro.follow(push, 0)
+		stream, h := ro.follow(push, o.req)
 		var resp *cloudsim.TrainResponse
 		err := ro.retrying(ctx, func(net cloudsim.NetConfig) (err error) {
 			resp, err = cloudsim.AttachContext(ctx, t.Addr,
 				cloudsim.AttachRequest{JobID: string(id), FromEpoch: stream.lastEpoch}, h, net)
 			return err
 		})
-		o.finishRemote(ctx, push, ro, resp, err)
+		finishRun(ctx, push, ro, o.req.Spec.Kind, resp, err)
 	}()
 	return out, nil
 }

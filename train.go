@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"amalgam/internal/cloudsim"
+	"amalgam/internal/nn"
 	"amalgam/internal/serialize"
 	"amalgam/internal/tensor"
 )
@@ -86,11 +87,7 @@ func (LocalTrainer) Run(ctx context.Context, job TrainableJob, cfg TrainConfig, 
 		}
 		// The live model over the very request RemoteTrainer would ship.
 		resp, err := cloudsim.TrainLoop(ctx, o.model, o.req, ro.emitTo(emit), checkpoint)
-		if err != nil {
-			emit(EpochStats{Err: err})
-			return
-		}
-		finishRun(ctx, emit, ro, kind, resp)
+		finishRun(ctx, emit, ro, kind, resp, err)
 	}()
 	return ch, nil
 }
@@ -98,15 +95,21 @@ func (LocalTrainer) Run(ctx context.Context, job TrainableJob, cfg TrainConfig, 
 // RemoteTrainer ships the augmented artifacts to a cloudsim training
 // service (see cmd/amalgam-train -serve) and streams per-epoch progress
 // back — the full Fig. 1 loop. The service only ever receives augmented
-// data and the augmented graph spec; the key stays local. Cancelling the
-// ctx sends a cancel frame; the service stops at the next epoch boundary
-// and returns the weights so far, which land in the checkpoint path (when
-// configured) before the stream terminates with ctx.Err().
+// data and the augmented graph spec; the key stays local. Each epoch
+// boundary the service streams back lands in the job's model — every
+// checkpoint frame (WithRetry, WithCheckpoint) and the final state —
+// decoded straight into its tensors, so the client holds one copy of the
+// model. A frame that does not fit the model fails the run and changes
+// nothing. So a run that fails after epoch k leaves the model at boundary
+// k, as a failed LocalTrainer run does. Cancelling the ctx sends a cancel
+// frame; the service stops at the next epoch boundary and returns the
+// weights so far, which land in the model and in the checkpoint path
+// (when configured) before the stream terminates with ctx.Err().
 //
 // With WithRetry, transient transport faults (dropped connections, dial
 // failures, I/O deadlines, graceful server shutdown) are retried with
 // capped exponential backoff, resuming from the last epoch-boundary
-// snapshot — see RetryPolicy.
+// snapshot — the model itself — see RetryPolicy.
 type RemoteTrainer struct {
 	// Addr is the service's TCP address, e.g. "127.0.0.1:7009".
 	Addr string
@@ -127,7 +130,7 @@ func (t RemoteTrainer) Run(ctx context.Context, job TrainableJob, cfg TrainConfi
 	go func() {
 		defer close(ch)
 		resp, err := t.runRemote(ctx, o.req, ro, emit)
-		o.finishRemote(ctx, emit, ro, resp, err)
+		finishRun(ctx, emit, ro, o.req.Spec.Kind, resp, err)
 	}()
 	return ch, nil
 }
@@ -152,10 +155,10 @@ func (t RemoteTrainer) prepare(job TrainableJob, cfg TrainConfig, opts []TrainOp
 
 // runRemote drives one job over the wire, retrying transient faults under
 // the run's RetryPolicy. Each attempt resumes from the latest
-// epoch-boundary snapshot the client has seen (streamed msgCheckpoint
-// frames held in memory, seeded from the WithResume file on the first
-// attempt), so no batch is ever trained twice and the final weights are
-// bit-identical to an unbroken run.
+// epoch-boundary snapshot the client has seen (the streamed msgCheckpoint
+// frames, landed in the job's model; on the first attempt the model as
+// it is, WithResume file included), so no batch is ever trained twice and
+// the final weights are bit-identical to an unbroken run.
 func (t RemoteTrainer) runRemote(ctx context.Context, req *cloudsim.TrainRequest, ro *runOptions,
 	emit func(EpochStats)) (*cloudsim.TrainResponse, error) {
 
@@ -164,7 +167,7 @@ func (t RemoteTrainer) runRemote(ctx context.Context, req *cloudsim.TrainRequest
 		// writes keep the user's WithCheckpoint cadence.
 		req.Hyper.CheckpointEvery = 1
 	}
-	stream, h := ro.follow(emit, req.Hyper.StartEpoch)
+	stream, h := ro.follow(emit, req)
 	var resp *cloudsim.TrainResponse
 	err := ro.retrying(ctx, func(net cloudsim.NetConfig) (err error) {
 		if snap := stream.snap; snap != nil {
@@ -181,21 +184,24 @@ func (t RemoteTrainer) runRemote(ctx context.Context, req *cloudsim.TrainRequest
 
 // wireStream is what the client has seen of one job's stream, across
 // attempts: the last epoch whose stats it emitted and the latest
-// epoch-boundary snapshot.
+// epoch-boundary snapshot (views of the job's model).
 type wireStream struct {
 	lastEpoch int
 	snap      *serialize.TrainCheckpoint
 }
 
-// follow builds the handlers feeding a job's wire stream into the run. A
-// retried attempt replays epochs the server already reported, so each
-// epoch's stats are emitted exactly once. Streamed snapshots are held as
-// the resume point and saved at the WithCheckpoint cadence — best effort;
-// the final state is written with error checking by finishRun.
-func (ro *runOptions) follow(emit func(EpochStats), start int) (*wireStream, cloudsim.StreamHandlers) {
-	stream := &wireStream{lastEpoch: start}
+// follow builds the handlers feeding a job's wire stream into the run:
+// every epoch boundary lands in the tensors of req.InitState — the job's
+// model — and req.InitOptState (see StreamHandlers.Into). A retried
+// attempt replays epochs the server already reported, so each epoch's
+// stats are emitted exactly once. Streamed snapshots are held as the
+// resume point and saved at the WithCheckpoint cadence — best effort; the
+// final state is written with error checking by finishRun.
+func (ro *runOptions) follow(emit func(EpochStats), req *cloudsim.TrainRequest) (*wireStream, cloudsim.StreamHandlers) {
+	stream := &wireStream{lastEpoch: req.Hyper.StartEpoch}
 	progress := ro.emitTo(emit)
 	h := cloudsim.StreamHandlers{
+		Into: &serialize.TrainCheckpoint{State: req.InitState, OptState: req.InitOptState},
 		Progress: func(m cloudsim.EpochMetric) {
 			if m.Epoch > stream.lastEpoch {
 				stream.lastEpoch = m.Epoch
@@ -312,23 +318,14 @@ func (ro *runOptions) emitTo(emit func(EpochStats)) func(cloudsim.EpochMetric) e
 	}
 }
 
-// finishRemote lands a remote run's outcome: the trained weights in the
-// job's model, then finishRun — or the failure as the stream's last
-// element.
-func (o *jobOps) finishRemote(ctx context.Context, emit func(EpochStats), ro *runOptions, resp *cloudsim.TrainResponse, err error) {
-	if err == nil {
-		err = o.loadState(resp.State)
-	}
+// finishRun ends a run's stream: with its failure as the last element,
+// or after writing the final checkpoint, with the context's error when
+// the run was cancelled.
+func finishRun(ctx context.Context, emit func(EpochStats), ro *runOptions, kind string, resp *cloudsim.TrainResponse, err error) {
 	if err != nil {
 		emit(EpochStats{Err: err})
 		return
 	}
-	finishRun(ctx, emit, ro, o.req.Spec.Kind, resp)
-}
-
-// finishRun writes the final checkpoint and terminates a cancelled stream
-// with the context's error.
-func finishRun(ctx context.Context, emit func(EpochStats), ro *runOptions, kind string, resp *cloudsim.TrainResponse) {
 	if ro.checkpointPath != "" {
 		err := serialize.SaveTrainCheckpoint(ro.checkpointPath, resp.Checkpoint(kind))
 		if err != nil {
@@ -380,7 +377,7 @@ func (o *jobOps) loadCheckpoint(path string) (*serialize.TrainCheckpoint, error)
 	if kind := o.req.Spec.Kind; ck.Kind != kind {
 		return nil, fmt.Errorf("checkpoint holds a %q job, this job is %q: %w", ck.Kind, kind, ErrCheckpointKind)
 	}
-	return ck, o.loadState(ck.State)
+	return ck, nn.LoadStateDict(o.model, ck.State)
 }
 
 // LoadCheckpoint loads a WithCheckpoint file back into a job's augmented

@@ -234,6 +234,58 @@ func TestConnectionLostInTerminalFramesRetrainsOneEpoch(t *testing.T) {
 	}
 }
 
+// TestFailedRemoteRunLeavesModelAtLastBoundary: every epoch boundary a
+// remote run streams lands in the job's model, so a run that fails after
+// epoch k leaves the model at boundary k — as a failed LocalTrainer run
+// does — not at its initial weights, and not at a boundary cut short. The
+// connection is cut halfway into checkpoint k+1, with no retry allowed.
+func TestFailedRemoteRunLeavesModelAtLastBoundary(t *testing.T) {
+	const k = 2
+	cfg := amalgam.TrainConfig{Epochs: 6, BatchSize: 8, LR: 0.5, Momentum: 0.9}
+	ctx := context.Background()
+
+	// Boundary k, trained locally; its file gives a checkpoint frame's size.
+	local := mkTextJob(t)
+	short := cfg
+	short.Epochs = k
+	ckpt := filepath.Join(t.TempDir(), "k.amc")
+	if _, err := amalgam.Train(ctx, amalgam.LocalTrainer{}, local, short, amalgam.WithCheckpoint(ckpt, 1)); err != nil {
+		t.Fatal(err)
+	}
+	want := extractedState(t, local)
+	ck, err := serialize.LoadTrainCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// k checkpoint frames and k+1 progress frames of some 150 bytes come
+	// before checkpoint k+1, a frame of ~90 KB.
+	stateSize := serialize.TrainCheckpointSize(ck)
+	cut := k*(5+stateSize) + (k+1)*150 + 5 + stateSize/2
+
+	fl := startFaultServer(t, func(int) faultnet.ConnPlan { return faultnet.ConnPlan{CutAfterWriteBytes: int64(cut)} })
+	job := mkTextJob(t)
+	initial := extractedState(t, job)
+	stats, err := amalgam.Train(ctx, amalgam.RemoteTrainer{Addr: fl.Addr().String()}, job, cfg,
+		amalgam.WithRetry(amalgam.RetryPolicy{MaxRetries: 0, Seed: 1}))
+	if !errors.Is(err, amalgam.ErrRetriesExhausted) {
+		t.Fatalf("the cut run ended with %v, want ErrRetriesExhausted", err)
+	}
+	if len(stats) != k+1 {
+		t.Fatalf("%d epochs reported before the cut, want %d: the cut missed checkpoint %d", len(stats), k+1, k+1)
+	}
+	got := extractedState(t, job)
+	moved := false
+	for name, w := range want {
+		if !got[name].Equal(w) {
+			t.Fatalf("after the failed run the model differs from boundary %d at %q", k, name)
+		}
+		moved = moved || !initial[name].Equal(w)
+	}
+	if !moved {
+		t.Fatal("boundary k equals the initial weights: the test cannot tell them apart")
+	}
+}
+
 // TestRetryExhaustedReportsSentinel pins the failure shape when every
 // attempt dies: ErrRetriesExhausted wraps the last transport error, both
 // reachable with errors.Is.
