@@ -36,8 +36,32 @@ type StreamHandlers struct {
 	// and reused after that. A frame is checked whole before a byte of it
 	// is written, so one that does not fit fails the stream and leaves
 	// Into at the last boundary that did. The response's State, OptState
-	// and RNG are then Into's.
+	// and RNG are then Into's. Into also sizes the stream's frame buffer:
+	// a boundary no larger than what Into will hold is read into one
+	// buffer of its exact size (frameReserve).
 	Into *serialize.TrainCheckpoint
+
+	// optBuffers is how many optimiser buffers per weight the stream's
+	// boundaries carry, where the caller knows the job's recipe
+	// (TrainContextNet); 0 leaves the reserve at what Into holds now.
+	optBuffers int
+}
+
+// boundarySlack covers what a reserve does not count: the job kind, the
+// optimiser's scalars and Adam's buffer-name prefixes, the RNG cursors.
+const boundarySlack = 64 << 10
+
+// frameReserve is the largest epoch boundary h.Into will hold: its weights
+// and its optimiser buffers — before the first boundary allocates them,
+// optBuffers per weight — plus boundarySlack. It only bounds what a frame
+// header is trusted with (frameReader.reserve): a frame that claims more
+// still grows as its bytes arrive.
+func (h StreamHandlers) frameReserve() int {
+	n := serialize.TrainCheckpointSize(h.Into)
+	if h.Into.OptState.NumBuffers() == 0 {
+		n += h.optBuffers * serialize.StateDictSize(h.Into.State)
+	}
+	return n + boundarySlack
 }
 
 // boundary decodes an epoch-boundary frame: into h.Into when set, into
@@ -175,8 +199,13 @@ func decodeErrorFrame(payload []byte) error {
 // frame. The request is fully on the wire by now and this goroutine only
 // reads, so the cancel watcher it starts is the connection's sole writer:
 // cancelling ctx sends msgCancel and bounds how long a wedged server may
-// take to flush the partial result.
+// take to flush the partial result. With a destination, the frame buffer
+// is reserved for its boundaries up front: the first one is read into a
+// buffer of its exact size, not grown to it through doublings.
 func readJobStream(ctx context.Context, conn *deadlineConn, h StreamHandlers) (*TrainResponse, error) {
+	if h.Into != nil {
+		conn.frames.reserve = h.frameReserve()
+	}
 	watcherDone := make(chan struct{})
 	defer close(watcherDone)
 	go func() {
@@ -256,6 +285,7 @@ func TrainContextNet(ctx context.Context, addr string, req *TrainRequest, h Stre
 	if err := sendRequest(conn, req, msgDone); err != nil {
 		return nil, err
 	}
+	h.optBuffers = req.Hyper.optBuffers()
 	resp, err := readJobStream(ctx, conn, h)
 	if every := req.Hyper.CheckpointEvery; err == nil && h.Checkpoint != nil &&
 		every > 0 && resp.CompletedEpochs == req.Hyper.Epochs && req.Hyper.Epochs%every == 0 {

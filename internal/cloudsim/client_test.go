@@ -69,16 +69,20 @@ func modelLike(state map[string]*tensor.Tensor) map[string]*tensor.Tensor {
 // under 1 MB, where decoding each checkpoint into fresh tensors cost the
 // checkpoint's size (≈7 MB here) every epoch. It holds for a client whose
 // checkpoints land in its model and are handed to a hook (RemoteTrainer
-// under WithRetry), and for one that keeps no checkpoint at all. The
-// boundaries that land in place are the fresh decode's, bit for bit.
+// under WithRetry), and for one that keeps no checkpoint at all. A whole
+// stream into the model costs one checkpoint frame, the optimiser buffers
+// and under 1 MB besides, where growing the frame buffer to the first
+// checkpoint through doublings left about a frame more. The boundaries
+// that land in place are the fresh decode's, bit for bit.
 func TestRemoteClientAllocationBudget(t *testing.T) {
 	const budget = 1 << 20
 	streams := map[int][]byte{}
 	var state map[string]*tensor.Tensor
+	var hyper Hyper
 	for _, epochs := range []int{4, 12} {
 		req := wideTextJob(t, 8)
 		req.Hyper.Epochs, req.Hyper.CheckpointEvery = epochs, 1
-		state = req.InitState
+		state, hyper = req.InitState, req.Hyper
 		streams[epochs] = recordStream(t, req)
 	}
 	for name, h := range map[string]func() StreamHandlers{
@@ -107,6 +111,41 @@ func TestRemoteClientAllocationBudget(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("whole stream into the model", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("byte budgets are not meaningful under the race detector")
+		}
+		fr := frameReader{r: bytes.NewReader(streams[4])}
+		frame := 0
+		for frame == 0 {
+			kind, payload, err := fr.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind == msgCheckpoint {
+				frame = len(payload)
+			}
+		}
+		// As RemoteTrainer.Run's stream: into the model, the reserve sized
+		// by the job's optimiser.
+		read := func() uint64 {
+			h := StreamHandlers{Into: &serialize.TrainCheckpoint{State: modelLike(state)},
+				Checkpoint: func(*serialize.TrainCheckpoint) {}, optBuffers: hyper.optBuffers()}
+			var err error
+			grew := allocatedBy(func() { _, err = readRecorded(streams[4], h) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return grew
+		}
+		read() // warm the runtime's own caches
+		limit := uint64(frame + serialize.StateDictSize(state) + budget)
+		if got := read(); got > limit {
+			t.Errorf("a 4-epoch stream into the model allocated %d bytes: over one %d-byte frame, %d bytes of optimiser buffers and %d",
+				got, frame, serialize.StateDictSize(state), budget)
+		}
+	})
 
 	// In place and fresh, the same boundaries.
 	into := &serialize.TrainCheckpoint{State: modelLike(state)}

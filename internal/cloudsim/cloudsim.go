@@ -145,6 +145,22 @@ func (h Hyper) recipe() (spec optim.OptimSpec, err error) {
 	return spec, err
 }
 
+// optBuffers is how many buffers per weight the recipe's optimiser keeps
+// once it has stepped: Adam's two moments, SGD's velocity when it has
+// momentum. It sizes what a client expects an epoch boundary to carry.
+func (h Hyper) optBuffers() int {
+	spec, err := h.recipe()
+	switch {
+	case err != nil:
+		return 0
+	case spec.Kind == optim.KindAdam:
+		return 2
+	case spec.Momentum != 0:
+		return 1
+	}
+	return 0
+}
+
 // TrainRequest is a complete job: spec, hyper-parameters, and the
 // (augmented) dataset — images for CV jobs, token samples for text jobs.
 type TrainRequest struct {

@@ -53,8 +53,9 @@ import (
 // msgCheckpoint payload in a buffer the job owns (ckptBuf), and from then
 // on only those bytes travel — parked on the job for a later attach,
 // written by every attached connection that reaches them — never re-encoded, never
-// aliasing a tensor the next epoch is already changing, immutable until
-// their last holder returns them to the job. Every other large frame (the
+// aliasing a tensor the next epoch is already changing, immutable while a
+// connection may still write them (a boundary the live client has already
+// been sent is cut into the same buffer). Every other large frame (the
 // request's data and starting state, the terminal state frame) is not
 // staged at all: writeFrameFrom encodes it from its tensors straight onto
 // the buffered connection. A job's output is a log — every epoch's
@@ -145,11 +146,17 @@ func frameEOF(err error) error {
 // payload next returns is valid only until the following call, which is
 // all any handler needs (each decodes or copies before it reads on), and
 // a stream of same-sized checkpoint frames costs one buffer, not one
-// each. The buffer's capacity is only ever earned by bytes that arrived.
+// each. A header alone is trusted up to frameAllocChunk or reserve,
+// whichever is larger: a frame within that is read into one buffer of its
+// exact size. Capacity beyond it is only ever earned by bytes that
+// arrived.
 type frameReader struct {
 	r   io.Reader
 	hdr [5]byte
 	buf []byte
+	// reserve is the largest frame the reader's owner expects and would
+	// hold anyway (readJobStream: an epoch boundary of its destination).
+	reserve int
 }
 
 func (fr *frameReader) next() (byte, []byte, error) {
@@ -161,7 +168,7 @@ func (fr *frameReader) next() (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("cloudsim: frame of %d bytes rejected: %w", n, ErrFrameTooLarge)
 	}
 	size := int(n)
-	if first := min(size, frameAllocChunk); cap(fr.buf) < first {
+	if first := min(size, max(frameAllocChunk, fr.reserve)); cap(fr.buf) < first {
 		fr.buf = make([]byte, first)
 	}
 	for got := 0; got < size; {

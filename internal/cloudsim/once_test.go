@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -340,25 +342,15 @@ func (c *pipeClient) seen() (epoch int, checkpoints []int) {
 // every holder it can have — the parked slot, the stream of a slow client,
 // the stream of a client that superseded it with a second attach, the
 // stream of a client that died — with every buffer overwritten the moment
-// its last holder lets go. A reader that was still entitled to the bytes
+// its last holder lets go, and the moment the parked slot gives it up to
+// be cut again in place. A reader that was still entitled to the bytes
 // would receive the poison (and trip the race detector); none may. The
 // job never owns more than three buffers, and none once it has finished.
 func TestCheckpointBuffersReturnToTheirJob(t *testing.T) {
 	const epochs, supersedeAt, dieAt = 40, 8, 24
 	req := longTextJob(t, epochs, 2000)
 	ref := runReference(t, longTextJob(t, epochs, 2000))
-
-	var mu sync.Mutex
-	returned := map[*ckptBuf]int{}
-	ckptReturned = func(c *ckptBuf) {
-		mu.Lock()
-		returned[c]++
-		mu.Unlock()
-		for i := range c.payload {
-			c.payload[i] = 0xA5
-		}
-	}
-	defer func() { ckptReturned = nil }()
+	poisoned := poisonReturned(t, nil)
 
 	slow, slowEnd := newPipeClient(t, ref)
 	fast, fastEnd := newPipeClient(t, ref)
@@ -425,8 +417,7 @@ func TestCheckpointBuffersReturnToTheirJob(t *testing.T) {
 			t.Fatalf("superseding client's checkpoints %v skip or repeat an epoch", fastGot)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	returned := poisoned()
 	if len(returned) == 0 || len(returned) > 3 {
 		t.Errorf("the job used %d checkpoint buffers, want 1 to 3", len(returned))
 	}
@@ -439,6 +430,176 @@ func TestCheckpointBuffersReturnToTheirJob(t *testing.T) {
 	defer job.mu.Unlock()
 	if job.ckpt != nil || job.spare != nil || job.model != nil {
 		t.Errorf("the finished job still holds parked checkpoint %v, spares %v, model %v", job.ckpt != nil, job.spare != nil, job.model != nil)
+	}
+}
+
+// pacedTextJob is longTextJob with copies of its samples: checkpoints of a
+// few kilobytes, epochs of some 15 milliseconds (64 copies; 16 under the
+// race detector, which slows training far more than a client's reads). A
+// client reading at full speed on a P of its own then has each checkpoint
+// before the next epoch ends.
+func pacedTextJob(t *testing.T, epochs int) *TrainRequest {
+	req := longTextJob(t, epochs, 0)
+	copies := 64
+	if raceEnabled {
+		copies = 16
+	}
+	samples, labels := req.Samples, req.Labels
+	for range copies - 1 {
+		req.Samples = append(req.Samples, samples...)
+		req.Labels = append(req.Labels, labels...)
+	}
+	return req
+}
+
+// poisonReturned installs a ckptReturned hook that counts, per buffer, the
+// times a holder handed it back or the parked slot gave it up to be cut in
+// place, and overwrites it then: a reader still entitled to the bytes would
+// receive the poison. seen, when set, runs first.
+func poisonReturned(t *testing.T, seen func(*ckptBuf)) (returned func() map[*ckptBuf]int) {
+	var mu sync.Mutex
+	counts := map[*ckptBuf]int{}
+	ckptReturned = func(c *ckptBuf) {
+		if seen != nil {
+			seen(c)
+		}
+		mu.Lock()
+		counts[c]++
+		mu.Unlock()
+		for i := range c.payload {
+			c.payload[i] = 0xA5
+		}
+	}
+	t.Cleanup(func() { ckptReturned = nil })
+	return func() map[*ckptBuf]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(counts)
+	}
+}
+
+// TestKeepingUpClientCostsOneCheckpointBuffer: a client that reads as fast
+// as its job streams has sent each checkpoint before the next boundary, so
+// that boundary is cut in place into the buffer it was sent from. A
+// 12-epoch job costs one checkpoint buffer (two alternated before): poisoned
+// before each of its ten reuses and once more as the job lets it go, and
+// every checkpoint the client receives is still the in-process run's.
+func TestKeepingUpClientCostsOneCheckpointBuffer(t *testing.T) {
+	const epochs = 12
+	// Keeping up means reading while the executor trains. On one P the
+	// client runs only once the executor blocks — at the next boundary,
+	// one checkpoint behind — so this client gets a P of its own.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	req := pacedTextJob(t, epochs)
+	ref := runReference(t, pacedTextJob(t, epochs))
+	returned := poisonReturned(t, nil)
+
+	client, serverEnd := newPipeClient(t, ref)
+	defer client.conn.Close()
+	sch := newScheduler(ServerConfig{Executors: 1})
+	sch.start()
+	defer func() { sch.Finish(); sch.WaitIdle() }()
+	cur := newCursor(true)
+	job, err := sch.Submit(req, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := streamTo(streamServer(sch), serverEnd, job, cur)
+	read := make(chan struct{})
+	go func() { defer close(read); client.read(0, nil) }()
+	if err := <-streamed; err != nil {
+		t.Fatalf("the stream ended with %v", err)
+	}
+	serverEnd.Close()
+	<-read
+
+	if _, got := client.seen(); len(got) != epochs-1 {
+		t.Fatalf("the client received checkpoints %v, want epochs 1 to %d", got, epochs-1)
+	}
+	bufs := returned()
+	for c, n := range bufs {
+		if n != epochs-1 || c.holders.Load() != 0 {
+			t.Errorf("a checkpoint buffer was given up %d times, want %d: %d reuses in place and the job's end (holders now %d)",
+				n, epochs-1, epochs-2, c.holders.Load())
+		}
+	}
+	if len(bufs) != 1 {
+		t.Fatalf("the job cut into %d checkpoint buffers for a client that keeps up, want 1", len(bufs))
+	}
+}
+
+// TestAttachDuringInPlaceCutGetsTheNewBoundary: while a boundary is cut in
+// place the parked slot is empty, the buffer it held being overwritten. A
+// job nobody is attached to cuts every boundary after its first that way.
+// An attach that lands in the window — from the poison hook, which runs
+// there on the executor — has no checkpoint to replay. It receives the
+// boundary being cut once it is parked: first, exactly once, byte-equal to
+// the in-process run's, never the old bytes, the poison or a half-cut
+// buffer; then every later one, once.
+func TestAttachDuringInPlaceCutGetsTheNewBoundary(t *testing.T) {
+	const epochs, attachAfter = 12, 4
+	req := pacedTextJob(t, epochs)
+	ref := runReference(t, pacedTextJob(t, epochs))
+	client, clientEnd := newPipeClient(t, ref)
+	defer client.conn.Close()
+
+	sch := newScheduler(ServerConfig{Executors: 1})
+	sch.start()
+	defer func() { sch.Finish(); sch.WaitIdle() }()
+	srv := streamServer(sch)
+
+	var jobp atomic.Pointer[schedJob]
+	var once sync.Once
+	attached := make(chan int, 1) // the epoch of the boundary cut as the attach landed
+	var streamed <-chan error     // the attached stream's end, set before attached is sent
+	poisonReturned(t, func(c *ckptBuf) {
+		job := jobp.Load()
+		if job == nil {
+			return
+		}
+		job.mu.Lock()
+		cutting := job.ckpt == nil && !job.state.terminal()
+		job.mu.Unlock()
+		if !cutting || c.epoch < attachAfter {
+			return
+		}
+		once.Do(func() {
+			cur := newCursor(true)
+			job.attach(c.epoch, cur)
+			streamed = streamTo(srv, clientEnd, job, cur)
+			attached <- c.epoch + 1
+		})
+	})
+
+	job, err := sch.Submit(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobp.Store(job)
+	read := make(chan struct{})
+	go func() { defer close(read); client.read(0, nil) }()
+	<-job.done
+	var cut int
+	select {
+	case cut = <-attached:
+	default:
+		t.Fatalf("no boundary after epoch %d was cut in place", attachAfter)
+	}
+	if err := <-streamed; err != nil {
+		t.Fatalf("the stream ended with %v", err)
+	}
+	clientEnd.Close()
+	<-read
+
+	var want []int
+	for e := cut; e < epochs; e++ {
+		want = append(want, e)
+	}
+	if last, got := client.seen(); !slices.Equal(got, want) || last != epochs {
+		t.Fatalf("attached while epoch %d was cut in place, the client received checkpoints %v and progress to epoch %d; want %v and %d",
+			cut, got, last, want, epochs)
 	}
 }
 

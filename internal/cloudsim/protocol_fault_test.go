@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -521,12 +522,14 @@ func TestFramePlumbingAllocs(t *testing.T) {
 
 // TestFramePlumbingAllocsCheckpoint pins the two buffers a streamed checkpoint
 // costs: the server cuts a snapshot into ONE buffer of exactly
-// TrainCheckpointSize bytes — and, once its last holder has let go of it,
-// cuts the next into the same buffer for nothing — and a connection's
-// frame reader, having earned a large frame's capacity once, reads the
-// next frame of that size without allocating. (The third, the client's
-// decode at no more than 1.1x the payload, is pinned in
-// internal/serialize.)
+// TrainCheckpointSize bytes — and cuts the next into the same buffer for
+// nothing, once its last holder has let go of it, or in place while it is
+// parked and nobody may still read it — and a connection's frame reader,
+// having earned a large frame's capacity once, reads the next frame of that
+// size without allocating. A reader with a reserve covering the frame (a
+// client reading boundaries into their destination) earns it in one buffer
+// of the exact size. (The third, the client's decode at no more than 1.1x
+// the payload, is pinned in internal/serialize.)
 func TestFramePlumbingAllocsCheckpoint(t *testing.T) {
 	allocated := allocatedBy
 	state := map[string]*tensor.Tensor{"emb": tensor.New(40000, 16), "fc.w": tensor.New(16, 3)}
@@ -555,24 +558,75 @@ func TestFramePlumbingAllocsCheckpoint(t *testing.T) {
 			again, &cut.payload[0] == &payload[0])
 	}
 
+	// Parked, with no cursor live: the next cut takes it back in place,
+	// through the poison hook first, and allocates nothing.
+	var gaveUp []*ckptBuf
+	ckptReturned = func(c *ckptBuf) { gaveUp = append(gaveUp, c) }
+	defer func() { ckptReturned = nil }()
+	parked := cut
+	job.ckpt = parked
+	if again := allocated(cutOne); again > 64<<10 || cut != parked || job.ckpt != nil ||
+		!slices.Equal(gaveUp, []*ckptBuf{parked}) || parked.holders.Load() != 1 {
+		t.Errorf("the cut after a parked checkpoint nobody reads allocated %d bytes (same buffer: %v, slot emptied: %v, poisoned first: %v, holders %d); want it cut in place",
+			again, cut == parked, job.ckpt == nil, len(gaveUp) == 1, parked.holders.Load())
+	}
+	// Parked and not yet sent to the live cursor, or held by a connection
+	// as well: never cut in place.
+	for _, c := range []struct {
+		name    string
+		live    *cursor
+		holders int32
+	}{{"unsent to the live cursor", &cursor{ckpt: snap.Epoch - 1}, 1}, {"held by a connection", nil, 2}} {
+		gaveUp = nil
+		job.ckpt, job.live = parked, c.live
+		parked.holders.Store(c.holders)
+		cutOne()
+		if cut == parked || job.ckpt != parked || len(gaveUp) != 0 || !bytes.Equal(parked.payload, payload) {
+			t.Errorf("parked checkpoint %s: cut in place (%v), unparked (%v), poisoned (%v); want it left whole",
+				c.name, cut == parked, job.ckpt != parked, len(gaveUp) != 0)
+		}
+	}
+
 	var raw bytes.Buffer
 	if err := writeFrame(&raw, msgCheckpoint, payload); err != nil {
 		t.Fatal(err)
 	}
 	fc := &fakeConn{}
-	dc := newDeadlineConn(fc, time.Minute, time.Minute)
-	read := func() {
-		fc.r.Reset(raw.Bytes())
-		if _, got, err := dc.readFrame(); err != nil || len(got) != size {
-			t.Fatalf("read %d of %d payload bytes: %v", len(got), size, err)
+	readOn := func(dc *deadlineConn) func() {
+		return func() {
+			fc.r.Reset(raw.Bytes())
+			if _, got, err := dc.readFrame(); err != nil || len(got) != size {
+				t.Fatalf("read %d of %d payload bytes: %v", len(got), size, err)
+			}
 		}
 	}
-	first := allocated(read)
+	// reader is a fresh connection's frame reader, trusting a header up to
+	// reserve bytes.
+	reader := func(reserve int) *deadlineConn {
+		dc := newDeadlineConn(fc, time.Minute, time.Minute)
+		dc.frames.reserve = reserve
+		return dc
+	}
+	dc := reader(0)
+	first := allocated(readOn(dc))
 	if limit := uint64(3 * size); size <= frameAllocChunk || first > limit {
 		t.Errorf("first %d-byte frame allocated %d bytes (limit %d); the frame must exceed frameAllocChunk to test growth", size, first, limit)
 	}
-	if again := testing.AllocsPerRun(10, read); again != 0 {
+	if again := testing.AllocsPerRun(10, readOn(dc)); again != 0 {
 		t.Errorf("a second same-size frame cost %.1f allocations, want 0", again)
+	}
+	// A reserve the frame fits: one buffer of its exact size.
+	dc = reader(size + 64<<10)
+	if first := allocated(readOn(dc)); first > uint64(size)+64<<10 || cap(dc.frames.buf) != size {
+		t.Errorf("first %d-byte frame within the reserve allocated %d bytes into a buffer of %d, want one exact buffer",
+			size, first, cap(dc.frames.buf))
+	}
+	// A header claiming more than the reserve: grown as bytes arrive, within
+	// the first-frame limit.
+	for _, reserve := range []int{size - 1, size / 2, frameAllocChunk + 1} {
+		if first := allocated(readOn(reader(reserve))); first > uint64(3*size) {
+			t.Errorf("first %d-byte frame over a reserve of %d allocated %d bytes (limit %d)", size, reserve, first, 3*size)
+		}
 	}
 }
 

@@ -105,10 +105,14 @@ type batch struct {
 // ckptBuf is one cut checkpoint: an encoded msgCheckpoint payload — the
 // bytes WithCheckpoint writes to disk — and the count of who may still
 // read it: the job's parked slot, every connection writing it. The bytes
-// are immutable until the last holder lets go, which hands the buffer back
-// to the job for its next cut (two alternate for a client that keeps up; a
-// stalled or superseded connection pins a third). Buffers die with their
-// job: it forgets its spares, a later release lands where nobody reads.
+// are immutable while anyone but the parked slot holds them. A client
+// that keeps up has sent the parked checkpoint before the next boundary,
+// so that boundary is cut into the same buffer, in place (reclaimParked):
+// one buffer for the whole job. Only a connection still holding the old
+// bytes — slow, superseded or dying — sends the cut to a spare the last
+// holder handed back, or a fresh one (a stalled or superseded connection
+// pins a third). Buffers die with their job: it forgets its spares, a
+// later release lands where nobody reads.
 type ckptBuf struct {
 	payload []byte
 	epoch   int
@@ -116,14 +120,23 @@ type ckptBuf struct {
 	spare   chan<- *ckptBuf
 }
 
-// ckptReturned, when set (tests), sees every buffer as its last holder lets go.
+// ckptReturned, when set (tests), sees every buffer as its last holder lets
+// go, and before a parked buffer is cut again in place.
 var ckptReturned func(*ckptBuf)
 
 // release lets go of one hold; a nil c holds nothing.
 func (c *ckptBuf) release() {
-	if c == nil || c.holders.Add(-1) > 0 {
-		return
+	if c.drop() {
+		c.recycle()
 	}
+}
+
+// drop lets go of one hold and reports whether it was the last; a nil c
+// holds nothing.
+func (c *ckptBuf) drop() bool { return c != nil && c.holders.Add(-1) == 0 }
+
+// recycle hands a buffer nobody holds back to its job for a later cut.
+func (c *ckptBuf) recycle() {
 	if ckptReturned != nil {
 		ckptReturned(c)
 	}
@@ -134,16 +147,23 @@ func (c *ckptBuf) release() {
 }
 
 // cutCheckpoint encodes an epoch-boundary checkpoint into a buffer of the
-// job's — a returned one when there is one — held once, for the parked
-// slot. It must run inside the checkpoint callback, on the executor: ck
-// aliases live tensors.
+// job's — the parked one when nobody may still read it, else a returned
+// one when there is one — held once, for the parked slot. It must run
+// inside the checkpoint callback, on the executor: ck aliases live
+// tensors.
 func (j *schedJob) cutCheckpoint(ck *serialize.TrainCheckpoint) (*ckptBuf, error) {
 	size := serialize.TrainCheckpointSize(ck)
-	var c *ckptBuf
-	select {
-	case c = <-j.spare:
-	default:
-		c = &ckptBuf{spare: j.spare}
+	c := j.reclaimParked()
+	if c != nil {
+		if ckptReturned != nil {
+			ckptReturned(c)
+		}
+	} else {
+		select {
+		case c = <-j.spare:
+		default:
+			c = &ckptBuf{spare: j.spare}
+		}
 	}
 	if cap(c.payload) < size {
 		c.payload = make([]byte, 0, size)
@@ -165,6 +185,24 @@ func (j *schedJob) deliverProgress(m EpochMetric) {
 	j.stats = append(j.stats, m)
 	j.lastEpoch = m.Epoch
 	j.cond.Broadcast()
+}
+
+// reclaimParked unparks the parked checkpoint's buffer for the next cut
+// when nobody may still read it: the live cursor, if any, has sent it (or
+// passed over it), and the parked slot is its only holder. Holds are taken
+// and given up by cursors under j.mu, so neither can change before the
+// slot is emptied. The slot stays empty until the cut is parked: an
+// attach in between gets that boundary then.
+func (j *schedJob) reclaimParked() *ckptBuf {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	c := j.ckpt
+	if c == nil || c.holders.Load() != 1 || j.live != nil && j.live.ckpt < c.epoch {
+		return nil
+	}
+	j.ckpt = nil
+	c.holders.Store(0)
+	return c
 }
 
 // deliverCheckpoint parks the epoch-boundary checkpoint (the disconnect
@@ -247,7 +285,9 @@ func (j *schedJob) next(cur *cursor) (b batch, ok bool) {
 }
 
 // sent reports that cur's taker has written b, or failed to (err): a
-// failed cursor stops and is no longer live. It lets go of b's checkpoint.
+// failed cursor stops and is no longer live. It lets go of b's checkpoint
+// together with moving cur past it, so the executor never sees one without
+// the other (reclaimParked).
 func (j *schedJob) sent(cur *cursor, b batch, err error) {
 	j.mu.Lock()
 	switch {
@@ -259,9 +299,12 @@ func (j *schedJob) sent(cur *cursor, b batch, err error) {
 	case b.ckpt != nil:
 		cur.ckpt = b.ckpt.epoch
 	}
+	last := b.ckpt.drop()
 	j.cond.Broadcast()
 	j.mu.Unlock()
-	b.ckpt.release()
+	if last {
+		b.ckpt.recycle()
+	}
 }
 
 // hangUp marks cur's connection gone, and reports whether the job had
