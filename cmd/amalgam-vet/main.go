@@ -1,23 +1,20 @@
 // Command amalgam-vet runs the repo's invariant-contract analyzers
-// (poolcheck, detcheck, lockcheck, errtaxcheck) over Go packages.
+// (poolcheck, detcheck, lockcheck, errtaxcheck) as a go vet tool:
 //
-// It supports two modes:
+//	go build -o /tmp/amalgam-vet ./cmd/amalgam-vet
+//	go vet -vettool=/tmp/amalgam-vet ./...
 //
-//   - Standalone: `amalgam-vet ./...` loads and typechecks packages from
-//     source (offline; no build cache required) and prints findings.
-//
-//   - Vet tool: `go vet -vettool=$(pwd)/bin/amalgam-vet ./...` — cmd/go
-//     drives the tool through the unitchecker protocol (-V=full, -flags,
-//     then one JSON .cfg per package with pre-built export data).
+// cmd/go drives it through the unitchecker protocol: -V=full and -flags
+// to identify it, then one JSON .cfg per package (test variants
+// included) with pre-built export data for the package's dependencies.
 //
 // Exit status: 0 for no findings, 2 when diagnostics were reported,
-// 1 on operational errors — mirroring go vet's convention.
+// 1 on operational errors or any other invocation — mirroring go vet's
+// convention.
 package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -30,8 +27,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// Unitchecker handshake: cmd/go probes the tool's identity and flags
-	// before dispatching per-package .cfg files.
 	if len(args) == 1 {
 		switch {
 		case args[0] == "-V=full":
@@ -53,69 +48,8 @@ func run(args []string) int {
 			return runVet(args[0])
 		}
 	}
-
-	fs := flag.NewFlagSet("amalgam-vet", flag.ExitOnError)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	list := fs.Bool("list", false, "list the analyzers in the suite and exit")
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: amalgam-vet [-json] [-only a,b] packages...\n")
-		fmt.Fprintf(fs.Output(), "       go vet -vettool=/path/to/amalgam-vet packages...\n\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-
-	analyzers := analysis.Analyzers()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	if *only != "" {
-		var sel []*analysis.Analyzer
-		for _, name := range strings.Split(*only, ",") {
-			found := false
-			for _, a := range analyzers {
-				if a.Name == strings.TrimSpace(name) {
-					sel = append(sel, a)
-					found = true
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "amalgam-vet: unknown analyzer %q (see -list)\n", name)
-				return 1
-			}
-		}
-		analyzers = sel
-	}
-
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"."}
-	}
-	return runStandalone(patterns, analyzers, *jsonOut)
-}
-
-func runStandalone(patterns []string, analyzers []*analysis.Analyzer, jsonOut bool) int {
-	loader, err := analysis.NewLoader(".", patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "amalgam-vet: %v\n", err)
-		return 1
-	}
-	pkgs, err := loader.LoadTargets()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "amalgam-vet: %v\n", err)
-		return 1
-	}
-	diags, err := analysis.Run(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "amalgam-vet: %v\n", err)
-		return 1
-	}
-	return report(diags, jsonOut)
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=/path/to/amalgam-vet packages...")
+	return 1
 }
 
 func runVet(cfgPath string) int {
@@ -123,22 +57,6 @@ func runVet(cfgPath string) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "amalgam-vet: %v\n", err)
 		return 1
-	}
-	return report(diags, false)
-}
-
-func report(diags []analysis.Diagnostic, jsonOut bool) int {
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(os.Stderr, "amalgam-vet: %v\n", err)
-			return 1
-		}
-		if len(diags) > 0 {
-			return 2
-		}
-		return 0
 	}
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, d.String())

@@ -15,9 +15,9 @@
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the analyzers can be lifted onto the upstream
 // framework unchanged when that dependency is available; this container
-// builds them on the standard library alone. The suite runs standalone
-// (`go run ./cmd/amalgam-vet ./...`) and as a `go vet -vettool=` plugin
-// speaking cmd/go's unitchecker .cfg protocol.
+// builds them on the standard library alone. The suite runs as a
+// `go vet -vettool=` plugin speaking cmd/go's unitchecker .cfg protocol
+// (cmd/amalgam-vet), which covers test files as well.
 //
 // Deliberate exceptions are annotated in source:
 //
@@ -71,6 +71,22 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// Package is one fully typechecked package ready for analysis.
+type Package struct {
+	Path  string
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
+	// Src maps filename to source bytes, for suppression-directive and
+	// golden-test line handling.
+	Src map[string][]byte
+	// Dep resolves an import path anywhere in this package's dependency
+	// closure to its typechecked form (nil if absent). Analyzers use it to
+	// reach well-known types such as net.Conn.
+	Dep func(path string) *types.Package
 }
 
 // A Diagnostic is one finding, positioned and attributed to its analyzer.

@@ -7,23 +7,19 @@ import (
 )
 
 // ExampleAnalyzers shows how a downstream checker embeds the amalgam-vet
-// suite. A custom multichecker loads its packages however it likes — here
-// the repo's own source loader — and feeds them to Run alongside any
-// additional analyzers of its own:
+// suite. A custom go vet tool hands the .cfg file cmd/go passes it to
+// RunVetTool, with the suite plus any analyzers of its own:
 //
-//	l, err := analysis.NewLoader(".", "./...")
+//	diags, err := analysis.RunVetTool(cfgPath, append(analysis.Analyzers(), mine))
 //	if err != nil { ... }
-//	pkgs, err := l.LoadTargets()
-//	if err != nil { ... }
-//	diags, err := analysis.Run(pkgs, analysis.Analyzers())
 //	for _, d := range diags {
-//		fmt.Println(d) // pos: analyzer: message
+//		fmt.Fprintln(os.Stderr, d) // pos: analyzer: message
 //	}
 //
 // Each Analyzer also stands alone: picking a subset out of Analyzers()
 // (or appending a project-specific Analyzer to it) composes naturally,
 // and //amalgam:allow directives keep working because suppression is
-// applied by Run, not by the individual analyzers.
+// applied by Run and RunVetTool, not by the individual analyzers.
 func ExampleAnalyzers() {
 	for _, a := range analysis.Analyzers() {
 		fmt.Println(a.Name)

@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
 	"os"
-	"runtime"
 )
 
 // Vet-tool (unitchecker) mode: `go vet -vettool=/path/to/amalgam-vet`
@@ -51,7 +51,10 @@ func RunVetTool(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	}
 	cfg := &vetConfig{}
 	if err := json.Unmarshal(data, cfg); err != nil {
-		return nil, fmt.Errorf("amalgam-vet: parsing %s: %v", cfgPath, err)
+		return nil, fmt.Errorf("parsing %s: %v", cfgPath, err)
+	}
+	if cfg.Compiler == "" {
+		return nil, fmt.Errorf("%s has no Compiler field", cfgPath)
 	}
 
 	// Facts output first: cmd/go expects the file to exist even when this
@@ -67,32 +70,16 @@ func RunVetTool(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	}
 
 	fset := token.NewFileSet()
-	var files []*ast.File
-	src := make(map[string][]byte)
-	for _, name := range cfg.GoFiles {
-		b, err := os.ReadFile(name)
-		if err != nil {
-			return nil, err
-		}
-		f, err := parser.ParseFile(fset, name, b, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		src[name] = b
-	}
-
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "source"
-	}
-	gc := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
+	gc := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
 		file, ok := cfg.PackageFile[path]
 		if !ok {
-			return nil, fmt.Errorf("amalgam-vet: no export data for %q", path)
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
 	})
+	if gc == nil {
+		return nil, fmt.Errorf("no importer for compiler %q", cfg.Compiler)
+	}
 	imported := make(map[string]*types.Package)
 	var imp importerFunc = func(path string) (*types.Package, error) {
 		if path == "unsafe" {
@@ -112,6 +99,37 @@ func RunVetTool(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return p, nil
 	}
 
+	pkg, err := typecheck(fset, cfg.ImportPath, cfg.GoFiles, imp)
+	if err != nil {
+		if cfg.SucceedOnTypecheckFailure {
+			// The compiler reports the error; vet has nothing to add.
+			return nil, nil
+		}
+		return nil, err
+	}
+	return runPackage(pkg, analyzers)
+}
+
+// typecheck parses the named files and typechecks them, with bodies and
+// full type information, as the package at path, resolving its imports
+// through imp. Sizes are those of the architecture being vetted: cmd/go
+// exports GOARCH to the tool, where go/build reads it, and the tool's own
+// architecture may differ.
+func typecheck(fset *token.FileSet, path string, filenames []string, imp types.Importer) (*Package, error) {
+	var files []*ast.File
+	src := make(map[string][]byte)
+	for _, name := range filenames {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			return nil, err
+		}
+		f, err := parser.ParseFile(fset, name, b, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		src[name] = b
+	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -120,31 +138,30 @@ func RunVetTool(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	}
 	tcfg := &types.Config{
 		Importer:    imp,
-		Sizes:       types.SizesFor("gc", runtime.GOARCH),
+		Sizes:       types.SizesFor("gc", build.Default.GOARCH),
 		FakeImportC: true,
 	}
-	tpkg, err := tcfg.Check(cfg.ImportPath, fset, files, info)
+	tpkg, err := tcfg.Check(path, fset, files, info)
 	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("amalgam-vet: typechecking %s: %v", cfg.ImportPath, err)
+		return nil, fmt.Errorf("typechecking %s: %v", path, err)
 	}
-
-	pkg := &Package{
-		Path:  cfg.ImportPath,
+	return &Package{
+		Path:  path,
 		Fset:  fset,
 		Files: files,
 		Types: tpkg,
 		Info:  info,
 		Src:   src,
 		Dep: func(path string) *types.Package {
-			p, err := imp(path)
+			p, err := imp.Import(path)
 			if err != nil {
 				return nil
 			}
 			return p
 		},
-	}
-	return runPackage(pkg, analyzers)
+	}, nil
 }
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
