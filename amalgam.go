@@ -46,7 +46,8 @@ type (
 	ImageDataset = data.ImageDataset
 	// CVConfig fixes a model's input geometry and class count.
 	CVConfig = models.CVConfig
-	// CVModel is an image classifier from the model zoo (or user-built).
+	// CVModel is an image classifier from the model zoo, or user-built by
+	// implementing models.CVModel's two methods in agreement.
 	CVModel = models.CVModel
 	// NoiseSpec selects the augmentation noise distribution.
 	NoiseSpec = core.NoiseSpec

@@ -193,28 +193,15 @@ func AugmentCVModel(orig models.CVModel, key *ImageAugKey, inC, classes int, opt
 		return m, nil
 	}
 
-	// Probe the original model's tap-feature shapes with a dummy forward.
-	// Eval mode so the probe cannot touch batch-norm running statistics,
-	// and the caller's mode restored afterwards (a pre-trained model handed
-	// over in eval mode stays in eval mode) — otherwise augmentation itself
-	// would perturb the original model's state and break the exactness
-	// invariant. The probe's graph goes back to the pool once its shapes are
-	// read: every tap feature lies on the path to the logits.
-	var tapShapes [][]int
+	// The original states its tap widths; augmentation runs no forward, so
+	// it never touches the original's mode or batch-norm statistics.
+	var tapC []int
 	if !opts.DisableTaps {
-		was := nn.TrainingMode(orig)
-		orig.SetTraining(false)
-		probe := autodiff.Constant(tensor.New(1, inC, key.OrigH, key.OrigW))
-		logits, feats := orig.ForwardFeatures(probe)
-		orig.SetTraining(was)
-		for _, f := range feats {
-			tapShapes = append(tapShapes, f.Val.Shape())
-		}
-		autodiff.Release(logits)
+		tapC = orig.TapChannels()
 	}
 
 	for i, b := range opts.decoyBudgets(nn.NumParams(orig)) {
-		d := newCVDecoy(rng.Split(uint64(i+1)), key, inC, classes, b, tapShapes)
+		d := newCVDecoy(rng.Split(uint64(i+1)), key, inC, classes, b, tapC)
 		if i < len(opts.DecoyGathers) {
 			pinned := opts.DecoyGathers[i]
 			if len(pinned) != key.OrigH*key.OrigW {
@@ -238,13 +225,13 @@ func AugmentCVModel(orig models.CVModel, key *ImageAugKey, inC, classes int, opt
 // proportional to α as the paper reports (§4.5, Table 3) — a decoy that
 // spent its budget on wide spatial convolutions would cost far more
 // compute per parameter than the original network.
-func newCVDecoy(rng *tensor.RNG, key *ImageAugKey, inC, classes, budget int, tapShapes [][]int) *cvDecoy {
+func newCVDecoy(rng *tensor.RNG, key *ImageAugKey, inC, classes, budget int, tapChannels []int) *cvDecoy {
 	d := &cvDecoy{gather: NewRandomSkipGather2d(rng.Split(1), key)}
 	tapDim := 0
 	tapC := 0
-	if len(tapShapes) > 0 {
-		d.tapIdx = rng.IntN(len(tapShapes))
-		tapC = tapShapes[d.tapIdx][1]
+	if len(tapChannels) > 0 {
+		d.tapIdx = rng.IntN(len(tapChannels))
+		tapC = tapChannels[d.tapIdx]
 		tapDim = 16
 	}
 	convStride := 2
@@ -313,7 +300,7 @@ func (m *AugmentedCVModel) ForwardAll(x *autodiff.Node) (*autodiff.Node, []*auto
 		return d.mid.ForwardAct(autodiff.GlobalAvgPool(h), tensor.ActReLU)
 	}, func(i int, g *autodiff.Node) *autodiff.Node {
 		d := m.Decoys[i]
-		if d.tapFC != nil && d.tapIdx < len(feats) {
+		if d.tapFC != nil {
 			// The tap projection runs on the fused Linear→Tanh epilogue:
 			// tanh bounds the injected feature to [-1, 1], so a decoy's
 			// head sees tap activations on the same scale as its own

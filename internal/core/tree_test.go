@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -15,9 +13,8 @@ import (
 )
 
 // §4.4 transfer learning hands Amalgam a pre-trained batch-norm model in
-// eval mode. The tap-shape probe must give it back in the mode (and with
-// the running statistics) it came in — it used to return every model in
-// training mode.
+// eval mode. Augmentation must give it back in the mode (and with the
+// running statistics) it came in: it never touches either.
 func TestAugmentationPreservesOriginalMode(t *testing.T) {
 	cfg := models.CVConfig{InC: 3, InH: 8, InW: 8, Classes: 4}
 	key, err := NewImageAugKey(tensor.NewRNG(1), 8, 8, 0.5)
@@ -49,32 +46,21 @@ func TestAugmentationPreservesOriginalMode(t *testing.T) {
 	}
 }
 
-// The tap-shape probe is a batch-1 forward through the original; its graph
-// goes back to the pool once the shapes are read. On one P with the
-// collector off a miss can only be a buffer that leaked, so augmenting the
-// same original again misses the pool nowhere; a probe graph left
-// unreleased misses once per activation of resnet18's forward.
-func TestAugmentationReleasesTheTapProbe(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-mode sync.Pool drops puts at random; miss counts are meaningless")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+// Each zoo model states its tap widths, so augmentation sizes the decoys'
+// taps without a forward pass through the original: one augmentation of a
+// resnet18 neither takes a pooled buffer nor misses the pool.
+func TestAugmentationRunsNoForward(t *testing.T) {
 	key, err := NewImageAugKey(tensor.NewRNG(1), 8, 8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	orig := models.NewResNet18(tensor.NewRNG(2), models.CVConfig{InC: 3, InH: 8, InW: 8, Classes: 4})
-	augment := func() {
-		if _, err := AugmentCVModel(orig, key, 3, 4, ModelAugmentOptions{Amount: 0.5, SubNets: 2, Seed: 3}); err != nil {
-			t.Fatal(err)
-		}
+	hit0, miss0 := tensor.PoolStats()
+	if _, err := AugmentCVModel(orig, key, 3, 4, ModelAugmentOptions{Amount: 0.5, SubNets: 2, Seed: 3}); err != nil {
+		t.Fatal(err)
 	}
-	augment() // the pool is warm
-	_, miss0 := tensor.PoolStats()
-	augment()
-	if _, miss1 := tensor.PoolStats(); miss1 != miss0 {
-		t.Errorf("a second augmentation missed the pool %d times; want 0", miss1-miss0)
+	if hit1, miss1 := tensor.PoolStats(); hit1 != hit0 || miss1 != miss0 {
+		t.Errorf("augmentation took %d pooled buffers and missed %d times; want 0 and 0", hit1-hit0, miss1-miss0)
 	}
 }
 

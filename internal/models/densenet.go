@@ -59,13 +59,13 @@ func (t *transition) forward(x *autodiff.Node) *autodiff.Node {
 // 0.5-compression transitions — is faithful to Huang et al.
 type DenseNetLite struct {
 	nn.Children
-	cfg        CVConfig
-	stem       *nn.Conv2d
-	blocks     [][]*denseLayer
-	trans      []*transition
-	finalBN    *nn.BatchNorm2d
-	fc         *nn.Linear
-	finalWidth int
+	tapWidths
+	cfg     CVConfig
+	stem    *nn.Conv2d
+	blocks  [][]*denseLayer
+	trans   []*transition
+	finalBN *nn.BatchNorm2d
+	fc      *nn.Linear
 }
 
 // DenseNetLiteGrowth is the growth rate selected to hit the paper's
@@ -93,6 +93,7 @@ func NewDenseNetLite(rng *tensor.RNG, cfg CVConfig) *DenseNetLite {
 			width += growth
 		}
 		m.blocks = append(m.blocks, layers)
+		m.tapWidths = append(m.tapWidths, width)
 		if bi < len(blockSizes)-1 {
 			out := width / 2
 			tr := newTransition(brng.Split(999), width, out)
@@ -104,7 +105,6 @@ func NewDenseNetLite(rng *tensor.RNG, cfg CVConfig) *DenseNetLite {
 	}
 	m.finalBN = nn.NewBatchNorm2d(width)
 	m.fc = nn.NewLinear(rng.Split(2), width, cfg.Classes)
-	m.finalWidth = width
 	m.Add("finalbn", m.finalBN)
 	m.Add("fc", m.fc)
 	return m

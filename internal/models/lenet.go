@@ -10,6 +10,7 @@ import (
 // the paper's framework comparison (Fig. 14) and attack analysis (§6.3).
 type LeNet5 struct {
 	nn.Children
+	tapWidths
 	cfg           CVConfig
 	Conv1, Conv2  *nn.Conv2d
 	FC1, FC2, FC3 *nn.Linear
@@ -30,6 +31,7 @@ func NewLeNet5(rng *tensor.RNG, cfg CVConfig) *LeNet5 {
 		FC3:     nn.NewLinear(rng.Split(5), 84, cfg.Classes),
 		flatDim: flat,
 	}
+	m.tapWidths = tapWidths{m.Conv1.OutC, m.Conv2.OutC}
 	m.Add("conv1", m.Conv1)
 	m.Add("conv2", m.Conv2)
 	m.Add("fc1", m.FC1)

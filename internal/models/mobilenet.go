@@ -60,6 +60,7 @@ func (b *invertedResidual) forward(x *autodiff.Node) *autodiff.Node {
 // matching Table 3's original row.
 type MobileNetV2 struct {
 	nn.Children
+	tapWidths
 	cfg     CVConfig
 	stem    *nn.Conv2d
 	stemBN  *nn.BatchNorm2d
@@ -98,6 +99,7 @@ func NewMobileNetV2(rng *tensor.RNG, cfg CVConfig) *MobileNetV2 {
 			inC = st.c
 		}
 		m.stageIx = append(m.stageIx, len(m.blocks)-1)
+		m.tapWidths = append(m.tapWidths, m.blocks[len(m.blocks)-1].project.OutC)
 	}
 	m.head = nn.NewConv2dNoBias(rng.Split(2), inC, 1280, 1, 1, 0)
 	m.headBN = nn.NewBatchNorm2d(1280)

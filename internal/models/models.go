@@ -6,11 +6,14 @@
 //
 // Every computer-vision model implements CVModel: alongside plain Forward
 // it exposes ForwardFeatures, returning intermediate activations that
-// Amalgam's model augmenter taps (detached) into decoy sub-networks.
+// Amalgam's model augmenter taps (detached) into decoy sub-networks, and
+// TapChannels, their channel counts, which size the taps without a forward.
+// A user-built model implements both methods, and the two must agree.
 package models
 
 import (
 	"fmt"
+	"slices"
 
 	"amalgam/internal/autodiff"
 	"amalgam/internal/nn"
@@ -18,12 +21,21 @@ import (
 )
 
 // CVModel is an image classifier whose intermediate features can be tapped.
+// A user-built model implements both methods, and they must agree.
 type CVModel interface {
 	nn.Module
 	// ForwardFeatures returns the logits and a list of intermediate
 	// activations (earliest first) usable as taps.
 	ForwardFeatures(x *autodiff.Node) (logits *autodiff.Node, feats []*autodiff.Node)
+	// TapChannels returns each tap's channel count (dim 1), earliest first.
+	TapChannels() []int
 }
+
+// tapWidths gives a zoo model its TapChannels: the constructor records each
+// tap's width from the layer that produces it.
+type tapWidths []int
+
+func (t tapWidths) TapChannels() []int { return slices.Clone(t) }
 
 // TextModel is a token-input model (classification or language modelling).
 type TextModel interface {

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -44,6 +45,34 @@ func BenchmarkBuildCV(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestTapChannelsMatchForwardFeatures referees each zoo model's stated tap
+// widths against the activations its forward actually returns: the
+// augmenter sizes decoy taps from TapChannels without running a forward.
+func TestTapChannelsMatchForwardFeatures(t *testing.T) {
+	for _, cfg := range []CVConfig{{InC: 3, InH: 32, InW: 32, Classes: 10}, {InC: 1, InH: 12, InW: 12, Classes: 4}} {
+		for _, name := range CVModelNames() {
+			t.Run(fmt.Sprintf("%s/%dx%dx%d", name, cfg.InC, cfg.InH, cfg.InW), func(t *testing.T) {
+				m, err := BuildCV(name, tensor.NewRNG(1), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.SetTraining(false)
+				logits, feats := m.ForwardFeatures(autodiff.Constant(tensor.New(1, cfg.InC, cfg.InH, cfg.InW)))
+				defer autodiff.Release(logits)
+				want := m.TapChannels()
+				if len(feats) != len(want) {
+					t.Fatalf("ForwardFeatures returned %d taps, TapChannels states %d", len(feats), len(want))
+				}
+				for i, f := range feats {
+					if got := f.Val.Dim(1); got != want[i] {
+						t.Errorf("tap %d has %d channels, TapChannels states %d", i, got, want[i])
+					}
+				}
+			})
+		}
 	}
 }
 

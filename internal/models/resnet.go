@@ -53,6 +53,7 @@ func (b *basicBlock) forward(x *autodiff.Node) *autodiff.Node {
 // 11.17M parameters at 10 classes, matching Table 3's original row.
 type ResNet18 struct {
 	nn.Children
+	tapWidths
 	cfg    CVConfig
 	stem   *nn.Conv2d
 	stemBN *nn.BatchNorm2d
@@ -86,6 +87,7 @@ func NewResNet18(rng *tensor.RNG, cfg CVConfig) *ResNet18 {
 			m.Add(fmt.Sprintf("layer%d.%d", s+1, b), blk)
 		}
 		inC = w
+		m.tapWidths = append(m.tapWidths, m.stages[s][1].conv2.OutC)
 	}
 	m.Add("fc", m.fc)
 	return m

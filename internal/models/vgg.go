@@ -34,6 +34,7 @@ var vggCfg16 = [][]int{
 // where the user modifies the model (adds CBAMs) before augmentation.
 type VGG16 struct {
 	nn.Children
+	tapWidths
 	cfg          CVConfig
 	imagenetHead bool
 	convs        [][]*nn.Conv2d
@@ -74,6 +75,7 @@ func buildVGG16(rng *tensor.RNG, cfg CVConfig, imagenetHead, withCBAM bool) *VGG
 		}
 		m.convs = append(m.convs, convs)
 		m.bns = append(m.bns, bns)
+		m.tapWidths = append(m.tapWidths, convs[len(convs)-1].OutC) // CBAM keeps it
 		pool := h >= 2 && w >= 2
 		if pool {
 			h, w = h/2, w/2
