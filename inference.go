@@ -6,15 +6,16 @@ package amalgam
 // concurrent single predictions into shared forward passes whenever its
 // workers are busy, and runs a lone one at once, serving extracted
 // originals and still-obfuscated augmented models alike; batched and
-// sequential predictions are bit-identical. See README "Inference
-// serving".
+// sequential predictions are bit-identical. Each request type names its
+// path in one place, the serve.Group it builds, and both send that group.
+// See README "Inference serving".
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"amalgam/internal/cloudsim"
+	"amalgam/internal/core"
 	"amalgam/internal/serve"
 	"amalgam/internal/tensor"
 )
@@ -70,16 +71,25 @@ func (s *PredictServer) RegisterCV(name string, m Classifier, c, h, w int) error
 }
 
 // RegisterText serves a text classifier under name. vocab > 0 validates
-// token ids at admission (0 disables). A *TextClassifier additionally
-// gets the split-inference path wired: clients may ship locally-pooled
-// embeddings instead of raw tokens, and its vocabulary is used when
-// vocab is 0.
+// token ids at admission; 0 takes the vocabulary of a *TextClassifier or
+// an augmented classifier and leaves any other model unchecked. A
+// *TextClassifier additionally gets the split-inference path wired:
+// clients may ship locally-pooled embeddings instead of raw tokens. An
+// augmented classifier is admitted as strictly as a plain one: every
+// request is a whole window of the key's augmented length (its noise
+// tokens are drawn inside the vocabulary, so the id check holds too).
 func (s *PredictServer) RegisterText(name string, m TextPredictor, vocab int) error {
 	cfg := serve.TextConfig{Vocab: vocab}
-	if tc, ok := m.(*TextClassifier); ok {
-		cfg.SplitTail, cfg.SplitDim = tc.ForwardPooled, tc.EmbedDim
+	switch tm := m.(type) {
+	case *TextClassifier:
+		cfg.SplitTail, cfg.SplitDim = tm.ForwardPooled, tm.EmbedDim
 		if vocab == 0 {
-			cfg.Vocab = tc.Vocab
+			cfg.Vocab = tm.Vocab
+		}
+	case *core.AugmentedTextClassifier:
+		cfg.FixedLen = tm.OrigGather.AugLen
+		if vocab == 0 {
+			cfg.Vocab = tm.Orig.Vocab
 		}
 	}
 	return s.backend.RegisterText(name, m, cfg)
@@ -89,15 +99,23 @@ func (s *PredictServer) RegisterText(name string, m TextPredictor, vocab int) er
 // accepting contexts up to maxContext tokens. A *TransformerLM gets its
 // vocabulary validated, maxContext defaulted to its positional-table
 // length, and the split-inference path wired (clients ship locally-
-// embedded activations). Augmented LMs serve full gathered windows;
-// their context length is the augmented window length.
+// embedded activations). An augmented LM serves whole augmented windows:
+// every context must be exactly the key's augmented length, which is
+// also maxContext's default, and its ids are validated against the
+// original's vocabulary.
 func (s *PredictServer) RegisterLM(name string, m TextPredictor, maxContext int) error {
 	cfg := serve.LMConfig{MaxContext: maxContext}
-	if tm, ok := m.(*TransformerLM); ok {
+	switch tm := m.(type) {
+	case *TransformerLM:
 		cfg.SplitTail, cfg.SplitDim = tm.ForwardEmbedded, tm.D
 		cfg.Vocab = tm.Vocab
 		if maxContext == 0 {
 			cfg.MaxContext = tm.Cfg.MaxT
+		}
+	case *core.AugmentedTransformerLM:
+		cfg.FixedContext, cfg.Vocab = tm.OrigGather.AugLen, tm.Orig.Vocab
+		if maxContext == 0 {
+			cfg.MaxContext = tm.OrigGather.AugLen
 		}
 	}
 	return s.backend.RegisterLM(name, m, cfg)
@@ -133,28 +151,46 @@ type PredictLMRequest struct {
 	SeqLen      int
 }
 
+// The request types' groups: one sample each, on the path the set fields
+// choose.
+
+func (r PredictCVRequest) group() serve.Group {
+	return serve.Group{Path: "cv", Rows: [][]float32{r.Image}}
+}
+
+func (r PredictTextRequest) group() serve.Group {
+	if r.Pooled != nil {
+		return serve.Group{Path: "text/split", Rows: [][]float32{r.Pooled}}
+	}
+	return serve.Group{Path: "text", IDs: [][]int{r.Tokens}}
+}
+
+func (r PredictLMRequest) group() serve.Group {
+	if r.Activations != nil {
+		return serve.Group{Path: "lm/split", Rows: [][]float32{r.Activations}, SeqLens: []int{r.SeqLen}, TopK: r.TopK}
+	}
+	return serve.Group{Path: "lm", IDs: [][]int{r.Context}, TopK: r.TopK}
+}
+
 // PredictCV classifies one image, batching it with whatever else is in
 // flight.
 func (s *PredictServer) PredictCV(req PredictCVRequest) (CVResult, error) {
-	return only(s.backend.PredictCV(req.Model, [][]float32{req.Image}))
+	r, err := only(s.backend.Predict(req.Model, req.group()))
+	return r.CVResult, err
 }
 
 // PredictText classifies one token sequence (or, on the split path, one
 // locally-pooled embedding).
 func (s *PredictServer) PredictText(req PredictTextRequest) (TextResult, error) {
-	if req.Pooled != nil {
-		return only(s.backend.PredictTextSplit(req.Model, [][]float32{req.Pooled}))
-	}
-	return only(s.backend.PredictText(req.Model, [][]int{req.Tokens}))
+	r, err := only(s.backend.Predict(req.Model, req.group()))
+	return r.CVResult, err
 }
 
 // PredictLM scores the next token after one context (or, on the split
 // path, after locally-embedded activations).
 func (s *PredictServer) PredictLM(req PredictLMRequest) (LMResult, error) {
-	if req.Activations != nil {
-		return only(s.backend.PredictLMSplit(req.Model, [][]float32{req.Activations}, []int{req.SeqLen}, req.TopK))
-	}
-	return only(s.backend.PredictLM(req.Model, [][]int{req.Context}, req.TopK))
+	r, err := only(s.backend.Predict(req.Model, req.group()))
+	return r.LMResult, err
 }
 
 // only unwraps the answer to a one-sample group.
@@ -213,9 +249,9 @@ func (c *PredictClient) Close() error {
 	return err
 }
 
-// predictOne runs one single-sample exchange under the retry policy,
+// predict runs a one-sample group's exchange under the retry policy,
 // dialing (or redialing) the connection as needed.
-func predictOne[R any](ctx context.Context, c *PredictClient, exchange func(*cloudsim.InferConn) ([]R, error)) (out R, err error) {
+func (c *PredictClient) predict(ctx context.Context, model string, g serve.Group) (out serve.Result, err error) {
 	c.sem <- struct{}{}
 	defer func() { <-c.sem }()
 	err = retryTransient(ctx, &c.pol, c.jitter, func() error {
@@ -229,7 +265,7 @@ func predictOne[R any](ctx context.Context, c *PredictClient, exchange func(*clo
 			}
 			c.conn = conn
 		}
-		res, err := exchange(c.conn)
+		res, err := c.conn.Predict(model, g)
 		if err != nil {
 			if cloudsim.IsTransient(err) {
 				// The connection may be torn mid-exchange; the retry loop
@@ -247,36 +283,22 @@ func predictOne[R any](ctx context.Context, c *PredictClient, exchange func(*clo
 
 // PredictCV classifies one image on the remote server.
 func (c *PredictClient) PredictCV(ctx context.Context, req PredictCVRequest) (CVResult, error) {
-	return predictOne(ctx, c, func(conn *cloudsim.InferConn) ([]CVResult, error) {
-		return conn.PredictCV(req.Model, [][]float32{req.Image})
-	})
+	r, err := c.predict(ctx, req.Model, req.group())
+	return r.CVResult, err
 }
 
 // PredictText classifies one token sequence remotely — or, when Pooled
 // is set, ships only the locally-pooled embedding (split inference: raw
 // tokens never leave this process).
 func (c *PredictClient) PredictText(ctx context.Context, req PredictTextRequest) (TextResult, error) {
-	return predictOne(ctx, c, func(conn *cloudsim.InferConn) ([]TextResult, error) {
-		if req.Pooled != nil {
-			return conn.PredictTextSplit(req.Model, [][]float32{req.Pooled})
-		}
-		return conn.PredictText(req.Model, [][]int{req.Tokens})
-	})
+	r, err := c.predict(ctx, req.Model, req.group())
+	return r.CVResult, err
 }
 
 // PredictLM scores the next token after one context remotely — or, when
-// Activations is set, ships only locally-embedded activations. Dim for
-// the split path is inferred from len(Activations)/SeqLen.
+// Activations is set, ships only locally-embedded activations (SeqLen
+// rows of len(Activations)/SeqLen values each).
 func (c *PredictClient) PredictLM(ctx context.Context, req PredictLMRequest) (LMResult, error) {
-	return predictOne(ctx, c, func(conn *cloudsim.InferConn) ([]LMResult, error) {
-		if req.Activations == nil {
-			return conn.PredictLM(req.Model, [][]int{req.Context}, req.TopK)
-		}
-		if req.SeqLen <= 0 || len(req.Activations)%req.SeqLen != 0 {
-			return nil, fmt.Errorf("amalgam: %d activations do not divide into %d rows: %w",
-				len(req.Activations), req.SeqLen, cloudsim.ErrBadRequest)
-		}
-		dim := len(req.Activations) / req.SeqLen
-		return conn.PredictLMSplit(req.Model, [][]float32{req.Activations}, []int{req.SeqLen}, dim, req.TopK)
-	})
+	r, err := c.predict(ctx, req.Model, req.group())
+	return r.LMResult, err
 }

@@ -15,6 +15,7 @@ import (
 	"amalgam/internal/cloudsim"
 	"amalgam/internal/faultnet"
 	"amalgam/internal/nn"
+	"amalgam/internal/serve"
 	"amalgam/internal/tensor"
 )
 
@@ -119,8 +120,10 @@ func TestPredictServerServesAugmented(t *testing.T) {
 
 	srv := amalgam.NewPredictServer(amalgam.PredictServerConfig{MaxBatch: 8, Workers: 2})
 	defer srv.Close()
-	// The augmented model sees augmented windows (noise tokens included),
-	// so vocabulary validation stays off for it.
+	// The augmented model sees augmented windows. Their noise tokens are
+	// drawn inside the vocabulary (core's sampleToken / clampToken), so
+	// vocab 0 validates ids against the original's vocabulary here too,
+	// and the window length against the key's augmented length.
 	if err := srv.RegisterText("augmented", job.Augmented, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -168,6 +171,39 @@ func TestPredictServerServesAugmented(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+
+	// Admission is as strict as for a plain model: a window one token
+	// short or an id outside the vocabulary fails alone, before it can
+	// panic the batch it would have joined.
+	window := aug.Samples[0]
+	outOfVocab := make([]int, len(window))
+	for i := range outOfVocab {
+		outOfVocab[i] = job.Augmented.Orig.Vocab
+	}
+	for name, tokens := range map[string][]int{"short window": window[:len(window)-1], "out-of-vocab id": outOfVocab} {
+		if _, err := srv.PredictText(amalgam.PredictTextRequest{Model: "augmented", Tokens: tokens}); !errors.Is(err, serve.ErrBadInput) {
+			t.Errorf("augmented classifier, %s: got %v, want ErrBadInput", name, err)
+		}
+	}
+
+	// An augmented LM registers with maxContext 0 (the key's augmented
+	// length), serves a whole augmented window as a direct forward does,
+	// and refuses a window one token short.
+	lmJob := mkLMJob(t)
+	if err := srv.RegisterLM("augmented-lm", lmJob.Augmented, 0); err != nil {
+		t.Fatal(err)
+	}
+	ctx := lmJob.AugmentedStream.Tokens[:lmJob.Key.AugLen]
+	out := lmJob.Augmented.ForwardIDs([][]int{ctx})
+	vocab := out.Val.Dim(1)
+	want := tensor.ArgmaxRows(tensor.FromSlice(out.Val.Data[len(out.Val.Data)-vocab:], 1, vocab))[0]
+	autodiff.Release(out)
+	if res, err := srv.PredictLM(amalgam.PredictLMRequest{Model: "augmented-lm", Context: ctx}); err != nil || res.Tokens[0] != want {
+		t.Errorf("augmented LM: got %v, %v; want top token %d", res.Tokens, err, want)
+	}
+	if _, err := srv.PredictLM(amalgam.PredictLMRequest{Model: "augmented-lm", Context: ctx[1:]}); !errors.Is(err, serve.ErrBadInput) {
+		t.Errorf("augmented LM, short window: got %v, want ErrBadInput", err)
 	}
 }
 

@@ -1,15 +1,17 @@
 package cloudsim
 
-// Inference serving: msgInfer frames carry batched prediction requests
-// against models registered on the server's serve.Server backend,
-// answered by msgInferResult. Two body shapes per modality: full inputs
-// (images or token ids) and split-inference activations — the client
-// runs the embedding half locally and ships only
-// dense obfuscated activations, never raw inputs (Leroux-style
-// offloading). A frame's samples reach the backend as one group in one
-// call, so the batcher queues them together — one wire frame becomes one
-// forward pass per shape (MaxBatch permitting), and predictions from
-// unrelated connections share batches too.
+// Inference serving: a msgInfer frame is one serve.Group on the wire,
+// answered by msgInferResult. Each layer has one entry: the client's
+// InferConn.Predict encodes the group (encodeGroup), the server decodes
+// it (decodeGroup), answers it with one serve.Server.Predict call and
+// lays the results out (answerOf) — so this file names no prediction
+// path; serve alone knows what each path reads. Split-inference frames
+// carry only activations the client computed from its own inputs
+// (Leroux-style offloading), never raw pixels or token ids. A frame's
+// samples reach the backend as one group in one call, so the batcher
+// queues them together — one wire frame becomes one forward pass per
+// shape (MaxBatch permitting), and predictions from unrelated connections
+// share batches too.
 
 import (
 	"bytes"
@@ -18,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 
 	"amalgam/internal/serialize"
 	"amalgam/internal/serve"
@@ -25,20 +28,19 @@ import (
 )
 
 // inferHeader is the JSON half of a msgInfer payload; the binary body
-// that follows carries the inputs (a serialized tensor for images and
-// activations, a flattened int slice for token ids).
+// that follows carries the group's samples (a serialized tensor of dense
+// rows, or a flattened int slice of token lists).
 type inferHeader struct {
 	Model string `json:"model"`
-	// Modality selects the prediction kind: "cv", "text", or "lm".
+	// Modality and Split name the group's path: the modality ("cv",
+	// "text", "lm"), plus "/split" when Split is set.
 	Modality string `json:"modality"`
-	// Split marks the body as locally-computed activations for the
-	// model's registered split tail rather than raw inputs.
-	Split bool `json:"split,omitempty"`
-	// Lens gives each sample's token count (text/lm) or activation row
-	// count (lm split); token bodies are flattened row-major.
+	Split    bool   `json:"split,omitempty"`
+	// Lens gives each sample's token count (an int body) or position
+	// count (a tensor body with Dim); bodies are flattened row-major.
 	Lens []int `json:"lens,omitempty"`
-	// Dim is the per-row activation width of an lm split body, set by the
-	// client that produced the activations.
+	// Dim is the activation width per position of a tensor body whose
+	// samples are sequences (lm/split).
 	Dim int `json:"dim,omitempty"`
 	// TopK asks for the K most probable next tokens (lm only).
 	TopK int `json:"top_k,omitempty"`
@@ -67,21 +69,6 @@ func encodeInferFrame(h inferHeader, body []byte) ([]byte, error) {
 	return append(payload, body...), nil
 }
 
-func decodeInferFrame(payload []byte) (inferHeader, []byte, error) {
-	var h inferHeader
-	if len(payload) < 4 {
-		return h, nil, fmt.Errorf("cloudsim: truncated infer frame: %w", ErrBadRequest)
-	}
-	n := binary.LittleEndian.Uint32(payload)
-	if uint64(n) > uint64(len(payload)-4) {
-		return h, nil, fmt.Errorf("cloudsim: infer header length %d exceeds frame: %w", n, ErrBadRequest)
-	}
-	if err := json.Unmarshal(payload[4:4+n], &h); err != nil {
-		return h, nil, fmt.Errorf("cloudsim: bad infer header: %v: %w", err, ErrBadRequest)
-	}
-	return h, payload[4+n:], nil
-}
-
 // inferWireErr maps the serve backend's typed failures onto the wire's
 // sentinel taxonomy, preserving the transient/fatal split: backpressure
 // and shutdown are retryable, a bad request never is.
@@ -102,24 +89,139 @@ func inferWireErr(err error) error {
 	}
 }
 
-// unflatten splits row-major flattened ids back into per-sample slices.
-func unflatten(flat []int, lens []int) ([][]int, error) {
+// encodeGroup lays a group out as a msgInfer payload, the inverse of
+// decodeGroup: token lists flattened with their lengths; rows with
+// sequence lengths as one flat tensor of positions × Dim activations;
+// other rows as one [N, width] tensor. A group carrying token lists
+// beside rows or lengths has no layout and is refused.
+func encodeGroup(model string, g serve.Group) ([]byte, error) {
+	mod, split := strings.CutSuffix(g.Path, "/split")
+	h := inferHeader{Model: model, Modality: mod, Split: split, TopK: g.TopK}
+	var buf bytes.Buffer
+	var err error
+	switch {
+	case len(g.IDs) > 0 && len(g.Rows)+len(g.SeqLens) > 0:
+		return nil, fmt.Errorf("cloudsim: a %s group carries token lists beside rows or lengths: %w", g.Path, ErrBadRequest)
+	case len(g.IDs) > 0:
+		h.Lens = make([]int, len(g.IDs))
+		for i, ids := range g.IDs {
+			h.Lens[i] = len(ids)
+		}
+		err = serialize.WriteIntSlice(&buf, flattenSamples(g.IDs))
+	case len(g.SeqLens) > 0:
+		if len(g.Rows) == len(g.SeqLens) && g.SeqLens[0] > 0 {
+			h.Lens, h.Dim = g.SeqLens, len(g.Rows[0])/g.SeqLens[0]
+		}
+		if h.Dim == 0 {
+			return nil, fmt.Errorf("cloudsim: %d activation rows do not divide into their %d sequence lengths: %w",
+				len(g.Rows), len(g.SeqLens), ErrBadRequest)
+		}
+		var flat []float32
+		if flat, err = flatRows(g.Rows, func(i int) int { return g.SeqLens[i] * h.Dim }); err == nil {
+			err = serialize.WriteTensor(&buf, tensor.FromSlice(flat, len(flat)))
+		}
+	default:
+		width := 0
+		if len(g.Rows) > 0 {
+			width = len(g.Rows[0])
+		}
+		var flat []float32
+		if flat, err = flatRows(g.Rows, func(int) int { return width }); err == nil {
+			err = serialize.WriteTensor(&buf, tensor.FromSlice(flat, len(g.Rows), width))
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return encodeInferFrame(h, buf.Bytes())
+}
+
+// flatRows copies rows end to end into one slice, refusing a row whose
+// length is not want(i).
+func flatRows(rows [][]float32, want func(i int) int) ([]float32, error) {
 	total := 0
-	for _, l := range lens {
-		// The upper bound keeps the sum from wrapping round to len(flat).
-		if l <= 0 || l > len(flat) {
+	for i, r := range rows {
+		if len(r) != want(i) {
+			return nil, fmt.Errorf("cloudsim: sample %d has %d values, want %d: %w", i, len(r), want(i), ErrBadRequest)
+		}
+		total += len(r)
+	}
+	flat := make([]float32, 0, total)
+	for _, r := range rows {
+		flat = append(flat, r...)
+	}
+	return flat, nil
+}
+
+// decodeGroup reads a msgInfer payload into the model it names and the
+// group it asks about. The header alone says how the body lays out the
+// samples (see encodeGroup); whether that is the layout the path reads is
+// the backend's call. Every refusal wraps ErrBadRequest.
+func decodeGroup(payload []byte) (string, serve.Group, error) {
+	var h inferHeader
+	if len(payload) < 4 {
+		return "", serve.Group{}, fmt.Errorf("cloudsim: truncated infer frame: %w", ErrBadRequest)
+	}
+	n := binary.LittleEndian.Uint32(payload)
+	if uint64(n) > uint64(len(payload)-4) {
+		return "", serve.Group{}, fmt.Errorf("cloudsim: infer header length %d exceeds frame: %w", n, ErrBadRequest)
+	}
+	if err := json.Unmarshal(payload[4:4+n], &h); err != nil {
+		return "", serve.Group{}, fmt.Errorf("cloudsim: bad infer header: %v: %w", err, ErrBadRequest)
+	}
+	body := bytes.NewReader(payload[4+n:])
+	g := serve.Group{Path: h.Modality, TopK: h.TopK}
+	if h.Split {
+		g.Path += "/split"
+	}
+	var err error
+	switch {
+	case h.Dim > 0:
+		var t *tensor.Tensor
+		if t, err = serialize.ReadTensor(body); err == nil {
+			g.Rows, err = cut(t.Data, h.Lens, h.Dim)
+			g.SeqLens = h.Lens
+		}
+	case h.Lens != nil:
+		var flat []int
+		if flat, err = serialize.ReadIntSlice(body); err == nil {
+			g.IDs, err = cut(flat, h.Lens, 1)
+		}
+	default:
+		var t *tensor.Tensor
+		if t, err = serialize.ReadTensor(body); err == nil {
+			// A zero width would let a few header bytes claim millions of
+			// samples, each of which becomes a queued call.
+			if t.Dims() != 2 || t.Dim(1) == 0 && t.Dim(0) > 0 {
+				return "", serve.Group{}, fmt.Errorf("cloudsim: infer body wants an [N, width] tensor: %w", ErrBadRequest)
+			}
+			per := t.Dim(1)
+			g.Rows = make([][]float32, t.Dim(0))
+			for i := range g.Rows {
+				g.Rows[i] = t.Data[i*per : (i+1)*per]
+			}
+		}
+	}
+	if err != nil && !errors.Is(err, ErrBadRequest) {
+		err = fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
+	}
+	return h.Model, g, err
+}
+
+// cut splits a flat body into samples of lens[i]×width values each,
+// refusing lengths that do not tile it exactly.
+func cut[T any](flat []T, lens []int, width int) ([][]T, error) {
+	out, off := make([][]T, len(lens)), 0
+	for i, l := range lens {
+		// Bounding each length by the body keeps l×width from wrapping
+		// round to a "matching" size with offsets past the end.
+		if l <= 0 || l > len(flat)/width || off+l*width > len(flat) {
 			return nil, fmt.Errorf("cloudsim: infer sample length %d: %w", l, ErrBadRequest)
 		}
-		total += l
+		out[i], off = flat[off:off+l*width], off+l*width
 	}
-	if total != len(flat) {
-		return nil, fmt.Errorf("cloudsim: infer lens sum %d but body has %d tokens: %w", total, len(flat), ErrBadRequest)
-	}
-	out := make([][]int, len(lens))
-	off := 0
-	for i, l := range lens {
-		out[i] = flat[off : off+l]
-		off += l
+	if off != len(flat) {
+		return nil, fmt.Errorf("cloudsim: infer body has %d values, lengths × %d make %d: %w", len(flat), width, off, ErrBadRequest)
 	}
 	return out, nil
 }
@@ -141,114 +243,55 @@ func (s *Server) infer(conn *deadlineConn, payload []byte) error {
 	return writeFrame(conn, msgInferResult, js)
 }
 
+// inferAnswer decodes a frame into its group, answers the group with one
+// backend call — its lowest-indexed failure fails the frame — and lays
+// the results out as the frame's answer.
 func (s *Server) inferAnswer(payload []byte) (inferResult, error) {
 	if s.cfg.Infer == nil {
 		return inferResult{}, fmt.Errorf("cloudsim: this server does not serve inference: %w", ErrBadRequest)
 	}
-	h, body, err := decodeInferFrame(payload)
+	model, g, err := decodeGroup(payload)
 	if err != nil {
 		return inferResult{}, err
 	}
-	return s.inferSamples(h, body)
+	rs, err := s.cfg.Infer.Predict(model, g)
+	if err != nil {
+		return inferResult{}, inferWireErr(err)
+	}
+	return answerOf(rs), nil
 }
 
-// inferSamples decodes a frame's body, by (modality, split), into its
-// samples, answers them with one backend call, and copies the results
-// into the frame's answer. The backend's lowest-indexed failure fails the
-// frame.
-func (s *Server) inferSamples(h inferHeader, body []byte) (inferResult, error) {
-	be := s.cfg.Infer
+// answerOf lays a group's results out as a frame's answer, indexed like
+// the request's samples: classes and logit rows, or next tokens and their
+// log-probabilities — whichever the path filled. results reads it back.
+func answerOf(rs []serve.Result) inferResult {
+	var res inferResult
+	for _, r := range rs {
+		if r.Tokens != nil {
+			res.Tokens, res.LogProbs = append(res.Tokens, r.Tokens), append(res.LogProbs, r.LogProbs)
+		} else {
+			res.Classes, res.Logits = append(res.Classes, r.Class), append(res.Logits, r.Logits)
+		}
+	}
+	return res
+}
+
+func (res inferResult) results(n int) ([]serve.Result, error) {
+	out := make([]serve.Result, n)
 	switch {
-	case h.Modality == "cv", h.Modality == "text" && h.Split:
-		// [N, width]: flattened images, or client-pooled embeddings.
-		t, err := readInferTensor(body)
-		if err != nil {
-			return inferResult{}, err
+	case len(res.Classes) == n && len(res.Logits) == n:
+		for i := range out {
+			out[i].Class, out[i].Logits = res.Classes[i], res.Logits[i]
 		}
-		rows, per := make([][]float32, t.Dim(0)), t.Dim(1)
-		for i := range rows {
-			rows[i] = t.Data[i*per : (i+1)*per]
+	case len(res.Tokens) == n && len(res.LogProbs) == n:
+		for i := range out {
+			out[i].Tokens, out[i].LogProbs = res.Tokens[i], res.LogProbs[i]
 		}
-		if h.Modality == "text" {
-			return classesAnswer(be.PredictTextSplit(h.Model, rows))
-		}
-		return classesAnswer(be.PredictCV(h.Model, rows))
-	case h.Modality == "lm" && h.Split:
-		if h.Dim <= 0 {
-			return inferResult{}, fmt.Errorf("cloudsim: lm split body needs a positive dim, got %d: %w", h.Dim, ErrBadRequest)
-		}
-		t, err := serialize.ReadTensor(bytes.NewReader(body))
-		if err != nil {
-			return inferResult{}, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
-		}
-		acts, off := make([][]float32, len(h.Lens)), 0
-		for i, l := range h.Lens {
-			// Bounding each length by the body keeps rows×dim from wrapping
-			// round to a "matching" size with offsets past the tensor.
-			if l <= 0 || l > len(t.Data)/h.Dim || off+l*h.Dim > len(t.Data) {
-				return inferResult{}, fmt.Errorf("cloudsim: infer sample length %d: %w", l, ErrBadRequest)
-			}
-			acts[i], off = t.Data[off:off+l*h.Dim], off+l*h.Dim
-		}
-		if off != len(t.Data) {
-			return inferResult{}, fmt.Errorf("cloudsim: lm split body has %d floats, lens×dim wants %d: %w",
-				len(t.Data), off, ErrBadRequest)
-		}
-		return tokensAnswer(be.PredictLMSplit(h.Model, acts, h.Lens, h.TopK))
-	case h.Modality == "text", h.Modality == "lm":
-		flat, err := serialize.ReadIntSlice(bytes.NewReader(body))
-		if err != nil {
-			return inferResult{}, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
-		}
-		samples, err := unflatten(flat, h.Lens)
-		if err != nil {
-			return inferResult{}, err
-		}
-		if h.Modality == "text" {
-			return classesAnswer(be.PredictText(h.Model, samples))
-		}
-		return tokensAnswer(be.PredictLM(h.Model, samples, h.TopK))
 	default:
-		return inferResult{}, fmt.Errorf("cloudsim: unknown infer modality %q: %w", h.Modality, ErrBadRequest)
+		return nil, fmt.Errorf("cloudsim: infer result carries %d answers for %d samples: %w",
+			max(len(res.Classes), len(res.Tokens)), n, ErrUnknownFrame)
 	}
-}
-
-// classesAnswer copies a group's classifications into a frame's answer;
-// tokensAnswer does the same for next-token scorings.
-func classesAnswer(rs []serve.CVResult, err error) (inferResult, error) {
-	if err != nil {
-		return inferResult{}, inferWireErr(err)
-	}
-	res := inferResult{Classes: make([]int, len(rs)), Logits: make([][]float32, len(rs))}
-	for i, r := range rs {
-		res.Classes[i], res.Logits[i] = r.Class, r.Logits
-	}
-	return res, nil
-}
-
-func tokensAnswer(rs []serve.LMResult, err error) (inferResult, error) {
-	if err != nil {
-		return inferResult{}, inferWireErr(err)
-	}
-	res := inferResult{Tokens: make([][]int, len(rs)), LogProbs: make([][]float32, len(rs))}
-	for i, r := range rs {
-		res.Tokens[i], res.LogProbs[i] = r.Tokens, r.LogProbs
-	}
-	return res, nil
-}
-
-// readInferTensor decodes a [N, per] body tensor.
-func readInferTensor(body []byte) (*tensor.Tensor, error) {
-	t, err := serialize.ReadTensor(bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
-	}
-	// A zero width would let a few header bytes claim millions of samples,
-	// each of which becomes a queued call.
-	if t.Dims() != 2 || t.Dim(0) == 0 || t.Dim(1) == 0 {
-		return nil, fmt.Errorf("cloudsim: infer body wants a non-empty [N, width] tensor: %w", ErrBadRequest)
-	}
-	return t, nil
+	return out, nil
 }
 
 // InferConn is a client connection for inference: one dial, then any
@@ -273,12 +316,28 @@ func DialInfer(ctx context.Context, addr string, net_ NetConfig) (*InferConn, er
 // Close releases the connection.
 func (c *InferConn) Close() error { return c.conn.Close() }
 
-// roundTrip sends one msgInfer frame and decodes its answer.
-func (c *InferConn) roundTrip(h inferHeader, body []byte) (inferResult, error) {
-	payload, err := encodeInferFrame(h, body)
+// Predict sends a group in one msgInfer frame and returns the backend's
+// answers in the group's order.
+func (c *InferConn) Predict(model string, g serve.Group) ([]serve.Result, error) {
+	payload, err := encodeGroup(model, g)
 	if err != nil {
-		return inferResult{}, err
+		return nil, err
 	}
+	res, err := c.roundTrip(payload)
+	if err != nil {
+		return nil, err
+	}
+	return res.results(len(g.Rows) + len(g.IDs))
+}
+
+// PredictLM is Predict on the lm path: each context's topK most probable
+// next tokens with their log probabilities.
+func (c *InferConn) PredictLM(model string, contexts [][]int, topK int) ([]serve.Result, error) {
+	return c.Predict(model, serve.Group{Path: "lm", IDs: contexts, TopK: topK})
+}
+
+// roundTrip sends one msgInfer payload and decodes its answer.
+func (c *InferConn) roundTrip(payload []byte) (inferResult, error) {
 	c.sem <- struct{}{}
 	defer func() { <-c.sem }()
 	if err := writeFrame(c.conn, msgInfer, payload); err != nil {
@@ -300,144 +359,4 @@ func (c *InferConn) roundTrip(h inferHeader, body []byte) (inferResult, error) {
 	default:
 		return inferResult{}, fmt.Errorf("cloudsim: unexpected response type %d: %w", kind, ErrUnknownFrame)
 	}
-}
-
-// tensorBody serializes a [n, per] float32 body.
-func tensorBody(rows [][]float32, per int) ([]byte, error) {
-	t := tensor.New(len(rows), per)
-	for i, r := range rows {
-		if len(r) != per {
-			return nil, fmt.Errorf("cloudsim: sample %d has %d values, want %d: %w", i, len(r), per, ErrBadRequest)
-		}
-		copy(t.Data[i*per:(i+1)*per], r)
-	}
-	var buf bytes.Buffer
-	if err := serialize.WriteTensor(&buf, t); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func intBody(samples [][]int) ([]byte, []int, error) {
-	lens := make([]int, len(samples))
-	for i, s := range samples {
-		lens[i] = len(s)
-	}
-	var buf bytes.Buffer
-	if err := serialize.WriteIntSlice(&buf, flattenSamples(samples)); err != nil {
-		return nil, nil, err
-	}
-	return buf.Bytes(), lens, nil
-}
-
-// classify runs one classification exchange of n samples; score is the
-// same for next-token scorings.
-func (c *InferConn) classify(h inferHeader, body []byte, n int) ([]serve.CVResult, error) {
-	res, err := c.roundTrip(h, body)
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Classes) != n || len(res.Logits) != n {
-		return nil, fmt.Errorf("cloudsim: infer result carries %d answers for %d samples: %w", len(res.Classes), n, ErrUnknownFrame)
-	}
-	out := make([]serve.CVResult, n)
-	for i := range out {
-		out[i] = serve.CVResult{Class: res.Classes[i], Logits: res.Logits[i]}
-	}
-	return out, nil
-}
-
-func (c *InferConn) score(h inferHeader, body []byte, n int) ([]serve.LMResult, error) {
-	res, err := c.roundTrip(h, body)
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Tokens) != n || len(res.LogProbs) != n {
-		return nil, fmt.Errorf("cloudsim: infer result carries %d answers for %d samples: %w", len(res.Tokens), n, ErrUnknownFrame)
-	}
-	out := make([]serve.LMResult, n)
-	for i := range out {
-		out[i] = serve.LMResult{Tokens: res.Tokens[i], LogProbs: res.LogProbs[i]}
-	}
-	return out, nil
-}
-
-// classifyRows ships equal-width dense rows as one [N, width] body.
-func (c *InferConn) classifyRows(h inferHeader, rows [][]float32) ([]serve.CVResult, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	body, err := tensorBody(rows, len(rows[0]))
-	if err != nil {
-		return nil, err
-	}
-	return c.classify(h, body, len(rows))
-}
-
-// PredictCV classifies a batch of flattened images (all the same
-// registered geometry) in one wire exchange.
-func (c *InferConn) PredictCV(model string, images [][]float32) ([]serve.CVResult, error) {
-	return c.classifyRows(inferHeader{Model: model, Modality: "cv"}, images)
-}
-
-// PredictText classifies a batch of token sequences (ragged lengths are
-// fine) in one wire exchange.
-func (c *InferConn) PredictText(model string, samples [][]int) ([]serve.TextResult, error) {
-	if len(samples) == 0 {
-		return nil, nil
-	}
-	body, lens, err := intBody(samples)
-	if err != nil {
-		return nil, err
-	}
-	return c.classify(inferHeader{Model: model, Modality: "text", Lens: lens}, body, len(samples))
-}
-
-// PredictTextSplit classifies a batch of locally-pooled embeddings — the
-// split-inference path: raw tokens never leave the client.
-func (c *InferConn) PredictTextSplit(model string, pooled [][]float32) ([]serve.TextResult, error) {
-	return c.classifyRows(inferHeader{Model: model, Modality: "text", Split: true}, pooled)
-}
-
-// PredictLM scores the next token after each context, returning each
-// context's topK most probable tokens with log probabilities.
-func (c *InferConn) PredictLM(model string, contexts [][]int, topK int) ([]serve.LMResult, error) {
-	if len(contexts) == 0 {
-		return nil, nil
-	}
-	body, lens, err := intBody(contexts)
-	if err != nil {
-		return nil, err
-	}
-	return c.score(inferHeader{Model: model, Modality: "lm", Lens: lens, TopK: topK}, body, len(contexts))
-}
-
-// PredictLMSplit scores next tokens from locally-embedded activations
-// (sample i is seqLens[i]×dim floats, row-major) — the LM split path.
-func (c *InferConn) PredictLMSplit(model string, acts [][]float32, seqLens []int, dim, topK int) ([]serve.LMResult, error) {
-	if len(acts) == 0 {
-		return nil, nil
-	}
-	if len(seqLens) != len(acts) {
-		return nil, fmt.Errorf("cloudsim: %d activation samples but %d lengths: %w", len(acts), len(seqLens), ErrBadRequest)
-	}
-	total := 0
-	for _, l := range seqLens {
-		total += l
-	}
-	flat := tensor.New(total * dim)
-	off := 0
-	for i, a := range acts {
-		if len(a) != seqLens[i]*dim {
-			return nil, fmt.Errorf("cloudsim: sample %d has %d floats, want %d×%d: %w", i, len(a), seqLens[i], dim, ErrBadRequest)
-		}
-		copy(flat.Data[off:off+len(a)], a)
-		off += len(a)
-	}
-	var buf bytes.Buffer
-	if err := serialize.WriteTensor(&buf, flat); err != nil {
-		return nil, err
-	}
-	h := inferHeader{Model: model, Modality: "lm", Split: true, Lens: seqLens, Dim: dim, TopK: topK}
-	return c.score(h, buf.Bytes(), len(acts))
 }

@@ -14,6 +14,7 @@ import (
 	"amalgam/internal/autodiff"
 	"amalgam/internal/nn"
 	"amalgam/internal/serialize"
+	"amalgam/internal/serve"
 	"amalgam/internal/tensor"
 )
 
@@ -242,11 +243,7 @@ func TestGoldenInferConversation(t *testing.T) {
 	addr, _ := startAsyncServer(t, ServerConfig{Infer: backend})
 
 	samples := [][]int{{3, 14, 15}, {9, 26, 5, 35, 8}}
-	body, lens, err := intBody(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := encodeInferFrame(inferHeader{Model: "txt", Modality: "text", Lens: lens}, body)
+	payload, err := encodeGroup("txt", serve.Group{Path: "text", IDs: samples})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -77,8 +78,27 @@ type answer struct {
 	floats []float32
 }
 
-func classAnswer(r serve.CVResult) answer { return answer{[]int{r.Class}, r.Logits} }
-func tokenAnswer(r serve.LMResult) answer { return answer{r.Tokens, r.LogProbs} }
+// asAnswer reads whichever shape a path filled.
+func asAnswer(r serve.Result) answer {
+	if r.Tokens != nil {
+		return answer{r.Tokens, r.LogProbs}
+	}
+	return answer{[]int{r.Class}, r.Logits}
+}
+
+// sample returns sample i of g as a group of its own.
+func sample(g serve.Group, i int) serve.Group {
+	one := serve.Group{Path: g.Path, TopK: g.TopK}
+	if g.IDs != nil {
+		one.IDs = g.IDs[i : i+1]
+	} else {
+		one.Rows = g.Rows[i : i+1]
+	}
+	if g.SeqLens != nil {
+		one.SeqLens = g.SeqLens[i : i+1]
+	}
+	return one
+}
 
 // directClass reads a one-sample classification straight off a forward
 // graph and releases it.
@@ -162,69 +182,26 @@ func TestInferRoundTrip(t *testing.T) {
 		autodiff.Release(h)
 		lens[i] = len(c)
 	}
-	classes := func(rs []serve.CVResult, err error) ([]answer, error) {
-		out := make([]answer, len(rs))
-		for i, r := range rs {
-			out[i] = classAnswer(r)
-		}
-		return out, err
-	}
-	tokens := func(rs []serve.LMResult, err error) ([]answer, error) {
-		out := make([]answer, len(rs))
-		for i, r := range rs {
-			out[i] = tokenAnswer(r)
-		}
-		return out, err
-	}
-
 	cases := []struct {
-		path   string
-		n      int
+		model  string
+		g      serve.Group
 		direct func(i int) answer
-		served func(i int) (answer, error)
-		wired  func() ([]answer, error)
 	}{
-		{"cv", len(images),
-			func(i int) answer {
-				return directClass(cv.Forward(autodiff.Constant(tensor.FromSlice(images[i], 1, 1, 12, 12))))
-			},
-			func(i int) (answer, error) {
-				r, err := backend.PredictCV("cv", [][]float32{images[i]})
-				return classAnswer(r[0]), err
-			},
-			func() ([]answer, error) { return classes(conn.PredictCV("cv", images)) }},
-		{"text", len(samples),
-			func(i int) answer { return directClass(txt.ForwardIDs([][]int{samples[i]})) },
-			func(i int) (answer, error) {
-				r, err := backend.PredictText("txt", [][]int{samples[i]})
-				return classAnswer(r[0]), err
-			},
-			func() ([]answer, error) { return classes(conn.PredictText("txt", samples)) }},
-		{"text/split", len(samples),
-			func(i int) answer {
-				return directClass(txt.ForwardPooled(autodiff.Constant(tensor.FromSlice(pooled[i], 1, txt.EmbedDim))))
-			},
-			func(i int) (answer, error) {
-				r, err := backend.PredictTextSplit("txt", [][]float32{pooled[i]})
-				return classAnswer(r[0]), err
-			},
-			func() ([]answer, error) { return classes(conn.PredictTextSplit("txt", pooled)) }},
-		{"lm", len(ctxs),
-			func(i int) answer { return directTopK(lm.ForwardIDs([][]int{ctxs[i]}), topK) },
-			func(i int) (answer, error) {
-				r, err := backend.PredictLM("lm", [][]int{ctxs[i]}, topK)
-				return tokenAnswer(r[0]), err
-			},
-			func() ([]answer, error) { return tokens(conn.PredictLM("lm", ctxs, topK)) }},
-		{"lm/split", len(ctxs),
-			func(i int) answer {
-				return directTopK(lm.ForwardEmbedded(autodiff.Constant(tensor.FromSlice(acts[i], 1, lens[i], lm.D))), topK)
-			},
-			func(i int) (answer, error) {
-				r, err := backend.PredictLMSplit("lm", [][]float32{acts[i]}, []int{lens[i]}, topK)
-				return tokenAnswer(r[0]), err
-			},
-			func() ([]answer, error) { return tokens(conn.PredictLMSplit("lm", acts, lens, lm.D, topK)) }},
+		{"cv", serve.Group{Path: "cv", Rows: images}, func(i int) answer {
+			return directClass(cv.Forward(autodiff.Constant(tensor.FromSlice(images[i], 1, 1, 12, 12))))
+		}},
+		{"txt", serve.Group{Path: "text", IDs: samples}, func(i int) answer {
+			return directClass(txt.ForwardIDs([][]int{samples[i]}))
+		}},
+		{"txt", serve.Group{Path: "text/split", Rows: pooled}, func(i int) answer {
+			return directClass(txt.ForwardPooled(autodiff.Constant(tensor.FromSlice(pooled[i], 1, txt.EmbedDim))))
+		}},
+		{"lm", serve.Group{Path: "lm", IDs: ctxs, TopK: topK}, func(i int) answer {
+			return directTopK(lm.ForwardIDs([][]int{ctxs[i]}), topK)
+		}},
+		{"lm", serve.Group{Path: "lm/split", Rows: acts, SeqLens: lens, TopK: topK}, func(i int) answer {
+			return directTopK(lm.ForwardEmbedded(autodiff.Constant(tensor.FromSlice(acts[i], 1, lens[i], lm.D))), topK)
+		}},
 	}
 	same := func(a, b answer) bool {
 		if len(a.ints) != len(b.ints) || len(a.floats) != len(b.floats) {
@@ -244,22 +221,23 @@ func TestInferRoundTrip(t *testing.T) {
 	}
 	direct := map[string][]answer{}
 	for _, tc := range cases {
-		wired, err := tc.wired()
-		if err != nil || len(wired) != tc.n {
-			t.Fatalf("%s: wire returned %d answers for %d samples: %v", tc.path, len(wired), tc.n, err)
+		path, n := tc.g.Path, len(tc.g.Rows)+len(tc.g.IDs)
+		wired, err := conn.Predict(tc.model, tc.g)
+		if err != nil || len(wired) != n {
+			t.Fatalf("%s: wire returned %d answers for %d samples: %v", path, len(wired), n, err)
 		}
-		for i := 0; i < tc.n; i++ {
+		for i := 0; i < n; i++ {
 			want := tc.direct(i)
-			direct[tc.path] = append(direct[tc.path], want)
-			served, err := tc.served(i)
+			direct[path] = append(direct[path], want)
+			served, err := backend.Predict(tc.model, sample(tc.g, i))
 			if err != nil {
-				t.Fatalf("%s sample %d: serve backend: %v", tc.path, i, err)
+				t.Fatalf("%s sample %d: serve backend: %v", path, i, err)
 			}
-			if !same(served, want) {
-				t.Errorf("%s sample %d: serve backend %v, direct forward %v", tc.path, i, served, want)
+			if got := asAnswer(served[0]); !same(got, want) {
+				t.Errorf("%s sample %d: serve backend %v, direct forward %v", path, i, got, want)
 			}
-			if !same(wired[i], want) {
-				t.Errorf("%s sample %d: wire %v, direct forward %v", tc.path, i, wired[i], want)
+			if got := asAnswer(wired[i]); !same(got, want) {
+				t.Errorf("%s sample %d: wire %v, direct forward %v", path, i, got, want)
 			}
 		}
 	}
@@ -269,6 +247,62 @@ func TestInferRoundTrip(t *testing.T) {
 			if !same(full, direct[pair[1]][i]) {
 				t.Errorf("%s sample %d differs from %s: %v vs %v", pair[1], i, pair[0], direct[pair[1]][i], full)
 			}
+		}
+	}
+}
+
+// TestEmptyGroupRefusedOnEveryPath pins the one rule for a group with no
+// samples, on all five paths: it is invalid input. serve.Server.Predict
+// refuses it in process (ErrBadInput), InferConn.Predict gets the same
+// refusal over the wire (ErrBadRequest), and so does a hand-built frame
+// of no samples in the path's own body layout.
+func TestEmptyGroupRefusedOnEveryPath(t *testing.T) {
+	backend, addr, _, _, stop := startInferServer(t)
+	defer stop()
+	conn, err := DialInfer(context.Background(), addr, NetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	s := &Server{cfg: ServerConfig{Infer: backend}}
+	body := func(write func(w *bytes.Buffer) error) []byte {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	noIDs := body(func(w *bytes.Buffer) error { return serialize.WriteIntSlice(w, nil) })
+	noRows := func(shape ...int) []byte {
+		return body(func(w *bytes.Buffer) error { return serialize.WriteTensor(w, tensor.New(shape...)) })
+	}
+
+	for _, frame := range []struct {
+		h    inferHeader
+		body []byte
+	}{
+		{inferHeader{Model: "cv", Modality: "cv"}, noRows(0, 144)},
+		{inferHeader{Model: "txt", Modality: "text"}, noIDs},
+		{inferHeader{Model: "txt", Modality: "text", Split: true}, noRows(0, 8)},
+		{inferHeader{Model: "lm", Modality: "lm", TopK: 2}, noIDs},
+		{inferHeader{Model: "lm", Modality: "lm", Split: true, Dim: 8}, noRows(0)},
+	} {
+		g := serve.Group{Path: frame.h.Modality, TopK: frame.h.TopK}
+		if frame.h.Split {
+			g.Path += "/split"
+		}
+		if _, err := backend.Predict(frame.h.Model, g); !errors.Is(err, serve.ErrBadInput) || !strings.Contains(err.Error(), "empty") {
+			t.Errorf("%s in process: got %v, want an empty-group ErrBadInput", g.Path, err)
+		}
+		if _, err := conn.Predict(frame.h.Model, g); !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "empty") {
+			t.Errorf("%s over the wire: got %v, want an empty-group ErrBadRequest", g.Path, err)
+		}
+		payload, err := encodeInferFrame(frame.h, frame.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.inferAnswer(payload); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s frame of no samples: got %v, want ErrBadRequest", g.Path, err)
 		}
 	}
 }
@@ -354,7 +388,7 @@ func TestInferRefusedWithoutBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.PredictText("txt", [][]int{{1}}); !errors.Is(err, ErrBadRequest) {
+	if _, err := conn.Predict("txt", serve.Group{Path: "text", IDs: [][]int{{1}}}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("want ErrBadRequest, got %v", err)
 	}
 }
@@ -372,7 +406,7 @@ func TestInferErrorsCrossWireTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.PredictText("nope", [][]int{{1}}); !errors.Is(err, ErrBadRequest) {
+	if _, err := conn.Predict("nope", serve.Group{Path: "text", IDs: [][]int{{1}}}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("unknown model: want ErrBadRequest, got %v", err)
 	}
 	// Out-of-vocab token: refused at admission, batch untouched.
@@ -381,21 +415,22 @@ func TestInferErrorsCrossWireTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	if _, err := conn2.PredictText("txt", [][]int{{49, 50}}); !errors.Is(err, ErrBadRequest) {
+	if _, err := conn2.Predict("txt", serve.Group{Path: "text", IDs: [][]int{{49, 50}}}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("out-of-vocab: want ErrBadRequest, got %v", err)
 	}
-	got, err := conn2.PredictText("txt", [][]int{{49}})
+	got, err := conn2.Predict("txt", serve.Group{Path: "text", IDs: [][]int{{49}}})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("connection should keep serving after an in-band error: %v", err)
 	}
 }
 
-// FuzzDecodeInferFrame feeds arbitrary msgInfer payloads through the
-// decode stage and the full answer path against a live backend. Decoding
-// — frame split, header JSON, body, per-sample Lens — must never panic,
-// must refuse with ErrBadRequest, and must allocate no more than a small
-// multiple of the payload; the answer path must never panic and must
-// classify every refusal onto the wire taxonomy.
+// FuzzDecodeInferFrame feeds arbitrary msgInfer payloads through
+// decodeGroup — the one frame → group decode: frame split, header JSON,
+// body, per-sample Lens — and through the full answer path against a
+// live backend. Decoding must never panic, must refuse with
+// ErrBadRequest, and must allocate no more than a small multiple of the
+// payload; the answer path must never panic and must classify every
+// refusal onto the wire taxonomy.
 func FuzzDecodeInferFrame(f *testing.F) {
 	backend, _, _ := inferBackend(f)
 	s := &Server{cfg: ServerConfig{Infer: backend}}
@@ -407,14 +442,15 @@ func FuzzDecodeInferFrame(f *testing.F) {
 		}
 		f.Add(payload)
 	}
-	ids, lens, err := intBody([][]int{{3, 14, 15}, {9, 26}})
-	if err != nil {
+	// Two token samples, {3, 14, 15} and {9, 26}, and two pooled rows of 8.
+	var idsBody, pooledBody bytes.Buffer
+	if err := serialize.WriteIntSlice(&idsBody, []int{3, 14, 15, 9, 26}); err != nil {
 		f.Fatal(err)
 	}
-	pooled, err := tensorBody([][]float32{make([]float32, 8), make([]float32, 8)}, 8)
-	if err != nil {
+	if err := serialize.WriteTensor(&pooledBody, tensor.New(2, 8)); err != nil {
 		f.Fatal(err)
 	}
+	ids, lens, pooled := idsBody.Bytes(), []int{3, 2}, pooledBody.Bytes()
 	seed(inferHeader{Model: "txt", Modality: "text", Lens: lens}, ids)
 	seed(inferHeader{Model: "lm", Modality: "lm", Lens: lens, TopK: 2}, ids)
 	seed(inferHeader{Model: "txt", Modality: "text", Split: true}, pooled)
@@ -434,25 +470,14 @@ func FuzzDecodeInferFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		h, body, err := decodeInferFrame(data)
+		_, g, err := decodeGroup(data)
+		runtime.ReadMemStats(&after)
 		if err != nil && !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("infer frame refused without ErrBadRequest: %v", err)
 		}
-		if err == nil {
-			if flat, err := serialize.ReadIntSlice(bytes.NewReader(body)); err == nil {
-				samples, err := unflatten(flat, h.Lens)
-				if err != nil && !errors.Is(err, ErrBadRequest) {
-					t.Fatalf("lens %v refused without ErrBadRequest: %v", h.Lens, err)
-				}
-				if err == nil && len(samples) != len(h.Lens) {
-					t.Fatalf("unflatten made %d samples from %d lens", len(samples), len(h.Lens))
-				}
-			}
-			if _, err := readInferTensor(body); err != nil && !errors.Is(err, ErrBadRequest) {
-				t.Fatalf("tensor body refused without ErrBadRequest: %v", err)
-			}
+		if err == nil && (len(g.IDs) > 0 && len(g.Rows) > 0 || g.SeqLens != nil && len(g.SeqLens) != len(g.Rows)) {
+			t.Fatalf("decoded group mixes layouts: %d token lists, %d rows, %d lengths", len(g.IDs), len(g.Rows), len(g.SeqLens))
 		}
-		runtime.ReadMemStats(&after)
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(data)); grew > limit {
 			t.Fatalf("decoding a %d-byte infer frame allocated %d, limit %d", len(data), grew, limit)
 		}

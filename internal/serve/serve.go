@@ -22,10 +22,11 @@
 // input (dense rows copied into a pooled tensor, or token-id lists used
 // in place); forward — the model's Forward/ForwardIDs, or a split tail;
 // fan — how the output rows become results (argmax class + logit row, or
-// top-K next tokens). One driver, path.run, executes every path; the
-// typed Predict* methods and Register* configs are thin callers of it,
-// and every Predict* takes a group of samples, the same shape a wire
-// frame has.
+// top-K next tokens). One driver, path.run, executes every path. A
+// request is a Group — a path name and that path's samples, as dense rows
+// or token lists — and Server.Predict is its one entry; the Register*
+// configs only choose which paths a model offers. A wire frame decodes
+// into the same Group, so no layer above this one chooses among paths.
 //
 // Split inference (Leroux et al.'s privacy-aware offloading) is two more
 // such paths: the client runs the gather/embedding layers locally and
@@ -158,6 +159,37 @@ type LMResult struct {
 	LogProbs []float32
 }
 
+// Group is one prediction request: samples for one of a model's paths,
+// answered together. The paths and the fields they read:
+//
+//	cv          Rows: flat [C*H*W] images
+//	text        IDs: token sequences (ragged lengths are fine)
+//	text/split  Rows: client-pooled embeddings, [SplitDim] each
+//	lm          IDs: contexts, scored for their TopK next tokens
+//	lm/split    Rows: client-embedded activations, SeqLens[i]×SplitDim
+//	            floats each, scored for their TopK next tokens
+//
+// A group with no samples, or with samples or sequence lengths its path
+// does not read, is refused with ErrBadInput. The slices must stay
+// untouched until Predict returns.
+type Group struct {
+	Path    string
+	Rows    [][]float32
+	SeqLens []int
+	IDs     [][]int
+	// TopK asks the next-token paths for the K most probable tokens
+	// (<= 0 means 1).
+	TopK int
+}
+
+// Result is one sample's answer: the CVResult on the classification
+// paths (cv, text, text/split), the LMResult on the next-token paths
+// (lm, lm/split).
+type Result struct {
+	CVResult
+	LMResult
+}
+
 // Server batches and executes predictions. Construct with New, register
 // models, predict from any number of goroutines, Close when done.
 type Server struct {
@@ -246,8 +278,44 @@ func (p *path) admit(model, kind string, cl *call) (key string, err error) {
 	return kind, nil
 }
 
+// calls splits a group into one call per sample. The group must carry
+// samples, in the one layout the path reads — token lists or dense rows —
+// with a sequence length per row on a sequence path and none elsewhere.
+func (p *path) calls(g Group) ([]call, error) {
+	n, other, layout := len(g.Rows), len(g.IDs), "dense rows"
+	if p.forwardIDs != nil {
+		n, other, layout = len(g.IDs), len(g.Rows), "token lists"
+	}
+	lens := 0
+	if p.seq {
+		lens = n
+	}
+	switch {
+	case other > 0:
+		return nil, fmt.Errorf("%w: the %s path reads %s", ErrBadInput, g.Path, layout)
+	case n == 0:
+		return nil, fmt.Errorf("%w: empty %s group", ErrBadInput, g.Path)
+	case len(g.SeqLens) != lens:
+		return nil, fmt.Errorf("%w: %d sequence lengths for %d %s samples", ErrBadInput, len(g.SeqLens), n, g.Path)
+	}
+	calls := make([]call, n)
+	for i := range calls {
+		cl := &calls[i]
+		cl.topK = g.TopK
+		if p.forwardIDs != nil {
+			cl.ids = g.IDs[i]
+		} else {
+			cl.row = g.Rows[i]
+		}
+		if p.seq {
+			cl.seqLen = g.SeqLens[i]
+		}
+	}
+	return calls, nil
+}
+
 // call is one in-flight prediction. Exactly one of row/ids is the
-// payload; the result and err are written by the worker before done, its
+// payload; the Result and err are written by the worker before done, its
 // group's countdown, is released.
 type call struct {
 	row    []float32
@@ -255,16 +323,9 @@ type call struct {
 	seqLen int
 	topK   int
 
-	result
+	Result
 	err  error
 	done *sync.WaitGroup
-}
-
-// result is what a path's fan fills in: class on classification paths,
-// next on next-token paths.
-type result struct {
-	class CVResult
-	next  LMResult
 }
 
 // New starts a server with Config defaults applied.
@@ -302,42 +363,49 @@ func (s *Server) register(name string, m interface{ SetTraining(bool) }, paths m
 	return nil
 }
 
-// predict runs a group of calls down one of a model's paths: lookup,
-// admission of every call in index order (the first failure answers for
-// the group, and nothing of it runs), one enqueue of the whole group,
-// then a wait for all of it. The lowest-indexed call that failed in its
-// batch answers likewise.
-func (s *Server) predict(model, kind string, calls []call) error {
+// Predict runs a group down one of a model's paths: lookup, the group's
+// layout check, admission of every sample in index order (the first
+// failure answers for the group, and nothing of it runs), one enqueue of
+// the whole group, then a wait for all of it. The lowest-indexed sample
+// that failed in its batch answers likewise; otherwise the results come
+// back in the group's order.
+func (s *Server) Predict(model string, g Group) ([]Result, error) {
 	s.mu.Lock()
 	reg, ok := s.regs[model]
 	s.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownModel, model)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, model)
 	}
-	p := reg.paths[kind]
+	p := reg.paths[g.Path]
 	if p == nil {
-		return fmt.Errorf("%w: %q serves no %s path", ErrBadInput, model, kind)
+		return nil, fmt.Errorf("%w: %q serves no %s path", ErrBadInput, model, g.Path)
+	}
+	calls, err := p.calls(g)
+	if err != nil {
+		return nil, err
 	}
 	var done sync.WaitGroup
 	keys := make([]string, len(calls))
 	for i := range calls {
-		key, err := p.admit(model, kind, &calls[i])
+		key, err := p.admit(model, g.Path, &calls[i])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		keys[i], calls[i].done = key, &done
 	}
 	done.Add(len(calls))
 	if err := s.enqueue(reg, p, keys, calls); err != nil {
-		return err
+		return nil, err
 	}
 	done.Wait()
+	out := make([]Result, len(calls))
 	for i := range calls {
 		if err := calls[i].err; err != nil {
-			return err
+			return nil, err
 		}
+		out[i] = calls[i].Result
 	}
-	return nil
+	return out, nil
 }
 
 // RegisterCV serves an image model with the given input geometry. The
@@ -382,84 +450,6 @@ func (s *Server) RegisterLM(name string, m IDForwarder, cfg LMConfig) error {
 		paths["lm/split"] = &path{forward: cfg.SplitTail, dims: []int{cfg.SplitDim}, seq: true, maxLen: cfg.MaxContext, fan: fanOutNextToken}
 	}
 	return s.register(name, m, paths)
-}
-
-// PredictCV classifies a group of images (each flat [C*H*W] row-major
-// pixels). The slices must stay untouched until the call returns.
-func (s *Server) PredictCV(model string, images [][]float32) ([]CVResult, error) {
-	calls := make([]call, len(images))
-	for i, img := range images {
-		calls[i].row = img
-	}
-	return classes(calls, s.predict(model, "cv", calls))
-}
-
-// PredictText classifies a group of token sequences (ragged lengths are
-// fine). The slices must stay untouched until the call returns.
-func (s *Server) PredictText(model string, samples [][]int) ([]TextResult, error) {
-	calls := make([]call, len(samples))
-	for i, toks := range samples {
-		calls[i].ids = toks
-	}
-	return classes(calls, s.predict(model, "text", calls))
-}
-
-// PredictTextSplit classifies from client-side pooled activations, each
-// [SplitDim] — split inference: the token ids never reached this server.
-func (s *Server) PredictTextSplit(model string, pooled [][]float32) ([]TextResult, error) {
-	calls := make([]call, len(pooled))
-	for i, row := range pooled {
-		calls[i].row = row
-	}
-	return classes(calls, s.predict(model, "text/split", calls))
-}
-
-// PredictLM scores the next token after each context, returning its top-K
-// candidates (topK <= 0 means 1).
-func (s *Server) PredictLM(model string, contexts [][]int, topK int) ([]LMResult, error) {
-	calls := make([]call, len(contexts))
-	for i, ctx := range contexts {
-		calls[i] = call{ids: ctx, topK: topK}
-	}
-	return nextTokens(calls, s.predict(model, "lm", calls))
-}
-
-// PredictLMSplit scores the next token from client-side embedded
-// activations — sample i is flat [seqLens[i]*SplitDim] — split inference
-// for LMs.
-func (s *Server) PredictLMSplit(model string, acts [][]float32, seqLens []int, topK int) ([]LMResult, error) {
-	if len(seqLens) != len(acts) {
-		return nil, fmt.Errorf("%w: %d activation samples but %d lengths", ErrBadInput, len(acts), len(seqLens))
-	}
-	calls := make([]call, len(acts))
-	for i, row := range acts {
-		calls[i] = call{row: row, seqLen: seqLens[i], topK: topK}
-	}
-	return nextTokens(calls, s.predict(model, "lm/split", calls))
-}
-
-// classes collects a predicted group's classifications; nextTokens its
-// next-token scorings.
-func classes(calls []call, err error) ([]CVResult, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CVResult, len(calls))
-	for i := range calls {
-		out[i] = calls[i].class
-	}
-	return out, nil
-}
-
-func nextTokens(calls []call, err error) ([]LMResult, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]LMResult, len(calls))
-	for i := range calls {
-		out[i] = calls[i].next
-	}
-	return out, nil
 }
 
 // checkTokens validates ids against a vocabulary size (0 skips), so one

@@ -132,29 +132,29 @@ func TestBatchedMatchesSequential(t *testing.T) {
 			wg.Add(3)
 			go func(i int) {
 				defer wg.Done()
-				got, err := s.PredictCV("cv", [][]float32{imageRow(imgs, i)})
+				got, err := s.Predict("cv", Group{Path: "cv", Rows: [][]float32{imageRow(imgs, i)}})
 				if err != nil {
-					errs <- fmt.Errorf("PredictCV(%d): %v", i, err)
+					errs <- fmt.Errorf("cv %d: %v", i, err)
 				} else if got[0].Class != wantCV[i].Class || !float32sEqual(got[0].Logits, wantCV[i].Logits) {
-					errs <- fmt.Errorf("PredictCV(%d): batched result differs from sequential", i)
+					errs <- fmt.Errorf("cv %d: batched result differs from sequential", i)
 				}
 			}(i)
 			go func(i int) {
 				defer wg.Done()
-				got, err := s.PredictText("txt", [][]int{txtDS.Samples[i]})
+				got, err := s.Predict("txt", Group{Path: "text", IDs: [][]int{txtDS.Samples[i]}})
 				if err != nil {
-					errs <- fmt.Errorf("PredictText(%d): %v", i, err)
+					errs <- fmt.Errorf("text %d: %v", i, err)
 				} else if got[0].Class != wantTxt[i].Class || !float32sEqual(got[0].Logits, wantTxt[i].Logits) {
-					errs <- fmt.Errorf("PredictText(%d): batched result differs from sequential", i)
+					errs <- fmt.Errorf("text %d: batched result differs from sequential", i)
 				}
 			}(i)
 			go func(i int) {
 				defer wg.Done()
-				got, err := s.PredictLM("lm", [][]int{ctxs[i]}, 3)
+				got, err := s.Predict("lm", Group{Path: "lm", IDs: [][]int{ctxs[i]}, TopK: 3})
 				if err != nil {
-					errs <- fmt.Errorf("PredictLM(%d): %v", i, err)
+					errs <- fmt.Errorf("lm %d: %v", i, err)
 				} else if !intsEqual(got[0].Tokens, wantLM[i].Tokens) || !float32sEqual(got[0].LogProbs, wantLM[i].LogProbs) {
-					errs <- fmt.Errorf("PredictLM(%d): batched result differs from sequential", i)
+					errs <- fmt.Errorf("lm %d: batched result differs from sequential", i)
 				}
 			}(i)
 		}
@@ -181,14 +181,14 @@ func TestSplitMatchesFull(t *testing.T) {
 	}
 
 	toks := []int{5, 17, 3, 42, 9, 77}
-	full, err := s.PredictText("txt", [][]int{toks})
+	full, err := s.Predict("txt", Group{Path: "text", IDs: [][]int{toks}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pooledNode := txt.Embed.LookupMean([][]int{toks})
 	pooled := copyRow(pooledNode.Val.Data, 0, txt.EmbedDim)
 	autodiff.Release(pooledNode)
-	split, err := s.PredictTextSplit("txt", [][]float32{pooled})
+	split, err := s.Predict("txt", Group{Path: "text/split", Rows: [][]float32{pooled}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestSplitMatchesFull(t *testing.T) {
 	}
 
 	ctx := []int{1, 8, 30, 55, 2, 2, 47}
-	fullLM, err := s.PredictLM("lm", [][]int{ctx}, 4)
+	fullLM, err := s.Predict("lm", Group{Path: "lm", IDs: [][]int{ctx}, TopK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSplitMatchesFull(t *testing.T) {
 	acts := make([]float32, len(ctx)*lm.D)
 	copy(acts, h.Val.Data)
 	autodiff.Release(h)
-	splitLM, err := s.PredictLMSplit("lm", [][]float32{acts}, []int{len(ctx)}, 4)
+	splitLM, err := s.Predict("lm", Group{Path: "lm/split", Rows: [][]float32{acts}, SeqLens: []int{len(ctx)}, TopK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,13 +229,13 @@ func TestSteadyStatePoolStable(t *testing.T) {
 	}
 	toks := []int{3, 14, 15, 9, 26, 5}
 	for i := 0; i < 10; i++ {
-		if _, err := s.PredictText("txt", [][]int{toks}); err != nil {
+		if _, err := s.Predict("txt", Group{Path: "text", IDs: [][]int{toks}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	_, miss0 := tensor.PoolStats()
 	for i := 0; i < 50; i++ {
-		if _, err := s.PredictText("txt", [][]int{toks}); err != nil {
+		if _, err := s.Predict("txt", Group{Path: "text", IDs: [][]int{toks}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +264,7 @@ func TestOverloadAndClose(t *testing.T) {
 	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := s.PredictCV("b", [][]float32{{0}})
+			_, err := s.Predict("b", Group{Path: "cv", Rows: [][]float32{{0}}})
 			done <- err
 		}()
 	}
@@ -275,7 +275,7 @@ func TestOverloadAndClose(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.PredictCV("b", [][]float32{{0}}); !errors.Is(err, ErrOverloaded) {
+	if _, err := s.Predict("b", Group{Path: "cv", Rows: [][]float32{{0}}}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("over-depth request: got %v, want ErrOverloaded", err)
 	}
 	close(bm.release)
@@ -285,7 +285,7 @@ func TestOverloadAndClose(t *testing.T) {
 		}
 	}
 	s.Close()
-	if _, err := s.PredictCV("b", [][]float32{{0}}); !errors.Is(err, ErrClosed) {
+	if _, err := s.Predict("b", Group{Path: "cv", Rows: [][]float32{{0}}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-Close request: got %v, want ErrClosed", err)
 	}
 }
@@ -303,11 +303,11 @@ func TestModelPanicFailsBatchTyped(t *testing.T) {
 	if err := s.RegisterCV("p", panickyCV{}, CVConfig{C: 1, H: 1, W: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PredictCV("p", [][]float32{{0}}); !errors.Is(err, ErrModelPanic) {
+	if _, err := s.Predict("p", Group{Path: "cv", Rows: [][]float32{{0}}}); !errors.Is(err, ErrModelPanic) {
 		t.Fatalf("got %v, want ErrModelPanic", err)
 	}
 	// The worker survived; the server still serves.
-	if _, err := s.PredictCV("p", [][]float32{{1}}); !errors.Is(err, ErrModelPanic) {
+	if _, err := s.Predict("p", Group{Path: "cv", Rows: [][]float32{{1}}}); !errors.Is(err, ErrModelPanic) {
 		t.Fatalf("second call: got %v, want ErrModelPanic", err)
 	}
 }
@@ -337,7 +337,7 @@ func TestLanePanicFailsBatchTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for call := 0; call < 2; call++ { // the second shows the worker survived
-		if _, err := s.PredictCV("p", [][]float32{{0}}); !errors.Is(err, ErrModelPanic) || !strings.Contains(err.Error(), "synthetic decoy bug") {
+		if _, err := s.Predict("p", Group{Path: "cv", Rows: [][]float32{{0}}}); !errors.Is(err, ErrModelPanic) || !strings.Contains(err.Error(), "synthetic decoy bug") {
 			t.Fatalf("call %d: got %v, want ErrModelPanic carrying the branch's panic", call, err)
 		}
 	}
@@ -361,22 +361,24 @@ func TestAdmissionValidation(t *testing.T) {
 	}
 
 	cases := []struct {
-		name string
-		call func() error
-		want error
+		name, model string
+		g           Group
+		want        error
 	}{
-		{"unknown model", func() error { _, err := s.PredictCV("nope", [][]float32{make([]float32, 784)}); return err }, ErrUnknownModel},
-		{"wrong modality", func() error { _, err := s.PredictText("cv", [][]int{{1}}); return err }, ErrBadInput},
-		{"bad image size", func() error { _, err := s.PredictCV("cv", [][]float32{make([]float32, 10)}); return err }, ErrBadInput},
-		{"empty tokens", func() error { _, err := s.PredictText("txt", [][]int{nil}); return err }, ErrBadInput},
-		{"fixed-length violation", func() error { _, err := s.PredictText("txt", [][]int{{1, 2, 3}}); return err }, ErrBadInput},
-		{"token out of vocab", func() error { _, err := s.PredictText("txt", [][]int{{1, 2, 3, 4, 5, 99}}); return err }, ErrBadInput},
-		{"context too long", func() error { _, err := s.PredictLM("lm", [][]int{make([]int, 20)}, 1); return err }, ErrBadInput},
-		{"fixed-context violation", func() error { _, err := s.PredictLM("lm", [][]int{make([]int, 5)}, 1); return err }, ErrBadInput},
-		{"no split tail", func() error { _, err := s.PredictTextSplit("txt", [][]float32{make([]float32, 16)}); return err }, ErrBadInput},
+		{"unknown model", "nope", Group{Path: "cv", Rows: [][]float32{make([]float32, 784)}}, ErrUnknownModel},
+		{"wrong modality", "cv", Group{Path: "text", IDs: [][]int{{1}}}, ErrBadInput},
+		{"bad image size", "cv", Group{Path: "cv", Rows: [][]float32{make([]float32, 10)}}, ErrBadInput},
+		{"empty tokens", "txt", Group{Path: "text", IDs: [][]int{nil}}, ErrBadInput},
+		{"fixed-length violation", "txt", Group{Path: "text", IDs: [][]int{{1, 2, 3}}}, ErrBadInput},
+		{"token out of vocab", "txt", Group{Path: "text", IDs: [][]int{{1, 2, 3, 4, 5, 99}}}, ErrBadInput},
+		{"context too long", "lm", Group{Path: "lm", IDs: [][]int{make([]int, 20)}}, ErrBadInput},
+		{"fixed-context violation", "lm", Group{Path: "lm", IDs: [][]int{make([]int, 5)}}, ErrBadInput},
+		{"no split tail", "txt", Group{Path: "text/split", Rows: [][]float32{make([]float32, 16)}}, ErrBadInput},
+		{"rows on a token path", "txt", Group{Path: "text", Rows: [][]float32{make([]float32, 6)}}, ErrBadInput},
+		{"lengths on a path without sequences", "cv", Group{Path: "cv", Rows: [][]float32{make([]float32, 784)}, SeqLens: []int{1}}, ErrBadInput},
 	}
 	for _, tc := range cases {
-		if err := tc.call(); !errors.Is(err, tc.want) {
+		if _, err := s.Predict(tc.model, tc.g); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -533,7 +535,7 @@ func TestBatchesForm(t *testing.T) {
 		return s, g
 	}
 	predictCV := func(s *Server, errs chan<- error) {
-		_, err := s.PredictCV("cv", [][]float32{{0}})
+		_, err := s.Predict("cv", Group{Path: "cv", Rows: [][]float32{{0}}})
 		errs <- err
 	}
 
@@ -580,7 +582,7 @@ func TestBatchesForm(t *testing.T) {
 		s, g := newServer(t)
 		close(g.release)
 		contexts := [][]int{{1, 0, 0}, {2, 0, 0, 0, 0}, {3, 0, 0}, {4, 0, 0, 0, 0}, {5, 0, 0}, {6, 0, 0, 0, 0, 0, 0, 0}}
-		res, err := s.PredictLM("lm", contexts, 1)
+		res, err := s.Predict("lm", Group{Path: "lm", IDs: contexts, TopK: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -607,12 +609,12 @@ func TestCloseFailsQueuedCalls(t *testing.T) {
 	}
 	running, queued := make(chan error, 1), make(chan error, 1)
 	go func() {
-		_, err := s.PredictCV("cv", [][]float32{{0}})
+		_, err := s.Predict("cv", Group{Path: "cv", Rows: [][]float32{{0}}})
 		running <- err
 	}()
 	<-g.entered
 	go func() {
-		_, err := s.PredictCV("cv", [][]float32{{0}, {1}})
+		_, err := s.Predict("cv", Group{Path: "cv", Rows: [][]float32{{0}, {1}}})
 		queued <- err
 	}()
 	waitPending(t, s, 3)

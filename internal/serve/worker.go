@@ -97,7 +97,7 @@ func fanOutClasses(out *autodiff.Node, calls []*call) {
 	pred := tensor.ArgmaxRows(out.Val)
 	classes := out.Val.Dim(1)
 	for i, cl := range calls {
-		cl.class = CVResult{Class: pred[i], Logits: copyRow(out.Val.Data, i, classes)}
+		cl.CVResult = CVResult{Class: pred[i], Logits: copyRow(out.Val.Data, i, classes)}
 	}
 }
 
@@ -111,7 +111,7 @@ func fanOutNextToken(out *autodiff.Node, calls []*call) {
 	for i, cl := range calls {
 		last := out.Val.Data[((i+1)*rows-1)*vocab : (i+1)*rows*vocab]
 		toks, lps := topKLogProbs(last, cl.topK)
-		cl.next = LMResult{Tokens: toks, LogProbs: lps}
+		cl.LMResult = LMResult{Tokens: toks, LogProbs: lps}
 	}
 }
 
