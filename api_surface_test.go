@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-var updateAPI = flag.Bool("update", false, "rewrite testdata/api.golden from the package source")
+var updateAPI = flag.Bool("update", false, "rewrite testdata/api.golden from the package source and testdata/trained.golden from a training run")
 
 // TestPublicAPISurface pins package amalgam's exported surface — every
 // exported constant, variable, function and type, with the types' method

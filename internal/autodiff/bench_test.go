@@ -171,40 +171,57 @@ func BenchmarkLinearTrainStep(b *testing.B) {
 	}
 }
 
-// BenchmarkLinearXentHead measures a language model's loss head, forward +
-// backward, at lm_local's geometry — 1008 = 16·63 positions onto a 2000-word
-// vocabulary from the decoys' 56-wide and the original's 128-wide features
-// — fused against the MatMul → AddRowBias → SoftmaxCrossEntropy referee.
-// x is interior (its gradient is produced), as the features are in a model.
-func BenchmarkLinearXentHead(b *testing.B) {
+// BenchmarkLossHead reads a language model's loss head as a GEMM rate at
+// lm_local's geometry — 1008 = 16·63 positions onto a 2000-word vocabulary
+// from the decoys' 56-wide and the original's 128-wide features. "fwd" is
+// the fused head's logits GEMM with its bias, softmax and loss; "step" adds
+// its backward (cross-entropy gradient, bias column sum, dX and dW);
+// "referee" is the step of the MatMul → AddRowBias → SoftmaxCrossEntropy
+// composition it replaces. GFLOP/s counts the GEMMs alone (2·N·K·V each: one
+// forward, three per step), so the passes between them show as a lower
+// rate. x is interior (its gradient is produced), as the features are in a
+// model.
+func BenchmarkLossHead(b *testing.B) {
 	const rows, vocab = 1008, 2000
 	labels := make([]int, rows)
 	for i := range labels {
 		labels[i] = (i * 37) % vocab
 	}
-	heads := map[string]func(x, w, bias *Node) *Node{
-		"fused": func(x, w, bias *Node) *Node { return LinearSoftmaxCrossEntropy(x, w, bias, labels) },
-		"referee": func(x, w, bias *Node) *Node {
-			return SoftmaxCrossEntropy(AddRowBias(MatMul(x, w), bias, tensor.ActNone), labels)
-		},
-	}
-	for _, d := range []int{56, 128} {
+	fused := func(x, w, bias *Node) *Node { return LinearSoftmaxCrossEntropy(x, w, bias, labels) }
+	for _, k := range []int{56, 128} {
 		rng := tensor.NewRNG(13)
-		x, w, bias := tensor.New(rows, d), tensor.New(d, vocab), tensor.New(vocab)
+		x, w, bias := tensor.New(rows, k), tensor.New(k, vocab), tensor.New(vocab)
 		rng.FillNormal(x, 0, 1)
 		rng.FillNormal(w, 0, 0.05)
 		xN, wN, bN := Leaf(x), Leaf(w), Leaf(bias)
-		for _, name := range []string{"fused", "referee"} {
-			b.Run(fmt.Sprintf("%s/%dx%dx%d", name, rows, d, vocab), func(b *testing.B) {
+		for _, c := range []struct {
+			name     string
+			head     func(x, w, bias *Node) *Node
+			backward bool
+		}{
+			{"fwd", fused, false},
+			{"step", fused, true},
+			{"referee", func(x, w, bias *Node) *Node {
+				return SoftmaxCrossEntropy(AddRowBias(MatMul(x, w), bias, tensor.ActNone), labels)
+			}, true},
+		} {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", c.name, rows, k, vocab), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					xN.ZeroGrad()
 					wN.ZeroGrad()
 					bN.ZeroGrad()
-					loss := heads[name](Scale(xN, 1), wN, bN)
-					Backward(loss)
+					loss := c.head(Scale(xN, 1), wN, bN)
+					if c.backward {
+						Backward(loss)
+					}
 					Release(loss)
 				}
+				gemms := 1.0
+				if c.backward {
+					gemms = 3
+				}
+				b.ReportMetric(gemms*2*rows*float64(k)*vocab*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
 	}

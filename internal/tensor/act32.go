@@ -307,7 +307,12 @@ func addRowBiasRange(dst, x, bias []float32, d int, act Act, keep ActScratch, r0
 	for r := r0; r < r1; r++ {
 		src := x[r*d : (r+1)*d][:d]
 		out := dst[r*d : (r+1)*d][:d]
-		for j := 0; j < d; j++ {
+		j := 0
+		if simdAvailable {
+			addRowSIMD(out, src, bias)
+			j = d &^ 7
+		}
+		for ; j < d; j++ {
 			out[j] = src[j] + bias[j]
 		}
 		act.apply(dst, keep, r*d, (r+1)*d)

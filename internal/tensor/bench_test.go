@@ -64,7 +64,8 @@ func BenchmarkMatMulAT(bb *testing.B) {
 // BenchmarkMatMulAcc measures the accumulating entries at the weight-gradient
 // shapes they serve: conv dW += dY[OC, positions] × rows[positions, C·KH·KW]
 // for one block of resnet18's stage 1 (one image) and stage 4 (seven), and a
-// dense layer's dW += Xᵀ[In, N] × dY[N, Out] at lm_local's loss head.
+// dense layer's dW += Xᵀ[In, N] × dY[N, Out] at lm_local's loss heads (the
+// original's In = 128, a decoy's 56).
 func BenchmarkMatMulAcc(bb *testing.B) {
 	for _, s := range []struct {
 		name    string
@@ -74,6 +75,7 @@ func BenchmarkMatMulAcc(bb *testing.B) {
 		{"conv-dW-stage1", 64, 1024, 576, false},
 		{"conv-dW-stage4", 512, 112, 4608, false},
 		{"linear-dW-lm-head", 128, 1008, 2000, true},
+		{"linear-dW-lm-decoy", 56, 1008, 2000, true},
 	} {
 		bb.Run(fmt.Sprintf("%s-%dx%dx%d", s.name, s.m, s.k, s.n), func(bb *testing.B) {
 			a, b := benchMatrices(s.m, s.k, s.n) // read as [k, m] by the aᵀ entry

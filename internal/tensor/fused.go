@@ -373,16 +373,45 @@ func softmaxRowRange(dst, x []float32, cols, r0, r1 int) {
 // softmaxRow computes dst = softmax(src) for one row (dst may alias src).
 func softmaxRow(dst, src []float32) {
 	dst = dst[:len(src)]
+	sum := expRowSum(dst, src, rowMax(src))
+	scaleRow(dst, float32(1/sum))
+}
+
+// rowMax is what `maxv := src[0]; for each later v { if v > maxv { maxv = v } }`
+// leaves: src[0] when it is NaN, else the first element equal to the largest
+// ordered one. The SIMD lanes find that value; when it is zero they may hold
+// the other zero, so the first zero of the row is taken instead.
+func rowMax(src []float32) float32 {
 	maxv := src[0]
-	for _, v := range src[1:] {
+	p := 1
+	if simdAvailable && len(src) >= 8 && !math.IsNaN(float64(maxv)) {
+		maxv = maxRowSIMD(src, maxv)
+		p = len(src) &^ 7
+	}
+	for _, v := range src[p:] {
 		if v > maxv {
 			maxv = v
 		}
 	}
-	sum := expRowSum(dst, src, maxv)
-	inv := float32(1 / sum)
-	for i := range dst {
-		dst[i] *= inv
+	if maxv == 0 && p > 1 {
+		for _, v := range src {
+			if v == 0 {
+				return v
+			}
+		}
+	}
+	return maxv
+}
+
+// scaleRow computes dst[i] *= s.
+func scaleRow(dst []float32, s float32) {
+	i := 0
+	if simdAvailable {
+		scaleRowSIMD(dst, s)
+		i = len(dst) &^ 7
+	}
+	for ; i < len(dst); i++ {
+		dst[i] *= s
 	}
 }
 
@@ -474,9 +503,7 @@ func SoftmaxXentBwdInPlace(probs []float32, labels []int, rows, cols int, scale 
 func softmaxXentBwdInPlaceRange(probs []float32, labels []int, cols int, scale float32, r0, r1 int) {
 	for r := r0; r < r1; r++ {
 		row := probs[r*cols : (r+1)*cols]
-		for j := range row {
-			row[j] *= scale
-		}
+		scaleRow(row, scale)
 		row[labels[r]] -= scale
 	}
 }
@@ -655,7 +682,12 @@ func colSumAddRange(dbias, m []float32, rows, d, j0, j1 int) {
 	acc := dbias[j0:j1]
 	for r := 0; r < rows; r++ {
 		row := m[r*d+j0 : r*d+j1][:len(acc)]
-		for j := range acc {
+		j := 0
+		if simdAvailable {
+			addRowSIMD(acc, acc, row)
+			j = len(acc) &^ 7
+		}
+		for ; j < len(acc); j++ {
 			acc[j] += row[j]
 		}
 	}

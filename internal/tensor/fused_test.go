@@ -495,6 +495,144 @@ func TestColSumAddIntoMatchesSerialLoop(t *testing.T) {
 	}
 }
 
+// TestRowPassesMatchScalar pins the loss head's four row passes — the row
+// bias add, softmax's max and 1/sum scale, the in-place cross-entropy
+// backward and the bias column sum — to the scalar loops they replace, bit
+// for bit, with the SIMD kernels on and off and at every worker count: each
+// pass is element-wise or keeps every column's row order, so no rounding may
+// move. The rows plant ties at the maximum, ±0 maxima in both orders,
+// all-equal and all-zero rows, and labels in the first and last column.
+func TestRowPassesMatchScalar(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(1))
+	widths, rowCounts := []int{1, 7, 8, 9, 15, 16, 17, 2000, 2001}, []int{1, 3, 1008}
+	if raceEnabled {
+		rowCounts[2] = 67
+	}
+	fill := func(x []float32, rows, d int) {
+		for r := 0; r < rows; r++ {
+			row := x[r*d : (r+1)*d]
+			last := d - 1
+			switch (r + d) % 6 {
+			case 1: // the maximum three times
+				row[0], row[d/2], row[last] = 9, 9, 9
+			case 2: // negative logits, -0 the first zero, +0 a later one
+				for j := range row {
+					row[j] = -float32(math.Abs(float64(row[j]))) - 1
+				}
+				row[d/2] = float32(math.Copysign(0, -1))
+				row[last] = 0
+			case 3: // +0 first, -0 later
+				for j := range row {
+					row[j] = -float32(math.Abs(float64(row[j]))) - 1
+				}
+				row[d/2] = 0
+				row[last] = float32(math.Copysign(0, -1))
+			case 4: // all equal
+				for j := range row {
+					row[j] = 0.25
+				}
+			case 5: // all zero, signs alternating from -0
+				for j := range row {
+					row[j] = float32(math.Copysign(0, float64(j%2)-0.5))
+				}
+			}
+		}
+	}
+	scalarMax := func(src []float32) float32 {
+		maxv := src[0]
+		for _, v := range src[1:] {
+			if v > maxv {
+				maxv = v
+			}
+		}
+		return maxv
+	}
+	for _, simd := range []bool{true, false} {
+		if simd && !SIMDEnabled() {
+			continue
+		}
+		prev := SetSIMD(simd)
+		for _, d := range widths {
+			for _, rows := range rowCounts {
+				rng := NewRNG(uint64(rows*10007 + d))
+				x, bias, acc := New(rows, d), New(d), New(d)
+				rng.FillNormal(x, 0, 2)
+				rng.FillNormal(bias, 0, 1)
+				rng.FillNormal(acc, 0, 1)
+				fill(x.Data, rows, d)
+				labels := make([]int, rows)
+				for r := range labels {
+					labels[r] = []int{0, d - 1, (r * 37) % d}[r%3]
+				}
+				const scale = float32(1.0 / 1008)
+
+				wantBias, wantSoft, wantXent, wantSum := x.Clone(), x.Clone(), x.Clone(), acc.Clone()
+				for r := 0; r < rows; r++ {
+					src := x.Data[r*d : (r+1)*d]
+					row := wantBias.Data[r*d : (r+1)*d]
+					for j := range row {
+						row[j] = src[j] + bias.Data[j]
+					}
+					if got, want := rowMax(src), scalarMax(src); math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("simd=%v [%d, %d] row %d: rowMax %v, the scalar loop %v", simd, rows, d, r, got, want)
+					}
+					row = wantSoft.Data[r*d : (r+1)*d]
+					inv := float32(1 / expRowSum(row, src, scalarMax(src)))
+					for j := range row {
+						row[j] *= inv
+					}
+					row = wantXent.Data[r*d : (r+1)*d]
+					for j := range row {
+						row[j] *= scale
+					}
+					row[labels[r]] -= scale
+					for j := range src {
+						wantSum.Data[j] += src[j]
+					}
+				}
+				for _, workers := range []int{1, 2, 3, 8} {
+					SetMaxWorkers(workers)
+					for _, c := range []struct {
+						name string
+						got  *Tensor
+						want *Tensor
+						run  func(got []float32)
+					}{
+						{"AddRowBiasInto", x.Clone(), wantBias, func(g []float32) { AddRowBiasInto(g, x.Data, bias.Data, rows, d, ActNone, ActScratch{}) }},
+						{"SoftmaxRowsInto", x.Clone(), wantSoft, func(g []float32) { SoftmaxRowsInto(g, g, rows, d) }},
+						{"SoftmaxXentBwdInPlace", x.Clone(), wantXent, func(g []float32) { SoftmaxXentBwdInPlace(g, labels, rows, d, scale) }},
+						{"ColSumAddInto", acc.Clone(), wantSum, func(g []float32) { ColSumAddInto(g, x.Data, rows, d) }},
+					} {
+						c.run(c.got.Data)
+						if !c.got.Equal(c.want) {
+							t.Errorf("simd=%v workers=%d: %s over [%d, %d] differs from the scalar loop", simd, workers, c.name, rows, d)
+						}
+					}
+				}
+				SetMaxWorkers(1)
+			}
+		}
+		// NaN: the scalar max stays on a NaN first element and skips a later one.
+		for _, d := range widths {
+			src := make([]float32, d)
+			for j := range src {
+				src[j] = float32(j%5) - 2
+			}
+			for _, at := range []int{0, 1, 3, d / 2, d - 9, d - 1} {
+				if at < 0 || at >= d {
+					continue
+				}
+				row := append([]float32(nil), src...)
+				row[at] = float32(math.NaN())
+				if got, want := rowMax(row), scalarMax(row); math.Float32bits(got) != math.Float32bits(want) {
+					t.Errorf("simd=%v width %d, NaN at %d: rowMax %v, the scalar loop %v", simd, d, at, got, want)
+				}
+			}
+		}
+		SetSIMD(prev)
+	}
+}
+
 // TestFusedKernelsDeterministicAcrossWorkers pins the contract for the new
 // kernel family: bit-identical outputs for any SetMaxWorkers value,
 // including counts that force uneven row/channel chunking.

@@ -48,9 +48,11 @@ func matmulRowsPerWorker(k, n int) int {
 }
 
 // slabFloats (1 MB) is how much of a wide operand the row-range loops keep
-// between two passes over it: when b is larger, they walk it in column
-// blocks whose [k, nb] slab fits, so every row pair of a range reads the slab
-// from cache and b crosses the memory bus once, not once per pair.
+// between two passes over it: when b is larger, they walk it in blocks that
+// fit — column blocks whose [k, nb] slab does (colBlock), or, in the aᵀ × b
+// loop when no column window is cut, K-blocks of [kb, n] rows (kBlockAT) —
+// so every row pair of a range reads the slab from cache and b crosses the
+// memory bus once, not once per pair.
 const slabFloats = 1 << 18
 
 // minColBlock is the narrowest window worth cutting: narrower, the kernel
@@ -68,6 +70,19 @@ func colBlock(k, n int) int {
 		return n
 	}
 	return slabFloats / k &^ 15
+}
+
+// kBlockAT is how many rows of b [k, n] matmulATRowRange sweeps per pass over
+// its output rows, a function of shape alone: all k while b fits the slab or
+// colBlock cuts it into column windows, else the most rows whose [kb, n] slab
+// fits, rounded down to a multiple of four (at least four) so a block edge
+// never splits a group of the four-row kernels — the loss heads' dW = Xᵀ·dZ
+// over a [1008, 2000] dZ walks it in 128-row blocks.
+func kBlockAT(k, n int) int {
+	if k*n <= slabFloats || colBlock(k, n) < n {
+		return k
+	}
+	return max(4, slabFloats/n&^3)
 }
 
 // rowBlockBT is how many rows of b [n, k] matmulBTRowRange sweeps per pass
@@ -309,78 +324,94 @@ func matmulATRaw(dst, a, b []float32, m, k, n int, acc bool) {
 	if m == 0 || n == 0 {
 		return
 	}
-	rpw, nb := matmulRowsPerWorker(k, n), colBlock(k, n)
+	rpw, nb, kb := matmulRowsPerWorker(k, n), colBlock(k, n), kBlockAT(k, n)
 	if chunksFor(m, rpw) <= 1 {
-		matmulATRowRange(dst, a, b, m, k, n, nb, 0, m, acc)
+		matmulATRowRange(dst, a, b, m, k, n, nb, kb, 0, m, acc)
 		return
 	}
 	parallelFor(m, rpw, func(r0, r1 int) {
-		matmulATRowRange(dst, a, b, m, k, n, nb, r0, r1, acc)
+		matmulATRowRange(dst, a, b, m, k, n, nb, kb, r0, r1, acc)
 	})
 }
 
 // matmulATRowRange is matmulRowRange with a read down its columns: output
-// row i takes its k multipliers from ad[p*m+i].
-func matmulATRowRange(od, ad, bd []float32, m, k, n, nb, r0, r1 int, acc bool) {
+// row i takes its k multipliers from ad[p*m+i]. Within a column window it
+// walks b in K-blocks of kb rows (kBlockAT, a multiple of four): every row
+// pair of the range takes its groups of four from one block before the next
+// block is touched. A row is zeroed in the first block and takes the k%4
+// remainder in the last, so each element's chain — zero or what od held,
+// the groups of four in ascending p, then the remainder — is the unblocked
+// loop's whatever kb, the window or the row range.
+func matmulATRowRange(od, ad, bd []float32, m, k, n, nb, kb, r0, r1 int, acc bool) {
+	k4 := k &^ 3
 	for j0 := 0; j0 < n; j0 += nb {
 		w := min(nb, n-j0)
 		bw := bd[j0:]
-		i := r0
-		for ; i+2 <= r1; i += 2 {
-			d0 := od[i*n+j0 : i*n+j0+w]
-			d1 := od[(i+1)*n+j0 : (i+1)*n+j0+w]
-			if !acc {
-				zeroFloats(d0)
-				zeroFloats(d1)
-			}
-			p := 0
-			if simdAvailable {
-				var av [8]float32
-				for ; p+4 <= k; p += 4 {
-					av[0], av[1], av[2], av[3] = ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i]
-					av[4], av[5], av[6], av[7] = ad[p*m+i+1], ad[(p+1)*m+i+1], ad[(p+2)*m+i+1], ad[(p+3)*m+i+1]
-					axpy4x2SIMD(d0, d1,
-						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
-						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w], &av)
+		for p0 := 0; ; p0 += kb {
+			p1 := min(p0+kb, k4)
+			zero, last := !acc && p0 == 0, p1 == k4
+			i := r0
+			for ; i+2 <= r1; i += 2 {
+				d0 := od[i*n+j0 : i*n+j0+w]
+				d1 := od[(i+1)*n+j0 : (i+1)*n+j0+w]
+				if zero {
+					zeroFloats(d0)
+					zeroFloats(d1)
 				}
-			} else {
-				for ; p+4 <= k; p += 4 {
-					axpy4x2Generic(d0, d1,
-						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
-						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w],
-						ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i],
-						ad[p*m+i+1], ad[(p+1)*m+i+1], ad[(p+2)*m+i+1], ad[(p+3)*m+i+1])
+				if simdAvailable {
+					var av [8]float32
+					for p := p0; p < p1; p += 4 {
+						av[0], av[1], av[2], av[3] = ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i]
+						av[4], av[5], av[6], av[7] = ad[p*m+i+1], ad[(p+1)*m+i+1], ad[(p+2)*m+i+1], ad[(p+3)*m+i+1]
+						axpy4x2SIMD(d0, d1,
+							bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
+							bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w], &av)
+					}
+				} else {
+					for p := p0; p < p1; p += 4 {
+						axpy4x2Generic(d0, d1,
+							bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
+							bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w],
+							ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i],
+							ad[p*m+i+1], ad[(p+1)*m+i+1], ad[(p+2)*m+i+1], ad[(p+3)*m+i+1])
+					}
 				}
-			}
-			for ; p < k; p++ {
-				axpy1(d0, bw[p*n:p*n+w], ad[p*m+i])
-				axpy1(d1, bw[p*n:p*n+w], ad[p*m+i+1])
-			}
-		}
-		for ; i < r1; i++ {
-			d0 := od[i*n+j0 : i*n+j0+w]
-			if !acc {
-				zeroFloats(d0)
-			}
-			p := 0
-			if simdAvailable {
-				var av [4]float32
-				for ; p+4 <= k; p += 4 {
-					av[0], av[1], av[2], av[3] = ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i]
-					axpy4SIMD(d0,
-						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
-						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w], &av)
-				}
-			} else {
-				for ; p+4 <= k; p += 4 {
-					axpy4Generic(d0,
-						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
-						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w],
-						ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i])
+				if last {
+					for p := k4; p < k; p++ {
+						axpy1(d0, bw[p*n:p*n+w], ad[p*m+i])
+						axpy1(d1, bw[p*n:p*n+w], ad[p*m+i+1])
+					}
 				}
 			}
-			for ; p < k; p++ {
-				axpy1(d0, bw[p*n:p*n+w], ad[p*m+i])
+			for ; i < r1; i++ {
+				d0 := od[i*n+j0 : i*n+j0+w]
+				if zero {
+					zeroFloats(d0)
+				}
+				if simdAvailable {
+					var av [4]float32
+					for p := p0; p < p1; p += 4 {
+						av[0], av[1], av[2], av[3] = ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i]
+						axpy4SIMD(d0,
+							bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
+							bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w], &av)
+					}
+				} else {
+					for p := p0; p < p1; p += 4 {
+						axpy4Generic(d0,
+							bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
+							bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w],
+							ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i])
+					}
+				}
+				if last {
+					for p := k4; p < k; p++ {
+						axpy1(d0, bw[p*n:p*n+w], ad[p*m+i])
+					}
+				}
+			}
+			if last {
+				break
 			}
 		}
 	}

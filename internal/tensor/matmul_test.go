@@ -283,14 +283,19 @@ func unblockedDot(dst, a, b []float32, m, k, n int) {
 	}
 }
 
-// TestMatMulBlockedMatchesUnblocked pins what the column window (colBlock)
-// and the bᵀ loop order (rowBlockBT) promise: every raw entry, overwriting
-// and accumulating, equals the unwindowed loop bit for bit — on both
-// backends, at every worker count — over one cv_local decoy's tail (Linear
-// 32 → 43 000 and its head, each as a × b, aᵀ × b and a × bᵀ), widths one
-// short of, one past and two blocks past a block edge with odd m and
-// k%4 ≠ 0, resnet18's stage panels (forward, dX, dW) and lm_local's heads.
-// Each shape runs through all three families over the same two buffers.
+// TestMatMulBlockedMatchesUnblocked pins what the column window (colBlock),
+// the bᵀ loop order (rowBlockBT) and the aᵀ × b K-blocks promise: every raw
+// entry, overwriting and accumulating, equals the unwindowed loop bit for
+// bit — on both backends, at every worker count — over one cv_local decoy's
+// tail (Linear 32 → 43 000 and its head, each as a × b, aᵀ × b and a × bᵀ),
+// widths one short of, one past and two blocks past a block edge with odd m
+// and k%4 ≠ 0, resnet18's stage panels (forward, dX, dW), lm_local's head
+// forwards and the loss heads' dW = Xᵀ·dZ (the original's K = 128, a
+// decoy's 56, and an odd 57). A K-block is slabFloats/n rows rounded down
+// to a multiple of four, so k one short of, at, one past and three past the
+// third block edge, and k < 4 (no group of four at all), pin where the
+// blocks cut and where the k%4 tail runs. Each shape runs through all three
+// families over the same two buffers.
 func TestMatMulBlockedMatchesUnblocked(t *testing.T) {
 	defer SetMaxWorkers(SetMaxWorkers(1))
 	edge := colBlock(30, 1<<20)
@@ -306,12 +311,24 @@ func TestMatMulBlockedMatchesUnblocked(t *testing.T) {
 		{128, 1152, 256}, {256, 2304, 192}, {256, 192, 2304},
 		{512, 4608, 112}, {4608, 512, 112}, {512, 112, 4608},
 		{1008, 128, 2000}, {1008, 56, 2000},
+		{128, 1008, 2000}, {56, 1008, 2000}, {57, 1008, 2000},
+		{5, 3, 2000}, {7, 1, 2000}, {3, 2, 1000},
+	}
+	const n = 2000
+	kb := slabFloats / n &^ 3 // one K-block: 131 rows fit, 128 are taken
+	for _, dk := range []int{-1, 0, 1, 3} {
+		k := 3*kb + dk
+		if k*n <= slabFloats || colBlock(k, n) != n {
+			t.Fatalf("fixture: %d×%d is meant to be a dW panel past the slab with no column window", k, n)
+		}
+		shapes = append(shapes, struct{ m, k, n int }{9, k, n})
 	}
 	for _, simd := range []bool{true, false} {
 		if simd && !SIMDEnabled() {
 			continue
 		}
 		prev := SetSIMD(simd)
+		ran := map[[3]int]bool{}
 		for _, s := range shapes {
 			m, k, n := s.m, s.k, s.n
 			if macs := m * k * n; (!simd && macs > 1<<25) || (raceEnabled && macs > 1<<22) {
@@ -321,6 +338,10 @@ func TestMatMulBlockedMatchesUnblocked(t *testing.T) {
 				// odd handful of its rows.
 				m = 5
 			}
+			if ran[[3]int{m, k, n}] { // the dW heads' rows trimmed alike
+				continue
+			}
+			ran[[3]int{m, k, n}] = true
 			rng := NewRNG(uint64(k*1000 + n))
 			a, b, seed := New(m*k), New(k*n), New(m*n)
 			rng.FillNormal(a, 0, 1)

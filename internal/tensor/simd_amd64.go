@@ -43,6 +43,15 @@ func tanhRowSIMD(dst, src []float32)
 //go:noescape
 func sigmoidRowSIMD(dst, src []float32)
 
+//go:noescape
+func addRowSIMD(dst, a, b []float32)
+
+//go:noescape
+func scaleRowSIMD(dst []float32, s float32)
+
+//go:noescape
+func maxRowSIMD(src []float32, init float32) float32
+
 // simdAvailable gates the SIMD dispatch in matmul.go.
 var simdAvailable = detectAVX2FMA()
 

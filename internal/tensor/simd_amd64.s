@@ -730,3 +730,92 @@ sloop8:
 sdone:
 	VZEROUPPER
 	RET
+
+// func addRowSIMD(dst, a, b []float32)
+//
+// For j in [0, len(dst)&^7): dst[j] = a[j] + b[j], one rounding per
+// element as in scalar Go, so the result is the pure-Go loop's bit for bit.
+// dst may alias a. Tail is the caller's job.
+TEXT ·addRowSIMD(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R8
+	XORQ AX, AX
+	ANDQ $-8, CX
+	JEQ  adone
+aloop8:
+	VMOVUPS (SI)(AX*4), Y0
+	VADDPS (R8)(AX*4), Y0, Y0        // a + b
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  aloop8
+adone:
+	VZEROUPPER
+	RET
+
+// func scaleRowSIMD(dst []float32, s float32)
+//
+// For j in [0, len(dst)&^7): dst[j] *= s, bit for bit the scalar product.
+// Tail is the caller's job.
+TEXT ·scaleRowSIMD(SB), NOSPLIT, $0-28
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	VBROADCASTSS s+24(FP), Y15
+	XORQ AX, AX
+	ANDQ $-8, CX
+	JEQ  scdone
+scloop8:
+	VMOVUPS (DI)(AX*4), Y0
+	VMULPS Y15, Y0, Y0               // dst * s
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  scloop8
+scdone:
+	VZEROUPPER
+	RET
+
+// func maxRowSIMD(src []float32, init float32) float32
+//
+// Returns the largest of init and src[j] for j in [0, len(src)&^7), init
+// not NaN. Each lane keeps `v > acc ? v : acc` (VMAXPS with the new value
+// as its first source), so a NaN element is never taken and no lane leaves
+// the ordered values; the lanes then combine in a fixed order. Which of two
+// equal values survives is not the scalar loop's rule — only ±0 can differ,
+// and the caller settles it.
+TEXT ·maxRowSIMD(SB), NOSPLIT, $0-36
+	MOVQ src_base+0(FP), SI
+	MOVQ src_len+8(FP), CX
+	VBROADCASTSS init+24(FP), Y0
+	VMOVAPS Y0, Y1
+	XORQ AX, AX
+	ANDQ $-8, CX
+	MOVQ CX, BX
+	ANDQ $-16, BX
+	JEQ  mone
+mloop16:
+	VMOVUPS (SI)(AX*4), Y8
+	VMOVUPS 32(SI)(AX*4), Y9
+	VMAXPS Y0, Y8, Y0                // v > acc ? v : acc
+	VMAXPS Y1, Y9, Y1
+	ADDQ $16, AX
+	CMPQ AX, BX
+	JLT  mloop16
+mone:
+	CMPQ AX, CX
+	JGE  mreduce
+	VMOVUPS (SI)(AX*4), Y8
+	VMAXPS Y0, Y8, Y0
+mreduce:
+	VMAXPS Y1, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPS X1, X0, X0
+	VMOVHLPS X0, X0, X1
+	VMAXPS X1, X0, X0
+	VPSHUFD $1, X0, X1
+	VMAXSS X1, X0, X0
+	VMOVSS X0, ret+32(FP)
+	VZEROUPPER
+	RET

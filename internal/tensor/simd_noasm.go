@@ -48,3 +48,15 @@ func tanhRowSIMD(dst, src []float32) {
 func sigmoidRowSIMD(dst, src []float32) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
+
+func addRowSIMD(dst, a, b []float32) {
+	panic("tensor: SIMD kernel called on non-amd64 build")
+}
+
+func scaleRowSIMD(dst []float32, s float32) {
+	panic("tensor: SIMD kernel called on non-amd64 build")
+}
+
+func maxRowSIMD(src []float32, init float32) float32 {
+	panic("tensor: SIMD kernel called on non-amd64 build")
+}
