@@ -112,6 +112,39 @@ func TestAsyncSubmitPollAttach(t *testing.T) {
 	}
 }
 
+// TestJobIDsAreUnguessable: job IDs are drawn at random, not counted, so
+// two fresh servers (a restart, say) never issue the same one — a client
+// re-attaching after a restart cannot land on another tenant's job — and
+// an ID made up by counting names no job: attach, poll and cancel answer
+// ErrUnknownJob even on a server that has admitted jobs.
+func TestJobIDsAreUnguessable(t *testing.T) {
+	ctx := context.Background()
+	issued := map[string]bool{}
+	for range 2 {
+		addr, _ := startAsyncServer(t, ServerConfig{Executors: 1})
+		for range 3 {
+			id, err := SubmitContext(ctx, addr, textJob(t), NetConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if issued[id] {
+				t.Fatalf("job ID %q issued twice", id)
+			}
+			issued[id] = true
+		}
+		const counted = "job-000001"
+		if _, err := AttachContext(ctx, addr, AttachRequest{JobID: counted}, StreamHandlers{}, NetConfig{}); !errors.Is(err, ErrUnknownJob) {
+			t.Fatalf("attach to %s: %v, want ErrUnknownJob", counted, err)
+		}
+		if _, err := PollContext(ctx, addr, counted, NetConfig{}); !errors.Is(err, ErrUnknownJob) {
+			t.Fatalf("poll of %s: %v, want ErrUnknownJob", counted, err)
+		}
+		if _, err := CancelJobContext(ctx, addr, counted, NetConfig{}); !errors.Is(err, ErrUnknownJob) {
+			t.Fatalf("cancel of %s: %v, want ErrUnknownJob", counted, err)
+		}
+	}
+}
+
 // TestAsyncUnknownJob pins the fatal reject for IDs the scheduler never
 // issued, across all three by-ID operations.
 func TestAsyncUnknownJob(t *testing.T) {

@@ -14,10 +14,15 @@ import (
 	"amalgam/internal/serialize"
 )
 
-// StreamHandlers receives server-pushed frames during TrainContext or
-// AttachContext. Both hooks are optional and are called from the reading
+// StreamHandlers receives server-pushed frames during TrainContextNet or
+// AttachContext. The hooks are optional and are called from the reading
 // goroutine in arrival order.
 type StreamHandlers struct {
+	// Admitted receives the job's ID once the server has admitted it
+	// (TrainContextNet): from then on the job is the server's, and a
+	// caller that loses the connection can re-attach by that ID instead of
+	// uploading the job again.
+	Admitted func(jobID string)
 	// Progress receives one EpochMetric per completed epoch when
 	// Hyper.Stream is set (always on an attach stream).
 	Progress func(EpochMetric)
@@ -25,7 +30,7 @@ type StreamHandlers struct {
 	// state, RNG cursors) when Hyper.CheckpointEvery > 0 — ready to hand
 	// to serialize.SaveTrainCheckpoint unchanged. The epoch a run ends on
 	// has no checkpoint frame (the response is that snapshot):
-	// TrainContext hands the hook the response in its place. With Into
+	// TrainContextNet hands the hook the response in its place. With Into
 	// set, ck is Into: it aliases the destination's tensors and holds this
 	// boundary only until the next frame lands.
 	Checkpoint func(ck *serialize.TrainCheckpoint)
@@ -89,22 +94,6 @@ type NetConfig struct {
 // server to flush its final (partial) result and state.
 var cancelDrainTimeout = 30 * time.Second
 
-// Train submits a job to a remote service and waits for the result — the
-// user-side upload/train/download loop of Fig. 1.
-func Train(addr string, req *TrainRequest) (*TrainResponse, error) {
-	return TrainContext(context.Background(), addr, req, StreamHandlers{})
-}
-
-// TrainContext submits a job and streams server-pushed progress and
-// checkpoint frames into h while waiting for the result. Cancelling ctx
-// sends msgCancel; the server stops at the next epoch boundary and returns
-// the epoch-aligned partial state, which TrainContext still delivers (with
-// resp.Cancelled set) so the caller can checkpoint it — callers decide
-// whether a cancelled job is an error.
-func TrainContext(ctx context.Context, addr string, req *TrainRequest, h StreamHandlers) (*TrainResponse, error) {
-	return TrainContextNet(ctx, addr, req, h, NetConfig{})
-}
-
 // dialFrames opens the framed transport to a service.
 func dialFrames(ctx context.Context, addr string, net_ NetConfig) (*deadlineConn, error) {
 	d := net.Dialer{Timeout: net_.DialTimeout}
@@ -121,14 +110,13 @@ type frame struct {
 	payload []byte
 }
 
-// writeRequest puts a full request on the wire, ending with terminator
-// (msgDone: train on this connection; msgSubmit: enqueue for later). Data
-// and state frames are encoded from their tensors straight onto the
+// writeRequest puts a full request on the wire, ending with msgSubmit.
+// Data and state frames are encoded from their tensors straight onto the
 // connection: the server reads one while the client encodes the next. A
 // request with an initial state ships it as the checkpoint it starts from
 // — start epoch, weights, optimiser state, dropout cursors — in one
 // msgInit frame.
-func writeRequest(w io.Writer, req *TrainRequest, terminator byte) error {
+func writeRequest(w io.Writer, req *TrainRequest) error {
 	specPayload, err := encodeSpecFrame(req.Spec)
 	if err != nil {
 		return err
@@ -161,7 +149,7 @@ func writeRequest(w io.Writer, req *TrainRequest, terminator byte) error {
 			State: req.InitState, OptState: req.InitOptState, RNG: req.InitRNG,
 		})
 	}
-	s.bytes(terminator, nil)
+	s.bytes(msgSubmit, nil)
 	return s.flush()
 }
 
@@ -169,8 +157,8 @@ func writeRequest(w io.Writer, req *TrainRequest, terminator byte) error {
 // and may stop reading, failing the rest of the upload with a reset that
 // says nothing of why: on a transport error the refusal, when one is there
 // to be read, is what sendRequest reports — fatal, not retried.
-func sendRequest(conn *deadlineConn, req *TrainRequest, terminator byte) error {
-	werr := writeRequest(conn, req, terminator)
+func sendRequest(conn *deadlineConn, req *TrainRequest) error {
+	werr := writeRequest(conn, req)
 	if werr == nil || !IsTransient(werr) || errors.Is(werr, os.ErrDeadlineExceeded) {
 		return werr
 	}
@@ -273,20 +261,33 @@ func readJobStream(ctx context.Context, conn *deadlineConn, h StreamHandlers) (*
 	}
 }
 
-// TrainContextNet is TrainContext with explicit transport bounds (dial
-// and per-frame deadlines) — the building block of RemoteTrainer's retry
-// path, where a hung connection must fail fast enough to be retried.
+// TrainContextNet runs a job on a remote service and waits for its result
+// — the user-side upload/train/download loop of Fig. 1 — over one
+// connection: the request and its ack (submit), then msgAttach for the
+// admitted job, answered by the job stream from the cursor the server
+// made live at admission, so every progress and checkpoint frame arrives
+// once and none is replayed. h.Admitted learns the job's ID from the ack:
+// the job is the server's from then on, and losing the connection only
+// detaches it. Cancelling ctx sends msgCancel; the server stops at the
+// next epoch boundary and returns the epoch-aligned partial state, which
+// TrainContextNet still delivers (with resp.Cancelled set) so the caller
+// can checkpoint it — callers decide whether a cancelled job is an error.
+// net_ bounds the dial and each frame.
 func TrainContextNet(ctx context.Context, addr string, req *TrainRequest, h StreamHandlers, net_ NetConfig) (*TrainResponse, error) {
 	conn, err := dialFrames(ctx, addr, net_)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	if err := sendRequest(conn, req, msgDone); err != nil {
+	id, err := submit(conn, req)
+	if err != nil {
 		return nil, err
 	}
+	if h.Admitted != nil {
+		h.Admitted(id)
+	}
 	h.optBuffers = req.Hyper.optBuffers()
-	resp, err := readJobStream(ctx, conn, h)
+	resp, err := attachOn(ctx, conn, AttachRequest{JobID: id, FromEpoch: req.Hyper.StartEpoch}, h)
 	if every := req.Hyper.CheckpointEvery; err == nil && h.Checkpoint != nil &&
 		every > 0 && resp.CompletedEpochs == req.Hyper.Epochs && req.Hyper.Epochs%every == 0 {
 		// The run ended on the checkpoint cadence and the server ships that
@@ -308,8 +309,12 @@ func SubmitContext(ctx context.Context, addr string, req *TrainRequest, net_ Net
 		return "", err
 	}
 	defer conn.Close()
+	return submit(conn, req)
+}
 
-	if err := sendRequest(conn, req, msgSubmit); err != nil {
+// submit uploads req and reads the answer: the admitted job's ID.
+func submit(conn *deadlineConn, req *TrainRequest) (string, error) {
+	if err := sendRequest(conn, req); err != nil {
 		return "", err
 	}
 	kind, payload, err := conn.readFrame()
@@ -318,7 +323,7 @@ func SubmitContext(ctx context.Context, addr string, req *TrainRequest, net_ Net
 	}
 	switch kind {
 	case msgSubmitAck:
-		var ack submitAck
+		var ack jobRef
 		if err := json.Unmarshal(payload, &ack); err != nil {
 			return "", fmt.Errorf("cloudsim: bad submit ack: %w", err)
 		}
@@ -381,7 +386,7 @@ func pollFrame(ctx context.Context, addr, jobID string, kind byte, net_ NetConfi
 // streaming buffered-then-live progress and checkpoint frames into h.
 // Buffered epochs at or before areq.FromEpoch are skipped — pass the last
 // epoch already seen so a retried attach re-delivers nothing. Cancelling
-// ctx sends msgCancel, which cancels the JOB (matching TrainContext);
+// ctx sends msgCancel, which cancels the JOB (matching TrainContextNet);
 // dropping the connection without it merely detaches, leaving the job
 // running for a later attach.
 func AttachContext(ctx context.Context, addr string, areq AttachRequest, h StreamHandlers, net_ NetConfig) (*TrainResponse, error) {
@@ -390,7 +395,11 @@ func AttachContext(ctx context.Context, addr string, areq AttachRequest, h Strea
 		return nil, err
 	}
 	defer conn.Close()
+	return attachOn(ctx, conn, areq, h)
+}
 
+// attachOn sends msgAttach on conn and reads the job stream it answers.
+func attachOn(ctx context.Context, conn *deadlineConn, areq AttachRequest, h StreamHandlers) (*TrainResponse, error) {
 	js, err := json.Marshal(areq)
 	if err != nil {
 		return nil, err

@@ -289,11 +289,11 @@ func TestStreamingServerHoldsOneInitialState(t *testing.T) {
 			req.InitOptState = &optim.State{Kind: optim.KindSGD, LR: req.Hyper.LR, Buffers: mom}
 		}
 		var held uint64
-		_, err = TrainContext(context.Background(), l.Addr().String(), req, StreamHandlers{Progress: func(m EpochMetric) {
+		_, err = TrainContextNet(context.Background(), l.Addr().String(), req, StreamHandlers{Progress: func(m EpochMetric) {
 			if m.Epoch == 3 {
 				held = heap()
 			}
-		}})
+		}}, NetConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

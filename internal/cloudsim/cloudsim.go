@@ -6,12 +6,13 @@
 // analysis (§6.3) consumes, and an accelerator cost model used to report
 // GPU-relative numbers on a CPU-only testbed (Fig. 14).
 //
-// The service speaks wire protocol v4 (frame table in frames.go). One
-// connection carries one conversation: a training job run on the
-// connection itself (per-epoch progress, checkpoint frames, cooperative
-// cancellation, a shutdown handoff), a submission to the multi-tenant
-// scheduler followed by poll/attach/cancel on later connections, or any
-// number of batched predictions. CV, text-classification, and
+// The service speaks wire protocol v5 (frame table in frames.go). One
+// connection carries one conversation: a job submitted to the
+// multi-tenant scheduler and attached to on the same connection or a
+// later one (per-epoch progress, checkpoint frames, cooperative
+// cancellation, a shutdown handoff), a poll or cancel by job ID, or any
+// number of batched predictions. A job is never its connection's: a
+// client that hangs up only detaches. CV, text-classification, and
 // language-model jobs ride the same frames, and every epoch they run goes
 // through the one TrainLoop that local training uses too — which is what
 // makes remote, local, resumed, and fault-interrupted runs bit-identical.

@@ -102,7 +102,7 @@ func TestCloudRoundtripMatchesLocalTraining(t *testing.T) {
 	}
 	req.InitState = nn.StateDict(model)
 
-	resp, err := Train(l.Addr().String(), req)
+	resp, err := TrainContextNet(context.Background(), l.Addr().String(), req, StreamHandlers{}, NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestServerReportsErrors(t *testing.T) {
 	}()
 	req, _, _ := tinyJob(t, false)
 	req.Spec.Model = "unknown-model"
-	if _, err := Train(l.Addr().String(), req); err == nil {
+	if _, err := TrainContextNet(context.Background(), l.Addr().String(), req, StreamHandlers{}, NetConfig{}); err == nil {
 		t.Fatal("server should propagate build errors")
 	}
 }

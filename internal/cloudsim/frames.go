@@ -15,25 +15,23 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// Wire protocol v4. Every message is a frame: a 1-byte kind, a uint32
+// Wire protocol v5. Every message is a frame: a 1-byte kind, a uint32
 // little-endian payload length, and the payload. A connection carries one
 // conversation, chosen by its first frame:
 //
-//	train    spec, hyper, data…, [msgInit] then msgDone: the server
-//	         admits the job with this connection attached and answers
-//	         with the job stream below. A mid-job msgCancel (or the
-//	         connection dying) stops the job at the next epoch boundary.
-//	submit   the same request ended by msgSubmit: answered by
-//	         msgSubmitAck carrying a durable job ID; the job runs whether
-//	         or not anyone is connected.
+//	submit   spec, hyper, data…, [msgInit] then msgSubmit: answered by
+//	         msgSubmitAck carrying the job's ID. The job runs whether or
+//	         not anyone is connected. The same connection may then send
+//	         msgAttach for that job: the job stream below, from the
+//	         cursor made live at admission, so nothing is replayed.
 //	attach   msgAttach: buffered-then-live job stream of a submitted job.
 //	         msgCancel cancels the job; disconnecting merely detaches.
 //	control  msgPoll, or msgCancel with a job ID: answered by
 //	         msgJobStatus, repeatable.
 //	infer    msgInfer, answered by msgInferResult, repeatable.
 //
-// A job stream is: msgProgress per epoch (when Hyper.Stream; always on
-// attach), msgCheckpoint every Hyper.CheckpointEvery epochs EXCEPT the
+// A job stream is: msgProgress per epoch (on the submitting connection
+// when Hyper.Stream; always on a later attach), msgCheckpoint every Hyper.CheckpointEvery epochs EXCEPT the
 // run's last (the terminal frames that follow are that snapshot), then
 // msgResult and msgState. A server draining for shutdown ends the stream
 // instead with an epoch-aligned msgCheckpoint and a retryable
@@ -73,7 +71,6 @@ const (
 	msgLabels      byte = 3  // client→server: serialize int slice
 	msgImages      byte = 4  // client→server: serialize tensor [N, C, H, W]
 	msgInit        byte = 5  // client→server: serialize.WriteTrainCheckpoint bytes, the state training starts from
-	msgDone        byte = 6  // client→server: end of request, train on this connection
 	msgResult      byte = 7  // server→client: resultMeta JSON
 	msgState       byte = 8  // server→client: serialize.WriteTrainCheckpoint bytes, the final state; ends the job stream
 	msgError       byte = 9  // server→client: errCode byte + message
@@ -84,8 +81,8 @@ const (
 	msgEvalImages  byte = 14
 	msgEvalLabels  byte = 15
 	msgEvalTokens  byte = 16
-	msgSubmit      byte = 19 // client→server: end of request, enqueue and ack
-	msgSubmitAck   byte = 20 // server→client: submitAck JSON with the job ID
+	msgSubmit      byte = 19 // client→server: end of request, admit and ack
+	msgSubmitAck   byte = 20 // server→client: jobRef JSON naming the admitted job
 	msgPoll        byte = 21 // client→server: jobRef JSON, answered by msgJobStatus
 	msgJobStatus   byte = 22 // server→client: JobStatus JSON
 	msgAttach      byte = 23 // client→server: AttachRequest JSON, answered by a job stream
@@ -95,7 +92,7 @@ const (
 
 // protocolVersion is the one version this binary speaks, carried as the
 // first byte of every spec frame; any other value is ErrProtocolVersion.
-const protocolVersion byte = 4
+const protocolVersion byte = 5
 
 // maxFrame bounds a single frame's payload. It is a variable only so the
 // protocol tests can lower it without allocating gigabyte payloads; both
@@ -309,13 +306,8 @@ type resultMeta struct {
 	Cancelled bool          `json:"cancelled,omitempty"`
 }
 
-// submitAck is the msgSubmitAck JSON body.
-type submitAck struct {
-	JobID string `json:"job_id"`
-}
-
-// jobRef is the msgPoll JSON body and the payload of a cancel-by-ID
-// msgCancel control frame.
+// jobRef names a scheduled job: the msgSubmitAck and msgPoll JSON body,
+// and the payload of a cancel-by-ID msgCancel control frame.
 type jobRef struct {
 	JobID string `json:"job_id"`
 }

@@ -137,7 +137,7 @@ func TestRefusedUploadReportsTheRefusal(t *testing.T) {
 			}
 			defer conn.Close()
 			conn.SetDeadline(time.Now().Add(30 * time.Second))
-			if err := writeRequest(conn, req, msgDone); err != nil {
+			if err := writeRequest(conn, req); err != nil {
 				t.Fatalf("the refused upload was not read to its end: %v", err)
 			}
 			kind, payload, err := readFrame(conn)
@@ -158,11 +158,11 @@ func TestRefusedUploadReportsTheRefusal(t *testing.T) {
 		}
 		rc := &resetConn{budget: 1 << 20}
 		rc.r.Reset(refusal.Bytes())
-		if err := sendRequest(newDeadlineConn(rc, 0, 0), req, msgDone); !errors.Is(err, ErrProtocolVersion) || IsTransient(err) {
+		if err := sendRequest(newDeadlineConn(rc, 0, 0), req); !errors.Is(err, ErrProtocolVersion) || IsTransient(err) {
 			t.Fatalf("reset upload with a refusal waiting reported %v, want the fatal ErrProtocolVersion", err)
 		}
 		rc = &resetConn{budget: 1 << 20}
-		if err := sendRequest(newDeadlineConn(rc, 0, 0), req, msgDone); !errors.Is(err, syscall.ECONNRESET) || !IsTransient(err) {
+		if err := sendRequest(newDeadlineConn(rc, 0, 0), req); !errors.Is(err, syscall.ECONNRESET) || !IsTransient(err) {
 			t.Fatalf("reset upload with nothing to read reported %v, want the transient reset", err)
 		}
 	})
@@ -229,7 +229,7 @@ func TestStreamedFramesMatchStagedBytes(t *testing.T) {
 	// buffer, are the same frames in the same order.
 	req := textJob(t)
 	req.ResumeFrom(ck)
-	up := encoded(t, func(w io.Writer) error { return writeRequest(w, req, msgDone) })
+	up := encoded(t, func(w io.Writer) error { return writeRequest(w, req) })
 	var want bytes.Buffer
 	spec, err := encodeSpecFrame(req.Spec)
 	if err != nil {
@@ -241,7 +241,7 @@ func TestStreamedFramesMatchStagedBytes(t *testing.T) {
 		{msgLabels, encoded(t, func(w io.Writer) error { return serialize.WriteIntSlice(w, req.Labels) })},
 		{msgTokens, encoded(t, func(w io.Writer) error { return serialize.WriteIntSlice(w, flattenSamples(req.Samples)) })},
 		{msgInit, encoded(t, cases[5].write)},
-		{msgDone, nil},
+		{msgSubmit, nil},
 	} {
 		if err := writeFrame(&want, f.kind, f.payload); err != nil {
 			t.Fatal(err)
@@ -656,7 +656,7 @@ func TestRemoteJobAllocationBudget(t *testing.T) {
 
 	req := wideTextJob(t, 8)
 	if got := allocatedBy(func() {
-		if err := writeRequest(io.Discard, req, msgDone); err != nil {
+		if err := writeRequest(io.Discard, req); err != nil {
 			t.Fatal(err)
 		}
 	}); got > budget {
@@ -698,7 +698,7 @@ func TestFinishedJobsKeepOnlyTheirResult(t *testing.T) {
 	var result int
 	for i := 0; i < jobs; i++ {
 		req := wideTextJob(t, 4)
-		resp, err := TrainContext(context.Background(), addr, req, StreamHandlers{})
+		resp, err := TrainContextNet(context.Background(), addr, req, StreamHandlers{}, NetConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

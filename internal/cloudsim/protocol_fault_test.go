@@ -50,10 +50,10 @@ func TestShutdownHandsOffFailoverClient(t *testing.T) {
 	req.Hyper.Epochs = epochs
 	var once sync.Once
 	var last *serialize.TrainCheckpoint
-	resp, err := TrainContext(context.Background(), l.Addr().String(), req, StreamHandlers{
+	resp, err := TrainContextNet(context.Background(), l.Addr().String(), req, StreamHandlers{
 		Progress:   func(EpochMetric) { once.Do(func() { triggerShutdown(server) }) },
 		Checkpoint: func(ck *serialize.TrainCheckpoint) { last = ck },
-	})
+	}, NetConfig{})
 	if err == nil {
 		t.Fatalf("job outran the shutdown signal (%d epochs completed)", resp.CompletedEpochs)
 	}
@@ -102,7 +102,7 @@ func TestShutdownHandsOffFailoverClient(t *testing.T) {
 	resumed.InitState = last.State
 	resumed.InitOptState = last.OptState
 	resumed.InitRNG = last.RNG
-	got, err := TrainContext(context.Background(), l2.Addr().String(), resumed, StreamHandlers{})
+	got, err := TrainContextNet(context.Background(), l2.Addr().String(), resumed, StreamHandlers{}, NetConfig{})
 	if err != nil {
 		t.Fatalf("resume on second server: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestAcceptLoopRidesOutTemporaryErrors(t *testing.T) {
 	}()
 
 	req, _, _ := tinyJob(t, false)
-	if _, err := Train(l.Addr().String(), req); err != nil {
+	if _, err := TrainContextNet(context.Background(), l.Addr().String(), req, StreamHandlers{}, NetConfig{}); err != nil {
 		t.Fatalf("job behind temporary accept faults failed: %v", err)
 	}
 	fl.mu.Lock()
@@ -216,7 +216,7 @@ func TestJobPanicClassifiedFatalAndServerSurvives(t *testing.T) {
 
 	bad, _, _ := tinyJob(t, false)
 	bad.Images = tensor.FromSlice(make([]float32, len(bad.Labels)), len(bad.Labels))
-	_, err = Train(l.Addr().String(), bad)
+	_, err = TrainContextNet(context.Background(), l.Addr().String(), bad, StreamHandlers{}, NetConfig{})
 	if !errors.Is(err, ErrJobPanic) {
 		t.Fatalf("panicking job returned %v, want ErrJobPanic", err)
 	}
@@ -225,7 +225,7 @@ func TestJobPanicClassifiedFatalAndServerSurvives(t *testing.T) {
 	}
 
 	good, _, _ := tinyJob(t, false)
-	if _, err := Train(l.Addr().String(), good); err != nil {
+	if _, err := TrainContextNet(context.Background(), l.Addr().String(), good, StreamHandlers{}, NetConfig{}); err != nil {
 		t.Fatalf("server wedged after a panicking job: %v", err)
 	}
 }
@@ -272,14 +272,14 @@ func TestDecoyBranchPanicClassifiedFatalAndServerSurvives(t *testing.T) {
 	poisoned[decoyOnly] = bad.Spec.Vocab // out of every embedding's range
 	bad.Samples = append([][]int{poisoned}, bad.Samples[1:]...)
 
-	_, err = Train(l.Addr().String(), bad)
+	_, err = TrainContextNet(context.Background(), l.Addr().String(), bad, StreamHandlers{}, NetConfig{})
 	if !errors.Is(err, ErrJobPanic) || !strings.Contains(err.Error(), "EmbeddingMean id") {
 		t.Fatalf("job with a panicking decoy returned %v, want ErrJobPanic from the decoy's lookup", err)
 	}
 	if IsTransient(err) {
 		t.Fatal("a deterministic server-side panic must not be retried")
 	}
-	if _, err := Train(l.Addr().String(), textJob(t)); err != nil {
+	if _, err := TrainContextNet(context.Background(), l.Addr().String(), textJob(t), StreamHandlers{}, NetConfig{}); err != nil {
 		t.Fatalf("server wedged after a decoy branch panicked: %v", err)
 	}
 }
@@ -306,14 +306,14 @@ func TestMidTrainingKillThenResumeIsBitIdentical(t *testing.T) {
 	req.Hyper.Epochs = epochs
 	var once sync.Once
 	var last *serialize.TrainCheckpoint
-	_, err = TrainContext(context.Background(), fl.Addr().String(), req, StreamHandlers{
+	_, err = TrainContextNet(context.Background(), fl.Addr().String(), req, StreamHandlers{
 		Progress: func(m EpochMetric) {
 			if m.Epoch >= 2 {
 				once.Do(fl.KillAll)
 			}
 		},
 		Checkpoint: func(ck *serialize.TrainCheckpoint) { last = ck },
-	})
+	}, NetConfig{})
 	if err == nil {
 		t.Fatal("killed connection reported success")
 	}
@@ -333,7 +333,7 @@ func TestMidTrainingKillThenResumeIsBitIdentical(t *testing.T) {
 	retry.InitState = last.State
 	retry.InitOptState = last.OptState
 	retry.InitRNG = last.RNG
-	got, err := TrainContext(context.Background(), fl.Addr().String(), retry, StreamHandlers{})
+	got, err := TrainContextNet(context.Background(), fl.Addr().String(), retry, StreamHandlers{}, NetConfig{})
 	if err != nil {
 		t.Fatalf("retry attempt: %v", err)
 	}
@@ -369,7 +369,7 @@ func TestRequestCutIsTransient(t *testing.T) {
 	}()
 
 	req, _, _ := tinyJob(t, false)
-	_, err = Train(fl.Addr().String(), req)
+	_, err = TrainContextNet(context.Background(), fl.Addr().String(), req, StreamHandlers{}, NetConfig{})
 	if err == nil {
 		t.Fatal("upload through a 64-byte read budget succeeded")
 	}
@@ -389,7 +389,7 @@ func TestDialFailureIsTransient(t *testing.T) {
 	l.Close()
 
 	req, _, _ := tinyJob(t, false)
-	_, err = Train(addr, req)
+	_, err = TrainContextNet(context.Background(), addr, req, StreamHandlers{}, NetConfig{})
 	if err == nil {
 		t.Fatal("dial to a closed port succeeded")
 	}
@@ -434,7 +434,7 @@ func TestStalledRequestFreedByFrameDeadline(t *testing.T) {
 	}
 
 	req, _, _ := tinyJob(t, false)
-	if _, err := Train(l.Addr().String(), req); err != nil {
+	if _, err := TrainContextNet(context.Background(), l.Addr().String(), req, StreamHandlers{}, NetConfig{}); err != nil {
 		t.Fatalf("server wedged after a stalled client: %v", err)
 	}
 }

@@ -18,7 +18,7 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// The golden conversations pin protocol v4 as bytes and frame order, one
+// The golden conversations pin protocol v5 as bytes and frame order, one
 // per job kind and conversation kind. A client stream is a pure function
 // of the request, so it is pinned by a committed SHA-256 — any change to
 // a frame layout, a JSON key, or a serialize encoding shows up here
@@ -48,15 +48,53 @@ func encoded(t *testing.T, write func(io.Writer) error) []byte {
 // server's reply up to and including its first frame of kind last.
 func converse(t *testing.T, addr string, up []byte, last byte) []frame {
 	t.Helper()
+	conn := dialPlay(t, addr, up)
+	defer conn.Close()
+	return replyUntil(t, conn, last)
+}
+
+// submitAttach holds TrainContextNet's conversation as bytes: it plays a
+// request on a fresh connection, then attaches on the same connection to
+// the job the ack names, and returns that ID and the job stream up to and
+// including msgState.
+func submitAttach(t *testing.T, addr string, up []byte) (string, []frame) {
+	t.Helper()
+	conn := dialPlay(t, addr, up)
+	defer conn.Close()
+	ack := replyUntil(t, conn, msgSubmitAck)
+	var id jobRef
+	if err := json.Unmarshal(ack[len(ack)-1].payload, &id); err != nil || len(ack) != 1 {
+		t.Fatalf("submit answered by %d frames, ack decodes with %v", len(ack), err)
+	}
+	attach, err := json.Marshal(AttachRequest{JobID: id.JobID})
+	if err == nil {
+		err = writeFrame(conn, msgAttach, attach)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id.JobID, replyUntil(t, conn, msgState)
+}
+
+// dialPlay dials addr and writes up.
+func dialPlay(t *testing.T, addr string, up []byte) net.Conn {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
 	if _, err := conn.Write(up); err != nil {
+		conn.Close()
 		t.Fatal(err)
 	}
+	return conn
+}
+
+// replyUntil reads the server's frames up to and including the first of
+// kind last; an error frame fails the test.
+func replyUntil(t *testing.T, conn net.Conn, last byte) []frame {
+	t.Helper()
 	var reply []frame
 	for {
 		kind, payload, err := readFrame(conn)
@@ -147,13 +185,13 @@ func checkJobStream(t *testing.T, got []frame, ref localRun, first int, checkpoi
 var goldenJobs = []struct {
 	name    string
 	build   func(t *testing.T) *TrainRequest
-	trainUp string // sha256 of the client stream, spec → msgDone
+	trainUp string // sha256 of the client's request, spec → msgSubmit
 }{
 	{"plain-cv", func(t *testing.T) *TrainRequest {
 		req, _, _ := tinyJob(t, false)
 		req.Hyper.Stream, req.Hyper.CheckpointEvery = true, 2
 		return req
-	}, "686a402b5f4bf64660653be62f04142da54136a691ae2d25a576de458cb392d6"},
+	}, "fa37a086edb2f78dc632e006573cb795410e884fcee1c18bdc2dd35859f067aa"},
 	{"augmented-cv", func(t *testing.T) *TrainRequest {
 		req, _, _ := tinyJob(t, true)
 		model, err := BuildModel(req.Spec)
@@ -163,23 +201,25 @@ var goldenJobs = []struct {
 		req.InitState = nn.StateDict(model)
 		req.Hyper.Stream, req.Hyper.CheckpointEvery = true, 1
 		return req
-	}, "6830529c84a3f3649b71c7ab8601ee9567c483f5206e4e9dc247f20da9b27a9e"},
-	{"augmented-text", textJob, "6fc3f8e91d6ee446ca0d7e16a91d833b1101943abf103575d22931842552f326"},
-	{"augmented-lm", lmJob, "0aa7ab21f3386f7205e1d4982da425ea9b6f4cfb2ee7c89f70b4e6932930450a"},
-	{"augmented-text under adam", adamJob, "e8460f175797adc674b983672eee286ec8c4941b1b23c7d6194e2c15300c8593"},
+	}, "d00a447748f6c14a3662499eefa6be4ef35629ac1d229887f8661000353cefb2"},
+	{"augmented-text", textJob, "26753c67273d11d2afa78f2a0f44cf67a28b15b73318d8d702d8c4cb8310f962"},
+	{"augmented-lm", lmJob, "783a6abc733be0645a6bc3199a31e79cda146aa996e9ce39c2ac0069402de0c1"},
+	{"augmented-text under adam", adamJob, "bd5b3a033d7dadbf8870736cfdbade841f22d90f252c06fb04d6438d311f74e0"},
 }
 
-// TestGoldenTrainConversation pins the train-on-this-connection
-// conversation (request … msgDone, answered by the live job stream) for
-// every job kind.
+// TestGoldenTrainConversation pins TrainContextNet's conversation
+// (request … msgSubmit, the ack, then msgAttach for the job it names on
+// the same connection, answered by the job stream from the cursor live
+// since admission: nothing replayed) for every job kind. The attach frame
+// carries a random job ID, so only the request is pinned by hash.
 func TestGoldenTrainConversation(t *testing.T) {
 	for _, job := range goldenJobs {
 		t.Run(job.name, func(t *testing.T) {
 			addr, server := startAsyncServer(t, ServerConfig{})
 			req := job.build(t)
-			up := encoded(t, func(w io.Writer) error { return writeRequest(w, req, msgDone) })
+			up := encoded(t, func(w io.Writer) error { return writeRequest(w, req) })
 			checkSHA(t, "client stream", up, job.trainUp)
-			reply := converse(t, addr, up, msgState)
+			_, reply := submitAttach(t, addr, up)
 			ref := runReference(t, job.build(t))
 			checkJobStream(t, reply, ref, 1, func(int) bool { return true })
 			for _, m := range ref.resp.Metrics {
@@ -216,20 +256,23 @@ func TestGoldenTrainConversation(t *testing.T) {
 func TestGoldenSubmitAttachConversation(t *testing.T) {
 	addr, server := startAsyncServer(t, ServerConfig{Executors: 1})
 	req := textJob(t)
-	up := encoded(t, func(w io.Writer) error { return writeRequest(w, req, msgSubmit) })
-	checkSHA(t, "submit stream", up, "22e01303ae821c4ace3817fe62f3dca0737dee7ad8c5ec1885bb73145cb9827e")
+	up := encoded(t, func(w io.Writer) error { return writeRequest(w, req) })
+	checkSHA(t, "submit stream", up, "26753c67273d11d2afa78f2a0f44cf67a28b15b73318d8d702d8c4cb8310f962")
 	ack := converse(t, addr, up, msgSubmitAck)
-	if len(ack) != 1 || string(ack[0].payload) != `{"job_id":"job-000001"}` {
-		t.Fatalf("submit answered by %+v, want one ack naming job-000001", ack)
+	// Job IDs are drawn at random, so the ack is pinned as naming the job
+	// the scheduler registered, not as bytes.
+	views := server.Views()
+	if len(views) != 1 || len(ack) != 1 || string(ack[0].payload) != `{"job_id":"`+views[0].JobID+`"}` {
+		t.Fatalf("submit answered by %+v, want one ack naming the one registered job (views %d)", ack, len(views))
 	}
-	job, err := server.sched.Job("job-000001")
+	job, err := server.sched.Job(views[0].JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-job.done
 
 	up = encoded(t, func(w io.Writer) error {
-		return writeFrame(w, msgAttach, []byte(`{"job_id":"job-000001","from_epoch":1}`))
+		return writeFrame(w, msgAttach, []byte(`{"job_id":"`+job.id+`","from_epoch":1}`))
 	})
 	reply := converse(t, addr, up, msgState)
 	checkJobStream(t, reply, runReference(t, textJob(t)), 2, func(epoch int) bool { return epoch == req.Hyper.Epochs })

@@ -103,7 +103,7 @@ func TestAdamJobOverWireMatchesLocal(t *testing.T) {
 	req := adamJob(t)
 	var lrs []float64
 	checkpoints := 0
-	resp, err := TrainContext(context.Background(), l.Addr().String(), req, StreamHandlers{
+	resp, err := TrainContextNet(context.Background(), l.Addr().String(), req, StreamHandlers{
 		Progress: func(m EpochMetric) { lrs = append(lrs, m.LR) },
 		Checkpoint: func(ck *serialize.TrainCheckpoint) {
 			checkpoints++
@@ -115,7 +115,7 @@ func TestAdamJobOverWireMatchesLocal(t *testing.T) {
 					ck.OptState.Step, ck.OptState.NumBuffers())
 			}
 		},
-	})
+	}, NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestUnknownOptimizerKindOverWire(t *testing.T) {
 
 	req := adamJob(t)
 	req.Hyper.Optimizer = &optim.OptimSpec{Kind: "lion", LR: 0.01}
-	_, err = TrainContext(context.Background(), l.Addr().String(), req, StreamHandlers{})
+	_, err = TrainContextNet(context.Background(), l.Addr().String(), req, StreamHandlers{}, NetConfig{})
 	if !errors.Is(err, ErrUnknownOptimizer) {
 		t.Fatalf("want ErrUnknownOptimizer over the wire, got %v", err)
 	}

@@ -2,6 +2,7 @@ package cloudsim
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net"
 	"testing"
@@ -32,14 +33,14 @@ func TestFrameRoundtrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgDone, nil); err != nil {
+	if err := writeFrame(&buf, msgSubmit, nil); err != nil {
 		t.Fatal(err)
 	}
 	kind, got, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != msgDone || len(got) != 0 {
+	if kind != msgSubmit || len(got) != 0 {
 		t.Fatal("empty frame corrupted")
 	}
 }
@@ -118,7 +119,7 @@ func TestServerSurvivesGarbageConnection(t *testing.T) {
 	conn.Close()
 
 	req, _, _ := tinyJob(t, false)
-	if _, err := Train(l.Addr().String(), req); err != nil {
+	if _, err := TrainContextNet(context.Background(), l.Addr().String(), req, StreamHandlers{}, NetConfig{}); err != nil {
 		t.Fatalf("server wedged after garbage connection: %v", err)
 	}
 }

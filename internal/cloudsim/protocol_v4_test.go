@@ -88,20 +88,20 @@ func TestMalformedFramesAreBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A whole train request but for its init frame, which initWith appends
+	// A whole request but for its init frame, which initWith appends
 	// before the terminator.
-	body := encoded(t, func(w io.Writer) error { return writeRequest(w, req, msgDone) })
-	body = body[:len(body)-5] // the empty msgDone frame
+	body := encoded(t, func(w io.Writer) error { return writeRequest(w, req) })
+	body = body[:len(body)-5] // the empty msgSubmit frame
 	initWith := func(kind string) []byte {
 		return slices.Concat(body, encoded(t, func(w io.Writer) error {
 			s := newFrameStream(w)
 			s.checkpoint(msgInit, &serialize.TrainCheckpoint{Kind: kind, State: nn.StateDict(model)})
-			s.bytes(msgDone, nil)
+			s.bytes(msgSubmit, nil)
 			return s.flush()
 		}))
 	}
-	// The same request with the spec's own kind trains.
-	converse(t, addr, initWith(req.Spec.Kind), msgState)
+	// The same request with the spec's own kind is admitted.
+	converse(t, addr, initWith(req.Spec.Kind), msgSubmitAck)
 
 	frameOf := func(kind byte, payload string) []byte {
 		return encoded(t, func(w io.Writer) error { return writeFrame(w, kind, []byte(payload)) })
@@ -193,7 +193,7 @@ func TestTextJobOverWire(t *testing.T) {
 	req := textJob(t)
 	var progress []EpochMetric
 	checkpoints := 0
-	resp, err := TrainContext(context.Background(), l.Addr().String(), req, StreamHandlers{
+	resp, err := TrainContextNet(context.Background(), l.Addr().String(), req, StreamHandlers{
 		Progress: func(m EpochMetric) { progress = append(progress, m) },
 		Checkpoint: func(ck *serialize.TrainCheckpoint) {
 			checkpoints++
@@ -201,7 +201,7 @@ func TestTextJobOverWire(t *testing.T) {
 				t.Errorf("checkpoint frame records kind %q, want augmented-text", ck.Kind)
 			}
 		},
-	})
+	}, NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestLMJobOverWire(t *testing.T) {
 	req := lmJob(t)
 	var progress []EpochMetric
 	checkpoints := 0
-	resp, err := TrainContext(context.Background(), l.Addr().String(), req, StreamHandlers{
+	resp, err := TrainContextNet(context.Background(), l.Addr().String(), req, StreamHandlers{
 		Progress: func(m EpochMetric) { progress = append(progress, m) },
 		Checkpoint: func(ck *serialize.TrainCheckpoint) {
 			checkpoints++
@@ -284,7 +284,7 @@ func TestLMJobOverWire(t *testing.T) {
 				t.Error("momentum job streamed a checkpoint without optimiser state")
 			}
 		},
-	})
+	}, NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

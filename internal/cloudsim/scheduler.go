@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
 	"fmt"
 	"slices"
 	"sync"
@@ -348,9 +349,8 @@ type Scheduler struct {
 	tenants   map[string]*tenantQueue
 	ring      []string // tenants with a backlog, round-robin order
 	queued    int      // jobs admitted but not yet dispatched
-	seq       uint64
-	finishing bool // no more work is coming: executors exit when idle
-	cancelAll bool // shutdown: every job (present and future) pre-cancelled
+	finishing bool     // no more work is coming: executors exit when idle
+	cancelAll bool     // shutdown: every job (present and future) pre-cancelled
 
 	dispatched []string // dispatch order of the jobs in the registry (test observability: fairness)
 	completed  []string // terminal order, oldest first: eviction order (and test observability: starvation)
@@ -397,9 +397,10 @@ func (sch *Scheduler) start() {
 // one build: the provider view reads the shipped graph off it, the executor
 // trains it), provider view captured (the upload has been observed
 // regardless of scheduling), quota and depth checked, job registered and
-// enqueued on its tenant's queue. cur, when non-nil, is the job's live
-// cursor from before it can be dispatched, so a same-connection stream (the
-// msgDone conversation) has no replay window. Rejections are
+// enqueued on its tenant's queue under an ID drawn from crypto/rand, which
+// no client can guess and no restarted server issues again. cur, when
+// non-nil, is the job's live cursor from before it can be dispatched, so
+// the submitting connection's stream has no replay window. Rejections are
 // typed: ErrBadRequest (the spec does not build, the initial state does
 // not fit, a hyper-parameter is out of range), ErrUnknownOptimizer,
 // ErrTenantQuota, ErrQueueFull. req is left as it came.
@@ -434,9 +435,8 @@ func (sch *Scheduler) Submit(req *TrainRequest, cur *cursor) (*schedJob, error) 
 	if sch.queued >= sch.cfg.QueueDepth {
 		return nil, fmt.Errorf("cloudsim: admission queue full at %d jobs: %w", sch.queued, ErrQueueFull)
 	}
-	sch.seq++
 	job := &schedJob{
-		id:        fmt.Sprintf("job-%06d", sch.seq),
+		id:        "job-" + rand.Text(),
 		tenant:    tenant,
 		req:       req,
 		view:      view,

@@ -575,9 +575,9 @@ func TestServerLeavesWorkerCountAlone(t *testing.T) {
 		check(executors, "after NewServerConfig")
 		req, _, _ := tinyJob(t, false)
 		req.Hyper.Stream = true
-		_, err = TrainContext(context.Background(), l.Addr().String(), req, StreamHandlers{
+		_, err = TrainContextNet(context.Background(), l.Addr().String(), req, StreamHandlers{
 			Progress: func(EpochMetric) { check(executors, "while its job runs") },
-		})
+		}, NetConfig{})
 		l.Close()
 		server.Wait()
 		if err != nil {
@@ -620,7 +620,7 @@ func TestConcurrentAugmentedJobsMatchRunLocal(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[i], errs[i] = Train(l.Addr().String(), req)
+				got[i], errs[i] = TrainContextNet(context.Background(), l.Addr().String(), req, StreamHandlers{}, NetConfig{})
 			}()
 		}
 		wg.Wait()

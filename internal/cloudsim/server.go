@@ -75,9 +75,9 @@ func (c ServerConfig) withDefaults() ServerConfig {
 
 // Server is the simulated cloud training service: an accept loop feeding
 // connection handlers, in front of a multi-tenant Scheduler that owns the
-// job registry and the executor pool. A msgDone request is served as
-// submit+attach on its own connection; a msgSubmit request gets a job ID
-// to poll and attach over later connections.
+// job registry and the executor pool. A submitted job gets an ID to
+// attach to — on the submitting connection, or on later ones — and is
+// never its connection's: a hang-up only detaches the stream.
 type Server struct {
 	listener net.Listener
 	cfg      ServerConfig
@@ -324,23 +324,10 @@ func (s *Server) handle(conn *deadlineConn) error {
 			if start, err = serialize.ReadTrainCheckpoint(bytes.NewReader(payload)); err != nil {
 				return badFrame("init checkpoint", err)
 			}
-		case msgCancel:
-			if len(payload) > 0 {
-				// Cancel-by-ID control frame: the payload names a scheduled
-				// job on a fresh connection.
-				if err := s.jobStatus(conn, payload, true); err != nil {
-					return err
-				}
-				continue
-			}
-			// Cancelled before the job even started: nothing to train.
-			// The generic wire code is deliberate: the client asked for
-			// this cancellation and will not retry it, so no sentinel
-			// class applies.
-			return fmt.Errorf("cloudsim: job cancelled before submission") //amalgam:allow errtaxcheck client-initiated cancel; intentionally generic, never retried
-		case msgPoll:
-			// Status query — valid any time, repeatable on one connection.
-			if err := s.jobStatus(conn, payload, false); err != nil {
+		case msgPoll, msgCancel:
+			// Status query or cancel-by-ID, naming a scheduled job — valid
+			// any time, repeatable on one connection.
+			if err := s.jobStatus(conn, payload, kind == msgCancel); err != nil {
 				return err
 			}
 			continue
@@ -357,7 +344,7 @@ func (s *Server) handle(conn *deadlineConn) error {
 				return badFrame("attach request", err)
 			}
 			return s.attach(conn, areq)
-		case msgSubmit, msgDone:
+		case msgSubmit:
 			if start != nil {
 				if start.Kind != req.Spec.Kind {
 					return fmt.Errorf("cloudsim: init checkpoint of a %q job for a %q spec: %w", start.Kind, req.Spec.Kind, ErrBadRequest)
@@ -374,10 +361,7 @@ func (s *Server) handle(conn *deadlineConn) error {
 					return err
 				}
 			}
-			if kind == msgSubmit {
-				return s.submitAsync(conn, req)
-			}
-			return s.runAndRespond(conn, req)
+			return s.submit(conn, req)
 		default:
 			return fmt.Errorf("cloudsim: unexpected message type %d: %w", kind, ErrUnknownFrame)
 		}
@@ -433,9 +417,9 @@ func (s *Server) writeOutcome(conn *deadlineConn, kind string, clientStopped boo
 // connection's own goroutine, with no job lock held: progress frames up to
 // the batch's checkpoint, the checkpoint, then the rest. Meanwhile a
 // watcher reads the connection: a msgCancel stops the job at its next
-// epoch boundary, and a dead connection ends the stream with io.EOF — what
-// that means for the job is the caller's policy. A finished job wins over
-// a dead connection: its result is written (and fails on its own). A
+// epoch boundary, and a dead connection ends the stream with io.EOF,
+// detaching cur: the job runs on for a later attach. A finished job wins
+// over a dead connection: its result is written (and fails on its own). A
 // stream whose write failed, or whose cursor a later attach superseded,
 // sends nothing more but the terminal frames, if it can.
 func (s *Server) stream(conn *deadlineConn, job *schedJob, cur *cursor) error {
@@ -515,12 +499,14 @@ func writeProgress(w io.Writer, ms []EpochMetric) error {
 	return nil
 }
 
-// runAndRespond serves a msgDone request: submit with this connection's
-// cursor live from admission, then stream on the same connection. The
-// pinned frame cadence (one progress frame per epoch when Hyper.Stream,
-// one checkpoint frame per CheckpointEvery epochs but the run's last)
-// holds exactly because of that — there is no replay window to coalesce in.
-func (s *Server) runAndRespond(conn *deadlineConn, req *TrainRequest) (err error) {
+// submit admits the job with a cursor live from admission and answers
+// with its ID. The connection may then attach to that job and is streamed
+// through the same cursor, so the pinned frame cadence (one progress frame
+// per epoch when Hyper.Stream, one checkpoint frame per CheckpointEvery
+// epochs but the run's last) holds exactly: there is no replay window to
+// coalesce in. Any other end of the conversation only detaches the
+// cursor; the job runs whether or not anyone is connected.
+func (s *Server) submit(conn *deadlineConn, req *TrainRequest) (err error) {
 	// A provider-view capture that panics on malformed geometry must
 	// become a classified wire error, not a torn connection.
 	defer func() {
@@ -533,33 +519,24 @@ func (s *Server) runAndRespond(conn *deadlineConn, req *TrainRequest) (err error
 	if err != nil {
 		return err
 	}
-	err = s.stream(conn, job, cur)
-	if errors.Is(err, io.EOF) {
-		// A vanished blocking client stops its job instead of burning
-		// cloud time on a result nobody will read; disconnect survival is
-		// the submit path's contract, where the client asked for a job ID.
-		_ = s.sched.Cancel(job.id)
+	js, err := json.Marshal(jobRef{JobID: job.id})
+	if err == nil {
+		err = writeFrame(conn, msgSubmitAck, js)
 	}
-	return err
-}
-
-// submitAsync admits the job and answers with its ID; the connection is
-// then done. The job runs with no cursor until someone attaches.
-func (s *Server) submitAsync(conn *deadlineConn, req *TrainRequest) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cloudsim: job crashed: %v: %w", r, ErrJobPanic)
-		}
-	}()
-	job, err := s.sched.Submit(req, nil)
+	var kind byte
+	var payload []byte
+	if err == nil {
+		kind, payload, err = conn.readFrame()
+	}
+	var areq AttachRequest
+	if err == nil && (kind != msgAttach || json.Unmarshal(payload, &areq) != nil || areq.JobID != job.id) {
+		err = fmt.Errorf("cloudsim: a submit is followed only by an attach to its job %q: %w", job.id, ErrBadRequest)
+	}
 	if err != nil {
+		job.hangUp(cur)
 		return err
 	}
-	js, err := json.Marshal(submitAck{JobID: job.id})
-	if err != nil {
-		return err
-	}
-	return writeFrame(conn, msgSubmitAck, js)
+	return s.stream(conn, job, cur)
 }
 
 // jobStatus answers a control frame naming a scheduled job — a msgPoll, or

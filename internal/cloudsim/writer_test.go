@@ -429,7 +429,8 @@ func liveStreams() int {
 }
 
 // TestNoWriterOutlivesItsConnection walks every way a job stream ends —
-// normal completion, the client's msgCancel, the connection dying, the
+// normal completion, the client's msgCancel, the connection dying (which
+// leaves its job running), the
 // shutdown handoff, a rejected submit, an attach superseded by a later
 // one — and requires each to leave no stream goroutine behind while the
 // server is still up, and the process to be back at its starting
@@ -462,26 +463,32 @@ func TestNoWriterOutlivesItsConnection(t *testing.T) {
 	addr := l.Addr().String()
 
 	// Normal end.
-	if _, err := TrainContext(ctx, addr, textJob(t), StreamHandlers{}); err != nil {
+	if _, err := TrainContextNet(ctx, addr, textJob(t), StreamHandlers{}, NetConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	settle("after a completed job", liveStreams, 0)
 
 	// The client cancels after the first epoch.
 	cctx, cancel := context.WithCancel(ctx)
-	resp, err := TrainContext(cctx, addr, longTextJob(t, 2000, 0), StreamHandlers{Progress: func(EpochMetric) { cancel() }})
+	resp, err := TrainContextNet(cctx, addr, longTextJob(t, 2000, 0), StreamHandlers{Progress: func(EpochMetric) { cancel() }}, NetConfig{})
 	cancel()
 	if err != nil || !resp.Cancelled {
 		t.Fatalf("cancelled job: resp %+v, err %v", resp, err)
 	}
 	settle("after a client cancel", liveStreams, 0)
 
-	// The connection dies after the first frame.
+	// The connection dies after the first frame of its job stream. The
+	// stream ends; the job does not — it is not the connection's — until
+	// it is cancelled by ID.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRequest(conn, longTextJob(t, 2000, 0), msgDone); err != nil {
+	dying, err := submit(newDeadlineConn(conn, 0, 0), longTextJob(t, 2000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, msgAttach, []byte(`{"job_id":"`+dying+`"}`)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := readFrame(conn); err != nil {
@@ -489,6 +496,13 @@ func TestNoWriterOutlivesItsConnection(t *testing.T) {
 	}
 	conn.Close()
 	settle("after a connection death", liveStreams, 0)
+	if st, err := PollContext(ctx, addr, dying, NetConfig{}); err != nil || st.State != "running" {
+		t.Fatalf("job whose connection died: %+v, %v; want it running on", st, err)
+	}
+	if _, err := CancelJobContext(ctx, addr, dying, NetConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, addr, dying, func(st JobStatus) bool { return st.State == "cancelled" })
 
 	// An attach superseded by a later one; both end with the job.
 	id, err := SubmitContext(ctx, addr, longTextJob(t, 300, 0), NetConfig{})
@@ -525,7 +539,7 @@ func TestNoWriterOutlivesItsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TrainContext(ctx, addr, textJob(t), StreamHandlers{}); !errors.Is(err, ErrTenantQuota) {
+	if _, err := TrainContextNet(ctx, addr, textJob(t), StreamHandlers{}, NetConfig{}); !errors.Is(err, ErrTenantQuota) {
 		t.Fatalf("third job: %v, want an admission reject", err)
 	}
 	settle("after a rejected submit", liveStreams, 0)
@@ -540,12 +554,12 @@ func TestNoWriterOutlivesItsConnection(t *testing.T) {
 	handedOff := make(chan error, 1)
 	started := make(chan struct{}, 1)
 	go func() {
-		_, err := TrainContext(ctx, addr, longTextJob(t, 100000, 0), StreamHandlers{Progress: func(EpochMetric) {
+		_, err := TrainContextNet(ctx, addr, longTextJob(t, 100000, 0), StreamHandlers{Progress: func(EpochMetric) {
 			select {
 			case started <- struct{}{}:
 			default:
 			}
-		}})
+		}}, NetConfig{})
 		handedOff <- err
 	}()
 	<-started

@@ -181,13 +181,15 @@ type RetryPolicy struct {
 
 // WithRetry makes RemoteTrainer survive transient faults: dial failures,
 // dropped connections, I/O deadlines, and graceful server shutdown are
-// retried with capped exponential backoff, resuming from the last
-// epoch-boundary snapshot streamed over the wire (falling back to the
-// WithCheckpoint file when configured), so a killed connection re-trains
-// no batch twice and the final weights are bit-identical to an unbroken
-// run. Fatal errors — protocol version skew, corrupted frames, checkpoint
-// kind mismatches, server-side job panics, the caller's own cancellation —
-// are never retried. LocalTrainer ignores the option.
+// retried with capped exponential backoff. A dropped connection
+// re-attaches to the job, which ran on without it: nothing is uploaded or
+// retrained again. A job the server lost (a restart, a shutdown handoff)
+// is submitted again from the last epoch-boundary snapshot streamed over
+// the wire, retraining only epochs whose snapshot never reached the
+// client. Either way the weights are bit-identical to an unbroken run.
+// Fatal errors — protocol version skew, corrupted frames, checkpoint kind
+// mismatches, server-side job panics, the caller's own cancellation — are
+// never retried. LocalTrainer ignores the option.
 func WithRetry(p RetryPolicy) TrainOption {
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 100 * time.Millisecond

@@ -7,10 +7,13 @@ import (
 	"amalgam/internal/cloudsim"
 )
 
-// JobID durably identifies a job scheduled on a remote service. IDs stay
-// valid for the server's lifetime — across client disconnects, reconnects,
-// and process restarts on the client side — so a submitter can exit and a
-// different process can Poll or Attach later.
+// JobID durably identifies a job scheduled on a remote service — by Submit,
+// or by Run, which follows the job it submitted by its ID. IDs stay valid
+// for the server's lifetime — across client disconnects, reconnects, and
+// process restarts on the client side — so a submitter can exit and a
+// different process can Poll or Attach later. The server draws each ID at
+// random: no client can guess another's, and a restarted server, which
+// has lost its jobs, answers every old ID with cloudsim.ErrUnknownJob.
 type JobID string
 
 // JobInfo is a point-in-time observation of one scheduled job, as
@@ -106,7 +109,9 @@ func jobInfoOf(st cloudsim.JobStatus) JobInfo {
 // without cancelling (e.g. the process dies) merely detaches: the job
 // keeps training server-side and a later Attach picks up where this one
 // left off. With WithRetry, a connection fault mid-stream re-attaches
-// with backoff, resuming from the last epoch already delivered.
+// with backoff, resuming from the last epoch already delivered — the
+// retry loop Run follows its own job with. Unlike Run, Attach never
+// submits: a job the service has lost fails with cloudsim.ErrUnknownJob.
 // WithCheckpoint saves streamed snapshots locally at its cadence, bounded
 // below by the cadence the job was submitted with.
 func (t RemoteTrainer) Attach(ctx context.Context, job TrainableJob, id JobID, opts ...TrainOption) (<-chan EpochStats, error) {
@@ -118,16 +123,7 @@ func (t RemoteTrainer) Attach(ctx context.Context, job TrainableJob, id JobID, o
 	push, closePump, out := statsPump()
 	go func() {
 		defer closePump()
-		// FromEpoch carries the last epoch already delivered, so a
-		// re-attach's replay starts exactly after it.
-		stream, h := ro.follow(push, o.req)
-		var resp *cloudsim.TrainResponse
-		err := ro.retrying(ctx, func(net cloudsim.NetConfig) (err error) {
-			resp, err = cloudsim.AttachContext(ctx, t.Addr,
-				cloudsim.AttachRequest{JobID: string(id), FromEpoch: stream.lastEpoch}, h, net)
-			return err
-		})
-		finishRun(ctx, push, ro, o.req.Spec.Kind, resp, err)
+		t.drive(ctx, o.req, id, ro, push)
 	}()
 	return out, nil
 }

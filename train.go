@@ -106,10 +106,14 @@ func (LocalTrainer) Run(ctx context.Context, job TrainableJob, cfg TrainConfig, 
 // weights so far, which land in the model and in the checkpoint path
 // (when configured) before the stream terminates with ctx.Err().
 //
-// With WithRetry, transient transport faults (dropped connections, dial
-// failures, I/O deadlines, graceful server shutdown) are retried with
-// capped exponential backoff, resuming from the last epoch-boundary
-// snapshot — the model itself — see RetryPolicy.
+// A run submits its job and follows it over the same connection. With
+// WithRetry, transient transport faults (dropped connections, dial
+// failures, I/O deadlines) are retried with capped exponential backoff by
+// re-attaching to that job from the last epoch seen: a blip uploads
+// nothing again and retrains nothing. Only a job the service has lost (a
+// restart, an eviction, a shutdown handoff) is submitted again, from the
+// last epoch-boundary snapshot — the model itself; see RetryPolicy. A run
+// that gives up without the result cancels its job, best effort.
 type RemoteTrainer struct {
 	// Addr is the service's TCP address, e.g. "127.0.0.1:7009".
 	Addr string
@@ -125,12 +129,15 @@ func (t RemoteTrainer) Run(ctx context.Context, job TrainableJob, cfg TrainConfi
 	if err != nil {
 		return nil, err
 	}
+	if ro.retry != nil {
+		// Per-epoch wire snapshots are the point a lost job is submitted
+		// again from; disk writes keep the user's WithCheckpoint cadence.
+		o.req.Hyper.CheckpointEvery = 1
+	}
 	ch := make(chan EpochStats, cfg.Epochs-o.req.Hyper.StartEpoch+1)
-	emit := func(st EpochStats) { ch <- st }
 	go func() {
 		defer close(ch)
-		resp, err := t.runRemote(ctx, o.req, ro, emit)
-		finishRun(ctx, emit, ro, o.req.Spec.Kind, resp, err)
+		t.drive(ctx, o.req, "", ro, func(st EpochStats) { ch <- st })
 	}()
 	return ch, nil
 }
@@ -153,71 +160,67 @@ func (t RemoteTrainer) prepare(job TrainableJob, cfg TrainConfig, opts []TrainOp
 	return o, ro, nil
 }
 
-// runRemote drives one job over the wire, retrying transient faults under
-// the run's RetryPolicy. Each attempt resumes from the latest
-// epoch-boundary snapshot the client has seen (the streamed msgCheckpoint
-// frames, landed in the job's model; on the first attempt the model as
-// it is, WithResume file included), so no batch is ever trained twice and
-// the final weights are bit-identical to an unbroken run.
-func (t RemoteTrainer) runRemote(ctx context.Context, req *cloudsim.TrainRequest, ro *runOptions,
-	emit func(EpochStats)) (*cloudsim.TrainResponse, error) {
+// giveUpCancelTimeout bounds the best-effort cancel of a job a run gave up on.
+const giveUpCancelTimeout = 5 * time.Second
 
-	if ro.retry != nil {
-		// Per-epoch wire snapshots feed the in-memory resume point; disk
-		// writes keep the user's WithCheckpoint cadence.
-		req.Hyper.CheckpointEvery = 1
-	}
-	stream, h := ro.follow(emit, req)
-	var resp *cloudsim.TrainResponse
-	err := ro.retrying(ctx, func(net cloudsim.NetConfig) (err error) {
-		if snap := stream.snap; snap != nil {
-			// Always short of Epochs: the last epoch's state arrives only
-			// as the response, so a connection lost inside the terminal
-			// frames resumes one epoch back and retrains it.
-			req.ResumeFrom(snap)
-		}
-		resp, err = cloudsim.TrainContextNet(ctx, t.Addr, req, h, net)
-		return err
-	})
-	return resp, err
-}
-
-// wireStream is what the client has seen of one job's stream, across
-// attempts: the last epoch whose stats it emitted and the latest
-// epoch-boundary snapshot (views of the job's model).
-type wireStream struct {
-	lastEpoch int
-	snap      *serialize.TrainCheckpoint
-}
-
-// follow builds the handlers feeding a job's wire stream into the run:
-// every epoch boundary lands in the tensors of req.InitState — the job's
-// model — and req.InitOptState (see StreamHandlers.Into). A retried
-// attempt replays epochs the server already reported, so each epoch's
-// stats are emitted exactly once. Streamed snapshots are held as the
-// resume point and saved at the WithCheckpoint cadence — best effort; the
-// final state is written with error checking by finishRun.
-func (ro *runOptions) follow(emit func(EpochStats), req *cloudsim.TrainRequest) (*wireStream, cloudsim.StreamHandlers) {
-	stream := &wireStream{lastEpoch: req.Hyper.StartEpoch}
-	progress := ro.emitTo(emit)
+// drive follows one job to its result under the run's RetryPolicy, then
+// ends the run's stream (finishRun). Without an id (Run), an attempt
+// submits req and follows the admitted job on the same connection; once
+// the ack has named the job, an attempt re-attaches by that ID. A job the
+// server no longer knows (ErrUnknownJob) or handed back while shutting
+// down (ErrServerShutdown) is submitted again from the latest snapshot
+// streamed; a run that gives up without the job's result cancels it, best
+// effort. With an id (Attach), every attempt attaches. Every epoch
+// boundary lands in the tensors of req.InitState — the job's model — and
+// req.InitOptState (see StreamHandlers.Into). A resubmission replays
+// epochs already reported; each epoch's stats are emitted exactly once.
+// Snapshots are held as the resubmission point and saved at the
+// WithCheckpoint cadence — best effort; finishRun writes the final state
+// with error checking.
+func (t RemoteTrainer) drive(ctx context.Context, req *cloudsim.TrainRequest, id JobID, ro *runOptions, emit func(EpochStats)) {
+	owned := id == "" // this run submits the job, and resubmits a lost one
+	lastEpoch, progress := req.Hyper.StartEpoch, ro.emitTo(emit)
+	var snap *serialize.TrainCheckpoint // views of the job's model
 	h := cloudsim.StreamHandlers{
-		Into: &serialize.TrainCheckpoint{State: req.InitState, OptState: req.InitOptState},
+		Into:     &serialize.TrainCheckpoint{State: req.InitState, OptState: req.InitOptState},
+		Admitted: func(got string) { id = JobID(got) },
 		Progress: func(m cloudsim.EpochMetric) {
-			if m.Epoch > stream.lastEpoch {
-				stream.lastEpoch = m.Epoch
+			if m.Epoch > lastEpoch {
+				lastEpoch = m.Epoch
 				_ = progress(m)
 			}
 		},
 	}
 	if ro.retry != nil || ro.checkpointPath != "" {
 		h.Checkpoint = func(ck *serialize.TrainCheckpoint) {
-			stream.snap = ck
+			snap = ck
 			if ro.checkpointPath != "" && ro.checkpointEvery > 0 && ck.Epoch%ro.checkpointEvery == 0 {
 				_ = serialize.SaveTrainCheckpoint(ro.checkpointPath, ck)
 			}
 		}
 	}
-	return stream, h
+	var resp *cloudsim.TrainResponse
+	err := ro.retrying(ctx, func(net cloudsim.NetConfig) (err error) {
+		if id != "" {
+			resp, err = cloudsim.AttachContext(ctx, t.Addr, cloudsim.AttachRequest{JobID: string(id), FromEpoch: lastEpoch}, h, net)
+		}
+		if id == "" || owned && errors.Is(err, cloudsim.ErrUnknownJob) {
+			if snap != nil {
+				req.ResumeFrom(snap)
+			}
+			id = ""
+			resp, err = cloudsim.TrainContextNet(ctx, t.Addr, req, h, net)
+		}
+		if owned && errors.Is(err, cloudsim.ErrServerShutdown) {
+			id = "" // the job ended on the draining server
+		}
+		return err
+	})
+	if err != nil && owned && id != "" {
+		net := cloudsim.NetConfig{DialTimeout: giveUpCancelTimeout, FrameTimeout: giveUpCancelTimeout}
+		_, _ = cloudsim.CancelJobContext(context.WithoutCancel(ctx), t.Addr, string(id), net)
+	}
+	finishRun(ctx, emit, ro, req.Spec.Kind, resp, err)
 }
 
 // retrying runs one wire exchange under the run's RetryPolicy: once, over

@@ -21,17 +21,22 @@ import (
 // listener whose per-connection plan the test controls.
 func startFaultServer(t *testing.T, plan func(i int) faultnet.ConnPlan) *faultnet.Listener {
 	t.Helper()
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	fl, _ := faultServerAt(t, "127.0.0.1:0", plan)
+	return fl
+}
+
+// faultServerAt is startFaultServer at a given address, returning the
+// service too, for its provider views.
+func faultServerAt(t *testing.T, addr string, plan func(i int) faultnet.ConnPlan) (*faultnet.Listener, *cloudsim.Server) {
+	t.Helper()
+	inner, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fl := faultnet.Wrap(inner, plan)
 	server := cloudsim.NewServer(fl)
-	t.Cleanup(func() {
-		fl.Close()
-		server.Wait()
-	})
-	return fl
+	t.Cleanup(func() { server.Shutdown(context.Background()) })
+	return fl, server
 }
 
 // extractedState pulls the recovered original model's state dict out of a
@@ -143,92 +148,265 @@ func TestRetryResumesAfterMidTrainingKill(t *testing.T) {
 	}
 }
 
-// TestConnectionLostInTerminalFramesRetrainsOneEpoch cuts the connection
-// after the job has finished every epoch, inside the frame that carries its
-// result: msgState, the final checkpoint. The last epoch's state crosses
-// the wire once — as that frame, not also as a checkpoint frame before
-// it — so the newest snapshot the client holds is epoch Epochs-1: the
-// retry resumes there, the server retrains exactly one epoch, every
-// epoch's stats reach the caller exactly once, and the final weights are
-// bit-identical to the unbroken run's.
-func TestConnectionLostInTerminalFramesRetrainsOneEpoch(t *testing.T) {
-	cfg := amalgam.TrainConfig{Epochs: 4, BatchSize: 8, LR: 0.5, Momentum: 0.9}
-	ctx := context.Background()
-
-	// The unbroken run, and from its final checkpoint file the exact size
-	// of a checkpoint frame, the terminal msgState frame included.
+// terminalCut trains cfg locally and returns its final weights and a
+// byte offset halfway into the terminal msgState frame of the same job's
+// stream — the final checkpoint, which crosses the wire once, as that
+// frame, not also as a checkpoint frame before it.
+func terminalCut(t *testing.T, cfg amalgam.TrainConfig) (map[string]*tensor.Tensor, int64) {
+	t.Helper()
 	local := mkTextJob(t)
 	ckpt := filepath.Join(t.TempDir(), "local.amc")
-	if _, err := amalgam.Train(ctx, amalgam.LocalTrainer{}, local, cfg, amalgam.WithCheckpoint(ckpt, 1)); err != nil {
+	if _, err := amalgam.Train(context.Background(), amalgam.LocalTrainer{}, local, cfg, amalgam.WithCheckpoint(ckpt, 1)); err != nil {
 		t.Fatal(err)
 	}
-	want := extractedState(t, local)
 	ck, err := serialize.LoadTrainCheckpoint(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stateSize := serialize.TrainCheckpointSize(ck)
-	// Everything before msgState: Epochs-1 checkpoint frames, and the JSON
-	// of Epochs progress frames and the result frame listing them again —
-	// some 150 bytes per metric, give or take a digit of wall clock,
-	// against a state frame of ~90 KB.
+	// Everything before msgState: the ack, Epochs-1 checkpoint frames, and
+	// the JSON of Epochs progress frames and the result frame listing them
+	// again — some 150 bytes per metric, give or take a digit of wall
+	// clock, against a state frame of ~90 KB.
 	lead := (cfg.Epochs-1)*(5+stateSize) + 2*cfg.Epochs*150
 	if stateSize < 40_000 {
 		t.Fatalf("a state frame of %d bytes is too small to aim a cut into", stateSize)
 	}
+	return extractedState(t, local), int64(lead + stateSize/2)
+}
 
+// checkRun requires every epoch's stats exactly once and the unbroken
+// run's weights.
+func checkRun(t *testing.T, stats []amalgam.EpochStats, epochs int, job amalgam.TrainableJob, want map[string]*tensor.Tensor) {
+	t.Helper()
+	if len(stats) != epochs {
+		t.Fatalf("delivered %d epoch stats, want %d", len(stats), epochs)
+	}
+	for i, s := range stats {
+		if s.Epoch != i+1 {
+			t.Fatalf("stats[%d].Epoch = %d; every epoch exactly once", i, s.Epoch)
+		}
+	}
+	got := extractedState(t, job)
+	for name, w := range want {
+		if !got[name].Equal(w) {
+			t.Fatalf("the broken run diverged from the unbroken run at %q", name)
+		}
+	}
+}
+
+// trainedEpochs is what a job trained: a finished job replays its
+// buffered epochs to whoever attaches.
+func trainedEpochs(t *testing.T, addr, id string) (epochs []int) {
+	t.Helper()
+	_, err := cloudsim.AttachContext(context.Background(), addr, cloudsim.AttachRequest{JobID: id},
+		cloudsim.StreamHandlers{Progress: func(m cloudsim.EpochMetric) { epochs = append(epochs, m.Epoch) }}, cloudsim.NetConfig{})
+	if err != nil {
+		t.Fatalf("attach %s: %v", id, err)
+	}
+	return epochs
+}
+
+// TestConnectionLostInTerminalFramesRetrainsNothing cuts the connection
+// after the job has finished every epoch, inside the frame that carries
+// its result: msgState, the final checkpoint. The job is the server's, not
+// the connection's, so the retry re-attaches to it by ID and is sent the
+// result again: one admission, no epoch retrained, every epoch's stats
+// exactly once, and the unbroken run's weights.
+// TestServerLostInTerminalFramesRetrainsOneEpoch is the same cut with the
+// server lost.
+func TestConnectionLostInTerminalFramesRetrainsNothing(t *testing.T) {
+	cfg := amalgam.TrainConfig{Epochs: 4, BatchSize: 8, LR: 0.5, Momentum: 0.9}
+	want, cut := terminalCut(t, cfg)
+	t.Run("inside msgState", func(t *testing.T) {
+		fl, server := faultServerAt(t, "127.0.0.1:0", func(i int) faultnet.ConnPlan {
+			if i == 0 {
+				return faultnet.ConnPlan{CutAfterWriteBytes: cut}
+			}
+			return faultnet.ConnPlan{}
+		})
+		job := mkTextJob(t)
+		stats, err := amalgam.Train(context.Background(), amalgam.RemoteTrainer{Addr: fl.Addr().String()}, job, cfg,
+			amalgam.WithRetry(amalgam.RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: 5}))
+		if err != nil {
+			t.Fatalf("retried run failed: %v", err)
+		}
+		if fl.Accepted() != 2 {
+			t.Fatalf("%d connections, want the cut one and one re-attach", fl.Accepted())
+		}
+		checkRun(t, stats, cfg.Epochs, job, want)
+		views := server.Views()
+		if len(views) != 1 {
+			t.Fatalf("%d admissions, want one: a blip uploads nothing again", len(views))
+		}
+		if epochs := trainedEpochs(t, fl.Addr().String(), views[0].JobID); len(epochs) != cfg.Epochs {
+			t.Fatalf("the job trained epochs %v, want each of %d once", epochs, cfg.Epochs)
+		}
+	})
+}
+
+// TestServerLostInTerminalFramesRetrainsOneEpoch is the same cut, but the
+// server dies with it: a replacement at the same address has never heard
+// of the job (ErrUnknownJob), so the run submits it there again from the
+// newest snapshot it holds — epoch Epochs-1, the last epoch's state having
+// crossed only as the cut frame — and the replacement retrains exactly
+// that one epoch. Every epoch's stats still arrive exactly once and the
+// weights are the unbroken run's. Until the replacement is up, the dead
+// server's address takes connections and drops them at once.
+func TestServerLostInTerminalFramesRetrainsOneEpoch(t *testing.T) {
+	cfg := amalgam.TrainConfig{Epochs: 4, BatchSize: 8, LR: 0.5, Momentum: 0.9}
+	want, cut := terminalCut(t, cfg)
+	first, firstServer := faultServerAt(t, "127.0.0.1:0", func(i int) faultnet.ConnPlan {
+		if i == 0 {
+			return faultnet.ConnPlan{CutAfterWriteBytes: cut}
+		}
+		return faultnet.ConnPlan{RefuseConn: true}
+	})
+	addr := first.Addr().String()
+	replaced := make(chan *cloudsim.Server, 1)
+	go func() {
+		// The job finishing is what starts the terminal frames, and with
+		// them the cut: then the first server goes, the replacement comes.
+		for v := firstServer.Views(); len(v) == 0 || v[0].State != "done"; v = firstServer.Views() {
+			time.Sleep(time.Millisecond)
+		}
+		first.Close()
+		firstServer.Wait()
+		l, err := net.Listen("tcp", addr)
+		if err != nil {
+			close(replaced)
+			return
+		}
+		replaced <- cloudsim.NewServer(l)
+	}()
+	job := mkTextJob(t)
+	stats, err := amalgam.Train(context.Background(), amalgam.RemoteTrainer{Addr: addr}, job, cfg,
+		amalgam.WithRetry(amalgam.RetryPolicy{MaxRetries: 20, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 5}))
+	if err != nil {
+		t.Fatalf("retried run failed: %v", err)
+	}
+	checkRun(t, stats, cfg.Epochs, job, want)
+	replacement := <-replaced
+	if replacement == nil {
+		t.Fatal("no replacement server could listen at the first one's address")
+	}
+	t.Cleanup(func() { replacement.Shutdown(context.Background()) })
+	views := replacement.Views()
+	if len(views) != 1 {
+		t.Fatalf("the replacement admitted %d jobs, want the one resubmission", len(views))
+	}
+	if epochs := trainedEpochs(t, addr, views[0].JobID); len(epochs) != 1 || epochs[0] != cfg.Epochs {
+		t.Fatalf("the resubmitted job trained epochs %v, want exactly the last one, %d", epochs, cfg.Epochs)
+	}
+}
+
+// TestServerShutdownResubmitsFromTheHandoff: a server draining for
+// shutdown hands the job back — an epoch-aligned checkpoint, then
+// ErrServerShutdown — and the run submits it to the replacement at the
+// same address at once, from the handoff epoch: one connection there, no
+// re-attach to a job the drained server has ended. Every epoch's stats
+// arrive exactly once and the weights are the unbroken run's.
+func TestServerShutdownResubmitsFromTheHandoff(t *testing.T) {
+	cfg := amalgam.TrainConfig{Epochs: 20, BatchSize: 8, LR: 0.5, Momentum: 0.9}
+	local := mkTextJob(t)
+	if _, err := amalgam.Train(context.Background(), amalgam.LocalTrainer{}, local, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := extractedState(t, local)
+
+	// Throttled, so the job cannot finish before the shutdown lands.
+	first, firstServer := faultServerAt(t, "127.0.0.1:0", func(int) faultnet.ConnPlan {
+		return faultnet.ConnPlan{WriteDelay: 10 * time.Millisecond}
+	})
+	addr := first.Addr().String()
+	type service struct {
+		fl     *faultnet.Listener
+		server *cloudsim.Server
+	}
+	replaced := make(chan service, 1)
+	var once sync.Once
+	job := mkTextJob(t)
+	stats, err := amalgam.Train(context.Background(), amalgam.RemoteTrainer{Addr: addr}, job, cfg,
+		amalgam.WithRetry(amalgam.RetryPolicy{MaxRetries: 20, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 5}),
+		amalgam.WithProgress(func(s amalgam.EpochStats) {
+			once.Do(func() {
+				go func() {
+					firstServer.Shutdown(context.Background())
+					l, err := net.Listen("tcp", addr)
+					if err != nil {
+						close(replaced)
+						return
+					}
+					fl := faultnet.Wrap(l, nil)
+					replaced <- service{fl, cloudsim.NewServer(fl)}
+				}()
+			})
+		}))
+	if err != nil {
+		t.Fatalf("retried run failed: %v", err)
+	}
+	checkRun(t, stats, cfg.Epochs, job, want)
+	replacement, ok := <-replaced
+	if !ok {
+		t.Fatal("no replacement server could listen at the first one's address")
+	}
+	t.Cleanup(func() { replacement.server.Shutdown(context.Background()) })
+	if n := replacement.fl.Accepted(); n != 1 {
+		t.Fatalf("%d connections to the replacement, want the one resubmission", n)
+	}
+	views := replacement.server.Views()
+	if len(views) != 1 {
+		t.Fatalf("the replacement admitted %d jobs, want the one resubmission", len(views))
+	}
+	if epochs := trainedEpochs(t, addr, views[0].JobID); len(epochs) == cfg.Epochs || epochs[len(epochs)-1] != cfg.Epochs {
+		t.Fatalf("the resubmitted job trained epochs %v, want those after the handoff", epochs)
+	}
+}
+
+// TestRunGivingUpAfterAdmissionCancelsItsJob: a run that ends without its
+// job's result — its retries spent, or its caller cancelling while the
+// connection is down, so no cancel frame can reach the job — cancels the
+// job by ID rather than leave it training for nobody.
+func TestRunGivingUpAfterAdmissionCancelsItsJob(t *testing.T) {
+	cfg := amalgam.TrainConfig{Epochs: 100000, BatchSize: 8, LR: 0.5, Momentum: 0.9}
 	for _, c := range []struct {
-		name string
-		cut  int
+		name    string
+		retries int
+		want    error
 	}{
-		{"inside msgState", lead + stateSize/2},
+		{"retries exhausted", 0, amalgam.ErrRetriesExhausted},
+		{"caller cancels", 3, context.Canceled},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			fl := startFaultServer(t, func(i int) faultnet.ConnPlan {
-				if i == 0 {
-					return faultnet.ConnPlan{CutAfterWriteBytes: int64(c.cut)}
+			fl, server := faultServerAt(t, "127.0.0.1:0", nil)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var once sync.Once
+			_, err := amalgam.Train(ctx, amalgam.RemoteTrainer{Addr: fl.Addr().String()}, mkTextJob(t), cfg,
+				amalgam.WithRetry(amalgam.RetryPolicy{MaxRetries: c.retries, BaseDelay: time.Minute, Seed: 2}),
+				amalgam.WithProgress(func(s amalgam.EpochStats) {
+					once.Do(func() {
+						fl.KillAll()
+						if c.want == context.Canceled {
+							cancel()
+						}
+					})
+				}))
+			if !errors.Is(err, c.want) {
+				t.Fatalf("run ended with %v, want %v", err, c.want)
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				views := server.Views()
+				if len(views) != 1 {
+					t.Fatalf("%d admissions, want one", len(views))
 				}
-				return faultnet.ConnPlan{}
-			})
-			addr := fl.Addr().String()
-			job := mkTextJob(t)
-			stats, err := amalgam.Train(ctx, amalgam.RemoteTrainer{Addr: addr}, job, cfg,
-				amalgam.WithRetry(amalgam.RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: 5}))
-			if err != nil {
-				t.Fatalf("retried run failed: %v", err)
-			}
-			if fl.Accepted() != 2 {
-				t.Fatalf("%d connections, want the cut one and one retry", fl.Accepted())
-			}
-			if len(stats) != cfg.Epochs {
-				t.Fatalf("delivered %d epoch stats, want %d", len(stats), cfg.Epochs)
-			}
-			for i, s := range stats {
-				if s.Epoch != i+1 {
-					t.Fatalf("stats[%d].Epoch = %d; every epoch exactly once", i, s.Epoch)
+				if st := views[0].State; st == "cancelled" {
+					break
+				} else if st != "running" || time.Now().After(deadline) {
+					t.Fatalf("the abandoned job is %s, want cancelled", st)
 				}
-			}
-			got := extractedState(t, job)
-			for name, w := range want {
-				if !got[name].Equal(w) {
-					t.Fatalf("run cut %s diverged from the unbroken run at %q", c.name, name)
-				}
-			}
-			// What each attempt's job trained: a finished job replays its
-			// buffered epochs to whoever attaches.
-			trained := func(id string) (epochs []int) {
-				_, err := cloudsim.AttachContext(ctx, addr, cloudsim.AttachRequest{JobID: id},
-					cloudsim.StreamHandlers{Progress: func(m cloudsim.EpochMetric) { epochs = append(epochs, m.Epoch) }}, cloudsim.NetConfig{})
-				if err != nil {
-					t.Fatalf("attach %s: %v", id, err)
-				}
-				return epochs
-			}
-			if first := trained("job-000001"); len(first) != cfg.Epochs {
-				t.Fatalf("the cut attempt trained epochs %v, want all %d (the cut must land after training)", first, cfg.Epochs)
-			}
-			if second := trained("job-000002"); len(second) != 1 || second[0] != cfg.Epochs {
-				t.Fatalf("the retry trained epochs %v, want exactly the last one, %d", second, cfg.Epochs)
+				time.Sleep(5 * time.Millisecond)
 			}
 		})
 	}
