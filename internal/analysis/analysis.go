@@ -19,14 +19,8 @@
 // `go vet -vettool=` plugin speaking cmd/go's unitchecker .cfg protocol
 // (cmd/amalgam-vet), which covers test files as well.
 //
-// Deliberate exceptions are annotated in source:
-//
-//	//amalgam:allow <analyzer> <reason>
-//
-// A trailing directive suppresses that analyzer's findings on its own
-// line; a standalone directive suppresses them on the next line. The
-// reason is mandatory, and a stale directive (nothing to suppress) is
-// itself reported, so suppressions cannot rot silently.
+// The invariants have no exceptions: there is no suppression directive,
+// so a finding is fixed where it occurs.
 package analysis
 
 import (
@@ -34,14 +28,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // An Analyzer describes one invariant checker. The shape mirrors
 // x/tools/go/analysis.Analyzer.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //amalgam:allow directives.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc states the invariant the analyzer enforces.
 	Doc string
@@ -80,9 +72,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Src maps filename to source bytes, for suppression-directive and
-	// golden-test line handling.
-	Src map[string][]byte
 	// Dep resolves an import path anywhere in this package's dependency
 	// closure to its typechecked form (nil if absent). Analyzers use it to
 	// reach well-known types such as net.Conn.
@@ -100,44 +89,13 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// AllowName is the pseudo-analyzer that owns directive hygiene findings
-// (malformed, unknown-analyzer, and stale //amalgam:allow directives).
-const AllowName = "allow"
-
 // Analyzers returns the full amalgam-vet suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{PoolCheck, DetCheck, LockCheck, ErrTaxCheck}
 }
 
-// Run applies the analyzers to each package, applies //amalgam:allow
-// suppression directives, and returns the surviving diagnostics sorted by
-// position. Directive hygiene problems are reported under the "allow"
-// pseudo-analyzer.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var all []Diagnostic
-	for _, pkg := range pkgs {
-		diags, err := runPackage(pkg, analyzers)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, diags...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
-	})
-	return all, nil
-}
-
+// runPackage applies the analyzers to one package and returns their
+// diagnostics in the order they were reported.
 func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -154,5 +112,5 @@ func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("analysis: %s on %s: %v", a.Name, pkg.Path, err)
 		}
 	}
-	return applyDirectives(pkg, analyzers, diags), nil
+	return diags, nil
 }

@@ -21,10 +21,7 @@ import (
 // import paths, shadowing real packages), the analyzer under test runs,
 // and its diagnostics must line up exactly with the `want "regex"`
 // expectations in the sources. A regex is matched against the rendered
-// "analyzer: message" string of a diagnostic on the same line; lines whose
-// trailing comment position is already taken by an //amalgam:allow
-// directive carry their expectation in a /* want "..." */ block comment
-// instead.
+// "analyzer: message" string of a diagnostic on the same line.
 
 func runGolden(t *testing.T, name string, analyzers ...*Analyzer) {
 	t.Helper()
@@ -32,9 +29,13 @@ func runGolden(t *testing.T, name string, analyzers ...*Analyzer) {
 	if len(pkgs) == 0 {
 		t.Fatalf("testdata/%s/src holds no packages", name)
 	}
-	diags, err := Run(pkgs, analyzers)
-	if err != nil {
-		t.Fatal(err)
+	var diags []Diagnostic
+	for _, pkg := range pkgs {
+		d, err := runPackage(pkg, analyzers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags = append(diags, d...)
 	}
 
 	wants := collectWants(t, pkgs)
@@ -185,15 +186,9 @@ func TestErrTaxGolden(t *testing.T)    { runGolden(t, "errtax", ErrTaxCheck) }
 // by — no taxonomy table.
 func TestErrTaxMissingClassifiers(t *testing.T) { runGolden(t, "errtaxmissing", ErrTaxCheck) }
 
-// TestSuppressGolden pins the //amalgam:allow contract itself: a directive
-// silences exactly the named analyzer on exactly the annotated line, and
-// malformed, unknown-analyzer, and stale directives are themselves
-// reported.
-func TestSuppressGolden(t *testing.T) { runGolden(t, "suppress", LockCheck) }
-
 // TestSuiteCleanOnRepo is the enforcement test: the full suite over the
-// whole module, test files included, must report nothing — every real
-// finding is either fixed or carries a reasoned //amalgam:allow. A
+// whole module, test files included, must report nothing: there is no
+// suppression directive, so every finding is fixed where it occurs. A
 // regression here is a contract violation, not a style nit. It runs the
 // tool exactly as CI does, through go vet.
 func TestSuiteCleanOnRepo(t *testing.T) {

@@ -17,9 +17,8 @@ import (
 //	}
 //
 // Each Analyzer also stands alone: picking a subset out of Analyzers()
-// (or appending a project-specific Analyzer to it) composes naturally,
-// and //amalgam:allow directives keep working because suppression is
-// applied by Run and RunVetTool, not by the individual analyzers.
+// (or appending a project-specific Analyzer to it) composes naturally.
+// Every finding is reported; there is no suppression directive.
 func ExampleAnalyzers() {
 	for _, a := range analysis.Analyzers() {
 		fmt.Println(a.Name)

@@ -34,16 +34,6 @@ func mapOrder(m map[string]int) []int {
 	return out
 }
 
-// Order-independent aggregation, annotated as such.
-func mapSum(m map[string]int) int {
-	s := 0
-	//amalgam:allow detcheck integer sum is independent of iteration order
-	for _, v := range m {
-		s += v
-	}
-	return s
-}
-
 // Slices range deterministically; no finding.
 func sliceOrder(s []int) int {
 	total := 0

@@ -51,8 +51,3 @@ func longWrapped(a, b, c int) error {
 	return fmt.Errorf("cloudsim: a very long diagnostic message carrying lots of context %d/%d/%d so the verb sits past the abbreviation horizon: %w",
 		a, b, c, ErrAlpha)
 }
-
-// A reasoned allow for deliberate generic errors (v1 interop).
-func allowedBare() error {
-	return fmt.Errorf("cloudsim: deliberately generic") //amalgam:allow errtaxcheck v1 peers carry no classification byte to map
-}

@@ -140,10 +140,3 @@ func localMutex() {
 	ch <- 1
 	mu.Unlock()
 }
-
-// A reasoned allow for deliberate delivery-under-lock designs.
-func (s *S) allowedCallback() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cb() //amalgam:allow lockcheck exactly-once delivery requires the callback inside the critical section
-}

@@ -93,9 +93,3 @@ func rebind() {
 	x = tensor.Get(3)
 	tensor.Put(x)
 }
-
-// A reasoned allow silences the report at the acquisition site.
-func condemned() {
-	x := tensor.Get(2) //amalgam:allow poolcheck buffer intentionally abandoned to stress pool refill in benchmarks
-	x.Fill(0)
-}

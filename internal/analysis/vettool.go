@@ -117,18 +117,12 @@ func RunVetTool(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 // architecture may differ.
 func typecheck(fset *token.FileSet, path string, filenames []string, imp types.Importer) (*Package, error) {
 	var files []*ast.File
-	src := make(map[string][]byte)
 	for _, name := range filenames {
-		b, err := os.ReadFile(name)
-		if err != nil {
-			return nil, err
-		}
-		f, err := parser.ParseFile(fset, name, b, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
-		src[name] = b
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -151,7 +145,6 @@ func typecheck(fset *token.FileSet, path string, filenames []string, imp types.I
 		Files: files,
 		Types: tpkg,
 		Info:  info,
-		Src:   src,
 		Dep: func(path string) *types.Package {
 			p, err := imp.Import(path)
 			if err != nil {

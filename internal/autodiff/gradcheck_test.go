@@ -190,6 +190,23 @@ func TestGradPooling(t *testing.T) {
 		loss := func() *Node { return MSE(GlobalAvgPool(xN), target) }
 		gradCheck(t, []*Node{xN}, loss, 2e-2)
 	})
+	t.Run("avg/padding windows", func(t *testing.T) {
+		// Kernel 1, pad 1: every border window lies wholly in padding and
+		// must read as zero. The output's pool bucket is dirtied first, each
+		// buffer with its own value, so a forward that left those windows
+		// unwritten would see a different border on each call, and the
+		// central differences would show it.
+		for v := range 8 {
+			d := tensor.Get(2, 2, 6, 6)
+			d.Fill(float32(v + 1))
+			tensor.Put(d)
+		}
+		xN := Leaf(x.Clone())
+		target6 := tensor.New(2, 2, 6, 6)
+		rng.FillNormal(target6, 0, 1)
+		loss := func() *Node { return MSE(AvgPool2d(xN, 1, 1, 1), target6) }
+		gradCheck(t, []*Node{xN}, loss, 2e-2)
+	})
 }
 
 func TestGradBatchNorm(t *testing.T) {

@@ -170,16 +170,13 @@ func sendRequest(conn *deadlineConn, req *TrainRequest) error {
 }
 
 // decodeErrorFrame maps a msgError payload (errCode byte + message) back
-// to an error wrapping the code's sentinel.
+// to an error wrapping the code's sentinel; an empty payload is code 0.
 func decodeErrorFrame(payload []byte) error {
 	code, msg := errCodeGeneric, payload
 	if len(payload) > 0 {
 		code, msg = payload[0], payload[1:]
 	}
-	if sentinel := sentinelFor(code); sentinel != nil {
-		return fmt.Errorf("cloudsim: server: %s: %w", msg, sentinel)
-	}
-	return fmt.Errorf("cloudsim: server: %s", msg) //amalgam:allow errtaxcheck errCodeGeneric frames carry no sentinel to map onto
+	return fmt.Errorf("cloudsim: server: %s: %w", msg, sentinelFor(code))
 }
 
 // readJobStream consumes a server's job stream — progress, checkpoint,

@@ -54,6 +54,12 @@ var (
 	// distinguishable so clients can tell "bad hyperparameters" from "this
 	// server is too old for the requested optimiser".
 	ErrUnknownOptimizer = errors.New("cloudsim: unknown optimiser kind")
+	// ErrUnclassified marks a peer's error that carried no class: a
+	// msgError frame under code 0, which the sender writes for an error
+	// wrapping no sentinel, or under a code no row assigns. Nothing here
+	// wraps it to send; it only names what the other end left unclassified.
+	// With no class to read, resending cannot be known to help — fatal.
+	ErrUnclassified = errors.New("cloudsim: unclassified server error")
 )
 
 // taxonomy is the wire error taxonomy, said once: the code each sentinel
@@ -69,6 +75,7 @@ var taxonomy = []struct {
 	sentinel  error
 	transient bool
 }{
+	{errCodeGeneric, ErrUnclassified, false},
 	{1, ErrProtocolVersion, false},
 	{2, ErrFrameTooLarge, false},
 	{3, ErrUnknownFrame, false},
@@ -109,7 +116,8 @@ func IsTransient(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// errCodeGeneric is the code of an error that wraps no sentinel.
+// errCodeGeneric is the code of an error that wraps no sentinel, and the
+// row of ErrUnclassified.
 const errCodeGeneric byte = 0
 
 // errCodeOf classifies an error for the wire.
@@ -122,12 +130,13 @@ func errCodeOf(err error) byte {
 	return errCodeGeneric
 }
 
-// sentinelFor maps a wire error code back to its sentinel (nil for generic).
+// sentinelFor maps a wire error code back to its sentinel: ErrUnclassified
+// for code 0 and for a code no row assigns.
 func sentinelFor(code byte) error {
 	for _, row := range taxonomy {
 		if row.code == code {
 			return row.sentinel
 		}
 	}
-	return nil
+	return ErrUnclassified
 }

@@ -220,12 +220,14 @@ func TestRecipeRefusedAlikeAtAdmissionAndInLoop(t *testing.T) {
 // TestTaxonomyRowsRoundTrip walks the one table the classifiers are read
 // from: a wrapped sentinel crosses the wire under its row's code and
 // decodes to the same sentinel, and IsTransient gives the row's class
-// before and after the trip.
+// before and after the trip. Code 0 is a row like any other, and every
+// msgError frame decodes to a typed error: an error wrapping no sentinel,
+// an unassigned code and an empty payload all come back as ErrUnclassified.
 func TestTaxonomyRowsRoundTrip(t *testing.T) {
-	codes := map[byte]bool{errCodeGeneric: true}
+	codes := make(map[byte]bool)
 	for _, row := range taxonomy {
 		if codes[row.code] {
-			t.Fatalf("wire code %d is used twice (or is the generic code)", row.code)
+			t.Fatalf("wire code %d is used twice", row.code)
 		}
 		codes[row.code] = true
 		err := fmt.Errorf("job 7: %w", fmt.Errorf("inner: %w", row.sentinel))
@@ -247,6 +249,31 @@ func TestTaxonomyRowsRoundTrip(t *testing.T) {
 		if IsTransient(err) != row.transient || IsTransient(back) != row.transient {
 			t.Fatalf("%v: IsTransient %v before the wire, %v after, row says %v",
 				row.sentinel, IsTransient(err), IsTransient(back), row.transient)
+		}
+	}
+	if !codes[errCodeGeneric] {
+		t.Fatalf("code %d has no row", errCodeGeneric)
+	}
+	if codes[200] {
+		t.Fatal("code 200 is assigned; pick an unassigned code for this test")
+	}
+
+	var wire bytes.Buffer
+	if werr := writeErrorFrame(&wire, errors.New("job 7: disk full")); werr != nil {
+		t.Fatal(werr)
+	}
+	_, generic, rerr := readFrame(&wire)
+	if rerr != nil || len(generic) == 0 || generic[0] != errCodeGeneric {
+		t.Fatalf("an error wrapping no sentinel went out as %v, %v; want code %d", generic, rerr, errCodeGeneric)
+	}
+	for name, payload := range map[string][]byte{
+		"no sentinel":     generic,
+		"unassigned code": append([]byte{200}, "from a newer peer"...),
+		"empty payload":   nil,
+	} {
+		back := decodeErrorFrame(payload)
+		if !errors.Is(back, ErrUnclassified) || IsTransient(back) {
+			t.Fatalf("%s decoded as %v (transient %v), want fatal ErrUnclassified", name, back, IsTransient(back))
 		}
 	}
 }

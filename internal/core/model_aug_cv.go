@@ -274,10 +274,10 @@ func newCVDecoy(rng *tensor.RNG, key *ImageAugKey, inC, classes, budget int, tap
 
 // Forward returns the original sub-network's logits for an augmented
 // input — the path used to validate the augmented model on the augmented
-// test set (§5.4).
+// test set (§5.4) and to serve it. Only the original runs, on its own
+// gather: ForwardAll's first output, without the decoys.
 func (m *AugmentedCVModel) Forward(x *autodiff.Node) *autodiff.Node {
-	logits, _ := m.ForwardAll(x)
-	return logits
+	return m.Orig.Forward(m.OrigGather.Forward(x))
 }
 
 // ForwardAll runs every sub-network on the augmented input [N, C, H', W'],

@@ -92,10 +92,10 @@ func (m *AugmentedTextClassifier) ForwardAll(ids [][]int) (*autodiff.Node, []*au
 }
 
 // ForwardIDs returns the original sub-network's logits (augmented-testset
-// validation path).
+// validation and serving path). Only the original runs, on its own gather:
+// ForwardAll's first output, without the decoys.
 func (m *AugmentedTextClassifier) ForwardIDs(ids [][]int) *autodiff.Node {
-	logits, _ := m.ForwardAll(ids)
-	return logits
+	return m.Orig.ForwardIDs(m.OrigGather.Apply(ids))
 }
 
 // Loss is Algorithm 1's joint objective for text classification.

@@ -8,29 +8,49 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"amalgam/internal/optim"
 	"amalgam/internal/tensor"
 )
 
-// saveAtomic writes path through a temporary file renamed into place, so a
-// crash mid-save never leaves a truncated checkpoint.
-func saveAtomic(path string, write func(io.Writer) error) error {
+// saveAtomic writes path through a temporary file that is synced, renamed
+// into place and made durable by syncing its directory, so a crash mid-save
+// leaves the old checkpoint or the new one, never a truncated one. A failed
+// save removes the temporary file.
+func saveAtomic(path string, write func(io.Writer) error) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("serialize: create checkpoint: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
 	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return fmt.Errorf("serialize: write checkpoint: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("serialize: sync checkpoint: %w", err)
 	}
-	return os.Rename(tmp, path)
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("serialize: close checkpoint: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("serialize: rename checkpoint: %w", err)
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("serialize: sync checkpoint directory: %w", err)
+	}
+	defer dir.Close()
+	if err := dir.Sync(); err != nil {
+		return fmt.Errorf("serialize: sync checkpoint directory: %w", err)
+	}
+	return nil
 }
 
 // ckptMagic ("AMC3") heads a training checkpoint: a resumable snapshot

@@ -130,6 +130,24 @@ func TestTrainCheckpointRejectsForeignInput(t *testing.T) {
 	}
 }
 
+// TestFailedSaveLeavesNoTemporary: a save whose rename fails — the
+// destination is a non-empty directory — reports the error and removes
+// its temporary file. (A crash or power loss between write and rename,
+// the case the syncs are for, is not something a test process can stage.)
+func TestFailedSaveLeavesNoTemporary(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "job.amc")
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	m := models.NewLeNet5(tensor.NewRNG(1), models.CVConfig{InC: 1, InH: 12, InW: 12, Classes: 3})
+	if err := SaveTrainCheckpoint(path, &TrainCheckpoint{Epoch: 1, State: nn.StateDict(m)}); err == nil {
+		t.Fatal("a save over a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("a failed save left %s.tmp behind (%v)", path, err)
+	}
+}
+
 func TestTrainCheckpointNegativeEpoch(t *testing.T) {
 	if err := SaveTrainCheckpoint(filepath.Join(t.TempDir(), "x.amc"), &TrainCheckpoint{Epoch: -1}); err == nil {
 		t.Fatal("negative epoch should error")

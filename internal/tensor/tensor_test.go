@@ -340,13 +340,37 @@ func TestAvgPoolForward(t *testing.T) {
 		1, 2,
 		3, 4,
 	}, 1, 1, 2, 2)
-	g := &ConvGeom{InC: 1, InH: 2, InW: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	out := AvgPoolForward(x, g)
-	if out.Data[0] != 2.5 {
-		t.Fatalf("avgpool = %v, want 2.5", out.Data[0])
+	for _, tc := range []struct {
+		name string
+		g    ConvGeom
+		want []float32
+	}{
+		{"one window", ConvGeom{InC: 1, InH: 2, InW: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2}, []float32{2.5}},
+		// Kernel 1, pad 1: every border window lies wholly in padding.
+		{"padding windows", ConvGeom{InC: 1, InH: 2, InW: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, []float32{
+			0, 0, 0, 0,
+			0, 1, 2, 0,
+			0, 3, 4, 0,
+			0, 0, 0, 0,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			// Dirty the output's pool bucket: a window the pass skips must
+			// read as zero, not as whatever the recycled buffer held.
+			d := Get(len(tc.want))
+			d.Fill(7)
+			Put(d)
+			out := AvgPoolForward(x, &g)
+			for i, v := range out.Data {
+				if v != tc.want[i] {
+					t.Fatalf("avgpool = %v, want %v", out.Data, tc.want)
+				}
+			}
+		})
 	}
 }
 
