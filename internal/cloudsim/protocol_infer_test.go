@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"net"
 	"runtime"
 	"sort"
@@ -457,8 +458,10 @@ func FuzzDecodeInferFrame(f *testing.F) {
 	seed(inferHeader{Model: "txt", Modality: "text", Lens: []int{4, 1}}, ids)                        // ragged the wrong way
 	seed(inferHeader{Model: "txt", Modality: "text", Lens: []int{7, -2}}, ids)                       // negative, sums right
 	seed(inferHeader{Model: "txt", Modality: "text", Lens: []int{math.MaxInt, math.MaxInt, 7}}, ids) // wraps to 5
-	// lens×dim wraps to 0, matching an empty activation tensor.
-	seed(inferHeader{Model: "lm", Modality: "lm", Split: true, Lens: []int{1, 1<<32 - 1}, Dim: 1 << 32},
+	// lens×dim wraps to 0, matching an empty activation tensor (2³²·2³² on
+	// a 64-bit target, 2¹⁶·2¹⁶ on a 32-bit one).
+	const half = bits.UintSize / 2
+	seed(inferHeader{Model: "lm", Modality: "lm", Split: true, Lens: []int{1, 1<<half - 1}, Dim: 1 << half},
 		[]byte{0x31, 0x54, 0x4d, 0x41, 1, 0, 1, 0, 0, 0, 0})
 	// Bodies whose own headers claim 2²⁸ elements and carry none.
 	seed(inferHeader{Model: "txt", Modality: "text", Lens: []int{1}}, []byte{0, 0, 0, 0x10})

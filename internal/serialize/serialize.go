@@ -50,7 +50,7 @@ const (
 	version      = 1
 	maxDims      = 8
 	maxNameLen   = 1 << 12
-	maxElements  = 1 << 31
+	maxElements  = min(1<<31, math.MaxInt/8) // on 32 bits, 8-byte payloads stay an int
 	maxDictSize  = 1 << 20
 	maxBytesItem = 1 << 16
 	// allocChunk bounds what a decoder reserves on the strength of a
@@ -216,21 +216,22 @@ func readShape(r io.Reader) (shape []int, n int, err error) {
 		return nil, 0, fmt.Errorf("serialize: tensor rank %d exceeds %d", rank, maxDims)
 	}
 	shape = make([]int, rank)
-	n = 1
+	total := uint64(1)
 	for i := range shape {
 		var d uint32
 		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
 			return nil, 0, fmt.Errorf("serialize: read dim: %w", err)
 		}
 		shape[i] = int(d)
-		// Checked per dimension: four uint32 dims already wrap an int64
-		// product (to 0, which a single check at the end would accept).
-		if d != 0 && n > maxElements/int(d) {
+		// Checked per dimension, in 64 bits: four uint32 dims already wrap
+		// a 64-bit product (to 0, which a single check at the end would
+		// accept). On a 32-bit target a dim past int is refused too.
+		if uint64(d) > math.MaxInt || d != 0 && total > maxElements/uint64(d) {
 			return nil, 0, fmt.Errorf("serialize: tensor shape %v exceeds %d elements", shape[:i+1], maxElements)
 		}
-		n *= int(d)
+		total *= uint64(d)
 	}
-	return shape, n, nil
+	return shape, int(total), nil
 }
 
 // readFloats decodes a tensor body's n elements: into into when it is

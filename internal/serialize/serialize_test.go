@@ -2,6 +2,7 @@ package serialize
 
 import (
 	"bytes"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestStateDictDeterministicBytes(t *testing.T) {
 }
 
 func TestIntSliceRoundtrip(t *testing.T) {
-	s := []int{0, -5, 1 << 40, 42}
+	s := []int{0, -5, 1 << min(40, bits.UintSize-2), 42} // past 32 bits where int has them
 	var buf bytes.Buffer
 	if err := WriteIntSlice(&buf, s); err != nil {
 		t.Fatal(err)

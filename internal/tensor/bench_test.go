@@ -37,15 +37,32 @@ func BenchmarkMatMul(bb *testing.B) {
 	}
 }
 
+// BenchmarkMatMulBT measures a × bᵀ for a [m, k] and b [n, k] at the square
+// acceptance size, lm_local's loss-head dX = dZ·Wᵀ (1008 positions, a
+// 2000-word vocabulary, onto the decoys' 56-wide and the original's 128-wide
+// features) and one attention score block (Q·Kᵀ, 64 positions, 32-wide
+// heads), reporting GFLOP/s (2·m·k·n per product).
 func BenchmarkMatMulBT(bb *testing.B) {
-	a, _ := benchMatrices(256, 256, 256)
-	c, _ := benchMatrices(256, 256, 256)
-	out := New(256, 256)
-	bb.SetBytes(int64(3*256*256) * 4)
-	bb.ReportAllocs()
-	bb.ResetTimer()
-	for i := 0; i < bb.N; i++ {
-		MatMulBTInto(out, a, c)
+	for _, s := range []struct {
+		name    string
+		m, k, n int
+	}{
+		{"square", 256, 256, 256},
+		{"lm-head-dX-decoy", 1008, 2000, 56},
+		{"lm-head-dX", 1008, 2000, 128},
+		{"attn-scores", 64, 32, 64},
+	} {
+		bb.Run(fmt.Sprintf("%s-%dx%dx%d", s.name, s.m, s.k, s.n), func(bb *testing.B) {
+			a, b := benchMatrices(s.m, s.k, s.n) // b read as [n, k]
+			out := New(s.m, s.n)
+			bb.SetBytes(int64(s.m*s.k+s.k*s.n+s.m*s.n) * 4)
+			bb.ReportAllocs()
+			bb.ResetTimer()
+			for i := 0; i < bb.N; i++ {
+				MatMulBTRawInto(out.Data, a.Data, b.Data, s.m, s.k, s.n)
+			}
+			bb.ReportMetric(2*float64(s.m*s.k*s.n)*float64(bb.N)/bb.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

@@ -2,20 +2,22 @@ package tensor
 
 import "fmt"
 
-// The three matmul entry points share one kernel family: a register-tiled
-// saxpy kernel that processes two output rows per pass with the inner
-// k-loop unrolled 4× (axpy4x2 / axpy4), and a four-column dot kernel
-// (dot4) for the Bᵀ case. On amd64 with AVX2+FMA the kernels dispatch to
-// hand-written SIMD (see simd_amd64.s); everywhere else the pure-Go
-// versions below run, written so the compiler eliminates every
-// bounds check in the hot loops.
+// The three matmul entry points walk output rows in pairs over two
+// register-tiled kernels: a saxpy kernel that updates two output rows per
+// pass with the inner k-loop unrolled 4× (axpy4x2) for a × b and aᵀ × b,
+// and a 2-row × 4-column dot tile (dot4x2) for a × bᵀ. An odd last row of a
+// range is paired with itself — the same destination and the same
+// multipliers for both halves of the tile — so both halves compute one
+// chain from the same loads and the row comes out as it would alone. On
+// amd64 with AVX2+FMA the kernels dispatch to hand-written SIMD (see
+// simd_amd64.s); everywhere else the pure-Go versions below run, written so
+// the compiler eliminates every bounds check in the hot loops.
 //
 // Determinism contract: for a given binary on a given machine, the
 // accumulation order of every output element is fixed by (i, j, k) alone —
-// parallelFor only partitions disjoint output rows, and the single-row
-// remainder kernels use the exact same per-element operation chains as the
-// paired kernels — so results are bit-identical for any SetMaxWorkers
-// value.
+// parallelFor only partitions disjoint output rows, and both halves of a
+// tile run the same per-element operation chain — so results are
+// bit-identical for any SetMaxWorkers value.
 
 // matmulShapes panics unless a and b are 2-D and agree on the contracted
 // dimension (dimension aShared of a against bShared of b). It is the shared
@@ -161,16 +163,16 @@ func matmulRowRange(od, ad, bd []float32, k, n, nb, r0, r1 int, acc bool) {
 	for j0 := 0; j0 < n; j0 += nb {
 		w := min(nb, n-j0)
 		bw := bd[j0:]
-		i := r0
-		for ; i+2 <= r1; i += 2 {
+		for i := r0; i < r1; i += 2 {
+			i1 := min(i+1, r1-1) // an odd last row pairs with itself
 			d0 := od[i*n+j0 : i*n+j0+w]
-			d1 := od[(i+1)*n+j0 : (i+1)*n+j0+w]
+			d1 := od[i1*n+j0 : i1*n+j0+w]
 			if !acc {
 				zeroFloats(d0)
 				zeroFloats(d1)
 			}
 			arow0 := ad[i*k : (i+1)*k]
-			arow1 := ad[(i+1)*k : (i+2)*k]
+			arow1 := ad[i1*k : (i1+1)*k]
 			p := 0
 			if simdAvailable {
 				var av [8]float32
@@ -192,34 +194,9 @@ func matmulRowRange(od, ad, bd []float32, k, n, nb, r0, r1 int, acc bool) {
 			}
 			for ; p < k; p++ {
 				axpy1(d0, bw[p*n:p*n+w], arow0[p])
-				axpy1(d1, bw[p*n:p*n+w], arow1[p])
-			}
-		}
-		for ; i < r1; i++ {
-			d0 := od[i*n+j0 : i*n+j0+w]
-			if !acc {
-				zeroFloats(d0)
-			}
-			arow := ad[i*k : (i+1)*k]
-			p := 0
-			if simdAvailable {
-				var av [4]float32
-				for ; p+4 <= k; p += 4 {
-					av[0], av[1], av[2], av[3] = arow[p], arow[p+1], arow[p+2], arow[p+3]
-					axpy4SIMD(d0,
-						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
-						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w], &av)
+				if i1 != i { // a lone row takes the remainder once
+					axpy1(d1, bw[p*n:p*n+w], arow1[p])
 				}
-			} else {
-				for ; p+4 <= k; p += 4 {
-					axpy4Generic(d0,
-						bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
-						bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w],
-						arow[p], arow[p+1], arow[p+2], arow[p+3])
-				}
-			}
-			for ; p < k; p++ {
-				axpy1(d0, bw[p*n:p*n+w], arow[p])
 			}
 		}
 	}
@@ -262,30 +239,36 @@ func MatMulBTRawInto(dst, a, b []float32, m, k, n int) {
 	})
 }
 
-// matmulBTRowRange computes output rows [r0, r1) of dst = a × bᵀ, nb rows
-// of b (rowBlockBT, a multiple of four) at a time: with nb = n a row of a
-// stays put while all of b streams past it; with nb = 4 the four-row group
-// of b is outermost and the range's rows of a stream past that. Either way a
-// column is one whole dot product — dot4 for the same groups of four, dot1
-// for the same n%4 remainder — so the order cannot change results.
+// matmulBTRowRange computes output rows [r0, r1) of dst = a × bᵀ, two at a
+// time, nb rows of b (rowBlockBT, a multiple of four) at a time: with nb = n
+// a pair of rows of a stays put while all of b streams past it; with nb = 4
+// the four-row group of b is outermost and the range's row pairs stream past
+// that. Either way a column is one whole dot product — a half of dot4x2 for
+// the same groups of four, dot1 for the same n%4 remainder — so neither the
+// order nor the pairing can change results.
 func matmulBTRowRange(dst, a, b []float32, k, n, nb, r0, r1 int) {
 	for j0 := 0; j0 < n; j0 += nb {
 		j1 := min(j0+nb, n)
-		for i := r0; i < r1; i++ {
-			arow := a[i*k : (i+1)*k]
-			orow := dst[i*n : i*n+n]
+		for i := r0; i < r1; i += 2 {
+			i1 := min(i+1, r1-1) // an odd last row pairs with itself
+			arow0, arow1 := a[i*k:i*k+k], a[i1*k:i1*k+k]
+			orow0, orow1 := dst[i*n:i*n+n], dst[i1*n:i1*n+n]
 			j := j0
 			if simdAvailable {
-				var o4 [4]float32
+				var o [8]float32
 				for ; j+4 <= j1; j += 4 {
-					dot4SIMD(arow,
+					dot4x2SIMD(arow0, arow1,
 						b[j*k:j*k+k], b[(j+1)*k:(j+1)*k+k],
-						b[(j+2)*k:(j+2)*k+k], b[(j+3)*k:(j+3)*k+k], &o4)
-					orow[j], orow[j+1], orow[j+2], orow[j+3] = o4[0], o4[1], o4[2], o4[3]
+						b[(j+2)*k:(j+2)*k+k], b[(j+3)*k:(j+3)*k+k], &o)
+					orow0[j], orow0[j+1], orow0[j+2], orow0[j+3] = o[0], o[1], o[2], o[3]
+					orow1[j], orow1[j+1], orow1[j+2], orow1[j+3] = o[4], o[5], o[6], o[7]
 				}
 			}
 			for ; j < j1; j++ {
-				orow[j] = dot1(arow, b[j*k:j*k+k])
+				orow0[j] = dot1(arow0, b[j*k:j*k+k])
+				if i1 != i {
+					orow1[j] = dot1(arow1, b[j*k:j*k+k])
+				}
 			}
 		}
 	}
@@ -341,7 +324,7 @@ func matmulATRaw(dst, a, b []float32, m, k, n int, acc bool) {
 // block is touched. A row is zeroed in the first block and takes the k%4
 // remainder in the last, so each element's chain — zero or what od held,
 // the groups of four in ascending p, then the remainder — is the unblocked
-// loop's whatever kb, the window or the row range.
+// loop's whatever kb, the window, the row range or the pairing.
 func matmulATRowRange(od, ad, bd []float32, m, k, n, nb, kb, r0, r1 int, acc bool) {
 	k4 := k &^ 3
 	for j0 := 0; j0 < n; j0 += nb {
@@ -350,10 +333,10 @@ func matmulATRowRange(od, ad, bd []float32, m, k, n, nb, kb, r0, r1 int, acc boo
 		for p0 := 0; ; p0 += kb {
 			p1 := min(p0+kb, k4)
 			zero, last := !acc && p0 == 0, p1 == k4
-			i := r0
-			for ; i+2 <= r1; i += 2 {
+			for i := r0; i < r1; i += 2 {
+				i1 := min(i+1, r1-1) // an odd last row pairs with itself
 				d0 := od[i*n+j0 : i*n+j0+w]
-				d1 := od[(i+1)*n+j0 : (i+1)*n+j0+w]
+				d1 := od[i1*n+j0 : i1*n+j0+w]
 				if zero {
 					zeroFloats(d0)
 					zeroFloats(d1)
@@ -362,7 +345,7 @@ func matmulATRowRange(od, ad, bd []float32, m, k, n, nb, kb, r0, r1 int, acc boo
 					var av [8]float32
 					for p := p0; p < p1; p += 4 {
 						av[0], av[1], av[2], av[3] = ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i]
-						av[4], av[5], av[6], av[7] = ad[p*m+i+1], ad[(p+1)*m+i+1], ad[(p+2)*m+i+1], ad[(p+3)*m+i+1]
+						av[4], av[5], av[6], av[7] = ad[p*m+i1], ad[(p+1)*m+i1], ad[(p+2)*m+i1], ad[(p+3)*m+i1]
 						axpy4x2SIMD(d0, d1,
 							bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
 							bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w], &av)
@@ -373,40 +356,15 @@ func matmulATRowRange(od, ad, bd []float32, m, k, n, nb, kb, r0, r1 int, acc boo
 							bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
 							bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w],
 							ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i],
-							ad[p*m+i+1], ad[(p+1)*m+i+1], ad[(p+2)*m+i+1], ad[(p+3)*m+i+1])
+							ad[p*m+i1], ad[(p+1)*m+i1], ad[(p+2)*m+i1], ad[(p+3)*m+i1])
 					}
 				}
 				if last {
 					for p := k4; p < k; p++ {
 						axpy1(d0, bw[p*n:p*n+w], ad[p*m+i])
-						axpy1(d1, bw[p*n:p*n+w], ad[p*m+i+1])
-					}
-				}
-			}
-			for ; i < r1; i++ {
-				d0 := od[i*n+j0 : i*n+j0+w]
-				if zero {
-					zeroFloats(d0)
-				}
-				if simdAvailable {
-					var av [4]float32
-					for p := p0; p < p1; p += 4 {
-						av[0], av[1], av[2], av[3] = ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i]
-						axpy4SIMD(d0,
-							bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
-							bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w], &av)
-					}
-				} else {
-					for p := p0; p < p1; p += 4 {
-						axpy4Generic(d0,
-							bw[p*n:p*n+w], bw[(p+1)*n:(p+1)*n+w],
-							bw[(p+2)*n:(p+2)*n+w], bw[(p+3)*n:(p+3)*n+w],
-							ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i])
-					}
-				}
-				if last {
-					for p := k4; p < k; p++ {
-						axpy1(d0, bw[p*n:p*n+w], ad[p*m+i])
+						if i1 != i { // a lone row takes the remainder once
+							axpy1(d1, bw[p*n:p*n+w], ad[p*m+i1])
+						}
 					}
 				}
 			}
@@ -428,8 +386,10 @@ func zeroFloats(s []float32) {
 //	d0[j] += a00*b0[j] + a01*b1[j] + a02*b2[j] + a03*b3[j]
 //	d1[j] += a10*b0[j] + a11*b1[j] + a12*b2[j] + a13*b3[j]
 //
-// The reslicing below pins every slice to len(d0) so the compiler proves
-// all inner-loop indexing in bounds (verified with -d=ssa/check_bce).
+// Both rows of an element are computed before either is stored, so a lone
+// row may pass d0 == d1 with equal multipliers. The reslicing below pins
+// every slice to len(d0) so the compiler proves all inner-loop indexing in
+// bounds (verified with -d=ssa/check_bce).
 func axpy4x2Generic(d0, d1, b0, b1, b2, b3 []float32, a00, a01, a02, a03, a10, a11, a12, a13 float32) {
 	q1 := b1[:len(d0)]
 	q2 := b2[:len(d0)]
@@ -438,21 +398,9 @@ func axpy4x2Generic(d0, d1, b0, b1, b2, b3 []float32, a00, a01, a02, a03, a10, a
 	q0 := b0[:len(d0)]
 	for j := range d0 {
 		v0, v1, v2, v3 := q0[j], q1[j], q2[j], q3[j]
-		d0[j] += a00*v0 + a01*v1 + a02*v2 + a03*v3
-		e1[j] += a10*v0 + a11*v1 + a12*v2 + a13*v3
-	}
-}
-
-// axpy4Generic is the single-row version of axpy4x2Generic with an
-// identical per-element operation chain, so row pairing cannot change
-// results.
-func axpy4Generic(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
-	q1 := b1[:len(d)]
-	q2 := b2[:len(d)]
-	q3 := b3[:len(d)]
-	q0 := b0[:len(d)]
-	for j := range d {
-		d[j] += a0*q0[j] + a1*q1[j] + a2*q2[j] + a3*q3[j]
+		r0 := d0[j] + (a00*v0 + a01*v1 + a02*v2 + a03*v3)
+		r1 := e1[j] + (a10*v0 + a11*v1 + a12*v2 + a13*v3)
+		d0[j], e1[j] = r0, r1
 	}
 }
 

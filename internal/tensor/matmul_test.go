@@ -236,13 +236,15 @@ func TestMatMulAccumulating(t *testing.T) {
 	}
 }
 
-// unblockedAxpy is the row-range loop without a column window — one output
-// row at a time over its whole width, ascending p in steps of four on the
-// active backend's kernel, then the k%4 remainder — kept here as the referee
-// of the windowed loops: a window may change which elements are visited
-// when, never an element's chain. mult(i, p) is a[i, p] for a × b and
-// a[p, i] for aᵀ × b.
+// unblockedAxpy is the row-range loop without a column window or row
+// pairing — one output row at a time over its whole width, ascending p in
+// steps of four on the active backend's pair kernel (its second row a
+// scratch row, so nothing is aliased), then the k%4 remainder — kept here
+// as the referee of the windowed, paired loops: a window or a pairing may
+// change which elements are visited when, never an element's chain.
+// mult(i, p) is a[i, p] for a × b and a[p, i] for aᵀ × b.
 func unblockedAxpy(dst, b []float32, m, k, n int, acc bool, mult func(i, p int) float32) {
+	twin := make([]float32, n)
 	for i := 0; i < m; i++ {
 		d := dst[i*n : (i+1)*n]
 		if !acc {
@@ -250,12 +252,13 @@ func unblockedAxpy(dst, b []float32, m, k, n int, acc bool, mult func(i, p int) 
 		}
 		p := 0
 		for ; p+4 <= k; p += 4 {
-			av := [4]float32{mult(i, p), mult(i, p+1), mult(i, p+2), mult(i, p+3)}
+			av := [8]float32{mult(i, p), mult(i, p+1), mult(i, p+2), mult(i, p+3)}
+			copy(av[4:], av[:4])
 			b0, b1, b2, b3 := b[p*n:(p+1)*n], b[(p+1)*n:(p+2)*n], b[(p+2)*n:(p+3)*n], b[(p+3)*n:(p+4)*n]
 			if simdAvailable {
-				axpy4SIMD(d, b0, b1, b2, b3, &av)
+				axpy4x2SIMD(d, twin, b0, b1, b2, b3, &av)
 			} else {
-				axpy4Generic(d, b0, b1, b2, b3, av[0], av[1], av[2], av[3])
+				axpy4x2Generic(d, twin, b0, b1, b2, b3, av[0], av[1], av[2], av[3], av[4], av[5], av[6], av[7])
 			}
 		}
 		for ; p < k; p++ {
@@ -264,23 +267,30 @@ func unblockedAxpy(dst, b []float32, m, k, n int, acc bool, mult func(i, p int) 
 	}
 }
 
-// unblockedDot is a × bᵀ one row of a at a time against all of b: dot4 over
-// groups of four rows of b on the SIMD backend, dot1 for the rest.
-func unblockedDot(dst, a, b []float32, m, k, n int) {
+// unblockedDot is a × bᵀ one row of a at a time against all of b: dot4x2
+// with the row in both halves over groups of four rows of b on the SIMD
+// backend, dot1 for the rest. The halves must agree bit for bit — the loops
+// under test read a pair's first row, or a lone row, from the first half and
+// its second row from the second — and a disagreement is returned.
+func unblockedDot(dst, a, b []float32, m, k, n int) error {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		j := 0
 		if simdAvailable {
-			var o4 [4]float32
+			var o [8]float32
 			for ; j+4 <= n; j += 4 {
-				dot4SIMD(arow, b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k], b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k], &o4)
-				copy(dst[i*n+j:], o4[:])
+				dot4x2SIMD(arow, arow, b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k], b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k], &o)
+				if [4]float32(o[:4]) != [4]float32(o[4:]) {
+					return fmt.Errorf("dot4x2 halves differ on row %d, columns %d..%d: %v vs %v", i, j, j+3, o[:4], o[4:])
+				}
+				copy(dst[i*n+j:], o[:4])
 			}
 		}
 		for ; j < n; j++ {
 			dst[i*n+j] = dot1(arow, b[j*k:(j+1)*k])
 		}
 	}
+	return nil
 }
 
 // TestMatMulBlockedMatchesUnblocked pins what the column window (colBlock),
@@ -294,8 +304,10 @@ func unblockedDot(dst, a, b []float32, m, k, n int) {
 // decoy's 56, and an odd 57). A K-block is slabFloats/n rows rounded down
 // to a multiple of four, so k one short of, at, one past and three past the
 // third block edge, and k < 4 (no group of four at all), pin where the
-// blocks cut and where the k%4 tail runs. Each shape runs through all three
-// families over the same two buffers.
+// blocks cut and where the k%4 tail runs. One and two rows — a lone row
+// paired with itself, a single pair — at a loss head's forward, dX and dW
+// pin the pairing. Each shape runs through all three families over the same
+// two buffers.
 func TestMatMulBlockedMatchesUnblocked(t *testing.T) {
 	defer SetMaxWorkers(SetMaxWorkers(1))
 	edge := colBlock(30, 1<<20)
@@ -313,6 +325,7 @@ func TestMatMulBlockedMatchesUnblocked(t *testing.T) {
 		{1008, 128, 2000}, {1008, 56, 2000},
 		{128, 1008, 2000}, {56, 1008, 2000}, {57, 1008, 2000},
 		{5, 3, 2000}, {7, 1, 2000}, {3, 2, 1000},
+		{1, 56, 2000}, {1, 2000, 56}, {2, 2000, 56}, {1, 128, 2000},
 	}
 	const n = 2000
 	kb := slabFloats / n &^ 3 // one K-block: 131 rows fit, 128 are taken
@@ -363,7 +376,11 @@ func TestMatMulBlockedMatchesUnblocked(t *testing.T) {
 				{"MatMulAccRawInto", MatMulAccRawInto, axpy(true, false)},
 				{"MatMulATRawInto", MatMulATRawInto, axpy(false, true)},
 				{"MatMulATAccRawInto", MatMulATAccRawInto, axpy(true, true)},
-				{"MatMulBTRawInto", MatMulBTRawInto, func(dst []float32) { unblockedDot(dst, a.Data, b.Data, m, k, n) }},
+				{"MatMulBTRawInto", MatMulBTRawInto, func(dst []float32) {
+					if err := unblockedDot(dst, a.Data, b.Data, m, k, n); err != nil {
+						t.Errorf("simd=%v %dx%dx%d: %v", simd, m, k, n, err)
+					}
+				}},
 			} {
 				want := seed.Clone()
 				c.unblocked(want.Data)

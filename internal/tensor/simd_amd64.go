@@ -23,10 +23,7 @@ func xgetbv0() (eax, edx uint32)
 func axpy4x2SIMD(d0, d1, b0, b1, b2, b3 []float32, a *[8]float32)
 
 //go:noescape
-func axpy4SIMD(d, b0, b1, b2, b3 []float32, a *[4]float32)
-
-//go:noescape
-func dot4SIMD(a, b0, b1, b2, b3 []float32, out *[4]float32)
+func dot4x2SIMD(a0, a1, b0, b1, b2, b3 []float32, out *[8]float32)
 
 //go:noescape
 func expRowSumSIMD(dst, src []float32, maxv float32) float64

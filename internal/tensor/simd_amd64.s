@@ -24,7 +24,9 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 // d0[j] += a[0]*b0[j] + a[1]*b1[j] + a[2]*b2[j] + a[3]*b3[j]
 // d1[j] += a[4]*b0[j] + a[5]*b1[j] + a[6]*b2[j] + a[7]*b3[j]
 // for j in [0, len(d0)). Uses FMA: each term is fused, chained in fixed
-// ascending order, so results are deterministic for a given binary.
+// ascending order, so results are deterministic for a given binary. A lone
+// row passes d0 == d1 and a[4:8] == a[0:4]: both rows of a block are loaded
+// before either is stored, so the two stores write one value.
 TEXT ·axpy4x2SIMD(SB), NOSPLIT, $0-152
 	MOVQ d0_base+0(FP), DI
 	MOVQ d0_len+8(FP), CX
@@ -94,82 +96,33 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpy4SIMD(d, b0, b1, b2, b3 []float32, a *[4]float32)
+// func dot4x2SIMD(a0, a1, b0, b1, b2, b3 []float32, out *[8]float32)
 //
-// d[j] += a[0]*b0[j] + a[1]*b1[j] + a[2]*b2[j] + a[3]*b3[j]
-// Identical per-element FMA chain to row 0 of axpy4x2SIMD.
-TEXT ·axpy4SIMD(SB), NOSPLIT, $0-128
-	MOVQ d_base+0(FP), DI
-	MOVQ d_len+8(FP), CX
-	MOVQ b0_base+24(FP), SI
-	MOVQ b1_base+48(FP), R8
-	MOVQ b2_base+72(FP), R9
-	MOVQ b3_base+96(FP), R10
-	MOVQ a+120(FP), DX
-	VBROADCASTSS 0(DX), Y0
-	VBROADCASTSS 4(DX), Y1
-	VBROADCASTSS 8(DX), Y2
-	VBROADCASTSS 12(DX), Y3
-	XORQ AX, AX
-	MOVQ CX, BX
-	ANDQ $-8, BX
-	CMPQ BX, $0
-	JEQ  tail1
-loop8a:
-	VMOVUPS (SI)(AX*4), Y8
-	VMOVUPS (R8)(AX*4), Y9
-	VMOVUPS (R9)(AX*4), Y10
-	VMOVUPS (R10)(AX*4), Y11
-	VMOVUPS (DI)(AX*4), Y12
-	VFMADD231PS Y8, Y0, Y12
-	VFMADD231PS Y9, Y1, Y12
-	VFMADD231PS Y10, Y2, Y12
-	VFMADD231PS Y11, Y3, Y12
-	VMOVUPS Y12, (DI)(AX*4)
-	ADDQ $8, AX
-	CMPQ AX, BX
-	JLT  loop8a
-tail1:
-	CMPQ AX, CX
-	JGE  done1
-tailloop1:
-	VMOVSS (SI)(AX*4), X8
-	VMOVSS (R8)(AX*4), X9
-	VMOVSS (R9)(AX*4), X10
-	VMOVSS (R10)(AX*4), X11
-	VMOVSS (DI)(AX*4), X12
-	VFMADD231SS X8, X0, X12
-	VFMADD231SS X9, X1, X12
-	VFMADD231SS X10, X2, X12
-	VFMADD231SS X11, X3, X12
-	VMOVSS X12, (DI)(AX*4)
-	INCQ AX
-	CMPQ AX, CX
-	JLT  tailloop1
-done1:
-	VZEROUPPER
-	RET
-
-// func dot4SIMD(a, b0, b1, b2, b3 []float32, out *[4]float32)
-//
-// out[r] = Σ_p a[p]*br[p], each accumulated in 8 SIMD lanes with FMA.
-// The high four lanes are folded into the low four BEFORE the scalar tail
-// loop: the VEX.128 tail FMAs zero bits 128-255 of their destination YMM
-// register, so folding first is required for correctness, not style. The
-// tail then accumulates into lane 0 and a fixed shuffle order reduces the
-// rest. Deterministic for a given binary.
-TEXT ·dot4SIMD(SB), NOSPLIT, $0-128
-	MOVQ a_base+0(FP), DI
-	MOVQ a_len+8(FP), CX
-	MOVQ b0_base+24(FP), SI
-	MOVQ b1_base+48(FP), R8
-	MOVQ b2_base+72(FP), R9
-	MOVQ b3_base+96(FP), R10
-	MOVQ out+120(FP), DX
+// out[4r+c] = Σ_p ar[p]*bc[p]: a 2-row × 4-column tile of dot products,
+// eight independent 8-lane FMA chains (6 loads per 8 FMAs). Each chain is
+// the single dot's: the high four lanes are folded into the low four BEFORE
+// the scalar tail loop — the VEX.128 tail FMAs zero bits 128-255 of their
+// destination YMM register, so folding first is required for correctness,
+// not style — the tail accumulates into lane 0 and a fixed shuffle order
+// reduces the rest. A lone row passes a0 == a1 and reads out[0:4].
+// Deterministic for a given binary.
+TEXT ·dot4x2SIMD(SB), NOSPLIT, $0-152
+	MOVQ a0_base+0(FP), DI
+	MOVQ a0_len+8(FP), CX
+	MOVQ a1_base+24(FP), R11
+	MOVQ b0_base+48(FP), SI
+	MOVQ b1_base+72(FP), R8
+	MOVQ b2_base+96(FP), R9
+	MOVQ b3_base+120(FP), R10
+	MOVQ out+144(FP), DX
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
 	XORQ AX, AX
 	MOVQ CX, BX
 	ANDQ $-8, BX
@@ -177,19 +130,24 @@ TEXT ·dot4SIMD(SB), NOSPLIT, $0-128
 	JEQ  dtail
 dloop8:
 	VMOVUPS (DI)(AX*4), Y8
-	VMOVUPS (SI)(AX*4), Y9
-	VMOVUPS (R8)(AX*4), Y10
-	VMOVUPS (R9)(AX*4), Y11
-	VMOVUPS (R10)(AX*4), Y12
-	VFMADD231PS Y9, Y8, Y0
-	VFMADD231PS Y10, Y8, Y1
-	VFMADD231PS Y11, Y8, Y2
-	VFMADD231PS Y12, Y8, Y3
+	VMOVUPS (R11)(AX*4), Y9
+	VMOVUPS (SI)(AX*4), Y10
+	VMOVUPS (R8)(AX*4), Y11
+	VMOVUPS (R9)(AX*4), Y12
+	VMOVUPS (R10)(AX*4), Y13
+	VFMADD231PS Y10, Y8, Y0
+	VFMADD231PS Y11, Y8, Y1
+	VFMADD231PS Y12, Y8, Y2
+	VFMADD231PS Y13, Y8, Y3
+	VFMADD231PS Y10, Y9, Y4
+	VFMADD231PS Y11, Y9, Y5
+	VFMADD231PS Y12, Y9, Y6
+	VFMADD231PS Y13, Y9, Y7
 	ADDQ $8, AX
 	CMPQ AX, BX
 	JLT  dloop8
 dtail:
-	// fold hi128 into lo128 before any VEX.128 op touches Y0..Y3
+	// fold hi128 into lo128 before any VEX.128 op touches Y0..Y7
 	VEXTRACTF128 $1, Y0, X8
 	VADDPS X8, X0, X0
 	VEXTRACTF128 $1, Y1, X8
@@ -198,18 +156,31 @@ dtail:
 	VADDPS X8, X2, X2
 	VEXTRACTF128 $1, Y3, X8
 	VADDPS X8, X3, X3
+	VEXTRACTF128 $1, Y4, X8
+	VADDPS X8, X4, X4
+	VEXTRACTF128 $1, Y5, X8
+	VADDPS X8, X5, X5
+	VEXTRACTF128 $1, Y6, X8
+	VADDPS X8, X6, X6
+	VEXTRACTF128 $1, Y7, X8
+	VADDPS X8, X7, X7
 	CMPQ AX, CX
 	JGE  dreduce
 dtailloop:
 	VMOVSS (DI)(AX*4), X8
-	VMOVSS (SI)(AX*4), X9
-	VMOVSS (R8)(AX*4), X10
-	VMOVSS (R9)(AX*4), X11
-	VMOVSS (R10)(AX*4), X12
-	VFMADD231SS X9, X8, X0
-	VFMADD231SS X10, X8, X1
-	VFMADD231SS X11, X8, X2
-	VFMADD231SS X12, X8, X3
+	VMOVSS (R11)(AX*4), X9
+	VMOVSS (SI)(AX*4), X10
+	VMOVSS (R8)(AX*4), X11
+	VMOVSS (R9)(AX*4), X12
+	VMOVSS (R10)(AX*4), X13
+	VFMADD231SS X10, X8, X0
+	VFMADD231SS X11, X8, X1
+	VFMADD231SS X12, X8, X2
+	VFMADD231SS X13, X8, X3
+	VFMADD231SS X10, X9, X4
+	VFMADD231SS X11, X9, X5
+	VFMADD231SS X12, X9, X6
+	VFMADD231SS X13, X9, X7
 	INCQ AX
 	CMPQ AX, CX
 	JLT  dtailloop
@@ -222,10 +193,22 @@ dreduce:
 	VHADDPS X2, X2, X2
 	VHADDPS X3, X3, X3
 	VHADDPS X3, X3, X3
+	VHADDPS X4, X4, X4
+	VHADDPS X4, X4, X4
+	VHADDPS X5, X5, X5
+	VHADDPS X5, X5, X5
+	VHADDPS X6, X6, X6
+	VHADDPS X6, X6, X6
+	VHADDPS X7, X7, X7
+	VHADDPS X7, X7, X7
 	VMOVSS X0, 0(DX)
 	VMOVSS X1, 4(DX)
 	VMOVSS X2, 8(DX)
 	VMOVSS X3, 12(DX)
+	VMOVSS X4, 16(DX)
+	VMOVSS X5, 20(DX)
+	VMOVSS X6, 24(DX)
+	VMOVSS X7, 28(DX)
 	VZEROUPPER
 	RET
 

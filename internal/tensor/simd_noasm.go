@@ -21,11 +21,7 @@ func axpy4x2SIMD(d0, d1, b0, b1, b2, b3 []float32, a *[8]float32) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
-func axpy4SIMD(d, b0, b1, b2, b3 []float32, a *[4]float32) {
-	panic("tensor: SIMD kernel called on non-amd64 build")
-}
-
-func dot4SIMD(a, b0, b1, b2, b3 []float32, out *[4]float32) {
+func dot4x2SIMD(a0, a1, b0, b1, b2, b3 []float32, out *[8]float32) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
