@@ -12,28 +12,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"amalgam/internal/core"
 	"amalgam/internal/data"
 	"amalgam/internal/serialize"
 )
-
-// writeArtifact creates path, streams write into it, and propagates the
-// Close error: a flush that fails at Close (disk full, quota) must not let
-// the command report success for an artifact the user will ship.
-func writeArtifact(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -43,7 +31,7 @@ func main() {
 }
 
 func run() error {
-	dataset := flag.String("dataset", "cifar10", "mnist|cifar10|cifar100|imagenette|agnews")
+	dataset := flag.String("dataset", "cifar10", "agnews|"+strings.Join(slices.Sorted(maps.Keys(data.PaperImageSets)), "|"))
 	n := flag.Int("n", 128, "number of synthetic samples")
 	amount := flag.Float64("amount", 0.5, "augmentation amount")
 	noise := flag.String("noise", "uniform", "uniform|gaussian|laplace")
@@ -56,18 +44,9 @@ func run() error {
 		return runText(*n, *amount, *seed, *out)
 	}
 
-	var ds *data.ImageDataset
-	switch *dataset {
-	case "mnist":
-		ds = data.SyntheticMNIST(*n, *seed)
-	case "cifar10":
-		ds = data.SyntheticCIFAR10(*n, *seed)
-	case "cifar100":
-		ds = data.SyntheticCIFAR100(*n, *seed)
-	case "imagenette":
-		ds = data.SyntheticImagenette(*n, *seed)
-	default:
-		return fmt.Errorf("unknown dataset %q", *dataset)
+	ds, err := data.SyntheticImages(*dataset, *n, *seed)
+	if err != nil {
+		return err
 	}
 
 	spec := core.DefaultImageNoise()
@@ -100,13 +79,13 @@ func run() error {
 		return err
 	}
 	imgPath := filepath.Join(*out, "augmented_images.amt")
-	if err := writeArtifact(imgPath, func(w io.Writer) error {
+	if err := serialize.SaveAtomic(imgPath, func(w io.Writer) error {
 		return serialize.WriteTensor(w, aug.Dataset.Images)
 	}); err != nil {
 		return err
 	}
 	keyPath := filepath.Join(*out, "key.amk")
-	if err := writeArtifact(keyPath, func(w io.Writer) error {
+	if err := serialize.SaveAtomic(keyPath, func(w io.Writer) error {
 		return serialize.WriteIntSlice(w, aug.Key.Keep)
 	}); err != nil {
 		return err
@@ -144,13 +123,13 @@ func runText(n int, amount float64, seed uint64, out string) error {
 		flat = append(flat, s...)
 	}
 	tokPath := filepath.Join(out, "augmented_tokens.ami")
-	if err := writeArtifact(tokPath, func(w io.Writer) error {
+	if err := serialize.SaveAtomic(tokPath, func(w io.Writer) error {
 		return serialize.WriteIntSlice(w, flat)
 	}); err != nil {
 		return err
 	}
 	keyPath := filepath.Join(out, "key.amk")
-	if err := writeArtifact(keyPath, func(w io.Writer) error {
+	if err := serialize.SaveAtomic(keyPath, func(w io.Writer) error {
 		return serialize.WriteIntSlice(w, aug.Key.Keep)
 	}); err != nil {
 		return err

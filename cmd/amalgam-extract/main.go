@@ -10,6 +10,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -52,18 +53,10 @@ func run() error {
 	if len(extracted) == 0 {
 		return fmt.Errorf("no original-sub-network entries in %s", *in)
 	}
-	of, err := os.Create(*out)
-	if err != nil {
+	if err := serialize.SaveAtomic(*out, func(w io.Writer) error {
+		return serialize.WriteStateDict(w, extracted)
+	}); err != nil {
 		return err
-	}
-	// Close explicitly and check it: a flush that fails at Close must not
-	// let the command print "wrote ..." for a truncated dict.
-	werr := serialize.WriteStateDict(of, extracted)
-	if cerr := of.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
 	}
 	fmt.Printf("extracted %d tensors (%d params); discarded %d decoy params\n", len(extracted), origParams, decoyParams)
 	fmt.Printf("wrote %s\n", *out)

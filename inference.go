@@ -12,7 +12,6 @@ package amalgam
 
 import (
 	"context"
-	"time"
 
 	"amalgam/internal/cloudsim"
 	"amalgam/internal/core"
@@ -223,15 +222,9 @@ type PredictClient struct {
 // lazily on first use and redialed transparently after transient faults.
 // Zero BaseDelay/MaxDelay get the WithRetry defaults (100ms, 5s).
 func NewPredictClient(addr string, pol RetryPolicy) *PredictClient {
-	if pol.BaseDelay <= 0 {
-		pol.BaseDelay = 100 * time.Millisecond
-	}
-	if pol.MaxDelay <= 0 {
-		pol.MaxDelay = 5 * time.Second
-	}
 	return &PredictClient{
 		addr:   addr,
-		pol:    pol,
+		pol:    pol.withDefaults(),
 		sem:    make(chan struct{}, 1),
 		jitter: tensor.NewRNG(pol.Seed).Split(0x707265646963), // "predic"
 	}

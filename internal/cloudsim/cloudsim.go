@@ -3,8 +3,7 @@
 // serialized (augmented) model plus (augmented) dataset, trains it, and
 // returns the trained weights. It also provides the provider-view API —
 // exactly what an honest-but-curious cloud can observe — which the attack
-// analysis (§6.3) consumes, and an accelerator cost model used to report
-// GPU-relative numbers on a CPU-only testbed (Fig. 14).
+// analysis (§6.3) consumes.
 //
 // The service speaks wire protocol v5 (frame table in frames.go). One
 // connection carries one conversation: a job submitted to the
@@ -121,8 +120,8 @@ type Hyper struct {
 // recipe is the one reading of the hyper-parameters' optimiser and
 // schedule; admission (Scheduler.Submit) and TrainLoop both go through it,
 // so what would fail on an executor is refused at the door. After it spec
-// is valid for optim.Build and h.Schedule, when set, for Rate; a kind the
-// registry does not know is ErrUnknownOptimizer, any other fault
+// is valid for optim.Build and h.Schedule, when set, for Rate; a kind
+// optim does not know is ErrUnknownOptimizer, any other fault
 // ErrBadRequest.
 func (h Hyper) recipe() (spec optim.OptimSpec, err error) {
 	spec = optim.OptimSpec{Kind: optim.KindSGD, LR: h.LR, Momentum: h.Momentum, WeightDecay: h.WeightDecay}
@@ -147,19 +146,14 @@ func (h Hyper) recipe() (spec optim.OptimSpec, err error) {
 }
 
 // optBuffers is how many buffers per weight the recipe's optimiser keeps
-// once it has stepped: Adam's two moments, SGD's velocity when it has
-// momentum. It sizes what a client expects an epoch boundary to carry.
+// once it has stepped (optim.OptimSpec.BuffersPerParam). It sizes what a
+// client expects an epoch boundary to carry.
 func (h Hyper) optBuffers() int {
 	spec, err := h.recipe()
-	switch {
-	case err != nil:
+	if err != nil {
 		return 0
-	case spec.Kind == optim.KindAdam:
-		return 2
-	case spec.Momentum != 0:
-		return 1
 	}
-	return 0
+	return spec.BuffersPerParam()
 }
 
 // TrainRequest is a complete job: spec, hyper-parameters, and the
@@ -774,26 +768,4 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 		return nil, err
 	}
 	return resp, nil
-}
-
-// Accelerator is the cost model standing in for the paper's RTX 3090s: it
-// converts measured CPU wall-clock into simulated accelerator time via a
-// fixed throughput ratio. The paper's own measurements put its GPU baseline
-// 8× above CPU-only training on the same LeNet/MNIST job; we default to
-// that ratio and report both raw and simulated numbers.
-type Accelerator struct {
-	// SpeedupVsCPU is how many times faster the accelerator runs the same
-	// training step than this machine's CPU.
-	SpeedupVsCPU float64
-}
-
-// PaperCalibratedAccelerator returns the Fig. 14-calibrated model.
-func PaperCalibratedAccelerator() Accelerator { return Accelerator{SpeedupVsCPU: 8} }
-
-// Simulate maps measured CPU seconds to simulated accelerator seconds.
-func (a Accelerator) Simulate(cpuSeconds float64) float64 {
-	if a.SpeedupVsCPU <= 0 {
-		return cpuSeconds
-	}
-	return cpuSeconds / a.SpeedupVsCPU
 }

@@ -198,17 +198,6 @@ func TestProviderViewAnonymised(t *testing.T) {
 	}
 }
 
-func TestAcceleratorModel(t *testing.T) {
-	a := PaperCalibratedAccelerator()
-	if got := a.Simulate(8.0); got != 1.0 {
-		t.Fatalf("Simulate(8s) = %v, want 1s at 8×", got)
-	}
-	zero := Accelerator{}
-	if got := zero.Simulate(5); got != 5 {
-		t.Fatal("zero-value accelerator should be identity")
-	}
-}
-
 // TestBuildLoadedBuildsForLoad: under a client's init state buildLoaded
 // draws no weights, and what it hands to training cannot be told from
 // BuildModel + LoadStateDict — the same parameter names in the same order,

@@ -198,11 +198,11 @@ func TestTextDatasetSlice(t *testing.T) {
 
 func TestPaperScaleConstants(t *testing.T) {
 	// Table 2 size cross-checks: 70000×28²×4 B = 219.5 MB (paper: 219.6).
-	mnistBytes := int64(PaperDatasetSizes["mnist"]) * 28 * 28 * 4
+	mnistBytes := int64(PaperImageSets["mnist"].PaperN) * 28 * 28 * 4
 	if mb := float64(mnistBytes) / 1e6; mb < 218 || mb > 221 {
 		t.Fatalf("MNIST paper size %.1f MB, want ≈219.6", mb)
 	}
-	cifarBytes := int64(PaperDatasetSizes["cifar10"]) * 3 * 32 * 32 * 4
+	cifarBytes := int64(PaperImageSets["cifar10"].PaperN) * 3 * 32 * 32 * 4
 	if mb := float64(cifarBytes) / 1e6; mb < 735 || mb > 740 {
 		t.Fatalf("CIFAR paper size %.1f MB, want ≈737.6", mb)
 	}

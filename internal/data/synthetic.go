@@ -81,38 +81,58 @@ func GenerateImages(cfg ImageConfig) *ImageDataset {
 	return &ImageDataset{Name: cfg.Name, Images: images, Labels: labels, Classes: cfg.Classes}
 }
 
-// Paper-scale dataset geometries (Table 2 row 0 of each dataset).
-// The n arguments let callers build reduced sets for CPU-scale training
-// while keeping per-image geometry identical to the paper.
+// PaperImageSet is one of the paper's image datasets: the geometry of its
+// synthetic stand-in (Table 2 row 0) and the real dataset's sample count
+// (train+test, as Table 2's sizes imply), so harnesses report paper-scale
+// sizes while computing on reduced sets of identical per-image geometry.
+type PaperImageSet struct {
+	Config ImageConfig // N and Seed are left zero; Synthetic sets them
+	PaperN int
+}
+
+// PaperImageSets is the image dataset registry, by name.
+var PaperImageSets = map[string]PaperImageSet{
+	"mnist":      {ImageConfig{Name: "mnist", C: 1, H: 28, W: 28, Classes: 10, Noise: 0.05}, 70000},
+	"cifar10":    {ImageConfig{Name: "cifar10", C: 3, H: 32, W: 32, Classes: 10, Noise: 0.08}, 60000},
+	"cifar100":   {ImageConfig{Name: "cifar100", C: 3, H: 32, W: 32, Classes: 100, Noise: 0.08}, 60000},
+	"imagenette": {ImageConfig{Name: "imagenette", C: 3, H: 224, W: 224, Classes: 10, Noise: 0.08}, 13394},
+}
+
+// Synthetic returns an n-sample stand-in for the dataset.
+func (s PaperImageSet) Synthetic(n int, seed uint64) *ImageDataset {
+	cfg := s.Config
+	cfg.N, cfg.Seed = n, seed
+	return GenerateImages(cfg)
+}
+
+// SyntheticImages returns an n-sample stand-in for the named paper image
+// dataset; a name the registry lacks is an error.
+func SyntheticImages(name string, n int, seed uint64) (*ImageDataset, error) {
+	s, ok := PaperImageSets[name]
+	if !ok {
+		return nil, fmt.Errorf("data: unknown image dataset %q", name)
+	}
+	return s.Synthetic(n, seed), nil
+}
 
 // SyntheticMNIST returns an n-sample 1×28×28, 10-class dataset.
 func SyntheticMNIST(n int, seed uint64) *ImageDataset {
-	return GenerateImages(ImageConfig{Name: "mnist", N: n, C: 1, H: 28, W: 28, Classes: 10, Seed: seed, Noise: 0.05})
+	return PaperImageSets["mnist"].Synthetic(n, seed)
 }
 
 // SyntheticCIFAR10 returns an n-sample 3×32×32, 10-class dataset.
 func SyntheticCIFAR10(n int, seed uint64) *ImageDataset {
-	return GenerateImages(ImageConfig{Name: "cifar10", N: n, C: 3, H: 32, W: 32, Classes: 10, Seed: seed, Noise: 0.08})
+	return PaperImageSets["cifar10"].Synthetic(n, seed)
 }
 
 // SyntheticCIFAR100 returns an n-sample 3×32×32, 100-class dataset.
 func SyntheticCIFAR100(n int, seed uint64) *ImageDataset {
-	return GenerateImages(ImageConfig{Name: "cifar100", N: n, C: 3, H: 32, W: 32, Classes: 100, Seed: seed, Noise: 0.08})
+	return PaperImageSets["cifar100"].Synthetic(n, seed)
 }
 
 // SyntheticImagenette returns an n-sample 3×224×224, 10-class dataset.
 func SyntheticImagenette(n int, seed uint64) *ImageDataset {
-	return GenerateImages(ImageConfig{Name: "imagenette", N: n, C: 3, H: 224, W: 224, Classes: 10, Seed: seed, Noise: 0.08})
-}
-
-// PaperDatasetSizes records the sample counts of the real datasets
-// (train+test, as Table 2's sizes imply) so harnesses can report
-// paper-scale sizes while computing on reduced sets.
-var PaperDatasetSizes = map[string]int{
-	"mnist":      70000,
-	"cifar10":    60000,
-	"cifar100":   60000,
-	"imagenette": 13394,
+	return PaperImageSets["imagenette"].Synthetic(n, seed)
 }
 
 // TextConfig parameterises a synthetic token stream.

@@ -90,7 +90,7 @@ func Fig14FrameworkComparison(w io.Writer, sc Scale) error {
 	heSecs := he.LeNetEpochSeconds(opCost, ds.N(), 28, 28, 10)
 
 	// --- GPU baseline (accelerator cost model) ---
-	acc := cloudsim.PaperCalibratedAccelerator()
+	acc := PaperCalibratedAccelerator()
 	gpuSecs := acc.Simulate(cpu.Seconds)
 
 	fmt.Fprintf(w, "dataset: %d samples, batch %d, %d steps/epoch (quick scale)\n", ds.N(), sc.BatchSize, epochSteps)
@@ -149,3 +149,25 @@ func (d *discoLeNet) Params() []nn.Param {
 }
 
 func (d *discoLeNet) SetTraining(bool) {}
+
+// Accelerator is the cost model standing in for the paper's RTX 3090s: it
+// converts measured CPU wall-clock into simulated accelerator time via a
+// fixed throughput ratio. The paper's own measurements put its GPU baseline
+// 8× above CPU-only training on the same LeNet/MNIST job; we default to
+// that ratio and report both raw and simulated numbers.
+type Accelerator struct {
+	// SpeedupVsCPU is how many times faster the accelerator runs the same
+	// training step than this machine's CPU.
+	SpeedupVsCPU float64
+}
+
+// PaperCalibratedAccelerator returns the Fig. 14-calibrated model.
+func PaperCalibratedAccelerator() Accelerator { return Accelerator{SpeedupVsCPU: 8} }
+
+// Simulate maps measured CPU seconds to simulated accelerator seconds.
+func (a Accelerator) Simulate(cpuSeconds float64) float64 {
+	if a.SpeedupVsCPU <= 0 {
+		return cpuSeconds
+	}
+	return cpuSeconds / a.SpeedupVsCPU
+}

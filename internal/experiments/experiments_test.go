@@ -225,3 +225,14 @@ func TestSubnetIdentification(t *testing.T) {
 		t.Fatalf("identification output incomplete:\n%s", buf.String())
 	}
 }
+
+func TestAcceleratorModel(t *testing.T) {
+	a := PaperCalibratedAccelerator()
+	if got := a.Simulate(8.0); got != 1.0 {
+		t.Fatalf("Simulate(8s) = %v, want 1s at 8×", got)
+	}
+	zero := Accelerator{}
+	if got := zero.Simulate(5); got != 5 {
+		t.Fatal("zero-value accelerator should be identity")
+	}
+}

@@ -23,11 +23,11 @@ var CurveAmounts = []float64{0, 0.25, 0.5, 0.75, 1.0}
 // the 0% reference; the printed Max…Gap lines quantify it.
 func CVCurves(w io.Writer, modelName, dsName string, sc Scale, amounts []float64) error {
 	fmt.Fprintf(w, "Figure series: %s on %s (train/val loss+accuracy per epoch)\n", modelName, dsName)
-	ds, err := datasetByName(dsName, sc.TrainN, 3)
+	ds, err := data.SyntheticImages(dsName, sc.TrainN, 3)
 	if err != nil {
 		return err
 	}
-	test, err := datasetByName(dsName, sc.TestN, 4)
+	test, err := data.SyntheticImages(dsName, sc.TestN, 4)
 	if err != nil {
 		return err
 	}

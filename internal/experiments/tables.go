@@ -33,13 +33,13 @@ func Table1(w io.Writer) {
 	}
 }
 
-// table2Dataset describes one Table 2 dataset family.
+// table2Dataset describes one Table 2 dataset family. An image family is
+// one data.PaperImageSets names, and its geometry and paper-scale count
+// are that row's.
 type table2Dataset struct {
 	name     string
-	isImage  bool
-	c, h     int // image geometry
 	window   int // text window (BPTT / sample length)
-	paperN   int // paper-scale sample count (images) or tokens (text)
+	paperN   int // paper-scale token (wikitext2) or sample (agnews) count
 	measureN int // samples actually augmented for timing
 	vocab    int
 }
@@ -52,12 +52,12 @@ func table2Config(quick bool) []table2Dataset {
 		imagenetteMeasure = 2
 	}
 	return []table2Dataset{
-		{name: "mnist", isImage: true, c: 1, h: 28, paperN: 70000, measureN: imgMeasure},
-		{name: "cifar10", isImage: true, c: 3, h: 32, paperN: 60000, measureN: imgMeasure},
-		{name: "cifar100", isImage: true, c: 3, h: 32, paperN: 60000, measureN: imgMeasure},
-		{name: "imagenette", isImage: true, c: 3, h: 224, paperN: 13394, measureN: imagenetteMeasure},
-		{name: "wikitext2", isImage: false, window: 20, paperN: data.WikiText2PaperTokens, measureN: 200000, vocab: data.WikiText2Vocab},
-		{name: "agnews", isImage: false, window: data.AGNewsSeqLen, paperN: data.AGNewsPaperSamples, measureN: 2000, vocab: data.AGNewsVocab},
+		{name: "mnist", measureN: imgMeasure},
+		{name: "cifar10", measureN: imgMeasure},
+		{name: "cifar100", measureN: imgMeasure},
+		{name: "imagenette", measureN: imagenetteMeasure},
+		{name: "wikitext2", window: 20, paperN: data.WikiText2PaperTokens, measureN: 200000, vocab: data.WikiText2Vocab},
+		{name: "agnews", window: data.AGNewsSeqLen, paperN: data.AGNewsPaperSamples, measureN: 2000, vocab: data.AGNewsVocab},
 	}
 }
 
@@ -70,7 +70,7 @@ func Table2(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "  (*) measured on a subset, scaled linearly to the paper's sample count")
 	for _, cfg := range table2Config(quick) {
 		row := table2Text
-		if cfg.isImage {
+		if _, ok := data.PaperImageSets[cfg.name]; ok {
 			row = table2Image
 		}
 		if err := row(w, cfg); err != nil {
@@ -81,12 +81,11 @@ func Table2(w io.Writer, quick bool) error {
 }
 
 func table2Image(w io.Writer, cfg table2Dataset) error {
-	ds, err := datasetByName(cfg.name, cfg.measureN, 1)
-	if err != nil {
-		return err
-	}
-	origBytes := int64(cfg.paperN) * int64(cfg.c) * int64(cfg.h) * int64(cfg.h) * 4
-	fmt.Fprintf(w, "%-11s %-8s %-14s %-11s %-13s %s\n", cfg.name, "0%", "-", fmt.Sprintf("%dx%d", cfg.h, cfg.h), sizeStr(origBytes), "-")
+	set := data.PaperImageSets[cfg.name]
+	ds := set.Synthetic(cfg.measureN, 1)
+	c, h, paperN := set.Config.C, set.Config.H, set.PaperN
+	origBytes := int64(paperN) * int64(c) * int64(h) * int64(h) * 4
+	fmt.Fprintf(w, "%-11s %-8s %-14s %-11s %-13s %s\n", cfg.name, "0%", "-", fmt.Sprintf("%dx%d", h, h), sizeStr(origBytes), "-")
 	for _, a := range Amounts {
 		start := time.Now()
 		aug, err := core.AugmentImages(ds, core.ImageAugmentOptions{Amount: a, Noise: core.DefaultImageNoise(), Seed: 2})
@@ -94,10 +93,10 @@ func table2Image(w io.Writer, cfg table2Dataset) error {
 			return err
 		}
 		perSample := time.Since(start).Seconds() / float64(cfg.measureN)
-		scaled := perSample * float64(cfg.paperN)
+		scaled := perSample * float64(paperN)
 		augH := aug.Key.AugH
-		augBytes := int64(cfg.paperN) * int64(cfg.c) * int64(augH) * int64(augH) * 4
-		space := core.ImageSearchSpaceString(cfg.c, cfg.h*cfg.h, augH*augH)
+		augBytes := int64(paperN) * int64(c) * int64(augH) * int64(augH) * 4
+		space := core.ImageSearchSpaceString(c, h*h, augH*augH)
 		fmt.Fprintf(w, "%-11s %-8s %-14.1f %-11s %-13s %s\n",
 			cfg.name, pct(a), scaled, fmt.Sprintf("%dx%d", augH, augH), sizeStr(augBytes), space)
 	}
@@ -151,7 +150,7 @@ func Table3(w io.Writer, datasets []string, modelNames []string, sc Scale) error
 	fmt.Fprintln(w, "Table 3: computer-vision model training with different augmentation amounts")
 	fmt.Fprintf(w, "%-10s %-13s %-8s %-14s %-14s\n", "Dataset", "Model", "Amount", "Params", "TrainTime(s)")
 	for _, dsName := range datasets {
-		base, err := datasetByName(dsName, sc.TrainN, 3)
+		base, err := data.SyntheticImages(dsName, sc.TrainN, 3)
 		if err != nil {
 			return err
 		}

@@ -24,7 +24,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"amalgam"
@@ -187,20 +186,4 @@ func trainLM(label string, model *models.TransformerLM, stream, val *data.TokenS
 			return am.ValidateLoss(wins), len(wins) * (bptt - 1)
 		})
 	})
-}
-
-// datasetByName builds the synthetic stand-in with quick-scale counts.
-func datasetByName(name string, n int, seed uint64) (*data.ImageDataset, error) {
-	switch name {
-	case "mnist":
-		return data.SyntheticMNIST(n, seed), nil
-	case "cifar10":
-		return data.SyntheticCIFAR10(n, seed), nil
-	case "cifar100":
-		return data.SyntheticCIFAR100(n, seed), nil
-	case "imagenette":
-		return data.SyntheticImagenette(n, seed), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown dataset %q", name)
-	}
 }

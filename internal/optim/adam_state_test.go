@@ -21,7 +21,7 @@ func TestAdamStateDictResumeBitIdentical(t *testing.T) {
 		rng.FillNormal(x, 0, 1)
 		return l, x
 	}
-	step := func(l *nn.Linear, o Optimizer, x *tensor.Tensor) {
+	step := func(l *nn.Linear, o *Optimizer, x *tensor.Tensor) {
 		nn.ZeroGrads(l)
 		logits := l.Forward(autodiff.Constant(x))
 		autodiff.Backward(autodiff.SoftmaxCrossEntropy(logits, []int{0, 1, 0}))
@@ -101,11 +101,7 @@ func TestAdamStateDictResumeBitIdentical(t *testing.T) {
 // and unpaired moments all fail before any state is touched.
 func TestAdamLoadStateDictRejectsForeignState(t *testing.T) {
 	l := nn.NewLinear(tensor.NewRNG(1), 4, 2)
-	var wName string
-	for _, p := range l.Params() {
-		wName = p.Name
-		break
-	}
+	wName := l.Params()[0].Name
 	w := tensor.New(4, 2)
 	cases := map[string]*State{
 		"sgd state into adam": {Kind: KindSGD, Buffers: map[string]*tensor.Tensor{wName: tensor.New(4, 2)}},
@@ -123,7 +119,7 @@ func TestAdamLoadStateDictRejectsForeignState(t *testing.T) {
 		if err := o.LoadStateDict(st); err == nil {
 			t.Errorf("%s: load unexpectedly succeeded", name)
 		}
-		if o.step != 0 || len(o.m) != 0 {
+		if o.step != 0 || o.StateDict() != nil {
 			t.Errorf("%s: failed load mutated optimiser state", name)
 		}
 	}
@@ -136,7 +132,7 @@ func TestAdamLoadStateDictRejectsForeignState(t *testing.T) {
 func TestAdamWDecoupledDecay(t *testing.T) {
 	w := autodiff.Leaf(tensor.FromSlice([]float32{1}, 1))
 	params := []nn.Param{{Name: "w", Node: w}}
-	o := NewAdamW(params, 0.1, 0.5)
+	o := newOptimizer(OptimSpec{Kind: KindAdam, LR: 0.1, WeightDecay: 0.5}, params)
 	// Allocate a zero gradient so Step doesn't skip the parameter.
 	autodiff.Backward(autodiff.Mean(autodiff.Scale(w, 0)))
 	w.ZeroGrad()
@@ -167,7 +163,7 @@ func TestAdamWDecoupledDecay(t *testing.T) {
 func TestAdamStepAllocsOnlyOnFirstTouch(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	l := nn.NewLinear(rng, 32, 16)
-	o := NewAdamW(l.Params(), 0.01, 0.1)
+	o := newOptimizer(OptimSpec{Kind: KindAdam, LR: 0.01, WeightDecay: 0.1}, l.Params())
 	x := tensor.New(4, 32)
 	rng.FillNormal(x, 0, 1)
 	nn.ZeroGrads(l)
@@ -183,29 +179,23 @@ func TestAdamStepAllocsOnlyOnFirstTouch(t *testing.T) {
 // update against a direct per-element transcription of the Adam formulas,
 // pinning that vectorisation did not change a single bit.
 func TestAdamStepMatchesScalarReference(t *testing.T) {
-	run := func(step func(a *Adam, g, w, m, v []float32)) []float32 {
+	run := func(step func(a *Optimizer, g, w, m, v []float32)) []float32 {
 		rng := tensor.NewRNG(7)
 		l := nn.NewLinear(rng, 8, 4)
 		x := tensor.New(4, 8)
 		rng.FillNormal(x, 0, 1)
-		a := NewAdamW(l.Params(), 0.02, 0.3)
+		a := newOptimizer(OptimSpec{Kind: KindAdam, LR: 0.02, WeightDecay: 0.3}, l.Params())
 		for i := 0; i < 6; i++ {
 			nn.ZeroGrads(l)
 			logits := l.Forward(autodiff.Constant(x))
 			autodiff.Backward(autodiff.SoftmaxCrossEntropy(logits, []int{0, 1, 2, 3}))
 			if step != nil {
 				a.step++
-				for _, p := range a.params {
+				for j, p := range a.params {
 					if p.Node.Grad == nil {
 						continue
 					}
-					m, ok := a.m[p.Name]
-					if !ok {
-						m = tensor.New(p.Node.Val.Shape()...)
-						a.m[p.Name] = m
-						a.v[p.Name] = tensor.New(p.Node.Val.Shape()...)
-					}
-					step(a, p.Node.Grad.Data, p.Node.Val.Data, m.Data, a.v[p.Name].Data)
+					step(a, p.Node.Grad.Data, p.Node.Val.Data, a.buffer(0, j), a.buffer(1, j))
 				}
 			} else {
 				a.Step()
@@ -214,18 +204,19 @@ func TestAdamStepMatchesScalarReference(t *testing.T) {
 		return l.W.Val.Data
 	}
 	// The pre-vectorisation shape: every conversion done per element.
-	scalar := func(a *Adam, g, w, m, v []float32) {
-		bc1 := 1 - math.Pow(a.beta1, float64(a.step))
-		bc2 := 1 - math.Pow(a.beta2, float64(a.step))
-		lr := a.lr * math.Sqrt(bc2) / bc1
+	scalar := func(a *Optimizer, g, w, m, v []float32) {
+		s := a.spec
+		bc1 := 1 - math.Pow(s.Beta1, float64(a.step))
+		bc2 := 1 - math.Pow(s.Beta2, float64(a.step))
+		lr := s.LR * math.Sqrt(bc2) / bc1
 		for i := range w {
-			w[i] -= float32(a.lr*a.weightDecay) * w[i]
+			w[i] -= float32(s.LR*s.WeightDecay) * w[i]
 		}
 		for i := range w {
 			gi := g[i]
-			m[i] = float32(a.beta1)*m[i] + (1-float32(a.beta1))*gi
-			v[i] = float32(a.beta2)*v[i] + (1-float32(a.beta2))*gi*gi
-			w[i] -= float32(lr) * m[i] / (float32(math.Sqrt(float64(v[i]))) + float32(a.eps))
+			m[i] = float32(s.Beta1)*m[i] + (1-float32(s.Beta1))*gi
+			v[i] = float32(s.Beta2)*v[i] + (1-float32(s.Beta2))*gi*gi
+			w[i] -= float32(lr) * m[i] / (float32(math.Sqrt(float64(v[i]))) + float32(s.Eps))
 		}
 	}
 	got, want := run(nil), run(scalar)

@@ -10,7 +10,7 @@ import (
 )
 
 // quadratic builds a single-parameter problem: minimise (w - target)².
-func quadratic(t *testing.T, opt func(params []nn.Param) Optimizer, steps int) float64 {
+func quadratic(t *testing.T, opt func(params []nn.Param) *Optimizer, steps int) float64 {
 	t.Helper()
 	w := autodiff.Leaf(tensor.FromSlice([]float32{5}, 1))
 	params := []nn.Param{{Name: "w", Node: w}}
@@ -26,22 +26,22 @@ func quadratic(t *testing.T, opt func(params []nn.Param) Optimizer, steps int) f
 }
 
 func TestSGDConverges(t *testing.T) {
-	gap := quadratic(t, func(p []nn.Param) Optimizer { return NewSGD(p, 0.1, 0, 0) }, 100)
+	gap := quadratic(t, func(p []nn.Param) *Optimizer { return NewSGD(p, 0.1, 0, 0) }, 100)
 	if gap > 1e-3 {
 		t.Fatalf("SGD did not converge, gap %v", gap)
 	}
 }
 
 func TestSGDMomentumConvergesFasterThanPlain(t *testing.T) {
-	plain := quadratic(t, func(p []nn.Param) Optimizer { return NewSGD(p, 0.02, 0, 0) }, 40)
-	mom := quadratic(t, func(p []nn.Param) Optimizer { return NewSGD(p, 0.02, 0.9, 0) }, 40)
+	plain := quadratic(t, func(p []nn.Param) *Optimizer { return NewSGD(p, 0.02, 0, 0) }, 40)
+	mom := quadratic(t, func(p []nn.Param) *Optimizer { return NewSGD(p, 0.02, 0.9, 0) }, 40)
 	if mom >= plain {
 		t.Fatalf("momentum (%v) should beat plain SGD (%v) on a quadratic", mom, plain)
 	}
 }
 
 func TestAdamConverges(t *testing.T) {
-	gap := quadratic(t, func(p []nn.Param) Optimizer { return NewAdam(p, 0.3) }, 200)
+	gap := quadratic(t, func(p []nn.Param) *Optimizer { return NewAdam(p, 0.3) }, 200)
 	if gap > 1e-2 {
 		t.Fatalf("Adam did not converge, gap %v", gap)
 	}
@@ -114,7 +114,7 @@ func TestSGDStateDictResumeBitIdentical(t *testing.T) {
 		rng.FillNormal(x, 0, 1)
 		return l, x
 	}
-	step := func(l *nn.Linear, o *SGD, x *tensor.Tensor) {
+	step := func(l *nn.Linear, o *Optimizer, x *tensor.Tensor) {
 		nn.ZeroGrads(l)
 		logits := l.Forward(autodiff.Constant(x))
 		autodiff.Backward(autodiff.SoftmaxCrossEntropy(logits, []int{0, 1, 0}))
@@ -184,23 +184,39 @@ func TestSGDStateDictResumeBitIdentical(t *testing.T) {
 }
 
 // TestSGDLoadStateDictRejectsForeignState pins the guard that catches a
-// checkpoint from a different model: unknown names and mis-shaped
-// buffers fail without mutating existing state.
+// checkpoint from a different model or optimiser: a foreign kind, a step
+// counter, unknown names and mis-shaped buffers fail without mutating
+// existing state. A momentum-free SGD keeps no buffers: it ignores those
+// it is given and exports none.
 func TestSGDLoadStateDictRejectsForeignState(t *testing.T) {
 	l := nn.NewLinear(tensor.NewRNG(1), 4, 2)
-	o := NewSGD(l.Params(), 0.05, 0.9, 0)
-	if err := o.LoadStateDict(&State{Kind: KindSGD, Buffers: map[string]*tensor.Tensor{"nope": tensor.New(1)}}); err == nil {
-		t.Fatal("unknown parameter name should fail the load")
+	wName := l.Params()[0].Name
+	cases := map[string]*State{
+		"unknown parameter":     {Kind: KindSGD, Buffers: map[string]*tensor.Tensor{"nope": tensor.New(1)}},
+		"mis-shaped buffer":     {Kind: KindSGD, Buffers: map[string]*tensor.Tensor{wName: tensor.New(1, 1)}},
+		"adam state into sgd":   {Kind: KindAdam, Step: 3, Buffers: map[string]*tensor.Tensor{"m/" + wName: tensor.New(4, 2)}},
+		"step counter":          {Kind: KindSGD, Step: 2, Buffers: map[string]*tensor.Tensor{wName: tensor.New(4, 2)}},
+		"negative step counter": {Kind: KindSGD, Step: -1},
+		"prefixed buffer":       {Kind: KindSGD, Buffers: map[string]*tensor.Tensor{"m/" + wName: tensor.New(4, 2)}},
 	}
-	var wName string
-	for _, p := range l.Params() {
-		wName = p.Name
-		break
+	for name, st := range cases {
+		o := NewSGD(l.Params(), 0.05, 0.9, 0)
+		if err := o.LoadStateDict(st); err == nil {
+			t.Errorf("%s: load unexpectedly succeeded", name)
+		}
+		if o.StateDict() != nil {
+			t.Errorf("%s: failed load mutated optimiser state", name)
+		}
 	}
-	if err := o.LoadStateDict(&State{Kind: KindSGD, Buffers: map[string]*tensor.Tensor{wName: tensor.New(1, 1)}}); err == nil {
-		t.Fatal("mis-shaped momentum buffer should fail the load")
+
+	plain := NewSGD(l.Params(), 0.05, 0, 0)
+	if err := plain.LoadStateDict(&State{Kind: KindSGD, Buffers: map[string]*tensor.Tensor{wName: tensor.New(4, 2)}}); err != nil {
+		t.Fatalf("momentum-free SGD refused velocity it should ignore: %v", err)
 	}
-	if err := o.LoadStateDict(&State{Kind: KindAdam, Step: 3, Buffers: map[string]*tensor.Tensor{"m/" + wName: tensor.New(4, 2)}}); err == nil {
-		t.Fatal("adam state loaded into an SGD optimiser should fail")
+	nn.ZeroGrads(l)
+	autodiff.Backward(autodiff.Mean(autodiff.Scale(l.Forward(autodiff.Constant(tensor.New(1, 4))), 0)))
+	plain.Step()
+	if st := plain.StateDict(); st != nil {
+		t.Fatalf("momentum-free SGD exported %d buffers", st.NumBuffers())
 	}
 }

@@ -11,14 +11,14 @@ import (
 // taxonomy (ErrUnknownOptimizer / ErrBadRequest) at the wire boundary.
 var (
 	// ErrUnknownKind marks a spec naming an optimiser or schedule kind
-	// absent from the registry.
+	// this package does not know.
 	ErrUnknownKind = errors.New("optim: unknown kind")
 	// ErrBadSpec marks a spec whose kind is known but whose
 	// hyperparameters are out of range.
 	ErrBadSpec = errors.New("optim: invalid spec")
 )
 
-// OptimSpec is a wire-portable optimiser recipe: a registry kind plus the
+// OptimSpec is a wire-portable optimiser recipe: an optimiser kind plus the
 // hyperparameters to build it with. It is what jobs carry instead of
 // optimiser choice living in the provider's source code. Zero-valued
 // fields mean "use the kind's default" (Adam's betas/eps) or "inherit"
@@ -40,46 +40,15 @@ type OptimSpec struct {
 	Eps   float64 `json:"eps,omitempty"`
 }
 
-// builders is the optimiser registry: one constructor per kind, closed
-// over nothing, so Build stays a pure function of (spec, params).
-var builders = map[string]func(OptimSpec, []nn.Param) Optimizer{
-	KindSGD:  buildSGD,
-	KindAdam: buildAdam,
-}
-
-func buildSGD(s OptimSpec, params []nn.Param) Optimizer {
-	return NewSGD(params, s.LR, s.Momentum, s.WeightDecay)
-}
-
-func buildAdam(s OptimSpec, params []nn.Param) Optimizer {
-	a := NewAdamW(params, s.LR, s.WeightDecay)
-	if s.Beta1 != 0 {
-		a.beta1 = s.Beta1
-	}
-	if s.Beta2 != 0 {
-		a.beta2 = s.Beta2
-	}
-	if s.Eps != 0 {
-		a.eps = s.Eps
-	}
-	return a
-}
-
-func (s OptimSpec) kindOrDefault() string {
-	if s.Kind == "" {
-		return KindSGD
-	}
-	return s.Kind
-}
-
-// Validate checks the spec against the registry without building it —
+// Validate checks the spec against the kinds table without building it —
 // the admission-time check servers run before accepting a job.
 func (s OptimSpec) Validate() error {
-	if _, ok := builders[s.kindOrDefault()]; !ok {
+	k, ok := kinds[s.Kind]
+	if !ok {
 		return fmt.Errorf("optim: optimiser kind %q: %w", s.Kind, ErrUnknownKind)
 	}
 	if s.LR < 0 || s.Momentum < 0 || s.WeightDecay < 0 || s.Eps < 0 {
-		return fmt.Errorf("optim: negative hyperparameter in %s spec: %w", s.kindOrDefault(), ErrBadSpec)
+		return fmt.Errorf("optim: negative hyperparameter in %s spec: %w", k.name, ErrBadSpec)
 	}
 	if s.Beta1 < 0 || s.Beta1 >= 1 || s.Beta2 < 0 || s.Beta2 >= 1 {
 		return fmt.Errorf("optim: adam betas must lie in [0, 1): %w", ErrBadSpec)
@@ -90,9 +59,20 @@ func (s OptimSpec) Validate() error {
 // Build constructs the optimiser a spec names over the given parameters.
 // Unknown kinds fail with ErrUnknownKind, out-of-range hyperparameters
 // with ErrBadSpec.
-func Build(spec OptimSpec, params []nn.Param) (Optimizer, error) {
+func Build(spec OptimSpec, params []nn.Param) (*Optimizer, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return builders[spec.kindOrDefault()](spec, params), nil
+	return newOptimizer(spec, params), nil
+}
+
+// BuffersPerParam is how many buffers per parameter the optimiser a spec
+// builds keeps once it has stepped: Adam's two moments, SGD's velocity
+// when it has momentum. Zero for a kind Build does not know.
+func (s OptimSpec) BuffersPerParam() int {
+	k, ok := kinds[s.Kind]
+	if !ok {
+		return 0
+	}
+	return len(k.slots(s))
 }

@@ -26,34 +26,37 @@ func TestBuildRegistry(t *testing.T) {
 		t.Fatalf("zero-kind spec built %q at lr %v, want sgd at 0.1", o.Kind(), o.LR())
 	}
 
-	o, err = Build(OptimSpec{Kind: KindAdam, LR: 0.01, WeightDecay: 0.2}, p)
+	a, err := Build(OptimSpec{Kind: KindAdam, LR: 0.01, WeightDecay: 0.2}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, ok := o.(*Adam)
-	if !ok || a.Kind() != KindAdam {
-		t.Fatalf("adam spec built %T", o)
+	if a.Kind() != KindAdam {
+		t.Fatalf("adam spec built %q", a.Kind())
 	}
-	if a.beta1 != 0.9 || a.beta2 != 0.999 || a.eps != 1e-8 {
-		t.Fatalf("adam defaults not applied: β₁=%v β₂=%v ε=%v", a.beta1, a.beta2, a.eps)
+	if a.spec.Beta1 != 0.9 || a.spec.Beta2 != 0.999 || a.spec.Eps != 1e-8 {
+		t.Fatalf("adam defaults not applied: β₁=%v β₂=%v ε=%v", a.spec.Beta1, a.spec.Beta2, a.spec.Eps)
 	}
-	if a.weightDecay != 0.2 {
-		t.Fatalf("spec weight decay not threaded: %v", a.weightDecay)
+	if a.spec.WeightDecay != 0.2 {
+		t.Fatalf("spec weight decay not threaded: %v", a.spec.WeightDecay)
 	}
 
-	a = mustBuildAdam(t, OptimSpec{Kind: KindAdam, LR: 0.01, Beta1: 0.8, Beta2: 0.95, Eps: 1e-6}, p)
-	if a.beta1 != 0.8 || a.beta2 != 0.95 || a.eps != 1e-6 {
-		t.Fatalf("adam overrides not applied: β₁=%v β₂=%v ε=%v", a.beta1, a.beta2, a.eps)
-	}
-}
-
-func mustBuildAdam(t *testing.T, s OptimSpec, p []nn.Param) *Adam {
-	t.Helper()
-	o, err := Build(s, p)
+	a, err = Build(OptimSpec{Kind: KindAdam, LR: 0.01, Beta1: 0.8, Beta2: 0.95, Eps: 1e-6}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return o.(*Adam)
+	if a.spec.Beta1 != 0.8 || a.spec.Beta2 != 0.95 || a.spec.Eps != 1e-6 {
+		t.Fatalf("adam overrides not applied: β₁=%v β₂=%v ε=%v", a.spec.Beta1, a.spec.Beta2, a.spec.Eps)
+	}
+
+	// The buffers each kind keeps per parameter, as cloudsim sizes them.
+	for _, c := range []struct {
+		spec OptimSpec
+		want int
+	}{{OptimSpec{}, 0}, {OptimSpec{Momentum: 0.9}, 1}, {OptimSpec{Kind: KindAdam}, 2}, {OptimSpec{Kind: "lamb"}, 0}} {
+		if got := c.spec.BuffersPerParam(); got != c.want {
+			t.Errorf("%+v keeps %d buffers per parameter, want %d", c.spec, got, c.want)
+		}
+	}
 }
 
 func TestBuildRejectsBadSpecs(t *testing.T) {

@@ -14,15 +14,16 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// saveAtomic writes path through a temporary file that is synced, renamed
+// SaveAtomic writes path through a temporary file that is synced, renamed
 // into place and made durable by syncing its directory, so a crash mid-save
-// leaves the old checkpoint or the new one, never a truncated one. A failed
-// save removes the temporary file.
-func saveAtomic(path string, write func(io.Writer) error) (err error) {
+// leaves the old file or the new one, never a truncated one. A failed save
+// removes the temporary file. Every file the programs write — checkpoints,
+// keys, state dicts, augmented datasets — is written through it.
+func SaveAtomic(path string, write func(io.Writer) error) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("serialize: create checkpoint: %w", err)
+		return fmt.Errorf("serialize: create %s: %w", path, err)
 	}
 	defer func() {
 		if err != nil {
@@ -31,24 +32,24 @@ func saveAtomic(path string, write func(io.Writer) error) (err error) {
 		}
 	}()
 	if err := write(f); err != nil {
-		return fmt.Errorf("serialize: write checkpoint: %w", err)
+		return fmt.Errorf("serialize: write %s: %w", path, err)
 	}
 	if err := f.Sync(); err != nil {
-		return fmt.Errorf("serialize: sync checkpoint: %w", err)
+		return fmt.Errorf("serialize: sync %s: %w", path, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("serialize: close checkpoint: %w", err)
+		return fmt.Errorf("serialize: close %s: %w", path, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("serialize: rename checkpoint: %w", err)
+		return fmt.Errorf("serialize: rename %s: %w", path, err)
 	}
 	dir, err := os.Open(filepath.Dir(path))
 	if err != nil {
-		return fmt.Errorf("serialize: sync checkpoint directory: %w", err)
+		return fmt.Errorf("serialize: sync directory of %s: %w", path, err)
 	}
 	defer dir.Close()
 	if err := dir.Sync(); err != nil {
-		return fmt.Errorf("serialize: sync checkpoint directory: %w", err)
+		return fmt.Errorf("serialize: sync directory of %s: %w", path, err)
 	}
 	return nil
 }
@@ -279,7 +280,7 @@ func readFlag(r io.ByteReader) (bool, error) {
 
 // SaveTrainCheckpoint writes a checkpoint to path atomically.
 func SaveTrainCheckpoint(path string, ck *TrainCheckpoint) error {
-	return saveAtomic(path, func(w io.Writer) error { return WriteTrainCheckpoint(w, ck) })
+	return SaveAtomic(path, func(w io.Writer) error { return WriteTrainCheckpoint(w, ck) })
 }
 
 // LoadTrainCheckpoint reads a checkpoint from path.

@@ -3,6 +3,7 @@ package serialize
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -130,7 +131,7 @@ func TestTrainCheckpointRejectsForeignInput(t *testing.T) {
 	}
 }
 
-// TestFailedSaveLeavesNoTemporary: a save whose rename fails — the
+// TestFailedSaveLeavesNoTemporary: a SaveAtomic whose rename fails — the
 // destination is a non-empty directory — reports the error and removes
 // its temporary file. (A crash or power loss between write and rename,
 // the case the syncs are for, is not something a test process can stage.)
@@ -140,7 +141,7 @@ func TestFailedSaveLeavesNoTemporary(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := models.NewLeNet5(tensor.NewRNG(1), models.CVConfig{InC: 1, InH: 12, InW: 12, Classes: 3})
-	if err := SaveTrainCheckpoint(path, &TrainCheckpoint{Epoch: 1, State: nn.StateDict(m)}); err == nil {
+	if err := SaveAtomic(path, func(w io.Writer) error { return WriteStateDict(w, nn.StateDict(m)) }); err == nil {
 		t.Fatal("a save over a non-empty directory succeeded")
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {

@@ -191,13 +191,20 @@ type RetryPolicy struct {
 // mismatches, server-side job panics, the caller's own cancellation — are
 // never retried. LocalTrainer ignores the option.
 func WithRetry(p RetryPolicy) TrainOption {
+	p = p.withDefaults()
+	return func(o *runOptions) { o.retry = &p }
+}
+
+// withDefaults fills the delays a zero policy leaves unset, for
+// RemoteTrainer and PredictClient alike: BaseDelay 100ms, MaxDelay 5s.
+func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 100 * time.Millisecond
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 5 * time.Second
 	}
-	return func(o *runOptions) { o.retry = &p }
+	return p
 }
 
 // WithProgress registers a callback invoked synchronously after every
