@@ -82,6 +82,18 @@ func TestGradActivations(t *testing.T) {
 				target := tensor.New(shape...)
 				rng.FillNormal(target, 0, 1)
 				loss := func() *Node { return MSE(Activate(xN, act), target) }
+				// Dirty the shape's pool bucket: the activation's value and
+				// scratch take recycled buffers first, and the gradient MSE
+				// accumulates into must start from zero, not from one.
+				var dirty []*tensor.Tensor
+				for range 4 {
+					d := tensor.Get(shape...)
+					d.Fill(7)
+					dirty = append(dirty, d)
+				}
+				for _, d := range dirty {
+					tensor.Put(d)
+				}
 				gradCheck(t, []*Node{xN}, loss, 3e-2)
 			})
 		}

@@ -19,7 +19,13 @@
 //     pool on the spot: at any moment only a frontier of gradients is
 //     alive (one per component running, see below), not one per node.
 //   - A leaf's gradient lives as long as the parameter; nn.ZeroGrads clears
-//     it in place between steps.
+//     it in place between steps. Under a LeafStep (Backward's optional
+//     per-leaf step, the optimiser's update) it lives only from its first
+//     contribution to the step: at the leaf's place in the reverse
+//     topological order every consumer has run its backward, so the
+//     gradient is final, the step consumes it and takes the buffer back,
+//     and the next leaf's first contribution may reuse it. Backward without
+//     a step is unchanged.
 //
 // Backward therefore consumes the graph: a second Backward that reaches a
 // node the first one passed panics (build the graph again, as PyTorch asks
@@ -81,6 +87,21 @@ type Node struct {
 	// closure has run; Release returns whatever is left, which covers
 	// eval-mode graphs where backward never runs.
 	scratch []*tensor.Tensor
+	// step is a leaf's LeafStep for the Backward walking it, nil otherwise.
+	step LeafStep
+}
+
+// LeafStep is Backward's optional per-leaf step: the optimiser updating
+// each parameter as soon as its gradient is final. Backward calls it from
+// the goroutine that walks the leaf's component, so an implementation
+// serialises only what leaves share.
+type LeafStep interface {
+	// Reuse returns storage of leaf's shape for the leaf's first gradient,
+	// its contents undefined, or nil to have a fresh buffer allocated.
+	Reuse(leaf *Node) *tensor.Tensor
+	// Step receives leaf's final gradient in leaf.Grad once the leaf's
+	// last consumer has run its backward. It may take the buffer.
+	Step(leaf *Node)
 }
 
 // Leaf wraps t as a trainable graph input (requires gradients).
@@ -137,18 +158,29 @@ func (n *Node) isLeaf() bool { return n.parents == nil }
 // ensureGrad allocates (once) and returns the zeroed gradient buffer, for
 // backward kernels that accumulate into it element by element. An interior
 // node's comes from the scratch pool and flows back once the node's own
-// backward has run. A leaf's is never handed back, so it is allocated at
-// its exact size: a pooled power-of-two bucket would be held for the
-// parameter's whole life at up to twice the bytes.
+// backward has run. A leaf's is never handed back to the pool, so it is
+// exact-size: a buffer its step hands out for reuse, cleared here, or a
+// fresh one (a pooled power-of-two bucket would be held for the
+// parameter's whole life at up to twice the bytes).
 func (n *Node) ensureGrad() *tensor.Tensor {
 	if n.Grad == nil {
-		if n.isLeaf() {
-			n.Grad = tensor.New(n.Val.Shape()...)
-		} else {
+		if !n.isLeaf() {
 			n.Grad = tensor.GetZero(n.Val.Shape()...)
+		} else if n.Grad = n.reusedGrad(); n.Grad != nil {
+			n.Grad.Zero()
+		} else {
+			n.Grad = tensor.New(n.Val.Shape()...)
 		}
 	}
 	return n.Grad
+}
+
+// reusedGrad is the buffer a leaf's step hands out for its gradient, or nil.
+func (n *Node) reusedGrad() *tensor.Tensor {
+	if n.step == nil {
+		return nil
+	}
+	return n.step.Reuse(n)
 }
 
 // accumulate adds g into n's gradient if n participates in backprop. g
@@ -174,7 +206,11 @@ func (n *Node) accumulate(g *tensor.Tensor) {
 		panic(fmt.Sprintf("autodiff: gradient shape %v for value %v", g.Shape(), n.Val.Shape()))
 	}
 	if n.isLeaf() {
-		n.Grad = g.Clone()
+		if n.Grad = n.reusedGrad(); n.Grad != nil {
+			n.Grad.CopyFrom(g)
+		} else {
+			n.Grad = g.Clone()
+		}
 		return
 	}
 	n.Grad = tensor.Get(n.Val.Shape()...)
@@ -235,16 +271,30 @@ func (n *Node) ZeroGrad() {
 // Backward consumes the graph as it goes (see the package comment): once a
 // node's backward has run, its gradient and scratch return to the pool and
 // the closure is dropped — the root's seed included, which a pass-through
-// root such as AddN hands to a parent anyway. Values stay until Release;
-// leaf gradients stay with their parameters. Reaching an already consumed
-// (or Released) node panics instead of silently stopping there.
-func Backward(root *Node) {
+// root such as AddN hands to a parent anyway. Values stay until Release.
+// Reaching an already consumed (or Released) node panics instead of
+// silently stopping there.
+//
+// Without a step, leaf gradients stay with their parameters. With one (at
+// most one), every leaf that receives a gradient is handed to step.Step at
+// its place in the walk, and its first gradient may be a buffer step.Reuse
+// gives out.
+func Backward(root *Node, step ...LeafStep) {
 	if root.Val.Numel() != 1 {
 		panic(fmt.Sprintf("autodiff: Backward root must be scalar, got shape %v", root.Val.Shape()))
 	}
+	if len(step) > 1 {
+		panic("autodiff: Backward takes at most one LeafStep")
+	}
+	var s LeafStep
+	if len(step) == 1 {
+		s = step[0]
+	}
 	order := topoSort(root)
 	for _, n := range order {
-		if !n.isLeaf() && n.backward == nil {
+		if n.isLeaf() {
+			n.step = s
+		} else if n.backward == nil {
 			panic(fmt.Sprintf("autodiff: Backward through the graph a second time: node %q was already consumed by an earlier Backward or Release; build the graph again", n.name))
 		}
 	}
@@ -259,10 +309,16 @@ func Backward(root *Node) {
 }
 
 // backwardOver runs order's backwards last to first, draining as it goes.
+// A leaf's consumers all come after it in order, so its gradient is final
+// when the walk reaches it: that is where its step runs.
 func backwardOver(order []*Node) {
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		if n.isLeaf() {
+			if n.step != nil && n.Grad != nil {
+				n.step.Step(n)
+			}
+			n.step = nil
 			continue
 		}
 		if n.Grad != nil {

@@ -717,11 +717,11 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 		var lossSum float64
 		seen := 0
 		for _, idx := range data.BatchIter(train.n, hyper.BatchSize, shuffleRNG) {
-			// THE training step (Algorithm 1), for every modality.
-			nn.ZeroGrads(model)
+			// THE training step (Algorithm 1), for every modality: each
+			// parameter is updated as soon as its gradient is final, and no
+			// gradient outlives its update (optim.Optimizer.Backward).
 			total, orig, count := train.loss(idx)
-			autodiff.Backward(total)
-			opt.Step()
+			opt.Backward(total)
 			lossSum += float64(orig.Scalar()) * float64(count)
 			seen += count
 			autodiff.Release(total)

@@ -8,9 +8,91 @@ import (
 	"net"
 	"testing"
 
+	"amalgam/internal/autodiff"
+	"amalgam/internal/data"
+	"amalgam/internal/nn"
 	"amalgam/internal/optim"
 	"amalgam/internal/serialize"
+	"amalgam/internal/tensor"
 )
+
+// TestTrainLoopMatchesBackwardThenStep trains an augmented CV model for one
+// epoch of three steps through TrainLoop, whose step updates each parameter
+// inside Backward with the original and decoys walked side by side, and
+// through the unfused ZeroGrads → autodiff.Backward → Step loop over the
+// same batches, under SGD with and without momentum, Adam and AdamW. The
+// weights and the optimiser state must agree bit for bit.
+func TestTrainLoopMatchesBackwardThenStep(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(4))
+	for _, spec := range []optim.OptimSpec{
+		{Kind: optim.KindSGD, LR: 0.05, WeightDecay: 0.01},
+		{Kind: optim.KindSGD, LR: 0.05, Momentum: 0.9, WeightDecay: 0.001},
+		{Kind: optim.KindAdam, LR: 0.01},
+		{Kind: optim.KindAdam, LR: 0.01, WeightDecay: 0.1},
+	} {
+		t.Run(fmt.Sprintf("%s/momentum=%g/decay=%g", spec.Kind, spec.Momentum, spec.WeightDecay), func(t *testing.T) {
+			req, _, _ := tinyJob(t, true)
+			req.Hyper.Epochs, req.Hyper.BatchSize, req.Hyper.Optimizer = 1, 6, &spec
+			fused, err := buildLoaded(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := TrainLoop(context.Background(), fused, req, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			model, err := buildLoaded(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			train, _, err := bindRequest(model, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model.SetTraining(true)
+			opt, err := optim.Build(spec, model.Params())
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches := data.BatchIter(train.n, req.Hyper.BatchSize, nil)
+			if len(batches) != 3 {
+				t.Fatalf("%d batches, want 3", len(batches))
+			}
+			for _, idx := range batches {
+				nn.ZeroGrads(model)
+				total, _, _ := train.loss(idx)
+				autodiff.Backward(total)
+				opt.Step()
+				autodiff.Release(total)
+			}
+
+			want := nn.StateDict(model)
+			for name, w := range want {
+				if !resp.State[name].Equal(w) {
+					t.Errorf("%s: TrainLoop weights differ from Backward then Step", name)
+				}
+			}
+			for _, p := range fused.Params() {
+				if p.Node.Grad != nil {
+					t.Errorf("%s keeps a gradient after TrainLoop", p.Name)
+				}
+			}
+			got, ref := resp.OptState, opt.StateDict()
+			if got.Empty() && ref.Empty() {
+				return // SGD without momentum keeps no state
+			}
+			if got.Empty() || got.Step != ref.Step || len(got.Buffers) != len(ref.Buffers) {
+				t.Fatalf("optimiser state %+v, want step %d with %d buffers", got, ref.Step, len(ref.Buffers))
+			}
+			for name, b := range ref.Buffers {
+				if g := got.Buffers[name]; g == nil || !g.Equal(b) {
+					t.Errorf("optimiser buffer %q differs", name)
+				}
+			}
+		})
+	}
+}
 
 // adamJob is textJob trained under Adam + halving StepLR instead of the
 // flat SGD hyper-parameters.

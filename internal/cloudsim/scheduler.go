@@ -79,6 +79,8 @@ type schedJob struct {
 	resp      *TrainResponse
 	err       error
 	done      chan struct{} // closed after the terminal transition
+
+	held int64 // resp's encoded size, set at the terminal transition; guarded by the scheduler's mu
 }
 
 // cursor is one attached connection's position in its job's output: the
@@ -354,6 +356,8 @@ type Scheduler struct {
 
 	dispatched []string // dispatch order of the jobs in the registry (test observability: fairness)
 	completed  []string // terminal order, oldest first: eviction order (and test observability: starvation)
+	held       int64    // bytes the completed jobs' results hold
+	heldBudget int64    // retainedResultBytes; tests lower it
 
 	past    map[string]JobStatus // how the pastJobs most recently finished jobs ended
 	pastIDs []string             // their IDs, oldest first
@@ -367,10 +371,11 @@ type Scheduler struct {
 // first and observe a deterministic fair-share dispatch order.
 func newScheduler(cfg ServerConfig) *Scheduler {
 	sch := &Scheduler{
-		cfg:     cfg.withDefaults(),
-		jobs:    make(map[string]*schedJob),
-		past:    make(map[string]JobStatus),
-		tenants: make(map[string]*tenantQueue),
+		cfg:        cfg.withDefaults(),
+		jobs:       make(map[string]*schedJob),
+		past:       make(map[string]JobStatus),
+		tenants:    make(map[string]*tenantQueue),
+		heldBudget: retainedResultBytes,
 	}
 	sch.cond = sync.NewCond(&sch.mu)
 	return sch
@@ -587,10 +592,15 @@ func (sch *Scheduler) runJob(job *schedJob) {
 	close(job.done)
 
 	// The ledger records how the job ended (pastJobs of them: a status
-	// each, for poll); the registry keeps the retainedJobs most recently
-	// finished whole and forgets the oldest-finished beyond that — never a
-	// queued or running job, which is not in completed.
+	// each, for poll); the registry keeps the most recently finished whole,
+	// retainedJobs of them holding at most retainedResultBytes, and forgets
+	// the oldest-finished beyond that — never the newest, nor a queued or
+	// running job, which is not in completed.
 	st, _ := job.status()
+	var held int64 // the result's size as the terminal checkpoint: weights, optimiser state, RNG cursors
+	if resp != nil {
+		held = int64(serialize.TrainCheckpointSize(resp.Checkpoint(job.req.Spec.Kind)))
+	}
 	sch.mu.Lock()
 	defer sch.mu.Unlock()
 	sch.past[job.id] = st
@@ -599,9 +609,12 @@ func (sch *Scheduler) runJob(job *schedJob) {
 		sch.pastIDs = sch.pastIDs[1:]
 	}
 	sch.completed = append(sch.completed, job.id)
-	for len(sch.completed) > retainedJobs {
+	job.held = held
+	sch.held += held
+	for len(sch.completed) > retainedJobs || (sch.held > sch.heldBudget && len(sch.completed) > 1) {
 		id := sch.completed[0]
 		is := func(o string) bool { return o == id }
+		sch.held -= sch.jobs[id].held
 		delete(sch.jobs, id)
 		sch.completed, sch.order, sch.dispatched = sch.completed[1:], slices.DeleteFunc(sch.order, is), slices.DeleteFunc(sch.dispatched, is)
 	}

@@ -553,6 +553,82 @@ func TestSchedulerForgetsOldTerminalJobs(t *testing.T) {
 	}
 }
 
+// TestSchedulerForgetsResultsPastTheByteBudget runs jobs whose results
+// together exceed the registry's byte budget, lowered to two and a half
+// results: after every job the results held stay within it, the two
+// newest are kept, an older one answers attach and cancel with
+// ErrUnknownJob and poll with how it ended. A newest result larger than
+// the whole budget is kept alone.
+func TestSchedulerForgetsResultsPastTheByteBudget(t *testing.T) {
+	sch := newScheduler(ServerConfig{Executors: 1})
+	sch.start()
+	defer func() {
+		sch.Finish()
+		sch.WaitIdle()
+	}()
+	run := func(seed uint64) *schedJob {
+		job, err := sch.Submit(loadJob("t", seed), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.done
+		for { // the ledger entry and any eviction land together, after done
+			sch.mu.Lock()
+			_, ok := sch.past[job.id]
+			sch.mu.Unlock()
+			if ok {
+				return job
+			}
+			runtime.Gosched()
+		}
+	}
+	first := run(1)
+	sch.mu.Lock()
+	size := first.held
+	sch.heldBudget = size * 5 / 2
+	sch.mu.Unlock()
+	if size <= 0 {
+		t.Fatalf("a finished job holds %d result bytes", size)
+	}
+	jobs := []*schedJob{first}
+	for seed := uint64(2); seed <= 6; seed++ {
+		jobs = append(jobs, run(seed))
+		sch.mu.Lock()
+		held, budget, kept := sch.held, sch.heldBudget, len(sch.completed)
+		sch.mu.Unlock()
+		if held > budget || kept != min(len(jobs), 2) {
+			t.Fatalf("after %d jobs of %d bytes: %d jobs hold %d bytes, budget %d", len(jobs), size, kept, held, budget)
+		}
+	}
+	for i, job := range jobs {
+		_, err := sch.Job(job.id)
+		if i < len(jobs)-2 {
+			if !errors.Is(err, ErrUnknownJob) {
+				t.Fatalf("attach to evicted job %d answered %v, want ErrUnknownJob", i, err)
+			}
+			if err := sch.Cancel(job.id); !errors.Is(err, ErrUnknownJob) {
+				t.Fatalf("cancel of evicted job %d answered %v, want ErrUnknownJob", i, err)
+			}
+			if st, err := sch.Status(job.id); err != nil || st.State != "done" || st.CompletedEpochs != 1 {
+				t.Fatalf("polling evicted job %d: %+v, %v; want done after 1 epoch", i, st, err)
+			}
+		} else if err != nil {
+			t.Fatalf("retained job %d: %v", i, err)
+		}
+	}
+
+	sch.mu.Lock()
+	sch.heldBudget = size / 2
+	sch.mu.Unlock()
+	newest := run(7)
+	sch.mu.Lock()
+	held, kept := sch.held, len(sch.completed)
+	sch.mu.Unlock()
+	if _, err := sch.Job(newest.id); err != nil || kept != 1 || held != size {
+		t.Fatalf("over budget alone: %d jobs hold %d bytes, newest %v; want the newest, %d bytes", kept, held, err, size)
+	}
+}
+
 // TestServerLeavesWorkerCountAlone: a server of any executor count computes
 // on the kernel pool as it finds it. The worker count the process pinned
 // reads the same after the constructor, while a job runs and after Wait.

@@ -378,15 +378,18 @@ func badFrame(what string, err error) error {
 // retainedJobs is how many terminal jobs the scheduler keeps in its
 // registry, newest first: enough for any client to come back for a result
 // it was disconnected from, while a server that lives for millions of jobs
-// holds a bounded number of results. Older ones are forgotten
-// oldest-finished first: attach and cancel answer ErrUnknownJob, as for an
-// ID that never existed. pastJobs is how many finished jobs keep answering
-// poll with how they ended (a JobStatus each, no result): asking stays
-// cheap long after the weights are gone. Constants: they bound the
-// server's memory, whoever the client.
+// holds a bounded number of results. retainedResultBytes bounds the bytes
+// those results hold (weights plus optimiser state: one resnet18 with
+// momentum is ≈89 MB), except that the newest finished job is always kept.
+// Older ones are forgotten oldest-finished first: attach and cancel answer
+// ErrUnknownJob, as for an ID that never existed. pastJobs is how many
+// finished jobs keep answering poll with how they ended (a JobStatus each,
+// no result): asking stays cheap long after the weights are gone.
+// Constants: they bound the server's memory, whoever the client.
 const (
-	retainedJobs = 1024
-	pastJobs     = 1 << 16
+	retainedJobs        = 1024
+	retainedResultBytes = 256 << 20
+	pastJobs            = 1 << 16
 )
 
 // writeOutcome sends a finished job's terminal frames: the shutdown

@@ -7,14 +7,16 @@ import (
 	"amalgam/internal/data"
 	"amalgam/internal/models"
 	"amalgam/internal/nn"
+	"amalgam/internal/optim"
 	"amalgam/internal/tensor"
 )
 
 // The obfuscation tax in seconds instead of the repo benchmark's twenty:
-// one training step — forward, backward, release; no optimiser, which costs
-// both arms the same per parameter — of a plain model (amount 0: no decoys,
-// identity key) against the same model augmented as the workload augments
-// it. aug ÷ plain of the two sub-benchmarks is the ratio `go run ./bench`
+// one training step as cloudsim.TrainLoop runs it — forward, backward with
+// the workload's optimiser updating each parameter inside it, release — of
+// a plain model (amount 0: no decoys, identity key) against the same model
+// augmented as the workload augments it. The augmented arm carries 1.5×
+// the parameters, so the optimiser is part of the tax. aug ÷ plain of the two sub-benchmarks is the ratio `go run ./bench`
 // gates, minus the epoch's evaluation pass. Run with -cpu 1,2: on one core
 // the decoys queue behind the original whatever the code does, on two they
 // run beside it.
@@ -43,7 +45,7 @@ func BenchmarkAugmentedLMStep(b *testing.B) {
 			}
 			am.SetTraining(true)
 			windows := aug.Stream.WindowSet(aug.Key.AugLen).Batch(data.BatchIter(batch, batch, nil)[0])
-			benchStep(b, am, func() *autodiff.Node {
+			benchStep(b, am, optim.OptimSpec{Kind: optim.KindAdam, LR: 1e-3}, func() *autodiff.Node {
 				total, _ := am.LossWindows(windows)
 				return total
 			})
@@ -69,7 +71,7 @@ func BenchmarkAugmentedResNet18Step(b *testing.B) {
 			}
 			am.SetTraining(true)
 			x, labels := aug.Dataset.Batch(data.BatchIter(batch, batch, nil)[0])
-			benchStep(b, am, func() *autodiff.Node {
+			benchStep(b, am, optim.OptimSpec{Kind: optim.KindSGD, LR: 0.02, Momentum: 0.9}, func() *autodiff.Node {
 				total, _ := am.Loss(autodiff.Constant(x), labels)
 				return total
 			})
@@ -77,14 +79,18 @@ func BenchmarkAugmentedResNet18Step(b *testing.B) {
 	}
 }
 
-// benchStep times loss → Backward → Release with gradients cleared between
-// steps, after one untimed step that warms the pool and allocates the leaf
-// gradients.
-func benchStep(b *testing.B, m interface{ Params() []nn.Param }, loss func() *autodiff.Node) {
+// benchStep times loss → Optimizer.Backward → Release under spec (the
+// workload's optimiser: SGD with momentum for CV, Adam for the LM), after
+// one untimed step that warms the pool and allocates the optimiser's
+// buffers and spare gradients.
+func benchStep(b *testing.B, m interface{ Params() []nn.Param }, spec optim.OptimSpec, loss func() *autodiff.Node) {
+	opt, err := optim.Build(spec, m.Params())
+	if err != nil {
+		b.Fatal(err)
+	}
 	step := func() {
-		nn.ZeroGrads(m)
 		root := loss()
-		autodiff.Backward(root)
+		opt.Backward(root)
 		autodiff.Release(root)
 	}
 	step()

@@ -156,8 +156,8 @@ func (c *Children) Add(name string, m Child) {
 }
 
 // Params returns every child's parameters under its name, in Add order.
-// It sits on the per-step path (ZeroGrads), so it is the plain prefix
-// walk and nothing more.
+// A loop that clears gradients itself calls it every step (ZeroGrads), so
+// it is the plain prefix walk and nothing more.
 func (c *Children) Params() []Param {
 	var out []Param
 	for _, ch := range c.list {

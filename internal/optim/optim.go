@@ -6,6 +6,14 @@
 // and restoring that resume state is therefore written once, so
 // checkpointed runs of ANY kind continue bit-identically.
 //
+// A rule updates one parameter from its gradient, element by element, so
+// it can run the moment that gradient is final. Optimizer.Backward does
+// that: it is the training step (clear, backward, update) as one walk, the
+// rule running as autodiff.Backward's per-leaf step, and no parameter
+// gradient outlives its update. Step runs the same rule over every
+// parameter that carries a gradient, for callers that run
+// autodiff.Backward themselves.
+//
 // A job carries its training recipe to the cloud service as wire-portable
 // specs instead of the recipe living in the provider's source code:
 // Build constructs the optimiser an OptimSpec names, ScheduleSpec.Rate is
@@ -18,7 +26,9 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"sync"
 
+	"amalgam/internal/autodiff"
 	"amalgam/internal/nn"
 	"amalgam/internal/tensor"
 )
@@ -73,11 +83,13 @@ type kind struct {
 	counts bool
 	// defaults holds what a zero Beta1, Beta2 or Eps in a spec stands for.
 	defaults OptimSpec
-	// rule applies one update to every parameter that has a gradient.
-	rule func(*Optimizer)
+	// rule applies one update to params[i] from its gradient g. It reads
+	// and writes that parameter's value and buffers only, so parameters
+	// update in any order, side by side.
+	rule func(o *Optimizer, i int, g []float32)
 }
 
-var sgd = &kind{name: KindSGD, rule: sgdStep, slots: func(s OptimSpec) []string {
+var sgd = &kind{name: KindSGD, rule: sgdRule, slots: func(s OptimSpec) []string {
 	if s.Momentum == 0 {
 		return nil
 	}
@@ -88,7 +100,7 @@ var sgd = &kind{name: KindSGD, rule: sgdStep, slots: func(s OptimSpec) []string 
 var kinds = map[string]*kind{
 	"":      sgd,
 	KindSGD: sgd,
-	KindAdam: {name: KindAdam, rule: adamStep, counts: true,
+	KindAdam: {name: KindAdam, rule: adamRule, counts: true,
 		slots:    func(OptimSpec) []string { return []string{"m/", "v/"} },
 		defaults: OptimSpec{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}},
 }
@@ -104,6 +116,14 @@ type Optimizer struct {
 	// touches the parameter or a load restores it.
 	bufs [][]*tensor.Tensor
 	step int
+
+	// Backward's bookkeeping. index is each parameter's position by node;
+	// touched[i] records that params[i] has been updated or carried a
+	// gradient into a Backward, reached[i] that this Backward's walk
+	// updated it.
+	index            map[*autodiff.Node]int
+	touched, reached []bool
+	grads            gradBuffers
 }
 
 // newOptimizer builds the optimiser of s's kind, which must be in kinds.
@@ -112,10 +132,17 @@ func newOptimizer(s OptimSpec, params []nn.Param) *Optimizer {
 	s.Beta1 = cmp.Or(s.Beta1, k.defaults.Beta1)
 	s.Beta2 = cmp.Or(s.Beta2, k.defaults.Beta2)
 	s.Eps = cmp.Or(s.Eps, k.defaults.Eps)
-	o := &Optimizer{kind: k, spec: s, params: params, slots: k.slots(s)}
+	o := &Optimizer{kind: k, spec: s, params: params, slots: k.slots(s),
+		index:   make(map[*autodiff.Node]int, len(params)),
+		touched: make([]bool, len(params)),
+		reached: make([]bool, len(params)),
+	}
 	o.bufs = make([][]*tensor.Tensor, len(o.slots))
 	for i := range o.bufs {
 		o.bufs[i] = make([]*tensor.Tensor, len(params))
+	}
+	for i, p := range params {
+		o.index[p.Node] = i
 	}
 	return o
 }
@@ -130,13 +157,129 @@ func NewAdam(params []nn.Param, lr float64) *Optimizer {
 	return newOptimizer(OptimSpec{Kind: KindAdam, LR: lr}, params)
 }
 
-// Step applies one update and leaves gradients untouched (callers zero
-// them via nn.ZeroGrads, matching the usual train-loop shape).
+// Step applies one update to every parameter that carries a gradient and
+// leaves the gradients untouched (callers zero them via nn.ZeroGrads): the
+// step for callers that run autodiff.Backward themselves.
 func (o *Optimizer) Step() {
+	o.count()
+	for i, p := range o.params {
+		if p.Node.Grad != nil {
+			o.kind.rule(o, i, p.Node.Grad.Data)
+		}
+	}
+}
+
+// count advances a counting kind's step counter: once per step, before
+// any parameter's update reads it.
+func (o *Optimizer) count() {
 	if o.kind.counts {
 		o.step++
 	}
-	o.kind.rule(o)
+}
+
+// Backward is nn.ZeroGrads, autodiff.Backward(root) and Step in one walk,
+// bit for bit: each parameter is updated as soon as its gradient is final,
+// on the goroutine walking its component, and the gradient's buffer goes
+// back to the run's free list for the next parameter of its size. In
+// order:
+//
+//   - a gradient a parameter carries in is dropped (ZeroGrads would clear
+//     it) and the parameter counts as touched;
+//   - the step is counted, once;
+//   - the walk updates every parameter it reaches, as it reaches it;
+//   - every parameter touched before but not reached now takes the update
+//     Step gives a zero gradient.
+//
+// No parameter leaves with a gradient attached.
+func (o *Optimizer) Backward(root *autodiff.Node) {
+	for i, p := range o.params {
+		if p.Node.Grad != nil {
+			o.touched[i] = true
+			p.Node.Grad = nil
+		}
+		o.reached[i] = false
+	}
+	o.count()
+	autodiff.Backward(root, (*leafStep)(o))
+	for i, p := range o.params {
+		if o.touched[i] && !o.reached[i] {
+			g := o.grads.get(p.Node.Val)
+			if g == nil {
+				g = tensor.New(p.Node.Val.Shape()...)
+			} else {
+				g.Zero()
+			}
+			o.kind.rule(o, i, g.Data)
+			o.grads.put(g)
+		}
+	}
+}
+
+// leafStep is the Optimizer as autodiff.Backward's per-leaf step. A leaf
+// that is not one of its parameters keeps its gradient as without a step.
+type leafStep Optimizer
+
+// Reuse hands a parameter's first gradient a spare buffer of its size.
+func (s *leafStep) Reuse(leaf *autodiff.Node) *tensor.Tensor {
+	if _, ok := s.index[leaf]; !ok {
+		return nil
+	}
+	return s.grads.get(leaf.Val)
+}
+
+// Step updates the parameter from its final gradient and takes the buffer.
+func (s *leafStep) Step(leaf *autodiff.Node) {
+	o := (*Optimizer)(s)
+	i, ok := o.index[leaf]
+	if !ok {
+		return
+	}
+	o.touched[i], o.reached[i] = true, true
+	o.kind.rule(o, i, leaf.Grad.Data)
+	o.grads.put(leaf.Grad)
+	leaf.Grad = nil
+}
+
+// gradBuffers is a run's free list of exact-size gradient buffers, keyed by
+// element count. It grows to the gradients a step has alive at once, not
+// one per parameter, and holds them through the forward pass too. Hence
+// exact sizes and ownership by the run: a power-of-two pool bucket would
+// hold up to twice the bytes, and a sync.Pool may drop a buffer for the
+// next step to allocate again. Components walk side by side, hence the
+// lock.
+type gradBuffers struct {
+	mu   sync.Mutex
+	free map[int][]*tensor.Tensor
+}
+
+// get returns a spare buffer of like's shape, its contents undefined, or
+// nil when there is none of its size.
+func (b *gradBuffers) get(like *tensor.Tensor) *tensor.Tensor {
+	n := like.Numel()
+	b.mu.Lock()
+	l := b.free[n]
+	if len(l) == 0 {
+		b.mu.Unlock()
+		return nil
+	}
+	t := l[len(l)-1]
+	l[len(l)-1] = nil
+	b.free[n] = l[:len(l)-1]
+	b.mu.Unlock()
+	if !t.SameShape(like) {
+		t = tensor.FromSlice(t.Data, like.Shape()...)
+	}
+	return t
+}
+
+// put makes t a spare; the caller must not touch it afterwards.
+func (b *gradBuffers) put(t *tensor.Tensor) {
+	b.mu.Lock()
+	if b.free == nil {
+		b.free = make(map[int][]*tensor.Tensor)
+	}
+	b.free[t.Numel()] = append(b.free[t.Numel()], t)
+	b.mu.Unlock()
 }
 
 // buffer returns slot k's buffer for parameter i, allocated zeroed on
@@ -148,40 +291,35 @@ func (o *Optimizer) buffer(k, i int) []float32 {
 	return o.bufs[k][i].Data
 }
 
-// sgdStep is SGD with optional momentum and L2 weight decay:
+// sgdRule is SGD with optional momentum and L2 weight decay:
 // v ← µv + (g + λθ); θ ← θ − η·v, or θ ← θ − η·(g + λθ) without momentum.
-func sgdStep(o *Optimizer) {
+func sgdRule(o *Optimizer, i int, g []float32) {
 	lr := float32(o.spec.LR)
 	mu := float32(o.spec.Momentum)
 	wd := float32(o.spec.WeightDecay)
-	for i, p := range o.params {
-		if p.Node.Grad == nil {
-			continue
-		}
-		g := p.Node.Grad.Data
-		w := p.Node.Val.Data
-		if len(o.slots) == 0 {
-			for j := range w {
-				w[j] -= lr * (g[j] + wd*w[j])
-			}
-			continue
-		}
-		v := o.buffer(0, i)
+	w := o.params[i].Node.Val.Data
+	g = g[:len(w)]
+	if len(o.slots) == 0 {
 		for j := range w {
-			gj := g[j] + wd*w[j]
-			v[j] = mu*v[j] + gj
-			w[j] -= lr * v[j]
+			w[j] -= lr * (g[j] + wd*w[j])
 		}
+		return
+	}
+	v := o.buffer(0, i)
+	for j := range w {
+		gj := g[j] + wd*w[j]
+		v[j] = mu*v[j] + gj
+		w[j] -= lr * v[j]
 	}
 }
 
-// adamStep is Adam (Kingma & Ba, 2015) with bias correction and
+// adamRule is Adam (Kingma & Ba, 2015) with bias correction and
 // DECOUPLED weight decay (Loshchilov & Hutter's AdamW): the decay shrinks
 // weights directly (θ ← θ − η·λ·θ) instead of entering the adaptive
 // moments, so its effective strength is not divided by √v̂. Per-element
 // work stays in float32 over raw slices with the conversions hoisted out
 // of the inner loop, so steady-state steps allocate nothing.
-func adamStep(o *Optimizer) {
+func adamRule(o *Optimizer, i int, g []float32) {
 	s := &o.spec
 	bc1 := 1 - math.Pow(s.Beta1, float64(o.step))
 	bc2 := 1 - math.Pow(s.Beta2, float64(o.step))
@@ -190,26 +328,21 @@ func adamStep(o *Optimizer) {
 	b2 := float32(s.Beta2)
 	eps := float32(s.Eps)
 	decay := float32(s.LR * s.WeightDecay)
-	for i, p := range o.params {
-		if p.Node.Grad == nil {
-			continue
-		}
-		g := p.Node.Grad.Data
-		md, vd := o.buffer(0, i), o.buffer(1, i)
-		wd := p.Node.Val.Data
-		if decay != 0 {
-			for j := range wd {
-				wd[j] -= decay * wd[j]
-			}
-		}
+	md, vd := o.buffer(0, i), o.buffer(1, i)
+	wd := o.params[i].Node.Val.Data
+	g = g[:len(wd)]
+	if decay != 0 {
 		for j := range wd {
-			gj := g[j]
-			mj := b1*md[j] + (1-b1)*gj
-			vj := b2*vd[j] + (1-b2)*gj*gj
-			md[j] = mj
-			vd[j] = vj
-			wd[j] -= lr * mj / (float32(math.Sqrt(float64(vj))) + eps)
+			wd[j] -= decay * wd[j]
 		}
+	}
+	for j := range wd {
+		gj := g[j]
+		mj := b1*md[j] + (1-b1)*gj
+		vj := b2*vd[j] + (1-b2)*gj*gj
+		md[j] = mj
+		vd[j] = vj
+		wd[j] -= lr * mj / (float32(math.Sqrt(float64(vj))) + eps)
 	}
 }
 
