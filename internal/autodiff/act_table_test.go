@@ -44,29 +44,45 @@ type hostOp struct {
 
 func vec(v ...float32) *tensor.Tensor { return tensor.FromSlice(v, len(v)) }
 
-// negZeros is a bias that leaves every value it is added to unchanged, −0
-// included.
-func negZeros(n int) *tensor.Tensor {
-	return tensor.Full(float32(math.Copysign(0, -1)), n)
+// negZeros is a bias or residual that leaves every value it is added to
+// unchanged, −0 included.
+func negZeros(shape ...int) *tensor.Tensor {
+	return tensor.Full(float32(math.Copysign(0, -1)), shape...)
 }
 
 // samePad is the padding that keeps a stride-1 convolution's plane size.
 func samePad(w *Node) int { return w.Val.Dim(2) / 2 }
 
-func batchNormHost(training bool, suffix string) hostOp {
-	return hostOp{
-		name: "BatchNorm2d", suffix: suffix, leaves: 3,
-		small: [][]int{{3, 3, 2, 3}, {3}, {3}, {3}, {3}},
-		wide:  [][]int{{8, 13, 32, 32}, {13}, {13}, {13}, {13}},
-		// γ = 1, β = −0, running mean 0 and variance 1 − eps: the identity in
-		// eval mode. Batch statistics spread the row's NaN to every element.
-		carry: func(row []float32) []*tensor.Tensor {
-			return []*tensor.Tensor{tensor.FromSlice(row, 1, 1, 3, 3), vec(1), negZeros(1), vec(0), vec(1 - 1e-5)}
-		},
-		build: func(p []*Node, act tensor.Act) *Node {
-			return BatchNorm2d(p[0], p[1], p[2], p[3].Val, p[4].Val, 0.1, 1e-5, training, act)
-		},
+// batchNormHost is BatchNorm2d without a residual or with one, a fourth
+// trainable operand of x's shape.
+func batchNormHost(training, residual bool, suffix string) hostOp {
+	h := hostOp{name: "BatchNorm2d", suffix: suffix, leaves: 3,
+		small: [][]int{{3, 3, 2, 3}, {3}, {3}},
+		wide:  [][]int{{8, 13, 32, 32}, {13}, {13}},
 	}
+	if residual {
+		h.leaves++
+		h.small, h.wide = append(h.small, h.small[0]), append(h.wide, h.wide[0])
+	}
+	h.small, h.wide = append(h.small, []int{3}, []int{3}), append(h.wide, []int{13}, []int{13})
+	// γ = 1, β = −0, a residual of −0, running mean 0 and variance 1 − eps:
+	// the identity in eval mode. Batch statistics spread the row's NaN to
+	// every element.
+	h.carry = func(row []float32) []*tensor.Tensor {
+		ops := []*tensor.Tensor{tensor.FromSlice(row, 1, 1, 3, 3), vec(1), negZeros(1)}
+		if residual {
+			ops = append(ops, negZeros(1, 1, 3, 3))
+		}
+		return append(ops, vec(0), vec(1-1e-5))
+	}
+	h.build = func(p []*Node, act tensor.Act) *Node {
+		var r *Node
+		if residual {
+			r = p[3]
+		}
+		return BatchNorm2d(p[0], p[1], p[2], p[h.leaves].Val, p[h.leaves+1].Val, 0.1, 1e-5, training, act, r)
+	}
+	return h
 }
 
 var hostOps = []hostOp{
@@ -115,8 +131,10 @@ var hostOps = []hostOp{
 		},
 		build: func(p []*Node, act tensor.Act) *Node { return Conv2d(p[0], p[1], p[2], 1, samePad(p[1]), act) },
 	},
-	batchNormHost(true, "/training=true"),
-	batchNormHost(false, "/training=false"),
+	batchNormHost(true, false, "/training=true"),
+	batchNormHost(false, false, "/training=false"),
+	batchNormHost(true, true, "+residual/training=true"),
+	batchNormHost(false, true, "+residual/training=false"),
 }
 
 // plainOp stands in for an op outside the table — n trainable operands, no
@@ -219,6 +237,60 @@ func fusedMatchesComposed(t *testing.T, h hostOp, act tensor.Act, operands []*te
 		func(p []*Node) *Node { return Activate(h.build(p, tensor.ActNone), act) })
 }
 
+// residualCase is BatchNorm2d's residual epilogue, act(BN(x) + r), over one
+// kind of residual. Operands: x, γ, β, then the residual's own, then the
+// running statistics.
+type residualCase struct {
+	name     string
+	leaves   int
+	shapes   func(n, c, hw int) [][]int
+	residual func(p []*Node) *Node
+}
+
+var residualCases = []residualCase{
+	{ // a separate residual: r is a fourth operand
+		name: "BatchNorm2dResidual", leaves: 4,
+		shapes: func(n, c, hw int) [][]int {
+			return [][]int{{n, c, hw, hw}, {c}, {c}, {n, c, hw, hw}, {c}, {c}}
+		},
+		residual: func(p []*Node) *Node { return p[3] },
+	},
+	{ // the residual is the norm's own input: a shared operand
+		name: "BatchNorm2dResidual(x,x)", leaves: 3,
+		shapes: func(n, c, hw int) [][]int {
+			return [][]int{{n, c, hw, hw}, {c}, {c}, {c}, {c}}
+		},
+		residual: func(p []*Node) *Node { return p[0] },
+	},
+	{ // the downsample block: the residual is another norm's output
+		name: "BatchNorm2dResidual(bn)", leaves: 6,
+		shapes: func(n, c, hw int) [][]int {
+			return [][]int{{n, c, hw, hw}, {c}, {c}, {n, c, hw, hw}, {c}, {c}, {c}, {c}}
+		},
+		residual: func(p []*Node) *Node {
+			c := p[4].Val.Numel()
+			return BatchNorm2d(p[3], p[4], p[5], tensor.New(c), tensor.Ones(c), 0.1, 1e-5, true, tensor.ActNone, nil)
+		},
+	},
+}
+
+// build returns the case's graph with the epilogue fused or as BatchNorm2d
+// → Add → Activate. x also feeds a Scale whose backward runs first, so with
+// r = x its gradient sums three terms, and only the unfused order — the
+// residual's share before the norm's dx — gives the referee's bits.
+func (rc residualCase) build(act tensor.Act, fused bool) func(p []*Node) *Node {
+	return func(p []*Node) *Node {
+		rm, rv, r := p[rc.leaves].Val, p[rc.leaves+1].Val, rc.residual(p)
+		var out *Node
+		if fused {
+			out = BatchNorm2d(p[0], p[1], p[2], rm, rv, 0.1, 1e-5, true, act, r)
+		} else {
+			out = Activate(Add(BatchNorm2d(p[0], p[1], p[2], rm, rv, 0.1, 1e-5, true, tensor.ActNone, nil), r), act)
+		}
+		return Add(out, Scale(p[0], 0.5))
+	}
+}
+
 // TestFusedMatchesUnfused pins full equivalence for the clamps and for the
 // ops that fold a bias or a second operand into the producing node: the same
 // forward values AND the same gradients as the unfused composition, bit for
@@ -232,21 +304,24 @@ func TestFusedMatchesUnfused(t *testing.T) {
 		fusedMatchesComposed(t, h, act, h.draw(h.wide, 45))
 	})
 
-	rng := tensor.NewRNG(84)
-	a, b := tensor.New(3, 5, 2, 2), tensor.New(3, 5, 2, 2)
-	rng.FillNormal(a, 0, 1)
-	rng.FillNormal(b, 0, 1)
-	t.Run("AddReLU", func(t *testing.T) {
-		sameAsReferee(t, plainOp(2), []*tensor.Tensor{a, b},
-			func(p []*Node) *Node { return AddReLU(p[0], p[1]) },
-			func(p []*Node) *Node { return Activate(Add(p[0], p[1]), tensor.ActReLU) })
-	})
-	t.Run("AddReLU(a,a)", func(t *testing.T) {
-		sameAsReferee(t, plainOp(1), []*tensor.Tensor{a},
-			func(p []*Node) *Node { return AddReLU(p[0], p[0]) },
-			func(p []*Node) *Node { return Activate(Add(p[0], p[0]), tensor.ActReLU) })
-	})
+	// The residual epilogue against BatchNorm2d → Add → Activate, on both
+	// backends at every worker count.
+	for _, rc := range residualCases {
+		t.Run(rc.name, func(t *testing.T) {
+			h := plainOp(rc.leaves)
+			operands := h.draw(rc.shapes(8, 13, 16), 84)
+			for _, act := range []tensor.Act{tensor.ActNone, tensor.ActReLU, tensor.ActReLU6} {
+				eachBackend(t, func(simd bool) {
+					for _, wk := range []int{1, 2, 3, 8} {
+						tensor.SetMaxWorkers(wk)
+						sameAsReferee(t, h, operands, rc.build(act, true), rc.build(act, false))
+					}
+				})
+			}
+		})
+	}
 	// The biased convolution: one node against the two-node composition.
+	rng := tensor.NewRNG(84)
 	cx, cw, cb := tensor.New(3, 2, 8, 8), tensor.New(4, 2, 3, 3), tensor.New(4)
 	rng.FillNormal(cx, 0, 1)
 	rng.FillNormal(cw, 0, 0.4)

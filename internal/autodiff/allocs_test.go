@@ -84,7 +84,7 @@ func TestBatchNormStepAllocs(t *testing.T) {
 		xN.ZeroGrad()
 		gN.ZeroGrad()
 		bN.ZeroGrad()
-		loss := Mean(BatchNorm2d(xN, gN, bN, rm, rv, 0.1, 1e-5, true, tensor.ActNone))
+		loss := Mean(BatchNorm2d(xN, gN, bN, rm, rv, 0.1, 1e-5, true, tensor.ActNone, nil))
 		Backward(loss)
 		Release(loss)
 	})

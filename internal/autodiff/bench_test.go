@@ -139,7 +139,7 @@ func BenchmarkBatchNorm2dStep(b *testing.B) {
 		xN.ZeroGrad()
 		gN.ZeroGrad()
 		btN.ZeroGrad()
-		loss := Mean(BatchNorm2d(xN, gN, btN, rm, rv, 0.1, 1e-5, true, tensor.ActNone))
+		loss := Mean(BatchNorm2d(xN, gN, btN, rm, rv, 0.1, 1e-5, true, tensor.ActNone, nil))
 		Backward(loss)
 		Release(loss)
 	}

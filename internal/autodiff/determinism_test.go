@@ -117,7 +117,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 			gamma, beta := tensor.Ones(13), tensor.New(13)
 			rm, rv := tensor.New(13), tensor.Ones(13)
 			xN, gN, bN := Leaf(x), Leaf(gamma), Leaf(beta)
-			loss := Mean(BatchNorm2d(xN, gN, bN, rm, rv, 0.1, 1e-5, true, tensor.ActNone))
+			loss := Mean(BatchNorm2d(xN, gN, bN, rm, rv, 0.1, 1e-5, true, tensor.ActNone, nil))
 			Backward(loss)
 			out, dx, rmOut = loss.Val.Clone(), xN.Grad.Clone(), rm.Clone()
 			Release(loss)
@@ -200,14 +200,13 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	// Every op that ends in an activation, over every activation.
 	t.Run("Act", func(t *testing.T) { actRowsDeterministic(t, workerCounts) })
 
-	// The add→activation node and the norms' recomputed x̂. Shapes are large
-	// enough that the row loops really split.
+	// The norm's residual epilogue and the norms' recomputed x̂. Shapes are
+	// large enough that the row loops really split.
 	oneNodeCases := map[string]func() []*tensor.Tensor{
-		"AddReLU": func() []*tensor.Tensor {
-			h := plainOp(2)
-			return h.fwdBwd(h.draw([][]int{{8, 13, 32, 32}, {8, 13, 32, 32}}, 32), func(p []*Node) *Node {
-				return AddReLU(p[0], p[1])
-			})
+		"BatchNorm2dResidual": func() []*tensor.Tensor {
+			rc := residualCases[0]
+			h := plainOp(rc.leaves)
+			return h.fwdBwd(h.draw(rc.shapes(8, 13, 32), 32), rc.build(tensor.ActReLU, true))
 		},
 		"LayerNormRecomputed": func() []*tensor.Tensor {
 			h := plainOp(3)

@@ -235,7 +235,7 @@ func TestGradBatchNorm(t *testing.T) {
 	xN, gN, bN := Leaf(x), Leaf(gamma), Leaf(beta)
 	loss := func() *Node {
 		// Fresh running stats each call so the forward value is pure.
-		return MSE(BatchNorm2d(xN, gN, bN, rm.Clone(), rv.Clone(), 0.1, 1e-5, true, tensor.ActNone), target)
+		return MSE(BatchNorm2d(xN, gN, bN, rm.Clone(), rv.Clone(), 0.1, 1e-5, true, tensor.ActNone, nil), target)
 	}
 	gradCheck(t, []*Node{gN, bN, xN}, loss, 3e-2)
 }
@@ -245,7 +245,7 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	gamma, beta := tensor.Ones(1), tensor.New(1)
 	rm := tensor.FromSlice([]float32{0.5}, 1)
 	rv := tensor.FromSlice([]float32{4}, 1)
-	y := BatchNorm2d(Constant(x), Leaf(gamma), Leaf(beta), rm, rv, 0.1, 0, false, tensor.ActNone)
+	y := BatchNorm2d(Constant(x), Leaf(gamma), Leaf(beta), rm, rv, 0.1, 0, false, tensor.ActNone, nil)
 	want := float32((1.0 - 0.5) / 2.0)
 	if math.Abs(float64(y.Val.Data[0]-want)) > 1e-5 {
 		t.Fatalf("eval BN = %v, want %v", y.Val.Data[0], want)

@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -176,7 +177,7 @@ func TestBackwardFootprint(t *testing.T) {
 		misses := coldBucketMisses(t, n*c*hw*hw, func() *Node {
 			h := Constant(x)
 			for i := 0; i < k; i++ {
-				h = BatchNorm2d(Conv2d(h, ws[i], nil, 1, 1, tensor.ActNone), gs[i], bs[i], tensor.New(c), tensor.Ones(c), 0.1, 1e-5, true, tensor.ActReLU)
+				h = BatchNorm2d(Conv2d(h, ws[i], nil, 1, 1, tensor.ActNone), gs[i], bs[i], tensor.New(c), tensor.Ones(c), 0.1, 1e-5, true, tensor.ActReLU, nil)
 			}
 			return Mean(h)
 		})
@@ -206,4 +207,157 @@ func TestBackwardFootprint(t *testing.T) {
 			t.Fatalf("a %d-deep Linear→Tanh chain held %d activation-sized buffers at once, want at most 2 per unit + %d", k, misses, frontier)
 		}
 	})
+}
+
+// keepStep is a LeafStep that updates nothing and leaves every gradient on
+// its leaf: Backward under a step, gradients as without one.
+type keepStep struct{}
+
+func (keepStep) Reuse(*Node) *tensor.Tensor { return nil }
+func (keepStep) Step(*Node)                 {}
+
+// TestStepBackwardReturnsValues pins the value lifetime under a step on a
+// graph with two components, a residual block, a softmax (whose backward
+// reads its own value after taking a buffer of that value's size, the one
+// the pool hands out next if the value went back early) and a decoy that reads the original through Detach of a Reshape view. Without a
+// step every value stays readable. With one, the gradients are the same bit
+// for bit; the root, the loss scalar and the detached value are still
+// readable and every other pooled value is back in the pool before Release;
+// Release returns the rest, and no buffer goes back twice.
+func TestStepBackwardReturnsValues(t *testing.T) {
+	rng := tensor.NewRNG(74)
+	leaf := func(scale float64, shape ...int) *Node {
+		v := tensor.New(shape...)
+		rng.FillNormal(v, 0, scale)
+		return Leaf(v)
+	}
+	x, dy := leaf(1, 4, 2, 4, 4).Val, leaf(1, 4, 8).Val
+	w1, w2, gamma, beta := leaf(0.4, 2, 2, 3, 3), leaf(0.4, 2, 2, 3, 3), Leaf(tensor.Ones(2)), Leaf(tensor.New(2))
+	wl, bl, wd, bd := leaf(0.3, 32, 8), leaf(0.3, 8), leaf(0.3, 32, 5), leaf(0.3, 5)
+	params := []*Node{w1, w2, gamma, beta, wl, bl, wd, bd}
+	type graph struct{ root, loss, block, view *Node }
+	build := func() graph {
+		c := Conv2d(Constant(x), w1, nil, 1, 1, tensor.ActNone)
+		block := BatchNorm2d(Conv2d(c, w2, nil, 1, 1, tensor.ActNone), gamma, beta, tensor.New(2), tensor.Ones(2), 0.1, 1e-5, true, tensor.ActReLU, c)
+		view := Flatten(block)
+		loss := MSE(SoftmaxLastDim(Linear(view, wl, bl, tensor.ActNone)), dy)
+		decoy := Mean(Linear(Detach(view), wd, bd, tensor.ActTanh))
+		return graph{AddN(loss, decoy), loss, block, view}
+	}
+	// owned lists the interior nodes holding a pooled value, with copies.
+	owned := func(root *Node) (nodes []*Node, vals []*tensor.Tensor) {
+		eachInterior(root, func(n *Node) {
+			if n.ownsVal {
+				nodes, vals = append(nodes, n), append(vals, n.Val.Clone())
+			}
+		})
+		return nodes, vals
+	}
+	grads := func() []*tensor.Tensor {
+		var out []*tensor.Tensor
+		for _, p := range params {
+			out = append(out, p.Grad.Clone())
+			p.Grad = nil
+		}
+		return out
+	}
+
+	g := build()
+	nodes, vals := owned(g.root)
+	Backward(g.root)
+	for i, n := range nodes {
+		if n.Val == nil || !n.Val.Equal(vals[i]) {
+			t.Fatalf("without a step, a pooled %v value was handed back or changed by Backward", vals[i].Shape())
+		}
+	}
+	want := grads()
+	Release(g.root)
+
+	// Under a step. Outside the race detector (whose sync.Pool drops Puts at
+	// random) the pool is counted too: one P, no collector and an empty pool
+	// to start from, so every buffer handed back stays there, and the
+	// buffers made per bucket are its misses.
+	count := !raceEnabled
+	if count {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		runtime.GC()
+		runtime.GC() // twice: sync.Pool keeps a victim generation
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	}
+	bucket := func(numel int) int { return 1 << bits.Len(uint(numel-1)) } // the bucket's size
+	buckets := map[int]int64{}                                            // each bucket the values use → buffers made there
+	for _, v := range vals {
+		_, m := tensor.PoolBucketStats(v.Numel())
+		buckets[bucket(v.Numel())] = -m
+	}
+	g = build()
+	nodes, vals = owned(g.root)
+	block, loss := g.block.Val.Clone(), g.loss.Scalar()
+	Backward(g.root, keepStep{})
+	for numel := range buckets {
+		_, m := tensor.PoolBucketStats(numel)
+		buckets[numel] += m
+	}
+	for i, got := range grads() {
+		if !sameBits(got, want[i]) {
+			t.Fatalf("gradient of parameter %d under a step differs from the one without", i)
+		}
+	}
+	if g.root.Val == nil || g.loss.Scalar() != loss {
+		t.Fatal("the root or the loss scalar was lost under a step")
+	}
+	if g.block.Val == nil || !g.block.Val.Equal(block) || &g.view.Val.Data[0] != &g.block.Val.Data[0] {
+		t.Fatal("the value behind a Detach view was handed back under a step")
+	}
+	held := map[int]int64{}
+	for i, n := range nodes {
+		if n.Val != nil {
+			if n != g.root && n != g.block {
+				t.Fatalf("a pooled %v value is still held after Backward under a step", vals[i].Shape())
+			}
+			held[bucket(n.Val.Numel())]++
+		}
+	}
+	if count {
+		for size, made := range buckets {
+			if got := drainBucket(t, size); got != made-held[size] {
+				t.Fatalf("after Backward under a step the %d-float bucket holds %d buffers, want %d made less %d held", size, got, made, held[size])
+			}
+		}
+	}
+	Release(g.root)
+	if g.block.Val != nil {
+		t.Fatal("Release did not return the value a Detach view pinned")
+	}
+	if count {
+		for size, made := range buckets {
+			if got := drainBucket(t, size); got != made {
+				t.Fatalf("after Release the %d-float bucket holds %d buffers, want the %d made", size, got, made)
+			}
+		}
+	}
+}
+
+// drainBucket counts the buffers the pool holds in the bucket of numel
+// floats, taking them until the pool has to make one and putting them back;
+// it fails t if a buffer comes out twice (it was put back twice).
+func drainBucket(t *testing.T, numel int) int64 {
+	t.Helper()
+	seen := map[*float32]bool{}
+	var held []*tensor.Tensor
+	for {
+		_, m0 := tensor.PoolBucketStats(numel)
+		b := tensor.Get(numel)
+		if _, m := tensor.PoolBucketStats(numel); m != m0 {
+			break // a fresh buffer: the bucket is empty
+		}
+		if seen[&b.Data[0]] {
+			t.Fatalf("a %d-float buffer came out of the pool twice: it was put back twice", numel)
+		}
+		seen[&b.Data[0]], held = true, append(held, b)
+	}
+	for _, b := range held {
+		tensor.Put(b)
+	}
+	return int64(len(held))
 }

@@ -9,9 +9,11 @@
 //
 // A buffer lives only as long as someone will read it. Three lifetimes:
 //
-//   - A value (Node.Val) lives until Release: later nodes, Detach and
-//     Reshape views and the training loop (the loss scalar) all read values
-//     after Backward.
+//   - A value (Node.Val) lives until Release: later nodes, views and the
+//     caller may read it after Backward. Under a LeafStep (below), the
+//     training step, a pooled interior value goes back as its node drains,
+//     when every backward that reads it has run; only a Detach view reads
+//     it from outside the parent links, so that one stays (Backward).
 //   - An interior node's gradient, and the scratch its op retained for the
 //     backward pass, live until that node's own backward has run. Reverse
 //     topological order guarantees every consumer has contributed by then
@@ -51,6 +53,11 @@
 // computes the operand gradients from it. Nothing above tensor branches on
 // which activation it is.
 //
+// A residual add is an epilogue too: BatchNorm2d(…, act, r) is act(norm(x)
+// + r) in one buffer, the float32 operations of BatchNorm2d → Add →
+// Activate in their order, and its backward gives r its gradient before
+// the norm's dx, as the Add before the norm would: no gradient chain moves.
+//
 // A layout op is an index map, written once: SplitHeads, MergeHeads,
 // Transpose12 and Conv2d's block reorders are swapMid, ConcatFeatures and
 // ConcatChannels are concat, and each backward adds the gradient back along
@@ -89,6 +96,8 @@ type Node struct {
 	scratch []*tensor.Tensor
 	// step is a leaf's LeafStep for the Backward walking it, nil otherwise.
 	step LeafStep
+	// pinned keeps Val to Release under a LeafStep (see pin).
+	pinned bool
 }
 
 // LeafStep is Backward's optional per-leaf step: the optimiser updating
@@ -271,14 +280,16 @@ func (n *Node) ZeroGrad() {
 // Backward consumes the graph as it goes (see the package comment): once a
 // node's backward has run, its gradient and scratch return to the pool and
 // the closure is dropped — the root's seed included, which a pass-through
-// root such as AddN hands to a parent anyway. Values stay until Release.
-// Reaching an already consumed (or Released) node panics instead of
-// silently stopping there.
+// root such as AddN hands to a parent anyway. Reaching an already consumed
+// (or Released) node panics instead of silently stopping there.
 //
-// Without a step, leaf gradients stay with their parameters. With one (at
-// most one), every leaf that receives a gradient is handed to step.Step at
-// its place in the walk, and its first gradient may be a buffer step.Reuse
-// gives out.
+// Without a step, values stay until Release and leaf gradients stay with
+// their parameters. With one (at most one), every leaf that receives a
+// gradient is handed to step.Step at its place in the walk, its first
+// gradient may be a buffer step.Reuse gives out, and pooled interior values
+// go back as their nodes drain: only the root's, the leaves', views',
+// FromSlice scalars' and Detach sources' values (pinned) are readable
+// afterwards.
 func Backward(root *Node, step ...LeafStep) {
 	if root.Val.Numel() != 1 {
 		panic(fmt.Sprintf("autodiff: Backward root must be scalar, got shape %v", root.Val.Shape()))
@@ -298,20 +309,22 @@ func Backward(root *Node, step ...LeafStep) {
 			panic(fmt.Sprintf("autodiff: Backward through the graph a second time: node %q was already consumed by an earlier Backward or Release; build the graph again", n.name))
 		}
 	}
+	root.pin()
 	root.ensureGrad().Fill(1)
-	last := len(order) - 1
-	backwardOver(order[last:])
+	last, vals := len(order)-1, s != nil
+	backwardOver(order[last:], vals)
 	if comps := components(root, order[:last]); len(comps) > 1 {
-		tensor.ParallelBranches(len(comps), func(i int) { backwardOver(comps[i]) })
+		tensor.ParallelBranches(len(comps), func(i int) { backwardOver(comps[i], vals) })
 	} else {
-		backwardOver(order[:last])
+		backwardOver(order[:last], vals)
 	}
 }
 
-// backwardOver runs order's backwards last to first, draining as it goes.
-// A leaf's consumers all come after it in order, so its gradient is final
-// when the walk reaches it: that is where its step runs.
-func backwardOver(order []*Node) {
+// backwardOver runs order's backwards last to first, draining as it goes
+// (with vals, unpinned values too). A node's consumers all come after it in
+// order, so when the walk reaches a leaf its gradient is final — that is
+// where its step runs — and a drained node's value has no reader left.
+func backwardOver(order []*Node, vals bool) {
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		if n.isLeaf() {
@@ -325,6 +338,9 @@ func backwardOver(order []*Node) {
 			n.backward()
 		}
 		n.drain()
+		if vals && !n.pinned {
+			n.putVal()
+		}
 	}
 }
 
@@ -430,13 +446,29 @@ func Release(root *Node) {
 		return
 	}
 	eachInterior(root, func(n *Node) {
-		if n.ownsVal && n.Val != nil {
-			tensor.Put(n.Val)
-			n.Val = nil
-			n.ownsVal = false
-		}
+		n.putVal()
 		n.drain()
 	})
+}
+
+// pin keeps n's value to Release under a LeafStep, and through a node that
+// may be a Reshape view (one parent, no value of its own) its parent's too.
+func (n *Node) pin() {
+	for ; n != nil && !n.pinned; n = n.parents[0] {
+		n.pinned = true
+		if n.ownsVal || len(n.parents) != 1 {
+			return
+		}
+	}
+}
+
+// putVal returns n's value to the pool if n took it from there, once.
+func (n *Node) putVal() {
+	if n.ownsVal {
+		tensor.Put(n.Val)
+		n.Val = nil
+		n.ownsVal = false
+	}
 }
 
 // Retained walks the graph under root and counts the interior nodes that

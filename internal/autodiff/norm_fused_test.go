@@ -3,14 +3,15 @@ package autodiff
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"amalgam/internal/tensor"
 )
 
 // Tests for the fixtures the Act × host-op table cannot draw at random —
-// batch-norm outputs placed around the clamps' kinks, the residual add — and
-// for the norms' recomputed x̂.
+// batch-norm outputs placed around the clamps' kinks, the residual epilogue —
+// and for the norms' recomputed x̂.
 
 // clusters fills t with values drawn around the given centres (±0.1), so a
 // normalised, affinely mapped copy of it stays a known distance away from
@@ -50,7 +51,7 @@ func TestGradBatchNormActivation(t *testing.T) {
 				var out *Node
 				loss := func() *Node {
 					// Fresh running stats each call so the forward value is pure.
-					out = BatchNorm2d(xN, gN, bN, rm.Clone(), rv.Clone(), 0.1, 1e-5, training, act.act)
+					out = BatchNorm2d(xN, gN, bN, rm.Clone(), rv.Clone(), 0.1, 1e-5, training, act.act, nil)
 					return MSE(out, target)
 				}
 				gradCheck(t, []*Node{gN, bN, xN}, loss, 3e-2)
@@ -83,7 +84,7 @@ func TestGradBatchNormActivation(t *testing.T) {
 		xN, gN, bN := Leaf(x), Leaf(gamma), Leaf(beta)
 		for _, act := range acts {
 			loss := func() *Node {
-				return MSE(BatchNorm2d(xN, gN, bN, tensor.New(2), tensor.Ones(2), 0.1, 1e-5, true, act.act), target)
+				return MSE(BatchNorm2d(xN, gN, bN, tensor.New(2), tensor.Ones(2), 0.1, 1e-5, true, act.act, nil), target)
 			}
 			gradCheck(t, []*Node{gN, bN, xN}, loss, 3e-2)
 			xN.Grad, gN.Grad, bN.Grad = nil, nil, nil
@@ -91,20 +92,32 @@ func TestGradBatchNormActivation(t *testing.T) {
 	})
 }
 
-func TestGradAddReLU(t *testing.T) {
-	rng := tensor.NewRNG(82)
-	a, b := tensor.New(3, 4), tensor.New(3, 4)
-	clusters(rng, a, -1, 0.5, 2)
-	clusters(rng, b, 0.3, -1, 0.4, 0.2) // sums stay ≥ 0.25 away from zero
-	target := tensor.New(3, 4)
-	rng.FillNormal(target, 0, 1)
-	aN, bN := Leaf(a), Leaf(b)
-	gradCheck(t, []*Node{aN, bN}, func() *Node { return MSE(AddReLU(aN, bN), target) }, 3e-2)
-	aN.Grad = nil
-	gradCheck(t, []*Node{aN}, func() *Node { return MSE(AddReLU(aN, aN), target) }, 3e-2)
-	// One trainable operand: the other neither receives nor blocks anything.
-	aN.Grad = nil
-	gradCheck(t, []*Node{aN}, func() *Node { return MSE(AddReLU(Constant(b), aN), target) }, 3e-2)
+// TestGradBatchNorm2dResidual checks every residual case's gradients, and
+// a constant residual's, against central differences through ReLU, on
+// operands whose pre-activations stay clear of the kink.
+func TestGradBatchNorm2dResidual(t *testing.T) {
+	constant := residualCase{name: "constant", leaves: 3,
+		shapes: func(n, c, hw int) [][]int {
+			return [][]int{{n, c, hw, hw}, {c}, {c}, {c}, {c}, {n, c, hw, hw}}
+		},
+		residual: func(p []*Node) *Node { return Constant(p[5].Val) },
+	}
+	for _, rc := range append(residualCases, constant) {
+		t.Run(rc.name, func(t *testing.T) {
+			h := plainOp(rc.leaves)
+			for seed := uint64(82); ; seed++ {
+				p := h.nodes(h.draw(rc.shapes(3, 3, 2), seed))
+				pre := rc.build(tensor.ActNone, true)(p).parents[0].Val
+				if slices.ContainsFunc(pre.Data, func(v float32) bool { return math.Abs(float64(v)) < 0.05 }) {
+					continue
+				}
+				target := tensor.New(pre.Shape()...)
+				tensor.NewRNG(seed).FillNormal(target, 0, 1)
+				gradCheck(t, p[:rc.leaves], func() *Node { return MSE(rc.build(tensor.ActReLU, true)(p), target) }, 3e-2)
+				return
+			}
+		})
+	}
 }
 
 // laneDot is the four-lane float64 reduction (Σa, Σa·b) the norm backwards
@@ -228,7 +241,7 @@ func recomputedXhatRows(t *testing.T) {
 		rng.FillNormal(beta, 0, 0.5)
 		y, dx, dg, db := retainedBatchNorm(x.Data, gamma.Data, beta.Data, dy.Data, n, c, h*w, 1e-5)
 		xN, gN, bN := Leaf(x), Leaf(gamma), Leaf(beta)
-		out := BatchNorm2d(xN, gN, bN, tensor.New(c), tensor.Ones(c), 0.1, 1e-5, true, tensor.ActNone)
+		out := BatchNorm2d(xN, gN, bN, tensor.New(c), tensor.Ones(c), 0.1, 1e-5, true, tensor.ActNone, nil)
 		equal(t, "value", out.Val, y)
 		loss := Sum(Mul(out, Constant(dy)))
 		Backward(loss)

@@ -15,21 +15,6 @@ func Add(a, b *Node) *Node {
 	return out
 }
 
-// AddReLU computes relu(a + b) as one node with one buffer — the tail of a
-// residual block. The backward masks the node's own gradient in place by
-// y > 0 (nobody reads it afterwards) and hands it on like Add does.
-func AddReLU(a, b *Node) *Node {
-	val := tensor.Get(a.Val.Shape()...)
-	tensor.AddOut(val, a.Val, b.Val)
-	tensor.ActReLU.Apply(val.Data, tensor.ActScratch{})
-	out := newPooledNode(val, []*Node{a, b}, nil)
-	out.backward = func() {
-		tensor.ActReLU.Grad(out.Grad.Data, val.Data, tensor.ActScratch{})
-		out.handGrad(a, b)
-	}
-	return out
-}
-
 // Sub returns a - b.
 func Sub(a, b *Node) *Node {
 	val := tensor.Get(a.Val.Shape()...)
@@ -157,8 +142,10 @@ func Flatten(a *Node) *Node {
 // Detach returns a node with the same value but no gradient path to a.
 // This is the mechanism behind Amalgam's original→decoy taps: decoy
 // sub-networks may consume original activations without ever influencing
-// the original parameters' gradients.
+// the original parameters' gradients. The view shares a's value outside the
+// parent links, so it pins it (see Backward).
 func Detach(a *Node) *Node {
+	a.pin()
 	return Constant(a.Val)
 }
 

@@ -275,8 +275,9 @@ func GlobalAvgPool(x *Node) *Node {
 	return out
 }
 
-// BatchNorm2d computes act(norm(x)) over [N, C, H, W] per channel as one
-// node with one buffer.
+// BatchNorm2d computes act(norm(x) + residual) over [N, C, H, W] per channel
+// as one node with one buffer; residual (x's shape, nil for none) gets its
+// gradient before x (see the package comment).
 //
 // In training mode it uses batch statistics and updates runningMean/
 // runningVar in place with the given momentum. In eval mode it uses the
@@ -286,10 +287,17 @@ func GlobalAvgPool(x *Node) *Node {
 // node scratch): the backward rewrites the node's own gradient through the
 // activation first, then recomputes x̂ from x, which the graph keeps alive
 // anyway.
-func BatchNorm2d(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, momentum, eps float32, training bool, act tensor.Act) *Node {
+func BatchNorm2d(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, momentum, eps float32, training bool, act tensor.Act, residual *Node) *Node {
 	xs := x.Val.Shape()
 	if len(xs) != 4 {
 		panic(fmt.Sprintf("autodiff: BatchNorm2d needs 4-D input, got %v", xs))
+	}
+	parents, r := []*Node{x, gamma, beta}, []float32(nil)
+	if residual != nil {
+		if !residual.Val.SameShape(x.Val) {
+			panic(fmt.Sprintf("autodiff: BatchNorm2d residual shape %v, want %v", residual.Val.Shape(), xs))
+		}
+		parents, r = append(parents, residual), residual.Val.Data
 	}
 	n, c, hw := xs[0], xs[1], xs[2]*xs[3]
 	if gamma.Val.Numel() != c || beta.Val.Numel() != c {
@@ -324,11 +332,14 @@ func BatchNorm2d(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, m
 
 	val := tensor.Get(xs...)
 	keep, scratch := actScratch(act, val)
-	tensor.BatchNormFwdInto(val.Data, x.Val.Data, mean.Data, invStd.Data, gamma.Val.Data, beta.Val.Data, n, c, hw, act, keep)
-	out := newPooledNode(val, []*Node{x, gamma, beta}, nil)
+	tensor.BatchNormFwdInto(val.Data, x.Val.Data, mean.Data, invStd.Data, gamma.Val.Data, beta.Val.Data, r, n, c, hw, act, keep)
+	out := newPooledNode(val, parents, nil)
 	out.scratch = append(scratch, mean, invStd)
 	out.backward = func() {
 		act.Grad(out.Grad.Data, val.Data, keep)
+		if residual != nil {
+			residual.accumulate(out.Grad)
+		}
 		var dx, dg, db []float32
 		if x.requiresGrad {
 			dx = x.ensureGrad().Data

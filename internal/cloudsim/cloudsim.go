@@ -719,11 +719,13 @@ func TrainLoop(ctx context.Context, model Trainable, req *TrainRequest,
 		for _, idx := range data.BatchIter(train.n, hyper.BatchSize, shuffleRNG) {
 			// THE training step (Algorithm 1), for every modality: each
 			// parameter is updated as soon as its gradient is final, and no
-			// gradient outlives its update (optim.Optimizer.Backward).
+			// gradient outlives its update, nor any activation its last
+			// backward reader (optim.Optimizer.Backward) — so the loss is
+			// read first.
 			total, orig, count := train.loss(idx)
-			opt.Backward(total)
 			lossSum += float64(orig.Scalar()) * float64(count)
 			seen += count
+			opt.Backward(total)
 			autodiff.Release(total)
 		}
 		resp.CompletedEpochs = e + 1

@@ -47,12 +47,11 @@ func (b *invertedResidual) forward(x *autodiff.Node) *autodiff.Node {
 	if b.expand != nil {
 		h = b.expandBN.ForwardAct(b.expand.Forward(h), tensor.ActReLU6)
 	}
-	h = b.dwBN.ForwardAct(b.dw.Forward(h), tensor.ActReLU6)
-	h = b.projectBN.Forward(b.project.Forward(h))
+	h = b.project.Forward(b.dwBN.ForwardAct(b.dw.Forward(h), tensor.ActReLU6))
 	if b.residual {
-		return autodiff.Add(x, h)
+		return b.projectBN.ForwardResidual(h, x, tensor.ActNone)
 	}
-	return h
+	return b.projectBN.Forward(h)
 }
 
 // MobileNetV2 is the CIFAR-style MobileNetV2 (stride-1 stem, the standard

@@ -39,13 +39,12 @@ func newBasicBlock(rng *tensor.RNG, inC, outC, stride int) *basicBlock {
 }
 
 func (b *basicBlock) forward(x *autodiff.Node) *autodiff.Node {
-	out := b.bn1.ForwardAct(b.conv1.Forward(x), tensor.ActReLU)
-	out = b.bn2.Forward(b.conv2.Forward(out))
+	out := b.conv2.Forward(b.bn1.ForwardAct(b.conv1.Forward(x), tensor.ActReLU))
 	short := x
 	if b.downConv != nil {
 		short = b.downBN.Forward(b.downConv.Forward(x))
 	}
-	return autodiff.AddReLU(out, short)
+	return b.bn2.ForwardResidual(out, short, tensor.ActReLU)
 }
 
 // ResNet18 is the CIFAR-style ResNet-18 (3×3 stem, four 2-block stages,

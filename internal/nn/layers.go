@@ -126,7 +126,13 @@ func (b *BatchNorm2d) Forward(x *autodiff.Node) *autodiff.Node {
 // ForwardAct normalises x and applies act as one node with one buffer — use
 // it wherever a BatchNorm2d feeds straight into an activation.
 func (b *BatchNorm2d) ForwardAct(x *autodiff.Node, act tensor.Act) *autodiff.Node {
-	return autodiff.BatchNorm2d(x, b.Gamma, b.Beta, b.RunningMean, b.RunningVar, b.Momentum, b.Eps, b.training, act)
+	return b.ForwardResidual(x, nil, act)
+}
+
+// ForwardResidual computes act(norm(x) + r) as one node with one buffer — a
+// residual block's tail; r is nil for none.
+func (b *BatchNorm2d) ForwardResidual(x, r *autodiff.Node, act tensor.Act) *autodiff.Node {
+	return autodiff.BatchNorm2d(x, b.Gamma, b.Beta, b.RunningMean, b.RunningVar, b.Momentum, b.Eps, b.training, act, r)
 }
 
 // Params returns the layer's full state dict: trainable gamma/beta plus

@@ -22,7 +22,8 @@ type stepModel struct {
 // stepModels are the graphs the fused step must get right: a buffer
 // reused between same-shape parameters, a parameter with two consumers, a
 // parameter the walk stops reaching, gradients carried in from an earlier
-// Backward, and components updated side by side.
+// Backward, components updated side by side, and a component reading
+// another's activation through Detach.
 var stepModels = []struct {
 	name  string
 	build func() stepModel
@@ -108,6 +109,28 @@ var stepModels = []struct {
 					losses = append(losses, autodiff.SoftmaxCrossEntropy(l.ForwardAct(x, tensor.ActReLU), []int{3, 2, 1, 0}))
 				}
 				return autodiff.AddN(losses...)
+			},
+		}
+	}},
+	// A decoy reads a residual block's output through Detach of a view, as
+	// Amalgam's taps do, from its own component: the fused step hands
+	// activations back as it walks and must keep that one.
+	{"detached-tap", func() stepModel {
+		rng := tensor.NewRNG(6)
+		conv1, conv2 := nn.NewConv2dNoBias(rng, 2, 2, 3, 1, 1), nn.NewConv2dNoBias(rng, 2, 2, 3, 1, 1)
+		bn := nn.NewBatchNorm2d(2)
+		head, decoy := nn.NewLinear(rng, 32, 4), nn.NewLinear(rng, 32, 4)
+		x := tensor.New(4, 2, 4, 4)
+		rng.FillNormal(x, 0, 1)
+		return stepModel{
+			params: slices.Concat(nn.PrefixParams("conv1", conv1.Params()), nn.PrefixParams("conv2", conv2.Params()),
+				nn.PrefixParams("bn", bn.Params()), nn.PrefixParams("head", head.Params()), nn.PrefixParams("decoy", decoy.Params())),
+			loss: func(int) *autodiff.Node {
+				c := conv1.Forward(autodiff.Constant(x))
+				h := autodiff.Flatten(bn.ForwardResidual(conv2.Forward(c), c, tensor.ActReLU))
+				labels := []int{0, 1, 2, 3}
+				return autodiff.AddN(autodiff.SoftmaxCrossEntropy(head.Forward(h), labels),
+					autodiff.SoftmaxCrossEntropy(decoy.ForwardAct(autodiff.Detach(h), tensor.ActTanh), labels))
 			},
 		}
 	}},

@@ -10,7 +10,8 @@
 // it can run the moment that gradient is final. Optimizer.Backward does
 // that: it is the training step (clear, backward, update) as one walk, the
 // rule running as autodiff.Backward's per-leaf step, and no parameter
-// gradient outlives its update. Step runs the same rule over every
+// gradient outlives its update nor any activation its last backward
+// reader. Step runs the same rule over every
 // parameter that carries a gradient, for callers that run
 // autodiff.Backward themselves.
 //
@@ -190,7 +191,9 @@ func (o *Optimizer) count() {
 //   - every parameter touched before but not reached now takes the update
 //     Step gives a zero gradient.
 //
-// No parameter leaves with a gradient attached.
+// No parameter leaves with a gradient attached, and the walk hands the
+// graph's pooled activations back as it goes (autodiff.Backward under a
+// step): read any value but the root's before calling it.
 func (o *Optimizer) Backward(root *autodiff.Node) {
 	for i, p := range o.params {
 		if p.Node.Grad != nil {

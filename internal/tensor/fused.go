@@ -546,24 +546,25 @@ func batchNormStatsRange(mean, varv, x []float32, n, c, hw, c0, c1 int) {
 
 // BatchNormFwdInto computes the fused normalize+affine(+activation) pass
 //
-//	xhat = (x - mean[ch]) · invStd[ch]    dst = act(gamma[ch]·xhat + beta[ch])
+//	xhat = (x - mean[ch]) · invStd[ch]    dst = act(gamma[ch]·xhat + beta[ch] + r)
 //
-// over x [n, c, hw]. xhat is not stored: the backward recomputes it from x
-// and the per-channel statistics, which the graph keeps alive anyway. The
+// over x [n, c, hw], r x's shape or nil for none, added after the affine
+// rounds. xhat is not stored: the backward recomputes it from x and the
+// per-channel statistics, which the graph keeps alive anyway. The
 // activation runs over each [hw] slab right after it is written, while it
 // is still in cache; keep is its scratch over the whole of dst (see Act).
-func BatchNormFwdInto(dst, x, mean, invStd, gamma, beta []float32, n, c, hw int, act Act, keep ActScratch) {
+func BatchNormFwdInto(dst, x, mean, invStd, gamma, beta, r []float32, n, c, hw int, act Act, keep ActScratch) {
 	rpw := fusedRowsPerWorker(n * hw)
 	if chunksFor(c, rpw) <= 1 {
-		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, n, c, hw, act, keep, 0, c)
+		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, r, n, c, hw, act, keep, 0, c)
 		return
 	}
 	parallelFor(c, rpw, func(c0, c1 int) {
-		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, n, c, hw, act, keep, c0, c1)
+		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, r, n, c, hw, act, keep, c0, c1)
 	})
 }
 
-func batchNormFwdRange(dst, x, mean, invStd, gamma, beta []float32, n, c, hw int, act Act, keep ActScratch, c0, c1 int) {
+func batchNormFwdRange(dst, x, mean, invStd, gamma, beta, r []float32, n, c, hw int, act Act, keep ActScratch, c0, c1 int) {
 	for ch := c0; ch < c1; ch++ {
 		mu, is := mean[ch], invStd[ch]
 		ga, be := gamma[ch], beta[ch]
@@ -573,6 +574,11 @@ func batchNormFwdRange(dst, x, mean, invStd, gamma, beta []float32, n, c, hw int
 			out := dst[base : base+hw][:len(src)]
 			for i, v := range src {
 				out[i] = ga*float32((v-mu)*is) + be
+			}
+			if r != nil {
+				for i, v := range r[base : base+hw][:len(out)] {
+					out[i] += v
+				}
 			}
 			act.apply(dst, keep, base, base+hw)
 		}

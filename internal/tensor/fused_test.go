@@ -330,7 +330,7 @@ func TestBatchNormKernelsMatchReference(t *testing.T) {
 	}
 	y := make([]float32, n*c*hw)
 	xhat := make([]float32, n*c*hw) // the float64 reference below reads it
-	BatchNormFwdInto(y, x.Data, mean, invStd, gamma.Data, beta.Data, n, c, hw, ActNone, ActScratch{})
+	BatchNormFwdInto(y, x.Data, mean, invStd, gamma.Data, beta.Data, nil, n, c, hw, ActNone, ActScratch{})
 	for idx := range y {
 		ch := (idx / hw) % c
 		xhat[idx] = (x.Data[idx] - mean[ch]) * invStd[ch]
@@ -723,7 +723,7 @@ func TestFusedKernelsDeterministicAcrossWorkers(t *testing.T) {
 			invStd[ch] = float32(1 / math.Sqrt(float64(varv[ch])+1e-5))
 		}
 		y := make([]float32, n*c*hw)
-		BatchNormFwdInto(y, xb.Data, mean, invStd, gb.Data, make([]float32, c), n, c, hw, ActReLU, ActScratch{})
+		BatchNormFwdInto(y, xb.Data, mean, invStd, gb.Data, make([]float32, c), nil, n, c, hw, ActReLU, ActScratch{})
 		dx = make([]float32, n*c*hw)
 		BatchNormBwdInto(dx, make([]float32, c), make([]float32, c), dyb.Data, xb.Data, mean, invStd, gb.Data, n, c, hw, true)
 		return mean, varv, dx

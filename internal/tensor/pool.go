@@ -51,7 +51,7 @@ func Get(shape ...int) *Tensor {
 		n *= d
 	}
 	if n == 0 || n > 1<<maxPoolBits {
-		return &Tensor{shape: append([]int(nil), shape...), Data: make([]float32, n)}
+		return sanGet(&Tensor{shape: append([]int(nil), shape...), Data: make([]float32, n)})
 	}
 	b := bucketOf(n)
 	if v := pools[b].Get(); v != nil {
@@ -59,10 +59,10 @@ func Get(shape ...int) *Tensor {
 		t.Data = t.Data[:n]
 		t.shape = append(t.shape[:0], shape...)
 		poolGets[b].hits.Add(1)
-		return t
+		return sanGet(t)
 	}
 	poolGets[b].misses.Add(1)
-	return &Tensor{shape: append([]int(nil), shape...), Data: make([]float32, n, 1<<b)}
+	return sanGet(&Tensor{shape: append([]int(nil), shape...), Data: make([]float32, n, 1<<b)})
 }
 
 // bucketOf is the index of the smallest power-of-two bucket holding n ≥ 1
@@ -91,7 +91,7 @@ func Put(t *Tensor) {
 		return
 	}
 	t.Data = t.Data[:c]
-	pools[bits.Len(uint(c))-1].Put(t)
+	pools[bits.Len(uint(c))-1].Put(sanPut(t))
 }
 
 // PoolStats reports cumulative Get hits (recycled) and misses (fresh
