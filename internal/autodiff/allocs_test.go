@@ -233,7 +233,6 @@ func TestFusedKernelZeroAllocs(t *testing.T) {
 		tensor.SoftmaxRowsInto(y, x.Data, rows, d)
 		tensor.SoftmaxRowsBwdInto(dx, y, dy.Data, rows, d)
 		tensor.SoftmaxXentFwdInto(y, x.Data, labels, rows, d)
-		tensor.SoftmaxXentBwdInto(dx, y, labels, rows, d, 1)
 		tensor.SoftmaxXentBwdInPlace(y, labels, rows, d, 1)
 	}); n != 0 {
 		t.Fatalf("fused kernels allocate %v/op on the serial path, want 0", n)

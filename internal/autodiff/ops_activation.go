@@ -72,7 +72,9 @@ func Dropout(a *Node, p float32, rng *tensor.RNG, training bool) *Node {
 // SoftmaxCrossEntropy computes mean cross-entropy between logits [N, C] and
 // integer labels, fused for numerical stability. Returns a scalar node.
 // Both passes run on the fused tensor kernels (Exp32 row softmax, one-hot
-// subtraction in the backward); probs live in pooled node scratch.
+// subtraction in the backward). The probabilities live in pooled node
+// scratch until the backward turns them in place into the logits' gradient
+// and hands the buffer over.
 func SoftmaxCrossEntropy(logits *Node, labels []int) *Node {
 	n, c := logits.Val.Dim(0), logits.Val.Dim(1)
 	checkLabels(labels, n, c)
@@ -82,10 +84,9 @@ func SoftmaxCrossEntropy(logits *Node, labels []int) *Node {
 	out := newNode(val, []*Node{logits}, nil)
 	out.scratch = []*tensor.Tensor{probs}
 	out.backward = func() {
-		if logits.requiresGrad {
-			scale := out.Grad.Data[0] / float32(n)
-			tensor.SoftmaxXentBwdInto(logits.ensureGrad().Data, probs.Data, labels, n, c, scale)
-		}
+		tensor.SoftmaxXentBwdInPlace(probs.Data, labels, n, c, out.Grad.Data[0]/float32(n))
+		out.scratch = nil
+		logits.accumulateOwned(probs)
 	}
 	return out
 }

@@ -6,128 +6,6 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// GlobalMaxPool reduces [N, C, H, W] to [N, C] by spatial max; gradient
-// flows to the argmax element only.
-func GlobalMaxPool(x *Node) *Node {
-	xs := x.Val.Shape()
-	if len(xs) != 4 {
-		panic(fmt.Sprintf("autodiff: GlobalMaxPool needs 4-D input, got %v", xs))
-	}
-	n, c, hw := xs[0], xs[1], xs[2]*xs[3]
-	val := tensor.Get(n, c)
-	arg := make([]int, n*c)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := (b*c + ch) * hw
-			best := x.Val.Data[base]
-			bi := 0
-			for i := 1; i < hw; i++ {
-				if v := x.Val.Data[base+i]; v > best {
-					best, bi = v, i
-				}
-			}
-			val.Data[b*c+ch] = best
-			arg[b*c+ch] = bi
-		}
-	}
-	out := newPooledNode(val, []*Node{x}, nil)
-	out.backward = func() {
-		if x.requiresGrad {
-			xg := x.ensureGrad()
-			for i, a := range arg {
-				xg.Data[i*hw+a] += out.Grad.Data[i]
-			}
-		}
-	}
-	return out
-}
-
-// MulChannelScale multiplies each channel plane of x [N, C, H, W] by a
-// per-sample, per-channel scalar s [N, C]. This is CBAM's channel
-// attention application; gradients flow into both operands.
-func MulChannelScale(x, s *Node) *Node {
-	xs := x.Val.Shape()
-	if len(xs) != 4 || s.Val.Dim(0) != xs[0] || s.Val.Dim(1) != xs[1] {
-		panic(fmt.Sprintf("autodiff: MulChannelScale shapes %v × %v", xs, s.Val.Shape()))
-	}
-	n, c, hw := xs[0], xs[1], xs[2]*xs[3]
-	val := tensor.Get(xs...)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := (b*c + ch) * hw
-			sv := s.Val.Data[b*c+ch]
-			for i := 0; i < hw; i++ {
-				val.Data[base+i] = x.Val.Data[base+i] * sv
-			}
-		}
-	}
-	out := newPooledNode(val, []*Node{x, s}, nil)
-	out.backward = func() {
-		for b := 0; b < n; b++ {
-			for ch := 0; ch < c; ch++ {
-				base := (b*c + ch) * hw
-				sv := s.Val.Data[b*c+ch]
-				if x.requiresGrad {
-					xg := x.ensureGrad()
-					for i := 0; i < hw; i++ {
-						xg.Data[base+i] += out.Grad.Data[base+i] * sv
-					}
-				}
-				if s.requiresGrad {
-					var acc float32
-					for i := 0; i < hw; i++ {
-						acc += out.Grad.Data[base+i] * x.Val.Data[base+i]
-					}
-					s.ensureGrad().Data[b*c+ch] += acc
-				}
-			}
-		}
-	}
-	return out
-}
-
-// MulSpatialScale multiplies every channel of x [N, C, H, W] by a spatial
-// map s [N, 1, H, W] — CBAM's spatial attention application.
-func MulSpatialScale(x, s *Node) *Node {
-	xs, ss := x.Val.Shape(), s.Val.Shape()
-	if len(xs) != 4 || len(ss) != 4 || ss[0] != xs[0] || ss[1] != 1 || ss[2] != xs[2] || ss[3] != xs[3] {
-		panic(fmt.Sprintf("autodiff: MulSpatialScale shapes %v × %v", xs, ss))
-	}
-	n, c, hw := xs[0], xs[1], xs[2]*xs[3]
-	val := tensor.Get(xs...)
-	for b := 0; b < n; b++ {
-		sp := s.Val.Data[b*hw : (b+1)*hw]
-		for ch := 0; ch < c; ch++ {
-			base := (b*c + ch) * hw
-			for i := 0; i < hw; i++ {
-				val.Data[base+i] = x.Val.Data[base+i] * sp[i]
-			}
-		}
-	}
-	out := newPooledNode(val, []*Node{x, s}, nil)
-	out.backward = func() {
-		for b := 0; b < n; b++ {
-			sp := s.Val.Data[b*hw : (b+1)*hw]
-			for ch := 0; ch < c; ch++ {
-				base := (b*c + ch) * hw
-				if x.requiresGrad {
-					xg := x.ensureGrad()
-					for i := 0; i < hw; i++ {
-						xg.Data[base+i] += out.Grad.Data[base+i] * sp[i]
-					}
-				}
-				if s.requiresGrad {
-					sg := s.ensureGrad().Data[b*hw : (b+1)*hw]
-					for i := 0; i < hw; i++ {
-						sg[i] += out.Grad.Data[base+i] * x.Val.Data[base+i]
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
 // ChannelMeanMax builds CBAM's spatial-attention input: for each pixel it
 // emits the mean and max across channels, producing [N, 2, H, W].
 func ChannelMeanMax(x *Node) *Node {

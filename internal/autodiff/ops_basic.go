@@ -6,10 +6,60 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// Add returns a + b (same shapes).
+// broadcast reads b against a under Add's and Mul's one rule: b is a's
+// shape with one run of adjacent axes set to 1, the pair [p, 1, r] against
+// [p, q, r] — a per-channel scale [N, C, 1, 1], a per-pixel map
+// [N, 1, H, W], a table shared by the batch [1, T, D]. The same shape is
+// the run of none, q = 1, read as one row. Any other b panics.
+func broadcast(op string, a, b *tensor.Tensor) (p, q, r int) {
+	d := a.Dims()
+	lo, hi := 0, d
+	if b.Dims() == d {
+		for lo < d && a.Dim(lo) == b.Dim(lo) {
+			lo++
+		}
+		for hi > lo && a.Dim(hi-1) == b.Dim(hi-1) {
+			hi--
+		}
+	}
+	if lo == d {
+		return 1, 1, a.Numel()
+	}
+	p, q, r = 1, 1, 1
+	for i := range d {
+		switch {
+		case i < lo:
+			p *= a.Dim(i)
+		case i >= hi:
+			r *= a.Dim(i)
+		case b.Dims() != d || b.Dim(i) != 1:
+			panic(fmt.Sprintf("autodiff: %s cannot broadcast %v against %v: b must be a's shape with one run of axes set to 1", op, b.Shape(), a.Shape()))
+		default:
+			q *= a.Dim(i)
+		}
+	}
+	return p, q, r
+}
+
+// Add returns a + b, b a's shape or a broadcast of it (see broadcast). A
+// broadcast b — the positional table, the attention mask — takes no
+// gradient, so the node hands its own to a.
 func Add(a, b *Node) *Node {
+	p, q, r := broadcast("Add", a.Val, b.Val)
+	if q > 1 && b.requiresGrad {
+		panic(fmt.Sprintf("autodiff: Add broadcasts %v against %v, but a broadcast operand takes no gradient", b.Val.Shape(), a.Val.Shape()))
+	}
 	val := tensor.Get(a.Val.Shape()...)
-	tensor.AddOut(val, a.Val, b.Val)
+	ad, bd, vd := a.Val.Data, b.Val.Data, val.Data
+	for pp := range p {
+		bp := bd[pp*r:][:r]
+		for o := pp * q * r; o < (pp+1)*q*r; o += r {
+			ap, vp := ad[o:][:r], vd[o:][:r]
+			for k, v := range bp {
+				vp[k] = ap[k] + v
+			}
+		}
+	}
 	out := newPooledNode(val, []*Node{a, b}, nil)
 	out.backward = func() { out.handGrad(a, b) }
 	return out
@@ -29,17 +79,49 @@ func Sub(a, b *Node) *Node {
 	return out
 }
 
-// Mul returns the element-wise product a ⊙ b.
+// Mul returns the element-wise product a ⊙ b, b a's shape or a broadcast
+// of it (see broadcast): CBAM's channel and spatial attention, DISCO's
+// channel mask. A broadcast b's gradient sums its products in a's memory
+// order.
 func Mul(a, b *Node) *Node {
+	p, q, r := broadcast("Mul", a.Val, b.Val)
 	val := tensor.Get(a.Val.Shape()...)
-	tensor.MulOut(val, a.Val, b.Val)
+	ad, bd, vd := a.Val.Data, b.Val.Data, val.Data
+	for pp := range p {
+		bp := bd[pp*r:][:r]
+		for o := pp * q * r; o < (pp+1)*q*r; o += r {
+			ap, vp := ad[o:][:r], vd[o:][:r]
+			for k, v := range bp {
+				vp[k] = ap[k] * v
+			}
+		}
+	}
 	out := newPooledNode(val, []*Node{a, b}, nil)
 	out.backward = func() {
+		gd := out.Grad.Data
 		if a.requiresGrad {
-			tensor.AddMulInto(a.ensureGrad(), out.Grad, b.Val)
+			ag := a.ensureGrad().Data
+			for pp := range p {
+				bp := bd[pp*r:][:r]
+				for o := pp * q * r; o < (pp+1)*q*r; o += r {
+					gp, agp := gd[o:][:r], ag[o:][:r]
+					for k, v := range bp {
+						agp[k] += gp[k] * v
+					}
+				}
+			}
 		}
 		if b.requiresGrad {
-			tensor.AddMulInto(b.ensureGrad(), out.Grad, a.Val)
+			bg := b.ensureGrad().Data
+			for pp := range p {
+				bgp := bg[pp*r:][:r]
+				for o := pp * q * r; o < (pp+1)*q*r; o += r {
+					gp, ap := gd[o:][:r], ad[o:][:r]
+					for k := range bgp {
+						bgp[k] += gp[k] * ap[k]
+					}
+				}
+			}
 		}
 	}
 	return out

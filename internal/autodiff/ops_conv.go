@@ -157,18 +157,39 @@ func forEachImage(n int, fn func(b int)) {
 	})
 }
 
-// MaxPool2d applies max pooling with the given square kernel and stride.
-func MaxPool2d(x *Node, kernel, stride, pad int) *Node {
+// poolGeom is the geometry of a kh×kw pooling window over x [N, C, H, W].
+func poolGeom(x *Node, kh, kw, stride, pad int) *tensor.ConvGeom {
 	xs := x.Val.Shape()
+	if len(xs) != 4 {
+		panic(fmt.Sprintf("autodiff: pooling needs 4-D input, got %v", xs))
+	}
 	g := &tensor.ConvGeom{
 		InC: xs[1], InH: xs[2], InW: xs[3],
-		KH: kernel, KW: kernel, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad,
+		KH: kh, KW: kw, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad,
 	}
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
+	return g
+}
+
+// MaxPool2d applies max pooling with the given square kernel and stride.
+func MaxPool2d(x *Node, kernel, stride, pad int) *Node {
+	return maxPool(x, poolGeom(x, kernel, kernel, stride, pad))
+}
+
+// GlobalMaxPool reduces [N, C, H, W] to [N, C] by spatial max: a max pool
+// over one H×W window. The gradient flows to the first maximum only.
+func GlobalMaxPool(x *Node) *Node {
+	g := poolGeom(x, x.Val.Dim(2), x.Val.Dim(3), 1, 0)
+	return Reshape(maxPool(x, g), x.Val.Dim(0), g.InC)
+}
+
+// maxPool is max pooling over g's windows; the backward adds each output
+// gradient to the element its window picked.
+func maxPool(x *Node, g *tensor.ConvGeom) *Node {
 	val, argmax := tensor.MaxPoolForward(x.Val, g)
-	n := xs[0]
+	n := x.Val.Dim(0)
 	imgIn := g.InC * g.InH * g.InW
 	imgOut := g.InC * g.OutH * g.OutW
 	out := newPooledNode(val, []*Node{x}, nil)
@@ -192,16 +213,9 @@ func MaxPool2d(x *Node, kernel, stride, pad int) *Node {
 
 // AvgPool2d applies average pooling.
 func AvgPool2d(x *Node, kernel, stride, pad int) *Node {
-	xs := x.Val.Shape()
-	g := &tensor.ConvGeom{
-		InC: xs[1], InH: xs[2], InW: xs[3],
-		KH: kernel, KW: kernel, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad,
-	}
-	if err := g.Validate(); err != nil {
-		panic(err)
-	}
+	g := poolGeom(x, kernel, kernel, stride, pad)
 	val := tensor.AvgPoolForward(x.Val, g)
-	n := xs[0]
+	n := x.Val.Dim(0)
 	out := newPooledNode(val, []*Node{x}, nil)
 	out.backward = func() {
 		if !x.requiresGrad {

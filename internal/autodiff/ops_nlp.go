@@ -172,28 +172,3 @@ func Transpose12(a *Node) *Node {
 	b, m, n := as[0], as[1], as[2]
 	return swapMidNode(a, []int{b, n, m}, b, m, n, 1)
 }
-
-// AddConstBroadcast adds a constant tensor c (no gradient) to every
-// leading-dimension slice of a: a [B, ...] with c matching one slice.
-// Attention applies a [T, T] mask to [B*H, T, T] scores with it and the
-// language model adds its [T, D] positional table to [N, T, D] embeddings,
-// neither materialising the broadcast.
-func AddConstBroadcast(a *Node, c *tensor.Tensor) *Node {
-	b := a.Val.Dim(0)
-	sz := c.Numel()
-	if a.Val.Numel() != b*sz {
-		panic(fmt.Sprintf("autodiff: AddConstBroadcast %v cannot broadcast %v over dim 0", a.Val.Shape(), c.Shape()))
-	}
-	val := tensor.Get(a.Val.Shape()...)
-	cd := c.Data
-	for i := 0; i < b; i++ {
-		src := a.Val.Data[i*sz : (i+1)*sz]
-		dst := val.Data[i*sz : (i+1)*sz]
-		for j := range dst {
-			dst[j] = src[j] + cd[j]
-		}
-	}
-	out := newPooledNode(val, []*Node{a}, nil)
-	out.backward = func() { out.handGrad(a) }
-	return out
-}

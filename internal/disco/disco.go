@@ -60,7 +60,7 @@ func (o *ChannelObfuscator) Forward(x *autodiff.Node) *autodiff.Node {
 	flat := autodiff.Reshape(x, n, o.C*hw)
 	perm := autodiff.Reshape(autodiff.GatherCols(flat, idx), n, o.C, sh[2], sh[3])
 	// Prune: multiply by the 0/1 channel mask (per-sample constant scale).
-	mask := tensor.New(n, o.C)
+	mask := tensor.New(n, o.C, 1, 1)
 	for b := 0; b < n; b++ {
 		for c := 0; c < o.C; c++ {
 			if !o.Pruned[o.Perm[c]] {
@@ -68,7 +68,7 @@ func (o *ChannelObfuscator) Forward(x *autodiff.Node) *autodiff.Node {
 			}
 		}
 	}
-	masked := autodiff.MulChannelScale(perm, autodiff.Constant(mask))
+	masked := autodiff.Mul(perm, autodiff.Constant(mask))
 	return o.Mix.Forward(masked)
 }
 

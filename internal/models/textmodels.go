@@ -146,8 +146,8 @@ func (m *TransformerLM) EmbedIDs(ids [][]int) *autodiff.Node {
 	h := m.Embed.Lookup(ids) // [N, T, D]
 	h = autodiff.Scale(h, float32(math.Sqrt(float64(m.D))))
 	// The first T rows of the positional table, broadcast over the batch.
-	pe := tensor.FromSlice(m.pe.Data[:t*m.D], t, m.D)
-	return m.Drop.Forward(autodiff.AddConstBroadcast(h, pe))
+	pe := tensor.FromSlice(m.pe.Data[:t*m.D], 1, t, m.D)
+	return m.Drop.Forward(autodiff.Add(h, autodiff.Constant(pe)))
 }
 
 // ForwardEmbedded runs the server half of split inference: the encoder

@@ -35,7 +35,8 @@ func NewMultiHeadAttention(rng *tensor.RNG, d, heads int) *MultiHeadAttention {
 }
 
 // ForwardSelf applies self-attention to x [N, T, D]. mask, when non-nil,
-// is an additive [T, T] tensor (use CausalMask for autoregressive LMs).
+// is an additive [1, T, T] tensor that every head's scores broadcast
+// against (use CausalMask for autoregressive LMs).
 func (m *MultiHeadAttention) ForwardSelf(x *autodiff.Node, mask *tensor.Tensor) *autodiff.Node {
 	s := x.Val.Shape()
 	n, t := s[0], s[1]
@@ -49,7 +50,7 @@ func (m *MultiHeadAttention) ForwardSelf(x *autodiff.Node, mask *tensor.Tensor) 
 	scores := autodiff.BatchedMatMul(q, autodiff.Transpose12(k)) // [N*H, T, T]
 	scores = autodiff.Scale(scores, float32(1/math.Sqrt(float64(hd))))
 	if mask != nil {
-		scores = autodiff.AddConstBroadcast(scores, mask)
+		scores = autodiff.Add(scores, autodiff.Constant(mask))
 	}
 	attn := autodiff.Reshape(autodiff.SoftmaxLastDim(autodiff.Reshape(scores, n*m.Heads*t, t)), n*m.Heads, t, t)
 	ctx := autodiff.BatchedMatMul(attn, v) // [N*H, T, hd]
@@ -58,10 +59,10 @@ func (m *MultiHeadAttention) ForwardSelf(x *autodiff.Node, mask *tensor.Tensor) 
 	return autodiff.Reshape(out, n, t, m.D)
 }
 
-// CausalMask returns a [T, T] additive mask with -1e9 above the diagonal,
-// preventing attention to future positions.
+// CausalMask returns a [1, T, T] additive mask with -1e9 above the
+// diagonal, preventing attention to future positions.
 func CausalMask(t int) *tensor.Tensor {
-	m := tensor.New(t, t)
+	m := tensor.New(1, t, t)
 	for i := 0; i < t; i++ {
 		for j := i + 1; j < t; j++ {
 			m.Data[i*t+j] = -1e9
@@ -178,11 +179,12 @@ func (m *CBAM) Forward(x *autodiff.Node) *autodiff.Node {
 		m.FC2.Forward(m.FC1.ForwardAct(avg, tensor.ActReLU)),
 		m.FC2.Forward(m.FC1.ForwardAct(mx, tensor.ActReLU)),
 	), tensor.ActSigmoid)
-	x = autodiff.MulChannelScale(x, att)
+	x = autodiff.Mul(x, autodiff.Reshape(att, att.Val.Dim(0), m.C, 1, 1))
 	// Spatial attention: sigmoid(conv7x7([mean;max] over channels)), with
-	// the bias+sigmoid epilogue fused into the conv output pass.
+	// the bias+sigmoid epilogue fused into the conv output pass; its
+	// [N, 1, H, W] map scales every channel.
 	sp := m.SpatialConv.ForwardAct(autodiff.ChannelMeanMax(x), tensor.ActSigmoid)
-	return autodiff.MulSpatialScale(x, sp)
+	return autodiff.Mul(x, sp)
 }
 
 var _ Module = (*CBAM)(nil)

@@ -460,35 +460,9 @@ func SoftmaxXentFwdInto(probs, logits []float32, labels []int, rows, cols int) f
 	return loss
 }
 
-// SoftmaxXentBwdInto accumulates the fused softmax-cross-entropy gradient
-// dlogits += scale · (probs - onehot(labels)). Rows run in parallel.
-func SoftmaxXentBwdInto(dlogits, probs []float32, labels []int, rows, cols int, scale float32) {
-	rpw := fusedRowsPerWorker(cols)
-	if chunksFor(rows, rpw) <= 1 {
-		softmaxXentBwdRange(dlogits, probs, labels, cols, scale, 0, rows)
-		return
-	}
-	parallelFor(rows, rpw, func(r0, r1 int) {
-		softmaxXentBwdRange(dlogits, probs, labels, cols, scale, r0, r1)
-	})
-}
-
-func softmaxXentBwdRange(dlogits, probs []float32, labels []int, cols int, scale float32, r0, r1 int) {
-	for r := r0; r < r1; r++ {
-		prow := probs[r*cols : (r+1)*cols]
-		grow := dlogits[r*cols : (r+1)*cols][:len(prow)]
-		for j, p := range prow {
-			grow[j] += scale * p
-		}
-		grow[labels[r]] -= scale
-	}
-}
-
 // SoftmaxXentBwdInPlace overwrites probs [rows, cols] with the fused
-// softmax-cross-entropy gradient scale · (probs − onehot(labels)) — what
-// SoftmaxXentBwdInto accumulates into a zeroed dlogits, element for element
-// (scale·p, then −scale at the label), without the second buffer. Rows run
-// in parallel.
+// softmax-cross-entropy gradient scale · (probs − onehot(labels)): scale·p,
+// then −scale at the label, with no second buffer. Rows run in parallel.
 func SoftmaxXentBwdInPlace(probs []float32, labels []int, rows, cols int, scale float32) {
 	rpw := fusedRowsPerWorker(cols)
 	if chunksFor(rows, rpw) <= 1 {

@@ -261,28 +261,19 @@ func TestSoftmaxXentKernels(t *testing.T) {
 		t.Fatalf("uniform xent loss %v, want %v", l, float64(rows)*math.Log(cols))
 	}
 
-	// Backward: dlogits += scale·(p - onehot).
+	// Backward, in place: probs become scale·(p - onehot).
 	SoftmaxXentFwdInto(probs, x.Data, labels, rows, cols)
-	dl := make([]float32, rows*cols)
-	SoftmaxXentBwdInto(dl, probs, labels, rows, cols, 0.5)
+	p0 := append([]float32(nil), probs...)
+	SoftmaxXentBwdInPlace(probs, labels, rows, cols, 0.5)
 	for r := 0; r < rows; r++ {
 		for j := 0; j < cols; j++ {
-			want := 0.5 * probs[r*cols+j]
+			want := 0.5 * p0[r*cols+j]
 			if j == labels[r] {
 				want -= 0.5
 			}
-			if math.Abs(float64(dl[r*cols+j]-want)) > 1e-6 {
-				t.Fatalf("xent bwd (%d,%d) = %v, want %v", r, j, dl[r*cols+j], want)
+			if probs[r*cols+j] != want {
+				t.Fatalf("xent bwd (%d,%d) = %v, want %v", r, j, probs[r*cols+j], want)
 			}
-		}
-	}
-
-	// In place: exactly what the accumulating kernel leaves in a zeroed
-	// buffer, with no second buffer.
-	SoftmaxXentBwdInPlace(probs, labels, rows, cols, 0.5)
-	for i := range dl {
-		if probs[i] != dl[i] {
-			t.Fatalf("in-place xent bwd [%d] = %v, accumulating kernel gives %v", i, probs[i], dl[i])
 		}
 	}
 }
@@ -653,9 +644,9 @@ func TestFusedKernelsDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	type result struct {
-		y, dx, sm, smDx, probs, dl, dlInPlace []float32
-		mean, invStd                          []float32
-		loss                                  float64
+		y, dx, sm, smDx, probs, dl []float32
+		mean, invStd               []float32
+		loss                       float64
 	}
 	run := func() result {
 		var res result
@@ -671,10 +662,8 @@ func TestFusedKernelsDeterministicAcrossWorkers(t *testing.T) {
 		SoftmaxRowsBwdInto(res.smDx, res.sm, dy.Data, rows, d)
 		res.probs = make([]float32, rows*d)
 		res.loss = SoftmaxXentFwdInto(res.probs, x.Data, labels, rows, d)
-		res.dl = make([]float32, rows*d)
-		SoftmaxXentBwdInto(res.dl, res.probs, labels, rows, d, 1/float32(rows))
-		res.dlInPlace = append([]float32(nil), res.probs...)
-		SoftmaxXentBwdInPlace(res.dlInPlace, labels, rows, d, 1/float32(rows))
+		res.dl = append([]float32(nil), res.probs...)
+		SoftmaxXentBwdInPlace(res.dl, labels, rows, d, 1/float32(rows))
 		return res
 	}
 	equal := func(a, b []float32) bool {
@@ -701,7 +690,7 @@ func TestFusedKernelsDeterministicAcrossWorkers(t *testing.T) {
 		if !equal(got.sm, ref.sm) || !equal(got.smDx, ref.smDx) {
 			t.Errorf("workers=%d: softmax fwd/bwd not bit-identical", wk)
 		}
-		if got.loss != ref.loss || !equal(got.probs, ref.probs) || !equal(got.dl, ref.dl) || !equal(got.dlInPlace, ref.dlInPlace) {
+		if got.loss != ref.loss || !equal(got.probs, ref.probs) || !equal(got.dl, ref.dl) {
 			t.Errorf("workers=%d: softmax-xent not bit-identical", wk)
 		}
 	}

@@ -48,17 +48,6 @@ func AddRawInto(dst, src []float32) {
 	}
 }
 
-// AddOut computes dst = a + b element-wise into pre-sized dst.
-func AddOut(dst, a, b *Tensor) {
-	binCheck("AddOut", a, b)
-	binCheck("AddOut", dst, a)
-	ad := a.Data[:len(dst.Data)]
-	bd := b.Data[:len(dst.Data)]
-	for i := range dst.Data {
-		dst.Data[i] = ad[i] + bd[i]
-	}
-}
-
 // SubOut computes dst = a - b element-wise into pre-sized dst.
 func SubOut(dst, a, b *Tensor) {
 	binCheck("SubOut", a, b)
@@ -67,17 +56,6 @@ func SubOut(dst, a, b *Tensor) {
 	bd := b.Data[:len(dst.Data)]
 	for i := range dst.Data {
 		dst.Data[i] = ad[i] - bd[i]
-	}
-}
-
-// MulOut computes dst = a ⊙ b element-wise into pre-sized dst.
-func MulOut(dst, a, b *Tensor) {
-	binCheck("MulOut", a, b)
-	binCheck("MulOut", dst, a)
-	ad := a.Data[:len(dst.Data)]
-	bd := b.Data[:len(dst.Data)]
-	for i := range dst.Data {
-		dst.Data[i] = ad[i] * bd[i]
 	}
 }
 

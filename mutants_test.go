@@ -16,8 +16,8 @@ import (
 
 // mutant is one entry of testdata/mutants.txt.
 type mutant struct {
-	line                                int
-	file, find, replace, pkg, run, from string
+	line                                      int
+	file, find, replace, pkg, run, tags, from string
 }
 
 // TestMutantsAreKilled replays the committed mutation checks: each entry of
@@ -55,7 +55,7 @@ func TestMutantsAreKilled(t *testing.T) {
 			if err := os.WriteFile(overlayPath, overlay, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			cmd := exec.Command("go", "test", "-count=1", "-timeout=5m", "-overlay="+overlayPath, "-run="+m.run, m.pkg)
+			cmd := exec.Command("go", "test", "-count=1", "-timeout=5m", "-tags="+m.tags, "-overlay="+overlayPath, "-run="+m.run, m.pkg)
 			cmd.Dir = root
 			out, err := cmd.CombinedOutput()
 			switch {
@@ -69,7 +69,8 @@ func TestMutantsAreKilled(t *testing.T) {
 }
 
 // readMutants parses the catalogue: blank-line-separated blocks of
-// `key: value` lines, find and replace Go-quoted, # lines comments.
+// `key: value` lines, find and replace Go-quoted, # lines comments, tags
+// optional.
 func readMutants(t *testing.T, path string) []mutant {
 	t.Helper()
 	f, err := os.Open(path)
@@ -122,6 +123,8 @@ func readMutants(t *testing.T, path string) []mutant {
 			cur.pkg = val
 		case key == "run":
 			cur.run = val
+		case key == "tags":
+			cur.tags = val
 		case key == "from":
 			cur.from = val
 		default:

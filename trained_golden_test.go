@@ -23,19 +23,27 @@ import (
 // dict after two epochs of amalgam.Train.
 const trainedGolden = "testdata/trained.golden"
 
-// trainedJobs are the golden's three jobs, each built fresh per call:
+// trainedJob is one golden job: how it trains and the model it hashes.
+type trainedJob struct {
+	name string
+	job  amalgam.TrainableJob
+	cfg  amalgam.TrainConfig
+	aug  interface{ Params() []nn.Param }
+}
+
+// trainedJobs are the golden's jobs, each built fresh per call:
 //   - an LM (vocab 2000, D 32, 2 decoys, dropout 0.1) under Adam whose
 //     full batches reach the loss heads' weight gradient as a
 //     [N·T = 368, 2000] panel, past the kernels' 1 MB slab, so the dW
 //     entry walks it in K-blocks;
 //   - LeNet with 3 decoys and taps under SGD with momentum;
-//   - the text classifier with 2 decoys under SGD with momentum.
-func trainedJobs(t *testing.T) []struct {
-	name string
-	job  amalgam.TrainableJob
-	cfg  amalgam.TrainConfig
-	aug  interface{ Params() []nn.Param }
-} {
+//   - the text classifier with 2 decoys under SGD with momentum;
+//   - VGG16+CBAM (the only graph with channel and spatial attention),
+//     MobileNetV2 (depthwise convolutions, inverted residuals) and
+//     DenseNet121 (channel concatenation), each obfuscated at amount 0.25
+//     with 2 decoys over four 3×32×32 samples, one batch of 4 per epoch,
+//     under SGD with momentum.
+func trainedJobs(t *testing.T) []trainedJob {
 	t.Helper()
 	const vocab, bptt = 2000, 24
 	stream := amalgam.GenerateTokenStream(amalgam.TextConfig{Name: "wt", Tokens: 768, Vocab: vocab, Seed: 1})
@@ -58,16 +66,26 @@ func trainedJobs(t *testing.T) []struct {
 
 	textJob := mkTextJob(t)
 	sgd := amalgam.TrainConfig{Epochs: 2, BatchSize: 8, LR: 0.05, Momentum: 0.9}
-	return []struct {
-		name string
-		job  amalgam.TrainableJob
-		cfg  amalgam.TrainConfig
-		aug  interface{ Params() []nn.Param }
-	}{
+	jobs := []trainedJob{
 		{"lm", lmJob, amalgam.TrainConfig{Epochs: 2, BatchSize: 16, Optimizer: amalgam.Adam(0.01)}, lmJob.Augmented},
 		{"lenet", cvJob, sgd, cvJob.Augmented},
 		{"text", textJob, sgd, textJob.Augmented},
 	}
+
+	cifar := amalgam.SyntheticCIFAR10(4, 2)
+	cifarSGD := amalgam.TrainConfig{Epochs: 2, BatchSize: 4, LR: 0.05, Momentum: 0.9}
+	for i, name := range []string{"vgg16cbam", "mobilenetv2", "densenet121"} {
+		m, err := amalgam.BuildCV(name, uint64(20+i), amalgam.CVConfig{InC: 3, InH: 32, InW: 32, Classes: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := amalgam.Obfuscate(m, cifar, amalgam.Options{Amount: 0.25, SubNets: 2, Seed: uint64(30 + i), ModelName: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, trainedJob{name, job, cifarSGD, job.Augmented})
+	}
+	return jobs
 }
 
 // stateHash is the SHA-256 of every parameter in order: its name, its
