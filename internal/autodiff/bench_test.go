@@ -105,18 +105,24 @@ func BenchmarkSoftmaxXentStep(b *testing.B) {
 	}
 }
 
-// BenchmarkSoftmaxLastDimStep measures the attention-shaped row softmax
-// ([N*H*T, T] = [512, 64]) forward+backward.
-func BenchmarkSoftmaxLastDimStep(b *testing.B) {
+// BenchmarkAttentionStep measures causal attention forward+backward at the
+// language model's shape (N 16, T 63, D 128, 4 heads: 64 row softmaxes of
+// [63, 63] and their per-head GEMMs).
+func BenchmarkAttentionStep(b *testing.B) {
 	rng := tensor.NewRNG(13)
-	x := tensor.New(512, 64)
-	rng.FillNormal(x, 0, 1)
-	xN := Leaf(x)
+	var qkv [3]*Node
+	for i := range qkv {
+		x := tensor.New(16, 63, 128)
+		rng.FillNormal(x, 0, 1)
+		qkv[i] = Leaf(x)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		xN.ZeroGrad()
-		loss := Mean(SoftmaxLastDim(xN))
+		for _, n := range qkv {
+			n.ZeroGrad()
+		}
+		loss := Mean(Attention(qkv[0], qkv[1], qkv[2], 4, true))
 		Backward(loss)
 		Release(loss)
 	}

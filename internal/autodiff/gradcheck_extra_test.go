@@ -105,26 +105,17 @@ func TestGradChannelMeanMax(t *testing.T) {
 	gradCheck(t, []*Node{xN}, loss, 3e-2)
 }
 
+// TestSplitMergeHeadsInverse: the referee's head merge undoes its head
+// split (attention_test.go).
 func TestSplitMergeHeadsInverse(t *testing.T) {
 	rng := tensor.NewRNG(37)
 	x := tensor.New(2, 3, 8)
 	rng.FillNormal(x, 0, 1)
 	xN := Constant(x)
-	back := MergeHeads(SplitHeads(xN, 4), 4)
+	back := mergeHeads(splitHeads(xN, 4), 4)
 	if !back.Val.Equal(x) {
-		t.Fatal("MergeHeads(SplitHeads(x)) must be identity")
+		t.Fatal("mergeHeads(splitHeads(x)) must be identity")
 	}
-}
-
-func TestGradSplitHeads(t *testing.T) {
-	rng := tensor.NewRNG(38)
-	x := tensor.New(2, 3, 4)
-	rng.FillNormal(x, 0, 1)
-	target := tensor.New(4, 3, 2)
-	rng.FillNormal(target, 0, 1)
-	xN := Leaf(x)
-	loss := func() *Node { return MSE(SplitHeads(xN, 2), target) }
-	gradCheck(t, []*Node{xN}, loss, 2e-2)
 }
 
 // TestGradAddConstBroadcastPassesThrough: Add with a broadcast constant b

@@ -327,28 +327,44 @@ func TestGradConcat(t *testing.T) {
 	gradCheck(t, []*Node{cN, dN}, loss2, 2e-2)
 }
 
-func TestGradBatchedMatMulAndTranspose(t *testing.T) {
-	rng := tensor.NewRNG(13)
-	a := tensor.New(2, 3, 4)
-	b := tensor.New(2, 4, 2)
-	rng.FillNormal(a, 0, 1)
-	rng.FillNormal(b, 0, 1)
-	aN, bN := Leaf(a), Leaf(b)
-	target := tensor.New(2, 2, 3)
-	rng.FillNormal(target, 0, 1)
-	loss := func() *Node { return MSE(Transpose12(BatchedMatMul(aN, bN)), target) }
-	gradCheck(t, []*Node{aN, bN}, loss, 2e-2)
-}
-
-func TestGradSoftmaxLastDim(t *testing.T) {
-	rng := tensor.NewRNG(14)
-	x := tensor.New(3, 5)
-	rng.FillNormal(x, 0, 2)
-	xN := Leaf(x)
-	target := tensor.New(3, 5)
-	rng.FillNormal(target, 0, 0.3)
-	loss := func() *Node { return MSE(SoftmaxLastDim(xN), target) }
-	gradCheck(t, []*Node{xN}, loss, 3e-2)
+// TestGradAttention checks Attention's gradients against central
+// differences: every operand, one head or several (each its own columns of
+// the projections), causal or not, and each operand alone taking a
+// gradient.
+func TestGradAttention(t *testing.T) {
+	for i, tc := range []struct {
+		name        string
+		n, t, heads int
+		hd          int
+		causal      bool
+		grads       string // which of q, k, v are leaves
+	}{
+		{"q-k-v", 2, 3, 1, 4, false, "qkv"},
+		{"causal", 1, 5, 1, 3, true, "qkv"},
+		{"heads=2", 2, 3, 2, 2, false, "qkv"},
+		{"heads=4/causal", 1, 4, 4, 2, true, "qkv"},
+		{"q-only", 1, 4, 2, 3, true, "q--"},
+		{"k-only", 1, 4, 2, 3, false, "-k-"},
+		{"v-only", 2, 3, 2, 2, true, "--v"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := tensor.NewRNG(uint64(13 + i))
+			nodes, params := make([]*Node, 3), []*Node(nil)
+			for j := range nodes {
+				x := tensor.New(tc.n, tc.t, tc.heads*tc.hd)
+				rng.FillNormal(x, 0, 1)
+				nodes[j] = Constant(x)
+				if tc.grads[j] != '-' {
+					nodes[j] = Leaf(x)
+					params = append(params, nodes[j])
+				}
+			}
+			target := tensor.New(tc.n, tc.t, tc.heads*tc.hd)
+			rng.FillNormal(target, 0, 0.5)
+			loss := func() *Node { return MSE(Attention(nodes[0], nodes[1], nodes[2], tc.heads, tc.causal), target) }
+			gradCheck(t, params, loss, 3e-2)
+		})
+	}
 }
 
 func TestDetachBlocksGradient(t *testing.T) {

@@ -22,7 +22,7 @@ type layoutCase struct {
 func splitHeadsCase(name string, n, t, heads, hd int, kinds string) layoutCase {
 	d := heads * hd
 	return layoutCase{name, [][]int{{n, t, d}}, kinds,
-		func(p []*Node) *Node { return SplitHeads(p[0], heads) },
+		func(p []*Node) *Node { return splitHeads(p[0], heads) },
 		func(emit func(p, j int)) {
 			for b := 0; b < n; b++ {
 				for h := 0; h < heads; h++ {
@@ -38,7 +38,7 @@ func splitHeadsCase(name string, n, t, heads, hd int, kinds string) layoutCase {
 
 func mergeHeadsCase(name string, n, t, heads, hd int, kinds string) layoutCase {
 	return layoutCase{name, [][]int{{n * heads, t, hd}}, kinds,
-		func(p []*Node) *Node { return MergeHeads(p[0], heads) },
+		func(p []*Node) *Node { return mergeHeads(p[0], heads) },
 		func(emit func(p, j int)) {
 			for b := 0; b < n; b++ {
 				for pos := 0; pos < t; pos++ {
@@ -54,12 +54,49 @@ func mergeHeadsCase(name string, n, t, heads, hd int, kinds string) layoutCase {
 
 func transposeCase(name string, bt, m, n int, kinds string) layoutCase {
 	return layoutCase{name, [][]int{{bt, m, n}}, kinds,
-		func(p []*Node) *Node { return Transpose12(p[0]) },
+		func(p []*Node) *Node { return transpose12(p[0]) },
 		func(emit func(p, j int)) {
 			for i := 0; i < bt; i++ {
 				for c := 0; c < n; c++ {
 					for r := 0; r < m; r++ {
 						emit(0, (i*m+r)*n+c)
+					}
+				}
+			}
+		}}
+}
+
+// attentionCase is Attention where its softmax saturates into an index map:
+// the op replaces q's and k's drawn values by scaled unit vectors, K's row j
+// e_j and head h's Q row i e_pick(h,i), so each row of P is one-hot and the
+// value is V's row pick(h, i) in head h's columns. That pins where the head
+// split, K's transpose and the merge put every element; q and k get a zero
+// gradient. A v whose gradient starts non-zero needs pick to be a
+// permutation, so that no two rows' gradients sum before they reach it.
+func attentionCase(name string, n, t, heads, hd int, causal bool, pick func(h, i int) int, kinds string) layoutCase {
+	d := heads * hd
+	shape := []int{n, t, d}
+	return layoutCase{name, [][]int{shape, shape, shape}, kinds,
+		func(p []*Node) *Node {
+			const l = 30 // scores are 0 or l²/√hd: exp underflows to 0 off the pick
+			q, k := p[0].Val, p[1].Val
+			q.Zero()
+			k.Zero()
+			for r := range n * t {
+				for h := range heads {
+					q.Data[r*d+h*hd+pick(h, r%t)] = l
+					k.Data[r*d+h*hd+r%t] = l
+				}
+			}
+			return Attention(p[0], p[1], p[2], heads, causal)
+		},
+		func(emit func(p, j int)) {
+			for b := 0; b < n; b++ {
+				for pos := 0; pos < t; pos++ {
+					for h := 0; h < heads; h++ {
+						for e := 0; e < hd; e++ {
+							emit(2, (b*t+pick(h, pos))*d+h*hd+e)
+						}
 					}
 				}
 			}
@@ -101,6 +138,9 @@ var layoutCases = []layoutCase{
 	transposeCase("Transpose12", 2, 3, 5, "l"),
 	transposeCase("Transpose12/T=1", 3, 1, 4, "d"),
 	transposeCase("Transpose12/one-column", 2, 4, 1, "d"),
+	attentionCase("Attention/one-hot", 2, 3, 2, 4, false, func(h, i int) int { return (i + h) % 3 }, "lld"),
+	attentionCase("Attention/one-hot/causal", 1, 4, 3, 4, true, func(h, i int) int { return max(i-h, 0) }, "dcl"),
+	attentionCase("Attention/T=1", 3, 1, 2, 2, true, func(h, i int) int { return 0 }, "cdd"),
 	concatCase("ConcatFeatures/one-parent", [][]int{{3, 4}}, "d"),
 	concatCase("ConcatFeatures", [][]int{{3, 2}, {3, 5}, {3, 1}}, "lcd"),
 	concatCase("ConcatChannels/one-parent", [][]int{{2, 3, 2, 2}}, "l"),
@@ -108,11 +148,12 @@ var layoutCases = []layoutCase{
 	concatCase("ConcatChannels/1x1", [][]int{{3, 2, 1, 1}, {3, 1, 1, 1}}, "cd"),
 }
 
-// TestLayoutOpsMatchDefinition pins every layout op — the head split and
-// merge, the 3-D transpose and both concats — to its definition as an index
-// map, bit for bit: the forward value, and each parent's gradient under a
-// seeded upstream gradient (added to what the parent already held, none for
-// a constant).
+// TestLayoutOpsMatchDefinition pins every layout op — both concats,
+// Attention where it is an index map, and the head split and merge and the
+// 3-D transpose of its referee (attention_test.go) — to its definition as an
+// index map, bit for bit: the forward value, and each parent's gradient under
+// a seeded upstream gradient (added to what the parent already held, none
+// for a constant).
 func TestLayoutOpsMatchDefinition(t *testing.T) {
 	for ci, tc := range layoutCases {
 		t.Run(tc.name, func(t *testing.T) {

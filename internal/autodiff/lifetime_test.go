@@ -217,9 +217,12 @@ func (keepStep) Reuse(*Node) *tensor.Tensor { return nil }
 func (keepStep) Step(*Node)                 {}
 
 // TestStepBackwardReturnsValues pins the value lifetime under a step on a
-// graph with two components, a residual block, a softmax (whose backward
-// reads its own value after taking a buffer of that value's size, the one
-// the pool hands out next if the value went back early) and a decoy that reads the original through Detach of a Reshape view. Without a
+// graph with two components, a residual block, an attention (whose backward
+// reads its operands' values and its P after taking buffers), a softmax (the
+// referee's, attention_test.go: its backward reads its own value after
+// taking a buffer of that value's size, the one the pool hands out next if
+// the value went back early) and a decoy that reads the original through
+// Detach of a Reshape view. Without a
 // step every value stays readable. With one, the gradients are the same bit
 // for bit; the root, the loss scalar and the detached value are still
 // readable and every other pooled value is back in the pool before Release;
@@ -240,7 +243,8 @@ func TestStepBackwardReturnsValues(t *testing.T) {
 		c := Conv2d(Constant(x), w1, nil, 1, 1, tensor.ActNone)
 		block := BatchNorm2d(Conv2d(c, w2, nil, 1, 1, tensor.ActNone), gamma, beta, tensor.New(2), tensor.Ones(2), 0.1, 1e-5, true, tensor.ActReLU, c)
 		view := Flatten(block)
-		loss := MSE(SoftmaxLastDim(Linear(view, wl, bl, tensor.ActNone)), dy)
+		h := Reshape(Linear(view, wl, bl, tensor.ActNone), 1, 4, 8)
+		loss := MSE(softmaxLastDim(Reshape(Attention(h, h, h, 2, true), 4, 8)), dy)
 		decoy := Mean(Linear(Detach(view), wd, bd, tensor.ActTanh))
 		return graph{AddN(loss, decoy), loss, block, view}
 	}

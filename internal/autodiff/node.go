@@ -60,13 +60,13 @@
 //
 // A broadcast is one rule, Add's and Mul's: b is a's shape with one run of
 // adjacent axes set to 1, read as [p, 1, r] against [p, q, r]. CBAM's gates,
-// DISCO's mask, the positional table and the attention mask are views of
-// that shape, and a broadcast b's gradient sums in a's memory order.
+// DISCO's mask and the positional table are views of that shape, and a
+// broadcast b's gradient sums in a's memory order.
 //
-// A layout op is an index map, written once: SplitHeads, MergeHeads,
-// Transpose12 and Conv2d's block reorders are swapMid, ConcatFeatures and
-// ConcatChannels are concat, and each backward adds the gradient back along
-// the same map.
+// A layout op is an index map, written once: Conv2d's block reorders are
+// swapMid, ConcatFeatures and ConcatChannels are concat, and each backward
+// adds the gradient back along the same map. Attention gathers each head
+// into scratch and keeps only its softmax's output for its backward.
 package autodiff
 
 import (

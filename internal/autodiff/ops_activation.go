@@ -102,19 +102,3 @@ func checkLabels(labels []int, n, c int) {
 		}
 	}
 }
-
-// SoftmaxLastDim applies softmax along the last axis of a 2-D node
-// [rows, cols]; used inside attention. Forward and backward run on the
-// fused row-softmax kernels.
-func SoftmaxLastDim(a *Node) *Node {
-	rows, cols := a.Val.Dim(0), a.Val.Dim(1)
-	val := tensor.Get(rows, cols)
-	tensor.SoftmaxRowsInto(val.Data, a.Val.Data, rows, cols)
-	out := newPooledNode(val, []*Node{a}, nil)
-	out.backward = func() {
-		if a.requiresGrad {
-			tensor.SoftmaxRowsBwdInto(a.ensureGrad().Data, val.Data, out.Grad.Data, rows, cols)
-		}
-	}
-	return out
-}

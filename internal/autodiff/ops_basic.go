@@ -42,8 +42,8 @@ func broadcast(op string, a, b *tensor.Tensor) (p, q, r int) {
 }
 
 // Add returns a + b, b a's shape or a broadcast of it (see broadcast). A
-// broadcast b — the positional table, the attention mask — takes no
-// gradient, so the node hands its own to a.
+// broadcast b, such as the positional table, takes no gradient, so the node
+// hands its own to a.
 func Add(a, b *Node) *Node {
 	p, q, r := broadcast("Add", a.Val, b.Val)
 	if q > 1 && b.requiresGrad {

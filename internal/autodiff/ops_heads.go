@@ -2,15 +2,16 @@ package autodiff
 
 import (
 	"fmt"
+	"math"
 
 	"amalgam/internal/tensor"
 )
 
 // swapMid writes src, an [outer, a, b, run] array, into dst as
 // [outer, b, a, run]: a copy, or with acc an element-wise dst += src. It is
-// the one axis swap under the head split and merge, Transpose12 (run 1) and
-// Conv2d's block reorders (outer 1). A one-float run is moved by index: a
-// copy call or a slice header per float would cost more than the float.
+// the one axis swap under Conv2d's block reorders (outer 1). A one-float run
+// is moved by index: a copy call or a slice header per float would cost more
+// than the float.
 func swapMid(dst, src []float32, outer, a, b, run int, acc bool) {
 	n := a * b * run
 	for o := 0; o < outer*n; o += n {
@@ -36,38 +37,121 @@ func swapMid(dst, src []float32, outer, a, b, run int, acc bool) {
 	}
 }
 
-// swapMidNode is swapMid as a graph node: x read as [outer, a, b, run], the
-// value shaped shape. Its backward is the same swap with a and b exchanged,
-// added into x's gradient.
-func swapMidNode(x *Node, shape []int, outer, a, b, run int) *Node {
-	val := tensor.Get(shape...)
-	swapMid(val.Data, x.Val.Data, outer, a, b, run, false)
-	out := newPooledNode(val, []*Node{x}, nil)
-	out.backward = func() {
-		if x.requiresGrad {
-			swapMid(x.ensureGrad().Data, out.Grad.Data, outer, b, a, run, true)
+// Attention is multi-head scaled dot-product attention over the [N, T, D]
+// projections q, k and v: head h reads columns [h·hd, (h+1)·hd) of each, hd
+// = D/heads, and writes softmax(Q·Kᵀ/√hd + M)·V to the same columns of the
+// value, M -1e9 above the diagonal when causal (no position attends to a
+// later one) and 0 elsewhere. Each (sample, head) block works in pooled
+// scratch; the node keeps only the probabilities P, [N·heads, T, T], for its
+// backward. Its value and gradients are the per-head chain's it replaced,
+// bit for bit (attention_test.go keeps that chain as the referee): the same
+// kernel per GEMM, the scale and the mask rounded apart, and each operand's
+// gradient added into zeros.
+func Attention(q, k, v *Node, heads int, causal bool) *Node {
+	s := q.Val.Shape()
+	if len(s) != 3 || heads < 1 || s[2]%heads != 0 || !q.Val.SameShape(k.Val) || !q.Val.SameShape(v.Val) {
+		panic(fmt.Sprintf("autodiff: Attention over %v, %v, %v with %d heads", s, k.Val.Shape(), v.Val.Shape(), heads))
+	}
+	n, t, d := s[0], s[1], s[2]
+	hd, tt := d/heads, t*t
+	th, scale := t*hd, float32(1/math.Sqrt(float64(hd)))
+	// head moves block b between the [N, T, D] array x and blk, [T, hd] or
+	// with tr [hd, T]: with add, blk's elements are added into x's, else x's
+	// are copied into blk.
+	head := func(x, blk []float32, b int, tr, add bool) {
+		for i := range t {
+			xr := x[(b/heads*t+i)*d+b%heads*hd:][:hd]
+			for j := range xr {
+				e := &blk[i*hd+j]
+				if tr {
+					e = &blk[j*t+i]
+				}
+				if add {
+					xr[j] += *e
+				} else {
+					*e = xr[j]
+				}
+			}
 		}
+	}
+	val, p := tensor.GetZero(n, t, d), tensor.Get(n*heads, t, t)
+	eachHead(n*heads, 4*th, func(b int, buf []float32) {
+		qb, kt, vb, cb := buf[:th], buf[th:2*th], buf[2*th:3*th], buf[3*th:]
+		head(q.Val.Data, qb, b, false, false)
+		head(k.Val.Data, kt, b, true, false)
+		head(v.Val.Data, vb, b, false, false)
+		pb := p.Data[b*tt:][:tt]
+		tensor.MatMulRawInto(pb, qb, kt, t, hd, t)
+		for i := range t {
+			for j, e := range pb[i*t:][:t] {
+				x := float32(scale * e) // rounded before the mask is added
+				if causal && j > i {
+					x += -1e9
+				}
+				pb[i*t+j] = x
+			}
+		}
+		tensor.SoftmaxRowsInto(pb, pb, t, t)
+		tensor.MatMulRawInto(cb, pb, vb, t, t, hd)
+		head(val.Data, cb, b, false, true)
+	})
+	out := newPooledNode(val, []*Node{q, k, v}, nil)
+	if !out.requiresGrad {
+		tensor.Put(p) // no backward reads it
+		return out
+	}
+	out.scratch = []*tensor.Tensor{p}
+	out.backward = func() {
+		grad := func(x *Node) []float32 {
+			if x.requiresGrad {
+				return x.ensureGrad().Data
+			}
+			return nil
+		}
+		dq, dk, dv := grad(q), grad(k), grad(v)
+		eachHead(n*heads, 3*th+2*tt, func(b int, buf []float32) {
+			dc, x, y, pb := buf[:th], buf[th:2*th], buf[2*th:3*th], p.Data[b*tt:][:tt]
+			tmp, ds := buf[3*th:][:tt], buf[3*th+tt:][:tt]
+			// dC, dP and the scores' gradient are GEMM output, which is
+			// never −0, or only ever GEMM factors, whose sign of zero no
+			// product sum keeps: the chain's adds into zeros are copies.
+			head(out.Grad.Data, dc, b, false, false)
+			if dv != nil { // dV = Pᵀ·dC
+				tensor.MatMulATRawInto(x, pb, dc, t, t, hd)
+				head(dv, x, b, false, true)
+			}
+			if dq == nil && dk == nil {
+				return
+			}
+			head(v.Val.Data, y, b, false, false)
+			tensor.MatMulBTRawInto(tmp, dc, y, t, hd, t) // dP = dC·Vᵀ
+			clear(ds)
+			tensor.SoftmaxRowsBwdInto(ds, pb, tmp, t, t)
+			for i, e := range ds {
+				tmp[i] = scale * e // the scores' gradient
+			}
+			if dq != nil { // dQ = dS·K
+				head(k.Val.Data, y, b, true, false)
+				tensor.MatMulBTRawInto(x, tmp, y, t, t, hd)
+				head(dq, x, b, false, true)
+			}
+			if dk != nil { // dKᵀ = Qᵀ·dS
+				head(q.Val.Data, y, b, false, false)
+				tensor.MatMulATRawInto(x, y, tmp, hd, t, t)
+				head(dk, x, b, true, true)
+			}
+		})
 	}
 	return out
 }
 
-// SplitHeads rearranges [N, T, D] into [N*H, T, D/H] for multi-head
-// attention (permuting (N,T,H,hd) → (N,H,T,hd)).
-func SplitHeads(a *Node, heads int) *Node {
-	as := a.Val.Shape()
-	if len(as) != 3 || as[2]%heads != 0 {
-		panic(fmt.Sprintf("autodiff: SplitHeads shape %v heads %d", as, heads))
-	}
-	n, t, hd := as[0], as[1], as[2]/heads
-	return swapMidNode(a, []int{n * heads, t, hd}, n, t, heads, hd)
-}
-
-// MergeHeads is the inverse of SplitHeads: [N*H, T, hd] → [N, T, H*hd].
-func MergeHeads(a *Node, heads int) *Node {
-	as := a.Val.Shape()
-	if len(as) != 3 || as[0]%heads != 0 {
-		panic(fmt.Sprintf("autodiff: MergeHeads shape %v heads %d", as, heads))
-	}
-	n, t, hd := as[0]/heads, as[1], as[2]
-	return swapMidNode(a, []int{n, t, heads * hd}, n, heads, t, hd)
+// eachHead runs fn over the (sample, head) blocks [0, blocks) in parallel,
+// each with a pooled buffer of size floats that goes back after it: the
+// pool hands out as many buffers at any worker count.
+func eachHead(blocks, size int, fn func(b int, buf []float32)) {
+	forEachImage(blocks, func(b int) {
+		buf := tensor.Get(size)
+		fn(b, buf.Data)
+		tensor.Put(buf)
+	})
 }

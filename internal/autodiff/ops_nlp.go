@@ -124,51 +124,3 @@ func LayerNorm(x, gamma, beta *Node, eps float32) *Node {
 	}
 	return out
 }
-
-// BatchedMatMul multiplies a [B, M, K] by b [B, K, N] → [B, M, N].
-// Attention uses it for per-head score and context computation.
-func BatchedMatMul(a, b *Node) *Node {
-	as, bs := a.Val.Shape(), b.Val.Shape()
-	if len(as) != 3 || len(bs) != 3 || as[0] != bs[0] || as[2] != bs[1] {
-		panic(fmt.Sprintf("autodiff: BatchedMatMul shapes %v × %v", as, bs))
-	}
-	bt, m, k, n := as[0], as[1], as[2], bs[2]
-	val := tensor.Get(bt, m, n)
-	forEachImage(bt, func(i int) {
-		tensor.MatMulRawInto(val.Data[i*m*n:(i+1)*m*n],
-			a.Val.Data[i*m*k:(i+1)*m*k], b.Val.Data[i*k*n:(i+1)*k*n], m, k, n)
-	})
-	out := newPooledNode(val, []*Node{a, b}, nil)
-	out.backward = func() {
-		// dB = Aᵀ·dY forms in b's gradient, as Linear's dW does; dA = dY·Bᵀ
-		// goes through a temporary, there being no accumulating a×bᵀ entry.
-		var tmpA *tensor.Tensor
-		if a.requiresGrad {
-			tmpA = tensor.Get(m, k)
-		}
-		for i := 0; i < bt; i++ {
-			dy := out.Grad.Data[i*m*n : (i+1)*m*n]
-			if a.requiresGrad {
-				ga := a.ensureGrad().Data[i*m*k : (i+1)*m*k]
-				tensor.MatMulBTRawInto(tmpA.Data, dy, b.Val.Data[i*k*n:(i+1)*k*n], m, n, k)
-				tensor.AddRawInto(ga, tmpA.Data)
-			}
-			if b.requiresGrad {
-				gb := b.ensureGrad().Data[i*k*n : (i+1)*k*n]
-				tensor.MatMulATAccRawInto(gb, a.Val.Data[i*m*k:(i+1)*m*k], dy, k, m, n)
-			}
-		}
-		tensor.Put(tmpA)
-	}
-	return out
-}
-
-// Transpose12 swaps the last two axes of a 3-D node [B, M, N] → [B, N, M].
-func Transpose12(a *Node) *Node {
-	as := a.Val.Shape()
-	if len(as) != 3 {
-		panic(fmt.Sprintf("autodiff: Transpose12 needs 3-D, got %v", as))
-	}
-	b, m, n := as[0], as[1], as[2]
-	return swapMidNode(a, []int{b, n, m}, b, m, n, 1)
-}

@@ -299,3 +299,23 @@ func TestParamNamesUnique(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLMEvalForward is one serving forward of serve_lm's kernel-bound
+// LM (vocab 2000, D 256, 4 heads, FF 1024, 2 layers) over one 128-token
+// context, graph released: its B/op is what a prediction allocates outside
+// the tensor pool (the causal mask is a flag, so no [T, T] tensor is among
+// it).
+func BenchmarkLMEvalForward(b *testing.B) {
+	m := NewTransformerLM(tensor.NewRNG(1), TransformerLMConfig{Vocab: 2000, D: 256, Heads: 4, FF: 1024, Layers: 2, MaxT: 128})
+	m.SetTraining(false)
+	ids := [][]int{make([]int, 128)}
+	for i := range ids[0] {
+		ids[0][i] = i * 7 % 2000
+	}
+	autodiff.Release(m.ForwardIDs(ids)) // fill the pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		autodiff.Release(m.ForwardIDs(ids))
+	}
+}

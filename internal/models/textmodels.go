@@ -162,9 +162,8 @@ func (m *TransformerLM) ForwardEmbedded(h *autodiff.Node) *autodiff.Node {
 // activations, flattened to the decoder's [N*T, D] input.
 func (m *TransformerLM) encode(h *autodiff.Node) *autodiff.Node {
 	n, t := h.Val.Dim(0), h.Val.Dim(1)
-	mask := nn.CausalMask(t)
 	for _, blk := range m.Blocks {
-		h = blk.ForwardSeq(h, mask)
+		h = blk.ForwardSeq(h, true)
 	}
 	return autodiff.Reshape(h, n*t, m.D)
 }

@@ -7,8 +7,8 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// MultiHeadAttention implements scaled dot-product self-attention with H
-// heads over inputs of shape [N, T, D].
+// MultiHeadAttention is scaled dot-product self-attention with H heads over
+// [N, T, D]: four projections around one autodiff.Attention node.
 type MultiHeadAttention struct {
 	Children
 	D, Heads       int
@@ -34,41 +34,17 @@ func NewMultiHeadAttention(rng *tensor.RNG, d, heads int) *MultiHeadAttention {
 	return m
 }
 
-// ForwardSelf applies self-attention to x [N, T, D]. mask, when non-nil,
-// is an additive [1, T, T] tensor that every head's scores broadcast
-// against (use CausalMask for autoregressive LMs).
-func (m *MultiHeadAttention) ForwardSelf(x *autodiff.Node, mask *tensor.Tensor) *autodiff.Node {
+// ForwardSelf applies self-attention to x [N, T, D]: the query, key and
+// value projections, one autodiff.Attention over them (causal for an
+// autoregressive LM: no position attends to a later one) and the output
+// projection.
+func (m *MultiHeadAttention) ForwardSelf(x *autodiff.Node, causal bool) *autodiff.Node {
 	s := x.Val.Shape()
 	n, t := s[0], s[1]
-	hd := m.D / m.Heads
-
 	flat := autodiff.Reshape(x, n*t, m.D)
-	q := autodiff.SplitHeads(autodiff.Reshape(m.Wq.Forward(flat), n, t, m.D), m.Heads)
-	k := autodiff.SplitHeads(autodiff.Reshape(m.Wk.Forward(flat), n, t, m.D), m.Heads)
-	v := autodiff.SplitHeads(autodiff.Reshape(m.Wv.Forward(flat), n, t, m.D), m.Heads)
-
-	scores := autodiff.BatchedMatMul(q, autodiff.Transpose12(k)) // [N*H, T, T]
-	scores = autodiff.Scale(scores, float32(1/math.Sqrt(float64(hd))))
-	if mask != nil {
-		scores = autodiff.Add(scores, autodiff.Constant(mask))
-	}
-	attn := autodiff.Reshape(autodiff.SoftmaxLastDim(autodiff.Reshape(scores, n*m.Heads*t, t)), n*m.Heads, t, t)
-	ctx := autodiff.BatchedMatMul(attn, v) // [N*H, T, hd]
-	merged := autodiff.MergeHeads(ctx, m.Heads)
-	out := m.Wo.Forward(autodiff.Reshape(merged, n*t, m.D))
-	return autodiff.Reshape(out, n, t, m.D)
-}
-
-// CausalMask returns a [1, T, T] additive mask with -1e9 above the
-// diagonal, preventing attention to future positions.
-func CausalMask(t int) *tensor.Tensor {
-	m := tensor.New(1, t, t)
-	for i := 0; i < t; i++ {
-		for j := i + 1; j < t; j++ {
-			m.Data[i*t+j] = -1e9
-		}
-	}
-	return m
+	proj := func(l *Linear) *autodiff.Node { return autodiff.Reshape(l.Forward(flat), n, t, m.D) }
+	ctx := autodiff.Attention(proj(m.Wq), proj(m.Wk), proj(m.Wv), m.Heads, causal)
+	return autodiff.Reshape(m.Wo.Forward(autodiff.Reshape(ctx, n*t, m.D)), n, t, m.D)
 }
 
 // TransformerEncoderLayer is a post-norm transformer block: self-attention
@@ -110,11 +86,11 @@ func NewTransformerEncoderLayer(rng *tensor.RNG, d, heads, ffDim int, dropout fl
 	return l
 }
 
-// ForwardSeq applies the block to x [N, T, D] with an optional mask.
-func (l *TransformerEncoderLayer) ForwardSeq(x *autodiff.Node, mask *tensor.Tensor) *autodiff.Node {
+// ForwardSeq applies the block to x [N, T, D], its attention causal or not.
+func (l *TransformerEncoderLayer) ForwardSeq(x *autodiff.Node, causal bool) *autodiff.Node {
 	s := x.Val.Shape()
 	n, t := s[0], s[1]
-	att := l.Drop.Forward(l.Attn.ForwardSelf(x, mask))
+	att := l.Drop.Forward(l.Attn.ForwardSelf(x, causal))
 	x = l.Norm1.Forward(autodiff.Add(x, att))
 	flat := autodiff.Reshape(x, n*t, l.D)
 	ff := l.FF2.Forward(l.Drop.Forward(l.FF1.ForwardAct(flat, l.FFAct)))

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -221,6 +222,43 @@ func TestSoftmaxKernelsMatchReference(t *testing.T) {
 				t.Fatalf("row %d col %d: softmax bwd %v, want %v", r, j, dx[r*cols+j], want)
 			}
 		}
+	}
+}
+
+// TestSoftmaxRowsSignOfZero: the row softmax reads a score only as x − max,
+// so a −0 score gives the bits a +0 one does, as the row's max or below it,
+// with SIMD dispatch off and on. Causal attention adds nothing on and below
+// the diagonal (only −1e9 above it); an added +0 would turn a −0 score into
+// +0, and this shows that P does not depend on it.
+func TestSoftmaxRowsSignOfZero(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	rng := NewRNG(103)
+	for _, simd := range []bool{false, true} {
+		prev := SetSIMD(simd)
+		for _, cols := range []int{1, 3, 8, 13, 63} {
+			for _, zeroIsMax := range []bool{false, true} {
+				row := make([]float32, cols)
+				for j := range row {
+					row[j] = float32(-1 - rng.Float64()) // below zero,
+					if !zeroIsMax {
+						row[j] += 3 // or above it
+					}
+				}
+				for z := 0; z < cols; z += 2 {
+					pos, neg := slices.Clone(row), slices.Clone(row)
+					pos[z], neg[z] = 0, negZero
+					a, b := make([]float32, cols), make([]float32, cols)
+					SoftmaxRowsInto(a, pos, 1, cols)
+					SoftmaxRowsInto(b, neg, 1, cols)
+					for j := range a {
+						if math.Float32bits(a[j]) != math.Float32bits(b[j]) {
+							t.Fatalf("simd=%v cols=%d zero at %d (the max: %v): P[%d] %v with +0, %v with −0", simd, cols, z, zeroIsMax, j, a[j], b[j])
+						}
+					}
+				}
+			}
+		}
+		SetSIMD(prev)
 	}
 }
 
