@@ -90,9 +90,9 @@ type Classifier interface {
 // that follow) are bit-identical. An empty dataset scores 0; batch <= 0
 // scores one sample at a time.
 func Predict(m Classifier, ds *ImageDataset, batch int) float64 {
-	return cloudsim.Accuracy(m, ds.N(), batch, func(idx []int) (*autodiff.Node, []int) {
+	return cloudsim.Accuracy(m, ds.N(), batch, func(idx []int) ([]int, []int) {
 		x, labels := ds.Batch(idx)
-		return m.Forward(autodiff.Constant(x)), labels
+		return cloudsim.Predictions(m.Forward(autodiff.Constant(x))), labels
 	})
 }
 

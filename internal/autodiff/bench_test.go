@@ -180,13 +180,14 @@ func BenchmarkLinearTrainStep(b *testing.B) {
 // BenchmarkLossHead reads a language model's loss head as a GEMM rate at
 // lm_local's geometry — 1008 = 16·63 positions onto a 2000-word vocabulary
 // from the decoys' 56-wide and the original's 128-wide features. "fwd" is
-// the fused head's logits GEMM with its bias, softmax and loss; "step" adds
-// its backward (cross-entropy gradient, bias column sum, dX and dW);
-// "referee" is the step of the MatMul → AddRowBias → SoftmaxCrossEntropy
-// composition it replaces. GFLOP/s counts the GEMMs alone (2·N·K·V each: one
-// forward, three per step), so the passes between them show as a lower
-// rate. x is interior (its gradient is produced), as the features are in a
-// model.
+// the fused head's logits GEMM with its bias, softmax and loss, in row
+// blocks; "step" adds its backward (the blocks' logits and softmax again,
+// cross-entropy gradient, bias column sum, dX and dW); "referee" is the
+// step of the MatMul → AddRowBias → SoftmaxCrossEntropy composition it
+// replaces. GFLOP/s counts the GEMMs alone (2·N·K·V each: one forward, four
+// per fused step, three per referee step), so the passes between them show
+// as a lower rate. x is interior (its gradient is produced), as the
+// features are in a model.
 func BenchmarkLossHead(b *testing.B) {
 	const rows, vocab = 1008, 2000
 	labels := make([]int, rows)
@@ -204,12 +205,13 @@ func BenchmarkLossHead(b *testing.B) {
 			name     string
 			head     func(x, w, bias *Node) *Node
 			backward bool
+			gemms    float64
 		}{
-			{"fwd", fused, false},
-			{"step", fused, true},
+			{"fwd", fused, false, 1},
+			{"step", fused, true, 4},
 			{"referee", func(x, w, bias *Node) *Node {
 				return SoftmaxCrossEntropy(AddRowBias(MatMul(x, w), bias, tensor.ActNone), labels)
-			}, true},
+			}, true, 3},
 		} {
 			b.Run(fmt.Sprintf("%s/%dx%dx%d", c.name, rows, k, vocab), func(b *testing.B) {
 				b.ReportAllocs()
@@ -223,11 +225,7 @@ func BenchmarkLossHead(b *testing.B) {
 					}
 					Release(loss)
 				}
-				gemms := 1.0
-				if c.backward {
-					gemms = 3
-				}
-				b.ReportMetric(gemms*2*rows*float64(k)*vocab*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				b.ReportMetric(c.gemms*2*rows*float64(k)*vocab*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
 	}

@@ -12,6 +12,14 @@ import (
 // every element of each parameter.
 func gradCheck(t *testing.T, params []*Node, loss func() *Node, tol float64) {
 	t.Helper()
+	gradCheckProbes(t, params, loss, tol, 0)
+}
+
+// gradCheckProbes is gradCheck over probes elements of each parameter,
+// spread evenly from its first to its last (every element when probes is 0
+// or at least its size): for operands too large to difference whole.
+func gradCheckProbes(t *testing.T, params []*Node, loss func() *Node, tol float64, probes int) {
+	t.Helper()
 	root := loss()
 	Backward(root)
 	grads := make([]*tensor.Tensor, len(params))
@@ -23,7 +31,15 @@ func gradCheck(t *testing.T, params []*Node, loss func() *Node, tol float64) {
 	}
 	const h = 1e-2
 	for pi, p := range params {
-		for i := range p.Val.Data {
+		numel, count := len(p.Val.Data), len(p.Val.Data)
+		if probes > 1 && probes < numel {
+			count = probes
+		}
+		for k := 0; k < count; k++ {
+			i := k
+			if count < numel {
+				i = k * (numel - 1) / (count - 1)
+			}
 			orig := p.Val.Data[i]
 			p.Val.Data[i] = orig + h
 			fPlus := float64(loss().Scalar())

@@ -12,7 +12,8 @@ import (
 
 // TestBackwardReleasesAsItGoes pins the three lifetimes on a graph that has
 // every kind of holder: a norm with scratch, a dropout mask, a residual add,
-// a reshape view and a fused loss head whose scratch is the largest buffer.
+// a reshape view and a fused loss head, which holds no scratch at all: its
+// backward forms its logits again, block by block.
 func TestBackwardReleasesAsItGoes(t *testing.T) {
 	rng := tensor.NewRNG(71)
 	x := tensor.New(4, 6)
@@ -27,8 +28,8 @@ func TestBackwardReleasesAsItGoes(t *testing.T) {
 	orig := LinearSoftmaxCrossEntropy(Reshape(view, 4, 6), w, b, []int{0, 1, 2, 3})
 	total := AddN(orig, Mean(view))
 
-	if grads, scratch := Retained(total); grads != 0 || scratch != 3 {
-		t.Fatalf("before Backward: %d gradients, %d scratch holders; want 0 and 3 (dropout, norm, loss head)", grads, scratch)
+	if grads, scratch := Retained(total); grads != 0 || scratch != 2 {
+		t.Fatalf("before Backward: %d gradients, %d scratch holders; want 0 and 2 (dropout, norm; the loss head holds none)", grads, scratch)
 	}
 	Backward(total)
 	if grads, scratch := Retained(total); grads != 0 || scratch != 0 {

@@ -8,12 +8,14 @@ import (
 )
 
 // linearCase is one geometry for the fused Linear ops: which operands are
-// trainable, and (for the loss head) which label every row carries.
+// trainable, (for the loss head) which label every row carries, and how
+// many elements of each operand the gradient check probes (0: all).
 type linearCase struct {
 	name           string
 	n, in, out     int
 	label          int
 	constX, constB bool
+	probes         int
 }
 
 var linearCases = []linearCase{
@@ -24,6 +26,11 @@ var linearCases = []linearCase{
 	{name: "last-label", n: 3, in: 2, out: 5, label: 4},
 	{name: "constant-bias", n: 3, in: 4, out: 5, label: 3, constB: true},
 	{name: "constant-x", n: 3, in: 4, out: 5, label: 3, constX: true},
+	// The loss head's row blocks: 2¹⁸/2000 = 131 rows round down to 128, and
+	// 390 rows are three of them and a 6-row tail; 2¹⁸/40000 = 6 rounds down
+	// to the 4-row floor, and 11 rows are 4 + 4 + 3.
+	{name: "row-blocks", n: 390, in: 8, out: 2000, label: 1999, probes: 40},
+	{name: "four-row-blocks", n: 11, in: 3, out: 40000, label: 7, probes: 40},
 }
 
 // build draws x, W, b for the case and returns them as nodes plus the
@@ -63,7 +70,7 @@ func TestGradLinear(t *testing.T) {
 			x, w, b, params := c.build(61)
 			target := tensor.New(c.n, c.out)
 			tensor.NewRNG(62).FillNormal(target, 0, 1)
-			gradCheck(t, params, func() *Node { return MSE(Linear(x, w, b, tensor.ActNone), target) }, 2e-2)
+			gradCheckProbes(t, params, func() *Node { return MSE(Linear(x, w, b, tensor.ActNone), target) }, 2e-2, c.probes)
 		})
 	}
 }
@@ -73,7 +80,7 @@ func TestGradLinearSoftmaxCrossEntropy(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			x, w, b, params := c.build(63)
 			labels := c.labels()
-			gradCheck(t, params, func() *Node { return LinearSoftmaxCrossEntropy(x, w, b, labels) }, 2e-2)
+			gradCheckProbes(t, params, func() *Node { return LinearSoftmaxCrossEntropy(x, w, b, labels) }, 2e-2, c.probes)
 		})
 	}
 }
@@ -81,6 +88,8 @@ func TestGradLinearSoftmaxCrossEntropy(t *testing.T) {
 // TestFusedMatchesUnfusedLinear is TestFusedMatchesUnfused for the two
 // activation-free ops, over every linearCase: value and every gradient bit
 // for bit those of the MatMul → AddRowBias (→ SoftmaxCrossEntropy) referee.
+// A case whose logits span several of the loss head's row blocks runs at
+// every worker count × SIMD off/on, the referee under the same settings.
 func TestFusedMatchesUnfusedLinear(t *testing.T) {
 	sameGrads := func(t *testing.T, what string, fused, plain []*Node) {
 		t.Helper()
@@ -90,31 +99,43 @@ func TestFusedMatchesUnfusedLinear(t *testing.T) {
 			}
 		}
 	}
+	check := func(t *testing.T, c linearCase) {
+		xF, wF, bF, fusedParams := c.build(64)
+		xP, wP, bP, plainParams := c.build(64)
+		fused, plain := Linear(xF, wF, bF, tensor.ActNone), AddRowBias(MatMul(xP, wP), bP, tensor.ActNone)
+		if !fused.Val.Equal(plain.Val) {
+			t.Fatal("Linear forward differs from AddRowBias(MatMul)")
+		}
+		Backward(Mean(fused))
+		Backward(Mean(plain))
+		sameGrads(t, "Linear", fusedParams, plainParams)
+
+		xF, wF, bF, fusedParams = c.build(65)
+		xP, wP, bP, plainParams = c.build(65)
+		labels := c.labels()
+		fusedLoss := LinearSoftmaxCrossEntropy(xF, wF, bF, labels)
+		plainLoss := SoftmaxCrossEntropy(AddRowBias(MatMul(xP, wP), bP, tensor.ActNone), labels)
+		if !fusedLoss.Val.Equal(plainLoss.Val) {
+			t.Fatalf("LinearSoftmaxCrossEntropy = %v, SoftmaxCrossEntropy(AddRowBias(MatMul)) = %v", fusedLoss.Scalar(), plainLoss.Scalar())
+		}
+		// A non-unit upstream gradient exercises the scale the in-place
+		// backward folds into the probabilities.
+		Backward(Scale(fusedLoss, 0.7))
+		Backward(Scale(plainLoss, 0.7))
+		sameGrads(t, "LinearSoftmaxCrossEntropy", fusedParams, plainParams)
+	}
 	for _, c := range linearCases {
 		t.Run(c.name, func(t *testing.T) {
-			xF, wF, bF, fusedParams := c.build(64)
-			xP, wP, bP, plainParams := c.build(64)
-			fused, plain := Linear(xF, wF, bF, tensor.ActNone), AddRowBias(MatMul(xP, wP), bP, tensor.ActNone)
-			if !fused.Val.Equal(plain.Val) {
-				t.Fatal("Linear forward differs from AddRowBias(MatMul)")
+			if headBlockRows(c.n, c.out) >= c.n {
+				check(t, c)
+				return
 			}
-			Backward(Mean(fused))
-			Backward(Mean(plain))
-			sameGrads(t, "Linear", fusedParams, plainParams)
-
-			xF, wF, bF, fusedParams = c.build(65)
-			xP, wP, bP, plainParams = c.build(65)
-			labels := c.labels()
-			fusedLoss := LinearSoftmaxCrossEntropy(xF, wF, bF, labels)
-			plainLoss := SoftmaxCrossEntropy(AddRowBias(MatMul(xP, wP), bP, tensor.ActNone), labels)
-			if !fusedLoss.Val.Equal(plainLoss.Val) {
-				t.Fatalf("LinearSoftmaxCrossEntropy = %v, SoftmaxCrossEntropy(AddRowBias(MatMul)) = %v", fusedLoss.Scalar(), plainLoss.Scalar())
-			}
-			// A non-unit upstream gradient exercises the scale the in-place
-			// backward folds into the probabilities.
-			Backward(Scale(fusedLoss, 0.7))
-			Backward(Scale(plainLoss, 0.7))
-			sameGrads(t, "LinearSoftmaxCrossEntropy", fusedParams, plainParams)
+			eachBackend(t, func(simd bool) {
+				for _, wk := range []int{1, 2, 3, 8} {
+					tensor.SetMaxWorkers(wk)
+					t.Run(fmt.Sprintf("simd=%v/workers=%d", simd, wk), func(t *testing.T) { check(t, c) })
+				}
+			})
 		})
 	}
 }

@@ -6,24 +6,6 @@ import (
 	"amalgam/internal/tensor"
 )
 
-// linearEpilogueBackward is the dX/dW/dbias matmul backward every Linear
-// op shares. dpre [N, Out] is the pre-activation gradient, only read here:
-// out.Grad itself (rewritten in place first by the activation's Grad), or
-// the loss head's one logit-sized buffer for LinearSoftmaxCrossEntropy.
-func linearEpilogueBackward(x, w, b *Node, dpre *tensor.Tensor) {
-	if b.requiresGrad {
-		tensor.ColSumAddInto(b.ensureGrad().Data, dpre.Data, dpre.Dim(0), dpre.Dim(1))
-	}
-	if x.requiresGrad {
-		tmp := tensor.Get(x.Val.Shape()...)
-		tensor.MatMulBTInto(tmp, dpre, w.Val) // dX = dPre·Wᵀ
-		x.accumulateOwned(tmp)
-	}
-	if w.requiresGrad { // dW += Xᵀ·dPre, in the gradient itself
-		tensor.MatMulATAccRawInto(w.ensureGrad().Data, x.Val.Data, dpre.Data, w.Val.Dim(0), dpre.Dim(0), dpre.Dim(1))
-	}
-}
-
 // linearDims returns N and Out for x [N, In] · w [In, Out] + b [Out],
 // panicking in op's name when the bias does not fit.
 func linearDims(op string, x, w, b *Node) (n, dOut int) {
@@ -49,34 +31,125 @@ func Linear(x, w, b *Node, act tensor.Act) *Node {
 	out.scratch = scratch
 	out.backward = func() {
 		act.Grad(out.Grad.Data, val.Data, keep)
-		linearEpilogueBackward(x, w, b, out.Grad)
+		dpre := out.Grad
+		if b.requiresGrad {
+			tensor.ColSumAddInto(b.ensureGrad().Data, dpre.Data, n, dOut)
+		}
+		if x.requiresGrad {
+			tmp := tensor.Get(x.Val.Shape()...)
+			tensor.MatMulBTInto(tmp, dpre, w.Val) // dX = dPre·Wᵀ
+			x.accumulateOwned(tmp)
+		}
+		if w.requiresGrad { // dW += Xᵀ·dPre, in the gradient itself
+			tensor.MatMulATAccRawInto(w.ensureGrad().Data, x.Val.Data, dpre.Data, w.Val.Dim(0), n, dOut)
+		}
 	}
 	return out
 }
 
+// headBlockFloats (1 MiB) is about how many logits LinearSoftmaxCrossEntropy
+// and LinearArgmaxRows form at a time.
+const headBlockFloats = 1 << 18
+
+// headBlockRows is how many rows of [n, c] logits a block holds, a function
+// of shape alone: as many as fit headBlockFloats, rounded down to a multiple
+// of four (at least four) so a block edge never splits a group of dW's
+// four-row kernel, and at most n — lm_local's 2000-word vocabulary takes
+// 128-row blocks.
+func headBlockRows(n, c int) int {
+	return min(n, max(4, headBlockFloats/max(c, 1)&^3))
+}
+
+// eachHeadBlock walks the row blocks of the logits x·W + b in ascending
+// order, each formed in one pooled buffer. A block's rows are split over the
+// kernel pool once: each chunk forms its rows' logits — the matmul, then the
+// bias — and runs rows over them, so a block's row-wise passes share one
+// parallel region. block, when not nil, then runs over the whole block
+// [r0, r1), for what reduces across rows. Every kernel involved is
+// row-independent, so a block's logits are bit for bit those rows of
+// Linear(x, w, b, ActNone) however the chunks fall.
+func eachHeadBlock(x, w, b *Node, rows, block func(r0, r1 int, z []float32)) {
+	n, in, c := x.Val.Dim(0), x.Val.Dim(1), w.Val.Dim(1)
+	br := headBlockRows(n, c)
+	buf := tensor.Get(br, c)
+	for r0 := 0; r0 < n; r0 += br {
+		r1 := min(r0+br, n)
+		tensor.ParallelRange(r1-r0, func(a, e int) {
+			z := buf.Data[a*c : e*c]
+			tensor.MatMulRawInto(z, x.Val.Data[(r0+a)*in:(r0+e)*in], w.Val.Data, e-a, in, c)
+			tensor.AddRowBiasInto(z, z, b.Val.Data, e-a, c, tensor.ActNone, tensor.ActScratch{})
+			rows(r0+a, r0+e, z)
+		})
+		if block != nil {
+			block(r0, r1, buf.Data[:(r1-r0)*c])
+		}
+	}
+	tensor.Put(buf)
+}
+
 // LinearSoftmaxCrossEntropy computes the mean cross-entropy of the logits
 // x·W + b [N, C] against integer labels as one scalar node — a language
-// model's loss head, where [N·T, vocab] logits are the largest tensors of
-// the step. One pooled buffer is all it holds: the matmul writes the logits
-// into it, the softmax turns them into probabilities in place, the backward
-// turns those into dlogits = scale·(probs − onehot) in place and runs the
-// Linear backward straight off it. Value and all three gradients are bit
-// for bit those of SoftmaxCrossEntropy(AddRowBias(MatMul(x, w), b), labels),
-// which keeps five such buffers alive; the logits themselves are never
-// available, so callers that score predictions keep the unfused head.
+// model's loss head, where [N·T, vocab] logits would be the largest tensors
+// of the step. It holds none of them: the forward walks eachHeadBlock's
+// row blocks, each block's softmax and −log p of its labels continuing one
+// float64 sum in row order, and the backward walks the same blocks again,
+// recomputing each block's logits and softmax (one more GEMM), turning them
+// into dlogits = scale·(probs − onehot) in place and taking the bias column
+// sums, the block's dX rows and its dW = Xᵀ·dZ term from there. Blocks are
+// whole groups of four rows, so dW's K-blocked chain, like every other
+// float32 chain, is the unblocked one: value and all three gradients are
+// bit for bit those of SoftmaxCrossEntropy(AddRowBias(MatMul(x, w), b),
+// labels) for any upstream gradient.
 func LinearSoftmaxCrossEntropy(x, w, b *Node, labels []int) *Node {
 	n, c := linearDims("LinearSoftmaxCrossEntropy", x, w, b)
 	checkLabels(labels, n, c)
-	buf := tensor.Get(n, c) // registered as node scratch below
-	tensor.MatMulInto(buf, x.Val, w.Val)
-	tensor.AddRowBiasInto(buf.Data, buf.Data, b.Val.Data, n, c, tensor.ActNone, tensor.ActScratch{})
-	loss := tensor.SoftmaxXentFwdInto(buf.Data, buf.Data, labels, n, c)
+	var loss float64
+	eachHeadBlock(x, w, b, func(r0, r1 int, z []float32) {
+		tensor.SoftmaxRowsInto(z, z, r1-r0, c)
+	}, func(r0, r1 int, z []float32) {
+		loss = tensor.XentLoss(loss, z, labels[r0:r1], r1-r0, c)
+	})
 	val := tensor.FromSlice([]float32{float32(loss / float64(n))}, 1)
 	out := newNode(val, []*Node{x, w, b}, nil)
-	out.scratch = []*tensor.Tensor{buf}
 	out.backward = func() {
-		tensor.SoftmaxXentBwdInPlace(buf.Data, labels, n, c, out.Grad.Data[0]/float32(n))
-		linearEpilogueBackward(x, w, b, buf)
+		scale := out.Grad.Data[0] / float32(n)
+		in := x.Val.Dim(1)
+		var dx *tensor.Tensor
+		if x.requiresGrad {
+			dx = tensor.Get(n, in)
+		}
+		eachHeadBlock(x, w, b, func(r0, r1 int, z []float32) {
+			rows := r1 - r0
+			tensor.SoftmaxRowsInto(z, z, rows, c)
+			tensor.SoftmaxXentBwdInPlace(z, labels[r0:r1], rows, c, scale)
+			if dx != nil { // dX = dZ·Wᵀ, row for row
+				tensor.MatMulBTRawInto(dx.Data[r0*in:r1*in], z, w.Val.Data, rows, c, in)
+			}
+		}, func(r0, r1 int, z []float32) {
+			rows := r1 - r0
+			if b.requiresGrad {
+				tensor.ColSumAddInto(b.ensureGrad().Data, z, rows, c)
+			}
+			if w.requiresGrad { // dW += Xᵀ·dZ, in the gradient itself
+				tensor.MatMulATAccRawInto(w.ensureGrad().Data, x.Val.Data[r0*in:r1*in], z, in, rows, c)
+			}
+		})
+		if dx != nil {
+			x.accumulateOwned(dx)
+		}
 	}
 	return out
+}
+
+// LinearArgmaxRows returns, for each row of the logits x·W + b, the column
+// of its largest element — tensor.ArgmaxRows of Linear(x, w, b, ActNone),
+// which a model's scoring pass would build — walking eachHeadBlock's row
+// blocks, so no [N, C] buffer exists. It builds no node.
+func LinearArgmaxRows(x, w, b *Node) []int {
+	n, c := linearDims("LinearArgmaxRows", x, w, b)
+	pred := make([]int, n)
+	eachHeadBlock(x, w, b, func(r0, r1 int, z []float32) {
+		copy(pred[r0:r1], tensor.ArgmaxRows(tensor.FromSlice(z, r1-r0, c)))
+	}, nil)
+	return pred
 }

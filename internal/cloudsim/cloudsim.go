@@ -295,9 +295,9 @@ type split struct {
 	// TrainLoop reports when perToken is set.
 	loss     func(idx []int) (total, orig *autodiff.Node, count int)
 	perToken bool
-	// score pairs the original sub-network's logit rows for one batch
+	// score pairs the original sub-network's predictions for one batch
 	// with their labels.
-	score func(idx []int) (logits *autodiff.Node, labels []int)
+	score func(idx []int) (pred, labels []int)
 }
 
 // BuildModel instantiates the spec. Exposed so local runs, the TCP server,
@@ -376,9 +376,9 @@ func bindCV(model Trainable, spec ModelSpec, p payload, what string) (*split, er
 			total, orig := lossFn(autodiff.Constant(x), labels)
 			return total, orig, len(labels)
 		},
-		score: func(idx []int) (*autodiff.Node, []int) {
+		score: func(idx []int) ([]int, []int) {
 			x, labels := ds.Batch(idx)
-			return fw.Forward(autodiff.Constant(x)), labels
+			return Predictions(fw.Forward(autodiff.Constant(x))), labels
 		},
 	}, nil
 }
@@ -446,9 +446,9 @@ func bindText(model Trainable, spec ModelSpec, p payload, what string) (*split, 
 			total, orig := am.Loss(ids, labels)
 			return total, orig, len(labels)
 		},
-		score: func(idx []int) (*autodiff.Node, []int) {
+		score: func(idx []int) ([]int, []int) {
 			ids, labels := ds.Batch(idx)
-			return am.ForwardIDs(ids), labels
+			return Predictions(am.ForwardIDs(ids)), labels
 		},
 	}, nil
 }
@@ -515,10 +515,13 @@ func bindLM(model Trainable, spec ModelSpec, p payload, what string) (*split, er
 	}, nil
 }
 
-// lmScore pairs the original sub-network's next-token logits over a batch
-// of augmented windows with the windows' own shifted tokens.
-func lmScore(am *core.AugmentedTransformerLM, ws *data.WindowSet) func(idx []int) (*autodiff.Node, []int) {
-	return func(idx []int) (*autodiff.Node, []int) {
+// lmScore pairs the original sub-network's next-token predictions over a
+// batch of augmented windows with the windows' own shifted tokens. It runs
+// the original's Features, then its decoder in the loss head's row blocks
+// (autodiff.LinearArgmaxRows), so the [N·T, vocab] logits of ForwardIDs
+// never exist: the predictions are theirs, row for row.
+func lmScore(am *core.AugmentedTransformerLM, ws *data.WindowSet) func(idx []int) (pred, labels []int) {
+	return func(idx []int) ([]int, []int) {
 		gathered := am.OrigGather.Apply(ws.Batch(idx))
 		inputs := make([][]int, len(gathered))
 		targets := make([][]int, len(gathered))
@@ -526,7 +529,10 @@ func lmScore(am *core.AugmentedTransformerLM, ws *data.WindowSet) func(idx []int
 			inputs[i] = w[:len(w)-1]
 			targets[i] = w[1:]
 		}
-		return am.Orig.ForwardIDs(inputs), models.FlattenTargets(targets)
+		h, dec := am.Orig.Features(inputs), am.Orig.Decoder
+		pred := autodiff.LinearArgmaxRows(h, dec.W, dec.B)
+		autodiff.Release(h)
+		return pred, models.FlattenTargets(targets)
 	}
 }
 
@@ -556,12 +562,13 @@ func bindRequest(model Trainable, req *TrainRequest) (train, eval *split, err er
 // Accuracy is the eval loop behind every accuracy figure the repo's jobs
 // report (TrainLoop, LMAccuracy, and the public Predict/PredictText):
 // it puts m in eval mode (restoring the prior mode afterwards), walks n
-// samples in order in batches (batch <= 0 means 1), scores the argmax of
-// each logits row score returns against its label, and releases every
-// forward graph back to the tensor pool. No labels scored — an empty
-// dataset — is 0, not NaN.
+// samples in order in batches (batch <= 0 means 1) and scores each
+// prediction score returns against its label. score owns its forward
+// graph: the classifiers argmax their logits and release it
+// (Predictions), the LM never builds its logits (lmScore). No labels
+// scored — an empty dataset — is 0, not NaN.
 func Accuracy(m interface{ SetTraining(bool) }, n, batch int,
-	score func(idx []int) (logits *autodiff.Node, labels []int)) float64 {
+	score func(idx []int) (pred, labels []int)) float64 {
 
 	if batch <= 0 {
 		batch = 1
@@ -571,9 +578,7 @@ func Accuracy(m interface{ SetTraining(bool) }, n, batch int,
 	defer m.SetTraining(prev)
 	correct, total := 0, 0
 	for _, idx := range data.BatchIter(n, batch, nil) {
-		logits, labels := score(idx)
-		pred := tensor.ArgmaxRows(logits.Val)
-		autodiff.Release(logits)
+		pred, labels := score(idx)
 		for i, p := range pred {
 			if p == labels[i] {
 				correct++
@@ -585,6 +590,15 @@ func Accuracy(m interface{ SetTraining(bool) }, n, batch int,
 		return 0
 	}
 	return float64(correct) / float64(total)
+}
+
+// Predictions returns the argmax of each row of logits and releases the
+// graph under it back to the tensor pool: a classifier's score for
+// Accuracy.
+func Predictions(logits *autodiff.Node) []int {
+	pred := tensor.ArgmaxRows(logits.Val)
+	autodiff.Release(logits)
+	return pred
 }
 
 // RunLocal executes a job in-process — the "deployed locally on user

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"amalgam/internal/autodiff"
@@ -11,13 +13,19 @@ import (
 )
 
 // lmHeadFixture builds an augmented LM at a small geometry plus one batch
-// of augmented windows. At batch 4, window 12 and vocab 512 the [N·T,
-// vocab] logits (44·512 floats) are the only buffers of the step in their
-// pool size bucket: the next largest, the [vocab, D] tables, are a quarter
-// of it.
+// of augmented windows: batch 4, window 12, vocab 512.
 func lmHeadFixture(t *testing.T, amount float64) (am *AugmentedTransformerLM, batch [][]int, logitNumel int) {
+	return lmHeadFixtureAt(t, amount, 512)
+}
+
+// lmHeadFixtureAt is lmHeadFixture over a vocab-word vocabulary. At vocab
+// 16384 the [N·T, vocab] logits (44·16384 floats, a 2²⁰ pool bucket) span
+// three of the loss head's 16-row blocks (2¹⁸ floats each), and nothing
+// else of the step lives in their bucket: the next largest buffers, the
+// [vocab, D] tables, fill the blocks' own.
+func lmHeadFixtureAt(t *testing.T, amount float64, vocab int) (am *AugmentedTransformerLM, batch [][]int, logitNumel int) {
 	t.Helper()
-	const vocab, window, batchN = 512, 12, 4
+	const window, batchN = 12, 4
 	stream := data.GenerateTokenStream(data.TextConfig{Name: "lmhead", Tokens: window * batchN, Vocab: vocab, Seed: 3})
 	aug, err := AugmentTokenStream(stream, TextAugmentOptions{Amount: amount, WindowLen: window, Noise: DefaultTextNoise(vocab), Seed: 8})
 	if err != nil {
@@ -96,20 +104,32 @@ func TestLossWindowsMatchesUnfusedHead(t *testing.T) {
 
 // TestLossWindowsLogitFootprint is the allocation pin for the LM step, the
 // counterpart of autodiff's TestSoftmaxStepAllocs one level up: on a warmed
-// pool a LossWindows → Backward → Release step misses the pool nowhere and
-// asks for a logit-sized buffer at most once per sub-network. The unfused
-// head asked five times (matmul value, bias-add value, probabilities, and
-// a gradient for each of the two values), which is what the lm_local
-// peak_rss_mb measures at full size.
+// pool a LossWindows → Backward → Release step misses the pool nowhere and,
+// on a geometry whose logits span several of the loss head's row blocks,
+// never asks for a logit-sized buffer. The head forms its logits a block at
+// a time, forward and again in backward; a head that kept them whole (one
+// logit-sized buffer per sub-network, or five when it was unfused) is what
+// the lm_local peak_rss_mb measures at full size.
 func TestLossWindowsLogitFootprint(t *testing.T) {
 	for _, amount := range []float64{0, 0.5} {
-		am, batch, logitNumel := lmHeadFixture(t, amount)
+		am, batch, logitNumel := lmHeadFixtureAt(t, amount, 16384)
+		if logitNumel < 2<<18 {
+			t.Fatalf("%d logits fit in fewer than two of the head's 2¹⁸-float blocks", logitNumel)
+		}
 		step := func() {
 			nn.ZeroGrads(am)
 			total, _ := am.LossWindows(batch)
 			autodiff.Backward(total)
 			autodiff.Release(total)
 		}
+		// One P, one worker and the collector off from the warm-up on, as in
+		// autodiff's coldBucketMisses: a buffer put back from one P's private
+		// slot is invisible to a Get on another, sub-networks interleaved by
+		// preemption may hold more buffers at once than in the warm-up, and
+		// a cycle empties the pool — misses none of which is the step's.
+		procs, workers := runtime.GOMAXPROCS(1), tensor.SetMaxWorkers(1)
+		runtime.GC()
+		gcPercent := debug.SetGCPercent(-1)
 		step() // parameter gradients come to life
 		step() // the pool is warm
 		_, miss0 := tensor.PoolStats()
@@ -117,9 +137,11 @@ func TestLossWindowsLogitFootprint(t *testing.T) {
 		step()
 		h1, m1 := tensor.PoolBucketStats(logitNumel)
 		_, miss1 := tensor.PoolStats()
-		subNets := 1 + len(am.Decoys)
-		if gets := int((h1 - h0) + (m1 - m0)); gets > subNets {
-			t.Errorf("amount %v: %d logit-sized Gets in one step for %d sub-networks, want at most one each", amount, gets, subNets)
+		debug.SetGCPercent(gcPercent)
+		runtime.GOMAXPROCS(procs)
+		tensor.SetMaxWorkers(workers)
+		if gets := (h1 - h0) + (m1 - m0); gets != 0 {
+			t.Errorf("amount %v: %d logit-sized Gets in one step, want none", amount, gets)
 		}
 		if miss1 != miss0 && !raceEnabled {
 			t.Errorf("amount %v: a warmed step missed the pool %d times", amount, miss1-miss0)

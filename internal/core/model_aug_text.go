@@ -185,8 +185,10 @@ func (m *AugmentedTransformerLM) ForwardIDs(windows [][]int) *autodiff.Node {
 
 // lmWindowLoss slices windows into (input, shifted-target) pairs and
 // returns the mean next-token cross-entropy of head over features(inputs)
-// [N*T, D]. The projection and the loss are one fused node, so each
-// sub-network holds a single [N*T, vocab] buffer for the whole step.
+// [N*T, D]. The projection and the loss are one fused node that forms the
+// [N*T, vocab] logits a row block at a time, in forward and again in
+// backward, so no sub-network holds a logit-sized buffer at any point of
+// the step.
 func lmWindowLoss(features func([][]int) *autodiff.Node, head *nn.Linear, windows [][]int) *autodiff.Node {
 	inputs := make([][]int, len(windows))
 	targets := make([][]int, len(windows))

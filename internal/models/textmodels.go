@@ -127,9 +127,10 @@ func (m *TransformerLM) ForwardIDs(ids [][]int) *autodiff.Node {
 }
 
 // Features maps token batches [N][T] to the [N*T, D] activations the
-// decoder projects: ForwardIDs without its last step. Training losses take
-// these plus Decoder, so the [N*T, Vocab] logits exist only inside the fused
-// loss head.
+// decoder projects: ForwardIDs without its last step. Training losses
+// (autodiff.LinearSoftmaxCrossEntropy) and the accuracy pass
+// (autodiff.LinearArgmaxRows) take these plus Decoder and form the
+// [N*T, Vocab] logits a row block at a time, so they never exist whole.
 func (m *TransformerLM) Features(ids [][]int) *autodiff.Node {
 	return m.encode(m.EmbedIDs(ids))
 }

@@ -445,11 +445,18 @@ func softmaxBwdRange(dx, y, dy []float32, cols, r0, r1 int) {
 // SoftmaxXentFwdInto writes row-softmax probabilities of logits [rows,
 // cols] into probs and returns Σ_rows -log(probs[r, labels[r]]) (the
 // un-averaged cross-entropy). The probability pass runs rows in parallel;
-// the loss reduction is a separate sequential pass so its accumulation
-// order never depends on the worker count. Labels must be in [0, cols).
+// the loss reduction is a separate sequential pass (XentLoss) so its
+// accumulation order never depends on the worker count. Labels must be in
+// [0, cols).
 func SoftmaxXentFwdInto(probs, logits []float32, labels []int, rows, cols int) float64 {
 	SoftmaxRowsInto(probs, logits, rows, cols)
-	var loss float64
+	return XentLoss(0, probs, labels, rows, cols)
+}
+
+// XentLoss returns loss − Σ_rows log(probs[r, labels[r]]) for probabilities
+// [rows, cols], one row after another: the running sum loss continued, so a
+// caller walking row blocks in order gets the whole matrix's one chain.
+func XentLoss(loss float64, probs []float32, labels []int, rows, cols int) float64 {
 	for r := 0; r < rows; r++ {
 		p := float64(probs[r*cols+labels[r]])
 		if p < 1e-30 {

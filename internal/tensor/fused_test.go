@@ -293,6 +293,12 @@ func TestSoftmaxXentKernels(t *testing.T) {
 		t.Fatalf("fused xent loss %v, want %v", loss, refLoss)
 	}
 
+	// XentLoss over row blocks continuing the running sum (4 + 2 rows)
+	// gives the whole matrix's loss, bit for bit.
+	if part := XentLoss(XentLoss(0, probs, labels, 4, cols), probs[4*cols:], labels[4:], rows-4, cols); part != loss {
+		t.Fatalf("xent loss over two row blocks %v, want %v", part, loss)
+	}
+
 	// Uniform logits: loss = rows · ln cols.
 	zero := make([]float32, rows*cols)
 	if l := SoftmaxXentFwdInto(probs, zero, labels, rows, cols); math.Abs(l-float64(rows)*math.Log(cols)) > 1e-4 {

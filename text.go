@@ -156,8 +156,8 @@ type TextPredictor interface {
 // text counterpart of Predict, with the same eval-mode and empty-dataset
 // behaviour.
 func PredictText(m TextPredictor, ds *TextDataset, batch int) float64 {
-	return cloudsim.Accuracy(m, ds.N(), batch, func(idx []int) (*autodiff.Node, []int) {
+	return cloudsim.Accuracy(m, ds.N(), batch, func(idx []int) ([]int, []int) {
 		ids, labels := ds.Batch(idx)
-		return m.ForwardIDs(ids), labels
+		return cloudsim.Predictions(m.ForwardIDs(ids)), labels
 	})
 }
