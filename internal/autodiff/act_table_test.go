@@ -15,12 +15,12 @@ import (
 // constant allocation count per step (TestActivationStepAllocs).
 
 var (
-	allActs    = []tensor.Act{tensor.ActNone, tensor.ActReLU, tensor.ActReLU6, tensor.ActTanh, tensor.ActSigmoid, tensor.ActGELU}
+	allActs    = []tensor.Act{tensor.ActNone, tensor.ActReLU, tensor.ActReLU6, tensor.ActTanh, tensor.ActSigmoid}
 	clampActs  = []tensor.Act{tensor.ActReLU, tensor.ActReLU6}
-	smoothActs = []tensor.Act{tensor.ActTanh, tensor.ActSigmoid, tensor.ActGELU}
+	smoothActs = []tensor.Act{tensor.ActTanh, tensor.ActSigmoid}
 	actNames   = map[tensor.Act]string{
 		tensor.ActNone: "None", tensor.ActReLU: "ReLU", tensor.ActReLU6: "ReLU6",
-		tensor.ActTanh: "Tanh", tensor.ActSigmoid: "Sigmoid", tensor.ActGELU: "GELU",
+		tensor.ActTanh: "Tanh", tensor.ActSigmoid: "Sigmoid",
 	}
 )
 

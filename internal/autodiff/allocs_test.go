@@ -110,7 +110,7 @@ func TestSoftmaxStepAllocs(t *testing.T) {
 			qN.ZeroGrad()
 			kN.ZeroGrad()
 			vN.ZeroGrad()
-			loss := Mean(Attention(qN, kN, vN, 4, true))
+			loss := Mean(Attention(qN, kN, vN, 4))
 			Backward(loss)
 			Release(loss)
 		})

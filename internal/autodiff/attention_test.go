@@ -98,20 +98,18 @@ func softmaxLastDim(a *Node) *Node {
 
 // refAttention is Attention as the chain of the ops above, the causal mask a
 // [1, T, T] constant that every head's scores broadcast against.
-func refAttention(q, k, v *Node, heads int, causal bool) *Node {
+func refAttention(q, k, v *Node, heads int) *Node {
 	n, t, d := q.Val.Dim(0), q.Val.Dim(1), q.Val.Dim(2)
 	qs, ks, vs := splitHeads(q, heads), splitHeads(k, heads), splitHeads(v, heads)
 	scores := batchedMatMul(qs, transpose12(ks)) // [N*H, T, T]
 	scores = Scale(scores, float32(1/math.Sqrt(float64(d/heads))))
-	if causal {
-		mask := tensor.New(1, t, t)
-		for i := range t {
-			for j := i + 1; j < t; j++ {
-				mask.Data[i*t+j] = -1e9
-			}
+	mask := tensor.New(1, t, t)
+	for i := range t {
+		for j := i + 1; j < t; j++ {
+			mask.Data[i*t+j] = -1e9
 		}
-		scores = Add(scores, Constant(mask))
 	}
+	scores = Add(scores, Constant(mask))
 	attn := Reshape(softmaxLastDim(Reshape(scores, n*heads*t, t)), n*heads, t, t)
 	return mergeHeads(batchedMatMul(attn, vs), heads)
 }
@@ -122,7 +120,7 @@ func refAttention(q, k, v *Node, heads int, causal bool) *Node {
 // returns the value, then the three gradients (nil for a constant). The
 // root hands dy over by accumulate, whose first contribution is a copy that
 // keeps a −0, as a consumer passing its own gradient through does.
-func attentionRun(op func(q, k, v *Node, heads int, causal bool) *Node, vals []*tensor.Tensor, dy *tensor.Tensor, heads int, causal bool, grads string) []*tensor.Tensor {
+func attentionRun(op func(q, k, v *Node, heads int) *Node, vals []*tensor.Tensor, dy *tensor.Tensor, heads int, grads string) []*tensor.Tensor {
 	nodes := make([]*Node, 3)
 	for i, v := range vals {
 		nodes[i] = Constant(v)
@@ -130,7 +128,7 @@ func attentionRun(op func(q, k, v *Node, heads int, causal bool) *Node, vals []*
 			nodes[i] = Leaf(v)
 		}
 	}
-	out := op(nodes[0], nodes[1], nodes[2], heads, causal)
+	out := op(nodes[0], nodes[1], nodes[2], heads)
 	res := []*tensor.Tensor{out.Val.Clone()}
 	root := newNode(tensor.New(1), []*Node{out}, nil)
 	root.backward = func() { out.accumulate(dy) }
@@ -151,7 +149,7 @@ func attentionRun(op func(q, k, v *Node, heads int, causal bool) *Node, vals []*
 // TestAttentionMatchesComposition is Attention's referee: its value and the
 // gradients of q, k and v are the per-head chain's bit for bit, at 1, 2, 3
 // and 8 workers with SIMD dispatch off and on, over sequence lengths, head
-// counts and widths that leave GEMM tails and odd rows, causal or not, with
+// counts and widths that leave GEMM tails and odd rows, with
 // each of q, k and v taking a gradient or not (each shape takes the eight
 // combinations in turn across the worker counts), under an upstream
 // gradient with −0 entries. Blocks run side by side, so CI runs it under
@@ -164,31 +162,29 @@ func TestAttentionMatchesComposition(t *testing.T) {
 			for _, tl := range []int{1, 7, 23, 63} {
 				for _, heads := range []int{1, 2, 4} {
 					for _, hd := range []int{3, 8, 32} {
-						for _, causal := range []bool{false, true} {
-							mask := (c + wi) % 8
-							c++
-							grads := []byte("---")
-							for i := range grads {
-								if mask>>i&1 == 1 {
-									grads[i] = "qkv"[i]
-								}
+						mask := (c + wi) % 8
+						c++
+						grads := []byte("---")
+						for i := range grads {
+							if mask>>i&1 == 1 {
+								grads[i] = "qkv"[i]
 							}
-							name := fmt.Sprintf("simd=%v/workers=%d/T=%d/heads=%d/hd=%d/causal=%v/grads=%s", simd, workers, tl, heads, hd, causal, grads)
-							rng := tensor.NewRNG(uint64(1000 + c))
-							vals := make([]*tensor.Tensor, 4)
-							for i := range vals {
-								vals[i] = tensor.New(2, tl, heads*hd)
-								rng.FillNormal(vals[i], 0, 1)
-							}
-							for i := 0; i < vals[3].Numel(); i += 3 {
-								vals[3].Data[i] = float32(math.Copysign(0, -1))
-							}
-							got := attentionRun(Attention, vals[:3], vals[3], heads, causal, string(grads))
-							want := attentionRun(refAttention, vals[:3], vals[3], heads, causal, string(grads))
-							for i := range want {
-								if (got[i] == nil) != (want[i] == nil) || want[i] != nil && !sameBits(got[i], want[i]) {
-									t.Fatalf("%s: result %d (0 the value, then q, k, v's gradients) differs from the per-head chain's", name, i)
-								}
+						}
+						name := fmt.Sprintf("simd=%v/workers=%d/T=%d/heads=%d/hd=%d/grads=%s", simd, workers, tl, heads, hd, grads)
+						rng := tensor.NewRNG(uint64(1000 + c))
+						vals := make([]*tensor.Tensor, 4)
+						for i := range vals {
+							vals[i] = tensor.New(2, tl, heads*hd)
+							rng.FillNormal(vals[i], 0, 1)
+						}
+						for i := 0; i < vals[3].Numel(); i += 3 {
+							vals[3].Data[i] = float32(math.Copysign(0, -1))
+						}
+						got := attentionRun(Attention, vals[:3], vals[3], heads, string(grads))
+						want := attentionRun(refAttention, vals[:3], vals[3], heads, string(grads))
+						for i := range want {
+							if (got[i] == nil) != (want[i] == nil) || want[i] != nil && !sameBits(got[i], want[i]) {
+								t.Fatalf("%s: result %d (0 the value, then q, k, v's gradients) differs from the per-head chain's", name, i)
 							}
 						}
 					}
@@ -208,7 +204,7 @@ func TestAttentionKeepsOnlyP(t *testing.T) {
 		if train {
 			q = Leaf(x)
 		}
-		out := Attention(q, Constant(x), Constant(x), 2, true)
+		out := Attention(q, Constant(x), Constant(x), 2)
 		switch {
 		case train && (len(out.scratch) != 1 || out.scratch[0].Numel() != 2*2*5*5):
 			t.Fatalf("a training forward keeps %d scratch buffers, want P alone, [N·heads, T, T]", len(out.scratch))

@@ -122,7 +122,7 @@ func BenchmarkAttentionStep(b *testing.B) {
 		for _, n := range qkv {
 			n.ZeroGrad()
 		}
-		loss := Mean(Attention(qkv[0], qkv[1], qkv[2], 4, true))
+		loss := Mean(Attention(qkv[0], qkv[1], qkv[2], 4))
 		Backward(loss)
 		Release(loss)
 	}
@@ -282,29 +282,6 @@ func BenchmarkActStep(b *testing.B) {
 				Release(loss)
 			}
 		})
-	}
-}
-
-// BenchmarkGELUFFStep measures a GELU transformer feed-forward half-block
-// ([N*T, D]·[D, FF] + bias + GELU, forward+backward) as one fused node.
-func BenchmarkGELUFFStep(b *testing.B) {
-	rng := tensor.NewRNG(16)
-	x := tensor.New(256, 200)
-	w := tensor.New(200, 200)
-	bias := tensor.New(200)
-	rng.FillNormal(x, 0, 1)
-	rng.FillNormal(w, 0, 0.05)
-	rng.FillNormal(bias, 0, 0.05)
-	xN, wN, bN := Leaf(x), Leaf(w), Leaf(bias)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		xN.ZeroGrad()
-		wN.ZeroGrad()
-		bN.ZeroGrad()
-		loss := Mean(Linear(xN, wN, bN, tensor.ActGELU))
-		Backward(loss)
-		Release(loss)
 	}
 }
 

@@ -82,7 +82,6 @@ func TestGradActivations(t *testing.T) {
 		"relu6":   tensor.ActReLU6,
 		"sigmoid": tensor.ActSigmoid,
 		"tanh":    tensor.ActTanh,
-		"gelu":    tensor.ActGELU,
 	}
 	// Several shapes, deliberately including sizes that are not multiples
 	// of the 8-wide SIMD width so the fused kernels' scalar tails get
@@ -345,23 +344,21 @@ func TestGradConcat(t *testing.T) {
 
 // TestGradAttention checks Attention's gradients against central
 // differences: every operand, one head or several (each its own columns of
-// the projections), causal or not, and each operand alone taking a
-// gradient.
+// the projections), and each operand alone taking a gradient.
 func TestGradAttention(t *testing.T) {
 	for i, tc := range []struct {
 		name        string
 		n, t, heads int
 		hd          int
-		causal      bool
 		grads       string // which of q, k, v are leaves
 	}{
-		{"q-k-v", 2, 3, 1, 4, false, "qkv"},
-		{"causal", 1, 5, 1, 3, true, "qkv"},
-		{"heads=2", 2, 3, 2, 2, false, "qkv"},
-		{"heads=4/causal", 1, 4, 4, 2, true, "qkv"},
-		{"q-only", 1, 4, 2, 3, true, "q--"},
-		{"k-only", 1, 4, 2, 3, false, "-k-"},
-		{"v-only", 2, 3, 2, 2, true, "--v"},
+		{"q-k-v", 2, 3, 1, 4, "qkv"},
+		{"causal", 1, 5, 1, 3, "qkv"},
+		{"heads=2", 2, 3, 2, 2, "qkv"},
+		{"heads=4/causal", 1, 4, 4, 2, "qkv"},
+		{"q-only", 1, 4, 2, 3, "q--"},
+		{"k-only", 1, 4, 2, 3, "-k-"},
+		{"v-only", 2, 3, 2, 2, "--v"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := tensor.NewRNG(uint64(13 + i))
@@ -377,7 +374,7 @@ func TestGradAttention(t *testing.T) {
 			}
 			target := tensor.New(tc.n, tc.t, tc.heads*tc.hd)
 			rng.FillNormal(target, 0, 0.5)
-			loss := func() *Node { return MSE(Attention(nodes[0], nodes[1], nodes[2], tc.heads, tc.causal), target) }
+			loss := func() *Node { return MSE(Attention(nodes[0], nodes[1], nodes[2], tc.heads), target) }
 			gradCheck(t, params, loss, 3e-2)
 		})
 	}

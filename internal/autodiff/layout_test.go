@@ -71,9 +71,10 @@ func transposeCase(name string, bt, m, n int, kinds string) layoutCase {
 // e_j and head h's Q row i e_pick(h,i), so each row of P is one-hot and the
 // value is V's row pick(h, i) in head h's columns. That pins where the head
 // split, K's transpose and the merge put every element; q and k get a zero
-// gradient. A v whose gradient starts non-zero needs pick to be a
-// permutation, so that no two rows' gradients sum before they reach it.
-func attentionCase(name string, n, t, heads, hd int, causal bool, pick func(h, i int) int, kinds string) layoutCase {
+// gradient. The mask hides every later row, so pick(h, i) ≤ i. A v whose
+// gradient starts non-zero needs pick to be a permutation, so that no two
+// rows' gradients sum before they reach it.
+func attentionCase(name string, n, t, heads, hd int, pick func(h, i int) int, kinds string) layoutCase {
 	d := heads * hd
 	shape := []int{n, t, d}
 	return layoutCase{name, [][]int{shape, shape, shape}, kinds,
@@ -88,7 +89,7 @@ func attentionCase(name string, n, t, heads, hd int, causal bool, pick func(h, i
 					k.Data[r*d+h*hd+r%t] = l
 				}
 			}
-			return Attention(p[0], p[1], p[2], heads, causal)
+			return Attention(p[0], p[1], p[2], heads)
 		},
 		func(emit func(p, j int)) {
 			for b := 0; b < n; b++ {
@@ -138,9 +139,9 @@ var layoutCases = []layoutCase{
 	transposeCase("Transpose12", 2, 3, 5, "l"),
 	transposeCase("Transpose12/T=1", 3, 1, 4, "d"),
 	transposeCase("Transpose12/one-column", 2, 4, 1, "d"),
-	attentionCase("Attention/one-hot", 2, 3, 2, 4, false, func(h, i int) int { return (i + h) % 3 }, "lld"),
-	attentionCase("Attention/one-hot/causal", 1, 4, 3, 4, true, func(h, i int) int { return max(i-h, 0) }, "dcl"),
-	attentionCase("Attention/T=1", 3, 1, 2, 2, true, func(h, i int) int { return 0 }, "cdd"),
+	attentionCase("Attention/one-hot", 2, 3, 2, 4, func(h, i int) int { return i >> h }, "ldl"),
+	attentionCase("Attention/one-hot/causal", 1, 4, 3, 4, func(h, i int) int { return max(i-h, 0) }, "dcl"),
+	attentionCase("Attention/T=1", 3, 1, 2, 2, func(h, i int) int { return 0 }, "cdd"),
 	concatCase("ConcatFeatures/one-parent", [][]int{{3, 4}}, "d"),
 	concatCase("ConcatFeatures", [][]int{{3, 2}, {3, 5}, {3, 1}}, "lcd"),
 	concatCase("ConcatChannels/one-parent", [][]int{{2, 3, 2, 2}}, "l"),

@@ -245,7 +245,7 @@ func TestStepBackwardReturnsValues(t *testing.T) {
 		block := BatchNorm2d(Conv2d(c, w2, nil, 1, 1, tensor.ActNone), gamma, beta, tensor.New(2), tensor.Ones(2), 0.1, 1e-5, true, tensor.ActReLU, c)
 		view := Flatten(block)
 		h := Reshape(Linear(view, wl, bl, tensor.ActNone), 1, 4, 8)
-		loss := MSE(softmaxLastDim(Reshape(Attention(h, h, h, 2, true), 4, 8)), dy)
+		loss := MSE(softmaxLastDim(Reshape(Attention(h, h, h, 2), 4, 8)), dy)
 		decoy := Mean(Linear(Detach(view), wd, bd, tensor.ActTanh))
 		return graph{AddN(loss, decoy), loss, block, view}
 	}

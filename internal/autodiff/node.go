@@ -48,9 +48,8 @@
 // tensor.Act's: the op applies it in place over its own output, and its
 // backward first rewrites the node's own gradient in place into the
 // gradient of the pre-activation — from the output alone, so neither a mask
-// nor the pre-activation is kept, except for ActGELU, whose pre-activation
-// and inner tanh the node holds as scratch (actScratch) — and only then
-// computes the operand gradients from it. Nothing above tensor branches on
+// nor the pre-activation is kept — and only then computes the operand
+// gradients from it. Nothing above tensor branches on
 // which activation it is.
 //
 // A residual add is an epilogue too: BatchNorm2d(…, act, r) is act(norm(x)
@@ -94,10 +93,10 @@ type Node struct {
 	// pool (and is not shared with any view), so Release may recycle it.
 	ownsVal bool
 	// scratch holds pooled buffers the op retained for its backward pass
-	// (normalisation statistics, softmax probabilities, dropout masks, an
-	// activation's tensor.ActScratch). Backward returns them right after the
-	// closure has run; Release returns whatever is left, which covers
-	// eval-mode graphs where backward never runs.
+	// (normalisation statistics, softmax probabilities, dropout masks).
+	// Backward returns them right after the closure has run; Release returns
+	// whatever is left, which covers eval-mode graphs where backward never
+	// runs.
 	scratch []*tensor.Tensor
 	// step is a leaf's LeafStep for the Backward walking it, nil otherwise.
 	step LeafStep

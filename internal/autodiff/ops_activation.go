@@ -14,27 +14,13 @@ import (
 func Activate(a *Node, act tensor.Act) *Node {
 	val := tensor.Get(a.Val.Shape()...)
 	val.CopyFrom(a.Val)
-	keep, scratch := actScratch(act, val)
-	act.Apply(val.Data, keep)
+	act.Apply(val.Data)
 	out := newPooledNode(val, []*Node{a}, nil)
-	out.scratch = scratch
 	out.backward = func() {
-		act.Grad(out.Grad.Data, val.Data, keep)
+		act.Grad(out.Grad.Data, val.Data)
 		out.handGrad(a)
 	}
 	return out
-}
-
-// actScratch allocates what act's Apply over val retains for its Grad —
-// nothing when the derivative is a function of the output alone, GELU's
-// pre-activation and inner tanh otherwise — as pooled buffers the caller
-// registers as node scratch.
-func actScratch(act tensor.Act, val *tensor.Tensor) (tensor.ActScratch, []*tensor.Tensor) {
-	if !act.NeedsScratch() {
-		return tensor.ActScratch{}, nil
-	}
-	pre, t := tensor.Get(val.Shape()...), tensor.Get(val.Shape()...)
-	return tensor.ActScratch{Pre: pre.Data, T: t.Data}, []*tensor.Tensor{pre, t}
 }
 
 // Dropout zeroes elements with probability p and scales survivors by

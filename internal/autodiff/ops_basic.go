@@ -167,12 +167,10 @@ func AddRowBias(x, bias *Node, act tensor.Act) *Node {
 		panic(fmt.Sprintf("autodiff: AddRowBias dims %v + %v", x.Val.Shape(), bias.Val.Shape()))
 	}
 	val := tensor.Get(x.Val.Shape()...)
-	keep, scratch := actScratch(act, val)
-	tensor.AddRowBiasInto(val.Data, x.Val.Data, bias.Val.Data, n, d, act, keep)
+	tensor.AddRowBiasInto(val.Data, x.Val.Data, bias.Val.Data, n, d, act)
 	out := newPooledNode(val, []*Node{x, bias}, nil)
-	out.scratch = scratch
 	out.backward = func() {
-		act.Grad(out.Grad.Data, val.Data, keep)
+		act.Grad(out.Grad.Data, val.Data)
 		if bias.requiresGrad {
 			tensor.ColSumAddInto(bias.ensureGrad().Data, out.Grad.Data, n, d)
 		}

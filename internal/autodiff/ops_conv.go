@@ -18,12 +18,10 @@ func AddChanBias(x, bias *Node, act tensor.Act) *Node {
 	}
 	n, c, hw := sh[0], sh[1], sh[2]*sh[3]
 	val := tensor.Get(sh...)
-	keep, scratch := actScratch(act, val)
-	tensor.AddChanBiasInto(val.Data, x.Val.Data, bias.Val.Data, n, c, hw, act, keep)
+	tensor.AddChanBiasInto(val.Data, x.Val.Data, bias.Val.Data, n, c, hw, act)
 	out := newPooledNode(val, []*Node{x, bias}, nil)
-	out.scratch = scratch
 	out.backward = func() {
-		act.Grad(out.Grad.Data, val.Data, keep)
+		act.Grad(out.Grad.Data, val.Data)
 		if bias.requiresGrad {
 			tensor.ChanSumAddInto(bias.ensureGrad().Data, out.Grad.Data, n, c, hw)
 		}
@@ -105,18 +103,16 @@ func Conv2d(x, w, bias *Node, stride, pad int, act tensor.Act) *Node {
 		tensor.Put(cols)
 	}
 	parents := []*Node{x, w}
-	keep, scratch := actScratch(act, val)
 	if bias != nil {
 		parents = append(parents, bias)
-		tensor.AddChanBiasInto(val.Data, val.Data, bias.Val.Data, n, oc, ncols, act, keep)
+		tensor.AddChanBiasInto(val.Data, val.Data, bias.Val.Data, n, oc, ncols, act)
 	} else {
-		act.Apply(val.Data, keep)
+		act.Apply(val.Data)
 	}
 
 	out := newPooledNode(val, parents, nil)
-	out.scratch = scratch
 	out.backward = func() {
-		act.Grad(out.Grad.Data, val.Data, keep)
+		act.Grad(out.Grad.Data, val.Data)
 		if bias != nil && bias.requiresGrad {
 			tensor.ChanSumAddInto(bias.ensureGrad().Data, out.Grad.Data, n, oc, ncols)
 		}
@@ -345,12 +341,11 @@ func BatchNorm2d(x, gamma, beta *Node, runningMean, runningVar *tensor.Tensor, m
 	}
 
 	val := tensor.Get(xs...)
-	keep, scratch := actScratch(act, val)
-	tensor.BatchNormFwdInto(val.Data, x.Val.Data, mean.Data, invStd.Data, gamma.Val.Data, beta.Val.Data, r, n, c, hw, act, keep)
+	tensor.BatchNormFwdInto(val.Data, x.Val.Data, mean.Data, invStd.Data, gamma.Val.Data, beta.Val.Data, r, n, c, hw, act)
 	out := newPooledNode(val, parents, nil)
-	out.scratch = append(scratch, mean, invStd)
+	out.scratch = []*tensor.Tensor{mean, invStd}
 	out.backward = func() {
-		act.Grad(out.Grad.Data, val.Data, keep)
+		act.Grad(out.Grad.Data, val.Data)
 		if residual != nil {
 			residual.accumulate(out.Grad)
 		}

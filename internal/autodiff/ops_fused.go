@@ -25,12 +25,10 @@ func Linear(x, w, b *Node, act tensor.Act) *Node {
 	n, dOut := linearDims("Linear", x, w, b)
 	val := tensor.Get(n, dOut)
 	tensor.MatMulInto(val, x.Val, w.Val)
-	keep, scratch := actScratch(act, val)
-	tensor.AddRowBiasInto(val.Data, val.Data, b.Val.Data, n, dOut, act, keep)
+	tensor.AddRowBiasInto(val.Data, val.Data, b.Val.Data, n, dOut, act)
 	out := newPooledNode(val, []*Node{x, w, b}, nil)
-	out.scratch = scratch
 	out.backward = func() {
-		act.Grad(out.Grad.Data, val.Data, keep)
+		act.Grad(out.Grad.Data, val.Data)
 		dpre := out.Grad
 		if b.requiresGrad {
 			tensor.ColSumAddInto(b.ensureGrad().Data, dpre.Data, n, dOut)
@@ -77,7 +75,7 @@ func eachHeadBlock(x, w, b *Node, rows, block func(r0, r1 int, z []float32)) {
 		tensor.ParallelRange(r1-r0, func(a, e int) {
 			z := buf.Data[a*c : e*c]
 			tensor.MatMulRawInto(z, x.Val.Data[(r0+a)*in:(r0+e)*in], w.Val.Data, e-a, in, c)
-			tensor.AddRowBiasInto(z, z, b.Val.Data, e-a, c, tensor.ActNone, tensor.ActScratch{})
+			tensor.AddRowBiasInto(z, z, b.Val.Data, e-a, c, tensor.ActNone)
 			rows(r0+a, r0+e, z)
 		})
 		if block != nil {

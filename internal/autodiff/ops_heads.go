@@ -40,14 +40,14 @@ func swapMid(dst, src []float32, outer, a, b, run int, acc bool) {
 // Attention is multi-head scaled dot-product attention over the [N, T, D]
 // projections q, k and v: head h reads columns [h·hd, (h+1)·hd) of each, hd
 // = D/heads, and writes softmax(Q·Kᵀ/√hd + M)·V to the same columns of the
-// value, M -1e9 above the diagonal when causal (no position attends to a
-// later one) and 0 elsewhere. Each (sample, head) block works in pooled
+// value, M the causal mask: -1e9 above the diagonal (no position attends to
+// a later one) and 0 elsewhere. Each (sample, head) block works in pooled
 // scratch; the node keeps only the probabilities P, [N·heads, T, T], for its
 // backward. Its value and gradients are the per-head chain's it replaced,
 // bit for bit (attention_test.go keeps that chain as the referee): the same
 // kernel per GEMM, the scale and the mask rounded apart, and each operand's
 // gradient added into zeros.
-func Attention(q, k, v *Node, heads int, causal bool) *Node {
+func Attention(q, k, v *Node, heads int) *Node {
 	s := q.Val.Shape()
 	if len(s) != 3 || heads < 1 || s[2]%heads != 0 || !q.Val.SameShape(k.Val) || !q.Val.SameShape(v.Val) {
 		panic(fmt.Sprintf("autodiff: Attention over %v, %v, %v with %d heads", s, k.Val.Shape(), v.Val.Shape(), heads))
@@ -85,7 +85,7 @@ func Attention(q, k, v *Node, heads int, causal bool) *Node {
 		for i := range t {
 			for j, e := range pb[i*t:][:t] {
 				x := float32(scale * e) // rounded before the mask is added
-				if causal && j > i {
+				if j > i {
 					x += -1e9
 				}
 				pb[i*t+j] = x

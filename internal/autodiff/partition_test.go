@@ -117,7 +117,7 @@ func jointGraph(seed uint64) (root *Node, leaves []*Node) {
 	}
 	gamma, beta := Leaf(tensor.Ones(8)), w(8)
 	leaves = append(leaves, gamma)
-	h := Linear(x, w(8, 8), w(8), tensor.ActGELU)
+	h := Linear(x, w(8, 8), w(8), tensor.ActTanh)
 	h = LayerNorm(Add(h, Dropout(h, 0.25, rng, true)), gamma, beta, 1e-5)
 	labels := []int{0, 1, 2, 3, 4, 5}
 	orig := LinearSoftmaxCrossEntropy(h, w(8, 8), w(8), labels)
@@ -131,10 +131,24 @@ func jointGraph(seed uint64) (root *Node, leaves []*Node) {
 // TestBackwardOverComponentsMatchesSequential: fanning the components out
 // changes where a backward runs, never what it computes — every leaf
 // gradient is bit-equal to the one-worker run, nothing interior stays
-// alive, and the pool gets back everything it handed out.
+// alive, and the pool gets back everything it handed out. Before each run
+// the graph's [6, 8] pool bucket is dirtied, each buffer with a value of its
+// own, so an op that leaves part of a recycled buffer unwritten reads
+// different garbage on every run.
 func TestBackwardOverComponentsMatchesSequential(t *testing.T) {
+	runs := 0
 	run := func(workers int) []*tensor.Tensor {
 		defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(workers))
+		runs++
+		var dirty []*tensor.Tensor
+		for v := range 8 {
+			d := tensor.Get(6, 8)
+			d.Fill(float32(runs*8 + v))
+			dirty = append(dirty, d)
+		}
+		for _, d := range dirty {
+			tensor.Put(d)
+		}
 		root, leaves := jointGraph(17)
 		if comps := components(root, restOf(root)); len(comps) != 4 {
 			t.Fatalf("the joint graph has %d components, want 4", len(comps))

@@ -80,9 +80,6 @@ type ModelSpec struct {
 	LMLayers  int     `json:"lm_layers,omitempty"`
 	LMMaxT    int     `json:"lm_max_t,omitempty"`
 	LMDropout float64 `json:"lm_dropout,omitempty"`
-	// LMGELUFF selects the GELU feed-forward variant; absent/false keeps
-	// the default ReLU.
-	LMGELUFF bool `json:"lm_gelu_ff,omitempty"`
 	// Tenant attributes the job to a fair-share scheduling bucket. Empty
 	// buckets under the default tenant.
 	Tenant string `json:"tenant,omitempty"`
@@ -472,7 +469,6 @@ func buildLM(spec ModelSpec, forLoad bool) (Trainable, error) {
 	orig := models.NewTransformerLM(tensor.NewRNG(spec.ModelSeed).ForLoad(forLoad), models.TransformerLMConfig{
 		Vocab: spec.Vocab, D: spec.LMDim, Heads: spec.LMHeads, FF: spec.LMFF,
 		Layers: spec.LMLayers, MaxT: spec.LMMaxT, Dropout: float32(spec.LMDropout),
-		GELUFF: spec.LMGELUFF,
 	})
 	return core.AugmentTransformerLM(orig, key, augOptions(spec, forLoad))
 }
@@ -486,8 +482,7 @@ func LMSpec(am *core.AugmentedTransformerLM, key *core.TextAugKey, amount float6
 		Vocab: cfg.Vocab, ModelSeed: am.Orig.BuildSeed,
 		LMDim: cfg.D, LMHeads: cfg.Heads, LMFF: cfg.FF,
 		LMLayers: cfg.Layers, LMMaxT: cfg.MaxT, LMDropout: float64(cfg.Dropout),
-		LMGELUFF: cfg.GELUFF,
-		OrigLen:  key.OrigLen, AugLen: key.AugLen, KeyKeep: key.Keep,
+		OrigLen: key.OrigLen, AugLen: key.AugLen, KeyKeep: key.Keep,
 		AugAmount: amount, SubNets: len(am.Decoys), AugSeed: seed,
 	}
 }

@@ -79,13 +79,9 @@ type TransformerLM struct {
 }
 
 // TransformerLMConfig mirrors the PyTorch tutorial hyper-parameters.
-// GELUFF switches the encoder feed-forward activation from the tutorial's
-// ReLU to GELU (either way FF1's fused epilogue); the default stays ReLU
-// for paper parity.
 type TransformerLMConfig struct {
 	Vocab, D, Heads, FF, Layers, MaxT int
 	Dropout                           float32
-	GELUFF                            bool
 }
 
 // DefaultTransformerLMConfig returns the paper-scale configuration.
@@ -108,9 +104,6 @@ func NewTransformerLM(rng *tensor.RNG, cfg TransformerLMConfig) *TransformerLM {
 	m.Add("drop", m.Drop)
 	for i := 0; i < cfg.Layers; i++ {
 		blk := nn.NewTransformerEncoderLayer(rng.Split(uint64(10+i)), cfg.D, cfg.Heads, cfg.FF, cfg.Dropout)
-		if cfg.GELUFF {
-			blk.FFAct = tensor.ActGELU
-		}
 		m.Add(fmt.Sprintf("block%d", i), blk)
 		m.Blocks = append(m.Blocks, blk)
 	}
@@ -164,7 +157,7 @@ func (m *TransformerLM) ForwardEmbedded(h *autodiff.Node) *autodiff.Node {
 func (m *TransformerLM) encode(h *autodiff.Node) *autodiff.Node {
 	n, t := h.Val.Dim(0), h.Val.Dim(1)
 	for _, blk := range m.Blocks {
-		h = blk.ForwardSeq(h, true)
+		h = blk.ForwardSeq(h)
 	}
 	return autodiff.Reshape(h, n*t, m.D)
 }

@@ -34,16 +34,15 @@ func NewMultiHeadAttention(rng *tensor.RNG, d, heads int) *MultiHeadAttention {
 	return m
 }
 
-// ForwardSelf applies self-attention to x [N, T, D]: the query, key and
-// value projections, one autodiff.Attention over them (causal for an
-// autoregressive LM: no position attends to a later one) and the output
-// projection.
-func (m *MultiHeadAttention) ForwardSelf(x *autodiff.Node, causal bool) *autodiff.Node {
+// ForwardSelf applies causal self-attention to x [N, T, D]: the query, key
+// and value projections, one autodiff.Attention over them (no position
+// attends to a later one) and the output projection.
+func (m *MultiHeadAttention) ForwardSelf(x *autodiff.Node) *autodiff.Node {
 	s := x.Val.Shape()
 	n, t := s[0], s[1]
 	flat := autodiff.Reshape(x, n*t, m.D)
 	proj := func(l *Linear) *autodiff.Node { return autodiff.Reshape(l.Forward(flat), n, t, m.D) }
-	ctx := autodiff.Attention(proj(m.Wq), proj(m.Wk), proj(m.Wv), m.Heads, causal)
+	ctx := autodiff.Attention(proj(m.Wq), proj(m.Wk), proj(m.Wv), m.Heads)
 	return autodiff.Reshape(m.Wo.Forward(autodiff.Reshape(ctx, n*t, m.D)), n, t, m.D)
 }
 
@@ -58,10 +57,6 @@ type TransformerEncoderLayer struct {
 	Norm1    *LayerNorm
 	Norm2    *LayerNorm
 	Drop     *Dropout
-	// FFAct is the feed-forward activation, ReLU unless set otherwise; it
-	// runs as FF1's fused epilogue, so any choice costs one pass over the
-	// hidden activations.
-	FFAct tensor.Act
 }
 
 // NewTransformerEncoderLayer builds a block with the given model dimension,
@@ -75,7 +70,6 @@ func NewTransformerEncoderLayer(rng *tensor.RNG, d, heads, ffDim int, dropout fl
 		Norm1: NewLayerNorm(d),
 		Norm2: NewLayerNorm(d),
 		Drop:  NewDropout(rng.Split(4), dropout),
-		FFAct: tensor.ActReLU,
 	}
 	l.Add("attn", l.Attn)
 	l.Add("ff1", l.FF1)
@@ -86,14 +80,15 @@ func NewTransformerEncoderLayer(rng *tensor.RNG, d, heads, ffDim int, dropout fl
 	return l
 }
 
-// ForwardSeq applies the block to x [N, T, D], its attention causal or not.
-func (l *TransformerEncoderLayer) ForwardSeq(x *autodiff.Node, causal bool) *autodiff.Node {
+// ForwardSeq applies the block to x [N, T, D] under causal attention; the
+// feed-forward's ReLU runs as FF1's fused epilogue.
+func (l *TransformerEncoderLayer) ForwardSeq(x *autodiff.Node) *autodiff.Node {
 	s := x.Val.Shape()
 	n, t := s[0], s[1]
-	att := l.Drop.Forward(l.Attn.ForwardSelf(x, causal))
+	att := l.Drop.Forward(l.Attn.ForwardSelf(x))
 	x = l.Norm1.Forward(autodiff.Add(x, att))
 	flat := autodiff.Reshape(x, n*t, l.D)
-	ff := l.FF2.Forward(l.Drop.Forward(l.FF1.ForwardAct(flat, l.FFAct)))
+	ff := l.FF2.Forward(l.Drop.Forward(l.FF1.ForwardAct(flat, tensor.ActReLU)))
 	ff3 := autodiff.Reshape(ff, n, t, l.D)
 	return l.Norm2.Forward(autodiff.Add(x, ff3))
 }

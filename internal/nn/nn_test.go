@@ -112,19 +112,18 @@ func TestMultiHeadAttentionShapesAndMask(t *testing.T) {
 	mha := NewMultiHeadAttention(rng, 8, 2)
 	x := tensor.New(2, 5, 8)
 	rng.FillNormal(x, 0, 1)
-	y := mha.ForwardSelf(autodiff.Constant(x), false)
-	got := y.Val.Shape()
+	y1 := mha.ForwardSelf(autodiff.Constant(x))
+	got := y1.Val.Shape()
 	if got[0] != 2 || got[1] != 5 || got[2] != 8 {
 		t.Fatalf("attention output %v", got)
 	}
-	// Causal, output at position 0 must not depend on later positions:
+	// Causal: output at position 0 must not depend on later positions:
 	// perturb position 4 and check position 0 is unchanged.
-	y1 := mha.ForwardSelf(autodiff.Constant(x), true)
 	x2 := x.Clone()
 	for i := 0; i < 8; i++ {
 		x2.Data[(0*5+4)*8+i] += 10
 	}
-	y2 := mha.ForwardSelf(autodiff.Constant(x2), true)
+	y2 := mha.ForwardSelf(autodiff.Constant(x2))
 	for i := 0; i < 8; i++ {
 		a := y1.Val.Data[i] // batch 0, pos 0
 		b := y2.Val.Data[i]
@@ -140,7 +139,7 @@ func TestTransformerEncoderLayerGradientsFlow(t *testing.T) {
 	layer.SetTraining(true)
 	x := tensor.New(2, 4, 8)
 	rng.FillNormal(x, 0, 1)
-	y := layer.ForwardSeq(autodiff.Constant(x), true)
+	y := layer.ForwardSeq(autodiff.Constant(x))
 	loss := autodiff.Mean(y)
 	autodiff.Backward(loss)
 	grads := 0

@@ -5,14 +5,12 @@ import "math"
 // Fused float32 activation kernel family (the third kernel round, after
 // matmul/conv and normalization/softmax).
 //
-// The PR 2 profile left GELU/Tanh/Sigmoid as the last per-element float64
-// round-trips on the hot path: every element went through math.Tanh or
-// math.Exp plus two conversions. The kernels below evaluate the
-// activations entirely in float32 — Tanh32 pairs a Cephes-style odd
+// Tanh and Sigmoid are evaluated entirely in float32, never as a float64
+// round-trip through math.Tanh or math.Exp: Tanh32 pairs a Cephes-style odd
 // minimax polynomial (|x| < 0.625) with the Exp32 identity
-// tanh(x) = sign(x)·(1 − 2/(e^{2|x|}+1)) elsewhere, Sigmoid32 and GELU32
-// build on the same machinery — with 8-wide AVX2 row kernels on amd64 and
-// the scalar sequence as tail/fallback.
+// tanh(x) = sign(x)·(1 − 2/(e^{2|x|}+1)) elsewhere, and Sigmoid32 builds on
+// the same Exp32 — with 8-wide AVX2 row kernels on amd64 and the scalar
+// sequence as tail/fallback.
 //
 // Determinism contract: the element-wise drivers split work only at
 // actBlock boundaries (a multiple of the SIMD width), so whether an
@@ -35,13 +33,6 @@ const (
 	tanh32P4     = -3.33332819422e-1
 	tanh32Switch = 0.625
 	tanh32Clamp  = 10
-)
-
-// GELU tanh-approximation constants (Hendrycks & Gimpel):
-// gelu(x) = 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))).
-const (
-	gelu32C = 0.7978845608028654 // √(2/π)
-	gelu32A = 0.044715
 )
 
 // Tanh32 is a fast float32 tanh (a few ulp against float64 math.Tanh over
@@ -73,15 +64,6 @@ func Tanh32(x float32) float32 {
 // underflow threshold). NaN propagates; Sigmoid32(±0) = 0.5 exactly.
 func Sigmoid32(x float32) float32 {
 	return 1 / (1 + Exp32(-x))
-}
-
-// GELU32 is the tanh-form GELU evaluated in float32 on Tanh32. In the
-// negative tail the (1 + tanh) factor cancels, so absolute error grows
-// like |x|·ulp(1) there — inherent to the tanh form in float32, and pinned
-// by the fuzz suite's stated tolerance.
-func GELU32(x float32) float32 {
-	u := gelu32C * (x + gelu32A*x*x*x)
-	return 0.5 * x * (1 + Tanh32(u))
 }
 
 // tanhRow computes dst[i] = Tanh32(src[i]) (dst may alias src). On amd64
@@ -144,9 +126,9 @@ func actParallel(n int, fn func(i0, i1 int)) {
 // nn layers: an op that ends in one takes it as a parameter. It has exactly
 // two operations, both in place — Apply over the op's own output, and Grad,
 // which turns the gradient of that output into the gradient of the
-// pre-activation. For every value but ActGELU the derivative is a function
-// of the output alone, so a node that ends in one keeps neither the
-// pre-activation nor a mask for its backward.
+// pre-activation. Every derivative is a function of the output alone, so a
+// node that ends in one keeps neither the pre-activation nor a mask for its
+// backward.
 //
 // The clamps share one rule on non-finite and signed-zero input: NaN
 // propagates (IEEE/PyTorch relu(NaN) = NaN), −0 is kept, and the gradient
@@ -161,39 +143,27 @@ const (
 	ActReLU6              // min(max(0, v), 6), MobileNet's activation
 	ActTanh               // Tanh32
 	ActSigmoid            // Sigmoid32
-	ActGELU               // tanh-form GELU32; the one value that needs an ActScratch
 )
-
-// ActScratch is what Apply retains for Grad when the derivative is not a
-// function of the output alone: GELU's pre-activation and inner tanh, each
-// as long as the whole activated buffer, so the backward re-evaluates no
-// transcendental. Every other activation takes the zero value.
-type ActScratch struct{ Pre, T []float32 }
-
-// NeedsScratch reports whether a's Apply must be handed an ActScratch for
-// its Grad to read back.
-func (a Act) NeedsScratch() bool { return a == ActGELU }
 
 // streams reports whether a is at most a compare per element — memory-bound,
 // so a whole-buffer pass is not worth a fork. The transcendentals split at
 // actBlock edges.
 func (a Act) streams() bool { return a <= ActReLU6 }
 
-// Apply overwrites buf with a(buf), filling keep when a needs it.
-func (a Act) Apply(buf []float32, keep ActScratch) {
+// Apply overwrites buf with a(buf).
+func (a Act) Apply(buf []float32) {
 	if a.streams() || actChunks(len(buf)) <= 1 {
-		a.apply(buf, keep, 0, len(buf))
+		a.apply(buf)
 		return
 	}
-	actParallel(len(buf), func(i0, i1 int) { a.apply(buf, keep, i0, i1) })
+	actParallel(len(buf), func(i0, i1 int) { a.apply(buf[i0:i1]) })
 }
 
-// apply is Apply over buf[i0:i1] — one row or slab of a fused kernel's
-// output while it is still in L1, or one block of a whole-buffer pass. On
-// amd64 with AVX2 the bulk of a transcendental run goes 8-wide from i0, so
+// apply is Apply over one row — a row or slab of a fused kernel's output
+// while it is still in L1, or one block of a whole-buffer pass. On amd64
+// with AVX2 the bulk of a transcendental row goes 8-wide from its start, so
 // callers split only where the 8-lane groups stay put.
-func (a Act) apply(buf []float32, keep ActScratch, i0, i1 int) {
-	row := buf[i0:i1]
+func (a Act) apply(row []float32) {
 	switch a {
 	case ActReLU:
 		for i, v := range row {
@@ -218,37 +188,23 @@ func (a Act) apply(buf []float32, keep ActScratch, i0, i1 int) {
 		tanhRow(row, row)
 	case ActSigmoid:
 		sigmoidRow(row, row)
-	case ActGELU:
-		// 0.5·x·(1 + tanh(u)), u = √(2/π)·(x + 0.044715·x³): cheap scalar
-		// sweeps around the SIMD tanh row kernel, evaluated in place over t.
-		pre, t := keep.Pre[i0:i1], keep.T[i0:i1]
-		copy(pre, row)
-		for i, v := range pre {
-			t[i] = gelu32C * (v + gelu32A*v*v*v)
-		}
-		tanhRow(t, t)
-		for i, v := range pre {
-			row[i] = 0.5 * v * (1 + t[i])
-		}
 	}
 }
 
 // Grad turns dy, the gradient of the activated output y, into the gradient
 // of the pre-activation in place: zeroed wherever y sits on a flat part of a
 // clamp (y > 0 iff the pre-activation was positive, y < 6 iff it was below
-// 6), scaled by the derivative — 1−y², y·(1−y), or gelu' from keep —
-// elsewhere.
-func (a Act) Grad(dy, y []float32, keep ActScratch) {
+// 6), scaled by the derivative — 1−y² or y·(1−y) — elsewhere.
+func (a Act) Grad(dy, y []float32) {
 	y = y[:len(dy)]
 	if a.streams() || actChunks(len(dy)) <= 1 {
-		a.grad(dy, y, keep, 0, len(dy))
+		a.grad(dy, y)
 		return
 	}
-	actParallel(len(dy), func(i0, i1 int) { a.grad(dy, y, keep, i0, i1) })
+	actParallel(len(dy), func(i0, i1 int) { a.grad(dy[i0:i1], y[i0:i1]) })
 }
 
-func (a Act) grad(dy, y []float32, keep ActScratch, i0, i1 int) {
-	dy, y = dy[i0:i1], y[i0:i1]
+func (a Act) grad(dy, y []float32) {
 	switch a {
 	case ActReLU:
 		for i, v := range y {
@@ -277,32 +233,25 @@ func (a Act) grad(dy, y []float32, keep ActScratch, i0, i1 int) {
 		for i, s := range y {
 			dy[i] = dy[i] * s * (1 - s)
 		}
-	case ActGELU:
-		// gelu'(x) = 0.5·(1+t) + 0.5·x·(1−t²)·√(2/π)·(1 + 3·0.044715·x²)
-		pre, t := keep.Pre[i0:i1], keep.T[i0:i1]
-		for i, x := range pre {
-			dy[i] = dy[i] * (0.5*(1+t[i]) + 0.5*x*(1-t[i]*t[i])*gelu32C*(1+3*gelu32A*x*x))
-		}
 	}
 }
 
 // AddRowBiasInto computes dst = act(x + bias) for x [rows, d] with bias [d]
 // (dst may alias x): the bias is added, then act runs over the row while it
 // is in L1 — the epilogue of a Linear. Rows are assigned to workers whole,
-// so a row's SIMD/tail split never depends on the worker count. keep is
-// act's scratch over the whole of dst.
-func AddRowBiasInto(dst, x, bias []float32, rows, d int, act Act, keep ActScratch) {
+// so a row's SIMD/tail split never depends on the worker count.
+func AddRowBiasInto(dst, x, bias []float32, rows, d int, act Act) {
 	rpw := fusedRowsPerWorker(d)
 	if chunksFor(rows, rpw) <= 1 {
-		addRowBiasRange(dst, x, bias, d, act, keep, 0, rows)
+		addRowBiasRange(dst, x, bias, d, act, 0, rows)
 		return
 	}
 	parallelFor(rows, rpw, func(r0, r1 int) {
-		addRowBiasRange(dst, x, bias, d, act, keep, r0, r1)
+		addRowBiasRange(dst, x, bias, d, act, r0, r1)
 	})
 }
 
-func addRowBiasRange(dst, x, bias []float32, d int, act Act, keep ActScratch, r0, r1 int) {
+func addRowBiasRange(dst, x, bias []float32, d int, act Act, r0, r1 int) {
 	bias = bias[:d]
 	for r := r0; r < r1; r++ {
 		src := x[r*d : (r+1)*d][:d]
@@ -315,26 +264,25 @@ func addRowBiasRange(dst, x, bias []float32, d int, act Act, keep ActScratch, r0
 		for ; j < d; j++ {
 			out[j] = src[j] + bias[j]
 		}
-		act.apply(dst, keep, r*d, (r+1)*d)
+		act.apply(out)
 	}
 }
 
 // AddChanBiasInto computes dst = act(x + bias[ch]) for x [n, c, hw] with
 // bias [c] (dst may alias x), act over each [hw] slab right after its bias —
 // the epilogue of a biased Conv2d. Images are assigned to workers whole.
-// keep is act's scratch over the whole of dst.
-func AddChanBiasInto(dst, x, bias []float32, n, c, hw int, act Act, keep ActScratch) {
+func AddChanBiasInto(dst, x, bias []float32, n, c, hw int, act Act) {
 	rpw := fusedRowsPerWorker(c * hw)
 	if chunksFor(n, rpw) <= 1 {
-		addChanBiasRange(dst, x, bias, c, hw, act, keep, 0, n)
+		addChanBiasRange(dst, x, bias, c, hw, act, 0, n)
 		return
 	}
 	parallelFor(n, rpw, func(n0, n1 int) {
-		addChanBiasRange(dst, x, bias, c, hw, act, keep, n0, n1)
+		addChanBiasRange(dst, x, bias, c, hw, act, n0, n1)
 	})
 }
 
-func addChanBiasRange(dst, x, bias []float32, c, hw int, act Act, keep ActScratch, n0, n1 int) {
+func addChanBiasRange(dst, x, bias []float32, c, hw int, act Act, n0, n1 int) {
 	for b := n0; b < n1; b++ {
 		for ch := 0; ch < c; ch++ {
 			base := (b*c + ch) * hw
@@ -344,7 +292,7 @@ func addChanBiasRange(dst, x, bias []float32, c, hw int, act Act, keep ActScratc
 			for i, v := range src {
 				out[i] = v + bv
 			}
-			act.apply(dst, keep, base, base+hw)
+			act.apply(out)
 		}
 	}
 }

@@ -41,28 +41,21 @@ func ulpDiff32(got float32, want float64) float64 {
 //	Sigmoid32: ≤ 4 ulp vs 1/(1+e^{−x}) for x ≥ −88.37 (measured max 2);
 //	           exact 0 below −88.37, Exp32's overflow bound (the true
 //	           value there is a sub-2⁻¹²⁶ denormal)
-//	GELU32:    |err| ≤ 4·(1+|x|)·2⁻²⁴ vs the float64 tanh-form reference
-//	           (measured max 1.4·(1+|x|)·2⁻²⁴). An absolute envelope, not
-//	           ulps: in the negative tail the (1+tanh) factor cancels and
-//	           any float32 evaluation of the tanh form loses relative
-//	           precision there.
 const (
 	tanhULPTol    = 4
 	sigmoidULPTol = 4
 	// sigmoidFlush mirrors exp32Hi: Exp32(-x) saturates to +Inf strictly
 	// below this, making Sigmoid32 exactly 0.
 	sigmoidFlush = -88.37
-	geluEnvelope = 4
+	// epilogueEnvelope bounds the AVX2 tanh/sigmoid epilogues against the
+	// scalar kernels as an absolute error of epilogueEnvelope·(1+|x|)·2⁻²⁴:
+	// the SIMD rows round their multiply-adds differently.
+	epilogueEnvelope = 4
 )
 
 func tanhRef(x float32) float64 { return math.Tanh(float64(x)) }
 
 func sigmoidRef(x float32) float64 { return 1 / (1 + math.Exp(-float64(x))) }
-
-func geluRef(x float32) float64 {
-	x64 := float64(x)
-	return 0.5 * x64 * (1 + math.Tanh(gelu32C*(x64+gelu32A*x64*x64*x64)))
-}
 
 func checkTanh32(t *testing.T, x float32) {
 	t.Helper()
@@ -85,29 +78,6 @@ func checkSigmoid32(t *testing.T, x float32) {
 	}
 }
 
-func checkGELU32(t *testing.T, x float32) {
-	t.Helper()
-	got := float64(GELU32(x))
-	want := geluRef(x)
-	gNaN, wNaN := math.IsNaN(got), math.IsNaN(want)
-	if gNaN || wNaN {
-		if gNaN != wNaN {
-			t.Fatalf("GELU32(%v) = %v, want %v (NaN mismatch)", x, got, want)
-		}
-		return
-	}
-	if math.IsInf(got, 0) || math.IsInf(want, 0) {
-		if (got < 0) != (want < 0) || !math.IsInf(got, 0) || math.Abs(want) < math.MaxFloat32 {
-			t.Fatalf("GELU32(%v) = %v, want %v (Inf mismatch)", x, got, want)
-		}
-		return
-	}
-	env := geluEnvelope * (1 + math.Abs(float64(x))) * math.Exp2(-24)
-	if diff := math.Abs(got - want); diff > env {
-		t.Fatalf("GELU32(%v) = %v, want %v (diff %g > envelope %g)", x, got, want, diff, env)
-	}
-}
-
 // actEdgeCases are the inputs every activation kernel must get right:
 // ±0, denormals, the path-switch neighbourhoods, saturation bounds,
 // large magnitudes, ±Inf, and NaN.
@@ -118,7 +88,7 @@ func actEdgeCases() []float32 {
 		1e-40, -1e-40, 1e-38, -1e-38, // denormal / near-denormal
 		1e-20, -1e-20, 2.4e-4, -2.4e-4,
 		0.624, 0.625, 0.626, -0.624, -0.625, -0.626, // tanh path switch
-		1, -1, 4.053438, -5.15847, // worst measured GELU spots
+		1, -1, 4.053438, -5.15847, // mid-range tanh/sigmoid inputs
 		9.0, 9.02, -9.0, -9.02, 10, -10, // tanh saturation bound
 		17.46, -17.46, 87.3, -87.3, 88.4, -88.4, 89, -89, // sigmoid/exp bounds
 		-88.37, -88.375, -88.38, // the exact Exp32 overflow / sigmoid flush edge
@@ -176,28 +146,6 @@ func TestSigmoid32MatchesFloat64(t *testing.T) {
 	}
 }
 
-func TestGELU32MatchesFloat64(t *testing.T) {
-	for _, x := range actEdgeCases() {
-		checkGELU32(t, x)
-	}
-	for x := -30.0; x <= 30.0; x += 0.00317 {
-		checkGELU32(t, float32(x))
-	}
-	if v := GELU32(0); v != 0 || math.Signbit(float64(v)) {
-		t.Fatalf("GELU32(+0) = %v, want +0", v)
-	}
-	if v := GELU32(float32(math.Copysign(0, -1))); v != 0 || !math.Signbit(float64(v)) {
-		t.Fatalf("GELU32(-0) = %v, want -0", v)
-	}
-	if !math.IsInf(float64(GELU32(float32(math.Inf(1)))), 1) {
-		t.Fatal("GELU32(+Inf) must be +Inf")
-	}
-	nan := float32(math.NaN())
-	if GELU32(nan) == GELU32(nan) {
-		t.Fatal("GELU32(NaN) must propagate NaN")
-	}
-}
-
 // Fuzz targets: Go's fuzzer explores the raw bit space of float32, so
 // denormals, NaN payloads, and exponent boundaries all come up. The seed
 // corpus pins the documented edge cases; `go test` replays it on every
@@ -223,13 +171,6 @@ func FuzzSigmoid32(f *testing.F) {
 	})
 }
 
-func FuzzGELU32(f *testing.F) {
-	fuzzSeeds(f)
-	f.Fuzz(func(t *testing.T, x float32) {
-		checkGELU32(t, x)
-	})
-}
-
 // actTestInput builds a value mix that exercises every kernel path:
 // normals at training scale, the polynomial/exp switch, saturation, tiny
 // values, and exact zeros.
@@ -249,7 +190,7 @@ func actTestInput(n int, seed uint64) []float32 {
 
 // allActs is every Act, in enum order; the kernel tests below run the same
 // checks over each.
-var allActs = []Act{ActNone, ActReLU, ActReLU6, ActTanh, ActSigmoid, ActGELU}
+var allActs = []Act{ActNone, ActReLU, ActReLU6, ActTanh, ActSigmoid}
 
 // actScalar is a's definition on one element, on the scalar kernels.
 func actScalar(a Act, v float32) float32 {
@@ -268,15 +209,12 @@ func actScalar(a Act, v float32) float32 {
 		return Tanh32(v)
 	case ActSigmoid:
 		return Sigmoid32(v)
-	case ActGELU:
-		return GELU32(v)
 	}
 	return v
 }
 
-// actScalarGrad is dy times a's derivative, from the pre-activation, the
-// output y and (GELU) the inner tanh t.
-func actScalarGrad(a Act, dy, pre, y, t float32) float32 {
+// actScalarGrad is dy times a's derivative, from the output y.
+func actScalarGrad(a Act, dy, y float32) float32 {
 	switch a {
 	case ActReLU:
 		if !(y > 0) {
@@ -290,27 +228,15 @@ func actScalarGrad(a Act, dy, pre, y, t float32) float32 {
 		return dy * (1 - y*y)
 	case ActSigmoid:
 		return dy * y * (1 - y)
-	case ActGELU:
-		return dy * (0.5*(1+t) + 0.5*pre*(1-t*t)*gelu32C*(1+3*gelu32A*pre*pre))
 	}
 	return dy
 }
 
-// scratchFor returns the ActScratch a needs over n elements.
-func scratchFor(a Act, n int) ActScratch {
-	if !a.NeedsScratch() {
-		return ActScratch{}
-	}
-	return ActScratch{Pre: make([]float32, n), T: make([]float32, n)}
-}
-
-// applied returns a(x) through Act.Apply over a copy of x, and the scratch
-// Apply filled.
-func applied(a Act, x []float32) ([]float32, ActScratch) {
+// applied returns a(x) through Act.Apply over a copy of x.
+func applied(a Act, x []float32) []float32 {
 	y := append([]float32(nil), x...)
-	keep := scratchFor(a, len(x))
-	a.Apply(y, keep)
-	return y, keep
+	a.Apply(y)
+	return y
 }
 
 // sameBits reports whether a and b agree bit for bit, NaNs included.
@@ -337,9 +263,8 @@ func TestActivationRowKernelsMatchFloat64(t *testing.T) {
 		}
 		for _, n := range []int{1, 7, 8, 9, 64, 101} {
 			x := actTestInput(n, 7)
-			tanh, _ := applied(ActTanh, x)
-			sig, _ := applied(ActSigmoid, x)
-			gelu, keep := applied(ActGELU, x)
+			tanh := applied(ActTanh, x)
+			sig := applied(ActSigmoid, x)
 			for i, v := range x {
 				if u := ulpDiff32(tanh[i], tanhRef(v)); u > tanhULPTol {
 					t.Fatalf("simd=%v n=%d: tanh[%d](%v) off by %v ulp", simd, n, i, v, u)
@@ -350,16 +275,6 @@ func TestActivationRowKernelsMatchFloat64(t *testing.T) {
 					}
 				} else if sig[i] != 0 {
 					t.Fatalf("simd=%v n=%d: sigmoid[%d](%v) = %v, want flush to 0", simd, n, i, v, sig[i])
-				}
-				env := geluEnvelope * (1 + math.Abs(float64(v))) * math.Exp2(-24)
-				if diff := math.Abs(float64(gelu[i]) - geluRef(v)); diff > env {
-					t.Fatalf("simd=%v n=%d: GELU[%d](%v) diff %g > %g", simd, n, i, v, diff, env)
-				}
-				if keep.Pre[i] != v {
-					t.Fatalf("simd=%v n=%d: retained gelu pre-activation[%d] = %v, want %v", simd, n, i, keep.Pre[i], v)
-				}
-				if u := ulpDiff32(keep.T[i], math.Tanh(gelu32C*(float64(v)+gelu32A*float64(v)*float64(v)*float64(v)))); u > tanhULPTol {
-					t.Fatalf("simd=%v n=%d: retained gelu tanh[%d] off by %v ulp", simd, n, i, u)
 				}
 			}
 		}
@@ -384,7 +299,7 @@ func TestActivationRowKernelsNaN(t *testing.T) {
 		x[3] = float32(math.NaN())
 		x[11] = float32(math.NaN())
 		for _, a := range allActs {
-			dst, _ := applied(a, x)
+			dst := applied(a, x)
 			if dst[3] == dst[3] || dst[11] == dst[11] {
 				t.Fatalf("simd=%v: Act(%d).Apply must propagate NaN lanes", simd, a)
 			}
@@ -405,12 +320,12 @@ func TestActivationRowKernelsNaN(t *testing.T) {
 		ActReLU:  {[]float32{nan, 0, negZero, inf, 0, denorm, 0, 6, above6}, []float32{0, 0, 0, 4, 0, 6, 0, 8, 9}},
 		ActReLU6: {[]float32{nan, 0, negZero, 6, 0, denorm, 0, 6, 6}, []float32{0, 0, 0, 0, 0, 6, 0, 0, 0}},
 	} {
-		y, keep := applied(a, in)
+		y := applied(a, in)
 		if !sameBits(y, want.y) {
 			t.Fatalf("Act(%d).Apply(%v) = %v, want %v", a, in, y, want.y)
 		}
 		dy := append([]float32(nil), dyIn...)
-		a.Grad(dy, y, keep)
+		a.Grad(dy, y)
 		if !sameBits(dy, want.dpre) {
 			t.Fatalf("Act(%d).Grad at y = %v gave %v, want %v", a, y, dy, want.dpre)
 		}
@@ -438,18 +353,18 @@ func TestActivationClampsMatchDefinition(t *testing.T) {
 					x[i] = special[(i+rot)%len(special)]
 					dy[i] = special[(i+2*rot+5)%len(special)]
 					wantY[i] = actScalar(a, x[i])
-					wantD[i] = actScalarGrad(a, dy[i], x[i], wantY[i], 0)
+					wantD[i] = actScalarGrad(a, dy[i], wantY[i])
 				}
-				y, _ := applied(a, x)
+				y := applied(a, x)
 				if !same(y, wantY) {
 					t.Fatalf("Act(%d).Apply(%v) = %v, want %v", a, x, y, wantY)
 				}
-				a.Grad(dy, y, ActScratch{})
+				a.Grad(dy, y)
 				if !same(dy, wantD) {
 					t.Fatalf("Act(%d).Grad at y = %v gave %v, want %v", a, y, dy, wantD)
 				}
 				row := make([]float32, n)
-				AddRowBiasInto(row, x, make([]float32, n), 1, n, a, ActScratch{})
+				AddRowBiasInto(row, x, make([]float32, n), 1, n, a)
 				for i, v := range x {
 					if want := actScalar(a, v+0); math.Float32bits(row[i]) != math.Float32bits(want) {
 						t.Fatalf("AddRowBiasInto with Act(%d): element %d of %v = %v, want %v", a, i, x, row[i], want)
@@ -463,8 +378,8 @@ func TestActivationClampsMatchDefinition(t *testing.T) {
 // TestActivationFusedEpilogueKernels checks the bias+activation epilogues
 // against their definition element by element: bit for bit on the scalar
 // backend, and for the identity and the clamps on either; the AVX2
-// transcendentals round their multiply-adds differently and stay inside the
-// GELU envelope of the scalar kernel.
+// transcendentals round their multiply-adds differently and stay inside
+// epilogueEnvelope of the scalar kernels.
 func TestActivationFusedEpilogueKernels(t *testing.T) {
 	const rows, d = 5, 13 // d deliberately not a multiple of the SIMD width
 	const n, c, hw = 2, 3, 9
@@ -481,25 +396,20 @@ func TestActivationFusedEpilogueKernels(t *testing.T) {
 			check := func(what string, idx int, got, pre float32) {
 				t.Helper()
 				want := actScalar(a, pre)
-				env := geluEnvelope * (1 + math.Abs(float64(pre))) * math.Exp2(-24)
+				env := epilogueEnvelope * (1 + math.Abs(float64(pre))) * math.Exp2(-24)
 				if got != want && (!SIMDEnabled() || a.streams() || math.Abs(float64(got-want)) > env) {
 					t.Fatalf("simd=%v: %s with Act(%d): element %d = %v, want %v", simd, what, a, idx, got, want)
 				}
 			}
 			dst := make([]float32, rows*d)
-			keep := scratchFor(a, len(dst))
-			AddRowBiasInto(dst, x.Data, bias.Data, rows, d, a, keep)
+			AddRowBiasInto(dst, x.Data, bias.Data, rows, d, a)
 			for idx, got := range dst {
 				check("AddRowBiasInto", idx, got, x.Data[idx]+bias.Data[idx%d])
 			}
 			dc := make([]float32, n*c*hw)
-			keep = scratchFor(a, len(dc))
-			AddChanBiasInto(dc, xc.Data, cb.Data, n, c, hw, a, keep)
+			AddChanBiasInto(dc, xc.Data, cb.Data, n, c, hw, a)
 			for idx, got := range dc {
 				check("AddChanBiasInto", idx, got, xc.Data[idx]+cb.Data[(idx/hw)%c])
-			}
-			if a.NeedsScratch() && keep.Pre[hw] != xc.Data[hw]+cb.Data[1] {
-				t.Fatalf("AddChanBiasInto with Act(%d) retained pre-activation %v, want %v", a, keep.Pre[hw], xc.Data[hw]+cb.Data[1])
 			}
 		}
 		SetSIMD(prev)
@@ -513,15 +423,11 @@ func TestActivationBackwardKernels(t *testing.T) {
 	x := actTestInput(n, 13)
 	dy := actTestInput(n, 14)
 	for _, a := range allActs {
-		y, keep := applied(a, x)
+		y := applied(a, x)
 		dpre := append([]float32(nil), dy...)
-		a.Grad(dpre, y, keep)
+		a.Grad(dpre, y)
 		for i := range dpre {
-			var tt float32
-			if a.NeedsScratch() {
-				tt = keep.T[i]
-			}
-			if want := actScalarGrad(a, dy[i], x[i], y[i], tt); dpre[i] != want {
+			if want := actScalarGrad(a, dy[i], y[i]); dpre[i] != want {
 				t.Fatalf("Act(%d).Grad[%d] = %v, want %v", a, i, dpre[i], want)
 			}
 		}
@@ -544,14 +450,14 @@ func TestActivationKernelsDeterministicAcrossWorkers(t *testing.T) {
 	cbias := actTestInput(bc, 26)
 
 	run := func(a Act) map[string][]float32 {
-		y, keep := applied(a, x)
+		y := applied(a, x)
 		dpre := append([]float32(nil), dy...)
-		a.Grad(dpre, y, keep)
+		a.Grad(dpre, y)
 		row := make([]float32, rows*d)
-		AddRowBiasInto(row, xr, bias, rows, d, a, scratchFor(a, len(row)))
+		AddRowBiasInto(row, xr, bias, rows, d, a)
 		ch := make([]float32, bn*bc*bhw)
-		AddChanBiasInto(ch, xc, cbias, bn, bc, bhw, a, scratchFor(a, len(ch)))
-		return map[string][]float32{"apply": y, "keep-pre": keep.Pre, "keep-t": keep.T, "grad": dpre, "rowbias": row, "chanbias": ch}
+		AddChanBiasInto(ch, xc, cbias, bn, bc, bhw, a)
+		return map[string][]float32{"apply": y, "grad": dpre, "rowbias": row, "chanbias": ch}
 	}
 	for _, simd := range []bool{false, true} {
 		prevSIMD := SetSIMD(simd)
@@ -588,13 +494,12 @@ func TestActivationKernelZeroAllocs(t *testing.T) {
 	dy := actTestInput(n, 42)
 	bias := actTestInput(d, 43)
 	y := make([]float32, n)
-	keep := scratchFor(ActGELU, n)
 	if a := testing.AllocsPerRun(10, func() {
 		for _, act := range allActs {
-			AddRowBiasInto(y, x, bias, rows, d, act, keep)
-			AddChanBiasInto(y, x, bias[:8], 4, 8, n/32, act, keep)
-			act.Apply(y, keep)
-			act.Grad(dy, y, keep)
+			AddRowBiasInto(y, x, bias, rows, d, act)
+			AddChanBiasInto(y, x, bias[:8], 4, 8, n/32, act)
+			act.Apply(y)
+			act.Grad(dy, y)
 		}
 	}); a != 0 {
 		t.Fatalf("activation kernels allocate %v/op on the serial path, want 0", a)
@@ -625,19 +530,5 @@ func BenchmarkSigmoid32Row(bb *testing.B) {
 	bb.ResetTimer()
 	for i := 0; i < bb.N; i++ {
 		sigmoidRow(dst, x)
-	}
-}
-
-func BenchmarkGELU32Fwd(bb *testing.B) {
-	const n = 4096
-	x := actTestInput(n, 53)
-	dst := make([]float32, n)
-	keep := scratchFor(ActGELU, n)
-	bb.SetBytes(int64(n) * 4)
-	bb.ReportAllocs()
-	bb.ResetTimer()
-	for i := 0; i < bb.N; i++ {
-		copy(dst, x)
-		ActGELU.Apply(dst, keep)
 	}
 }

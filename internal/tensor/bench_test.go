@@ -151,7 +151,7 @@ func BenchmarkActReLU(bb *testing.B) {
 	rng.FillNormal(src, 0, 1)
 	rng.FillNormal(dy, 0, 1)
 	copy(y.Data, src.Data)
-	ActReLU.Apply(y.Data, ActScratch{})
+	ActReLU.Apply(y.Data)
 	buf := New(n)
 	for _, act := range []Act{ActReLU, ActReLU6} {
 		name := map[Act]string{ActReLU: "ReLU", ActReLU6: "ReLU6"}[act]
@@ -159,14 +159,14 @@ func BenchmarkActReLU(bb *testing.B) {
 			bb.SetBytes(n * 4)
 			for i := 0; i < bb.N; i++ {
 				copy(buf.Data, src.Data)
-				act.Apply(buf.Data, ActScratch{})
+				act.Apply(buf.Data)
 			}
 		})
 		bb.Run(name+"/grad", func(bb *testing.B) {
 			bb.SetBytes(n * 4)
 			for i := 0; i < bb.N; i++ {
 				copy(buf.Data, dy.Data)
-				act.Grad(buf.Data, y.Data, ActScratch{})
+				act.Grad(buf.Data, y.Data)
 			}
 		})
 	}

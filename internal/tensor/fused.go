@@ -533,19 +533,19 @@ func batchNormStatsRange(mean, varv, x []float32, n, c, hw, c0, c1 int) {
 // rounds. xhat is not stored: the backward recomputes it from x and the
 // per-channel statistics, which the graph keeps alive anyway. The
 // activation runs over each [hw] slab right after it is written, while it
-// is still in cache; keep is its scratch over the whole of dst (see Act).
-func BatchNormFwdInto(dst, x, mean, invStd, gamma, beta, r []float32, n, c, hw int, act Act, keep ActScratch) {
+// is still in cache.
+func BatchNormFwdInto(dst, x, mean, invStd, gamma, beta, r []float32, n, c, hw int, act Act) {
 	rpw := fusedRowsPerWorker(n * hw)
 	if chunksFor(c, rpw) <= 1 {
-		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, r, n, c, hw, act, keep, 0, c)
+		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, r, n, c, hw, act, 0, c)
 		return
 	}
 	parallelFor(c, rpw, func(c0, c1 int) {
-		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, r, n, c, hw, act, keep, c0, c1)
+		batchNormFwdRange(dst, x, mean, invStd, gamma, beta, r, n, c, hw, act, c0, c1)
 	})
 }
 
-func batchNormFwdRange(dst, x, mean, invStd, gamma, beta, r []float32, n, c, hw int, act Act, keep ActScratch, c0, c1 int) {
+func batchNormFwdRange(dst, x, mean, invStd, gamma, beta, r []float32, n, c, hw int, act Act, c0, c1 int) {
 	for ch := c0; ch < c1; ch++ {
 		mu, is := mean[ch], invStd[ch]
 		ga, be := gamma[ch], beta[ch]
@@ -561,7 +561,7 @@ func batchNormFwdRange(dst, x, mean, invStd, gamma, beta, r []float32, n, c, hw 
 					out[i] += v
 				}
 			}
-			act.apply(dst, keep, base, base+hw)
+			act.apply(out)
 		}
 	}
 }

@@ -365,7 +365,7 @@ func TestBatchNormKernelsMatchReference(t *testing.T) {
 	}
 	y := make([]float32, n*c*hw)
 	xhat := make([]float32, n*c*hw) // the float64 reference below reads it
-	BatchNormFwdInto(y, x.Data, mean, invStd, gamma.Data, beta.Data, nil, n, c, hw, ActNone, ActScratch{})
+	BatchNormFwdInto(y, x.Data, mean, invStd, gamma.Data, beta.Data, nil, n, c, hw, ActNone)
 	for idx := range y {
 		ch := (idx / hw) % c
 		xhat[idx] = (x.Data[idx] - mean[ch]) * invStd[ch]
@@ -424,7 +424,7 @@ func TestFusedBiasReLUKernels(t *testing.T) {
 	rng.FillNormal(x, 0, 1)
 	rng.FillNormal(bias, 0, 1)
 	dst := make([]float32, rows*d)
-	AddRowBiasInto(dst, x.Data, bias.Data, rows, d, ActReLU, ActScratch{})
+	AddRowBiasInto(dst, x.Data, bias.Data, rows, d, ActReLU)
 	for r := 0; r < rows; r++ {
 		for j := 0; j < d; j++ {
 			want := x.Data[r*d+j] + bias.Data[j]
@@ -443,7 +443,7 @@ func TestFusedBiasReLUKernels(t *testing.T) {
 	rng.FillNormal(xc, 0, 1)
 	rng.FillNormal(cb, 0, 1)
 	dc := make([]float32, n*c*hw)
-	AddChanBiasInto(dc, xc.Data, cb.Data, n, c, hw, ActReLU, ActScratch{})
+	AddChanBiasInto(dc, xc.Data, cb.Data, n, c, hw, ActReLU)
 	for idx := range dc {
 		ch := (idx / hw) % c
 		want := xc.Data[idx] + cb.Data[ch]
@@ -459,7 +459,7 @@ func TestFusedBiasReLUKernels(t *testing.T) {
 	y := []float32{1, 0, 6, -0.0, 7}
 	for act, want := range map[Act][]float32{ActNone: {5, 6, 7, 8, 9}, ActReLU: {5, 0, 7, 0, 9}, ActReLU6: {5, 0, 0, 0, 0}} {
 		dy := []float32{5, 6, 7, 8, 9}
-		act.Grad(dy, y, ActScratch{})
+		act.Grad(dy, y)
 		for i := range want {
 			if dy[i] != want[i] {
 				t.Fatalf("Act(%d).Grad = %v, want %v", act, dy, want)
@@ -468,7 +468,7 @@ func TestFusedBiasReLUKernels(t *testing.T) {
 	}
 	for act, want := range map[Act][]float32{ActNone: {-1, 0.5, 7}, ActReLU: {0, 0.5, 7}, ActReLU6: {0, 0.5, 6}} {
 		buf := []float32{-1, 0.5, 7}
-		act.Apply(buf, ActScratch{})
+		act.Apply(buf)
 		for i := range want {
 			if buf[i] != want[i] {
 				t.Fatalf("Act(%d).Apply = %v, want %v", act, buf, want)
@@ -476,7 +476,7 @@ func TestFusedBiasReLUKernels(t *testing.T) {
 		}
 	}
 	chanOut := make([]float32, 8)
-	AddChanBiasInto(chanOut, []float32{1, 2, 3, 4, 5, 6, 7, 8}, []float32{10, 20}, 2, 2, 2, ActNone, ActScratch{})
+	AddChanBiasInto(chanOut, []float32{1, 2, 3, 4, 5, 6, 7, 8}, []float32{10, 20}, 2, 2, 2, ActNone)
 	for i, want := range []float32{11, 12, 23, 24, 15, 16, 27, 28} {
 		if chanOut[i] != want {
 			t.Fatalf("AddChanBiasInto = %v", chanOut)
@@ -633,7 +633,7 @@ func TestRowPassesMatchScalar(t *testing.T) {
 						want *Tensor
 						run  func(got []float32)
 					}{
-						{"AddRowBiasInto", x.Clone(), wantBias, func(g []float32) { AddRowBiasInto(g, x.Data, bias.Data, rows, d, ActNone, ActScratch{}) }},
+						{"AddRowBiasInto", x.Clone(), wantBias, func(g []float32) { AddRowBiasInto(g, x.Data, bias.Data, rows, d, ActNone) }},
 						{"SoftmaxRowsInto", x.Clone(), wantSoft, func(g []float32) { SoftmaxRowsInto(g, g, rows, d) }},
 						{"SoftmaxXentBwdInPlace", x.Clone(), wantXent, func(g []float32) { SoftmaxXentBwdInPlace(g, labels, rows, d, scale) }},
 						{"ColSumAddInto", acc.Clone(), wantSum, func(g []float32) { ColSumAddInto(g, x.Data, rows, d) }},
@@ -756,7 +756,7 @@ func TestFusedKernelsDeterministicAcrossWorkers(t *testing.T) {
 			invStd[ch] = float32(1 / math.Sqrt(float64(varv[ch])+1e-5))
 		}
 		y := make([]float32, n*c*hw)
-		BatchNormFwdInto(y, xb.Data, mean, invStd, gb.Data, make([]float32, c), nil, n, c, hw, ActReLU, ActScratch{})
+		BatchNormFwdInto(y, xb.Data, mean, invStd, gb.Data, make([]float32, c), nil, n, c, hw, ActReLU)
 		dx = make([]float32, n*c*hw)
 		BatchNormBwdInto(dx, make([]float32, c), make([]float32, c), dyb.Data, xb.Data, mean, invStd, gb.Data, n, c, hw, true)
 		return mean, varv, dx

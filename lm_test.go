@@ -88,63 +88,6 @@ func TestLMRoundTripLocalVsRemote(t *testing.T) {
 	}
 }
 
-// TestLMGELUFFRemoteBitIdentical pins the GELU feed-forward variant
-// (TransformerLMConfig.GELUFF, tensor.ActGELU as FF1's fused epilogue)
-// across the wire: the lm_gelu_ff spec field must reach the server-side rebuild, so
-// remote training of a GELU-FF model stays bit-identical to local — and
-// measurably different from the default ReLU FF (guarding against the
-// flag silently not reaching the model).
-func TestLMGELUFFRemoteBitIdentical(t *testing.T) {
-	addr := startServer(t)
-	cfg := amalgam.TrainConfig{Epochs: 2, BatchSize: 8, LR: 0.1}
-
-	mk := func(gelu bool) *amalgam.LMJob {
-		t.Helper()
-		const vocab, bptt = 300, 12
-		stream := amalgam.GenerateTokenStream(amalgam.TextConfig{Name: "wt", Tokens: 480, Vocab: vocab, Seed: 1})
-		c := lmConfig(vocab)
-		c.GELUFF = gelu
-		model := amalgam.BuildLMModel(3, c)
-		job, err := amalgam.ObfuscateTokens(model, stream, bptt, amalgam.Options{Amount: 0.5, SubNets: 2, Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return job
-	}
-
-	remote := mk(true)
-	remoteStats, err := amalgam.Train(context.Background(), amalgam.RemoteTrainer{Addr: addr}, remote, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local := mk(true)
-	localStats, err := amalgam.Train(context.Background(), amalgam.LocalTrainer{}, local, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range localStats {
-		if localStats[i].Loss != remoteStats[i].Loss {
-			t.Fatalf("epoch %d: GELU-FF local loss %v, remote loss %v", i+1, localStats[i].Loss, remoteStats[i].Loss)
-		}
-	}
-	da := nn.StateDict(mustExtractLM(t, remote))
-	db := nn.StateDict(mustExtractLM(t, local))
-	for name, src := range da {
-		if !db[name].Equal(src) {
-			t.Fatalf("GELU-FF remote vs local training diverged at %q", name)
-		}
-	}
-
-	relu := mk(false)
-	reluStats, err := amalgam.Train(context.Background(), amalgam.LocalTrainer{}, relu, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reluStats[len(reluStats)-1].Loss == localStats[len(localStats)-1].Loss {
-		t.Fatal("GELU FF trained identically to ReLU FF — the flag is not reaching the model")
-	}
-}
-
 func mustExtractLM(t *testing.T, j *amalgam.LMJob) *amalgam.TransformerLM {
 	t.Helper()
 	m, err := j.ExtractLM(3)
