@@ -95,7 +95,9 @@ func (s *PredictServer) RegisterText(name string, m TextPredictor, vocab int) er
 }
 
 // RegisterLM serves a language model for next-token scoring under name,
-// accepting contexts up to maxContext tokens. A *TransformerLM gets its
+// accepting contexts up to maxContext tokens. Each context's result is the
+// top-K of its row of m.ForwardIDs, which projects only the context's last
+// position (a split request's tail does the same). A *TransformerLM gets its
 // vocabulary validated, maxContext defaulted to its positional-table
 // length, and the split-inference path wired (clients ship locally-
 // embedded activations). An augmented LM serves whole augmented windows:

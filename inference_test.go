@@ -1,11 +1,15 @@
 package amalgam_test
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -205,6 +209,100 @@ func TestPredictServerServesAugmented(t *testing.T) {
 	if _, err := srv.PredictLM(amalgam.PredictLMRequest{Model: "augmented-lm", Context: ctx[1:]}); !errors.Is(err, serve.ErrBadInput) {
 		t.Errorf("augmented LM, short window: got %v, want ErrBadInput", err)
 	}
+}
+
+// TestPredictLMServesLastRowOfAllPositions: what PredictServer answers for
+// a context, on each of the three LM registrations (a plain model, an
+// augmented one on augmented windows, and the plain model's split tail on
+// locally embedded activations), is the top-K of the last row of the
+// all-position logits Decoder.Forward(Features), tokens and log-probs bit
+// for bit. The requests run concurrently, so they share batches.
+func TestPredictLMServesLastRowOfAllPositions(t *testing.T) {
+	const topK = 5
+	job := mkLMJob(t)
+	plain := amalgam.BuildLMModel(3, lmConfig(job.Augmented.Orig.Vocab))
+	plain.SetTraining(false)
+	job.Augmented.SetTraining(false)
+	srv := amalgam.NewPredictServer(amalgam.PredictServerConfig{MaxBatch: 4, Workers: 2})
+	defer srv.Close()
+	if err := srv.RegisterLM("plain", plain, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RegisterLM("augmented", job.Augmented, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// lastRow is the referee: the all-position logits' row for the last
+	// position of ctx, after the secret gather when there is one.
+	lastRow := func(lm *amalgam.TransformerLM, ctx []int) []float32 {
+		all := lm.Decoder.Forward(lm.Features([][]int{ctx}))
+		defer autodiff.Release(all)
+		vocab := all.Val.Dim(1)
+		return append([]float32(nil), all.Val.Data[(len(ctx)-1)*vocab:]...)
+	}
+	type request struct {
+		req  amalgam.PredictLMRequest
+		want []float32
+	}
+	var reqs []request
+	tokens, aug := job.AugmentedStream.Tokens, job.Key.AugLen
+	for i := 0; i < 6; i++ {
+		w := tokens[i*aug : (i+1)*aug]
+		reqs = append(reqs, request{amalgam.PredictLMRequest{Model: "augmented", Context: w, TopK: topK},
+			lastRow(job.Augmented.Orig, job.Augmented.OrigGather.Apply([][]int{w})[0])})
+	}
+	for i, n := range []int{1, 4, 4, 4, 9, 9, 9} {
+		ctx := tokens[i : i+n]
+		want := lastRow(plain, ctx)
+		reqs = append(reqs, request{amalgam.PredictLMRequest{Model: "plain", Context: ctx, TopK: topK}, want})
+		h := plain.EmbedIDs([][]int{ctx})
+		acts := append([]float32(nil), h.Val.Data...)
+		autodiff.Release(h)
+		reqs = append(reqs, request{amalgam.PredictLMRequest{Model: "plain", Activations: acts, SeqLen: n, TopK: topK}, want})
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, len(reqs))
+	for _, r := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := srv.PredictLM(r.req)
+			toks, lps := topKLastRow(r.want, topK)
+			switch {
+			case err != nil:
+				errs <- err
+			case !slices.Equal(res.Tokens, toks) || !slices.EqualFunc(res.LogProbs, lps, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }):
+				errs <- fmt.Errorf("%s (split %v): served %v %v, want %v %v", r.req.Model, r.req.Activations != nil, res.Tokens, res.LogProbs, toks, lps)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// topKLastRow is the served top-K written out: the k largest logits, ties
+// toward the lower id, with log-softmax values accumulated in float64.
+func topKLastRow(logits []float32, k int) ([]int, []float32) {
+	ids := make([]int, len(logits))
+	for i := range ids {
+		ids[i] = i
+	}
+	slices.SortStableFunc(ids, func(a, b int) int { return cmp.Compare(logits[b], logits[a]) })
+	maxv := logits[ids[0]]
+	var sum float64
+	for _, v := range logits {
+		sum += math.Exp(float64(v - maxv))
+	}
+	lse := float64(maxv) + math.Log(sum)
+	lps := make([]float32, k)
+	for i, id := range ids[:k] {
+		lps[i] = float32(float64(logits[id]) - lse)
+	}
+	return ids[:k], lps
 }
 
 // TestPredictClientRetriesAcrossKill pins the remote client's fault

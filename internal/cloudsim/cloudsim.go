@@ -513,8 +513,9 @@ func bindLM(model Trainable, spec ModelSpec, p payload, what string) (*split, er
 // lmScore pairs the original sub-network's next-token predictions over a
 // batch of augmented windows with the windows' own shifted tokens. It runs
 // the original's Features, then its decoder in the loss head's row blocks
-// (autodiff.LinearArgmaxRows), so the [N·T, vocab] logits of ForwardIDs
-// never exist: the predictions are theirs, row for row.
+// (autodiff.LinearArgmaxRows), so the all-position [N·T, vocab] logits,
+// Decoder.Forward(Features), never exist: the predictions are theirs, row
+// for row.
 func lmScore(am *core.AugmentedTransformerLM, ws *data.WindowSet) func(idx []int) (pred, labels []int) {
 	return func(idx []int) ([]int, []int) {
 		gathered := am.OrigGather.Apply(ws.Batch(idx))

@@ -40,8 +40,9 @@ func lmScoreFixture(t *testing.T) (am *core.AugmentedTransformerLM, ws *data.Win
 }
 
 // TestLMScoreMatchesForwardIDs: the accuracy pass's blocked scoring predicts
-// what the argmax of the original's whole logits does, row for row, on a
-// batch whose logits span several row blocks.
+// what the argmax of the original's all-position logits,
+// Decoder.Forward(Features), does, row for row, on a batch whose logits
+// span several row blocks.
 func TestLMScoreMatchesForwardIDs(t *testing.T) {
 	am, ws, batch, _ := lmScoreFixture(t)
 	am.SetTraining(false)
@@ -54,11 +55,11 @@ func TestLMScoreMatchesForwardIDs(t *testing.T) {
 		for i, w := range gathered {
 			inputs[i], targets[i] = w[:len(w)-1], w[1:]
 		}
-		logits := am.Orig.ForwardIDs(inputs)
+		logits := am.Orig.Decoder.Forward(am.Orig.Features(inputs))
 		want := tensor.ArgmaxRows(logits.Val)
 		autodiff.Release(logits)
 		if !slices.Equal(pred, want) {
-			t.Fatalf("windows %v: blocked predictions differ from ArgmaxRows(ForwardIDs)\n got %v\nwant %v", idx, pred, want)
+			t.Fatalf("windows %v: blocked predictions differ from ArgmaxRows of the all-position logits\n got %v\nwant %v", idx, pred, want)
 		}
 		if !slices.Equal(labels, models.FlattenTargets(targets)) {
 			t.Fatalf("windows %v: labels are not the original windows' shifted tokens", idx)
@@ -68,8 +69,8 @@ func TestLMScoreMatchesForwardIDs(t *testing.T) {
 
 // TestLMAccuracyLogitFootprint is TestLossWindowsLogitFootprint (internal/core)
 // for the epoch's accuracy pass: warmed, LMAccuracy misses the pool nowhere
-// and never asks for a logit-sized buffer — ForwardIDs would take one per
-// batch. One P, one worker and the collector off, as there.
+// and never asks for a logit-sized buffer — the all-position logits,
+// Decoder.Forward(Features), would take one per batch. One P, one worker and the collector off, as there.
 func TestLMAccuracyLogitFootprint(t *testing.T) {
 	am, ws, batch, logitNumel := lmScoreFixture(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

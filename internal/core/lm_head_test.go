@@ -148,3 +148,46 @@ func TestLossWindowsLogitFootprint(t *testing.T) {
 		}
 	}
 }
+
+// TestAugmentedLMForwardIsLastRowOfAllPositions: an augmented LM serves
+// augmented windows with row i of its [N, vocab] logits bit for bit row
+// (i+1)·T−1 of the original's all-position logits over the gathered
+// windows, Decoder.Forward(Features), at odd and even N, every worker
+// count and both kernel backends. At D·vocab = 2¹⁴ the GEMMs split rows
+// over the workers.
+func TestAugmentedLMForwardIsLastRowOfAllPositions(t *testing.T) {
+	am, windows, _ := lmHeadFixtureAt(t, 0.5, 1024)
+	am.SetTraining(false)
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+	defer tensor.SetSIMD(tensor.SetSIMD(false))
+	for _, simd := range []bool{false, true} {
+		if tensor.SetSIMD(simd); simd && !tensor.SIMDEnabled() {
+			t.Log("AVX2 not available; SIMD dispatch not exercised")
+			continue
+		}
+		for _, wk := range []int{1, 2, 3, 8} {
+			tensor.SetMaxWorkers(wk)
+			for _, n := range []int{1, 2, 3, 5} {
+				batch := make([][]int, n)
+				for i := range batch {
+					batch[i] = windows[(i+n)%len(windows)]
+				}
+				gathered := am.OrigGather.Apply(batch)
+				all := am.Orig.Decoder.Forward(am.Orig.Features(gathered))
+				got := am.ForwardIDs(batch)
+				vocab, tt := am.Orig.Vocab, len(gathered[0])
+				if got.Val.Dim(0) != n || got.Val.Dim(1) != vocab {
+					t.Fatalf("simd=%v workers=%d N=%d: logits %v, want [%d %d]", simd, wk, n, got.Val.Shape(), n, vocab)
+				}
+				for i := 0; i < n; i++ {
+					want := all.Val.Data[((i+1)*tt-1)*vocab : (i+1)*tt*vocab]
+					if !tensor.FromSlice(got.Val.Data[i*vocab:(i+1)*vocab], vocab).Equal(tensor.FromSlice(want, vocab)) {
+						t.Errorf("simd=%v workers=%d N=%d: row %d is not the all-position logits' row %d", simd, wk, n, i, (i+1)*tt-1)
+					}
+				}
+				autodiff.Release(all)
+				autodiff.Release(got)
+			}
+		}
+	}
+}

@@ -174,8 +174,8 @@ func (m *AugmentedTransformerLM) ValidateLoss(windows [][]int) *autodiff.Node {
 // ForwardIDs scores a batch of still-augmented windows — each exactly
 // key.AugLen tokens — with the original sub-network: the secret gather
 // selects the hidden original subsequence and the original LM maps it to
-// next-token logits [N*OrigLen, Vocab]; the last row of each window's
-// block is the distribution over the token following the context. This
+// next-token logits [N, Vocab], one row per window: the distribution over
+// the token following the window's last original position. This
 // is the serving path for obfuscated LM deployments: the
 // provider-visible input stays augmented, the key stays inside the
 // model.

@@ -156,7 +156,7 @@ func TestMeanLossRestoresTrainingMode(t *testing.T) {
 			return autodiff.SoftmaxCrossEntropy(job.Augmented.Forward(autodiff.Constant(x)), labels), len(labels)
 		}},
 		{"plain LM (dropout)", lm, 2, func(idx []int) (*autodiff.Node, int) {
-			return autodiff.SoftmaxCrossEntropy(lm.ForwardIDs([][]int{{1, 2, 3}}), []int{2, 3, 4}), 3
+			return autodiff.SoftmaxCrossEntropy(lm.Decoder.Forward(lm.Features([][]int{{1, 2, 3}})), []int{2, 3, 4}), 3
 		}},
 	} {
 		for _, training := range []bool{true, false} {

@@ -39,7 +39,9 @@ func (t tapWidths) TapChannels() []int { return slices.Clone(t) }
 
 // TextModel is a token-input model (classification or language modelling).
 type TextModel interface {
-	// ForwardIDs maps a batch of token sequences to logits.
+	// ForwardIDs maps a batch of N token sequences to logits [N, C]: one
+	// row per sequence, which is class logits for a classifier and
+	// next-token logits for a language model.
 	ForwardIDs(ids [][]int) *autodiff.Node
 	Params() []nn.Param
 	SetTraining(training bool)

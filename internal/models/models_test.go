@@ -246,15 +246,17 @@ func TestTransformerLMForwardAndLearn(t *testing.T) {
 		return in, FlattenTargets(tgt)
 	}
 	in, flat := mkBatch()
-	logits := m.ForwardIDs(in)
-	if logits.Val.Dim(0) != 32 || logits.Val.Dim(1) != 50 {
-		t.Fatalf("LM logits %v", logits.Val.Shape())
+	if logits := m.ForwardIDs(in); logits.Val.Dim(0) != 4 || logits.Val.Dim(1) != 50 {
+		t.Fatalf("next-token logits %v, want [4 50]", logits.Val.Shape())
+	}
+	if logits := m.Decoder.Forward(m.Features(in)); logits.Val.Dim(0) != 32 || logits.Val.Dim(1) != 50 {
+		t.Fatalf("all-position logits %v, want [32 50]", logits.Val.Shape())
 	}
 	opt := optim.NewAdam(m.Params(), 0.01)
 	var first, last float32
 	for it := 0; it < 50; it++ {
 		nn.ZeroGrads(m)
-		loss := autodiff.SoftmaxCrossEntropy(m.ForwardIDs(in), flat)
+		loss := autodiff.SoftmaxCrossEntropy(m.Decoder.Forward(m.Features(in)), flat)
 		autodiff.Backward(loss)
 		opt.Step()
 		if it == 0 {

@@ -111,19 +111,21 @@ func NewTransformerLM(rng *tensor.RNG, cfg TransformerLMConfig) *TransformerLM {
 	return m
 }
 
-// ForwardIDs maps token batches [N][T] to next-token logits [N*T, Vocab],
-// applying a causal mask. It composes the split-inference halves, so the
-// full path and EmbedIDs→ForwardEmbedded are bit-identical by
-// construction.
+// ForwardIDs maps token batches [N][T] to next-token logits [N, Vocab]:
+// one row per sequence, the distribution over the token that follows it.
+// It composes the split-inference halves, so the full path and
+// EmbedIDs→ForwardEmbedded are bit-identical by construction. The logits
+// at every position are Decoder.Forward(Features(ids)).
 func (m *TransformerLM) ForwardIDs(ids [][]int) *autodiff.Node {
 	return m.ForwardEmbedded(m.EmbedIDs(ids))
 }
 
-// Features maps token batches [N][T] to the [N*T, D] activations the
-// decoder projects: ForwardIDs without its last step. Training losses
-// (autodiff.LinearSoftmaxCrossEntropy) and the accuracy pass
-// (autodiff.LinearArgmaxRows) take these plus Decoder and form the
-// [N*T, Vocab] logits a row block at a time, so they never exist whole.
+// Features maps token batches [N][T] to the [N*T, D] activations of every
+// position under the causal mask, row n*T+t for sequence n's position t.
+// Training losses (autodiff.LinearSoftmaxCrossEntropy) and the accuracy
+// pass (autodiff.LinearArgmaxRows) take these plus Decoder and form the
+// [N*T, Vocab] logits a row block at a time, so they never exist whole;
+// ForwardIDs projects only each sequence's last row.
 func (m *TransformerLM) Features(ids [][]int) *autodiff.Node {
 	return m.encode(m.EmbedIDs(ids))
 }
@@ -144,12 +146,23 @@ func (m *TransformerLM) EmbedIDs(ids [][]int) *autodiff.Node {
 	return m.Drop.Forward(autodiff.Add(h, autodiff.Constant(pe)))
 }
 
-// ForwardEmbedded runs the server half of split inference: the encoder
-// blocks under a causal mask and the decoder projection, over activations
-// [N, T, D] produced by EmbedIDs, returning next-token logits
-// [N*T, Vocab].
+// ForwardEmbedded runs the server half of split inference over
+// activations [N, T, D] produced by EmbedIDs: the encoder blocks under a
+// causal mask, then the decoder projection of each sequence's last
+// position only, returning next-token logits [N, Vocab]. Row i is bit
+// for bit row (i+1)·T−1 of Decoder.Forward(Features(ids)).
 func (m *TransformerLM) ForwardEmbedded(h *autodiff.Node) *autodiff.Node {
-	return m.Decoder.Forward(m.encode(h))
+	n, t := h.Val.Dim(0), h.Val.Dim(1)
+	// An Embedding lookup into the [N*T, D] features is the gather: "id"
+	// (i+1)·T−1 is sequence i's last position.
+	rows := make([]int, n)
+	last := make([][]int, n)
+	for i := range last {
+		rows[i] = (i+1)*t - 1
+		last[i] = rows[i : i+1]
+	}
+	h = autodiff.Reshape(autodiff.Embedding(m.encode(h), last), n, m.D)
+	return m.Decoder.Forward(h)
 }
 
 // encode runs the encoder blocks under a causal mask over [N, T, D]
@@ -165,7 +178,8 @@ func (m *TransformerLM) encode(h *autodiff.Node) *autodiff.Node {
 var _ TextModel = (*TransformerLM)(nil)
 
 // FlattenTargets turns [N][T] target ids into the flat []int label layout
-// matching TransformerLM.ForwardIDs's [N*T, Vocab] logits.
+// matching the [N*T, D] rows of TransformerLM.Features, one label per
+// position, as the fused loss head and the accuracy pass take them.
 func FlattenTargets(targets [][]int) []int {
 	if len(targets) == 0 {
 		return nil

@@ -146,7 +146,7 @@ func TestBackwardDrainsEveryZooGraph(t *testing.T) {
 		ids := [][]int{{1, 2, 3, 4}, {5, 6, 7, 8}}
 		targets := []int{2, 3, 4, 5, 6, 7, 8, 9}
 		check(t, lm, func() *autodiff.Node {
-			return autodiff.SoftmaxCrossEntropy(lm.ForwardIDs(ids), targets)
+			return autodiff.SoftmaxCrossEntropy(lm.Decoder.Forward(lm.Features(ids)), targets)
 		})
 	})
 }
@@ -238,7 +238,8 @@ func TestBuildForLoadIsANormalBuildOnceLoaded(t *testing.T) {
 		lmCfg := TransformerLMConfig{Vocab: 20, D: 8, Heads: 2, FF: 16, Layers: 2, MaxT: 8, Dropout: 0.3}
 		check(t, func(rng *tensor.RNG) model { return NewTransformerLM(rng, lmCfg) },
 			func(m model) *autodiff.Node {
-				return autodiff.SoftmaxCrossEntropy(m.(*TransformerLM).ForwardIDs(ids), []int{2, 3, 4, 5, 6, 7, 8, 9})
+				lm := m.(*TransformerLM)
+				return autodiff.SoftmaxCrossEntropy(lm.Decoder.Forward(lm.Features(ids)), []int{2, 3, 4, 5, 6, 7, 8, 9})
 			})
 	})
 }

@@ -21,12 +21,13 @@
 // the batch queue it may share; pack — how coalesced requests become one
 // input (dense rows copied into a pooled tensor, or token-id lists used
 // in place); forward — the model's Forward/ForwardIDs, or a split tail;
-// fan — how the output rows become results (argmax class + logit row, or
-// top-K next tokens). One driver, path.run, executes every path. A
-// request is a Group — a path name and that path's samples, as dense rows
-// or token lists — and Server.Predict is its one entry; the Register*
-// configs only choose which paths a model offers. A wire frame decodes
-// into the same Group, so no layer above this one chooses among paths.
+// fan — how the output rows, one per sample, become results (argmax
+// class + logit row, or top-K next tokens). One driver, path.run,
+// executes every path. A request is a Group — a path name and that
+// path's samples, as dense rows or token lists — and Server.Predict is
+// its one entry; the Register* configs only choose which paths a model
+// offers. A wire frame decodes into the same Group, so no layer above
+// this one chooses among paths.
 //
 // Split inference (Leroux et al.'s privacy-aware offloading) is two more
 // such paths: the client runs the gather/embedding layers locally and
@@ -90,7 +91,8 @@ type CVForwarder interface {
 }
 
 // IDForwarder is the forward surface of a token model (text classifiers
-// and LMs, plain or augmented).
+// and LMs, plain or augmented). ForwardIDs returns one row of logits per
+// sequence: class logits for a classifier, next-token logits for an LM.
 type IDForwarder interface {
 	ForwardIDs(ids [][]int) *autodiff.Node
 	SetTraining(training bool)
@@ -131,7 +133,7 @@ type LMConfig struct {
 	Vocab int
 	// SplitTail, when non-nil, additionally serves split inference: it
 	// receives embedded activations [N, T, SplitDim] and returns
-	// next-token logits [N*rows, vocab].
+	// next-token logits [N, vocab], one row per context.
 	SplitTail func(h *autodiff.Node) *autodiff.Node
 	// SplitDim is the activation width per position (required with
 	// SplitTail).

@@ -52,9 +52,7 @@ func forwardTextOne(m IDForwarder, toks []int) TextResult {
 
 func forwardLMOne(m IDForwarder, ctx []int, topK int) LMResult {
 	out := m.ForwardIDs([][]int{ctx})
-	vocab := out.Val.Dim(1)
-	rows := out.Val.Dim(0)
-	toks, lps := topKLogProbs(out.Val.Data[(rows-1)*vocab:rows*vocab], topK)
+	toks, lps := topKLogProbs(out.Val.Data[:out.Val.Dim(1)], topK)
 	autodiff.Release(out)
 	return LMResult{Tokens: toks, LogProbs: lps}
 }
@@ -245,6 +243,37 @@ func TestSteadyStatePoolStable(t *testing.T) {
 	}
 }
 
+// TestLMPredictionLogitFootprint: a warmed prediction over one 128-token
+// context projects its last position only, so it makes no Get from the
+// pool bucket of the [T, vocab] logits, which nothing else of the forward
+// lives in (the next largest buffers, the per-head [T, T] scores, hold
+// 2¹⁴ floats).
+func TestLMPredictionLogitFootprint(t *testing.T) {
+	const ctxLen, vocab = 128, 1000
+	lm := models.NewTransformerLM(tensor.NewRNG(17), models.TransformerLMConfig{Vocab: vocab, D: 16, Heads: 2, FF: 32, Layers: 1, MaxT: ctxLen})
+	s := New(Config{MaxBatch: 1, Workers: 1})
+	defer s.Close()
+	if err := s.RegisterLM("lm", lm, LMConfig{MaxContext: ctxLen, Vocab: vocab}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := make([]int, ctxLen)
+	for i := range ctx {
+		ctx[i] = i * 7 % vocab
+	}
+	predict := func() {
+		if _, err := s.Predict("lm", Group{Path: "lm", IDs: [][]int{ctx}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	predict() // the pool is warm
+	h0, m0 := tensor.PoolBucketStats(ctxLen * vocab)
+	predict()
+	h1, m1 := tensor.PoolBucketStats(ctxLen * vocab)
+	if gets := (h1 - h0) + (m1 - m0); gets != 0 {
+		t.Errorf("%d Gets of [T, vocab] logits' size in one prediction, want none", gets)
+	}
+}
+
 // blockingCV parks every forward until released — a stand-in for a slow
 // model, used to fill the admission queue deterministically.
 type blockingCV struct{ release chan struct{} }
@@ -340,6 +369,35 @@ func TestLanePanicFailsBatchTyped(t *testing.T) {
 		if _, err := s.Predict("p", Group{Path: "cv", Rows: [][]float32{{0}}}); !errors.Is(err, ErrModelPanic) || !strings.Contains(err.Error(), "synthetic decoy bug") {
 			t.Fatalf("call %d: got %v, want ErrModelPanic carrying the branch's panic", call, err)
 		}
+	}
+}
+
+// allPositionsLM answers with a row of logits for every position of every
+// context, [N·T, vocab], where a forward owes one row per context.
+type allPositionsLM struct{}
+
+func (allPositionsLM) ForwardIDs(ids [][]int) *autodiff.Node {
+	return autodiff.Constant(tensor.New(len(ids)*len(ids[0]), 4))
+}
+func (allPositionsLM) SetTraining(bool) {}
+
+// TestRowCountMismatchFailsBatchTyped: the fan reads row i for call i, so a
+// forward that returns any other row count fails its batch with
+// ErrModelPanic instead of answering from the wrong rows, and the worker
+// lives on. A one-token context makes N·T = N, which is served.
+func TestRowCountMismatchFailsBatchTyped(t *testing.T) {
+	s := New(Config{MaxBatch: 2, Workers: 1})
+	defer s.Close()
+	if err := s.RegisterLM("lm", allPositionsLM{}, LMConfig{MaxContext: 8, Vocab: 4}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ids := range [][][]int{{{1, 2, 3}}, {{1, 2}, {3, 0}}} {
+		if _, err := s.Predict("lm", Group{Path: "lm", IDs: ids}); !errors.Is(err, ErrModelPanic) || !strings.Contains(err.Error(), "rows for") {
+			t.Errorf("%v: got %v, want ErrModelPanic naming the row count", ids, err)
+		}
+	}
+	if _, err := s.Predict("lm", Group{Path: "lm", IDs: [][]int{{1}, {2}}}); err != nil {
+		t.Errorf("one row per context: %v", err)
 	}
 }
 

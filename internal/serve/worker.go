@@ -54,6 +54,9 @@ func (s *Server) finish(calls []*call) {
 
 // run is THE batch driver, for every path: pack the coalesced calls into
 // one input, forward once, fan the output back out, release the graph.
+// Every forward returns one row per call, which the fan reads as row i for
+// call i; any other row count is a model bug, and it fails the batch with
+// ErrModelPanic through runBatch's recover.
 func (p *path) run(calls []*call) {
 	var out *autodiff.Node
 	if p.forwardIDs != nil {
@@ -67,6 +70,9 @@ func (p *path) run(calls []*call) {
 		defer tensor.Put(x)
 		packRows(x, calls)
 		out = p.forward(autodiff.Constant(x))
+	}
+	if rows := out.Val.Dim(0); rows != len(calls) {
+		panic(fmt.Sprintf("forward returned %d rows for %d samples", rows, len(calls)))
 	}
 	p.fan(out, calls)
 	autodiff.Release(out)
@@ -101,16 +107,12 @@ func fanOutClasses(out *autodiff.Node, calls []*call) {
 	}
 }
 
-// fanOutNextToken reads [N*rows, vocab] logits and writes each call's
-// top-K next-token result from its final row. The rows per sample come
-// from the logits themselves, so augmented models — whose secret gather
-// shrinks the visible window — need no extra geometry.
+// fanOutNextToken reads [N, vocab] next-token logits and writes each
+// call's top-K next-token result from its row.
 func fanOutNextToken(out *autodiff.Node, calls []*call) {
 	vocab := out.Val.Dim(1)
-	rows := out.Val.Dim(0) / len(calls)
 	for i, cl := range calls {
-		last := out.Val.Data[((i+1)*rows-1)*vocab : (i+1)*rows*vocab]
-		toks, lps := topKLogProbs(last, cl.topK)
+		toks, lps := topKLogProbs(out.Val.Data[i*vocab:(i+1)*vocab], cl.topK)
 		cl.LMResult = LMResult{Tokens: toks, LogProbs: lps}
 	}
 }

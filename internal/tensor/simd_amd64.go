@@ -77,9 +77,9 @@ func detectAVX2FMA() bool {
 func SIMDEnabled() bool { return simdAvailable }
 
 // SetSIMD force-enables or disables the SIMD backend and returns the
-// previous state. Test-only (this package's and autodiff's determinism
-// tables): lets the suite cross-check SIMD and generic kernels on the same
-// machine. Not safe to call while kernels run.
+// previous state. Test-only (determinism tables and bit-exact referees):
+// lets a suite cross-check SIMD and generic kernels on the same machine.
+// Not safe to call while kernels run.
 func SetSIMD(on bool) bool {
 	prev := simdAvailable
 	if on && !detectAVX2FMA() {

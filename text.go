@@ -145,8 +145,9 @@ func (j *TextJob) ExtractTextInto(fresh *TextClassifier) error {
 	return core.VerifyExtraction(j.Augmented, fresh)
 }
 
-// TextPredictor is anything that maps token batches to class logits —
-// plain classifiers and augmented classifiers alike.
+// TextPredictor is anything that maps a batch of token sequences to one
+// row of logits per sequence: class logits for a classifier, next-token
+// logits for a language model, plain or augmented alike.
 type TextPredictor interface {
 	ForwardIDs(ids [][]int) *autodiff.Node
 	SetTraining(training bool)
