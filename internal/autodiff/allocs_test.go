@@ -102,9 +102,6 @@ func TestSoftmaxStepAllocs(t *testing.T) {
 		labels[i] = i % 32
 	}
 	t.Run("Attention", func(t *testing.T) { // the attention's row softmax, per head
-		if raceEnabled { // one pooled buffer per head and pass: a dropped put is an allocation
-			t.Skip("sync.Pool drops puts at random under -race; pool-hit alloc counts are meaningless")
-		}
 		qN, kN, vN := Leaf(x.Clone().Reshape(2, 32, 32)), Leaf(x.Clone().Reshape(2, 32, 32)), Leaf(x.Clone().Reshape(2, 32, 32))
 		allocs := stepAllocs(t, func() {
 			qN.ZeroGrad()
@@ -136,9 +133,6 @@ func TestSoftmaxStepAllocs(t *testing.T) {
 // constant-graph-skeleton class: an activation costs its op no allocation
 // beyond the node it already is.
 func TestActivationStepAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops puts at random under -race; pool-hit alloc counts are meaningless")
-	}
 	eachActRow(t, allActs, func(t *testing.T, h hostOp, act tensor.Act) {
 		p := h.nodes(h.draw(h.wide, 73))
 		allocs := stepAllocs(t, func() {
@@ -161,9 +155,6 @@ func TestActivationStepAllocs(t *testing.T) {
 // those still came from the pool, but the per-image bookkeeping slice and
 // its registration scaled with the batch).
 func TestConvBackwardStepAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops puts at random under -race; pool-hit alloc counts are meaningless")
-	}
 	rng := tensor.NewRNG(76)
 	x := tensor.New(16, 2, 12, 12)
 	w := tensor.New(8, 2, 3, 3)
@@ -189,9 +180,6 @@ func TestConvBackwardStepAllocs(t *testing.T) {
 // (the retained-columns design kept a []*Tensor of length n plus n live
 // pool buffers across the backward).
 func TestConvBackwardAllocsIndependentOfBatch(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops puts at random under -race; pool-hit alloc counts are meaningless")
-	}
 	measure := func(batch int) float64 {
 		rng := tensor.NewRNG(77)
 		x := tensor.New(batch, 1, 10, 10)

@@ -2,7 +2,6 @@ package autodiff
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"amalgam/internal/tensor"
@@ -315,9 +314,9 @@ func BenchmarkConvBackward(b *testing.B) {
 	}
 }
 
-// BenchmarkConvBackwardColdPool is the peak-memory view: two GC cycles
-// before each step empty the scratch pool (sync.Pool's victim cache survives
-// one GC), so bytes/op ≈ the step's whole working set — one block's lowered
+// BenchmarkConvBackwardColdPool is the peak-memory view: every pool bucket
+// up to 2²⁰ floats, past the step's largest buffer, is emptied before each
+// step, so bytes/op ≈ the step's whole working set — one block's lowered
 // matrix, not one per image.
 func BenchmarkConvBackwardColdPool(b *testing.B) {
 	prev := tensor.SetMaxWorkers(1)
@@ -332,8 +331,9 @@ func BenchmarkConvBackwardColdPool(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		runtime.GC()
-		runtime.GC()
+		for numel := 1; numel <= 1<<20; numel *= 2 {
+			emptyBucket(numel)
+		}
 		b.StartTimer()
 		xN.ZeroGrad()
 		wN.ZeroGrad()

@@ -2,8 +2,6 @@ package autodiff
 
 import (
 	"math/bits"
-	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -135,16 +133,14 @@ func TestBackwardConsumesTheGraph(t *testing.T) {
 }
 
 // coldBucketMisses counts how often one forward+Backward of build misses the
-// pool bucket that serves numel floats, starting from an empty bucket with
-// the collector off and one P, so every buffer handed back is the next one
-// handed out: the count is the number of such buffers alive at once.
+// pool bucket that serves numel floats, starting from an empty bucket. The
+// pool is LIFO and keeps what it is handed, so every buffer handed back is
+// the next one handed out: the count is the number of such buffers alive at
+// once. One kernel worker, so that no two chunks hold one at the same time.
 func coldBucketMisses(t *testing.T, numel int, build func() *Node) int {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
-	runtime.GC()
-	runtime.GC() // twice: sync.Pool keeps a victim generation
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	emptyBucket(numel)
 	_, m0 := tensor.PoolBucketStats(numel)
 	root := build()
 	Backward(root)
@@ -159,9 +155,6 @@ func coldBucketMisses(t *testing.T, numel int, build func() *Node) int {
 // are a constant-size frontier. Keeping every gradient until Release costs
 // 2 more per unit, a retained x̂ or an unfused ReLU another one each.
 func TestBackwardFootprint(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
 	const k, frontier = 8, 4
 	rng := tensor.NewRNG(73)
 
@@ -278,20 +271,13 @@ func TestStepBackwardReturnsValues(t *testing.T) {
 	want := grads()
 	Release(g.root)
 
-	// Under a step. Outside the race detector (whose sync.Pool drops Puts at
-	// random) the pool is counted too: one P, no collector and an empty pool
-	// to start from, so every buffer handed back stays there, and the
-	// buffers made per bucket are its misses.
-	count := !raceEnabled
-	if count {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		runtime.GC()
-		runtime.GC() // twice: sync.Pool keeps a victim generation
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	}
+	// Under a step, the pool is counted too: each bucket the values use
+	// starts empty, so the buffers made there are its misses, and every
+	// buffer handed back stays there.
 	bucket := func(numel int) int { return 1 << bits.Len(uint(numel-1)) } // the bucket's size
 	buckets := map[int]int64{}                                            // each bucket the values use → buffers made there
 	for _, v := range vals {
+		emptyBucket(v.Numel())
 		_, m := tensor.PoolBucketStats(v.Numel())
 		buckets[bucket(v.Numel())] = -m
 	}
@@ -323,22 +309,18 @@ func TestStepBackwardReturnsValues(t *testing.T) {
 			held[bucket(n.Val.Numel())]++
 		}
 	}
-	if count {
-		for size, made := range buckets {
-			if got := drainBucket(t, size); got != made-held[size] {
-				t.Fatalf("after Backward under a step the %d-float bucket holds %d buffers, want %d made less %d held", size, got, made, held[size])
-			}
+	for size, made := range buckets {
+		if got := drainBucket(t, size); got != made-held[size] {
+			t.Fatalf("after Backward under a step the %d-float bucket holds %d buffers, want %d made less %d held", size, got, made, held[size])
 		}
 	}
 	Release(g.root)
 	if g.block.Val != nil {
 		t.Fatal("Release did not return the value a Detach view pinned")
 	}
-	if count {
-		for size, made := range buckets {
-			if got := drainBucket(t, size); got != made {
-				t.Fatalf("after Release the %d-float bucket holds %d buffers, want the %d made", size, got, made)
-			}
+	for size, made := range buckets {
+		if got := drainBucket(t, size); got != made {
+			t.Fatalf("after Release the %d-float bucket holds %d buffers, want the %d made", size, got, made)
 		}
 	}
 }
@@ -348,21 +330,33 @@ func TestStepBackwardReturnsValues(t *testing.T) {
 // it fails t if a buffer comes out twice (it was put back twice).
 func drainBucket(t *testing.T, numel int) int64 {
 	t.Helper()
+	held := takeBucket(numel)
 	seen := map[*float32]bool{}
-	var held []*tensor.Tensor
-	for {
-		_, m0 := tensor.PoolBucketStats(numel)
-		b := tensor.Get(numel)
-		if _, m := tensor.PoolBucketStats(numel); m != m0 {
-			break // a fresh buffer: the bucket is empty
-		}
+	for _, b := range held {
 		if seen[&b.Data[0]] {
 			t.Fatalf("a %d-float buffer came out of the pool twice: it was put back twice", numel)
 		}
-		seen[&b.Data[0]], held = true, append(held, b)
+		seen[&b.Data[0]] = true
 	}
 	for _, b := range held {
 		tensor.Put(b)
 	}
 	return int64(len(held))
+}
+
+// emptyBucket drops every buffer the pool holds in the bucket of numel
+// floats, so that the next Get there makes one.
+func emptyBucket(numel int) { takeBucket(numel) }
+
+// takeBucket takes the buffers the pool holds in the bucket of numel floats
+// until it has to make one.
+func takeBucket(numel int) []*tensor.Tensor {
+	var held []*tensor.Tensor
+	for {
+		_, m0 := tensor.PoolBucketStats(numel)
+		held = append(held, tensor.Get(numel))
+		if _, m := tensor.PoolBucketStats(numel); m != m0 {
+			return held[:len(held)-1] // the last is fresh: the bucket is empty
+		}
+	}
 }

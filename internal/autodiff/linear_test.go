@@ -177,10 +177,10 @@ func TestAccumulateOwned(t *testing.T) {
 		}
 	}
 	// The second buffer went back to the pool: the next Get of its bucket
-	// is a hit. (Under the race detector sync.Pool drops Puts at random.)
+	// is a hit.
 	_, m0 := tensor.PoolStats()
 	again := tensor.Get(2, 3)
-	if _, m1 := tensor.PoolStats(); m1 != m0 && !raceEnabled {
+	if _, m1 := tensor.PoolStats(); m1 != m0 {
 		t.Fatal("the added temporary was not returned to the pool")
 	}
 	if again == first {
@@ -227,9 +227,6 @@ func TestAccumulateOwned(t *testing.T) {
 	// Pool balance over a whole step that adopts (MatMul hands dA and dB
 	// over): a warmed step takes every buffer from the pool and Release
 	// puts every one back, so a repeat makes the same Gets with no miss.
-	if raceEnabled {
-		return
-	}
 	x := tensor.New(4, 3)
 	tensor.NewRNG(66).FillNormal(x, 0, 1)
 	wN := Leaf(tensor.New(3, 2))

@@ -1,8 +1,6 @@
 package cloudsim
 
 import (
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -70,13 +68,12 @@ func TestLMScoreMatchesForwardIDs(t *testing.T) {
 // TestLMAccuracyLogitFootprint is TestLossWindowsLogitFootprint (internal/core)
 // for the epoch's accuracy pass: warmed, LMAccuracy misses the pool nowhere
 // and never asks for a logit-sized buffer — the all-position logits,
-// Decoder.Forward(Features), would take one per batch. One P, one worker and the collector off, as there.
+// Decoder.Forward(Features), would take one per batch. One kernel worker, as
+// there: sub-networks interleaved by preemption may hold more buffers at once
+// than in the warm-up.
 func TestLMAccuracyLogitFootprint(t *testing.T) {
 	am, ws, batch, logitNumel := lmScoreFixture(t)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	LMAccuracy(am, ws, batch) // the pool is warm
 	_, miss0 := tensor.PoolStats()
 	h0, m0 := tensor.PoolBucketStats(logitNumel)
@@ -86,7 +83,7 @@ func TestLMAccuracyLogitFootprint(t *testing.T) {
 	if gets := (h1 - h0) + (m1 - m0); gets != 0 {
 		t.Errorf("%d logit-sized Gets in one accuracy pass, want none", gets)
 	}
-	if miss1 != miss0 && !raceEnabled {
+	if miss1 != miss0 {
 		t.Errorf("a warmed accuracy pass missed the pool %d times", miss1-miss0)
 	}
 }

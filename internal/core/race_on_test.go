@@ -2,6 +2,6 @@
 
 package core
 
-// raceEnabled lets pool-miss pins skip under the race detector, where
-// sync.Pool deliberately drops puts at random.
+// raceEnabled lets the side-by-side suite shrink its repeats and models
+// under the race detector, fifty times slower on the kernels' scalar loops.
 const raceEnabled = true

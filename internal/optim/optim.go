@@ -247,9 +247,9 @@ func (s *leafStep) Step(leaf *autodiff.Node) {
 // element count. It grows to the gradients a step has alive at once, not
 // one per parameter, and holds them through the forward pass too. Hence
 // exact sizes and ownership by the run: a power-of-two pool bucket would
-// hold up to twice the bytes, and a sync.Pool may drop a buffer for the
-// next step to allocate again. Components walk side by side, hence the
-// lock.
+// hold up to twice the bytes, and its trim may drop a buffer that sat out
+// a whole interval, which a run that keeps a gradient's buffer for the next
+// step does not want. Components walk side by side, hence the lock.
 type gradBuffers struct {
 	mu   sync.Mutex
 	free map[int][]*tensor.Tensor

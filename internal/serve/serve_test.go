@@ -216,9 +216,6 @@ func TestSplitMatchesFull(t *testing.T) {
 // serving draws every forward buffer from the tensor pool — zero fresh
 // pool allocations per prediction.
 func TestSteadyStatePoolStable(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-mode sync.Pool drops puts at random; miss counts are meaningless")
-	}
 	_, txt, _ := buildTestModels(t)
 	s := New(Config{MaxBatch: 4, Workers: 1})
 	defer s.Close()

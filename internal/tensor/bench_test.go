@@ -214,13 +214,16 @@ func BenchmarkSoftmaxRows(bb *testing.B) {
 }
 
 // BenchmarkPoolGetPut measures the steady-state cost of the scratch pool
-// against a raw allocation of the same footprint.
+// against a raw allocation of the same footprint (BenchmarkRawAlloc). Every
+// goroutine -cpu starts cycles the one bucket, so it is also what the
+// bucket's lock costs under contention.
 func BenchmarkPoolGetPut(bb *testing.B) {
 	bb.ReportAllocs()
-	for i := 0; i < bb.N; i++ {
-		t := Get(64, 1024)
-		Put(t)
-	}
+	bb.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			Put(Get(64, 1024))
+		}
+	})
 }
 
 func BenchmarkRawAlloc(bb *testing.B) {

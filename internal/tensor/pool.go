@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -10,14 +11,21 @@ import (
 //
 // Training steps allocate the same tensor shapes over and over: im2col
 // column matrices, matmul outputs, activation values, gradient buffers.
-// Get/Put recycle those buffers through size-bucketed sync.Pools so the
-// steady-state hot path allocates (almost) nothing and the GC stays out of
-// the way under heavy traffic.
+// Get/Put recycle those buffers through one free list per power-of-two
+// size bucket, so the steady-state hot path allocates (almost) nothing and
+// the GC stays out of the way under heavy traffic.
 //
 // Buckets hold *Tensor values whose Data capacity is the bucket's
 // power-of-two size; Get re-slices a recycled tensor to the requested
 // shape, reusing both the struct and its shape slice, so a Get/Put cycle
 // is allocation-free once warm.
+//
+// Each list has its own mutex and is LIFO: Get pops the newest Put, from
+// any goroutine. The pool, not the collector, owns what it holds; every
+// fourth collection trims each list's bottom, the buffers no Get reached
+// since the previous trim, so a buffer idle for four to eight collections
+// is freed and one in use never is. (Trimming at every collection raised
+// peak RSS: a dropped buffer is freed a collection after its successor.)
 //
 // Ownership rules:
 //   - Put only tensors obtained from Get (Put ignores foreign buffers
@@ -31,10 +39,15 @@ import (
 // anything larger is handed to the regular allocator.
 const maxPoolBits = 28
 
-var pools [maxPoolBits + 1]sync.Pool
+// freeList is one bucket: its parked buffers, newest last, and its Gets.
+type freeList struct {
+	mu           sync.Mutex
+	free         []*Tensor
+	low          int          // the fewest parked since the last trim
+	hits, misses atomic.Int64 // Gets served from free, and made fresh
+}
 
-// poolGets instruments Get per bucket for tests and benchmarks.
-var poolGets [maxPoolBits + 1]struct{ hits, misses atomic.Int64 }
+var pools [maxPoolBits + 1]freeList
 
 // Get returns a tensor of the given shape backed by recycled storage when
 // available. The contents are arbitrary garbage — callers must fully
@@ -54,14 +67,13 @@ func Get(shape ...int) *Tensor {
 		return sanGet(&Tensor{shape: append([]int(nil), shape...), Data: make([]float32, n)})
 	}
 	b := bucketOf(n)
-	if v := pools[b].Get(); v != nil {
-		t := v.(*Tensor)
+	if t := pools[b].pop(); t != nil {
 		t.Data = t.Data[:n]
 		t.shape = append(t.shape[:0], shape...)
-		poolGets[b].hits.Add(1)
+		pools[b].hits.Add(1)
 		return sanGet(t)
 	}
-	poolGets[b].misses.Add(1)
+	pools[b].misses.Add(1)
 	return sanGet(&Tensor{shape: append([]int(nil), shape...), Data: make([]float32, n, 1<<b)})
 }
 
@@ -91,15 +103,54 @@ func Put(t *Tensor) {
 		return
 	}
 	t.Data = t.Data[:c]
-	pools[bits.Len(uint(c))-1].Put(sanPut(t))
+	l := &pools[bits.Len(uint(c))-1]
+	l.mu.Lock()
+	defer l.mu.Unlock() // a sanitizer panic must not leave the bucket locked
+	sanPut(l.free, t)
+	l.free = append(l.free, t)
+}
+
+// pop takes the newest buffer off the list, or nil when it is empty.
+func (l *freeList) pop() (t *Tensor) {
+	l.mu.Lock()
+	if n := len(l.free) - 1; n >= 0 {
+		t, l.free[n], l.free = l.free[n], nil, l.free[:n]
+		l.low = min(l.low, n)
+	}
+	l.mu.Unlock()
+	return t
+}
+
+// trim drops the buffers below the low-water mark and starts an interval.
+func (l *freeList) trim() {
+	l.mu.Lock()
+	n := copy(l.free, l.free[l.low:])
+	clear(l.free[n:])
+	l.free, l.low = l.free[:n], n
+	l.mu.Unlock()
+}
+
+// gcTick's finalizer runs once per collection and re-arms itself. Sixteen
+// bytes keep it out of the tiny allocator, whose objects may go unfinalized.
+type gcTick struct{ runs, _ int64 }
+
+func init() { runtime.SetFinalizer(new(gcTick), onCollection) }
+
+func onCollection(g *gcTick) {
+	if g.runs++; g.runs%4 == 0 {
+		for b := range pools {
+			pools[b].trim()
+		}
+	}
+	runtime.SetFinalizer(g, onCollection)
 }
 
 // PoolStats reports cumulative Get hits (recycled) and misses (fresh
 // allocations) since process start.
 func PoolStats() (hits, misses int64) {
-	for b := range poolGets {
-		hits += poolGets[b].hits.Load()
-		misses += poolGets[b].misses.Load()
+	for b := range pools {
+		hits += pools[b].hits.Load()
+		misses += pools[b].misses.Load()
 	}
 	return hits, misses
 }
@@ -112,5 +163,5 @@ func PoolBucketStats(numel int) (hits, misses int64) {
 		return 0, 0
 	}
 	b := bucketOf(numel)
-	return poolGets[b].hits.Load(), poolGets[b].misses.Load()
+	return pools[b].hits.Load(), pools[b].misses.Load()
 }

@@ -1,8 +1,11 @@
 package tensor
 
 import (
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestPoolRoundtrip(t *testing.T) {
@@ -64,14 +67,25 @@ func TestPoolSteadyStateNoAlloc(t *testing.T) {
 	}
 }
 
+// TestPoolConcurrent: eight goroutines cycling one bucket never hand one
+// buffer to two holders at once, and PoolStats counts every Get once, as a
+// hit or a miss.
 func TestPoolConcurrent(t *testing.T) {
+	const workers, rounds = 8, 200
+	var held sync.Map // &Data[0] → the goroutine holding it
+	h0, m0 := PoolStats()
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < rounds; i++ {
 				x := Get(32, 32)
+				if other, dup := held.LoadOrStore(&x.Data[0], seed); dup {
+					t.Errorf("goroutines %d and %d hold one buffer at once", other, seed)
+					Put(x)
+					return
+				}
 				x.Fill(float32(seed))
 				for _, v := range x.Data {
 					if v != float32(seed) {
@@ -80,11 +94,82 @@ func TestPoolConcurrent(t *testing.T) {
 						return
 					}
 				}
+				held.Delete(&x.Data[0])
 				Put(x)
 			}
 		}(g)
 	}
 	wg.Wait()
+	h1, m1 := PoolStats()
+	if gets := (h1 - h0) + (m1 - m0); gets != workers*rounds {
+		t.Errorf("PoolStats counted %d Gets, want %d", gets, workers*rounds)
+	}
+}
+
+// emptyBucket empties the bucket of numel floats by taking its buffers until
+// the pool has to make one, and drops them all.
+func emptyBucket(numel int) {
+	for {
+		_, m0 := PoolBucketStats(numel)
+		Get(numel)
+		if _, m := PoolBucketStats(numel); m != m0 {
+			return
+		}
+	}
+}
+
+// TestPoolLIFO: a bucket hands back the buffer put last first.
+func TestPoolLIFO(t *testing.T) {
+	const numel = 3 << 10
+	emptyBucket(numel)
+	a, b := Get(numel), Get(numel)
+	Put(a)
+	Put(b)
+	if Get(numel) != b || Get(numel) != a {
+		t.Fatal("Put a, Put b did not give Get b, then a")
+	}
+}
+
+// TestPoolTrim: a trim keeps a buffer a Get reached since the previous trim
+// and drops one that sat idle across the whole interval between the two.
+// The collector is off so that only the test's own trims run.
+func TestPoolTrim(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const numel = 5 << 10
+	l := &pools[bucketOf(numel)]
+	emptyBucket(numel)
+	idle, used := Get(numel), Get(numel)
+	Put(idle)
+	Put(used)
+	l.trim()        // the low-water mark was 0: nothing goes, the interval starts
+	Put(Get(numel)) // used is reached, idle is not
+	l.trim()
+	if Get(numel) != used {
+		t.Fatal("the trim dropped the buffer a Get reached since the previous trim")
+	}
+	if Get(numel) == idle {
+		t.Fatal("the trim kept the buffer that sat idle across a whole interval")
+	}
+}
+
+// TestPoolTrimRunsOnCollections: the collector drives the trim, so a buffer
+// nothing asks for leaves the pool after a few collections.
+func TestPoolTrimRunsOnCollections(t *testing.T) {
+	const numel = 7 << 10
+	l := &pools[bucketOf(numel)]
+	emptyBucket(numel)
+	Put(Get(numel))
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // the finalizer runs after its collection
+		l.mu.Lock()
+		n := len(l.free)
+		l.mu.Unlock()
+		if n == 0 {
+			return
+		}
+	}
+	t.Fatal("an idle buffer outlived 100 collections")
 }
 
 // TestPoolBucketStats: a Get is counted in the bucket of its rounded-up

@@ -26,7 +26,16 @@ var sanSeed = func() uint64 {
 var sanCalls atomic.Uint64 // each fill starts its own run of the stream
 
 func sanGet(t *Tensor) *Tensor { sanFill(t.Data, 0x6a09e667f3bcc909); return t }
-func sanPut(t *Tensor) *Tensor { sanFill(t.Data, 0xbb67ae8584caa73b); return t }
+
+// sanPut runs under the bucket's lock and refuses a buffer already free.
+func sanPut(free []*Tensor, t *Tensor) {
+	for _, f := range free {
+		if &f.Data[0] == &t.Data[0] {
+			panic("tensor: double Put: the buffer is already in the pool")
+		}
+	}
+	sanFill(t.Data, 0xbb67ae8584caa73b)
+}
 
 // sanFill overwrites d with splitmix64 draws mapped to [-2, 2) in steps of
 // 2⁻²², from the stream the seed and key name.

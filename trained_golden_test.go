@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"amalgam"
+	"amalgam/internal/data"
 	"amalgam/internal/nn"
 	"amalgam/internal/tensor"
 )
@@ -42,7 +43,9 @@ type trainedJob struct {
 //     MobileNetV2 (depthwise convolutions, inverted residuals) and
 //     DenseNet121 (channel concatenation), each obfuscated at amount 0.25
 //     with 2 decoys over four 3×32×32 samples, one batch of 4 per epoch,
-//     under SGD with momentum.
+//     under SGD with momentum;
+//   - ResNet18 (cv_local's model) the same way over four 3×8×8 samples,
+//     the smallest input its three stride-2 stages halve to 1×1.
 func trainedJobs(t *testing.T) []trainedJob {
 	t.Helper()
 	const vocab, bptt = 2000, 24
@@ -85,7 +88,17 @@ func trainedJobs(t *testing.T) []trainedJob {
 		}
 		jobs = append(jobs, trainedJob{name, job, cifarSGD, job.Augmented})
 	}
-	return jobs
+
+	tiny := data.GenerateImages(data.ImageConfig{Name: "tiny", N: 4, C: 3, H: 8, W: 8, Classes: 10, Seed: 2, Noise: 0.08})
+	resnet, err := amalgam.BuildCV("resnet18", 23, amalgam.CVConfig{InC: 3, InH: 8, InW: 8, Classes: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resnetJob, err := amalgam.Obfuscate(resnet, tiny, amalgam.Options{Amount: 0.25, SubNets: 2, Seed: 33, ModelName: "resnet18"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(jobs, trainedJob{"resnet18", resnetJob, cifarSGD, resnetJob.Augmented})
 }
 
 // stateHash is the SHA-256 of every parameter in order: its name, its
