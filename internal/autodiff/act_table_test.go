@@ -113,7 +113,7 @@ var hostOps = []hostOp{
 		carry: func(row []float32) []*tensor.Tensor {
 			return []*tensor.Tensor{tensor.Ones(1, 1), tensor.FromSlice(row, 1, 9), negZeros(9)}
 		},
-		build: func(p []*Node, act tensor.Act) *Node { return Linear(p[0], p[1], p[2], act) },
+		build: func(p []*Node, act tensor.Act) *Node { return Linear(p[0], p[1], p[2], act, nil) },
 	},
 	{
 		name: "Conv2d", leaves: 2,

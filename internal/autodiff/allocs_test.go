@@ -200,6 +200,53 @@ func TestConvBackwardAllocsIndependentOfBatch(t *testing.T) {
 	}
 }
 
+// TestBlockedOpStepAllocs pins the two ops that run kernels inside their
+// own parallel chunks — Attention's (sample, head) blocks and the loss
+// head's row chunks — at BenchmarkAttentionStep's and BenchmarkLossHead's
+// shapes with two kernel workers, where a kernel that opened a region of
+// its own inside a chunk would allocate its closure once per block: the
+// per-block GEMMs did, 799 and 342 allocs per step.
+func TestBlockedOpStepAllocs(t *testing.T) {
+	rng := tensor.NewRNG(13)
+	leaf := func(shape ...int) *Node {
+		x := tensor.New(shape...)
+		rng.FillNormal(x, 0, 1)
+		return Leaf(x)
+	}
+	const rows, vocab = 1008, 2000
+	labels := make([]int, rows)
+	for i := range labels {
+		labels[i] = (i * 37) % vocab
+	}
+	q, k, v := leaf(16, 63, 128), leaf(16, 63, 128), leaf(16, 63, 128)
+	x, w, b := leaf(rows, 56), leaf(56, vocab), leaf(vocab)
+	for _, c := range []struct {
+		name   string
+		budget float64
+		leaves []*Node
+		loss   func() *Node
+	}{
+		{"Attention", 100, []*Node{q, k, v}, func() *Node { return Mean(Attention(q, k, v, 4)) }},
+		{"LinearSoftmaxCrossEntropy", 60, []*Node{x, w, b}, func() *Node { return LinearSoftmaxCrossEntropy(Scale(x, 1), w, b, labels) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(2))
+			step := func() {
+				for _, l := range c.leaves {
+					l.ZeroGrad()
+				}
+				loss := c.loss()
+				Backward(loss)
+				Release(loss)
+			}
+			step() // warm the pool
+			if allocs := testing.AllocsPerRun(3, step); allocs > c.budget {
+				t.Fatalf("a step allocates %v/op at two workers, budget %v (a kernel opening its own region inside a chunk?)", allocs, c.budget)
+			}
+		})
+	}
+}
+
 // TestFusedKernelZeroAllocs pins the tensor-level kernels at exactly zero
 // allocations on the serial path (SetMaxWorkers(1)).
 func TestFusedKernelZeroAllocs(t *testing.T) {

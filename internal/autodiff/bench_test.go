@@ -256,8 +256,8 @@ func BenchmarkDecoyTail(b *testing.B) {
 		for _, l := range leaves {
 			l.ZeroGrad()
 		}
-		g := Linear(Scale(xN, 1), leaves[0], leaves[1], tensor.ActReLU)
-		logits := Linear(ConcatFeatures(g, Constant(tv)), leaves[2], leaves[3], tensor.ActNone)
+		g := Linear(Scale(xN, 1), leaves[0], leaves[1], tensor.ActReLU, nil)
+		logits := Linear(ConcatFeatures(g, Constant(tv)), leaves[2], leaves[3], tensor.ActNone, nil)
 		loss := SoftmaxCrossEntropy(logits, labels)
 		Backward(loss)
 		Release(loss)

@@ -184,7 +184,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		if head {
 			loss = LinearSoftmaxCrossEntropy(xN, wN, bN, labels)
 		} else {
-			loss = Mean(Linear(xN, wN, bN, tensor.ActNone))
+			loss = Mean(Linear(xN, wN, bN, tensor.ActNone, nil))
 		}
 		Backward(loss)
 		res := []*tensor.Tensor{loss.Val.Clone(), xN.Grad.Clone(), wN.Grad.Clone(), bN.Grad.Clone()}

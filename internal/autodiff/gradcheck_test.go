@@ -402,7 +402,7 @@ func TestDropout(t *testing.T) {
 	rng := tensor.NewRNG(15)
 	x := tensor.Ones(1000)
 	xN := Leaf(x)
-	out := Dropout(xN, 0.5, rng, true)
+	out := Dropout(xN, 0.5, rng, true, nil)
 	zeros := 0
 	for _, v := range out.Val.Data {
 		switch v {
@@ -417,7 +417,7 @@ func TestDropout(t *testing.T) {
 		t.Fatalf("dropout zeroed %d/1000, want ~500", zeros)
 	}
 	// Eval mode is identity (same node).
-	if Dropout(xN, 0.5, rng, false) != xN {
+	if Dropout(xN, 0.5, rng, false, nil) != xN {
 		t.Fatal("eval-mode dropout should be identity")
 	}
 	// Backward only flows through kept elements.

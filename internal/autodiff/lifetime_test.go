@@ -20,8 +20,8 @@ func TestBackwardReleasesAsItGoes(t *testing.T) {
 	rng.FillNormal(w.Val, 0, 0.5)
 	gamma, beta := Leaf(tensor.Ones(6)), Leaf(tensor.New(6))
 
-	h := Linear(Constant(x), w, b, tensor.ActTanh)
-	norm := LayerNorm(Add(h, Dropout(h, 0.5, rng, true)), gamma, beta, 1e-5)
+	h := Linear(Constant(x), w, b, tensor.ActTanh, nil)
+	norm := LayerNorm(Add(h, Dropout(h, 0.5, rng, true, nil)), gamma, beta, 1e-5)
 	view := Reshape(norm, 2, 12)
 	orig := LinearSoftmaxCrossEntropy(Reshape(view, 4, 6), w, b, []int{0, 1, 2, 3})
 	total := AddN(orig, Mean(view))
@@ -73,7 +73,7 @@ func TestLeafGradientsAreExactSize(t *testing.T) {
 	fw, fb := Leaf(tensor.New(5, 3)), Leaf(tensor.New(3))
 	rng.FillNormal(fw.Val, 0, 0.3)
 	step := func() {
-		loss := Mean(Linear(GlobalAvgPool(Conv2d(Constant(x), w, b, 1, 1, tensor.ActReLU)), fw, fb, tensor.ActNone))
+		loss := Mean(Linear(GlobalAvgPool(Conv2d(Constant(x), w, b, 1, 1, tensor.ActReLU)), fw, fb, tensor.ActNone, nil))
 		Backward(loss)
 		Release(loss)
 	}
@@ -193,7 +193,7 @@ func TestBackwardFootprint(t *testing.T) {
 		misses := coldBucketMisses(t, n*d, func() *Node {
 			h := Constant(x)
 			for i := 0; i < k; i++ {
-				h = Activate(Linear(h, ws[i], bs[i], tensor.ActNone), tensor.ActTanh)
+				h = Activate(Linear(h, ws[i], bs[i], tensor.ActNone, nil), tensor.ActTanh)
 			}
 			return Mean(h)
 		})
@@ -237,9 +237,9 @@ func TestStepBackwardReturnsValues(t *testing.T) {
 		c := Conv2d(Constant(x), w1, nil, 1, 1, tensor.ActNone)
 		block := BatchNorm2d(Conv2d(c, w2, nil, 1, 1, tensor.ActNone), gamma, beta, tensor.New(2), tensor.Ones(2), 0.1, 1e-5, true, tensor.ActReLU, c)
 		view := Flatten(block)
-		h := Reshape(Linear(view, wl, bl, tensor.ActNone), 1, 4, 8)
+		h := Reshape(Linear(view, wl, bl, tensor.ActNone, nil), 1, 4, 8)
 		loss := MSE(softmaxLastDim(Reshape(Attention(h, h, h, 2), 4, 8)), dy)
-		decoy := Mean(Linear(Detach(view), wd, bd, tensor.ActTanh))
+		decoy := Mean(Linear(Detach(view), wd, bd, tensor.ActTanh, nil))
 		return graph{AddN(loss, decoy), loss, block, view}
 	}
 	// owned lists the interior nodes holding a pooled value, with copies.

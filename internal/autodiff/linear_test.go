@@ -70,7 +70,7 @@ func TestGradLinear(t *testing.T) {
 			x, w, b, params := c.build(61)
 			target := tensor.New(c.n, c.out)
 			tensor.NewRNG(62).FillNormal(target, 0, 1)
-			gradCheckProbes(t, params, func() *Node { return MSE(Linear(x, w, b, tensor.ActNone), target) }, 2e-2, c.probes)
+			gradCheckProbes(t, params, func() *Node { return MSE(Linear(x, w, b, tensor.ActNone, nil), target) }, 2e-2, c.probes)
 		})
 	}
 }
@@ -102,7 +102,7 @@ func TestFusedMatchesUnfusedLinear(t *testing.T) {
 	check := func(t *testing.T, c linearCase) {
 		xF, wF, bF, fusedParams := c.build(64)
 		xP, wP, bP, plainParams := c.build(64)
-		fused, plain := Linear(xF, wF, bF, tensor.ActNone), AddRowBias(MatMul(xP, wP), bP, tensor.ActNone)
+		fused, plain := Linear(xF, wF, bF, tensor.ActNone, nil), AddRowBias(MatMul(xP, wP), bP, tensor.ActNone)
 		if !fused.Val.Equal(plain.Val) {
 			t.Fatal("Linear forward differs from AddRowBias(MatMul)")
 		}

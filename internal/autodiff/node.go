@@ -56,6 +56,9 @@
 // + r) in one buffer, the float32 operations of BatchNorm2d → Add →
 // Activate in their order, and its backward gives r its gradient before
 // the norm's dx, as the Add before the norm would: no gradient chain moves.
+// Linear(…, act, r) is act(x·W + b + r) the same way, and Dropout(…, r) is
+// r + mask⊙a, the mask drawn as without r, so a transformer block's two
+// residual adds leave no value behind that only the add read.
 //
 // A broadcast is one rule, Add's and Mul's: b is a's shape with one run of
 // adjacent axes set to 1, read as [p, 1, r] against [p, q, r]. CBAM's gates,
@@ -65,7 +68,8 @@
 // A layout op is an index map, written once: Conv2d's block reorders are
 // swapMid, ConcatFeatures and ConcatChannels are concat, and each backward
 // adds the gradient back along the same map. Attention gathers each head
-// into scratch and keeps only its softmax's output for its backward.
+// into scratch and keeps nothing for its backward, which gathers Q and K
+// again and recomputes the softmax bit for bit.
 package autodiff
 
 import (

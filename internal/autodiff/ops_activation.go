@@ -23,33 +23,60 @@ func Activate(a *Node, act tensor.Act) *Node {
 	return out
 }
 
-// Dropout zeroes elements with probability p and scales survivors by
-// 1/(1-p) (inverted dropout). When training is false it is the identity.
-func Dropout(a *Node, p float32, rng *tensor.RNG, training bool) *Node {
+// Dropout zeroes elements of a with probability p and scales survivors by
+// 1/(1-p) (inverted dropout). When training is false, or p is 0, it is the
+// identity. With a residual r (nil for none; a's element count in any
+// shape) the node is Add(r, Dropout(a)) in one buffer shaped as r: each
+// element is r + mask·a, the mask drawn before the add in the same order,
+// so the draws, the value and both gradients are the composition's, and
+// the mask is still the only scratch. At the identity there is no mask to
+// fold the add into, and the node is that Add itself: a caller that can
+// should fold it into a's producer instead (Linear's residual).
+func Dropout(a *Node, p float32, rng *tensor.RNG, training bool, r *Node) *Node {
+	if r != nil && r.Val.Numel() != a.Val.Numel() {
+		panic(fmt.Sprintf("autodiff: Dropout residual %v for %v", r.Val.Shape(), a.Val.Shape()))
+	}
 	if !training || p <= 0 {
-		return a
+		if r == nil {
+			return a
+		}
+		return Add(r, Reshape(a, r.Val.Shape()...))
 	}
 	if p >= 1 {
 		panic("autodiff: Dropout p must be < 1")
 	}
 	keep := 1 - p
 	scale := 1 / keep
+	parents, shape, rd := []*Node{a}, a.Val.Shape(), []float32(nil)
+	if r != nil {
+		parents, shape, rd = append(parents, r), r.Val.Shape(), r.Val.Data
+	}
 	// The mask stores 0 for dropped elements and 1/(1-p) for survivors, so
 	// it doubles as the backward multiplier and comes from the pool
 	// (registered as node scratch) instead of a fresh []bool per forward.
 	mask := tensor.GetZero(a.Val.Shape()...)
-	val := tensor.GetZero(a.Val.Shape()...)
+	val := tensor.GetZero(shape...)
 	for i, v := range a.Val.Data {
 		if rng.Float32() < keep {
 			mask.Data[i] = scale
 			val.Data[i] = v * scale
 		}
+		if rd != nil {
+			val.Data[i] = rd[i] + val.Data[i]
+		}
 	}
-	out := newPooledNode(val, []*Node{a}, nil)
+	out := newPooledNode(val, parents, nil)
 	out.scratch = []*tensor.Tensor{mask}
 	out.backward = func() {
+		if r != nil {
+			r.accumulate(out.Grad)
+		}
 		if a.requiresGrad {
-			tensor.AddMulInto(a.ensureGrad(), out.Grad, mask)
+			g := out.Grad
+			if r != nil {
+				g = g.Reshape(a.Val.Shape()...) // r's shape read as a's
+			}
+			tensor.AddMulInto(a.ensureGrad(), g, mask)
 		}
 	}
 	return out

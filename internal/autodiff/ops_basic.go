@@ -167,7 +167,7 @@ func AddRowBias(x, bias *Node, act tensor.Act) *Node {
 		panic(fmt.Sprintf("autodiff: AddRowBias dims %v + %v", x.Val.Shape(), bias.Val.Shape()))
 	}
 	val := tensor.Get(x.Val.Shape()...)
-	tensor.AddRowBiasInto(val.Data, x.Val.Data, bias.Val.Data, n, d, act)
+	tensor.AddRowBiasInto(val.Data, x.Val.Data, bias.Val.Data, nil, n, d, act)
 	out := newPooledNode(val, []*Node{x, bias}, nil)
 	out.backward = func() {
 		act.Grad(out.Grad.Data, val.Data)

@@ -42,11 +42,15 @@ func swapMid(dst, src []float32, outer, a, b, run int, acc bool) {
 // = D/heads, and writes softmax(Q·Kᵀ/√hd + M)·V to the same columns of the
 // value, M the causal mask: -1e9 above the diagonal (no position attends to
 // a later one) and 0 elsewhere. Each (sample, head) block works in pooled
-// scratch; the node keeps only the probabilities P, [N·heads, T, T], for its
-// backward. Its value and gradients are the per-head chain's it replaced,
-// bit for bit (attention_test.go keeps that chain as the referee): the same
-// kernel per GEMM, the scale and the mask rounded apart, and each operand's
-// gradient added into zeros.
+// scratch, and the node keeps nothing but its value: the backward gathers
+// the block's Q and K again and recomputes its probabilities P, the same
+// serial kernels in the same order, so P is the forward's bit for bit — one
+// more [T, hd]·[hd, T] GEMM per block instead of an [N·heads, T, T] buffer
+// held from the forward to the backward. Value and gradients are the
+// per-head chain's it replaced, bit for bit (attention_test.go keeps that
+// chain as the referee): the same kernel per GEMM, the scale and the mask
+// rounded apart, and each operand's gradient added into zeros. A block
+// calls only serial kernels: the blocks are the op's one parallel region.
 func Attention(q, k, v *Node, heads int) *Node {
 	s := q.Val.Shape()
 	if len(s) != 3 || heads < 1 || s[2]%heads != 0 || !q.Val.SameShape(k.Val) || !q.Val.SameShape(v.Val) {
@@ -74,14 +78,12 @@ func Attention(q, k, v *Node, heads int) *Node {
 			}
 		}
 	}
-	val, p := tensor.GetZero(n, t, d), tensor.Get(n*heads, t, t)
-	eachHead(n*heads, 4*th, func(b int, buf []float32) {
-		qb, kt, vb, cb := buf[:th], buf[th:2*th], buf[2*th:3*th], buf[3*th:]
+	// probs forms block b's P in pb from its Q and Kᵀ, gathered into qb
+	// and kt: the forward's pass, and the backward's again.
+	probs := func(pb, qb, kt []float32, b int) {
 		head(q.Val.Data, qb, b, false, false)
 		head(k.Val.Data, kt, b, true, false)
-		head(v.Val.Data, vb, b, false, false)
-		pb := p.Data[b*tt:][:tt]
-		tensor.MatMulRawInto(pb, qb, kt, t, hd, t)
+		tensor.MatMulSerial(pb, qb, kt, t, hd, t)
 		for i := range t {
 			for j, e := range pb[i*t:][:t] {
 				x := float32(scale * e) // rounded before the mask is added
@@ -91,16 +93,17 @@ func Attention(q, k, v *Node, heads int) *Node {
 				pb[i*t+j] = x
 			}
 		}
-		tensor.SoftmaxRowsInto(pb, pb, t, t)
-		tensor.MatMulRawInto(cb, pb, vb, t, t, hd)
-		head(val.Data, cb, b, false, true)
+		tensor.SoftmaxRowsSerial(pb, pb, t, t)
+	}
+	val := tensor.GetZero(n, t, d)
+	eachHead(n*heads, 3*th+tt, func(b int, buf []float32) {
+		qb, kt, vb, pb := buf[:th], buf[th:2*th], buf[2*th:3*th], buf[3*th:][:tt]
+		probs(pb, qb, kt, b)
+		head(v.Val.Data, vb, b, false, false)
+		tensor.MatMulSerial(qb, pb, vb, t, t, hd) // C = P·V, into Q's place
+		head(val.Data, qb, b, false, true)
 	})
 	out := newPooledNode(val, []*Node{q, k, v}, nil)
-	if !out.requiresGrad {
-		tensor.Put(p) // no backward reads it
-		return out
-	}
-	out.scratch = []*tensor.Tensor{p}
 	out.backward = func() {
 		grad := func(x *Node) []float32 {
 			if x.requiresGrad {
@@ -109,35 +112,36 @@ func Attention(q, k, v *Node, heads int) *Node {
 			return nil
 		}
 		dq, dk, dv := grad(q), grad(k), grad(v)
-		eachHead(n*heads, 3*th+2*tt, func(b int, buf []float32) {
-			dc, x, y, pb := buf[:th], buf[th:2*th], buf[2*th:3*th], p.Data[b*tt:][:tt]
-			tmp, ds := buf[3*th:][:tt], buf[3*th+tt:][:tt]
+		eachHead(n*heads, 3*th+3*tt, func(b int, buf []float32) {
+			dc, x, y := buf[:th], buf[th:2*th], buf[2*th:3*th]
+			pb, tmp, ds := buf[3*th:][:tt], buf[3*th+tt:][:tt], buf[3*th+2*tt:][:tt]
+			probs(pb, x, y, b)
 			// dC, dP and the scores' gradient are GEMM output, which is
 			// never −0, or only ever GEMM factors, whose sign of zero no
 			// product sum keeps: the chain's adds into zeros are copies.
 			head(out.Grad.Data, dc, b, false, false)
 			if dv != nil { // dV = Pᵀ·dC
-				tensor.MatMulATRawInto(x, pb, dc, t, t, hd)
+				tensor.MatMulATSerial(x, pb, dc, t, t, hd)
 				head(dv, x, b, false, true)
 			}
 			if dq == nil && dk == nil {
 				return
 			}
 			head(v.Val.Data, y, b, false, false)
-			tensor.MatMulBTRawInto(tmp, dc, y, t, hd, t) // dP = dC·Vᵀ
+			tensor.MatMulBTSerial(tmp, dc, y, t, hd, t) // dP = dC·Vᵀ
 			clear(ds)
-			tensor.SoftmaxRowsBwdInto(ds, pb, tmp, t, t)
+			tensor.SoftmaxRowsBwdSerial(ds, pb, tmp, t, t)
 			for i, e := range ds {
 				tmp[i] = scale * e // the scores' gradient
 			}
 			if dq != nil { // dQ = dS·K
 				head(k.Val.Data, y, b, true, false)
-				tensor.MatMulBTRawInto(x, tmp, y, t, t, hd)
+				tensor.MatMulBTSerial(x, tmp, y, t, t, hd)
 				head(dq, x, b, false, true)
 			}
 			if dk != nil { // dKᵀ = Qᵀ·dS
 				head(q.Val.Data, y, b, false, false)
-				tensor.MatMulATRawInto(x, y, tmp, hd, t, t)
+				tensor.MatMulATSerial(x, y, tmp, hd, t, t)
 				head(dk, x, b, true, true)
 			}
 		})

@@ -53,7 +53,7 @@ func TestComponentsOfTheBackwardOrder(t *testing.T) {
 		{"nested AddN", AddN(AddN(head(x, w()), head(x, w())), head(x, w())), []int{9, 4}},
 		{"one parent", AddN(head(x, w())), nil},
 		{"one grad-requiring parent", AddN(head(x, w()), Mean(x)), nil},
-		{"a fused head over leaves", Linear(MatMul(x, w()), leafOf(rng, 4, 1), leafOf(rng, 1), tensor.ActNone), nil},
+		{"a fused head over leaves", Linear(MatMul(x, w()), leafOf(rng, 4, 1), leafOf(rng, 1), tensor.ActNone, nil), nil},
 	} {
 		rest := restOf(c.root)
 		comps := components(c.root, rest)
@@ -117,13 +117,14 @@ func jointGraph(seed uint64) (root *Node, leaves []*Node) {
 	}
 	gamma, beta := Leaf(tensor.Ones(8)), w(8)
 	leaves = append(leaves, gamma)
-	h := Linear(x, w(8, 8), w(8), tensor.ActTanh)
-	h = LayerNorm(Add(h, Dropout(h, 0.25, rng, true)), gamma, beta, 1e-5)
+	h := Linear(x, w(8, 8), w(8), tensor.ActTanh, nil)
+	h = LayerNorm(Add(h, Dropout(h, 0.25, rng, true, nil)), gamma, beta, 1e-5)
 	labels := []int{0, 1, 2, 3, 4, 5}
 	orig := LinearSoftmaxCrossEntropy(h, w(8, 8), w(8), labels)
-	decoy1 := SoftmaxCrossEntropy(Linear(x, w(8, 8), w(8), tensor.ActNone), labels)
+	decoy1 := SoftmaxCrossEntropy(Linear(x, w(8, 8), w(8), tensor.ActNone, nil), labels)
 	decoy2 := SoftmaxCrossEntropy(Linear(ConcatFeatures(MatMul(x, w(8, 4)),
-		Activate(MatMul(Detach(h), w(8, 4)), tensor.ActTanh)), w(8, 8), w(8), tensor.ActNone), labels)
+		Activate(MatMul(Detach(h), w(8, 4)), tensor.ActTanh)), w(8, 8), w(8), tensor.ActNone, nil),
+		labels)
 	tied := w(8, 8)
 	return AddN(orig, decoy1, decoy2, head(x, tied), head(x, tied)), leaves
 }
@@ -232,9 +233,9 @@ func newLenet(rng *tensor.RNG) lenet {
 func (ps lenet) loss(x *Node, labels []int) *Node {
 	h := MaxPool2d(Conv2d(x, ps[0], ps[1], 1, 0, tensor.ActReLU), 2, 2, 0)
 	h = MaxPool2d(Conv2d(h, ps[2], ps[3], 1, 0, tensor.ActReLU), 2, 2, 0)
-	h = Linear(Flatten(h), ps[4], ps[5], tensor.ActReLU)
-	h = Linear(h, ps[6], ps[7], tensor.ActReLU)
-	return SoftmaxCrossEntropy(Linear(h, ps[8], ps[9], tensor.ActNone), labels)
+	h = Linear(Flatten(h), ps[4], ps[5], tensor.ActReLU, nil)
+	h = Linear(h, ps[6], ps[7], tensor.ActReLU, nil)
+	return SoftmaxCrossEntropy(Linear(h, ps[8], ps[9], tensor.ActNone, nil), labels)
 }
 
 // BenchmarkBackwardPartition prices the partition on LeNet graphs. "single"

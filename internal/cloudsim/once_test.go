@@ -485,14 +485,17 @@ func poisonReturned(t *testing.T, seen func(*ckptBuf)) (returned func() map[*ckp
 // 12-epoch job costs one checkpoint buffer (two alternated before): poisoned
 // before each of its ten reuses and once more as the job lets it go, and
 // every checkpoint the client receives is still the in-process run's.
+// Keeping up is arranged, not timed: each boundary waits, before its cut,
+// until the client has sent the parked checkpoint — on one P, or beside a
+// busy CPU, as on an idle one.
 func TestKeepingUpClientCostsOneCheckpointBuffer(t *testing.T) {
 	const epochs = 12
-	// Keeping up means reading while the executor trains. On one P the
-	// client runs only once the executor blocks — at the next boundary,
-	// one checkpoint behind — so this client gets a P of its own.
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	boundaryReached = func(j *schedJob) {
+		j.mu.Lock()
+		j.awaitLive()
+		j.mu.Unlock()
 	}
+	t.Cleanup(func() { boundaryReached = nil })
 	req := pacedTextJob(t, epochs)
 	ref := runReference(t, pacedTextJob(t, epochs))
 	returned := poisonReturned(t, nil)

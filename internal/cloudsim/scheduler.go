@@ -127,6 +127,10 @@ type ckptBuf struct {
 // go, and before a parked buffer is cut again in place.
 var ckptReturned func(*ckptBuf)
 
+// boundaryReached, when set (tests), runs on the executor at every epoch
+// boundary, before its checkpoint is cut.
+var boundaryReached func(*schedJob)
+
 // release lets go of one hold; a nil c holds nothing.
 func (c *ckptBuf) release() {
 	if c.drop() {
@@ -155,6 +159,9 @@ func (c *ckptBuf) recycle() {
 // inside the checkpoint callback, on the executor: ck aliases live
 // tensors.
 func (j *schedJob) cutCheckpoint(ck *serialize.TrainCheckpoint) (*ckptBuf, error) {
+	if boundaryReached != nil {
+		boundaryReached(j)
+	}
 	size := serialize.TrainCheckpointSize(ck)
 	c := j.reclaimParked()
 	if c != nil {

@@ -38,12 +38,18 @@ func NewMultiHeadAttention(rng *tensor.RNG, d, heads int) *MultiHeadAttention {
 // and value projections, one autodiff.Attention over them (no position
 // attends to a later one) and the output projection.
 func (m *MultiHeadAttention) ForwardSelf(x *autodiff.Node) *autodiff.Node {
-	s := x.Val.Shape()
-	n, t := s[0], s[1]
+	n, t := x.Val.Dim(0), x.Val.Dim(1)
+	return autodiff.Reshape(m.Wo.Forward(m.context(x)), n, t, m.D)
+}
+
+// context is ForwardSelf before the output projection: the heads' context
+// rows [N·T, D].
+func (m *MultiHeadAttention) context(x *autodiff.Node) *autodiff.Node {
+	n, t := x.Val.Dim(0), x.Val.Dim(1)
 	flat := autodiff.Reshape(x, n*t, m.D)
 	proj := func(l *Linear) *autodiff.Node { return autodiff.Reshape(l.Forward(flat), n, t, m.D) }
 	ctx := autodiff.Attention(proj(m.Wq), proj(m.Wk), proj(m.Wv), m.Heads)
-	return autodiff.Reshape(m.Wo.Forward(autodiff.Reshape(ctx, n*t, m.D)), n, t, m.D)
+	return autodiff.Reshape(ctx, n*t, m.D)
 }
 
 // TransformerEncoderLayer is a post-norm transformer block: self-attention
@@ -81,16 +87,25 @@ func NewTransformerEncoderLayer(rng *tensor.RNG, d, heads, ffDim int, dropout fl
 }
 
 // ForwardSeq applies the block to x [N, T, D] under causal attention; the
-// feed-forward's ReLU runs as FF1's fused epilogue.
+// feed-forward's ReLU runs as FF1's fused epilogue. Each residual add is the
+// epilogue of the op that produces its summand, so neither sum leaves an
+// [N·T, D] value behind that only the add read: FF2's, and the attention
+// output projection's while the attention dropout is the identity; an
+// active dropout takes that add instead (x + mask⊙Wo(ctx)), keeping only
+// its mask. Values, gradients and dropout draws are those of the Add
+// composition, bit for bit, at any dropout (nn_test.go keeps it as the
+// referee).
 func (l *TransformerEncoderLayer) ForwardSeq(x *autodiff.Node) *autodiff.Node {
-	s := x.Val.Shape()
-	n, t := s[0], s[1]
-	att := l.Drop.Forward(l.Attn.ForwardSelf(x))
-	x = l.Norm1.Forward(autodiff.Add(x, att))
-	flat := autodiff.Reshape(x, n*t, l.D)
-	ff := l.FF2.Forward(l.Drop.Forward(l.FF1.ForwardAct(flat, tensor.ActReLU)))
-	ff3 := autodiff.Reshape(ff, n, t, l.D)
-	return l.Norm2.Forward(autodiff.Add(x, ff3))
+	n, t := x.Val.Dim(0), x.Val.Dim(1)
+	ctx := l.Attn.context(x)
+	if l.Drop.identity() {
+		x = l.Attn.Wo.ForwardResidual(ctx, x, tensor.ActNone)
+	} else {
+		x = l.Drop.ForwardResidual(l.Attn.Wo.Forward(ctx), x)
+	}
+	x = l.Norm1.Forward(x)
+	ff := l.Drop.Forward(l.FF1.ForwardAct(autodiff.Reshape(x, n*t, l.D), tensor.ActReLU))
+	return l.Norm2.Forward(l.FF2.ForwardResidual(ff, x, tensor.ActNone))
 }
 
 // PositionalEncoding returns the sinusoidal [maxT, D] table from

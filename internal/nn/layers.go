@@ -30,7 +30,13 @@ func (l *Linear) Forward(x *autodiff.Node) *autodiff.Node { return l.ForwardAct(
 // into the matmul output pass — use it wherever a Linear feeds straight
 // into an activation.
 func (l *Linear) ForwardAct(x *autodiff.Node, act tensor.Act) *autodiff.Node {
-	return autodiff.Linear(x, l.W, l.B, act)
+	return l.ForwardResidual(x, nil, act)
+}
+
+// ForwardResidual computes act(x·W + b + r) as one node with one buffer,
+// shaped as r — a residual block's tail; r is nil for none.
+func (l *Linear) ForwardResidual(x, r *autodiff.Node, act tensor.Act) *autodiff.Node {
+	return autodiff.Linear(x, l.W, l.B, act, r)
 }
 
 // Params returns the weight and bias.
@@ -171,9 +177,19 @@ func NewDropout(rng *tensor.RNG, p float32) *Dropout {
 }
 
 // Forward applies inverted dropout in training mode.
-func (d *Dropout) Forward(x *autodiff.Node) *autodiff.Node {
-	return autodiff.Dropout(x, d.P, d.rng, d.training)
+func (d *Dropout) Forward(x *autodiff.Node) *autodiff.Node { return d.ForwardResidual(x, nil) }
+
+// ForwardResidual computes r + dropout(x) as one node with one buffer,
+// shaped as r — the mask drawn as Forward draws it; r is nil for none.
+// Where the dropout is the identity, fold the add into x's producer
+// instead (Linear.ForwardResidual): here it would be an Add node.
+func (d *Dropout) ForwardResidual(x, r *autodiff.Node) *autodiff.Node {
+	return autodiff.Dropout(x, d.P, d.rng, d.training, r)
 }
+
+// identity reports whether Forward returns its input: in eval mode or at
+// p = 0, where it draws nothing.
+func (d *Dropout) identity() bool { return !d.training || d.P <= 0 }
 
 // Params returns nil; dropout has no parameters.
 func (d *Dropout) Params() []Param { return nil }

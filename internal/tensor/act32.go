@@ -236,35 +236,51 @@ func (a Act) grad(dy, y []float32) {
 	}
 }
 
-// AddRowBiasInto computes dst = act(x + bias) for x [rows, d] with bias [d]
-// (dst may alias x): the bias is added, then act runs over the row while it
-// is in L1 — the epilogue of a Linear. Rows are assigned to workers whole,
-// so a row's SIMD/tail split never depends on the worker count.
-func AddRowBiasInto(dst, x, bias []float32, rows, d int, act Act) {
+// AddRowBiasInto computes dst = act(x + bias + r) for x [rows, d] with bias
+// [d] and r, when not nil, a residual of x's size (dst may alias x or r):
+// the bias is added, then the residual, then act runs over the row while it
+// is in L1 — the epilogue of a Linear, in the float32 order of AddRowBias →
+// Add(r, ·) → Activate. Rows are assigned to workers whole, so a row's
+// SIMD/tail split never depends on the worker count.
+func AddRowBiasInto(dst, x, bias, r []float32, rows, d int, act Act) {
 	rpw := fusedRowsPerWorker(d)
 	if chunksFor(rows, rpw) <= 1 {
-		addRowBiasRange(dst, x, bias, d, act, 0, rows)
+		addRowBiasRange(dst, x, bias, r, d, act, 0, rows)
 		return
 	}
 	parallelFor(rows, rpw, func(r0, r1 int) {
-		addRowBiasRange(dst, x, bias, d, act, r0, r1)
+		addRowBiasRange(dst, x, bias, r, d, act, r0, r1)
 	})
 }
 
-func addRowBiasRange(dst, x, bias []float32, d int, act Act, r0, r1 int) {
+// AddRowBiasSerial is AddRowBiasInto on the calling goroutine, for a caller
+// already inside a parallel chunk (see MatMulSerial).
+func AddRowBiasSerial(dst, x, bias, r []float32, rows, d int, act Act) {
+	addRowBiasRange(dst, x, bias, r, d, act, 0, rows)
+}
+
+func addRowBiasRange(dst, x, bias, res []float32, d int, act Act, r0, r1 int) {
 	bias = bias[:d]
 	for r := r0; r < r1; r++ {
-		src := x[r*d : (r+1)*d][:d]
 		out := dst[r*d : (r+1)*d][:d]
-		j := 0
-		if simdAvailable {
-			addRowSIMD(out, src, bias)
-			j = d &^ 7
-		}
-		for ; j < d; j++ {
-			out[j] = src[j] + bias[j]
+		addRow(out, x[r*d:(r+1)*d], bias)
+		if res != nil {
+			addRow(out, res[r*d:(r+1)*d], out) // the residual first, as Add(r, ·) adds
 		}
 		act.apply(out)
+	}
+}
+
+// addRow computes dst = a + b over dst's length (dst may alias a or b).
+func addRow(dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	j := 0
+	if simdAvailable {
+		addRowSIMD(dst, a, b)
+		j = len(dst) &^ 7
+	}
+	for ; j < len(dst); j++ {
+		dst[j] = a[j] + b[j]
 	}
 }
 

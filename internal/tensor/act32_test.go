@@ -364,7 +364,7 @@ func TestActivationClampsMatchDefinition(t *testing.T) {
 					t.Fatalf("Act(%d).Grad at y = %v gave %v, want %v", a, y, dy, wantD)
 				}
 				row := make([]float32, n)
-				AddRowBiasInto(row, x, make([]float32, n), 1, n, a)
+				AddRowBiasInto(row, x, make([]float32, n), nil, 1, n, a)
 				for i, v := range x {
 					if want := actScalar(a, v+0); math.Float32bits(row[i]) != math.Float32bits(want) {
 						t.Fatalf("AddRowBiasInto with Act(%d): element %d of %v = %v, want %v", a, i, x, row[i], want)
@@ -402,7 +402,7 @@ func TestActivationFusedEpilogueKernels(t *testing.T) {
 				}
 			}
 			dst := make([]float32, rows*d)
-			AddRowBiasInto(dst, x.Data, bias.Data, rows, d, a)
+			AddRowBiasInto(dst, x.Data, bias.Data, nil, rows, d, a)
 			for idx, got := range dst {
 				check("AddRowBiasInto", idx, got, x.Data[idx]+bias.Data[idx%d])
 			}
@@ -454,7 +454,7 @@ func TestActivationKernelsDeterministicAcrossWorkers(t *testing.T) {
 		dpre := append([]float32(nil), dy...)
 		a.Grad(dpre, y)
 		row := make([]float32, rows*d)
-		AddRowBiasInto(row, xr, bias, rows, d, a)
+		AddRowBiasInto(row, xr, bias, nil, rows, d, a)
 		ch := make([]float32, bn*bc*bhw)
 		AddChanBiasInto(ch, xc, cbias, bn, bc, bhw, a)
 		return map[string][]float32{"apply": y, "grad": dpre, "rowbias": row, "chanbias": ch}
@@ -496,7 +496,7 @@ func TestActivationKernelZeroAllocs(t *testing.T) {
 	y := make([]float32, n)
 	if a := testing.AllocsPerRun(10, func() {
 		for _, act := range allActs {
-			AddRowBiasInto(y, x, bias, rows, d, act)
+			AddRowBiasInto(y, x, bias, nil, rows, d, act)
 			AddChanBiasInto(y, x, bias[:8], 4, 8, n/32, act)
 			act.Apply(y)
 			act.Grad(dy, y)

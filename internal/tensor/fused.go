@@ -364,6 +364,12 @@ func SoftmaxRowsInto(dst, x []float32, rows, cols int) {
 	})
 }
 
+// SoftmaxRowsSerial is SoftmaxRowsInto on the calling goroutine, for a
+// caller already inside a parallel chunk (see MatMulSerial).
+func SoftmaxRowsSerial(dst, x []float32, rows, cols int) {
+	softmaxRowRange(dst, x, cols, 0, rows)
+}
+
 func softmaxRowRange(dst, x []float32, cols, r0, r1 int) {
 	for r := r0; r < r1; r++ {
 		softmaxRow(dst[r*cols:(r+1)*cols], x[r*cols:(r+1)*cols])
@@ -429,6 +435,12 @@ func SoftmaxRowsBwdInto(dx, y, dy []float32, rows, cols int) {
 	})
 }
 
+// SoftmaxRowsBwdSerial is SoftmaxRowsBwdInto on the calling goroutine (see
+// MatMulSerial).
+func SoftmaxRowsBwdSerial(dx, y, dy []float32, rows, cols int) {
+	softmaxBwdRange(dx, y, dy, cols, 0, rows)
+}
+
 func softmaxBwdRange(dx, y, dy []float32, cols, r0, r1 int) {
 	for r := r0; r < r1; r++ {
 		yr := y[r*cols : (r+1)*cols][:cols]
@@ -479,6 +491,12 @@ func SoftmaxXentBwdInPlace(probs []float32, labels []int, rows, cols int, scale 
 	parallelFor(rows, rpw, func(r0, r1 int) {
 		softmaxXentBwdInPlaceRange(probs, labels, cols, scale, r0, r1)
 	})
+}
+
+// SoftmaxXentBwdSerial is SoftmaxXentBwdInPlace on the calling goroutine
+// (see MatMulSerial).
+func SoftmaxXentBwdSerial(probs []float32, labels []int, rows, cols int, scale float32) {
+	softmaxXentBwdInPlaceRange(probs, labels, cols, scale, 0, rows)
 }
 
 func softmaxXentBwdInPlaceRange(probs []float32, labels []int, cols int, scale float32, r0, r1 int) {
@@ -665,17 +683,15 @@ func ColSumAddInto(dbias, m []float32, rows, d int) {
 	parallelFor(d, cpw, func(j0, j1 int) { colSumAddRange(dbias, m, rows, d, j0, j1) })
 }
 
+// ColSumAddSerial is ColSumAddInto on the calling goroutine (see
+// MatMulSerial).
+func ColSumAddSerial(dbias, m []float32, rows, d int) {
+	colSumAddRange(dbias, m, rows, d, 0, d)
+}
+
 func colSumAddRange(dbias, m []float32, rows, d, j0, j1 int) {
 	acc := dbias[j0:j1]
 	for r := 0; r < rows; r++ {
-		row := m[r*d+j0 : r*d+j1][:len(acc)]
-		j := 0
-		if simdAvailable {
-			addRowSIMD(acc, acc, row)
-			j = len(acc) &^ 7
-		}
-		for ; j < len(acc); j++ {
-			acc[j] += row[j]
-		}
+		addRow(acc, acc, m[r*d+j0:r*d+j1])
 	}
 }

@@ -424,7 +424,7 @@ func TestFusedBiasReLUKernels(t *testing.T) {
 	rng.FillNormal(x, 0, 1)
 	rng.FillNormal(bias, 0, 1)
 	dst := make([]float32, rows*d)
-	AddRowBiasInto(dst, x.Data, bias.Data, rows, d, ActReLU)
+	AddRowBiasInto(dst, x.Data, bias.Data, nil, rows, d, ActReLU)
 	for r := 0; r < rows; r++ {
 		for j := 0; j < d; j++ {
 			want := x.Data[r*d+j] + bias.Data[j]
@@ -601,12 +601,15 @@ func TestRowPassesMatchScalar(t *testing.T) {
 				}
 				const scale = float32(1.0 / 1008)
 
-				wantBias, wantSoft, wantXent, wantSum := x.Clone(), x.Clone(), x.Clone(), acc.Clone()
+				res := New(rows, d)
+				rng.FillNormal(res, 0, 1)
+				wantBias, wantRes, wantSoft, wantXent, wantSum := x.Clone(), x.Clone(), x.Clone(), x.Clone(), acc.Clone()
 				for r := 0; r < rows; r++ {
 					src := x.Data[r*d : (r+1)*d]
-					row := wantBias.Data[r*d : (r+1)*d]
+					row, rrow := wantBias.Data[r*d:(r+1)*d], wantRes.Data[r*d:(r+1)*d]
 					for j := range row {
 						row[j] = src[j] + bias.Data[j]
+						rrow[j] = res.Data[r*d+j] + row[j]
 					}
 					if got, want := rowMax(src), scalarMax(src); math.Float32bits(got) != math.Float32bits(want) {
 						t.Fatalf("simd=%v [%d, %d] row %d: rowMax %v, the scalar loop %v", simd, rows, d, r, got, want)
@@ -633,10 +636,15 @@ func TestRowPassesMatchScalar(t *testing.T) {
 						want *Tensor
 						run  func(got []float32)
 					}{
-						{"AddRowBiasInto", x.Clone(), wantBias, func(g []float32) { AddRowBiasInto(g, x.Data, bias.Data, rows, d, ActNone) }},
+						{"AddRowBiasInto", x.Clone(), wantBias, func(g []float32) { AddRowBiasInto(g, x.Data, bias.Data, nil, rows, d, ActNone) }},
+						{"AddRowBiasInto+residual", x.Clone(), wantRes, func(g []float32) { AddRowBiasInto(g, x.Data, bias.Data, res.Data, rows, d, ActNone) }},
+						{"AddRowBiasSerial+residual", x.Clone(), wantRes, func(g []float32) { AddRowBiasSerial(g, g, bias.Data, res.Data, rows, d, ActNone) }},
 						{"SoftmaxRowsInto", x.Clone(), wantSoft, func(g []float32) { SoftmaxRowsInto(g, g, rows, d) }},
+						{"SoftmaxRowsSerial", x.Clone(), wantSoft, func(g []float32) { SoftmaxRowsSerial(g, g, rows, d) }},
 						{"SoftmaxXentBwdInPlace", x.Clone(), wantXent, func(g []float32) { SoftmaxXentBwdInPlace(g, labels, rows, d, scale) }},
+						{"SoftmaxXentBwdSerial", x.Clone(), wantXent, func(g []float32) { SoftmaxXentBwdSerial(g, labels, rows, d, scale) }},
 						{"ColSumAddInto", acc.Clone(), wantSum, func(g []float32) { ColSumAddInto(g, x.Data, rows, d) }},
+						{"ColSumAddSerial", acc.Clone(), wantSum, func(g []float32) { ColSumAddSerial(g, x.Data, rows, d) }},
 					} {
 						c.run(c.got.Data)
 						if !c.got.Equal(c.want) {

@@ -146,6 +146,29 @@ func matmulRaw(dst, a, b []float32, m, k, n int, acc bool) {
 	})
 }
 
+// MatMulSerial, MatMulBTSerial and MatMulATSerial are MatMulRawInto,
+// MatMulBTRawInto and MatMulATRawInto on the calling goroutine: the entries
+// for an op whose own parallel chunks run GEMMs (attention's (sample, head)
+// blocks, the loss head's row chunks), where a nested region would allocate
+// its closure and compete with the outer one for the same workers. The
+// parallel entries split only disjoint output rows, so the bits are theirs.
+func MatMulSerial(dst, a, b []float32, m, k, n int) {
+	checkRawSizes("MatMulSerial", len(dst), len(a), len(b), m*n, m*k, k*n)
+	matmulRowRange(dst, a, b, k, n, colBlock(k, n), 0, m, false)
+}
+
+// MatMulBTSerial is MatMulBTRawInto on the calling goroutine (see MatMulSerial).
+func MatMulBTSerial(dst, a, b []float32, m, k, n int) {
+	checkRawSizes("MatMulBTSerial", len(dst), len(a), len(b), m*n, m*k, n*k)
+	matmulBTRowRange(dst, a, b, k, n, rowBlockBT(k, n), 0, m)
+}
+
+// MatMulATSerial is MatMulATRawInto on the calling goroutine (see MatMulSerial).
+func MatMulATSerial(dst, a, b []float32, m, k, n int) {
+	checkRawSizes("MatMulATSerial", len(dst), len(a), len(b), m*n, k*m, k*n)
+	matmulATRowRange(dst, a, b, m, k, n, colBlock(k, n), kBlockAT(k, n), 0, m, false)
+}
+
 func checkRawSizes(op string, ld, la, lb, wd, wa, wb int) {
 	if ld < wd || la < wa || lb < wb {
 		panic(fmt.Sprintf("tensor: %s buffer sizes %d/%d/%d, need %d/%d/%d", op, ld, la, lb, wd, wa, wb))

@@ -367,6 +367,11 @@ func TestMatMulBlockedMatchesUnblocked(t *testing.T) {
 				}
 				return func(dst []float32) { unblockedAxpy(dst, b.Data, m, k, n, acc, mult) }
 			}
+			dot := func(dst []float32) {
+				if err := unblockedDot(dst, a.Data, b.Data, m, k, n); err != nil {
+					t.Errorf("simd=%v %dx%dx%d: %v", simd, m, k, n, err)
+				}
+			}
 			for _, c := range []struct {
 				name      string
 				entry     func(dst, a, b []float32, m, k, n int)
@@ -376,11 +381,10 @@ func TestMatMulBlockedMatchesUnblocked(t *testing.T) {
 				{"MatMulAccRawInto", MatMulAccRawInto, axpy(true, false)},
 				{"MatMulATRawInto", MatMulATRawInto, axpy(false, true)},
 				{"MatMulATAccRawInto", MatMulATAccRawInto, axpy(true, true)},
-				{"MatMulBTRawInto", MatMulBTRawInto, func(dst []float32) {
-					if err := unblockedDot(dst, a.Data, b.Data, m, k, n); err != nil {
-						t.Errorf("simd=%v %dx%dx%d: %v", simd, m, k, n, err)
-					}
-				}},
+				{"MatMulBTRawInto", MatMulBTRawInto, dot},
+				{"MatMulSerial", MatMulSerial, axpy(false, false)},
+				{"MatMulATSerial", MatMulATSerial, axpy(false, true)},
+				{"MatMulBTSerial", MatMulBTSerial, dot},
 			} {
 				want := seed.Clone()
 				c.unblocked(want.Data)

@@ -718,7 +718,7 @@ sdone:
 //
 // For j in [0, len(dst)&^7): dst[j] = a[j] + b[j], one rounding per
 // element as in scalar Go, so the result is the pure-Go loop's bit for bit.
-// dst may alias a. Tail is the caller's job.
+// dst may alias a or b. Tail is the caller's job.
 TEXT ·addRowSIMD(SB), NOSPLIT, $0-72
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
