@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -320,6 +321,33 @@ func TestTextDatasetRoundtrip(t *testing.T) {
 				t.Fatal("shared-key text augmentation broken")
 			}
 		}
+	}
+}
+
+// TestSkipTokenGatherAllocs: Apply carves its rows from one backing array,
+// so a batch of any size costs two allocations, and a row appended to does
+// not write into the next one.
+func TestSkipTokenGatherAllocs(t *testing.T) {
+	g := &SkipTokenGather{Idx: []int{0, 2, 3}, AugLen: 5}
+	ids := make([][]int, 16)
+	for b := range ids {
+		ids[b] = []int{10 * b, 10*b + 1, 10*b + 2, 10*b + 3, 10*b + 4}
+	}
+	rows := g.Apply(ids)
+	for b, row := range rows {
+		if want := []int{10 * b, 10*b + 2, 10*b + 3}; !slices.Equal(row, want) {
+			t.Fatalf("row %d is %v, want %v", b, row, want)
+		}
+	}
+	_ = append(rows[0], -1)
+	if rows[1][0] != 10 {
+		t.Fatalf("appending to row 0 wrote %d into row 1", rows[1][0])
+	}
+	if raceEnabled {
+		return // the race detector allocates on its own
+	}
+	if got := testing.AllocsPerRun(20, func() { g.Apply(ids) }); got != 2 {
+		t.Fatalf("Apply on a batch of %d: %v allocs, want 2", len(ids), got)
 	}
 }
 

@@ -159,14 +159,18 @@ func NewRandomSkipTokenGather(rng *tensor.RNG, key *TextAugKey) *SkipTokenGather
 	return &SkipTokenGather{Idx: idx, AugLen: key.AugLen}
 }
 
-// Apply selects the kept positions from every sequence in the batch.
+// Apply selects the kept positions from every sequence in the batch. The
+// rows are carved from one backing array, so a call allocates twice (the
+// row headers and the ids) whatever the batch size.
 func (s *SkipTokenGather) Apply(ids [][]int) [][]int {
 	out := make([][]int, len(ids))
+	k := len(s.Idx)
+	flat := make([]int, len(ids)*k)
 	for b, seq := range ids {
 		if len(seq) != s.AugLen {
 			panic(fmt.Sprintf("core: SkipTokenGather sequence length %d, want %d", len(seq), s.AugLen))
 		}
-		sel := make([]int, len(s.Idx))
+		sel := flat[b*k : (b+1)*k : (b+1)*k]
 		for i, p := range s.Idx {
 			sel[i] = seq[p]
 		}

@@ -244,9 +244,12 @@ func (s *leafStep) Step(leaf *autodiff.Node) {
 }
 
 // gradBuffers is a run's free list of exact-size gradient buffers, keyed by
-// element count. It grows to the gradients a step has alive at once, not
-// one per parameter, and holds them through the forward pass too. Hence
-// exact sizes and ownership by the run: a power-of-two pool bucket would
+// element count. A spare serves only gradients of its own size, so the list
+// grows to about one spare per distinct parameter size (as many of a size
+// as a step has alive at once), not to the gradients alive at once:
+// cv_local's augmented step keeps 40.7 MB of spares for 65.5 MB of
+// parameters. It holds them through the forward pass too. Exact sizes and
+// ownership by the run still beat the pool: a power-of-two bucket would
 // hold up to twice the bytes, and its trim may drop a buffer that sat out
 // a whole interval, which a run that keeps a gradient's buffer for the next
 // step does not want. Components walk side by side, hence the lock.

@@ -107,9 +107,12 @@ func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 // where those calls would leave it. It steps a copy of the PCG state instead
 // of calling the source once per element. A fill of more than fillChunk
 // elements runs in chunks on the kernel pool, each starting where the stream
-// stands at its first element (pcgState.advance); like a kernel's, the result
-// is the same at any SetMaxWorkers, and it does not depend on where the
-// chunks fall.
+// stands at its first element (pcgState.advance). Within a chunk, an AVX2
+// host (SIMDEnabled) draws fillLanes elements at a time in
+// fillUniformSIMD and the last len%fillLanes in the scalar loop; elsewhere,
+// or after SetSIMD(false), the scalar loop draws them all. Like a kernel's,
+// the result does not depend on which loop ran, on SetMaxWorkers or on
+// where the chunks fall.
 func (g *RNG) FillUniform(t *Tensor, lo, hi float32) {
 	d := t.Data
 	if len(d) == 0 {
@@ -136,13 +139,61 @@ func (g *RNG) FillUniform(t *Tensor, lo, hi float32) {
 const fillChunk = 1 << 16
 
 // fillUniform writes lo + span·Float32() for the draws that follow state s
-// into d, one step of the state per element.
+// into d. With SIMD on, fillUniformSIMD writes the longest prefix that is a
+// whole number of fillLanes-draw groups and the loop below the rest; the
+// loop alone steps the state once per element. Both write the same bits.
 func fillUniform(d []float32, s pcgState, lo, span float32) {
+	if n := len(d) &^ (fillLanes - 1); simdAvailable && n > 0 {
+		var lanes pcgLanes
+		t := s
+		for j := 0; j < fillLanes; j++ {
+			t = t.next()
+			lanes[j&1][0][j>>1], lanes[j&1][1][j>>1] = t.hi, t.hi>>32
+			lanes[j&1][2][j>>1], lanes[j&1][3][j>>1] = t.lo, t.lo>>32
+		}
+		fillUniformSIMD(d[:n], &lanes, &fillSteps, lo, span)
+		s, d = s.advance(uint64(n)), d[n:]
+	}
 	for i := range d {
 		s = s.next()
 		d[i] = lo + span*unitFloat32(s.output())
 	}
 }
+
+// fillLanes is how many draws fillUniformSIMD takes at a time: lane j of a
+// group of fillLanes consecutive draws is draw j, and every lane steps by
+// the LCG composed with itself fillLanes times.
+const fillLanes = 8
+
+// pcgLanes is the state of fillUniformSIMD's lanes: lane 2k+p's state
+// (hi, lo) is lanes[p][·][k] = hi, hi>>32, lo, lo>>32, of which the kernel
+// reads the low 32 bits each, so the even lanes fill one group of four
+// 4×64-bit vectors and the odd lanes the other.
+type pcgLanes [2][4][4]uint64
+
+// fillSteps are fillUniformSIMD's constants, each a row of four equal
+// 64-bit lanes. VPMULUDQ multiplies the low 32 bits of its 64-bit lanes, so
+// a 64-bit factor is given as its value (low half) and its high half.
+var fillSteps = func() (k [13][4]uint64) {
+	mul, inc := pcgState{lo: 1}, pcgState{} // the identity map
+	for i := 0; i < fillLanes; i++ {
+		mul, inc = pcgMul.mul(mul), pcgMul.mul(inc).add(pcgInc)
+	}
+	const unit = 0x33800000 // math.Float32bits(2⁻²⁴)
+	for i, v := range []uint64{
+		mul.lo, mul.lo >> 32, // 0, 1: the lane step's multiplier, lo word
+		mul.hi, mul.hi >> 32, // 2, 3: its hi word
+		inc.lo & 0xffffffff, inc.lo >> 32, inc.hi, // 4, 5, 6: its increment
+		pcgCheapMul, pcgCheapMul >> 32, // 7, 8: DXSM's multiplier
+		1,                  // 9: DXSM's lo|1
+		0xffffffff,         // 10: the low half of a 64-bit lane
+		0x00ffffff00ffffff, // 11: a float's 24 bits, in 32-bit lanes
+		unit<<32 | unit,    // 12: 2⁻²⁴ as float32 lanes
+	} {
+		k[i] = [4]uint64{v, v, v, v}
+	}
+	return k
+}()
 
 // unitFloat32 is math/rand/v2's Rand.Float32 of a source that returned x.
 func unitFloat32(x uint64) float32 {
@@ -160,6 +211,9 @@ var (
 	pcgMul = pcgState{2549297995355413924, 4865540595714422341}
 	pcgInc = pcgState{6364136223846793005, 1442695040888963407}
 )
+
+// pcgCheapMul is the multiplier of the PCG's DXSM output.
+const pcgCheapMul = 0xda942042e4dd58b5
 
 // pcgStateOf reads p's state. PCG.Seed(hi, lo) writes it back.
 func pcgStateOf(p *rand.PCG) pcgState {
@@ -202,10 +256,9 @@ func (s pcgState) advance(n uint64) pcgState {
 
 // output is the PCG's DXSM output of the state a draw has just reached.
 func (s pcgState) output() uint64 {
-	const cheapMul = 0xda942042e4dd58b5
 	hi := s.hi
 	hi ^= hi >> 32
-	hi *= cheapMul
+	hi *= pcgCheapMul
 	hi ^= hi >> 48
 	return hi * (s.lo | 1)
 }

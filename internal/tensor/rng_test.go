@@ -12,40 +12,78 @@ import (
 
 // TestFillUniformIsUniformDrawn is FillUniform's contract: the same floats as
 // one Uniform call per element, and the stream left where those calls leave
-// it (state bytes and the next draws), at any worker count and at lengths
-// around every boundary the fill has (none, one chunk, several, a ragged
-// last one).
+// it (state bytes and the next draws), with SIMD off and on, at any worker
+// count and at lengths around every boundary the fill has (none, one lane
+// group of fillLanes draws and a scalar tail, one chunk, several, a ragged
+// last one). The second range's span·u is inexact, so a multiply and add
+// fused into one rounding shows.
 func TestFillUniformIsUniformDrawn(t *testing.T) {
-	lengths := []int{0, 1, 3, 4, 255, 256, 257, fillChunk - 1, fillChunk + 1, 2*fillChunk - 1, 2 * fillChunk, 3*fillChunk + 5, 1<<20 + 3}
+	lengths := []int{0, 1, 3, 4, fillLanes - 1, fillLanes, fillLanes + 1, 2*fillLanes - 1, 2 * fillLanes, 2*fillLanes + 1,
+		255, 256, 257, fillChunk - 1, fillChunk + 1, 2*fillChunk - 1, 2 * fillChunk, 3*fillChunk + 5, 1<<20 + 3}
 	seeds := []uint64{0, 1, 42, 1<<63 + 12345}
+	ranges := [][2]float32{{-0.3, 0.7}, {-0.0417, 0.0417}}
 	if raceEnabled {
 		lengths, seeds = lengths[:len(lengths)-1], seeds[:2]
 	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		prev := SetMaxWorkers(workers)
-		for _, n := range lengths {
-			for _, seed := range seeds {
-				got, want := NewRNG(seed), NewRNG(seed)
-				x := New(n)
-				got.FillUniform(x, -0.3, 0.7)
-				for i, v := range x.Data {
-					if w := want.Uniform(-0.3, 0.7); v != w {
-						t.Fatalf("workers %d, n %d, seed %d: element %d is %v, Uniform draws %v", workers, n, seed, i, v, w)
+	for _, simd := range []bool{false, true} {
+		prevSIMD := SetSIMD(simd)
+		for _, workers := range []int{1, 2, 3, 8} {
+			prev := SetMaxWorkers(workers)
+			for _, n := range lengths {
+				for _, seed := range seeds {
+					for _, r := range ranges {
+						got, want := NewRNG(seed), NewRNG(seed)
+						x := New(n)
+						got.FillUniform(x, r[0], r[1])
+						for i, v := range x.Data {
+							if w := want.Uniform(r[0], r[1]); math.Float32bits(v) != math.Float32bits(w) {
+								t.Fatalf("simd %v, workers %d, n %d, seed %d, range %v: element %d is %v, Uniform draws %v", SIMDEnabled(), workers, n, seed, r, i, v, w)
+							}
+						}
+						gs, _ := got.MarshalState()
+						ws, _ := want.MarshalState()
+						if !bytes.Equal(gs, ws) {
+							t.Fatalf("simd %v, workers %d, n %d, seed %d: state %x after the fill, %x after the draws", SIMDEnabled(), workers, n, seed, gs, ws)
+						}
+						for k := 0; k < 8; k++ {
+							if g, w := got.Uint64(), want.Uint64(); g != w {
+								t.Fatalf("simd %v, workers %d, n %d, seed %d: draw %d after the fill is %d, want %d", SIMDEnabled(), workers, n, seed, k, g, w)
+							}
+						}
 					}
 				}
-				gs, _ := got.MarshalState()
-				ws, _ := want.MarshalState()
-				if !bytes.Equal(gs, ws) {
-					t.Fatalf("workers %d, n %d, seed %d: state %x after the fill, %x after the draws", workers, n, seed, gs, ws)
-				}
-				for k := 0; k < 8; k++ {
-					if g, w := got.Uint64(), want.Uint64(); g != w {
-						t.Fatalf("workers %d, n %d, seed %d: draw %d after the fill is %d, want %d", workers, n, seed, k, g, w)
+			}
+			SetMaxWorkers(prev)
+		}
+		SetSIMD(prevSIMD)
+	}
+}
+
+// TestFillUniformKernelMatchesScalar runs fillUniform from arbitrary PCG
+// states, not only seeded ones, at every length up to five lane groups and
+// a tail, with SIMD on against SIMD off, over ranges that include ±0, an
+// infinite span and a subnormal one.
+func TestFillUniformKernelMatchesScalar(t *testing.T) {
+	ranges := [][2]float32{{-1, 1}, {0, 1}, {-0.0417, 0.0417}, {float32(math.Copysign(0, -1)), 0}, {-3e38, 3e38}, {0, 1e-44}}
+	rng := rand.New(rand.NewPCG(3, 4))
+	want, got := make([]float32, 5*fillLanes+3), make([]float32, 5*fillLanes+3)
+	for k := 0; k < 64; k++ {
+		s := pcgState{hi: rng.Uint64(), lo: rng.Uint64()}
+		for _, r := range ranges {
+			span := r[1] - r[0]
+			for n := 0; n <= len(want); n++ {
+				prev := SetSIMD(false)
+				fillUniform(want[:n], s, r[0], span)
+				SetSIMD(true)
+				fillUniform(got[:n], s, r[0], span)
+				SetSIMD(prev)
+				for i := range n {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("state %+v, range %v, n %d: element %d is %v with SIMD on, %v off", s, r, n, i, got[i], want[i])
 					}
 				}
 			}
 		}
-		SetMaxWorkers(prev)
 	}
 }
 
@@ -98,39 +136,52 @@ func TestPCGAdvanceIsRepeatedSteps(t *testing.T) {
 }
 
 // TestFillUniformAllocs: a fill on the caller allocates nothing (the state
-// is read into a stack buffer); a fill split over the kernel pool pays only
-// for parallelFor's closure and wait group.
+// and the SIMD lanes live in stack buffers); a fill split over the kernel
+// pool pays only for parallelFor's closure and wait group.
 func TestFillUniformAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	g := NewRNG(7)
-	for _, c := range []struct {
-		n, workers int
-		want       float64
-	}{{fillChunk, 2, 0}, {4 * fillChunk, 2, 2}} {
-		prev := SetMaxWorkers(c.workers)
-		x := New(c.n)
-		if got := testing.AllocsPerRun(20, func() { g.FillUniform(x, -1, 1) }); got != c.want {
-			t.Errorf("a fill of %d floats at %d workers: %v allocs, want %v", c.n, c.workers, got, c.want)
+	for _, simd := range []bool{false, true} {
+		prevSIMD := SetSIMD(simd)
+		for _, c := range []struct {
+			n, workers int
+			want       float64
+		}{{fillChunk, 2, 0}, {4 * fillChunk, 2, 2}} {
+			prev := SetMaxWorkers(c.workers)
+			x := New(c.n)
+			if got := testing.AllocsPerRun(20, func() { g.FillUniform(x, -1, 1) }); got != c.want {
+				t.Errorf("simd %v: a fill of %d floats at %d workers: %v allocs, want %v", SIMDEnabled(), c.n, c.workers, got, c.want)
+			}
+			SetMaxWorkers(prev)
 		}
-		SetMaxWorkers(prev)
+		SetSIMD(prevSIMD)
 	}
 }
 
-// BenchmarkFillUniform: one resnet18 3×3 512→512 conv weight (2.4 M floats)
-// and a 4 M-float fill; bias-sized fills are the serial path.
+// BenchmarkFillUniform: a bias-sized fill (the serial path), one resnet18
+// 3×3 512→512 conv weight (2.4 M floats) and a 4 M-float fill, each with the
+// SIMD kernel off and on (`-bench 'FillUniform/2359296' -cpu 1` compares the
+// two loops on one core).
 func BenchmarkFillUniform(b *testing.B) {
 	for _, n := range []int{512, 512 * 512 * 9, 1 << 22} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			g := NewRNG(1)
-			x := New(n)
-			b.SetBytes(int64(4 * n))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g.FillUniform(x, -1, 1)
-			}
-		})
+		for _, simd := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%d/simd=%v", n, simd), func(b *testing.B) {
+				defer SetSIMD(SetSIMD(simd))
+				if SIMDEnabled() != simd {
+					b.Skip("no AVX2 on this host")
+				}
+				g := NewRNG(1)
+				x := New(n)
+				b.SetBytes(int64(4 * n))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					g.FillUniform(x, -1, 1)
+				}
+			})
+		}
 	}
 }
 

@@ -49,6 +49,9 @@ func scaleRowSIMD(dst []float32, s float32)
 //go:noescape
 func maxRowSIMD(src []float32, init float32) float32
 
+//go:noescape
+func fillUniformSIMD(d []float32, lanes *pcgLanes, k *[13][4]uint64, lo, span float32)
+
 // simdAvailable gates the SIMD dispatch in matmul.go.
 var simdAvailable = detectAVX2FMA()
 

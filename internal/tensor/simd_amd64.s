@@ -802,3 +802,122 @@ mreduce:
 	VMOVSS X0, ret+32(FP)
 	VZEROUPPER
 	RET
+
+// The PCG lanes of fillUniformSIMD. A lane is one 64-bit element of four
+// YMM registers, HW H1 X0 X1, and holds one draw's state (h, l) in their low
+// halves: h's low 32 bits in HW, its high 32 in H1, l's in X0 and X1. The
+// high halves are whatever the step left there. AVX2 has no 64-bit
+// multiply, and VPMULUDQ multiplies low halves into 64-bit products, so
+// every product is built from 32×32-bit partials: with x = x1·2³² + x0,
+// x·m mod 2⁶⁴ is x0·m0 + lo32(x0·m1 + x1·m0)·2³².
+// R8 points at the fillSteps rows (rng.go), 32 bytes each:
+// 0 m0 · 32 m1 · 64 n0 · 96 n1 (the lane step's multiplier, lo and hi words),
+// 128 c0 · 160 c1 · 192 chi (its increment), 224 k0 · 256 k1 (DXSM's
+// multiplier), 288 one, 320 low-half mask, 352 24-bit mask, 384 2⁻²⁴.
+//
+// PCG_OUT(HW, H1, X0, X1) is pcgState.output's high 32 bits for each lane:
+// a = h ^ h>>32, e = a·k mod 2⁶⁴, f = e ^ e>>48 and f·(l|1) mod 2⁶⁴, whose
+// high 32 bits are hi32(f0·b0) + lo32(f0·b1 + f1·b0) with b = l|1. It leaves
+// R = f0·b0 in Y9 and that sum's second term in Y10's low halves.
+#define PCG_OUT(HW, H1, X0, X1) \
+	VPXOR HW, H1, Y8; \
+	VPMULUDQ 224(R8), Y8, Y9; \
+	VPMULUDQ 256(R8), Y8, Y8; \
+	VPMULUDQ 224(R8), H1, Y10; \
+	VPADDD Y10, Y8, Y8; \
+	VPSHUFD $0xF5, Y9, Y10; \
+	VPADDD Y8, Y10, Y10; \
+	VPSRLD $16, Y10, Y8; \
+	VPXOR Y8, Y9, Y9; \
+	VPOR 288(R8), X0, Y8; \
+	VPMULUDQ Y8, Y10, Y11; \
+	VPMULUDQ X1, Y9, Y10; \
+	VPADDD Y11, Y10, Y10; \
+	VPMULUDQ Y8, Y9, Y9
+
+// PCG_STEP(HW, H1, X0, X1) steps each lane's state s = (h, l) to m·s + c
+// mod 2¹²⁸, (m, c) the LCG composed with itself eight times:
+//   l' = lo64(l·m.lo + c.lo), a 128-bit sum t taken in 32-bit limbs: c0
+//        and c1 ride in the partials x0·m0 and x0·m1, which have room for
+//        them, and mid = x1·m0 + lo32(x0·m1 + c1) + (x0·m0 + c0)>>32 cannot
+//        overflow; l' is lo32(x0·m0 + c0) and lo32(mid).
+//   h' = hi64(t) + h·m.lo + l·m.hi + c.hi mod 2⁶⁴, whose high 32 bits take
+//        lo32(h0·m1 + h1·m0 + x0·n1 + x1·n0) apart.
+#define PCG_STEP(HW, H1, X0, X1) \
+	VPMULUDQ 0(R8), X0, Y8; \
+	VPMULUDQ 32(R8), X0, Y9; \
+	VPMULUDQ 0(R8), X1, Y10; \
+	VPMULUDQ 32(R8), X1, Y11; \
+	VPADDQ 160(R8), Y9, Y9; \
+	VPSRLQ $32, Y9, Y14; \
+	VPADDQ Y14, Y11, Y11; \
+	VPAND 320(R8), Y9, Y9; \
+	VPADDQ Y9, Y10, Y10; \
+	VPMULUDQ 64(R8), X0, Y9; \
+	VPMULUDQ 0(R8), HW, Y14; \
+	VPADDQ Y14, Y9, Y9; \
+	VPADDQ Y9, Y11, Y11; \
+	VPMULUDQ 96(R8), X0, Y9; \
+	VPMULUDQ 64(R8), X1, Y14; \
+	VPADDD Y14, Y9, Y9; \
+	VPMULUDQ 32(R8), HW, Y14; \
+	VPADDD Y14, Y9, Y9; \
+	VPMULUDQ 0(R8), H1, Y14; \
+	VPADDD Y14, Y9, Y9; \
+	VPADDQ 128(R8), Y8, X0; \
+	VPSRLQ $32, X0, Y8; \
+	VPADDQ Y8, Y10, X1; \
+	VPSRLQ $32, X1, Y8; \
+	VPADDQ Y8, Y11, Y11; \
+	VPADDQ 192(R8), Y11, HW; \
+	VPSHUFD $0xF5, HW, Y8; \
+	VPADDD Y9, Y8, H1
+
+// func fillUniformSIMD(d []float32, lanes *pcgLanes, k *[13][4]uint64, lo, span float32)
+//
+// For j in [0, len(d)&^7): d[j] = lo + span·u, u the 24-bit draw of lane
+// j%8's state ×2⁻²⁴, each lane stepping eight draws per group: the scalar
+// fillUniform's bits. The draw converts exactly and 2⁻²⁴ scales it exactly;
+// span·u and the sum are rounded apart (VMULPS, VADDPS: no FMA), as Go
+// rounds them. lanes holds the states of the first group's draws; the
+// stream position after d is the caller's to compute.
+TEXT ·fillUniformSIMD(SB), NOSPLIT, $0-48
+	MOVQ d_base+0(FP), DI
+	MOVQ d_len+8(FP), CX
+	MOVQ lanes+24(FP), SI
+	MOVQ k+32(FP), R8
+	VBROADCASTSS span+44(FP), Y15
+	VMOVDQU 0(SI), Y0                // even lanes
+	VMOVDQU 32(SI), Y1
+	VMOVDQU 64(SI), Y2
+	VMOVDQU 96(SI), Y3
+	VMOVDQU 128(SI), Y4              // odd lanes
+	VMOVDQU 160(SI), Y5
+	VMOVDQU 192(SI), Y6
+	VMOVDQU 224(SI), Y7
+	XORQ AX, AX
+	ANDQ $-8, CX
+	JEQ  fudone
+fuloop:
+	PCG_OUT(Y0, Y1, Y2, Y3)
+	VPSHUFD $0xF5, Y9, Y9
+	VPADDD Y10, Y9, Y12              // even draws in the low halves
+	PCG_STEP(Y0, Y1, Y2, Y3)
+	PCG_OUT(Y4, Y5, Y6, Y7)
+	VPSHUFD $0xA0, Y10, Y10
+	VPADDD Y10, Y9, Y13              // odd draws in the high halves
+	PCG_STEP(Y4, Y5, Y6, Y7)
+	VPBLENDD $0xAA, Y13, Y12, Y12    // the group's draws in order
+	VPAND 352(R8), Y12, Y12
+	VCVTDQ2PS Y12, Y12
+	VMULPS 384(R8), Y12, Y12         // u
+	VBROADCASTSS lo+40(FP), Y13
+	VMULPS Y15, Y12, Y12             // span·u, rounded
+	VADDPS Y13, Y12, Y12             // lo + span·u, rounded
+	VMOVUPS Y12, (DI)(AX*4)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  fuloop
+fudone:
+	VZEROUPPER
+	RET

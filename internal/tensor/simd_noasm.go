@@ -14,7 +14,7 @@ func SIMDEnabled() bool { return false }
 // SetSIMD is the test-only backend switch; there is nothing to switch here.
 func SetSIMD(on bool) bool { return false }
 
-// The SIMD kernel symbols are referenced from matmul.go behind
+// The SIMD kernel symbols are referenced from the Go kernels behind
 // `if simdAvailable`, which is a compile-time false here; the bodies are
 // unreachable.
 func axpy4x2SIMD(d0, d1, b0, b1, b2, b3 []float32, a *[8]float32) {
@@ -54,5 +54,9 @@ func scaleRowSIMD(dst []float32, s float32) {
 }
 
 func maxRowSIMD(src []float32, init float32) float32 {
+	panic("tensor: SIMD kernel called on non-amd64 build")
+}
+
+func fillUniformSIMD(d []float32, lanes *pcgLanes, k *[13][4]uint64, lo, span float32) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
